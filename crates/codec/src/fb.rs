@@ -165,6 +165,7 @@ impl<B: ByteSink> FbBuilder<B> {
     }
 
     /// Finalizes a table built with [`TableBuilder`], returning its offset.
+    #[inline]
     fn end_table(&mut self, slots: &[(u16, SlotVal)]) -> u32 {
         let table_pos = self.pos();
         // Table data: vtable pointer placeholder + fields in slot order.
@@ -195,6 +196,14 @@ impl<B: ByteSink> FbBuilder<B> {
         table_pos
     }
 
+    /// [`Self::end_table`] for the rare table too wide for the builder's
+    /// inline slots, kept out of the way of the common one.
+    #[cold]
+    #[inline(never)]
+    fn end_table_spilled(&mut self, slots: &[(u16, SlotVal)]) -> u32 {
+        self.end_table(slots)
+    }
+
     /// Sets the root table and returns the underlying buffer, with the
     /// message appended after whatever the buffer held at construction.
     pub fn finish_buf(mut self, root: u32) -> B {
@@ -204,52 +213,109 @@ impl<B: ByteSink> FbBuilder<B> {
     }
 }
 
+/// Slots a [`TableBuilder`] holds inline; every table in this workspace
+/// fits (the widest, a MAC UE row, has 14).
+const INLINE_SLOTS: usize = 16;
+
 /// Collects the slots of one table before writing it.
 ///
 /// Slots may be pushed in any order; absent optional fields are simply not
-/// pushed.
-#[derive(Debug, Default)]
+/// pushed.  The first [`INLINE_SLOTS`] live in the builder itself, so a
+/// message of many small tables (one per UE in a statistics report) pays no
+/// heap allocation per table; a wider table spills to the heap.
+///
+/// Everything on the inline path is `#[inline]` and branches on `len`
+/// alone, and the spill path is out of line: where a table's slots are
+/// spelled out in one place, the compiler then knows `len` at every step and
+/// turns builder and [`TableBuilder::end`] into straight-line stores.
+#[derive(Debug)]
 pub struct TableBuilder {
-    slots: Vec<(u16, SlotVal)>,
+    inline: [(u16, SlotVal); INLINE_SLOTS],
+    /// Slots pushed, wherever they are.
+    len: usize,
+    /// Every slot, once `len` exceeds [`INLINE_SLOTS`].
+    spill: Vec<(u16, SlotVal)>,
+}
+
+impl Default for TableBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The first slot past the inline ones moves them all to the heap.
+#[cold]
+#[inline(never)]
+fn push_spilled(
+    spill: &mut Vec<(u16, SlotVal)>,
+    inline: &[(u16, SlotVal); INLINE_SLOTS],
+    slot: (u16, SlotVal),
+) {
+    if spill.is_empty() {
+        spill.extend_from_slice(inline);
+    }
+    spill.push(slot);
 }
 
 impl TableBuilder {
     /// Creates an empty table builder.
+    #[inline]
     pub fn new() -> Self {
-        TableBuilder { slots: Vec::with_capacity(16) }
+        TableBuilder { inline: [(0, SlotVal::U8(0)); INLINE_SLOTS], len: 0, spill: Vec::new() }
+    }
+
+    #[inline]
+    fn push(&mut self, slot: u16, val: SlotVal) -> &mut Self {
+        if self.len < INLINE_SLOTS {
+            self.inline[self.len] = (slot, val);
+        } else {
+            push_spilled(&mut self.spill, &self.inline, (slot, val));
+        }
+        self.len += 1;
+        self
+    }
+
+    #[inline]
+    fn slots(&self) -> &[(u16, SlotVal)] {
+        if self.len <= INLINE_SLOTS {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
     }
 
     /// Sets a u8 scalar slot.
+    #[inline]
     pub fn u8(&mut self, slot: u16, v: u8) -> &mut Self {
-        self.slots.push((slot, SlotVal::U8(v)));
-        self
+        self.push(slot, SlotVal::U8(v))
     }
 
     /// Sets a u16 scalar slot.
+    #[inline]
     pub fn u16(&mut self, slot: u16, v: u16) -> &mut Self {
-        self.slots.push((slot, SlotVal::U16(v)));
-        self
+        self.push(slot, SlotVal::U16(v))
     }
 
     /// Sets a u32 scalar slot.
+    #[inline]
     pub fn u32(&mut self, slot: u16, v: u32) -> &mut Self {
-        self.slots.push((slot, SlotVal::U32(v)));
-        self
+        self.push(slot, SlotVal::U32(v))
     }
 
     /// Sets a u64 scalar slot.
+    #[inline]
     pub fn u64(&mut self, slot: u16, v: u64) -> &mut Self {
-        self.slots.push((slot, SlotVal::U64(v)));
-        self
+        self.push(slot, SlotVal::U64(v))
     }
 
     /// Sets an offset slot (blob / vector / subtable).
+    #[inline]
     pub fn off(&mut self, slot: u16, off: u32) -> &mut Self {
-        self.slots.push((slot, SlotVal::Off(off)));
-        self
+        self.push(slot, SlotVal::Off(off))
     }
 
     /// Sets an offset slot if present.
+    #[inline]
     pub fn opt_off(&mut self, slot: u16, off: Option<u32>) -> &mut Self {
         if let Some(o) = off {
             self.off(slot, o);
@@ -258,14 +324,20 @@ impl TableBuilder {
     }
 
     /// Writes the table into `b`, returning its message-relative offset.
+    #[inline]
     pub fn end<B: ByteSink>(self, b: &mut FbBuilder<B>) -> u32 {
-        b.end_table(&self.slots)
+        if self.len <= INLINE_SLOTS {
+            b.end_table(&self.inline[..self.len])
+        } else {
+            b.end_table_spilled(&self.spill)
+        }
     }
 
     /// Serialized size of the table data + vtable this builder will emit.
     pub fn encoded_len(&self) -> usize {
-        let nslots = self.slots.iter().map(|(s, _)| *s + 1).max().unwrap_or(0) as usize;
-        4 + self.slots.iter().map(|(_, v)| v.width()).sum::<usize>() + 2 + 2 * nslots
+        let slots = self.slots();
+        let nslots = slots.iter().map(|(s, _)| *s + 1).max().unwrap_or(0) as usize;
+        4 + slots.iter().map(|(_, v)| v.width()).sum::<usize>() + 2 + 2 * nslots
     }
 }
 
@@ -430,6 +502,12 @@ impl<'a> FbTable<'a> {
         let Some(p) = self.field_pos(slot)? else { return Ok(None) };
         let off = read_u32(self.buf, p)? as usize;
         let len = read_u32(self.buf, off)? as usize;
+        // Callers size their output by `len` before they read an element:
+        // refuse a count the bytes after it cannot hold (the narrowest
+        // element is a u16).
+        if len > (self.buf.len() - (off + 4)) / 2 {
+            return Err(CodecError::Truncated { what: "fb vector" });
+        }
         Ok(Some(FbVector { buf: self.buf, pos: off + 4, len }))
     }
 
@@ -537,6 +615,29 @@ mod tests {
     }
 
     #[test]
+    fn wide_table_spills_past_the_inline_slots() {
+        // What just fits inline, one slot more, and every slot there is:
+        // all read back, and `encoded_len` tells the truth on either side
+        // of the spill.
+        for n in [INLINE_SLOTS as u16, INLINE_SLOTS as u16 + 1, 64] {
+            let mut b = FbBuilder::new();
+            let mut t = TableBuilder::new();
+            for slot in 0..n {
+                t.u32(slot, 1000 + slot as u32);
+            }
+            let predicted = t.encoded_len();
+            let root = t.end(&mut b);
+            let msg = b.finish(root);
+            assert_eq!(msg.len(), FB_HEADER_LEN + predicted, "{n} slots");
+            let root = FbView::parse(&msg).unwrap().root().unwrap();
+            for slot in 0..n {
+                assert_eq!(root.u32(slot).unwrap(), Some(1000 + slot as u32), "{n} slots");
+            }
+            assert_eq!(root.u32(n).unwrap(), None);
+        }
+    }
+
+    #[test]
     fn blob_and_string_roundtrip() {
         let mut b = FbBuilder::new();
         let blob = b.blob(b"\x00\x01\x02payload");
@@ -587,6 +688,21 @@ mod tests {
         let root = FbView::parse(&msg).unwrap().root().unwrap();
         let v = root.vector_or_empty(0).unwrap();
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn vector_longer_than_the_message_rejected() {
+        let mut b = FbBuilder::new();
+        let v = b.vec_u16(&[1, 2, 3]);
+        let mut t = TableBuilder::new();
+        t.off(0, v);
+        let root = t.end(&mut b);
+        let mut msg = b.finish(root);
+        let at = FB_HEADER_LEN; // the vector is the first thing written
+        assert_eq!(msg[at..at + 4], 3u32.to_le_bytes());
+        msg[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let root = FbView::parse(&msg).unwrap().root().unwrap();
+        assert!(matches!(root.vector(0), Err(CodecError::Truncated { .. })));
     }
 
     #[test]

@@ -58,6 +58,30 @@ impl ByteSink for Vec<u8> {
     }
 }
 
+/// A borrowed sink: a writer can append into a buffer its caller keeps
+/// (and may truncate afterwards) without taking it.
+impl<B: ByteSink + ?Sized> ByteSink for &mut B {
+    fn push_byte(&mut self, b: u8) {
+        (**self).push_byte(b);
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        (**self).put_slice(bytes);
+    }
+
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        (**self).as_slice()
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        (**self).as_mut_slice()
+    }
+}
+
 impl ByteSink for BytesMut {
     fn push_byte(&mut self, b: u8) {
         self.extend_from_slice(std::slice::from_ref(&b));
@@ -99,5 +123,12 @@ mod tests {
         assert_eq!(v, vec![0xAB, 9, 2, 3]);
         assert_eq!(ByteSink::len(&b), 4);
         assert!(!ByteSink::is_empty(&b));
+    }
+
+    #[test]
+    fn borrowed_sink_appends_to_the_callers_buffer() {
+        let mut kept = vec![7u8];
+        exercise(&mut kept);
+        assert_eq!(kept, vec![7, 9, 1, 2, 3], "as_mut_slice sees the whole buffer");
     }
 }

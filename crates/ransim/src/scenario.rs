@@ -26,8 +26,8 @@
 //! `flexric-sm` and `flexric-obs`, so the offline harness compiles and
 //! runs the whole crate (engine included) under bare `rustc`.
 
+use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 use crate::cell::{CellConfig, UeConfig};
 use crate::phy::Rat;
@@ -609,7 +609,9 @@ pub struct ScenarioEngine {
     spec: ScenarioSpec,
     rng: Rng,
     now_ms: u64,
-    ues: HashMap<u16, UeState>,
+    /// Ordered by RNTI: every walk over the population draws from `rng`
+    /// or emits events, so its order is part of the trace.
+    ues: BTreeMap<u16, UeState>,
     next_rnti: u16,
     next_arrival_ms: u64,
     /// `(depart_at, rnti)`, min-heap.
@@ -638,7 +640,7 @@ impl ScenarioEngine {
             spec,
             rng: Rng::new(seed),
             now_ms: 0,
-            ues: HashMap::new(),
+            ues: BTreeMap::new(),
             next_rnti: 0x4601,
             next_arrival_ms: 0,
             departures: BinaryHeap::new(),
@@ -912,32 +914,25 @@ impl ScenarioEngine {
 
     fn step_mobility(&mut self, sim: &mut Sim, t: u64) {
         let dt_s = self.spec.mobility.step_ms as f64 / 1_000.0;
-        let mut rntis: Vec<u16> = self.ues.keys().copied().collect();
-        rntis.sort_unstable();
-        for rnti in rntis {
+        // The walk needs the rest of `self` (RNG, geometry, trace) beside
+        // each UE: lend the population out for its duration.
+        let mut ues = std::mem::take(&mut self.ues);
+        for (&rnti, st) in ues.iter_mut() {
             // Move toward the waypoint; arrived UEs pick a new one.
-            let (x, y, serving) = {
-                let st = self.ues.get_mut(&rnti).expect("present");
-                let (dx, dy) = (st.wp_x - st.x, st.wp_y - st.y);
-                let dist = (dx * dx + dy * dy).sqrt();
-                let step = st.speed_mps * dt_s;
-                if dist <= step {
-                    st.x = st.wp_x;
-                    st.y = st.wp_y;
-                } else {
-                    st.x += dx / dist * step;
-                    st.y += dy / dist * step;
-                }
-                (st.x, st.y, st.serving)
-            };
-            if self.ues[&rnti].x == self.ues[&rnti].wp_x
-                && self.ues[&rnti].y == self.ues[&rnti].wp_y
-            {
-                let (nx, ny) = self.pick_waypoint();
-                let st = self.ues.get_mut(&rnti).expect("present");
-                st.wp_x = nx;
-                st.wp_y = ny;
+            let (dx, dy) = (st.wp_x - st.x, st.wp_y - st.y);
+            let dist = (dx * dx + dy * dy).sqrt();
+            let step = st.speed_mps * dt_s;
+            if dist <= step {
+                st.x = st.wp_x;
+                st.y = st.wp_y;
+            } else {
+                st.x += dx / dist * step;
+                st.y += dy / dist * step;
             }
+            if st.x == st.wp_x && st.y == st.wp_y {
+                (st.wp_x, st.wp_y) = self.pick_waypoint();
+            }
+            let (x, y, serving) = (st.x, st.y, st.serving);
             // Link adaptation toward the serving cell.
             let serving_rsrp = self.rsrp_to(serving, x, y);
             let (mcs, cqi) = mcs_of(serving_rsrp, sim.cells[serving].cfg.rat);
@@ -950,7 +945,6 @@ impl ScenarioEngine {
                 continue;
             };
             let over = best_rsrp > serving_rsrp + self.spec.mobility.a3_hyst_db;
-            let st = self.ues.get_mut(&rnti).expect("present");
             if !over || self.down[serving] {
                 st.a3_since = None;
                 continue;
@@ -977,6 +971,7 @@ impl ScenarioEngine {
                 _ => st.a3_since = Some((best, t)),
             }
         }
+        self.ues = ues;
     }
 
     // -- outages --------------------------------------------------------
@@ -1007,13 +1002,12 @@ impl ScenarioEngine {
             self.recoveries.push(std::cmp::Reverse((o.at_ms + o.dur_ms.max(1), o.cell)));
             // Coverage-triggered handover: victims flee to the strongest
             // surviving cell.
-            let mut victims: Vec<u16> = self
+            let victims: Vec<u16> = self
                 .ues
                 .iter()
                 .filter(|(_, st)| st.serving == o.cell)
                 .map(|(rnti, _)| *rnti)
                 .collect();
-            victims.sort_unstable();
             for rnti in victims {
                 let (x, y) = {
                     let st = &self.ues[&rnti];

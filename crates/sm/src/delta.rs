@@ -13,9 +13,9 @@
 //! * every `keyframe_every`-th report opportunity emits a *keyframe* — the
 //!   full snapshot in the subscription's [`SmCodec`] — bounding the resync
 //!   window and doubling as liveness for quiescent cells;
-//! * a report whose content hash ([`content_hash`]) equals the previous
-//!   report's is *suppressed* entirely (nothing is sent; the server's last
-//!   reconstruction stays valid);
+//! * a report that differs from the previous one by nothing but its
+//!   timestamp (an empty diff) is *suppressed* entirely (nothing is sent;
+//!   the server's last reconstruction stays valid);
 //! * frames are tagged with a stream *epoch* that bumps on every
 //!   (re)subscription, mode change, and resync request, so the
 //!   reconnect/replay machinery of the procedure layer forces a keyframe
@@ -25,23 +25,36 @@
 //!   backing off a quiescent cell costs no keyframe.
 //!
 //! The decoder reconstructs the full snapshot from the last keyframe plus
-//! deltas and verifies a 64-bit post-hash carried in every delta frame:
-//! any divergence (reordering, lost frame, codec bug) surfaces as
-//! [`DeltaEvent::NeedKeyframe`] rather than silently wrong statistics, and
-//! the controller answers it by retuning the subscription (which forces a
-//! keyframe).  Reconstruction is exact: re-encoding the reconstructed
-//! snapshot is byte-identical to encoding the sender's snapshot.
+//! deltas and verifies a 64-bit post-hash ([`content_hash`]) carried in
+//! every delta frame: any divergence (reordering, lost frame, codec bug)
+//! surfaces as [`DeltaEvent::NeedKeyframe`] rather than silently wrong
+//! statistics, and the controller answers it by retuning the subscription
+//! (which forces a keyframe).  Reconstruction is exact: re-encoding the
+//! reconstructed snapshot is byte-identical to encoding the sender's
+//! snapshot.
 //!
 //! The delta frame itself uses a codec-independent bit-packed wire format
 //! (like `BearerAddr`) — dirty bitmaps are inherently bit-oriented — while
 //! embedded keyframes use the subscription's negotiated [`SmCodec`].
+//!
+//! Cost: a delta stream must not buy its bytes with CPU.  In the steady
+//! state — same rows, same order — the encoder diffs two snapshots row by
+//! row into a reusable table and writes the frame straight into a reusable
+//! buffer, and the decoder patches, in one pass over the frame, the one
+//! copy of its base that it hands to the caller anyway.  Hash tables appear
+//! only when rows were added, removed or reordered, and the whole-snapshot
+//! encode that guards the oversized-delta fallback runs only when a frame
+//! outgrows a cached lower bound of the keyframe's size.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 use bytes::{Bytes, BytesMut};
 use flexric_codec::error::{CodecError, Result};
 use flexric_codec::per::{BitReader, BitWriter};
+use flexric_codec::ByteSink;
 
 use crate::trigger::ReportMode;
 use crate::{SmCodec, SmPayload};
@@ -54,6 +67,13 @@ use crate::{SmCodec, SmPayload};
 /// representable value, and two snapshots with equal keys, fields, aux and
 /// [`DeltaRows::structure_sig`] encode byte-identically (timestamps are
 /// carried explicitly by delta frames).
+///
+/// They should also encode *monotonically*: no snapshot encodes shorter
+/// than one of as many rows that are all [`DeltaRows::new_row`]`(0)`, with
+/// zero timestamp and aux.  The encoder takes that length as a floor of the
+/// keyframe's size when it decides whether a delta frame could be the
+/// larger of the two; an encoding that breaks the rule keeps an oversized
+/// delta now and then, never a wrong reconstruction.
 pub trait DeltaRows: SmPayload + Clone + PartialEq {
     /// The row type.
     type Row: Clone + PartialEq;
@@ -96,44 +116,63 @@ pub trait DeltaRows: SmPayload + Clone + PartialEq {
     }
 }
 
-/// FNV-1a 64-bit, the stream's content hash primitive.
-#[inline]
-fn fnv1a(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for byte in v.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Seed for FNV-1a.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Hashes a string into the stream hash (for `structure_sig` impls).
+/// Hashes a string into a 64-bit FNV-1a state (for `structure_sig` and
+/// `row_key` impls; KPM row keys are on the wire, so this function is
+/// pinned).
 pub fn hash_str(h: u64, s: &str) -> u64 {
-    let mut h = fnv1a(h, s.len() as u64);
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let len = (s.len() as u64).to_le_bytes();
+    len.iter().chain(s.as_bytes()).fold(h, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
-/// Content hash of a snapshot: aux, structure signature, and every row's
-/// key and fields, in row order.  The timestamp is deliberately excluded —
-/// a report that differs only by timestamp is suppressible.
-pub fn content_hash<T: DeltaRows>(snap: &T) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, snap.aux());
-    h = fnv1a(h, snap.structure_sig());
-    h = fnv1a(h, snap.rows().len() as u64);
-    for row in snap.rows() {
-        h = fnv1a(h, T::row_key(row) as u64);
-        for i in 0..T::FIELD_COUNT {
-            h = fnv1a(h, T::field(row, i));
+/// Calls `f` with every field index in turn, in runs of eight.  Every
+/// `DeltaRows::field` is a `match` on the index that folds away only where
+/// the compiler unrolls the loop around it, and it stops doing that for
+/// loops of more than ten turns or so (MAC has 13 fields): one long loop
+/// costs it a jump table per field.
+#[inline(always)]
+fn each_field<T: DeltaRows>(mut f: impl FnMut(u32)) {
+    for lo in [0, 8, 16, 24] {
+        for i in lo..T::FIELD_COUNT.min(lo + 8) {
+            f(i);
         }
     }
-    h
+}
+
+/// Multiplier of the content hash: 2^64 / φ, odd.
+const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One step of the content hash: one word in, one multiply.  For a fixed
+/// state it is a bijection of `v` (and for a fixed `v`, of the state), so a
+/// difference in a single word always survives to the end of a chain.
+#[inline]
+fn mix(h: u64, v: u64) -> u64 {
+    (h.rotate_left(23) ^ v).wrapping_mul(HASH_K)
+}
+
+/// Content hash of a snapshot: aux, structure signature, row count, and
+/// every row's key and fields, in row order.  The timestamp is deliberately
+/// excluded — a report that differs only by timestamp is suppressible.
+///
+/// Each row is a [`mix`] chain of its own, over its key and then its
+/// fields in index order; the row hashes are then chained in row order
+/// after aux, signature and count, and the result is folded once more so
+/// the high bits reach the low ones.  One multiply per field, and rows do
+/// not wait for each other.  The value travels in every delta frame: both
+/// ends of a stream must compute it the same way, and a peer that does not
+/// fails the post-hash check and is asked for keyframes.
+pub fn content_hash<T: DeltaRows>(snap: &T) -> u64 {
+    hash_with_sig(snap, snap.structure_sig())
+}
+
+/// [`content_hash`] with the structure signature already in hand.
+fn hash_with_sig<T: DeltaRows>(snap: &T, sig: u64) -> u64 {
+    let mut h = mix(mix(mix(HASH_K, snap.aux()), sig), snap.rows().len() as u64);
+    for row in snap.rows() {
+        let mut r = mix(HASH_K, T::row_key(row) as u64);
+        each_field::<T>(|i| r = mix(r, T::field(row, i)));
+        h = mix(h, r);
+    }
+    (h ^ (h >> 32)).wrapping_mul(HASH_K)
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +189,7 @@ pub struct DeltaObs {
     pub bytes_delta: flexric_obs::Counter,
     /// `flexric_sm_report_bytes_total{mode="keyframe"}`.
     pub bytes_keyframe: flexric_obs::Counter,
-    /// Reports suppressed by the unchanged-snapshot hash.
+    /// Reports suppressed because nothing but the timestamp had changed.
     pub suppressed: flexric_obs::Counter,
     /// Keyframes emitted.
     pub keyframes: flexric_obs::Counter,
@@ -209,97 +248,195 @@ pub fn register_metrics() {
 // ---------------------------------------------------------------------------
 // Wire format
 // ---------------------------------------------------------------------------
+//
+// frame    := epoch:32 seq:32 is_delta:1 (keyframe | delta)
+// keyframe := octets(snapshot in the stream's SmCodec)
+// delta    := uint(tstamp) has_aux:1 [uint(aux)]
+//             length(n_changed) (key:32 bitmap:FIELD_COUNT uint(value)*)*
+//             length(n_removed) key:32*
+//             has_order:1 [length(n) key:32*]
+//             post_hash:64
+//
+// `uint`, `length` and `octets` are the byte-aligned forms of
+// `flexric_codec::per`, so the three lists start on byte boundaries and
+// their 32-bit keys are plain big-endian words.
 
 /// Upper bound on rows per frame, mirroring the SM decoders' own limits.
 const MAX_ROWS: usize = 65_536;
 
-/// A decoded delta frame, before application.
-struct DeltaBody {
-    tstamp_ms: u64,
-    aux: Option<u64>,
-    /// `(key, bitmap, values-in-ascending-bit-order)`.
-    changed: Vec<(u32, u32, Vec<u64>)>,
-    removed: Vec<u32>,
-    /// Explicit final key order, when append-order reconstruction would
-    /// be wrong (row reordering between snapshots).
-    order: Option<Vec<u32>>,
-    post_hash: u64,
-}
+/// Bytes a keyframe adds around its snapshot blob: the 65-bit header and
+/// (generously) a 4-byte length determinant.
+const KEYFRAME_OVERHEAD: usize = 9 + 4;
 
-fn encode_frame_header(w: &mut BitWriter, epoch: u32, seq: u32, is_delta: bool) {
+fn encode_frame_header<B: ByteSink>(w: &mut BitWriter<B>, epoch: u32, seq: u32, is_delta: bool) {
     w.put_bits(epoch as u64, 32);
     w.put_bits(seq as u64, 32);
     w.put_bit(is_delta);
 }
 
-fn encode_delta_body<T: DeltaRows>(w: &mut BitWriter, body: &DeltaBody) {
-    w.put_uint(body.tstamp_ms);
-    w.put_bit(body.aux.is_some());
-    if let Some(aux) = body.aux {
-        w.put_uint(aux);
-    }
-    w.put_length(body.changed.len());
-    for (key, bitmap, values) in &body.changed {
-        w.put_bits(*key as u64, 32);
-        w.put_bits(*bitmap as u64, T::FIELD_COUNT);
-        for v in values {
-            w.put_uint(*v);
-        }
-    }
-    w.put_length(body.removed.len());
-    for key in &body.removed {
-        w.put_bits(*key as u64, 32);
-    }
-    w.put_bit(body.order.is_some());
-    if let Some(order) = &body.order {
-        w.put_length(order.len());
-        for key in order {
-            w.put_bits(*key as u64, 32);
-        }
-    }
-    w.put_bits(body.post_hash, 64);
+/// Working memory of the encode path: the delta frame under construction
+/// and the tables of one diff.  Nothing in it outlives one report
+/// opportunity, so there is one per thread ([`SCRATCH`]), not one per
+/// stream: a process that reports on thousands of streams keeps one warm
+/// kilobyte, not thousands of cold ones.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The delta frame being written; an emitted one is copied out, at its
+    /// exact size.
+    frame: Vec<u8>,
+    /// Per row of the current snapshot: its dirty-field bitmap, plus
+    /// [`NEW_ROW`] for a key the base lacks.  Non-zero ⇒ the row is sent.
+    dirty: Vec<u64>,
+    /// Keys of base rows the current snapshot dropped, in base order.
+    removed: Vec<u32>,
+    /// Key → base row position, or [`NEW_KEY`] for a key first met in the
+    /// current snapshot.  Filled only when the key sequences differ.
+    index: HashMap<u32, u32>,
+    /// Base rows a current row was matched to.
+    matched: Vec<bool>,
+    /// Sort buffer of [`unique_keys`].
+    keys: Vec<u32>,
 }
 
-fn decode_delta_body<T: DeltaRows>(r: &mut BitReader) -> Result<DeltaBody> {
-    let tstamp_ms = r.get_uint()?;
-    let aux = if r.get_bit()? { Some(r.get_uint()?) } else { None };
-    let n_changed = r.get_length()?;
-    if n_changed > MAX_ROWS {
-        return Err(CodecError::Malformed { what: "too many changed rows" });
+thread_local! {
+    /// Borrowed for the length of one report opportunity — across the
+    /// snapshot's own accessors and encoders, which therefore must not
+    /// report on a delta stream themselves.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Marks a [`Scratch::dirty`] entry whose row must be sent even with an
+/// empty bitmap (an all-default row under a new key), or the decoder would
+/// never materialize it.
+const NEW_ROW: u64 = 1 << 32;
+/// [`Scratch::index`] value of a key that is not in the base.
+const NEW_KEY: u32 = u32::MAX;
+
+/// What [`diff`] found, beside the tables it left in the [`Scratch`].
+struct Diff {
+    /// Rows to send (non-zero `dirty` entries).
+    n_changed: usize,
+    /// Whether appending new rows after the surviving ones — what the
+    /// decoder does by default — would give the wrong row order.
+    reordered: bool,
+}
+
+impl Diff {
+    fn is_empty(&self, s: &Scratch) -> bool {
+        self.n_changed == 0 && s.removed.is_empty() && !self.reordered
     }
-    let mut changed = Vec::with_capacity(n_changed.min(1024));
-    for _ in 0..n_changed {
-        let key = r.get_bits(32)? as u32;
-        let bitmap = r.get_bits(T::FIELD_COUNT)? as u32;
-        let mut values = Vec::with_capacity(bitmap.count_ones() as usize);
-        for _ in 0..bitmap.count_ones() {
-            values.push(r.get_uint()?);
-        }
-        changed.push((key, bitmap, values));
-    }
-    let n_removed = r.get_length()?;
-    if n_removed > MAX_ROWS {
-        return Err(CodecError::Malformed { what: "too many removed rows" });
-    }
-    let mut removed = Vec::with_capacity(n_removed.min(1024));
-    for _ in 0..n_removed {
-        removed.push(r.get_bits(32)? as u32);
-    }
-    let order = if r.get_bit()? {
-        let n = r.get_length()?;
-        if n > MAX_ROWS {
-            return Err(CodecError::Malformed { what: "order too long" });
-        }
-        let mut order = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            order.push(r.get_bits(32)? as u32);
-        }
-        Some(order)
+}
+
+/// Bitmap of the fields in which `row` differs from `base`.
+#[inline]
+fn dirty_fields<T: DeltaRows>(base: &T::Row, row: &T::Row) -> u32 {
+    let mut bits = 0;
+    each_field::<T>(|i| bits |= u32::from(T::field(row, i) != T::field(base, i)) << i);
+    bits
+}
+
+/// Diffs `cur` against `prev`, whose keys must be unique, into `s`.
+/// `None` if `cur`'s keys are not unique.
+fn diff<T: DeltaRows>(prev: &T, cur: &T, s: &mut Scratch) -> Option<Diff> {
+    let (prev, cur) = (prev.rows(), cur.rows());
+    s.dirty.clear();
+    s.removed.clear();
+    let same_keys = prev.len() == cur.len()
+        && prev.iter().zip(cur).all(|(p, c)| T::row_key(p) == T::row_key(c));
+    let mut reordered = false;
+    if same_keys {
+        // The steady state: rows pair up by position, and `cur`'s keys are
+        // unique because `prev`'s are.
+        s.dirty.extend(prev.iter().zip(cur).map(|(p, c)| dirty_fields::<T>(p, c) as u64));
     } else {
-        None
-    };
-    let post_hash = r.get_bits(64)?;
-    Ok(DeltaBody { tstamp_ms, aux, changed, removed, order, post_hash })
+        s.index.clear();
+        s.index.extend(prev.iter().enumerate().map(|(i, p)| (T::row_key(p), i as u32)));
+        s.matched.clear();
+        s.matched.resize(prev.len(), false);
+        // The decoder keeps surviving rows in base order and appends new
+        // ones: any other order has to be spelled out.
+        let (mut next_pos, mut seen_new) = (0, false);
+        for row in cur {
+            let key = T::row_key(row);
+            match s.index.entry(key) {
+                Entry::Occupied(e) => {
+                    let pos = *e.get();
+                    if pos == NEW_KEY || s.matched[pos as usize] {
+                        return None;
+                    }
+                    s.matched[pos as usize] = true;
+                    reordered |= seen_new || pos < next_pos;
+                    next_pos = pos + 1;
+                    s.dirty.push(dirty_fields::<T>(&prev[pos as usize], row) as u64);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(NEW_KEY);
+                    seen_new = true;
+                    s.dirty.push(dirty_fields::<T>(&T::new_row(key), row) as u64 | NEW_ROW);
+                }
+            }
+        }
+        let gone = prev.iter().zip(&s.matched).filter(|(_, m)| !**m);
+        s.removed.extend(gone.map(|(p, _)| T::row_key(p)));
+    }
+    Some(Diff { n_changed: s.dirty.iter().filter(|d| **d != 0).count(), reordered })
+}
+
+/// Writes the body of a delta frame from the tables [`diff`] left.
+fn write_delta_body<T: DeltaRows, B: ByteSink>(
+    w: &mut BitWriter<B>,
+    cur: &T,
+    aux: Option<u64>,
+    d: &Diff,
+    dirty: &[u64],
+    removed: &[u32],
+    post_hash: u64,
+) {
+    w.put_uint(cur.tstamp_ms());
+    w.put_bit(aux.is_some());
+    if let Some(aux) = aux {
+        w.put_uint(aux);
+    }
+    w.put_length(d.n_changed);
+    for (row, dirty) in cur.rows().iter().zip(dirty).filter(|(_, d)| **d != 0) {
+        let mut bits = *dirty as u32;
+        w.put_bits(T::row_key(row) as u64, 32);
+        w.put_bits(bits as u64, T::FIELD_COUNT);
+        while bits != 0 {
+            w.put_uint(T::field(row, bits.trailing_zeros()));
+            bits &= bits - 1;
+        }
+    }
+    w.put_length(removed.len());
+    for key in removed {
+        w.put_bits(*key as u64, 32);
+    }
+    w.put_bit(d.reordered);
+    if d.reordered {
+        w.put_length(cur.rows().len());
+        for row in cur.rows() {
+            w.put_bits(T::row_key(row) as u64, 32);
+        }
+    }
+    w.put_bits(post_hash, 64);
+}
+
+/// Makes `dst` equal to `src` in everything a delta can express —
+/// timestamp, aux and rows — reusing `dst`'s row storage.  The two must
+/// already agree on the rest (one structure signature).
+fn copy_view<T: DeltaRows>(dst: &mut T, src: &T) {
+    dst.set_tstamp_ms(src.tstamp_ms());
+    dst.set_aux(src.aux());
+    src.rows().clone_into(dst.rows_mut());
+}
+
+/// Whether every row key is unique (delta diffing requires it; duplicate
+/// keys — possible for degenerate KPM reports — force keyframes instead).
+fn unique_keys<T: DeltaRows>(rows: &[T::Row], keys: &mut Vec<u32>) -> bool {
+    keys.clear();
+    keys.extend(rows.iter().map(T::row_key));
+    keys.sort_unstable();
+    keys.windows(2).all(|w| w[0] != w[1])
 }
 
 // ---------------------------------------------------------------------------
@@ -317,6 +454,29 @@ pub enum DeltaOut {
     Suppressed,
 }
 
+/// [`DeltaOut`] as the encoder's inside sees it.
+enum Emitted {
+    /// A keyframe, in a buffer of its own, handed on as it is: building it
+    /// in the scratch would grow that to the size of a full report and add
+    /// a copy of as much.
+    Keyframe(Vec<u8>),
+    /// A delta frame, left in [`Scratch::frame`].
+    Delta,
+    Suppressed,
+}
+
+/// The base of a delta stream's sender: the last emitted snapshot and
+/// what the encoder needs to know about it without looking again.
+#[derive(Debug)]
+struct Base<T> {
+    snap: T,
+    /// `snap.structure_sig()`.
+    sig: u64,
+    /// Whether `snap`'s row keys are unique; a delta needs both ends of the
+    /// diff to have unique keys.
+    unique: bool,
+}
+
 /// Per-subscription delta encoder: diffs each snapshot against the last
 /// emitted one, schedules keyframes, and suppresses unchanged reports.
 #[derive(Debug)]
@@ -330,8 +490,11 @@ pub struct DeltaEncoder<T: DeltaRows> {
     /// Report opportunities since the last keyframe.
     since_key: u32,
     keyframe_every: u32,
-    last: Option<T>,
-    last_hash: u64,
+    last: Option<Base<T>>,
+    /// `(rows, codec, bytes)`: the shortest keyframe blob a snapshot of
+    /// `rows` rows can have in `codec` (see [`DeltaRows`] on monotonic
+    /// encodings), kept for as long as the row count stays.
+    floor: Option<(usize, SmCodec, usize)>,
 }
 
 impl<T: DeltaRows> DeltaEncoder<T> {
@@ -344,7 +507,7 @@ impl<T: DeltaRows> DeltaEncoder<T> {
             since_key: 0,
             keyframe_every: keyframe_every.max(1),
             last: None,
-            last_hash: 0,
+            floor: None,
         }
     }
 
@@ -367,121 +530,97 @@ impl<T: DeltaRows> DeltaEncoder<T> {
     /// report, periodic refresh, or structural change), a delta frame, or
     /// suppression.
     pub fn encode(&mut self, snap: &T, codec: SmCodec) -> DeltaOut {
-        self.since_key += 1;
-        let hash = content_hash(snap);
-        let keyframe_due = self.since_key >= self.keyframe_every;
-        let base_ok = match &self.last {
-            None => false,
-            Some(last) => {
-                last.structure_sig() == snap.structure_sig() && unique_keys::<T>(snap.rows())
-            }
-        };
-        if base_ok && !keyframe_due && hash == self.last_hash {
-            obs().suppressed.inc();
-            return DeltaOut::Suppressed;
-        }
-        if !base_ok || keyframe_due {
-            return DeltaOut::Keyframe(self.emit_keyframe(snap, hash, codec));
-        }
-        let last = self.last.as_ref().expect("base_ok implies last");
-        let body = diff(last, snap, hash);
-        let mut w = BitWriter::with_capacity(256);
-        self.seq = self.seq.wrapping_add(1);
-        encode_frame_header(&mut w, self.epoch, self.seq, true);
-        encode_delta_body::<T>(&mut w, &body);
-        let frame = w.finish();
-        // A pathological diff can exceed the keyframe (every field of
-        // every row dirty, plus bitmaps); fall back to a keyframe so the
-        // stream never costs more than full reporting plus the header.
-        let key_len = estimate_keyframe_len(snap, codec);
-        if frame.len() > key_len {
-            self.seq = self.seq.wrapping_sub(1);
-            return DeltaOut::Keyframe(self.emit_keyframe(snap, hash, codec));
-        }
-        self.last = Some(snap.clone());
-        self.last_hash = hash;
-        obs().bytes_delta.add(frame.len() as u64);
-        DeltaOut::Delta(frame)
+        SCRATCH.with_borrow_mut(|s| match self.encode_into(snap, codec, s) {
+            Emitted::Keyframe(frame) => DeltaOut::Keyframe(frame),
+            Emitted::Delta => DeltaOut::Delta(s.frame.clone()),
+            Emitted::Suppressed => DeltaOut::Suppressed,
+        })
     }
 
-    fn emit_keyframe(&mut self, snap: &T, hash: u64, codec: SmCodec) -> Vec<u8> {
-        let blob = snap.encode(codec);
+    /// [`DeltaEncoder::encode`] with an emitted delta left in `s.frame`.
+    fn encode_into(&mut self, snap: &T, codec: SmCodec, s: &mut Scratch) -> Emitted {
+        self.since_key += 1;
+        let sig = snap.structure_sig();
+        if self.since_key < self.keyframe_every {
+            if let Some(out) = self.try_delta(snap, sig, codec, s) {
+                return out;
+            }
+        }
+        Emitted::Keyframe(self.keyframe(snap, sig, &snap.encode(codec), s))
+    }
+
+    /// The report as a delta against the base, or suppressed; `None` when
+    /// only a keyframe will do (no base, a structural change, or row keys
+    /// that repeat at either end of the diff).
+    fn try_delta(
+        &mut self,
+        snap: &T,
+        sig: u64,
+        codec: SmCodec,
+        s: &mut Scratch,
+    ) -> Option<Emitted> {
+        let base = self.last.as_ref().filter(|b| b.unique && b.sig == sig)?;
+        let d = diff(&base.snap, snap, s)?;
+        let aux = (snap.aux() != base.snap.aux()).then(|| snap.aux());
+        if d.is_empty(s) && aux.is_none() {
+            obs().suppressed.inc();
+            return Some(Emitted::Suppressed);
+        }
+        s.frame.clear();
+        let mut w = BitWriter::over(&mut s.frame);
+        encode_frame_header(&mut w, self.epoch, self.seq.wrapping_add(1), true);
+        write_delta_body(&mut w, snap, aux, &d, &s.dirty, &s.removed, hash_with_sig(snap, sig));
+        // A pathological diff can exceed the keyframe (every field of every
+        // row dirty, plus bitmaps); fall back to a keyframe so the stream
+        // never costs more than full reporting plus the header.  Only a
+        // frame above the floor can, and only then is the snapshot encoded
+        // to compare.
+        let len = s.frame.len();
+        let blob = (len > KEYFRAME_OVERHEAD + self.keyframe_floor(snap, codec))
+            .then(|| snap.encode(codec))
+            .filter(|blob| len > KEYFRAME_OVERHEAD + blob.len());
+        if let Some(blob) = blob {
+            return Some(Emitted::Keyframe(self.keyframe(snap, sig, &blob, s)));
+        }
+        let base = self.last.as_mut().expect("diffed against it");
+        self.seq = self.seq.wrapping_add(1);
+        copy_view(&mut base.snap, snap);
+        obs().bytes_delta.add(len as u64);
+        Some(Emitted::Delta)
+    }
+
+    /// Wraps `blob`, the encoded `snap`, as the stream's next frame and
+    /// makes `snap` the base.
+    fn keyframe(&mut self, snap: &T, sig: u64, blob: &[u8], s: &mut Scratch) -> Vec<u8> {
         let mut w = BitWriter::with_capacity(blob.len() + 16);
         self.seq = self.seq.wrapping_add(1);
         encode_frame_header(&mut w, self.epoch, self.seq, false);
-        w.put_octets(&blob);
-        self.since_key = 0;
-        self.last = Some(snap.clone());
-        self.last_hash = hash;
+        w.put_octets(blob);
         let frame = w.finish();
+        self.since_key = 0;
+        let unique = unique_keys::<T>(snap.rows(), &mut s.keys);
+        self.last = Some(Base { snap: snap.clone(), sig, unique });
         obs().keyframes.inc();
         obs().bytes_keyframe.add(frame.len() as u64);
         frame
     }
-}
 
-/// Whether every row key is unique (delta diffing requires it; duplicate
-/// keys — possible for degenerate KPM reports — force keyframes instead).
-fn unique_keys<T: DeltaRows>(rows: &[T::Row]) -> bool {
-    let mut seen = std::collections::HashSet::with_capacity(rows.len());
-    rows.iter().all(|r| seen.insert(T::row_key(r)))
-}
-
-fn estimate_keyframe_len<T: DeltaRows>(snap: &T, codec: SmCodec) -> usize {
-    // Header (9 B) + length determinant + blob; the blob length dominates.
-    9 + 4 + snap.encode(codec).len()
-}
-
-fn diff<T: DeltaRows>(prev: &T, cur: &T, post_hash: u64) -> DeltaBody {
-    let prev_idx: HashMap<u32, &T::Row> = prev.rows().iter().map(|r| (T::row_key(r), r)).collect();
-    let cur_keys: std::collections::HashSet<u32> =
-        cur.rows().iter().map(|r| T::row_key(r)).collect();
-    let mut changed = Vec::new();
-    let mut new_keys = Vec::new();
-    for row in cur.rows() {
-        let key = T::row_key(row);
-        let base_row;
-        let is_new = !prev_idx.contains_key(&key);
-        let base = match prev_idx.get(&key) {
-            Some(p) => *p,
-            None => {
-                new_keys.push(key);
-                base_row = T::new_row(key);
-                &base_row
-            }
-        };
-        let mut bitmap = 0u32;
-        let mut values = Vec::new();
-        for i in 0..T::FIELD_COUNT {
-            let v = T::field(row, i);
-            if v != T::field(base, i) {
-                bitmap |= 1 << i;
-                values.push(v);
+    /// A lower bound of `snap.encode(codec).len()` that costs nothing while
+    /// the row count stays: the length of as many default rows.
+    fn keyframe_floor(&mut self, snap: &T, codec: SmCodec) -> usize {
+        let rows = snap.rows().len();
+        match self.floor {
+            Some((r, c, len)) if r == rows && c == codec => len,
+            _ => {
+                let mut zero = snap.clone();
+                zero.set_tstamp_ms(0);
+                zero.set_aux(0);
+                zero.rows_mut().iter_mut().for_each(|r| *r = T::new_row(0));
+                let len = zero.encode(codec).len();
+                self.floor = Some((rows, codec, len));
+                len
             }
         }
-        // New keys must appear even with an empty bitmap (an all-default
-        // row), or the decoder would never materialize them.
-        if bitmap != 0 || is_new {
-            changed.push((key, bitmap, values));
-        }
-    }
-    let removed: Vec<u32> =
-        prev.rows().iter().map(|r| T::row_key(r)).filter(|k| !cur_keys.contains(k)).collect();
-    // Expected reconstruction order: surviving previous rows in place,
-    // new rows appended in snapshot order.  Carry an explicit order only
-    // when the snapshot deviates (reordering).
-    let mut expected: Vec<u32> =
-        prev.rows().iter().map(|r| T::row_key(r)).filter(|k| cur_keys.contains(k)).collect();
-    expected.extend(new_keys.iter().copied());
-    let actual: Vec<u32> = cur.rows().iter().map(|r| T::row_key(r)).collect();
-    let order = (expected != actual).then_some(actual);
-    DeltaBody {
-        tstamp_ms: cur.tstamp_ms(),
-        aux: (cur.aux() != prev.aux()).then(|| cur.aux()),
-        changed,
-        removed,
-        order,
-        post_hash,
     }
 }
 
@@ -511,6 +650,126 @@ pub enum DeltaEvent<T> {
     },
 }
 
+/// What walking a delta body to its end found.
+struct DeltaBody {
+    /// Whether the frame changes content (it always changes the timestamp).
+    changed: bool,
+    /// Whether the body fits the snapshot it was applied to: `false` when
+    /// its explicit row order names a row the snapshot does not have.
+    consistent: bool,
+    post_hash: u64,
+}
+
+/// The 32-bit keys of a byte-aligned key list.
+fn keys_of(list: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    list.chunks_exact(4).map(|k| u32::from_be_bytes([k[0], k[1], k[2], k[3]]))
+}
+
+/// Position of every row by key (the last one, should keys repeat).
+fn index_rows<T: DeltaRows>(rows: &[T::Row]) -> HashMap<u32, usize> {
+    rows.iter().enumerate().map(|(i, r)| (T::row_key(r), i)).collect()
+}
+
+/// Parses a delta body to its end — every malformation is an `Err` here,
+/// whatever `snap` is — and, given a snapshot, patches it on the way:
+/// changed and new rows as they are read, then removals, then the explicit
+/// order.
+///
+/// The sender lists changed and removed rows in base order, so a cursor
+/// that only moves forward finds them; a hash index is built once, and only
+/// when the cursor misses (a new key, or a frame that is not in base
+/// order), which keeps any frame at O(rows + changed).  A frame no encoder
+/// sends — one key both changed and removed, keys that repeat — may patch
+/// differently from what its sender meant; the post-hash is there for that.
+fn walk_delta_body<T: DeltaRows>(r: &mut BitReader, mut snap: Option<&mut T>) -> Result<DeltaBody> {
+    let tstamp_ms = r.get_uint()?;
+    let aux = if r.get_bit()? { Some(r.get_uint()?) } else { None };
+    if let Some(snap) = snap.as_deref_mut() {
+        snap.set_tstamp_ms(tstamp_ms);
+        if let Some(aux) = aux {
+            snap.set_aux(aux);
+        }
+    }
+
+    let n_changed = r.get_length()?;
+    if n_changed > MAX_ROWS {
+        return Err(CodecError::Malformed { what: "too many changed rows" });
+    }
+    let mut rows = snap.as_deref_mut().map(T::rows_mut);
+    let mut cursor = 0;
+    let mut index: Option<HashMap<u32, usize>> = None;
+    for _ in 0..n_changed {
+        let key = r.get_bits(32)? as u32;
+        let mut bits = r.get_bits(T::FIELD_COUNT)? as u32;
+        let mut row = rows.as_deref_mut().map(|rows| {
+            if index.is_none() {
+                cursor += rows[cursor..].iter().take_while(|r| T::row_key(r) != key).count();
+                if cursor < rows.len() {
+                    cursor += 1;
+                    return &mut rows[cursor - 1];
+                }
+            }
+            let index = index.get_or_insert_with(|| index_rows::<T>(rows));
+            let pos = *index.entry(key).or_insert_with(|| {
+                rows.push(T::new_row(key));
+                rows.len() - 1
+            });
+            &mut rows[pos]
+        });
+        while bits != 0 {
+            let v = r.get_uint()?;
+            if let Some(row) = row.as_deref_mut() {
+                T::set_field(row, bits.trailing_zeros(), v);
+            }
+            bits &= bits - 1;
+        }
+    }
+
+    let n_removed = r.get_length()?;
+    if n_removed > MAX_ROWS {
+        return Err(CodecError::Malformed { what: "too many removed rows" });
+    }
+    let removed = r.get_raw(4 * n_removed)?;
+    let order = if r.get_bit()? {
+        let n = r.get_length()?;
+        if n > MAX_ROWS {
+            return Err(CodecError::Malformed { what: "order too long" });
+        }
+        Some(r.get_raw(4 * n)?)
+    } else {
+        None
+    };
+    let post_hash = r.get_bits(64)?;
+
+    let mut consistent = true;
+    if let Some(rows) = rows {
+        let mut removed = keys_of(removed);
+        let mut next = removed.next();
+        if next.is_some() {
+            rows.retain(|r| {
+                let hit = next == Some(T::row_key(r));
+                if hit {
+                    next = removed.next();
+                }
+                !hit
+            });
+            // Keys the pass did not meet in base order, or at all.
+            if let Some(key) = next {
+                let rest: HashSet<u32> = std::iter::once(key).chain(removed).collect();
+                rows.retain(|r| !rest.contains(&T::row_key(r)));
+            }
+        }
+        if let Some(order) = order {
+            let index = index_rows::<T>(rows);
+            let mut old: Vec<Option<T::Row>> = rows.drain(..).map(Some).collect();
+            rows.extend(keys_of(order).map_while(|k| old[*index.get(&k)?].take()));
+            consistent = rows.len() == old.len() && 4 * old.len() == order.len();
+        }
+    }
+    let changed = n_changed > 0 || n_removed > 0 || aux.is_some();
+    Ok(DeltaBody { changed, consistent, post_hash })
+}
+
 /// Per-subscription delta decoder: holds the last reconstruction and
 /// applies keyframes and deltas, verifying the post-hash of every delta.
 #[derive(Debug, Default)]
@@ -518,6 +777,9 @@ pub struct DeltaDecoder<T: DeltaRows> {
     epoch: u32,
     seq: u32,
     last: Option<T>,
+    /// `content_hash` of `last`, so a keyframe hashes once to tell whether
+    /// the content changed.
+    last_hash: u64,
     /// Keyframes applied.
     pub keyframes: u64,
     /// Delta frames applied.
@@ -531,7 +793,15 @@ impl<T: DeltaRows> DeltaDecoder<T> {
     /// keyframe.
     pub fn new() -> Self {
         register_metrics();
-        DeltaDecoder { epoch: 0, seq: 0, last: None, keyframes: 0, deltas: 0, resyncs: 0 }
+        DeltaDecoder {
+            epoch: 0,
+            seq: 0,
+            last: None,
+            last_hash: 0,
+            keyframes: 0,
+            deltas: 0,
+            resyncs: 0,
+        }
     }
 
     /// The current reconstruction, if the stream is in sync.
@@ -541,7 +811,10 @@ impl<T: DeltaRows> DeltaDecoder<T> {
 
     /// Applies one frame.  `Err` means the frame was malformed at the
     /// wire level; [`DeltaEvent::NeedKeyframe`] means it was well-formed
-    /// but unusable without a fresh keyframe.
+    /// but unusable without a fresh keyframe.  Either leaves the current
+    /// reconstruction as it was, unless the frame passed the epoch and
+    /// sequence checks and then turned out inconsistent with the base or
+    /// its own post-hash: that drops the base until the next keyframe.
     pub fn apply(&mut self, frame: &[u8], codec: SmCodec) -> Result<DeltaEvent<T>> {
         let res = self.apply_inner(frame, codec);
         match &res {
@@ -563,88 +836,47 @@ impl<T: DeltaRows> DeltaDecoder<T> {
         if !is_delta {
             let blob = r.get_octets()?;
             let snap = T::decode(codec, blob)?;
-            let changed = match &self.last {
-                Some(prev) => content_hash(prev) != content_hash(&snap),
-                None => true,
-            };
+            let hash = content_hash(&snap);
+            let changed = self.last.is_none() || hash != self.last_hash;
             self.epoch = epoch;
             self.seq = seq;
             self.last = Some(snap.clone());
+            self.last_hash = hash;
             self.keyframes += 1;
             return Ok(DeltaEvent::Snapshot { snap, changed, keyframe: true });
         }
-        let body = decode_delta_body::<T>(&mut r)?;
-        if self.last.is_none() {
-            return Ok(DeltaEvent::NeedKeyframe { reason: "no keyframe yet" });
-        }
-        if epoch != self.epoch {
-            return Ok(DeltaEvent::NeedKeyframe { reason: "epoch changed" });
-        }
-        if seq != self.seq.wrapping_add(1) {
-            return Ok(DeltaEvent::NeedKeyframe { reason: "sequence gap" });
-        }
-        let prev = self.last.as_ref().expect("checked above");
-        let Some(snap) = apply_body(prev, &body) else {
-            self.last = None;
-            return Ok(DeltaEvent::NeedKeyframe { reason: "inconsistent delta" });
+        let in_sequence = epoch == self.epoch && seq == self.seq.wrapping_add(1);
+        let Some(base) = self.last.as_mut().filter(|_| in_sequence) else {
+            // A frame that is both out of place and malformed is malformed.
+            walk_delta_body::<T>(&mut r, None)?;
+            let reason = match &self.last {
+                None => "no keyframe yet",
+                Some(_) if epoch != self.epoch => "epoch changed",
+                Some(_) => "sequence gap",
+            };
+            return Ok(DeltaEvent::NeedKeyframe { reason });
         };
-        if content_hash(&snap) != body.post_hash {
-            // Divergence is terminal for this epoch: drop the base so no
-            // further delta applies until a keyframe restores it.
-            self.last = None;
-            return Ok(DeltaEvent::NeedKeyframe { reason: "hash mismatch" });
-        }
-        let changed = !body.changed.is_empty() || !body.removed.is_empty() || body.aux.is_some();
-        self.seq = seq;
-        self.last = Some(snap.clone());
-        self.deltas += 1;
-        Ok(DeltaEvent::Snapshot { snap, changed, keyframe: false })
-    }
-}
-
-/// Applies a delta body to the previous reconstruction; `None` if the
-/// body references state the base does not have (caught by the post-hash
-/// path as a resync anyway, but detected early here).
-fn apply_body<T: DeltaRows>(prev: &T, body: &DeltaBody) -> Option<T> {
-    let mut snap = prev.clone();
-    snap.set_tstamp_ms(body.tstamp_ms);
-    if let Some(aux) = body.aux {
-        snap.set_aux(aux);
-    }
-    let removed: std::collections::HashSet<u32> = body.removed.iter().copied().collect();
-    let rows = snap.rows_mut();
-    rows.retain(|r| !removed.contains(&T::row_key(r)));
-    let mut index: HashMap<u32, usize> =
-        rows.iter().enumerate().map(|(i, r)| (T::row_key(r), i)).collect();
-    for (key, bitmap, values) in &body.changed {
-        let idx = match index.get(key) {
-            Some(i) => *i,
-            None => {
-                rows.push(T::new_row(*key));
-                index.insert(*key, rows.len() - 1);
-                rows.len() - 1
-            }
+        // The frame patches the copy the caller will get; the base takes
+        // the result over only once it has been verified, so a frame that
+        // stops parsing half-way leaves no trace.
+        let mut snap = base.clone();
+        let body = walk_delta_body(&mut r, Some(&mut snap))?;
+        let reason = if !body.consistent {
+            "inconsistent delta"
+        } else if content_hash(&snap) != body.post_hash {
+            "hash mismatch"
+        } else {
+            copy_view(base, &snap);
+            self.seq = seq;
+            self.last_hash = body.post_hash;
+            self.deltas += 1;
+            return Ok(DeltaEvent::Snapshot { snap, changed: body.changed, keyframe: false });
         };
-        let row = &mut rows[idx];
-        let mut vi = 0;
-        for i in 0..T::FIELD_COUNT {
-            if bitmap & (1 << i) != 0 {
-                T::set_field(row, i, *values.get(vi)?);
-                vi += 1;
-            }
-        }
+        // Divergence is terminal for this epoch: drop the base so no
+        // further delta applies until a keyframe restores it.
+        self.last = None;
+        Ok(DeltaEvent::NeedKeyframe { reason })
     }
-    if let Some(order) = &body.order {
-        if order.len() != rows.len() {
-            return None;
-        }
-        let mut by_key: HashMap<u32, T::Row> =
-            rows.drain(..).map(|r| (T::row_key(&r), r)).collect();
-        for key in order {
-            rows.push(by_key.remove(key)?);
-        }
-    }
-    Some(snap)
 }
 
 // ---------------------------------------------------------------------------
@@ -666,7 +898,7 @@ pub enum ReportOut {
 pub struct DeltaStreams<K: Eq + Hash, T: DeltaRows> {
     streams: HashMap<K, DeltaEncoder<T>>,
     /// Scratch for full-mode encodes ([`SmPayload::encode_into`]); delta
-    /// frames already build in the encoder's own buffers.
+    /// frames are built in the thread's [`Scratch`].
     scratch: BytesMut,
 }
 
@@ -730,12 +962,12 @@ impl<K: Eq + Hash, T: DeltaRows> DeltaStreams<K, T> {
                     .streams
                     .entry(key)
                     .or_insert_with(|| DeltaEncoder::new(keyframe_every.max(1)));
-                match enc.encode(snap, codec) {
-                    DeltaOut::Keyframe(buf) | DeltaOut::Delta(buf) => {
-                        ReportOut::Send(Bytes::from(buf))
-                    }
-                    DeltaOut::Suppressed => ReportOut::Suppressed,
-                }
+                SCRATCH.with_borrow_mut(|s| match enc.encode_into(snap, codec, s) {
+                    Emitted::Keyframe(frame) => ReportOut::Send(Bytes::from(frame)),
+                    // Copied out at its exact size; the scratch stays.
+                    Emitted::Delta => ReportOut::Send(Bytes::copy_from_slice(&s.frame)),
+                    Emitted::Suppressed => ReportOut::Suppressed,
+                })
             }
         }
     }
@@ -805,6 +1037,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn content_hash_sees_every_field_key_aux_and_the_row_order() {
+        let base = mac(0, &[(1, 10), (2, 20), (3, 30)]);
+        let h = content_hash(&base);
+        let mut later = base.clone();
+        later.tstamp_ms = 99;
+        assert_eq!(content_hash(&later), h, "the timestamp is outside the hash");
+        for ue in 0..base.ues.len() {
+            for i in 0..MacStatsInd::FIELD_COUNT {
+                for bit in [0, 7, 15] {
+                    let mut s = base.clone();
+                    let v = MacStatsInd::field(&s.ues[ue], i) ^ (1 << bit);
+                    MacStatsInd::set_field(&mut s.ues[ue], i, v);
+                    if s != base {
+                        assert_ne!(content_hash(&s), h, "ue {ue} field {i} bit {bit}");
+                    }
+                }
+            }
+            let mut s = base.clone();
+            s.ues[ue].rnti ^= 0x100;
+            assert_ne!(content_hash(&s), h, "ue {ue} key");
+        }
+        let mut s = base.clone();
+        s.ues.swap(0, 2);
+        assert_ne!(content_hash(&s), h, "row order");
+        s = base.clone();
+        s.ues.pop();
+        assert_ne!(content_hash(&s), h, "row count");
+        s = base.clone();
+        s.cell_prbs += 1;
+        assert_ne!(content_hash(&s), h, "aux");
+        // One value in a neighbouring field, or a neighbouring row, is
+        // another snapshot.
+        s = base.clone();
+        (s.ues[0].tbs_dl_bytes, s.ues[0].tbs_ul_bytes) =
+            (s.ues[0].tbs_ul_bytes, s.ues[0].tbs_dl_bytes);
+        assert_ne!(content_hash(&s), h, "value moved between fields");
+        s = base.clone();
+        (s.ues[0].bsr, s.ues[1].bsr) = (7, 0);
+        let mut t = base.clone();
+        (t.ues[0].bsr, t.ues[1].bsr) = (0, 7);
+        assert_ne!(content_hash(&s), content_hash(&t), "value moved between rows");
     }
 
     #[test]

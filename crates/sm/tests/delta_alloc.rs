@@ -1,0 +1,113 @@
+//! Allocation budget of a delta stream in its steady state, counted by a
+//! global allocator: once a 32-row stream is warm, a suppressed report
+//! opportunity allocates nothing, an emitted delta at most once (the frame
+//! copied out of the scratch buffer), and applying a delta at most twice
+//! (the reconstruction handed to the caller, and slack).  A regression here is
+//! a per-report `Vec`, table or clone creeping back into `sm::delta`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use flexric_sm::delta::{DeltaDecoder, DeltaEvent, DeltaStreams, ReportOut};
+use flexric_sm::mac::{MacStatsInd, MacUeStats};
+use flexric_sm::{ReportMode, SmCodec};
+
+thread_local! {
+    /// Allocations made by this thread (the test harness runs tests, and
+    /// prints, on others).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // The thread-local is gone while a thread is torn down.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns how many times this thread allocated meanwhile.
+fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Moves the clock and two counters of every UE; all keep their width on
+/// the wire, so frames keep their size and the scratch buffer, once warm,
+/// never has to grow.
+fn tick(snap: &mut MacStatsInd, round: u64) {
+    snap.tstamp_ms += 10;
+    for ue in &mut snap.ues {
+        ue.dl_aggr_bytes = 1_000_000 + round;
+        ue.bsr = 70_000 + round as u32;
+    }
+}
+
+#[test]
+fn steady_state_stays_within_its_allocation_budget() {
+    for codec in SmCodec::ALL {
+        let mode = ReportMode::Delta { keyframe_every: 1_000 };
+        let mut streams: DeltaStreams<u8, MacStatsInd> = DeltaStreams::new();
+        let mut dec = DeltaDecoder::<MacStatsInd>::new();
+        let ues = (0..32).map(|i| MacUeStats { rnti: 0x4601 + i, cqi: 12, ..Default::default() });
+        let mut snap = MacStatsInd { tstamp_ms: 1_000_000, cell_prbs: 106, ues: ues.collect() };
+
+        // Warm-up: the keyframe, then deltas as large as any below.
+        for round in 0..8 {
+            tick(&mut snap, round);
+            let ReportOut::Send(frame) = streams.report(0, mode, &snap, codec) else {
+                panic!("round {round}: content changed");
+            };
+            dec.apply(&frame, codec).expect("well-formed frame");
+        }
+
+        for round in 8..40 {
+            // Nothing but the timestamp moved.
+            snap.tstamp_ms += 10;
+            let (n, out) = allocs(|| streams.report(0, mode, &snap, codec));
+            assert_eq!(out, ReportOut::Suppressed);
+            assert_eq!(n, 0, "{codec:?} round {round}: a suppressed opportunity allocated");
+
+            tick(&mut snap, round);
+            let (n, out) = allocs(|| streams.report(0, mode, &snap, codec));
+            let ReportOut::Send(frame) = out else { panic!("round {round}: content changed") };
+            assert!(n <= 1, "{codec:?} round {round}: an emitted delta allocated {n} times");
+
+            let (n, ev) = allocs(|| dec.apply(&frame, codec));
+            match ev.expect("well-formed frame") {
+                DeltaEvent::Snapshot { snap: got, keyframe: false, .. } => assert_eq!(got, snap),
+                other => panic!("round {round}: expected a delta to apply, got {other:?}"),
+            }
+            assert!(n <= 2, "{codec:?} round {round}: applying a delta allocated {n} times");
+        }
+    }
+}

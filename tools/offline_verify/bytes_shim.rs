@@ -25,7 +25,11 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-struct Slab(UnsafeCell<Box<[u8]>>);
+/// A shared buffer in one allocation, reference count and bytes together,
+/// as the real crate's is — so a counting allocator sees what it would see
+/// there (one allocation per `copy_from_slice`, not two).
+#[derive(Clone)]
+struct Slab(Arc<[UnsafeCell<u8>]>);
 
 // Handles enforce range exclusivity (see module docs); the slab itself
 // can then cross threads like the real crate's shared buffer does.
@@ -33,20 +37,24 @@ unsafe impl Send for Slab {}
 unsafe impl Sync for Slab {}
 
 impl Slab {
-    fn new(cap: usize) -> Arc<Slab> {
-        Arc::new(Slab(UnsafeCell::new(vec![0u8; cap].into_boxed_slice())))
+    fn new(cap: usize) -> Slab {
+        Slab((0..cap).map(|_| UnsafeCell::new(0)).collect())
     }
     fn cap(&self) -> usize {
-        unsafe { (&(*self.0.get())).len() }
+        self.0.len()
     }
     fn ptr(&self) -> *mut u8 {
-        unsafe { (*self.0.get()).as_mut_ptr() }
+        UnsafeCell::raw_get(self.0.as_ptr())
+    }
+    /// Whether no other handle shares this slab.
+    fn is_sole(&self) -> bool {
+        Arc::strong_count(&self.0) == 1
     }
 }
 
 /// Cheaply cloneable shared view of a slab range.
 pub struct Bytes {
-    slab: Arc<Slab>,
+    slab: Slab,
     off: usize,
     len: usize,
 }
@@ -209,7 +217,7 @@ impl IntoIterator for Bytes {
 /// Unique growable view over `[off, limit)` of a slab; the written
 /// region is `[off, off + len)`.
 pub struct BytesMut {
-    slab: Arc<Slab>,
+    slab: Slab,
     off: usize,
     len: usize,
     limit: usize,
@@ -251,7 +259,7 @@ impl BytesMut {
         if self.limit - self.off - self.len >= additional {
             return;
         }
-        let sole = Arc::strong_count(&self.slab) == 1;
+        let sole = self.slab.is_sole();
         if sole && self.limit == self.slab.cap() && self.slab.cap() >= self.len + additional {
             unsafe {
                 std::ptr::copy(self.slab.ptr().add(self.off), self.slab.ptr(), self.len);

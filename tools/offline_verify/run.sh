@@ -1,17 +1,17 @@
 #!/bin/sh
 # Offline verification with bare rustc, for containers without a crates
 # registry (cargo cannot resolve even cached deps there).  Compiles the
-# dependency-light REAL crates — obs, e2ap, codec, and the tokio-free
-# transport core (frame + rx) — against the refcount-faithful bytes shim
-# and the mini proptest shim, runs their unit AND property tests, then
-# runs the receive-path A/B measurement.
+# dependency-light REAL crates — obs, e2ap, codec, sm, ransim, the
+# tokio-free transport core (frame + rx) and ctrl's sla_solver — against
+# the refcount-faithful bytes shim and the mini proptest shim, runs their
+# unit AND property tests, then runs the A/B measurements.
 #
 # This is a *partial* stand-in for `cargo test`: crates needing tokio
-# (transport sockets, core, ctrl, ransim, bench) still require a
-# networked host.  What it does cover is real: the exact sources of the
-# frame codec, reassembler, borrowed decode, and obs registry, with
-# refcount/pointer semantics faithful enough that the zero-copy
-# assertions are meaningful.
+# (transport sockets, core, ctrl, xapp, bench) still require a networked
+# host.  What it does cover is real: the exact sources of the frame
+# codec, reassembler, borrowed decode, service models, delta streams,
+# simulator and obs registry, with refcount/pointer semantics faithful
+# enough that the zero-copy assertions are meaningful.
 #
 # Usage: tools/offline_verify/run.sh  (from anywhere; writes to $WORK or
 # a fresh tempdir, prints a PASS/FAIL summary and the A/B JSON).
@@ -107,13 +107,24 @@ $RUSTC --test --crate-name sla_solver_tests \
     "$ROOT/crates/ctrl/src/sla_solver.rs" -o "$WORK/sla_solver_tests"
 "$WORK/sla_solver_tests" --quiet
 
-# 4b. The real delta-stream property tests (crates/sm/tests/delta_props.rs).
+# 4b. The real delta-stream property tests (crates/sm/tests/delta_props.rs):
+#     the production encoder/decoder against the plain reference beside the
+#     test (delta_reference/, which needs the codec's bit reader/writer) on
+#     MAC, RLC, PDCP and KPM, plus every truncation and byte flip of a frame.
 $RUSTC --test --crate-name delta_props \
     --extern bytes="$WORK/libbytes.rlib" \
+    --extern flexric_codec="$WORK/libflexric_codec.rlib" \
     --extern flexric_sm="$WORK/libflexric_sm.rlib" \
     --extern proptest="$WORK/libproptest.rlib" \
     "$ROOT/crates/sm/tests/delta_props.rs" -o "$WORK/delta_props"
 "$WORK/delta_props" --quiet
+
+# 4e. The delta stream's steady-state allocation budget, under a counting
+#     global allocator (crates/sm/tests/delta_alloc.rs).
+$RUSTC --test --crate-name delta_alloc \
+    --extern flexric_sm="$WORK/libflexric_sm.rlib" \
+    "$ROOT/crates/sm/tests/delta_alloc.rs" -o "$WORK/delta_alloc"
+"$WORK/delta_alloc" --quiet
 
 # 4c. The real SM-registry property tests (crates/sm/tests/registry_props.rs).
 $RUSTC --test --crate-name registry_props \
@@ -131,7 +142,8 @@ $RUSTC --test --crate-name rx_props \
 "$WORK/rx_props" --quiet
 
 # 4d. Scenario-engine property tests (crates/ransim/tests/scenario_props.rs):
-#     seed determinism, UE conservation across handover, Poisson sanity.
+#     seed determinism (cheap specs, and the shipped presets over 120
+#     virtual s on 8 seeds), UE conservation across handover, Poisson sanity.
 $RUSTC --test --crate-name scenario_props \
     --extern flexric_ransim="$WORK/libflexric_ransim.rlib" \
     --extern flexric_sm="$WORK/libflexric_sm.rlib" \
