@@ -13,15 +13,24 @@
 //!
 //! ```text
 //! message  := magic:u16 (0x5246 "FR") version:u16 root:u32   table*
-//! table    := vtable_pos:u32  field-data…
+//! table    := vtable_pos:u32  field-data…       ; vtable_pos is absolute
 //! vtable   := nslots:u16  (rel_off:u16)*        ; rel_off from table start,
 //!                                               ; 0 = field absent
 //! blob     := len:u32 data…                     ; strings and byte arrays
 //! vector   := len:u32 elem…                     ; scalars or u32 offsets
 //! ```
 //!
-//! Unlike real FlatBuffers we build front-to-back and do not deduplicate
-//! vtables; neither affects the read path semantics.
+//! A vtable describes a *layout*, not a table: it may sit anywhere in the
+//! message, before or after the tables that point at it, and any number of
+//! tables may share one.  The builder writes a vtable right after the first
+//! table that needs it and points every later table of the same layout at
+//! that copy (as real FlatBuffers does), so the 32 rows of a statistics
+//! snapshot carry one vtable, not 32.  Unlike real FlatBuffers we build
+//! front-to-back; readers follow absolute offsets and care about neither.
+//!
+//! The builder writes a unit at a time — a table, a vector, a blob: it
+//! works out the unit's size, grows the sink once and stores the fields
+//! into the new tail at known offsets.
 
 use crate::error::{CodecError, Result};
 use crate::sink::ByteSink;
@@ -59,10 +68,20 @@ impl SlotVal {
     }
 }
 
+/// Slot numbers a table may use (`0..MAX_SLOTS`).
+const MAX_SLOTS: usize = 64;
+
+/// Vtables a builder remembers for sharing.  A message with more distinct
+/// table layouts than this forgets the oldest (and would then write that
+/// layout's vtable again).
+const VTABLE_MEMO: usize = 8;
+
 /// Builder for an FB-style message.
 ///
 /// Out-of-line children (blobs, vectors, subtables) must be written before
-/// the table that references them, as with real FlatBuffers.
+/// the table that references them, as with real FlatBuffers; the one
+/// exception is [`Self::vec_off_with`], which writes a vector ahead of its
+/// elements.
 #[derive(Debug)]
 pub struct FbBuilder<B: ByteSink = Vec<u8>> {
     buf: B,
@@ -70,6 +89,10 @@ pub struct FbBuilder<B: ByteSink = Vec<u8>> {
     /// so a message appended after existing content (e.g. into a reused
     /// scratch buffer) is self-contained once split off.
     base: usize,
+    /// Message-relative positions of the vtables this message holds, a
+    /// ring of the last [`VTABLE_MEMO`] written.
+    vtables: [u32; VTABLE_MEMO],
+    vtables_written: usize,
 }
 
 impl Default for FbBuilder {
@@ -100,10 +123,10 @@ impl<B: ByteSink> FbBuilder<B> {
     /// current contents.  Recover the buffer with [`Self::finish_buf`].
     pub fn over(mut buf: B) -> Self {
         let base = buf.len();
-        buf.put_slice(&FB_MAGIC.to_le_bytes());
-        buf.put_slice(&FB_VERSION.to_le_bytes());
-        buf.put_slice(&0u32.to_le_bytes()); // root patched in finish
-        FbBuilder { buf, base }
+        let header = buf.grow(FB_HEADER_LEN); // root stays 0 until finish
+        header[..2].copy_from_slice(&FB_MAGIC.to_le_bytes());
+        header[2..4].copy_from_slice(&FB_VERSION.to_le_bytes());
+        FbBuilder { buf, base, vtables: [0; VTABLE_MEMO], vtables_written: 0 }
     }
 
     /// Current write position, relative to the message start.
@@ -111,11 +134,31 @@ impl<B: ByteSink> FbBuilder<B> {
         (self.buf.len() - self.base) as u32
     }
 
+    /// Appends a `len:u32` prefix and room for `len` elements of `width`
+    /// bytes, returning the unit's message-relative offset and the (zeroed)
+    /// element bytes.
+    #[inline]
+    fn counted(&mut self, len: usize, width: usize) -> (u32, &mut [u8]) {
+        let pos = self.pos();
+        let (count, elems) = self.buf.grow(4 + len * width).split_at_mut(4);
+        count.copy_from_slice(&(len as u32).to_le_bytes());
+        (pos, elems)
+    }
+
+    /// Writes a vector of `W`-byte little-endian scalars.
+    #[inline]
+    fn vec_le<T: Copy, const W: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; W]) -> u32 {
+        let (pos, elems) = self.counted(vals.len(), W);
+        for (elem, v) in elems.chunks_exact_mut(W).zip(vals) {
+            elem.copy_from_slice(&le(*v));
+        }
+        pos
+    }
+
     /// Writes a blob (byte string), returning its message-relative offset.
     pub fn blob(&mut self, data: &[u8]) -> u32 {
-        let pos = self.pos();
-        self.buf.put_slice(&(data.len() as u32).to_le_bytes());
-        self.buf.put_slice(data);
+        let (pos, body) = self.counted(data.len(), 1);
+        body.copy_from_slice(data);
         pos
     }
 
@@ -126,82 +169,101 @@ impl<B: ByteSink> FbBuilder<B> {
 
     /// Writes a vector of message-relative offsets (tables / blobs).
     pub fn vec_off(&mut self, offs: &[u32]) -> u32 {
-        let pos = self.pos();
-        self.buf.put_slice(&(offs.len() as u32).to_le_bytes());
-        for o in offs {
-            self.buf.put_slice(&o.to_le_bytes());
+        self.vec_le(offs, u32::to_le_bytes)
+    }
+
+    /// Writes a vector of offsets *ahead of* the children it points at:
+    /// reserves one slot per item, then has `child` write each item's table
+    /// or blob and fills the slot in with the offset it returns.  A message
+    /// with one row per UE needs no list of row offsets on the side.
+    pub fn vec_off_with<I, F>(&mut self, items: I, mut child: F) -> u32
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        F: FnMut(&mut Self, I::Item) -> u32,
+    {
+        let items = items.into_iter();
+        let len = items.len();
+        let (pos, _) = self.counted(len, 4);
+        let mut slot = self.base + pos as usize + 4;
+        // `take`: an iterator that yields more than it announced must not
+        // write past the slots.
+        for item in items.take(len) {
+            let off = child(self, item);
+            self.buf.as_mut_slice()[slot..slot + 4].copy_from_slice(&off.to_le_bytes());
+            slot += 4;
         }
         pos
     }
 
     /// Writes a vector of u16 scalars.
     pub fn vec_u16(&mut self, vals: &[u16]) -> u32 {
-        let pos = self.pos();
-        self.buf.put_slice(&(vals.len() as u32).to_le_bytes());
-        for v in vals {
-            self.buf.put_slice(&v.to_le_bytes());
-        }
-        pos
+        self.vec_le(vals, u16::to_le_bytes)
     }
 
     /// Writes a vector of u32 scalars.
     pub fn vec_u32(&mut self, vals: &[u32]) -> u32 {
-        let pos = self.pos();
-        self.buf.put_slice(&(vals.len() as u32).to_le_bytes());
-        for v in vals {
-            self.buf.put_slice(&v.to_le_bytes());
-        }
-        pos
+        self.vec_le(vals, u32::to_le_bytes)
     }
 
     /// Writes a vector of u64 scalars.
     pub fn vec_u64(&mut self, vals: &[u64]) -> u32 {
-        let pos = self.pos();
-        self.buf.put_slice(&(vals.len() as u32).to_le_bytes());
-        for v in vals {
-            self.buf.put_slice(&v.to_le_bytes());
-        }
-        pos
+        self.vec_le(vals, u64::to_le_bytes)
+    }
+
+    /// Position of a vtable already in this message whose bytes equal `vt`.
+    #[inline]
+    fn shared_vtable(&self, vt: &[u8]) -> Option<u32> {
+        let msg = &self.buf.as_slice()[self.base..];
+        let remembered = &self.vtables[..self.vtables_written.min(VTABLE_MEMO)];
+        remembered.iter().copied().find(|&pos| msg[pos as usize..].starts_with(vt))
     }
 
     /// Finalizes a table built with [`TableBuilder`], returning its offset.
     #[inline]
     fn end_table(&mut self, slots: &[(u16, SlotVal)]) -> u32 {
-        let table_pos = self.pos();
-        // Table data: vtable pointer placeholder + fields in slot order.
-        self.buf.put_slice(&0u32.to_le_bytes());
-        let nslots = slots.iter().map(|(s, _)| *s + 1).max().unwrap_or(0);
-        let mut rel = [0u16; 64];
-        debug_assert!(nslots as usize <= rel.len(), "table has too many slots");
-        let rel = &mut rel[..(nslots as usize).min(64)];
+        // Lay the table out: each field's offset gives the vtable and, at
+        // the end, the table's size.  The vtable is staged because it is
+        // compared far more often than written.
+        let mut vt = [0u8; 2 + 2 * MAX_SLOTS];
+        let mut nslots = 0;
+        let mut size = 4; // the vtable pointer leads
         for (slot, val) in slots {
-            let off = (self.pos() - table_pos) as u16;
-            rel[*slot as usize] = off;
-            match val {
-                SlotVal::U8(v) => self.buf.push_byte(*v),
-                SlotVal::U16(v) => self.buf.put_slice(&v.to_le_bytes()),
-                SlotVal::U32(v) | SlotVal::Off(v) => self.buf.put_slice(&v.to_le_bytes()),
-                SlotVal::U64(v) => self.buf.put_slice(&v.to_le_bytes()),
-            }
+            let slot = *slot as usize;
+            assert!(slot < MAX_SLOTS, "table slot {slot} out of range");
+            vt[2 + 2 * slot..4 + 2 * slot].copy_from_slice(&(size as u16).to_le_bytes());
+            nslots = nslots.max(slot + 1);
+            size += val.width();
         }
-        // VTable.
-        let vt_pos = self.pos();
-        self.buf.put_slice(&nslots.to_le_bytes());
-        for r in rel.iter() {
-            self.buf.put_slice(&r.to_le_bytes());
-        }
-        // Patch vtable pointer.
-        let tp = self.base + table_pos as usize;
-        self.buf.as_mut_slice()[tp..tp + 4].copy_from_slice(&vt_pos.to_le_bytes());
-        table_pos
-    }
+        vt[..2].copy_from_slice(&(nslots as u16).to_le_bytes());
+        let vt = &vt[..2 + 2 * nslots];
 
-    /// [`Self::end_table`] for the rare table too wide for the builder's
-    /// inline slots, kept out of the way of the common one.
-    #[cold]
-    #[inline(never)]
-    fn end_table_spilled(&mut self, slots: &[(u16, SlotVal)]) -> u32 {
-        self.end_table(slots)
+        // One reservation: the table, and its vtable unless an equal one is
+        // already in the message.
+        let table_pos = self.pos();
+        let shared = self.shared_vtable(vt);
+        let unit = self.buf.grow(size + if shared.is_some() { 0 } else { vt.len() });
+        let (table, own_vt) = unit.split_at_mut(size);
+        let vt_pos = shared.unwrap_or(table_pos + size as u32);
+        table[..4].copy_from_slice(&vt_pos.to_le_bytes());
+        let mut at = 4;
+        for (_, val) in slots {
+            match *val {
+                SlotVal::U8(v) => table[at] = v,
+                SlotVal::U16(v) => table[at..at + 2].copy_from_slice(&v.to_le_bytes()),
+                SlotVal::U32(v) | SlotVal::Off(v) => {
+                    table[at..at + 4].copy_from_slice(&v.to_le_bytes())
+                }
+                SlotVal::U64(v) => table[at..at + 8].copy_from_slice(&v.to_le_bytes()),
+            }
+            at += val.width();
+        }
+        if shared.is_none() {
+            own_vt.copy_from_slice(vt);
+            self.vtables[self.vtables_written % VTABLE_MEMO] = vt_pos;
+            self.vtables_written += 1;
+        }
+        table_pos
     }
 
     /// Sets the root table and returns the underlying buffer, with the
@@ -225,9 +287,10 @@ const INLINE_SLOTS: usize = 16;
 /// heap allocation per table; a wider table spills to the heap.
 ///
 /// Everything on the inline path is `#[inline]` and branches on `len`
-/// alone, and the spill path is out of line: where a table's slots are
-/// spelled out in one place, the compiler then knows `len` at every step and
-/// turns builder and [`TableBuilder::end`] into straight-line stores.
+/// alone, and spilling is out of line: where a table's slots are spelled
+/// out in one place, the compiler then knows `len` at every step, hence the
+/// table's layout, and turns builder and [`TableBuilder::end`] into one
+/// reservation and straight-line stores into it.
 #[derive(Debug)]
 pub struct TableBuilder {
     inline: [(u16, SlotVal); INLINE_SLOTS],
@@ -326,18 +389,7 @@ impl TableBuilder {
     /// Writes the table into `b`, returning its message-relative offset.
     #[inline]
     pub fn end<B: ByteSink>(self, b: &mut FbBuilder<B>) -> u32 {
-        if self.len <= INLINE_SLOTS {
-            b.end_table(&self.inline[..self.len])
-        } else {
-            b.end_table_spilled(&self.spill)
-        }
-    }
-
-    /// Serialized size of the table data + vtable this builder will emit.
-    pub fn encoded_len(&self) -> usize {
-        let slots = self.slots();
-        let nslots = slots.iter().map(|(s, _)| *s + 1).max().unwrap_or(0) as usize;
-        4 + slots.iter().map(|(_, v)| v.width()).sum::<usize>() + 2 + 2 * nslots
+        b.end_table(self.slots())
     }
 }
 
@@ -616,25 +668,102 @@ mod tests {
 
     #[test]
     fn wide_table_spills_past_the_inline_slots() {
-        // What just fits inline, one slot more, and every slot there is:
-        // all read back, and `encoded_len` tells the truth on either side
-        // of the spill.
-        for n in [INLINE_SLOTS as u16, INLINE_SLOTS as u16 + 1, 64] {
-            let mut b = FbBuilder::new();
+        // What just fits inline, one slot more, and every slot there is,
+        // with every third slot absent: all read back from either sink, at
+        // the size the layout promises (vtable pointer, fields, slot count,
+        // one offset per slot up to the last one present).
+        fn build<B: ByteSink>(mut b: FbBuilder<B>, n: usize) -> B {
             let mut t = TableBuilder::new();
-            for slot in 0..n {
+            for slot in (0..n as u16).filter(|slot| slot % 3 != 1) {
                 t.u32(slot, 1000 + slot as u32);
             }
-            let predicted = t.encoded_len();
             let root = t.end(&mut b);
-            let msg = b.finish(root);
-            assert_eq!(msg.len(), FB_HEADER_LEN + predicted, "{n} slots");
-            let root = FbView::parse(&msg).unwrap().root().unwrap();
-            for slot in 0..n {
-                assert_eq!(root.u32(slot).unwrap(), Some(1000 + slot as u32), "{n} slots");
-            }
-            assert_eq!(root.u32(n).unwrap(), None);
+            b.finish_buf(root)
         }
+        for (n, present) in [(24, INLINE_SLOTS), (25, INLINE_SLOTS + 1), (MAX_SLOTS, 43)] {
+            let msg = build(FbBuilder::new(), n);
+            assert_eq!((0..n).filter(|slot| slot % 3 != 1).count(), present);
+            let last = (0..n).rfind(|slot| slot % 3 != 1).unwrap();
+            assert_eq!(msg.len(), FB_HEADER_LEN + 4 + 4 * present + 2 + 2 * (last + 1), "{n}");
+            assert_eq!(build(FbBuilder::over(bytes::BytesMut::new()), n)[..], msg[..], "{n}");
+            let root = FbView::parse(&msg).unwrap().root().unwrap();
+            for slot in 0..n as u16 {
+                let want = (slot % 3 != 1).then_some(1000 + slot as u32);
+                assert_eq!(root.u32(slot).unwrap(), want, "{n} slots");
+            }
+            assert_eq!(root.u32(n as u16).unwrap(), None);
+        }
+    }
+
+    /// Rows of `layouts` distinct layouts, dealt round-robin, under a root
+    /// that lists them.
+    fn interleaved(rows: usize, layouts: usize) -> Vec<u8> {
+        let mut b = FbBuilder::new();
+        let v = b.vec_off_with(0..rows, |b, i| {
+            // Layout `k` has slot 0 and slot `k + 1`.
+            let mut t = TableBuilder::new();
+            t.u32(0, i as u32).u16(1 + (i % layouts) as u16, 7);
+            t.end(b)
+        });
+        let mut t = TableBuilder::new();
+        t.off(0, v);
+        let root = t.end(&mut b);
+        b.finish(root)
+    }
+
+    #[test]
+    fn tables_of_one_layout_share_its_vtable_even_when_interleaved() {
+        let msg = interleaved(32, 2);
+        let root = FbView::parse(&msg).unwrap().root().unwrap();
+        let rows = root.vector(0).unwrap().unwrap();
+        let mut vtables = std::collections::BTreeSet::from([root.vt_pos]);
+        for i in 0..rows.len() {
+            let row = rows.table_at(i).unwrap();
+            assert_eq!(row.u32(0).unwrap(), Some(i as u32));
+            assert_eq!(row.u16(1 + (i % 2) as u16).unwrap(), Some(7));
+            assert_eq!(row.u16(2 - (i % 2) as u16).unwrap(), None, "the other layout's slot");
+            // The first row of each layout is followed by its vtable, every
+            // later one points back at that.
+            assert_eq!(row.vt_pos, rows.table_at(i % 2).unwrap().vt_pos);
+            vtables.insert(row.vt_pos);
+        }
+        assert_eq!(vtables.len(), 3, "one per row layout and the root's");
+        assert!(msg.len() < interleaved(32, 32).len());
+    }
+
+    #[test]
+    fn more_layouts_than_the_memo_holds_still_read_back() {
+        // The ninth layout pushes the first out of the memo, whose next row
+        // writes its vtable again: more bytes, same values.
+        let layouts = VTABLE_MEMO + 2;
+        let msg = interleaved(3 * layouts, layouts);
+        let rows = FbView::parse(&msg).unwrap().root().unwrap().vector(0).unwrap().unwrap();
+        assert_eq!(rows.len(), 3 * layouts);
+        for i in 0..rows.len() {
+            let row = rows.table_at(i).unwrap();
+            assert_eq!(row.u32(0).unwrap(), Some(i as u32));
+            assert_eq!(row.u16(1 + (i % layouts) as u16).unwrap(), Some(7));
+        }
+    }
+
+    #[test]
+    fn vector_written_ahead_of_its_children() {
+        let mut b = FbBuilder::new();
+        let names = ["a", "", "ccc"];
+        let v = b.vec_off_with(names, |b, s| b.string(s));
+        assert_eq!(v, FB_HEADER_LEN as u32, "the vector leads");
+        let none = b.vec_off_with(std::iter::empty::<&str>(), |b, s| b.string(s));
+        let mut t = TableBuilder::new();
+        t.off(0, v).off(1, none);
+        let root = t.end(&mut b);
+        let msg = b.finish(root);
+        let root = FbView::parse(&msg).unwrap().root().unwrap();
+        let v = root.vector(0).unwrap().unwrap();
+        assert_eq!(v.len(), 3);
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(v.bytes_at(i).unwrap(), name.as_bytes());
+        }
+        assert!(root.vector(1).unwrap().unwrap().is_empty());
     }
 
     #[test]
@@ -771,6 +900,28 @@ mod tests {
         let root = FbView::parse(&scratch[6..]).unwrap().root().unwrap();
         assert_eq!(root.u16(1).unwrap(), Some(300));
         assert_eq!(root.bytes(2).unwrap(), Some(&b"payload"[..]));
+    }
+
+    #[test]
+    fn second_message_in_a_scratch_shares_nothing_with_the_first() {
+        // The first message's vtables sit before the second's base and
+        // equal the second's byte for byte: the second must write its own.
+        fn build<B: ByteSink>(mut b: FbBuilder<B>) -> B {
+            let v = b.vec_off_with(0..4u16, |b, i| {
+                let mut t = TableBuilder::new();
+                t.u16(0, i).u64(1, 99);
+                t.end(b)
+            });
+            let mut t = TableBuilder::new();
+            t.off(0, v);
+            let root = t.end(&mut b);
+            b.finish_buf(root)
+        }
+        let alone = build(FbBuilder::new());
+        let mut scratch = Vec::new();
+        build(FbBuilder::over(&mut scratch));
+        build(FbBuilder::over(&mut scratch));
+        assert_eq!(scratch, [&alone[..], &alone[..]].concat());
     }
 
     #[test]

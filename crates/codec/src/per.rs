@@ -25,6 +25,12 @@
 //! differential tests and benchmarks can pin the word-level versions to
 //! them bit for bit.
 //!
+//! The writer reserves once per unit: a bit field, a length determinant or
+//! a length-prefixed integer grows the sink by a fixed maximum (a word, plus
+//! the length byte), stores the unit there in one piece and gives back the
+//! bytes it did not need — one capacity check and one store where a
+//! per-byte writer makes up to nine of each.
+//!
 //! The writer is generic over a [`ByteSink`], so the same encode body can
 //! produce an owned `Vec<u8>` or append into a reusable
 //! [`bytes::BytesMut`] scratch buffer (the `encode_into` path).
@@ -98,16 +104,13 @@ impl<B: ByteSink> BitWriter<B> {
 
     /// Writes the low `nbits` bits of `value`, most-significant first.
     ///
-    /// Word-level: fills the partial last byte, emits whole bytes, then a
-    /// trailing partial byte — no per-bit loop.  Bit-exact with
+    /// Word-level: fills the partial last byte, then stores the rest as one
+    /// left-justified word — no per-bit or per-byte loop.  Bit-exact with
     /// [`Self::put_bits_bitwise`].
     pub fn put_bits(&mut self, value: u64, nbits: u32) {
         debug_assert!(nbits <= 64);
-        if nbits == 0 {
-            return;
-        }
         let mut rem = nbits; // bits of `value` still to emit
-        if self.partial_bits != 0 {
+        if self.partial_bits != 0 && rem != 0 {
             let free = 8 - self.partial_bits as u32; // 1..=7
             let take = free.min(rem);
             rem -= take; // ≤ 63 afterwards, so shifts below stay in range
@@ -116,15 +119,22 @@ impl<B: ByteSink> BitWriter<B> {
             *last |= chunk << (free - take);
             self.partial_bits = (self.partial_bits + take as u8) % 8;
         }
-        while rem >= 8 {
-            rem -= 8;
-            self.buf.push_byte((value >> rem) as u8);
+        if rem == 0 {
+            return;
         }
-        if rem > 0 {
-            let chunk = value as u8 & ((1u16 << rem) - 1) as u8;
-            self.buf.push_byte(chunk << (8 - rem));
-            self.partial_bits = rem as u8;
-        }
+        // Byte-aligned from here: the bits go at the top of a word.
+        self.put_head((value << (64 - rem)).to_be_bytes(), rem.div_ceil(8) as usize);
+        self.partial_bits = (rem % 8) as u8;
+    }
+
+    /// Appends the first `n` of `bytes` at a byte boundary: reserves all `N`,
+    /// stores them in one piece and gives back the ones past `n` — a
+    /// fixed-size store in place of a variable-length copy.
+    #[inline]
+    fn put_head<const N: usize>(&mut self, bytes: [u8; N], n: usize) {
+        let at = self.buf.len();
+        self.buf.grow(N).copy_from_slice(&bytes);
+        self.buf.truncate(at + n);
     }
 
     /// Reference bit-by-bit implementation of [`Self::put_bits`].
@@ -155,20 +165,9 @@ impl<B: ByteSink> BitWriter<B> {
     /// otherwise 4 bytes with a `11` prefix (deviation from X.691
     /// fragmentation, see module docs).
     pub fn put_length(&mut self, len: usize) {
-        assert!(len <= MAX_LENGTH, "length {len} exceeds PER codec maximum");
         self.align();
-        if len < 128 {
-            self.buf.push_byte(len as u8);
-        } else if len < 16384 {
-            self.buf.put_slice(&[0x80 | (len >> 8) as u8, len as u8]);
-        } else {
-            self.buf.put_slice(&[
-                0xC0 | ((len >> 24) as u8 & 0x3F),
-                (len >> 16) as u8,
-                (len >> 8) as u8,
-                len as u8,
-            ]);
-        }
+        let (form, n) = length_form(len);
+        self.put_head(form, n);
     }
 
     /// Writes a constrained whole number in `lo..=hi`.
@@ -187,30 +186,49 @@ impl<B: ByteSink> BitWriter<B> {
             let nbits = 64 - range.leading_zeros();
             self.put_bits(offset, nbits);
         } else {
-            let nbytes = ((64 - offset.leading_zeros()).div_ceil(8)).max(1) as usize;
-            self.put_length(nbytes);
-            let be = offset.to_be_bytes();
-            self.buf.put_slice(&be[8 - nbytes..]);
+            self.put_uint(offset);
         }
     }
 
     /// Writes an unconstrained unsigned integer (aligned, length-prefixed).
     pub fn put_uint(&mut self, value: u64) {
         let nbytes = ((64 - value.leading_zeros()).div_ceil(8)).max(1) as usize;
-        self.put_length(nbytes);
-        let be = value.to_be_bytes();
-        self.buf.put_slice(&be[8 - nbytes..]);
+        self.align();
+        // One unit of at most nine bytes: the length (always the one-byte
+        // form), then the value's octets at the top of a word, whose unused
+        // low end is given back.
+        let at = self.buf.len();
+        let unit = self.buf.grow(9);
+        unit[0] = nbytes as u8;
+        unit[1..].copy_from_slice(&(value << (64 - 8 * nbytes)).to_be_bytes());
+        self.buf.truncate(at + 1 + nbytes);
     }
 
     /// Writes an octet string: length determinant + raw bytes.
     pub fn put_octets(&mut self, bytes: &[u8]) {
-        self.put_length(bytes.len());
-        self.buf.put_slice(bytes);
+        self.align();
+        let (form, n) = length_form(bytes.len());
+        let unit = self.buf.grow(n + bytes.len());
+        unit[..n].copy_from_slice(&form[..n]);
+        unit[n..].copy_from_slice(bytes);
     }
 
     /// Writes a UTF-8 string as an octet string.
     pub fn put_utf8(&mut self, s: &str) {
         self.put_octets(s.as_bytes());
+    }
+}
+
+/// The bytes of a length determinant and how many of the four count.
+#[inline]
+fn length_form(len: usize) -> ([u8; 4], usize) {
+    assert!(len <= MAX_LENGTH, "length {len} exceeds PER codec maximum");
+    if len < 128 {
+        ([len as u8, 0, 0, 0], 1)
+    } else if len < 16384 {
+        ([0x80 | (len >> 8) as u8, len as u8, 0, 0], 2)
+    } else {
+        ([0xC0 | (len >> 24) as u8, (len >> 16) as u8, (len >> 8) as u8, len as u8], 4)
     }
 }
 
@@ -677,6 +695,118 @@ mod prop_tests {
                 scratch.put_bits(v, n);
             }
             prop_assert_eq!(owned.finish(), scratch.into_buf().to_vec());
+        }
+
+        #[test]
+        fn every_put_matches_the_bitwise_reference_on_both_sinks(
+            calls in proptest::collection::vec(put(), 0..48),
+            prefix in proptest::collection::vec(any::<u8>(), 0..5),
+        ) {
+            let mut want = BitWriter::over(prefix.clone());
+            let mut owned = BitWriter::over(prefix.clone());
+            let mut scratch = BitWriter::over(bytes::BytesMut::from(&prefix[..]));
+            for call in &calls {
+                call.reference(&mut want);
+                call.apply(&mut owned);
+                call.apply(&mut scratch);
+                prop_assert_eq!(owned.len_bytes(), want.len_bytes());
+                prop_assert_eq!(scratch.len_bytes(), want.len_bytes());
+            }
+            let want = want.into_buf();
+            prop_assert_eq!(&want[..prefix.len()], &prefix[..], "the prefix is not the writer's");
+            prop_assert_eq!(&owned.into_buf(), &want);
+            prop_assert_eq!(&scratch.into_buf()[..], &want[..]);
+        }
+    }
+
+    /// One call on a [`BitWriter`].
+    #[derive(Debug, Clone)]
+    enum Put {
+        Bits(u64, u32),
+        Constrained { value: u64, lo: u64, hi: u64 },
+        Uint(u64),
+        Length(usize),
+        Octets(Vec<u8>),
+        Align,
+    }
+
+    /// A value of every width: the top `width` bits of a random word.
+    fn word() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u32..=64).prop_map(|(v, width)| v.checked_shr(64 - width).unwrap_or(0))
+    }
+
+    /// Lengths on both sides of each determinant form.
+    fn length() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..128, 128usize..16384, 16384usize..=MAX_LENGTH]
+    }
+
+    fn put() -> impl Strategy<Value = Put> {
+        // Ranges of one value (no bits), below 64 Ki (a bit field) and
+        // above (length-prefixed octets).
+        let span = prop_oneof![0u64..=0, 1u64..65536, 65536u64..=u64::MAX];
+        prop_oneof![
+            (any::<u64>(), 0u32..=64).prop_map(|(v, n)| Put::Bits(v, n)),
+            (word(), span, any::<u64>()).prop_map(|(lo, span, pick)| {
+                let hi = lo.saturating_add(span);
+                let value = lo + (hi - lo).checked_add(1).map_or(pick, |n| pick % n);
+                Put::Constrained { value, lo, hi }
+            }),
+            word().prop_map(Put::Uint),
+            length().prop_map(Put::Length),
+            proptest::collection::vec(any::<u8>(), 0..200).prop_map(Put::Octets),
+            Just(Put::Align),
+        ]
+    }
+
+    impl Put {
+        fn apply<B: ByteSink>(&self, w: &mut BitWriter<B>) {
+            match self {
+                Put::Bits(v, n) => w.put_bits(*v, *n),
+                Put::Constrained { value, lo, hi } => w.put_constrained(*value, *lo, *hi),
+                Put::Uint(v) => w.put_uint(*v),
+                Put::Length(len) => w.put_length(*len),
+                Put::Octets(bytes) => w.put_octets(bytes),
+                Put::Align => w.align(),
+            }
+        }
+
+        /// The same call spelled out with [`BitWriter::put_bits_bitwise`],
+        /// a byte at a time.
+        fn reference(&self, w: &mut BitWriter) {
+            fn bytes(w: &mut BitWriter, bytes: &[u8]) {
+                w.align();
+                for b in bytes {
+                    w.put_bits_bitwise(*b as u64, 8);
+                }
+            }
+            fn length(w: &mut BitWriter, len: usize) {
+                match len {
+                    0..=127 => bytes(w, &[len as u8]),
+                    128..=16383 => bytes(w, &[0x80 | (len >> 8) as u8, len as u8]),
+                    _ => bytes(w, &(0xC000_0000 | len as u32).to_be_bytes()),
+                }
+            }
+            fn uint(w: &mut BitWriter, v: u64) {
+                let be = v.to_be_bytes();
+                let octets = &be[be.iter().position(|b| *b != 0).unwrap_or(7)..];
+                length(w, octets.len());
+                bytes(w, octets);
+            }
+            match self {
+                Put::Bits(v, n) => w.put_bits_bitwise(*v, *n),
+                Put::Constrained { value, lo, hi } => match hi - lo {
+                    0 => {}
+                    range @ 1..=65535 => w.put_bits_bitwise(value - lo, range.ilog2() + 1),
+                    _ => uint(w, value - lo),
+                },
+                Put::Uint(v) => uint(w, *v),
+                Put::Length(len) => length(w, *len),
+                Put::Octets(data) => {
+                    length(w, data.len());
+                    bytes(w, data);
+                }
+                Put::Align => w.align(),
+            }
         }
     }
 }

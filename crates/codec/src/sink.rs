@@ -11,9 +11,13 @@
 //!   because the buffer's capacity is reclaimed once previously frozen
 //!   `Bytes` handles drop.
 //!
-//! The writers only ever *append* bytes and *patch* already-written bytes
-//! (FB vtable pointers and the root offset), so the trait is deliberately
-//! minimal: no truncation, no insertion.
+//! The writers lay out one unit at a time — an FB table, a PER
+//! length-prefixed integer — [`grow`](ByteSink::grow) the buffer by its size
+//! once and store the fields into the returned tail at known offsets; a
+//! writer that reserved a fixed maximum gives the unused end back with
+//! [`truncate`](ByteSink::truncate).  Beyond that they only *patch*
+//! already-written bytes (FB offset slots), so the trait stays small: no
+//! insertion, no removal from the front.
 
 use bytes::BytesMut;
 
@@ -34,6 +38,11 @@ pub trait ByteSink {
     fn as_slice(&self) -> &[u8];
     /// Mutable access to the whole buffer, for patching offset slots.
     fn as_mut_slice(&mut self) -> &mut [u8];
+    /// Appends `n` zero bytes and returns them: one capacity check for a
+    /// whole unit, whose fields the writer then stores in place.
+    fn grow(&mut self, n: usize) -> &mut [u8];
+    /// Shortens the buffer to `len` bytes (no-op if it is shorter already).
+    fn truncate(&mut self, len: usize);
 }
 
 impl ByteSink for Vec<u8> {
@@ -55,6 +64,18 @@ impl ByteSink for Vec<u8> {
 
     fn as_mut_slice(&mut self) -> &mut [u8] {
         self
+    }
+
+    #[inline]
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let at = Vec::len(self);
+        self.resize(at + n, 0);
+        &mut self[at..]
+    }
+
+    #[inline]
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
     }
 }
 
@@ -80,6 +101,16 @@ impl<B: ByteSink + ?Sized> ByteSink for &mut B {
     fn as_mut_slice(&mut self) -> &mut [u8] {
         (**self).as_mut_slice()
     }
+
+    #[inline]
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        (**self).grow(n)
+    }
+
+    #[inline]
+    fn truncate(&mut self, len: usize) {
+        (**self).truncate(len);
+    }
 }
 
 impl ByteSink for BytesMut {
@@ -102,6 +133,18 @@ impl ByteSink for BytesMut {
     fn as_mut_slice(&mut self) -> &mut [u8] {
         self
     }
+
+    #[inline]
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let at = BytesMut::len(self);
+        self.resize(at + n, 0);
+        &mut self[at..]
+    }
+
+    #[inline]
+    fn truncate(&mut self, len: usize) {
+        BytesMut::truncate(self, len);
+    }
 }
 
 #[cfg(test)]
@@ -112,6 +155,11 @@ mod tests {
         sink.push_byte(0xAB);
         sink.put_slice(&[1, 2, 3]);
         sink.as_mut_slice()[1] = 9;
+        sink.grow(3).copy_from_slice(&[4, 5, 6]);
+        let len = sink.len();
+        sink.truncate(len - 2);
+        sink.truncate(len); // longer than the buffer: no-op
+        assert_eq!(sink.grow(1), [0], "regrown bytes are zero, not what was truncated there");
         sink
     }
 
@@ -120,8 +168,8 @@ mod tests {
         let v = exercise(Vec::new());
         let b = exercise(BytesMut::new());
         assert_eq!(v.as_slice(), b.as_slice());
-        assert_eq!(v, vec![0xAB, 9, 2, 3]);
-        assert_eq!(ByteSink::len(&b), 4);
+        assert_eq!(v, vec![0xAB, 9, 2, 3, 4, 0]);
+        assert_eq!(ByteSink::len(&b), 6);
         assert!(!ByteSink::is_empty(&b));
     }
 
@@ -129,6 +177,6 @@ mod tests {
     fn borrowed_sink_appends_to_the_callers_buffer() {
         let mut kept = vec![7u8];
         exercise(&mut kept);
-        assert_eq!(kept, vec![7, 9, 1, 2, 3], "as_mut_slice sees the whole buffer");
+        assert_eq!(kept, vec![7, 9, 1, 2, 3, 4, 0], "as_mut_slice sees the whole buffer");
     }
 }

@@ -83,16 +83,12 @@ impl SmPayload for RanFuncDef {
         let name = b.string(&self.name);
         let desc = b.string(&self.description);
         let enc_styles = |b: &mut FbBuilder<B>, styles: &[FuncStyle]| -> u32 {
-            let offs: Vec<u32> = styles
-                .iter()
-                .map(|s| {
-                    let n = b.string(&s.name);
-                    let mut t = TableBuilder::new();
-                    t.u32(0, s.style as u32).off(1, n);
-                    t.end(b)
-                })
-                .collect();
-            b.vec_off(&offs)
+            b.vec_off_with(styles, |b, s| {
+                let n = b.string(&s.name);
+                let mut t = TableBuilder::new();
+                t.u32(0, s.style as u32).off(1, n);
+                t.end(b)
+            })
         };
         let rep = enc_styles(b, &self.report_styles);
         let ctl = enc_styles(b, &self.control_styles);

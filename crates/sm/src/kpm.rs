@@ -79,8 +79,7 @@ impl SmPayload for KpmActionDef {
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let offs: Vec<u32> = self.measurements.iter().map(|m| b.string(m)).collect();
-        let v = b.vec_off(&offs);
+        let v = b.vec_off_with(&self.measurements, |b, m| b.string(m));
         let mut t = TableBuilder::new();
         t.u32(0, self.granularity_ms).off(1, v);
         if let Some(u) = self.ue_filter {
@@ -160,20 +159,15 @@ impl SmPayload for KpmReport {
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let offs: Vec<u32> = self
-            .records
-            .iter()
-            .map(|rec| {
-                let name = b.string(&rec.name);
-                let mut t = TableBuilder::new();
-                t.off(0, name).u64(2, rec.value);
-                if let Some(u) = rec.rnti {
-                    t.u16(1, u);
-                }
-                t.end(b)
-            })
-            .collect();
-        let v = b.vec_off(&offs);
+        let v = b.vec_off_with(&self.records, |b, rec| {
+            let name = b.string(&rec.name);
+            let mut t = TableBuilder::new();
+            t.off(0, name).u64(2, rec.value);
+            if let Some(u) = rec.rnti {
+                t.u16(1, u);
+            }
+            t.end(b)
+        });
         let mut t = TableBuilder::new();
         t.u64(0, self.tstamp_ms).u32(1, self.granularity_ms).off(2, v);
         t.end(b)

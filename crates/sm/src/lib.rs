@@ -83,6 +83,12 @@ impl SmCodec {
     }
 }
 
+/// First allocation of [`SmPayload::encode`]: a 32-row snapshot of any
+/// bundled SM fits in either codec without growing mid-encode (the largest
+/// are MAC's — 2374 B in FB; 2288 B in PER when every counter needs all its
+/// octets).
+const SNAPSHOT_CAPACITY: usize = 2560;
+
 /// Implemented by every SM payload: dual-codec encode/decode.
 ///
 /// The `encode_per`/`encode_fb` bodies are generic over the output
@@ -103,12 +109,12 @@ pub trait SmPayload: Sized {
     fn encode(&self, codec: SmCodec) -> Vec<u8> {
         match codec {
             SmCodec::Asn1Per => {
-                let mut w = BitWriter::with_capacity(1024);
+                let mut w = BitWriter::with_capacity(SNAPSHOT_CAPACITY);
                 self.encode_per(&mut w);
                 w.finish()
             }
             SmCodec::Flatb => {
-                let mut b = FbBuilder::with_capacity(2048);
+                let mut b = FbBuilder::with_capacity(SNAPSHOT_CAPACITY);
                 let root = self.encode_fb(&mut b);
                 b.finish(root)
             }

@@ -120,8 +120,7 @@ impl SmPayload for PdcpStatsInd {
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let offs: Vec<u32> = self.bearers.iter().map(|s| enc_bearer_fb(b, s)).collect();
-        let bearers = b.vec_off(&offs);
+        let bearers = b.vec_off_with(&self.bearers, enc_bearer_fb);
         let mut t = TableBuilder::new();
         t.u64(0, self.tstamp_ms).off(1, bearers);
         t.end(b)

@@ -109,19 +109,14 @@ impl SmPayload for RrcEventInd {
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let offs: Vec<u32> = self
-            .events
-            .iter()
-            .map(|e| {
-                let mut t = TableBuilder::new();
-                t.u16(0, e.rnti).u8(1, e.kind as u8).u16(2, e.plmn_mcc).u16(3, e.plmn_mnc);
-                if let Some(s) = e.snssai {
-                    t.u32(4, s);
-                }
-                t.end(b)
-            })
-            .collect();
-        let events = b.vec_off(&offs);
+        let events = b.vec_off_with(&self.events, |b, e| {
+            let mut t = TableBuilder::new();
+            t.u16(0, e.rnti).u8(1, e.kind as u8).u16(2, e.plmn_mcc).u16(3, e.plmn_mnc);
+            if let Some(s) = e.snssai {
+                t.u32(4, s);
+            }
+            t.end(b)
+        });
         let mut t = TableBuilder::new();
         t.u64(0, self.tstamp_ms).off(1, events);
         t.end(b)

@@ -392,8 +392,7 @@ impl SmPayload for SliceCtrl {
                 t.end(b)
             }
             SliceCtrl::AddModSlices { slices } => {
-                let offs: Vec<u32> = slices.iter().map(|s| enc_conf_fb(b, s)).collect();
-                let v = b.vec_off(&offs);
+                let v = b.vec_off_with(slices, enc_conf_fb);
                 let mut t = TableBuilder::new();
                 t.u8(0, 1).off(2, v);
                 t.end(b)
@@ -481,17 +480,12 @@ impl SmPayload for SliceStatsInd {
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let offs: Vec<u32> = self
-            .slices
-            .iter()
-            .map(|s| {
-                let conf = enc_conf_fb(b, &s.conf);
-                let mut t = TableBuilder::new();
-                t.off(0, conf).u64(1, s.alloc_prbs).u64(2, s.thr_kbps).u32(3, s.num_ues);
-                t.end(b)
-            })
-            .collect();
-        let slices = b.vec_off(&offs);
+        let slices = b.vec_off_with(&self.slices, |b, s| {
+            let conf = enc_conf_fb(b, &s.conf);
+            let mut t = TableBuilder::new();
+            t.off(0, conf).u64(1, s.alloc_prbs).u64(2, s.thr_kbps).u32(3, s.num_ues);
+            t.end(b)
+        });
         let assoc = enc_assoc_fb(b, &self.ue_assoc);
         let mut t = TableBuilder::new();
         t.u64(0, self.tstamp_ms).u8(1, self.algo as u8).off(2, slices).off(3, assoc);

@@ -520,23 +520,18 @@ impl SmPayload for TcStatsInd {
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let offs: Vec<u32> = self
-            .queues
-            .iter()
-            .map(|q| {
-                let mut t = TableBuilder::new();
-                t.u32(0, q.id)
-                    .u64(1, q.backlog_bytes)
-                    .u32(2, q.backlog_pkts)
-                    .u64(3, q.sojourn_us_avg)
-                    .u64(4, q.sojourn_us_max)
-                    .u64(5, q.drops)
-                    .u64(6, q.tx_pkts)
-                    .u64(7, q.tx_bytes);
-                t.end(b)
-            })
-            .collect();
-        let queues = b.vec_off(&offs);
+        let queues = b.vec_off_with(&self.queues, |b, q| {
+            let mut t = TableBuilder::new();
+            t.u32(0, q.id)
+                .u64(1, q.backlog_bytes)
+                .u32(2, q.backlog_pkts)
+                .u64(3, q.sojourn_us_avg)
+                .u64(4, q.sojourn_us_max)
+                .u64(5, q.drops)
+                .u64(6, q.tx_pkts)
+                .u64(7, q.tx_bytes);
+            t.end(b)
+        });
         let mut t = TableBuilder::new();
         t.u64(0, self.tstamp_ms)
             .u16(1, self.rnti)

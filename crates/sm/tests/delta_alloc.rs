@@ -4,13 +4,18 @@
 //! copied out of the scratch buffer), and applying a delta at most twice
 //! (the reconstruction handed to the caller, and slack).  A regression here is
 //! a per-report `Vec`, table or clone creeping back into `sm::delta`.
+//!
+//! Likewise for a full snapshot: encoding 32 rows allocates the output
+//! buffer and nothing else — no list of row offsets, no growth mid-encode.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use flexric_sm::delta::{DeltaDecoder, DeltaEvent, DeltaStreams, ReportOut};
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
-use flexric_sm::{ReportMode, SmCodec};
+use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
+use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
+use flexric_sm::{ReportMode, SmCodec, SmPayload};
 
 thread_local! {
     /// Allocations made by this thread (the test harness runs tests, and
@@ -109,5 +114,60 @@ fn steady_state_stays_within_its_allocation_budget() {
             }
             assert!(n <= 2, "{codec:?} round {round}: applying a delta allocated {n} times");
         }
+    }
+}
+
+#[test]
+fn full_snapshot_of_32_rows_is_one_allocation() {
+    // Every counter at its maximum: the longest PER encoding there is.
+    let ue = MacUeStats {
+        rnti: u16::MAX,
+        cqi: 15,
+        mcs: 31,
+        prbs_dl: u32::MAX,
+        prbs_ul: u32::MAX,
+        tbs_dl_bytes: u64::MAX,
+        tbs_ul_bytes: u64::MAX,
+        dl_aggr_bytes: u64::MAX,
+        ul_aggr_bytes: u64::MAX,
+        bsr: u32::MAX,
+        dl_backlog_bytes: u64::MAX,
+        slice_id: u32::MAX,
+        plmn_mcc: 999,
+        plmn_mnc: 999,
+    };
+    let mac = MacStatsInd { tstamp_ms: u64::MAX, cell_prbs: u32::MAX, ues: vec![ue; 32] };
+    let bearer = RlcBearerStats {
+        rnti: u16::MAX,
+        drb_id: 32,
+        tx_pdus: u64::MAX,
+        tx_bytes: u64::MAX,
+        retx_pdus: u64::MAX,
+        dropped_pdus: u64::MAX,
+        buffer_bytes: u64::MAX,
+        buffer_pkts: u32::MAX,
+        sojourn_us_avg: u64::MAX,
+        sojourn_us_max: u64::MAX,
+    };
+    let rlc = RlcStatsInd { tstamp_ms: u64::MAX, bearers: vec![bearer; 32] };
+    let bearer = PdcpBearerStats {
+        rnti: u16::MAX,
+        drb_id: 32,
+        tx_pdus: u64::MAX,
+        tx_bytes: u64::MAX,
+        rx_pdus: u64::MAX,
+        rx_bytes: u64::MAX,
+        tx_aggr_bytes: u64::MAX,
+        rx_aggr_bytes: u64::MAX,
+        rx_discards: u64::MAX,
+    };
+    let pdcp = PdcpStatsInd { tstamp_ms: u64::MAX, bearers: vec![bearer; 32] };
+    for codec in SmCodec::ALL {
+        let (n, bytes) = allocs(|| mac.encode(codec));
+        assert_eq!(n, 1, "{codec:?} MAC, {} B", bytes.len());
+        let (n, bytes) = allocs(|| rlc.encode(codec));
+        assert_eq!(n, 1, "{codec:?} RLC, {} B", bytes.len());
+        let (n, bytes) = allocs(|| pdcp.encode(codec));
+        assert_eq!(n, 1, "{codec:?} PDCP, {} B", bytes.len());
     }
 }

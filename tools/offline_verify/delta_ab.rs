@@ -220,7 +220,11 @@ fn main() {
          the real delta codec (flexric_sm::delta) over the real time-varying workload \
          (ransim::kpi) for {AGENTS} agents x 3 SMs x {TICKS} report periods, with \
          reconstruction content-hash-verified on every frame and byte-identity-verified on \
-         every ~100th agent; adaptive retunes are charged {RETUNE_PDU_BYTES} B each. Run \
+         every ~100th agent; adaptive retunes are charged {RETUNE_PDU_BYTES} B each. Since \
+         FB tables of one layout share a vtable (PR 13) a full FB report is 2300 B, not 3044 B, \
+         and the FB saving ratios fell with it (delta 8.81x -> 7.69x, adaptive 9.24x -> 8.02x): \
+         the baseline shrank, the delta streams did not grow (their bytes fell too, by the \
+         smaller keyframes; suppressed/keyframe/delta counts are unchanged, as is PER). Run \
          `cargo run --release -p flexric-bench --bin fig7b_monitoring_cost` on a networked \
          host to overwrite this file with live end-to-end points (same --out flag and schema)."
     );

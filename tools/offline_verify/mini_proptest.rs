@@ -270,6 +270,15 @@ pub mod sample {
     }
 }
 
+/// Always yields a clone of its value.
+pub struct Just<T: Clone>(pub T);
+impl<T: Clone> Strategy for Just<T> {
+    type Value = T;
+    fn generate(&self, _rng: &mut TestRng) -> T {
+        self.0.clone()
+    }
+}
+
 pub struct OneOf<T>(pub Vec<Box<dyn Strategy<Value = T>>>);
 impl<T> Strategy for OneOf<T> {
     type Value = T;
@@ -316,7 +325,7 @@ macro_rules! proptest {
 
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_oneof, proptest, Arbitrary, Strategy,
+        any, prop_assert, prop_assert_eq, prop_oneof, proptest, Arbitrary, Just, Strategy,
     };
     pub mod prop {
         pub use crate::{collection, option, sample};

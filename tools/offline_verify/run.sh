@@ -119,12 +119,26 @@ $RUSTC --test --crate-name delta_props \
     "$ROOT/crates/sm/tests/delta_props.rs" -o "$WORK/delta_props"
 "$WORK/delta_props" --quiet
 
-# 4e. The delta stream's steady-state allocation budget, under a counting
-#     global allocator (crates/sm/tests/delta_alloc.rs).
+# 4e. Allocation budgets under a counting global allocator
+#     (crates/sm/tests/delta_alloc.rs): the delta stream's steady state,
+#     and one allocation per full 32-row snapshot in either codec.
 $RUSTC --test --crate-name delta_alloc \
     --extern flexric_sm="$WORK/libflexric_sm.rlib" \
     "$ROOT/crates/sm/tests/delta_alloc.rs" -o "$WORK/delta_alloc"
 "$WORK/delta_alloc" --quiet
+
+# 4f. The SM encodings on the wire (crates/sm/tests/fb_wire.rs): FB bytes
+#     the commit before vtable sharing produced (fb_parent_bytes/) still
+#     decode, every bundled SM reads back from both sinks, rows of one
+#     layout share one vtable.  The writers' own differential tests (PER
+#     put_* against the bitwise reference, FB sharing and spilling) are
+#     unit tests of crates/codec and ran in step 3.
+$RUSTC --test --crate-name fb_wire \
+    --extern bytes="$WORK/libbytes.rlib" \
+    --extern flexric_codec="$WORK/libflexric_codec.rlib" \
+    --extern flexric_sm="$WORK/libflexric_sm.rlib" \
+    "$ROOT/crates/sm/tests/fb_wire.rs" -o "$WORK/fb_wire"
+"$WORK/fb_wire" --quiet
 
 # 4c. The real SM-registry property tests (crates/sm/tests/registry_props.rs).
 $RUSTC --test --crate-name registry_props \
