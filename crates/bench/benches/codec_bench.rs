@@ -1,15 +1,15 @@
 //! Codec micro-benchmarks: encode / decode / peek across the three wire
 //! formats — the per-message costs behind the paper's Figs. 7 and 8b —
-//! plus old-vs-new comparisons for the zero-allocation encode path
-//! (word-level bit packing, `encode_into` buffer reuse, single-buffer
-//! framing, and encode-once 1→N indication fan-out).
+//! plus the zero-allocation encode path (word-level bit packing,
+//! `encode_into` buffer reuse, single-buffer framing, and encode-once 1→N
+//! indication fan-out).  The paths these replaced were measured against
+//! them once; the numbers are in EXPERIMENTS.md.
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexric::scratch::{flush_outbox, EncodeScratch, Targets};
 use flexric_codec::per::{BitReader, BitWriter};
 use flexric_codec::E2apCodec;
-use flexric_ctrl::flexran_emu::{decode_stats_pb, encode_stats_pb};
 use flexric_e2ap::*;
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::{SmCodec, SmPayload};
@@ -93,9 +93,9 @@ fn bench_sm(c: &mut Criterion) {
             b.iter(|| MacStatsInd::decode(codec, std::hint::black_box(&encoded)).unwrap())
         });
     }
-    // Allocate-per-message `encode` vs the scratch-reusing `encode_into`
-    // path the agent report loop runs on: same generic body, but the
-    // frozen-split buffer reclaims its capacity between messages.
+    // The scratch-reusing `encode_into` path the agent report loop runs
+    // on: same generic body as `encode`, but the frozen-split buffer
+    // reclaims its capacity between messages.
     let mut scratch = BytesMut::with_capacity(4096);
     for codec in SmCodec::ALL {
         group.bench_function(format!("encode_into/{}", codec.label()), |b| {
@@ -103,15 +103,15 @@ fn bench_sm(c: &mut Criterion) {
         });
     }
     // FlexRAN's protobuf baseline on the same snapshot.
-    let pb = encode_stats_pb(&ind);
-    group.bench_function("encode/PB", |b| b.iter(|| encode_stats_pb(std::hint::black_box(&ind))));
+    let pb = ind.encode_pb();
+    group.bench_function("encode/PB", |b| b.iter(|| std::hint::black_box(&ind).encode_pb()));
     group.bench_function("decode/PB", |b| {
-        b.iter(|| decode_stats_pb(std::hint::black_box(&pb)).unwrap())
+        b.iter(|| MacStatsInd::decode_pb(std::hint::black_box(&pb)).unwrap())
     });
     group.finish();
 }
 
-/// Word-level vs bit-by-bit bit packing on raw PER primitives.
+/// Word-level bit packing on raw PER primitives.
 fn bench_per_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("per_bits");
     // A representative mix of field widths (presence bits, enums, lengths,
@@ -131,15 +131,6 @@ fn bench_per_primitives(c: &mut Criterion) {
             w.finish()
         })
     });
-    group.bench_function("put_bits/bitwise", |b| {
-        b.iter(|| {
-            let mut w = BitWriter::with_capacity(2048);
-            for &(v, n) in std::hint::black_box(&ops) {
-                w.put_bits_bitwise(v, n);
-            }
-            w.finish()
-        })
-    });
     let mut w = BitWriter::new();
     for &(v, n) in &ops {
         w.put_bits(v, n);
@@ -153,29 +144,16 @@ fn bench_per_primitives(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("get_bits/bitwise", |b| {
-        b.iter(|| {
-            let mut r = BitReader::new(std::hint::black_box(&buf));
-            for &(_, n) in &ops {
-                r.get_bits_bitwise(n).unwrap();
-            }
-        })
-    });
     group.finish();
 }
 
-/// Allocate-per-message `encode` vs scratch-reusing `encode_into`, and
-/// legacy framing vs the single-buffer frame path.
+/// Scratch-reusing `encode_into`, alone and with the single-buffer frame
+/// path (allocate-per-message `encode` is in the `e2ap` group).
 fn bench_encode_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_path");
     for payload_size in [100usize, 1500] {
         let pdu = indication(Bytes::from(vec![0xA5u8; payload_size]));
         for codec in E2apCodec::ALL {
-            group.bench_with_input(
-                BenchmarkId::new(format!("encode/{}", codec.label()), payload_size),
-                &pdu,
-                |b, pdu| b.iter(|| codec.encode(std::hint::black_box(pdu))),
-            );
             group.bench_with_input(
                 BenchmarkId::new(format!("encode_into/{}", codec.label()), payload_size),
                 &pdu,
@@ -184,16 +162,6 @@ fn bench_encode_paths(c: &mut Criterion) {
                     b.iter(|| {
                         codec.encode_into(std::hint::black_box(pdu), &mut scratch);
                         scratch.split().freeze()
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("encode+frame/{}", codec.label()), payload_size),
-                &pdu,
-                |b, pdu| {
-                    b.iter(|| {
-                        let payload = Bytes::from(codec.encode(std::hint::black_box(pdu)));
-                        frame::encode_frame(0, 70, &payload)
                     })
                 },
             );
@@ -216,22 +184,12 @@ fn bench_encode_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// 1→N indication fan-out: N independent encodes (old path) vs one encode
-/// shared across N targets (new path).
+/// 1→N indication fan-out: one encode shared across N targets.
 fn bench_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("fanout_8");
     let pdu = indication(Bytes::from(mac_snapshot(32).encode(SmCodec::Flatb)));
     const N: usize = 8;
     for codec in E2apCodec::ALL {
-        group.bench_function(format!("per_target_encode/{}", codec.label()), |b| {
-            b.iter(|| {
-                let mut frames = Vec::with_capacity(N);
-                for _ in 0..N {
-                    frames.push(Bytes::from(codec.encode(std::hint::black_box(&pdu))));
-                }
-                frames
-            })
-        });
         group.bench_function(format!("encode_once/{}", codec.label()), |b| {
             let mut scratch = EncodeScratch::with_capacity(4096);
             b.iter(|| {

@@ -1,26 +1,22 @@
-//! A/B micro-benchmarks of the transport receive path: the zero-copy slab
-//! reassembler vs the legacy copy-per-frame receive it replaced.
+//! Micro-benchmarks of the transport receive path, the zero-copy slab
+//! reassembler (its comparison with the copy-per-frame receive it replaced
+//! is recorded in EXPERIMENTS.md).
 //!
 //! Two levels:
 //!
 //! * `rx_reassembly` — pure framing cost over an in-memory burst: the
 //!   bytes enter the slab once (standing in for the kernel→user copy of
-//!   `read`), then either every frame is sliced out as a refcounted view
-//!   (`zero_copy`) or allocated+zeroed+copied per frame exactly as the
-//!   old `recv` did (`copying`).
+//!   `read`), then every frame is sliced out as a refcounted view.
 //! * `rx_socket` — the full `FramedReader` over a `tokio::io::duplex`
-//!   pipe: `recv` (assembler) vs `recv_copying` (one header read + one
-//!   payload read + per-frame allocation), which is the same code the
-//!   `rx-copy` cargo feature switches the TCP transport back to.
+//!   pipe.
 //!
 //! Run with `cargo bench -p flexric-bench --bench transport_rx`.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use flexric_transport::frame::{decode_header, encode_frame_into, HEADER_LEN};
+use flexric_transport::frame::{encode_frame_into, HEADER_LEN};
 use flexric_transport::rx::FrameAssembler;
 use flexric_transport::tcp::FramedReader;
-use flexric_transport::WireMsg;
 
 /// An encoded burst of `n` frames with `payload`-byte bodies, as it would
 /// sit in the receive buffer after one large socket read.
@@ -33,29 +29,7 @@ fn burst(n: usize, payload: usize) -> Vec<u8> {
     out.to_vec()
 }
 
-/// The legacy per-frame path: parse the header out of the burst, allocate
-/// a fresh zeroed buffer for the payload, copy it in, freeze.  This is
-/// byte-for-byte what the pre-assembler `recv` did per frame (minus the
-/// syscalls, which `rx_socket` adds back).
-fn drain_copying(mut buf: &[u8]) -> u64 {
-    let mut frames = 0u64;
-    while buf.len() >= HEADER_LEN {
-        let mut hdr = [0u8; HEADER_LEN];
-        hdr.copy_from_slice(&buf[..HEADER_LEN]);
-        let (len, stream, ppid) = decode_header(&hdr);
-        let len = len as usize;
-        buf = &buf[HEADER_LEN..];
-        let mut payload = BytesMut::zeroed(len);
-        payload.copy_from_slice(&buf[..len]);
-        buf = &buf[len..];
-        std::hint::black_box(WireMsg { stream, ppid, payload: payload.freeze() });
-        frames += 1;
-    }
-    frames
-}
-
-/// The zero-copy path: burst enters the slab once, frames come out as
-/// refcounted views.
+/// The burst enters the slab once, frames come out as refcounted views.
 fn drain_assembler(asm: &mut FrameAssembler, buf: &[u8]) -> u64 {
     let mut frames = 0u64;
     asm.feed(buf);
@@ -72,12 +46,6 @@ fn bench_reassembly(c: &mut Criterion) {
     for payload in [64usize, 1024, 16 * 1024] {
         let data = burst(FRAMES, payload);
         group.throughput(Throughput::Elements(FRAMES as u64));
-        group.bench_with_input(BenchmarkId::new("copying", payload), &data, |b, data| {
-            b.iter(|| {
-                let n = drain_copying(std::hint::black_box(data));
-                assert_eq!(n, FRAMES as u64);
-            })
-        });
         group.bench_with_input(BenchmarkId::new("zero_copy", payload), &data, |b, data| {
             let mut asm = FrameAssembler::new();
             b.iter(|| {
@@ -97,38 +65,25 @@ fn bench_socket(c: &mut Criterion) {
         let data = burst(FRAMES, payload);
         let cap = data.len() + 1;
         group.throughput(Throughput::Elements(FRAMES as u64));
-        for copying in [true, false] {
-            let name = if copying { "copying" } else { "zero_copy" };
-            group.bench_with_input(BenchmarkId::new(name, payload), &data, |b, data| {
-                b.iter(|| {
-                    rt.block_on(async {
-                        // A duplex wide enough to hold the whole burst, so
-                        // the reader sees the same single-wakeup shape a
-                        // loaded TCP socket produces.
-                        let (mut w, r) = tokio::io::duplex(cap);
-                        tokio::io::AsyncWriteExt::write_all(&mut w, data).await.unwrap();
-                        drop(w);
-                        let mut rd = FramedReader::new(r);
-                        let mut n = 0u64;
-                        loop {
-                            let msg = if copying {
-                                rd.recv_copying().await.unwrap()
-                            } else {
-                                rd.recv().await.unwrap()
-                            };
-                            match msg {
-                                Some(m) => {
-                                    std::hint::black_box(m);
-                                    n += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                        assert_eq!(n, FRAMES as u64);
-                    })
+        group.bench_with_input(BenchmarkId::new("zero_copy", payload), &data, |b, data| {
+            b.iter(|| {
+                rt.block_on(async {
+                    // A duplex wide enough to hold the whole burst, so the
+                    // reader sees the same single-wakeup shape a loaded TCP
+                    // socket produces.
+                    let (mut w, r) = tokio::io::duplex(cap);
+                    tokio::io::AsyncWriteExt::write_all(&mut w, data).await.unwrap();
+                    drop(w);
+                    let mut rd = FramedReader::new(r);
+                    let mut n = 0u64;
+                    while let Some(m) = rd.recv().await.unwrap() {
+                        std::hint::black_box(m);
+                        n += 1;
+                    }
+                    assert_eq!(n, FRAMES as u64);
                 })
-            });
-        }
+            })
+        });
     }
     group.finish();
 }

@@ -158,13 +158,7 @@ async fn main() {
     if sent != rx {
         fail(&format!("conservation broke: sent {sent} != received {rx}"));
     }
-    if cfg!(feature = "rx-copy") {
-        // Legacy-path A/B run: the copying reader must actually have been
-        // in play, i.e. every steady-state frame took a copy.
-        if rx_copies == rx_copies_before {
-            fail("rx-copy build but the copying receive path never ran");
-        }
-    } else if rx_copies != rx_copies_before {
+    if rx_copies != rx_copies_before {
         fail("receive path took per-frame payload copies in steady state");
     }
     if wakeups == 0 {

@@ -139,8 +139,8 @@ impl<B: ByteSink> BitWriter<B> {
 
     /// Reference bit-by-bit implementation of [`Self::put_bits`].
     ///
-    /// Kept for differential tests and the old-path benchmark; the
-    /// word-level `put_bits` must stay bit-exact with this loop.
+    /// Kept for differential tests; the word-level `put_bits` must stay
+    /// bit-exact with this loop.
     pub fn put_bits_bitwise(&mut self, value: u64, nbits: u32) {
         debug_assert!(nbits <= 64);
         for i in (0..nbits).rev() {
@@ -303,7 +303,7 @@ impl<'a> BitReader<'a> {
 
     /// Reference bit-by-bit implementation of [`Self::get_bits`].
     ///
-    /// Kept for differential tests and the old-path benchmark.
+    /// Kept for differential tests.
     pub fn get_bits_bitwise(&mut self, nbits: u32) -> Result<u64> {
         debug_assert!(nbits <= 64);
         let mut v = 0u64;

@@ -16,7 +16,9 @@
 //!    ~3× memory footprint of Fig. 8a.
 //!
 //! The emulation implements that architecture from scratch with the
-//! [`flexric_codec::pb`] wire format.
+//! [`flexric_codec::pb`] wire format; the statistics messages are the
+//! `encode_pb` / `decode_pb` pair every statistics SM derives from its field
+//! table ([`flexric_sm::schema`]).
 
 use std::collections::HashMap;
 use std::io;
@@ -28,7 +30,9 @@ use parking_lot::Mutex;
 use tokio::sync::mpsc;
 
 use flexric_codec::pb::{PbReader, PbWriter};
-use flexric_sm::mac::{MacStatsInd, MacUeStats};
+use flexric_sm::mac::MacStatsInd;
+use flexric_sm::pdcp::PdcpStatsInd;
+use flexric_sm::rlc::RlcStatsInd;
 use flexric_transport::{connect, listen, Transport, TransportAddr, WireMsg};
 
 /// FlexRAN-protocol message types (the `ppid` of the framing layer).
@@ -47,179 +51,6 @@ pub mod msg_type {
     pub const STATS_REPORT_RLC: u32 = 6;
     /// PDCP statistics report.
     pub const STATS_REPORT_PDCP: u32 = 7;
-}
-
-/// Encodes a MAC statistics snapshot in the FlexRAN protobuf-style format.
-pub fn encode_stats_pb(ind: &MacStatsInd) -> Vec<u8> {
-    let mut w = PbWriter::new();
-    w.uint(1, ind.tstamp_ms);
-    w.uint(2, ind.cell_prbs as u64);
-    for ue in &ind.ues {
-        let mut uw = PbWriter::new();
-        uw.uint(1, ue.rnti as u64)
-            .uint(2, ue.cqi as u64)
-            .uint(3, ue.mcs as u64)
-            .uint(4, ue.prbs_dl as u64)
-            .uint(5, ue.prbs_ul as u64)
-            .uint(6, ue.tbs_dl_bytes)
-            .uint(7, ue.tbs_ul_bytes)
-            .uint(8, ue.dl_aggr_bytes)
-            .uint(9, ue.ul_aggr_bytes)
-            .uint(10, ue.bsr as u64)
-            .uint(11, ue.dl_backlog_bytes)
-            .uint(12, ue.slice_id as u64)
-            .uint(13, ue.plmn_mcc as u64)
-            .uint(14, ue.plmn_mnc as u64);
-        w.message(3, &uw);
-    }
-    w.finish()
-}
-
-/// Decodes a FlexRAN protobuf-style statistics report.
-pub fn decode_stats_pb(buf: &[u8]) -> flexric_codec::Result<MacStatsInd> {
-    let mut r = PbReader::new(buf);
-    let mut ind = MacStatsInd::default();
-    while let Some((field, value)) = r.next_field()? {
-        match field {
-            1 => ind.tstamp_ms = value.as_uint()?,
-            2 => ind.cell_prbs = value.as_uint()? as u32,
-            3 => {
-                let mut ue = MacUeStats::default();
-                let mut ur = PbReader::new(value.as_bytes()?);
-                while let Some((f, v)) = ur.next_field()? {
-                    let u = v.as_uint()?;
-                    match f {
-                        1 => ue.rnti = u as u16,
-                        2 => ue.cqi = u as u8,
-                        3 => ue.mcs = u as u8,
-                        4 => ue.prbs_dl = u as u32,
-                        5 => ue.prbs_ul = u as u32,
-                        6 => ue.tbs_dl_bytes = u,
-                        7 => ue.tbs_ul_bytes = u,
-                        8 => ue.dl_aggr_bytes = u,
-                        9 => ue.ul_aggr_bytes = u,
-                        10 => ue.bsr = u as u32,
-                        11 => ue.dl_backlog_bytes = u,
-                        12 => ue.slice_id = u as u32,
-                        13 => ue.plmn_mcc = u as u16,
-                        14 => ue.plmn_mnc = u as u16,
-                        _ => {}
-                    }
-                }
-                ind.ues.push(ue);
-            }
-            _ => {}
-        }
-    }
-    Ok(ind)
-}
-
-/// Encodes an RLC statistics snapshot in the protobuf-style format.
-pub fn encode_rlc_pb(ind: &flexric_sm::rlc::RlcStatsInd) -> Vec<u8> {
-    let mut w = PbWriter::new();
-    w.uint(1, ind.tstamp_ms);
-    for b in &ind.bearers {
-        let mut bw = PbWriter::new();
-        bw.uint(1, b.rnti as u64)
-            .uint(2, b.drb_id as u64)
-            .uint(3, b.tx_pdus)
-            .uint(4, b.tx_bytes)
-            .uint(5, b.retx_pdus)
-            .uint(6, b.dropped_pdus)
-            .uint(7, b.buffer_bytes)
-            .uint(8, b.buffer_pkts as u64)
-            .uint(9, b.sojourn_us_avg)
-            .uint(10, b.sojourn_us_max);
-        w.message(2, &bw);
-    }
-    w.finish()
-}
-
-/// Decodes an RLC statistics report.
-pub fn decode_rlc_pb(buf: &[u8]) -> flexric_codec::Result<flexric_sm::rlc::RlcStatsInd> {
-    let mut r = PbReader::new(buf);
-    let mut ind = flexric_sm::rlc::RlcStatsInd::default();
-    while let Some((field, value)) = r.next_field()? {
-        match field {
-            1 => ind.tstamp_ms = value.as_uint()?,
-            2 => {
-                let mut b = flexric_sm::rlc::RlcBearerStats::default();
-                let mut br = PbReader::new(value.as_bytes()?);
-                while let Some((f, v)) = br.next_field()? {
-                    let u = v.as_uint()?;
-                    match f {
-                        1 => b.rnti = u as u16,
-                        2 => b.drb_id = u as u8,
-                        3 => b.tx_pdus = u,
-                        4 => b.tx_bytes = u,
-                        5 => b.retx_pdus = u,
-                        6 => b.dropped_pdus = u,
-                        7 => b.buffer_bytes = u,
-                        8 => b.buffer_pkts = u as u32,
-                        9 => b.sojourn_us_avg = u,
-                        10 => b.sojourn_us_max = u,
-                        _ => {}
-                    }
-                }
-                ind.bearers.push(b);
-            }
-            _ => {}
-        }
-    }
-    Ok(ind)
-}
-
-/// Encodes a PDCP statistics snapshot in the protobuf-style format.
-pub fn encode_pdcp_pb(ind: &flexric_sm::pdcp::PdcpStatsInd) -> Vec<u8> {
-    let mut w = PbWriter::new();
-    w.uint(1, ind.tstamp_ms);
-    for b in &ind.bearers {
-        let mut bw = PbWriter::new();
-        bw.uint(1, b.rnti as u64)
-            .uint(2, b.drb_id as u64)
-            .uint(3, b.tx_pdus)
-            .uint(4, b.tx_bytes)
-            .uint(5, b.rx_pdus)
-            .uint(6, b.rx_bytes)
-            .uint(7, b.tx_aggr_bytes)
-            .uint(8, b.rx_aggr_bytes)
-            .uint(9, b.rx_discards);
-        w.message(2, &bw);
-    }
-    w.finish()
-}
-
-/// Decodes a PDCP statistics report.
-pub fn decode_pdcp_pb(buf: &[u8]) -> flexric_codec::Result<flexric_sm::pdcp::PdcpStatsInd> {
-    let mut r = PbReader::new(buf);
-    let mut ind = flexric_sm::pdcp::PdcpStatsInd::default();
-    while let Some((field, value)) = r.next_field()? {
-        match field {
-            1 => ind.tstamp_ms = value.as_uint()?,
-            2 => {
-                let mut b = flexric_sm::pdcp::PdcpBearerStats::default();
-                let mut br = PbReader::new(value.as_bytes()?);
-                while let Some((f, v)) = br.next_field()? {
-                    let u = v.as_uint()?;
-                    match f {
-                        1 => b.rnti = u as u16,
-                        2 => b.drb_id = u as u8,
-                        3 => b.tx_pdus = u,
-                        4 => b.tx_bytes = u,
-                        5 => b.rx_pdus = u,
-                        6 => b.rx_bytes = u,
-                        7 => b.tx_aggr_bytes = u,
-                        8 => b.rx_aggr_bytes = u,
-                        9 => b.rx_discards = u,
-                        _ => {}
-                    }
-                }
-                ind.bearers.push(b);
-            }
-            _ => {}
-        }
-    }
-    Ok(ind)
 }
 
 /// The FlexRAN-style RIB: decoded protobuf object trees retained per base
@@ -373,13 +204,13 @@ async fn serve_agent(
         match msg.ppid {
             msg_type::STATS_REPORT => {
                 counters.reports.fetch_add(1, Ordering::Relaxed);
-                if let Ok(ind) = decode_stats_pb(&msg.payload) {
+                if let Ok(ind) = MacStatsInd::decode_pb(&msg.payload) {
                     rib.lock().ingest(bs_id, &msg.payload, &ind);
                 }
             }
             msg_type::STATS_REPORT_RLC => {
                 counters.reports.fetch_add(1, Ordering::Relaxed);
-                if let Ok(ind) = decode_rlc_pb(&msg.payload) {
+                if let Ok(ind) = RlcStatsInd::decode_pb(&msg.payload) {
                     let mut table = rib.lock();
                     let bs = table.bs.entry(bs_id).or_default();
                     for b in &ind.bearers {
@@ -397,7 +228,7 @@ async fn serve_agent(
             }
             msg_type::STATS_REPORT_PDCP => {
                 counters.reports.fetch_add(1, Ordering::Relaxed);
-                if let Ok(ind) = decode_pdcp_pb(&msg.payload) {
+                if let Ok(ind) = PdcpStatsInd::decode_pb(&msg.payload) {
                     let mut table = rib.lock();
                     let bs = table.bs.entry(bs_id).or_default();
                     for b in &ind.bearers {
@@ -443,9 +274,9 @@ pub struct FlexranSnapshot {
     /// MAC statistics.
     pub mac: MacStatsInd,
     /// RLC statistics (empty = not sent).
-    pub rlc: flexric_sm::rlc::RlcStatsInd,
+    pub rlc: RlcStatsInd,
     /// PDCP statistics (empty = not sent).
-    pub pdcp: flexric_sm::pdcp::PdcpStatsInd,
+    pub pdcp: PdcpStatsInd,
 }
 
 /// Handle to a running FlexRAN-style agent.
@@ -490,12 +321,12 @@ impl FlexranAgent {
                                     next_due = now + p;
                                     let snap = snapshot(now);
                                     let mut parts: Vec<(u32, Bytes)> =
-                                        vec![(msg_type::STATS_REPORT, encode_stats_pb(&snap.mac).into())];
+                                        vec![(msg_type::STATS_REPORT, snap.mac.encode_pb().into())];
                                     if !snap.rlc.bearers.is_empty() {
-                                        parts.push((msg_type::STATS_REPORT_RLC, encode_rlc_pb(&snap.rlc).into()));
+                                        parts.push((msg_type::STATS_REPORT_RLC, snap.rlc.encode_pb().into()));
                                     }
                                     if !snap.pdcp.bearers.is_empty() {
-                                        parts.push((msg_type::STATS_REPORT_PDCP, encode_pdcp_pb(&snap.pdcp).into()));
+                                        parts.push((msg_type::STATS_REPORT_PDCP, snap.pdcp.encode_pb().into()));
                                     }
                                     let mut failed = false;
                                     for (ppid, payload) in parts {
@@ -565,6 +396,7 @@ fn now_ns() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexric_sm::mac::MacUeStats;
     use std::time::Duration;
 
     fn sample(ues: u16) -> MacStatsInd {
@@ -586,12 +418,7 @@ mod tests {
     #[test]
     fn pb_stats_roundtrip() {
         let ind = sample(32);
-        let buf = encode_stats_pb(&ind);
-        let back = decode_stats_pb(&buf).unwrap();
-        assert_eq!(back.tstamp_ms, 42);
-        assert_eq!(back.ues.len(), 32);
-        assert_eq!(back.ues[0].rnti, 0x4601);
-        assert_eq!(back.ues[0].tbs_dl_bytes, 2_000);
+        assert_eq!(MacStatsInd::decode_pb(&ind.encode_pb()), Ok(ind));
     }
 
     #[test]
@@ -599,7 +426,7 @@ mod tests {
         // FlexRAN's single-layer protobuf is the smallest wire format in
         // the paper's Fig. 7b.
         let ind = sample(32);
-        let pb = encode_stats_pb(&ind);
+        let pb = ind.encode_pb();
         let fb = flexric_sm::SmPayload::encode(&ind, flexric_sm::SmCodec::Flatb);
         assert!(pb.len() < fb.len(), "pb={} fb={}", pb.len(), fb.len());
     }

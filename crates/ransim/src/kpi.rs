@@ -10,9 +10,9 @@
 //! delta encoding look uselessly bad) or a frozen snapshot (uselessly
 //! good).
 //!
-//! This module is deliberately self-contained (std + `flexric-sm` only, no
-//! `rand`/`parking_lot`) so the offline verification harness can compile
-//! it with bare `rustc` alongside the delta codec it exercises.
+//! Like the rest of this crate it needs only std, `flexric-sm` and
+//! `flexric-obs`, so the offline harnesses compile it with bare `rustc`
+//! alongside the delta codec it exercises.
 
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};

@@ -56,6 +56,7 @@ use flexric_codec::error::{CodecError, Result};
 use flexric_codec::per::{BitReader, BitWriter};
 use flexric_codec::ByteSink;
 
+use crate::schema::MAX_ROWS;
 use crate::trigger::ReportMode;
 use crate::{SmCodec, SmPayload};
 
@@ -63,10 +64,14 @@ use crate::{SmCodec, SmPayload};
 /// monitoring SMs share: a timestamp, at most one auxiliary header scalar,
 /// and a list of keyed rows whose fields all widen to `u64`.
 ///
+/// The statistics SMs get their impl from [`sm_snapshot!`](crate::sm_snapshot).
+///
 /// Implementations must be *exact*: `field`/`set_field` round-trip every
-/// representable value, and two snapshots with equal keys, fields, aux and
+/// legal value, and two snapshots with equal keys, fields, aux and
 /// [`DeltaRows::structure_sig`] encode byte-identically (timestamps are
-/// carried explicitly by delta frames).
+/// carried explicitly by delta frames).  `set_field` and `set_aux` are
+/// decoders: they refuse what the payload's other decoders refuse, so that
+/// every reconstruction can be re-encoded.
 ///
 /// They should also encode *monotonically*: no snapshot encodes shorter
 /// than one of as many rows that are all [`DeltaRows::new_row`]`(0)`, with
@@ -92,8 +97,12 @@ pub trait DeltaRows: SmPayload + Clone + PartialEq {
     fn aux(&self) -> u64 {
         0
     }
-    /// Sets the auxiliary header scalar.
-    fn set_aux(&mut self, _v: u64) {}
+    /// Sets the auxiliary header scalar; `false`, and the payload as it
+    /// was, if `v` is beyond what the scalar may hold.  A payload without
+    /// one ignores it.
+    fn set_aux(&mut self, _v: u64) -> bool {
+        true
+    }
     /// The rows.
     fn rows(&self) -> &[Self::Row];
     /// Mutable row storage, for reconstruction.
@@ -104,8 +113,15 @@ pub trait DeltaRows: SmPayload + Clone + PartialEq {
     fn row_key(row: &Self::Row) -> u32;
     /// Reads field `i` (0-based, `< FIELD_COUNT`) widened to `u64`.
     fn field(row: &Self::Row, i: u32) -> u64;
-    /// Writes field `i` (narrowing as the row type requires).
-    fn set_field(row: &mut Self::Row, i: u32, v: u64);
+    /// Writes field `i`; `false`, and the row as it was, if `v` is beyond
+    /// what the field may hold.
+    fn set_field(row: &mut Self::Row, i: u32, v: u64) -> bool;
+    /// Calls `f(i, field(row, i))` for every `i < FIELD_COUNT` in turn.
+    /// The hash and the diff of every report go through here, so it should
+    /// be straight-line code — one call per field, each `i` a constant —
+    /// and not a loop around `field`, whose `match` costs a jump table per
+    /// turn wherever the compiler does not unroll the loop.
+    fn each_field(row: &Self::Row, f: impl FnMut(u32, u64));
     /// A fresh row for `key` with all fields at their default; new keys
     /// are encoded as a full-bitmap diff against this.
     fn new_row(key: u32) -> Self::Row;
@@ -122,20 +138,6 @@ pub trait DeltaRows: SmPayload + Clone + PartialEq {
 pub fn hash_str(h: u64, s: &str) -> u64 {
     let len = (s.len() as u64).to_le_bytes();
     len.iter().chain(s.as_bytes()).fold(h, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
-/// Calls `f` with every field index in turn, in runs of eight.  Every
-/// `DeltaRows::field` is a `match` on the index that folds away only where
-/// the compiler unrolls the loop around it, and it stops doing that for
-/// loops of more than ten turns or so (MAC has 13 fields): one long loop
-/// costs it a jump table per field.
-#[inline(always)]
-fn each_field<T: DeltaRows>(mut f: impl FnMut(u32)) {
-    for lo in [0, 8, 16, 24] {
-        for i in lo..T::FIELD_COUNT.min(lo + 8) {
-            f(i);
-        }
-    }
 }
 
 /// Multiplier of the content hash: 2^64 / φ, odd.
@@ -169,7 +171,7 @@ fn hash_with_sig<T: DeltaRows>(snap: &T, sig: u64) -> u64 {
     let mut h = mix(mix(mix(HASH_K, snap.aux()), sig), snap.rows().len() as u64);
     for row in snap.rows() {
         let mut r = mix(HASH_K, T::row_key(row) as u64);
-        each_field::<T>(|i| r = mix(r, T::field(row, i)));
+        T::each_field(row, |_, v| r = mix(r, v));
         h = mix(h, r);
     }
     (h ^ (h >> 32)).wrapping_mul(HASH_K)
@@ -261,9 +263,6 @@ pub fn register_metrics() {
 // `flexric_codec::per`, so the three lists start on byte boundaries and
 // their 32-bit keys are plain big-endian words.
 
-/// Upper bound on rows per frame, mirroring the SM decoders' own limits.
-const MAX_ROWS: usize = 65_536;
-
 /// Bytes a keyframe adds around its snapshot blob: the 65-bit header and
 /// (generously) a 4-byte length determinant.
 const KEYFRAME_OVERHEAD: usize = 9 + 4;
@@ -331,7 +330,7 @@ impl Diff {
 #[inline]
 fn dirty_fields<T: DeltaRows>(base: &T::Row, row: &T::Row) -> u32 {
     let mut bits = 0;
-    each_field::<T>(|i| bits |= u32::from(T::field(row, i) != T::field(base, i)) << i);
+    T::each_field(row, |i, v| bits |= u32::from(v != T::field(base, i)) << i);
     bits
 }
 
@@ -655,6 +654,7 @@ struct DeltaBody {
     /// Whether the frame changes content (it always changes the timestamp).
     changed: bool,
     /// Whether the body fits the snapshot it was applied to: `false` when
+    /// it carries a value the field (or the aux scalar) may not hold, or
     /// its explicit row order names a row the snapshot does not have.
     consistent: bool,
     post_hash: u64,
@@ -684,10 +684,11 @@ fn index_rows<T: DeltaRows>(rows: &[T::Row]) -> HashMap<u32, usize> {
 fn walk_delta_body<T: DeltaRows>(r: &mut BitReader, mut snap: Option<&mut T>) -> Result<DeltaBody> {
     let tstamp_ms = r.get_uint()?;
     let aux = if r.get_bit()? { Some(r.get_uint()?) } else { None };
+    let mut consistent = true;
     if let Some(snap) = snap.as_deref_mut() {
         snap.set_tstamp_ms(tstamp_ms);
         if let Some(aux) = aux {
-            snap.set_aux(aux);
+            consistent &= snap.set_aux(aux);
         }
     }
 
@@ -719,7 +720,7 @@ fn walk_delta_body<T: DeltaRows>(r: &mut BitReader, mut snap: Option<&mut T>) ->
         while bits != 0 {
             let v = r.get_uint()?;
             if let Some(row) = row.as_deref_mut() {
-                T::set_field(row, bits.trailing_zeros(), v);
+                consistent &= T::set_field(row, bits.trailing_zeros(), v);
             }
             bits &= bits - 1;
         }
@@ -741,7 +742,6 @@ fn walk_delta_body<T: DeltaRows>(r: &mut BitReader, mut snap: Option<&mut T>) ->
     };
     let post_hash = r.get_bits(64)?;
 
-    let mut consistent = true;
     if let Some(rows) = rows {
         let mut removed = keys_of(removed);
         let mut next = removed.next();
@@ -763,7 +763,7 @@ fn walk_delta_body<T: DeltaRows>(r: &mut BitReader, mut snap: Option<&mut T>) ->
             let index = index_rows::<T>(rows);
             let mut old: Vec<Option<T::Row>> = rows.drain(..).map(Some).collect();
             rows.extend(keys_of(order).map_while(|k| old[*index.get(&k)?].take()));
-            consistent = rows.len() == old.len() && 4 * old.len() == order.len();
+            consistent &= rows.len() == old.len() && 4 * old.len() == order.len();
         }
     }
     let changed = n_changed > 0 || n_removed > 0 || aux.is_some();

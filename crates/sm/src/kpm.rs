@@ -215,8 +215,8 @@ impl DeltaRows for KpmReport {
     fn aux(&self) -> u64 {
         self.granularity_ms as u64
     }
-    fn set_aux(&mut self, v: u64) {
-        self.granularity_ms = v as u32;
+    fn set_aux(&mut self, v: u64) -> bool {
+        u32::try_from(v).map(|v| self.granularity_ms = v).is_ok()
     }
     fn rows(&self) -> &[KpmRecord] {
         &self.records
@@ -235,8 +235,12 @@ impl DeltaRows for KpmReport {
     fn field(row: &KpmRecord, _i: u32) -> u64 {
         row.value
     }
-    fn set_field(row: &mut KpmRecord, _i: u32, v: u64) {
+    fn set_field(row: &mut KpmRecord, _i: u32, v: u64) -> bool {
         row.value = v;
+        true
+    }
+    fn each_field(row: &KpmRecord, mut f: impl FnMut(u32, u64)) {
+        f(0, row.value);
     }
     fn new_row(_key: u32) -> KpmRecord {
         KpmRecord { name: String::new(), rnti: None, value: 0 }

@@ -21,7 +21,11 @@
 //!    ([`rrc`]) and the hello-world SM ([`hw`], the ping SM of §5.2).
 //!    Monitoring SMs additionally speak the [`delta`] stream: dirty-field
 //!    delta indications with keyframes, suppression, and verified
-//!    reconstruction ([`ReportMode::Delta`] on the [`trigger`]).
+//!    reconstruction ([`ReportMode::Delta`] on the [`trigger`]).  The
+//!    statistics SMs are each one field table ([`schema`]): the row struct,
+//!    its PER, FB and PB codecs, [`SmPayload`] and the delta hooks are
+//!    derived from it, under one set of range checks.  The other payloads
+//!    — unions, strings, options — are hand-written [`SmPayload`] impls.
 //!
 //! 3. **The plugin registry** ([`registry`]): every SM — bundled or
 //!    third-party — is described by a versioned [`registry::SmDescriptor`]
@@ -42,6 +46,7 @@ pub mod pdcp;
 pub mod registry;
 pub mod rlc;
 pub mod rrc;
+pub mod schema;
 pub mod slice;
 pub mod tc;
 pub mod trigger;

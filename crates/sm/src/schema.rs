@@ -1,0 +1,408 @@
+//! One field table per statistics service model.
+//!
+//! A statistics SM is rows of unsigned scalars under a timestamped header.
+//! [`sm_rows!`](crate::sm_rows) declares a row once — each field as
+//! `name: type = bits(n) | range(0, hi) | uint` ([`Kind`]), the fields that
+//! identify the row in a `key { … }` block — and derives the struct and its
+//! [`Row`] impl: PER, FB and PB codecs, the key, and the indexed and visiting
+//! field access the [`delta`](crate::delta) stream diffs and hashes with.
+//! [`sm_snapshot!`](crate::sm_snapshot) declares the payload around the rows
+//! — `timestamp: u64 [, aux: type]; rows: Vec<Row>` — and derives
+//! [`SmPayload`](crate::SmPayload), [`DeltaRows`](crate::DeltaRows) and the
+//! pair `encode_pb` / `decode_pb`.  `crates/sm/tests/schema.rs` declares a
+//! whole SM this way in 25 lines.
+//!
+//! **Wire.**  Fields travel in table order, keys first: PER as their
+//! [`Kind`] says, FB field *k* in slot *k* at the width of its type, PB
+//! field *k* as varint number *k* + 1.  A snapshot is its timestamp, the aux
+//! scalar if it has one, then the rows.  In a delta frame a row goes by its
+//! key — the key fields, each filling its type, packed from bit 0 into at
+//! most 32 bits — and its other fields by index.
+//!
+//! **One constraint set.**  A field's [`Field::max`] is 2ⁿ − 1, `hi`, or its
+//! type's maximum.  Every decoder — PER, FB, PB, and delta apply through
+//! [`Row::set_field`] — refuses a value above it, so whatever one decoder
+//! accepted every encoder can write again.  Ranges start at 0 because a row
+//! new to a delta stream is diffed against the all-zero row of its key.
+//!
+//! Union-, string- and option-shaped payloads (slice and TC control, RRC
+//! events, KPM, the ping, triggers, function definitions) have one user
+//! each and stay hand-written [`SmPayload`](crate::SmPayload) impls.
+
+use std::fmt::Debug;
+
+use flexric_codec::error::{CodecError, Result};
+use flexric_codec::fb::{FbBuilder, FbTable};
+use flexric_codec::pb::PbWriter;
+use flexric_codec::per::{BitReader, BitWriter};
+use flexric_codec::ByteSink;
+
+/// What the macros' expansions name, so that a crate using them needs no
+/// imports of its own.
+#[doc(hidden)]
+pub mod rt {
+    pub use super::{Field, Kind, Row, MAX_ROWS};
+    pub use crate::{DeltaRows, SmPayload};
+    pub use flexric_codec::error::{CodecError, Result};
+    pub use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
+    pub use flexric_codec::pb::{PbReader, PbWriter};
+    pub use flexric_codec::per::{BitReader, BitWriter};
+    pub use flexric_codec::ByteSink;
+}
+
+/// Upper bound on the rows of a snapshot in any decoder.
+pub const MAX_ROWS: usize = 65_536;
+
+/// How a field travels in PER, and with its type what it may hold.
+#[allow(non_camel_case_types)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A bit field of this width.
+    bits(u32),
+    /// A constrained whole number `lo..=hi`; `lo` must be 0.
+    range(u64, u64),
+    /// An unconstrained whole number, up to the field's type.
+    uint,
+}
+
+/// One line of a field table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    /// The field's name, for errors.
+    pub name: &'static str,
+    /// Its PER form.
+    pub kind: Kind,
+    /// The largest value it may hold.
+    pub max: u64,
+}
+
+impl Field {
+    /// A field of `kind` in a type that holds up to `type_max`; tables are
+    /// constants, so a kind wider than its type does not compile.
+    pub const fn new(name: &'static str, kind: Kind, type_max: u64) -> Field {
+        let max = match kind {
+            Kind::bits(n) => u64::MAX >> (64 - n),
+            Kind::range(lo, hi) => {
+                assert!(lo == 0, "ranges start at 0: the all-zero row must be legal");
+                hi
+            }
+            Kind::uint => type_max,
+        };
+        assert!(max <= type_max, "the field's kind is wider than its type");
+        Field { name, kind, max }
+    }
+
+    /// `v`, if the field may hold it.
+    #[inline(always)]
+    pub fn check(&self, v: u64) -> Result<u64> {
+        if v <= self.max {
+            Ok(v)
+        } else {
+            Err(CodecError::OutOfRange { what: self.name, value: v })
+        }
+    }
+
+    /// Writes `v` in the field's PER form.
+    #[inline(always)]
+    pub fn put_per<B: ByteSink>(&self, w: &mut BitWriter<B>, v: u64) {
+        match self.kind {
+            Kind::bits(n) => w.put_bits(v, n),
+            Kind::range(lo, hi) => w.put_constrained(v, lo, hi),
+            Kind::uint => w.put_uint(v),
+        }
+    }
+
+    /// Reads what [`Field::put_per`] wrote; the two constrained forms
+    /// cannot yield more than the field may hold.
+    #[inline(always)]
+    pub fn get_per(&self, r: &mut BitReader) -> Result<u64> {
+        match self.kind {
+            Kind::bits(n) => r.get_bits(n),
+            Kind::range(lo, hi) => r.get_constrained(lo, hi),
+            Kind::uint => self.check(r.get_uint()?),
+        }
+    }
+}
+
+/// A row of unsigned scalars declared with [`sm_rows!`](crate::sm_rows).
+pub trait Row: Copy + Default + PartialEq + Debug {
+    /// The non-key fields, by index (32 at most).
+    const FIELDS: &'static [Field];
+
+    /// Writes every field in table order.
+    fn put_per<B: ByteSink>(&self, w: &mut BitWriter<B>);
+    /// Reads what [`Row::put_per`] wrote.
+    fn get_per(r: &mut BitReader) -> Result<Self>;
+    /// Writes the row as one table, field *k* in slot *k*.
+    fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32;
+    /// Reads the table [`Row::put_fb`] wrote; every slot is required.
+    fn get_fb(t: &FbTable) -> Result<Self>;
+    /// Writes field *k* as varint field *k* + 1.
+    fn put_pb<B: ByteSink>(&self, w: &mut PbWriter<B>);
+    /// Reads a protobuf-style row; absent fields stay 0, unknown ones are
+    /// skipped.
+    fn get_pb(buf: &[u8]) -> Result<Self>;
+    /// The key fields packed from bit 0 in table order.
+    fn key(&self) -> u32;
+    /// The all-zero row of `key`.
+    fn with_key(key: u32) -> Self;
+    /// Non-key field `i` widened to `u64`.
+    fn field(&self, i: u32) -> u64;
+    /// Sets non-key field `i`; `false`, and the row as it was, if the field
+    /// may not hold `v` or `i` is not a field.
+    fn set_field(&mut self, i: u32, v: u64) -> bool;
+    /// Calls `f(i, value)` for every non-key field in index order, as
+    /// straight-line code: every `i` is a constant where `f` is inlined.
+    fn each_field(&self, f: impl FnMut(u32, u64));
+}
+
+/// Declares a row struct from its field table and derives its [`Row`] impl
+/// (grammar and wire: [module docs](crate::schema)).
+#[macro_export]
+macro_rules! sm_rows {
+    (
+        $(#[$meta:meta])*
+        pub struct $Row:ident {
+            key { $($(#[$kmeta:meta])* $k:ident: $kty:ident = $kkind:ident $(($($karg:literal),+))?),+ $(,)? }
+            $($(#[$fmeta:meta])* $f:ident: $fty:ident = $fkind:ident $(($($farg:literal),+))?),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $Row {
+            $($(#[$kmeta])* pub $k: $kty,)+
+            $($(#[$fmeta])* pub $f: $fty,)+
+        }
+
+        const _: () = {
+            use $crate::schema::rt::{self, Field, Kind};
+
+            /// Position of every field in the table: its FB slot.
+            #[allow(non_camel_case_types, dead_code)]
+            enum Slot { $($k,)+ $($f,)+ }
+            const TABLE: &[Field] = &[
+                $(Field::new(stringify!($k), Kind::$kkind $(($($karg),+))?, <$kty>::MAX as u64),)+
+                $(Field::new(stringify!($f), Kind::$fkind $(($($farg),+))?, <$fty>::MAX as u64),)+
+            ];
+            const KEYS: usize = [$(stringify!($k)),+].len();
+            assert!(0 $(+ <$kty>::BITS)+ <= 32, "a row key packs into 32 bits");
+            $(assert!(
+                TABLE[Slot::$k as usize].max == <$kty>::MAX as u64,
+                "a key field fills its type: any 32-bit key must name a legal row"
+            );)+
+            assert!(TABLE.len() - KEYS <= 32, "a dirty bitmap has 32 bits");
+
+            impl rt::Row for $Row {
+                const FIELDS: &'static [Field] = TABLE.split_at(KEYS).1;
+
+                $crate::sm_rows!(@codecs $($k: $kty,)+ $($f: $fty,)+);
+
+                #[allow(unused_assignments)]
+                fn key(&self) -> u32 {
+                    let (mut key, mut shift) = (0, 0);
+                    $(key |= (self.$k as u32) << shift;
+                    shift += <$kty>::BITS;)+
+                    key
+                }
+                #[allow(unused_assignments)]
+                fn with_key(key: u32) -> Self {
+                    let mut shift = 0;
+                    $(let $k = (key >> shift) as $kty;
+                    shift += <$kty>::BITS;)+
+                    Self { $($k,)+ ..Default::default() }
+                }
+                fn field(&self, i: u32) -> u64 {
+                    match i as usize + KEYS {
+                        $(s if s == Slot::$f as usize => self.$f as u64,)+
+                        _ => 0,
+                    }
+                }
+                fn set_field(&mut self, i: u32, v: u64) -> bool {
+                    match i as usize + KEYS {
+                        $(s if s == Slot::$f as usize => {
+                            if v > TABLE[s].max {
+                                return false;
+                            }
+                            self.$f = v as $fty;
+                        })+
+                        _ => return false,
+                    }
+                    true
+                }
+                #[inline(always)]
+                fn each_field(&self, mut f: impl FnMut(u32, u64)) {
+                    $(f((Slot::$f as usize - KEYS) as u32, self.$f as u64);)+
+                }
+            }
+        };
+    };
+    // The three encodings, over every field of the table, keys included.
+    (@codecs $($a:ident: $aty:ident,)+) => {
+        fn put_per<B: rt::ByteSink>(&self, w: &mut rt::BitWriter<B>) {
+            $(TABLE[Slot::$a as usize].put_per(w, self.$a as u64);)+
+        }
+        // The decoders are not generic, so without the hint they stay calls
+        // from the snapshot's row loop; inlined there, the table's vtable
+        // and bounds work hoists out of it (a 32-row FB decode halves).
+        #[inline]
+        fn get_per(r: &mut rt::BitReader) -> rt::Result<Self> {
+            Ok(Self { $($a: TABLE[Slot::$a as usize].get_per(r)? as $aty,)+ })
+        }
+        fn put_fb<B: rt::ByteSink>(&self, b: &mut rt::FbBuilder<B>) -> u32 {
+            let mut t = rt::TableBuilder::new();
+            $(t.$aty(Slot::$a as u16, self.$a);)+
+            t.end(b)
+        }
+        #[inline]
+        fn get_fb(t: &rt::FbTable) -> rt::Result<Self> {
+            Ok(Self { $($a: {
+                let f = &TABLE[Slot::$a as usize];
+                let v = t.$aty(Slot::$a as u16)?.ok_or(rt::CodecError::Malformed { what: f.name })?;
+                f.check(v as u64)? as $aty
+            },)+ })
+        }
+        fn put_pb<B: rt::ByteSink>(&self, w: &mut rt::PbWriter<B>) {
+            $(w.uint(Slot::$a as u32 + 1, self.$a as u64);)+
+        }
+        fn get_pb(buf: &[u8]) -> rt::Result<Self> {
+            let (mut row, mut r) = (Self::default(), rt::PbReader::new(buf));
+            while let Some((n, v)) = r.next_field()? {
+                let v = v.as_uint()?;
+                match (n as usize).wrapping_sub(1) {
+                    $(s if s == Slot::$a as usize => row.$a = TABLE[s].check(v)? as $aty,)+
+                    _ => {}
+                }
+            }
+            Ok(row)
+        }
+    };
+}
+
+/// Declares a `timestamp [, aux]; rows` snapshot and derives
+/// [`SmPayload`](crate::SmPayload), [`DeltaRows`](crate::DeltaRows) (under
+/// the label after the name) and `encode_pb` / `decode_pb` (grammar and
+/// wire: [module docs](crate::schema)).
+#[macro_export]
+macro_rules! sm_snapshot {
+    (
+        $(#[$meta:meta])*
+        pub struct $Snap:ident: $label:literal {
+            $(#[$tmeta:meta])* $ts:ident: u64
+            $(, $(#[$xmeta:meta])* $aux:ident: $xty:ident)?;
+            $(#[$rmeta:meta])* $rows:ident: Vec<$Row:ident> $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct $Snap {
+            $(#[$tmeta])* pub $ts: u64,
+            $($(#[$xmeta])* pub $aux: $xty,)?
+            $(#[$rmeta])* pub $rows: Vec<$Row>,
+        }
+
+        const _: () = {
+            use $crate::schema::rt;
+
+            /// FB slot of the rows, after the timestamp and the aux scalar.
+            const ROWS: u16 = 1 + <[&str]>::len(&[$(stringify!($aux))?]) as u16;
+            $(const AUX: rt::Field =
+                rt::Field::new(stringify!($aux), rt::Kind::uint, <$xty>::MAX as u64);)?
+
+            impl rt::SmPayload for $Snap {
+                fn encode_per<B: rt::ByteSink>(&self, w: &mut rt::BitWriter<B>) {
+                    w.put_uint(self.$ts);
+                    $(w.put_uint(self.$aux as u64);)?
+                    w.put_length(self.$rows.len());
+                    for row in &self.$rows {
+                        rt::Row::put_per(row, w);
+                    }
+                }
+                fn decode_per(r: &mut rt::BitReader) -> rt::Result<Self> {
+                    let $ts = r.get_uint()?;
+                    $(let $aux = AUX.get_per(r)? as $xty;)?
+                    let n = r.get_length()?;
+                    if n > rt::MAX_ROWS {
+                        return Err(rt::CodecError::Malformed { what: "too many rows" });
+                    }
+                    let mut $rows = Vec::with_capacity(n.min(1024));
+                    for _ in 0..n {
+                        $rows.push(rt::Row::get_per(r)?);
+                    }
+                    Ok($Snap { $ts, $($aux,)? $rows })
+                }
+                fn encode_fb<B: rt::ByteSink>(&self, b: &mut rt::FbBuilder<B>) -> u32 {
+                    let rows = b.vec_off_with(&self.$rows, |b, row| rt::Row::put_fb(row, b));
+                    let mut t = rt::TableBuilder::new();
+                    t.u64(0, self.$ts) $(.$xty(1, self.$aux))? .off(ROWS, rows);
+                    t.end(b)
+                }
+                fn decode_fb(t: &rt::FbTable) -> rt::Result<Self> {
+                    let v = t.vector_or_empty(ROWS)?;
+                    let mut $rows = Vec::with_capacity(v.len());
+                    for i in 0..v.len() {
+                        $rows.push(rt::Row::get_fb(&v.table_at(i)?)?);
+                    }
+                    let $ts = t.req_u64(0, stringify!($ts))?;
+                    $(let $aux = t.$xty(1)?.ok_or(rt::CodecError::Malformed { what: AUX.name })?;)?
+                    Ok($Snap { $ts, $($aux,)? $rows })
+                }
+            }
+
+            #[allow(dead_code)]
+            impl $Snap {
+                /// Encodes in the single-layer protobuf style of the FlexRAN
+                /// baseline (paper Fig. 7): the timestamp, the aux scalar,
+                /// then one embedded message per row.
+                pub fn encode_pb(&self) -> Vec<u8> {
+                    let mut w = rt::PbWriter::new();
+                    w.uint(1, self.$ts);
+                    $(w.uint(2, self.$aux as u64);)?
+                    for row in &self.$rows {
+                        let mut rw = rt::PbWriter::new();
+                        rt::Row::put_pb(row, &mut rw);
+                        w.message(ROWS as u32 + 1, &rw);
+                    }
+                    w.finish()
+                }
+
+                /// Decodes what [`Self::encode_pb`] wrote.
+                pub fn decode_pb(buf: &[u8]) -> rt::Result<Self> {
+                    let (mut snap, mut r) = (Self::default(), rt::PbReader::new(buf));
+                    while let Some((n, v)) = r.next_field()? {
+                        match n {
+                            1 => snap.$ts = v.as_uint()?,
+                            $(2 => snap.$aux = AUX.check(v.as_uint()?)? as $xty,)?
+                            n if n == ROWS as u32 + 1 => {
+                                snap.$rows.push(rt::Row::get_pb(v.as_bytes()?)?);
+                            }
+                            _ => {}
+                        }
+                    }
+                    Ok(snap)
+                }
+            }
+
+            impl rt::DeltaRows for $Snap {
+                type Row = $Row;
+                const FIELD_COUNT: u32 = <$Row as rt::Row>::FIELDS.len() as u32;
+                const NAME: &'static str = $label;
+
+                fn tstamp_ms(&self) -> u64 { self.$ts }
+                fn set_tstamp_ms(&mut self, t: u64) { self.$ts = t; }
+                $(fn aux(&self) -> u64 { self.$aux as u64 }
+                fn set_aux(&mut self, v: u64) -> bool {
+                    AUX.check(v).map(|v| self.$aux = v as $xty).is_ok()
+                })?
+                fn rows(&self) -> &[$Row] { &self.$rows }
+                fn rows_mut(&mut self) -> &mut Vec<$Row> { &mut self.$rows }
+                // The row's own functions, under the snapshot's name.
+                fn row_key(row: &$Row) -> u32 { rt::Row::key(row) }
+                fn new_row(key: u32) -> $Row { rt::Row::with_key(key) }
+                fn field(row: &$Row, i: u32) -> u64 { rt::Row::field(row, i) }
+                fn set_field(row: &mut $Row, i: u32, v: u64) -> bool { rt::Row::set_field(row, i, v) }
+                #[inline(always)]
+                fn each_field(row: &$Row, f: impl FnMut(u32, u64)) { rt::Row::each_field(row, f) }
+            }
+        };
+    };
+}

@@ -13,6 +13,7 @@ use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
 use flexric_codec::per::{BitReader, BitWriter};
 use flexric_codec::ByteSink;
 
+use crate::schema::Row;
 use crate::SmPayload;
 
 /// Queue discipline of a TC queue.
@@ -152,25 +153,28 @@ pub enum TcCtrl {
     },
 }
 
-/// Per-queue status in a TC statistics indication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TcQueueStats {
-    /// Queue id.
-    pub id: u32,
-    /// Current backlog in bytes.
-    pub backlog_bytes: u64,
-    /// Current backlog in packets.
-    pub backlog_pkts: u32,
-    /// Average sojourn of packets leaving this queue, microseconds.
-    pub sojourn_us_avg: u64,
-    /// Maximum sojourn in the period, microseconds.
-    pub sojourn_us_max: u64,
-    /// Packets dropped by the discipline.
-    pub drops: u64,
-    /// Packets forwarded in the period.
-    pub tx_pkts: u64,
-    /// Bytes forwarded in the period.
-    pub tx_bytes: u64,
+crate::sm_rows! {
+    /// Per-queue status in a TC statistics indication.
+    pub struct TcQueueStats {
+        key {
+            /// Queue id.
+            id: u32 = uint,
+        }
+        /// Current backlog in bytes.
+        backlog_bytes: u64 = uint,
+        /// Current backlog in packets.
+        backlog_pkts: u32 = uint,
+        /// Average sojourn of packets leaving this queue, microseconds.
+        sojourn_us_avg: u64 = uint,
+        /// Maximum sojourn in the period, microseconds.
+        sojourn_us_max: u64 = uint,
+        /// Packets dropped by the discipline.
+        drops: u64 = uint,
+        /// Packets forwarded in the period.
+        tx_pkts: u64 = uint,
+        /// Bytes forwarded in the period.
+        tx_bytes: u64 = uint,
+    }
 }
 
 /// A TC statistics indication for one bearer.
@@ -482,14 +486,7 @@ impl SmPayload for TcStatsInd {
         w.put_bits(self.drb_id as u64, 8);
         w.put_length(self.queues.len());
         for q in &self.queues {
-            w.put_uint(q.id as u64);
-            w.put_uint(q.backlog_bytes);
-            w.put_uint(q.backlog_pkts as u64);
-            w.put_uint(q.sojourn_us_avg);
-            w.put_uint(q.sojourn_us_max);
-            w.put_uint(q.drops);
-            w.put_uint(q.tx_pkts);
-            w.put_uint(q.tx_bytes);
+            q.put_per(w);
         }
         w.put_uint(self.pacer_rate_kbps);
     }
@@ -504,34 +501,14 @@ impl SmPayload for TcStatsInd {
         }
         let mut queues = Vec::with_capacity(n.min(64));
         for _ in 0..n {
-            queues.push(TcQueueStats {
-                id: r.get_uint()? as u32,
-                backlog_bytes: r.get_uint()?,
-                backlog_pkts: r.get_uint()? as u32,
-                sojourn_us_avg: r.get_uint()?,
-                sojourn_us_max: r.get_uint()?,
-                drops: r.get_uint()?,
-                tx_pkts: r.get_uint()?,
-                tx_bytes: r.get_uint()?,
-            });
+            queues.push(TcQueueStats::get_per(r)?);
         }
         let pacer_rate_kbps = r.get_uint()?;
         Ok(TcStatsInd { tstamp_ms, rnti, drb_id, queues, pacer_rate_kbps })
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let queues = b.vec_off_with(&self.queues, |b, q| {
-            let mut t = TableBuilder::new();
-            t.u32(0, q.id)
-                .u64(1, q.backlog_bytes)
-                .u32(2, q.backlog_pkts)
-                .u64(3, q.sojourn_us_avg)
-                .u64(4, q.sojourn_us_max)
-                .u64(5, q.drops)
-                .u64(6, q.tx_pkts)
-                .u64(7, q.tx_bytes);
-            t.end(b)
-        });
+        let queues = b.vec_off_with(&self.queues, |b, q| q.put_fb(b));
         let mut t = TableBuilder::new();
         t.u64(0, self.tstamp_ms)
             .u16(1, self.rnti)
@@ -545,17 +522,7 @@ impl SmPayload for TcStatsInd {
         let v = t.vector_or_empty(3)?;
         let mut queues = Vec::with_capacity(v.len());
         for i in 0..v.len() {
-            let qt = v.table_at(i)?;
-            queues.push(TcQueueStats {
-                id: qt.req_u32(0, "queue id")?,
-                backlog_bytes: qt.req_u64(1, "backlog bytes")?,
-                backlog_pkts: qt.req_u32(2, "backlog pkts")?,
-                sojourn_us_avg: qt.req_u64(3, "sojourn avg")?,
-                sojourn_us_max: qt.req_u64(4, "sojourn max")?,
-                drops: qt.req_u64(5, "drops")?,
-                tx_pkts: qt.req_u64(6, "tx pkts")?,
-                tx_bytes: qt.req_u64(7, "tx bytes")?,
-            });
+            queues.push(TcQueueStats::get_fb(&v.table_at(i)?)?);
         }
         Ok(TcStatsInd {
             tstamp_ms: t.req_u64(0, "tstamp")?,

@@ -23,6 +23,7 @@ use flexric_sm::kpm::{KpmRecord, KpmReport};
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
 use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
+use flexric_sm::schema::Row;
 use flexric_sm::SmCodec;
 use proptest::prelude::*;
 
@@ -34,9 +35,9 @@ trait Model: DeltaRows + Debug {
     /// Row number `k` with every field at its default; distinct numbers
     /// give distinct keys.
     fn row(k: u16) -> Self::Row;
-    /// Clamps a raw value into what field `i` can hold on either wire.
-    fn legal(_i: u32, v: u64) -> u64 {
-        v
+    /// The largest value field `i` can hold, from the SM's field table.
+    fn max(_i: u32) -> u64 {
+        u64::MAX
     }
     /// Clamps a raw value into what the aux scalar can hold.
     fn legal_aux(_v: u64) -> u64 {
@@ -51,15 +52,8 @@ impl Model for MacStatsInd {
     fn row(k: u16) -> MacUeStats {
         MacUeStats { rnti: 0x4601 + k, ..Default::default() }
     }
-    /// CQI, MCS and PLMN digits are range-constrained on the PER wire.
-    fn legal(i: u32, v: u64) -> u64 {
-        match i {
-            0 => v % 16,
-            1 => v % 32,
-            2 | 3 | 8 | 10 => v % (u32::MAX as u64 + 1),
-            11 | 12 => v % 1000,
-            _ => v,
-        }
+    fn max(i: u32) -> u64 {
+        MacUeStats::FIELDS[i as usize].max
     }
     fn legal_aux(v: u64) -> u64 {
         v % 1000
@@ -73,11 +67,8 @@ impl Model for RlcStatsInd {
     fn row(k: u16) -> RlcBearerStats {
         RlcBearerStats { rnti: 0x4601 + k / 2, drb_id: 1 + (k % 2) as u8, ..Default::default() }
     }
-    fn legal(i: u32, v: u64) -> u64 {
-        match i {
-            5 => v % (u32::MAX as u64 + 1),
-            _ => v,
-        }
+    fn max(i: u32) -> u64 {
+        RlcBearerStats::FIELDS[i as usize].max
     }
 }
 
@@ -87,6 +78,9 @@ impl Model for PdcpStatsInd {
     }
     fn row(k: u16) -> PdcpBearerStats {
         PdcpBearerStats { rnti: 0x4601 + k / 2, drb_id: 1 + (k % 2) as u8, ..Default::default() }
+    }
+    fn max(i: u32) -> u64 {
+        PdcpBearerStats::FIELDS[i as usize].max
     }
 }
 
@@ -112,11 +106,16 @@ impl Model for KpmReport {
     }
 }
 
+/// Sets field `i` of `row` to `v`, folded into what the field can hold.
+fn set<M: Model>(row: &mut M::Row, i: u32, v: u64) {
+    let v = M::max(i).checked_add(1).map_or(v, |over| v % over);
+    assert!(M::set_field(row, i, v), "{} field {i} = {v}", M::NAME);
+}
+
 /// Sets every field of `row` from `seed`.
 fn fill<M: Model>(row: &mut M::Row, seed: u64) {
     for i in 0..M::FIELD_COUNT {
-        let v = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64);
-        M::set_field(row, i, M::legal(i, v));
+        set::<M>(row, i, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64));
     }
 }
 
@@ -158,7 +157,7 @@ fn apply_op<M: Model>(snap: &mut M, next_row: &mut u16, op: &Op) {
         1 => {
             let mut new = M::row(*next_row);
             *next_row += 1;
-            M::set_field(&mut new, field, M::legal(field, *value));
+            set::<M>(&mut new, field, *value);
             snap.rows_mut().push(new);
         }
         // Swap two rows (reordering).
@@ -167,7 +166,7 @@ fn apply_op<M: Model>(snap: &mut M, next_row: &mut u16, op: &Op) {
             snap.rows_mut().swap(i, (i + 1) % n);
         }
         // Touch the aux header scalar.
-        3 => snap.set_aux(M::legal_aux(*value)),
+        3 => assert!(snap.set_aux(M::legal_aux(*value))),
         // Rewrite every field of every row: a delta larger than the
         // keyframe, which must fall back exactly when the reference does.
         4 => {
@@ -177,7 +176,7 @@ fn apply_op<M: Model>(snap: &mut M, next_row: &mut u16, op: &Op) {
         }
         // Mutate one field of one row (the common case).
         _ if n > 0 => {
-            M::set_field(&mut snap.rows_mut()[row.index(n)], field, M::legal(field, *value));
+            set::<M>(&mut snap.rows_mut()[row.index(n)], field, *value);
         }
         _ => {}
     }

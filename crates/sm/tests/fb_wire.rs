@@ -10,6 +10,7 @@
 //! * Tables of one layout share one vtable: a 32-UE MAC snapshot holds two.
 
 mod fb_parent_bytes;
+mod schema_golden;
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -20,11 +21,9 @@ use flexric_codec::per::BitWriter;
 use flexric_sm::hw::HwPing;
 use flexric_sm::kpm::{KpmActionDef, KpmRecord, KpmReport};
 use flexric_sm::mac::MacStatsInd;
-use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
-use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
 use flexric_sm::rrc::{RrcCtrl, RrcEventInd, RrcEventKind};
 use flexric_sm::slice::{SliceCtrl, SliceStatsInd};
-use flexric_sm::tc::{FiveTupleRule, QueueKind, TcCtrl, TcQueueStats, TcSchedAlgo, TcStatsInd};
+use flexric_sm::tc::{FiveTupleRule, QueueKind, TcCtrl, TcSchedAlgo};
 use flexric_sm::{SmCodec, SmPayload};
 
 use fb_parent_bytes::{mac_32_ue, slice_stats, MAC_32_UE, SLICE_STATS};
@@ -75,32 +74,10 @@ fn every_bundled_sm_reads_back_from_both_sinks() {
     roundtrip(&mac_32_ue());
     roundtrip(&MacStatsInd::default());
 
-    let rlc = |i: u64| RlcBearerStats {
-        rnti: 0x4601 + i as u16,
-        drb_id: 1 + (i % 3) as u8,
-        tx_pdus: 1_000 * i,
-        tx_bytes: 1_400_000 * i,
-        retx_pdus: i,
-        dropped_pdus: 0,
-        buffer_bytes: 1 << (i % 40),
-        buffer_pkts: 3 * i as u32,
-        sojourn_us_avg: 500 + i,
-        sojourn_us_max: u64::MAX - i,
-    };
-    roundtrip(&RlcStatsInd { tstamp_ms: 9, bearers: (0..32).map(rlc).collect() });
-
-    let pdcp = |i: u64| PdcpBearerStats {
-        rnti: 0x4601 + i as u16,
-        drb_id: 1,
-        tx_pdus: i,
-        tx_bytes: 1_500 * i,
-        rx_pdus: 2 * i,
-        rx_bytes: 80 * i,
-        tx_aggr_bytes: (1 << 40) + i,
-        rx_aggr_bytes: 1 << 30,
-        rx_discards: i % 2,
-    };
-    roundtrip(&PdcpStatsInd { tstamp_ms: u64::MAX, bearers: (0..32).map(pdcp).collect() });
+    let [rlc, _] = schema_golden::rlc();
+    roundtrip(&rlc);
+    let [pdcp, _] = schema_golden::pdcp();
+    roundtrip(&pdcp);
 
     // Slice rows alternate between two layouts, each with a nested table.
     roundtrip(&slice_stats());
@@ -109,23 +86,7 @@ fn every_bundled_sm_reads_back_from_both_sinks() {
     roundtrip(&SliceCtrl::DelSlices { ids: vec![0, 7, u32::MAX] });
     roundtrip(&SliceCtrl::AssocUeSlice { assoc: vec![(0x4601, 0), (0x4602, 1)] });
 
-    let queue = |id: u32| TcQueueStats {
-        id,
-        backlog_bytes: 2_800_000,
-        backlog_pkts: 1_900 + id,
-        sojourn_us_avg: 580_000,
-        sojourn_us_max: 910_000,
-        drops: 42,
-        tx_pkts: 100_000,
-        tx_bytes: 150_000_000,
-    };
-    roundtrip(&TcStatsInd {
-        tstamp_ms: 60_000,
-        rnti: 0x4601,
-        drb_id: 1,
-        queues: (0..3).map(queue).collect(),
-        pacer_rate_kbps: 38_000,
-    });
+    roundtrip(&schema_golden::tc());
     // A rule with most of its optional slots absent, and one with all.
     let rule = FiveTupleRule { id: 1, dst_port: Some(5060), ..Default::default() };
     roundtrip(&TcCtrl::AddRule { rule, queue: 1, precedence: 0 });

@@ -38,11 +38,6 @@ pub(crate) struct TransportMetrics {
     /// Complete frames delivered by each socket read — the coalescing win
     /// of the zero-copy receive path (N frames per wakeup vs 1).
     pub read_frames_per_wakeup: flexric_obs::Histogram,
-    /// Per-frame payload copies on the receive path.  Zero in steady state
-    /// with the assembler; incremented by the legacy `rx-copy` path.  The
-    /// codec registers the same series with `site="decode"` for borrowed
-    /// decodes that fall back to copying.
-    pub rx_copies_recv: flexric_obs::Counter,
 }
 
 pub(crate) fn obs() -> &'static TransportMetrics {
@@ -69,11 +64,6 @@ pub(crate) fn obs() -> &'static TransportMetrics {
             read_frames_per_wakeup: flexric_obs::histogram(
                 "flexric_transport_read_frames_per_wakeup",
                 "complete frames delivered by one socket read",
-            ),
-            rx_copies_recv: flexric_obs::counter_with(
-                "flexric_transport_rx_copies_total",
-                &[("site", "recv")],
-                "per-frame payload copies on the receive path",
             ),
         }
     })

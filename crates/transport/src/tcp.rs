@@ -3,19 +3,15 @@
 //! The receive side runs on [`FrameAssembler`]: one large `read_buf` per
 //! socket wakeup into a reusable slab, every complete frame sliced out as
 //! a refcounted [`Bytes`] view — 1 syscall and 0 per-frame allocations for
-//! an N-frame burst.  The pre-assembler path (header `read_exact`, zeroed
-//! payload allocation, copy) is kept as [`FramedReader::recv_copying`] for
-//! A/B benchmarks and compiles back in as the default under the `rx-copy`
-//! feature.
+//! an N-frame burst.
 
 use std::io;
 
-use bytes::{Bytes, BytesMut};
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWriteExt, BufWriter};
 use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
 use tokio::net::TcpStream;
 
-use crate::frame::{self, HEADER_LEN, MAX_PAYLOAD};
+use crate::frame::{self, HEADER_LEN};
 use crate::rx::{FrameAssembler, FrameError};
 use crate::WireMsg;
 
@@ -248,35 +244,6 @@ impl<R: AsyncRead + Unpin> FramedReader<R> {
         }
     }
 
-    /// The legacy copying receive path: header `read_exact` (one byte
-    /// first to distinguish orderly EOF), then a zeroed allocation and a
-    /// payload `read_exact` — ≥2 syscalls and 1 alloc+copy per frame.
-    ///
-    /// Kept for A/B benchmarks (`transport_rx`) and compiled back in as
-    /// the default `recv` under the `rx-copy` feature.  Every call bumps
-    /// `flexric_transport_rx_copies_total{site="recv"}`.  Must not be
-    /// interleaved with the assembler path on one stream.
-    pub async fn recv_copying(&mut self) -> io::Result<Option<WireMsg>> {
-        debug_assert!(self.asm.is_clean(), "copying recv cannot follow buffered reads");
-        let mut header = [0u8; HEADER_LEN];
-        // First byte distinguishes orderly EOF from truncation.
-        if self.rd.read(&mut header[..1]).await? == 0 {
-            return Ok(None);
-        }
-        self.rd.read_exact(&mut header[1..]).await?;
-        let (len, stream, ppid) = frame::decode_header(&header);
-        if len as usize > MAX_PAYLOAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds maximum"),
-            ));
-        }
-        let mut payload = BytesMut::zeroed(len as usize);
-        self.rd.read_exact(&mut payload).await?;
-        crate::obs().rx_copies_recv.inc();
-        Ok(Some(WireMsg { stream, ppid, payload: Bytes::from(payload) }))
-    }
-
     /// Successful non-empty reads issued so far (regression tests assert a
     /// burst is consumed in a single read).
     pub fn reads(&self) -> u64 {
@@ -299,14 +266,7 @@ impl TcpRecvHalf {
     /// Receives the next message; `None` on orderly shutdown at a frame
     /// boundary, an error on mid-frame truncation or oversized frames.
     pub async fn recv(&mut self) -> io::Result<Option<WireMsg>> {
-        #[cfg(feature = "rx-copy")]
-        {
-            self.rd.recv_copying().await
-        }
-        #[cfg(not(feature = "rx-copy"))]
-        {
-            self.rd.recv().await
-        }
+        self.rd.recv().await
     }
 }
 
@@ -364,29 +324,5 @@ mod tests {
             assert!(rd.recv().await.unwrap().is_some());
         }
         assert!(rd.recv().await.unwrap().is_none());
-    }
-
-    #[tokio::test]
-    async fn copying_path_agrees_with_assembled_path() {
-        let (mut a, b) = tokio::io::duplex(1 << 20);
-        let wire = burst(8, 300);
-        a.write_all(&wire).await.unwrap();
-        drop(a);
-        let mut legacy = FramedReader::new(b);
-        let mut got = Vec::new();
-        while let Some(m) = legacy.recv_copying().await.unwrap() {
-            got.push(m);
-        }
-
-        let (mut a2, b2) = tokio::io::duplex(1 << 20);
-        let wire2 = burst(8, 300);
-        a2.write_all(&wire2).await.unwrap();
-        drop(a2);
-        let mut new = FramedReader::new(b2);
-        let mut got2 = Vec::new();
-        while let Some(m) = new.recv().await.unwrap() {
-            got2.push(m);
-        }
-        assert_eq!(got, got2, "both paths yield byte-identical WireMsgs");
     }
 }

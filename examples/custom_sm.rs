@@ -1,12 +1,13 @@
 //! A third-party service model, end to end, with zero core edits.
 //!
-//! Everything specific to the SM lives in this file: the payload type and
-//! its codecs, the versioned descriptor, the agent-side RAN function, and
-//! the consuming iApp.  Nothing under `crates/sm` or `crates/ctrl` knows
-//! it exists — the descriptor registers in the process-wide
-//! [`flexric_sm::registry`], the agent advertises `oid@version` from it at
-//! E2 Setup, the server negotiates it like any bundled SM, and the iApp
-//! decodes indications through the registry vtable.
+//! Everything specific to the SM lives in this file: the field table its
+//! payload, codecs and delta hooks are derived from, the versioned
+//! descriptor, the agent-side RAN function, and the consuming iApp.
+//! Nothing under `crates/sm` or `crates/ctrl` knows it exists — the
+//! descriptor registers in the process-wide [`flexric_sm::registry`], the
+//! agent advertises `oid@version` from it at E2 Setup, the server
+//! negotiates it like any bundled SM, and the iApp reconstructs the delta
+//! stream through the registry vtable.
 //!
 //! ```text
 //! cargo run --release --example custom_sm
@@ -21,13 +22,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use flexric::agent::{Agent, AgentConfig, AgentCtx, CtrlId, PeriodicSubs, SubscriptionInfo};
+use flexric::report::ReportSender;
 use flexric::server::{AgentId, AgentInfo, IApp, IndicationRef, Server, ServerApi, ServerConfig};
-use flexric_codec::error::{CodecError, Result as CodecResult};
-use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
-use flexric_codec::per::{BitReader, BitWriter};
-use flexric_codec::ByteSink;
 use flexric_e2ap::*;
-use flexric_sm::registry::{self, SmDescriptor, SmVersion};
+use flexric_sm::registry::{self, AnyDeltaDecoder, AnyDeltaEvent, SmDescriptor, SmVersion};
 use flexric_sm::{RanFuncDef, ReportTrigger, SmCodec, SmPayload};
 use flexric_transport::TransportAddr;
 
@@ -37,68 +35,33 @@ const GEO_OID: &str = "example.sm.geoloc";
 const GEO_VERSION: SmVersion = SmVersion::new(1, 1);
 
 // ---------------------------------------------------------------------------
-// 1. The payload type and its codecs — ordinary SmPayload impls.
+// 1. The payload: one field table.  PER, FB and PB codecs, `SmPayload` and
+//    the delta-stream hooks (`DeltaRows`) are derived from it.
 // ---------------------------------------------------------------------------
 
-/// A UE geolocation fix, the indication message of the custom SM.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GeoLocInd {
-    tstamp_ms: u64,
-    rnti: u16,
-    lat_microdeg: i64,
-    lon_microdeg: i64,
-    alt_cm: u32,
+flexric_sm::sm_rows! {
+    /// One UE's geolocation fix.
+    pub struct GeoFix {
+        key {
+            /// The UE.
+            rnti: u16 = bits(16),
+        }
+        /// Latitude + 90°, in microdegrees.
+        lat_udeg: u32 = range(0, 180_000_000),
+        /// Longitude + 180°, in microdegrees.
+        lon_udeg: u32 = range(0, 360_000_000),
+        /// Altitude in centimetres.
+        alt_cm: u32 = uint,
+    }
 }
 
-impl SmPayload for GeoLocInd {
-    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-        w.put_uint(self.tstamp_ms);
-        w.put_uint(self.rnti as u64);
-        w.put_uint(self.lat_microdeg.unsigned_abs());
-        w.put_bit(self.lat_microdeg < 0);
-        w.put_uint(self.lon_microdeg.unsigned_abs());
-        w.put_bit(self.lon_microdeg < 0);
-        w.put_uint(self.alt_cm as u64);
-    }
-
-    fn decode_per(r: &mut BitReader) -> CodecResult<Self> {
-        let tstamp_ms = r.get_uint()?;
-        let rnti = r.get_uint()? as u16;
-        let lat_abs = r.get_uint()? as i64;
-        let lat_neg = r.get_bit()?;
-        let lon_abs = r.get_uint()? as i64;
-        let lon_neg = r.get_bit()?;
-        Ok(GeoLocInd {
-            tstamp_ms,
-            rnti,
-            lat_microdeg: if lat_neg { -lat_abs } else { lat_abs },
-            lon_microdeg: if lon_neg { -lon_abs } else { lon_abs },
-            alt_cm: r.get_uint()? as u32,
-        })
-    }
-
-    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let mut t = TableBuilder::new();
-        t.u64(0, self.tstamp_ms)
-            .u16(1, self.rnti)
-            .u64(2, self.lat_microdeg.unsigned_abs())
-            .u8(3, (self.lat_microdeg < 0) as u8)
-            .u64(4, self.lon_microdeg.unsigned_abs())
-            .u8(5, (self.lon_microdeg < 0) as u8)
-            .u32(6, self.alt_cm);
-        t.end(b)
-    }
-
-    fn decode_fb(t: &FbTable) -> CodecResult<Self> {
-        let lat_abs = t.u64(2)?.ok_or(CodecError::Malformed { what: "geo lat" })? as i64;
-        let lon_abs = t.u64(4)?.ok_or(CodecError::Malformed { what: "geo lon" })? as i64;
-        Ok(GeoLocInd {
-            tstamp_ms: t.u64(0)?.ok_or(CodecError::Malformed { what: "geo tstamp" })?,
-            rnti: t.u16(1)?.unwrap_or(0),
-            lat_microdeg: if t.u8(3)?.unwrap_or(0) != 0 { -lat_abs } else { lat_abs },
-            lon_microdeg: if t.u8(5)?.unwrap_or(0) != 0 { -lon_abs } else { lon_abs },
-            alt_cm: t.u32(6)?.unwrap_or(0),
-        })
+flexric_sm::sm_snapshot! {
+    /// The fixes of a cell's UEs, the indication message of the custom SM.
+    pub struct GeoLocInd: "geoloc" {
+        /// Snapshot time in milliseconds.
+        tstamp_ms: u64;
+        /// Per-UE fixes.
+        fixes: Vec<GeoFix>,
     }
 }
 
@@ -116,7 +79,8 @@ fn register_geo_sm() -> Arc<SmDescriptor> {
                 RanFuncDef::simple("GEOLOC", "example UE geolocation SM"),
             )
             .trigger::<ReportTrigger>()
-            .indication::<GeoLocInd>(),
+            .indication::<GeoLocInd>()
+            .delta::<GeoLocInd>(),
         )
         .expect("geo SM registers once")
 }
@@ -128,8 +92,10 @@ fn register_geo_sm() -> Arc<SmDescriptor> {
 struct GeoFn {
     desc: Arc<SmDescriptor>,
     subs: PeriodicSubs,
+    /// Full snapshots or keyframe/delta frames, as each subscription asks.
+    sender: ReportSender<GeoLocInd>,
     sm_codec: SmCodec,
-    fixes: u64,
+    steps: u64,
 }
 
 impl flexric::agent::RanFunction for GeoFn {
@@ -151,10 +117,15 @@ impl flexric::agent::RanFunction for GeoFn {
         sub: &SubscriptionInfo,
         _req: &RicSubscriptionRequest,
     ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)
+        self.subs.admit(sub, self.sm_codec, ctx.now_ms)?;
+        if let Ok(trigger) = ReportTrigger::decode(self.sm_codec, &sub.trigger) {
+            self.sender.reset(sub, &trigger);
+        }
+        Ok(())
     }
     fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
         self.subs.remove(ctrl, req_id);
+        self.sender.delete(ctrl, req_id);
     }
     fn on_control(
         &mut self,
@@ -166,31 +137,37 @@ impl flexric::agent::RanFunction for GeoFn {
     }
     fn on_tick(&mut self, ctx: &mut AgentCtx) {
         let now = ctx.now_ms;
-        let mut due: Vec<SubscriptionInfo> = Vec::new();
-        self.subs.for_due(now, |sub, _| due.push(sub.clone()));
-        for sub in due {
-            self.fixes += 1;
-            // A UE walking north-east, one step per report.
-            let fix = GeoLocInd {
-                tstamp_ms: now,
+        let mut due: Vec<(SubscriptionInfo, ReportTrigger)> = Vec::new();
+        self.subs.for_due(now, |sub, trigger| due.push((sub.clone(), *trigger)));
+        for (sub, trigger) in due {
+            self.steps += 1;
+            // One UE walks north-east, one step per report; the other is
+            // parked, so a delta frame carries the walker's row alone.
+            let walker = GeoFix {
                 rnti: 0x4601,
-                lat_microdeg: 43_615_000 + self.fixes as i64,
-                lon_microdeg: 7_071_000 + self.fixes as i64,
+                lat_udeg: 133_615_000 + self.steps as u32,
+                lon_udeg: 187_071_000 + self.steps as u32,
                 alt_cm: 12_000,
             };
-            let msg = Bytes::from(fix.encode(self.sm_codec));
-            ctx.send_indication(&sub, Some(self.fixes as u32), Bytes::new(), msg);
+            let parked =
+                GeoFix { rnti: 0x4602, lat_udeg: 133_620_000, lon_udeg: 187_080_000, alt_cm: 900 };
+            let ind = GeoLocInd { tstamp_ms: now, fixes: vec![walker, parked] };
+            let sn = Some(self.steps as u32);
+            self.sender.send(ctx, &sub, &trigger, &ind, self.sm_codec, sn, Bytes::new());
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// 4. Server side: an iApp that discovers and decodes via the registry.
+// 4. Server side: an iApp that discovers the SM and reconstructs its delta
+//    stream via the registry.
 // ---------------------------------------------------------------------------
 
 struct GeoApp {
     sm_codec: SmCodec,
-    fixes: Arc<AtomicU64>,
+    /// The stream's decoder, from the descriptor's delta hooks.
+    dec: Box<dyn AnyDeltaDecoder>,
+    reports: Arc<AtomicU64>,
     last: Arc<parking_lot::Mutex<Option<GeoLocInd>>>,
 }
 
@@ -208,18 +185,22 @@ impl IApp for GeoApp {
             "geo iApp: agent {} advertises {}@{}.{}",
             agent.id, f.oid, f.version.major, f.version.minor
         );
-        let trigger = Bytes::from(ReportTrigger::every_ms(1).encode(self.sm_codec));
+        let trigger = Bytes::from(ReportTrigger::delta_every_ms(1, 16).encode(self.sm_codec));
         api.subscribe_report(agent.id, f.id, trigger);
     }
 
     fn on_indication(&mut self, _api: &mut ServerApi, _agent: AgentId, ind: &IndicationRef) {
         let Ok((_, msg)) = ind.sm_payload() else { return };
-        // Decode through the vtable — the iApp never names the codec fns.
-        let desc = registry::global().latest(GEO_OID).expect("geo SM registered");
-        let any = desc.decode_indication(self.sm_codec, msg).expect("geo decode");
-        let fix = any.downcast::<GeoLocInd>().expect("geo concrete type");
-        *self.last.lock() = Some(*fix);
-        self.fixes.fetch_add(1, Ordering::Relaxed);
+        // Keyframes and deltas alike go through the vtable's decoder — the
+        // iApp never names the codec fns.
+        match self.dec.apply(msg, self.sm_codec).expect("geo frame") {
+            AnyDeltaEvent::Snapshot { snap, .. } => {
+                let geo = snap.downcast::<GeoLocInd>().expect("geo concrete type");
+                *self.last.lock() = Some(*geo);
+                self.reports.fetch_add(1, Ordering::Relaxed);
+            }
+            AnyDeltaEvent::NeedKeyframe => panic!("the ordered mem transport lost a frame"),
+        }
     }
 }
 
@@ -238,16 +219,18 @@ async fn main() {
     );
 
     let sm_codec = SmCodec::Flatb;
-    let fixes = Arc::new(AtomicU64::new(0));
+    let reports = Arc::new(AtomicU64::new(0));
     let last = Arc::new(parking_lot::Mutex::new(None));
-    let app = GeoApp { sm_codec, fixes: fixes.clone(), last: last.clone() };
+    let dec = desc.delta_decoder().expect("the table derives delta hooks");
+    let app = GeoApp { sm_codec, dec, reports: reports.clone(), last: last.clone() };
 
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem("custom-sm".into()));
     cfg.tick_ms = Some(5);
     let server = Server::spawn(cfg, vec![Box::new(app)]).await.expect("server");
 
-    let geo = GeoFn { desc, subs: PeriodicSubs::new(), sm_codec, fixes: 0 };
+    let geo =
+        GeoFn { desc, subs: PeriodicSubs::new(), sender: ReportSender::new(), sm_codec, steps: 0 };
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1),
         server.addrs[0].clone(),
@@ -255,22 +238,26 @@ async fn main() {
     acfg.tick_ms = Some(1);
     let agent = Agent::spawn(acfg, vec![Box::new(geo)]).await.expect("agent");
 
-    // Wait until fixes flow and decode.
+    // Wait until reports flow and reconstruct (one keyframe in 16, the
+    // rest deltas).
     for _ in 0..500 {
-        if fixes.load(Ordering::Relaxed) >= 20 {
+        if reports.load(Ordering::Relaxed) >= 20 {
             break;
         }
         tokio::time::sleep(std::time::Duration::from_millis(10)).await;
     }
-    let n = fixes.load(Ordering::Relaxed);
-    assert!(n >= 20, "expected at least 20 geolocation fixes, got {n}");
-    let fix = last.lock().clone().expect("a decoded fix");
-    assert_eq!(fix.rnti, 0x4601);
-    assert!(fix.lat_microdeg > 43_615_000 && fix.lon_microdeg > 7_071_000);
+    let n = reports.load(Ordering::Relaxed);
+    assert!(n >= 20, "expected at least 20 geolocation reports, got {n}");
+    let ind = last.lock().clone().expect("a reconstructed report");
+    let (walker, parked) = (ind.fixes[0], ind.fixes[1]);
+    assert_eq!((walker.rnti, parked.rnti), (0x4601, 0x4602));
+    assert!(walker.lat_udeg > 133_615_000 && walker.lon_udeg > 187_071_000);
+    assert_eq!(parked.alt_cm, 900);
     println!(
-        "custom SM end-to-end: {n} fixes decoded via the registry vtable; last = ({:.6}°, {:.6}°)",
-        fix.lat_microdeg as f64 / 1e6,
-        fix.lon_microdeg as f64 / 1e6,
+        "custom SM end-to-end: {n} reports reconstructed via the registry vtable; \
+         walker at ({:.6}°, {:.6}°)",
+        walker.lat_udeg as f64 / 1e6 - 90.0,
+        walker.lon_udeg as f64 / 1e6 - 180.0,
     );
 
     agent.stop();

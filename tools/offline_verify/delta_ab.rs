@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use flexric_sm::delta::{content_hash, DeltaDecoder, DeltaEncoder, DeltaEvent, DeltaOut, DeltaRows};
 use flexric_sm::{SmCodec, SmPayload};
-use ransim_kpi::KpiGen;
+use flexric_ransim::kpi::KpiGen;
 
 const AGENTS: usize = 1000;
 const UES: usize = 32;

@@ -215,6 +215,8 @@ tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f, G/g, H/h);
 
 pub mod collection {
     use super::*;
+    use std::collections::HashSet;
+    use std::hash::Hash;
 
     pub struct VecStrategy<S> {
         elem: S,
@@ -229,6 +231,25 @@ pub mod collection {
     }
     pub fn vec<S: Strategy>(elem: S, count: Range<usize>) -> VecStrategy<S> {
         VecStrategy { elem, count }
+    }
+
+    pub struct HashSetStrategy<S>(VecStrategy<S>);
+    impl<S: Strategy<Value: Eq + Hash>> Strategy for HashSetStrategy<S> {
+        type Value = HashSet<S::Value>;
+        fn generate(&self, rng: &mut TestRng) -> HashSet<S::Value> {
+            // Repeated draws shrink the set, but not below the range.
+            let mut set: HashSet<_> = self.0.generate(rng).into_iter().collect();
+            while set.len() < self.0.count.start {
+                set.insert(self.0.elem.generate(rng));
+            }
+            set
+        }
+    }
+    pub fn hash_set<S: Strategy<Value: Eq + Hash>>(
+        elem: S,
+        count: Range<usize>,
+    ) -> HashSetStrategy<S> {
+        HashSetStrategy(vec(elem, count))
     }
 }
 

@@ -2,16 +2,18 @@
 # Offline verification with bare rustc, for containers without a crates
 # registry (cargo cannot resolve even cached deps there).  Compiles the
 # dependency-light REAL crates — obs, e2ap, codec, sm, ransim, the
-# tokio-free transport core (frame + rx) and ctrl's sla_solver — against
-# the refcount-faithful bytes shim and the mini proptest shim, runs their
-# unit AND property tests, then runs the A/B measurements.
+# tokio-free modules of transport (frame + rx) and core (endpoint +
+# scratch) and ctrl's sla_solver — against the refcount-faithful bytes
+# shim and the mini proptest shim, runs their unit AND property tests,
+# then runs the A/B measurements.
 #
 # This is a *partial* stand-in for `cargo test`: crates needing tokio
-# (transport sockets, core, ctrl, xapp, bench) still require a networked
-# host.  What it does cover is real: the exact sources of the frame
-# codec, reassembler, borrowed decode, service models, delta streams,
-# simulator and obs registry, with refcount/pointer semantics faithful
-# enough that the zero-copy assertions are meaningful.
+# (transport sockets, core's agent and server, ctrl, xapp, bench) still
+# require a networked host.  What it does cover is real: the exact sources
+# of the frame codec, reassembler, borrowed decode, service models, delta
+# streams, procedure table, simulator and obs registry, with
+# refcount/pointer semantics faithful enough that the zero-copy assertions
+# are meaningful.
 #
 # Usage: tools/offline_verify/run.sh  (from anywhere; writes to $WORK or
 # a fresh tempdir, prints a PASS/FAIL summary and the A/B JSON).
@@ -50,14 +52,8 @@ $RUSTC --crate-type rlib --crate-name flexric_sm \
     --extern flexric_e2ap="$WORK/libflexric_e2ap.rlib" \
     --extern flexric_obs="$WORK/libflexric_obs.rlib" \
     "$ROOT/crates/sm/src/lib.rs" -o "$WORK/libflexric_sm.rlib"
-# ransim's KPI workload module is deliberately std+sm-only so it compiles
-# standalone here (the rest of ransim needs rand/parking_lot).
-$RUSTC --crate-type rlib --crate-name ransim_kpi \
-    --extern flexric_sm="$WORK/libflexric_sm.rlib" \
-    "$ROOT/crates/ransim/src/kpi.rs" -o "$WORK/libransim_kpi.rlib"
-# The FULL ransim crate is std+sm+obs-only in source (rand/parking_lot
-# are declared but unused), so the whole simulator — scheduler, RLC, TC,
-# traffic, scenario engine — compiles and tests under bare rustc.
+# The whole ransim crate needs only std, sm and obs: scheduler, RLC, TC,
+# traffic, KPI workload and scenario engine compile and test here.
 $RUSTC --crate-type rlib --crate-name flexric_ransim \
     --extern flexric_sm="$WORK/libflexric_sm.rlib" \
     --extern flexric_obs="$WORK/libflexric_obs.rlib" \
@@ -92,12 +88,9 @@ $RUSTC --test --crate-name sm_tests \
     --extern flexric_obs="$WORK/libflexric_obs.rlib" \
     "$ROOT/crates/sm/src/lib.rs" -o "$WORK/sm_tests"
 "$WORK/sm_tests" --quiet
-$RUSTC --test --crate-name kpi_tests \
-    --extern flexric_sm="$WORK/libflexric_sm.rlib" \
-    "$ROOT/crates/ransim/src/kpi.rs" -o "$WORK/kpi_tests"
-"$WORK/kpi_tests" --quiet
-# Full ransim unit tests — scheduler, RLC, TC, traffic, and the scenario
-# engine (mobility/churn/outage determinism, handover conservation).
+# Full ransim unit tests — scheduler, RLC, TC, traffic, KPI workload, and
+# the scenario engine (mobility/churn/outage determinism, handover
+# conservation).
 $RUSTC --test --crate-name ransim_tests \
     --extern flexric_sm="$WORK/libflexric_sm.rlib" \
     --extern flexric_obs="$WORK/libflexric_obs.rlib" \
@@ -106,6 +99,18 @@ $RUSTC --test --crate-name ransim_tests \
 $RUSTC --test --crate-name sla_solver_tests \
     "$ROOT/crates/ctrl/src/sla_solver.rs" -o "$WORK/sla_solver_tests"
 "$WORK/sla_solver_tests" --quiet
+# core's two tokio-free modules (core_modules.rs): the procedure table and
+# request-id allocator of endpoint.rs with their model-checked properties,
+# and the encode-once outbox of scratch.rs.
+$RUSTC --test --crate-name core_tests -A dead_code \
+    --extern bytes="$WORK/libbytes.rlib" \
+    --extern flexric_obs="$WORK/libflexric_obs.rlib" \
+    --extern flexric_e2ap="$WORK/libflexric_e2ap.rlib" \
+    --extern flexric_codec="$WORK/libflexric_codec.rlib" \
+    --extern flexric_transport="$WORK/libflexric_transport.rlib" \
+    --extern proptest="$WORK/libproptest.rlib" \
+    core_modules.rs -o "$WORK/core_tests"
+"$WORK/core_tests" --quiet
 
 # 4b. The real delta-stream property tests (crates/sm/tests/delta_props.rs):
 #     the production encoder/decoder against the plain reference beside the
@@ -140,6 +145,17 @@ $RUSTC --test --crate-name fb_wire \
     "$ROOT/crates/sm/tests/fb_wire.rs" -o "$WORK/fb_wire"
 "$WORK/fb_wire" --quiet
 
+# 4g. The statistics SMs' field tables (crates/sm/tests/schema.rs): PER,
+#     FB, PB and delta bytes of the commit before the tables (schema_golden/),
+#     every field at 0 / MAX / MAX + 1 in every encoding, the out-of-range
+#     delta value under a matching post-hash, and a service model declared
+#     with the exported macros outside the crate.
+$RUSTC --test --crate-name schema \
+    --extern flexric_codec="$WORK/libflexric_codec.rlib" \
+    --extern flexric_sm="$WORK/libflexric_sm.rlib" \
+    "$ROOT/crates/sm/tests/schema.rs" -o "$WORK/schema"
+"$WORK/schema" --quiet
+
 # 4c. The real SM-registry property tests (crates/sm/tests/registry_props.rs).
 $RUSTC --test --crate-name registry_props \
     --extern flexric_sm="$WORK/libflexric_sm.rlib" \
@@ -166,26 +182,15 @@ $RUSTC --test --crate-name scenario_props \
     "$ROOT/crates/ransim/tests/scenario_props.rs" -o "$WORK/scenario_props"
 "$WORK/scenario_props" --quiet
 
-# 5. Receive-path + codec A/B measurement (feeds BENCH_fig8b/9a notes).
-$RUSTC --crate-name ab_bench \
-    --extern bytes="$WORK/libbytes.rlib" \
-    --extern flexric_e2ap="$WORK/libflexric_e2ap.rlib" \
-    --extern flexric_obs="$WORK/libflexric_obs.rlib" \
-    --extern flexric_codec="$WORK/libflexric_codec.rlib" \
-    --extern flexric_transport="$WORK/libflexric_transport.rlib" \
-    ab_bench.rs -o "$WORK/ab_bench"
-# (redirect + cat, not `| tee`: a pipe would mask the exit status)
-"$WORK/ab_bench" > "$WORK/ab.json"
-cat "$WORK/ab.json"
-
 # 6. Adaptive-monitoring A/B (full vs delta vs adaptive; feeds
 #    BENCH_fig7b.json): real delta codec + real kpi workload, with
 #    byte-identical reconstruction asserted as it runs.
 $RUSTC --crate-name delta_ab \
     --extern bytes="$WORK/libbytes.rlib" \
     --extern flexric_sm="$WORK/libflexric_sm.rlib" \
-    --extern ransim_kpi="$WORK/libransim_kpi.rlib" \
+    --extern flexric_ransim="$WORK/libflexric_ransim.rlib" \
     delta_ab.rs -o "$WORK/delta_ab"
+# (redirect + cat, not `| tee`: a pipe would mask the exit status)
 "$WORK/delta_ab" > "$WORK/fig7b.json"
 cat "$WORK/fig7b.json"
 
