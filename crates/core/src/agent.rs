@@ -17,32 +17,48 @@
 //! to which controller: every UE is associated with the first controller;
 //! additional controllers see only explicitly associated UEs.
 //!
+//! ## A state machine, not a task
+//!
+//! [`Agent`] is a [`Machine`]: it is fed [`Event`]s ([`AgentIn`] its own)
+//! and answers with [`Action`]s ([`AgentOut`] its own), and owns no socket,
+//! task, channel or clock.  The crate's driver (behind [`Agent::spawn`])
+//! dials, reads, writes and keeps time; `tests/protocol.rs` drives the same
+//! struct from a queue and a counter.  DESIGN.md ("The machine/driver
+//! split") tabulates every event and action.
+//!
 //! ## Connection robustness
 //!
-//! Agent-initiated procedures (RIC Service Update) are tracked in the
-//! shared procedure-endpoint layer ([`crate::endpoint`]) with deadlines and
-//! retransmission, and transaction ids come from its wraparound-safe
-//! allocator.  When a controller connection drops, a supervisor task
-//! redials it with capped exponential backoff
-//! ([`AgentConfig::reconnect`]) and replays the E2 Setup handshake —
-//! re-announcing all RAN functions — so the controller can re-issue its
-//! subscriptions without the embedder doing anything.
+//! Agent-initiated procedures — **E2 Setup** and RIC Service Update — are
+//! tracked in the shared procedure-endpoint layer ([`crate::endpoint`])
+//! with deadlines and retransmission, and transaction ids come from its
+//! wraparound-safe allocator.  Setup is a procedure like any other: begun
+//! on `Connected`, retransmitted while the controller stays silent,
+//! completed by `E2SetupResponse` / `E2SetupFailure` in the inbound
+//! dispatcher.  Every way a link can fail — the dial, a rejected or
+//! timed-out setup, a closed connection — ends in one place, *link down*:
+//! hang up, drop the controller's subscriptions, terminate what was in
+//! flight, and, for a controller that had been up, ask for a redial after
+//! [`AgentConfig::reconnect`]'s capped exponential backoff.  The next setup
+//! re-announces all RAN functions, so the controller can re-issue its
+//! subscriptions without the embedder doing anything.  A controller that
+//! was never up is not redialled: its first failure is the answer to
+//! whoever added it ([`AgentOut::SetupDone`]).
 
 use std::collections::{HashMap, HashSet};
-use std::io;
-use std::time::Duration;
 
 use bytes::Bytes;
-use tokio::sync::{mpsc, oneshot};
 
 use flexric_codec::E2apCodec;
 use flexric_e2ap::*;
 use flexric_sm::{ReportTrigger, SmCodec, SmPayload};
 use flexric_transport::fault::FaultHandle;
-use flexric_transport::{connect, Transport, TransportAddr, WireMsg};
+use flexric_transport::TransportAddr;
 
-use crate::endpoint::{Backoff, E2apEndpoint, ProcedureClass, ProcedureKey, RetryPolicy};
+use crate::endpoint::{self, Backoff, E2apEndpoint, ProcedureClass, ProcedureKey, RetryPolicy};
+use crate::machine::{poll_in_order, Action, Event, Machine, PeerId};
 use crate::scratch::{self, EncodeScratch, Targets};
+
+pub use crate::driver::AgentHandle;
 
 /// Index of a controller connection at this agent (0 = first controller).
 pub type CtrlId = usize;
@@ -59,13 +75,15 @@ pub struct AgentConfig {
     pub controllers: Vec<TransportAddr>,
     /// Internal tick period in milliseconds; `None` means the embedder
     /// drives time explicitly through [`AgentHandle::tick`] (virtual-time
-    /// simulations).
+    /// simulations) — procedure deadlines, E2 Setup's included, then only
+    /// advance with those ticks.
     pub tick_ms: Option<u64>,
     /// Deadlines and retransmission budget for tracked procedures.
     pub retry: RetryPolicy,
-    /// Backoff for redialing a lost controller connection; `None` disables
-    /// automatic reconnection.  The initial connections at
-    /// [`Agent::spawn`] always fail fast.
+    /// Backoff for redialing a lost controller link; `None` disables
+    /// automatic reconnection.  A controller that was never up is not
+    /// redialled: the initial connections at [`Agent::spawn`] and
+    /// [`AgentHandle::add_controller`] fail fast.
     pub reconnect: Option<Backoff>,
     /// Fault injector applied to every outbound frame (robustness tests).
     pub fault: Option<FaultHandle>,
@@ -378,16 +396,58 @@ impl UeAssoc {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime
+// The machine
 // ---------------------------------------------------------------------------
 
-enum Cmd {
-    Tick(u64),
+/// What an agent is told beside frames, closes and ticks.
+#[derive(Debug)]
+pub enum AgentIn {
+    /// Connect to one more controller.  It gets the next [`CtrlId`]; the
+    /// outcome of its first setup comes back as [`AgentOut::SetupDone`].
+    AddController(TransportAddr),
+    /// The connection an [`AgentOut::Dial`] asked for is open.
+    Connected {
+        /// The controller that was dialled.
+        ctrl: CtrlId,
+        /// The new connection.
+        peer: PeerId,
+    },
+    /// An [`AgentOut::Dial`] could not connect.
+    DialFailed {
+        /// The controller that was dialled.
+        ctrl: CtrlId,
+        /// Why, for whoever is waiting on the controller.
+        error: String,
+    },
+    /// Expose `rnti` to an additional controller.
     AssociateUe(u16, CtrlId),
+    /// Stop exposing `rnti` to a controller.
     DisassociateUe(u16, CtrlId),
-    AddController(TransportAddr, oneshot::Sender<io::Result<CtrlId>>),
-    Stats(oneshot::Sender<AgentStats>),
-    Stop,
+}
+
+/// What an agent asks for beside sends and hangups.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AgentOut {
+    /// Open a connection to `addr` no sooner than `after_ms` from now and
+    /// answer with [`AgentIn::Connected`] or [`AgentIn::DialFailed`].
+    Dial {
+        /// The controller the connection is for.
+        ctrl: CtrlId,
+        /// Where to connect.
+        addr: TransportAddr,
+        /// The backoff to wait out first (0 for a first dial).
+        after_ms: u64,
+    },
+    /// The *first* E2 Setup toward `ctrl` ended: the controller is up, or
+    /// it is given up on (a controller that was never up is not
+    /// redialled).  Emitted once per controller.
+    SetupDone {
+        /// The controller concerned.
+        ctrl: CtrlId,
+        /// `Err` carries the dial error, the setup failure cause, or the
+        /// timeout.
+        result: Result<(), String>,
+    },
 }
 
 /// Counters exposed by [`AgentHandle::stats`].
@@ -401,13 +461,13 @@ pub struct AgentStats {
     pub tx_bytes: u64,
     /// Active subscriptions across all functions.
     pub active_subs: u64,
-    /// Connected controllers.
+    /// Connected controllers (E2 Setup completed).
     pub controllers: u64,
     /// Procedure retransmissions sent.
     pub retries: u64,
     /// Procedures that expired terminally.
     pub timeouts: u64,
-    /// Controller connections re-established by the supervisor.
+    /// Controller links re-established after a loss.
     pub reconnects: u64,
     /// Inbound PDUs that failed to decode.
     pub decode_errors: u64,
@@ -458,157 +518,125 @@ fn obs() -> &'static AgentObs {
     })
 }
 
-/// Handle to a running agent.
-#[derive(Debug, Clone)]
-pub struct AgentHandle {
-    cmd: mpsc::UnboundedSender<Cmd>,
-}
-
-impl AgentHandle {
-    /// Advances agent time (virtual-time mode, or extra ticks).
-    pub fn tick(&self, now_ms: u64) {
-        let _ = self.cmd.send(Cmd::Tick(now_ms));
-    }
-
-    /// Exposes `rnti` to an additional controller.
-    pub fn associate_ue(&self, rnti: u16, ctrl: CtrlId) {
-        let _ = self.cmd.send(Cmd::AssociateUe(rnti, ctrl));
-    }
-
-    /// Stops exposing `rnti` to a controller.
-    pub fn disassociate_ue(&self, rnti: u16, ctrl: CtrlId) {
-        let _ = self.cmd.send(Cmd::DisassociateUe(rnti, ctrl));
-    }
-
-    /// Connects to an additional controller, returning its [`CtrlId`].
-    pub async fn add_controller(&self, addr: TransportAddr) -> io::Result<CtrlId> {
-        let (tx, rx) = oneshot::channel();
-        self.cmd
-            .send(Cmd::AddController(addr, tx))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "agent stopped"))?;
-        rx.await.map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "agent stopped"))?
-    }
-
-    /// Snapshot of the agent's counters.
-    pub async fn stats(&self) -> io::Result<AgentStats> {
-        let (tx, rx) = oneshot::channel();
-        self.cmd
-            .send(Cmd::Stats(tx))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "agent stopped"))?;
-        rx.await.map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "agent stopped"))
-    }
-
-    /// Stops the agent.
-    pub fn stop(&self) {
-        let _ = self.cmd.send(Cmd::Stop);
-    }
-}
-
-enum LoopEvent {
-    Inbound(CtrlId, u64, WireMsg),
-    ConnClosed(CtrlId, u64),
-    /// A supervisor re-established a controller connection (setup
-    /// handshake already completed).
-    Reconnected(CtrlId, Transport),
-    Cmd(Cmd),
-}
-
+/// One controller, from the moment it is added: where to dial it, the
+/// connection bound to it right now, and how its link is doing.
 struct CtrlConn {
-    tx: mpsc::UnboundedSender<WireMsg>,
-    alive: bool,
-    /// Distinguishes this connection from earlier ones under the same
-    /// [`CtrlId`] (reconnects), so stale reader events are ignored.
-    epoch: u64,
+    addr: TransportAddr,
+    /// The connection bound to this controller.  It is the epoch filter:
+    /// a frame or a close from any other peer belongs to a connection that
+    /// has been replaced.
+    peer: Option<PeerId>,
+    /// E2 Setup has completed on `peer`.
+    up: bool,
+    /// Setup has completed at least once, so a lost link is redialled.
+    ever_up: bool,
+    /// Failed (re)dials since the link was last up; indexes the backoff.
+    attempt: u32,
 }
 
-/// The agent runtime: owns the RAN functions and the controller
-/// connections; single logical event loop, like the paper's
-/// single-threaded implementation.
+/// The E2 Setup request an E2 node opens a connection with.  The agent
+/// sends it on every `Connected`; `flexric-ctrl`'s relay builds its north
+/// side's with it too.
+pub fn setup_request(
+    transaction_id: u8,
+    global_node: GlobalE2NodeId,
+    ran_functions: Vec<RanFunctionItem>,
+) -> E2apPdu {
+    E2apPdu::E2SetupRequest(E2SetupRequest {
+        transaction_id,
+        global_node,
+        ran_functions,
+        component_configs: vec![],
+    })
+}
+
+/// The agent: owns the RAN functions and the state of every controller
+/// link; one logical thread of control, like the paper's single-threaded
+/// implementation.  See the module docs for its events and actions.
 pub struct Agent {
     cfg: AgentConfig,
     functions: Vec<Box<dyn RanFunction>>,
     sub_index: HashMap<(CtrlId, RicRequestId), usize>,
     conns: Vec<CtrlConn>,
-    /// Dial address per controller, kept for the reconnect supervisor.
-    ctrl_addrs: Vec<TransportAddr>,
     assoc: UeAssoc,
     outbox: Vec<(Targets<CtrlId>, E2apPdu)>,
     stats: AgentStats,
     scratch: EncodeScratch,
     now_ms: u64,
-    evt_tx: mpsc::UnboundedSender<LoopEvent>,
     /// The shared procedure endpoint: outstanding agent-initiated
-    /// procedures plus the wraparound-safe transaction-id allocator.
+    /// procedures (E2 Setup included) plus the wraparound-safe
+    /// transaction-id allocator.
     endpoint: E2apEndpoint<CtrlId, ()>,
-    next_epoch: u64,
-    pending_ctrls: Vec<TransportAddr>,
 }
 
-/// Dials a controller and runs the blocking E2 setup handshake; returns
-/// the ready transport.  Used for both the initial connections and the
-/// supervisor's redials.
-async fn establish(
-    addr: &TransportAddr,
-    codec: E2apCodec,
-    node: GlobalE2NodeId,
-    txid: u8,
-    ran_functions: Vec<RanFunctionItem>,
-) -> io::Result<Transport> {
-    let mut transport = connect(addr).await?;
-    let setup = E2apPdu::E2SetupRequest(E2SetupRequest {
-        transaction_id: txid,
-        global_node: node,
-        ran_functions,
-        component_configs: vec![],
-    });
-    let buf = Bytes::from(codec.encode(&setup));
-    transport.send(WireMsg::e2ap(buf)).await?;
-    let reply = transport
-        .recv()
-        .await?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::ConnectionReset, "closed during setup"))?;
-    match codec.decode(&reply.payload) {
-        Ok(E2apPdu::E2SetupResponse(_)) => Ok(transport),
-        Ok(E2apPdu::E2SetupFailure(f)) => {
-            Err(io::Error::other(format!("E2 setup rejected: {:?}", f.cause)))
+impl Machine for Agent {
+    type In = AgentIn;
+    type Out = AgentOut;
+
+    fn handle(&mut self, event: Event<AgentIn>, now_ms: u64, out: &mut Vec<Action<AgentOut>>) {
+        self.now_ms = now_ms;
+        match event {
+            Event::Frame(peer, raw) => {
+                let Some(ctrl) = self.ctrl_of(peer) else { return };
+                self.stats.rx_msgs += 1;
+                obs().rx_msgs.inc();
+                let _t = obs().dispatch_ns.timer();
+                self.handle_inbound(ctrl, &raw, out);
+            }
+            Event::Closed(peer) => {
+                let Some(ctrl) = self.ctrl_of(peer) else { return };
+                self.link_down(ctrl, "connection closed", out);
+            }
+            Event::Tick => self.tick(out),
+            Event::App(AgentIn::AddController(addr)) => self.add_controller(addr, out),
+            Event::App(AgentIn::Connected { ctrl, peer }) => self.begin_setup(ctrl, peer, out),
+            Event::App(AgentIn::DialFailed { ctrl, error }) => self.link_down(ctrl, &error, out),
+            Event::App(AgentIn::AssociateUe(rnti, ctrl)) => self.assoc.associate(rnti, ctrl),
+            Event::App(AgentIn::DisassociateUe(rnti, ctrl)) => self.assoc.disassociate(rnti, ctrl),
         }
-        Ok(other) => {
-            Err(io::Error::other(format!("unexpected setup reply: {:?}", other.msg_type())))
-        }
-        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        self.flush(out);
     }
 }
 
 impl Agent {
-    /// Connects to all configured controllers, performs the E2 setup
-    /// handshake with each, and spawns the agent event loop.
-    pub async fn spawn(
-        cfg: AgentConfig,
-        functions: Vec<Box<dyn RanFunction>>,
-    ) -> io::Result<AgentHandle> {
-        let (evt_tx, evt_rx) = mpsc::unbounded_channel();
-        let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
-        let mut agent = Agent {
-            cfg: cfg.clone(),
+    /// An agent with no controller yet: feed it [`AgentIn::AddController`]
+    /// per controller ([`Agent::spawn`] does, for `cfg.controllers`).
+    pub fn new(cfg: AgentConfig, functions: Vec<Box<dyn RanFunction>>) -> Self {
+        Agent {
+            endpoint: E2apEndpoint::new(cfg.retry),
+            cfg,
             functions,
             sub_index: HashMap::new(),
             conns: Vec::new(),
-            ctrl_addrs: Vec::new(),
             assoc: UeAssoc::default(),
             outbox: Vec::new(),
             stats: AgentStats::default(),
             scratch: EncodeScratch::with_capacity(4096),
             now_ms: 0,
-            evt_tx,
-            endpoint: E2apEndpoint::new(cfg.retry),
-            next_epoch: 0,
-            pending_ctrls: Vec::new(),
-        };
-        for addr in &cfg.controllers {
-            agent.connect_controller(addr).await?;
         }
-        tokio::spawn(agent.run(evt_rx, cmd_rx));
-        Ok(AgentHandle { cmd: cmd_tx })
+    }
+
+    /// Snapshot of the agent's counters.
+    pub fn stats(&self) -> AgentStats {
+        AgentStats { active_subs: self.sub_index.len() as u64, ..self.stats }
+    }
+
+    /// Controllers added so far, which is also the [`CtrlId`] the next
+    /// [`AgentIn::AddController`] gets.
+    pub fn ctrl_count(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Procedures in flight toward controllers (setups, service updates).
+    pub fn outstanding(&self) -> usize {
+        self.endpoint.table.len()
+    }
+
+    /// The controller `peer` is bound to.  This is the one place a stale
+    /// `Frame` or `Closed` — from a connection that was hung up on or
+    /// replaced — is told from a live one: it maps to no controller.
+    fn ctrl_of(&self, peer: PeerId) -> Option<CtrlId> {
+        self.conns.iter().position(|c| c.peer == Some(peer))
     }
 
     fn fn_items(&self) -> Vec<RanFunctionItem> {
@@ -624,168 +652,88 @@ impl Agent {
             .collect()
     }
 
-    async fn connect_controller(&mut self, addr: &TransportAddr) -> io::Result<CtrlId> {
-        let txid = self.endpoint.alloc_tx_id();
-        let transport =
-            establish(addr, self.cfg.codec, self.cfg.node, txid, self.fn_items()).await?;
-        let ctrl_id = self.conns.len();
-        self.ctrl_addrs.push(addr.clone());
-        self.register_conn(ctrl_id, transport);
-        self.stats.controllers += 1;
-        Ok(ctrl_id)
-    }
-
-    /// Spawns the writer/reader tasks for a ready transport and registers
-    /// it under `ctrl` — appending for a new controller, replacing in
-    /// place on a reconnect.
-    fn register_conn(&mut self, ctrl: CtrlId, transport: Transport) {
-        self.next_epoch += 1;
-        let epoch = self.next_epoch;
-        let (send_half, mut recv_half) = transport.split();
-        let tx = crate::conn::spawn_writer(send_half, self.cfg.fault.clone());
-        let evt = self.evt_tx.clone();
-        tokio::spawn(async move {
-            loop {
-                match recv_half.recv().await {
-                    Ok(Some(msg)) => {
-                        if evt.send(LoopEvent::Inbound(ctrl, epoch, msg)).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None) | Err(_) => {
-                        let _ = evt.send(LoopEvent::ConnClosed(ctrl, epoch));
-                        break;
-                    }
-                }
-            }
+    fn add_controller(&mut self, addr: TransportAddr, out: &mut Vec<Action<AgentOut>>) {
+        let ctrl = self.conns.len();
+        self.conns.push(CtrlConn {
+            addr: addr.clone(),
+            peer: None,
+            up: false,
+            ever_up: false,
+            attempt: 0,
         });
-        let conn = CtrlConn { tx, alive: true, epoch };
-        if ctrl == self.conns.len() {
-            self.conns.push(conn);
-        } else {
-            self.conns[ctrl] = conn;
-        }
+        out.push(Action::App(AgentOut::Dial { ctrl, addr, after_ms: 0 }));
     }
 
-    /// Spawns the reconnect supervisor for a lost controller connection:
-    /// redial with capped exponential backoff, replay the setup handshake,
-    /// and hand the ready transport back to the event loop.
-    fn spawn_supervisor(&mut self, ctrl: CtrlId, backoff: Backoff) {
-        let addr = self.ctrl_addrs[ctrl].clone();
-        let codec = self.cfg.codec;
-        let node = self.cfg.node;
-        let txid = self.endpoint.alloc_tx_id();
-        let items = self.fn_items();
-        let evt = self.evt_tx.clone();
-        tokio::spawn(async move {
-            let mut attempt = 0u32;
-            loop {
-                tokio::time::sleep(Duration::from_millis(backoff.delay_ms(attempt))).await;
-                attempt = attempt.saturating_add(1);
-                match establish(&addr, codec, node, txid, items.clone()).await {
-                    Ok(transport) => {
-                        let _ = evt.send(LoopEvent::Reconnected(ctrl, transport));
-                        return;
-                    }
-                    Err(_) => {
-                        if evt.is_closed() {
-                            return; // agent stopped; stop dialing
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    async fn run(
-        mut self,
-        mut evt_rx: mpsc::UnboundedReceiver<LoopEvent>,
-        mut cmd_rx: mpsc::UnboundedReceiver<Cmd>,
-    ) {
-        let mut ticker = self.cfg.tick_ms.map(|ms| {
-            let mut iv = tokio::time::interval(std::time::Duration::from_millis(ms.max(1)));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
-            iv
-        });
-        loop {
-            let event = if let Some(iv) = ticker.as_mut() {
-                tokio::select! {
-                    biased;
-                    Some(cmd) = cmd_rx.recv() => LoopEvent::Cmd(cmd),
-                    Some(ev) = evt_rx.recv() => ev,
-                    _ = iv.tick() => LoopEvent::Cmd(Cmd::Tick(crate::mono_ms())),
-                    else => break,
-                }
-            } else {
-                tokio::select! {
-                    biased;
-                    Some(cmd) = cmd_rx.recv() => LoopEvent::Cmd(cmd),
-                    Some(ev) = evt_rx.recv() => ev,
-                    else => break,
-                }
-            };
-            match event {
-                LoopEvent::Inbound(ctrl, epoch, msg) => {
-                    if !self.conns.get(ctrl).is_some_and(|c| c.alive && c.epoch == epoch) {
-                        continue; // stale reader of a replaced connection
-                    }
-                    self.stats.rx_msgs += 1;
-                    obs().rx_msgs.inc();
-                    let _t = obs().dispatch_ns.timer();
-                    self.handle_inbound(ctrl, &msg.payload);
-                }
-                LoopEvent::ConnClosed(ctrl, epoch) => self.handle_closed(ctrl, epoch),
-                LoopEvent::Reconnected(ctrl, transport) => {
-                    self.register_conn(ctrl, transport);
-                    self.stats.controllers += 1;
-                    self.stats.reconnects += 1;
-                    obs().reconnects.inc();
-                }
-                LoopEvent::Cmd(Cmd::Tick(now)) => {
-                    self.now_ms = now;
-                    self.tick();
-                }
-                LoopEvent::Cmd(Cmd::AssociateUe(rnti, ctrl)) => self.assoc.associate(rnti, ctrl),
-                LoopEvent::Cmd(Cmd::DisassociateUe(rnti, ctrl)) => {
-                    self.assoc.disassociate(rnti, ctrl)
-                }
-                LoopEvent::Cmd(Cmd::AddController(addr, reply)) => {
-                    let res = self.connect_controller(&addr).await;
-                    let _ = reply.send(res);
-                }
-                LoopEvent::Cmd(Cmd::Stats(reply)) => {
-                    let mut s = self.stats;
-                    s.active_subs = self.sub_index.len() as u64;
-                    let _ = reply.send(s);
-                }
-                LoopEvent::Cmd(Cmd::Stop) => break,
-            }
-            // Connect to controllers queued by an E2 Connection Update.
-            while let Some(addr) = self.pending_ctrls.pop() {
-                let _ = self.connect_controller(&addr).await;
-            }
-            self.flush();
-        }
-    }
-
-    fn handle_closed(&mut self, ctrl: CtrlId, epoch: u64) {
+    /// Binds the freshly dialled `peer` to `ctrl` and begins E2 Setup on
+    /// it: a tracked procedure with the setup deadline, retransmitted on
+    /// ticks like any other until the controller answers or the attempt
+    /// budget runs out.
+    fn begin_setup(&mut self, ctrl: CtrlId, peer: PeerId, out: &mut Vec<Action<AgentOut>>) {
         match self.conns.get_mut(ctrl) {
-            Some(c) if c.alive && c.epoch == epoch => c.alive = false,
-            _ => return, // stale notification from a replaced connection
+            Some(conn) if conn.peer.is_none() => conn.peer = Some(peer),
+            // No dial was outstanding for this controller.
+            _ => return out.push(Action::Hangup(peer)),
         }
-        self.stats.controllers = self.stats.controllers.saturating_sub(1);
-        self.drop_ctrl_subs(ctrl);
+        let txid = self.endpoint.alloc_tx_id();
+        let pdu = setup_request(txid, self.cfg.node, self.fn_items());
+        self.endpoint.table.begin(
+            ctrl,
+            ProcedureKey::Tx(txid),
+            ProcedureClass::Setup,
+            Some(pdu.clone()),
+            (),
+            self.now_ms,
+        );
+        self.outbox.push((ctrl.into(), pdu));
+    }
+
+    /// E2 Setup toward `ctrl` completed.
+    fn link_up(&mut self, ctrl: CtrlId, out: &mut Vec<Action<AgentOut>>) {
+        let conn = &mut self.conns[ctrl];
+        conn.up = true;
+        conn.attempt = 0;
+        self.stats.controllers += 1;
+        if conn.ever_up {
+            self.stats.reconnects += 1;
+            obs().reconnects.inc();
+        } else {
+            conn.ever_up = true;
+            out.push(Action::App(AgentOut::SetupDone { ctrl, result: Ok(()) }));
+        }
+    }
+
+    /// The link toward `ctrl` is unusable — the dial failed, setup was
+    /// rejected or timed out, or the connection closed.  Hang up, forget
+    /// what depended on the connection, and either redial under the
+    /// backoff (a controller that had been up) or report the failure (one
+    /// that never was).
+    fn link_down(&mut self, ctrl: CtrlId, why: &str, out: &mut Vec<Action<AgentOut>>) {
+        let Some(conn) = self.conns.get_mut(ctrl) else { return };
+        if let Some(peer) = conn.peer.take() {
+            out.push(Action::Hangup(peer));
+        }
+        let was_up = std::mem::take(&mut conn.up);
+        if !conn.ever_up {
+            let result = Err(why.to_owned());
+            out.push(Action::App(AgentOut::SetupDone { ctrl, result }));
+        } else if let Some(backoff) = self.cfg.reconnect {
+            let after_ms = backoff.delay_ms(conn.attempt);
+            conn.attempt = conn.attempt.saturating_add(1);
+            out.push(Action::App(AgentOut::Dial { ctrl, addr: conn.addr.clone(), after_ms }));
+        }
+        if was_up {
+            self.stats.controllers = self.stats.controllers.saturating_sub(1);
+            self.drop_ctrl_subs(ctrl);
+        }
         // Procedures in flight toward this controller terminate now; the
-        // supervisor re-announces everything at setup anyway.
+        // next setup re-announces everything anyway.
         let _ = self.endpoint.table.connection_lost(ctrl);
-        if let Some(backoff) = self.cfg.reconnect {
-            self.spawn_supervisor(ctrl, backoff);
-        }
     }
 
     fn drop_ctrl_subs(&mut self, ctrl: CtrlId) {
-        let dropped: Vec<(CtrlId, RicRequestId)> =
+        let mut dropped: Vec<(CtrlId, RicRequestId)> =
             self.sub_index.keys().filter(|(c, _)| *c == ctrl).copied().collect();
+        dropped.sort_unstable();
         for key in dropped {
             if let Some(fidx) = self.sub_index.remove(&key) {
                 let mut ctx =
@@ -796,17 +744,17 @@ impl Agent {
         // Messages queued toward a dead controller are discarded at flush.
     }
 
-    fn tick(&mut self) {
+    fn tick(&mut self, out: &mut Vec<Action<AgentOut>>) {
         // Retransmit due procedures and count terminal timeouts.
-        let now = self.now_ms;
-        let timed_out = {
-            let Agent { endpoint, outbox, stats, .. } = self;
-            endpoint.table.poll(now, |ctrl, pdu| {
-                stats.retries += 1;
-                outbox.push((Targets::One(ctrl), pdu.clone()));
-            })
-        };
+        let (again, timed_out) = poll_in_order(&mut self.endpoint.table, self.now_ms);
+        self.stats.retries += again.len() as u64;
+        self.outbox.extend(again.into_iter().map(|(ctrl, pdu)| (Targets::One(ctrl), pdu)));
         self.stats.timeouts += timed_out.len() as u64;
+        for proc in timed_out {
+            if proc.class == ProcedureClass::Setup {
+                self.link_down(proc.peer, "E2 setup timed out", out);
+            }
+        }
         let mut ctx =
             AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
         for f in &mut self.functions {
@@ -818,7 +766,7 @@ impl Agent {
         self.functions.iter().position(|f| f.id() == id)
     }
 
-    fn handle_inbound(&mut self, ctrl: CtrlId, raw: &Bytes) {
+    fn handle_inbound(&mut self, ctrl: CtrlId, raw: &Bytes, out: &mut Vec<Action<AgentOut>>) {
         // Borrowed decode: byte-valued fields (control headers, action
         // definitions …) stay refcounted views of the transport read slab.
         let pdu = match self.cfg.codec.decode_borrowed(raw) {
@@ -844,10 +792,9 @@ impl Agent {
             }
             E2apPdu::RicControlRequest(req) => self.handle_control(ctrl, req),
             E2apPdu::E2ConnectionUpdate(upd) => {
-                // New controller connections cannot complete synchronously
-                // inside this dispatcher; the addresses are queued as
-                // pending and the event loop connects on its next turn
-                // (same path as AgentHandle::add_controller).
+                // The update is acknowledged at once; each added address
+                // becomes a controller of its own, dialled and set up like
+                // one added through AgentHandle::add_controller.
                 let ack = E2apPdu::E2ConnectionUpdateAck(E2ConnectionUpdateAck {
                     transaction_id: upd.transaction_id,
                     setup: upd.add.clone(),
@@ -863,22 +810,11 @@ impl Agent {
                             Err(_) => continue,
                         }
                     };
-                    self.pending_ctrls.push(addr);
+                    self.add_controller(addr, out);
                 }
             }
             E2apPdu::ResetRequest(req) => {
-                let subs: Vec<(CtrlId, RicRequestId)> =
-                    self.sub_index.keys().filter(|(c, _)| *c == ctrl).copied().collect();
-                for key in subs {
-                    if let Some(fidx) = self.sub_index.remove(&key) {
-                        let mut ctx = AgentCtx {
-                            now_ms: self.now_ms,
-                            outbox: &mut self.outbox,
-                            assoc: &self.assoc,
-                        };
-                        self.functions[fidx].on_subscription_delete(&mut ctx, key.0, key.1);
-                    }
-                }
+                self.drop_ctrl_subs(ctrl);
                 self.outbox.push((
                     ctrl.into(),
                     E2apPdu::ResetResponse(ResetResponse { transaction_id: req.transaction_id }),
@@ -916,11 +852,22 @@ impl Agent {
                     .complete(ctrl, ProcedureKey::Tx(ack.transaction_id))
                     .is_some()
                 {
-                    crate::endpoint::note_completed(true);
+                    endpoint::note_completed(true);
+                }
+            }
+            E2apPdu::E2SetupResponse(resp) => {
+                if self.complete_setup(ctrl, resp.transaction_id) {
+                    endpoint::note_completed(true);
+                    self.link_up(ctrl, out);
+                }
+            }
+            E2apPdu::E2SetupFailure(fail) => {
+                if self.complete_setup(ctrl, fail.transaction_id) {
+                    endpoint::note_completed(false);
+                    self.link_down(ctrl, &format!("E2 setup rejected: {:?}", fail.cause), out);
                 }
             }
             E2apPdu::ErrorIndication(_)
-            | E2apPdu::E2SetupResponse(_)
             | E2apPdu::E2ConnectionUpdateAck(_)
             | E2apPdu::ResetResponse(_) => {}
             other => {
@@ -938,95 +885,65 @@ impl Agent {
         }
     }
 
+    /// Completes the E2 Setup procedure `txid` names, if that is what is
+    /// outstanding under it (a duplicate answer to a retransmitted request
+    /// finds nothing).
+    fn complete_setup(&mut self, ctrl: CtrlId, txid: u8) -> bool {
+        let key = ProcedureKey::Tx(txid);
+        let table = &mut self.endpoint.table;
+        table.get(ctrl, key).is_some_and(|p| p.class == ProcedureClass::Setup)
+            && table.complete(ctrl, key).is_some()
+    }
+
     fn handle_subscription(&mut self, ctrl: CtrlId, req: RicSubscriptionRequest) {
-        let Some(fidx) = self.find_fn(req.ran_function) else {
-            self.outbox.push((
-                ctrl.into(),
+        // An existing (controller, request id) is either the at-least-once
+        // retransmit of a request we already answered, or a server-driven
+        // *retune* carrying a new event trigger.  Both flow through
+        // on_subscription_update — a retransmit retunes to the same
+        // trigger, which is idempotent — and are re-acknowledged so the
+        // server's procedure entry completes.
+        let key = (ctrl, req.req_id);
+        let existing = self.sub_index.get(&key).copied();
+        let result = match existing.or_else(|| self.find_fn(req.ran_function)) {
+            None => Err(Cause::Ric(RicCause::RanFunctionIdInvalid)),
+            Some(fidx) => {
+                let sub = SubscriptionInfo {
+                    ctrl,
+                    req_id: req.req_id,
+                    ran_function: req.ran_function,
+                    action: req.actions.first().map(|a| a.id).unwrap_or_default(),
+                    trigger: req.event_trigger.clone(),
+                };
+                let mut ctx =
+                    AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
+                let f = &mut self.functions[fidx];
+                let result = match existing {
+                    Some(_) => f.on_subscription_update(&mut ctx, &sub, &req),
+                    None => f.on_subscription(&mut ctx, &sub, &req),
+                };
+                result.map(|()| fidx)
+            }
+        };
+        let pdu = match result {
+            Ok(fidx) => {
+                self.sub_index.insert(key, fidx);
+                E2apPdu::RicSubscriptionResponse(RicSubscriptionResponse {
+                    req_id: req.req_id,
+                    ran_function: req.ran_function,
+                    admitted: req.actions.iter().map(|a| a.id).collect(),
+                    not_admitted: vec![],
+                })
+            }
+            Err(cause) => {
+                self.sub_index.remove(&key);
                 E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
                     req_id: req.req_id,
                     ran_function: req.ran_function,
-                    cause: Cause::Ric(RicCause::RanFunctionIdInvalid),
-                }),
-            ));
-            return;
+                    cause,
+                })
+            }
         };
-        if let Some(&sub_fidx) = self.sub_index.get(&(ctrl, req.req_id)) {
-            // An existing (controller, request id): either at-least-once
-            // retransmit of a response we already sent, or a server-driven
-            // *retune* carrying a new event trigger.  Both flow through
-            // on_subscription_update — a retransmit retunes to the same
-            // trigger, which is idempotent — and are re-acknowledged so
-            // the server's procedure entry completes.
-            let action = req.actions.first().map(|a| a.id).unwrap_or_default();
-            let sub = SubscriptionInfo {
-                ctrl,
-                req_id: req.req_id,
-                ran_function: req.ran_function,
-                action,
-                trigger: req.event_trigger.clone(),
-            };
-            let mut ctx =
-                AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
-            match self.functions[sub_fidx].on_subscription_update(&mut ctx, &sub, &req) {
-                Ok(()) => {
-                    self.outbox.push((
-                        ctrl.into(),
-                        E2apPdu::RicSubscriptionResponse(RicSubscriptionResponse {
-                            req_id: req.req_id,
-                            ran_function: req.ran_function,
-                            admitted: req.actions.iter().map(|a| a.id).collect(),
-                            not_admitted: vec![],
-                        }),
-                    ));
-                }
-                Err(cause) => {
-                    self.sub_index.remove(&(ctrl, req.req_id));
-                    self.outbox.push((
-                        ctrl.into(),
-                        E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
-                            req_id: req.req_id,
-                            ran_function: req.ran_function,
-                            cause,
-                        }),
-                    ));
-                }
-            }
-            return;
-        }
-        let action = req.actions.first().map(|a| a.id).unwrap_or_default();
-        let sub = SubscriptionInfo {
-            ctrl,
-            req_id: req.req_id,
-            ran_function: req.ran_function,
-            action,
-            trigger: req.event_trigger.clone(),
-        };
-        let mut ctx =
-            AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
-        match self.functions[fidx].on_subscription(&mut ctx, &sub, &req) {
-            Ok(()) => {
-                self.sub_index.insert((ctrl, req.req_id), fidx);
-                self.outbox.push((
-                    ctrl.into(),
-                    E2apPdu::RicSubscriptionResponse(RicSubscriptionResponse {
-                        req_id: req.req_id,
-                        ran_function: req.ran_function,
-                        admitted: req.actions.iter().map(|a| a.id).collect(),
-                        not_admitted: vec![],
-                    }),
-                ));
-            }
-            Err(cause) => {
-                self.outbox.push((
-                    ctrl.into(),
-                    E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
-                        req_id: req.req_id,
-                        ran_function: req.ran_function,
-                        cause,
-                    }),
-                ));
-            }
-        }
+        self.outbox.push((ctrl.into(), pdu));
     }
 
     fn handle_subscription_delete(&mut self, ctrl: CtrlId, req: RicSubscriptionDeleteRequest) {
@@ -1104,34 +1021,28 @@ impl Agent {
         }
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, out: &mut Vec<Action<AgentOut>>) {
         let m = obs();
-        let indications: u64 = self
-            .outbox
+        let Agent { conns, stats, outbox, scratch, cfg, .. } = self;
+        let bound = |c: CtrlId| conns.get(c).and_then(|conn| conn.peer);
+        let indications: u64 = outbox
             .iter()
             .filter(|(_, pdu)| matches!(pdu, E2apPdu::RicIndication(_)))
             .map(|(targets, _)| {
-                targets
-                    .as_slice()
-                    .iter()
-                    .filter(|&&c| self.conns.get(c).is_some_and(|conn| conn.alive))
-                    .count() as u64
+                targets.as_slice().iter().filter(|&&c| bound(c).is_some()).count() as u64
             })
             .sum();
         m.indications_sent.add(indications);
         // Encode each queued PDU exactly once into the reusable scratch
-        // buffer and share the frozen frame across its targets.
-        let Agent { conns, stats, outbox, scratch, cfg, .. } = self;
+        // buffer and share the frozen frame across its targets.  What is
+        // queued toward a controller with no connection is discarded.
         scratch::flush_outbox(scratch, cfg.codec, outbox, |ctrl, msg| {
-            let Some(conn) = conns.get(ctrl) else { return };
-            if !conn.alive {
-                return;
-            }
+            let Some(peer) = bound(ctrl) else { return };
             stats.tx_msgs += 1;
             stats.tx_bytes += msg.payload.len() as u64;
             m.tx_msgs.inc();
             m.tx_bytes.add(msg.payload.len() as u64);
-            let _ = conn.tx.send(msg);
+            out.push(Action::Send(peer, msg));
         });
         m.active_subs.set(self.sub_index.len() as i64);
         m.controllers.set(self.stats.controllers as i64);

@@ -24,13 +24,20 @@
 //! "zero-overhead principle": nothing is imposed beyond what the use case
 //! needs.
 //!
+//! Both libraries are *state machines* ([`machine`]): [`Agent`] and
+//! [`server::Shard`] are plain structs with one entry point,
+//! `handle(event, now_ms, &mut actions)`, that own no socket, task, channel
+//! or clock.  One driver (`driver.rs`, behind [`Agent::spawn`] and
+//! [`Server::spawn`]) does the dialling, reading, writing and timekeeping
+//! for both; a test drives the same structs from a queue and a counter.
+//!
 //! Both sides build their pending-request bookkeeping on the shared
 //! procedure-endpoint layer ([`endpoint`]): one outstanding-transaction
 //! table with per-procedure-class deadlines, bounded retransmission, and
-//! explicit terminal outcomes, plus connection supervisors that reconnect
-//! with capped exponential backoff and replay E2 Setup and live
-//! subscriptions, so iApps and RAN functions survive a controller or agent
-//! restart without code changes.
+//! explicit terminal outcomes — E2 Setup included, which is what redials a
+//! lost controller under capped exponential backoff — and the server
+//! replays live subscriptions to a returning agent, so iApps and RAN
+//! functions survive a controller or agent restart without code changes.
 //!
 //! ## Quick start
 //!
@@ -39,8 +46,9 @@
 //! statistics service model, subscribes, and prints live statistics.
 
 pub mod agent;
-pub(crate) mod conn;
+mod driver;
 pub mod endpoint;
+pub mod machine;
 pub mod report;
 pub mod scratch;
 pub mod server;
@@ -50,6 +58,7 @@ pub use endpoint::{
     Backoff, E2apEndpoint, Procedure, ProcedureClass, ProcedureKey, ProcedureOutcome,
     ProcedureTable, RetryPolicy,
 };
+pub use machine::{Action, Event, Machine, PeerId};
 pub use report::ReportSender;
 pub use scratch::{stream_for, EncodeScratch, Targets};
 pub use server::{

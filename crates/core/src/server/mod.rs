@@ -12,12 +12,16 @@
 //! communication and the server multiplexes messages between agents and
 //! iApps.
 //!
-//! ## Sharded runtime
+//! ## Shards
 //!
-//! The controller runs [`ServerConfig::shards`] independent event loops
-//! (the `shard` module), each owning a disjoint set of agents: connection
+//! The controller is [`ServerConfig::shards`] independent [`Shard`]s (the
+//! `shard` module), each owning a disjoint set of agents: connection
 //! state, the RAN database slice, subscription routing, and the procedure
-//! endpoint of an agent all live on exactly one shard.  Agents are
+//! endpoint of an agent all live on exactly one shard.  A shard is a state
+//! machine ([`crate::machine`]): it is fed events and answers with
+//! actions, and owns no socket, task, channel or clock;
+//! [`Server::spawn_sharded`] puts one event loop of the crate's driver
+//! under each.  Agents are
 //! assigned to shards at accept time by their RAN-entity key (least-loaded
 //! shard wins; CU/DU agents of one base station land together so entity
 //! merging stays shard-local), and the assignment is sticky across the
@@ -25,9 +29,9 @@
 //! shard.  The indication hot path — header peek, subscription lookup,
 //! iApp dispatch — never crosses a shard boundary and takes no cross-shard
 //! lock.  Only three things span shards: accept-time assignment (the
-//! `router` module), `send_pdu`/`send_pdu_multi` toward agents owned by
-//! another shard (the encoded frame is handed over, never re-encoded), and
-//! the aggregating [`ServerHandle`].
+//! [`ShardRouter`]), `send_pdu`/`send_pdu_multi` toward agents owned by
+//! another shard (the encoded frame leaves as a `Forward` action, never
+//! re-encoded), and the aggregating [`ServerHandle`].
 //!
 //! ## Procedure robustness
 //!
@@ -56,12 +60,12 @@
 
 mod randb;
 mod router;
-mod runtime;
 mod shard;
 
+pub use crate::driver::ServerHandle;
 pub use randb::{AgentId, AgentInfo, RanDb, RanEntity};
-pub use runtime::{Server, ServerHandle};
-pub use shard::ServerApi;
+pub use router::ShardRouter;
+pub use shard::{ServerApi, Shard, ShardIn, ShardOut};
 
 use std::any::Any;
 
@@ -75,6 +79,14 @@ use crate::endpoint::RetryPolicy;
 /// Consecutive undecodable PDUs from one agent before the server degrades
 /// the connection instead of continuing to parse garbage.
 pub(crate) const MAX_CONSECUTIVE_DECODE_ERRORS: u32 = 8;
+
+/// The controller: [`Server::spawn`] / [`Server::spawn_sharded`] bind the
+/// listeners and put the crate's driver under one [`Shard`] per
+/// [`ServerConfig::resolved_shards`].
+///
+/// Procedure tracking, retransmission, and reconnect handling live in the
+/// shared endpoint layer — see [`crate::endpoint`] and the module docs.
+pub struct Server;
 
 /// Configuration of a controller built on the server library.
 #[derive(Debug, Clone)]
@@ -222,6 +234,28 @@ pub enum SubOutcome {
     },
 }
 
+impl SubOutcome {
+    /// The outcome as the E2AP PDU a requester further up expects — what a
+    /// controller forwarding someone else's subscription sends back.
+    /// `TimedOut` and `ConnectionLost` have no PDU of their own on the wire
+    /// and become a `RicSubscriptionFailure` with a transport cause, so
+    /// the requester gets an answer either way.
+    pub fn to_pdu(&self) -> E2apPdu {
+        match self {
+            SubOutcome::Admitted(r) => E2apPdu::RicSubscriptionResponse(r.clone()),
+            SubOutcome::Failed(f) => E2apPdu::RicSubscriptionFailure(f.clone()),
+            SubOutcome::TimedOut { req_id, ran_function, .. }
+            | SubOutcome::ConnectionLost { req_id, ran_function } => {
+                E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
+                    req_id: *req_id,
+                    ran_function: *ran_function,
+                    cause: Cause::Transport(TransportCause::Unspecified),
+                })
+            }
+        }
+    }
+}
+
 /// Outcome of a control request, delivered to the requesting iApp.
 #[derive(Debug, Clone)]
 pub enum CtrlOutcome {
@@ -245,6 +279,28 @@ pub enum CtrlOutcome {
         /// The RAN function it addressed.
         ran_function: RanFunctionId,
     },
+}
+
+impl CtrlOutcome {
+    /// The outcome as the E2AP PDU a requester further up expects (see
+    /// [`SubOutcome::to_pdu`]): `TimedOut` and `ConnectionLost` become a
+    /// `RicControlFailure` with a transport cause.
+    pub fn to_pdu(&self) -> E2apPdu {
+        match self {
+            CtrlOutcome::Ack(a) => E2apPdu::RicControlAcknowledge(a.clone()),
+            CtrlOutcome::Failed(f) => E2apPdu::RicControlFailure(f.clone()),
+            CtrlOutcome::TimedOut { req_id, ran_function }
+            | CtrlOutcome::ConnectionLost { req_id, ran_function } => {
+                E2apPdu::RicControlFailure(RicControlFailure {
+                    req_id: *req_id,
+                    ran_function: *ran_function,
+                    call_process_id: None,
+                    cause: Cause::Transport(TransportCause::Unspecified),
+                    outcome: None,
+                })
+            }
+        }
+    }
 }
 
 /// A controller-internal application: the unit of controller
@@ -289,7 +345,7 @@ pub trait IApp: Send {
 }
 
 /// Events published to external observers (examples, tests, northbound).
-/// All shards publish into one broadcast channel.
+/// All shards publish into the one stream [`ServerHandle::events`] taps.
 #[derive(Debug, Clone)]
 pub enum ServerEvent {
     /// An agent completed E2 setup.
@@ -325,6 +381,10 @@ pub struct ServerStats {
     pub reconnects: u64,
     /// Inbound PDUs that failed to decode.
     pub decode_errors: u64,
+    /// Indications that arrived for no live subscription and were
+    /// discarded (the agent still reports on a subscription the server
+    /// has given up on).
+    pub unrouted_indications: u64,
 }
 
 impl std::ops::AddAssign for ServerStats {
@@ -339,5 +399,6 @@ impl std::ops::AddAssign for ServerStats {
         self.timeouts += s.timeouts;
         self.reconnects += s.reconnects;
         self.decode_errors += s.decode_errors;
+        self.unrouted_indications += s.unrouted_indications;
     }
 }

@@ -1,9 +1,9 @@
 //! Shard assignment and the thin cross-shard router.
 //!
 //! Everything on the indication hot path is shard-local; this module is
-//! the *only* state shared between shard event loops, and it is touched
-//! only on accept, disconnect-finalize, and cross-shard `send_pdu` —
-//! none of which are per-indication work.
+//! the *only* state shared between shards, and it is touched only on
+//! accept, disconnect-finalize, and cross-shard `send_pdu` — none of which
+//! are per-indication work.
 //!
 //! Assignment is keyed on the RAN-entity key (`(Plmn, node id)` with the
 //! node type erased) rather than the connection: CU and DU agents of one
@@ -17,13 +17,9 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use tokio::sync::mpsc;
-
-use flexric_e2ap::{E2SetupRequest, Plmn};
-use flexric_transport::WireMsg;
+use flexric_e2ap::Plmn;
 
 use super::randb::AgentId;
-use super::shard::LoopEvent;
 
 /// Sticky least-loaded assignment of keys to `n` shards.
 ///
@@ -66,47 +62,40 @@ impl<K: Hash + Eq> ShardMap<K> {
     }
 }
 
-/// Shared between all shard loops and the accept tasks.
-pub(crate) struct ShardRouter {
-    /// Event-channel senders of every shard, indexed by shard.
-    evt: Vec<mpsc::UnboundedSender<LoopEvent>>,
+/// What the shards of one controller share, and whoever accepts its
+/// connections consults: entity pins, agent ownership, the id allocator.
+/// Plain memory behind `std` locks — it names no shard's event queue; a
+/// shard that finds a target owned elsewhere asks its driver to forward.
+pub struct ShardRouter {
     /// Entity-key → shard pins.  Accept/finalize path only.
     map: Mutex<ShardMap<(Plmn, u64)>>,
     /// AgentId → owning shard, maintained by the owning shard.  Read on
     /// the cross-shard egress fallback; never on local delivery.
     owners: RwLock<HashMap<AgentId, usize>>,
     /// Global sequential [`AgentId`] allocator, so ids keep the same
-    /// dense-from-zero shape as the single-loop runtime.
+    /// dense-from-zero shape as a single shard's.
     next_agent: AtomicUsize,
 }
 
 impl ShardRouter {
-    pub(crate) fn new(evt: Vec<mpsc::UnboundedSender<LoopEvent>>) -> Self {
-        let shards = evt.len();
+    /// A router over `shards` shards (at least one).
+    pub fn new(shards: usize) -> Self {
         ShardRouter {
-            evt,
             map: Mutex::new(ShardMap::new(shards)),
             owners: RwLock::new(HashMap::new()),
             next_agent: AtomicUsize::new(0),
         }
     }
 
-    pub(crate) fn alloc_agent(&self) -> AgentId {
-        self.next_agent.fetch_add(1, Ordering::Relaxed)
+    /// The shard an E2 setup from the RAN entity `key`
+    /// ([`flexric_e2ap::GlobalE2NodeId::ran_entity_key`]) goes to: sticky
+    /// per entity, least-loaded for a new one.
+    pub fn assign(&self, key: (Plmn, u64)) -> usize {
+        self.map.lock().unwrap_or_else(|e| e.into_inner()).assign(key)
     }
 
-    /// Routes a completed E2 setup to its entity's shard.
-    pub(crate) fn dispatch_new_agent(
-        &self,
-        req: E2SetupRequest,
-        transport: flexric_transport::Transport,
-    ) {
-        let shard = self
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .assign(req.global_node.ran_entity_key());
-        let _ = self.evt[shard].send(LoopEvent::NewAgent(req, transport));
+    pub(crate) fn alloc_agent(&self) -> AgentId {
+        self.next_agent.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Records `shard` as the owner of `agent` (idempotent on reconnect).
@@ -123,20 +112,11 @@ impl ShardRouter {
         }
     }
 
-    /// Hands an already-encoded message to the shard owning `agent`.
-    /// Called from another shard's flush when the target is not local; the
-    /// payload is a frozen `Bytes`, so crossing the boundary never
-    /// re-encodes, and the stream id travels with it.  Messages for
-    /// unknown or own-shard-but-offline agents are dropped, as a frame for
-    /// a vanished connection would be.
-    pub(crate) fn forward(&self, from_shard: usize, agent: AgentId, msg: WireMsg) {
-        let owner = self.owners.read().unwrap_or_else(|e| e.into_inner()).get(&agent).copied();
-        match owner {
-            Some(s) if s != from_shard => {
-                let _ = self.evt[s].send(LoopEvent::Forward(agent, msg));
-            }
-            _ => {}
-        }
+    /// The shard owning `agent`, for a flush that finds the target is not
+    /// local.  `None` for an id nobody owns: its frame is dropped, as a
+    /// frame for a vanished connection would be.
+    pub(crate) fn owner(&self, agent: AgentId) -> Option<usize> {
+        self.owners.read().unwrap_or_else(|e| e.into_inner()).get(&agent).copied()
     }
 }
 

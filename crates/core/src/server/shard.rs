@@ -1,43 +1,80 @@
-//! One shard of the controller: an event loop owning a disjoint set of
+//! One shard of the controller: the state machine owning a disjoint set of
 //! agents — their connections, RAN database slice, subscription routing,
 //! and procedure endpoint.
 //!
 //! The indication hot path (header peek → subscription lookup → iApp
 //! dispatch) runs entirely inside one shard, with no cross-shard lock.
 //! The only cross-shard interaction on egress is the flush fallback: a
-//! frame addressed to an agent another shard owns is handed over through
-//! the [`super::router::ShardRouter`] as a frozen `Bytes`, arriving here
-//! as [`LoopEvent::Forward`] — encoded exactly once by the sending shard.
+//! frame addressed to an agent another shard owns leaves as
+//! [`ShardOut::Forward`] — a frozen `Bytes`, encoded exactly once here —
+//! and arrives at its owner as [`ShardIn::Forwarded`].
+//!
+//! [`Shard`] is a [`Machine`]: it is fed [`Event`]s ([`ShardIn`] its own)
+//! and answers with [`Action`]s ([`ShardOut`] its own), and owns no socket,
+//! task, channel or clock.  DESIGN.md ("The machine/driver split")
+//! tabulates every event and action.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use tokio::sync::{broadcast, mpsc};
-use tokio::task::JoinHandle;
 
 use flexric_codec::{CodecError, E2apCodec};
 use flexric_e2ap::*;
-use flexric_transport::fault::FaultHandle;
 use flexric_transport::WireMsg;
 
-use crate::endpoint::{E2apEndpoint, Procedure, ProcedureClass, ProcedureKey};
+use crate::endpoint::{self, E2apEndpoint, Procedure, ProcedureClass, ProcedureKey};
+use crate::machine::{in_order, poll_in_order, Action, Event, Machine, PeerId};
 use crate::scratch::{self, EncodeScratch, Targets};
 
 use super::router::ShardRouter;
-use super::runtime::Cmd;
 use super::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, RanDb, ServerConfig, ServerEvent,
     ServerStats, SubOutcome, MAX_CONSECUTIVE_DECODE_ERRORS,
 };
 
-struct ConnState {
-    tx: mpsc::UnboundedSender<WireMsg>,
-    /// Distinguishes this connection from earlier ones under the same
-    /// [`AgentId`] (reconnects), so stale reader events are ignored.
-    epoch: u64,
-    reader: JoinHandle<()>,
+/// What a shard is told beside frames, closes and ticks.
+pub enum ShardIn {
+    /// The controller is starting: run the iApps' `on_start`.
+    Start,
+    /// A connection opened with this E2 Setup request and the router
+    /// assigned its RAN entity to this shard.
+    NewAgent {
+        /// The decoded first frame of the connection.
+        req: E2SetupRequest,
+        /// The connection.
+        peer: PeerId,
+        /// Transport description of the far end, for [`AgentInfo::peer`].
+        desc: String,
+    },
+    /// A frame another shard encoded for an agent this shard owns (the
+    /// stream id travels with it).
+    Forwarded(AgentId, WireMsg),
+    /// A northbound message for the iApp of that name.
+    ToIApp(String, Box<dyn Any + Send>),
+}
+
+/// What a shard asks for beside sends and hangups.
+#[derive(Debug)]
+pub enum ShardOut {
+    /// Hand `msg` to shard `shard`, which owns `agent`
+    /// ([`ShardIn::Forwarded`] there).
+    Forward {
+        /// The owning shard.
+        shard: usize,
+        /// The agent the frame is for.
+        agent: AgentId,
+        /// The encoded frame.
+        msg: WireMsg,
+    },
+    /// Publish to the controller's external observers.
+    Publish(ServerEvent),
+}
+
+/// The connection an agent is bound to right now.
+struct PeerState {
+    agent: AgentId,
     /// Consecutive undecodable inbound PDUs; reset on any good PDU.
     decode_errors: u32,
 }
@@ -66,11 +103,13 @@ struct ServerCore {
     /// The shared procedure endpoint: one outstanding-transaction table
     /// for every server-initiated procedure, plus the id allocators.
     endpoint: E2apEndpoint<AgentId, usize>,
-    conns: HashMap<AgentId, ConnState>,
+    /// The connection each online agent is bound to.
+    conns: HashMap<AgentId, PeerId>,
     outbox: Vec<(Targets<AgentId>, E2apPdu)>,
     scratch: EncodeScratch,
     custom_queue: Vec<(String, Box<dyn Any + Send>)>,
-    events_tx: broadcast::Sender<ServerEvent>,
+    /// Events published since the last flush.
+    published: Vec<ServerEvent>,
     now_ms: u64,
     rx_msgs: u64,
     tx_msgs: u64,
@@ -80,6 +119,7 @@ struct ServerCore {
     timeouts: u64,
     reconnects: u64,
     decode_errors: u64,
+    unrouted: u64,
 }
 
 impl ServerCore {
@@ -92,6 +132,24 @@ impl ServerCore {
         endpoint.alloc_request_id(requestor, |inst| {
             subs.keys().any(|(_, r)| r.requestor == requestor && r.instance == inst)
         })
+    }
+
+    /// Sends `pdu`, the request of a procedure of `class` keyed by
+    /// `req_id`, to `agent` and tracks it — deadline, retransmission where
+    /// the class allows, terminal outcome — on behalf of `iapp`.  Whatever
+    /// was still outstanding under the same key is superseded.
+    fn issue(
+        &mut self,
+        agent: AgentId,
+        req_id: RicRequestId,
+        class: ProcedureClass,
+        pdu: E2apPdu,
+        iapp: usize,
+    ) {
+        let key = ProcedureKey::Ric(req_id);
+        self.endpoint.table.complete(agent, key);
+        self.endpoint.table.begin(agent, key, class, Some(pdu.clone()), iapp, self.now_ms);
+        self.outbox.push((agent.into(), pdu));
     }
 }
 
@@ -159,15 +217,7 @@ impl ServerApi<'_> {
                 replayable: true,
             },
         );
-        self.core.endpoint.table.begin(
-            agent,
-            ProcedureKey::Ric(req_id),
-            ProcedureClass::Subscription,
-            Some(pdu.clone()),
-            self.iapp,
-            self.core.now_ms,
-        );
-        self.core.outbox.push((agent.into(), pdu));
+        self.core.issue(agent, req_id, ProcedureClass::Subscription, pdu, self.iapp);
         req_id
     }
 
@@ -201,20 +251,11 @@ impl ServerApi<'_> {
         self.core.subs.remove(&(agent, req_id));
         // A still-pending subscription procedure under the same key is
         // cancelled; the delete takes over the id.
-        self.core.endpoint.table.complete(agent, ProcedureKey::Ric(req_id));
         let pdu = E2apPdu::RicSubscriptionDeleteRequest(RicSubscriptionDeleteRequest {
             req_id,
             ran_function,
         });
-        self.core.endpoint.table.begin(
-            agent,
-            ProcedureKey::Ric(req_id),
-            ProcedureClass::SubscriptionDelete,
-            Some(pdu.clone()),
-            self.iapp,
-            self.core.now_ms,
-        );
-        self.core.outbox.push((agent.into(), pdu));
+        self.core.issue(agent, req_id, ProcedureClass::SubscriptionDelete, pdu, self.iapp);
     }
 
     /// Re-issues an existing subscription with a new event trigger — the
@@ -249,16 +290,7 @@ impl ServerApi<'_> {
         });
         // A still-pending procedure under the same key (the original
         // subscribe, or an earlier retune) is superseded.
-        self.core.endpoint.table.complete(agent, ProcedureKey::Ric(req_id));
-        self.core.endpoint.table.begin(
-            agent,
-            ProcedureKey::Ric(req_id),
-            ProcedureClass::Subscription,
-            Some(pdu.clone()),
-            self.iapp,
-            self.core.now_ms,
-        );
-        self.core.outbox.push((agent.into(), pdu));
+        self.core.issue(agent, req_id, ProcedureClass::Subscription, pdu, self.iapp);
         true
     }
 
@@ -286,25 +318,13 @@ impl ServerApi<'_> {
             ack_request: ack,
         });
         if ack == Some(ControlAckRequest::Ack) {
-            self.core.endpoint.table.begin(
-                agent,
-                ProcedureKey::Ric(req_id),
-                ProcedureClass::Control,
-                Some(pdu.clone()),
-                self.iapp,
-                self.core.now_ms,
-            );
+            self.core.issue(agent, req_id, ProcedureClass::Control, pdu, self.iapp);
         } else {
             // A response is not guaranteed (no-ack / nack-only): track for
             // routing but never expire.
-            self.core.endpoint.table.begin_untimed(
-                agent,
-                ProcedureKey::Ric(req_id),
-                ProcedureClass::Control,
-                self.iapp,
-            );
+            self.claim_control_id(agent, req_id);
+            self.core.outbox.push((agent.into(), pdu));
         }
-        self.core.outbox.push((agent.into(), pdu));
         req_id
     }
 
@@ -355,6 +375,24 @@ impl ServerApi<'_> {
         );
     }
 
+    /// Forwards a functional request that arrived from elsewhere (another
+    /// E2 hop, an xApp) to `agent` verbatim, claiming its request id so
+    /// the answers come back to this iApp: subscription outcomes and
+    /// indications for a subscription request; the control outcome — and
+    /// indications under the same id, which is how a control-triggered
+    /// report such as the HW pong returns — for a control request.
+    pub fn forward_request(&mut self, agent: AgentId, pdu: E2apPdu) {
+        match &pdu {
+            E2apPdu::RicSubscriptionRequest(req) => self.claim_request_id(agent, req.req_id),
+            E2apPdu::RicControlRequest(req) => {
+                self.claim_control_id(agent, req.req_id);
+                self.claim_request_id(agent, req.req_id);
+            }
+            _ => {}
+        }
+        self.send_pdu(agent, pdu);
+    }
+
     /// Sends a custom message to another iApp on the same shard
     /// (dispatched after the current callback returns).
     pub fn send_custom(&mut self, iapp_name: &str, msg: Box<dyn Any + Send>) {
@@ -363,7 +401,7 @@ impl ServerApi<'_> {
 
     /// Publishes a server event to external observers.
     pub fn publish(&mut self, event: ServerEvent) {
-        let _ = self.core.events_tx.send(event);
+        self.core.published.push(event);
     }
 }
 
@@ -443,33 +481,24 @@ impl ShardObs {
 }
 
 // ---------------------------------------------------------------------------
-// Event loop
+// The machine
 // ---------------------------------------------------------------------------
 
-pub(crate) enum LoopEvent {
-    NewAgent(E2SetupRequest, flexric_transport::Transport),
-    Inbound(AgentId, u64, WireMsg),
-    Closed(AgentId, u64),
-    /// A message encoded by another shard for an agent this shard owns
-    /// (the stream id travels with the frame).
-    Forward(AgentId, WireMsg),
-    Cmd(Cmd),
-}
-
-/// One shard's event loop state.
-pub(crate) struct ShardRuntime {
+/// One shard of a controller.  See the module docs for its events and
+/// actions; [`super::Server::spawn_sharded`] runs one per
+/// [`ServerConfig::resolved_shards`] behind the crate's driver.
+pub struct Shard {
     core: ServerCore,
     iapps: Vec<Box<dyn IApp>>,
     idx: usize,
     router: Arc<ShardRouter>,
-    next_epoch: u64,
-    evt_tx: mpsc::UnboundedSender<LoopEvent>,
+    /// Bound connections.  It is the epoch filter: a frame or a close from
+    /// a peer that is not in here belongs to a connection that was hung up
+    /// on or replaced.
+    peers: HashMap<PeerId, PeerState>,
     /// Disconnected agents kept for a rebind: grace deadline per agent.
     offline: HashMap<AgentId, u64>,
     grace_ms: u64,
-    fault: Option<FaultHandle>,
-    /// Listener accept tasks; owned by shard 0, empty elsewhere.
-    listener_tasks: Vec<JoinHandle<()>>,
     shard_obs: ShardObs,
     /// Last values this shard contributed to the global gauges, so the
     /// process-wide gauge can be maintained as a sum of per-shard deltas.
@@ -477,16 +506,86 @@ pub(crate) struct ShardRuntime {
     gauge_subs: i64,
 }
 
-impl ShardRuntime {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
+impl Machine for Shard {
+    type In = ShardIn;
+    type Out = ShardOut;
+
+    fn handle(&mut self, event: Event<ShardIn>, now_ms: u64, out: &mut Vec<Action<ShardOut>>) {
+        self.core.now_ms = now_ms;
+        match event {
+            Event::Frame(peer, raw) => {
+                let Some(agent) = self.agent_of(peer) else { return };
+                self.core.rx_msgs += 1;
+                self.core.rx_bytes += raw.len() as u64;
+                obs().rx_msgs.inc();
+                obs().rx_bytes.add(raw.len() as u64);
+                self.shard_obs.rx.inc();
+                match self.handle_inbound(agent, &raw) {
+                    Ok(()) => {
+                        if let Some(p) = self.peers.get_mut(&peer) {
+                            p.decode_errors = 0;
+                        }
+                    }
+                    Err(_) => self.on_decode_error(agent, peer, out),
+                }
+            }
+            Event::Closed(peer) => {
+                let Some(agent) = self.agent_of(peer) else { return };
+                self.handle_closed(agent, out);
+            }
+            Event::Tick => {
+                self.tick_procedures(now_ms, out);
+                self.for_all(|iapp, api| iapp.on_tick(api, now_ms));
+            }
+            Event::App(ShardIn::Start) => self.for_all(|iapp, api| iapp.on_start(api)),
+            Event::App(ShardIn::NewAgent { req, peer, desc }) => {
+                self.handle_new_agent(req, peer, desc, out)
+            }
+            Event::App(ShardIn::Forwarded(agent, msg)) => self.deliver_forwarded(agent, msg, out),
+            Event::App(ShardIn::ToIApp(name, msg)) => self.dispatch_custom(name, msg),
+        }
+        self.flush(out);
+    }
+}
+
+/// Capability negotiation of an E2 Setup request against the SM registry:
+/// each advertised function resolves by OID + semver-compatible version
+/// (major must match; the registry serves the highest compatible minor).
+/// Returns the accepted functions and the rejected ids with an explicit
+/// E2AP cause each — unknown OIDs and major-incompatible versions are told
+/// so, not silently dropped.
+fn negotiate(req: &E2SetupRequest) -> (Vec<RanFunctionItem>, Vec<(RanFunctionId, Cause)>) {
+    let registry = flexric_sm::registry::global();
+    let mut accepted = Vec::new();
+    let mut rejected = Vec::new();
+    for f in &req.ran_functions {
+        let offered = flexric_sm::SmVersion::new(f.version.major, f.version.minor);
+        match registry.negotiate(&f.oid, offered) {
+            Ok(_) => accepted.push(f.clone()),
+            Err(e) => {
+                let cause = match e {
+                    flexric_sm::registry::NegotiationError::UnknownOid { .. } => {
+                        Cause::RicService(RicServiceCause::FunctionNotSupported)
+                    }
+                    flexric_sm::registry::NegotiationError::MajorMismatch { .. } => {
+                        Cause::RicService(RicServiceCause::FunctionVersionMismatch)
+                    }
+                };
+                rejected.push((f.id, cause));
+            }
+        }
+    }
+    (accepted, rejected)
+}
+
+impl Shard {
+    /// Shard `idx` of a controller configured by `cfg`, running `iapps`,
+    /// sharing `router` with its sibling shards.
+    pub fn new(
         idx: usize,
         cfg: &ServerConfig,
         iapps: Vec<Box<dyn IApp>>,
         router: Arc<ShardRouter>,
-        events_tx: broadcast::Sender<ServerEvent>,
-        evt_tx: mpsc::UnboundedSender<LoopEvent>,
-        listener_tasks: Vec<JoinHandle<()>>,
     ) -> Self {
         let core = ServerCore {
             codec: cfg.codec,
@@ -499,7 +598,7 @@ impl ShardRuntime {
             outbox: Vec::new(),
             scratch: EncodeScratch::with_capacity(4096),
             custom_queue: Vec::new(),
-            events_tx,
+            published: Vec::new(),
             now_ms: 0,
             rx_msgs: 0,
             tx_msgs: 0,
@@ -509,115 +608,54 @@ impl ShardRuntime {
             timeouts: 0,
             reconnects: 0,
             decode_errors: 0,
+            unrouted: 0,
         };
-        ShardRuntime {
+        Shard {
             core,
             iapps,
             idx,
             router,
-            next_epoch: 0,
-            evt_tx,
+            peers: HashMap::new(),
             offline: HashMap::new(),
             grace_ms: cfg.reconnect_grace_ms,
-            fault: cfg.fault.clone(),
-            listener_tasks,
             shard_obs: ShardObs::new(idx),
             gauge_agents: 0,
             gauge_subs: 0,
         }
     }
 
-    pub(crate) async fn run(
-        mut self,
-        tick_ms: Option<u64>,
-        mut evt_rx: mpsc::UnboundedReceiver<LoopEvent>,
-        mut cmd_rx: mpsc::UnboundedReceiver<Cmd>,
-    ) {
-        self.for_all(|iapp, api| iapp.on_start(api));
-        self.flush();
-        let mut ticker = tick_ms.map(|ms| {
-            let mut iv = tokio::time::interval(std::time::Duration::from_millis(ms.max(1)));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
-            iv
-        });
-        loop {
-            let event = if let Some(iv) = ticker.as_mut() {
-                tokio::select! {
-                    biased;
-                    Some(cmd) = cmd_rx.recv() => LoopEvent::Cmd(cmd),
-                    Some(ev) = evt_rx.recv() => ev,
-                    _ = iv.tick() => LoopEvent::Cmd(Cmd::Tick(crate::mono_ms())),
-                    else => break,
-                }
-            } else {
-                tokio::select! {
-                    biased;
-                    Some(cmd) = cmd_rx.recv() => LoopEvent::Cmd(cmd),
-                    Some(ev) = evt_rx.recv() => ev,
-                    else => break,
-                }
-            };
-            match event {
-                LoopEvent::NewAgent(req, transport) => self.handle_new_agent(req, transport),
-                LoopEvent::Inbound(agent, epoch, msg) => {
-                    if !self.core.conns.get(&agent).is_some_and(|c| c.epoch == epoch) {
-                        continue; // stale reader of a replaced connection
-                    }
-                    self.core.rx_msgs += 1;
-                    self.core.rx_bytes += msg.payload.len() as u64;
-                    obs().rx_msgs.inc();
-                    obs().rx_bytes.add(msg.payload.len() as u64);
-                    self.shard_obs.rx.inc();
-                    match self.handle_inbound(agent, &msg.payload) {
-                        Ok(()) => {
-                            if let Some(c) = self.core.conns.get_mut(&agent) {
-                                c.decode_errors = 0;
-                            }
-                        }
-                        Err(_) => self.on_decode_error(agent),
-                    }
-                }
-                LoopEvent::Closed(agent, epoch) => self.handle_closed(agent, epoch),
-                LoopEvent::Forward(agent, frame) => self.deliver_forwarded(agent, frame),
-                LoopEvent::Cmd(Cmd::Tick(now)) => {
-                    self.core.now_ms = now;
-                    self.tick_procedures(now);
-                    self.for_all(|iapp, api| iapp.on_tick(api, now));
-                }
-                LoopEvent::Cmd(Cmd::ToIApp(name, msg)) => self.dispatch_custom(name, msg),
-                LoopEvent::Cmd(Cmd::Agents(reply)) => {
-                    let _ = reply.send(self.core.randb.agents().cloned().collect());
-                }
-                LoopEvent::Cmd(Cmd::Stats(reply)) => {
-                    let _ = reply.send(ServerStats {
-                        rx_msgs: self.core.rx_msgs,
-                        tx_msgs: self.core.tx_msgs,
-                        agents: self.core.randb.agent_count() as u64,
-                        subs: self.core.subs.len() as u64,
-                        tx_bytes: self.core.tx_bytes,
-                        rx_bytes: self.core.rx_bytes,
-                        retries: self.core.retries,
-                        timeouts: self.core.timeouts,
-                        reconnects: self.core.reconnects,
-                        decode_errors: self.core.decode_errors,
-                    });
-                }
-                LoopEvent::Cmd(Cmd::Stop) => break,
-            }
-            self.flush();
+    /// Snapshot of this shard's agents (those in a grace window included).
+    pub fn agents(&self) -> Vec<AgentInfo> {
+        self.core.randb.agents().cloned().collect()
+    }
+
+    /// Snapshot of this shard's counters.
+    pub fn stats(&self) -> ServerStats {
+        ServerStats {
+            rx_msgs: self.core.rx_msgs,
+            tx_msgs: self.core.tx_msgs,
+            agents: self.core.randb.agent_count() as u64,
+            subs: self.core.subs.len() as u64,
+            tx_bytes: self.core.tx_bytes,
+            rx_bytes: self.core.rx_bytes,
+            retries: self.core.retries,
+            timeouts: self.core.timeouts,
+            reconnects: self.core.reconnects,
+            decode_errors: self.core.decode_errors,
+            unrouted_indications: self.core.unrouted,
         }
-        // Free the listen addresses and reader tasks so a restarted
-        // controller can bind the same endpoints, and retract this shard's
-        // contribution to the summed gauges.
-        for t in &self.listener_tasks {
-            t.abort();
-        }
-        for (_, conn) in self.core.conns.drain() {
-            conn.reader.abort();
-        }
-        obs().agents.add(-self.gauge_agents);
-        obs().subs_live.add(-self.gauge_subs);
-        self.shard_obs.agents.set(0);
+    }
+
+    /// Procedures in flight toward agents, routing-only entries included.
+    pub fn outstanding(&self) -> usize {
+        self.core.endpoint.table.len()
+    }
+
+    /// The agent `peer` is bound to.  This is the one place a stale
+    /// `Frame` or `Closed` — from a connection that was hung up on or
+    /// replaced — is told from a live one: it maps to no agent.
+    fn agent_of(&self, peer: PeerId) -> Option<AgentId> {
+        self.peers.get(&peer).map(|p| p.agent)
     }
 
     /// Runs a callback over all iApps with a fresh API view each.
@@ -664,68 +702,26 @@ impl ShardRuntime {
         self.drain_custom();
     }
 
-    /// Spawns the writer/reader tasks for a new connection and registers
-    /// it under `agent_id`.  Returns the transport peer description.
-    fn spawn_conn(&mut self, agent_id: AgentId, transport: flexric_transport::Transport) -> String {
-        let peer = transport.peer();
-        self.next_epoch += 1;
-        let epoch = self.next_epoch;
-        let (send_half, mut recv_half) = transport.split();
-        let tx = crate::conn::spawn_writer(send_half, self.fault.clone());
-        let evt = self.evt_tx.clone();
-        let reader = tokio::spawn(async move {
-            loop {
-                match recv_half.recv().await {
-                    Ok(Some(msg)) => {
-                        if evt.send(LoopEvent::Inbound(agent_id, epoch, msg)).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None) | Err(_) => {
-                        let _ = evt.send(LoopEvent::Closed(agent_id, epoch));
-                        break;
-                    }
-                }
-            }
-        });
-        self.core.conns.insert(agent_id, ConnState { tx, epoch, reader, decode_errors: 0 });
-        peer
+    /// Unbinds and hangs up on the connection of `agent`, if it has one.
+    fn hang_up(&mut self, agent: AgentId, out: &mut Vec<Action<ShardOut>>) {
+        if let Some(peer) = self.core.conns.remove(&agent) {
+            self.peers.remove(&peer);
+            out.push(Action::Hangup(peer));
+        }
     }
 
-    fn handle_new_agent(&mut self, req: E2SetupRequest, transport: flexric_transport::Transport) {
-        // Capability negotiation against the SM registry before any
-        // identity is allocated: each advertised function resolves by OID
-        // + semver-compatible version (major must match; the registry
-        // serves the highest compatible minor).  Unknown OIDs and
-        // major-incompatible versions carry an explicit E2AP cause back
-        // to the agent instead of being silently dropped.
-        let registry = flexric_sm::registry::global();
-        let mut accepted_fns = Vec::new();
-        let mut accepted = Vec::new();
-        let mut rejected = Vec::new();
-        for f in &req.ran_functions {
-            let offered = flexric_sm::SmVersion::new(f.version.major, f.version.minor);
-            match registry.negotiate(&f.oid, offered) {
-                Ok(_) => {
-                    accepted.push(f.id);
-                    accepted_fns.push(f.clone());
-                }
-                Err(e) => {
-                    let cause = match e {
-                        flexric_sm::registry::NegotiationError::UnknownOid { .. } => {
-                            Cause::RicService(RicServiceCause::FunctionNotSupported)
-                        }
-                        flexric_sm::registry::NegotiationError::MajorMismatch { .. } => {
-                            Cause::RicService(RicServiceCause::FunctionVersionMismatch)
-                        }
-                    };
-                    rejected.push((f.id, cause));
-                }
-            }
-        }
+    fn handle_new_agent(
+        &mut self,
+        req: E2SetupRequest,
+        peer: PeerId,
+        desc: String,
+        out: &mut Vec<Action<ShardOut>>,
+    ) {
+        // Capability negotiation comes before any identity is allocated.
+        let (accepted, rejected) = negotiate(&req);
         if accepted.is_empty() && !req.ran_functions.is_empty() {
-            // Nothing this RIC can serve: fail the setup on the raw
-            // transport and never register the node.
+            // Nothing this RIC can serve: fail the setup on the bare
+            // connection and never register the node.
             let cause = rejected[0].1;
             let pdu = E2apPdu::E2SetupFailure(E2SetupFailure {
                 transaction_id: req.transaction_id,
@@ -733,10 +729,8 @@ impl ShardRuntime {
                 time_to_wait_ms: None,
             });
             let buf = Bytes::from(self.core.codec.encode(&pdu));
-            tokio::spawn(async move {
-                let mut transport = transport;
-                let _ = transport.send(WireMsg::e2ap(buf)).await;
-            });
+            out.push(Action::Send(peer, WireMsg::e2ap(buf)));
+            out.push(Action::Hangup(peer));
             return;
         }
         // An agent presenting a known global E2 node id is rebound to its
@@ -748,10 +742,8 @@ impl ShardRuntime {
                 if self.offline.remove(&id).is_none() {
                     // Reconnect raced ahead of the close of the previous
                     // connection: replace it.
-                    if let Some(old) = self.core.conns.remove(&id) {
-                        old.reader.abort();
-                    }
-                    let lost = self.core.endpoint.table.connection_lost(id);
+                    self.hang_up(id, out);
+                    let lost = in_order(self.core.endpoint.table.connection_lost(id));
                     self.deliver_terminals(lost, false);
                 }
                 (id, true)
@@ -759,33 +751,35 @@ impl ShardRuntime {
             None => (self.router.alloc_agent(), false),
         };
         self.router.bind(agent_id, self.idx);
-        let peer = self.spawn_conn(agent_id, transport);
+        self.core.conns.insert(agent_id, peer);
+        self.peers.insert(peer, PeerState { agent: agent_id, decode_errors: 0 });
 
         // Only negotiated functions enter the RAN database: iApps never
         // see (and cannot subscribe to) a function the RIC rejected.
-        let info = AgentInfo { id: agent_id, node: req.global_node, functions: accepted_fns, peer };
         self.core.outbox.push((
             agent_id.into(),
             E2apPdu::E2SetupResponse(E2SetupResponse {
                 transaction_id: req.transaction_id,
                 global_ric: self.core.ric_id,
-                accepted,
+                accepted: accepted.iter().map(|f| f.id).collect(),
                 rejected,
             }),
         ));
+        let info =
+            AgentInfo { id: agent_id, node: req.global_node, functions: accepted, peer: desc };
         let formed = self.core.randb.add_agent(info.clone());
         if reconnect {
             self.core.reconnects += 1;
             obs().reconnects.inc();
-            let _ = self.core.events_tx.send(ServerEvent::AgentReconnected(info.clone()));
+            self.core.published.push(ServerEvent::AgentReconnected(info.clone()));
             self.for_all(|iapp, api| iapp.on_agent_reconnected(api, &info));
             self.replay_subscriptions(agent_id);
         } else {
-            let _ = self.core.events_tx.send(ServerEvent::AgentConnected(info.clone()));
+            self.core.published.push(ServerEvent::AgentConnected(info.clone()));
             self.for_all(|iapp, api| iapp.on_agent_connected(api, &info));
         }
         if let Some(entity) = formed {
-            let _ = self.core.events_tx.send(ServerEvent::RanFormed(entity.clone()));
+            self.core.published.push(ServerEvent::RanFormed(entity.clone()));
             self.for_all(|iapp, api| iapp.on_ran_formed(api, &entity));
         }
     }
@@ -793,42 +787,34 @@ impl ShardRuntime {
     /// Re-issues every replayable subscription intent toward a rebound
     /// agent under its original request id.
     fn replay_subscriptions(&mut self, agent: AgentId) {
-        let now = self.core.now_ms;
-        let ServerCore { subs, endpoint, outbox, .. } = &mut self.core;
-        for ((a, req_id), sub) in subs.iter_mut() {
-            if *a != agent || !sub.replayable {
-                continue;
-            }
+        let mut replayed: Vec<RicRequestId> = self
+            .core
+            .subs
+            .iter()
+            .filter(|((a, _), sub)| *a == agent && sub.replayable)
+            .map(|((_, req_id), _)| *req_id)
+            .collect();
+        replayed.sort_unstable();
+        for req_id in replayed {
+            let Some(sub) = self.core.subs.get_mut(&(agent, req_id)) else { continue };
             sub.established = false;
+            let iapp = sub.iapp;
             let pdu = E2apPdu::RicSubscriptionRequest(RicSubscriptionRequest {
-                req_id: *req_id,
+                req_id,
                 ran_function: sub.ran_function,
                 event_trigger: sub.event_trigger.clone(),
                 actions: sub.actions.clone(),
             });
-            if endpoint.table.begin(
-                agent,
-                ProcedureKey::Ric(*req_id),
-                ProcedureClass::Subscription,
-                Some(pdu.clone()),
-                sub.iapp,
-                now,
-            ) {
-                outbox.push((Targets::One(agent), pdu));
-            }
+            self.core.issue(agent, req_id, ProcedureClass::Subscription, pdu, iapp);
         }
     }
 
-    fn handle_closed(&mut self, agent: AgentId, epoch: u64) {
-        match self.core.conns.get(&agent) {
-            Some(conn) if conn.epoch == epoch => {}
-            _ => return, // stale notification from a replaced connection
-        }
-        if let Some(conn) = self.core.conns.remove(&agent) {
-            conn.reader.abort();
-        }
+    /// The connection of `agent` is gone (closed, or degraded for sending
+    /// garbage).
+    fn handle_closed(&mut self, agent: AgentId, out: &mut Vec<Action<ShardOut>>) {
+        self.hang_up(agent, out);
         // Every procedure in flight toward the agent terminates now.
-        let lost = self.core.endpoint.table.connection_lost(agent);
+        let lost = in_order(self.core.endpoint.table.connection_lost(agent));
         self.deliver_terminals(lost, false);
         if self.core.randb.agent(agent).is_none() {
             return;
@@ -844,25 +830,23 @@ impl ShardRuntime {
             }
             self.offline.insert(agent, self.core.now_ms.saturating_add(self.grace_ms));
         } else {
-            self.finalize_disconnect(agent);
+            self.finalize_disconnect(agent, out);
         }
     }
 
     /// The agent is gone for good: drop its subscriptions and identity and
     /// tell the world.
-    fn finalize_disconnect(&mut self, agent: AgentId) {
+    fn finalize_disconnect(&mut self, agent: AgentId, out: &mut Vec<Action<ShardOut>>) {
         self.offline.remove(&agent);
         self.core.subs.retain(|(a, _), _| *a != agent);
-        if let Some(conn) = self.core.conns.remove(&agent) {
-            conn.reader.abort();
-        }
+        self.hang_up(agent, out);
         if let Some(info) = self.core.randb.remove_agent(agent) {
             // Release the entity→shard pin once no agent of the entity
             // remains (all agents of an entity live on this shard).
             let key = info.node.ran_entity_key();
             let entity_gone = !self.core.randb.agents().any(|a| a.node.ran_entity_key() == key);
             self.router.unbind(agent, entity_gone.then_some(&key));
-            let _ = self.core.events_tx.send(ServerEvent::AgentDisconnected(agent));
+            self.core.published.push(ServerEvent::AgentDisconnected(agent));
             self.for_all(|iapp, api| iapp.on_agent_disconnected(api, agent));
         } else {
             self.router.unbind(agent, None);
@@ -871,19 +855,16 @@ impl ShardRuntime {
 
     /// Drives the procedure table: retransmits due requests, delivers
     /// terminal timeouts, and expires reconnect grace windows.
-    fn tick_procedures(&mut self, now: u64) {
-        let timed_out = {
-            let ServerCore { endpoint, outbox, retries, .. } = &mut self.core;
-            endpoint.table.poll(now, |agent, pdu| {
-                *retries += 1;
-                outbox.push((Targets::One(agent), pdu.clone()));
-            })
-        };
+    fn tick_procedures(&mut self, now: u64, out: &mut Vec<Action<ShardOut>>) {
+        let (again, timed_out) = poll_in_order(&mut self.core.endpoint.table, now);
+        self.core.retries += again.len() as u64;
+        self.core.outbox.extend(again.into_iter().map(|(agent, pdu)| (Targets::One(agent), pdu)));
         self.deliver_terminals(timed_out, true);
-        let expired: Vec<AgentId> =
+        let mut expired: Vec<AgentId> =
             self.offline.iter().filter(|(_, dl)| now >= **dl).map(|(a, _)| *a).collect();
+        expired.sort_unstable();
         for agent in expired {
-            self.finalize_disconnect(agent);
+            self.finalize_disconnect(agent, out);
         }
     }
 
@@ -928,7 +909,7 @@ impl ShardRuntime {
 
     /// An inbound PDU failed to decode: count it, report it to the peer,
     /// and degrade the connection if the peer keeps sending garbage.
-    fn on_decode_error(&mut self, agent: AgentId) {
+    fn on_decode_error(&mut self, agent: AgentId, peer: PeerId, out: &mut Vec<Action<ShardOut>>) {
         self.core.decode_errors += 1;
         obs().decode_errors.inc();
         self.core.outbox.push((
@@ -939,12 +920,26 @@ impl ShardRuntime {
                 cause: Some(Cause::Protocol(ProtocolCause::TransferSyntaxError)),
             }),
         ));
-        let Some(conn) = self.core.conns.get_mut(&agent) else { return };
+        let Some(conn) = self.peers.get_mut(&peer) else { return };
         conn.decode_errors += 1;
         if conn.decode_errors >= MAX_CONSECUTIVE_DECODE_ERRORS {
-            let epoch = conn.epoch;
-            self.handle_closed(agent, epoch);
+            self.handle_closed(agent, out);
         }
+    }
+
+    /// Completes the procedure a response from `agent` answers, if it is
+    /// still outstanding, and records how it ended.
+    fn complete(
+        &mut self,
+        agent: AgentId,
+        req_id: RicRequestId,
+        acked: bool,
+    ) -> Option<Procedure<AgentId, usize>> {
+        let proc = self.core.endpoint.table.complete(agent, ProcedureKey::Ric(req_id));
+        if proc.is_some() {
+            endpoint::note_completed(acked);
+        }
+        proc
     }
 
     fn handle_inbound(&mut self, agent: AgentId, raw: &Bytes) -> Result<(), CodecError> {
@@ -965,6 +960,8 @@ impl ShardRuntime {
                     let ind = IndicationRef::Raw { raw, hdr };
                     let _t = obs().dispatch_ns.timer();
                     self.for_one(idx, |iapp, api| iapp.on_indication(api, agent, &ind));
+                } else {
+                    self.core.unrouted += 1;
                 }
                 return Ok(());
             }
@@ -979,13 +976,12 @@ impl ShardRuntime {
                     let ind_ref = IndicationRef::Decoded(&ind);
                     let _t = obs().dispatch_ns.timer();
                     self.for_one(idx, |iapp, api| iapp.on_indication(api, agent, &ind_ref));
+                } else {
+                    self.core.unrouted += 1;
                 }
             }
             E2apPdu::RicSubscriptionResponse(resp) => {
-                let proc = self.core.endpoint.table.complete(agent, ProcedureKey::Ric(resp.req_id));
-                if proc.is_some() {
-                    crate::endpoint::note_completed(true);
-                }
+                let proc = self.complete(agent, resp.req_id, true);
                 if let Some(sub) = self.core.subs.get_mut(&(agent, resp.req_id)) {
                     // A retransmitted request may be acknowledged more than
                     // once; only the first response is delivered.  Claimed
@@ -1003,15 +999,7 @@ impl ShardRuntime {
                 }
             }
             E2apPdu::RicSubscriptionFailure(fail) => {
-                if self
-                    .core
-                    .endpoint
-                    .table
-                    .complete(agent, ProcedureKey::Ric(fail.req_id))
-                    .is_some()
-                {
-                    crate::endpoint::note_completed(false);
-                }
+                self.complete(agent, fail.req_id, false);
                 if let Some(sub) = self.core.subs.remove(&(agent, fail.req_id)) {
                     let out = SubOutcome::Failed(fail);
                     self.for_one(sub.iapp, |iapp, api| {
@@ -1020,43 +1008,21 @@ impl ShardRuntime {
                 }
             }
             E2apPdu::RicSubscriptionDeleteResponse(resp) => {
-                if self
-                    .core
-                    .endpoint
-                    .table
-                    .complete(agent, ProcedureKey::Ric(resp.req_id))
-                    .is_some()
-                {
-                    crate::endpoint::note_completed(true);
-                }
+                self.complete(agent, resp.req_id, true);
                 self.core.subs.remove(&(agent, resp.req_id));
             }
             E2apPdu::RicSubscriptionDeleteFailure(fail) => {
-                if self
-                    .core
-                    .endpoint
-                    .table
-                    .complete(agent, ProcedureKey::Ric(fail.req_id))
-                    .is_some()
-                {
-                    crate::endpoint::note_completed(false);
-                }
+                self.complete(agent, fail.req_id, false);
                 self.core.subs.remove(&(agent, fail.req_id));
             }
             E2apPdu::RicControlAcknowledge(ack) => {
-                if let Some(proc) =
-                    self.core.endpoint.table.complete(agent, ProcedureKey::Ric(ack.req_id))
-                {
-                    crate::endpoint::note_completed(true);
+                if let Some(proc) = self.complete(agent, ack.req_id, true) {
                     let out = CtrlOutcome::Ack(ack);
                     self.for_one(proc.user, |iapp, api| iapp.on_control_outcome(api, agent, &out));
                 }
             }
             E2apPdu::RicControlFailure(fail) => {
-                if let Some(proc) =
-                    self.core.endpoint.table.complete(agent, ProcedureKey::Ric(fail.req_id))
-                {
-                    crate::endpoint::note_completed(false);
+                if let Some(proc) = self.complete(agent, fail.req_id, false) {
                     let out = CtrlOutcome::Failed(fail);
                     self.for_one(proc.user, |iapp, api| iapp.on_control_outcome(api, agent, &out));
                 }
@@ -1088,12 +1054,27 @@ impl ShardRuntime {
                     }),
                 ));
             }
+            E2apPdu::E2SetupRequest(req) => {
+                // The agent retransmitted its setup request on the
+                // connection it is already bound through: the response was
+                // lost.  Answer again; identity and subscriptions stand.
+                let (accepted, rejected) = negotiate(&req);
+                self.core.outbox.push((
+                    agent.into(),
+                    E2apPdu::E2SetupResponse(E2SetupResponse {
+                        transaction_id: req.transaction_id,
+                        global_ric: self.core.ric_id,
+                        accepted: accepted.iter().map(|f| f.id).collect(),
+                        rejected,
+                    }),
+                ));
+            }
             E2apPdu::ErrorIndication(_) | E2apPdu::ResetResponse(_) => {}
             E2apPdu::ResetRequest(req) => {
                 // The agent wiped its subscription state: drop intents and
                 // terminate everything in flight toward it.
                 self.core.subs.retain(|(a, _), _| *a != agent);
-                let lost = self.core.endpoint.table.connection_lost(agent);
+                let lost = in_order(self.core.endpoint.table.connection_lost(agent));
                 self.deliver_terminals(lost, false);
                 self.core.outbox.push((
                     agent.into(),
@@ -1106,21 +1087,21 @@ impl ShardRuntime {
     }
 
     /// Sends a message another shard encoded to a locally owned agent.
-    fn deliver_forwarded(&mut self, agent: AgentId, msg: WireMsg) {
-        let Some(conn) = self.core.conns.get(&agent) else { return };
+    fn deliver_forwarded(&mut self, agent: AgentId, msg: WireMsg, out: &mut Vec<Action<ShardOut>>) {
+        let Some(&peer) = self.core.conns.get(&agent) else { return };
         self.core.tx_msgs += 1;
         self.core.tx_bytes += msg.payload.len() as u64;
         let m = obs();
         m.tx_msgs.inc();
         m.tx_bytes.add(msg.payload.len() as u64);
-        let _ = conn.tx.send(msg);
+        out.push(Action::Send(peer, msg));
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, out: &mut Vec<Action<ShardOut>>) {
         // Encode each queued PDU exactly once into the reusable scratch
         // buffer and share the frozen frame across its targets.  Targets
-        // owned by another shard get the same frozen frame through the
-        // router — the handover never re-encodes.
+        // owned by another shard get the same frozen frame through a
+        // Forward action — the handover never re-encodes.
         let m = obs();
         let core = &mut self.core;
         let router = &self.router;
@@ -1128,18 +1109,23 @@ impl ShardRuntime {
         let (conns, tx_msgs, tx_bytes) = (&core.conns, &mut core.tx_msgs, &mut core.tx_bytes);
         scratch::flush_outbox(&mut core.scratch, core.codec, &mut core.outbox, |agent, msg| {
             match conns.get(&agent) {
-                Some(conn) => {
+                Some(&peer) => {
                     *tx_msgs += 1;
                     *tx_bytes += msg.payload.len() as u64;
                     m.tx_msgs.inc();
                     m.tx_bytes.add(msg.payload.len() as u64);
-                    let _ = conn.tx.send(msg);
+                    out.push(Action::Send(peer, msg));
                 }
-                // Not local: cross-shard target (or a dead agent — the
-                // router drops frames for unknown ids, as before).
-                None => router.forward(idx, agent, msg),
+                // Not connected here: a cross-shard target, or a frame for
+                // an offline or unknown agent, which is dropped.
+                None => {
+                    if let Some(shard) = router.owner(agent).filter(|s| *s != idx) {
+                        out.push(Action::App(ShardOut::Forward { shard, agent, msg }));
+                    }
+                }
             }
         });
+        out.extend(core.published.drain(..).map(|e| Action::App(ShardOut::Publish(e))));
         let agents_now = self.core.randb.agent_count() as i64;
         let subs_now = self.core.subs.len() as i64;
         m.agents.add(agents_now - self.gauge_agents);
@@ -1147,5 +1133,14 @@ impl ShardRuntime {
         self.gauge_agents = agents_now;
         self.gauge_subs = subs_now;
         self.shard_obs.agents.set(agents_now);
+    }
+}
+
+impl Drop for Shard {
+    /// Retracts this shard's contribution to the summed gauges.
+    fn drop(&mut self) {
+        obs().agents.add(-self.gauge_agents);
+        obs().subs_live.add(-self.gauge_subs);
+        self.shard_obs.agents.set(0);
     }
 }

@@ -4,11 +4,10 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use flexric::agent::{
     Agent, AgentConfig, AgentCtx, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo,
@@ -95,7 +94,7 @@ impl RanFunction for CounterFn {
         if req.message.as_ref() == b"fail" {
             return Err(Cause::Ric(RicCause::ControlMessageInvalid));
         }
-        self.ctrl_log.lock().push((ctrl, req.message.to_vec()));
+        self.ctrl_log.lock().unwrap().push((ctrl, req.message.to_vec()));
         Ok(Some(Bytes::from(format!("echo:{}", String::from_utf8_lossy(&req.message)))))
     }
     fn on_tick(&mut self, ctx: &mut AgentCtx) {
@@ -145,7 +144,7 @@ impl IApp for TestApp {
     }
 
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
-        self.state.lock().connected.push(agent.node);
+        self.state.lock().unwrap().connected.push(agent.node);
         if agent.function_by_oid("test.counter").is_some() {
             let trigger =
                 Bytes::from(ReportTrigger::every_ms(self.period_ms).encode(self.sm_codec));
@@ -154,26 +153,26 @@ impl IApp for TestApp {
     }
 
     fn on_agent_disconnected(&mut self, _api: &mut ServerApi, _agent: AgentId) {
-        self.state.lock().disconnects += 1;
+        self.state.lock().unwrap().disconnects += 1;
     }
 
     fn on_ran_formed(&mut self, _api: &mut ServerApi, ran: &flexric::server::RanEntity) {
-        self.state.lock().formed.push(ran.key);
+        self.state.lock().unwrap().formed.push(ran.key);
     }
 
     fn on_subscription_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, out: &SubOutcome) {
         match out {
-            SubOutcome::Admitted(_) => self.state.lock().admitted += 1,
+            SubOutcome::Admitted(_) => self.state.lock().unwrap().admitted += 1,
             SubOutcome::Failed(_)
             | SubOutcome::TimedOut { .. }
-            | SubOutcome::ConnectionLost { .. } => self.state.lock().failed += 1,
+            | SubOutcome::ConnectionLost { .. } => self.state.lock().unwrap().failed += 1,
         }
     }
 
     fn on_indication(&mut self, _api: &mut ServerApi, agent: AgentId, ind: &IndicationRef) {
         let (_, msg) = ind.sm_payload().expect("payload");
         let ping = HwPing::decode(self.sm_codec, msg).expect("hw decode");
-        self.state.lock().indications.push((agent, ping.seq));
+        self.state.lock().unwrap().indications.push((agent, ping.seq));
         self.ind_count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -186,12 +185,12 @@ impl IApp for TestApp {
         match out {
             flexric::server::CtrlOutcome::Ack(ack) => {
                 let s = ack.outcome.as_ref().map(|o| String::from_utf8_lossy(o).to_string());
-                self.state.lock().ctrl_acks.push(s.unwrap_or_default());
+                self.state.lock().unwrap().ctrl_acks.push(s.unwrap_or_default());
             }
             flexric::server::CtrlOutcome::Failed(_)
             | flexric::server::CtrlOutcome::TimedOut { .. }
             | flexric::server::CtrlOutcome::ConnectionLost { .. } => {
-                self.state.lock().ctrl_fails += 1
+                self.state.lock().unwrap().ctrl_fails += 1
             }
         }
     }
@@ -243,10 +242,10 @@ async fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr)
     let agent = Agent::spawn(acfg, vec![Box::new(counter)]).await.expect("agent");
 
     // Subscription admitted and indications flowing.
-    wait_until(|| state.lock().admitted == 1, "subscription admitted").await;
+    wait_until(|| state.lock().unwrap().admitted == 1, "subscription admitted").await;
     wait_until(|| ind_count.load(Ordering::Relaxed) >= 20, "20 indications").await;
     {
-        let st = state.lock();
+        let st = state.lock().unwrap();
         assert_eq!(st.connected, vec![node(E2NodeType::Gnb, 1)]);
         assert_eq!(st.formed, vec![(Plmn::TEST, 1)]);
         assert_eq!(st.failed, 0);
@@ -257,13 +256,13 @@ async fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr)
 
     // Control round-trip through the iApp.
     server.to_iapp("test-app", Box::new(AppCmd::SendControl(0, b"hello".to_vec())));
-    wait_until(|| state.lock().ctrl_acks.len() == 1, "control ack").await;
-    assert_eq!(state.lock().ctrl_acks[0], "echo:hello");
-    assert_eq!(ctrl_log.lock().len(), 1);
+    wait_until(|| state.lock().unwrap().ctrl_acks.len() == 1, "control ack").await;
+    assert_eq!(state.lock().unwrap().ctrl_acks[0], "echo:hello");
+    assert_eq!(ctrl_log.lock().unwrap().len(), 1);
 
     // Failing control produces a failure outcome.
     server.to_iapp("test-app", Box::new(AppCmd::SendControl(0, b"fail".to_vec())));
-    wait_until(|| state.lock().ctrl_fails == 1, "control failure").await;
+    wait_until(|| state.lock().unwrap().ctrl_fails == 1, "control failure").await;
 
     // Agent stats are sane.
     let astats = agent.stats().await.unwrap();
@@ -279,7 +278,7 @@ async fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr)
 
     // Teardown: stopping the agent disconnects it at the server.
     agent.stop();
-    wait_until(|| state.lock().disconnects == 1, "disconnect").await;
+    wait_until(|| state.lock().unwrap().disconnects == 1, "disconnect").await;
     server.stop();
 }
 
@@ -319,14 +318,14 @@ async fn cu_du_merge_forms_ran() {
     let mut acfg = AgentConfig::new(node(E2NodeType::GnbCu, 9), addr.clone());
     acfg.tick_ms = None;
     let _cu = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).await.unwrap();
-    wait_until(|| state.lock().connected.len() == 1, "CU connected").await;
-    assert!(state.lock().formed.is_empty(), "CU alone does not form a RAN");
+    wait_until(|| state.lock().unwrap().connected.len() == 1, "CU connected").await;
+    assert!(state.lock().unwrap().formed.is_empty(), "CU alone does not form a RAN");
 
     let mut acfg = AgentConfig::new(node(E2NodeType::GnbDu, 9), addr);
     acfg.tick_ms = None;
     let _du = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).await.unwrap();
-    wait_until(|| state.lock().formed.len() == 1, "RAN formed").await;
-    assert_eq!(state.lock().formed[0], (Plmn::TEST, 9));
+    wait_until(|| state.lock().unwrap().formed.len() == 1, "RAN formed").await;
+    assert_eq!(state.lock().unwrap().formed[0], (Plmn::TEST, 9));
 
     // The broadcast event stream saw the same story.
     let mut saw_formed = false;
@@ -390,7 +389,7 @@ async fn subscription_to_unknown_function_fails() {
             "fail-app"
         }
         fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
-            self.state.lock().connected.push(agent.node);
+            self.state.lock().unwrap().connected.push(agent.node);
             // Function 999 does not exist at the agent.
             api.subscribe_report(agent.id, RanFunctionId::new(999), Bytes::new());
         }
@@ -401,14 +400,14 @@ async fn subscription_to_unknown_function_fails() {
             out: &SubOutcome,
         ) {
             match out {
-                SubOutcome::Admitted(_) => self.state.lock().admitted += 1,
+                SubOutcome::Admitted(_) => self.state.lock().unwrap().admitted += 1,
                 SubOutcome::Failed(f) => {
                     assert_eq!(
                         f.cause,
                         Cause::Ric(RicCause::RanFunctionIdInvalid),
                         "expected invalid function cause"
                     );
-                    self.state.lock().failed += 1;
+                    self.state.lock().unwrap().failed += 1;
                 }
                 SubOutcome::TimedOut { .. } | SubOutcome::ConnectionLost { .. } => {
                     panic!("unexpected endpoint terminal for rejected subscription")
@@ -424,8 +423,8 @@ async fn subscription_to_unknown_function_fails() {
     let mut acfg = AgentConfig::new(node(E2NodeType::Gnb, 4), server.addrs[0].clone());
     acfg.tick_ms = None;
     let agent = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).await.unwrap();
-    wait_until(|| state.lock().failed == 1, "subscription failure").await;
-    assert_eq!(state.lock().admitted, 0);
+    wait_until(|| state.lock().unwrap().failed == 1, "subscription failure").await;
+    assert_eq!(state.lock().unwrap().admitted, 0);
     agent.stop();
     server.stop();
 }

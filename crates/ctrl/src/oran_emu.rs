@@ -102,47 +102,19 @@ impl IApp for E2tApp {
     }
 
     fn on_subscription_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &SubOutcome) {
-        match out {
-            SubOutcome::Admitted(r) => {
-                self.send_north(rmr::SUB_RESP, agent, &E2apPdu::RicSubscriptionResponse(r.clone()))
-            }
-            SubOutcome::Failed(f) => {
-                self.send_north(rmr::SUB_FAIL, agent, &E2apPdu::RicSubscriptionFailure(f.clone()))
-            }
-            SubOutcome::TimedOut { req_id, ran_function, .. }
-            | SubOutcome::ConnectionLost { req_id, ran_function } => self.send_north(
-                rmr::SUB_FAIL,
-                agent,
-                &E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
-                    req_id: *req_id,
-                    ran_function: *ran_function,
-                    cause: Cause::Transport(TransportCause::Unspecified),
-                }),
-            ),
-        }
+        let ppid = match out {
+            SubOutcome::Admitted(_) => rmr::SUB_RESP,
+            _ => rmr::SUB_FAIL,
+        };
+        self.send_north(ppid, agent, &out.to_pdu());
     }
 
     fn on_control_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &CtrlOutcome) {
-        match out {
-            CtrlOutcome::Ack(a) => {
-                self.send_north(rmr::CTRL_ACK, agent, &E2apPdu::RicControlAcknowledge(a.clone()))
-            }
-            CtrlOutcome::Failed(f) => {
-                self.send_north(rmr::CTRL_FAIL, agent, &E2apPdu::RicControlFailure(f.clone()))
-            }
-            CtrlOutcome::TimedOut { req_id, ran_function }
-            | CtrlOutcome::ConnectionLost { req_id, ran_function } => self.send_north(
-                rmr::CTRL_FAIL,
-                agent,
-                &E2apPdu::RicControlFailure(RicControlFailure {
-                    req_id: *req_id,
-                    ran_function: *ran_function,
-                    call_process_id: None,
-                    cause: Cause::Transport(TransportCause::Unspecified),
-                    outcome: None,
-                }),
-            ),
-        }
+        let ppid = match out {
+            CtrlOutcome::Ack(_) => rmr::CTRL_ACK,
+            _ => rmr::CTRL_FAIL,
+        };
+        self.send_north(ppid, agent, &out.to_pdu());
     }
 
     fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn std::any::Any + Send>) {
@@ -159,19 +131,7 @@ impl IApp for E2tApp {
                     payload: payload.into(),
                 });
             }
-            FromXapp::Pdu(agent, pdu) => {
-                match &pdu {
-                    E2apPdu::RicSubscriptionRequest(req) => {
-                        api.claim_request_id(agent, req.req_id);
-                    }
-                    E2apPdu::RicControlRequest(req) => {
-                        api.claim_control_id(agent, req.req_id);
-                        api.claim_request_id(agent, req.req_id);
-                    }
-                    _ => {}
-                }
-                api.send_pdu(agent, pdu);
-            }
+            FromXapp::Pdu(agent, pdu) => api.forward_request(agent, pdu),
         }
     }
 }

@@ -75,57 +75,23 @@ impl IApp for RelayApp {
         }
     }
 
+    // Endpoint-layer terminals (timed out, connection lost) have no wire
+    // PDU of their own; `to_pdu` turns them into failures so the upstream
+    // controller gets an answer either way.
     fn on_subscription_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, out: &SubOutcome) {
-        let pdu = match out {
-            SubOutcome::Admitted(r) => E2apPdu::RicSubscriptionResponse(r.clone()),
-            SubOutcome::Failed(f) => E2apPdu::RicSubscriptionFailure(f.clone()),
-            // Endpoint-layer terminals have no wire PDU; synthesize a
-            // failure so the upstream controller gets an answer either way.
-            SubOutcome::TimedOut { req_id, ran_function, .. }
-            | SubOutcome::ConnectionLost { req_id, ran_function } => {
-                E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
-                    req_id: *req_id,
-                    ran_function: *ran_function,
-                    cause: Cause::Transport(TransportCause::Unspecified),
-                })
-            }
-        };
-        let _ = self.north_tx.send(NorthBound::Pdu(pdu));
+        let _ = self.north_tx.send(NorthBound::Pdu(out.to_pdu()));
     }
 
     fn on_control_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, out: &CtrlOutcome) {
-        let pdu = match out {
-            CtrlOutcome::Ack(a) => E2apPdu::RicControlAcknowledge(a.clone()),
-            CtrlOutcome::Failed(f) => E2apPdu::RicControlFailure(f.clone()),
-            CtrlOutcome::TimedOut { req_id, ran_function }
-            | CtrlOutcome::ConnectionLost { req_id, ran_function } => {
-                E2apPdu::RicControlFailure(RicControlFailure {
-                    req_id: *req_id,
-                    ran_function: *ran_function,
-                    call_process_id: None,
-                    cause: Cause::Transport(TransportCause::Unspecified),
-                    outcome: None,
-                })
-            }
-        };
-        let _ = self.north_tx.send(NorthBound::Pdu(pdu));
+        let _ = self.north_tx.send(NorthBound::Pdu(out.to_pdu()));
     }
 
     fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn std::any::Any + Send>) {
         let Ok(north) = msg.downcast::<NorthMsg>() else { return };
         let NorthMsg::Pdu(pdu) = *north;
-        let Some(target) = self.target else { return };
-        match &pdu {
-            E2apPdu::RicControlRequest(req) => {
-                api.claim_control_id(target, req.req_id);
-                api.claim_request_id(target, req.req_id); // HW pong comes as indication
-            }
-            E2apPdu::RicSubscriptionRequest(req) => {
-                api.claim_request_id(target, req.req_id);
-            }
-            _ => {}
+        if let Some(target) = self.target {
+            api.forward_request(target, pdu);
         }
-        api.send_pdu(target, pdu);
     }
 }
 
@@ -145,12 +111,7 @@ pub async fn spawn_relay(
 
     // Northbound: behave as an E2 node toward the upstream controller.
     let mut transport = connect(&north_addr).await?;
-    let setup = E2apPdu::E2SetupRequest(E2SetupRequest {
-        transaction_id: 0,
-        global_node: node,
-        ran_functions: advertised,
-        component_configs: vec![],
-    });
+    let setup = flexric::agent::setup_request(0, node, advertised);
     transport.send(WireMsg::e2ap(Bytes::from(codec.encode(&setup)))).await?;
     match transport.recv().await? {
         Some(msg) => match codec.decode(&msg.payload) {

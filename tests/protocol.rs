@@ -1,0 +1,994 @@
+//! The protocol suite: the agent and the controller as what they are —
+//! state machines — on an in-test wire with one virtual clock.
+//!
+//! No runtime, no socket, no waiting: [`Wire`] plays the driver.  It
+//! carries `Send` actions between N [`Agent`]s and K-shard controllers as
+//! `Frame` events, turns `Dial` into `Connected` / `DialFailed`, `Hangup`
+//! into the far end's `Closed`, and moves time a millisecond at a time.
+//! A script can drop, delay or hold back (reorder) the next frames in
+//! either direction and cut connections.  Every run is a function of its
+//! script.
+//!
+//! The scenarios: the five of the wait-and-poll suite this file replaces
+//! (lost subscription request, controller restart, reconnect within the
+//! grace window, sharded rebind, cross-shard fan-out), the regressions that
+//! fall out of E2 Setup being a tracked procedure, and a sweep of 1 000
+//! generated fault schedules with four invariants checked after every step.
+
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Arc, Mutex};
+
+use bytes::Bytes;
+use proptest::prelude::*;
+
+use flexric::agent::{
+    Agent, AgentConfig, AgentCtx, AgentIn, AgentOut, CtrlId, PeriodicSubs, RanFunction,
+    SubscriptionInfo,
+};
+use flexric::endpoint::{Backoff, RetryPolicy};
+use flexric::machine::{Action, Event, Machine, PeerId};
+use flexric::server::{
+    AgentId, AgentInfo, IApp, IndicationRef, ServerApi, ServerConfig, ServerEvent, ServerStats,
+    Shard, ShardIn, ShardOut, ShardRouter, SubOutcome,
+};
+use flexric_codec::E2apCodec;
+use flexric_e2ap::*;
+use flexric_sm::{hw::HwPing, ReportTrigger, SmCodec, SmPayload};
+use flexric_transport::{TransportAddr, WireMsg};
+
+const CODEC: E2apCodec = E2apCodec::Flatb;
+
+/// Short deadlines so a terminal timeout is a few hundred virtual ms:
+/// setup 40 + 80 + 100 + 100, subscription 20 + 40 + 80 + 100.
+const RETRY: RetryPolicy = RetryPolicy {
+    setup_deadline_ms: 40,
+    subscription_deadline_ms: 20,
+    delete_deadline_ms: 20,
+    control_deadline_ms: 20,
+    service_deadline_ms: 20,
+    global_deadline_ms: 20,
+    max_deadline_ms: 100,
+    max_attempts: 4,
+};
+const SETUP_TERMINAL_MS: u64 = 320;
+const SUB_TERMINAL_MS: u64 = 240;
+const BACKOFF: Backoff = Backoff { initial_ms: 10, max_ms: 80 };
+const GRACE_MS: u64 = 1_000;
+
+// ---------------------------------------------------------------------------
+// The wire
+// ---------------------------------------------------------------------------
+
+/// One end of a connection: the agent or controller it belongs to, and the
+/// id that side knows the connection by.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum End {
+    A(usize, PeerId),
+    C(usize, PeerId),
+}
+
+/// What the script does to the next frame crossing in one direction.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    Pass,
+    Drop,
+    Delay(u64),
+    /// Held back until the next frame in the same direction has gone.
+    Hold,
+}
+
+/// Directions: agent → controller, controller → agent.
+const UP: usize = 0;
+const DOWN: usize = 1;
+
+struct Ctrl {
+    shards: Vec<Shard>,
+    router: Arc<ShardRouter>,
+    /// A controller that is not listening refuses dials.
+    listening: bool,
+    /// Accepts and reads, never answers.
+    silent: bool,
+    /// The shard each accepted connection's setup request routed it to.
+    shard_of: HashMap<PeerId, usize>,
+}
+
+#[derive(Default)]
+struct Wire {
+    now: u64,
+    agents: Vec<Agent>,
+    ctrls: Vec<Ctrl>,
+    links: HashMap<End, End>,
+    /// In flight: (due, order, to, a frame or the close).
+    flights: Vec<(u64, u64, End, Option<WireMsg>)>,
+    /// Dials asked for: (due, agent, its controller, address).
+    dials: Vec<(u64, usize, CtrlId, TransportAddr)>,
+    faults: [VecDeque<Fault>; 2],
+    held: [Option<(End, WireMsg)>; 2],
+    order: u64,
+    hung: HashSet<End>,
+    /// When each agent last connected / each controller last accepted.
+    connected_at: HashMap<usize, u64>,
+    accepted_at: HashMap<usize, u64>,
+    // What the machines asked for beside frames, for the tests to read.
+    dial_log: Vec<(usize, CtrlId, u64)>,
+    setup_done: Vec<(usize, CtrlId, Result<(), String>)>,
+    published: Vec<ServerEvent>,
+    /// Indications agents sent, and those lost to the script, to a closed
+    /// link or to an end that no longer listens.
+    ind_sent: u64,
+    ind_lost: u64,
+    /// Every send (with its frame) and hangup (without), in order.
+    trace: Vec<(u64, End, Option<WireMsg>)>,
+}
+
+impl Wire {
+    fn agent(&mut self, i: usize, event: Event<AgentIn>) {
+        let mut out = Vec::new();
+        self.agents[i].handle(event, self.now, &mut out);
+        for action in out {
+            match action {
+                Action::Send(p, msg) => self.send(UP, End::A(i, p), msg),
+                Action::Hangup(p) => self.hangup(End::A(i, p)),
+                Action::App(AgentOut::Dial { ctrl, addr, after_ms }) => {
+                    self.dial_log.push((i, ctrl, after_ms));
+                    self.dials.push((self.now + after_ms, i, ctrl, addr));
+                }
+                Action::App(AgentOut::SetupDone { ctrl, result }) => {
+                    self.setup_done.push((i, ctrl, result))
+                }
+            }
+        }
+    }
+
+    fn shard(&mut self, c: usize, k: usize, event: Event<ShardIn>) {
+        let mut out = Vec::new();
+        self.ctrls[c].shards[k].handle(event, self.now, &mut out);
+        for action in out {
+            match action {
+                Action::Send(p, msg) => self.send(DOWN, End::C(c, p), msg),
+                Action::Hangup(p) => self.hangup(End::C(c, p)),
+                Action::App(ShardOut::Forward { shard, agent, msg }) => {
+                    self.shard(c, shard, Event::App(ShardIn::Forwarded(agent, msg)))
+                }
+                Action::App(ShardOut::Publish(event)) => self.published.push(event),
+            }
+        }
+    }
+
+    fn lose(&mut self, msg: &WireMsg) {
+        self.ind_lost += u64::from(msg.stream == WireMsg::STREAM_BULK);
+    }
+
+    fn fly(&mut self, due: u64, to: End, what: Option<WireMsg>) {
+        self.order += 1;
+        self.flights.push((due, self.order, to, what));
+    }
+
+    fn send(&mut self, dir: usize, from: End, msg: WireMsg) {
+        assert!(!self.hung.contains(&from), "Send to {from:?} after its Hangup");
+        self.trace.push((self.now, from, Some(msg.clone())));
+        self.ind_sent += u64::from(dir == UP && msg.stream == WireMsg::STREAM_BULK);
+        let Some(&to) = self.links.get(&from) else { return self.lose(&msg) };
+        match self.faults[dir].pop_front().unwrap_or(Fault::Pass) {
+            Fault::Drop => self.lose(&msg),
+            Fault::Hold if self.held[dir].is_none() => self.held[dir] = Some((to, msg)),
+            fault => {
+                let delay = if let Fault::Delay(ms) = fault { ms } else { 0 };
+                self.fly(self.now + delay, to, Some(msg));
+                if let Some((to, msg)) = self.held[dir].take() {
+                    self.fly(self.now, to, Some(msg));
+                }
+            }
+        }
+    }
+
+    /// `end` hears its connection close, no sooner than `at` and after
+    /// every frame already on its way there.
+    fn close(&mut self, end: End, at: u64) {
+        let last = self.flights.iter().filter(|f| f.2 == end).map(|f| f.0).max();
+        self.fly(at.max(last.unwrap_or(0)), end, None);
+    }
+
+    /// Takes the connection `end` belongs to off the wire; returns its far end.
+    fn unlink(&mut self, end: End) -> Option<End> {
+        let far = self.links.remove(&end)?;
+        self.links.remove(&far);
+        Some(far)
+    }
+
+    fn hangup(&mut self, end: End) {
+        assert!(self.hung.insert(end), "{end:?} hung up on twice");
+        self.trace.push((self.now, end, None));
+        if let Some(far) = self.unlink(end) {
+            self.close(far, self.now);
+        }
+    }
+
+    /// Agent `i`'s end of its (one) live connection.
+    fn end_of(&self, i: usize) -> Option<End> {
+        self.links.keys().copied().find(|e| matches!(e, End::A(a, _) if *a == i))
+    }
+
+    /// The network drops agent `i`'s connection; the controller's side
+    /// hears of it `far_lag_ms` later.
+    fn cut(&mut self, i: usize, far_lag_ms: u64) {
+        if let Some((near, far)) = self.end_of(i).and_then(|near| Some((near, self.unlink(near)?)))
+        {
+            self.close(near, self.now);
+            self.close(far, self.now + far_lag_ms);
+        }
+    }
+
+    fn deliver(&mut self, to: End, what: Option<WireMsg>) {
+        if let (true, Some(msg)) = (self.hung.contains(&to), &what) {
+            self.lose(msg); // handed over all the same: the machine must ignore it
+        }
+        match to {
+            End::A(i, p) => self.agent(i, frame_or_closed(p, what)),
+            End::C(c, _) if self.ctrls[c].silent => {
+                if let Some(msg) = &what {
+                    self.lose(msg);
+                }
+            }
+            End::C(c, p) => match (self.ctrls[c].shard_of.get(&p).copied(), what) {
+                (Some(k), what) => self.shard(c, k, frame_or_closed(p, what)),
+                // The accept path: a connection's first frame routes it.
+                (None, Some(msg)) => {
+                    let Ok(E2apPdu::E2SetupRequest(req)) = CODEC.decode(&msg.payload) else {
+                        return;
+                    };
+                    let k = self.ctrls[c].router.assign(req.global_node.ran_entity_key());
+                    self.ctrls[c].shard_of.insert(p, k);
+                    self.accepted_at.insert(c, self.now);
+                    let desc = format!("wire:{p}");
+                    self.shard(c, k, Event::App(ShardIn::NewAgent { req, peer: p, desc }));
+                }
+                (None, None) => {}
+            },
+        }
+    }
+
+    fn connect(&mut self, i: usize, ctrl: CtrlId, addr: &TransportAddr) {
+        let TransportAddr::Mem(name) = addr else { panic!("the wire dials mem:<index>") };
+        let c: usize = name.parse().expect("controller index");
+        if !self.ctrls.get(c).is_some_and(|c| c.listening) {
+            let error = "connection refused".to_owned();
+            return self.agent(i, Event::App(AgentIn::DialFailed { ctrl, error }));
+        }
+        self.order += 2;
+        let (near, far) = (End::A(i, self.order - 1), End::C(c, self.order));
+        self.links.insert(near, far);
+        self.links.insert(far, near);
+        self.connected_at.insert(i, self.now);
+        self.agent(i, Event::App(AgentIn::Connected { ctrl, peer: self.order - 1 }));
+    }
+
+    /// Delivers what is due, in order, and connects the dials that are due.
+    fn settle(&mut self) {
+        loop {
+            let due = self.flights.iter().enumerate().filter(|(_, f)| f.0 <= self.now);
+            if let Some(at) = due.min_by_key(|(_, f)| (f.0, f.1)).map(|(at, _)| at) {
+                let (_, _, to, what) = self.flights.remove(at);
+                self.deliver(to, what);
+            } else if let Some(at) = self.dials.iter().position(|d| d.0 <= self.now) {
+                let (_, i, ctrl, addr) = self.dials.remove(at);
+                self.connect(i, ctrl, &addr);
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// Moves the clock `ms` forward, a millisecond and a tick at a time.
+    fn advance(&mut self, ms: u64) {
+        for _ in 0..ms {
+            self.now += 1;
+            self.settle();
+            (0..self.agents.len()).for_each(|i| self.agent(i, Event::Tick));
+            for c in 0..self.ctrls.len() {
+                (0..self.ctrls[c].shards.len()).for_each(|k| self.shard(c, k, Event::Tick));
+            }
+            self.settle();
+        }
+    }
+}
+
+fn frame_or_closed<X>(peer: PeerId, what: Option<WireMsg>) -> Event<X> {
+    match what {
+        Some(msg) => Event::Frame(peer, msg.payload),
+        None => Event::Closed(peer),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fixtures: a periodic-report RAN function (id 7) and a recording iApp
+// ---------------------------------------------------------------------------
+
+struct PingFn {
+    subs: PeriodicSubs,
+    seq: u32,
+}
+
+impl PingFn {
+    fn new() -> Self {
+        // Register the test SM so the controller's setup negotiation
+        // accepts it (idempotent across tests in this binary).
+        let _ = flexric_sm::registry::global().register(
+            flexric_sm::SmDescriptor::new(
+                7,
+                "test.ping",
+                flexric_sm::SmVersion::V1,
+                flexric_sm::RanFuncDef::simple("PING", "protocol test ping SM"),
+            )
+            .trigger::<ReportTrigger>()
+            .indication::<HwPing>(),
+        );
+        PingFn { subs: PeriodicSubs::new(), seq: 0 }
+    }
+}
+
+impl RanFunction for PingFn {
+    fn id(&self) -> RanFunctionId {
+        RanFunctionId::new(7)
+    }
+    fn oid(&self) -> String {
+        "test.ping".into()
+    }
+    fn definition(&self) -> Bytes {
+        Bytes::from_static(b"ping-def")
+    }
+    fn on_subscription(
+        &mut self,
+        ctx: &mut AgentCtx,
+        sub: &SubscriptionInfo,
+        _req: &RicSubscriptionRequest,
+    ) -> Result<(), Cause> {
+        self.subs.admit(sub, SmCodec::Flatb, ctx.now_ms)
+    }
+    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
+        self.subs.remove(ctrl, req_id);
+    }
+    fn on_control(
+        &mut self,
+        _ctx: &mut AgentCtx,
+        _ctrl: CtrlId,
+        _req: &RicControlRequest,
+    ) -> Result<Option<Bytes>, Cause> {
+        Ok(None)
+    }
+    fn on_tick(&mut self, ctx: &mut AgentCtx) {
+        let now = ctx.now_ms;
+        let mut due: Vec<SubscriptionInfo> = Vec::new();
+        self.subs.for_due(now, |sub, _| due.push(sub.clone()));
+        for sub in due {
+            self.seq += 1;
+            let ping = HwPing { seq: self.seq, tstamp_ns: now * 1_000_000, payload: Bytes::new() };
+            let msg = Bytes::from(ping.encode(SmCodec::Flatb));
+            ctx.send_indication(&sub, Some(self.seq), Bytes::new(), msg);
+        }
+    }
+}
+
+/// What the recording iApp instances of one controller saw, together.
+#[derive(Default)]
+struct Seen {
+    connected: u64,
+    reconnected: u64,
+    disconnected: u64,
+    admitted: u64,
+    failed: u64,
+    timed_out: u64,
+    lost: u64,
+    inds: u64,
+    last_agent: Option<AgentId>,
+    /// Which shard each agent's callbacks ran on.
+    shard_of: HashMap<AgentId, usize>,
+    /// The request ids admitted per agent — its subscription set.
+    subs: HashMap<AgentId, HashSet<RicRequestId>>,
+}
+
+struct RobApp {
+    auto_subscribe: bool,
+    seen: Arc<Mutex<Seen>>,
+}
+
+enum RobCmd {
+    Subscribe(AgentId),
+    /// One PDU to many agents — exercises the cross-shard fan-out.
+    SendMulti(Vec<AgentId>),
+}
+
+impl RobApp {
+    fn subscribe(&self, api: &mut ServerApi, agent: AgentId) {
+        let trigger = Bytes::from(ReportTrigger::every_ms(1).encode(SmCodec::Flatb));
+        api.subscribe_report(agent, RanFunctionId::new(7), trigger);
+    }
+
+    fn saw_agent(&self, api: &ServerApi, agent: &AgentInfo) {
+        let mut seen = self.seen.lock().unwrap();
+        seen.last_agent = Some(agent.id);
+        seen.shard_of.insert(agent.id, api.shard());
+    }
+}
+
+impl IApp for RobApp {
+    fn name(&self) -> &str {
+        "rob-app"
+    }
+    fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
+        self.seen.lock().unwrap().connected += 1;
+        self.saw_agent(api, agent);
+        if self.auto_subscribe {
+            self.subscribe(api, agent.id);
+        }
+    }
+    fn on_agent_reconnected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
+        self.seen.lock().unwrap().reconnected += 1;
+        self.saw_agent(api, agent);
+    }
+    fn on_agent_disconnected(&mut self, _api: &mut ServerApi, agent: AgentId) {
+        let mut seen = self.seen.lock().unwrap();
+        seen.disconnected += 1;
+        seen.subs.remove(&agent);
+    }
+    fn on_subscription_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &SubOutcome) {
+        let mut seen = self.seen.lock().unwrap();
+        match out {
+            SubOutcome::Admitted(resp) => {
+                seen.admitted += 1;
+                seen.subs.entry(agent).or_default().insert(resp.req_id);
+            }
+            SubOutcome::Failed(_) => seen.failed += 1,
+            SubOutcome::TimedOut { .. } => seen.timed_out += 1,
+            SubOutcome::ConnectionLost { .. } => seen.lost += 1,
+        }
+    }
+    fn on_indication(&mut self, _api: &mut ServerApi, _agent: AgentId, _ind: &IndicationRef) {
+        self.seen.lock().unwrap().inds += 1;
+    }
+    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn std::any::Any + Send>) {
+        match msg.downcast::<RobCmd>().map(|cmd| *cmd) {
+            Ok(RobCmd::Subscribe(agent)) => self.subscribe(api, agent),
+            Ok(RobCmd::SendMulti(agents)) => api.send_pdu_multi(
+                agents,
+                E2apPdu::ErrorIndication(ErrorIndication {
+                    req_id: None,
+                    ran_function: None,
+                    cause: None,
+                }),
+            ),
+            Err(_) => {}
+        }
+    }
+}
+
+fn addr(ctrl: usize) -> TransportAddr {
+    TransportAddr::Mem(ctrl.to_string())
+}
+
+impl Wire {
+    /// Starts (or restarts, at `at`) a controller of `shards` shards with
+    /// one [`RobApp`] per shard reporting into the returned [`Seen`].
+    fn start_ctrl(&mut self, at: usize, shards: usize, auto_subscribe: bool) -> Arc<Mutex<Seen>> {
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr(at));
+        (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, GRACE_MS);
+        let router = Arc::new(ShardRouter::new(shards));
+        let shards: Vec<Shard> = (0..shards)
+            .map(|k| {
+                let app = RobApp { auto_subscribe, seen: seen.clone() };
+                Shard::new(k, &cfg, vec![Box::new(app)], router.clone())
+            })
+            .collect();
+        let ctrl =
+            Ctrl { shards, router, listening: true, silent: false, shard_of: HashMap::new() };
+        if at == self.ctrls.len() {
+            self.ctrls.push(ctrl);
+        } else {
+            self.ctrls[at] = ctrl;
+        }
+        (0..self.ctrls[at].shards.len())
+            .for_each(|k| self.shard(at, k, Event::App(ShardIn::Start)));
+        seen
+    }
+
+    /// Stops controller `c`: it refuses dials and its connections close.
+    fn stop_ctrl(&mut self, c: usize) {
+        self.ctrls[c].listening = false;
+        let ends: Vec<End> =
+            self.links.keys().copied().filter(|e| matches!(e, End::C(x, _) if *x == c)).collect();
+        for end in ends {
+            if let Some(far) = self.unlink(end) {
+                self.close(far, self.now);
+            }
+        }
+    }
+
+    /// Adds an agent for E2 node `node_id` and has it add `ctrls`.
+    fn start_agent(&mut self, node_id: u64, reconnect: Option<Backoff>, ctrls: &[usize]) -> usize {
+        let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, node_id);
+        let mut cfg = AgentConfig::new(node, addr(ctrls[0]));
+        (cfg.codec, cfg.retry, cfg.reconnect) = (CODEC, RETRY, reconnect);
+        self.agents.push(Agent::new(cfg, vec![Box::new(PingFn::new())]));
+        let i = self.agents.len() - 1;
+        for &c in ctrls {
+            self.agent(i, Event::App(AgentIn::AddController(addr(c))));
+        }
+        self.settle();
+        i
+    }
+
+    fn to_iapp(&mut self, c: usize, cmd: RobCmd) {
+        self.shard(c, 0, Event::App(ShardIn::ToIApp("rob-app".into(), Box::new(cmd))));
+        self.settle();
+    }
+
+    fn ctrl_stats(&self, c: usize) -> ServerStats {
+        let mut sum = ServerStats::default();
+        self.ctrls[c].shards.iter().for_each(|s| sum += s.stats());
+        sum
+    }
+
+    /// Both ends of agent `i`'s connection.
+    fn ends_of(&self, i: usize) -> (End, End) {
+        let near = self.end_of(i).expect("agent is connected");
+        (near, self.links[&near])
+    }
+}
+
+fn seen<R>(seen: &Arc<Mutex<Seen>>, f: impl FnOnce(&Seen) -> R) -> R {
+    f(&seen.lock().unwrap())
+}
+
+// ---------------------------------------------------------------------------
+// 1. A lost RIC Subscription Request is retransmitted until admitted.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn lost_subscription_request_is_retransmitted() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 1, false);
+    w.start_agent(1, Some(BACKOFF), &[0]);
+    assert_eq!(seen(&app, |s| s.connected), 1);
+    let agent_id = seen(&app, |s| s.last_agent).unwrap();
+
+    // Swallow the controller's next frame — the subscription request.
+    w.faults[DOWN].push_back(Fault::Drop);
+    w.to_iapp(0, RobCmd::Subscribe(agent_id));
+    w.advance(RETRY.subscription_deadline_ms - 1);
+    assert_eq!(seen(&app, |s| s.admitted), 0, "nothing before the deadline");
+
+    // The endpoint layer retransmits at the deadline and the retry goes through.
+    w.advance(5);
+    assert_eq!(seen(&app, |s| s.admitted), 1, "admitted after one retransmission");
+    assert_eq!(w.ctrl_stats(0).retries, 1);
+    assert!(seen(&app, |s| s.inds) >= 3, "indications flowing");
+    assert_eq!(seen(&app, |s| (s.timed_out, s.failed)), (0, 0));
+}
+
+// ---------------------------------------------------------------------------
+// 2. Controller restart: the agent redials, sets up again, and the
+//    restarted controller's iApps resubscribe — indications resume.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn controller_restart_agent_sets_up_again_and_is_resubscribed() {
+    let mut w = Wire::default();
+    let app_a = w.start_ctrl(0, 1, true);
+    let a = w.start_agent(2, Some(BACKOFF), &[0]);
+    w.advance(10);
+    assert_eq!(seen(&app_a, |s| s.admitted), 1);
+    assert!(seen(&app_a, |s| s.inds) >= 5);
+
+    // The controller dies; the agent's dials are refused for a while.
+    w.stop_ctrl(0);
+    w.advance(100);
+    assert_eq!(w.agents[a].stats().controllers, 0);
+    let redials: Vec<u64> = w.dial_log.iter().skip(1).map(|d| d.2).collect();
+    assert_eq!(redials, [10, 20, 40, 80], "capped exponential backoff between refused dials");
+
+    // A new controller comes up on the same address.
+    let app_b = w.start_ctrl(0, 1, true);
+    w.advance(100);
+    assert_eq!(
+        seen(&app_b, |s| (s.connected, s.admitted)),
+        (1, 1),
+        "a new agent to B, resubscribed"
+    );
+    assert!(seen(&app_b, |s| s.inds) >= 5, "indications after the restart");
+    let stats = w.agents[a].stats();
+    assert_eq!((stats.reconnects, stats.controllers, stats.active_subs), (1, 1, 1));
+    assert!(
+        w.setup_done.iter().all(|d| d.2.is_ok()),
+        "only the first setup is reported: {:?}",
+        w.setup_done
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 3. An agent that drops and returns within the grace window keeps its
+//    AgentId, and the server replays every subscription intent.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn reconnect_within_grace_replays_every_subscription() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 1, true);
+    let first = w.start_agent(42, None, &[0]);
+    let first_id = seen(&app, |s| s.last_agent).unwrap();
+    w.to_iapp(0, RobCmd::Subscribe(first_id)); // a second subscription
+    w.advance(5);
+    assert_eq!(seen(&app, |s| s.admitted), 2);
+    let before = seen(&app, |s| s.subs[&first_id].clone());
+    assert_eq!(before.len(), 2);
+
+    // The agent process dies (no redial) and the same E2 node comes back.
+    w.cut(first, 0);
+    w.advance(50);
+    assert_eq!(w.ctrl_stats(0).agents, 1, "kept through the grace window");
+    let second = w.start_agent(42, Some(BACKOFF), &[0]);
+    assert_eq!(
+        seen(&app, |s| (s.connected, s.reconnected)),
+        (1, 1),
+        "a reconnect, not a new agent"
+    );
+    assert_eq!(seen(&app, |s| s.last_agent), Some(first_id), "agent kept its id");
+
+    // Every subscription is re-admitted under its old request id.
+    w.advance(5);
+    assert_eq!(seen(&app, |s| s.admitted), 4);
+    assert_eq!(seen(&app, |s| s.subs[&first_id].clone()), before, "subscription set unchanged");
+    assert_eq!(w.agents[second].stats().active_subs, 2);
+    let inds = seen(&app, |s| s.inds);
+    w.advance(5);
+    assert!(seen(&app, |s| s.inds) >= inds + 8, "both subscriptions report again");
+    let stats = w.ctrl_stats(0);
+    assert_eq!((stats.reconnects, stats.agents, stats.subs), (1, 1, 2));
+    let reconnected =
+        |e: &ServerEvent| matches!(e, ServerEvent::AgentReconnected(i) if i.id == first_id);
+    assert!(w.published.iter().any(reconnected), "AgentReconnected published");
+}
+
+// ---------------------------------------------------------------------------
+// 4. Sharded: the returning agent rebinds on its original shard.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn sharded_reconnect_within_grace_rebinds_to_original_shard() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 4, true);
+    // Fill several shards so the rebind target is not trivially shard 0.
+    for node in [50, 51, 52] {
+        w.start_agent(node, Some(BACKOFF), &[0]);
+    }
+    let first = w.start_agent(42, None, &[0]);
+    let (first_id, first_shard) = seen(&app, |s| {
+        let id = s.last_agent.unwrap();
+        (id, s.shard_of[&id])
+    });
+    assert_ne!(first_shard, 0, "three entities before it: least-loaded is not shard 0");
+    w.advance(5);
+    assert_eq!(seen(&app, |s| (s.connected, s.admitted)), (4, 4));
+
+    w.cut(first, 0);
+    w.advance(50);
+    w.start_agent(42, Some(BACKOFF), &[0]);
+    w.advance(5);
+    seen(&app, |s| {
+        assert_eq!(s.reconnected, 1);
+        assert_eq!(s.last_agent, Some(first_id), "agent kept its id across shards");
+        assert_eq!(s.shard_of[&first_id], first_shard, "entity-key affinity: same shard");
+        assert_eq!(s.connected, 4, "no spurious on_agent_connected");
+        assert_eq!(s.admitted, 5, "the replayed subscription is admitted there");
+    });
+    let stats = w.ctrl_stats(0);
+    assert_eq!((stats.reconnects, stats.agents, stats.subs), (1, 4, 4), "summed over shards");
+}
+
+// ---------------------------------------------------------------------------
+// 5. Sharded: send_pdu_multi reaches agents on different shards exactly
+//    once each — the cross-shard handover neither drops nor duplicates.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn sharded_send_pdu_multi_reaches_every_shard_exactly_once() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 4, false);
+    let agents: Vec<usize> = [60, 61, 62, 63].map(|n| w.start_agent(n, None, &[0])).to_vec();
+    w.advance(5);
+    let shards_used: HashSet<usize> = seen(&app, |s| s.shard_of.values().copied().collect());
+    assert_eq!(shards_used.len(), 4, "4 entities over 4 shards: {shards_used:?}");
+    let before: Vec<u64> = agents.iter().map(|&a| w.agents[a].stats().rx_msgs).collect();
+
+    // One PDU to all agents, issued on shard 0; the other three targets
+    // leave it as Forward actions.
+    let ids: Vec<AgentId> = seen(&app, |s| s.shard_of.keys().copied().collect());
+    w.to_iapp(0, RobCmd::SendMulti(ids));
+    w.advance(20);
+    for (i, &a) in agents.iter().enumerate() {
+        assert_eq!(w.agents[a].stats().rx_msgs, before[i] + 1, "agent {i}: exactly once");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// E2 Setup is a tracked procedure: deadline, retransmission, terminal
+// outcome — and nothing waits for it but itself.  (EXPERIMENTS.md, "PR 15",
+// shows from the code before it that each of these failed there.)
+// ---------------------------------------------------------------------------
+
+/// A controller that accepts the connection and never answers: the first
+/// setup times out after its retransmissions, and that is the reply to
+/// whoever added the controller.
+#[test]
+fn silent_controller_fails_the_first_setup_with_a_timeout() {
+    let mut w = Wire::default();
+    w.start_ctrl(0, 1, false);
+    w.ctrls[0].silent = true;
+    let a = w.start_agent(1, Some(BACKOFF), &[0]);
+    let (near, _) = w.ends_of(a);
+
+    w.advance(SETUP_TERMINAL_MS - 1);
+    assert!(w.setup_done.is_empty(), "still retransmitting");
+    assert_eq!(w.agents[a].outstanding(), 1, "setup is in the procedure table");
+    w.advance(2);
+    let [(agent, ctrl, Err(why))] = &w.setup_done[..] else { panic!("{:?}", w.setup_done) };
+    assert_eq!((*agent, *ctrl), (a, 0));
+    assert!(why.contains("timed out"), "add_controller's reply carries the error: {why}");
+    let stats = w.agents[a].stats();
+    assert_eq!((stats.retries, stats.timeouts, stats.controllers), (3, 1, 0));
+    assert_eq!(w.agents[a].outstanding(), 0);
+    assert!(w.hung.contains(&near), "the mute connection is hung up on");
+    // A controller that was never up is not redialled.
+    w.advance(500);
+    assert_eq!(w.dial_log, [(a, 0, 0)]);
+}
+
+/// The same controller met on a *re*dial: every timed-out setup hangs up
+/// and dials again, further apart.
+#[test]
+fn silent_controller_after_a_loss_is_redialled_under_backoff() {
+    let mut w = Wire::default();
+    w.start_ctrl(0, 1, false);
+    let a = w.start_agent(1, Some(BACKOFF), &[0]);
+    assert_eq!(w.setup_done, [(a, 0, Ok(()))]);
+
+    w.ctrls[0].silent = true;
+    w.cut(a, 0);
+    w.advance(10 + SETUP_TERMINAL_MS + 20 + SETUP_TERMINAL_MS + 40 + SETUP_TERMINAL_MS + 5);
+    let delays: Vec<u64> = w.dial_log.iter().map(|d| d.2).collect();
+    assert_eq!(delays, [0, 10, 20, 40, 80], "each timed-out setup redials, further apart");
+    let stats = w.agents[a].stats();
+    assert_eq!((stats.timeouts, stats.reconnects, stats.controllers), (3, 0, 0));
+    assert_eq!(w.setup_done.len(), 1, "a controller that had been up is not reported again");
+
+    // When the controller answers again the link comes back by itself.
+    w.ctrls[0].silent = false;
+    w.advance(80 + 5);
+    let stats = w.agents[a].stats();
+    assert_eq!((stats.reconnects, stats.controllers), (1, 1));
+}
+
+/// While controller 1's setup is outstanding, ticks and indications toward
+/// controller 0 keep flowing.
+#[test]
+fn setup_toward_a_second_controller_does_not_stall_the_first() {
+    let mut w = Wire::default();
+    let app0 = w.start_ctrl(0, 1, true);
+    w.start_ctrl(1, 1, false);
+    w.ctrls[1].silent = true;
+    let a = w.start_agent(1, Some(BACKOFF), &[0]);
+    w.advance(10);
+
+    w.agent(a, Event::App(AgentIn::AddController(addr(1))));
+    w.settle();
+    let inds = seen(&app0, |s| s.inds);
+    w.advance(100);
+    assert_eq!(w.agents[a].outstanding(), 1, "controller 1's setup is still outstanding");
+    assert_eq!(seen(&app0, |s| s.inds), inds + 100, "one report per tick toward controller 0");
+    assert_eq!(w.agents[a].stats().controllers, 1);
+
+    w.advance(SETUP_TERMINAL_MS);
+    assert!(matches!(&w.setup_done[..], [(_, 0, Ok(())), (_, 1, Err(_))]), "{:?}", w.setup_done);
+    assert_eq!(w.agents[a].stats().controllers, 1, "controller 0 untouched");
+}
+
+/// A lost E2 Setup Response: the agent retransmits the request and the
+/// controller answers again without taking the agent for a new one.
+#[test]
+fn lost_setup_response_is_answered_again() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 1, true);
+    w.faults[DOWN].push_back(Fault::Drop);
+    let a = w.start_agent(1, Some(BACKOFF), &[0]);
+    w.advance(RETRY.setup_deadline_ms - 1);
+    assert!(w.setup_done.is_empty());
+    w.advance(2);
+    assert_eq!(w.setup_done, [(a, 0, Ok(()))]);
+    assert_eq!(w.agents[a].stats().retries, 1);
+    assert_eq!(seen(&app, |s| (s.connected, s.reconnected)), (1, 0));
+    let stats = w.ctrl_stats(0);
+    assert_eq!((stats.agents, stats.reconnects), (1, 0));
+    w.advance(SUB_TERMINAL_MS);
+    assert_eq!(w.agents[a].stats().active_subs, 1, "the subscription survived the lost response");
+}
+
+/// A `Frame` or `Closed` from a connection that has been replaced is
+/// ignored — by `Agent::ctrl_of` and `Shard::agent_of`, the one place in
+/// each machine that maps a peer to what it is bound to.
+#[test]
+fn stale_frames_and_closes_from_a_replaced_connection_are_ignored() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 1, true);
+    let a = w.start_agent(1, Some(BACKOFF), &[0]);
+    w.advance(5);
+    let (End::A(_, old_near), End::C(_, old_far)) = w.ends_of(a) else { unreachable!() };
+    w.cut(a, 0);
+    w.advance(20);
+    assert_eq!(w.agents[a].stats().reconnects, 1, "on a new connection now");
+
+    let sub = CODEC.encode(&E2apPdu::RicSubscriptionDeleteRequest(RicSubscriptionDeleteRequest {
+        req_id: seen(&app, |s| s.subs.values().next().unwrap().iter().next().copied().unwrap()),
+        ran_function: RanFunctionId::new(7),
+    }));
+    let (agent_before, ctrl_before) = (w.agents[a].stats(), w.ctrl_stats(0));
+    let (flights, hung) = (w.flights.len(), w.hung.len());
+    w.agent(a, Event::Frame(old_near, Bytes::from(sub.clone())));
+    w.agent(a, Event::Closed(old_near));
+    w.shard(0, 0, Event::Frame(old_far, Bytes::from(sub)));
+    w.shard(0, 0, Event::Closed(old_far));
+    assert_eq!(w.agents[a].stats(), agent_before, "not received, not dispatched, link untouched");
+    assert_eq!(w.ctrl_stats(0), ctrl_before);
+    assert_eq!((w.flights.len(), w.hung.len()), (flights, hung), "and nothing was asked for");
+
+    // In particular the stale close started no grace window.
+    w.advance(GRACE_MS + 10);
+    assert_eq!(seen(&app, |s| s.disconnected), 0);
+    assert_eq!(w.agents[a].stats().active_subs, 1);
+}
+
+/// Equal scripts give equal runs, action for action — although every hash
+/// map inside the machines iterates in a different order each time.
+#[test]
+fn equal_scripts_give_equal_action_sequences() {
+    let run = || {
+        let mut w = Wire::default();
+        w.start_ctrl(0, 2, true);
+        for node in 0..4 {
+            w.start_agent(200 + node, Some(BACKOFF), &[0]);
+        }
+        // Three subscriptions per agent, so that replays, retransmissions
+        // and connection-lost terminals come several at a time.
+        for agent in 0..4 {
+            w.to_iapp(0, RobCmd::Subscribe(agent));
+            w.to_iapp(0, RobCmd::Subscribe(agent));
+        }
+        w.advance(5);
+        w.faults[DOWN].extend([Fault::Pass, Fault::Drop, Fault::Drop, Fault::Hold]);
+        for agent in 0..4 {
+            w.cut(agent, 15 * agent as u64);
+        }
+        w.advance(150);
+        assert_eq!(w.ctrl_stats(0).subs, 12);
+        (w.trace, w.dial_log)
+    };
+    let (first, second) = (run(), run());
+    assert!(first.0.len() > 1_000);
+    assert!(first == second, "the same script must replay to the same actions");
+}
+
+// ---------------------------------------------------------------------------
+// The sweep: generated fault schedules, invariants after every step.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum Op {
+    Advance(u64),
+    /// Applies to the next frame in direction `.0` (at most three per
+    /// schedule take effect: a fourth could exhaust a retry budget, and a
+    /// terminal timeout legitimately shrinks the subscription set).
+    Fault(usize, Fault),
+    /// The network drops agent `.0`'s connection; the controller hears of
+    /// it `.1` ms later — possibly after the agent is back.
+    Cut(usize, u64),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (1u64..12).prop_map(Op::Advance),
+        (1u64..12).prop_map(Op::Advance),
+        (0usize..2, 0usize..3, 1u64..30).prop_map(|(dir, kind, ms)| {
+            Op::Fault(dir, [Fault::Drop, Fault::Delay(ms), Fault::Hold][kind])
+        }),
+        (0usize..SWEEP_AGENTS, 0u64..25).prop_map(|(agent, lag)| Op::Cut(agent, lag)),
+    ]
+}
+
+const SWEEP_AGENTS: usize = 3;
+
+impl Wire {
+    fn check_invariants(&self, app: &Arc<Mutex<Seen>>) {
+        // 1. Indications sent = received + explicitly dropped (+ in flight).
+        let bulk = |m: &WireMsg| u64::from(m.stream == WireMsg::STREAM_BULK);
+        let in_flight: u64 =
+            self.flights.iter().filter_map(|f| f.3.as_ref()).map(bulk).sum::<u64>()
+                + self.held.iter().flatten().map(|h| bulk(&h.1)).sum::<u64>();
+        let stats = self.ctrl_stats(0);
+        let accounted =
+            seen(app, |s| s.inds) + stats.unrouted_indications + self.ind_lost + in_flight;
+        assert_eq!(self.ind_sent, accounted, "indication ledger at t={}", self.now);
+        // 2. No procedure outstanding past its terminal deadline: setups
+        //    begin when an agent connects, subscriptions (first or
+        //    replayed) when the controller accepts one.
+        for (i, agent) in self.agents.iter().enumerate() {
+            let age = self.now - self.connected_at[&i];
+            assert!(
+                agent.outstanding() == 0 || age <= SETUP_TERMINAL_MS + 1,
+                "agent {i}: {age} ms"
+            );
+        }
+        let outstanding: usize = self.ctrls[0].shards.iter().map(Shard::outstanding).sum();
+        let age = self.now - self.accepted_at[&0];
+        assert!(outstanding == 0 || age <= SUB_TERMINAL_MS + 1, "controller: {age} ms");
+        // 4. (No Send after Hangup, one Hangup per peer: asserted in `send`
+        //    and `hangup` as they happen.)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn fault_schedules_keep_the_invariants(ops in prop::collection::vec(op(), 8..32)) {
+        let mut w = Wire::default();
+        let app = w.start_ctrl(0, 2, true);
+        for node in 0..SWEEP_AGENTS {
+            w.start_agent(100 + node as u64, Some(BACKOFF), &[0]);
+        }
+        w.advance(3);
+        let before = seen(&app, |s| s.subs.clone());
+        prop_assert_eq!(before.len(), SWEEP_AGENTS);
+
+        let mut faults = 0;
+        for op in ops {
+            match op {
+                Op::Advance(ms) => w.advance(ms),
+                Op::Fault(dir, fault) if faults < 3 => {
+                    faults += 1;
+                    w.faults[dir].push_back(fault);
+                }
+                Op::Fault(..) => {}
+                Op::Cut(agent, lag) => {
+                    w.cut(agent, lag);
+                    w.settle();
+                }
+            }
+            w.check_invariants(&app);
+        }
+
+        // Quiet wire: release what the script still holds and wait out the
+        // longest anything can still be waiting for — a redial, then one
+        // retransmission.
+        for dir in [UP, DOWN] {
+            w.faults[dir].clear();
+            if let Some((to, msg)) = w.held[dir].take() {
+                w.fly(w.now, to, Some(msg));
+            }
+        }
+        w.advance(BACKOFF.max_ms + RETRY.max_deadline_ms + 20);
+        w.check_invariants(&app);
+        // 3. The subscription set after the reconnects is the set before:
+        //    same agents, same request ids, live on both sides.
+        let (after, bad) = seen(&app, |s| (s.subs.clone(), (s.timed_out, s.failed, s.disconnected)));
+        prop_assert_eq!(after, before);
+        prop_assert_eq!(bad, (0, 0, 0));
+        let stats = w.ctrl_stats(0);
+        prop_assert_eq!((stats.agents, stats.subs), (SWEEP_AGENTS as u64, SWEEP_AGENTS as u64));
+        for agent in &w.agents {
+            let stats = agent.stats();
+            prop_assert_eq!((stats.controllers, stats.active_subs), (1, 1));
+            prop_assert_eq!(agent.outstanding(), 0);
+        }
+        let outstanding: usize = w.ctrls[0].shards.iter().map(Shard::outstanding).sum();
+        prop_assert_eq!(outstanding, 0);
+    }
+}

@@ -3,7 +3,8 @@
 //! RUN under bare `rustc --test` in the offline container.
 //!
 //! Generation is random-sampling only (a fixed-seed xorshift and 256
-//! cases per property) — no shrinking, no persistence.  A failing
+//! cases per property unless `#![proptest_config(ProptestConfig::with_cases(n))]`
+//! says otherwise) — no shrinking, no persistence.  A failing
 //! property panics with the regular assert message, which is enough for
 //! pass/fail verification; reproduce under the real proptest on a
 //! networked host for minimal counterexamples.
@@ -327,14 +328,27 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr, $($fmt:tt)+) => { assert_eq!($a, $b, $($fmt)+) };
 }
 
+/// The `cases` knob of proptest's config, which is all the workspace sets.
+pub struct ProptestConfig {
+    pub cases: u32,
+}
+impl ProptestConfig {
+    pub fn with_cases(cases: u32) -> Self {
+        ProptestConfig { cases }
+    }
+}
+
 #[macro_export]
 macro_rules! proptest {
-    ($($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
+    (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
+        $crate::proptest!(@cases ($cfg.cases) $($rest)*);
+    };
+    (@cases ($cases:expr) $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
             fn $name() {
                 let mut __rng = $crate::TestRng::new(0x5EED_0000 ^ stringify!($name).len() as u64);
-                for __case in 0..256u32 {
+                for __case in 0..$cases {
                     let _ = __case;
                     $(let $pat = $crate::Strategy::generate(&$strat, &mut __rng);)+
                     $body
@@ -342,11 +356,15 @@ macro_rules! proptest {
             }
         )*
     };
+    ($($rest:tt)*) => {
+        $crate::proptest!(@cases (256u32) $($rest)*);
+    };
 }
 
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_oneof, proptest, Arbitrary, Just, Strategy,
+        any, prop_assert, prop_assert_eq, prop_oneof, proptest, Arbitrary, Just, ProptestConfig,
+        Strategy,
     };
     pub mod prop {
         pub use crate::{collection, option, sample};

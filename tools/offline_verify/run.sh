@@ -2,18 +2,19 @@
 # Offline verification with bare rustc, for containers without a crates
 # registry (cargo cannot resolve even cached deps there).  Compiles the
 # dependency-light REAL crates — obs, e2ap, codec, sm, ransim, the
-# tokio-free modules of transport (frame + rx) and core (endpoint +
-# scratch) and ctrl's sla_solver — against the refcount-faithful bytes
-# shim and the mini proptest shim, runs their unit AND property tests,
-# then runs the A/B measurements.
+# tokio-free modules of transport (frame + rx), all of core but its driver
+# (the agent and shard state machines, endpoint, scratch, report) and
+# ctrl's sla_solver — against the refcount-faithful bytes shim and the mini
+# proptest shim, runs their unit AND property tests and the protocol suite
+# (tests/protocol.rs), then runs the A/B measurements.
 #
-# This is a *partial* stand-in for `cargo test`: crates needing tokio
-# (transport sockets, core's agent and server, ctrl, xapp, bench) still
-# require a networked host.  What it does cover is real: the exact sources
-# of the frame codec, reassembler, borrowed decode, service models, delta
-# streams, procedure table, simulator and obs registry, with
-# refcount/pointer semantics faithful enough that the zero-copy assertions
-# are meaningful.
+# This is a *partial* stand-in for `cargo test`: what needs tokio
+# (transport sockets, core's driver, ctrl, xapp, bench) still requires a
+# networked host.  What it does cover is real: the exact sources of the
+# frame codec, reassembler, borrowed decode, service models, delta
+# streams, procedure table, the agent's and the controller's protocol
+# logic, simulator and obs registry, with refcount/pointer semantics
+# faithful enough that the zero-copy assertions are meaningful.
 #
 # Usage: tools/offline_verify/run.sh  (from anywhere; writes to $WORK or
 # a fresh tempdir, prints a PASS/FAIL summary and the A/B JSON).
@@ -43,9 +44,20 @@ $RUSTC --crate-type rlib --crate-name flexric_codec \
     --extern flexric_e2ap="$WORK/libflexric_e2ap.rlib" \
     --extern flexric_obs="$WORK/libflexric_obs.rlib" \
     "$ROOT/crates/codec/src/lib.rs" -o "$WORK/libflexric_codec.rlib"
+# transport_core.rs.in is a template: WireMsg and TransportAddr are cut
+# out of the real crate root (attributes and docs included), as
+# benchmark/build.sh does, instead of being kept as copies.
+awk '/^\/\/\/|^#\[/ {buf = buf $0 "\n"; next}
+     /^pub struct WireMsg|^impl WireMsg|^pub enum TransportAddr|^impl TransportAddr|^impl fmt::Display for TransportAddr/ {on = 1; printf "%s", buf}
+     {if (on) print; if (on && /^}/) on = 0; buf = ""}' \
+    "$ROOT/crates/transport/src/lib.rs" >"$WORK/transport_core.cut"
+grep -q '^pub struct WireMsg' "$WORK/transport_core.cut" && grep -q '^pub enum TransportAddr' "$WORK/transport_core.cut" ||
+    { echo "run.sh: could not cut WireMsg/TransportAddr out of crates/transport/src/lib.rs" >&2; exit 1; }
+sed -e "s|@ROOT@|$ROOT|g" -e "/@CUT@/{r $WORK/transport_core.cut" -e 'd}' \
+    transport_core.rs.in >"$WORK/transport_core.rs"
 $RUSTC --crate-type rlib --crate-name flexric_transport \
     --extern bytes="$WORK/libbytes.rlib" \
-    transport_core.rs -o "$WORK/libflexric_transport.rlib"
+    "$WORK/transport_core.rs" -o "$WORK/libflexric_transport.rlib"
 $RUSTC --crate-type rlib --crate-name flexric_sm \
     --extern bytes="$WORK/libbytes.rlib" \
     --extern flexric_codec="$WORK/libflexric_codec.rlib" \
@@ -79,7 +91,7 @@ $RUSTC --test --crate-name codec_tests \
 "$WORK/codec_tests" --quiet
 $RUSTC --test --crate-name transport_core_tests \
     --extern bytes="$WORK/libbytes.rlib" \
-    transport_core.rs -o "$WORK/transport_core_tests"
+    "$WORK/transport_core.rs" -o "$WORK/transport_core_tests"
 "$WORK/transport_core_tests" --quiet
 $RUSTC --test --crate-name sm_tests \
     --extern bytes="$WORK/libbytes.rlib" \
@@ -99,18 +111,33 @@ $RUSTC --test --crate-name ransim_tests \
 $RUSTC --test --crate-name sla_solver_tests \
     "$ROOT/crates/ctrl/src/sla_solver.rs" -o "$WORK/sla_solver_tests"
 "$WORK/sla_solver_tests" --quiet
-# core's two tokio-free modules (core_modules.rs): the procedure table and
+# core without its driver (core_modules.rs): the procedure table and
 # request-id allocator of endpoint.rs with their model-checked properties,
-# and the encode-once outbox of scratch.rs.
-$RUSTC --test --crate-name core_tests -A dead_code \
-    --extern bytes="$WORK/libbytes.rlib" \
-    --extern flexric_obs="$WORK/libflexric_obs.rlib" \
-    --extern flexric_e2ap="$WORK/libflexric_e2ap.rlib" \
-    --extern flexric_codec="$WORK/libflexric_codec.rlib" \
-    --extern flexric_transport="$WORK/libflexric_transport.rlib" \
+# the encode-once outbox of scratch.rs, and the unit tests of the two state
+# machines' modules (agent, server/router, report).  Built once more as the
+# rlib `flexric` for step 5.
+CORE_EXTERNS="--extern bytes=$WORK/libbytes.rlib \
+    --extern flexric_obs=$WORK/libflexric_obs.rlib \
+    --extern flexric_e2ap=$WORK/libflexric_e2ap.rlib \
+    --extern flexric_codec=$WORK/libflexric_codec.rlib \
+    --extern flexric_sm=$WORK/libflexric_sm.rlib \
+    --extern flexric_transport=$WORK/libflexric_transport.rlib"
+$RUSTC --test --crate-name core_tests -A dead_code $CORE_EXTERNS \
     --extern proptest="$WORK/libproptest.rlib" \
     core_modules.rs -o "$WORK/core_tests"
 "$WORK/core_tests" --quiet
+$RUSTC --crate-type rlib --crate-name flexric -A dead_code $CORE_EXTERNS \
+    core_modules.rs -o "$WORK/libflexric.rlib"
+
+# 5. The protocol suite (tests/protocol.rs): agent machines and a sharded
+#    server on an in-test wire with one virtual clock — lost requests,
+#    restarts, grace-window rebinds, cross-shard fan-out, the E2 Setup
+#    regressions, and the 1 000-schedule fault sweep with its invariants.
+$RUSTC --test --crate-name protocol $CORE_EXTERNS \
+    --extern flexric="$WORK/libflexric.rlib" \
+    --extern proptest="$WORK/libproptest.rlib" \
+    "$ROOT/tests/protocol.rs" -o "$WORK/protocol"
+"$WORK/protocol" --quiet
 
 # 4b. The real delta-stream property tests (crates/sm/tests/delta_props.rs):
 #     the production encoder/decoder against the plain reference beside the
