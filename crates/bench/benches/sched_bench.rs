@@ -79,6 +79,7 @@ fn bench_classifier(c: &mut Criterion) {
                 .unwrap();
             }
             let mut rlc = RlcBearer::new(0);
+            let mut sink = Vec::new();
             let pkt = Packet {
                 flow: 0,
                 seq: 0,
@@ -93,8 +94,9 @@ fn bench_classifier(c: &mut Criterion) {
             };
             b.iter(|| {
                 tc.ingress(std::hint::black_box(pkt), 0);
-                tc.egress(&mut rlc, 0);
-                rlc.drain(1_000_000, 0);
+                tc.egress(&mut rlc, 0, &mut sink);
+                rlc.drain(1_000_000, 0, &mut sink);
+                sink.clear();
             });
         });
     }

@@ -32,6 +32,7 @@
 //! caller's clock — wall time on a ticking agent/server, virtual time in
 //! simulations — so retransmission behaviour is deterministic under test.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -266,18 +267,46 @@ pub(crate) fn note_completed(acked: bool) {
 #[derive(Debug)]
 pub struct ProcedureTable<P: Eq + Hash + Copy, U> {
     entries: HashMap<(P, ProcedureKey), Procedure<P, U>>,
+    /// How many entries, over all peers, each RIC request id keys: what
+    /// [`instance_in_flight`](Self::instance_in_flight) probes, kept in
+    /// step wherever an entry is inserted or removed.
+    ric_in_flight: HashMap<RicRequestId, u32>,
     policy: RetryPolicy,
 }
 
 impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
     /// An empty table under `policy`.
     pub fn new(policy: RetryPolicy) -> Self {
-        ProcedureTable { entries: HashMap::new(), policy }
+        ProcedureTable { entries: HashMap::new(), ric_in_flight: HashMap::new(), policy }
     }
 
     /// The policy in force.
     pub fn policy(&self) -> RetryPolicy {
         self.policy
+    }
+
+    /// Inserts `proc`, whose `(peer, key)` the caller found free.
+    fn insert(&mut self, proc: Procedure<P, U>) {
+        if let ProcedureKey::Ric(id) = proc.key {
+            *self.ric_in_flight.entry(id).or_insert(0) += 1;
+        }
+        self.entries.insert((proc.peer, proc.key), proc);
+        metrics().begun.inc();
+        metrics().outstanding.add(1);
+    }
+
+    /// Removes the entry under `(peer, key)`, if any.
+    fn remove(&mut self, peer: P, key: ProcedureKey) -> Option<Procedure<P, U>> {
+        let removed = self.entries.remove(&(peer, key))?;
+        if let ProcedureKey::Ric(id) = key {
+            if let Entry::Occupied(mut n) = self.ric_in_flight.entry(id) {
+                *n.get_mut() -= 1;
+                if *n.get() == 0 {
+                    n.remove();
+                }
+            }
+        }
+        Some(removed)
     }
 
     /// Starts tracking a procedure sent at `now_ms`.  Returns `false` (and
@@ -295,12 +324,7 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
             return false;
         }
         let deadline = Some(now_ms.saturating_add(self.policy.deadline_ms(class)));
-        self.entries.insert(
-            (peer, key),
-            Procedure { peer, key, class, pdu, user, attempts: 1, deadline_ms: deadline },
-        );
-        metrics().begun.inc();
-        metrics().outstanding.add(1);
+        self.insert(Procedure { peer, key, class, pdu, user, attempts: 1, deadline_ms: deadline });
         true
     }
 
@@ -317,18 +341,21 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
         if self.entries.contains_key(&(peer, key)) {
             return false;
         }
-        self.entries.insert(
-            (peer, key),
-            Procedure { peer, key, class, pdu: None, user, attempts: 1, deadline_ms: None },
-        );
-        metrics().begun.inc();
-        metrics().outstanding.add(1);
+        self.insert(Procedure {
+            peer,
+            key,
+            class,
+            pdu: None,
+            user,
+            attempts: 1,
+            deadline_ms: None,
+        });
         true
     }
 
     /// Removes and returns the procedure a response arrived for.
     pub fn complete(&mut self, peer: P, key: ProcedureKey) -> Option<Procedure<P, U>> {
-        let removed = self.entries.remove(&(peer, key));
+        let removed = self.remove(peer, key);
         if removed.is_some() {
             metrics().outstanding.sub(1);
         }
@@ -362,9 +389,7 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
 
     /// Whether `requestor/instance` is in flight toward any peer.
     pub fn instance_in_flight(&self, requestor: u16, instance: u16) -> bool {
-        self.entries
-            .keys()
-            .any(|(_, k)| *k == ProcedureKey::Ric(RicRequestId::new(requestor, instance)))
+        self.ric_in_flight.contains_key(&RicRequestId::new(requestor, instance))
     }
 
     /// Advances the clock: retransmits every expired procedure with budget
@@ -400,7 +425,7 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
             }
         }
         let out: Vec<Procedure<P, U>> =
-            expired.into_iter().filter_map(|k| self.entries.remove(&k)).collect();
+            expired.into_iter().filter_map(|(peer, key)| self.remove(peer, key)).collect();
         metrics().timed_out.add(out.len() as u64);
         metrics().outstanding.sub(out.len() as i64);
         out
@@ -412,7 +437,7 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
         let keys: Vec<(P, ProcedureKey)> =
             self.entries.keys().filter(|(p, _)| *p == peer).copied().collect();
         let out: Vec<Procedure<P, U>> =
-            keys.into_iter().filter_map(|k| self.entries.remove(&k)).collect();
+            keys.into_iter().filter_map(|(peer, key)| self.remove(peer, key)).collect();
         metrics().connection_lost.add(out.len() as u64);
         metrics().outstanding.sub(out.len() as i64);
         out
@@ -672,6 +697,62 @@ mod tests {
                         live.insert(id);
                         order.push(id);
                     }
+                }
+            }
+
+            /// The in-flight index answers as a scan over the entries
+            /// does, after every operation that inserts or removes one.
+            #[test]
+            fn in_flight_index_matches_a_scan(
+                ops in proptest::collection::vec(any::<u32>(), 1..400),
+            ) {
+                let policy = RetryPolicy {
+                    control_deadline_ms: 7,
+                    subscription_deadline_ms: 5,
+                    max_attempts: 2,
+                    ..RetryPolicy::default()
+                };
+                let mut t: ProcedureTable<u8, ()> = ProcedureTable::new(policy);
+                let mut now = 0u64;
+                for op in ops {
+                    let peer = (op >> 8) as u8 % 3;
+                    let id = RicRequestId::new((op >> 12) as u16 % 2, (op >> 16) as u16 % 8);
+                    let key = if op & 0x80 == 0 {
+                        ProcedureKey::Ric(id)
+                    } else {
+                        ProcedureKey::Tx(id.instance as u8)
+                    };
+                    match op % 8 {
+                        0 | 1 => {
+                            t.begin(peer, key, ProcedureClass::Control, None, (), now);
+                        }
+                        2 => {
+                            let class = ProcedureClass::Subscription;
+                            t.begin(peer, key, class, Some(pdu(id)), (), now);
+                        }
+                        3 => {
+                            t.begin_untimed(peer, key, ProcedureClass::Control, ());
+                        }
+                        4 | 5 => {
+                            t.complete(peer, key);
+                        }
+                        6 => {
+                            now += (op >> 20) as u64 % 6;
+                            t.poll(now, |_, _| {});
+                        }
+                        _ => {
+                            t.connection_lost(peer);
+                        }
+                    }
+                    for requestor in 0..2 {
+                        for instance in 0..8 {
+                            let key = ProcedureKey::Ric(RicRequestId::new(requestor, instance));
+                            let scan = t.entries.keys().any(|(_, k)| *k == key);
+                            prop_assert_eq!(t.instance_in_flight(requestor, instance), scan);
+                        }
+                    }
+                    let ric = t.entries.keys().filter(|(_, k)| matches!(k, ProcedureKey::Ric(_)));
+                    prop_assert_eq!(t.ric_in_flight.values().sum::<u32>() as usize, ric.count());
                 }
             }
 

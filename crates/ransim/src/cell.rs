@@ -1,6 +1,8 @@
 //! One simulated cell: UEs, bearers (TC + RLC), and the two-level MAC
 //! scheduler (slice scheduler → per-slice UE scheduler, paper Fig. 12).
 
+use std::cmp::Ordering::Less;
+
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
 use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
@@ -20,7 +22,9 @@ pub struct KpmUeCounters {
     /// Cumulative DL PDCP SDU bytes.
     pub pdcp_tx_aggr: u64,
 }
-use flexric_sm::slice::{SliceAlgo, SliceCtrl, SliceStatsInd, SliceStatus, UeSchedAlgo};
+use flexric_sm::slice::{
+    SliceAlgo, SliceCtrl, SliceParams, SliceStatsInd, SliceStatus, UeSchedAlgo,
+};
 use flexric_sm::tc::{TcCtrl, TcStatsInd};
 
 use crate::nvs::SliceSched;
@@ -119,6 +123,19 @@ impl Ue {
     }
 }
 
+/// Per-TTI scratch of the MAC scheduler: cleared, never freed.
+#[derive(Debug, Default)]
+struct MacScratch {
+    /// Per UE, in `ues` order: the index of the slice it is served in — its
+    /// association if that slice exists, otherwise the first slice.
+    slice_of: Vec<usize>,
+    /// Per slice: whether any of its UEs has backlog.
+    backlogged: Vec<bool>,
+    /// The backlogged UEs of the slice being served, `(sort key, index)`
+    /// in scheduling order.
+    order: Vec<(f64, usize)>,
+}
+
 /// A simulated cell.
 pub struct Cell {
     /// Static configuration.
@@ -134,6 +151,7 @@ pub struct Cell {
     rrc_events: Vec<RrcUeEvent>,
     now_ms: u64,
     window_start_ms: u64,
+    mac: MacScratch,
 }
 
 impl Cell {
@@ -148,6 +166,7 @@ impl Cell {
             rrc_events: Vec::new(),
             now_ms: 0,
             window_start_ms: 0,
+            mac: MacScratch::default(),
         }
     }
 
@@ -244,106 +263,106 @@ impl Cell {
         self.ues.iter_mut().find(|u| u.cfg.rnti == rnti)
     }
 
-    /// Delivers a downlink packet into the UE's bearer (SDAP ingress →
-    /// TC classifier).  Returns `false` if the packet was dropped.
-    pub fn ingress(&mut self, rnti: u16, drb: u8, pkt: Packet) -> bool {
+    /// Delivers a flow's downlink packets of this TTI into the UE's bearer
+    /// (SDAP ingress → TC classifier).  Returns how many were dropped.
+    pub fn ingress(&mut self, rnti: u16, drb: u8, pkts: &[Packet]) -> usize {
         let now = self.now_ms;
-        let Some(ue) = self.ue_mut(rnti) else { return false };
-        let Some(bearer) = ue.bearers.iter_mut().find(|b| b.drb_id == drb) else { return false };
-        bearer.pdcp_tx_pdus += 1;
-        bearer.pdcp_tx_bytes += pkt.bytes as u64;
-        bearer.pdcp_tx_aggr += pkt.bytes as u64;
-        bearer.tc.ingress(pkt, now)
-    }
-
-    /// The effective slice a UE is served in: its association if that
-    /// slice exists, otherwise the first configured slice.
-    fn effective_slice_idx(&self, ue: &Ue) -> usize {
-        self.sched.index_of(ue.slice).unwrap_or(0)
+        let bearer =
+            self.ue_mut(rnti).and_then(|ue| ue.bearers.iter_mut().find(|b| b.drb_id == drb));
+        let Some(bearer) = bearer else { return pkts.len() };
+        let mut lost = 0;
+        for pkt in pkts {
+            bearer.pdcp_tx_pdus += 1;
+            bearer.pdcp_tx_bytes += pkt.bytes as u64;
+            bearer.pdcp_tx_aggr += pkt.bytes as u64;
+            if !bearer.tc.ingress(*pkt, now) {
+                lost += 1;
+            }
+        }
+        lost
     }
 
     /// Advances the cell by one TTI: pacer release, slice scheduling, UE
-    /// scheduling, RLC drain.  Returns the packets that left the cell this
-    /// TTI (they reach the UE after the air-interface latency) plus the
-    /// packets dropped at the RLC drop-tail (the sender's loss signal).
-    pub fn tick(&mut self, now_ms: u64) -> (Vec<Packet>, Vec<Packet>) {
+    /// scheduling, RLC drain.  Appends the packets that left the cell this
+    /// TTI (they reach the UE after the air-interface latency) to `out` and
+    /// the packets dropped at the RLC drop-tail (the sender's loss signal)
+    /// to `dropped`.
+    pub fn tick(&mut self, now_ms: u64, out: &mut Vec<Packet>, dropped: &mut Vec<Packet>) {
         self.now_ms = now_ms;
         // 1. TC → RLC release (pacing); overflow at the RLC is loss.
-        let mut dropped = Vec::new();
         for ue in &mut self.ues {
             for b in &mut ue.bearers {
-                dropped.extend(b.tc.egress(&mut b.rlc, now_ms));
+                b.tc.egress(&mut b.rlc, now_ms, dropped);
             }
         }
-        // 2. MAC scheduling.
-        let mut out = Vec::new();
+        // 2. One walk over the UEs: where each is served, who has backlog.
+        let mac = &mut self.mac;
+        mac.slice_of.clear();
+        mac.backlogged.clear();
+        mac.backlogged.resize(self.sched.slices.len(), false);
+        for ue in &self.ues {
+            let idx = self.sched.index_of(ue.slice).unwrap_or(0);
+            mac.slice_of.push(idx);
+            if ue.backlog() > 0 {
+                if let Some(any) = mac.backlogged.get_mut(idx) {
+                    *any = true;
+                }
+            }
+        }
+        // 3. MAC scheduling.
         match self.sched.algo {
             SliceAlgo::Static => {
-                let ranges = self.sched.static_ranges();
-                for (slice_id, lo, hi) in ranges {
-                    if let Some(idx) = self.sched.index_of(slice_id) {
-                        let prbs = (hi - lo + 1) as u32;
-                        self.serve_slice(idx, prbs, now_ms, &mut out);
+                for idx in 0..self.sched.slices.len() {
+                    match self.sched.slices[idx].conf.params {
+                        SliceParams::StaticRb { lo, hi } if hi >= lo => {
+                            self.serve_slice(idx, (hi - lo + 1) as u32, now_ms, out);
+                        }
+                        _ => {}
                     }
                 }
             }
             _ => {
-                // Collect backlog per slice id.
-                let backlog: Vec<(u32, bool)> = self
-                    .sched
-                    .slices
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, s)| {
-                        let any = self
-                            .ues
-                            .iter()
-                            .any(|u| self.effective_slice_idx(u) == idx && u.backlog() > 0);
-                        (s.conf.id, any)
-                    })
-                    .collect();
-                let picked = self.sched.pick(|id| {
-                    backlog.iter().find(|(sid, _)| *sid == id).map(|(_, b)| *b).unwrap_or(false)
-                });
-                if let Some(idx) = picked {
-                    let prbs = self.cfg.prbs;
-                    self.serve_slice(idx, prbs, now_ms, &mut out);
+                let backlogged = &self.mac.backlogged;
+                if let Some(idx) = self.sched.pick(|idx| backlogged[idx]) {
+                    self.serve_slice(idx, self.cfg.prbs, now_ms, out);
                 }
             }
         }
-        (out, dropped)
     }
 
     /// Distributes `prbs` among the backlogged UEs of slice `slice_idx`
     /// using the slice's UE scheduler, and drains their RLC buffers.
     fn serve_slice(&mut self, slice_idx: usize, prbs: u32, now_ms: u64, out: &mut Vec<Packet>) {
         let algo = self.sched.slices[slice_idx].conf.ue_sched;
-        let mut eligible: Vec<usize> = (0..self.ues.len())
-            .filter(|&i| {
-                self.effective_slice_idx(&self.ues[i]) == slice_idx && self.ues[i].backlog() > 0
-            })
-            .collect();
-        if eligible.is_empty() {
+        let rat = self.cfg.rat;
+        // The slice's backlogged UEs by descending key — proportional fair:
+        // achievable rate over averaged throughput; max throughput: MCS;
+        // round robin: none.  Each goes behind every UE whose key is not
+        // smaller, so equal keys stay in UE order.
+        let order = &mut self.mac.order;
+        order.clear();
+        for (i, ue) in self.ues.iter().enumerate() {
+            if self.mac.slice_of[i] != slice_idx || ue.backlog() == 0 {
+                continue;
+            }
+            let key = match algo {
+                UeSchedAlgo::RoundRobin => 0.0,
+                UeSchedAlgo::PropFair => {
+                    bytes_per_prb_tti(rat, ue.cfg.mcs) as f64 / ue.mac.avg_thr_bptti.max(1.0)
+                }
+                UeSchedAlgo::MaxThroughput => ue.cfg.mcs as f64,
+            };
+            let behind = order.iter().rposition(|(k, _)| k.partial_cmp(&key) != Some(Less));
+            order.insert(behind.map_or(0, |p| p + 1), (key, i));
+        }
+        if order.is_empty() {
             return;
         }
-        match algo {
-            UeSchedAlgo::RoundRobin => {
-                let cursor = self.sched.slices[slice_idx].rr_cursor;
-                let n = eligible.len();
-                eligible.rotate_left(cursor % n);
-                self.sched.slices[slice_idx].rr_cursor = cursor.wrapping_add(1);
-            }
-            UeSchedAlgo::PropFair => {
-                // Metric: achievable rate over averaged throughput.
-                eligible.sort_by(|&a, &b| {
-                    let ma = self.pf_metric(a);
-                    let mb = self.pf_metric(b);
-                    mb.partial_cmp(&ma).unwrap_or(std::cmp::Ordering::Equal)
-                });
-            }
-            UeSchedAlgo::MaxThroughput => {
-                eligible.sort_by_key(|&i| std::cmp::Reverse(self.ues[i].cfg.mcs));
-            }
+        if matches!(algo, UeSchedAlgo::RoundRobin) {
+            let cursor = self.sched.slices[slice_idx].rr_cursor;
+            let n = order.len();
+            order.rotate_left(cursor % n);
+            self.sched.slices[slice_idx].rr_cursor = cursor.wrapping_add(1);
         }
         // Water-filling: equal shares, leftover redistributed to UEs that
         // still have backlog (up to a few passes).
@@ -354,24 +373,25 @@ impl Cell {
             if remaining == 0 {
                 break;
             }
-            let active: Vec<usize> =
-                eligible.iter().copied().filter(|&i| self.ues[i].backlog() > 0).collect();
-            if active.is_empty() {
+            let active = order.iter().filter(|(_, i)| self.ues[*i].backlog() > 0).count();
+            if active == 0 {
                 break;
             }
             let per_ue = if matches!(algo, UeSchedAlgo::MaxThroughput) && pass == 0 {
                 remaining // max-throughput: best UE takes what it needs
             } else {
-                (remaining / active.len() as u32).max(1)
+                (remaining / active as u32).max(1)
             };
-            for &i in &active {
+            for &(_, i) in order.iter() {
                 if remaining == 0 {
                     break;
                 }
-                let rat = self.cfg.rat;
                 let ue = &mut self.ues[i];
-                let bprb = bytes_per_prb_tti(rat, ue.cfg.mcs) as u64;
                 let want_bytes = ue.backlog();
+                if want_bytes == 0 {
+                    continue; // served dry in an earlier pass
+                }
+                let bprb = bytes_per_prb_tti(rat, ue.cfg.mcs) as u64;
                 let want_prbs = (want_bytes.div_ceil(bprb.max(1))) as u32;
                 let grant = per_ue.min(remaining).min(want_prbs.max(1));
                 let budget = grant as u64 * bprb;
@@ -380,14 +400,7 @@ impl Cell {
                     if drained >= budget {
                         break;
                     }
-                    let pkts = b.rlc.drain(budget - drained, now_ms);
-                    for p in pkts {
-                        drained += p.bytes as u64;
-                        out.push(p);
-                    }
-                    // Partial head bytes also consumed budget; approximate
-                    // by recomputing from backlog delta is unnecessary —
-                    // drain() already bounded by budget.
+                    drained += b.rlc.drain(budget - drained, now_ms, out);
                 }
                 let used_prbs = (drained.div_ceil(bprb.max(1)) as u32).min(grant);
                 ue.mac.prbs_dl += used_prbs.max(if drained > 0 { 1 } else { 0 });
@@ -402,12 +415,6 @@ impl Cell {
             }
         }
         self.sched.record_service(slice_idx, slice_prbs, slice_bytes);
-    }
-
-    fn pf_metric(&self, ue_idx: usize) -> f64 {
-        let ue = &self.ues[ue_idx];
-        let inst = bytes_per_prb_tti(self.cfg.rat, ue.cfg.mcs) as f64;
-        inst / ue.mac.avg_thr_bptti.max(1.0)
     }
 
     // -----------------------------------------------------------------

@@ -157,58 +157,31 @@ impl SliceSched {
         Ok(())
     }
 
-    /// Picks the slice for this TTI.  `backlogged(slice_id)` tells whether
-    /// the slice has traffic.  Returns the index into `slices`, or `None`
-    /// when the slot stays idle.
-    pub fn pick(&mut self, mut backlogged: impl FnMut(u32) -> bool) -> Option<usize> {
+    /// Picks the slice for this TTI: the heaviest one, the lower index on
+    /// equal weights.  `backlogged(idx)` tells whether the slice at `idx`
+    /// has traffic.  With sharing (work-conserving) only backlogged slices
+    /// compete; without, the heaviest slice keeps the slot even when idle,
+    /// wasting it.  Returns the index into `slices`, or `None` when the
+    /// slot stays idle.
+    pub fn pick(&mut self, mut backlogged: impl FnMut(usize) -> bool) -> Option<usize> {
         let sharing = !matches!(self.algo, SliceAlgo::NvsNoSharing);
-        let mut winner: Option<(usize, f64)> = None;
-        for (i, s) in self.slices.iter().enumerate() {
-            let weight = match s.conf.params {
-                SliceParams::NvsCapacity { share_milli } => {
-                    let c = share_milli as f64 / 1000.0;
-                    c / s.avg_slots.max(1e-6)
-                }
-                SliceParams::NvsRate { rate_kbps, ref_kbps } => {
-                    let _ = ref_kbps;
-                    // r_rsv in bytes per TTI over averaged rate.
-                    let rsv_bptti = rate_kbps as f64 * 1000.0 / 8.0 / 1000.0;
-                    rsv_bptti / s.avg_rate_bptti.max(1.0)
-                }
-                SliceParams::StaticRb { .. } => {
-                    // Static slices are handled by prb_range(); under a
-                    // pick-based algorithm treat the range as a share.
-                    1.0
-                }
-            };
-            if winner.is_none_or(|(_, w)| weight > w) {
-                winner = Some((i, weight));
+        let mut best: Option<(usize, f64)> = None;
+        for i in 0..self.slices.len() {
+            if sharing && !backlogged(i) {
+                continue;
+            }
+            let weight = self.weight_of(i);
+            if best.is_none_or(|(_, w)| weight > w) {
+                best = Some((i, weight));
             }
         }
-        // Without sharing the winner keeps the slot no matter what; with
-        // sharing, fall back over the remaining slices by weight order.
-        let (wi, _) = winner?;
-        if !sharing {
-            // Update averages as if granted; the slot may be wasted.
-            self.account(wi, 0, 0);
-            return if backlogged(self.slices[wi].conf.id) { Some(wi) } else { None };
-        }
-        // Work-conserving: order by weight, grant the best backlogged one.
-        let mut order: Vec<usize> = (0..self.slices.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.weight_of(b).partial_cmp(&self.weight_of(a)).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let chosen = order.into_iter().find(|&i| backlogged(self.slices[i].conf.id));
-        match chosen {
-            Some(i) => {
-                self.account(i, 0, 0);
-                Some(i)
-            }
-            None => {
-                self.account_idle();
-                None
-            }
-        }
+        let Some((i, _)) = best else {
+            self.account_idle();
+            return None;
+        };
+        // Without sharing the averages move as if granted.
+        self.account(i);
+        (sharing || backlogged(i)).then_some(i)
     }
 
     fn weight_of(&self, i: usize) -> f64 {
@@ -218,15 +191,18 @@ impl SliceSched {
                 (share_milli as f64 / 1000.0) / s.avg_slots.max(1e-6)
             }
             SliceParams::NvsRate { rate_kbps, .. } => {
+                // r_rsv in bytes per TTI over averaged rate.
                 let rsv_bptti = rate_kbps as f64 * 1000.0 / 8.0 / 1000.0;
                 rsv_bptti / s.avg_rate_bptti.max(1.0)
             }
+            // Static slices are served by range under `SliceAlgo::Static`;
+            // under a pick-based algorithm treat the range as a share.
             SliceParams::StaticRb { .. } => 1.0,
         }
     }
 
     /// Updates slot averages: slice `granted` received the slot.
-    fn account(&mut self, granted: usize, _prbs: u32, _bytes: u64) {
+    fn account(&mut self, granted: usize) {
         for (i, s) in self.slices.iter_mut().enumerate() {
             let x = if i == granted { 1.0 } else { 0.0 };
             s.avg_slots = (1.0 - NVS_ALPHA) * s.avg_slots + NVS_ALPHA * x;
@@ -249,17 +225,6 @@ impl SliceSched {
         let s = &mut self.slices[idx];
         s.window_prbs += prbs as u64;
         s.window_bytes += bytes;
-    }
-
-    /// The PRB range of a static slice, for [`SliceAlgo::Static`].
-    pub fn static_ranges(&self) -> Vec<(u32, u16, u16)> {
-        self.slices
-            .iter()
-            .filter_map(|s| match s.conf.params {
-                SliceParams::StaticRb { lo, hi } if hi >= lo => Some((s.conf.id, lo, hi)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Looks up a slice index by id.
@@ -349,7 +314,7 @@ mod tests {
         // Slice 1 idle: slice 0 takes every slot.
         let mut s0 = 0u64;
         for _ in 0..5_000 {
-            match sched.pick(|id| id == 0) {
+            match sched.pick(|i| i == 0) {
                 Some(i) => {
                     assert_eq!(sched.slices[i].conf.id, 0);
                     s0 += 1;
@@ -372,7 +337,7 @@ mod tests {
         let mut granted = 0u64;
         let rounds = 20_000;
         for _ in 0..rounds {
-            if let Some(i) = sched.pick(|id| id == 0) {
+            if let Some(i) = sched.pick(|i| i == 0) {
                 granted += 1;
                 sched.record_service(i, 100, 10_000);
             }
@@ -421,38 +386,6 @@ mod tests {
         sched.delete(0).unwrap();
         assert_eq!(sched.slices.len(), 1, "default slice restored");
         assert_eq!(sched.slices[0].conf.id, u32::MAX);
-    }
-
-    #[test]
-    fn static_ranges_extracted() {
-        let mut sched = SliceSched::new();
-        sched.set_algo(SliceAlgo::Static);
-        sched
-            .upsert(
-                SliceConf {
-                    id: 0,
-                    label: "lo".into(),
-                    params: SliceParams::StaticRb { lo: 0, hi: 12 },
-                    ue_sched: UeSchedAlgo::RoundRobin,
-                },
-                25,
-            )
-            .unwrap();
-        sched
-            .upsert(
-                SliceConf {
-                    id: 1,
-                    label: "hi".into(),
-                    params: SliceParams::StaticRb { lo: 13, hi: 24 },
-                    ue_sched: UeSchedAlgo::RoundRobin,
-                },
-                25,
-            )
-            .unwrap();
-        let ranges = sched.static_ranges();
-        assert_eq!(ranges.len(), 2);
-        assert_eq!(ranges[0], (0, 0, 12));
-        assert_eq!(ranges[1], (1, 13, 24));
     }
 }
 

@@ -147,11 +147,12 @@ impl RlcBearer {
         true
     }
 
-    /// Drains up to `budget` bytes; completed packets are returned with
-    /// their sojourn recorded.  Partial head-of-line transmission carries
-    /// over to the next TTI, as RLC segmentation would.
-    pub fn drain(&mut self, mut budget: u64, now_ms: u64) -> Vec<Packet> {
-        let mut out = Vec::new();
+    /// Drains up to `budget` bytes; completed packets are appended to `out`
+    /// with their sojourn recorded, and their bytes are returned.  Partial
+    /// head-of-line transmission carries over to the next TTI, as RLC
+    /// segmentation would.
+    pub fn drain(&mut self, mut budget: u64, now_ms: u64, out: &mut Vec<Packet>) -> u64 {
+        let mut completed = 0u64;
         let mut drained = 0u64;
         while budget > 0 {
             if self.queue.is_empty() {
@@ -168,6 +169,7 @@ impl RlcBearer {
                 self.counters.tx_pdus += 1;
                 self.counters.tx_bytes += pkt.bytes as u64;
                 self.counters.tx_bytes_total += pkt.bytes as u64;
+                completed += pkt.bytes as u64;
                 out.push(pkt);
                 if let Some(next) = self.queue.front() {
                     self.head_remaining = next.bytes;
@@ -179,7 +181,7 @@ impl RlcBearer {
         // EWMA over the drain opportunities actually used.
         const ALPHA: f64 = 0.05;
         self.drain_rate_bpms = (1.0 - ALPHA) * self.drain_rate_bpms + ALPHA * drained as f64;
-        out
+        completed
     }
 
     /// Resets window counters (on statistics snapshot).
@@ -215,14 +217,15 @@ mod tests {
         b.enqueue(pkt(1, 100, 0), 0);
         b.enqueue(pkt(2, 100, 0), 0);
         assert_eq!(b.backlog_bytes(), 200);
-        let out = b.drain(150, 10);
+        let mut out = Vec::new();
+        assert_eq!(b.drain(150, 10, &mut out), 100);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].seq, 1);
         assert_eq!(b.backlog_bytes(), 50);
-        // Partial head continues next drain.
-        let out = b.drain(1000, 20);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].seq, 2);
+        // Partial head continues next drain; `out` is appended to.
+        assert_eq!(b.drain(1000, 20, &mut out), 100);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].seq, 2);
         assert_eq!(b.backlog_bytes(), 0);
         assert_eq!(b.sojourn.max_us(), 20_000);
         assert_eq!(b.counters.tx_pdus, 2);
@@ -238,7 +241,7 @@ mod tests {
         assert_eq!(b.counters.dropped_pdus, 1);
         assert_eq!(b.backlog_pkts(), 2);
         // Draining frees space again.
-        b.drain(100, 1);
+        b.drain(100, 1, &mut Vec::new());
         assert!(b.enqueue(pkt(4, 100, 1), 1));
     }
 
@@ -254,9 +257,11 @@ mod tests {
     #[test]
     fn drain_rate_converges() {
         let mut b = RlcBearer::new(0);
+        let mut out = Vec::new();
         for t in 0..2000u64 {
             b.enqueue(pkt(t, 1000, t), t);
-            b.drain(1000, t);
+            b.drain(1000, t, &mut out);
+            out.clear();
         }
         assert!(
             (b.drain_rate_bpms - 1000.0).abs() < 50.0,
@@ -269,7 +274,7 @@ mod tests {
     fn window_reset_keeps_totals() {
         let mut b = RlcBearer::new(0);
         b.enqueue(pkt(1, 500, 0), 0);
-        b.drain(500, 5);
+        b.drain(500, 5, &mut Vec::new());
         assert_eq!(b.counters.tx_bytes_total, 500);
         b.reset_window();
         assert_eq!(b.counters.tx_pdus, 0);

@@ -1,11 +1,10 @@
 //! The simulation engine: cells + flows + the delivery/ACK pipeline.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::cell::{Cell, CellConfig, UeConfig};
 use crate::rlc::Packet;
-use crate::traffic::{Flow, FlowConfig};
+use crate::traffic::{Flow, FlowConfig, FlowKind};
 
 /// Latency parameters of the path outside the cell.
 #[derive(Debug, Clone, Copy)]
@@ -23,28 +22,16 @@ impl Default for PathConfig {
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
-enum Pending {
-    /// Packet arrives at the UE.
-    Delivery(Packet),
-    /// ACK arrives back at the sender of `flow`.
-    Ack(usize),
-}
+/// Events of one kind, `(at_ms, seqno, what)`.  Each kind is scheduled at
+/// `now` plus a latency that is a constant of the [`Sim`], so a queue is
+/// in `(at_ms, seqno)` order as pushed and needs no sorting.
+type Fifo<T> = VecDeque<(u64, u64, T)>;
 
-// BinaryHeap needs Ord; order by time only.
-#[derive(Debug, PartialEq, Eq)]
-struct Scheduled(u64, u64, Pending);
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0, self.1).cmp(&(other.0, other.1))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Appends `what`, due at `at_ms`, under the next sequence number.
+fn schedule<T>(queue: &mut Fifo<T>, seqno: &mut u64, at_ms: u64, what: T) {
+    debug_assert!(queue.back().is_none_or(|last| last.0 <= at_ms), "event queue out of order");
+    *seqno += 1;
+    queue.push_back((at_ms, *seqno, what));
 }
 
 /// Metrics for the simulation tick loop, registered once.
@@ -78,9 +65,17 @@ pub struct Sim {
     pub cells: Vec<Cell>,
     flows: Vec<Flow>,
     path: PathConfig,
-    pending: BinaryHeap<Reverse<Scheduled>>,
+    /// Packets on their way to the UE.
+    deliveries: Fifo<Packet>,
+    /// ACKs on their way back to the sender of a flow.
+    acks: Fifo<usize>,
+    /// Orders events due in the same TTI across both queues.
     seqno: u64,
     now_ms: u64,
+    /// Per-TTI scratch (a flow's generated packets, then a cell's drained
+    /// ones; a cell's drop-tail losses): cleared, never freed.
+    pkts: Vec<Packet>,
+    dropped: Vec<Packet>,
 }
 
 impl Sim {
@@ -90,9 +85,12 @@ impl Sim {
             cells: cells.into_iter().map(Cell::new).collect(),
             flows: Vec::new(),
             path,
-            pending: BinaryHeap::new(),
+            deliveries: VecDeque::new(),
+            acks: VecDeque::new(),
             seqno: 0,
             now_ms: 0,
+            pkts: Vec::new(),
+            dropped: Vec::new(),
         }
     }
 
@@ -132,61 +130,62 @@ impl Sim {
         self.flows.len()
     }
 
-    fn schedule(&mut self, at_ms: u64, what: Pending) {
-        self.seqno += 1;
-        self.pending.push(Reverse(Scheduled(at_ms, self.seqno, what)));
-    }
-
     /// Advances the simulation by one TTI (1 ms).
     pub fn tick(&mut self) {
         let sw = flexric_obs::Stopwatch::start();
         let now = self.now_ms;
-        // 1. Deliveries and ACKs due now.
-        while let Some(Reverse(Scheduled(t, _, _))) = self.pending.peek() {
-            if *t > now {
+        // 1. Deliveries and ACKs due now, merged by `(at_ms, seqno)`.
+        loop {
+            let delivery = self.deliveries.front().map(|e| (e.0, e.1));
+            let ack = self.acks.front().map(|e| (e.0, e.1));
+            let (next, is_ack) = match (delivery, ack) {
+                (Some(d), Some(a)) if a < d => (a, true),
+                (Some(d), _) => (d, false),
+                (None, Some(a)) => (a, true),
+                (None, None) => break,
+            };
+            if next.0 > now {
                 break;
             }
-            let Reverse(Scheduled(_, _, what)) = self.pending.pop().expect("peeked");
-            match what {
-                Pending::Delivery(pkt) => {
-                    let flow_id = pkt.flow;
-                    if let Some(flow) = self.flows.get_mut(flow_id) {
-                        flow.on_delivered(&pkt, now, self.path.ul_rtt_ms);
-                        let is_tcp =
-                            matches!(flow.cfg.kind, crate::traffic::FlowKind::GreedyTcp { .. });
-                        if is_tcp {
-                            self.schedule(now + self.path.ul_rtt_ms, Pending::Ack(flow_id));
-                        }
-                    }
+            if is_ack {
+                let (_, _, flow_id) = self.acks.pop_front().expect("peeked");
+                if let Some(flow) = self.flows.get_mut(flow_id) {
+                    flow.on_ack(now);
                 }
-                Pending::Ack(flow_id) => {
-                    if let Some(flow) = self.flows.get_mut(flow_id) {
-                        flow.on_ack(now);
+            } else {
+                let (_, _, pkt) = self.deliveries.pop_front().expect("peeked");
+                if let Some(flow) = self.flows.get_mut(pkt.flow) {
+                    flow.on_delivered(&pkt, now, self.path.ul_rtt_ms);
+                    if matches!(flow.cfg.kind, FlowKind::GreedyTcp { .. }) {
+                        let at_ms = now + self.path.ul_rtt_ms;
+                        schedule(&mut self.acks, &mut self.seqno, at_ms, pkt.flow);
                     }
                 }
             }
         }
-        // 2. Flow generation → cell ingress.
-        for fi in 0..self.flows.len() {
-            let pkts = self.flows[fi].generate(fi, now);
-            let (cell, rnti, drb) = {
-                let c = &self.flows[fi].cfg;
-                (c.cell, c.rnti, c.drb)
-            };
-            for pkt in pkts {
-                if !self.cells[cell].ingress(rnti, drb, pkt) {
-                    self.flows[fi].on_lost(now);
-                }
+        // 2. Flow generation → cell ingress, a flow's packets at a time.
+        for (fi, flow) in self.flows.iter_mut().enumerate() {
+            self.pkts.clear();
+            flow.generate(fi, now, &mut self.pkts);
+            if self.pkts.is_empty() {
+                continue;
+            }
+            let lost = self.cells[flow.cfg.cell].ingress(flow.cfg.rnti, flow.cfg.drb, &self.pkts);
+            for _ in 0..lost {
+                flow.on_lost(now);
             }
         }
         // 3. Cells schedule and drain; drained packets are in flight,
         //    drop-tail losses are signalled back to their senders.
-        for ci in 0..self.cells.len() {
-            let (drained, dropped) = self.cells[ci].tick(now);
-            for pkt in drained {
-                self.schedule(now + self.path.dl_latency_ms, Pending::Delivery(pkt));
+        for cell in &mut self.cells {
+            self.pkts.clear();
+            self.dropped.clear();
+            cell.tick(now, &mut self.pkts, &mut self.dropped);
+            for pkt in &self.pkts {
+                let at_ms = now + self.path.dl_latency_ms;
+                schedule(&mut self.deliveries, &mut self.seqno, at_ms, *pkt);
             }
-            for pkt in dropped {
+            for pkt in &self.dropped {
                 if let Some(flow) = self.flows.get_mut(pkt.flow) {
                     flow.on_lost(now);
                 }
@@ -234,7 +233,6 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::FlowKind;
     use flexric_sm::slice::{SliceAlgo, SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
     use flexric_sm::tc::{FiveTupleRule, PacerConf, QueueKind, TcCtrl};
 
@@ -388,6 +386,32 @@ mod tests {
         assert!((share1 - 0.5).abs() < 0.07, "lone slice-0 UE got {share1:.3}, want ≈0.5");
         let ratio23 = d2 / d3;
         assert!((0.7..1.4).contains(&ratio23), "slice-1 UEs share equally: {ratio23:.2}");
+    }
+
+    #[test]
+    fn static_ranges_split_the_cell() {
+        // 13 and 12 of 25 PRBs; a range with hi < lo serves nobody.
+        let mut sim = one_cell_sim(25, 20, 3);
+        let cell = &mut sim.cells[0];
+        cell.apply_slice_ctrl(&SliceCtrl::SetAlgo { algo: SliceAlgo::Static }).unwrap();
+        let ranges = [(0, 12), (13, 24), (9, 3)];
+        let slices = ranges.into_iter().enumerate().map(|(id, (lo, hi))| SliceConf {
+            id: id as u32,
+            label: format!("s{id}"),
+            params: SliceParams::StaticRb { lo, hi },
+            ue_sched: UeSchedAlgo::RoundRobin,
+        });
+        cell.apply_slice_ctrl(&SliceCtrl::AddModSlices { slices: slices.collect() }).unwrap();
+        cell.apply_slice_ctrl(&SliceCtrl::AssocUeSlice {
+            assoc: vec![(0x4601, 0), (0x4602, 1), (0x4603, 2)],
+        })
+        .unwrap();
+        let flows: Vec<usize> = (0..3).map(|u| sim.add_flow(greedy(0, 0x4601 + u, 80))).collect();
+        sim.run_ms(10_000);
+        let d: Vec<f64> = flows.iter().map(|f| sim.flow(*f).delivered_bytes as f64).collect();
+        let ratio = d[0] / d[1];
+        assert!((ratio - 13.0 / 12.0).abs() < 0.05, "13:12 PRBs, delivered {ratio:.3}:1");
+        assert_eq!(d[2], 0.0, "an empty range is never served");
     }
 
     #[test]

@@ -238,9 +238,9 @@ impl TcLayer {
     /// Releases packets toward the RLC bearer for this TTI, honoring the
     /// pacer: with the 5G-BDP pacer, release only while the RLC backlog is
     /// below `drain_rate × target_delay` — enough not to starve the DRB,
-    /// not enough to bloat it.  Returns packets the RLC buffer rejected
-    /// (drop-tail), so senders can react to the loss.
-    pub fn egress(&mut self, rlc: &mut RlcBearer, now_ms: u64) -> Vec<Packet> {
+    /// not enough to bloat it.  Packets the RLC buffer rejected (drop-tail)
+    /// are appended to `dropped`, so senders can react to the loss.
+    pub fn egress(&mut self, rlc: &mut RlcBearer, now_ms: u64, dropped: &mut Vec<Packet>) {
         let budget = match self.pacer {
             PacerConf::None => u64::MAX,
             PacerConf::Bdp { target_delay_us } => {
@@ -252,7 +252,6 @@ impl TcLayer {
             }
         };
         let mut remaining = budget;
-        let mut dropped = Vec::new();
         loop {
             let Some(qidx) = self.pick_queue(remaining, now_ms) else { break };
             let Some(pkt) = self.queues[qidx].dequeue(now_ms) else { continue };
@@ -262,7 +261,6 @@ impl TcLayer {
                 dropped.push(pkt);
             }
         }
-        dropped
     }
 
     /// Picks the next queue with a head packet fitting `budget`, or `None`.
@@ -282,9 +280,8 @@ impl TcLayer {
             }
             TcSchedAlgo::StrictPriority => {
                 // Lowest queue id first.
-                let mut order: Vec<usize> = (0..self.queues.len()).collect();
-                order.sort_by_key(|&i| self.queues[i].id);
-                order.into_iter().find(|&i| fits(&self.queues[i]))
+                let fitting = self.queues.iter().enumerate().filter(|(_, q)| fits(q));
+                fitting.min_by_key(|(_, q)| q.id).map(|(i, _)| i)
             }
             TcSchedAlgo::WeightedRoundRobin => {
                 // Deficit-less approximation: serve queues proportionally by
@@ -349,7 +346,7 @@ mod tests {
         let mut rlc = RlcBearer::new(0);
         tc.ingress(pkt(0, 100, 0, 80, 6), 0);
         tc.ingress(pkt(0, 200, 0, 80, 6), 0);
-        tc.egress(&mut rlc, 0);
+        tc.egress(&mut rlc, 0, &mut Vec::new());
         assert_eq!(tc.backlog_bytes(), 0);
         assert_eq!(rlc.backlog_bytes(), 300);
     }
@@ -399,12 +396,14 @@ mod tests {
         let mut tc = TcLayer::new();
         tc.set_pacer(PacerConf::Bdp { target_delay_us: 10_000 });
         let mut rlc = RlcBearer::new(0);
+        let mut sink = Vec::new();
         // Warm the drain-rate estimate: 2000 B/ms link.
         for t in 0..500u64 {
             tc.ingress(pkt(0, 1000, t, 80, 6), t);
             tc.ingress(pkt(0, 1000, t, 80, 6), t);
-            tc.egress(&mut rlc, t);
-            rlc.drain(2000, t);
+            tc.egress(&mut rlc, t, &mut sink);
+            rlc.drain(2000, t, &mut sink);
+            sink.clear();
         }
         // Now flood: the TC holds the excess, the RLC stays near
         // drain_rate × target = 2000 B/ms × 10 ms = 20 kB.
@@ -412,8 +411,9 @@ mod tests {
             for _ in 0..10 {
                 tc.ingress(pkt(0, 1500, t, 80, 6), t);
             }
-            tc.egress(&mut rlc, t);
-            rlc.drain(2000, t);
+            tc.egress(&mut rlc, t, &mut sink);
+            rlc.drain(2000, t, &mut sink);
+            sink.clear();
         }
         assert!(
             rlc.backlog_bytes() < 40_000,
@@ -433,7 +433,7 @@ mod tests {
             tc.ingress(pkt(1, 100, 0, 5004, 17), 0); // q1
         }
         let mut rlc = RlcBearer::new(0);
-        tc.egress(&mut rlc, 0);
+        tc.egress(&mut rlc, 0, &mut Vec::new());
         // Everything released (no pacer); both queues served.
         let (stats, _) = tc.stats(0);
         assert!(stats.iter().all(|q| q.backlog_pkts == 0));
@@ -451,7 +451,7 @@ mod tests {
         tc.ingress(pkt(0, 1000, 0, 80, 6), 0); // q0
         let mut rlc = RlcBearer::new(0);
         // Budget floor is 3000 B; only q0's packet plus one more fit…
-        tc.egress(&mut rlc, 0);
+        tc.egress(&mut rlc, 0, &mut Vec::new());
         let (stats, _) = tc.stats(0);
         let q0 = stats.iter().find(|q| q.id == 0).unwrap();
         assert_eq!(q0.tx_pkts, 1, "q0 served first under strict priority");
@@ -469,13 +469,13 @@ mod tests {
         }
         let mut rlc = RlcBearer::new(0);
         // First egress at t=100 sets codel_above_since; later ones drop.
-        tc.egress(&mut rlc, 100);
+        tc.egress(&mut rlc, 100, &mut Vec::new());
         tc.reset_window(100);
         for i in 0..50 {
             tc.ingress(pkt(1, 100, 130, 5004, 17), 130);
             let _ = i;
         }
-        tc.egress(&mut rlc, 200);
+        tc.egress(&mut rlc, 200, &mut Vec::new());
         let (stats, _) = tc.stats(200);
         let q1 = stats.iter().find(|q| q.id == 1).unwrap();
         assert!(q1.drops > 0, "CoDel dropped persistent-bloat packets: {q1:?}");

@@ -196,15 +196,14 @@ impl Flow {
         }
     }
 
-    /// Emits the packets this flow sends at `now_ms`.
-    pub fn generate(&mut self, flow_id: usize, now_ms: u64) -> Vec<Packet> {
+    /// Appends the packets this flow sends at `now_ms` to `out`.
+    pub fn generate(&mut self, flow_id: usize, now_ms: u64, out: &mut Vec<Packet>) {
         if !self.active
             || now_ms < self.cfg.start_ms
             || self.cfg.stop_ms.is_some_and(|s| now_ms >= s)
         {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         match self.cfg.kind {
             FlowKind::Cbr { bytes, interval_ms } => {
                 let due = {
@@ -245,7 +244,6 @@ impl Flow {
                 }
             }
         }
-        out
     }
 
     /// The packet was delivered to the UE at `now_ms`; `ul_rtt_ms` is the
@@ -289,6 +287,13 @@ impl Flow {
 mod tests {
     use super::*;
 
+    /// What `f` sends at `now_ms`.
+    fn generate(f: &mut Flow, now_ms: u64) -> Vec<Packet> {
+        let mut out = Vec::new();
+        f.generate(0, now_ms, &mut out);
+        out
+    }
+
     fn cbr_cfg() -> FlowConfig {
         FlowConfig {
             cell: 0,
@@ -306,17 +311,17 @@ mod tests {
         let mut f = Flow::new(cbr_cfg());
         let mut total = 0;
         for t in 0..1000u64 {
-            total += f.generate(0, t).len();
+            total += generate(&mut f, t).len();
         }
         assert_eq!(total, 50, "one packet every 20 ms for 1 s");
         // Stopped after stop_ms.
-        assert!(f.generate(0, 1500).is_empty());
+        assert!(generate(&mut f, 1500).is_empty());
     }
 
     #[test]
     fn cbr_packets_carry_tuple() {
         let mut f = Flow::new(cbr_cfg());
-        let pkts = f.generate(0, 0);
+        let pkts = generate(&mut f, 0);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].bytes, 172);
         assert_eq!(pkts[0].dst_port, 5004);
@@ -331,13 +336,13 @@ mod tests {
             stop_ms: None,
             ..cbr_cfg()
         });
-        let pkts = f.generate(0, 0);
+        let pkts = generate(&mut f, 0);
         assert_eq!(pkts.len(), 10, "initial window of 10 segments");
-        assert!(f.generate(0, 1).is_empty(), "window full, nothing acked");
+        assert!(generate(&mut f, 1).is_empty(), "window full, nothing acked");
         // ACK two segments → two more may fly (slow start doubles).
         f.on_ack(10);
         f.on_ack(10);
-        let pkts = f.generate(0, 10);
+        let pkts = generate(&mut f, 10);
         assert_eq!(pkts.len(), 4, "2 acked + 2 window growth");
     }
 
@@ -369,7 +374,7 @@ mod tests {
     #[test]
     fn rtt_logged_for_cbr_only() {
         let mut f = Flow::new(cbr_cfg());
-        let pkts = f.generate(0, 0);
+        let pkts = generate(&mut f, 0);
         f.on_delivered(&pkts[0], 30, 10);
         assert_eq!(f.rtt_log, vec![(0, 40_000)]);
 
@@ -378,7 +383,7 @@ mod tests {
             stop_ms: None,
             ..cbr_cfg()
         });
-        let pkts = t.generate(0, 0);
+        let pkts = generate(&mut t, 0);
         t.on_delivered(&pkts[0], 30, 10);
         assert!(t.rtt_log.is_empty());
     }
@@ -387,8 +392,8 @@ mod tests {
     fn inactive_flow_is_silent() {
         let mut f = Flow::new(cbr_cfg());
         f.active = false;
-        assert!(f.generate(0, 0).is_empty());
+        assert!(generate(&mut f, 0).is_empty());
         f.active = true;
-        assert!(!f.generate(0, 0).is_empty());
+        assert!(!generate(&mut f, 0).is_empty());
     }
 }

@@ -209,6 +209,38 @@ $RUSTC --test --crate-name scenario_props \
     "$ROOT/crates/ransim/tests/scenario_props.rs" -o "$WORK/scenario_props"
 "$WORK/scenario_props" --quiet
 
+# 4h-4j. The simulator's TTI path (crates/ransim/tests/):
+#     props.rs — packet conservation, capacity bound, NVS shares under
+#     load, admission control, on the mini proptest;
+#     golden_trajectory.rs — nine seeded worlds whose statistics, averages
+#     and flow logs fold into digests pinned on the commit before the event
+#     heap and the per-TTI Vecs went: what is simulated has not moved;
+#     tick_alloc.rs — a warm Sim::tick allocates nothing (counting global
+#     allocator).
+#     All three run twice: optimised, then against a ransim built with
+#     debug assertions and overflow checks (tier-1's profile), where the
+#     event queues assert that they are pushed in order.
+ransim_suites() { # <ransim rlib> <rustc flags...>
+    rlib=$1
+    shift
+    for t in props golden_trajectory tick_alloc; do
+        rustc --edition 2021 "$@" -L dependency="$WORK" --test --crate-name "$t" \
+            --extern flexric_ransim="$rlib" \
+            --extern flexric_sm="$WORK/libflexric_sm.rlib" \
+            --extern proptest="$WORK/libproptest.rlib" \
+            "$ROOT/crates/ransim/tests/$t.rs" -o "$WORK/$t"
+        "$WORK/$t" --quiet
+    done
+}
+ransim_suites "$WORK/libflexric_ransim.rlib" -O
+mkdir -p "$WORK/dbg"
+rustc --edition 2021 -C debug-assertions=on -C overflow-checks=on -L dependency="$WORK" \
+    --crate-type rlib --crate-name flexric_ransim \
+    --extern flexric_sm="$WORK/libflexric_sm.rlib" \
+    --extern flexric_obs="$WORK/libflexric_obs.rlib" \
+    "$ROOT/crates/ransim/src/lib.rs" -o "$WORK/dbg/libflexric_ransim.rlib"
+ransim_suites "$WORK/dbg/libflexric_ransim.rlib" -C debug-assertions=on -C overflow-checks=on
+
 # 6. Adaptive-monitoring A/B (full vs delta vs adaptive; feeds
 #    BENCH_fig7b.json): real delta codec + real kpi workload, with
 #    byte-identical reconstruction asserted as it runs.
