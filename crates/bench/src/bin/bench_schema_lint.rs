@@ -9,24 +9,26 @@
 //! cargo run --release -p flexric-bench --bin bench_schema_lint [-- DIR]
 //! ```
 
-use serde_json::Value;
+use flexric_xapp::json::{self, Value};
 
 const REQUIRED_STR: &[&str] = &["bench", "source", "status", "note"];
 
 fn lint(path: &std::path::Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let obj = v.as_object().ok_or("top level is not an object")?;
+    let v = json::parse(text.as_bytes()).map_err(|e| format!("invalid JSON: {e}"))?;
+    if v.as_object().is_none() {
+        return Err("top level is not an object".into());
+    }
     for key in REQUIRED_STR {
-        match obj.get(*key) {
-            Some(Value::String(s)) if !s.trim().is_empty() => {}
+        match v.get(key) {
+            Some(Value::Str(s)) if !s.trim().is_empty() => {}
             Some(_) => return Err(format!("`{key}` is not a non-empty string")),
             None => return Err(format!("missing `{key}`")),
         }
     }
-    match obj.get("points") {
-        Some(Value::Array(a)) if !a.is_empty() => {}
-        Some(Value::Array(_)) => return Err("`points` is empty".into()),
+    match v.get("points") {
+        Some(Value::Arr(a)) if !a.is_empty() => {}
+        Some(Value::Arr(_)) => return Err("`points` is empty".into()),
         Some(_) => return Err("`points` is not an array".into()),
         None => return Err("missing `points`".into()),
     }

@@ -1,13 +1,12 @@
-//! Offline A/B of the adaptive-monitoring pipeline: signaling bytes of
+//! Component A/B of the adaptive-monitoring pipeline: signaling bytes of
 //! full vs delta vs adaptive reporting over the time-varying KPI workload,
 //! with byte-identical reconstruction asserted on every applied frame.
 //!
-//! This drives the REAL `flexric_sm::delta` codec and the REAL
-//! `ransim::kpi` workload generator for 1000 simulated agents × 3 SMs
-//! in-process (no transport, no tokio — the container has no crates
-//! registry), so the measured bytes are exactly the SM payload bytes the
-//! mem-transport A/B (`fig7b_monitoring_cost`) would carry per
-//! indication.  The adaptive mode simulates the server's retune state
+//! This drives the `flexric_sm::delta` codec and the `ransim::kpi`
+//! workload generator for 1000 simulated agents × 3 SMs in-process, with
+//! no transport or server in between, so the measured bytes are exactly
+//! the SM payload bytes the mem-transport A/B (`fig7b_monitoring_cost`)
+//! carries per indication.  The adaptive mode simulates the server's retune state
 //! machine (backoff on quiescence, tighten on anomaly) and charges each
 //! retune a conservative E2AP subscription-PDU cost against the savings.
 //!
@@ -17,9 +16,11 @@
 
 use std::time::Instant;
 
-use flexric_sm::delta::{content_hash, DeltaDecoder, DeltaEncoder, DeltaEvent, DeltaOut, DeltaRows};
-use flexric_sm::{SmCodec, SmPayload};
 use flexric_ransim::kpi::KpiGen;
+use flexric_sm::delta::{
+    content_hash, DeltaDecoder, DeltaEncoder, DeltaEvent, DeltaOut, DeltaRows,
+};
+use flexric_sm::{SmCodec, SmPayload};
 
 const AGENTS: usize = 1000;
 const UES: usize = 32;
@@ -215,18 +216,18 @@ fn main() {
     }
 
     let note = format!(
-        "The build container has no crates registry, so the full-stack mem-transport sweep \
-         (fig7b_monitoring_cost) cannot run here; these are REAL measured SM payload bytes from \
-         the real delta codec (flexric_sm::delta) over the real time-varying workload \
+        "Component run, no transport or server (fig7b_monitoring_cost is the full-stack \
+         mem-transport sweep): measured SM payload bytes from \
+         the delta codec (flexric_sm::delta) over the time-varying workload \
          (ransim::kpi) for {AGENTS} agents x 3 SMs x {TICKS} report periods, with \
          reconstruction content-hash-verified on every frame and byte-identity-verified on \
          every ~100th agent; adaptive retunes are charged {RETUNE_PDU_BYTES} B each. Since \
          FB tables of one layout share a vtable (PR 13) a full FB report is 2300 B, not 3044 B, \
          and the FB saving ratios fell with it (delta 8.81x -> 7.69x, adaptive 9.24x -> 8.02x): \
          the baseline shrank, the delta streams did not grow (their bytes fell too, by the \
-         smaller keyframes; suppressed/keyframe/delta counts are unchanged, as is PER). Run \
-         `cargo run --release -p flexric-bench --bin fig7b_monitoring_cost` on a networked \
-         host to overwrite this file with live end-to-end points (same --out flag and schema)."
+         smaller keyframes; suppressed/keyframe/delta counts are unchanged, as is PER). \
+         `cargo run --release -p flexric-bench --bin fig7b_monitoring_cost` overwrites this \
+         file with end-to-end points (same --out flag and schema)."
     );
 
     let mut points = String::new();
@@ -236,15 +237,23 @@ fn main() {
         }
         let t = &r.tally;
         let bps = t.bytes as f64 * 1_000.0 / r.window_ms as f64;
-        let rec_ns =
-            if t.reconstructed == 0 { 0 } else { t.reconstruct_ns / t.reconstructed };
+        let rec_ns = t.reconstruct_ns.checked_div(t.reconstructed).unwrap_or(0);
         points.push_str(&format!(
             "    {{\"agents\": {AGENTS}, \"sm_codec\": \"{}\", \"mode\": \"{}\", \
              \"window_ms\": {}, \"reports\": {}, \"sm_bytes\": {}, \
              \"bytes_per_simulated_s\": {:.0}, \"suppressed\": {}, \"keyframes\": {}, \
              \"deltas\": {}, \"retunes\": {}, \"reconstruct_ns_avg\": {}}}",
-            r.codec, r.mode, r.window_ms, t.reports, t.bytes, bps, t.suppressed, t.keyframes,
-            t.deltas, t.retunes, rec_ns,
+            r.codec,
+            r.mode,
+            r.window_ms,
+            t.reports,
+            t.bytes,
+            bps,
+            t.suppressed,
+            t.keyframes,
+            t.deltas,
+            t.retunes,
+            rec_ns,
         ));
     }
     let mut savings_json = String::new();
@@ -258,8 +267,8 @@ fn main() {
         ));
     }
     println!(
-        "{{\n  \"bench\": \"fig7b\",\n  \"source\": \"tools/offline_verify/run.sh (delta_ab, \
-         real delta codec + real kpi workload, bare rustc)\",\n  \"status\": \
+        "{{\n  \"bench\": \"fig7b\",\n  \"source\": \"cargo run --release -p flexric-bench --bin \
+         delta_ab (delta codec + kpi workload, no transport)\",\n  \"status\": \
          \"measured-offline-components\",\n  \"note\": \"{}\",\n  \"ues_per_agent\": {UES},\n  \
          \"sms_per_agent\": 3,\n  \"keyframe_every\": {KEYFRAME_EVERY},\n  \
          \"savings_at_{AGENTS}_agents\": [{savings_json}],\n  \"points\": [\n{points}\n  ]\n}}",

@@ -12,8 +12,7 @@ use flexric_e2ap::{GlobalRicId, Plmn};
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let listen = args.get("listen").unwrap_or("127.0.0.1:36421");
     let (app, _rtts) = PingApp::new(SmCodec::Flatb, 100, 1000);
@@ -21,7 +20,7 @@ async fn main() {
         GlobalRicId::new(Plmn::TEST, 1),
         TransportAddr::parse(listen).expect("listen addr"),
     );
-    let server = Server::spawn(cfg, vec![Box::new(app)]).await.expect("server");
+    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("server");
     println!("flexric-hw controller listening on {}", server.addrs[0]);
-    std::future::pending::<()>().await;
+    flexric_bench::roles::park_forever();
 }

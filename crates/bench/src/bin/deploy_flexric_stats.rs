@@ -11,8 +11,7 @@ use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig};
 use flexric_e2ap::{GlobalRicId, Plmn};
 use flexric_transport::TransportAddr;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let listen = args.get("listen").unwrap_or("127.0.0.1:36421");
     let (app, _db, _counters) = MonitorApp::new(MonitorConfig::default());
@@ -20,7 +19,7 @@ async fn main() {
         GlobalRicId::new(Plmn::TEST, 1),
         TransportAddr::parse(listen).expect("listen addr"),
     );
-    let server = Server::spawn(cfg, vec![Box::new(app)]).await.expect("server");
+    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("server");
     println!("flexric-stats controller listening on {}", server.addrs[0]);
-    std::future::pending::<()>().await;
+    flexric_bench::roles::park_forever();
 }

@@ -8,12 +8,11 @@
 use flexric_bench::Args;
 use flexric_transport::TransportAddr;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let listen = TransportAddr::parse(args.get("listen").unwrap_or("127.0.0.1:36421")).unwrap();
     let rmr = TransportAddr::parse(args.get("rmr").unwrap_or("127.0.0.1:4560")).unwrap();
-    let south = flexric_ctrl::oran_emu::run_e2term(listen, rmr).await.expect("e2term");
+    let south = flexric_ctrl::oran_emu::run_e2term(listen, rmr).expect("e2term");
     println!("oran-e2t listening on {south}");
-    std::future::pending::<()>().await;
+    flexric_bench::roles::park_forever();
 }

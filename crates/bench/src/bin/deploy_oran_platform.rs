@@ -7,12 +7,11 @@
 
 use flexric_bench::Args;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let components: usize = args.get_or("components", 1);
     let mb: usize = args.get_or("mb", 12);
     let _guard = flexric_ctrl::oran_emu::spawn_platform(components, mb);
     println!("oran-platform: {components} component(s), {mb} MiB each");
-    std::future::pending::<()>().await;
+    flexric_bench::roles::park_forever();
 }

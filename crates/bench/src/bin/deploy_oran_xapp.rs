@@ -8,13 +8,11 @@
 use flexric_bench::Args;
 use flexric_transport::TransportAddr;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let listen = TransportAddr::parse(args.get("rmr-listen").unwrap_or("127.0.0.1:4560")).unwrap();
     let xapp = flexric_ctrl::oran_emu::OranXapp::spawn(listen, flexric_sm::SmCodec::Asn1Per)
-        .await
         .expect("xapp");
     println!("oran-xapp RMR listening on {}", xapp.rmr_addr);
-    std::future::pending::<()>().await;
+    flexric_bench::roles::park_forever();
 }

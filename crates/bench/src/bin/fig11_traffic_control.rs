@@ -20,9 +20,7 @@
 //! cargo run --release -p flexric-bench --bin fig11_traffic_control [--secs 60]
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
@@ -70,7 +68,7 @@ struct Sample {
     q1_sojourn_ms: f64,
 }
 
-async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
+fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
     let (sim, voip, _tcp) = build_sim();
     let sim = Arc::new(Mutex::new(sim));
 
@@ -78,7 +76,7 @@ async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
     if with_xapp {
         // Full control loop: broker + controller (stats forwarder + TC
         // manager) + REST + bloat-guard xApp.
-        let broker = Broker::spawn("127.0.0.1:0").await.expect("broker");
+        let broker = Broker::spawn("127.0.0.1:0").expect("broker");
         let broker_addr = broker.addr.to_string();
         let sm = SmCodec::Flatb;
         let fwd = StatsForwarderApp::new(
@@ -93,8 +91,8 @@ async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
             TransportAddr::Mem("fig11-ctrl".into()),
         );
         cfg.tick_ms = Some(10);
-        let server = Server::spawn(cfg, vec![Box::new(fwd), Box::new(mgr)]).await.expect("server");
-        let rest = spawn_rest("127.0.0.1:0", server.clone()).await.expect("rest");
+        let server = Server::spawn(cfg, vec![Box::new(fwd), Box::new(mgr)]).expect("server");
+        let rest = spawn_rest("127.0.0.1:0", server.clone()).expect("rest");
         let rest_addr = rest.addr.to_string();
 
         let bs = SimBs::new(sim.clone(), 0);
@@ -103,10 +101,10 @@ async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
             TransportAddr::Mem("fig11-ctrl".into()),
         );
         acfg.tick_ms = None;
-        let a = Agent::spawn(acfg, full_bundle(&bs, sm)).await.expect("agent");
+        let a = Agent::spawn(acfg, full_bundle(&bs, sm)).expect("agent");
         agent = Some(a);
 
-        tokio::spawn(async move {
+        std::thread::spawn(move || {
             let outcome = flexric_ctrl::traffic::run_bloat_guard(BloatGuardConfig {
                 broker_addr,
                 rest_addr,
@@ -114,8 +112,7 @@ async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
                 protect_dst_port: VOIP_PORT,
                 protect_proto: 17,
                 pacer_target_us: 10_000,
-            })
-            .await;
+            });
             match outcome {
                 Ok((agent, rnti, drb)) => {
                     eprintln!("  xApp intervened: agent {agent}, rnti {rnti:#x}, drb {drb}")
@@ -134,7 +131,7 @@ async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
         // (broker → xApp → REST → iApp → agent) can act.
         for _ in 0..100 {
             let now = {
-                let mut s = sim.lock();
+                let mut s = sim.lock().unwrap();
                 s.tick();
                 s.now_ms()
             };
@@ -143,13 +140,13 @@ async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
             }
             t += 1;
         }
-        tokio::task::yield_now().await;
+        std::thread::yield_now();
         if with_xapp {
-            tokio::time::sleep(std::time::Duration::from_micros(500)).await;
+            std::thread::sleep(std::time::Duration::from_micros(500));
         }
         // Sample the queues directly from the simulator.
         let (rlc_us, q0_us, q1_us) = {
-            let mut s = sim.lock();
+            let mut s = sim.lock().unwrap();
             let rlc = s.cells[0].rlc_stats();
             let rlc_us = rlc.bearers.first().map(|b| b.sojourn_us_avg).unwrap_or(0);
             let tc = s.cells[0].tc_stats(RNTI, 1);
@@ -171,8 +168,8 @@ async fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
         });
     }
     // Let in-flight messages settle, then pull the RTT log.
-    tokio::time::sleep(std::time::Duration::from_millis(100)).await;
-    let rtt_log = sim.lock().flow(voip).rtt_log.clone();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let rtt_log = sim.lock().unwrap().flow(voip).rtt_log.clone();
     if let Some(a) = agent {
         a.stop();
     }
@@ -202,8 +199,7 @@ fn cdf_rows(log: &[(u64, u64)]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let secs: u64 = args.get_or("secs", 60);
 
@@ -212,9 +208,9 @@ async fn main() {
         "TC SM: sojourn times and VoIP RTT, transparent vs xApp (virtual-time sim)",
     );
     eprintln!("running transparent mode ({secs}s sim)...");
-    let (ts, rtt_transparent) = run(secs, false).await;
+    let (ts, rtt_transparent) = run(secs, false);
     eprintln!("running xApp mode ({secs}s sim)...");
-    let (xs, rtt_xapp) = run(secs, true).await;
+    let (xs, rtt_xapp) = run(secs, true);
 
     print_series("Fig. 11a transparent", &ts);
     print_series("Fig. 11b with TC xApp", &xs);

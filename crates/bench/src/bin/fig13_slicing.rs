@@ -17,10 +17,9 @@
 //! cargo run --release -p flexric-bench --bin fig13_slicing [--phase-secs 15]
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use serde_json::json;
+use flexric_xapp::json;
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{Server, ServerConfig, ServerHandle};
@@ -43,7 +42,7 @@ struct Stack {
     flows: Vec<usize>,
 }
 
-async fn build_stack(name: &str, ues: &[u16]) -> Stack {
+fn build_stack(name: &str, ues: &[u16]) -> Stack {
     let mut sim = Sim::new(vec![CellConfig::nr("cell0", 106)], PathConfig::default());
     let mut flows = Vec::new();
     for (i, rnti) in ues.iter().enumerate() {
@@ -67,8 +66,8 @@ async fn build_stack(name: &str, ues: &[u16]) -> Stack {
         TransportAddr::Mem(format!("fig13-{name}")),
     );
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(slice_app)]).await.expect("server");
-    let rest = spawn_rest("127.0.0.1:0", server.clone(), latest).await.expect("rest");
+    let server = Server::spawn(cfg, vec![Box::new(slice_app)]).expect("server");
+    let rest = spawn_rest("127.0.0.1:0", server.clone(), latest).expect("rest");
 
     let bs = SimBs::new(sim.clone(), 0);
     let mut acfg = AgentConfig::new(
@@ -76,21 +75,21 @@ async fn build_stack(name: &str, ues: &[u16]) -> Stack {
         TransportAddr::Mem(format!("fig13-{name}")),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, sm)).await.expect("agent");
-    tokio::time::sleep(std::time::Duration::from_millis(100)).await;
+    let agent = Agent::spawn(acfg, full_bundle(&bs, sm)).expect("agent");
+    std::thread::sleep(std::time::Duration::from_millis(100));
 
     Stack { sim, agent, server, rest: rest.addr.to_string(), flows }
 }
 
 /// Runs `ms` of virtual time, sampling per-flow throughput every 500 ms.
-async fn run_phase(stack: &Stack, ms: u64, series: &mut Vec<(f64, Vec<f64>)>) {
+fn run_phase(stack: &Stack, ms: u64, series: &mut Vec<(f64, Vec<f64>)>) {
     let mut last: Vec<u64> =
-        stack.flows.iter().map(|f| stack.sim.lock().flow(*f).delivered_bytes).collect();
+        stack.flows.iter().map(|f| stack.sim.lock().unwrap().flow(*f).delivered_bytes).collect();
     let mut elapsed = 0u64;
     while elapsed < ms {
         for _ in 0..500 {
             let now = {
-                let mut s = stack.sim.lock();
+                let mut s = stack.sim.lock().unwrap();
                 s.tick();
                 s.now_ms()
             };
@@ -98,11 +97,11 @@ async fn run_phase(stack: &Stack, ms: u64, series: &mut Vec<(f64, Vec<f64>)>) {
             stack.server.tick(now);
             elapsed += 1;
         }
-        tokio::task::yield_now().await;
-        let t = stack.sim.lock().now_ms() as f64 / 1000.0;
+        std::thread::yield_now();
+        let t = stack.sim.lock().unwrap().now_ms() as f64 / 1000.0;
         let mut mbps = Vec::new();
         for (i, f) in stack.flows.iter().enumerate() {
-            let b = stack.sim.lock().flow(*f).delivered_bytes;
+            let b = stack.sim.lock().unwrap().flow(*f).delivered_bytes;
             mbps.push((b - last[i]) as f64 * 8.0 / 0.5 / 1e6);
             last[i] = b;
         }
@@ -110,30 +109,30 @@ async fn run_phase(stack: &Stack, ms: u64, series: &mut Vec<(f64, Vec<f64>)>) {
     }
 }
 
-async fn post(rest: &str, path: &str, body: serde_json::Value) {
-    let (status, resp) = HttpClient::post_json(rest, path, &body).await.expect("rest call");
+fn post(rest: &str, path: &str, body: json::Value) {
+    let (status, resp) = HttpClient::post_json(rest, path, &body).expect("rest call");
     if status != 200 {
         panic!("{path} failed: {status} {}", String::from_utf8_lossy(&resp));
     }
 }
 
-async fn fig13a(phase_ms: u64) {
+fn fig13a(phase_ms: u64) {
     println!("\n-- Fig. 13a: isolation timeline (white UE = 0x4601) --");
     // Start with two UEs; the third connects at t2.
-    let stack = build_stack("a", &[0x4601, 0x4602]).await;
+    let stack = build_stack("a", &[0x4601, 0x4602]);
     let mut series = Vec::new();
 
     // t1: no slicing, two UEs.
-    run_phase(&stack, phase_ms, &mut series).await;
+    run_phase(&stack, phase_ms, &mut series);
     let t1_end = series.len();
 
     // t2: third UE connects.
     {
-        let mut sim = stack.sim.lock();
+        let mut sim = stack.sim.lock().unwrap();
         sim.attach_ue(0, UeConfig::new(0x4603, MCS));
     }
     // The new flow needs registering outside the lock scope of build.
-    let f3 = stack.sim.lock().add_flow(FlowConfig {
+    let f3 = stack.sim.lock().unwrap().add_flow(FlowConfig {
         cell: 0,
         rnti: 0x4603,
         drb: 1,
@@ -144,11 +143,11 @@ async fn fig13a(phase_ms: u64) {
     });
     let mut stack = stack;
     stack.flows.push(f3);
-    run_phase(&stack, phase_ms, &mut series).await;
+    run_phase(&stack, phase_ms, &mut series);
     let t2_end = series.len();
 
     // t3: deploy NVS 50/50 and associate.
-    post(&stack.rest, "/slice/algo", json!({"agent": 0, "algo": "nvs"})).await;
+    post(&stack.rest, "/slice/algo", json!({"agent": 0, "algo": "nvs"}));
     post(
         &stack.rest,
         "/slice/conf",
@@ -156,15 +155,13 @@ async fn fig13a(phase_ms: u64) {
             {"id": 0, "label": "white", "params": {"type": "nvs_capacity", "share_pct": 50.0}},
             {"id": 1, "label": "rest", "params": {"type": "nvs_capacity", "share_pct": 50.0}},
         ]}),
-    )
-    .await;
+    );
     post(
         &stack.rest,
         "/slice/assoc",
         json!({"agent": 0, "assoc": [[0x4601, 0], [0x4602, 1], [0x4603, 1]]}),
-    )
-    .await;
-    run_phase(&stack, phase_ms, &mut series).await;
+    );
+    run_phase(&stack, phase_ms, &mut series);
     let t3_end = series.len();
 
     // t4: 66 % for slice 0.
@@ -175,15 +172,14 @@ async fn fig13a(phase_ms: u64) {
             {"id": 0, "label": "white", "params": {"type": "nvs_capacity", "share_pct": 66.0}},
             {"id": 1, "label": "rest", "params": {"type": "nvs_capacity", "share_pct": 34.0}},
         ]}),
-    )
-    .await;
-    run_phase(&stack, phase_ms, &mut series).await;
+    );
+    run_phase(&stack, phase_ms, &mut series);
 
     // Report: mean throughput per phase.
     let phase = |from: usize, to: usize| -> Vec<f64> {
         let slice = &series[from..to];
         let n = slice.len().max(1) as f64;
-        let mut sums = vec![0.0; 3];
+        let mut sums = [0.0; 3];
         for (_, mbps) in slice {
             for (i, v) in mbps.iter().enumerate() {
                 sums[i] += v;
@@ -214,14 +210,13 @@ async fn fig13a(phase_ms: u64) {
     stack.server.stop();
 }
 
-async fn fig13b(phase_ms: u64, sharing: bool) -> (f64, f64) {
-    let stack = build_stack(if sharing { "b-share" } else { "b-noshare" }, &[0x4601, 0x4602]).await;
+fn fig13b(phase_ms: u64, sharing: bool) -> (f64, f64) {
+    let stack = build_stack(if sharing { "b-share" } else { "b-noshare" }, &[0x4601, 0x4602]);
     post(
         &stack.rest,
         "/slice/algo",
         json!({"agent": 0, "algo": if sharing { "nvs" } else { "nvs_nosharing" }}),
-    )
-    .await;
+    );
     post(
         &stack.rest,
         "/slice/conf",
@@ -229,18 +224,16 @@ async fn fig13b(phase_ms: u64, sharing: bool) -> (f64, f64) {
             {"id": 0, "label": "gray", "params": {"type": "nvs_capacity", "share_pct": 66.0}},
             {"id": 1, "label": "black", "params": {"type": "nvs_capacity", "share_pct": 34.0}},
         ]}),
-    )
-    .await;
-    post(&stack.rest, "/slice/assoc", json!({"agent": 0, "assoc": [[0x4601, 0], [0x4602, 1]]}))
-        .await;
+    );
+    post(&stack.rest, "/slice/assoc", json!({"agent": 0, "assoc": [[0x4601, 0], [0x4602, 1]]}));
 
     let mut series = Vec::new();
     // Phase 1: both active.
-    run_phase(&stack, phase_ms, &mut series).await;
+    run_phase(&stack, phase_ms, &mut series);
     let p1_end = series.len();
     // Phase 2: black slice idle.
-    stack.sim.lock().set_flow_active(stack.flows[1], false);
-    run_phase(&stack, phase_ms, &mut series).await;
+    stack.sim.lock().unwrap().set_flow_active(stack.flows[1], false);
+    run_phase(&stack, phase_ms, &mut series);
 
     let mean = |from: usize, to: usize, flow: usize| -> f64 {
         let s = &series[from..to];
@@ -253,17 +246,16 @@ async fn fig13b(phase_ms: u64, sharing: bool) -> (f64, f64) {
     (gray_active, gray_idle)
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let phase_ms: u64 = args.get_or("phase-secs", 15u64) * 1000;
 
     table::experiment("Fig. 13", "Slicing isolation (a) and resource sharing (b), NR 106 RB");
-    fig13a(phase_ms).await;
+    fig13a(phase_ms);
 
     println!("\n-- Fig. 13b: static attribution vs sharing (gray = 66 %, black = 34 %) --");
-    let (ns_active, ns_idle) = fig13b(phase_ms, false).await;
-    let (sh_active, sh_idle) = fig13b(phase_ms, true).await;
+    let (ns_active, ns_idle) = fig13b(phase_ms, false);
+    let (sh_active, sh_idle) = fig13b(phase_ms, true);
     table::table(
         &["mode", "gray_mbps_both_active", "gray_mbps_black_idle", "gain_%"],
         &[

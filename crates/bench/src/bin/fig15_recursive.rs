@@ -20,22 +20,19 @@
 //! cargo run --release -p flexric-bench --bin fig15_recursive [--secs 50]
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{Server, ServerConfig, ServerHandle};
 use flexric_bench::{table, Args};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
 use flexric_ctrl::recursive::{TenantConf, VirtController};
-use flexric_ctrl::slicing::{ApplySliceCtrl, SliceApp};
+use flexric_ctrl::slicing::{self, SliceApp};
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_ransim::{CellConfig, FlowConfig, FlowKind, PathConfig, Sim, UeConfig};
 use flexric_sm::slice::{SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
-use tokio::sync::oneshot;
 
 const MCS: u8 = 28;
 const OP_A: (u16, u16) = (1, 1);
@@ -48,25 +45,20 @@ struct TenantCtrl {
     server: ServerHandle,
 }
 
-async fn spawn_tenant(name: &str) -> TenantCtrl {
+fn spawn_tenant(name: &str) -> TenantCtrl {
     let (app, _latest) = SliceApp::new(SmCodec::Flatb, 1000);
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 10), TransportAddr::Mem(name.to_owned()));
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(app)]).await.expect("tenant ctrl");
+    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("tenant ctrl");
     TenantCtrl { server }
 }
 
 impl TenantCtrl {
     /// Issues a slice-control command through the tenant's controller and
     /// waits for the (virtualized) acknowledgement.
-    async fn apply(&self, ctrl: SliceCtrl) -> bool {
-        let (tx, rx) = oneshot::channel();
-        self.server.to_iapp("slice", Box::new(ApplySliceCtrl { agent: 0, ctrl, reply: tx }));
-        match tokio::time::timeout(std::time::Duration::from_secs(5), rx).await {
-            Ok(Ok(reply)) => reply.ok,
-            _ => false,
-        }
+    fn apply(&self, ctrl: SliceCtrl) -> bool {
+        slicing::apply(&self.server, 0, ctrl).is_some_and(|r| r.ok)
     }
 }
 
@@ -98,7 +90,7 @@ struct Setup {
 }
 
 /// Dedicated: two 25 RB eNBs, one slicing controller each.
-async fn setup_dedicated(tag: &str) -> Setup {
+fn setup_dedicated(tag: &str) -> Setup {
     let mut sim = Sim::new(
         vec![CellConfig::lte("enb-a", 25), CellConfig::lte("enb-b", 25)],
         PathConfig::default(),
@@ -109,8 +101,8 @@ async fn setup_dedicated(tag: &str) -> Setup {
 
     let mut agents = Vec::new();
     let mut servers = Vec::new();
-    let tenant_a = spawn_tenant(&format!("fig15-{tag}-a")).await;
-    let tenant_b = spawn_tenant(&format!("fig15-{tag}-b")).await;
+    let tenant_a = spawn_tenant(&format!("fig15-{tag}-a"));
+    let tenant_b = spawn_tenant(&format!("fig15-{tag}-b"));
     for (cell, (tenant, name)) in
         [(&tenant_a, format!("fig15-{tag}-a")), (&tenant_b, format!("fig15-{tag}-b"))]
             .iter()
@@ -122,26 +114,26 @@ async fn setup_dedicated(tag: &str) -> Setup {
             TransportAddr::Mem(name.clone()),
         );
         acfg.tick_ms = None;
-        let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.expect("agent");
+        let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent");
         agents.push(agent);
         servers.push(tenant.server.clone());
     }
     servers.push(tenant_b.server.clone());
-    tokio::time::sleep(std::time::Duration::from_millis(100)).await;
+    std::thread::sleep(std::time::Duration::from_millis(100));
     // Dedicated case: tenant A controls its own eNB directly; NVS there.
-    assert!(tenant_a.apply(SliceCtrl::SetAlgo { algo: flexric_sm::slice::SliceAlgo::Nvs }).await);
+    assert!(tenant_a.apply(SliceCtrl::SetAlgo { algo: flexric_sm::slice::SliceAlgo::Nvs }));
     Setup { sim, agents, servers, tenant_a, flows, a_slice_ids: (0, 1) }
 }
 
 /// Shared: one 50 RB eNB behind the virtualization controller; the same
 /// tenant controllers connect northbound.
-async fn setup_shared(tag: &str) -> Setup {
+fn setup_shared(tag: &str) -> Setup {
     let mut sim = Sim::new(vec![CellConfig::lte("enb-shared", 50)], PathConfig::default());
     let flows = attach_ues(&mut sim, 0, &UES);
     let sim = Arc::new(Mutex::new(sim));
 
-    let tenant_a = spawn_tenant(&format!("fig15-{tag}-a")).await;
-    let tenant_b = spawn_tenant(&format!("fig15-{tag}-b")).await;
+    let tenant_a = spawn_tenant(&format!("fig15-{tag}-a"));
+    let tenant_b = spawn_tenant(&format!("fig15-{tag}-b"));
 
     let mut south_cfg = ServerConfig::new(
         GlobalRicId::new(Plmn::TEST, 20),
@@ -169,7 +161,6 @@ async fn setup_shared(tag: &str) -> Setup {
         500,
         None,
     )
-    .await
     .expect("virt controller");
 
     // The real agent connects to the virtualization controller southbound.
@@ -179,8 +170,8 @@ async fn setup_shared(tag: &str) -> Setup {
         TransportAddr::Mem(format!("fig15-{tag}-virt")),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.expect("agent");
-    tokio::time::sleep(std::time::Duration::from_millis(100)).await;
+    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent");
+    std::thread::sleep(std::time::Duration::from_millis(100));
 
     Setup {
         sim,
@@ -194,10 +185,10 @@ async fn setup_shared(tag: &str) -> Setup {
 
 /// Drives virtual time, samples per-UE throughput every 500 ms, applies
 /// the timeline, returns `(t_s, [ue throughputs Mbps])` rows.
-async fn run_timeline(setup: &Setup, secs: u64) -> Vec<(f64, Vec<f64>)> {
+fn run_timeline(setup: &Setup, secs: u64) -> Vec<(f64, Vec<f64>)> {
     let mut series = Vec::new();
     let mut last: Vec<u64> =
-        setup.flows.iter().map(|f| setup.sim.lock().flow(*f).delivered_bytes).collect();
+        setup.flows.iter().map(|f| setup.sim.lock().unwrap().flow(*f).delivered_bytes).collect();
     let total_ms = secs * 1000;
     let mut t = 0u64;
     let mut did_slice1 = false;
@@ -207,7 +198,7 @@ async fn run_timeline(setup: &Setup, secs: u64) -> Vec<(f64, Vec<f64>)> {
     while t < total_ms {
         for _ in 0..500 {
             let now = {
-                let mut s = setup.sim.lock();
+                let mut s = setup.sim.lock().unwrap();
                 s.tick();
                 s.now_ms()
             };
@@ -219,66 +210,58 @@ async fn run_timeline(setup: &Setup, secs: u64) -> Vec<(f64, Vec<f64>)> {
             }
             t += 1;
         }
-        tokio::task::yield_now().await;
-        tokio::time::sleep(std::time::Duration::from_micros(300)).await;
+        std::thread::yield_now();
+        std::thread::sleep(std::time::Duration::from_micros(300));
 
         // Timeline actions (sim-time triggered, applied through the
         // tenant controller — over the virtualization layer when shared).
         if !did_slice1 && t >= 8_000 {
             did_slice1 = true;
-            let ok = setup
-                .tenant_a
-                .apply(SliceCtrl::AddModSlices {
-                    slices: vec![SliceConf {
-                        id: setup.a_slice_ids.0,
-                        label: "a-sub1".into(),
-                        params: SliceParams::NvsCapacity { share_milli: 660 },
-                        ue_sched: UeSchedAlgo::PropFair,
-                    }],
-                })
-                .await;
+            let ok = setup.tenant_a.apply(SliceCtrl::AddModSlices {
+                slices: vec![SliceConf {
+                    id: setup.a_slice_ids.0,
+                    label: "a-sub1".into(),
+                    params: SliceParams::NvsCapacity { share_milli: 660 },
+                    ue_sched: UeSchedAlgo::PropFair,
+                }],
+            });
             eprintln!("  t=8s: operator A creates 66% sub-slice (ok={ok})");
             let ok = setup
                 .tenant_a
-                .apply(SliceCtrl::AssocUeSlice { assoc: vec![(0x11, setup.a_slice_ids.0)] })
-                .await;
+                .apply(SliceCtrl::AssocUeSlice { assoc: vec![(0x11, setup.a_slice_ids.0)] });
             eprintln!("  t=8s: UE1 → sub-slice 1 (ok={ok})");
         }
         if !did_slice2 && t >= 11_000 {
             did_slice2 = true;
-            let ok = setup
-                .tenant_a
-                .apply(SliceCtrl::AddModSlices {
-                    slices: vec![SliceConf {
-                        id: setup.a_slice_ids.1,
-                        label: "a-sub2".into(),
-                        params: SliceParams::NvsCapacity { share_milli: 330 },
-                        ue_sched: UeSchedAlgo::PropFair,
-                    }],
-                })
-                .await;
+            let ok = setup.tenant_a.apply(SliceCtrl::AddModSlices {
+                slices: vec![SliceConf {
+                    id: setup.a_slice_ids.1,
+                    label: "a-sub2".into(),
+                    params: SliceParams::NvsCapacity { share_milli: 330 },
+                    ue_sched: UeSchedAlgo::PropFair,
+                }],
+            });
             eprintln!("  t=11s: operator A creates 33% sub-slice (ok={ok})");
             let ok = setup
                 .tenant_a
-                .apply(SliceCtrl::AssocUeSlice { assoc: vec![(0x12, setup.a_slice_ids.1)] })
-                .await;
+                .apply(SliceCtrl::AssocUeSlice { assoc: vec![(0x12, setup.a_slice_ids.1)] });
             eprintln!("  t=11s: UE2 → sub-slice 2 (ok={ok})");
         }
         if !ue4_idle && t >= (secs * 1000) / 2 {
             ue4_idle = true;
-            setup.sim.lock().set_flow_active(setup.flows[3], false);
+            setup.sim.lock().unwrap().set_flow_active(setup.flows[3], false);
             eprintln!("  t={}s: operator B UE4 idle", t / 1000);
         }
         if !b_idle && t >= (secs * 1000) * 4 / 5 {
             b_idle = true;
-            setup.sim.lock().set_flow_active(setup.flows[2], false);
+            setup.sim.lock().unwrap().set_flow_active(setup.flows[2], false);
             eprintln!("  t={}s: operator B fully idle", t / 1000);
         }
 
         let ts = t as f64 / 1000.0;
         let mut mbps = Vec::new();
         for (i, f) in setup.flows.iter().enumerate() {
-            let b = setup.sim.lock().flow(*f).delivered_bytes;
+            let b = setup.sim.lock().unwrap().flow(*f).delivered_bytes;
             mbps.push((b - last[i]) as f64 * 8.0 / 0.5 / 1e6);
             last[i] = b;
         }
@@ -324,8 +307,7 @@ fn summarize_phases(label: &str, series: &[(f64, Vec<f64>)], secs: u64) {
     );
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let secs: u64 = args.get_or("secs", 50);
 
@@ -334,13 +316,13 @@ async fn main() {
         "Recursive slicing: dedicated (2×25 RB) vs shared (1×50 RB + virtualization)",
     );
     eprintln!("dedicated infrastructure run...");
-    let ded = setup_dedicated("ded").await;
-    let ded_series = run_timeline(&ded, secs).await;
+    let ded = setup_dedicated("ded");
+    let ded_series = run_timeline(&ded, secs);
     summarize_phases("Fig. 15a dedicated (two eNBs)", &ded_series, secs);
 
     eprintln!("shared infrastructure run...");
-    let sh = setup_shared("sh").await;
-    let sh_series = run_timeline(&sh, secs).await;
+    let sh = setup_shared("sh");
+    let sh_series = run_timeline(&sh, secs);
     summarize_phases("Fig. 15b shared (one eNB + virtualization controller)", &sh_series, secs);
 
     println!();

@@ -29,7 +29,7 @@ struct Scenario {
     port: u16,
 }
 
-async fn run_scenario(s: &Scenario, duration: u64) -> f64 {
+fn run_scenario(s: &Scenario, duration: u64) -> f64 {
     // Controller process (if the variant needs one).
     let mut ctrl_child = None;
     if let Some(role) = s.ctrl_role {
@@ -43,7 +43,7 @@ async fn run_scenario(s: &Scenario, duration: u64) -> f64 {
         ])
         .expect("spawn controller");
         ctrl_child = Some(child);
-        tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+        std::thread::sleep(std::time::Duration::from_millis(300));
     }
     // Base-station process.
     let mut bs_args: Vec<String> = vec![
@@ -66,9 +66,9 @@ async fn run_scenario(s: &Scenario, duration: u64) -> f64 {
     }
     let mut bs = spawn_role(&bs_args).expect("spawn bs");
     // Let it warm up, then meter the steady state.
-    tokio::time::sleep(std::time::Duration::from_millis(1000)).await;
+    std::thread::sleep(std::time::Duration::from_millis(1000));
     let a = metrics::sample(Some(bs.id())).expect("sample");
-    tokio::time::sleep(std::time::Duration::from_secs(duration.saturating_sub(2).max(3))).await;
+    std::thread::sleep(std::time::Duration::from_secs(duration.saturating_sub(2).max(3)));
     let b = metrics::sample(Some(bs.id())).expect("sample");
     let pct = metrics::cpu_pct_normalized(&a, &b, s.cores);
     let _ = bs.wait();
@@ -79,10 +79,9 @@ async fn run_scenario(s: &Scenario, duration: u64) -> f64 {
     pct
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
-    if roles::dispatch(&args).await {
+    if roles::dispatch(&args) {
         return;
     }
     let duration: u64 = args.get_or("duration", 10);
@@ -140,7 +139,7 @@ async fn main() {
     ];
     let mut results = Vec::new();
     for s in &scenarios {
-        let pct = run_scenario(s, duration).await;
+        let pct = run_scenario(s, duration);
         eprintln!("  {}: {:.3} % (normalized, {} cores)", s.label, pct, s.cores);
         results.push((s.label, s.cores, pct));
     }

@@ -14,7 +14,7 @@
 
 use flexric_bench::{metrics, roles, spawn_role, table, Args};
 
-async fn run_point(variant: &str, ues: u16, duration: u64, port: u16) -> f64 {
+fn run_point(variant: &str, ues: u16, duration: u64, port: u16) -> f64 {
     let mut ctrl_child = None;
     let ctrl_role = match variant {
         "flexric" => Some("monitor"),
@@ -32,7 +32,7 @@ async fn run_point(variant: &str, ues: u16, duration: u64, port: u16) -> f64 {
         ])
         .expect("spawn controller");
         ctrl_child = Some(child);
-        tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+        std::thread::sleep(std::time::Duration::from_millis(300));
     }
     let mut bs_args: Vec<String> = vec![
         "--role".into(),
@@ -53,9 +53,9 @@ async fn run_point(variant: &str, ues: u16, duration: u64, port: u16) -> f64 {
         bs_args.push(format!("127.0.0.1:{port}"));
     }
     let mut bs = spawn_role(&bs_args).expect("spawn bs");
-    tokio::time::sleep(std::time::Duration::from_millis(800)).await;
+    std::thread::sleep(std::time::Duration::from_millis(800));
     let a = metrics::sample(Some(bs.id())).expect("sample");
-    tokio::time::sleep(std::time::Duration::from_secs(duration.saturating_sub(2).max(3))).await;
+    std::thread::sleep(std::time::Duration::from_secs(duration.saturating_sub(2).max(3)));
     let b = metrics::sample(Some(bs.id())).expect("sample");
     // Normalized to the paper's 8-core LTE machine.
     let pct = metrics::cpu_pct_normalized(&a, &b, 8);
@@ -67,10 +67,9 @@ async fn run_point(variant: &str, ues: u16, duration: u64, port: u16) -> f64 {
     pct
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
-    if roles::dispatch(&args).await {
+    if roles::dispatch(&args) {
         return;
     }
     let duration: u64 = args.get_or("duration", 6);
@@ -87,7 +86,7 @@ async fn main() {
         let mut row = vec![ues.to_string()];
         for variant in ["none", "flexric", "flexran"] {
             port += 1;
-            let pct = run_point(variant, ues, duration, port).await;
+            let pct = run_point(variant, ues, duration, port);
             eprintln!("  ues={ues} {variant}: {pct:.3} %");
             row.push(table::f(pct));
         }

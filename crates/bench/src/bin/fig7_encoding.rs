@@ -24,7 +24,7 @@ use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
 
-async fn flexric_combo(
+fn flexric_combo(
     e2ap: E2apCodec,
     sm: SmCodec,
     payload: usize,
@@ -37,7 +37,7 @@ async fn flexric_combo(
     );
     cfg.codec = e2ap;
     cfg.tick_ms = Some(1);
-    let server = Server::spawn(cfg, vec![Box::new(ping_app)]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(ping_app)]).unwrap();
 
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1),
@@ -45,25 +45,25 @@ async fn flexric_combo(
     );
     acfg.codec = e2ap;
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).await.unwrap();
+    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).unwrap();
 
     let t0 = std::time::Instant::now();
-    let a0 = agent.stats().await.unwrap();
-    let s0 = server.stats().await.unwrap();
+    let a0 = agent.stats().unwrap();
+    let s0 = server.stats().unwrap();
     loop {
-        tokio::time::sleep(std::time::Duration::from_millis(20)).await;
-        if rtts.lock().len() >= pings {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        if rtts.lock().unwrap().len() >= pings {
             break;
         }
         if t0.elapsed().as_secs() > 120 {
-            eprintln!("warning: only {} pings collected", rtts.lock().len());
+            eprintln!("warning: only {} pings collected", rtts.lock().unwrap().len());
             break;
         }
     }
     let wall = t0.elapsed().as_secs_f64();
-    let a1 = agent.stats().await.unwrap();
-    let s1 = server.stats().await.unwrap();
-    let mut samples: Vec<u64> = rtts.lock().clone();
+    let a1 = agent.stats().unwrap();
+    let s1 = server.stats().unwrap();
+    let mut samples: Vec<u64> = rtts.lock().unwrap().clone();
     let sum = summarize(&mut samples);
     // Signaling rate, agent→controller direction (the paper's Fig. 7b
     // convention: ~12-13 Mbit/s for 1500 B at 1 kHz is one direction).
@@ -75,18 +75,16 @@ async fn flexric_combo(
     (sum.mean / 1000.0, sum.p50 as f64 / 1000.0, sum.p99 as f64 / 1000.0, mbps)
 }
 
-async fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
-    let ctrl = FlexranController::spawn(&TransportAddr::parse("127.0.0.1:0").unwrap(), 1000)
-        .await
-        .unwrap();
-    let agent = FlexranAgent::spawn(&ctrl.addr, |_| Default::default()).await.unwrap();
+fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
+    let ctrl =
+        FlexranController::spawn(&TransportAddr::parse("127.0.0.1:0").unwrap(), 1000).unwrap();
+    let agent = FlexranAgent::spawn(&ctrl.addr, |_| Default::default()).unwrap();
     // Payload carries the send timestamp in its first 8 bytes.
     let t0 = std::time::Instant::now();
     let mut sent = 0usize;
-    let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-    iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+    let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
     while sent < pings {
-        iv.tick().await;
+        iv.tick();
         let mut buf = vec![0u8; payload.max(8)];
         buf[..8].copy_from_slice(&flexric::mono_ns().to_be_bytes());
         agent.echo(Bytes::from(buf));
@@ -94,15 +92,16 @@ async fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
     }
     // Drain replies.
     for _ in 0..200 {
-        if agent.echo_rx.lock().len() >= pings {
+        if agent.echo_rx.lock().unwrap().len() >= pings {
             break;
         }
-        tokio::time::sleep(std::time::Duration::from_millis(10)).await;
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let wall = t0.elapsed().as_secs_f64();
     let mut samples: Vec<u64> = agent
         .echo_rx
         .lock()
+        .unwrap()
         .iter()
         .filter_map(|(payload, rx_ns)| {
             let t0 = u64::from_be_bytes(payload.get(..8)?.try_into().ok()?);
@@ -117,8 +116,7 @@ async fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
     (sum.mean / 1000.0, sum.p50 as f64 / 1000.0, sum.p99 as f64 / 1000.0, mbps)
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let pings: usize = args.get_or("pings", 2000);
 
@@ -134,8 +132,8 @@ async fn main() {
     for payload in [100usize, 1500] {
         for (label, combo) in &combos {
             let (mean, p50, p99, mbps) = match combo {
-                Some((e2ap, sm)) => flexric_combo(*e2ap, *sm, payload, pings).await,
-                None => flexran_combo(payload, pings).await,
+                Some((e2ap, sm)) => flexric_combo(*e2ap, *sm, payload, pings),
+                None => flexran_combo(payload, pings),
             };
             rows.push(vec![
                 format!("{payload} B"),

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde_json::json;
+use flexric_xapp::json;
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{IApp, Server, ServerConfig};
@@ -58,13 +58,7 @@ fn mode_name(mode: MonitorMode) -> &'static str {
     }
 }
 
-async fn run_point(
-    agents: usize,
-    ues: u16,
-    period: u32,
-    duration_s: u64,
-    mode: MonitorMode,
-) -> Point {
+fn run_point(agents: usize, ues: u16, period: u32, duration_s: u64, mode: MonitorMode) -> Point {
     let addr = TransportAddr::Mem(format!("fig7b-{}-{agents}", mode_name(mode)));
     let mcfg =
         MonitorConfig { period_ms: period, sm_codec: SmCodec::Flatb, mode, ..Default::default() };
@@ -79,13 +73,12 @@ async fn run_point(
             first.take().unwrap_or_else(|| MonitorApp::replica(mcfg, db.clone(), counters.clone()));
         vec![Box::new(app) as Box<dyn IApp>]
     })
-    .await
     .expect("server");
 
     let mut spawns = Vec::with_capacity(agents);
     for i in 0..agents {
         let addr = addr.clone();
-        spawns.push(tokio::spawn(async move {
+        spawns.push(std::thread::spawn(move || {
             let mut acfg = AgentConfig::new(
                 GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 100 + i as u64),
                 addr,
@@ -93,19 +86,18 @@ async fn run_point(
             acfg.codec = E2apCodec::Flatb;
             acfg.tick_ms = None;
             Agent::spawn(acfg, dummy_bundle_time_varying(ues, SmCodec::Flatb, i as u64))
-                .await
                 .expect("agent")
         }));
     }
     let mut handles: Vec<AgentHandle> = Vec::with_capacity(agents);
     for s in spawns {
-        handles.push(s.await.expect("agent spawn task"));
+        handles.push(s.join().expect("agent spawn thread"));
     }
 
     let want_subs = agents as u64 * SMS_PER_AGENT;
     let t0 = Instant::now();
     loop {
-        let stats = server.stats().await.expect("stats");
+        let stats = server.stats().expect("stats");
         if stats.subs >= want_subs {
             break;
         }
@@ -114,22 +106,27 @@ async fn run_point(
             "only {}/{want_subs} subscriptions after 60 s",
             stats.subs
         );
-        tokio::time::sleep(Duration::from_millis(100)).await;
+        std::thread::sleep(Duration::from_millis(100));
     }
 
     let stop = Arc::new(AtomicBool::new(false));
     let drivers = 8.min(agents.max(1));
     let mut driver_tasks = Vec::new();
-    let t0 = Instant::now();
     for d in 0..drivers {
         let slice: Vec<AgentHandle> = handles.iter().skip(d).step_by(drivers).cloned().collect();
         let stop = stop.clone();
-        driver_tasks.push(tokio::spawn(async move {
-            let mut iv = tokio::time::interval(Duration::from_millis(period.max(1) as u64));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+        driver_tasks.push(std::thread::spawn(move || {
+            // The agents' clock advances one period per tick, whenever the
+            // tick comes: a late tick delays a report, it does not make the
+            // next one (on time, but early on the agent's re-armed clock)
+            // skip a period.  Ticks the pacing gives up on are reports not
+            // offered, which is what an unsustainable point looks like.
+            let step = period.max(1) as u64;
+            let mut iv = flexric::Ticker::every(Duration::from_millis(step));
+            let mut now = 0;
             while !stop.load(Ordering::Relaxed) {
-                iv.tick().await;
-                let now = t0.elapsed().as_millis() as u64;
+                iv.tick();
+                now += step;
                 for a in &slice {
                     a.tick(now);
                 }
@@ -139,12 +136,12 @@ async fn run_point(
 
     // Warm up across one full workload cycle so every phase contributes,
     // then measure a fixed wall window via the shared counters.
-    tokio::time::sleep(Duration::from_millis(period as u64 * 4)).await;
+    std::thread::sleep(Duration::from_millis(period as u64 * 4));
     let before = flexric_obs::snapshot();
     let ind0 = before.counter_value("flexric_ctrl_indications_total").unwrap_or(0);
     let bytes0 = before.counter_value("flexric_ctrl_indication_bytes_total").unwrap_or(0);
     let w0 = Instant::now();
-    tokio::time::sleep(Duration::from_secs(duration_s)).await;
+    std::thread::sleep(Duration::from_secs(duration_s));
     let after = flexric_obs::snapshot();
     let window_ms = w0.elapsed().as_millis() as u64;
     let ind1 = after.counter_value("flexric_ctrl_indications_total").unwrap_or(0);
@@ -175,13 +172,13 @@ async fn run_point(
 
     stop.store(true, Ordering::Relaxed);
     for t in driver_tasks {
-        let _ = t.await;
+        t.join().expect("driver thread");
     }
     for a in &handles {
         a.stop();
     }
     server.stop();
-    tokio::time::sleep(Duration::from_millis(200)).await;
+    std::thread::sleep(Duration::from_millis(200));
 
     let sm_bytes = bytes1 - bytes0;
     Point {
@@ -197,8 +194,7 @@ async fn run_point(
     }
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let ues: u16 = args.get_or("ues", 32);
     let period: u32 = args.get_or("period", 10);
@@ -223,7 +219,7 @@ async fn main() {
     let mut results: Vec<Point> = Vec::new();
     for &agents in &agent_points {
         for mode in modes {
-            let p = run_point(agents, ues, period, duration_s, mode).await;
+            let p = run_point(agents, ues, period, duration_s, mode);
             eprintln!(
                 "  agents={agents} mode={}: {} ind, {:.0} bytes/s, {} retunes",
                 p.mode, p.indications, p.bytes_per_s, p.retunes
@@ -291,8 +287,7 @@ async fn main() {
         })).collect::<Vec<_>>(),
     });
     if out != "-" {
-        std::fs::write(&out, serde_json::to_string_pretty(&snapshot).expect("json") + "\n")
-            .expect("write snapshot");
+        std::fs::write(&out, snapshot.to_string_pretty() + "\n").expect("write snapshot");
         println!();
         println!("snapshot written to {out}");
     }

@@ -13,7 +13,7 @@
 
 use flexric_bench::{metrics, roles, spawn_role, table, Args};
 
-async fn run_side(flexran: bool, agents: usize, duration: u64, port: u16) -> (f64, u64, u64) {
+fn run_side(flexran: bool, agents: usize, duration: u64, port: u16) -> (f64, u64, u64) {
     let ctrl_role = if flexran { "flexran-ctrl" } else { "monitor" };
     let agents_role = if flexran { "flexran-dummy-agents" } else { "dummy-agents" };
     let mut ctrl = spawn_role(&[
@@ -27,7 +27,7 @@ async fn run_side(flexran: bool, agents: usize, duration: u64, port: u16) -> (f6
         "fb".into(),
     ])
     .expect("spawn controller");
-    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+    std::thread::sleep(std::time::Duration::from_millis(300));
     let mut ag = spawn_role(&[
         "--role".into(),
         agents_role.into(),
@@ -41,9 +41,9 @@ async fn run_side(flexran: bool, agents: usize, duration: u64, port: u16) -> (f6
         "fb".into(),
     ])
     .expect("spawn agents");
-    tokio::time::sleep(std::time::Duration::from_millis(1500)).await;
+    std::thread::sleep(std::time::Duration::from_millis(1500));
     let a = metrics::sample(Some(ctrl.id())).expect("sample");
-    tokio::time::sleep(std::time::Duration::from_secs(duration)).await;
+    std::thread::sleep(std::time::Duration::from_secs(duration));
     let b = metrics::sample(Some(ctrl.id())).expect("sample");
     let cpu = metrics::cpu_pct(&a, &b);
     let _ = ag.kill();
@@ -53,10 +53,9 @@ async fn run_side(flexran: bool, agents: usize, duration: u64, port: u16) -> (f6
     (cpu, b.rss_kb, b.hwm_kb)
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
-    if roles::dispatch(&args).await {
+    if roles::dispatch(&args) {
         return;
     }
     let agents: usize = args.get_or("agents", 10);
@@ -66,9 +65,9 @@ async fn main() {
         "Fig. 8a",
         "Controller CPU and memory, FlexRIC vs FlexRAN (dummy agents, 32 UEs, 1 ms)",
     );
-    let (ric_cpu, ric_rss, ric_hwm) = run_side(false, agents, duration, 39301).await;
+    let (ric_cpu, ric_rss, ric_hwm) = run_side(false, agents, duration, 39301);
     eprintln!("  FlexRIC: {ric_cpu:.2} % cpu, {} MB rss", ric_rss / 1024);
-    let (ran_cpu, ran_rss, ran_hwm) = run_side(true, agents, duration, 39302).await;
+    let (ran_cpu, ran_rss, ran_hwm) = run_side(true, agents, duration, 39302);
     eprintln!("  FlexRAN: {ran_cpu:.2} % cpu, {} MB rss", ran_rss / 1024);
 
     table::table(

@@ -19,9 +19,9 @@
 //! ```
 
 use flexric_bench::{metrics, roles, spawn_role, table, Args};
-use serde_json::json;
+use flexric_xapp::json;
 
-async fn run_point(
+fn run_point(
     codec: &str,
     agents: usize,
     period: u32,
@@ -47,7 +47,7 @@ async fn run_point(
         "x".into(),
     ])
     .expect("spawn controller");
-    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+    std::thread::sleep(std::time::Duration::from_millis(300));
     let mut ag = spawn_role(&[
         "--role".into(),
         "dummy-agents".into(),
@@ -63,9 +63,9 @@ async fn run_point(
         "fb".into(),
     ])
     .expect("spawn agents");
-    tokio::time::sleep(std::time::Duration::from_millis(1500)).await;
+    std::thread::sleep(std::time::Duration::from_millis(1500));
     let a = metrics::sample(Some(ctrl.id())).expect("sample");
-    tokio::time::sleep(std::time::Duration::from_secs(duration)).await;
+    std::thread::sleep(std::time::Duration::from_secs(duration));
     let b = metrics::sample(Some(ctrl.id())).expect("sample");
     let cpu = metrics::cpu_pct(&a, &b);
     let _ = ag.kill();
@@ -75,10 +75,9 @@ async fn run_point(
     cpu
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
-    if roles::dispatch(&args).await {
+    if roles::dispatch(&args) {
         return;
     }
     let duration: u64 = args.get_or("duration", 8);
@@ -105,13 +104,13 @@ async fn main() {
         let mut point = vec![("agents".to_owned(), json!(agents))];
         for codec in ["asn", "fb"] {
             port += 1;
-            let cpu = run_point(codec, agents, period, duration, port, shards).await;
+            let cpu = run_point(codec, agents, period, duration, port, shards);
             eprintln!("  agents={agents} {codec}: {cpu:.1} %");
             row.push(table::f(cpu));
             point.push((format!("{codec}_cpu_pct"), json!((cpu * 10.0).round() / 10.0)));
         }
         rows.push(row);
-        json_points.push(serde_json::Value::Object(point.into_iter().collect()));
+        json_points.push(json::Value::Obj(point));
     }
     table::table(&["agents", "asn1_cpu_%", "fb_cpu_%"], &rows);
     if out != "-" {
@@ -126,7 +125,7 @@ async fn main() {
             "duration_s": duration,
             "points": json_points,
         });
-        let text = serde_json::to_string_pretty(&snapshot).expect("json") + "\n";
+        let text = snapshot.to_string_pretty() + "\n";
         std::fs::write(&out, text).expect("write snapshot");
         println!("snapshot written to {out}");
     }

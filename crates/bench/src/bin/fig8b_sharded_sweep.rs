@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde_json::json;
+use flexric_xapp::json;
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{IApp, Server, ServerConfig};
@@ -132,7 +132,7 @@ struct Point {
     shard_agents: Vec<(String, i64)>,
 }
 
-async fn run_point(shards: usize, agents: usize, ues: u16, period: u32, duration_s: u64) -> Point {
+fn run_point(shards: usize, agents: usize, ues: u16, period: u32, duration_s: u64) -> Point {
     let addr = TransportAddr::Mem(format!("fig8b-sweep-{agents}"));
     let mcfg = MonitorConfig {
         period_ms: period,
@@ -151,33 +151,32 @@ async fn run_point(shards: usize, agents: usize, ues: u16, period: u32, duration
             first.take().unwrap_or_else(|| MonitorApp::replica(mcfg, db.clone(), counters.clone()));
         vec![Box::new(app) as Box<dyn IApp>]
     })
-    .await
     .expect("server");
 
     // Spawn the agent fleet concurrently; each is externally ticked.
     let mut spawns = Vec::with_capacity(agents);
     for i in 0..agents {
         let addr = addr.clone();
-        spawns.push(tokio::spawn(async move {
+        spawns.push(std::thread::spawn(move || {
             let mut acfg = AgentConfig::new(
                 GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 100 + i as u64),
                 addr,
             );
             acfg.codec = E2apCodec::Flatb;
             acfg.tick_ms = None;
-            Agent::spawn(acfg, dummy_bundle(ues, SmCodec::Flatb)).await.expect("agent")
+            Agent::spawn(acfg, dummy_bundle(ues, SmCodec::Flatb)).expect("agent")
         }));
     }
     let mut handles: Vec<AgentHandle> = Vec::with_capacity(agents);
     for s in spawns {
-        handles.push(s.await.expect("agent spawn task"));
+        handles.push(s.join().expect("agent spawn thread"));
     }
 
     // Wait until every subscription is established before measuring.
     let want_subs = agents as u64 * SMS_PER_AGENT;
     let t0 = Instant::now();
     loop {
-        let stats = server.stats().await.expect("stats");
+        let stats = server.stats().expect("stats");
         if stats.subs >= want_subs {
             break;
         }
@@ -186,25 +185,29 @@ async fn run_point(shards: usize, agents: usize, ues: u16, period: u32, duration
             "only {}/{want_subs} subscriptions after 60 s",
             stats.subs
         );
-        tokio::time::sleep(Duration::from_millis(100)).await;
+        std::thread::sleep(Duration::from_millis(100));
     }
 
-    // Drive the fleet from a handful of tasks so agent-side work spreads
-    // over the runtime's worker threads; ticking at the export period is
-    // enough for every report to fire on time.
+    // Drive the fleet from a handful of threads; ticking at the export
+    // period is enough for every report to fire.
     let stop = Arc::new(AtomicBool::new(false));
     let drivers = 8.min(agents.max(1));
     let mut driver_tasks = Vec::new();
-    let t0 = Instant::now();
     for d in 0..drivers {
         let slice: Vec<AgentHandle> = handles.iter().skip(d).step_by(drivers).cloned().collect();
         let stop = stop.clone();
-        driver_tasks.push(tokio::spawn(async move {
-            let mut iv = tokio::time::interval(Duration::from_millis(period.max(1) as u64));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+        driver_tasks.push(std::thread::spawn(move || {
+            // The agents' clock advances one period per tick, whenever the
+            // tick comes: a late tick delays a report, it does not make the
+            // next one (on time, but early on the agent's re-armed clock)
+            // skip a period.  Ticks the pacing gives up on are reports not
+            // offered, which is what an unsustainable point looks like.
+            let step = period.max(1) as u64;
+            let mut iv = flexric::Ticker::every(Duration::from_millis(step));
+            let mut now = 0;
             while !stop.load(Ordering::Relaxed) {
-                iv.tick().await;
-                let now = t0.elapsed().as_millis() as u64;
+                iv.tick();
+                now += step;
                 for a in &slice {
                     a.tick(now);
                 }
@@ -213,23 +216,23 @@ async fn run_point(shards: usize, agents: usize, ues: u16, period: u32, duration
     }
 
     // Warm up one period, then measure a fixed wall window.
-    tokio::time::sleep(Duration::from_millis(period as u64 * 2)).await;
+    std::thread::sleep(Duration::from_millis(period as u64 * 2));
     let before = flexric_obs::snapshot();
     let w0 = Instant::now();
-    tokio::time::sleep(Duration::from_secs(duration_s)).await;
+    std::thread::sleep(Duration::from_secs(duration_s));
     let after = flexric_obs::snapshot();
     let window_ms = w0.elapsed().as_millis() as u64;
 
     stop.store(true, Ordering::Relaxed);
     for t in driver_tasks {
-        let _ = t.await;
+        t.join().expect("driver thread");
     }
     for a in &handles {
         a.stop();
     }
     server.stop();
     // Let the teardown drain before the next point reuses the runtime.
-    tokio::time::sleep(Duration::from_millis(200)).await;
+    std::thread::sleep(Duration::from_millis(200));
 
     let expected = agents as u64 * SMS_PER_AGENT * (window_ms / period as u64);
     let sent = counter(&after, "flexric_agent_indications_sent_total")
@@ -252,8 +255,7 @@ async fn run_point(shards: usize, agents: usize, ues: u16, period: u32, duration
     }
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let shards: usize = args.get_or("shards", 0);
     let ues: u16 = args.get_or("ues", 32);
@@ -285,7 +287,7 @@ async fn main() {
     let mut results = Vec::new();
     let mut max_sustained = 0usize;
     for &agents in &points {
-        let p = run_point(shards, agents, ues, period, duration_s).await;
+        let p = run_point(shards, agents, ues, period, duration_s);
         eprintln!(
             "  agents={agents}: delivered {}/{} ({:.1} %) p99 dispatch {} ns {}",
             p.rx,
@@ -346,8 +348,7 @@ async fn main() {
         })).collect::<Vec<_>>(),
     });
     if out != "-" {
-        std::fs::write(&out, serde_json::to_string_pretty(&snapshot).expect("json") + "\n")
-            .expect("write snapshot");
+        std::fs::write(&out, snapshot.to_string_pretty() + "\n").expect("write snapshot");
         println!();
         println!("snapshot written to {out}");
     }

@@ -29,12 +29,7 @@ use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
 
-async fn flexric_one_hop(
-    codec: E2apCodec,
-    sm: SmCodec,
-    payload: usize,
-    pings: usize,
-) -> (f64, f64, f64) {
+fn flexric_one_hop(codec: E2apCodec, sm: SmCodec, payload: usize, pings: usize) -> (f64, f64, f64) {
     // FlexRIC's native deployment: the application is an iApp, one hop to
     // the agent — the architecture O-RAN precludes.
     let (ping_app, rtts) = PingApp::new(sm, payload, 1);
@@ -44,31 +39,26 @@ async fn flexric_one_hop(
     );
     cfg.codec = codec;
     cfg.tick_ms = Some(1);
-    let server = Server::spawn(cfg, vec![Box::new(ping_app)]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(ping_app)]).unwrap();
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1),
         server.addrs[0].clone(),
     );
     acfg.codec = codec;
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).await.unwrap();
+    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).unwrap();
     let t0 = std::time::Instant::now();
-    while rtts.lock().len() < pings && t0.elapsed().as_secs() < 60 {
-        tokio::time::sleep(std::time::Duration::from_millis(20)).await;
+    while rtts.lock().unwrap().len() < pings && t0.elapsed().as_secs() < 60 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    let mut samples = rtts.lock().clone();
+    let mut samples = rtts.lock().unwrap().clone();
     let s = summarize(&mut samples);
     agent.stop();
     server.stop();
     (s.mean / 1000.0, s.p50 as f64 / 1000.0, s.p99 as f64 / 1000.0)
 }
 
-async fn flexric_two_hop(
-    codec: E2apCodec,
-    sm: SmCodec,
-    payload: usize,
-    pings: usize,
-) -> (f64, f64, f64) {
+fn flexric_two_hop(codec: E2apCodec, sm: SmCodec, payload: usize, pings: usize) -> (f64, f64, f64) {
     let (ping_app, rtts) = PingApp::new(sm, payload, 1);
     let mut up_cfg = ServerConfig::new(
         GlobalRicId::new(Plmn::TEST, 1),
@@ -76,7 +66,7 @@ async fn flexric_two_hop(
     );
     up_cfg.codec = codec;
     up_cfg.tick_ms = Some(1);
-    let up = Server::spawn(up_cfg, vec![Box::new(ping_app)]).await.unwrap();
+    let up = Server::spawn(up_cfg, vec![Box::new(ping_app)]).unwrap();
 
     let mut south_cfg = ServerConfig::new(
         GlobalRicId::new(Plmn::TEST, 2),
@@ -90,7 +80,6 @@ async fn flexric_two_hop(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 99),
         hw_advertisement(sm),
     )
-    .await
     .unwrap();
 
     let mut acfg = AgentConfig::new(
@@ -99,13 +88,13 @@ async fn flexric_two_hop(
     );
     acfg.codec = codec;
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).await.unwrap();
+    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).unwrap();
 
     let t0 = std::time::Instant::now();
-    while rtts.lock().len() < pings && t0.elapsed().as_secs() < 60 {
-        tokio::time::sleep(std::time::Duration::from_millis(20)).await;
+    while rtts.lock().unwrap().len() < pings && t0.elapsed().as_secs() < 60 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    let mut samples = rtts.lock().clone();
+    let mut samples = rtts.lock().unwrap().clone();
     let s = summarize(&mut samples);
     agent.stop();
     relay.stop();
@@ -113,43 +102,39 @@ async fn flexric_two_hop(
     (s.mean / 1000.0, s.p50 as f64 / 1000.0, s.p99 as f64 / 1000.0)
 }
 
-async fn oran_two_hop(payload: usize, pings: usize) -> (f64, f64, f64) {
+fn oran_two_hop(payload: usize, pings: usize) -> (f64, f64, f64) {
     let sm = SmCodec::Asn1Per;
-    let xapp = OranXapp::spawn(TransportAddr::parse("127.0.0.1:0").unwrap(), sm).await.unwrap();
-    let south = run_e2term(TransportAddr::parse("127.0.0.1:0").unwrap(), xapp.rmr_addr.clone())
-        .await
-        .unwrap();
+    let xapp = OranXapp::spawn(TransportAddr::parse("127.0.0.1:0").unwrap(), sm).unwrap();
+    let south =
+        run_e2term(TransportAddr::parse("127.0.0.1:0").unwrap(), xapp.rmr_addr.clone()).unwrap();
     let mut acfg = AgentConfig::new(GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1), south);
     acfg.codec = E2apCodec::Asn1Per;
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).await.unwrap();
-    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+    let agent = Agent::spawn(acfg, vec![Box::new(HwFn::new(sm))]).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(300));
 
     // Serialized pinging: send the next once the previous returned.
     let t0 = std::time::Instant::now();
     let mut sent = 0usize;
     while sent < pings && t0.elapsed().as_secs() < 60 {
-        let have = xapp.rtts.lock().len();
+        let have = xapp.rtts.lock().unwrap().len();
         if have == sent {
-            if sent == have {
-                xapp.ping(0, payload);
-                sent += 1;
-            }
+            xapp.ping(0, payload);
+            sent += 1;
         }
         // Wait for the pong before the next ping.
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
-        while xapp.rtts.lock().len() < sent && std::time::Instant::now() < deadline {
-            tokio::time::sleep(std::time::Duration::from_micros(200)).await;
+        while xapp.rtts.lock().unwrap().len() < sent && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_micros(200));
         }
     }
-    let mut samples = xapp.rtts.lock().clone();
+    let mut samples = xapp.rtts.lock().unwrap().clone();
     let s = summarize(&mut samples);
     agent.stop();
     (s.mean / 1000.0, s.p50 as f64 / 1000.0, s.p99 as f64 / 1000.0)
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let pings: usize = args.get_or("pings", 1000);
     let out = args.get("out").unwrap_or("BENCH_fig9a.json").to_owned();
@@ -168,9 +153,9 @@ async fn main() {
             ("O-RAN", None, SmCodec::Asn1Per),
         ] {
             let (mean, p50, p99) = match codec {
-                Some((c, true)) => flexric_two_hop(c, sm, payload, pings).await,
-                Some((c, false)) => flexric_one_hop(c, sm, payload, pings).await,
-                None => oran_two_hop(payload, pings).await,
+                Some((c, true)) => flexric_two_hop(c, sm, payload, pings),
+                Some((c, false)) => flexric_one_hop(c, sm, payload, pings),
+                None => oran_two_hop(payload, pings),
             };
             eprintln!("  {payload} B {label}: mean {mean:.1} µs");
             rows.push(vec![
@@ -180,7 +165,7 @@ async fn main() {
                 table::f(p50),
                 table::f(p99),
             ]);
-            points.push(serde_json::json!({
+            points.push(flexric_xapp::json!({
                 "payload_bytes": payload,
                 "path": label,
                 "rtt_mean_us": mean,
@@ -192,14 +177,14 @@ async fn main() {
     table::table(&["payload", "path", "rtt_mean_us", "rtt_p50_us", "rtt_p99_us"], &rows);
 
     if out != "-" {
-        let doc = serde_json::json!({
+        let doc = flexric_xapp::json!({
             "bench": "fig9a",
             "source": "fig9a_two_hop_rtt",
             "status": "measured",
             "pings_per_point": pings,
             "points": points,
         });
-        match std::fs::write(&out, serde_json::to_string_pretty(&doc).unwrap() + "\n") {
+        match std::fs::write(&out, doc.to_string_pretty() + "\n") {
             Ok(()) => eprintln!("  snapshot written to {out}"),
             Err(e) => eprintln!("  snapshot NOT written ({out}: {e})"),
         }

@@ -18,7 +18,7 @@ use flexric_bench::{metrics, roles, spawn_role, table, Args};
 use flexric_transport::TransportAddr;
 
 /// Role: the whole O-RAN RIC in one process — E2T + RMR + xApp + platform.
-async fn role_oran_ric(args: &Args) {
+fn role_oran_ric(args: &Args) {
     let listen = TransportAddr::parse(args.get("listen").expect("--listen")).expect("addr");
     let components: usize = args.get_or("platform-components", 13);
     let mb: usize = args.get_or("platform-mb", 12);
@@ -26,16 +26,14 @@ async fn role_oran_ric(args: &Args) {
     let sm = flexric_sm::SmCodec::Asn1Per;
     let xapp =
         flexric_ctrl::oran_emu::OranXapp::spawn(TransportAddr::parse("127.0.0.1:0").unwrap(), sm)
-            .await
             .expect("xapp");
-    let _south =
-        flexric_ctrl::oran_emu::run_e2term(listen, xapp.rmr_addr.clone()).await.expect("e2term");
+    let _south = flexric_ctrl::oran_emu::run_e2term(listen, xapp.rmr_addr.clone()).expect("e2term");
     let _platform = flexric_ctrl::oran_emu::spawn_platform(components, mb);
     // Subscribe to MAC stats of every agent surfaced by discovery polling.
     let mut subscribed = std::collections::HashSet::new();
     loop {
-        tokio::time::sleep(std::time::Duration::from_millis(200)).await;
-        let found: Vec<usize> = xapp.discovered.lock().clone();
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let found: Vec<usize> = xapp.discovered.lock().unwrap().clone();
         for agent in found {
             if subscribed.insert(agent) {
                 xapp.subscribe(
@@ -48,18 +46,18 @@ async fn role_oran_ric(args: &Args) {
     }
 }
 
-async fn measure(
+fn measure(
     ric_args: Vec<String>,
     agents_args: Vec<String>,
     duration: u64,
     ric_pid_label: &str,
 ) -> (f64, u64) {
     let mut ric = spawn_role(&ric_args).expect("spawn ric");
-    tokio::time::sleep(std::time::Duration::from_millis(500)).await;
+    std::thread::sleep(std::time::Duration::from_millis(500));
     let mut ag = spawn_role(&agents_args).expect("spawn agents");
-    tokio::time::sleep(std::time::Duration::from_millis(2500)).await;
+    std::thread::sleep(std::time::Duration::from_millis(2500));
     let a = metrics::sample(Some(ric.id())).expect("sample");
-    tokio::time::sleep(std::time::Duration::from_secs(duration)).await;
+    std::thread::sleep(std::time::Duration::from_secs(duration));
     let b = metrics::sample(Some(ric.id())).expect("sample");
     let cpu = metrics::cpu_pct(&a, &b);
     eprintln!("  {ric_pid_label}: {cpu:.1} % cpu, {} MB rss", b.rss_kb / 1024);
@@ -70,14 +68,13 @@ async fn measure(
     (cpu, b.rss_kb)
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     if args.get("role") == Some("oran-ric") {
-        role_oran_ric(&args).await;
+        role_oran_ric(&args);
         return;
     }
-    if roles::dispatch(&args).await {
+    if roles::dispatch(&args) {
         return;
     }
     let agents: usize = args.get_or("agents", 10);
@@ -118,8 +115,7 @@ async fn main() {
         ],
         duration,
         "FlexRIC",
-    )
-    .await;
+    );
 
     // O-RAN side: E2T + RMR + xApp + platform, ASN.1.
     let (oran_cpu, oran_rss) = measure(
@@ -153,8 +149,7 @@ async fn main() {
         ],
         duration,
         "O-RAN RIC",
-    )
-    .await;
+    );
 
     table::table(
         &["platform", "cpu_%", "rss_MB"],

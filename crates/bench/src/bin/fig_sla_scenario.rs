@@ -15,17 +15,16 @@
 //!     [--ms 30000] [--seed 7] [--out BENCH_sla.json] [--require-improvement]
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use serde_json::json;
+use flexric_xapp::json;
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{Server, ServerConfig, ServerHandle};
 use flexric_bench::{table, Args};
 use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
-use flexric_ctrl::sla::{SlaApp, SlaConfig, SlaLedger, SlaPoll};
+use flexric_ctrl::sla::{self, SlaApp, SlaConfig, SlaLedger};
 use flexric_ctrl::sla_solver::SlaTarget;
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_ransim::scenario::ScenarioEvent;
@@ -46,14 +45,14 @@ fn targets() -> Vec<SlaTarget> {
     ]
 }
 
-async fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> AgentHandle {
+fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> AgentHandle {
     let bs = SimBs::new(sim.clone(), cell);
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1 + cell as u64),
         server.addrs[0].clone(),
     );
     acfg.tick_ms = None; // virtual-time driven
-    Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.expect("agent")
+    Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent")
 }
 
 struct ArmResult {
@@ -66,7 +65,7 @@ struct ArmResult {
 }
 
 /// One full-stack run of `spec`; `closed` enables the SLA loop.
-async fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -> ArmResult {
+fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -> ArmResult {
     let mut engine = ScenarioEngine::new(spec);
     let mut sim = engine.build_sim();
     engine.prime(&mut sim);
@@ -90,27 +89,26 @@ async fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -
     let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr.clone());
     cfg.tick_ms = Some(20);
     cfg.reconnect_grace_ms = 10_000; // outages are short in wall time
-    let server =
-        Server::spawn(cfg, vec![Box::new(monitor), Box::new(sla)]).await.expect("controller");
+    let server = Server::spawn(cfg, vec![Box::new(monitor), Box::new(sla)]).expect("controller");
 
     let mut agents: Vec<Option<AgentHandle>> = Vec::new();
     for cell in 0..cells {
-        agents.push(Some(spawn_agent(&sim, cell, &server).await));
+        agents.push(Some(spawn_agent(&sim, cell, &server)));
     }
 
     // Monitoring wants MAC + RLC + slice rows per agent.
     let want_subs = cells as u64 * 3;
     for _ in 0..400 {
-        if server.stats().await.unwrap().subs >= want_subs {
+        if server.stats().unwrap().subs >= want_subs {
             break;
         }
-        tokio::time::sleep(std::time::Duration::from_millis(10)).await;
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
     let steps = dur_ms / AGENT_TICK_MS;
     for step in 1..=steps {
         {
-            let mut s = sim.lock();
+            let mut s = sim.lock().unwrap();
             for _ in 0..AGENT_TICK_MS {
                 s.tick();
                 engine.advance(&mut s);
@@ -127,7 +125,7 @@ async fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -
                     }
                 }
                 ScenarioEvent::CellRecover { cell } => {
-                    agents[cell] = Some(spawn_agent(&sim, cell, &server).await);
+                    agents[cell] = Some(spawn_agent(&sim, cell, &server));
                 }
                 _ => {}
             }
@@ -135,36 +133,31 @@ async fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -
         for a in agents.iter().flatten() {
             a.tick(now);
         }
+        // A round trip through each live agent's queue: none lags the
+        // simulator's clock.
+        for a in agents.iter().flatten() {
+            let _ = a.stats();
+        }
         if step % 10 == 0 {
             // Force an evaluation sweep every 100 virtual ms: indications
             // route to the monitor, so the SLA loop samples the store on
             // polls/ticks — awaiting the reply pins the cadence to
             // virtual time instead of the wall-clock server tick.
-            let (tx, rx) = tokio::sync::oneshot::channel();
-            server.to_iapp("sla", Box::new(SlaPoll { reply: tx }));
-            let _ = tokio::time::timeout(std::time::Duration::from_secs(1), rx).await;
-        } else {
-            tokio::task::yield_now().await;
+            let _ = sla::poll(&server, std::time::Duration::from_secs(1));
         }
     }
     // Let the last indications land, then flush the accounting.
-    tokio::time::sleep(std::time::Duration::from_millis(100)).await;
-    let (tx, rx) = tokio::sync::oneshot::channel();
-    server.to_iapp("sla", Box::new(SlaPoll { reply: tx }));
-    let ledger_snap = tokio::time::timeout(std::time::Duration::from_secs(5), rx)
-        .await
-        .ok()
-        .and_then(|r| r.ok())
-        .unwrap_or_else(|| {
-            let led = ledger.lock();
-            SlaLedger {
-                violation_ms: led.violation_ms.clone(),
-                evals: led.evals,
-                pushes: led.pushes,
-                acks: led.acks,
-                failures: led.failures,
-            }
-        });
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let ledger_snap = sla::poll(&server, std::time::Duration::from_secs(5)).unwrap_or_else(|| {
+        let led = ledger.lock().unwrap();
+        SlaLedger {
+            violation_ms: led.violation_ms.clone(),
+            evals: led.evals,
+            pushes: led.pushes,
+            acks: led.acks,
+            failures: led.failures,
+        }
+    });
 
     for a in agents.iter().flatten() {
         a.stop();
@@ -180,8 +173,7 @@ async fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -
     }
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let dur_ms: u64 = args.get_or("ms", 30_000u64);
     let seed: u64 = args.get_or("seed", 7u64);
@@ -198,8 +190,8 @@ async fn main() {
     let mut all_improved = true;
     for (i, preset) in ["commuter-rush", "flash-crowd"].iter().enumerate() {
         let spec = ScenarioSpec::preset(preset, seed).expect("preset");
-        let open = run_arm(spec.clone(), false, dur_ms, i * 2).await;
-        let closed = run_arm(spec, true, dur_ms, i * 2 + 1).await;
+        let open = run_arm(spec.clone(), false, dur_ms, i * 2);
+        let closed = run_arm(spec, true, dur_ms, i * 2 + 1);
         assert_eq!(
             open.trace_hash, closed.trace_hash,
             "scenario must be identical across arms (paired comparison)"
@@ -260,8 +252,7 @@ async fn main() {
         "points": points,
     });
     if out != "-" {
-        std::fs::write(&out, serde_json::to_string_pretty(&doc).expect("json") + "\n")
-            .expect("write out");
+        std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write out");
         println!("\nwrote {out}");
     }
 

@@ -12,10 +12,8 @@
 //! cargo run --release -p flexric-bench --bin rx_burst_smoke [--duration 3]
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
@@ -57,8 +55,7 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let args = Args::parse();
     let duration_s: u64 = args.get_or("duration", 3);
 
@@ -74,7 +71,7 @@ async fn main() {
     cfg.codec = E2apCodec::Flatb;
     cfg.tick_ms = Some(1);
     let apps: Vec<Box<dyn flexric::server::IApp>> = vec![Box::new(monitor), Box::new(ping_app)];
-    let server = Server::spawn(cfg, apps).await.unwrap();
+    let server = Server::spawn(cfg, apps).unwrap();
 
     // Agent: 3 statistics SMs on a simulated cell plus the HW echo
     // function, so every ping forces a control-class reply into an outbox
@@ -102,10 +99,10 @@ async fn main() {
     );
     acfg.codec = E2apCodec::Flatb;
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, fns).await.unwrap();
+    let agent = Agent::spawn(acfg, fns).unwrap();
 
     // Setup and subscriptions settle, then the steady-state baseline.
-    tokio::time::sleep(Duration::from_millis(300)).await;
+    std::thread::sleep(Duration::from_millis(300));
     let rx_copies_before =
         counter_sum(&flexric_obs::snapshot(), "flexric_transport_rx_copies_total");
 
@@ -115,13 +112,13 @@ async fn main() {
     while t0.elapsed().as_secs() < duration_s {
         for _ in 0..50 {
             let now = {
-                let mut s = sim.lock();
+                let mut s = sim.lock().unwrap();
                 s.tick();
                 s.now_ms()
             };
             agent.tick(now);
         }
-        tokio::task::yield_now().await;
+        std::thread::yield_now();
     }
 
     // Settle.
@@ -132,7 +129,7 @@ async fn main() {
         if sent > 0 && sent == rx {
             break;
         }
-        tokio::time::sleep(Duration::from_millis(30)).await;
+        std::thread::sleep(Duration::from_millis(30));
         snap = flexric_obs::snapshot();
     }
 
@@ -142,7 +139,7 @@ async fn main() {
     let wakeups = hist_count(&snap, "flexric_transport_read_frames_per_wakeup");
     let frames = counter_sum(&snap, "flexric_transport_rx_frames_total");
     let promotions = counter_sum(&snap, "flexric_conn_control_promotions_total");
-    let pings = rtts.lock().len();
+    let pings = rtts.lock().unwrap().len();
 
     println!("rx_burst_smoke: {sent} indications sent, {rx} received");
     println!("rx_burst_smoke: {frames} frames over {wakeups} socket wakeups");

@@ -1,7 +1,6 @@
-//! Offline SLA closed-loop A/B: the REAL scenario engine + REAL
-//! simulator + REAL solver, no transport/server in between (the
-//! container has no crates registry, so the full-stack
-//! `fig_sla_scenario` bench cannot link tokio here).
+//! Component SLA closed-loop A/B: the scenario engine, the simulator and
+//! the solver with no transport or server in between (`fig_sla_scenario`
+//! is the full-stack run).
 //!
 //! Per preset the same seeded scenario runs twice — open loop (static
 //! NVS shares) and closed loop (sla_solver re-solving every eval
@@ -11,15 +10,12 @@
 //! paired.  Emits BENCH_sla.json-schema JSON on stdout and exits
 //! non-zero if the closed loop fails to reduce violation time on any
 //! preset.
-//!
-//! Compiled by tools/offline_verify/run.sh with bare rustc against the
-//! real flexric_ransim, flexric_sm and sla_solver rlibs.
 
 use std::collections::{BTreeMap, HashMap};
 
+use flexric_ctrl::sla_solver::{resolve, violated, SlaTarget, SliceObs, SolverCfg};
 use flexric_ransim::{ScenarioEngine, ScenarioSpec, Sim};
 use flexric_sm::slice::{SliceCtrl, SliceParams, SliceStatsInd};
-use sla_solver::{resolve, violated, SlaTarget, SliceObs, SolverCfg};
 
 const DUR_MS: u64 = 30_000;
 const EVAL_MS: u64 = 100;
@@ -36,7 +32,7 @@ fn targets() -> Vec<SlaTarget> {
 }
 
 /// Builds solver observations from one cell's windowed slice + RLC
-/// statistics (the offline equivalent of `ctrl::sla::observations`,
+/// statistics (the in-process equivalent of `ctrl::sla::observations`,
 /// which joins the same rows out of the monitoring store).
 fn observe(stats: &SliceStatsInd, rlc: &flexric_sm::rlc::RlcStatsInd) -> Vec<SliceObs> {
     let slice_of: HashMap<u16, u32> = stats.ue_assoc.iter().copied().collect();
@@ -159,7 +155,8 @@ fn main() {
             open.trace_hash, closed.trace_hash,
             "scenario trace must be control-independent (paired A/B)"
         );
-        let (o_s, c_s) = (total(&open.violation_ms) as f64 / 1e3, total(&closed.violation_ms) as f64 / 1e3);
+        let (o_s, c_s) =
+            (total(&open.violation_ms) as f64 / 1e3, total(&closed.violation_ms) as f64 / 1e3);
         eprintln!(
             "{preset}: open {o_s:.1} viol-s, closed {c_s:.1} viol-s ({} pushes, {} handovers, {} outages)",
             closed.pushes, open.handovers, open.outages
@@ -185,11 +182,11 @@ fn main() {
     println!("{{");
     println!("  \"bench\": \"sla_scenario\",");
     println!(
-        "  \"source\": \"tools/offline_verify/run.sh (sla_ab: real scenario engine + real simulator + real solver, bare rustc)\","
+        "  \"source\": \"cargo run --release -p flexric-bench --bin sla_ab (scenario engine + simulator + solver, no transport)\","
     );
     println!("  \"status\": \"measured-offline-components\",");
     println!(
-        "  \"note\": \"The build container has no crates registry, so the full-stack mem-transport A/B (fig_sla_scenario) cannot run here; these are REAL paired runs of the real scenario engine (mobility + churn + outages, seed {SEED}, trace hash-checked identical across arms) over the real NVS-scheduled simulator, with the real sla_solver re-solving shares every {EVAL_MS} virtual ms in the closed arm through the same SliceCtrl::AddModSlices path the SC SM uses. Only the E2 transport/server hop is elided. Run `cargo run --release -p flexric-bench --bin fig_sla_scenario` on a networked host to overwrite this file with live end-to-end points (same --out flag and schema).\","
+        "  \"note\": \"Component run, no transport or server (fig_sla_scenario is the full-stack mem-transport A/B): paired runs of the scenario engine (mobility + churn + outages, seed {SEED}, trace hash-checked identical across arms) over the NVS-scheduled simulator, with sla_solver re-solving shares every {EVAL_MS} virtual ms in the closed arm through the same SliceCtrl::AddModSlices path the SC SM uses. Only the E2 transport/server hop is elided. `cargo run --release -p flexric-bench --bin fig_sla_scenario` overwrites this file with end-to-end points (same --out flag and schema).\","
     );
     println!("  \"points\": [");
     println!("{}", points.join(",\n"));

@@ -1,8 +1,8 @@
 //! Shared infrastructure of the experiment harness: CPU/memory metering,
 //! percentile helpers, table printing, and multi-process orchestration.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`; Criterion
-//! micro-benchmarks live in `benches/`.  See DESIGN.md §3 for the
+//! One binary per table/figure of the paper lives in `src/bin/`; the
+//! per-layer timings are `benchmark/`'s ledger.  See DESIGN.md §3 for the
 //! experiment index and EXPERIMENTS.md for recorded results.
 
 pub mod metrics;
@@ -88,7 +88,7 @@ mod tests {
         assert_eq!(sum.max, 5);
         assert_eq!(sum.p50, 3);
         assert!((sum.mean - 3.0).abs() < 1e-9);
-        let sum = summarize(&mut vec![]);
+        let sum = summarize(&mut []);
         assert_eq!(sum.n, 0);
     }
 }

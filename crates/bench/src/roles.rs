@@ -3,9 +3,7 @@
 //! [`crate::spawn_role`]) so `/proc` attribution is clean, mirroring the
 //! paper's per-container `docker stats` measurements.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
@@ -79,7 +77,7 @@ pub fn build_sim(args: &Args) -> Arc<Mutex<Sim>> {
 /// Role: a simulated base station driven in real time at 1 ms TTI, with
 /// an optional agent variant (`--variant flexric|flexran|none`).
 /// Runs for `--duration` seconds, then exits.
-pub async fn role_bs(args: &Args) {
+pub fn role_bs(args: &Args) {
     let sim = build_sim(args);
     let duration_s: u64 = args.get_or("duration", 10);
     let variant = args.get("variant").unwrap_or("flexric").to_owned();
@@ -98,14 +96,14 @@ pub async fn role_bs(args: &Args) {
             acfg.codec = codec;
             acfg.tick_ms = None; // driven by the sim loop below
             let bs = SimBs::new(sim.clone(), 0);
-            let agent = Agent::spawn(acfg, stats_bundle(&bs, sm_codec)).await.expect("agent");
+            let agent = Agent::spawn(acfg, stats_bundle(&bs, sm_codec)).expect("agent");
             flexric_agent = Some(agent);
         }
         "flexran" => {
             let addr = ctrl_addr.expect("--ctrl required for flexran variant");
             let sim2 = sim.clone();
             let agent = FlexranAgent::spawn(&addr, move |_now| {
-                let mut sim = sim2.lock();
+                let mut sim = sim2.lock().expect("lock poisoned");
                 let cell = &mut sim.cells[0];
                 FlexranSnapshot {
                     mac: cell.mac_stats(),
@@ -113,7 +111,6 @@ pub async fn role_bs(args: &Args) {
                     pdcp: cell.pdcp_stats(),
                 }
             })
-            .await
             .expect("flexran agent");
             flexran_agent = Some(agent);
         }
@@ -121,13 +118,12 @@ pub async fn role_bs(args: &Args) {
     }
 
     // Real-time TTI driver.
-    let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-    iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+    let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
     let t0 = std::time::Instant::now();
     while t0.elapsed().as_secs() < duration_s {
-        iv.tick().await;
+        iv.tick();
         let now = {
-            let mut s = sim.lock();
+            let mut s = sim.lock().expect("lock poisoned");
             s.tick();
             s.now_ms()
         };
@@ -144,7 +140,7 @@ pub async fn role_bs(args: &Args) {
 /// `--listen`, with `--period` ms subscriptions, running until killed.
 /// `--shards N` runs a sharded server with one monitor replica per shard
 /// sharing the same store (`0` = one shard per core; default `1`).
-pub async fn role_monitor(args: &Args) {
+pub fn role_monitor(args: &Args) {
     let listen = TransportAddr::parse(args.get("listen").expect("--listen")).expect("addr");
     let codec = codec_arg(args);
     let period: u32 = args.get_or("period", 1);
@@ -166,25 +162,23 @@ pub async fn role_monitor(args: &Args) {
             first.take().unwrap_or_else(|| MonitorApp::replica(mcfg, db.clone(), counters.clone()));
         vec![Box::new(app) as Box<dyn flexric::server::IApp>]
     })
-    .await
     .expect("server");
-    futures_park().await;
+    park_forever();
 }
 
 /// Role: a FlexRAN controller (RIB + 1 ms polling app) on `--listen`.
-pub async fn role_flexran_ctrl(args: &Args) {
+pub fn role_flexran_ctrl(args: &Args) {
     let listen = TransportAddr::parse(args.get("listen").expect("--listen")).expect("addr");
     let period: u32 = args.get_or("period", 1);
     let _ctrl = flexric_ctrl::flexran_emu::FlexranController::spawn(&listen, period)
-        .await
         .expect("flexran controller");
-    futures_park().await;
+    park_forever();
 }
 
 /// Role: `--agents` dummy test agents (32 UEs each) connected to
 /// `--ctrl`, self-ticked at 1 ms; exports MAC(+RLC+PDCP unless
 /// `--mac-only`) statistics.
-pub async fn role_dummy_agents(args: &Args) {
+pub fn role_dummy_agents(args: &Args) {
     let ctrl = TransportAddr::parse(args.get("ctrl").expect("--ctrl")).expect("addr");
     let n: usize = args.get_or("agents", 10);
     let ues: u16 = args.get_or("ues", 32);
@@ -201,30 +195,28 @@ pub async fn role_dummy_agents(args: &Args) {
         acfg.tick_ms = Some(1);
         let fns =
             if mac_only { dummy_mac_only(ues, sm_codec) } else { dummy_bundle(ues, sm_codec) };
-        let agent = Agent::spawn(acfg, fns).await.expect("dummy agent");
+        let agent = Agent::spawn(acfg, fns).expect("dummy agent");
         handles.push(agent);
     }
-    futures_park().await;
+    park_forever();
 }
 
 /// Role: `--agents` FlexRAN agents with synthetic 32-UE statistics.
-pub async fn role_flexran_dummy_agents(args: &Args) {
+pub fn role_flexran_dummy_agents(args: &Args) {
     let ctrl = TransportAddr::parse(args.get("ctrl").expect("--ctrl")).expect("addr");
     let n: usize = args.get_or("agents", 10);
     let ues: u16 = args.get_or("ues", 32);
     let mut handles = Vec::new();
     for _ in 0..n {
         let agent = FlexranAgent::spawn(&ctrl, move |now| synthetic_snapshot(now, ues))
-            .await
             .expect("flexran dummy");
         handles.push(agent);
     }
     // Self-tick at 1 ms.
-    let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-    iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+    let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
     let t0 = std::time::Instant::now();
     loop {
-        iv.tick().await;
+        iv.tick();
         let now = t0.elapsed().as_millis() as u64;
         for a in &handles {
             a.tick(now);
@@ -283,33 +275,35 @@ pub fn synthetic_snapshot(now: u64, ues: u16) -> FlexranSnapshot {
     }
 }
 
-/// Parks the task forever (roles run until the orchestrator kills them).
-pub async fn futures_park() {
-    std::future::pending::<()>().await;
+/// Parks the thread forever (roles run until the orchestrator kills them).
+pub fn park_forever() -> ! {
+    loop {
+        std::thread::park();
+    }
 }
 
 /// Dispatches `--role` subprocesses; returns `false` when no role flag is
 /// present (the caller is the orchestrator).
-pub async fn dispatch(args: &Args) -> bool {
+pub fn dispatch(args: &Args) -> bool {
     match args.get("role") {
         Some("bs") => {
-            role_bs(args).await;
+            role_bs(args);
             true
         }
         Some("monitor") => {
-            role_monitor(args).await;
+            role_monitor(args);
             true
         }
         Some("flexran-ctrl") => {
-            role_flexran_ctrl(args).await;
+            role_flexran_ctrl(args);
             true
         }
         Some("dummy-agents") => {
-            role_dummy_agents(args).await;
+            role_dummy_agents(args);
             true
         }
         Some("flexran-dummy-agents") => {
-            role_flexran_dummy_agents(args).await;
+            role_flexran_dummy_agents(args);
             true
         }
         Some(other) => panic!("unknown role {other}"),

@@ -3,7 +3,7 @@
 //! The root table of every message carries the routing header (message
 //! type, RIC request id, RAN function id) in fixed slots, so [`peek`] can
 //! extract it in O(1) directly from the raw bytes — "FB's design avoids an
-//! explicit decoding step, reading directly from raw bytes, [so] the
+//! explicit decoding step, reading directly from raw bytes, \[so\] the
 //! subscription management can look up the corresponding subscription much
 //! faster" (paper §5.3).
 //!

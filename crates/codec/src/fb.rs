@@ -282,7 +282,7 @@ const INLINE_SLOTS: usize = 16;
 /// Collects the slots of one table before writing it.
 ///
 /// Slots may be pushed in any order; absent optional fields are simply not
-/// pushed.  The first [`INLINE_SLOTS`] live in the builder itself, so a
+/// pushed.  The first `INLINE_SLOTS` live in the builder itself, so a
 /// message of many small tables (one per UE in a statistics report) pays no
 /// heap allocation per table; a wider table spills to the heap.
 ///

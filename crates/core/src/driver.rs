@@ -1,37 +1,49 @@
-//! The driver: the one file of this crate that names the async runtime.
+//! The driver: the one file of this crate that names threads, sockets and
+//! the wall clock.
 //!
 //! [`Agent`] and [`Shard`] are state machines ([`crate::machine`]): they
 //! decide everything and touch nothing.  This file does the touching, once,
-//! for both.  One [`Loop`] per machine owns
+//! for both.  One [`Loop`] per machine runs on a thread of its own and owns
 //!
-//! * the machine's input queue (events from its connections' reader
-//!   tasks, ticks, and work sent by the public handle);
-//! * the connections: per [`PeerId`], a batching writer task and a reader
-//!   task.  Peer ids are allotted here, one per connection, never reused —
-//!   a reader tags what it reads with its id and the *machine* ignores ids
-//!   it no longer binds, so there is no epoch filter here to keep in step;
-//! * the clock: `now_ms` only moves on a tick — the interval timer's in
-//!   real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in virtual
-//!   time — and every event is handed over with it;
+//! * the machine's input queue (a `std::sync::mpsc` channel: events from
+//!   its connections' readers, ticks, and work sent by the public handle);
+//! * the connections: per [`PeerId`], a writer and a reader.  Over TCP the
+//!   reader is a small-stack thread blocked in `read` and the writer a
+//!   small-stack thread that batches; over the mem transport neither
+//!   exists — the peer's `send` pushes into this loop's queue itself and a
+//!   send of ours cannot block, so the loop sends directly.  Peer ids are
+//!   allotted here, one per connection, never reused — a reader tags what
+//!   it reads with its id and the *machine* ignores ids it no longer binds,
+//!   so there is no epoch filter here to keep in step;
+//! * the clock: `now_ms` only moves on a tick — `recv_timeout` running out
+//!   in real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in
+//!   virtual time — and every event is handed over with it;
 //! * the machine's own actions ([`Drive::act`]): dialling for the agent,
 //!   cross-shard handover and event publication for a shard.
+//!
+//! The loop thread never blocks on a socket: not to write (the writer
+//! thread does), not to connect (a dial thread does), not to accept.
 //!
 //! The driver decides nothing about the protocol: not whether to redial or
 //! when, not which connection is current, not what to answer.  It may only
 //! fail — a dial that errors, a read that ends — and says so in an event.
+//! DESIGN.md ("The machine/driver split") lists the threads, the queues
+//! and the order things shut down in.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::io;
-use std::sync::Arc;
-use std::time::Duration;
-
-use tokio::sync::{broadcast, mpsc, oneshot};
-use tokio::task::JoinHandle;
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use flexric_e2ap::E2apPdu;
-use flexric_transport::fault::{FaultHandle, FaultySender};
-use flexric_transport::{connect, listen, SendHalf, Transport, TransportAddr, WireMsg};
+use flexric_transport::fault::FaultHandle;
+use flexric_transport::{
+    connect, listen, spawn_io_thread, Pump, SendHalf, Serving, Transport, TransportAddr, WireMsg,
+};
 
 use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, AgentStats, CtrlId, RanFunction};
 use crate::machine::{Action, Event, Machine, PeerId};
@@ -41,7 +53,7 @@ use crate::server::{
 };
 
 // ---------------------------------------------------------------------------
-// The writer task
+// The writer
 // ---------------------------------------------------------------------------
 //
 // The writer queues `WireMsg`s (not bare frames), so the stream id — stream
@@ -51,28 +63,6 @@ use crate::server::{
 // behind thousands of coalesced indications.  The reorder is a stable
 // partition, so per-stream ordering (the SCTP guarantee E2AP relies on) is
 // preserved within each class.
-
-/// A send half, optionally wrapped in a shared fault injector.
-enum WireSender {
-    Plain(SendHalf),
-    Faulty(FaultySender),
-}
-
-impl WireSender {
-    fn new(half: SendHalf, fault: Option<FaultHandle>) -> Self {
-        match fault {
-            Some(h) => WireSender::Faulty(FaultySender::with_handle(half, h)),
-            None => WireSender::Plain(half),
-        }
-    }
-
-    async fn send_batch(&mut self, batch: Vec<WireMsg>) -> io::Result<()> {
-        match self {
-            WireSender::Plain(s) => s.send_batch(batch).await,
-            WireSender::Faulty(s) => s.send_batch(batch).await,
-        }
-    }
-}
 
 /// Control frames that jumped ahead of queued bulk frames in a writer
 /// batch — visibility into the priority mechanism under load.
@@ -107,17 +97,19 @@ fn prioritize(batch: &mut [WireMsg]) -> u64 {
     promoted
 }
 
-/// Spawns the writer task for one connection: messages queued on the
-/// returned channel are coalesced (up to 64 per flush), control frames are
-/// promoted ahead of bulk, and the batch goes out as one vectored write.
-/// The task ends when the channel closes — having written what was queued,
-/// which is what a hangup relies on — or the transport errors.
-fn spawn_writer(half: SendHalf, fault: Option<FaultHandle>) -> mpsc::UnboundedSender<WireMsg> {
-    let (out_tx, mut out_rx) = mpsc::unbounded_channel::<WireMsg>();
-    tokio::spawn(async move {
-        let mut sender = WireSender::new(half, fault);
+/// Spawns the writer thread for one connection whose sends can block:
+/// messages queued on the returned channel are coalesced (up to 64 per
+/// flush), control frames are promoted ahead of bulk, and the batch goes
+/// out as one vectored write.  The thread ends when the channel closes —
+/// having written what was queued, which is what a hangup relies on — or
+/// the transport errors; dropping the send half then shuts the write
+/// direction down.  Nobody joins it: a hangup must not wait for a peer
+/// that stopped reading, and the thread holds nothing but its socket.
+fn spawn_writer(mut half: SendHalf) -> io::Result<mpsc::Sender<WireMsg>> {
+    let (out_tx, out_rx) = mpsc::channel::<WireMsg>();
+    spawn_io_thread("flexric-tx", move || {
         let mut batch = Vec::with_capacity(8);
-        while let Some(msg) = out_rx.recv().await {
+        while let Ok(msg) = out_rx.recv() {
             batch.push(msg);
             // Coalesce everything already queued into one flush.
             while batch.len() < 64 {
@@ -130,12 +122,42 @@ fn spawn_writer(half: SendHalf, fault: Option<FaultHandle>) -> mpsc::UnboundedSe
             if promoted > 0 {
                 promotions().add(promoted);
             }
-            if sender.send_batch(std::mem::take(&mut batch)).await.is_err() {
+            if half.send_batch(std::mem::take(&mut batch)).is_err() {
                 break;
             }
         }
-    });
-    out_tx
+    })?;
+    Ok(out_tx)
+}
+
+/// How the loop writes to one connection.
+enum Writer {
+    /// A send that cannot block (mem): the loop does it.
+    Direct(SendHalf),
+    /// A send that can (TCP): the connection's writer thread does it.
+    Queued(mpsc::Sender<WireMsg>),
+}
+
+impl Writer {
+    fn new(half: SendHalf) -> io::Result<Writer> {
+        match half {
+            SendHalf::Mem(_) => Ok(Writer::Direct(half)),
+            SendHalf::Tcp(_) => spawn_writer(half).map(Writer::Queued),
+        }
+    }
+
+    /// A failed write is not reported here: the reader of the same
+    /// connection reports its end.
+    fn write(&mut self, msg: WireMsg) {
+        match self {
+            Writer::Direct(half) => {
+                let _ = half.send(msg);
+            }
+            Writer::Queued(queue) => {
+                let _ = queue.send(msg);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -144,13 +166,16 @@ fn spawn_writer(half: SendHalf, fault: Option<FaultHandle>) -> mpsc::UnboundedSe
 
 /// A machine this file can run: [`Machine::handle`] plus how its own
 /// actions are carried out.
-trait Drive: Machine<In: Send + 'static> + Send + Sized + 'static {
+trait Drive: Machine<In: Send + 'static, Out: Send + 'static> + Send + Sized + 'static {
     /// Driver-side state those actions need.
     type Port: Send + 'static;
 
     /// Carries out one [`Action::App`].
     fn act(lp: &mut Loop<Self>, action: Self::Out);
 }
+
+/// Work for the loop thread itself.
+type Work<M> = Box<dyn FnOnce(&mut Loop<M>) + Send>;
 
 /// What arrives on a loop's queue.
 enum In<M: Drive> {
@@ -159,37 +184,33 @@ enum In<M: Drive> {
     Tick(u64),
     /// Work that needs the loop itself: binding a fresh connection,
     /// answering a query.
-    With(Box<dyn FnOnce(&mut Loop<M>) + Send>),
+    With(Work<M>),
     Stop,
 }
 
-type Tx<M> = mpsc::UnboundedSender<In<M>>;
+type Tx<M> = mpsc::Sender<In<M>>;
 
+/// One connection.  Dropping it is the hangup: the writer finishes what is
+/// queued and closes, the reader is shut down (and, over TCP, joined).
 struct Conn {
-    writer: mpsc::UnboundedSender<WireMsg>,
-    reader: JoinHandle<()>,
+    writer: Writer,
+    _reader: Pump,
+    /// Messages a fault verdict delays, with the tick they are due at, in
+    /// sending order; whatever follows a delayed message waits behind it.
+    held: VecDeque<(u64, WireMsg)>,
 }
 
 /// One machine, its connections and its clock.
 struct Loop<M: Drive> {
     machine: M,
     port: M::Port,
-    /// This loop's own queue, for the tasks it spawns.
+    /// This loop's own queue, for the readers and threads it starts.
     tx: Tx<M>,
     conns: HashMap<PeerId, Conn>,
     last_peer: PeerId,
     fault: Option<FaultHandle>,
     now_ms: u64,
     actions: Vec<Action<M::Out>>,
-}
-
-async fn next_tick(ticker: &mut Option<tokio::time::Interval>) {
-    match ticker {
-        Some(iv) => {
-            iv.tick().await;
-        }
-        None => std::future::pending().await,
-    }
 }
 
 impl<M: Drive> Loop<M> {
@@ -206,32 +227,52 @@ impl<M: Drive> Loop<M> {
         }
     }
 
-    /// Takes over a connected transport: allots its [`PeerId`], spawns its
-    /// writer, and spawns the reader that turns what arrives into
-    /// `Frame` / `Closed` events for this loop.
-    fn attach(&mut self, transport: Transport) -> PeerId {
-        self.last_peer += 1;
-        let peer = self.last_peer;
-        let (send_half, mut recv_half) = transport.split();
-        let writer = spawn_writer(send_half, self.fault.clone());
+    /// Takes over a connected transport: allots its [`PeerId`], sets up
+    /// its writer, and turns its receive half into `Frame` / `Closed`
+    /// events on this loop's queue.
+    fn attach(&mut self, transport: Transport) -> io::Result<PeerId> {
+        let peer = self.last_peer + 1;
+        let (send_half, recv_half) = transport.split();
+        let writer = Writer::new(send_half)?;
         let tx = self.tx.clone();
-        let reader = tokio::spawn(async move {
-            loop {
-                match recv_half.recv().await {
-                    Ok(Some(msg)) => {
-                        if tx.send(In::Event(Event::Frame(peer, msg.payload))).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None) | Err(_) => {
-                        let _ = tx.send(In::Event(Event::Closed(peer)));
-                        break;
-                    }
-                }
+        let reader = recv_half.pump(Box::new(move |msg| {
+            let event = match msg {
+                Some(msg) => Event::Frame(peer, msg.payload),
+                None => Event::Closed(peer),
+            };
+            let _ = tx.send(In::Event(event));
+        }))?;
+        self.last_peer = peer;
+        self.conns.insert(peer, Conn { writer, _reader: reader, held: VecDeque::new() });
+        Ok(peer)
+    }
+
+    /// Writes `msg` to `peer`, through the fault injector if there is one.
+    fn send(&mut self, peer: PeerId, msg: WireMsg) {
+        let Some(conn) = self.conns.get_mut(&peer) else { return };
+        let Some(fault) = &self.fault else { return conn.writer.write(msg) };
+        let verdict = fault.process(msg);
+        let mut due = self.now_ms + verdict.delay_ms;
+        if let Some((last_due, _)) = conn.held.back() {
+            due = due.max(*last_due);
+        }
+        for msg in verdict.deliver {
+            if due > self.now_ms {
+                conn.held.push_back((due, msg));
+            } else {
+                conn.writer.write(msg);
             }
-        });
-        self.conns.insert(peer, Conn { writer, reader });
-        peer
+        }
+    }
+
+    /// Writes the held messages that have come due.
+    fn release_held(&mut self) {
+        for conn in self.conns.values_mut() {
+            while conn.held.front().is_some_and(|(due, _)| *due <= self.now_ms) {
+                let (_, msg) = conn.held.pop_front().expect("front was just seen");
+                conn.writer.write(msg);
+            }
+        }
     }
 
     /// Hands one event to the machine and carries out what it answers.
@@ -240,17 +281,14 @@ impl<M: Drive> Loop<M> {
         self.machine.handle(event, self.now_ms, &mut actions);
         for action in actions.drain(..) {
             match action {
-                Action::Send(peer, msg) => {
-                    if let Some(conn) = self.conns.get(&peer) {
-                        let _ = conn.writer.send(msg);
-                    }
-                }
-                // Dropping the writer's queue lets the writer task finish
-                // what is queued and close; the reader has nothing more to
-                // say that the machine would listen to.
+                Action::Send(peer, msg) => self.send(peer, msg),
+                // Everything the machine sent before hanging up goes out,
+                // delayed or not; dropping the connection does the rest.
                 Action::Hangup(peer) => {
-                    if let Some(conn) = self.conns.remove(&peer) {
-                        conn.reader.abort();
+                    if let Some(mut conn) = self.conns.remove(&peer) {
+                        for (_, msg) in conn.held.drain(..) {
+                            conn.writer.write(msg);
+                        }
                     }
                 }
                 Action::App(action) => M::act(self, action),
@@ -259,37 +297,48 @@ impl<M: Drive> Loop<M> {
         self.actions = actions;
     }
 
-    async fn run(mut self, mut rx: mpsc::UnboundedReceiver<In<M>>, tick_ms: Option<u64>) {
-        let mut ticker = tick_ms.map(|ms| {
-            let mut iv = tokio::time::interval(Duration::from_millis(ms.max(1)));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
-            iv
-        });
+    fn run(mut self, rx: mpsc::Receiver<In<M>>, tick_ms: Option<u64>) {
+        let period = tick_ms.map(|ms| Duration::from_millis(ms.max(1)));
+        let mut next_tick = period.map(|p| Instant::now() + p);
         loop {
-            let input = tokio::select! {
-                biased;
-                input = rx.recv() => match input {
-                    Some(input) => input,
-                    None => break,
+            let input = match next_tick {
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                // A tick that is due goes first: input that never pauses
+                // must not stop the clock.
+                Some(at) => match at.saturating_duration_since(Instant::now()) {
+                    Duration::ZERO => Err(RecvTimeoutError::Timeout),
+                    left => rx.recv_timeout(left),
                 },
-                _ = next_tick(&mut ticker) => In::Tick(crate::mono_ms()),
+            };
+            let input = match input {
+                Ok(input) => input,
+                Err(RecvTimeoutError::Timeout) => {
+                    // A late tick is not made up for: the next one is a
+                    // whole period from now.
+                    next_tick = period.map(|p| Instant::now() + p);
+                    In::Tick(crate::mono_ms())
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
             };
             match input {
                 In::Event(event) => self.feed(event),
                 In::Tick(now_ms) => {
                     self.now_ms = now_ms;
+                    self.release_held();
                     self.feed(Event::Tick);
                 }
                 In::With(f) => f(&mut self),
                 In::Stop => break,
             }
         }
-        // Dropping `rx` tells the accept tasks to free the listen
-        // addresses; dropping the connections closes them.
-        for (_, conn) in self.conns.drain() {
-            conn.reader.abort();
-        }
+        // Dropping `self` drops the connections, which closes them.
     }
+}
+
+/// Locks one of the driver's lists.  Each is only ever pushed to, drained
+/// or retained under its lock, so it is valid even if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn stopped() -> io::Error {
@@ -300,13 +349,68 @@ fn stopped() -> io::Error {
 fn ask<M: Drive, R: Send + 'static>(
     tx: &Tx<M>,
     f: impl FnOnce(&mut Loop<M>) -> R + Send + 'static,
-) -> io::Result<oneshot::Receiver<R>> {
-    let (reply, rx) = oneshot::channel();
+) -> io::Result<mpsc::Receiver<R>> {
+    let (reply, rx) = mpsc::sync_channel(1);
     let work = move |lp: &mut Loop<M>| {
         let _ = reply.send(f(lp));
     };
     tx.send(In::With(Box::new(work))).map_err(|_| stopped())?;
     Ok(rx)
+}
+
+/// The loops (and listeners) behind a handle and all its clones.  They are
+/// stopped by `stop()`, or when the last clone of the handle goes: a loop
+/// nobody can reach any more would tick for ever.
+struct Running<M: Drive> {
+    loops: Vec<Tx<M>>,
+    listeners: Mutex<Vec<Serving>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl<M: Drive> Running<M> {
+    /// Starts one thread per `(loop, queue)` pair.
+    fn start(
+        name: &str,
+        loops: Vec<(Loop<M>, mpsc::Receiver<In<M>>)>,
+        tick_ms: Option<u64>,
+    ) -> io::Result<Running<M>> {
+        let running = Running {
+            loops: loops.iter().map(|(lp, _)| lp.tx.clone()).collect(),
+            listeners: Mutex::new(Vec::new()),
+            threads: Mutex::new(Vec::new()),
+        };
+        for (lp, rx) in loops {
+            // An error here drops `running`, which stops what was started.
+            let thread =
+                thread::Builder::new().name(name.to_owned()).spawn(move || lp.run(rx, tick_ms))?;
+            lock(&running.threads).push(thread);
+        }
+        Ok(running)
+    }
+
+    /// Closes the listeners — the addresses can be bound again when this
+    /// returns — then stops every loop and waits for its thread, so the
+    /// connections are closed too.  Idempotent.
+    fn stop(&self) {
+        lock(&self.listeners).clear();
+        for tx in &self.loops {
+            let _ = tx.send(In::Stop);
+        }
+        let threads = std::mem::take(&mut *lock(&self.threads));
+        for t in threads {
+            // A loop stopping itself (an iApp holding the handle) cannot
+            // wait for itself.
+            if t.thread().id() != thread::current().id() {
+                let _ = t.join();
+            }
+        }
+    }
+}
+
+impl<M: Drive> Drop for Running<M> {
+    fn drop(&mut self) {
+        self.stop();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -316,18 +420,23 @@ fn ask<M: Drive, R: Send + 'static>(
 impl Drive for Agent {
     /// Callers of [`AgentHandle::add_controller`] waiting for the first
     /// setup of the controller they added.
-    type Port = HashMap<CtrlId, oneshot::Sender<io::Result<CtrlId>>>;
+    type Port = HashMap<CtrlId, SyncSender<io::Result<CtrlId>>>;
 
     fn act(lp: &mut Loop<Self>, action: AgentOut) {
         match action {
             AgentOut::Dial { ctrl, addr, after_ms } => {
                 let tx = lp.tx.clone();
-                tokio::spawn(async move {
-                    tokio::time::sleep(Duration::from_millis(after_ms)).await;
-                    let _ = match connect(&addr).await {
+                // Connecting can block, so it gets a thread for as long as
+                // it takes; the backoff is waited out there too.
+                let dial = spawn_io_thread("flexric-dial", move || {
+                    thread::sleep(Duration::from_millis(after_ms));
+                    let _ = match connect(&addr) {
                         Ok(transport) => tx.send(In::With(Box::new(move |lp| {
-                            let peer = lp.attach(transport);
-                            lp.feed(Event::App(AgentIn::Connected { ctrl, peer }));
+                            let event = match lp.attach(transport) {
+                                Ok(peer) => AgentIn::Connected { ctrl, peer },
+                                Err(e) => AgentIn::DialFailed { ctrl, error: e.to_string() },
+                            };
+                            lp.feed(Event::App(event));
                         }))),
                         Err(e) => {
                             let error = e.to_string();
@@ -335,6 +444,9 @@ impl Drive for Agent {
                         }
                     };
                 });
+                if let Err(e) = dial {
+                    lp.feed(Event::App(AgentIn::DialFailed { ctrl, error: e.to_string() }));
+                }
             }
             AgentOut::SetupDone { ctrl, result } => {
                 if let Some(reply) = lp.port.remove(&ctrl) {
@@ -349,73 +461,84 @@ impl Agent {
     /// Spawns the agent's event loop, connects to all configured
     /// controllers and performs E2 Setup with each, in order.  The first
     /// controller that cannot be reached or rejects the setup fails the
-    /// spawn.
-    pub async fn spawn(
+    /// spawn.  Blocks until then.
+    pub fn spawn(
         cfg: AgentConfig,
         functions: Vec<Box<dyn RanFunction>>,
     ) -> io::Result<AgentHandle> {
-        let (tx, rx) = mpsc::unbounded_channel();
+        let (tx, rx) = mpsc::channel();
         let (tick_ms, fault, controllers) =
             (cfg.tick_ms, cfg.fault.clone(), cfg.controllers.clone());
-        let lp = Loop::new(Agent::new(cfg, functions), HashMap::new(), tx.clone(), fault);
-        tokio::spawn(lp.run(rx, tick_ms));
-        let handle = AgentHandle { tx };
+        let lp = Loop::new(Agent::new(cfg, functions), HashMap::new(), tx, fault);
+        let running = Arc::new(Running::start("flexric-agent", vec![(lp, rx)], tick_ms)?);
+        let handle = AgentHandle { running };
         for addr in controllers {
-            if let Err(e) = handle.add_controller(addr).await {
-                handle.stop();
-                return Err(e);
-            }
+            // On an error the handle is dropped, which stops the loop.
+            handle.add_controller(addr)?;
         }
         Ok(handle)
     }
 }
 
-/// Handle to a running agent.
-#[derive(Debug, Clone)]
+/// Handle to a running agent.  The agent stops when [`stop`](Self::stop)
+/// is called or the last clone of its handle is dropped.
+#[derive(Clone)]
 pub struct AgentHandle {
-    tx: Tx<Agent>,
+    running: Arc<Running<Agent>>,
+}
+
+impl fmt::Debug for AgentHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AgentHandle").finish_non_exhaustive()
+    }
 }
 
 impl AgentHandle {
+    /// The agent's one loop.
+    fn tx(&self) -> &Tx<Agent> {
+        &self.running.loops[0]
+    }
+
     /// Advances agent time (virtual-time mode, or extra ticks).
     pub fn tick(&self, now_ms: u64) {
-        let _ = self.tx.send(In::Tick(now_ms));
+        let _ = self.tx().send(In::Tick(now_ms));
     }
 
     /// Exposes `rnti` to an additional controller.
     pub fn associate_ue(&self, rnti: u16, ctrl: CtrlId) {
-        let _ = self.tx.send(In::Event(Event::App(AgentIn::AssociateUe(rnti, ctrl))));
+        let _ = self.tx().send(In::Event(Event::App(AgentIn::AssociateUe(rnti, ctrl))));
     }
 
     /// Stops exposing `rnti` to a controller.
     pub fn disassociate_ue(&self, rnti: u16, ctrl: CtrlId) {
-        let _ = self.tx.send(In::Event(Event::App(AgentIn::DisassociateUe(rnti, ctrl))));
+        let _ = self.tx().send(In::Event(Event::App(AgentIn::DisassociateUe(rnti, ctrl))));
     }
 
     /// Connects to an additional controller and performs E2 Setup with it,
     /// returning its [`CtrlId`] — or why it could not be set up: the dial
     /// error, the controller's failure cause, or the setup timeout.
-    /// Neither this call nor a slow controller holds up the agent's other
-    /// controllers meanwhile.
-    pub async fn add_controller(&self, addr: TransportAddr) -> io::Result<CtrlId> {
-        let (reply, rx) = oneshot::channel();
+    /// Blocks the caller until then; neither this call nor a slow
+    /// controller holds up the agent's other controllers meanwhile.
+    pub fn add_controller(&self, addr: TransportAddr) -> io::Result<CtrlId> {
+        let (reply, rx) = mpsc::sync_channel(1);
         let work = move |lp: &mut Loop<Agent>| {
             // `ctrl_count` is the id the machine gives the next controller.
             lp.port.insert(lp.machine.ctrl_count(), reply);
             lp.feed(Event::App(AgentIn::AddController(addr)));
         };
-        self.tx.send(In::With(Box::new(work))).map_err(|_| stopped())?;
-        rx.await.map_err(|_| stopped())?
+        self.tx().send(In::With(Box::new(work))).map_err(|_| stopped())?;
+        rx.recv().map_err(|_| stopped())?
     }
 
     /// Snapshot of the agent's counters.
-    pub async fn stats(&self) -> io::Result<AgentStats> {
-        ask(&self.tx, |lp| lp.machine.stats())?.await.map_err(|_| stopped())
+    pub fn stats(&self) -> io::Result<AgentStats> {
+        ask(self.tx(), |lp| lp.machine.stats())?.recv().map_err(|_| stopped())
     }
 
-    /// Stops the agent.
+    /// Stops the agent: when this returns its loop has ended and its
+    /// connections are closed.
     pub fn stop(&self) {
-        let _ = self.tx.send(In::Stop);
+        self.running.stop();
     }
 }
 
@@ -423,11 +546,17 @@ impl AgentHandle {
 // The controller behind a handle
 // ---------------------------------------------------------------------------
 
+/// Most events a subscriber of [`ServerHandle::events`] can be behind.
+const EVENT_LAG: usize = 1024;
+
+/// The subscribers of a controller's event stream.
+type Subscribers = Arc<Mutex<Vec<SyncSender<ServerEvent>>>>;
+
 /// What a shard's loop needs to reach beyond itself.
 struct ShardPort {
     /// Every shard's queue, indexed by shard.
     shards: Vec<Tx<Shard>>,
-    events: broadcast::Sender<ServerEvent>,
+    events: Subscribers,
 }
 
 impl Drive for Shard {
@@ -439,37 +568,54 @@ impl Drive for Shard {
                 let event = Event::App(ShardIn::Forwarded(agent, msg));
                 let _ = lp.port.shards[shard].send(In::Event(event));
             }
-            ShardOut::Publish(event) => {
-                let _ = lp.port.events.send(event);
-            }
+            ShardOut::Publish(event) => publish(&lp.port.events, &event),
         }
     }
 }
 
-/// Handle to a running controller.
+/// Offers `event` to every subscriber.  One that is `EVENT_LAG` behind
+/// misses it; one that is gone is forgotten.
+fn publish(subs: &Subscribers, event: &ServerEvent) {
+    lock(subs)
+        .retain(|sub| !matches!(sub.try_send(event.clone()), Err(TrySendError::Disconnected(_))));
+}
+
+/// Handle to a running controller.  The controller stops when
+/// [`stop`](Self::stop) is called or the last clone of its handle is
+/// dropped.
 ///
 /// On a sharded controller the handle is the aggregation point: `tick` and
 /// `stop` reach every shard, `agents`/`stats` gather and merge per-shard
-/// snapshots, and `events` taps the single broadcast channel all shards
-/// publish into.
-#[derive(Debug, Clone)]
+/// snapshots, and `events` taps the single stream all shards publish into.
+#[derive(Clone)]
 pub struct ServerHandle {
-    shards: Vec<Tx<Shard>>,
-    events_tx: broadcast::Sender<ServerEvent>,
+    events: Subscribers,
+    running: Arc<Running<Shard>>,
     /// Addresses the controller is listening on (ephemeral ports resolved).
     pub addrs: Vec<TransportAddr>,
+}
+
+impl fmt::Debug for ServerHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServerHandle").field("addrs", &self.addrs).finish_non_exhaustive()
+    }
 }
 
 impl ServerHandle {
     /// Number of shard event loops behind this handle.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards().len()
+    }
+
+    /// Every shard's queue, indexed by shard.
+    fn shards(&self) -> &[Tx<Shard>] {
+        &self.running.loops
     }
 
     /// Advances controller time on every shard (virtual-time mode, or
     /// extra ticks).
     pub fn tick(&self, now_ms: u64) {
-        for s in &self.shards {
+        for s in self.shards() {
             let _ = s.send(In::Tick(now_ms));
         }
     }
@@ -484,55 +630,53 @@ impl ServerHandle {
     /// shards.
     pub fn to_iapp(&self, name: &str, msg: Box<dyn Any + Send>) {
         let event = Event::App(ShardIn::ToIApp(name.to_owned(), msg));
-        let _ = self.shards[0].send(In::Event(event));
+        let _ = self.shards()[0].send(In::Event(event));
     }
 
-    /// Subscribes to server events (published by all shards).
-    pub fn events(&self) -> broadcast::Receiver<ServerEvent> {
-        self.events_tx.subscribe()
+    /// Subscribes to server events (published by all shards) from now on.
+    /// The stream holds at most 1 024 undelivered events: a subscriber
+    /// that falls further behind misses the newer ones, and the controller
+    /// neither blocks nor grows for it.
+    pub fn events(&self) -> mpsc::Receiver<ServerEvent> {
+        let (tx, rx) = mpsc::sync_channel(EVENT_LAG);
+        lock(&self.events).push(tx);
+        rx
     }
 
     /// Asks every shard at once, then gathers the answers in shard order.
-    async fn gather<R: Send + 'static>(
+    fn gather<R: Send + 'static>(
         &self,
         f: impl Fn(&Shard) -> R + Clone + Send + 'static,
     ) -> io::Result<Vec<R>> {
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
+        let mut pending = Vec::with_capacity(self.shards().len());
+        for s in self.shards() {
             let f = f.clone();
             pending.push(ask(s, move |lp| f(&lp.machine))?);
         }
-        let mut parts = Vec::with_capacity(pending.len());
-        for rx in pending {
-            parts.push(rx.await.map_err(|_| stopped())?);
-        }
-        Ok(parts)
+        pending.into_iter().map(|rx| rx.recv().map_err(|_| stopped())).collect()
     }
 
     /// Snapshot of connected agents, merged over all shards.
-    pub async fn agents(&self) -> io::Result<Vec<AgentInfo>> {
-        let mut all: Vec<AgentInfo> =
-            self.gather(Shard::agents).await?.into_iter().flatten().collect();
+    pub fn agents(&self) -> io::Result<Vec<AgentInfo>> {
+        let mut all: Vec<AgentInfo> = self.gather(Shard::agents)?.into_iter().flatten().collect();
         all.sort_by_key(|a| a.id);
         Ok(all)
     }
 
     /// Snapshot of the controller's counters, summed over all shards.
-    pub async fn stats(&self) -> io::Result<ServerStats> {
+    pub fn stats(&self) -> io::Result<ServerStats> {
         let mut sum = ServerStats::default();
-        for part in self.gather(Shard::stats).await? {
+        for part in self.gather(Shard::stats)? {
             sum += part;
         }
         Ok(sum)
     }
 
-    /// Stops the controller.  The listeners shut down with the shard-0
-    /// event loop, so the addresses can be re-bound by a restarted
-    /// controller.
+    /// Stops the controller.  When this returns the listeners are closed —
+    /// a restarted controller can bind the same addresses at once — every
+    /// shard's loop has ended and its connections are closed.
     pub fn stop(&self) {
-        for s in &self.shards {
-            let _ = s.send(In::Stop);
-        }
+        self.running.stop();
     }
 }
 
@@ -544,7 +688,7 @@ impl Server {
     /// one event loop — the classic layout.  A config asking for more than
     /// one shard is rejected here, because one `Vec` of iApps cannot serve
     /// N independent loops; use [`Server::spawn_sharded`] with a factory.
-    pub async fn spawn(cfg: ServerConfig, iapps: Vec<Box<dyn IApp>>) -> io::Result<ServerHandle> {
+    pub fn spawn(cfg: ServerConfig, iapps: Vec<Box<dyn IApp>>) -> io::Result<ServerHandle> {
         if cfg.resolved_shards() > 1 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -552,7 +696,7 @@ impl Server {
             ));
         }
         let mut iapps = Some(iapps);
-        Self::spawn_sharded(cfg, move |_| iapps.take().unwrap_or_default()).await
+        Self::spawn_sharded(cfg, move |_| iapps.take().unwrap_or_default())
     }
 
     /// Binds the listeners and spawns one shard event loop per
@@ -564,65 +708,65 @@ impl Server {
     /// reconnecting within the grace window — always land on the same
     /// shard.  Per-shard instances that need a combined view share state
     /// via `Arc` internally (see `MonitorApp::replica`).
-    pub async fn spawn_sharded(
+    pub fn spawn_sharded(
         cfg: ServerConfig,
         mut iapps: impl FnMut(usize) -> Vec<Box<dyn IApp>>,
     ) -> io::Result<ServerHandle> {
         let shards = cfg.resolved_shards().max(1);
-        let (events_tx, _) = broadcast::channel(1024);
-        let (txs, rxs): (Vec<Tx<Shard>>, Vec<_>) =
-            (0..shards).map(|_| mpsc::unbounded_channel()).unzip();
+        let events = Subscribers::default();
+        let (txs, rxs): (Vec<Tx<Shard>>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
         let router = Arc::new(ShardRouter::new(shards));
 
         let mut bound = Vec::new();
         let mut listeners = Vec::new();
         for addr in &cfg.listen {
-            let l = listen(addr).await?;
+            let l = listen(addr)?;
             bound.push(l.local_addr()?);
             listeners.push(l);
         }
-        // Accept tasks: read the setup request off the event loops, then
-        // hand the transport plus the parsed request to the shard the
-        // router assigns the entity to.  They end — freeing the listen
-        // addresses — when the shard-0 loop does.
-        for mut l in listeners {
-            let (router, txs, codec) = (router.clone(), txs.clone(), cfg.codec);
-            tokio::spawn(async move {
-                loop {
-                    let mut transport = tokio::select! {
-                        _ = txs[0].closed() => break,
-                        accepted = l.accept() => match accepted {
-                            Ok(transport) => transport,
-                            Err(_) => break,
-                        },
-                    };
-                    let (router, txs) = (router.clone(), txs.clone());
-                    tokio::spawn(async move {
-                        let Ok(Some(first)) = transport.recv().await else { return };
-                        // Anything but a setup request first is a protocol
-                        // violation: the connection is dropped.
-                        let Ok(E2apPdu::E2SetupRequest(req)) = codec.decode(&first.payload) else {
-                            return;
-                        };
-                        let shard = router.assign(req.global_node.ran_entity_key());
-                        let _ = txs[shard].send(In::With(Box::new(move |lp| {
-                            let desc = transport.peer();
-                            let peer = lp.attach(transport);
-                            lp.feed(Event::App(ShardIn::NewAgent { req, peer, desc }));
-                        })));
-                    });
-                }
-            });
-        }
 
+        let mut loops = Vec::with_capacity(shards);
         for (idx, rx) in rxs.into_iter().enumerate() {
             let machine = Shard::new(idx, &cfg, iapps(idx), router.clone());
-            let port = ShardPort { shards: txs.clone(), events: events_tx.clone() };
+            let port = ShardPort { shards: txs.clone(), events: events.clone() };
             let mut lp = Loop::new(machine, port, txs[idx].clone(), cfg.fault.clone());
             lp.feed(Event::App(ShardIn::Start));
-            tokio::spawn(lp.run(rx, cfg.tick_ms));
+            loops.push((lp, rx));
         }
-        Ok(ServerHandle { shards: txs, events_tx, addrs: bound })
+        let running = Arc::new(Running::start("flexric-shard", loops, cfg.tick_ms)?);
+
+        // The accept path, off the event loops: read the setup request,
+        // then hand the transport plus the parsed request to the shard the
+        // router assigns the entity to.  A dialer that says nothing holds
+        // one small thread until E2 Setup's own deadline, then is dropped.
+        let first_frame_within = Duration::from_millis(cfg.retry.setup_deadline_ms);
+        for l in listeners {
+            let (router, txs, codec) = (router.clone(), txs.clone(), cfg.codec);
+            let serving = l.serve(Box::new(move |mut transport| {
+                let (router, txs) = (router.clone(), txs.clone());
+                // Not joined: it ends by itself, at the deadline at the
+                // latest, and if it cannot be spawned the dialer is dropped.
+                let _ = spawn_io_thread("flexric-setup", move || {
+                    let Ok(Some(first)) = transport.recv_timeout(first_frame_within) else {
+                        return;
+                    };
+                    // Anything but a setup request first is a protocol
+                    // violation: the connection is dropped.
+                    let Ok(E2apPdu::E2SetupRequest(req)) = codec.decode(&first.payload) else {
+                        return;
+                    };
+                    let shard = router.assign(req.global_node.ran_entity_key());
+                    let _ = txs[shard].send(In::With(Box::new(move |lp| {
+                        let desc = transport.peer();
+                        if let Ok(peer) = lp.attach(transport) {
+                            lp.feed(Event::App(ShardIn::NewAgent { req, peer, desc }));
+                        }
+                    })));
+                });
+            }))?;
+            lock(&running.listeners).push(serving);
+        }
+        Ok(ServerHandle { events, running, addrs: bound })
     }
 }
 
@@ -630,6 +774,10 @@ impl Server {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use flexric_transport::fault::FaultConfig;
+    use flexric_transport::rx::FrameAssembler;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn msg(stream: u16, tag: u8) -> WireMsg {
         WireMsg::e2ap_on(stream, Bytes::from(vec![tag]))
@@ -662,5 +810,178 @@ mod tests {
         let mut batch = vec![msg(0, 0), msg(1, 1), msg(1, 2)];
         assert_eq!(prioritize(&mut batch), 0);
         assert_eq!(batch.iter().map(|m| m.payload[0]).collect::<Vec<_>>(), [0, 1, 2]);
+    }
+
+    // -- The loop itself, under a machine that does as it is told ----------
+
+    /// No protocol: it turns the actions it is handed into actions, and
+    /// reports every frame and close it is shown.
+    struct Puppet(mpsc::Sender<Event<Vec<Action<()>>>>);
+
+    impl Machine for Puppet {
+        type In = Vec<Action<()>>;
+        type Out = ();
+        fn handle(&mut self, event: Event<Self::In>, _now_ms: u64, out: &mut Vec<Action<()>>) {
+            match event {
+                Event::App(actions) => out.extend(actions),
+                Event::Tick => {}
+                seen => self.0.send(seen).expect("the test outlives its loop"),
+            }
+        }
+    }
+
+    impl Drive for Puppet {
+        type Port = ();
+        fn act(_lp: &mut Loop<Self>, _action: ()) {}
+    }
+
+    /// A puppet's loop on virtual time, what it saw, and its handle.
+    struct Rig {
+        tx: Tx<Puppet>,
+        seen: mpsc::Receiver<Event<Vec<Action<()>>>>,
+        running: Running<Puppet>,
+    }
+
+    impl Rig {
+        fn start(fault: Option<FaultHandle>) -> Rig {
+            let (tx, rx) = mpsc::channel();
+            let (seen_tx, seen) = mpsc::channel();
+            let lp = Loop::new(Puppet(seen_tx), (), tx.clone(), fault);
+            let running = Running::start("puppet", vec![(lp, rx)], None).unwrap();
+            Rig { tx, seen, running }
+        }
+
+        /// Hands the loop one end of a fresh loopback TCP connection and
+        /// returns the other end, raw.
+        fn attach_tcp(&self) -> (PeerId, TcpStream) {
+            let l = listen(&TransportAddr::parse("127.0.0.1:0").unwrap()).unwrap();
+            let TransportAddr::Tcp(addr) = l.local_addr().unwrap() else { unreachable!() };
+            let far = TcpStream::connect(addr).unwrap();
+            let mut l = l;
+            let near = l.accept().unwrap();
+            let peer = ask(&self.tx, |lp| lp.attach(near).unwrap()).unwrap().recv().unwrap();
+            (peer, far)
+        }
+
+        fn act(&self, actions: Vec<Action<()>>) {
+            self.tx.send(In::Event(Event::App(actions))).unwrap();
+        }
+    }
+
+    /// Reads frames off a raw socket until `n` have arrived or it ends.
+    fn read_frames(sock: &mut TcpStream, n: usize) -> Vec<WireMsg> {
+        let mut asm = FrameAssembler::new();
+        let mut got = Vec::new();
+        while got.len() < n {
+            while let Some(m) = asm.next_frame().unwrap() {
+                got.push(m);
+            }
+            if got.len() >= n || asm.read_from(sock).unwrap() == 0 {
+                break;
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn hangup_delivers_what_was_queued_before_it() {
+        let rig = Rig::start(None);
+        let (peer, mut far) = rig.attach_tcp();
+        let mut actions: Vec<Action<()>> =
+            (0..500u32).map(|i| Action::Send(peer, msg(1, i as u8))).collect();
+        actions.push(Action::Hangup(peer));
+        rig.act(actions);
+        let got = read_frames(&mut far, usize::MAX);
+        assert_eq!(got.len(), 500, "every frame sent before the hangup arrived, then EOF");
+        assert!(got.iter().enumerate().all(|(i, m)| m.payload[0] == i as u8), "in order");
+        // The loop goes on: the hung-up reader's parting `Closed` is the
+        // machine's to ignore, a live peer's frame still reaches it.
+        let (live, mut far2) = rig.attach_tcp();
+        far2.write_all(&flexric_transport::frame::encode_frame(0, 70, &Bytes::from_static(b"x")))
+            .unwrap();
+        let seen: Vec<_> = rig.seen.iter().take(2).collect();
+        assert!(matches!(seen[0], Event::Closed(p) if p == peer), "{seen:?}");
+        assert!(matches!(&seen[1], Event::Frame(p, x) if *p == live && x[..] == *b"x"), "{seen:?}");
+        rig.running.stop();
+    }
+
+    /// A peer that stops reading blocks its own writer thread and nothing
+    /// else: the loop keeps serving other peers, control queued behind bulk
+    /// for the stalled peer still overtakes it, and stopping does not wait.
+    #[test]
+    fn a_stalled_peer_stalls_only_its_own_writer() {
+        let rig = Rig::start(None);
+        let (slow, mut slow_far) = rig.attach_tcp();
+        let (other, mut other_far) = rig.attach_tcp();
+        // One frame far larger than the socket buffers: the writer thread
+        // takes it off its queue and blocks in the write.
+        let big = Bytes::from(vec![7u8; 48 * 1024 * 1024]);
+        rig.act(vec![Action::Send(slow, WireMsg::e2ap_on(1, big.clone()))]);
+        // Seeing its first bytes proves the writer has dequeued it.
+        let mut head = [0u8; 1024];
+        slow_far.read_exact(&mut head).unwrap();
+        // Queued while the writer is blocked: ten bulk frames, then control.
+        let mut queued: Vec<Action<()>> = (0..10).map(|i| Action::Send(slow, msg(1, i))).collect();
+        queued.push(Action::Send(slow, msg(0, 99)));
+        rig.act(queued);
+        // The loop is not blocked: another peer is served meanwhile.
+        rig.act((0..100).map(|i| Action::Send(other, msg(1, i))).collect());
+        assert_eq!(read_frames(&mut other_far, 100).len(), 100);
+        // The slow peer resumes: the big frame, then control first.
+        let mut rest = vec![0u8; big.len() + flexric_transport::frame::HEADER_LEN - head.len()];
+        slow_far.read_exact(&mut rest).unwrap();
+        let tags: Vec<u8> = read_frames(&mut slow_far, 11).iter().map(|m| m.payload[0]).collect();
+        assert_eq!(tags, [99, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "control overtook the queued bulk");
+        // Stall it again and stop: `stop` returns without the writer.
+        rig.act(vec![Action::Send(slow, WireMsg::e2ap_on(1, big))]);
+        slow_far.read_exact(&mut head).unwrap();
+        rig.running.stop();
+    }
+
+    #[test]
+    fn a_fault_delay_is_kept_on_the_loops_clock() {
+        let fault = FaultHandle::new(FaultConfig {
+            delay_chance: 1.0,
+            delay_ms: 30,
+            ..FaultConfig::default()
+        });
+        let rig = Rig::start(Some(fault.clone()));
+        let (peer, mut far) = rig.attach_tcp();
+        rig.act(vec![Action::Send(peer, msg(0, 1)), Action::Send(peer, msg(0, 2))]);
+        rig.tx.send(In::Tick(29)).unwrap();
+        // Both are held: once the loop has handled the tick (the `ask`
+        // behind it says so) nothing has been written.
+        ask(&rig.tx, |_| ()).unwrap().recv().unwrap();
+        far.set_nonblocking(true).unwrap();
+        assert!(far.read(&mut [0u8; 1]).is_err(), "nothing on the wire before the delay is up");
+        far.set_nonblocking(false).unwrap();
+        rig.tx.send(In::Tick(30)).unwrap();
+        let tags: Vec<u8> = read_frames(&mut far, 2).iter().map(|m| m.payload[0]).collect();
+        assert_eq!(tags, [1, 2], "released together, in sending order");
+        assert_eq!(fault.stats().delayed, 2);
+        rig.running.stop();
+    }
+
+    #[test]
+    fn a_subscriber_that_never_drains_loses_events_beyond_the_bound() {
+        let subs = Subscribers::default();
+        let (tx, idle) = mpsc::sync_channel(EVENT_LAG);
+        let (tx2, gone) = mpsc::sync_channel(EVENT_LAG);
+        subs.lock().unwrap().extend([tx, tx2]);
+        drop(gone);
+        for id in 0..(2 * EVENT_LAG as u64 + 7) {
+            publish(&subs, &ServerEvent::AgentDisconnected(id as _));
+        }
+        assert_eq!(subs.lock().unwrap().len(), 1, "the dropped subscriber is forgotten");
+        let kept: Vec<ServerEvent> = idle.try_iter().collect();
+        assert_eq!(kept.len(), EVENT_LAG, "no more than the bound is ever held for it");
+        assert!(
+            kept.iter()
+                .enumerate()
+                .all(|(i, e)| matches!(e, ServerEvent::AgentDisconnected(id) if *id == i)),
+            "it kept the oldest and missed the rest"
+        );
+        publish(&subs, &ServerEvent::AgentDisconnected(0));
+        assert_eq!(idle.try_iter().count(), 1, "drained, it receives again");
     }
 }

@@ -80,3 +80,31 @@ pub fn mono_ns() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
+
+/// Paces a loop on the wall clock — a base station's 1 ms TTI, a poll.
+/// [`tick`](Self::tick) sleeps until the next period boundary; periods
+/// missed while the caller was busy are skipped, not made up for.
+#[derive(Debug)]
+pub struct Ticker {
+    period: std::time::Duration,
+    next: std::time::Instant,
+}
+
+impl Ticker {
+    /// A ticker whose first tick is due at once.
+    pub fn every(period: std::time::Duration) -> Self {
+        Ticker { period, next: std::time::Instant::now() }
+    }
+
+    /// Blocks the calling thread until the next tick is due.
+    pub fn tick(&mut self) {
+        let now = std::time::Instant::now();
+        match self.next.checked_duration_since(now) {
+            Some(wait) => {
+                std::thread::sleep(wait);
+                self.next += self.period;
+            }
+            None => self.next = now + self.period,
+        }
+    }
+}

@@ -26,7 +26,7 @@
 //! replayable and a protocol rule is tested by feeding events.  The one
 //! thing that would break this is hash-map iteration order, which differs
 //! from run to run: wherever a machine acts on several entries of a map at
-//! once it sorts them first ([`in_order`], [`poll_in_order`]).
+//! once it sorts them first (`in_order`, `poll_in_order`).
 
 use std::hash::Hash;
 
@@ -94,6 +94,10 @@ pub(crate) fn in_order<P: Copy + Ord, U>(mut procs: Vec<Procedure<P, U>>) -> Vec
     procs
 }
 
+/// What [`poll_in_order`] found due: requests to send again, by peer, and
+/// procedures that expired.
+pub(crate) type Polled<P, U> = (Vec<(P, E2apPdu)>, Vec<Procedure<P, U>>);
+
 /// [`ProcedureTable::poll`] in a reproducible order: the requests to send
 /// again, sorted by `(peer, request id, message type)`, and the procedures
 /// that expired, [`in_order`].  (Two transaction-keyed requests of one type
@@ -102,7 +106,7 @@ pub(crate) fn in_order<P: Copy + Ord, U>(mut procs: Vec<Procedure<P, U>>) -> Vec
 pub(crate) fn poll_in_order<P: Copy + Ord + Hash, U>(
     table: &mut ProcedureTable<P, U>,
     now_ms: u64,
-) -> (Vec<(P, E2apPdu)>, Vec<Procedure<P, U>>) {
+) -> Polled<P, U> {
     let mut again = Vec::new();
     let expired = table.poll(now_ms, |peer, pdu| again.push((peer, pdu.clone())));
     again.sort_by_key(|(peer, pdu)| (*peer, pdu.ric_request_id(), pdu.msg_type()));

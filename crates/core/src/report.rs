@@ -24,17 +24,19 @@ use flexric_sm::{ReportMode, ReportTrigger, SmCodec};
 use crate::agent::{AgentCtx, CtrlId, SubscriptionInfo};
 
 /// Per-RAN-function report sender: one delta stream per subscription.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ReportSender<T: DeltaRows> {
+    /// The SM encoding of the function this sender reports for.
+    codec: SmCodec,
     streams: DeltaStreams<(CtrlId, RicRequestId), T>,
     /// Last trigger seen per subscription, for the retune soft/hard call.
     triggers: HashMap<(CtrlId, RicRequestId), ReportTrigger>,
 }
 
 impl<T: DeltaRows> ReportSender<T> {
-    /// An empty sender.
-    pub fn new() -> Self {
-        ReportSender { streams: DeltaStreams::new(), triggers: HashMap::new() }
+    /// An empty sender encoding its reports with `codec`.
+    pub fn new(codec: SmCodec) -> Self {
+        ReportSender { codec, streams: DeltaStreams::new(), triggers: HashMap::new() }
     }
 
     /// A subscription was admitted (first time or reconnect replay):
@@ -93,11 +95,10 @@ impl<T: DeltaRows> ReportSender<T> {
         sub: &SubscriptionInfo,
         trigger: &ReportTrigger,
         snap: &T,
-        codec: SmCodec,
         sn: Option<u32>,
         header: Bytes,
     ) -> bool {
-        match self.streams.report((sub.ctrl, sub.req_id), trigger.mode, snap, codec) {
+        match self.streams.report((sub.ctrl, sub.req_id), trigger.mode, snap, self.codec) {
             ReportOut::Send(buf) => {
                 ctx.send_indication(sub, sn, header, buf);
                 true

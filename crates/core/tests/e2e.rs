@@ -33,11 +33,14 @@ fn ric() -> GlobalRicId {
 // Test RAN function: periodic counter reports + echo control
 // ---------------------------------------------------------------------------
 
+/// Control messages a [`CounterFn`] executed, with who sent them.
+type CtrlLog = Arc<Mutex<Vec<(CtrlId, Vec<u8>)>>>;
+
 struct CounterFn {
     subs: PeriodicSubs,
     sm_codec: SmCodec,
     counter: u32,
-    ctrl_log: Arc<Mutex<Vec<(CtrlId, Vec<u8>)>>>,
+    ctrl_log: CtrlLog,
 }
 
 impl CounterFn {
@@ -212,17 +215,17 @@ impl IApp for TestApp {
     }
 }
 
-async fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
+fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
     for _ in 0..500 {
         if cond() {
             return;
         }
-        tokio::time::sleep(Duration::from_millis(10)).await;
+        std::thread::sleep(Duration::from_millis(10));
     }
     panic!("timeout waiting for {what}");
 }
 
-async fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr) {
+fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr) {
     let state = Arc::new(Mutex::new(Recorded::default()));
     let ind_count = Arc::new(AtomicU64::new(0));
     let app =
@@ -231,7 +234,7 @@ async fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr)
     let mut cfg = ServerConfig::new(ric(), addr);
     cfg.codec = codec;
     cfg.tick_ms = Some(5);
-    let server = Server::spawn(cfg, vec![Box::new(app)]).await.expect("server");
+    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("server");
     let server_addr = server.addrs[0].clone();
 
     let counter = CounterFn::new(sm_codec);
@@ -239,11 +242,11 @@ async fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr)
     let mut acfg = AgentConfig::new(node(E2NodeType::Gnb, 1), server_addr);
     acfg.codec = codec;
     acfg.tick_ms = Some(1);
-    let agent = Agent::spawn(acfg, vec![Box::new(counter)]).await.expect("agent");
+    let agent = Agent::spawn(acfg, vec![Box::new(counter)]).expect("agent");
 
     // Subscription admitted and indications flowing.
-    wait_until(|| state.lock().unwrap().admitted == 1, "subscription admitted").await;
-    wait_until(|| ind_count.load(Ordering::Relaxed) >= 20, "20 indications").await;
+    wait_until(|| state.lock().unwrap().admitted == 1, "subscription admitted");
+    wait_until(|| ind_count.load(Ordering::Relaxed) >= 20, "20 indications");
     {
         let st = state.lock().unwrap();
         assert_eq!(st.connected, vec![node(E2NodeType::Gnb, 1)]);
@@ -256,51 +259,50 @@ async fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr)
 
     // Control round-trip through the iApp.
     server.to_iapp("test-app", Box::new(AppCmd::SendControl(0, b"hello".to_vec())));
-    wait_until(|| state.lock().unwrap().ctrl_acks.len() == 1, "control ack").await;
+    wait_until(|| state.lock().unwrap().ctrl_acks.len() == 1, "control ack");
     assert_eq!(state.lock().unwrap().ctrl_acks[0], "echo:hello");
     assert_eq!(ctrl_log.lock().unwrap().len(), 1);
 
     // Failing control produces a failure outcome.
     server.to_iapp("test-app", Box::new(AppCmd::SendControl(0, b"fail".to_vec())));
-    wait_until(|| state.lock().unwrap().ctrl_fails == 1, "control failure").await;
+    wait_until(|| state.lock().unwrap().ctrl_fails == 1, "control failure");
 
     // Agent stats are sane.
-    let astats = agent.stats().await.unwrap();
+    let astats = agent.stats().unwrap();
     assert!(astats.tx_msgs > 20);
     assert_eq!(astats.active_subs, 1);
     assert_eq!(astats.controllers, 1);
 
     // Server stats are sane.
-    let sstats = server.stats().await.unwrap();
+    let sstats = server.stats().unwrap();
     assert!(sstats.rx_msgs > 20);
     assert_eq!(sstats.agents, 1);
     assert_eq!(sstats.subs, 1);
 
     // Teardown: stopping the agent disconnects it at the server.
     agent.stop();
-    wait_until(|| state.lock().unwrap().disconnects == 1, "disconnect").await;
+    wait_until(|| state.lock().unwrap().disconnects == 1, "disconnect");
     server.stop();
 }
 
-#[tokio::test]
-async fn full_flow_mem_fb() {
-    run_full_flow(E2apCodec::Flatb, SmCodec::Flatb, TransportAddr::Mem("e2e-fb".into())).await;
+#[test]
+fn full_flow_mem_fb() {
+    run_full_flow(E2apCodec::Flatb, SmCodec::Flatb, TransportAddr::Mem("e2e-fb".into()));
 }
 
-#[tokio::test]
-async fn full_flow_mem_asn() {
-    run_full_flow(E2apCodec::Asn1Per, SmCodec::Asn1Per, TransportAddr::Mem("e2e-asn".into())).await;
+#[test]
+fn full_flow_mem_asn() {
+    run_full_flow(E2apCodec::Asn1Per, SmCodec::Asn1Per, TransportAddr::Mem("e2e-asn".into()));
 }
 
-#[tokio::test]
-async fn full_flow_tcp_mixed_encodings() {
+#[test]
+fn full_flow_tcp_mixed_encodings() {
     // E2AP in FB, SM in ASN.1 — one of the paper's "mixed" combinations.
-    run_full_flow(E2apCodec::Flatb, SmCodec::Asn1Per, TransportAddr::parse("127.0.0.1:0").unwrap())
-        .await;
+    run_full_flow(E2apCodec::Flatb, SmCodec::Asn1Per, TransportAddr::parse("127.0.0.1:0").unwrap());
 }
 
-#[tokio::test]
-async fn cu_du_merge_forms_ran() {
+#[test]
+fn cu_du_merge_forms_ran() {
     let state = Arc::new(Mutex::new(Recorded::default()));
     let app = TestApp {
         sm_codec: SmCodec::Flatb,
@@ -310,36 +312,33 @@ async fn cu_du_merge_forms_ran() {
     };
     let mut cfg = ServerConfig::new(ric(), TransportAddr::Mem("e2e-cudu".into()));
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(app)]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(app)]).unwrap();
     let addr = server.addrs[0].clone();
 
-    let mut events = server.events();
+    let events = server.events();
 
     let mut acfg = AgentConfig::new(node(E2NodeType::GnbCu, 9), addr.clone());
     acfg.tick_ms = None;
-    let _cu = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).await.unwrap();
-    wait_until(|| state.lock().unwrap().connected.len() == 1, "CU connected").await;
+    let _cu = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).unwrap();
+    wait_until(|| state.lock().unwrap().connected.len() == 1, "CU connected");
     assert!(state.lock().unwrap().formed.is_empty(), "CU alone does not form a RAN");
 
     let mut acfg = AgentConfig::new(node(E2NodeType::GnbDu, 9), addr);
     acfg.tick_ms = None;
-    let _du = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).await.unwrap();
-    wait_until(|| state.lock().unwrap().formed.len() == 1, "RAN formed").await;
+    let _du = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).unwrap();
+    wait_until(|| state.lock().unwrap().formed.len() == 1, "RAN formed");
     assert_eq!(state.lock().unwrap().formed[0], (Plmn::TEST, 9));
 
-    // The broadcast event stream saw the same story.
-    let mut saw_formed = false;
-    while let Ok(ev) = events.try_recv() {
-        if matches!(ev, ServerEvent::RanFormed(_)) {
-            saw_formed = true;
-        }
-    }
+    // The event stream tells the same story (the shard publishes after the
+    // iApp callback returns, so wait for it rather than poll once).
+    let saw_formed = std::iter::from_fn(|| events.recv_timeout(Duration::from_secs(5)).ok())
+        .any(|ev| matches!(ev, ServerEvent::RanFormed(_)));
     assert!(saw_formed, "RanFormed published on event stream");
     server.stop();
 }
 
-#[tokio::test]
-async fn multi_controller_agent_serves_both() {
+#[test]
+fn multi_controller_agent_serves_both() {
     // Two controllers; the agent connects to both and serves independent
     // subscriptions (paper §4.1.2).
     let mk_server = |name: &str| {
@@ -357,20 +356,20 @@ async fn multi_controller_agent_serves_both() {
     };
     let (cfg1, app1, _state1, count1) = mk_server("e2e-mc-1");
     let (cfg2, app2, _state2, count2) = mk_server("e2e-mc-2");
-    let s1 = Server::spawn(cfg1, vec![Box::new(app1)]).await.unwrap();
-    let s2 = Server::spawn(cfg2, vec![Box::new(app2)]).await.unwrap();
+    let s1 = Server::spawn(cfg1, vec![Box::new(app1)]).unwrap();
+    let s2 = Server::spawn(cfg2, vec![Box::new(app2)]).unwrap();
 
     let mut acfg = AgentConfig::new(node(E2NodeType::Gnb, 3), s1.addrs[0].clone());
     acfg.tick_ms = Some(1);
-    let agent = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).await.unwrap();
+    let agent = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).unwrap();
 
-    let ctrl2 = agent.add_controller(s2.addrs[0].clone()).await.unwrap();
+    let ctrl2 = agent.add_controller(s2.addrs[0].clone()).unwrap();
     assert_eq!(ctrl2, 1);
 
-    wait_until(|| count1.load(Ordering::Relaxed) >= 10, "ctrl 1 indications").await;
-    wait_until(|| count2.load(Ordering::Relaxed) >= 10, "ctrl 2 indications").await;
+    wait_until(|| count1.load(Ordering::Relaxed) >= 10, "ctrl 1 indications");
+    wait_until(|| count2.load(Ordering::Relaxed) >= 10, "ctrl 2 indications");
 
-    let stats = agent.stats().await.unwrap();
+    let stats = agent.stats().unwrap();
     assert_eq!(stats.controllers, 2);
     assert_eq!(stats.active_subs, 2);
 
@@ -379,8 +378,8 @@ async fn multi_controller_agent_serves_both() {
     s2.stop();
 }
 
-#[tokio::test]
-async fn subscription_to_unknown_function_fails() {
+#[test]
+fn subscription_to_unknown_function_fails() {
     struct FailApp {
         state: Arc<Mutex<Recorded>>,
     }
@@ -418,22 +417,93 @@ async fn subscription_to_unknown_function_fails() {
     let state = Arc::new(Mutex::new(Recorded::default()));
     let mut cfg = ServerConfig::new(ric(), TransportAddr::Mem("e2e-subfail".into()));
     cfg.tick_ms = None;
-    let server =
-        Server::spawn(cfg, vec![Box::new(FailApp { state: state.clone() })]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(FailApp { state: state.clone() })]).unwrap();
     let mut acfg = AgentConfig::new(node(E2NodeType::Gnb, 4), server.addrs[0].clone());
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).await.unwrap();
-    wait_until(|| state.lock().unwrap().failed == 1, "subscription failure").await;
+    let agent = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).unwrap();
+    wait_until(|| state.lock().unwrap().failed == 1, "subscription failure");
     assert_eq!(state.lock().unwrap().admitted, 0);
     agent.stop();
     server.stop();
 }
 
-#[tokio::test]
-async fn agent_rejects_connect_to_dead_controller() {
+#[test]
+fn agent_rejects_connect_to_dead_controller() {
     let acfg = AgentConfig::new(
         node(E2NodeType::Gnb, 5),
         TransportAddr::Mem("nobody-listening-here".into()),
     );
-    assert!(Agent::spawn(acfg, vec![]).await.is_err());
+    assert!(Agent::spawn(acfg, vec![]).is_err());
+}
+
+fn tcp_server() -> ServerConfig {
+    let mut cfg = ServerConfig::new(ric(), TransportAddr::parse("127.0.0.1:0").unwrap());
+    cfg.tick_ms = Some(5);
+    cfg
+}
+
+#[test]
+fn stop_frees_the_tcp_address_at_once() {
+    let state = Arc::new(Mutex::new(Recorded::default()));
+    let ind_count = Arc::new(AtomicU64::new(0));
+    let app = |state: &Arc<Mutex<Recorded>>| TestApp {
+        sm_codec: SmCodec::Flatb,
+        period_ms: 1,
+        state: state.clone(),
+        ind_count: ind_count.clone(),
+    };
+    let server = Server::spawn(tcp_server(), vec![Box::new(app(&state))]).unwrap();
+    let addr = server.addrs[0].clone();
+    let mut acfg = AgentConfig::new(node(E2NodeType::Gnb, 40), addr.clone());
+    acfg.reconnect = None;
+    let agent = Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).unwrap();
+    wait_until(|| ind_count.load(Ordering::Relaxed) >= 3, "indications over TCP");
+
+    // No sleep between the two lines: `stop` returns with the listener
+    // closed, so the restarted controller binds the very same address.
+    server.stop();
+    let mut cfg = tcp_server();
+    cfg.listen = vec![addr.clone()];
+    let again = Server::spawn(cfg, vec![Box::new(app(&state))]).expect("address is free");
+    assert_eq!(again.addrs[0], addr);
+    agent.stop();
+    again.stop();
+}
+
+#[test]
+fn two_hundred_agents_over_loopback_tcp_set_up_and_report() {
+    const AGENTS: u64 = 200;
+    let state = Arc::new(Mutex::new(Recorded::default()));
+    let ind_count = Arc::new(AtomicU64::new(0));
+    let app = TestApp {
+        sm_codec: SmCodec::Flatb,
+        period_ms: 10,
+        state: state.clone(),
+        ind_count: ind_count.clone(),
+    };
+    let server = Server::spawn(tcp_server(), vec![Box::new(app)]).unwrap();
+    let agents: Vec<_> = (0..AGENTS)
+        .map(|i| {
+            let mut acfg =
+                AgentConfig::new(node(E2NodeType::Gnb, 1_000 + i), server.addrs[0].clone());
+            acfg.tick_ms = Some(10);
+            Agent::spawn(acfg, vec![Box::new(CounterFn::new(SmCodec::Flatb))]).expect("setup")
+        })
+        .collect();
+    wait_until(|| state.lock().unwrap().admitted == AGENTS, "every subscription admitted");
+    wait_until(
+        || {
+            let st = state.lock().unwrap();
+            let reporting: std::collections::HashSet<AgentId> =
+                st.indications.iter().map(|(a, _)| *a).collect();
+            reporting.len() as u64 == AGENTS
+        },
+        "every agent reported",
+    );
+    assert_eq!(server.stats().unwrap().agents, AGENTS);
+    for a in &agents {
+        a.stop();
+    }
+    wait_until(|| state.lock().unwrap().disconnects == AGENTS, "every disconnect seen");
+    server.stop();
 }

@@ -51,7 +51,6 @@ enum Inner {
 
 /// A RAN function fabricating statistics for `ue_count` UEs.
 pub struct DummyStatsFn {
-    kind: DummyKind,
     ue_count: u16,
     sm_codec: SmCodec,
     desc: Arc<SmDescriptor>,
@@ -68,13 +67,12 @@ impl DummyStatsFn {
     /// statistics, the Figs. 8b/9b workload).
     pub fn new(kind: DummyKind, ue_count: u16, sm_codec: SmCodec) -> Self {
         let (inner, oid) = match kind {
-            DummyKind::Mac => (Inner::Mac(ReportSender::new()), oid::MAC_STATS),
-            DummyKind::Rlc => (Inner::Rlc(ReportSender::new()), oid::RLC_STATS),
-            DummyKind::Pdcp => (Inner::Pdcp(ReportSender::new()), oid::PDCP_STATS),
+            DummyKind::Mac => (Inner::Mac(ReportSender::new(sm_codec)), oid::MAC_STATS),
+            DummyKind::Rlc => (Inner::Rlc(ReportSender::new(sm_codec)), oid::RLC_STATS),
+            DummyKind::Pdcp => (Inner::Pdcp(ReportSender::new(sm_codec)), oid::PDCP_STATS),
         };
         let desc = flexric_sm::registry::global().latest(oid).expect("bundled SM descriptor");
         DummyStatsFn {
-            kind,
             ue_count,
             sm_codec,
             desc,
@@ -251,7 +249,7 @@ impl RanFunction for DummyStatsFn {
             return;
         }
         let mut due: Vec<(SubscriptionInfo, ReportTrigger)> = Vec::new();
-        self.subs.for_due(ctx.now_ms, |sub, trigger| due.push((sub.clone(), trigger.clone())));
+        self.subs.for_due(ctx.now_ms, |sub, trigger| due.push((sub.clone(), *trigger)));
         if due.is_empty() {
             return;
         }
@@ -271,14 +269,14 @@ impl RanFunction for DummyStatsFn {
                 }
                 for (sub, trigger) in &due {
                     if trigger.mode != ReportMode::Full {
-                        $sender.send(ctx, sub, trigger, &snap, codec, None, Bytes::new());
+                        $sender.send(ctx, sub, trigger, &snap, None, Bytes::new());
                     }
                 }
             }};
         }
         // Split the borrow: the sender is moved out of `self.inner` for
         // the duration of the emit so `self.$snap_fn` stays callable.
-        let mut inner = std::mem::replace(&mut self.inner, Inner::Mac(ReportSender::new()));
+        let mut inner = std::mem::replace(&mut self.inner, Inner::Mac(ReportSender::new(codec)));
         match &mut inner {
             Inner::Mac(s) => emit!(mac_snapshot, s),
             Inner::Rlc(s) => emit!(rlc_snapshot, s),

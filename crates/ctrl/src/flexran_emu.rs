@@ -23,17 +23,15 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use tokio::sync::mpsc;
 
 use flexric_codec::pb::{PbReader, PbWriter};
 use flexric_sm::mac::MacStatsInd;
 use flexric_sm::pdcp::PdcpStatsInd;
 use flexric_sm::rlc::RlcStatsInd;
-use flexric_transport::{connect, listen, Transport, TransportAddr, WireMsg};
+use flexric_transport::{connect, listen, Serving, Transport, TransportAddr, WireMsg};
 
 /// FlexRAN-protocol message types (the `ppid` of the framing layer).
 pub mod msg_type {
@@ -115,36 +113,38 @@ pub struct FlexranController {
     /// Counters.
     pub counters: Arc<FlexranCounters>,
     stop: Arc<AtomicBool>,
+    /// The south-bound listener; closed when the controller is dropped.
+    _serving: Serving,
 }
 
 impl FlexranController {
     /// Binds the south-bound listener and starts the controller: a
     /// connection handler per agent plus the 1 ms polling application.
-    pub async fn spawn(addr: &TransportAddr, stats_period_ms: u32) -> io::Result<Self> {
-        let mut listener = listen(addr).await?;
+    pub fn spawn(addr: &TransportAddr, stats_period_ms: u32) -> io::Result<Self> {
+        let listener = listen(addr)?;
         let bound = listener.local_addr()?;
         let rib = Arc::new(Mutex::new(Rib::default()));
         let counters = Arc::new(FlexranCounters::default());
         let stop = Arc::new(AtomicBool::new(false));
 
-        // Accept loop.
-        {
+        // One thread per agent connection, for as long as it lasts.
+        let serving = {
             let rib = rib.clone();
             let counters = counters.clone();
-            tokio::spawn(async move {
-                let mut next_bs = 0u64;
-                loop {
-                    let Ok(conn) = listener.accept().await else { break };
-                    let bs_id = next_bs;
-                    next_bs += 1;
-                    let rib = rib.clone();
-                    let counters = counters.clone();
-                    tokio::spawn(async move {
-                        let _ = serve_agent(conn, bs_id, stats_period_ms, rib, counters).await;
-                    });
-                }
-            });
-        }
+            let mut next_bs = 0u64;
+            listener.serve(Box::new(move |conn| {
+                let bs_id = next_bs;
+                next_bs += 1;
+                let rib = rib.clone();
+                let counters = counters.clone();
+                // An agent that cannot get a thread is dropped.
+                let _ = std::thread::Builder::new().name("flexran-agent-conn".into()).spawn(
+                    move || {
+                        let _ = serve_agent(conn, bs_id, stats_period_ms, rib, counters);
+                    },
+                );
+            }))?
+        };
 
         // The polling application: scans the RIB every millisecond —
         // FlexRAN's documented overhead pattern.
@@ -152,16 +152,14 @@ impl FlexranController {
             let rib = rib.clone();
             let counters = counters.clone();
             let stop = stop.clone();
-            tokio::spawn(async move {
-                let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-                iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+            std::thread::Builder::new().name("flexran-poll".into()).spawn(move || {
                 let mut last_update = 0u64;
                 loop {
-                    iv.tick().await;
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let table = rib.lock();
+                    let table = rib.lock().expect("lock poisoned");
                     // Poll: walk every UE of every BS looking for news.
                     let mut sum = 0u64;
                     for bs in table.bs.values() {
@@ -174,10 +172,10 @@ impl FlexranController {
                     last_update = table.updates;
                     counters.polls.fetch_add(1, Ordering::Relaxed);
                 }
-            });
+            })?;
         }
 
-        Ok(FlexranController { addr: bound, rib, counters, stop })
+        Ok(FlexranController { addr: bound, rib, counters, stop, _serving: serving })
     }
 
     /// Stops the polling application.
@@ -186,7 +184,7 @@ impl FlexranController {
     }
 }
 
-async fn serve_agent(
+fn serve_agent(
     conn: Transport,
     bs_id: u64,
     stats_period_ms: u32,
@@ -197,21 +195,20 @@ async fn serve_agent(
     // Ask for statistics immediately (FlexRAN's stats request config).
     let mut req = PbWriter::new();
     req.uint(1, stats_period_ms as u64);
-    tx.send(WireMsg { stream: 0, ppid: msg_type::STATS_REQUEST, payload: req.finish().into() })
-        .await?;
-    while let Some(msg) = rx.recv().await? {
+    tx.send(WireMsg { stream: 0, ppid: msg_type::STATS_REQUEST, payload: req.finish().into() })?;
+    while let Some(msg) = rx.recv()? {
         counters.rx_bytes.fetch_add(msg.payload.len() as u64, Ordering::Relaxed);
         match msg.ppid {
             msg_type::STATS_REPORT => {
                 counters.reports.fetch_add(1, Ordering::Relaxed);
                 if let Ok(ind) = MacStatsInd::decode_pb(&msg.payload) {
-                    rib.lock().ingest(bs_id, &msg.payload, &ind);
+                    rib.lock().expect("lock poisoned").ingest(bs_id, &msg.payload, &ind);
                 }
             }
             msg_type::STATS_REPORT_RLC => {
                 counters.reports.fetch_add(1, Ordering::Relaxed);
                 if let Ok(ind) = RlcStatsInd::decode_pb(&msg.payload) {
-                    let mut table = rib.lock();
+                    let mut table = rib.lock().expect("lock poisoned");
                     let bs = table.bs.entry(bs_id).or_default();
                     for b in &ind.bearers {
                         let attrs = bs.entry(b.rnti).or_default();
@@ -229,7 +226,7 @@ async fn serve_agent(
             msg_type::STATS_REPORT_PDCP => {
                 counters.reports.fetch_add(1, Ordering::Relaxed);
                 if let Ok(ind) = PdcpStatsInd::decode_pb(&msg.payload) {
-                    let mut table = rib.lock();
+                    let mut table = rib.lock().expect("lock poisoned");
                     let bs = table.bs.entry(bs_id).or_default();
                     for b in &ind.bearers {
                         let attrs = bs.entry(b.rnti).or_default();
@@ -248,8 +245,7 @@ async fn serve_agent(
                     stream: msg.stream,
                     ppid: msg_type::ECHO_REPLY,
                     payload: msg.payload,
-                })
-                .await?;
+                })?;
             }
             msg_type::HELLO => {}
             _ => {}
@@ -268,6 +264,13 @@ pub enum FlexranAgentCmd {
     Stop,
 }
 
+/// What the agent's thread waits for: a command, or what its connection
+/// delivered (`None` once it ended).
+enum AgentInput {
+    Cmd(FlexranAgentCmd),
+    Wire(Option<WireMsg>),
+}
+
 /// One full statistics snapshot pushed by the agent.
 #[derive(Debug, Default, Clone)]
 pub struct FlexranSnapshot {
@@ -281,7 +284,7 @@ pub struct FlexranSnapshot {
 
 /// Handle to a running FlexRAN-style agent.
 pub struct FlexranAgent {
-    cmd: mpsc::UnboundedSender<FlexranAgentCmd>,
+    cmd: mpsc::Sender<AgentInput>,
     /// Echo replies observed `(payload, receive mono ns)`.
     pub echo_rx: Arc<Mutex<Vec<(Bytes, u64)>>>,
     /// Bytes sent on the wire.
@@ -291,67 +294,67 @@ pub struct FlexranAgent {
 impl FlexranAgent {
     /// Connects to the controller; statistics snapshots come from
     /// `snapshot` on each due tick.
-    pub async fn spawn(
+    pub fn spawn(
         addr: &TransportAddr,
         mut snapshot: impl FnMut(u64) -> FlexranSnapshot + Send + 'static,
     ) -> io::Result<Self> {
-        let conn = connect(addr).await?;
-        let (tx_half, mut rx_half) = conn.split();
-        let (cmd_tx, mut cmd_rx) = mpsc::unbounded_channel();
+        let conn = connect(addr)?;
+        let (mut tx, rx_half) = conn.split();
+        let (cmd_tx, inputs) = mpsc::channel();
         let echo_rx = Arc::new(Mutex::new(Vec::new()));
         let tx_bytes = Arc::new(AtomicU64::new(0));
-
         let echo_rx2 = echo_rx.clone();
         let tx_bytes2 = tx_bytes.clone();
-        tokio::spawn(async move {
-            let mut tx = tx_half;
+        // What arrives joins the commands on the one queue the thread reads.
+        let wire_tx = cmd_tx.clone();
+        let reader = rx_half.pump(Box::new(move |msg| {
+            let _ = wire_tx.send(AgentInput::Wire(msg));
+        }))?;
+        std::thread::Builder::new().name("flexran-agent".into()).spawn(move || {
+            let _reader = reader;
             let mut hello = PbWriter::new();
             hello.uint(1, 1);
-            let _ = tx
-                .send(WireMsg { stream: 0, ppid: msg_type::HELLO, payload: hello.finish().into() })
-                .await;
+            let _ = tx.send(WireMsg {
+                stream: 0,
+                ppid: msg_type::HELLO,
+                payload: hello.finish().into(),
+            });
             let mut period_ms: Option<u64> = None;
             let mut next_due = 0u64;
-            loop {
-                tokio::select! {
-                    cmd = cmd_rx.recv() => match cmd {
-                        Some(FlexranAgentCmd::Tick(now)) => {
-                            if let Some(p) = period_ms {
-                                if now >= next_due {
-                                    next_due = now + p;
-                                    let snap = snapshot(now);
-                                    let mut parts: Vec<(u32, Bytes)> =
-                                        vec![(msg_type::STATS_REPORT, snap.mac.encode_pb().into())];
-                                    if !snap.rlc.bearers.is_empty() {
-                                        parts.push((msg_type::STATS_REPORT_RLC, snap.rlc.encode_pb().into()));
-                                    }
-                                    if !snap.pdcp.bearers.is_empty() {
-                                        parts.push((msg_type::STATS_REPORT_PDCP, snap.pdcp.encode_pb().into()));
-                                    }
-                                    let mut failed = false;
-                                    for (ppid, payload) in parts {
-                                        tx_bytes2.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                                        if tx.send(WireMsg { stream: 0, ppid, payload }).await.is_err() {
-                                            failed = true;
-                                            break;
-                                        }
-                                    }
-                                    if failed {
-                                        break;
-                                    }
-                                }
+            let mut send = |ppid: u32, payload: Bytes| {
+                tx_bytes2.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                tx.send(WireMsg { stream: 0, ppid, payload })
+            };
+            while let Ok(input) = inputs.recv() {
+                let sent = match input {
+                    AgentInput::Cmd(FlexranAgentCmd::Tick(now)) => match period_ms {
+                        Some(p) if now >= next_due => {
+                            next_due = now + p;
+                            let snap = snapshot(now);
+                            let mut parts: Vec<(u32, Bytes)> =
+                                vec![(msg_type::STATS_REPORT, snap.mac.encode_pb().into())];
+                            if !snap.rlc.bearers.is_empty() {
+                                parts.push((
+                                    msg_type::STATS_REPORT_RLC,
+                                    snap.rlc.encode_pb().into(),
+                                ));
                             }
-                        }
-                        Some(FlexranAgentCmd::Echo(payload)) => {
-                            tx_bytes2.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                            if tx.send(WireMsg { stream: 0, ppid: msg_type::ECHO_REQUEST, payload }).await.is_err() {
-                                break;
+                            if !snap.pdcp.bearers.is_empty() {
+                                parts.push((
+                                    msg_type::STATS_REPORT_PDCP,
+                                    snap.pdcp.encode_pb().into(),
+                                ));
                             }
+                            parts.into_iter().try_for_each(|(ppid, payload)| send(ppid, payload))
                         }
-                        Some(FlexranAgentCmd::Stop) | None => break,
+                        _ => Ok(()),
                     },
-                    inbound = rx_half.recv() => match inbound {
-                        Ok(Some(msg)) => match msg.ppid {
+                    AgentInput::Cmd(FlexranAgentCmd::Echo(payload)) => {
+                        send(msg_type::ECHO_REQUEST, payload)
+                    }
+                    AgentInput::Cmd(FlexranAgentCmd::Stop) | AgentInput::Wire(None) => break,
+                    AgentInput::Wire(Some(msg)) => {
+                        match msg.ppid {
                             msg_type::STATS_REQUEST => {
                                 let mut r = PbReader::new(&msg.payload);
                                 if let Ok(Some((1, v))) = r.next_field() {
@@ -361,31 +364,37 @@ impl FlexranAgent {
                                 }
                             }
                             msg_type::ECHO_REPLY => {
-                                echo_rx2.lock().push((msg.payload, now_ns()));
+                                echo_rx2
+                                    .lock()
+                                    .expect("lock poisoned")
+                                    .push((msg.payload, now_ns()));
                             }
                             _ => {}
-                        },
-                        Ok(None) | Err(_) => break,
-                    },
+                        }
+                        Ok(())
+                    }
+                };
+                if sent.is_err() {
+                    break;
                 }
             }
-        });
+        })?;
         Ok(FlexranAgent { cmd: cmd_tx, echo_rx, tx_bytes })
     }
 
     /// Advances agent time.
     pub fn tick(&self, now_ms: u64) {
-        let _ = self.cmd.send(FlexranAgentCmd::Tick(now_ms));
+        let _ = self.cmd.send(AgentInput::Cmd(FlexranAgentCmd::Tick(now_ms)));
     }
 
     /// Sends an echo request.
     pub fn echo(&self, payload: Bytes) {
-        let _ = self.cmd.send(FlexranAgentCmd::Echo(payload));
+        let _ = self.cmd.send(AgentInput::Cmd(FlexranAgentCmd::Echo(payload)));
     }
 
     /// Stops the agent.
     pub fn stop(&self) {
-        let _ = self.cmd.send(FlexranAgentCmd::Stop);
+        let _ = self.cmd.send(AgentInput::Cmd(FlexranAgentCmd::Stop));
     }
 }
 
@@ -431,28 +440,26 @@ mod tests {
         assert!(pb.len() < fb.len(), "pb={} fb={}", pb.len(), fb.len());
     }
 
-    #[tokio::test]
-    async fn controller_ingests_reports_and_echo() {
-        let ctrl =
-            FlexranController::spawn(&TransportAddr::Mem("fxr-test".into()), 1).await.unwrap();
+    #[test]
+    fn controller_ingests_reports_and_echo() {
+        let ctrl = FlexranController::spawn(&TransportAddr::Mem("fxr-test".into()), 1).unwrap();
         let agent = FlexranAgent::spawn(&ctrl.addr, |now| {
             let mut s = sample(4);
             s.tstamp_ms = now;
             FlexranSnapshot { mac: s, ..Default::default() }
         })
-        .await
         .unwrap();
         // Drive ticks until reports land.
         for t in 0..50u64 {
             agent.tick(t);
-            tokio::time::sleep(Duration::from_millis(1)).await;
+            std::thread::sleep(Duration::from_millis(1));
             if ctrl.counters.reports.load(Ordering::Relaxed) >= 10 {
                 break;
             }
         }
         assert!(ctrl.counters.reports.load(Ordering::Relaxed) >= 10);
         {
-            let rib = ctrl.rib.lock();
+            let rib = ctrl.rib.lock().unwrap();
             let bs = rib.bs.get(&0).expect("bs 0 present");
             assert_eq!(bs.len(), 4, "four UEs in RIB");
             assert!(rib.updates >= 10);
@@ -460,13 +467,13 @@ mod tests {
         // Echo round-trip.
         agent.echo(Bytes::from(vec![0u8; 100]));
         for _ in 0..100 {
-            if !agent.echo_rx.lock().is_empty() {
+            if !agent.echo_rx.lock().unwrap().is_empty() {
                 break;
             }
-            tokio::time::sleep(Duration::from_millis(2)).await;
+            std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(agent.echo_rx.lock().len(), 1);
-        assert_eq!(agent.echo_rx.lock()[0].0.len(), 100);
+        assert_eq!(agent.echo_rx.lock().unwrap().len(), 1);
+        assert_eq!(agent.echo_rx.lock().unwrap()[0].0.len(), 100);
         ctrl.stop();
         agent.stop();
     }

@@ -9,9 +9,7 @@
 //! behind a mutex — the same "decode once, read many" shape as the
 //! monitoring iApp's statistics store.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::server::{IApp, ServerApi};
 use flexric_obs::Snapshot;
@@ -48,7 +46,7 @@ impl MetricsReader {
     }
 
     fn rescan(&mut self, now_ms: u64) {
-        *self.snap.lock() = flexric_obs::snapshot();
+        *self.snap.lock().expect("lock poisoned") = flexric_obs::snapshot();
         self.last_scan_ms = Some(now_ms);
     }
 
@@ -93,29 +91,33 @@ mod tests {
         );
         c.inc();
         let (mut app, snap) = MetricsReader::new(MetricsReaderConfig { period_ms: 100 });
-        assert!(snap.lock().metrics.is_empty());
+        assert!(snap.lock().unwrap().metrics.is_empty());
 
         if cfg!(feature = "obs-off") {
             // Increments compile out; only check the snapshot plumbing.
             app.tick(5);
-            assert!(snap.lock().counter_value("flexric_test_metrics_reader_total").is_some());
+            assert!(snap
+                .lock()
+                .unwrap()
+                .counter_value("flexric_test_metrics_reader_total")
+                .is_some());
             return;
         }
 
         // First tick always scans.
         app.tick(5);
-        let v1 = snap.lock().counter_value("flexric_test_metrics_reader_total");
+        let v1 = snap.lock().unwrap().counter_value("flexric_test_metrics_reader_total");
         assert!(v1.is_some_and(|v| v >= 1));
 
         // Within the period: no rescan, value stays put even as the
         // counter moves.
         c.inc();
         app.tick(50);
-        assert_eq!(v1, snap.lock().counter_value("flexric_test_metrics_reader_total"));
+        assert_eq!(v1, snap.lock().unwrap().counter_value("flexric_test_metrics_reader_total"));
 
         // Past the period: the new value is published.
         app.tick(110);
-        let v2 = snap.lock().counter_value("flexric_test_metrics_reader_total");
+        let v2 = snap.lock().unwrap().counter_value("flexric_test_metrics_reader_total");
         assert!(v2 > v1);
     }
 }

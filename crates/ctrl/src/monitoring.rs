@@ -13,10 +13,9 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use flexric::server::{AgentId, AgentInfo, IApp, IndicationRef, ServerApi};
 use flexric_e2ap::{RanFunctionId, RicRequestId};
@@ -120,7 +119,7 @@ impl StatsDb {
         let mut evicted = 0;
         for m in self.raw.values_mut() {
             let before = m.len();
-            m.retain(|_, e| now_ms.saturating_sub(e.updated_ms) < ttl_ms.max(1));
+            m.retain(|_, e| now_ms.saturating_sub(e.updated_ms) <= ttl_ms);
             evicted += (before - m.len()) as u64;
         }
         self.raw.retain(|_, m| !m.is_empty());
@@ -398,7 +397,12 @@ impl MonitorApp {
     ) {
         let t0 = flexric::mono_ns();
         let Some(raw) = desc.encode_indication(snap, self.cfg.sm_codec) else { return };
-        self.db.lock().store(agent, &desc.oid, bytes::Bytes::from(raw), now_ms);
+        self.db.lock().expect("lock poisoned").store(
+            agent,
+            &desc.oid,
+            bytes::Bytes::from(raw),
+            now_ms,
+        );
         if let Some(h) = &self.reconstruct_ns {
             h.record(flexric::mono_ns().saturating_sub(t0));
         }
@@ -467,7 +471,7 @@ impl IApp for MonitorApp {
         self.subs.retain(|(a, _), _| *a != agent);
         self.decoders.retain(|(a, _), _| *a != agent);
         self.adapt.remove(&agent);
-        self.db.lock().remove_agent(agent);
+        self.db.lock().expect("lock poisoned").remove_agent(agent);
     }
 
     fn on_indication(&mut self, api: &mut ServerApi, agent: AgentId, ind: &IndicationRef) {
@@ -487,7 +491,7 @@ impl IApp for MonitorApp {
             // decoding happens lazily on read.  `Bytes::copy_from_slice`
             // is the only copy.
             let raw = bytes::Bytes::copy_from_slice(msg);
-            self.db.lock().store(agent, &desc.oid, raw, api.now_ms());
+            self.db.lock().expect("lock poisoned").store(agent, &desc.oid, raw, api.now_ms());
             return;
         }
 
@@ -503,7 +507,12 @@ impl IApp for MonitorApp {
                     // have sent full snapshots: store them as-is.
                     if self.cfg.store {
                         let raw = bytes::Bytes::copy_from_slice(msg);
-                        self.db.lock().store(agent, &desc.oid, raw, api.now_ms());
+                        self.db.lock().expect("lock poisoned").store(
+                            agent,
+                            &desc.oid,
+                            raw,
+                            api.now_ms(),
+                        );
                     }
                     return;
                 }
@@ -567,7 +576,7 @@ impl IApp for MonitorApp {
 
     fn on_tick(&mut self, api: &mut ServerApi, now_ms: u64) {
         if let Some(ttl) = self.cfg.stale_ttl_ms {
-            self.db.lock().evict_stale(now_ms, ttl);
+            self.db.lock().expect("lock poisoned").evict_stale(now_ms, ttl);
         }
         if self.cfg.mode != MonitorMode::Adaptive {
             return;

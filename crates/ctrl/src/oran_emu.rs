@@ -24,11 +24,10 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use tokio::sync::mpsc;
 
 use flexric::server::{
     AgentId, CtrlOutcome, IApp, IndicationRef, Server, ServerApi, ServerConfig, SubOutcome,
@@ -68,7 +67,7 @@ enum FromXapp {
 /// The E2 termination iApp.
 struct E2tApp {
     codec: E2apCodec,
-    rmr_tx: mpsc::UnboundedSender<WireMsg>,
+    rmr_tx: mpsc::Sender<WireMsg>,
     agents: Vec<AgentId>,
 }
 
@@ -138,31 +137,31 @@ impl IApp for E2tApp {
 
 /// Spawns the E2 termination: a south E2 server plus an RMR connection to
 /// the xApp at `rmr_xapp_addr`.  Returns the south listen address.
-pub async fn run_e2term(
+pub fn run_e2term(
     south_listen: TransportAddr,
     rmr_xapp_addr: TransportAddr,
 ) -> io::Result<TransportAddr> {
     let codec = E2apCodec::Asn1Per; // O-RAN mandates ASN.1 PER.
-    let (rmr_tx, mut rmr_out) = mpsc::unbounded_channel::<WireMsg>();
+    let (rmr_tx, rmr_out) = mpsc::channel::<WireMsg>();
     let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 0xE2), south_listen);
     cfg.codec = codec;
     cfg.tick_ms = None;
     let app = E2tApp { codec, rmr_tx, agents: Vec::new() };
-    let handle = Server::spawn(cfg, vec![Box::new(app)]).await?;
+    let handle = Server::spawn(cfg, vec![Box::new(app)])?;
     let south_addr = handle.addrs[0].clone();
 
-    let rmr_conn = connect(&rmr_xapp_addr).await?;
+    let rmr_conn = connect(&rmr_xapp_addr)?;
     let (mut tx_half, mut rx_half) = rmr_conn.split();
-    tokio::spawn(async move {
-        while let Some(msg) = rmr_out.recv().await {
-            if tx_half.send(msg).await.is_err() {
+    std::thread::spawn(move || {
+        while let Ok(msg) = rmr_out.recv() {
+            if tx_half.send(msg).is_err() {
                 break;
             }
         }
     });
     let h = handle.clone();
-    tokio::spawn(async move {
-        while let Ok(Some(msg)) = rx_half.recv().await {
+    std::thread::spawn(move || {
+        while let Ok(Some(msg)) = rx_half.recv() {
             if msg.ppid == rmr::AGENT_QUERY {
                 h.to_iapp("e2t", Box::new(FromXapp::Query));
                 continue;
@@ -200,7 +199,7 @@ pub struct OranXapp {
     pub rtts: Arc<Mutex<Vec<u64>>>,
     /// Agents discovered through polling.
     pub discovered: Arc<Mutex<Vec<AgentId>>>,
-    cmd: mpsc::UnboundedSender<XappCmd>,
+    cmd: mpsc::Sender<XappIn>,
 }
 
 enum XappCmd {
@@ -208,127 +207,160 @@ enum XappCmd {
     Subscribe { agent: AgentId, ran_function: RanFunctionId, period_ms: u32 },
 }
 
+/// What the xApp's thread waits for: a command, or what the RMR connection
+/// delivered (`None` once it ended).
+enum XappIn {
+    Cmd(XappCmd),
+    Wire(Option<WireMsg>),
+}
+
 impl OranXapp {
     /// Binds the RMR listener and starts the xApp loop.  `sm_codec` is the
     /// service-model encoding used on payloads.
-    pub async fn spawn(
-        rmr_listen: TransportAddr,
-        sm_codec: flexric_sm::SmCodec,
-    ) -> io::Result<OranXapp> {
+    pub fn spawn(rmr_listen: TransportAddr, sm_codec: flexric_sm::SmCodec) -> io::Result<OranXapp> {
         use flexric_sm::SmPayload;
         let codec = E2apCodec::Asn1Per;
-        let mut listener = listen(&rmr_listen).await?;
+        let mut listener = listen(&rmr_listen)?;
         let rmr_addr = listener.local_addr()?;
         let counters = Arc::new(OranXappCounters::default());
         let rtts = Arc::new(Mutex::new(Vec::new()));
         let discovered = Arc::new(Mutex::new(Vec::new()));
-        let (cmd_tx, mut cmd_rx) = mpsc::unbounded_channel::<XappCmd>();
+        let (cmd_tx, inputs) = mpsc::channel::<XappIn>();
 
         let c = counters.clone();
         let r = rtts.clone();
         let d = discovered.clone();
-        tokio::spawn(async move {
-            let Ok(conn) = listener.accept().await else { return };
-            let (mut tx, mut rx) = conn.split();
+        let wire_tx = cmd_tx.clone();
+        std::thread::Builder::new().name("oran-xapp".into()).spawn(move || {
+            let Ok(conn) = listener.accept() else { return };
+            let (mut tx, rx) = conn.split();
+            // What arrives joins the commands on the one queue read below.
+            let Ok(_reader) = rx.pump(Box::new(move |msg| {
+                let _ = wire_tx.send(XappIn::Wire(msg));
+            })) else {
+                return;
+            };
             // Discovery by polling: ask for agents every 100 ms.
-            let mut poll_iv = tokio::time::interval(std::time::Duration::from_millis(100));
-            poll_iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+            let poll_every = Duration::from_millis(100);
+            let mut next_poll = Instant::now();
             let mut next_instance = 0u16;
             let mut outstanding_ping: HashMap<RicRequestId, u64> = HashMap::new();
             let mut seq = 0u32;
             loop {
-                tokio::select! {
-                    _ = poll_iv.tick() => {
+                let input = match inputs
+                    .recv_timeout(next_poll.saturating_duration_since(Instant::now()))
+                {
+                    Ok(input) => input,
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        next_poll = Instant::now() + poll_every;
                         c.polls.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(WireMsg { stream: 0, ppid: rmr::AGENT_QUERY, payload: Bytes::new() }).await;
+                        let _ = tx.send(WireMsg {
+                            stream: 0,
+                            ppid: rmr::AGENT_QUERY,
+                            payload: Bytes::new(),
+                        });
+                        continue;
                     }
-                    cmd = cmd_rx.recv() => match cmd {
-                        Some(XappCmd::Subscribe { agent, ran_function, period_ms }) => {
-                            next_instance += 1;
-                            let req_id = RicRequestId::new(1000, next_instance);
-                            let trigger = Bytes::from(
-                                flexric_sm::ReportTrigger::every_ms(period_ms).encode(sm_codec));
-                            let pdu = E2apPdu::RicSubscriptionRequest(RicSubscriptionRequest {
-                                req_id,
-                                ran_function,
-                                event_trigger: trigger,
-                                actions: vec![RicActionToBeSetup {
-                                    id: RicActionId(0),
-                                    action_type: RicActionType::Report,
-                                    definition: None,
-                                    subsequent: None,
-                                }],
-                            });
-                            // Encode at the xApp (encode #1 of the double encode).
-                            let buf = Bytes::from(codec.encode(&pdu));
-                            let _ = tx.send(WireMsg { stream: agent as u16, ppid: rmr::SUB_REQ, payload: buf }).await;
-                        }
-                        Some(XappCmd::Ping { agent, payload_size }) => {
-                            next_instance += 1;
-                            seq += 1;
-                            let req_id = RicRequestId::new(1000, next_instance);
-                            let t0 = flexric::mono_ns();
-                            let ping = flexric_sm::hw::HwPing::sized(seq, t0, payload_size);
-                            let pdu = E2apPdu::RicControlRequest(RicControlRequest {
-                                req_id,
-                                ran_function: RanFunctionId::new(flexric_sm::rf::HW),
-                                call_process_id: None,
-                                header: Bytes::new(),
-                                message: Bytes::from(ping.encode(sm_codec)),
-                                ack_request: None,
-                            });
-                            let buf = Bytes::from(codec.encode(&pdu));
-                            outstanding_ping.insert(req_id, t0);
-                            let _ = tx.send(WireMsg { stream: agent as u16, ppid: rmr::CTRL_REQ, payload: buf }).await;
-                        }
-                        None => break,
-                    },
-                    inbound = rx.recv() => match inbound {
-                        Ok(Some(msg)) => {
-                            c.rx_bytes.fetch_add(msg.payload.len() as u64, Ordering::Relaxed);
-                            match msg.ppid {
-                                rmr::INDICATION => {
-                                    // The second full decode of the pipeline.
-                                    if let Ok(E2apPdu::RicIndication(ind)) = codec.decode(&msg.payload) {
-                                        c.indications.fetch_add(1, Ordering::Relaxed);
-                                        if let Some(t0) = outstanding_ping.remove(&ind.req_id) {
-                                            r.lock().push(flexric::mono_ns() - t0);
-                                        } else {
-                                            // Monitoring: decode the SM payload too.
-                                            let _ = flexric_sm::mac::MacStatsInd::decode(sm_codec, &ind.message);
-                                        }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                };
+                match input {
+                    XappIn::Cmd(XappCmd::Subscribe { agent, ran_function, period_ms }) => {
+                        next_instance += 1;
+                        let req_id = RicRequestId::new(1000, next_instance);
+                        let trigger = Bytes::from(
+                            flexric_sm::ReportTrigger::every_ms(period_ms).encode(sm_codec),
+                        );
+                        let pdu = E2apPdu::RicSubscriptionRequest(RicSubscriptionRequest {
+                            req_id,
+                            ran_function,
+                            event_trigger: trigger,
+                            actions: vec![RicActionToBeSetup {
+                                id: RicActionId(0),
+                                action_type: RicActionType::Report,
+                                definition: None,
+                                subsequent: None,
+                            }],
+                        });
+                        // Encode at the xApp (encode #1 of the double encode).
+                        let buf = Bytes::from(codec.encode(&pdu));
+                        let _ = tx.send(WireMsg {
+                            stream: agent as u16,
+                            ppid: rmr::SUB_REQ,
+                            payload: buf,
+                        });
+                    }
+                    XappIn::Cmd(XappCmd::Ping { agent, payload_size }) => {
+                        next_instance += 1;
+                        seq += 1;
+                        let req_id = RicRequestId::new(1000, next_instance);
+                        let t0 = flexric::mono_ns();
+                        let ping = flexric_sm::hw::HwPing::sized(seq, t0, payload_size);
+                        let pdu = E2apPdu::RicControlRequest(RicControlRequest {
+                            req_id,
+                            ran_function: RanFunctionId::new(flexric_sm::rf::HW),
+                            call_process_id: None,
+                            header: Bytes::new(),
+                            message: Bytes::from(ping.encode(sm_codec)),
+                            ack_request: None,
+                        });
+                        let buf = Bytes::from(codec.encode(&pdu));
+                        outstanding_ping.insert(req_id, t0);
+                        let _ = tx.send(WireMsg {
+                            stream: agent as u16,
+                            ppid: rmr::CTRL_REQ,
+                            payload: buf,
+                        });
+                    }
+                    XappIn::Wire(None) => break,
+                    XappIn::Wire(Some(msg)) => {
+                        c.rx_bytes.fetch_add(msg.payload.len() as u64, Ordering::Relaxed);
+                        match msg.ppid {
+                            rmr::INDICATION => {
+                                // The second full decode of the pipeline.
+                                if let Ok(E2apPdu::RicIndication(ind)) = codec.decode(&msg.payload)
+                                {
+                                    c.indications.fetch_add(1, Ordering::Relaxed);
+                                    if let Some(t0) = outstanding_ping.remove(&ind.req_id) {
+                                        r.lock()
+                                            .expect("lock poisoned")
+                                            .push(flexric::mono_ns() - t0);
+                                    } else {
+                                        // Monitoring: decode the SM payload too.
+                                        let _ = flexric_sm::mac::MacStatsInd::decode(
+                                            sm_codec,
+                                            &ind.message,
+                                        );
                                     }
                                 }
-                                rmr::AGENT_LIST => {
-                                    let mut list = d.lock();
-                                    list.clear();
-                                    for pair in msg.payload.chunks_exact(2) {
-                                        list.push(u16::from_be_bytes([pair[0], pair[1]]) as AgentId);
-                                    }
-                                }
-                                rmr::SUB_RESP | rmr::SUB_FAIL | rmr::CTRL_ACK | rmr::CTRL_FAIL => {
-                                    let _ = codec.decode(&msg.payload); // validate
-                                }
-                                _ => {}
                             }
+                            rmr::AGENT_LIST => {
+                                let mut list = d.lock().expect("lock poisoned");
+                                list.clear();
+                                for pair in msg.payload.chunks_exact(2) {
+                                    list.push(u16::from_be_bytes([pair[0], pair[1]]) as AgentId);
+                                }
+                            }
+                            rmr::SUB_RESP | rmr::SUB_FAIL | rmr::CTRL_ACK | rmr::CTRL_FAIL => {
+                                let _ = codec.decode(&msg.payload); // validate
+                            }
+                            _ => {}
                         }
-                        Ok(None) | Err(_) => break,
-                    },
+                    }
                 }
             }
-        });
+        })?;
 
         Ok(OranXapp { rmr_addr, counters, rtts, discovered, cmd: cmd_tx })
     }
 
     /// Sends an HW ping through the full pipeline.
     pub fn ping(&self, agent: AgentId, payload_size: usize) {
-        let _ = self.cmd.send(XappCmd::Ping { agent, payload_size });
+        let _ = self.cmd.send(XappIn::Cmd(XappCmd::Ping { agent, payload_size }));
     }
 
     /// Subscribes to a RAN function through the E2T.
     pub fn subscribe(&self, agent: AgentId, ran_function: RanFunctionId, period_ms: u32) {
-        let _ = self.cmd.send(XappCmd::Subscribe { agent, ran_function, period_ms });
+        let _ = self.cmd.send(XappIn::Cmd(XappCmd::Subscribe { agent, ran_function, period_ms }));
     }
 }
 
@@ -341,29 +373,27 @@ pub fn spawn_platform(components: usize, resident_mb: usize) -> PlatformGuard {
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     for i in 0..components {
         let stop = stop.clone();
-        tokio::spawn(async move {
+        std::thread::spawn(move || {
             // Resident state, touched so it is actually committed.
             let mut state = vec![0u8; resident_mb * 1024 * 1024];
             for (j, b) in state.iter_mut().enumerate() {
                 *b = (i + j) as u8;
             }
-            let mut iv = tokio::time::interval(std::time::Duration::from_millis(100));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
             let mut epoch = 0u64;
             loop {
-                iv.tick().await;
+                std::thread::sleep(Duration::from_millis(100));
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
                 epoch += 1;
                 // Prometheus-style metrics serialization.
-                let metrics = serde_json::json!({
+                let metrics = flexric_xapp::json!({
                     "component": i,
                     "epoch": epoch,
                     "heap_bytes": state.len(),
                     "checksum": state[(epoch as usize * 4096) % state.len()],
                 });
-                std::hint::black_box(serde_json::to_vec(&metrics).unwrap_or_default());
+                std::hint::black_box(metrics.to_string().into_bytes());
             }
         });
     }
@@ -388,39 +418,43 @@ mod tests {
     use flexric_sm::SmCodec;
     use std::time::Duration;
 
-    #[tokio::test]
-    async fn full_pipeline_ping_and_monitoring() {
+    #[test]
+    fn full_pipeline_ping_and_monitoring() {
         let sm_codec = SmCodec::Asn1Per;
         // xApp listens for RMR.
-        let xapp = OranXapp::spawn(TransportAddr::Mem("oran-rmr".into()), sm_codec).await.unwrap();
+        let xapp = OranXapp::spawn(TransportAddr::Mem("oran-rmr".into()), sm_codec).unwrap();
         // E2T connects xApp and listens south.
-        let south = run_e2term(TransportAddr::Mem("oran-south".into()), xapp.rmr_addr.clone())
-            .await
-            .unwrap();
+        let south =
+            run_e2term(TransportAddr::Mem("oran-south".into()), xapp.rmr_addr.clone()).unwrap();
         // Agent with HW + dummy MAC stats.
         let mut acfg = AgentConfig::new(GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 5), south);
         acfg.codec = E2apCodec::Asn1Per;
         acfg.tick_ms = Some(1);
         let mut fns = crate::dummy::dummy_mac_only(32, sm_codec);
         fns.push(Box::new(crate::ranfun::HwFn::new(sm_codec)));
-        let _agent = Agent::spawn(acfg, fns).await.unwrap();
+        let _agent = Agent::spawn(acfg, fns).unwrap();
 
-        tokio::time::sleep(Duration::from_millis(200)).await;
+        std::thread::sleep(Duration::from_millis(200));
         // Subscribe to MAC stats and ping.
         xapp.subscribe(0, RanFunctionId::new(flexric_sm::rf::MAC_STATS), 1);
-        tokio::time::sleep(Duration::from_millis(100)).await;
+        std::thread::sleep(Duration::from_millis(100));
         for _ in 0..5 {
             xapp.ping(0, 100);
-            tokio::time::sleep(Duration::from_millis(20)).await;
+            std::thread::sleep(Duration::from_millis(20));
         }
         for _ in 0..100 {
-            if xapp.rtts.lock().len() >= 5 && xapp.counters.indications.load(Ordering::Relaxed) > 50
+            if xapp.rtts.lock().unwrap().len() >= 5
+                && xapp.counters.indications.load(Ordering::Relaxed) > 50
             {
                 break;
             }
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(xapp.rtts.lock().len() >= 5, "pings answered: {}", xapp.rtts.lock().len());
+        assert!(
+            xapp.rtts.lock().unwrap().len() >= 5,
+            "pings answered: {}",
+            xapp.rtts.lock().unwrap().len()
+        );
         assert!(
             xapp.counters.indications.load(Ordering::Relaxed) > 50,
             "monitoring indications flowed: {}",
@@ -429,10 +463,10 @@ mod tests {
         assert!(xapp.counters.polls.load(Ordering::Relaxed) >= 1, "discovery polling happened");
     }
 
-    #[tokio::test]
-    async fn platform_components_start_and_stop() {
+    #[test]
+    fn platform_components_start_and_stop() {
         let guard = spawn_platform(3, 1);
-        tokio::time::sleep(Duration::from_millis(250)).await;
+        std::thread::sleep(Duration::from_millis(250));
         drop(guard);
         // Nothing to assert beyond "does not wedge": components exit on drop.
     }

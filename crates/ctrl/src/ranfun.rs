@@ -8,10 +8,9 @@
 //! association: statistics toward an additional controller only contain
 //! the UEs exposed to it (paper §4.1.2).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use flexric::agent::{AgentCtx, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo};
 use flexric::report::ReportSender;
@@ -126,7 +125,7 @@ macro_rules! stats_fn {
                     sm_codec,
                     desc: desc_of($oid),
                     subs: PeriodicSubs::new(),
-                    sender: ReportSender::new(),
+                    sender: ReportSender::new(sm_codec),
                 }
             }
         }
@@ -200,20 +199,12 @@ macro_rules! stats_fn {
                 // the sender applies the per-subscription report mode
                 // (full / delta / suppressed) to the filtered view.
                 let ind: $ind = {
-                    let mut sim = self.bs.sim.lock();
+                    let mut sim = self.bs.sim.lock().expect("lock poisoned");
                     sim.cells[self.bs.cell].$snapshot()
                 };
                 for (sub, trigger) in due {
                     let filtered = $filter(&ind, ctx, &sub);
-                    self.sender.send(
-                        ctx,
-                        &sub,
-                        &trigger,
-                        &filtered,
-                        self.sm_codec,
-                        None,
-                        Bytes::new(),
-                    );
+                    self.sender.send(ctx, &sub, &trigger, &filtered, None, Bytes::new());
                 }
             }
         }
@@ -294,7 +285,7 @@ impl RanFunction for SliceCtrlFn {
     ) -> Result<Option<Bytes>, Cause> {
         let ctrl_msg = SliceCtrl::decode(self.sm_codec, &req.message)
             .map_err(|_| Cause::Ric(RicCause::ControlMessageInvalid))?;
-        let mut sim = self.bs.sim.lock();
+        let mut sim = self.bs.sim.lock().expect("lock poisoned");
         // Admission control happens inside the scheduler — conflict-free
         // operations are the SM's responsibility (paper §4.1.2).
         sim.cells[self.bs.cell]
@@ -312,7 +303,7 @@ impl RanFunction for SliceCtrlFn {
             return;
         }
         let ind: SliceStatsInd = {
-            let mut sim = self.bs.sim.lock();
+            let mut sim = self.bs.sim.lock().expect("lock poisoned");
             sim.cells[self.bs.cell].slice_stats()
         };
         for sub in due {
@@ -395,7 +386,7 @@ impl RanFunction for TcCtrlFn {
             BearerAddr::decode(&req.header).ok_or(Cause::Ric(RicCause::ControlMessageInvalid))?;
         let ctrl_msg = TcCtrl::decode(self.sm_codec, &req.message)
             .map_err(|_| Cause::Ric(RicCause::ControlMessageInvalid))?;
-        let mut sim = self.bs.sim.lock();
+        let mut sim = self.bs.sim.lock().expect("lock poisoned");
         sim.cells[self.bs.cell]
             .apply_tc_ctrl(bearer.rnti, bearer.drb, &ctrl_msg)
             .map_err(|_| Cause::Ric(RicCause::ControlMessageInvalid))?;
@@ -410,7 +401,7 @@ impl RanFunction for TcCtrlFn {
             let (sub, bearer, period) = (self.subs[i].0.clone(), self.subs[i].1, self.subs[i].2);
             self.subs[i].3 = now + period as u64;
             let ind: Option<TcStatsInd> = {
-                let mut sim = self.bs.sim.lock();
+                let mut sim = self.bs.sim.lock().expect("lock poisoned");
                 sim.cells[self.bs.cell].tc_stats(bearer.rnti, bearer.drb)
             };
             if let Some(ind) = ind {
@@ -460,7 +451,7 @@ impl KpmFn {
     }
 
     fn baseline(&self) -> KpmBaseline {
-        let sim = self.bs.sim.lock();
+        let sim = self.bs.sim.lock().expect("lock poisoned");
         let cell = &sim.cells[self.bs.cell];
         KpmBaseline { ues: cell.kpm_counters(), ho_total: cell.ho_in_total + cell.ho_out_total }
     }
@@ -652,7 +643,7 @@ impl RanFunction for RrcEventFn {
         // associations and handovers can be controlled […] through xApps").
         let cmd = RrcCtrl::decode(self.sm_codec, &req.message)
             .map_err(|_| Cause::Ric(RicCause::ControlMessageInvalid))?;
-        let mut sim = self.bs.sim.lock();
+        let mut sim = self.bs.sim.lock().expect("lock poisoned");
         match cmd {
             RrcCtrl::Handover { rnti, target_cell } => sim
                 .handover(rnti, self.bs.cell, target_cell as usize)
@@ -666,7 +657,7 @@ impl RanFunction for RrcEventFn {
             return;
         }
         let events = {
-            let mut sim = self.bs.sim.lock();
+            let mut sim = self.bs.sim.lock().expect("lock poisoned");
             sim.cells[self.bs.cell].take_rrc_events()
         };
         if events.is_empty() {

@@ -22,11 +22,9 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use tokio::sync::mpsc;
 
 use flexric::agent::{
     Agent, AgentConfig, AgentCtx, AgentHandle, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo,
@@ -206,7 +204,7 @@ impl IApp for VirtSouthApp {
         }
         // Install NVS with one default slice per tenant at its SLA share.
         let defaults: Vec<SliceConf> = {
-            let shared = self.shared.lock();
+            let shared = self.shared.lock().expect("lock poisoned");
             shared
                 .tenants
                 .iter()
@@ -240,7 +238,7 @@ impl IApp for VirtSouthApp {
                 // the Fig. 4 UE-to-controller configuration).
                 let mut assoc = Vec::new();
                 {
-                    let mut shared = self.shared.lock();
+                    let mut shared = self.shared.lock().expect("lock poisoned");
                     for ue in &stats.ues {
                         if shared.auto_assoc.contains(&ue.rnti) {
                             continue;
@@ -258,7 +256,7 @@ impl IApp for VirtSouthApp {
             }
             Some(k) if k == rf::SLICE_CTRL => {
                 if let Ok(stats) = SliceStatsInd::decode(self.sm_codec, msg) {
-                    self.shared.lock().latest_slice = Some(stats);
+                    self.shared.lock().expect("lock poisoned").latest_slice = Some(stats);
                 }
             }
             _ => {}
@@ -325,7 +323,7 @@ impl RanFunction for VirtMacFn {
         if due.is_empty() {
             return;
         }
-        let shared = self.shared.lock();
+        let shared = self.shared.lock().expect("lock poisoned");
         let Some(stats) = shared.latest_mac.clone() else { return };
         for sub in due {
             let tenant = sub.ctrl; // controller i is tenant i
@@ -355,7 +353,9 @@ impl RanFunction for VirtMacFn {
 struct VirtSliceFn {
     sm_codec: SmCodec,
     shared: Arc<Mutex<VirtShared>>,
-    south: mpsc::UnboundedSender<SliceCtrl>,
+    /// The south server, whose `virt-south` iApp applies what this
+    /// function translates.
+    south: ServerHandle,
     subs: PeriodicSubs,
 }
 
@@ -473,7 +473,7 @@ impl RanFunction for VirtSliceFn {
     ) -> Result<Option<Bytes>, Cause> {
         let cmd = SliceCtrl::decode(self.sm_codec, &req.message)
             .map_err(|_| Cause::Ric(RicCause::ControlMessageInvalid))?;
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared.lock().expect("lock poisoned");
         if ctrl >= shared.tenants.len() {
             return Err(Cause::Ric(RicCause::RequestIdUnknown));
         }
@@ -483,7 +483,7 @@ impl RanFunction for VirtSliceFn {
             return Ok(Some(Bytes::from_static(b"noop")));
         }
         for c in south_cmds {
-            let _ = self.south.send(c);
+            self.south.to_iapp("virt-south", Box::new(SouthCmd::Apply(c)));
         }
         Ok(Some(Bytes::from_static(b"ok")))
     }
@@ -496,7 +496,7 @@ impl RanFunction for VirtSliceFn {
         if due.is_empty() {
             return;
         }
-        let shared = self.shared.lock();
+        let shared = self.shared.lock().expect("lock poisoned");
         let Some(south) = shared.latest_slice.clone() else { return };
         for sub in due {
             let tenant = sub.ctrl;
@@ -561,7 +561,7 @@ impl VirtController {
     /// * `tenants` — the tenant controllers to connect to, in order
     ///   (tenant *i* becomes controller *i* of the north agent);
     /// * `tick_ms` — `None` for virtual-time experiments.
-    pub async fn spawn(
+    pub fn spawn(
         south_cfg: ServerConfig,
         node: GlobalE2NodeId,
         tenants: Vec<TenantConf>,
@@ -576,8 +576,6 @@ impl VirtController {
             latest_slice: None,
             auto_assoc: std::collections::HashSet::new(),
         }));
-        let (south_tx, mut south_rx) = mpsc::unbounded_channel::<SliceCtrl>();
-
         let south_app = VirtSouthApp {
             sm_codec,
             stats_period_ms,
@@ -586,19 +584,16 @@ impl VirtController {
             kinds: HashMap::new(),
         };
         let codec = south_cfg.codec;
-        let south = Server::spawn(south_cfg, vec![Box::new(south_app)]).await?;
-
-        // Bridge: virtualization layer → south iApp.
-        let south_handle = south.clone();
-        tokio::spawn(async move {
-            while let Some(cmd) = south_rx.recv().await {
-                south_handle.to_iapp("virt-south", Box::new(SouthCmd::Apply(cmd)));
-            }
-        });
+        let south = Server::spawn(south_cfg, vec![Box::new(south_app)])?;
 
         // North agent: one connection per tenant controller.
-        let ctrl_addrs: Vec<TransportAddr> =
-            shared.lock().tenants.iter().map(|t| t.ctrl_addr.clone()).collect();
+        let ctrl_addrs: Vec<TransportAddr> = shared
+            .lock()
+            .expect("lock poisoned")
+            .tenants
+            .iter()
+            .map(|t| t.ctrl_addr.clone())
+            .collect();
         let mut acfg = AgentConfig::new(node, ctrl_addrs[0].clone());
         acfg.controllers = ctrl_addrs;
         acfg.codec = codec;
@@ -608,11 +603,11 @@ impl VirtController {
             Box::new(VirtSliceFn {
                 sm_codec,
                 shared: shared.clone(),
-                south: south_tx,
+                south: south.clone(),
                 subs: PeriodicSubs::new(),
             }),
         ];
-        let north = Agent::spawn(acfg, functions).await?;
+        let north = Agent::spawn(acfg, functions)?;
         Ok(VirtController { south, north })
     }
 }

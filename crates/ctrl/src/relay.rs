@@ -13,9 +13,9 @@
 //! a second full decode at the xApp.
 
 use std::io;
+use std::sync::mpsc;
 
 use bytes::Bytes;
-use tokio::sync::mpsc;
 
 use flexric::server::{
     AgentId, CtrlOutcome, IApp, IndicationRef, Server, ServerApi, ServerConfig, SubOutcome,
@@ -41,7 +41,7 @@ enum NorthBound {
 /// The relay iApp: forwards north→south requests and south→north
 /// responses/indications.
 struct RelayApp {
-    north_tx: mpsc::UnboundedSender<NorthBound>,
+    north_tx: mpsc::Sender<NorthBound>,
     /// The south agent everything is relayed to (single-agent relay, as in
     /// the RTT experiment).
     target: Option<AgentId>,
@@ -98,22 +98,22 @@ impl IApp for RelayApp {
 /// Spawns a relaying controller: a south server at `south.listen` plus a
 /// northbound E2 connection to `north_addr`, advertising the functions in
 /// `advertised`.
-pub async fn spawn_relay(
+pub fn spawn_relay(
     south: ServerConfig,
     north_addr: TransportAddr,
     node: GlobalE2NodeId,
     advertised: Vec<RanFunctionItem>,
 ) -> io::Result<flexric::server::ServerHandle> {
     let codec = south.codec;
-    let (north_tx, mut north_rx) = mpsc::unbounded_channel::<NorthBound>();
+    let (north_tx, north_rx) = mpsc::channel::<NorthBound>();
     let app = RelayApp { north_tx, target: None };
-    let handle = Server::spawn(south, vec![Box::new(app)]).await?;
+    let handle = Server::spawn(south, vec![Box::new(app)])?;
 
     // Northbound: behave as an E2 node toward the upstream controller.
-    let mut transport = connect(&north_addr).await?;
+    let mut transport = connect(&north_addr)?;
     let setup = flexric::agent::setup_request(0, node, advertised);
-    transport.send(WireMsg::e2ap(Bytes::from(codec.encode(&setup)))).await?;
-    match transport.recv().await? {
+    transport.send(WireMsg::e2ap(Bytes::from(codec.encode(&setup))))?;
+    match transport.recv()? {
         Some(msg) => match codec.decode(&msg.payload) {
             Ok(E2apPdu::E2SetupResponse(_)) => {}
             other => {
@@ -125,23 +125,23 @@ pub async fn spawn_relay(
     let (mut tx_half, mut rx_half) = transport.split();
     // North writer: procedures are encoded here; forwarded indication
     // frames go out as-is on the bulk stream.
-    tokio::spawn(async move {
-        while let Some(nb) = north_rx.recv().await {
+    std::thread::spawn(move || {
+        while let Ok(nb) = north_rx.recv() {
             let msg = match nb {
                 NorthBound::Pdu(pdu) => {
                     WireMsg::e2ap_on(flexric::stream_for(&pdu), Bytes::from(codec.encode(&pdu)))
                 }
                 NorthBound::Frame(frame) => WireMsg::e2ap_on(WireMsg::STREAM_BULK, frame),
             };
-            if tx_half.send(msg).await.is_err() {
+            if tx_half.send(msg).is_err() {
                 break;
             }
         }
     });
     // North reader → relay iApp.
     let h = handle.clone();
-    tokio::spawn(async move {
-        while let Ok(Some(msg)) = rx_half.recv().await {
+    std::thread::spawn(move || {
+        while let Ok(Some(msg)) = rx_half.recv() {
             if let Ok(pdu) = codec.decode(&msg.payload) {
                 h.to_iapp("relay", Box::new(NorthMsg::Pdu(pdu)));
             }
@@ -166,7 +166,7 @@ pub struct PingApp {
     sm_codec: flexric_sm::SmCodec,
     payload_size: usize,
     /// RTT samples in nanoseconds.
-    pub rtts: std::sync::Arc<parking_lot::Mutex<Vec<u64>>>,
+    pub rtts: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
     /// Ping interval in ms.
     interval_ms: u64,
     next_ping: u64,
@@ -183,8 +183,8 @@ impl PingApp {
         sm_codec: flexric_sm::SmCodec,
         payload_size: usize,
         interval_ms: u64,
-    ) -> (Self, std::sync::Arc<parking_lot::Mutex<Vec<u64>>>) {
-        let rtts = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    ) -> (Self, std::sync::Arc<std::sync::Mutex<Vec<u64>>>) {
+        let rtts = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         (
             PingApp {
                 sm_codec,
@@ -235,7 +235,7 @@ impl IApp for PingApp {
 
     fn on_indication(&mut self, _api: &mut ServerApi, _agent: AgentId, _ind: &IndicationRef) {
         if let Some((_, t0)) = self.outstanding.take() {
-            self.rtts.lock().push(flexric::mono_ns() - t0);
+            self.rtts.lock().expect("lock poisoned").push(flexric::mono_ns() - t0);
         }
     }
 
@@ -258,8 +258,8 @@ mod tests {
     use flexric_sm::SmCodec;
     use std::time::Duration;
 
-    #[tokio::test]
-    async fn two_hop_ping_through_relay() {
+    #[test]
+    fn two_hop_ping_through_relay() {
         let codec = flexric_codec::E2apCodec::Flatb;
         let sm_codec = SmCodec::Flatb;
         // Upstream controller with the pinger.
@@ -270,7 +270,7 @@ mod tests {
         );
         up_cfg.codec = codec;
         up_cfg.tick_ms = Some(1);
-        let _up = Server::spawn(up_cfg, vec![Box::new(ping_app)]).await.unwrap();
+        let _up = Server::spawn(up_cfg, vec![Box::new(ping_app)]).unwrap();
 
         // The relay in the middle.
         let mut south_cfg = ServerConfig::new(
@@ -285,7 +285,6 @@ mod tests {
             GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 99),
             hw_advertisement(sm_codec),
         )
-        .await
         .unwrap();
 
         // The agent at the bottom.
@@ -296,15 +295,15 @@ mod tests {
         acfg.codec = codec;
         acfg.tick_ms = None;
         let _agent =
-            Agent::spawn(acfg, vec![Box::new(crate::ranfun::HwFn::new(sm_codec))]).await.unwrap();
+            Agent::spawn(acfg, vec![Box::new(crate::ranfun::HwFn::new(sm_codec))]).unwrap();
 
         for _ in 0..300 {
-            if rtts.lock().len() >= 5 {
+            if rtts.lock().unwrap().len() >= 5 {
                 break;
             }
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
-        let samples = rtts.lock();
+        let samples = rtts.lock().unwrap();
         assert!(samples.len() >= 5, "pings flowed through two hops: {}", samples.len());
         for rtt in samples.iter() {
             assert!(*rtt < 1_000_000_000, "sane RTT: {rtt} ns");

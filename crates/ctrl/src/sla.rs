@@ -21,13 +21,12 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use tokio::sync::oneshot;
 
-use flexric::server::{AgentId, AgentInfo, CtrlOutcome, IApp, ServerApi};
+use flexric::server::{AgentId, AgentInfo, CtrlOutcome, IApp, ServerApi, ServerHandle};
 use flexric_e2ap::{ControlAckRequest, RicRequestId};
 use flexric_sm::registry::SmDescriptor;
 use flexric_sm::rlc::RlcStatsInd;
@@ -97,7 +96,15 @@ impl SlaLedger {
 /// a deterministic point instead of waiting for the next indication.
 pub struct SlaPoll {
     /// Reply channel carrying the ledger snapshot.
-    pub reply: oneshot::Sender<SlaLedger>,
+    pub reply: SyncSender<SlaLedger>,
+}
+
+/// Has the `sla` iApp of `server` evaluate every tracked agent now and
+/// waits up to `timeout` for its ledger.
+pub fn poll(server: &ServerHandle, timeout: std::time::Duration) -> Option<SlaLedger> {
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
+    server.to_iapp("sla", Box::new(SlaPoll { reply: tx }));
+    rx.recv_timeout(timeout).ok()
 }
 
 /// Per-agent loop state.
@@ -127,7 +134,7 @@ fn obs() -> &'static SlaObs {
 }
 
 fn violation_counter(slice: u32) -> flexric_obs::Counter {
-    let mut map = obs().violations.lock();
+    let mut map = obs().violations.lock().expect("lock poisoned");
     map.entry(slice)
         .or_insert_with(|| {
             let label: &'static str = Box::leak(slice.to_string().into_boxed_str());
@@ -197,7 +204,7 @@ impl SlaApp {
     /// enough in virtual time.
     fn evaluate(&mut self, api: &mut ServerApi, agent: AgentId) {
         let (stats, rlc) = {
-            let db = self.cfg.store.lock();
+            let db = self.cfg.store.lock().expect("lock poisoned");
             let Some(any) = db.snapshot_any(agent, oid::SLICE_CTRL) else { return };
             let Ok(stats) = any.downcast::<SliceStatsInd>() else { return };
             (*stats, db.rlc(agent))
@@ -215,7 +222,7 @@ impl SlaApp {
 
         let observed = observations(&stats, rlc.as_ref());
         {
-            let mut led = self.ledger.lock();
+            let mut led = self.ledger.lock().expect("lock poisoned");
             led.evals += 1;
             for t in &self.cfg.targets {
                 if let Some(o) = observed.iter().find(|o| o.slice == t.slice) {
@@ -263,7 +270,7 @@ impl SlaApp {
             api.control(agent, rf_id, Bytes::new(), msg, Some(ControlAckRequest::Ack));
         let st = self.agents.entry(agent).or_default();
         st.inflight += 1;
-        self.ledger.lock().pushes += 1;
+        self.ledger.lock().expect("lock poisoned").pushes += 1;
     }
 }
 
@@ -298,7 +305,7 @@ impl IApp for SlaApp {
 
     fn on_control_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &CtrlOutcome) {
         let ok = matches!(out, CtrlOutcome::Ack(_));
-        let mut led = self.ledger.lock();
+        let mut led = self.ledger.lock().expect("lock poisoned");
         if ok {
             led.acks += 1;
         } else {
@@ -317,7 +324,7 @@ impl IApp for SlaApp {
             self.evaluate(api, id);
         }
         let snap = {
-            let led = self.ledger.lock();
+            let led = self.ledger.lock().expect("lock poisoned");
             SlaLedger {
                 violation_ms: led.violation_ms.clone(),
                 evals: led.evals,
@@ -384,8 +391,12 @@ mod tests {
 
     #[test]
     fn solver_reallocates_from_observed_rows() {
-        let targets =
-            vec![SlaTarget { slice: 0, thr_kbps_min: 2_000.0, delay_ms_max: 0.0, floor_milli: 50 }];
+        // Slice 1 is the objective-free donor: the solver only shrinks a
+        // slice whose floor it was told.
+        let targets = vec![
+            SlaTarget { slice: 0, thr_kbps_min: 2_000.0, delay_ms_max: 0.0, floor_milli: 50 },
+            SlaTarget { slice: 1, thr_kbps_min: 0.0, delay_ms_max: 0.0, floor_milli: 50 },
+        ];
         let obs = observations(&stats(), None);
         let next = sla_solver::resolve(&targets, &obs, &SolverCfg::default())
             .expect("slice 0 misses its floor");

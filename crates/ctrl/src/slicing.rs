@@ -11,12 +11,10 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use tokio::sync::oneshot;
 
 use flexric::server::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerHandle,
@@ -26,15 +24,14 @@ use flexric_sm::registry::SmDescriptor;
 use flexric_sm::slice::{SliceAlgo, SliceConf, SliceCtrl, SliceParams, SliceStatsInd, UeSchedAlgo};
 use flexric_sm::{oid, ReportTrigger, SmCodec, SmPayload};
 use flexric_xapp::http::{HttpServer, Request, Response, Router};
-use flexric_xapp::introspect;
+use flexric_xapp::{introspect, json, json_enum, json_struct};
 
 // ---------------------------------------------------------------------------
 // REST DTOs
 // ---------------------------------------------------------------------------
 
 /// JSON form of slice parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[derive(Debug, Clone)]
 pub enum SliceParamsDto {
     /// NVS capacity slice.
     NvsCapacity {
@@ -56,6 +53,12 @@ pub enum SliceParamsDto {
         hi: u16,
     },
 }
+
+json_enum!(SliceParamsDto tag "type" {
+    NvsCapacity = "nvs_capacity" { share_pct },
+    NvsRate = "nvs_rate" { rate_mbps, ref_mbps },
+    StaticRb = "static_rb" { lo, hi },
+});
 
 impl SliceParamsDto {
     /// Converts to the SM representation.
@@ -88,23 +91,19 @@ impl SliceParamsDto {
 }
 
 /// JSON form of one slice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SliceDto {
     /// Slice id.
     pub id: u32,
-    /// Label.
-    #[serde(default)]
+    /// Label (optional in a request: empty).
     pub label: String,
     /// Parameters.
     pub params: SliceParamsDto,
-    /// UE scheduler (`"rr"`, `"pf"`, `"mt"`).
-    #[serde(default = "default_sched")]
+    /// UE scheduler (`"rr"`, `"pf"`, `"mt"`; optional in a request: `"pf"`).
     pub sched: String,
 }
 
-fn default_sched() -> String {
-    "pf".to_owned()
-}
+json_struct!(SliceDto { id, label = String::new(), params, sched = "pf".to_owned() });
 
 impl SliceDto {
     /// Converts to the SM representation.
@@ -123,7 +122,7 @@ impl SliceDto {
 }
 
 /// POST /slice/algo body.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct AlgoReq {
     /// Target agent.
     pub agent: AgentId,
@@ -131,8 +130,10 @@ pub struct AlgoReq {
     pub algo: String,
 }
 
+json_struct!(AlgoReq { agent, algo });
+
 /// POST /slice/conf body.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct ConfReq {
     /// Target agent.
     pub agent: AgentId,
@@ -140,8 +141,10 @@ pub struct ConfReq {
     pub slices: Vec<SliceDto>,
 }
 
+json_struct!(ConfReq { agent, slices });
+
 /// POST /slice/assoc body.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct AssocReq {
     /// Target agent.
     pub agent: AgentId,
@@ -149,8 +152,10 @@ pub struct AssocReq {
     pub assoc: Vec<(u16, u32)>,
 }
 
+json_struct!(AssocReq { agent, assoc });
+
 /// POST /slice/del body.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct DelReq {
     /// Target agent.
     pub agent: AgentId,
@@ -158,15 +163,18 @@ pub struct DelReq {
     pub ids: Vec<u32>,
 }
 
+json_struct!(DelReq { agent, ids });
+
 /// Outcome of a relayed control command.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct CtrlReply {
     /// Whether the agent acknowledged.
     pub ok: bool,
     /// Failure detail, if any.
-    #[serde(default)]
     pub detail: String,
 }
+
+json_struct!(CtrlReply { ok, detail = String::new() });
 
 // ---------------------------------------------------------------------------
 // The SC SM manager iApp
@@ -180,7 +188,7 @@ pub struct ApplySliceCtrl {
     /// The command.
     pub ctrl: SliceCtrl,
     /// Reply channel.
-    pub reply: oneshot::Sender<CtrlReply>,
+    pub reply: SyncSender<CtrlReply>,
 }
 
 /// The SC SM manager iApp: subscribes to slice statistics on every agent
@@ -192,7 +200,7 @@ pub struct SliceApp {
     /// indication decoding go through it.
     desc: Arc<SmDescriptor>,
     latest: Arc<Mutex<HashMap<AgentId, SliceStatsInd>>>,
-    pending: HashMap<(AgentId, RicRequestId), oneshot::Sender<CtrlReply>>,
+    pending: HashMap<(AgentId, RicRequestId), SyncSender<CtrlReply>>,
 }
 
 impl SliceApp {
@@ -231,7 +239,7 @@ impl IApp for SliceApp {
     }
 
     fn on_agent_disconnected(&mut self, _api: &mut ServerApi, agent: AgentId) {
-        self.latest.lock().remove(&agent);
+        self.latest.lock().expect("lock poisoned").remove(&agent);
         self.pending.retain(|(a, _), _| *a != agent);
     }
 
@@ -241,7 +249,7 @@ impl IApp for SliceApp {
         // type this iApp renders.
         let Ok(any) = self.desc.decode_indication(self.sm_codec, msg) else { return };
         if let Ok(stats) = any.downcast::<SliceStatsInd>() {
-            self.latest.lock().insert(agent, *stats);
+            self.latest.lock().expect("lock poisoned").insert(agent, *stats);
         }
     }
 
@@ -286,14 +294,33 @@ impl IApp for SliceApp {
 // REST northbound
 // ---------------------------------------------------------------------------
 
-async fn relay(server: &ServerHandle, agent: AgentId, ctrl: SliceCtrl) -> Response {
-    let (tx, rx) = oneshot::channel();
+/// Hands `ctrl` for `agent` to the `slice` iApp of `server` and waits (up
+/// to 5 s) for how the agent answered; `None` when nothing came back.
+pub fn apply(server: &ServerHandle, agent: AgentId, ctrl: SliceCtrl) -> Option<CtrlReply> {
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
     server.to_iapp("slice", Box::new(ApplySliceCtrl { agent, ctrl, reply: tx }));
-    match tokio::time::timeout(std::time::Duration::from_secs(5), rx).await {
-        Ok(Ok(reply)) if reply.ok => Response::json(&reply),
-        Ok(Ok(reply)) => Response { status: 400, ..Response::json(&reply) },
-        _ => Response::error(500, "control relay timed out"),
+    await_reply(&rx)
+}
+
+/// Waits (on the caller's thread) for an iApp's answer to a relayed command.
+pub(crate) fn await_reply(rx: &Receiver<CtrlReply>) -> Option<CtrlReply> {
+    rx.recv_timeout(std::time::Duration::from_secs(5)).ok()
+}
+
+/// Renders the answer to a relayed command: 200 when the agent
+/// acknowledged, 400 with the detail when it refused, 500 when nothing came
+/// back in time.
+pub(crate) fn reply_response(reply: Option<CtrlReply>) -> Response {
+    match reply {
+        Some(reply) if reply.ok => Response::json(&reply),
+        Some(reply) => Response { status: 400, ..Response::json(&reply) },
+        None => Response::error(500, "control relay timed out"),
     }
+}
+
+/// A POST body as `T`, or the 400 that says why not.
+pub(crate) fn body<T: json::FromJson>(req: &Request) -> Result<T, Response> {
+    req.json().map_err(|e| Response::error(400, format!("bad body: {e}")))
 }
 
 /// Builds the REST router of the slicing controller and binds it.
@@ -307,120 +334,96 @@ async fn relay(server: &ServerHandle, agent: AgentId, ctrl: SliceCtrl) -> Respon
 /// * `POST /slice/del` — delete slices ([`DelReq`]),
 /// * `GET  /sm/registry` — registered service models
 ///   ([`flexric_xapp::introspect`]).
-pub async fn spawn_rest(
+pub fn spawn_rest(
     listen: &str,
     server: ServerHandle,
     latest: Arc<Mutex<HashMap<AgentId, SliceStatsInd>>>,
 ) -> std::io::Result<HttpServer> {
-    let s1 = server.clone();
-    let s2 = server.clone();
-    let s3 = server.clone();
-    let s4 = server.clone();
-    let s5 = server.clone();
+    let (s1, s2, s3, s4, s5) =
+        (server.clone(), server.clone(), server.clone(), server.clone(), server);
     let router = Router::new()
         .route("GET", "/slices", move |_req| {
-            let latest = latest.clone();
-            async move {
-                #[derive(Serialize)]
-                struct Entry {
-                    agent: AgentId,
-                    algo: String,
-                    slices: Vec<serde_json::Value>,
-                    ue_assoc: Vec<(u16, u32)>,
-                }
-                let table = latest.lock();
-                let entries: Vec<Entry> = table
-                    .iter()
-                    .map(|(agent, st)| Entry {
-                        agent: *agent,
-                        algo: format!("{:?}", st.algo),
-                        slices: st
-                            .slices
-                            .iter()
-                            .map(|s| {
-                                serde_json::json!({
-                                    "id": s.conf.id,
-                                    "label": s.conf.label,
-                                    "params": SliceParamsDto::from_sm(&s.conf.params),
-                                    "alloc_prbs": s.alloc_prbs,
-                                    "thr_kbps": s.thr_kbps,
-                                    "num_ues": s.num_ues,
-                                })
+            let table = latest.lock().expect("lock poisoned");
+            let entries: Vec<json::Value> = table
+                .iter()
+                .map(|(agent, st)| {
+                    let slices: Vec<json::Value> = st
+                        .slices
+                        .iter()
+                        .map(|s| {
+                            json!({
+                                "id": s.conf.id,
+                                "label": s.conf.label,
+                                "params": SliceParamsDto::from_sm(&s.conf.params),
+                                "alloc_prbs": s.alloc_prbs,
+                                "thr_kbps": s.thr_kbps,
+                                "num_ues": s.num_ues,
                             })
-                            .collect(),
-                        ue_assoc: st.ue_assoc.clone(),
+                        })
+                        .collect();
+                    json!({
+                        "agent": agent,
+                        "algo": format!("{:?}", st.algo),
+                        "slices": slices,
+                        "ue_assoc": st.ue_assoc,
+                    })
+                })
+                .collect();
+            Response::json(&entries)
+        })
+        .route("GET", "/agents", move |_req| match s5.agents() {
+            Ok(agents) => {
+                let list: Vec<json::Value> = agents
+                    .iter()
+                    .map(|a| {
+                        json!({
+                            "id": a.id,
+                            "node": a.node.to_string(),
+                            "functions": a.functions.iter()
+                                .map(|f| f.oid.clone()).collect::<Vec<_>>(),
+                        })
                     })
                     .collect();
-                Response::json(&entries)
+                Response::json(&list)
             }
-        })
-        .route("GET", "/agents", move |_req| {
-            let server = s5.clone();
-            async move {
-                match server.agents().await {
-                    Ok(agents) => {
-                        let list: Vec<serde_json::Value> = agents
-                            .iter()
-                            .map(|a| {
-                                serde_json::json!({
-                                    "id": a.id,
-                                    "node": a.node.to_string(),
-                                    "functions": a.functions.iter()
-                                        .map(|f| f.oid.clone()).collect::<Vec<_>>(),
-                                })
-                            })
-                            .collect();
-                        Response::json(&list)
-                    }
-                    Err(_) => Response::error(500, "server gone"),
-                }
-            }
+            Err(_) => Response::error(500, "server gone"),
         })
         .route("POST", "/slice/algo", move |req: Request| {
-            let server = s1.clone();
-            async move {
-                let Ok(body) = req.json::<AlgoReq>() else {
-                    return Response::error(400, "bad body");
-                };
-                let algo = match body.algo.as_str() {
-                    "none" => SliceAlgo::None,
-                    "static" => SliceAlgo::Static,
-                    "nvs" => SliceAlgo::Nvs,
-                    "nvs_nosharing" => SliceAlgo::NvsNoSharing,
-                    other => return Response::error(400, format!("unknown algo {other}")),
-                };
-                relay(&server, body.agent, SliceCtrl::SetAlgo { algo }).await
-            }
+            let body: AlgoReq = match body(&req) {
+                Ok(body) => body,
+                Err(bad) => return bad,
+            };
+            let algo = match body.algo.as_str() {
+                "none" => SliceAlgo::None,
+                "static" => SliceAlgo::Static,
+                "nvs" => SliceAlgo::Nvs,
+                "nvs_nosharing" => SliceAlgo::NvsNoSharing,
+                other => return Response::error(400, format!("unknown algo {other}")),
+            };
+            reply_response(apply(&s1, body.agent, SliceCtrl::SetAlgo { algo }))
         })
-        .route("POST", "/slice/conf", move |req: Request| {
-            let server = s2.clone();
-            async move {
-                let Ok(body) = req.json::<ConfReq>() else {
-                    return Response::error(400, "bad body");
-                };
+        .route("POST", "/slice/conf", move |req: Request| match body::<ConfReq>(&req) {
+            Ok(body) => {
                 let slices = body.slices.iter().map(|s| s.to_sm()).collect();
-                relay(&server, body.agent, SliceCtrl::AddModSlices { slices }).await
+                reply_response(apply(&s2, body.agent, SliceCtrl::AddModSlices { slices }))
             }
+            Err(bad) => bad,
         })
-        .route("POST", "/slice/assoc", move |req: Request| {
-            let server = s3.clone();
-            async move {
-                let Ok(body) = req.json::<AssocReq>() else {
-                    return Response::error(400, "bad body");
-                };
-                relay(&server, body.agent, SliceCtrl::AssocUeSlice { assoc: body.assoc }).await
-            }
+        .route("POST", "/slice/assoc", move |req: Request| match body::<AssocReq>(&req) {
+            Ok(body) => reply_response(apply(
+                &s3,
+                body.agent,
+                SliceCtrl::AssocUeSlice { assoc: body.assoc },
+            )),
+            Err(bad) => bad,
         })
-        .route("POST", "/slice/del", move |req: Request| {
-            let server = s4.clone();
-            async move {
-                let Ok(body) = req.json::<DelReq>() else {
-                    return Response::error(400, "bad body");
-                };
-                relay(&server, body.agent, SliceCtrl::DelSlices { ids: body.ids }).await
+        .route("POST", "/slice/del", move |req: Request| match body::<DelReq>(&req) {
+            Ok(body) => {
+                reply_response(apply(&s4, body.agent, SliceCtrl::DelSlices { ids: body.ids }))
             }
+            Err(bad) => bad,
         });
-    HttpServer::spawn(listen, introspect::mount(router)).await
+    HttpServer::spawn(listen, introspect::mount(router))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! statistics push plus REST POST for commands; the iApps are an RLC/TC
 //! statistics forwarder and a TC SM manager relaying commands.
 //!
-//! [`BloatGuardXapp`] is the paper's example xApp: it watches the sojourn
+//! [`run_bloat_guard`] is the paper's example xApp: it watches the sojourn
 //! time of the low-latency flow's bearer and, once it exceeds a limit,
 //! performs the three actions of §6.1.1 — create a second FIFO queue,
 //! install a 5-tuple filter segregating the low-latency flow, and load the
@@ -14,11 +14,10 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
-use tokio::sync::oneshot;
 
 use flexric::server::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerHandle,
@@ -28,10 +27,12 @@ use flexric_sm::registry::SmDescriptor;
 use flexric_sm::tc::{FiveTupleRule, PacerConf, QueueKind, TcCtrl, TcStatsInd};
 use flexric_sm::{oid, rlc::RlcStatsInd, ReportTrigger, SmCodec, SmPayload};
 use flexric_xapp::broker::BrokerClient;
-use flexric_xapp::http::{HttpClient, HttpServer, Request, Response, Router};
+use flexric_xapp::http::{HttpClient, HttpServer, Request, Router};
+use flexric_xapp::json::{self, ToJson};
+use flexric_xapp::{json_enum, json_struct};
 
 use crate::ranfun::BearerAddr;
-use crate::slicing::CtrlReply;
+use crate::slicing::{await_reply, body, reply_response, CtrlReply};
 
 /// Broker channel carrying RLC statistics (JSON).
 pub const CHAN_RLC: &str = "stats.rlc";
@@ -39,7 +40,7 @@ pub const CHAN_RLC: &str = "stats.rlc";
 pub const CHAN_TC: &str = "stats.tc";
 
 /// JSON form of an RLC bearer snapshot pushed on the broker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RlcStatsDto {
     /// Source agent.
     pub agent: AgentId,
@@ -59,8 +60,19 @@ pub struct RlcStatsDto {
     pub dropped_pdus: u64,
 }
 
+json_struct!(RlcStatsDto {
+    agent,
+    tstamp_ms,
+    rnti,
+    drb,
+    buffer_bytes,
+    sojourn_us_avg,
+    sojourn_us_max,
+    dropped_pdus,
+});
+
 /// JSON form of a TC snapshot pushed on the broker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TcStatsDto {
     /// Source agent.
     pub agent: AgentId,
@@ -76,6 +88,8 @@ pub struct TcStatsDto {
     pub pacer_rate_kbps: u64,
 }
 
+json_struct!(TcStatsDto { agent, tstamp_ms, rnti, drb, queues, pacer_rate_kbps });
+
 // ---------------------------------------------------------------------------
 // iApp 1: statistics forwarder (RLC + TC → broker)
 // ---------------------------------------------------------------------------
@@ -86,7 +100,8 @@ pub struct StatsForwarderApp {
     sm_codec: SmCodec,
     period_ms: u32,
     broker_addr: String,
-    publisher: Arc<tokio::sync::Mutex<Option<BrokerClient>>>,
+    /// Queue of the thread that publishes, started with the first message.
+    publisher: Option<mpsc::Sender<(&'static str, Vec<u8>)>>,
     /// The SM descriptor behind each of our request ids.
     subs: HashMap<(AgentId, RicRequestId), Arc<SmDescriptor>>,
     /// Bearers to watch with the TC SM, configured by the experiment.
@@ -106,26 +121,37 @@ impl StatsForwarderApp {
             sm_codec,
             period_ms,
             broker_addr,
-            publisher: Arc::new(tokio::sync::Mutex::new(None)),
+            publisher: None,
             subs: HashMap::new(),
             tc_watch,
         }
     }
 
-    fn publish(&self, channel: &'static str, payload: Vec<u8>) {
-        let publisher = self.publisher.clone();
-        let addr = self.broker_addr.clone();
-        tokio::spawn(async move {
-            let mut guard = publisher.lock().await;
-            if guard.is_none() {
-                *guard = BrokerClient::connect(&addr).await.ok();
-            }
-            if let Some(client) = guard.as_mut() {
-                if client.publish(channel, &payload).await.is_err() {
-                    *guard = None; // reconnect next time
+    /// Queues `payload` for the broker.  One thread does the publishing
+    /// (a publish blocks on the broker's socket), connects when needed and
+    /// ends when this iApp is dropped; what it cannot deliver is lost, as
+    /// statistics on a message broker are.
+    fn publish(&mut self, channel: &'static str, payload: Vec<u8>) {
+        let publisher = self.publisher.get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel::<(&'static str, Vec<u8>)>();
+            let addr = self.broker_addr.clone();
+            // If the thread cannot start the queue is closed and sends fail.
+            let _ = std::thread::Builder::new().name("flexric-stats-fwd".into()).spawn(move || {
+                let mut client = None;
+                while let Ok((channel, payload)) = rx.recv() {
+                    if client.is_none() {
+                        client = BrokerClient::connect(&addr).ok();
+                    }
+                    if let Some(c) = client.as_mut() {
+                        if c.publish(channel, &payload).is_err() {
+                            client = None; // reconnect next time
+                        }
+                    }
                 }
-            }
+            });
+            tx
         });
+        let _ = publisher.send((channel, payload));
     }
 }
 
@@ -181,9 +207,7 @@ impl IApp for StatsForwarderApp {
                     sojourn_us_max: b.sojourn_us_max,
                     dropped_pdus: b.dropped_pdus,
                 };
-                if let Ok(json) = serde_json::to_vec(&dto) {
-                    self.publish(CHAN_RLC, json);
-                }
+                self.publish(CHAN_RLC, dto.to_json().to_string().into_bytes());
             }
         } else if let Some(stats) = any.downcast_ref::<TcStatsInd>() {
             let dto = TcStatsDto {
@@ -198,9 +222,7 @@ impl IApp for StatsForwarderApp {
                     .collect(),
                 pacer_rate_kbps: stats.pacer_rate_kbps,
             };
-            if let Ok(json) = serde_json::to_vec(&dto) {
-                self.publish(CHAN_TC, json);
-            }
+            self.publish(CHAN_TC, dto.to_json().to_string().into_bytes());
         }
     }
 }
@@ -218,13 +240,13 @@ pub struct ApplyTcCtrl {
     /// The command.
     pub ctrl: TcCtrl,
     /// Reply channel.
-    pub reply: oneshot::Sender<CtrlReply>,
+    pub reply: SyncSender<CtrlReply>,
 }
 
 /// Relays TC SM commands arriving over REST into control requests.
 pub struct TcManagerApp {
     sm_codec: SmCodec,
-    pending: HashMap<(AgentId, RicRequestId), oneshot::Sender<CtrlReply>>,
+    pending: HashMap<(AgentId, RicRequestId), SyncSender<CtrlReply>>,
 }
 
 impl TcManagerApp {
@@ -285,7 +307,7 @@ impl IApp for TcManagerApp {
 // ---------------------------------------------------------------------------
 
 /// POST /tc/cmd body.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct TcCmdReq {
     /// Target agent.
     pub agent: AgentId,
@@ -297,16 +319,16 @@ pub struct TcCmdReq {
     pub cmd: TcCmdDto,
 }
 
+json_struct!(TcCmdReq { agent, rnti, drb, cmd });
+
 /// JSON form of TC commands.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "op", rename_all = "snake_case")]
+#[derive(Debug, Clone)]
 pub enum TcCmdDto {
     /// Add a FIFO queue.
     AddQueue {
         /// Queue id.
         id: u32,
-        /// Capacity in bytes (0 = unbounded).
-        #[serde(default)]
+        /// Capacity in bytes (0 = unbounded; optional in a request: 0).
         cap_bytes: u32,
     },
     /// Delete a queue.
@@ -321,19 +343,14 @@ pub enum TcCmdDto {
         /// Target queue.
         queue: u32,
         /// Destination port match.
-        #[serde(default)]
         dst_port: Option<u16>,
         /// Protocol match.
-        #[serde(default)]
         proto: Option<u8>,
         /// Source IP match.
-        #[serde(default)]
         src_ip: Option<u32>,
         /// Destination IP match.
-        #[serde(default)]
         dst_ip: Option<u32>,
         /// Source port match.
-        #[serde(default)]
         src_port: Option<u16>,
     },
     /// Delete a rule.
@@ -349,6 +366,15 @@ pub enum TcCmdDto {
     /// Remove the pacer (transparent mode).
     ClearPacer,
 }
+
+json_enum!(TcCmdDto tag "op" {
+    AddQueue = "add_queue" { id, cap_bytes = 0 },
+    DelQueue = "del_queue" { id },
+    AddRule = "add_rule" { id, queue, dst_port, proto, src_ip, dst_ip, src_port },
+    DelRule = "del_rule" { id },
+    SetBdpPacer = "set_bdp_pacer" { target_delay_us },
+    ClearPacer = "clear_pacer" {},
+});
 
 impl TcCmdDto {
     /// Converts to the SM representation.
@@ -383,31 +409,25 @@ impl TcCmdDto {
 
 /// Binds the TC controller's REST northbound (`POST /tc/cmd`, plus
 /// `GET /sm/registry` from [`flexric_xapp::introspect`]).
-pub async fn spawn_rest(listen: &str, server: ServerHandle) -> std::io::Result<HttpServer> {
+pub fn spawn_rest(listen: &str, server: ServerHandle) -> std::io::Result<HttpServer> {
     let router = Router::new().route("POST", "/tc/cmd", move |req: Request| {
-        let server = server.clone();
-        async move {
-            let Ok(body) = req.json::<TcCmdReq>() else {
-                return Response::error(400, "bad body");
-            };
-            let (tx, rx) = oneshot::channel();
-            server.to_iapp(
-                "tc-manager",
-                Box::new(ApplyTcCtrl {
-                    agent: body.agent,
-                    bearer: BearerAddr { rnti: body.rnti, drb: body.drb },
-                    ctrl: body.cmd.to_sm(),
-                    reply: tx,
-                }),
-            );
-            match tokio::time::timeout(std::time::Duration::from_secs(5), rx).await {
-                Ok(Ok(reply)) if reply.ok => Response::json(&reply),
-                Ok(Ok(reply)) => Response { status: 400, ..Response::json(&reply) },
-                _ => Response::error(500, "control relay timed out"),
-            }
-        }
+        let body: TcCmdReq = match body(&req) {
+            Ok(body) => body,
+            Err(bad) => return bad,
+        };
+        let (tx, rx) = mpsc::sync_channel(1);
+        server.to_iapp(
+            "tc-manager",
+            Box::new(ApplyTcCtrl {
+                agent: body.agent,
+                bearer: BearerAddr { rnti: body.rnti, drb: body.drb },
+                ctrl: body.cmd.to_sm(),
+                reply: tx,
+            }),
+        );
+        reply_response(await_reply(&rx))
     });
-    HttpServer::spawn(listen, flexric_xapp::introspect::mount(router)).await
+    HttpServer::spawn(listen, flexric_xapp::introspect::mount(router))
 }
 
 // ---------------------------------------------------------------------------
@@ -435,14 +455,14 @@ pub struct BloatGuardConfig {
 /// reconfigured.  The logic is exactly the paper's: on sustained sojourn
 /// above the limit, create queue 1, install the 5-tuple filter for the
 /// low-latency flow, and load the 5G-BDP pacer.
-pub async fn run_bloat_guard(cfg: BloatGuardConfig) -> std::io::Result<(AgentId, u16, u8)> {
-    let mut sub = BrokerClient::connect(&cfg.broker_addr).await?;
-    sub.subscribe(CHAN_RLC).await?;
+pub fn run_bloat_guard(cfg: BloatGuardConfig) -> std::io::Result<(AgentId, u16, u8)> {
+    let mut sub = BrokerClient::connect(&cfg.broker_addr)?;
+    sub.subscribe(CHAN_RLC)?;
     loop {
-        let Some((_chan, msg)) = sub.recv().await else {
+        let Some((_chan, msg)) = sub.recv() else {
             return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "broker closed"));
         };
-        let Ok(dto) = serde_json::from_slice::<RlcStatsDto>(&msg) else { continue };
+        let Ok(dto) = json::from_slice::<RlcStatsDto>(&msg) else { continue };
         if dto.sojourn_us_avg < cfg.sojourn_limit_us {
             continue;
         }
@@ -462,7 +482,7 @@ pub async fn run_bloat_guard(cfg: BloatGuardConfig) -> std::io::Result<(AgentId,
         ];
         for cmd in cmds {
             let body = TcCmdReq { agent: dto.agent, rnti: dto.rnti, drb: dto.drb, cmd };
-            let (status, resp) = HttpClient::post_json(&cfg.rest_addr, "/tc/cmd", &body).await?;
+            let (status, resp) = HttpClient::post_json(&cfg.rest_addr, "/tc/cmd", &body)?;
             if status != 200 {
                 return Err(std::io::Error::other(format!(
                     "tc command rejected: {status} {}",
@@ -512,8 +532,8 @@ mod tests {
 
     #[test]
     fn dto_json_shapes() {
-        let req: TcCmdReq = serde_json::from_str(
-            r#"{"agent":0,"rnti":17921,"drb":1,
+        let req: TcCmdReq = json::from_slice(
+            br#"{"agent":0,"rnti":17921,"drb":1,
                 "cmd":{"op":"add_rule","id":1,"queue":1,"dst_port":5004,"proto":17}}"#,
         )
         .unwrap();

@@ -31,7 +31,7 @@ pub struct Summary {
 }
 
 /// Summarizes raw samples.
-pub fn summarize(samples: &mut Vec<u64>) -> Summary {
+pub fn summarize(samples: &mut [u64]) -> Summary {
     if samples.is_empty() {
         return Summary::default();
     }
@@ -70,7 +70,7 @@ mod tests {
         assert_eq!(sum.max, 5);
         assert_eq!(sum.p50, 3);
         assert!((sum.mean - 3.0).abs() < 1e-9);
-        let sum = summarize(&mut vec![]);
+        let sum = summarize(&mut []);
         assert_eq!(sum.n, 0);
     }
 }

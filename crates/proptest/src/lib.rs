@@ -1,13 +1,13 @@
-//! Minimal deterministic stand-in for the `proptest` API surface this
-//! workspace's property tests use, so the real test modules compile and
-//! RUN under bare `rustc --test` in the offline container.
+//! Minimal deterministic property-test generator with the `proptest` API
+//! surface this workspace's property tests use, under that crate's name
+//! so the test files read `use proptest::prelude::*` as they always did.
 //!
 //! Generation is random-sampling only (a fixed-seed xorshift and 256
 //! cases per property unless `#![proptest_config(ProptestConfig::with_cases(n))]`
-//! says otherwise) — no shrinking, no persistence.  A failing
-//! property panics with the regular assert message, which is enough for
-//! pass/fail verification; reproduce under the real proptest on a
-//! networked host for minimal counterexamples.
+//! says otherwise) — no shrinking, no persistence, so a
+//! `*.proptest-regressions` file is not replayed: a case worth keeping is
+//! pinned as a plain `#[test]` beside the property.  A failing property
+//! panics with the regular assert message.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -133,7 +133,7 @@ impl Strategy for &'static str {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
         let (class, max) = parse_class_repeat(self)
-            .unwrap_or_else(|| panic!("mini_proptest: unsupported regex {self:?}"));
+            .unwrap_or_else(|| panic!("proptest: unsupported regex {self:?}"));
         let len = rng.below(max + 1);
         (0..len).map(|_| class[rng.below(class.len())] as char).collect()
     }
@@ -206,13 +206,13 @@ macro_rules! tuple_strategy {
         }
     };
 }
-tuple_strategy!(A/a, B/b);
-tuple_strategy!(A/a, B/b, C/c);
-tuple_strategy!(A/a, B/b, C/c, D/d);
-tuple_strategy!(A/a, B/b, C/c, D/d, E/e);
-tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f);
-tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f, G/g);
-tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f, G/g, H/h);
+tuple_strategy!(A / a, B / b);
+tuple_strategy!(A / a, B / b, C / c);
+tuple_strategy!(A / a, B / b, C / c, D / d);
+tuple_strategy!(A / a, B / b, C / c, D / d, E / e);
+tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f);
+tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f, G / g);
+tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f, G / g, H / h);
 
 pub mod collection {
     use super::*;
@@ -328,6 +328,10 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr, $($fmt:tt)+) => { assert_eq!($a, $b, $($fmt)+) };
 }
 
+/// Why a case failed, for a body that returns `Err` instead of panicking.
+#[derive(Debug)]
+pub struct TestCaseError(pub String);
+
 /// The `cases` knob of proptest's config, which is all the workspace sets.
 pub struct ProptestConfig {
     pub cases: u32,
@@ -349,9 +353,17 @@ macro_rules! proptest {
             fn $name() {
                 let mut __rng = $crate::TestRng::new(0x5EED_0000 ^ stringify!($name).len() as u64);
                 for __case in 0..$cases {
-                    let _ = __case;
                     $(let $pat = $crate::Strategy::generate(&$strat, &mut __rng);)+
-                    $body
+                    // As in proptest, a property's body returns a `Result`,
+                    // so `return Ok(())` ends one case early.
+                    #[allow(unreachable_code, clippy::redundant_closure_call)]
+                    let __outcome: ::core::result::Result<(), $crate::TestCaseError> = (|| {
+                        $body
+                        ::core::result::Result::Ok(())
+                    })();
+                    if let ::core::result::Result::Err(e) = __outcome {
+                        panic!("case {__case}: {}", e.0);
+                    }
                 }
             }
         )*
@@ -364,7 +376,7 @@ macro_rules! proptest {
 pub mod prelude {
     pub use crate::{
         any, prop_assert, prop_assert_eq, prop_oneof, proptest, Arbitrary, Just, ProptestConfig,
-        Strategy,
+        Strategy, TestCaseError,
     };
     pub mod prop {
         pub use crate::{collection, option, sample};

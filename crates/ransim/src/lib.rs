@@ -23,7 +23,7 @@
 //! The engine is virtual-time: [`Sim::tick`] advances exactly one TTI, so
 //! a 60 s scenario runs in milliseconds inside tests and the experiment
 //! harness; the agent integration layer (`flexric-ctrl`) drives it either
-//! from a real-time tokio interval or from the experiment's loop.
+//! from a real-time 1 ms ticker or from the experiment's loop.
 
 pub mod cell;
 pub mod kpi;

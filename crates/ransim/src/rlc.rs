@@ -53,11 +53,7 @@ impl SojournWindow {
 
     /// Average sojourn in the window, microseconds.
     pub fn avg_us(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum_us / self.count
-        }
+        self.sum_us.checked_div(self.count).unwrap_or(0)
     }
 
     /// Maximum sojourn in the window, microseconds.

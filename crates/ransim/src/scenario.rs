@@ -739,7 +739,7 @@ impl ScenarioEngine {
             self.step_outages(sim, t);
             self.step_churn(sim, t);
             self.step_traffic(sim, t);
-            if self.spec.mobility.step_ms > 0 && t % self.spec.mobility.step_ms == 0 {
+            if self.spec.mobility.step_ms > 0 && t.is_multiple_of(self.spec.mobility.step_ms) {
                 self.step_mobility(sim, t);
             }
             self.now_ms += 1;

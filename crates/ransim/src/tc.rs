@@ -252,8 +252,7 @@ impl TcLayer {
             }
         };
         let mut remaining = budget;
-        loop {
-            let Some(qidx) = self.pick_queue(remaining, now_ms) else { break };
+        while let Some(qidx) = self.pick_queue(remaining, now_ms) {
             let Some(pkt) = self.queues[qidx].dequeue(now_ms) else { continue };
             remaining = remaining.saturating_sub(pkt.bytes as u64);
             self.released_bytes_window += pkt.bytes as u64;

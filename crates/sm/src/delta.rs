@@ -155,7 +155,7 @@ fn mix(h: u64, v: u64) -> u64 {
 /// every row's key and fields, in row order.  The timestamp is deliberately
 /// excluded — a report that differs only by timestamp is suppressible.
 ///
-/// Each row is a [`mix`] chain of its own, over its key and then its
+/// Each row is a `mix` chain of its own, over its key and then its
 /// fields in index order; the row hashes are then chained in row order
 /// after aux, signature and count, and the result is folded once more so
 /// the high bits reach the low ones.  One multiply per field, and rows do
@@ -696,7 +696,7 @@ fn walk_delta_body<T: DeltaRows>(r: &mut BitReader, mut snap: Option<&mut T>) ->
     if n_changed > MAX_ROWS {
         return Err(CodecError::Malformed { what: "too many changed rows" });
     }
-    let mut rows = snap.as_deref_mut().map(T::rows_mut);
+    let mut rows = snap.map(T::rows_mut);
     let mut cursor = 0;
     let mut index: Option<HashMap<u32, usize>> = None;
     for _ in 0..n_changed {

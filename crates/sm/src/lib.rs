@@ -16,7 +16,7 @@
 //!
 //! 2. **The bundled SM set**: the monitoring SMs — [`mac`], [`rlc`],
 //!    [`pdcp`] statistics (§4.1, §5.1) and [`kpm`] (cf. O-RAN E2SM-KPM) —
-//!    plus the slice control SM ([`slice`], SC SM §6.1.2), the traffic
+//!    plus the slice control SM ([`mod@slice`], SC SM §6.1.2), the traffic
 //!    control SM ([`tc`], TC SM §6.1.1), RRC UE-event notifications
 //!    ([`rrc`]) and the hello-world SM ([`hw`], the ping SM of §5.2).
 //!    Monitoring SMs additionally speak the [`delta`] stream: dirty-field

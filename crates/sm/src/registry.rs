@@ -531,8 +531,7 @@ impl SmRegistry {
         };
         versions
             .iter()
-            .filter(|d| d.version.compatible(offered))
-            .last() // ascending order: last compatible = highest minor
+            .rfind(|d| d.version.compatible(offered)) // ascending order: last compatible = highest minor
             .cloned()
             .ok_or_else(|| NegotiationError::MajorMismatch {
                 oid: oid.to_owned(),

@@ -199,6 +199,10 @@ fn codec_of(fb: bool) -> SmCodec {
     SmCodec::ALL[fb as usize]
 }
 
+/// A run's encoder, its final snapshot, and each emitted frame with the
+/// snapshot it carries.
+type Run<M> = (DeltaEncoder<M>, M, Vec<(Vec<u8>, M)>);
+
 /// The frames a lossless run of `ops` emits, with the snapshot each one
 /// carries.
 fn emitted_frames<M: Model>(
@@ -206,7 +210,7 @@ fn emitted_frames<M: Model>(
     ops: &[Op],
     keyframe_every: u32,
     codec: SmCodec,
-) -> (DeltaEncoder<M>, M, Vec<(Vec<u8>, M)>) {
+) -> Run<M> {
     let mut snap = snapshot_of::<M>(seeds);
     let mut next_row = FIRST_NEW_ROW;
     let mut enc = DeltaEncoder::new(keyframe_every);

@@ -121,7 +121,7 @@ fn every_bundled_sm_reads_back_from_both_sinks() {
 
     let record = |i: u64| KpmRecord {
         name: format!("DRB.UEThpDl.{i}"),
-        rnti: (i % 3 != 0).then_some(0x4601 + i as u16),
+        rnti: (!i.is_multiple_of(3)).then_some(0x4601 + i as u16),
         value: 30_000 * i,
     };
     roundtrip(&KpmReport {

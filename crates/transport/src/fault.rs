@@ -3,22 +3,17 @@
 //! corruption, delay and reordering on the send path, used by robustness
 //! tests.
 //!
-//! Two entry points exist:
-//!
-//! - [`FaultySender`] wraps an owned [`SendHalf`] directly (simple tests);
-//! - [`FaultHandle`] is a cloneable, shared injector that the agent/server
-//!   writer tasks consult per frame, so a test can keep one end and steer
-//!   faults (e.g. [`FaultHandle::drop_next`]) while the stack owns the
-//!   transport.
+//! [`FaultHandle`] is a cloneable, shared injector that decides the fate of
+//! one message at a time and touches no socket or clock: the agent's and
+//! the server's event loop consult it per frame and carry the verdict out
+//! (a delay is kept on the loop's own clock, so it is exact in virtual
+//! time), while a test keeps a clone and steers faults (e.g.
+//! [`FaultHandle::drop_next`]).
 
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-
-use crate::{SendHalf, WireMsg};
+use crate::WireMsg;
 
 /// Configuration for the fault injector.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +79,7 @@ struct FaultCounters {
 
 /// Global registry mirrors of the fault counters, aggregated across every
 /// injector in the process — what `/metrics` reports.
-struct FaultObs {
+pub(crate) struct FaultObs {
     passed: flexric_obs::Counter,
     dropped: flexric_obs::Counter,
     corrupted: flexric_obs::Counter,
@@ -121,7 +116,8 @@ pub(crate) fn fault_obs() -> &'static FaultObs {
 /// What to do with one message, as decided by [`FaultHandle::process`].
 #[derive(Debug)]
 pub struct FaultVerdict {
-    /// Sleep this long before sending (0 = send immediately).
+    /// Hold `deliver`, and whatever follows it to the same peer, back this
+    /// long before sending (0 = send immediately).
     pub delay_ms: u64,
     /// The messages to put on the wire now, in order.  Empty when the
     /// message was dropped or held back for reordering.
@@ -171,6 +167,12 @@ impl Default for FaultHandle {
 }
 
 impl FaultHandle {
+    /// The injector's state.  `process` finishes every update it starts
+    /// before anything in it can panic, so a poisoned lock is still valid.
+    fn state(&self) -> MutexGuard<'_, FaultState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates a handle with the given configuration.
     pub fn new(cfg: FaultConfig) -> Self {
         FaultHandle {
@@ -186,13 +188,13 @@ impl FaultHandle {
 
     /// Replaces the configuration (the PRNG state is kept).
     pub fn set_config(&self, cfg: FaultConfig) {
-        self.state.lock().cfg = cfg;
+        self.state().cfg = cfg;
     }
 
     /// Unconditionally drops the next `n` messages, regardless of the
     /// probabilistic knobs.  Counters accumulate across calls.
     pub fn drop_next(&self, n: u64) {
-        self.state.lock().drop_next += n;
+        self.state().drop_next += n;
     }
 
     /// Snapshot of what the injector has done so far.  Reads the atomic
@@ -216,7 +218,7 @@ impl FaultHandle {
     /// responsible for honoring the returned delay and sending the
     /// delivered messages in order.
     pub fn process(&self, mut msg: WireMsg) -> FaultVerdict {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if st.drop_next > 0 {
             st.drop_next -= 1;
             self.note_dropped();
@@ -268,213 +270,102 @@ impl FaultHandle {
     /// Releases a message held back for reordering, if any (end-of-stream
     /// flush).
     pub fn take_held(&self) -> Option<WireMsg> {
-        self.state.lock().held.take()
-    }
-}
-
-/// A send half that randomly drops, corrupts, delays or reorders messages.
-#[derive(Debug)]
-pub struct FaultySender {
-    inner: SendHalf,
-    handle: FaultHandle,
-}
-
-impl FaultySender {
-    /// Wraps `inner` with fault injection per `cfg`.
-    pub fn new(inner: SendHalf, cfg: FaultConfig) -> Self {
-        FaultySender { inner, handle: FaultHandle::new(cfg) }
-    }
-
-    /// Wraps `inner` with a shared injector.
-    pub fn with_handle(inner: SendHalf, handle: FaultHandle) -> Self {
-        FaultySender { inner, handle }
-    }
-
-    /// The shared injector, for steering faults and reading stats.
-    pub fn handle(&self) -> FaultHandle {
-        self.handle.clone()
-    }
-
-    /// Sends `msg`, subject to the configured faults.
-    pub async fn send(&mut self, msg: WireMsg) -> io::Result<()> {
-        let verdict = self.handle.process(msg);
-        if verdict.delay_ms > 0 {
-            tokio::time::sleep(Duration::from_millis(verdict.delay_ms)).await;
-        }
-        for m in verdict.deliver {
-            self.inner.send(m).await?;
-        }
-        Ok(())
-    }
-
-    /// Sends a batch, each message subject to the configured faults.
-    ///
-    /// Surviving messages are delivered through the inner half's
-    /// `send_batch`, so the writer's coalesced vectored write is preserved
-    /// through the fault layer; a per-message delay flushes what is ready,
-    /// sleeps, then resumes batching (ordering around the delay holds).
-    pub async fn send_batch(&mut self, msgs: Vec<WireMsg>) -> io::Result<()> {
-        let mut ready: Vec<WireMsg> = Vec::with_capacity(msgs.len());
-        for msg in msgs {
-            let verdict = self.handle.process(msg);
-            if verdict.delay_ms > 0 {
-                if !ready.is_empty() {
-                    self.inner.send_batch(std::mem::take(&mut ready)).await?;
-                }
-                tokio::time::sleep(Duration::from_millis(verdict.delay_ms)).await;
-            }
-            ready.extend(verdict.deliver);
-        }
-        if !ready.is_empty() {
-            self.inner.send_batch(ready).await?;
-        }
-        Ok(())
-    }
-
-    /// What the injector has done so far.
-    pub fn stats(&self) -> FaultStats {
-        self.handle.stats()
+        self.state().held.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{connect, listen, TransportAddr};
     use bytes::Bytes;
 
-    #[tokio::test]
-    async fn drop_all_delivers_nothing() {
-        let mut l = listen(&TransportAddr::Mem("fault-drop".into())).await.unwrap();
-        let conn = connect(&TransportAddr::Mem("fault-drop".into())).await.unwrap();
-        let (tx, _rx) = conn.split();
-        let mut faulty =
-            FaultySender::new(tx, FaultConfig { drop_chance: 1.0, ..FaultConfig::default() });
-        for _ in 0..50 {
-            faulty.send(WireMsg::e2ap(Bytes::from_static(b"x"))).await.unwrap();
-        }
-        assert_eq!(faulty.stats().dropped, 50);
-        assert_eq!(faulty.stats().passed, 0);
-        let mut server = l.accept().await.unwrap();
-        drop(faulty);
-        assert!(server.recv().await.unwrap().is_none());
+    fn msg(ppid: u32) -> WireMsg {
+        WireMsg { stream: 0, ppid, payload: Bytes::from_static(b"abc") }
     }
 
-    #[tokio::test]
-    async fn corrupt_always_flips_a_byte() {
-        let mut l = listen(&TransportAddr::Mem("fault-corrupt".into())).await.unwrap();
-        let conn = connect(&TransportAddr::Mem("fault-corrupt".into())).await.unwrap();
-        let (tx, _rx) = conn.split();
-        let mut faulty =
-            FaultySender::new(tx, FaultConfig { corrupt_chance: 1.0, ..FaultConfig::default() });
+    #[test]
+    fn drop_all_delivers_nothing() {
+        let h = FaultHandle::new(FaultConfig { drop_chance: 1.0, ..FaultConfig::default() });
+        for i in 0..50 {
+            assert!(h.process(msg(i)).deliver.is_empty());
+        }
+        assert_eq!(h.stats().dropped, 50);
+        assert_eq!(h.stats().passed, 0);
+    }
+
+    #[test]
+    fn corrupt_always_flips_a_byte() {
+        let h = FaultHandle::new(FaultConfig { corrupt_chance: 1.0, ..FaultConfig::default() });
         let orig = Bytes::from_static(b"payload-bytes");
-        faulty.send(WireMsg::e2ap(orig.clone())).await.unwrap();
-        assert_eq!(faulty.stats().corrupted, 1);
-        let mut server = l.accept().await.unwrap();
-        let got = server.recv().await.unwrap().unwrap();
+        let verdict = h.process(WireMsg::e2ap(orig.clone()));
+        assert_eq!(h.stats().corrupted, 1);
+        let [got] = &verdict.deliver[..] else { panic!("one message out: {verdict:?}") };
         assert_eq!(got.payload.len(), orig.len());
-        assert_ne!(got.payload, orig);
         // Exactly one byte differs.
         let diffs = got.payload.iter().zip(orig.iter()).filter(|(a, b)| a != b).count();
         assert_eq!(diffs, 1);
     }
 
-    #[tokio::test]
-    async fn deterministic_for_fixed_seed() {
-        async fn run(seed: u64) -> FaultStats {
-            let name = format!("fault-det-{seed}");
-            let _l = listen(&TransportAddr::Mem(name.clone())).await.unwrap();
-            let conn = connect(&TransportAddr::Mem(name)).await.unwrap();
-            let (tx, _rx) = conn.split();
-            let mut faulty = FaultySender::new(
-                tx,
-                FaultConfig { drop_chance: 0.3, corrupt_chance: 0.2, seed, ..Default::default() },
-            );
-            for i in 0..200u32 {
-                faulty
-                    .send(WireMsg { stream: 0, ppid: i, payload: Bytes::from_static(b"abc") })
-                    .await
-                    .unwrap();
+    #[test]
+    fn deterministic_for_fixed_seed() {
+        fn run(seed: u64) -> FaultStats {
+            let h = FaultHandle::new(FaultConfig {
+                drop_chance: 0.3,
+                corrupt_chance: 0.2,
+                seed,
+                ..Default::default()
+            });
+            for i in 0..200 {
+                h.process(msg(i));
             }
-            faulty.stats()
+            h.stats()
         }
-        let a = run(42).await;
-        let b = run(42).await;
+        let a = run(42);
+        let b = run(42);
         assert_eq!(a, b);
         assert!(a.dropped > 30 && a.dropped < 90, "drop rate plausible: {a:?}");
     }
 
-    #[tokio::test]
-    async fn size_limit_drops_large() {
-        let _l = listen(&TransportAddr::Mem("fault-size".into())).await.unwrap();
-        let conn = connect(&TransportAddr::Mem("fault-size".into())).await.unwrap();
-        let (tx, _rx) = conn.split();
-        let mut faulty =
-            FaultySender::new(tx, FaultConfig { size_limit: Some(100), ..FaultConfig::default() });
-        faulty.send(WireMsg::e2ap(Bytes::from(vec![0; 101]))).await.unwrap();
-        faulty.send(WireMsg::e2ap(Bytes::from(vec![0; 100]))).await.unwrap();
-        assert_eq!(faulty.stats().dropped, 1);
-        assert_eq!(faulty.stats().passed, 1);
+    #[test]
+    fn size_limit_drops_large() {
+        let h = FaultHandle::new(FaultConfig { size_limit: Some(100), ..FaultConfig::default() });
+        assert!(h.process(WireMsg::e2ap(Bytes::from(vec![0; 101]))).deliver.is_empty());
+        assert_eq!(h.process(WireMsg::e2ap(Bytes::from(vec![0; 100]))).deliver.len(), 1);
+        assert_eq!(h.stats().dropped, 1);
+        assert_eq!(h.stats().passed, 1);
     }
 
-    #[tokio::test]
-    async fn drop_next_is_targeted_and_exact() {
-        let mut l = listen(&TransportAddr::Mem("fault-dropnext".into())).await.unwrap();
-        let conn = connect(&TransportAddr::Mem("fault-dropnext".into())).await.unwrap();
-        let (tx, _rx) = conn.split();
-        let mut faulty = FaultySender::new(tx, FaultConfig::default());
-        faulty.handle().drop_next(2);
-        for i in 0..5u32 {
-            faulty
-                .send(WireMsg { stream: 0, ppid: i, payload: Bytes::from_static(b"m") })
-                .await
-                .unwrap();
-        }
-        assert_eq!(faulty.stats().dropped, 2);
-        assert_eq!(faulty.stats().passed, 3);
-        let mut server = l.accept().await.unwrap();
-        // The first two messages (ppid 0, 1) were eaten.
-        let got = server.recv().await.unwrap().unwrap();
-        assert_eq!(got.ppid, 2);
+    #[test]
+    fn drop_next_is_targeted_and_exact() {
+        let h = FaultHandle::default();
+        h.clone().drop_next(2); // a clone steers the same injector
+        let out: Vec<u32> =
+            (0..5).flat_map(|i| h.process(msg(i)).deliver).map(|m| m.ppid).collect();
+        assert_eq!(out, [2, 3, 4], "the first two messages were eaten");
+        assert_eq!(h.stats().dropped, 2);
+        assert_eq!(h.stats().passed, 3);
     }
 
-    #[tokio::test]
-    async fn reorder_swaps_adjacent_messages() {
-        let mut l = listen(&TransportAddr::Mem("fault-reorder".into())).await.unwrap();
-        let conn = connect(&TransportAddr::Mem("fault-reorder".into())).await.unwrap();
-        let (tx, _rx) = conn.split();
-        let mut faulty =
-            FaultySender::new(tx, FaultConfig { reorder_chance: 1.0, ..FaultConfig::default() });
-        for i in 0..4u32 {
-            faulty
-                .send(WireMsg { stream: 0, ppid: i, payload: Bytes::from_static(b"m") })
-                .await
-                .unwrap();
-        }
-        let stats = faulty.stats();
-        assert!(stats.reordered >= 1, "at least one swap: {stats:?}");
-        let mut server = l.accept().await.unwrap();
-        let mut seen = Vec::new();
-        for _ in 0..stats.passed - u64::from(faulty.handle().take_held().is_some()) {
-            seen.push(server.recv().await.unwrap().unwrap().ppid);
-        }
-        assert_ne!(seen, (0..seen.len() as u32).collect::<Vec<_>>(), "order changed: {seen:?}");
+    #[test]
+    fn reorder_swaps_adjacent_messages() {
+        let h = FaultHandle::new(FaultConfig { reorder_chance: 1.0, ..FaultConfig::default() });
+        let out: Vec<u32> =
+            (0..4).flat_map(|i| h.process(msg(i)).deliver).map(|m| m.ppid).collect();
+        assert_eq!(out, [1, 0, 3, 2], "each held message follows the next one");
+        assert_eq!(h.stats().reordered, 2);
+        assert!(h.take_held().is_none());
     }
 
-    #[tokio::test]
-    async fn delay_holds_messages_back() {
-        let mut l = listen(&TransportAddr::Mem("fault-delay".into())).await.unwrap();
-        let conn = connect(&TransportAddr::Mem("fault-delay".into())).await.unwrap();
-        let (tx, _rx) = conn.split();
-        let mut faulty = FaultySender::new(
-            tx,
-            FaultConfig { delay_chance: 1.0, delay_ms: 30, ..FaultConfig::default() },
-        );
-        let t0 = std::time::Instant::now();
-        faulty.send(WireMsg::e2ap(Bytes::from_static(b"late"))).await.unwrap();
-        assert!(t0.elapsed().as_millis() >= 25, "send was delayed");
-        assert_eq!(faulty.stats().delayed, 1);
-        let mut server = l.accept().await.unwrap();
-        assert_eq!(server.recv().await.unwrap().unwrap().payload, Bytes::from_static(b"late"));
+    #[test]
+    fn delay_is_the_callers_to_honour() {
+        let h = FaultHandle::new(FaultConfig {
+            delay_chance: 1.0,
+            delay_ms: 30,
+            ..FaultConfig::default()
+        });
+        let verdict = h.process(msg(7));
+        assert_eq!(verdict.delay_ms, 30);
+        assert_eq!(verdict.deliver.len(), 1, "delayed, not dropped");
+        assert_eq!(h.stats().delayed, 1);
     }
 }

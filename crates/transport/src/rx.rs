@@ -23,8 +23,11 @@
 //! at most one read chunk; see DESIGN.md "Zero-copy receive" for the
 //! full lifetime rules.
 //!
-//! The assembler is synchronous and I/O-free so it can be driven by any
-//! reader (tokio sockets, an in-memory duplex, tests, benchmarks).
+//! The assembler owns no socket: [`FrameAssembler::read_from`] takes one
+//! read from whatever `std::io::Read` it is given (a socket, a byte slice
+//! in tests), [`FrameAssembler::feed`] takes bytes the caller already has.
+
+use std::io;
 
 use bytes::{Buf, BytesMut};
 
@@ -35,6 +38,11 @@ use crate::WireMsg;
 /// burst of typical E2 indications (a few hundred bytes each) in one
 /// syscall, small enough that a pinned chunk is cheap.
 pub const DEFAULT_READ_CHUNK: usize = 64 * 1024;
+
+/// Most bytes one read is offered, however much of a payload is pending:
+/// the offered tail is zero-filled first, and a socket read returns no more
+/// than its buffer holds anyway.
+const MAX_READ: usize = 256 * 1024;
 
 /// Errors the reassembly loop can surface.
 #[derive(Debug, PartialEq, Eq)]
@@ -66,9 +74,9 @@ struct Pending {
 
 /// Buffered frame reassembly over a reusable read slab.
 ///
-/// Feed bytes in with [`FrameAssembler::read_slab`] (async readers append
-/// via `read_buf`) or [`FrameAssembler::feed`] (sync/test path), then
-/// drain complete frames with [`FrameAssembler::next_frame`].
+/// Feed bytes in with [`FrameAssembler::read_from`] (one read of a socket)
+/// or [`FrameAssembler::feed`] (bytes already in hand), then drain complete
+/// frames with [`FrameAssembler::next_frame`].
 #[derive(Debug)]
 pub struct FrameAssembler {
     buf: BytesMut,
@@ -126,21 +134,24 @@ impl FrameAssembler {
         Ok(Some(WireMsg { stream: p.stream, ppid: p.ppid, payload }))
     }
 
-    /// The read slab, with capacity reserved for the next read: at least
-    /// the remainder of a pending payload (so an oversized frame completes
-    /// in few reads), otherwise one read chunk.  Async readers append into
-    /// the spare capacity via `AsyncReadExt::read_buf` — no zeroing.
-    pub fn read_slab(&mut self) -> &mut BytesMut {
+    /// Issues one `read` on `rd` into the slab and returns what it returned
+    /// (0 at end of stream).  Capacity is reserved first for at least the
+    /// remainder of a pending payload (so an oversized frame completes
+    /// without regrowing the slab), otherwise for one read chunk.
+    pub fn read_from(&mut self, rd: &mut impl io::Read) -> io::Result<usize> {
         let want = match &self.pending {
             Some(p) if p.len > self.buf.len() => (p.len - self.buf.len()).max(self.read_chunk),
             _ => self.read_chunk,
         };
         self.buf.reserve(want);
-        &mut self.buf
+        let filled = self.buf.len();
+        self.buf.resize(filled + want.min(MAX_READ), 0);
+        let res = rd.read(&mut self.buf[filled..]);
+        self.buf.truncate(filled + *res.as_ref().unwrap_or(&0));
+        res
     }
 
-    /// Appends bytes by copy — the sync path for tests and benchmarks
-    /// driving the assembler without an async reader.
+    /// Appends bytes by copy, for callers that hold the bytes already.
     pub fn feed(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
     }
@@ -268,17 +279,44 @@ mod tests {
 
     #[test]
     fn pending_large_payload_reserves_remainder() {
+        /// Notes how much room each read was offered; yields nothing.
+        struct Offered(Vec<usize>);
+        impl io::Read for Offered {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Err(io::ErrorKind::WouldBlock.into())
+            }
+        }
         let mut asm = FrameAssembler::with_chunk(64);
         let payload = vec![0x5A; 10_000];
         let wire = frame_bytes(0, 70, &payload);
         asm.feed(&wire[..HEADER_LEN + 10]);
         assert!(asm.next_frame().unwrap().is_none());
-        // After the header is consumed the slab reserves the payload
-        // remainder, not just one chunk.
-        let slab = asm.read_slab();
-        assert!(slab.capacity() - slab.len() >= 10_000 - 10);
+        // After the header is consumed a read is offered the payload
+        // remainder, not just one chunk — and a failed read leaves what
+        // was buffered as it was.
+        let mut rd = Offered(Vec::new());
+        assert!(asm.read_from(&mut rd).is_err());
+        assert_eq!(rd.0, [10_000 - 10]);
+        assert_eq!(asm.buffered(), 10);
         asm.feed(&wire[HEADER_LEN + 10..]);
         let m = asm.next_frame().unwrap().unwrap();
         assert_eq!(m.payload.len(), 10_000);
+    }
+
+    #[test]
+    fn read_from_takes_a_burst_in_one_read() {
+        let mut wire = Vec::new();
+        for i in 0..32u16 {
+            wire.extend_from_slice(&frame_bytes(i, 70, &[i as u8; 200]));
+        }
+        let mut rd = &wire[..];
+        let mut asm = FrameAssembler::new();
+        assert_eq!(asm.read_from(&mut rd).unwrap(), wire.len());
+        for i in 0..32u16 {
+            assert_eq!(asm.next_frame().unwrap().unwrap().stream, i);
+        }
+        assert!(asm.is_clean());
+        assert_eq!(asm.read_from(&mut rd).unwrap(), 0, "end of stream");
     }
 }

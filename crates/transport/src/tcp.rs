@@ -1,19 +1,49 @@
 //! SCTP-like framed transport over TCP.
 //!
-//! The receive side runs on [`FrameAssembler`]: one large `read_buf` per
-//! socket wakeup into a reusable slab, every complete frame sliced out as
-//! a refcounted [`Bytes`] view — 1 syscall and 0 per-frame allocations for
-//! an N-frame burst.
+//! The receive side runs on [`FrameAssembler`]: one large read per socket
+//! wakeup into a reusable slab, every complete frame sliced out as a
+//! refcounted [`bytes::Bytes`] view — 1 syscall and 0 per-frame
+//! allocations for an N-frame burst.
 
-use std::io;
-
-use tokio::io::{AsyncRead, AsyncReadExt, AsyncWriteExt, BufWriter};
-use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
-use tokio::net::TcpStream;
+use std::io::{self, BufWriter, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::frame::{self, HEADER_LEN};
 use crate::rx::{FrameAssembler, FrameError};
 use crate::WireMsg;
+
+/// One socket, shared by the send half, the receive half and whoever shuts
+/// it down: `&TcpStream` reads and writes, so a connection costs one file
+/// descriptor however many threads hold it.
+#[derive(Debug, Clone)]
+pub(crate) struct Sock(Arc<TcpStream>);
+
+impl Sock {
+    /// Ends a blocked or future read with end-of-stream.
+    pub(crate) fn shutdown_read(&self) {
+        let _ = self.0.shutdown(Shutdown::Read);
+    }
+}
+
+impl Read for Sock {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+impl Write for Sock {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        (&*self.0).write(buf)
+    }
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        (&*self.0).write_vectored(bufs)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        (&*self.0).flush()
+    }
+}
 
 /// A connected framed-TCP transport.
 #[derive(Debug)]
@@ -24,26 +54,28 @@ pub struct TcpConn {
 }
 
 impl TcpConn {
-    /// Wraps a connected `TcpStream`.
-    pub fn new(stream: TcpStream) -> Self {
+    /// Wraps a connected `TcpStream` (Nagle off: messages are the unit of
+    /// exchange and every send flushes).
+    pub fn new(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true)?;
         let peer =
             stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "<unknown>".to_owned());
-        let (rd, wr) = stream.into_split();
-        TcpConn {
-            tx: TcpSendHalf { wr: BufWriter::new(wr), hdr_scratch: Vec::new() },
-            rx: TcpRecvHalf { rd: FramedReader::new(rd) },
+        let sock = Sock(Arc::new(stream));
+        Ok(TcpConn {
+            tx: TcpSendHalf { wr: BufWriter::new(sock.clone()), hdr_scratch: Vec::new() },
+            rx: TcpRecvHalf { rd: FramedReader::new(sock) },
             peer,
-        }
+        })
     }
 
     /// Sends one message.
-    pub async fn send(&mut self, msg: WireMsg) -> io::Result<()> {
-        self.tx.send(msg).await
+    pub fn send(&mut self, msg: WireMsg) -> io::Result<()> {
+        self.tx.send(msg)
     }
 
     /// Receives the next message; `None` on orderly shutdown.
-    pub async fn recv(&mut self) -> io::Result<Option<WireMsg>> {
-        self.rx.recv().await
+    pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
+        self.rx.recv()
     }
 
     /// Splits into owned halves.
@@ -54,6 +86,10 @@ impl TcpConn {
     /// Peer address, for logs.
     pub fn peer(&self) -> String {
         self.peer.clone()
+    }
+
+    pub(crate) fn recv_half(&mut self) -> &mut TcpRecvHalf {
+        &mut self.rx
     }
 }
 
@@ -68,10 +104,12 @@ const VECTORED_MIN: usize = 8 * 1024;
 /// under Linux's `IOV_MAX` of 1024).
 const VECTORED_MAX_FRAMES: usize = 64;
 
-/// Owned send half.
+/// Owned send half.  Dropping it flushes and shuts the write direction
+/// down, so the peer reads end-of-stream even while the receive half of
+/// the same socket lives on.
 #[derive(Debug)]
 pub struct TcpSendHalf {
-    wr: BufWriter<OwnedWriteHalf>,
+    wr: BufWriter<Sock>,
     /// Reusable header storage for vectored batches (stable addresses for
     /// the `IoSlice`s while a `writev` is in flight).
     hdr_scratch: Vec<[u8; HEADER_LEN]>,
@@ -85,62 +123,44 @@ impl TcpSendHalf {
     /// payloads skip staging entirely: the buffered bytes are flushed and
     /// the (header, payload) pair is handed to the kernel as a vectored
     /// write.
-    async fn write_frame(&mut self, msg: &WireMsg) -> io::Result<()> {
+    fn write_frame(&mut self, msg: &WireMsg) -> io::Result<()> {
         let header = frame::encode_header(msg.payload.len() as u32, msg.stream, msg.ppid);
         if msg.payload.len() < VECTORED_MIN {
-            self.wr.write_all(&header).await?;
-            return self.wr.write_all(&msg.payload).await;
+            self.wr.write_all(&header)?;
+            return self.wr.write_all(&msg.payload);
         }
-        self.wr.flush().await?;
-        let sock = self.wr.get_mut();
-        let mut hdr_sent = 0usize;
-        let mut pay_sent = 0usize;
-        while hdr_sent < HEADER_LEN || pay_sent < msg.payload.len() {
-            // Short writes attribute to the header first, so the payload
-            // slice only advances once the header is fully out.
-            let n = if hdr_sent < HEADER_LEN {
-                let bufs = [io::IoSlice::new(&header[hdr_sent..]), io::IoSlice::new(&msg.payload)];
-                sock.write_vectored(&bufs).await?
-            } else {
-                sock.write(&msg.payload[pay_sent..]).await?
-            };
-            if n == 0 {
-                return Err(io::Error::new(io::ErrorKind::WriteZero, "socket closed mid-frame"));
-            }
-            let for_header = n.min(HEADER_LEN - hdr_sent);
-            hdr_sent += for_header;
-            pay_sent += n - for_header;
-        }
-        Ok(())
+        self.wr.flush()?;
+        let mut slices = [io::IoSlice::new(&header), io::IoSlice::new(&msg.payload)];
+        write_all_vectored(self.wr.get_mut(), &mut slices)
     }
 
     /// Sends one message (header + payload, flushed).
-    pub async fn send(&mut self, msg: WireMsg) -> io::Result<()> {
-        self.write_frame(&msg).await?;
+    pub fn send(&mut self, msg: WireMsg) -> io::Result<()> {
+        self.write_frame(&msg)?;
         // Flush per message: E2 traffic is latency sensitive and messages
         // are the unit of exchange; Nagle is already disabled.
-        self.wr.flush().await
+        self.wr.flush()
     }
 
     /// Sends a batch of messages with adaptive coalescing.
     ///
-    /// Small batches (total under [`VECTORED_MIN`]) are staged through the
+    /// Small batches (total under `VECTORED_MIN`) are staged through the
     /// `BufWriter` and flushed once — one syscall, one staging copy.
     /// Larger batches skip the staging copy entirely: headers are encoded
-    /// into a reusable scratch vector and up to [`VECTORED_MAX_FRAMES`]
+    /// into a reusable scratch vector and up to `VECTORED_MAX_FRAMES`
     /// frames at a time go to the kernel as a single vectored `writev` of
     /// (header, payload) pairs, reading the payload `Bytes` in place.
-    pub async fn send_batch(&mut self, msgs: &[WireMsg]) -> io::Result<()> {
+    pub fn send_batch(&mut self, msgs: &[WireMsg]) -> io::Result<()> {
         let total: usize = msgs.iter().map(|m| HEADER_LEN + m.payload.len()).sum();
         if total < VECTORED_MIN {
             for msg in msgs {
-                self.write_frame(msg).await?;
+                self.write_frame(msg)?;
             }
-            return self.wr.flush().await;
+            return self.wr.flush();
         }
         // Vectored path: drain anything already staged, then writev the
         // batch without copying payloads.
-        self.wr.flush().await?;
+        self.wr.flush()?;
         for group in msgs.chunks(VECTORED_MAX_FRAMES) {
             self.hdr_scratch.clear();
             for msg in group {
@@ -157,25 +177,33 @@ impl TcpSendHalf {
                     slices.push(io::IoSlice::new(&msg.payload));
                 }
             }
-            write_all_vectored(self.wr.get_mut(), &mut slices).await?;
+            write_all_vectored(self.wr.get_mut(), &mut slices)?;
         }
         Ok(())
     }
 }
 
+impl Drop for TcpSendHalf {
+    fn drop(&mut self) {
+        let _ = self.wr.flush();
+        let _ = self.wr.get_ref().0.shutdown(Shutdown::Write);
+    }
+}
+
 /// Writes every byte of `slices`, handling short writes via
 /// `IoSlice::advance_slices`.
-async fn write_all_vectored(
-    sock: &mut OwnedWriteHalf,
-    slices: &mut [io::IoSlice<'_>],
-) -> io::Result<()> {
+fn write_all_vectored(sock: &mut Sock, slices: &mut [io::IoSlice<'_>]) -> io::Result<()> {
     let mut remaining: usize = slices.iter().map(|s| s.len()).sum();
     let mut slices = slices;
     while remaining > 0 {
-        let n = sock.write_vectored(slices).await?;
-        if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::WriteZero, "socket closed mid-batch"));
-        }
+        let n = match sock.write_vectored(slices) {
+            Ok(0) => {
+                return Err(io::Error::new(io::ErrorKind::WriteZero, "socket closed mid-write"))
+            }
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
         remaining -= n;
         if remaining == 0 {
             break;
@@ -185,9 +213,8 @@ async fn write_all_vectored(
     Ok(())
 }
 
-/// Framed reader over any async byte stream: the reassembly loop behind
-/// [`TcpRecvHalf`], kept generic so tests and benchmarks can drive it over
-/// an in-memory duplex.
+/// Framed reader over any byte stream: the reassembly loop behind
+/// [`TcpRecvHalf`], kept generic so tests can drive it over a byte slice.
 #[derive(Debug)]
 pub struct FramedReader<R> {
     rd: R,
@@ -198,7 +225,7 @@ pub struct FramedReader<R> {
     frames_since_read: u64,
 }
 
-impl<R: AsyncRead + Unpin> FramedReader<R> {
+impl<R: Read> FramedReader<R> {
     /// Wraps a byte stream.
     pub fn new(rd: R) -> Self {
         FramedReader { rd, asm: FrameAssembler::new(), reads: 0, frames_since_read: 0 }
@@ -209,7 +236,17 @@ impl<R: AsyncRead + Unpin> FramedReader<R> {
     ///
     /// Buffered frames are returned without touching the socket; a read is
     /// only issued once the slab holds no complete frame.
-    pub async fn recv(&mut self) -> io::Result<Option<WireMsg>> {
+    pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
+        self.recv_with(|_| Ok(()))
+    }
+
+    /// [`recv`](Self::recv) with `before_read` run ahead of every read of
+    /// the stream (the TCP half arms its deadline there).  An error from it
+    /// or from the read leaves what is buffered intact.
+    fn recv_with(
+        &mut self,
+        mut before_read: impl FnMut(&mut R) -> io::Result<()>,
+    ) -> io::Result<Option<WireMsg>> {
         loop {
             match self.asm.next_frame() {
                 Ok(Some(msg)) => {
@@ -222,7 +259,11 @@ impl<R: AsyncRead + Unpin> FramedReader<R> {
                 }
             }
             self.note_wakeup();
-            let n = self.rd.read_buf(self.asm.read_slab()).await?;
+            before_read(&mut self.rd)?;
+            let n = match self.asm.read_from(&mut self.rd) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                res => res?,
+            };
             if n == 0 {
                 return if self.asm.is_clean() {
                     Ok(None)
@@ -259,14 +300,40 @@ impl<R: AsyncRead + Unpin> FramedReader<R> {
 /// Owned receive half.
 #[derive(Debug)]
 pub struct TcpRecvHalf {
-    rd: FramedReader<OwnedReadHalf>,
+    rd: FramedReader<Sock>,
 }
 
 impl TcpRecvHalf {
     /// Receives the next message; `None` on orderly shutdown at a frame
     /// boundary, an error on mid-frame truncation or oversized frames.
-    pub async fn recv(&mut self) -> io::Result<Option<WireMsg>> {
-        self.rd.recv().await
+    pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
+        self.rd.recv()
+    }
+
+    /// [`recv`](Self::recv) that gives up with `ErrorKind::TimedOut` once
+    /// `timeout` has passed without a complete message — however the peer
+    /// spaces its bytes.  The half stays usable.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<WireMsg>> {
+        let deadline = Instant::now() + timeout;
+        let res = self.rd.recv_with(|sock| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            sock.0.set_read_timeout(Some(left))
+        });
+        self.rd.rd.0.set_read_timeout(None)?;
+        // A read that ran into the socket's timeout reports `WouldBlock`.
+        res.map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut.into(),
+            _ => e,
+        })
+    }
+
+    /// A handle on the socket, for shutting the read direction down from
+    /// another thread.
+    pub(crate) fn socket(&self) -> Sock {
+        self.rd.rd.clone()
     }
 }
 
@@ -287,14 +354,12 @@ mod tests {
     /// Regression for the 1-byte-then-9-byte header read: a multi-frame
     /// burst written in one piece must be consumed in a SINGLE read —
     /// not 2+ syscalls per frame.
-    #[tokio::test]
-    async fn burst_consumed_in_single_read_over_duplex() {
-        let (mut a, b) = tokio::io::duplex(1 << 20);
+    #[test]
+    fn burst_consumed_in_single_read() {
         let wire = burst(32, 200);
-        a.write_all(&wire).await.unwrap();
-        let mut rd = FramedReader::new(b);
+        let mut rd = FramedReader::new(&wire[..]);
         for i in 0..32u16 {
-            let m = rd.recv().await.unwrap().unwrap();
+            let m = rd.recv().unwrap().unwrap();
             assert_eq!(m.stream, i);
             assert_eq!(m.payload.len(), 200);
         }
@@ -302,27 +367,21 @@ mod tests {
         assert_eq!(rd.frames(), 32);
     }
 
-    #[tokio::test]
-    async fn duplex_eof_mid_frame_is_an_error() {
-        let (mut a, b) = tokio::io::duplex(1 << 16);
+    #[test]
+    fn eof_mid_frame_is_an_error() {
         let wire = burst(1, 500);
-        a.write_all(&wire[..wire.len() - 100]).await.unwrap();
-        drop(a); // truncate mid-payload
-        let mut rd = FramedReader::new(b);
-        let err = rd.recv().await.unwrap_err();
+        let mut rd = FramedReader::new(&wire[..wire.len() - 100]); // truncate mid-payload
+        let err = rd.recv().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
-    #[tokio::test]
-    async fn duplex_eof_at_boundary_is_none() {
-        let (mut a, b) = tokio::io::duplex(1 << 16);
+    #[test]
+    fn eof_at_boundary_is_none() {
         let wire = burst(3, 50);
-        a.write_all(&wire).await.unwrap();
-        drop(a);
-        let mut rd = FramedReader::new(b);
+        let mut rd = FramedReader::new(&wire[..]);
         for _ in 0..3 {
-            assert!(rd.recv().await.unwrap().is_some());
+            assert!(rd.recv().unwrap().is_some());
         }
-        assert!(rd.recv().await.unwrap().is_none());
+        assert!(rd.recv().unwrap().is_none());
     }
 }

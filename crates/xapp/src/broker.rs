@@ -16,46 +16,41 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io;
-use std::net::SocketAddr;
-use std::sync::Arc;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::mpsc;
 
 const KIND_SUBSCRIBE: u8 = 1;
 const KIND_PUBLISH: u8 = 2;
 const KIND_MESSAGE: u8 = 3;
 const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-async fn write_frame<W: AsyncWriteExt + Unpin>(
-    wr: &mut W,
-    kind: u8,
-    payload: &[u8],
-) -> io::Result<()> {
+fn write_frame(wr: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
     let len = payload.len() as u32 + 1;
-    wr.write_all(&len.to_be_bytes()).await?;
-    wr.write_all(&[kind]).await?;
-    wr.write_all(payload).await?;
-    wr.flush().await
+    wr.write_all(&len.to_be_bytes())?;
+    wr.write_all(&[kind])?;
+    wr.write_all(payload)?;
+    wr.flush()
 }
 
-async fn read_frame<R: AsyncReadExt + Unpin>(rd: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
+fn read_frame(rd: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     let mut len_buf = [0u8; 4];
-    match rd.read(&mut len_buf[..1]).await? {
-        0 => return Ok(None),
-        _ => {}
+    if rd.read(&mut len_buf[..1])? == 0 {
+        return Ok(None);
     }
-    rd.read_exact(&mut len_buf[1..]).await?;
+    rd.read_exact(&mut len_buf[1..])?;
     let len = u32::from_be_bytes(len_buf) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame length"));
     }
     let mut payload = vec![0u8; len];
-    rd.read_exact(&mut payload).await?;
+    rd.read_exact(&mut payload)?;
     let kind = payload.remove(0);
     Ok(Some((kind, payload)))
 }
@@ -81,87 +76,117 @@ fn encode_chan_msg(channel: &str, msg: &[u8]) -> Vec<u8> {
     payload
 }
 
-type Subscribers = Arc<Mutex<HashMap<String, Vec<mpsc::UnboundedSender<(String, Bytes)>>>>>;
+/// Locks one of the broker's tables.  Each is only ever pushed to, drained
+/// or retained under the lock, so it is valid even if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Per channel: the subscribed clients, by client id, and the queue of
+/// each one's writer thread.
+type Subscribers = Arc<Mutex<HashMap<String, Vec<(u64, mpsc::Sender<(String, Bytes)>)>>>>;
 
 /// A running broker.
 pub struct Broker {
     /// The bound address.
     pub addr: SocketAddr,
-    accept: tokio::task::JoinHandle<()>,
-    clients: Arc<Mutex<Vec<tokio::task::JoinHandle<()>>>>,
+    stop: Arc<AtomicBool>,
+    accept: Mutex<Option<JoinHandle<()>>>,
+    /// A handle on every client socket accepted so far.
+    clients: Arc<Mutex<Vec<TcpStream>>>,
 }
 
 impl Broker {
     /// Binds and serves; runs until the process exits or [`shutdown`] is
-    /// called.
+    /// called.  One thread accepts; each client costs a reading and a
+    /// writing thread, which end with its connection.
     ///
     /// [`shutdown`]: Broker::shutdown
-    pub async fn spawn(addr: &str) -> io::Result<Broker> {
-        let listener = TcpListener::bind(addr).await?;
+    pub fn spawn(addr: &str) -> io::Result<Broker> {
+        let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let subs: Subscribers = Arc::new(Mutex::new(HashMap::new()));
-        let clients: Arc<Mutex<Vec<tokio::task::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let clients2 = clients.clone();
-        let accept = tokio::spawn(async move {
-            loop {
-                let Ok((stream, _)) = listener.accept().await else { break };
-                let subs = subs.clone();
-                let handle = tokio::spawn(async move {
-                    let _ = serve_client(stream, subs).await;
-                });
-                let mut list = clients2.lock();
-                list.retain(|h| !h.is_finished());
-                list.push(handle);
-            }
-        });
-        Ok(Broker { addr, accept, clients })
+        let subs = Subscribers::default();
+        let stop = Arc::new(AtomicBool::new(false));
+        let clients: Arc<Mutex<Vec<TcpStream>>> = Arc::default();
+        let (stopped, accepted) = (stop.clone(), clients.clone());
+        let accept =
+            std::thread::Builder::new().name("flexric-broker".into()).spawn(move || {
+                let next_id = AtomicU64::new(0);
+                for stream in listener.incoming() {
+                    // `SeqCst`: the flag is all `shutdown` and this thread share.
+                    if stopped.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    if let Ok(handle) = stream.try_clone() {
+                        let mut list = lock(&accepted);
+                        list.retain(|c| c.peer_addr().is_ok());
+                        list.push(handle);
+                    }
+                    let (subs, id) = (subs.clone(), next_id.fetch_add(1, Ordering::Relaxed));
+                    // A client that cannot get a thread is dropped.
+                    let _ = std::thread::Builder::new().name("flexric-broker-rx".into()).spawn(
+                        move || {
+                            let _ = serve_client(stream, id, &subs);
+                            // Forgetting the client's queue everywhere ends its
+                            // writer thread.
+                            lock(&subs).values_mut().for_each(|l| l.retain(|(c, _)| *c != id));
+                        },
+                    );
+                }
+            })?;
+        Ok(Broker { addr, stop, accept: Mutex::new(Some(accept)), clients })
     }
 
-    /// Stops accepting and drops every live client connection, freeing the
-    /// listen address.  Used by tests to simulate a broker crash; connected
-    /// [`BrokerClient`]s see the connection drop and reconnect.
+    /// Stops accepting and drops every live client connection; the listen
+    /// address is free when this returns.  Used by tests to simulate a
+    /// broker crash; connected [`BrokerClient`]s see the connection drop
+    /// and reconnect.
     pub fn shutdown(&self) {
-        self.accept.abort();
-        for h in self.clients.lock().drain(..) {
-            h.abort();
+        self.stop.store(true, Ordering::SeqCst);
+        // Nothing in std interrupts `accept`; a connection to ourselves
+        // does.  The thread owns the listener, so joining it closes it.
+        if TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok() {
+            if let Some(accept) = lock(&self.accept).take() {
+                let _ = accept.join();
+            }
+        }
+        for client in lock(&self.clients).drain(..) {
+            let _ = client.shutdown(Shutdown::Both);
         }
     }
 }
 
-async fn serve_client(stream: TcpStream, subs: Subscribers) -> io::Result<()> {
+/// Reads one client's SUBSCRIBE/PUBLISH frames until it goes away.
+fn serve_client(mut stream: TcpStream, id: u64, subs: &Subscribers) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let (mut rd, mut wr) = stream.into_split();
-    let (tx, mut rx) = mpsc::unbounded_channel::<(String, Bytes)>();
-    // Writer side: forward matched messages to this client.
-    let writer = tokio::spawn(async move {
-        while let Some((channel, msg)) = rx.recv().await {
-            let payload = encode_chan_msg(&channel, &msg);
-            if write_frame(&mut wr, KIND_MESSAGE, &payload).await.is_err() {
+    let mut wr = stream.try_clone()?;
+    let (tx, rx) = mpsc::channel::<(String, Bytes)>();
+    // Writer side: forward matched messages to this client.  It ends when
+    // every sender of its queue is gone or the client stops taking bytes.
+    std::thread::Builder::new().name("flexric-broker-tx".into()).spawn(move || {
+        while let Ok((channel, msg)) = rx.recv() {
+            if write_frame(&mut wr, KIND_MESSAGE, &encode_chan_msg(&channel, &msg)).is_err() {
                 break;
             }
         }
-    });
-    // Reader side: handle SUBSCRIBE/PUBLISH.
-    while let Some((kind, payload)) = read_frame(&mut rd).await? {
+    })?;
+    while let Some((kind, payload)) = read_frame(&mut stream)? {
         match kind {
             KIND_SUBSCRIBE => {
                 let channel = String::from_utf8(payload)
                     .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad channel"))?;
-                subs.lock().entry(channel).or_default().push(tx.clone());
+                lock(subs).entry(channel).or_default().push((id, tx.clone()));
             }
             KIND_PUBLISH => {
                 let (channel, msg) = chan_msg(&payload)?;
-                let mut table = subs.lock();
-                if let Some(list) = table.get_mut(&channel) {
-                    list.retain(|s| s.send((channel.clone(), msg.clone())).is_ok());
+                if let Some(list) = lock(subs).get_mut(&channel) {
+                    list.retain(|(_, s)| s.send((channel.clone(), msg.clone())).is_ok());
                 }
             }
             _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "unknown frame kind")),
         }
     }
-    drop(tx);
-    let _ = writer.await;
     Ok(())
 }
 
@@ -170,15 +195,27 @@ const RECONNECT_INITIAL_MS: u64 = 50;
 const RECONNECT_MAX_MS: u64 = 5_000;
 const RECONNECT_ATTEMPTS: u32 = 8;
 
-async fn dial(
-    addr: &str,
-) -> io::Result<(tokio::net::tcp::OwnedWriteHalf, mpsc::UnboundedReceiver<(String, Bytes)>)> {
-    let stream = TcpStream::connect(addr).await?;
-    stream.set_nodelay(true)?;
-    let (mut rd, wr) = stream.into_split();
-    let (tx, rx) = mpsc::unbounded_channel();
-    tokio::spawn(async move {
-        while let Ok(Some((kind, payload))) = read_frame(&mut rd).await {
+/// One connection to the broker: the socket to write to and what its
+/// reader thread has received.  Dropping it closes the socket, which ends
+/// the reader thread.
+struct Link {
+    wr: TcpStream,
+    rx: mpsc::Receiver<(String, Bytes)>,
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        let _ = self.wr.shutdown(Shutdown::Both);
+    }
+}
+
+fn dial(addr: &str) -> io::Result<Link> {
+    let wr = TcpStream::connect(addr)?;
+    wr.set_nodelay(true)?;
+    let mut rd = wr.try_clone()?;
+    let (tx, rx) = mpsc::channel();
+    std::thread::Builder::new().name("flexric-broker-client".into()).spawn(move || {
+        while let Ok(Some((kind, payload))) = read_frame(&mut rd) {
             if kind == KIND_MESSAGE {
                 if let Ok((channel, msg)) = chan_msg(&payload) {
                     if tx.send((channel, msg)).is_err() {
@@ -187,8 +224,8 @@ async fn dial(
                 }
             }
         }
-    });
-    Ok((wr, rx))
+    })?;
+    Ok(Link { wr, rx })
 }
 
 /// A broker client: publish and/or subscribe.
@@ -200,36 +237,30 @@ async fn dial(
 /// beyond the messages published while it was down.
 pub struct BrokerClient {
     addr: String,
-    wr: tokio::net::tcp::OwnedWriteHalf,
-    rx: mpsc::UnboundedReceiver<(String, Bytes)>,
+    link: Link,
     channels: Vec<String>,
 }
 
 impl BrokerClient {
     /// Connects to a broker.
-    pub async fn connect(addr: &str) -> io::Result<BrokerClient> {
-        let (wr, rx) = dial(addr).await?;
-        Ok(BrokerClient { addr: addr.to_string(), wr, rx, channels: Vec::new() })
+    pub fn connect(addr: &str) -> io::Result<BrokerClient> {
+        Ok(BrokerClient { addr: addr.to_string(), link: dial(addr)?, channels: Vec::new() })
     }
 
     /// Redials and replays all subscriptions.  Retries with backoff before
     /// giving up.
-    async fn reconnect(&mut self) -> io::Result<()> {
+    fn reconnect(&mut self) -> io::Result<()> {
         let mut delay = RECONNECT_INITIAL_MS;
         for _ in 0..RECONNECT_ATTEMPTS {
-            tokio::time::sleep(std::time::Duration::from_millis(delay)).await;
+            std::thread::sleep(Duration::from_millis(delay));
             delay = delay.saturating_mul(2).min(RECONNECT_MAX_MS);
-            let Ok((mut wr, rx)) = dial(&self.addr).await else { continue };
-            let mut ok = true;
-            for chan in &self.channels {
-                if write_frame(&mut wr, KIND_SUBSCRIBE, chan.as_bytes()).await.is_err() {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.wr = wr;
-                self.rx = rx;
+            let Ok(mut link) = dial(&self.addr) else { continue };
+            let replayed = self
+                .channels
+                .iter()
+                .all(|chan| write_frame(&mut link.wr, KIND_SUBSCRIBE, chan.as_bytes()).is_ok());
+            if replayed {
+                self.link = link;
                 return Ok(());
             }
         }
@@ -238,27 +269,27 @@ impl BrokerClient {
 
     /// Subscribes to a channel.  The subscription is replayed automatically
     /// after a reconnect.
-    pub async fn subscribe(&mut self, channel: &str) -> io::Result<()> {
+    pub fn subscribe(&mut self, channel: &str) -> io::Result<()> {
         if !self.channels.iter().any(|c| c == channel) {
             self.channels.push(channel.to_string());
         }
-        match write_frame(&mut self.wr, KIND_SUBSCRIBE, channel.as_bytes()).await {
+        match write_frame(&mut self.link.wr, KIND_SUBSCRIBE, channel.as_bytes()) {
             Ok(()) => Ok(()),
             // reconnect() replays the channel list, which now includes
             // this channel.
-            Err(_) => self.reconnect().await,
+            Err(_) => self.reconnect(),
         }
     }
 
     /// Publishes a message to a channel, reconnecting once on a dead
     /// connection.
-    pub async fn publish(&mut self, channel: &str, msg: &[u8]) -> io::Result<()> {
+    pub fn publish(&mut self, channel: &str, msg: &[u8]) -> io::Result<()> {
         let payload = encode_chan_msg(channel, msg);
-        match write_frame(&mut self.wr, KIND_PUBLISH, &payload).await {
+        match write_frame(&mut self.link.wr, KIND_PUBLISH, &payload) {
             Ok(()) => Ok(()),
             Err(_) => {
-                self.reconnect().await?;
-                write_frame(&mut self.wr, KIND_PUBLISH, &payload).await
+                self.reconnect()?;
+                write_frame(&mut self.link.wr, KIND_PUBLISH, &payload)
             }
         }
     }
@@ -267,142 +298,159 @@ impl BrokerClient {
     /// connection drops, reconnects (replaying subscriptions) and keeps
     /// waiting; returns `None` only when the broker stays unreachable or
     /// nothing was ever subscribed.
-    pub async fn recv(&mut self) -> Option<(String, Bytes)> {
+    pub fn recv(&mut self) -> Option<(String, Bytes)> {
         loop {
-            if let Some(m) = self.rx.recv().await {
+            if let Ok(m) = self.link.rx.recv() {
                 return Some(m);
             }
-            if self.channels.is_empty() || self.reconnect().await.is_err() {
+            if self.channels.is_empty() || self.reconnect().is_err() {
                 return None;
+            }
+        }
+    }
+
+    /// [`recv`](Self::recv) that also returns `None` when nothing arrived
+    /// within `timeout` (a reconnect in between may overrun it).
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<(String, Bytes)> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            match self.link.rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(m) => return Some(m),
+                Err(RecvTimeoutError::Timeout) => return None,
+                Err(RecvTimeoutError::Disconnected) => {
+                    if self.channels.is_empty() || self.reconnect().is_err() {
+                        return None;
+                    }
+                }
             }
         }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<(String, Bytes)> {
-        self.rx.try_recv().ok()
+        self.link.rx.try_recv().ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    #[tokio::test]
-    async fn pubsub_roundtrip() {
-        let broker = Broker::spawn("127.0.0.1:0").await.unwrap();
-        let addr = broker.addr.to_string();
-        let mut sub = BrokerClient::connect(&addr).await.unwrap();
-        sub.subscribe("rlc-stats").await.unwrap();
-        tokio::time::sleep(Duration::from_millis(20)).await; // sub registered
-        let mut publ = BrokerClient::connect(&addr).await.unwrap();
-        publ.publish("rlc-stats", b"{\"sojourn\": 42}").await.unwrap();
-        let (chan, msg) =
-            tokio::time::timeout(Duration::from_secs(2), sub.recv()).await.unwrap().unwrap();
+    fn client(broker: &Broker) -> BrokerClient {
+        BrokerClient::connect(&broker.addr.to_string()).unwrap()
+    }
+
+    /// Subscribes `sub` to `chan` and returns once the broker has the
+    /// subscription.  The protocol has no acknowledgement, so `publ` probes
+    /// the channel until `sub` hears one; [`next`] skips what is left of
+    /// the probing.
+    fn subscribed(sub: &mut BrokerClient, publ: &mut BrokerClient, chan: &str) {
+        sub.subscribe(chan).unwrap();
+        for _ in 0..1_000 {
+            publ.publish(chan, b"probe").unwrap();
+            if sub.recv_timeout(Duration::from_millis(5)).is_some() {
+                return;
+            }
+        }
+        panic!("subscription to {chan} never took");
+    }
+
+    /// The next message that is not a probe of [`subscribed`].
+    fn next(sub: &mut BrokerClient) -> (String, Bytes) {
+        loop {
+            let m = sub.recv_timeout(Duration::from_secs(5)).expect("a message within 5 s");
+            if &m.1[..] != b"probe" {
+                return m;
+            }
+        }
+    }
+
+    #[test]
+    fn pubsub_roundtrip() {
+        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let (mut sub, mut publ) = (client(&broker), client(&broker));
+        subscribed(&mut sub, &mut publ, "rlc-stats");
+        publ.publish("rlc-stats", b"{\"sojourn\": 42}").unwrap();
+        let (chan, msg) = next(&mut sub);
         assert_eq!(chan, "rlc-stats");
         assert_eq!(&msg[..], b"{\"sojourn\": 42}");
     }
 
-    #[tokio::test]
-    async fn fanout_to_multiple_subscribers() {
-        let broker = Broker::spawn("127.0.0.1:0").await.unwrap();
-        let addr = broker.addr.to_string();
-        let mut subs = Vec::new();
-        for _ in 0..5 {
-            let mut c = BrokerClient::connect(&addr).await.unwrap();
-            c.subscribe("chan").await.unwrap();
-            subs.push(c);
-        }
-        tokio::time::sleep(Duration::from_millis(30)).await;
-        let mut publ = BrokerClient::connect(&addr).await.unwrap();
-        publ.publish("chan", b"x").await.unwrap();
+    #[test]
+    fn fanout_to_multiple_subscribers() {
+        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let mut publ = client(&broker);
+        let mut subs: Vec<BrokerClient> = (0..5).map(|_| client(&broker)).collect();
         for c in &mut subs {
-            let (_, msg) =
-                tokio::time::timeout(Duration::from_secs(2), c.recv()).await.unwrap().unwrap();
-            assert_eq!(&msg[..], b"x");
+            subscribed(c, &mut publ, "chan");
+        }
+        publ.publish("chan", b"x").unwrap();
+        for c in &mut subs {
+            assert_eq!(&next(c).1[..], b"x");
         }
     }
 
-    #[tokio::test]
-    async fn channel_isolation() {
-        let broker = Broker::spawn("127.0.0.1:0").await.unwrap();
-        let addr = broker.addr.to_string();
-        let mut a = BrokerClient::connect(&addr).await.unwrap();
-        a.subscribe("a").await.unwrap();
-        tokio::time::sleep(Duration::from_millis(20)).await;
-        let mut publ = BrokerClient::connect(&addr).await.unwrap();
-        publ.publish("b", b"not for a").await.unwrap();
-        publ.publish("a", b"for a").await.unwrap();
-        let (chan, msg) =
-            tokio::time::timeout(Duration::from_secs(2), a.recv()).await.unwrap().unwrap();
-        assert_eq!(chan, "a");
-        assert_eq!(&msg[..], b"for a");
-        assert!(a.try_recv().is_none(), "channel b message not delivered");
+    #[test]
+    fn channel_isolation() {
+        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let (mut a, mut publ) = (client(&broker), client(&broker));
+        subscribed(&mut a, &mut publ, "a");
+        publ.publish("b", b"not for a").unwrap();
+        publ.publish("a", b"for a").unwrap();
+        publ.publish("a", b"and again").unwrap();
+        // One publisher's frames are handled in order: had "not for a" been
+        // delivered, it would sit between these two.
+        assert_eq!(next(&mut a), ("a".to_owned(), Bytes::from_static(b"for a")));
+        assert_eq!(next(&mut a), ("a".to_owned(), Bytes::from_static(b"and again")));
     }
 
-    #[tokio::test]
-    async fn publish_without_subscribers_is_fine() {
-        let broker = Broker::spawn("127.0.0.1:0").await.unwrap();
-        let addr = broker.addr.to_string();
-        let mut publ = BrokerClient::connect(&addr).await.unwrap();
-        publ.publish("void", b"shout").await.unwrap();
+    #[test]
+    fn publish_without_subscribers_is_fine() {
+        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let mut publ = client(&broker);
+        publ.publish("void", b"shout").unwrap();
         // Broker still alive.
-        let mut sub = BrokerClient::connect(&addr).await.unwrap();
-        sub.subscribe("void").await.unwrap();
-        tokio::time::sleep(Duration::from_millis(20)).await;
-        publ.publish("void", b"heard").await.unwrap();
-        let (_, msg) =
-            tokio::time::timeout(Duration::from_secs(2), sub.recv()).await.unwrap().unwrap();
-        assert_eq!(&msg[..], b"heard");
+        let mut sub = client(&broker);
+        subscribed(&mut sub, &mut publ, "void");
+        publ.publish("void", b"heard").unwrap();
+        assert_eq!(&next(&mut sub).1[..], b"heard", "and the shout is not kept for latecomers");
     }
 
-    #[tokio::test]
-    async fn broker_restart_resubscribes() {
-        let broker = Broker::spawn("127.0.0.1:0").await.unwrap();
+    #[test]
+    fn broker_restart_resubscribes() {
+        let broker = Broker::spawn("127.0.0.1:0").unwrap();
         let addr = broker.addr.to_string();
-        let mut sub = BrokerClient::connect(&addr).await.unwrap();
-        sub.subscribe("chan").await.unwrap();
-        tokio::time::sleep(Duration::from_millis(20)).await;
+        let (mut sub, mut publ) = (client(&broker), client(&broker));
+        subscribed(&mut sub, &mut publ, "chan");
 
         // Crash the broker and bring a new one up on the same address.
         broker.shutdown();
-        tokio::time::sleep(Duration::from_millis(20)).await;
-        let _broker2 = Broker::spawn(&addr).await.unwrap();
+        let _broker2 = Broker::spawn(&addr).unwrap();
 
-        // The subscriber reconnects and replays its subscription in the
-        // background; publish until the message gets through.
-        let mut publ = BrokerClient::connect(&addr).await.unwrap();
-        let mut got = None;
-        for _ in 0..100 {
-            publ.publish("chan", b"after restart").await.unwrap();
-            if let Ok(Some(m)) = tokio::time::timeout(Duration::from_millis(100), sub.recv()).await
-            {
-                got = Some(m);
-                break;
-            }
-        }
+        // The subscriber reconnects and replays its subscription while it
+        // waits; publish until the message gets through.
+        let mut publ = BrokerClient::connect(&addr).unwrap();
+        let got = (0..100).find_map(|_| {
+            publ.publish("chan", b"after restart").unwrap();
+            std::iter::from_fn(|| sub.recv_timeout(Duration::from_millis(100)))
+                .find(|m| &m.1[..] != b"probe")
+        });
         let (chan, msg) = got.expect("subscription survived the broker restart");
         assert_eq!(chan, "chan");
         assert_eq!(&msg[..], b"after restart");
     }
 
-    #[tokio::test]
-    async fn dead_subscriber_pruned() {
-        let broker = Broker::spawn("127.0.0.1:0").await.unwrap();
-        let addr = broker.addr.to_string();
+    #[test]
+    fn dead_subscriber_pruned() {
+        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let mut publ = client(&broker);
         {
-            let mut dead = BrokerClient::connect(&addr).await.unwrap();
-            dead.subscribe("chan").await.unwrap();
-            tokio::time::sleep(Duration::from_millis(20)).await;
+            let mut dead = client(&broker);
+            subscribed(&mut dead, &mut publ, "chan");
         } // dropped
-        let mut sub = BrokerClient::connect(&addr).await.unwrap();
-        sub.subscribe("chan").await.unwrap();
-        tokio::time::sleep(Duration::from_millis(20)).await;
-        let mut publ = BrokerClient::connect(&addr).await.unwrap();
-        publ.publish("chan", b"still works").await.unwrap();
-        let (_, msg) =
-            tokio::time::timeout(Duration::from_secs(2), sub.recv()).await.unwrap().unwrap();
-        assert_eq!(&msg[..], b"still works");
+        let mut sub = client(&broker);
+        subscribed(&mut sub, &mut publ, "chan");
+        publ.publish("chan", b"still works").unwrap();
+        assert_eq!(&next(&mut sub).1[..], b"still works");
     }
 }

@@ -4,16 +4,20 @@
 //! `POST` with optional JSON bodies, `Content-Length` framing, one request
 //! per roundtrip with keep-alive.  No TLS, no chunked encoding, no
 //! multipart — the zero-overhead principle applied to the northbound.
+//!
+//! One thread accepts, one thread serves each connection; a handler runs on
+//! its connection's thread and may block (a control relay waits for the
+//! agent's acknowledgement there).
 
 use std::collections::HashMap;
-use std::future::Future;
-use std::io;
-use std::net::SocketAddr;
-use std::pin::Pin;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
-use tokio::io::{AsyncBufReadExt, AsyncReadExt, AsyncWriteExt, BufReader};
-use tokio::net::{TcpListener, TcpStream};
+use crate::json::{self, FromJson, ToJson};
+
+/// Largest request body the server reads.
+const MAX_BODY: usize = json::MAX_INPUT;
 
 /// An HTTP request as seen by a handler.
 #[derive(Debug, Clone)]
@@ -30,8 +34,8 @@ pub struct Request {
 
 impl Request {
     /// Parses the body as JSON.
-    pub fn json<T: serde::de::DeserializeOwned>(&self) -> Result<T, serde_json::Error> {
-        serde_json::from_slice(&self.body)
+    pub fn json<T: FromJson>(&self) -> Result<T, json::Error> {
+        json::from_slice(&self.body)
     }
 }
 
@@ -48,10 +52,10 @@ pub struct Response {
 
 impl Response {
     /// 200 with a JSON body.
-    pub fn json<T: serde::Serialize>(value: &T) -> Response {
+    pub fn json<T: ToJson + ?Sized>(value: &T) -> Response {
         Response {
             status: 200,
-            body: serde_json::to_vec(value).unwrap_or_default(),
+            body: value.to_json().to_string().into_bytes(),
             content_type: "application/json",
         }
     }
@@ -79,9 +83,8 @@ impl Response {
     }
 }
 
-/// Boxed async handler.
-pub type Handler =
-    Arc<dyn Fn(Request) -> Pin<Box<dyn Future<Output = Response> + Send>> + Send + Sync>;
+/// A request handler; it may block.
+pub type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
 
 /// A tiny route table: exact `(method, path)` matches.
 #[derive(Default, Clone)]
@@ -96,13 +99,11 @@ impl Router {
     }
 
     /// Registers a handler for `(method, path)`.
-    pub fn route<F, Fut>(mut self, method: &str, path: &str, f: F) -> Self
+    pub fn route<F>(mut self, method: &str, path: &str, f: F) -> Self
     where
-        F: Fn(Request) -> Fut + Send + Sync + 'static,
-        Fut: Future<Output = Response> + Send + 'static,
+        F: Fn(Request) -> Response + Send + Sync + 'static,
     {
-        let h: Handler = Arc::new(move |req| Box::pin(f(req)));
-        self.routes.insert((method.to_uppercase(), path.to_owned()), h);
+        self.routes.insert((method.to_uppercase(), path.to_owned()), Arc::new(f));
         self
     }
 
@@ -118,32 +119,35 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Binds `addr` and serves `router` until the process exits.
-    pub async fn spawn(addr: &str, router: Router) -> io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr).await?;
+    /// Binds `addr` and serves `router` until the process exits: the
+    /// accepting thread and the per-connection threads are never joined.
+    pub fn spawn(addr: &str, router: Router) -> io::Result<HttpServer> {
+        let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let router = Arc::new(router);
-        tokio::spawn(async move {
-            loop {
-                let Ok((stream, _)) = listener.accept().await else { break };
+        std::thread::Builder::new().name("flexric-http".into()).spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { continue };
                 let router = router.clone();
-                tokio::spawn(async move {
-                    let _ = serve_conn(stream, router).await;
-                });
+                // A connection that cannot get a thread is dropped.
+                let _ =
+                    std::thread::Builder::new().name("flexric-http-conn".into()).spawn(move || {
+                        let _ = serve_conn(stream, router);
+                    });
             }
-        });
+        })?;
         Ok(HttpServer { addr })
     }
 }
 
-async fn serve_conn(stream: TcpStream, router: Arc<Router>) -> io::Result<()> {
+fn serve_conn(stream: TcpStream, router: Arc<Router>) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let (rd, mut wr) = stream.into_split();
-    let mut rd = BufReader::new(rd);
+    let mut wr = stream.try_clone()?;
+    let mut rd = BufReader::new(stream);
     loop {
-        let Some(req) = read_request(&mut rd).await? else { return Ok(()) };
+        let Some(req) = read_request(&mut rd)? else { return Ok(()) };
         let resp = match router.lookup(&req.method, &req.path) {
-            Some(h) => h(req).await,
+            Some(h) => h(req),
             None => Response::error(404, "not found"),
         };
         let head = format!(
@@ -152,15 +156,26 @@ async fn serve_conn(stream: TcpStream, router: Arc<Router>) -> io::Result<()> {
             resp.content_type,
             resp.body.len()
         );
-        wr.write_all(head.as_bytes()).await?;
-        wr.write_all(&resp.body).await?;
-        wr.flush().await?;
+        wr.write_all(head.as_bytes())?;
+        wr.write_all(&resp.body)?;
+        wr.flush()?;
     }
 }
 
-async fn read_request<R: AsyncBufReadExt + Unpin>(rd: &mut R) -> io::Result<Option<Request>> {
+/// The value of a `content-length` header line, if `line` is one.
+fn content_length(line: &str) -> Option<io::Result<usize>> {
+    let (name, value) = line.split_once(':')?;
+    name.eq_ignore_ascii_case("content-length").then(|| {
+        value
+            .trim()
+            .parse()
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))
+    })
+}
+
+fn read_request<R: BufRead>(rd: &mut R) -> io::Result<Option<Request>> {
     let mut line = String::new();
-    if rd.read_line(&mut line).await? == 0 {
+    if rd.read_line(&mut line)? == 0 {
         return Ok(None); // clean close
     }
     let mut parts = line.split_whitespace();
@@ -170,29 +185,25 @@ async fn read_request<R: AsyncBufReadExt + Unpin>(rd: &mut R) -> io::Result<Opti
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad request line"));
     }
     let (path, query) = parse_target(&target);
-    let mut content_length = 0usize;
+    let mut body_len = 0usize;
     loop {
         let mut h = String::new();
-        if rd.read_line(&mut h).await? == 0 {
+        if rd.read_line(&mut h)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "headers truncated"));
         }
         let h = h.trim_end();
         if h.is_empty() {
             break;
         }
-        if let Some((name, value)) = h.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                })?;
-                if content_length > 16 * 1024 * 1024 {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-                }
+        if let Some(len) = content_length(h) {
+            body_len = len?;
+            if body_len > MAX_BODY {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
             }
         }
     }
-    let mut body = vec![0u8; content_length];
-    rd.read_exact(&mut body).await?;
+    let mut body = vec![0u8; body_len];
+    rd.read_exact(&mut body)?;
     Ok(Some(Request { method, path, query, body }))
 }
 
@@ -214,152 +225,151 @@ pub struct HttpClient;
 
 impl HttpClient {
     /// Issues a request; returns `(status, body)`.
-    pub async fn request(
+    pub fn request(
         addr: &str,
         method: &str,
         path: &str,
         body: &[u8],
     ) -> io::Result<(u16, Vec<u8>)> {
-        let stream = TcpStream::connect(addr).await?;
+        let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let (rd, mut wr) = stream.into_split();
         let head = format!(
             "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
             body.len()
         );
-        wr.write_all(head.as_bytes()).await?;
-        wr.write_all(body).await?;
-        wr.flush().await?;
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(body)?;
+        stream.flush()?;
 
-        let mut rd = BufReader::new(rd);
+        let mut rd = BufReader::new(stream);
         let mut status_line = String::new();
-        rd.read_line(&mut status_line).await?;
+        rd.read_line(&mut status_line)?;
         let status: u16 = status_line
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-        let mut content_length = None;
+        let mut body_len = None;
         loop {
             let mut h = String::new();
-            if rd.read_line(&mut h).await? == 0 {
+            if rd.read_line(&mut h)? == 0 {
                 break;
             }
             let h = h.trim_end();
             if h.is_empty() {
                 break;
             }
-            if let Some((name, value)) = h.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().ok();
-                }
+            if let Some(len) = content_length(h) {
+                body_len = Some(len?);
             }
         }
         let mut body = Vec::new();
-        match content_length {
+        match body_len {
+            // The announced length comes from outside: read up to it
+            // instead of allocating it.
             Some(n) => {
-                body.resize(n, 0);
-                rd.read_exact(&mut body).await?;
+                rd.by_ref().take(n as u64).read_to_end(&mut body)?;
+                if body.len() != n {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
             }
             None => {
-                rd.read_to_end(&mut body).await?;
+                rd.read_to_end(&mut body)?;
             }
         }
         Ok((status, body))
     }
 
     /// GET returning `(status, body)`.
-    pub async fn get(addr: &str, path: &str) -> io::Result<(u16, Vec<u8>)> {
-        Self::request(addr, "GET", path, &[]).await
+    pub fn get(addr: &str, path: &str) -> io::Result<(u16, Vec<u8>)> {
+        Self::request(addr, "GET", path, &[])
     }
 
     /// POST with a JSON body.
-    pub async fn post_json<T: serde::Serialize>(
+    pub fn post_json<T: ToJson + ?Sized>(
         addr: &str,
         path: &str,
         value: &T,
     ) -> io::Result<(u16, Vec<u8>)> {
-        let body = serde_json::to_vec(value)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        Self::request(addr, "POST", path, &body).await
+        Self::request(addr, "POST", path, value.to_json().to_string().as_bytes())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+    use crate::json;
 
-    async fn test_server() -> HttpServer {
+    fn test_server() -> HttpServer {
         let router = Router::new()
-            .route("GET", "/ping", |_req| async { Response::text("pong") })
-            .route("POST", "/echo", |req: Request| async move {
-                Response { status: 200, body: req.body, content_type: "application/json" }
+            .route("GET", "/ping", |_req| Response::text("pong"))
+            .route("POST", "/echo", |req: Request| Response {
+                status: 200,
+                body: req.body,
+                content_type: "application/json",
             })
-            .route("GET", "/query", |req: Request| async move {
+            .route("GET", "/query", |req: Request| {
                 Response::text(req.query.get("key").cloned().unwrap_or_default())
             });
-        HttpServer::spawn("127.0.0.1:0", router).await.unwrap()
+        HttpServer::spawn("127.0.0.1:0", router).unwrap()
     }
 
-    #[tokio::test]
-    async fn get_roundtrip() {
-        let srv = test_server().await;
+    #[test]
+    fn get_roundtrip() {
+        let srv = test_server();
         let addr = srv.addr.to_string();
-        let (status, body) = HttpClient::get(&addr, "/ping").await.unwrap();
+        let (status, body) = HttpClient::get(&addr, "/ping").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"pong");
     }
 
-    #[tokio::test]
-    async fn post_json_roundtrip() {
-        let srv = test_server().await;
+    #[test]
+    fn post_json_roundtrip() {
+        let srv = test_server();
         let addr = srv.addr.to_string();
         let payload = json!({"slice": 1, "share": 0.66});
-        let (status, body) = HttpClient::post_json(&addr, "/echo", &payload).await.unwrap();
+        let (status, body) = HttpClient::post_json(&addr, "/echo", &payload).unwrap();
         assert_eq!(status, 200);
-        let back: serde_json::Value = serde_json::from_slice(&body).unwrap();
+        let back = json::parse(&body).unwrap();
         assert_eq!(back, payload);
     }
 
-    #[tokio::test]
-    async fn query_params_parsed() {
-        let srv = test_server().await;
+    #[test]
+    fn query_params_parsed() {
+        let srv = test_server();
         let addr = srv.addr.to_string();
-        let (status, body) = HttpClient::get(&addr, "/query?key=value&x=1").await.unwrap();
+        let (status, body) = HttpClient::get(&addr, "/query?key=value&x=1").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"value");
     }
 
-    #[tokio::test]
-    async fn unknown_route_404() {
-        let srv = test_server().await;
+    #[test]
+    fn unknown_route_404() {
+        let srv = test_server();
         let addr = srv.addr.to_string();
-        let (status, _) = HttpClient::get(&addr, "/nope").await.unwrap();
+        let (status, _) = HttpClient::get(&addr, "/nope").unwrap();
         assert_eq!(status, 404);
     }
 
-    #[tokio::test]
-    async fn wrong_method_404() {
-        let srv = test_server().await;
+    #[test]
+    fn wrong_method_404() {
+        let srv = test_server();
         let addr = srv.addr.to_string();
-        let (status, _) = HttpClient::request(&addr, "POST", "/ping", b"").await.unwrap();
+        let (status, _) = HttpClient::request(&addr, "POST", "/ping", b"").unwrap();
         assert_eq!(status, 404);
     }
 
-    #[tokio::test]
-    async fn concurrent_requests() {
-        let srv = test_server().await;
+    #[test]
+    fn concurrent_requests() {
+        let srv = test_server();
         let addr = srv.addr.to_string();
         let mut handles = Vec::new();
         for _ in 0..32 {
             let addr = addr.clone();
-            handles.push(tokio::spawn(
-                async move { HttpClient::get(&addr, "/ping").await.unwrap().0 },
-            ));
+            handles.push(std::thread::spawn(move || HttpClient::get(&addr, "/ping").unwrap().0));
         }
         for h in handles {
-            assert_eq!(h.await.unwrap(), 200);
+            assert_eq!(h.join().unwrap(), 200);
         }
     }
 }

@@ -8,12 +8,11 @@
 //! Third-party SMs registered at startup show up here automatically, with
 //! no controller edits.
 
-use serde::Serialize;
-
 use crate::http::{Response, Router};
+use crate::json_struct;
 
 /// One registered service model, as serialized to xApps.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SmEntry {
     /// Object identifier, the cross-layer SM name.
     pub oid: String,
@@ -33,8 +32,10 @@ pub struct SmEntry {
     pub codecs: SmCodecSlots,
 }
 
+json_struct!(SmEntry { oid, label, major, minor, ran_function_id, per, fb, codecs });
+
 /// Which payload-kind codecs an SM's vtable carries.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SmCodecSlots {
     /// Event trigger definition.
     pub trigger: bool,
@@ -47,6 +48,8 @@ pub struct SmCodecSlots {
     /// Delta-stream reconstruction.
     pub delta: bool,
 }
+
+json_struct!(SmCodecSlots { trigger, action, indication, ctrl, delta });
 
 /// Snapshot of the process-wide SM registry, sorted by OID then version.
 pub fn registry_snapshot() -> Vec<SmEntry> {
@@ -74,7 +77,7 @@ pub fn registry_snapshot() -> Vec<SmEntry> {
 
 /// Mounts `GET /sm/registry` on a router.
 pub fn mount(router: Router) -> Router {
-    router.route("GET", "/sm/registry", |_req| async { Response::json(&registry_snapshot()) })
+    router.route("GET", "/sm/registry", |_req| Response::json(&registry_snapshot()))
 }
 
 #[cfg(test)]
@@ -96,13 +99,13 @@ mod tests {
         assert!(mac.per && mac.fb);
     }
 
-    #[tokio::test]
-    async fn served_over_http() {
-        let srv = HttpServer::spawn("127.0.0.1:0", mount(Router::new())).await.unwrap();
+    #[test]
+    fn served_over_http() {
+        let srv = HttpServer::spawn("127.0.0.1:0", mount(Router::new())).unwrap();
         let addr = srv.addr.to_string();
-        let (status, body) = HttpClient::get(&addr, "/sm/registry").await.unwrap();
+        let (status, body) = HttpClient::get(&addr, "/sm/registry").unwrap();
         assert_eq!(status, 200);
-        let entries: Vec<serde_json::Value> = serde_json::from_slice(&body).unwrap();
-        assert!(entries.iter().any(|e| e["oid"] == "flexric.sm.hw"), "hw sm listed: {entries:?}");
+        let entries: Vec<SmEntry> = crate::json::from_slice(&body).unwrap();
+        assert!(entries.iter().any(|e| e.oid == "flexric.sm.hw"), "hw sm listed: {entries:?}");
     }
 }

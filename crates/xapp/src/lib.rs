@@ -4,13 +4,15 @@
 //! through "a custom protocol, such as a simple REST interface (e.g.,
 //! FlexRAN), the RMR library (e.g., O-RAN RIC), a message broker (e.g.
 //! Redis), or E2AP itself" (§4.2.1).  This crate provides the first two
-//! from scratch:
+//! from scratch, on `std` threads and sockets:
 //!
 //! * [`http`] — a minimal HTTP/1.1 server and client (GET/POST with JSON
 //!   bodies), the REST northbound of the slicing and TC controllers;
 //! * [`broker`] — a Redis-style pub/sub broker (SUBSCRIBE/PUBLISH over a
 //!   length-framed TCP protocol), the stats-push channel of the TC
 //!   controller;
+//! * [`mod@json`] — the JSON value, parser and writer both of them (and the
+//!   experiment snapshots) go through;
 //! * [`metrics`] — a Prometheus-text `/metrics` route for the HTTP
 //!   server, exporting the process-wide obs registry;
 //! * [`introspect`] — a `GET /sm/registry` route listing every service
@@ -23,4 +25,5 @@
 pub mod broker;
 pub mod http;
 pub mod introspect;
+pub mod json;
 pub mod metrics;

@@ -12,12 +12,10 @@ use crate::http::{Response, Router};
 /// Mounts `GET /metrics` on `router`, serving the whole obs registry in
 /// Prometheus text exposition format.
 pub fn with_metrics_route(router: Router) -> Router {
-    router.route("GET", "/metrics", |_req| async {
-        Response {
-            status: 200,
-            body: flexric_obs::prom::render_text().into_bytes(),
-            content_type: flexric_obs::prom::CONTENT_TYPE,
-        }
+    router.route("GET", "/metrics", |_req| Response {
+        status: 200,
+        body: flexric_obs::prom::render_text().into_bytes(),
+        content_type: flexric_obs::prom::CONTENT_TYPE,
     })
 }
 
@@ -26,17 +24,16 @@ mod tests {
     use super::*;
     use crate::http::{HttpClient, HttpServer};
 
-    #[tokio::test]
-    async fn metrics_route_serves_registry() {
+    #[test]
+    fn metrics_route_serves_registry() {
         let c = flexric_obs::counter(
             "flexric_test_xapp_scrape_total",
             "test counter for the /metrics route",
         );
         c.add(3);
-        let srv =
-            HttpServer::spawn("127.0.0.1:0", with_metrics_route(Router::new())).await.unwrap();
+        let srv = HttpServer::spawn("127.0.0.1:0", with_metrics_route(Router::new())).unwrap();
         let addr = srv.addr.to_string();
-        let (status, body) = HttpClient::get(&addr, "/metrics").await.unwrap();
+        let (status, body) = HttpClient::get(&addr, "/metrics").unwrap();
         assert_eq!(status, 200);
         let text = String::from_utf8(body).unwrap();
         assert!(text.contains("# TYPE flexric_test_xapp_scrape_total counter"));

@@ -153,7 +153,7 @@ impl flexric::agent::RanFunction for GeoFn {
                 GeoFix { rnti: 0x4602, lat_udeg: 133_620_000, lon_udeg: 187_080_000, alt_cm: 900 };
             let ind = GeoLocInd { tstamp_ms: now, fixes: vec![walker, parked] };
             let sn = Some(self.steps as u32);
-            self.sender.send(ctx, &sub, &trigger, &ind, self.sm_codec, sn, Bytes::new());
+            self.sender.send(ctx, &sub, &trigger, &ind, sn, Bytes::new());
         }
     }
 }
@@ -168,7 +168,7 @@ struct GeoApp {
     /// The stream's decoder, from the descriptor's delta hooks.
     dec: Box<dyn AnyDeltaDecoder>,
     reports: Arc<AtomicU64>,
-    last: Arc<parking_lot::Mutex<Option<GeoLocInd>>>,
+    last: Arc<std::sync::Mutex<Option<GeoLocInd>>>,
 }
 
 impl IApp for GeoApp {
@@ -196,7 +196,7 @@ impl IApp for GeoApp {
         match self.dec.apply(msg, self.sm_codec).expect("geo frame") {
             AnyDeltaEvent::Snapshot { snap, .. } => {
                 let geo = snap.downcast::<GeoLocInd>().expect("geo concrete type");
-                *self.last.lock() = Some(*geo);
+                *self.last.lock().expect("lock poisoned") = Some(*geo);
                 self.reports.fetch_add(1, Ordering::Relaxed);
             }
             AnyDeltaEvent::NeedKeyframe => panic!("the ordered mem transport lost a frame"),
@@ -208,8 +208,7 @@ impl IApp for GeoApp {
 // 5. Wire it together over the in-memory transport.
 // ---------------------------------------------------------------------------
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let desc = register_geo_sm();
     println!("registered {}", desc.label());
     assert_eq!(
@@ -220,23 +219,28 @@ async fn main() {
 
     let sm_codec = SmCodec::Flatb;
     let reports = Arc::new(AtomicU64::new(0));
-    let last = Arc::new(parking_lot::Mutex::new(None));
+    let last = Arc::new(std::sync::Mutex::new(None));
     let dec = desc.delta_decoder().expect("the table derives delta hooks");
     let app = GeoApp { sm_codec, dec, reports: reports.clone(), last: last.clone() };
 
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem("custom-sm".into()));
     cfg.tick_ms = Some(5);
-    let server = Server::spawn(cfg, vec![Box::new(app)]).await.expect("server");
+    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("server");
 
-    let geo =
-        GeoFn { desc, subs: PeriodicSubs::new(), sender: ReportSender::new(), sm_codec, steps: 0 };
+    let geo = GeoFn {
+        desc,
+        subs: PeriodicSubs::new(),
+        sender: ReportSender::new(sm_codec),
+        sm_codec,
+        steps: 0,
+    };
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1),
         server.addrs[0].clone(),
     );
     acfg.tick_ms = Some(1);
-    let agent = Agent::spawn(acfg, vec![Box::new(geo)]).await.expect("agent");
+    let agent = Agent::spawn(acfg, vec![Box::new(geo)]).expect("agent");
 
     // Wait until reports flow and reconstruct (one keyframe in 16, the
     // rest deltas).
@@ -244,11 +248,11 @@ async fn main() {
         if reports.load(Ordering::Relaxed) >= 20 {
             break;
         }
-        tokio::time::sleep(std::time::Duration::from_millis(10)).await;
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let n = reports.load(Ordering::Relaxed);
     assert!(n >= 20, "expected at least 20 geolocation reports, got {n}");
-    let ind = last.lock().clone().expect("a reconstructed report");
+    let ind = last.lock().expect("lock poisoned").clone().expect("a reconstructed report");
     let (walker, parked) = (ind.fixes[0], ind.fixes[1]);
     assert_eq!((walker.rnti, parked.rnti), (0x4601, 0x4602));
     assert!(walker.lat_udeg > 133_615_000 && walker.lon_udeg > 187_071_000);

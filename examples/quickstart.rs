@@ -10,9 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
@@ -23,15 +21,14 @@ use flexric_ransim::{CellConfig, FlowConfig, FlowKind, PathConfig, Sim, UeConfig
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // 1. The controller: server library + monitoring iApp.
     let (monitor, db, counters) = MonitorApp::new(MonitorConfig::default());
     let cfg = ServerConfig::new(
         GlobalRicId::new(Plmn::TEST, 1),
         TransportAddr::parse("127.0.0.1:0").unwrap(),
     );
-    let server = Server::spawn(cfg, vec![Box::new(monitor)]).await.expect("controller");
+    let server = Server::spawn(cfg, vec![Box::new(monitor)]).expect("controller");
     println!("controller listening on {}", server.addrs[0]);
 
     // 1b. Observability northbound: every layer below feeds the global
@@ -40,7 +37,6 @@ async fn main() {
         "127.0.0.1:0",
         flexric_xapp::metrics::with_metrics_route(flexric_xapp::http::Router::new()),
     )
-    .await
     .expect("metrics exporter");
     println!("metrics:  curl http://{}/metrics", http.addr);
 
@@ -69,17 +65,16 @@ async fn main() {
         server.addrs[0].clone(),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Flatb)).await.expect("agent");
+    let agent = Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Flatb)).expect("agent");
 
     let driver_sim = sim.clone();
     let driver_agent = agent.clone();
-    tokio::spawn(async move {
-        let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-        iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+    std::thread::spawn(move || {
+        let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
         loop {
-            iv.tick().await;
+            iv.tick();
             let now = {
-                let mut s = driver_sim.lock();
+                let mut s = driver_sim.lock().expect("lock poisoned");
                 s.tick();
                 s.now_ms()
             };
@@ -89,9 +84,9 @@ async fn main() {
 
     // 4. Watch the statistics arriving at the controller.
     for _ in 0..8 {
-        tokio::time::sleep(std::time::Duration::from_secs(1)).await;
+        std::thread::sleep(std::time::Duration::from_secs(1));
         let inds = counters.indications.load(std::sync::atomic::Ordering::Relaxed);
-        let table = db.lock();
+        let table = db.lock().expect("lock poisoned");
         let Some(mac) = table.mac(0) else {
             println!("waiting for statistics…");
             continue;

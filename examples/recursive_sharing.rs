@@ -14,43 +14,37 @@
 //! cargo run --release --example recursive_sharing
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
 use flexric_ctrl::recursive::{TenantConf, VirtController};
-use flexric_ctrl::slicing::{ApplySliceCtrl, SliceApp};
+use flexric_ctrl::slicing::{self, SliceApp};
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_ransim::{CellConfig, FlowConfig, FlowKind, PathConfig, Sim, UeConfig};
 use flexric_sm::slice::{SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
-use tokio::sync::oneshot;
 
 const OP_A: (u16, u16) = (1, 1);
 const OP_B: (u16, u16) = (2, 1);
 
-async fn tenant_ctrl(name: &str) -> flexric::server::ServerHandle {
+fn tenant_ctrl(name: &str) -> flexric::server::ServerHandle {
     let (app, _latest) = SliceApp::new(SmCodec::Flatb, 1000);
     let cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 7), TransportAddr::Mem(name.to_owned()));
-    Server::spawn(cfg, vec![Box::new(app)]).await.expect("tenant controller")
+    Server::spawn(cfg, vec![Box::new(app)]).expect("tenant controller")
 }
 
-async fn tenant_apply(server: &flexric::server::ServerHandle, ctrl: SliceCtrl) -> bool {
-    let (tx, rx) = oneshot::channel();
-    server.to_iapp("slice", Box::new(ApplySliceCtrl { agent: 0, ctrl, reply: tx }));
-    matches!(tokio::time::timeout(std::time::Duration::from_secs(5), rx).await, Ok(Ok(r)) if r.ok)
+fn tenant_apply(server: &flexric::server::ServerHandle, ctrl: SliceCtrl) -> bool {
+    slicing::apply(server, 0, ctrl).is_some_and(|r| r.ok)
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // Two tenant controllers — the unchanged §6.1.2 slicing controller.
-    let tenant_a = tenant_ctrl("tenant-a").await;
-    let _tenant_b = tenant_ctrl("tenant-b").await;
+    let tenant_a = tenant_ctrl("tenant-a");
+    let _tenant_b = tenant_ctrl("tenant-b");
 
     // The virtualization controller in between (50 % SLA each).
     let south_cfg = ServerConfig::new(
@@ -78,7 +72,6 @@ async fn main() {
         500,
         Some(1),
     )
-    .await
     .expect("virtualization controller");
 
     // The shared infrastructure: one 10 MHz LTE cell, 2 UEs per operator.
@@ -104,19 +97,18 @@ async fn main() {
         TransportAddr::Mem("virt-south".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.expect("agent");
+    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent");
 
     // Real-time driver for the whole stack.
     {
         let sim = sim.clone();
         let agent = agent.clone();
-        tokio::spawn(async move {
-            let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+        std::thread::spawn(move || {
+            let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
             loop {
-                iv.tick().await;
+                iv.tick();
                 let now = {
-                    let mut s = sim.lock();
+                    let mut s = sim.lock().expect("lock poisoned");
                     s.tick();
                     s.now_ms()
                 };
@@ -126,27 +118,22 @@ async fn main() {
     }
 
     let observe = |label: &'static str, secs: u64| {
-        let sim = sim.clone();
-        let flows = flows.clone();
-        async move {
-            let before: Vec<u64> =
-                flows.iter().map(|f| sim.lock().flow(*f).delivered_bytes).collect();
-            tokio::time::sleep(std::time::Duration::from_secs(secs)).await;
-            println!("{label}:");
-            let labels = ["A/UE1", "A/UE2", "B/UE3", "B/UE4"];
-            for (i, f) in flows.iter().enumerate() {
-                let after = sim.lock().flow(*f).delivered_bytes;
-                println!(
-                    "  {}: {:>5.2} Mbit/s",
-                    labels[i],
-                    (after - before[i]) as f64 * 8.0 / secs as f64 / 1e6
-                );
-            }
+        let delivered = |f: &usize| sim.lock().expect("lock poisoned").flow(*f).delivered_bytes;
+        let before: Vec<u64> = flows.iter().map(delivered).collect();
+        std::thread::sleep(std::time::Duration::from_secs(secs));
+        println!("{label}:");
+        let labels = ["A/UE1", "A/UE2", "B/UE3", "B/UE4"];
+        for (i, f) in flows.iter().enumerate() {
+            println!(
+                "  {}: {:>5.2} Mbit/s",
+                labels[i],
+                (delivered(f) - before[i]) as f64 * 8.0 / secs as f64 / 1e6
+            );
         }
     };
 
-    tokio::time::sleep(std::time::Duration::from_millis(800)).await;
-    observe("\nboth operators at their 50 % SLA, no sub-slices", 4).await;
+    std::thread::sleep(std::time::Duration::from_millis(800));
+    observe("\nboth operators at their 50 % SLA, no sub-slices", 4);
 
     // Operator A sub-slices ITS OWN virtual network: 66 % + 34 % of its
     // 100 % virtual resources (i.e. 33 % + 17 % physical).
@@ -168,11 +155,9 @@ async fn main() {
                 },
             ],
         },
-    )
-    .await;
+    );
     println!("\noperator A creates virtual sub-slices 66/34 (accepted: {ok})");
-    let ok = tenant_apply(&tenant_a, SliceCtrl::AssocUeSlice { assoc: vec![(0x11, 0), (0x12, 1)] })
-        .await;
+    let ok = tenant_apply(&tenant_a, SliceCtrl::AssocUeSlice { assoc: vec![(0x11, 0), (0x12, 1)] });
     println!("operator A associates UE1→premium, UE2→standard (accepted: {ok})");
 
     // Admission control in the virtual domain: a third slice that would
@@ -187,16 +172,15 @@ async fn main() {
                 ue_sched: UeSchedAlgo::PropFair,
             }],
         },
-    )
-    .await;
+    );
     println!("operator A tries to over-commit (+20 %): rejected = {rejected}");
 
-    observe("\nafter A's sub-slicing (B unchanged — isolation)", 4).await;
+    observe("\nafter A's sub-slicing (B unchanged — isolation)", 4);
 
     // Operator B goes idle: A absorbs the spare capacity.
-    sim.lock().set_flow_active(flows[2], false);
-    sim.lock().set_flow_active(flows[3], false);
-    observe("\noperator B idle (A absorbs spare capacity — multiplexing gain)", 4).await;
+    sim.lock().expect("lock poisoned").set_flow_active(flows[2], false);
+    sim.lock().expect("lock poisoned").set_flow_active(flows[3], false);
+    observe("\noperator B idle (A absorbs spare capacity — multiplexing gain)", 4);
 
     agent.stop();
     virt.south.stop();

@@ -9,15 +9,13 @@
 //! cargo run --release --example sla_demo
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{Server, ServerConfig, ServerHandle};
 use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
-use flexric_ctrl::sla::{SlaApp, SlaConfig, SlaLedger, SlaPoll};
+use flexric_ctrl::sla::{self, SlaApp, SlaConfig, SlaLedger};
 use flexric_ctrl::sla_solver::SlaTarget;
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_ransim::scenario::ScenarioEvent;
@@ -28,27 +26,21 @@ use flexric_transport::TransportAddr;
 const TICK_MS: u64 = 10;
 const DUR_MS: u64 = 30_000;
 
-async fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> AgentHandle {
+fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> AgentHandle {
     let bs = SimBs::new(sim.clone(), cell);
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1 + cell as u64),
         server.addrs[0].clone(),
     );
     acfg.tick_ms = None;
-    Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.expect("agent")
+    Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent")
 }
 
-async fn ledger(server: &ServerHandle) -> SlaLedger {
-    let (tx, rx) = tokio::sync::oneshot::channel();
-    server.to_iapp("sla", Box::new(SlaPoll { reply: tx }));
-    tokio::time::timeout(std::time::Duration::from_secs(5), rx)
-        .await
-        .expect("sla iApp reachable")
-        .expect("sla iApp replies")
+fn ledger(server: &ServerHandle) -> SlaLedger {
+    sla::poll(server, std::time::Duration::from_secs(5)).expect("sla iApp replies")
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // The commuter-rush preset: fast UEs shuttling between two cells,
     // diurnal churn, one mid-run outage.
     let spec = ScenarioSpec::preset("commuter-rush", 7).unwrap();
@@ -86,26 +78,26 @@ async fn main() {
     );
     cfg.tick_ms = Some(20);
     cfg.reconnect_grace_ms = 10_000;
-    let server = Server::spawn(cfg, vec![Box::new(monitor), Box::new(sla)]).await.expect("ric");
+    let server = Server::spawn(cfg, vec![Box::new(monitor), Box::new(sla)]).expect("ric");
     println!("controller up: monitoring + sla iApps, E2 on {}", server.addrs[0]);
 
     let mut agents: Vec<Option<AgentHandle>> = Vec::new();
     for cell in 0..cells {
-        agents.push(Some(spawn_agent(&sim, cell, &server).await));
+        agents.push(Some(spawn_agent(&sim, cell, &server)));
     }
     let want_subs = cells as u64 * 3; // MAC + RLC + slice per agent
     for _ in 0..400 {
-        if server.stats().await.unwrap().subs >= want_subs {
+        if server.stats().unwrap().subs >= want_subs {
             break;
         }
-        tokio::time::sleep(std::time::Duration::from_millis(10)).await;
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
     // Accelerated virtual-time drive: ~30 virtual seconds of scenario.
     let mut last_viol = 0;
     for step in 1..=(DUR_MS / TICK_MS) {
         {
-            let mut s = sim.lock();
+            let mut s = sim.lock().expect("lock poisoned");
             for _ in 0..TICK_MS {
                 s.tick();
                 engine.advance(&mut s);
@@ -132,21 +124,24 @@ async fn main() {
                 }
                 ScenarioEvent::CellRecover { cell } => {
                     println!("[{now:>6} ms] cell {cell} back — agent reconnects");
-                    agents[cell] = Some(spawn_agent(&sim, cell, &server).await);
+                    agents[cell] = Some(spawn_agent(&sim, cell, &server));
                 }
             }
         }
         for a in agents.iter().flatten() {
             a.tick(now);
         }
+        // A round trip through each live agent's queue: none lags the
+        // simulator's clock.
+        for a in agents.iter().flatten() {
+            let _ = a.stats();
+        }
         if step % 10 == 0 {
-            tokio::time::sleep(std::time::Duration::from_millis(1)).await;
-        } else {
-            tokio::task::yield_now().await;
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         // Every 5 virtual seconds, show how the ledger is moving.
-        if now % 5_000 == 0 {
-            let led = ledger(&server).await;
+        if now.is_multiple_of(5_000) {
+            let led = ledger(&server);
             let total = led.total_violation_ms();
             println!(
                 "[{now:>6} ms] ledger: {:.1} violation-s (+{:.1}), {} evals, {} share pushes, {} acks",
@@ -160,7 +155,7 @@ async fn main() {
         }
     }
 
-    let led = ledger(&server).await;
+    let led = ledger(&server);
     println!(
         "\nfinal: {:.1} SLA-violation seconds over {} virtual s",
         led.total_violation_ms() as f64 / 1e3,

@@ -10,10 +10,9 @@
 //! cargo run --release --example slicing_demo
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use serde_json::json;
+use flexric_xapp::json;
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
@@ -25,12 +24,13 @@ use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
 use flexric_xapp::http::HttpClient;
 
-async fn observe(sim: &Arc<Mutex<Sim>>, flows: &[usize], label: &str, secs: u64) {
-    let before: Vec<u64> = flows.iter().map(|f| sim.lock().flow(*f).delivered_bytes).collect();
-    tokio::time::sleep(std::time::Duration::from_secs(secs)).await;
+fn observe(sim: &Arc<Mutex<Sim>>, flows: &[usize], label: &str, secs: u64) {
+    let before: Vec<u64> =
+        flows.iter().map(|f| sim.lock().expect("lock poisoned").flow(*f).delivered_bytes).collect();
+    std::thread::sleep(std::time::Duration::from_secs(secs));
     println!("{label}:");
     for (i, f) in flows.iter().enumerate() {
-        let after = sim.lock().flow(*f).delivered_bytes;
+        let after = sim.lock().expect("lock poisoned").flow(*f).delivered_bytes;
         println!(
             "  UE {}: {:>6.2} Mbit/s",
             i + 1,
@@ -39,16 +39,15 @@ async fn observe(sim: &Arc<Mutex<Sim>>, flows: &[usize], label: &str, secs: u64)
     }
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // Controller: SC SM manager iApp + REST northbound.
     let (slice_app, latest) = SliceApp::new(SmCodec::Flatb, 500);
     let cfg = ServerConfig::new(
         GlobalRicId::new(Plmn::TEST, 1),
         TransportAddr::parse("127.0.0.1:0").unwrap(),
     );
-    let server = Server::spawn(cfg, vec![Box::new(slice_app)]).await.expect("controller");
-    let rest = spawn_rest("127.0.0.1:0", server.clone(), latest).await.expect("rest");
+    let server = Server::spawn(cfg, vec![Box::new(slice_app)]).expect("controller");
+    let rest = spawn_rest("127.0.0.1:0", server.clone(), latest).expect("rest");
     let rest_addr = rest.addr.to_string();
     println!("slicing controller: E2 on {}, REST on {}", server.addrs[0], rest_addr);
 
@@ -74,19 +73,18 @@ async fn main() {
         server.addrs[0].clone(),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.expect("agent");
+    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent");
 
     // Real-time TTI driver.
     {
         let sim = sim.clone();
         let agent = agent.clone();
-        tokio::spawn(async move {
-            let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+        std::thread::spawn(move || {
+            let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
             loop {
-                iv.tick().await;
+                iv.tick();
                 let now = {
-                    let mut s = sim.lock();
+                    let mut s = sim.lock().expect("lock poisoned");
                     s.tick();
                     s.now_ms()
                 };
@@ -94,30 +92,25 @@ async fn main() {
             }
         });
     }
-    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+    std::thread::sleep(std::time::Duration::from_millis(300));
 
-    observe(&sim, &flows, "\nno slicing (equal share)", 4).await;
+    observe(&sim, &flows, "\nno slicing (equal share)", 4);
 
     // The xApp: plain REST calls, exactly what the paper does with curl.
-    let post = |path: &'static str, body: serde_json::Value| {
-        let addr = rest_addr.clone();
-        async move {
-            let (status, resp) = HttpClient::post_json(&addr, path, &body).await.expect("POST");
-            assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
-        }
+    let post = |path: &'static str, body: json::Value| {
+        let (status, resp) = HttpClient::post_json(&rest_addr, path, &body).expect("POST");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
     };
-    post("/slice/algo", json!({"agent": 0, "algo": "nvs"})).await;
+    post("/slice/algo", json!({"agent": 0, "algo": "nvs"}));
     post(
         "/slice/conf",
         json!({"agent": 0, "slices": [
             {"id": 0, "label": "gold", "params": {"type": "nvs_capacity", "share_pct": 50.0}},
             {"id": 1, "label": "best-effort", "params": {"type": "nvs_capacity", "share_pct": 50.0}},
         ]}),
-    )
-    .await;
-    post("/slice/assoc", json!({"agent": 0, "assoc": [[0x4601, 0], [0x4602, 1], [0x4603, 1]]}))
-        .await;
-    observe(&sim, &flows, "\nNVS 50/50, UE1 alone in the gold slice", 4).await;
+    );
+    post("/slice/assoc", json!({"agent": 0, "assoc": [[0x4601, 0], [0x4602, 1], [0x4603, 1]]}));
+    observe(&sim, &flows, "\nNVS 50/50, UE1 alone in the gold slice", 4);
 
     post(
         "/slice/conf",
@@ -125,15 +118,14 @@ async fn main() {
             {"id": 0, "label": "gold", "params": {"type": "nvs_capacity", "share_pct": 66.0}},
             {"id": 1, "label": "best-effort", "params": {"type": "nvs_capacity", "share_pct": 34.0}},
         ]}),
-    )
-    .await;
-    observe(&sim, &flows, "\nNVS 66/34", 4).await;
+    );
+    observe(&sim, &flows, "\nNVS 66/34", 4);
 
     // Read the slice statistics back over REST, as a dashboard would.
-    let (status, body) = HttpClient::get(&rest_addr, "/slices").await.expect("GET /slices");
+    let (status, body) = HttpClient::get(&rest_addr, "/slices").expect("GET /slices");
     assert_eq!(status, 200);
-    let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
-    println!("\nGET /slices → {}", serde_json::to_string_pretty(&v).unwrap());
+    let v = json::parse(&body).expect("the controller answers in JSON");
+    println!("\nGET /slices → {}", v.to_string_pretty());
 
     agent.stop();
     server.stop();

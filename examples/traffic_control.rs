@@ -12,9 +12,7 @@
 //! cargo run --release --example traffic_control
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
@@ -30,10 +28,9 @@ use flexric_xapp::broker::Broker;
 
 const RNTI: u16 = 0x4601;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // Northbound plumbing: pub/sub broker (the Redis stand-in).
-    let broker = Broker::spawn("127.0.0.1:0").await.expect("broker");
+    let broker = Broker::spawn("127.0.0.1:0").expect("broker");
     let broker_addr = broker.addr.to_string();
 
     // Controller: stats forwarder + TC SM manager, REST northbound.
@@ -49,8 +46,8 @@ async fn main() {
         GlobalRicId::new(Plmn::TEST, 1),
         TransportAddr::parse("127.0.0.1:0").unwrap(),
     );
-    let server = Server::spawn(cfg, vec![Box::new(fwd), Box::new(mgr)]).await.expect("server");
-    let rest = spawn_rest("127.0.0.1:0", server.clone()).await.expect("rest");
+    let server = Server::spawn(cfg, vec![Box::new(fwd), Box::new(mgr)]).expect("server");
+    let rest = spawn_rest("127.0.0.1:0", server.clone()).expect("rest");
     println!("TC controller: E2 {}, broker {}, REST {}", server.addrs[0], broker_addr, rest.addr);
 
     // Base station: one UE, a VoIP flow, and (after 5 s) a greedy TCP flow.
@@ -81,19 +78,18 @@ async fn main() {
         server.addrs[0].clone(),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, sm)).await.expect("agent");
+    let agent = Agent::spawn(acfg, full_bundle(&bs, sm)).expect("agent");
 
     // Real-time TTI driver.
     {
         let sim = sim.clone();
         let agent = agent.clone();
-        tokio::spawn(async move {
-            let mut iv = tokio::time::interval(std::time::Duration::from_millis(1));
-            iv.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
+        std::thread::spawn(move || {
+            let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
             loop {
-                iv.tick().await;
+                iv.tick();
                 let now = {
-                    let mut s = sim.lock();
+                    let mut s = sim.lock().expect("lock poisoned");
                     s.tick();
                     s.now_ms()
                 };
@@ -103,21 +99,22 @@ async fn main() {
     }
 
     // The xApp.
-    let guard = tokio::spawn(run_bloat_guard(BloatGuardConfig {
+    let guard_cfg = BloatGuardConfig {
         broker_addr,
         rest_addr: rest.addr.to_string(),
         sojourn_limit_us: 20_000,
         protect_dst_port: 5004,
         protect_proto: 17,
         pacer_target_us: 10_000,
-    }));
+    };
+    let guard = std::thread::spawn(move || run_bloat_guard(guard_cfg));
 
     // Narrate the VoIP RTT once per second.
     let mut intervened_at = None;
     for sec in 1..=20u64 {
-        tokio::time::sleep(std::time::Duration::from_secs(1)).await;
+        std::thread::sleep(std::time::Duration::from_secs(1));
         let (rtt_ms, n) = {
-            let s = sim.lock();
+            let s = sim.lock().expect("lock poisoned");
             let log = &s.flow(voip).rtt_log;
             let recent: Vec<u64> =
                 log.iter().rev().take(40).map(|(_, rtt_us)| rtt_us / 1000).collect();

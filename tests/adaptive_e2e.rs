@@ -50,8 +50,8 @@ fn labeled_sum(snap: &Snapshot, name: &str, label_frag: &str) -> u64 {
         .sum()
 }
 
-#[tokio::test]
-async fn delta_conservation_and_retuning_over_mem() {
+#[test]
+fn delta_conservation_and_retuning_over_mem() {
     if cfg!(feature = "obs-off") {
         return; // counters are compiled out; nothing to conserve
     }
@@ -75,7 +75,6 @@ async fn delta_conservation_and_retuning_over_mem() {
             .unwrap_or_else(|| MonitorApp::replica(mcfg, rdb.clone(), rcounters.clone()));
         vec![Box::new(app) as Box<dyn flexric::server::IApp>]
     })
-    .await
     .unwrap();
 
     let mut agents: Vec<AgentHandle> = Vec::new();
@@ -83,20 +82,18 @@ async fn delta_conservation_and_retuning_over_mem() {
         let mut acfg =
             AgentConfig::new(GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1 + i), addr.clone());
         acfg.tick_ms = None;
-        agents.push(
-            Agent::spawn(acfg, dummy_bundle_time_varying(UES, SmCodec::Flatb, i)).await.unwrap(),
-        );
+        agents.push(Agent::spawn(acfg, dummy_bundle_time_varying(UES, SmCodec::Flatb, i)).unwrap());
     }
 
     // Wait until all MAC+RLC+PDCP subscriptions are established.
     let want_subs = AGENTS * 3;
     for _ in 0..200 {
-        if server.stats().await.unwrap().subs >= want_subs {
+        if server.stats().unwrap().subs >= want_subs {
             break;
         }
-        tokio::time::sleep(Duration::from_millis(20)).await;
+        std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(server.stats().await.unwrap().subs, want_subs, "subscriptions established");
+    assert_eq!(server.stats().unwrap().subs, want_subs, "subscriptions established");
 
     // Drive the workload: every tick is due for every subscription (see
     // module docs), so each function steps its generator exactly once per
@@ -106,9 +103,12 @@ async fn delta_conservation_and_retuning_over_mem() {
             a.tick(i * TICK_MS);
         }
         if i % 10 == 0 {
-            tokio::time::sleep(Duration::from_millis(2)).await;
+            std::thread::sleep(Duration::from_millis(2));
         } else {
-            tokio::task::yield_now().await;
+            // A round trip through each agent's queue: none lags the clock.
+            for a in &agents {
+                let _ = a.stats();
+            }
         }
     }
 
@@ -120,7 +120,7 @@ async fn delta_conservation_and_retuning_over_mem() {
         if sent > 0 && sent == rx {
             break;
         }
-        tokio::time::sleep(Duration::from_millis(25)).await;
+        std::thread::sleep(Duration::from_millis(25));
         snap = flexric_obs::snapshot();
     }
 
@@ -166,11 +166,11 @@ async fn delta_conservation_and_retuning_over_mem() {
             g
         })
         .collect();
-    let db_agents = db.lock().agents();
+    let db_agents = db.lock().unwrap().agents();
     assert_eq!(db_agents.len(), AGENTS as usize, "stats stored for every agent");
     let mut matched = vec![false; truths.len()];
     for &agent_id in &db_agents {
-        let db = db.lock();
+        let db = db.lock().unwrap();
         let mac = db.mac(agent_id).expect("MAC snapshot decodes");
         let rlc = db.rlc(agent_id).expect("RLC snapshot decodes");
         let pdcp = db.pdcp(agent_id).expect("PDCP snapshot decodes");

@@ -1,10 +1,8 @@
 //! Cross-crate integration tests: full FlexRIC stacks assembled from the
 //! public APIs of every workspace crate.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
@@ -34,32 +32,34 @@ fn test_sim(ues: u16) -> Arc<Mutex<Sim>> {
 }
 
 /// Drives `ms` of virtual time through sim + agent.
-async fn drive(sim: &Arc<Mutex<Sim>>, agent: &flexric::agent::AgentHandle, ms: u64) {
+fn drive(sim: &Arc<Mutex<Sim>>, agent: &flexric::agent::AgentHandle, ms: u64) {
     for chunk in 0..(ms / 50).max(1) {
         let _ = chunk;
         for _ in 0..50 {
             let now = {
-                let mut s = sim.lock();
+                let mut s = sim.lock().unwrap();
                 s.tick();
                 s.now_ms()
             };
             agent.tick(now);
         }
-        tokio::task::yield_now().await;
+        // A round trip through the agent's queue: it has handled every
+        // tick so far, so it never lags the simulator by more than a chunk.
+        let _ = agent.stats();
     }
     // Allow in-flight indications to land.
-    tokio::time::sleep(Duration::from_millis(100)).await;
+    std::thread::sleep(Duration::from_millis(100));
 }
 
-#[tokio::test]
-async fn monitoring_pipeline_end_to_end() {
+#[test]
+fn monitoring_pipeline_end_to_end() {
     // Controller + simulated BS over the in-memory transport; statistics
     // must arrive decoded and fresh in the controller's store.
     let (monitor, db, counters) = MonitorApp::new(MonitorConfig::default());
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem("it-monitor".into()));
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(monitor)]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(monitor)]).unwrap();
 
     let sim = test_sim(3);
     let bs = SimBs::new(sim.clone(), 0);
@@ -68,13 +68,13 @@ async fn monitoring_pipeline_end_to_end() {
         TransportAddr::Mem("it-monitor".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Flatb)).await.unwrap();
+    let agent = Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Flatb)).unwrap();
 
-    drive(&sim, &agent, 2_000).await;
+    drive(&sim, &agent, 2_000);
 
     let inds = counters.indications.load(std::sync::atomic::Ordering::Relaxed);
     assert!(inds > 3_000, "3 SMs × ~2000 ticks: got {inds}");
-    let table = db.lock();
+    let table = db.lock().unwrap();
     let mac = table.mac(0).expect("mac stats stored");
     assert_eq!(mac.ues.len(), 3);
     assert!(mac.ues.iter().any(|u| u.dl_aggr_bytes > 1_000_000), "traffic flowed");
@@ -86,8 +86,8 @@ async fn monitoring_pipeline_end_to_end() {
     server.stop();
 }
 
-#[tokio::test]
-async fn monitoring_pipeline_asn1_variant() {
+#[test]
+fn monitoring_pipeline_asn1_variant() {
     // The same pipeline over the ASN.1-PER codec end to end.
     let (monitor, db, _) =
         MonitorApp::new(MonitorConfig { sm_codec: SmCodec::Asn1Per, ..Default::default() });
@@ -97,7 +97,7 @@ async fn monitoring_pipeline_asn1_variant() {
     );
     cfg.codec = E2apCodec::Asn1Per;
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(monitor)]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(monitor)]).unwrap();
 
     let sim = test_sim(2);
     let bs = SimBs::new(sim.clone(), 0);
@@ -107,26 +107,26 @@ async fn monitoring_pipeline_asn1_variant() {
     );
     acfg.codec = E2apCodec::Asn1Per;
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Asn1Per)).await.unwrap();
+    let agent = Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Asn1Per)).unwrap();
 
-    drive(&sim, &agent, 500).await;
-    assert!(db.lock().mac(0).is_some(), "ASN.1 path delivers stats");
+    drive(&sim, &agent, 500);
+    assert!(db.lock().unwrap().mac(0).is_some(), "ASN.1 path delivers stats");
     agent.stop();
     server.stop();
 }
 
-#[tokio::test]
-async fn slicing_control_loop_via_rest() {
+#[test]
+fn slicing_control_loop_via_rest() {
     use flexric_ctrl::slicing::{spawn_rest, SliceApp};
     use flexric_xapp::http::HttpClient;
-    use serde_json::json;
+    use flexric_xapp::json;
 
     let (slice_app, latest) = SliceApp::new(SmCodec::Flatb, 100);
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem("it-slicing".into()));
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(slice_app)]).await.unwrap();
-    let rest = spawn_rest("127.0.0.1:0", server.clone(), latest).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(slice_app)]).unwrap();
+    let rest = spawn_rest("127.0.0.1:0", server.clone(), latest).unwrap();
     let rest_addr = rest.addr.to_string();
 
     let sim = test_sim(2);
@@ -136,32 +136,33 @@ async fn slicing_control_loop_via_rest() {
         TransportAddr::Mem("it-slicing".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.unwrap();
+    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).unwrap();
     // Background virtual-time driver so REST control round-trips complete
     // while we await them.
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let driver = {
         let sim = sim.clone();
         let agent = agent.clone();
-        tokio::spawn(async move {
-            loop {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 for _ in 0..20 {
                     let now = {
-                        let mut s = sim.lock();
+                        let mut s = sim.lock().unwrap();
                         s.tick();
                         s.now_ms()
                     };
                     agent.tick(now);
                 }
-                tokio::time::sleep(Duration::from_millis(2)).await;
+                std::thread::sleep(Duration::from_millis(2));
             }
         })
     };
-    tokio::time::sleep(Duration::from_millis(200)).await;
+    std::thread::sleep(Duration::from_millis(200));
 
     // Configure slices over REST.
     let (status, body) =
         HttpClient::post_json(&rest_addr, "/slice/algo", &json!({"agent": 0, "algo": "nvs"}))
-            .await
             .unwrap();
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
     let (status, _) = HttpClient::post_json(
@@ -172,7 +173,6 @@ async fn slicing_control_loop_via_rest() {
             {"id": 1, "label": "b", "params": {"type": "nvs_capacity", "share_pct": 30.0}},
         ]}),
     )
-    .await
     .unwrap();
     assert_eq!(status, 200);
     let (status, _) = HttpClient::post_json(
@@ -180,7 +180,6 @@ async fn slicing_control_loop_via_rest() {
         "/slice/assoc",
         &json!({"agent": 0, "assoc": [[0x4601, 0], [0x4602, 1]]}),
     )
-    .await
     .unwrap();
     assert_eq!(status, 200);
 
@@ -192,13 +191,12 @@ async fn slicing_control_loop_via_rest() {
             {"id": 2, "label": "c", "params": {"type": "nvs_capacity", "share_pct": 10.0}},
         ]}),
     )
-    .await
     .unwrap();
     assert_eq!(status, 400, "admission control surfaces as HTTP 400");
 
     // The slice configuration is observable in the simulator.
     {
-        let s = sim.lock();
+        let s = sim.lock().unwrap();
         assert!(s.cells[0].sched.index_of(0).is_some());
         assert!(s.cells[0].sched.index_of(1).is_some());
         assert!(s.cells[0].sched.index_of(2).is_none());
@@ -208,30 +206,31 @@ async fn slicing_control_loop_via_rest() {
     // And the stats flow back up over GET /slices eventually.
     let mut saw = false;
     for _ in 0..50 {
-        let (status, body) = HttpClient::get(&rest_addr, "/slices").await.unwrap();
+        let (status, body) = HttpClient::get(&rest_addr, "/slices").unwrap();
         assert_eq!(status, 200);
-        let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
+        let v = json::parse(&body).unwrap();
         if v.as_array().is_some_and(|a| !a.is_empty()) {
             saw = true;
             break;
         }
-        tokio::time::sleep(Duration::from_millis(50)).await;
+        std::thread::sleep(Duration::from_millis(50));
     }
     assert!(saw, "slice stats visible over REST");
-    driver.abort();
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    driver.join().unwrap();
     agent.stop();
     server.stop();
 }
 
-#[tokio::test]
-async fn tc_xapp_full_loop_fixes_bufferbloat() {
+#[test]
+fn tc_xapp_full_loop_fixes_bufferbloat() {
     use flexric_ctrl::ranfun::BearerAddr;
     use flexric_ctrl::traffic::{
         run_bloat_guard, spawn_rest, BloatGuardConfig, StatsForwarderApp, TcManagerApp,
     };
     use flexric_xapp::broker::Broker;
 
-    let broker = Broker::spawn("127.0.0.1:0").await.unwrap();
+    let broker = Broker::spawn("127.0.0.1:0").unwrap();
     let broker_addr = broker.addr.to_string();
     let sm = SmCodec::Flatb;
     let fwd = StatsForwarderApp::new(
@@ -244,8 +243,8 @@ async fn tc_xapp_full_loop_fixes_bufferbloat() {
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem("it-tc".into()));
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(fwd), Box::new(mgr)]).await.unwrap();
-    let rest = spawn_rest("127.0.0.1:0", server.clone()).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(fwd), Box::new(mgr)]).unwrap();
+    let rest = spawn_rest("127.0.0.1:0", server.clone()).unwrap();
 
     // Sim: VoIP + greedy TCP on one bearer.
     let mut sim = Sim::new(vec![CellConfig::nr("cell0", 106)], PathConfig::default());
@@ -275,16 +274,17 @@ async fn tc_xapp_full_loop_fixes_bufferbloat() {
         TransportAddr::Mem("it-tc".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, sm)).await.unwrap();
+    let agent = Agent::spawn(acfg, full_bundle(&bs, sm)).unwrap();
 
-    let guard = tokio::spawn(run_bloat_guard(BloatGuardConfig {
+    let guard_cfg = BloatGuardConfig {
         broker_addr,
         rest_addr: rest.addr.to_string(),
         sojourn_limit_us: 15_000,
         protect_dst_port: 5004,
         protect_proto: 17,
         pacer_target_us: 10_000,
-    }));
+    };
+    let guard = std::thread::spawn(move || run_bloat_guard(guard_cfg));
 
     // Drive until the xApp has intervened (bounded).
     let driver_sim = sim.clone();
@@ -293,13 +293,13 @@ async fn tc_xapp_full_loop_fixes_bufferbloat() {
     for _ in 0..400 {
         for _ in 0..50 {
             let now = {
-                let mut s = driver_sim.lock();
+                let mut s = driver_sim.lock().unwrap();
                 s.tick();
                 s.now_ms()
             };
             driver_agent.tick(now);
         }
-        tokio::time::sleep(Duration::from_millis(2)).await;
+        std::thread::sleep(Duration::from_millis(2));
         if guard.is_finished() {
             intervened = true;
             break;
@@ -308,7 +308,7 @@ async fn tc_xapp_full_loop_fixes_bufferbloat() {
     assert!(intervened, "xApp intervened through broker + REST");
     // The TC layer of the bearer now has a second queue and a pacer.
     {
-        let s = sim.lock();
+        let s = sim.lock().unwrap();
         let ue = s.cells[0].ues.iter().find(|u| u.cfg.rnti == 0x4601).unwrap();
         let tc = &ue.bearers[0].tc;
         assert!(matches!(tc.pacer(), flexric_sm::tc::PacerConf::Bdp { target_delay_us: 10_000 }));
@@ -317,12 +317,11 @@ async fn tc_xapp_full_loop_fixes_bufferbloat() {
     server.stop();
 }
 
-#[tokio::test]
-async fn recursive_virtualization_isolates_tenants() {
+#[test]
+fn recursive_virtualization_isolates_tenants() {
     use flexric_ctrl::recursive::{TenantConf, VirtController};
-    use flexric_ctrl::slicing::{ApplySliceCtrl, SliceApp};
+    use flexric_ctrl::slicing::{self, SliceApp};
     use flexric_sm::slice::{SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
-    use tokio::sync::oneshot;
 
     // Tenant controllers.
     let mk_tenant = |name: &str| {
@@ -334,8 +333,8 @@ async fn recursive_virtualization_isolates_tenants() {
     };
     let (cfg_a, app_a, latest_a) = mk_tenant("it-virt-a");
     let (cfg_b, app_b, _latest_b) = mk_tenant("it-virt-b");
-    let ctrl_a = Server::spawn(cfg_a, vec![Box::new(app_a)]).await.unwrap();
-    let _ctrl_b = Server::spawn(cfg_b, vec![Box::new(app_b)]).await.unwrap();
+    let ctrl_a = Server::spawn(cfg_a, vec![Box::new(app_a)]).unwrap();
+    let _ctrl_b = Server::spawn(cfg_b, vec![Box::new(app_b)]).unwrap();
 
     // Virtualization controller.
     let mut south_cfg = ServerConfig::new(
@@ -364,7 +363,6 @@ async fn recursive_virtualization_isolates_tenants() {
         100,
         None,
     )
-    .await
     .unwrap();
 
     // Shared cell: 2 UEs per tenant.
@@ -390,7 +388,7 @@ async fn recursive_virtualization_isolates_tenants() {
         TransportAddr::Mem("it-virt-south".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.unwrap();
+    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).unwrap();
 
     // Virtual-time driver covering agent + virt north agent.
     let run = |ms: u64| {
@@ -398,11 +396,11 @@ async fn recursive_virtualization_isolates_tenants() {
         let agent = agent.clone();
         let north = virt.north.clone();
         let south = virt.south.clone();
-        async move {
+        move || {
             for _ in 0..(ms / 50) {
                 for _ in 0..50 {
                     let now = {
-                        let mut s = sim.lock();
+                        let mut s = sim.lock().unwrap();
                         s.tick();
                         s.now_ms()
                     };
@@ -410,31 +408,25 @@ async fn recursive_virtualization_isolates_tenants() {
                     north.tick(now);
                     south.tick(now);
                 }
-                tokio::time::sleep(Duration::from_millis(1)).await;
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
     };
-    run(2_000).await;
+    run(2_000)();
 
     // Tenant UEs were auto-associated to their tenant default slices, so
     // throughput splits ~50/50 between operators.
-    let delivered = |i: usize| sim.lock().flow(i).delivered_bytes as f64;
+    let delivered = |i: usize| sim.lock().unwrap().flow(i).delivered_bytes as f64;
     let a = delivered(0) + delivered(1);
     let b = delivered(2) + delivered(3);
     let frac = a / (a + b);
     assert!((0.4..0.6).contains(&frac), "SLA split ≈50/50, got {frac:.2}");
 
     // Tenant A sub-slices within its virtual network.
-    let apply = |ctrl: SliceCtrl| {
-        let server = ctrl_a.clone();
-        async move {
-            let (tx, rx) = oneshot::channel();
-            server.to_iapp("slice", Box::new(ApplySliceCtrl { agent: 0, ctrl, reply: tx }));
-            tokio::time::timeout(Duration::from_secs(5), rx).await.unwrap().unwrap()
-        }
-    };
+    let apply =
+        |ctrl: SliceCtrl| slicing::apply(&ctrl_a, 0, ctrl).expect("tenant A's iApp replies");
     // A runs the driver concurrently so the control round-trip completes.
-    let driver = tokio::spawn(run(4_000));
+    let driver = std::thread::spawn(run(4_000));
     let reply = apply(SliceCtrl::AddModSlices {
         slices: vec![SliceConf {
             id: 0,
@@ -442,8 +434,7 @@ async fn recursive_virtualization_isolates_tenants() {
             params: SliceParams::NvsCapacity { share_milli: 800 },
             ue_sched: UeSchedAlgo::PropFair,
         }],
-    })
-    .await;
+    });
     assert!(reply.ok, "virtual sub-slice accepted: {}", reply.detail);
     // Over-commit of the virtual budget is rejected.
     let reply = apply(SliceCtrl::AddModSlices {
@@ -453,13 +444,12 @@ async fn recursive_virtualization_isolates_tenants() {
             params: SliceParams::NvsCapacity { share_milli: 300 },
             ue_sched: UeSchedAlgo::PropFair,
         }],
-    })
-    .await;
+    });
     assert!(!reply.ok, "virtual admission control rejects over-commit");
-    driver.await.unwrap();
+    driver.join().unwrap();
 
     // The tenant's slice stats (virtual view) arrived at its controller.
-    let seen = latest_a.lock().values().next().cloned();
+    let seen = latest_a.lock().unwrap().values().next().cloned();
     if let Some(stats) = seen {
         for s in &stats.slices {
             assert!(s.conf.id <= 99, "tenant sees virtual ids, got {}", s.conf.id);
@@ -468,8 +458,8 @@ async fn recursive_virtualization_isolates_tenants() {
     agent.stop();
 }
 
-#[tokio::test]
-async fn transport_fault_injection_does_not_wedge_the_stack() {
+#[test]
+fn transport_fault_injection_does_not_wedge_the_stack() {
     // Corrupted E2AP bytes must be ignored/answered with error
     // indications, never crash the server.
     use bytes::Bytes;
@@ -479,14 +469,15 @@ async fn transport_fault_injection_does_not_wedge_the_stack() {
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem("it-fault".into()));
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(monitor)]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(monitor)]).unwrap();
 
-    // A raw connection spewing garbage never completes setup…
-    let mut garbage = connect(&TransportAddr::Mem("it-fault".into())).await.unwrap();
+    // A raw connection spewing garbage never completes setup: the
+    // controller drops it at the first frame that is not a setup request,
+    // so the later sends may already find the connection gone.
+    let mut garbage = connect(&TransportAddr::Mem("it-fault".into())).unwrap();
     for i in 0..50u8 {
-        garbage.send(WireMsg::e2ap(Bytes::from(vec![i; 64]))).await.unwrap();
+        let _ = garbage.send(WireMsg::e2ap(Bytes::from(vec![i; 64])));
     }
-    tokio::time::sleep(Duration::from_millis(100)).await;
 
     // …while a well-behaved agent still connects fine afterwards.
     let sim = test_sim(1);
@@ -496,7 +487,7 @@ async fn transport_fault_injection_does_not_wedge_the_stack() {
         TransportAddr::Mem("it-fault".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, stats_bundle(&sim_bs(&sim), SmCodec::Flatb)).await;
+    let agent = Agent::spawn(acfg, stats_bundle(&sim_bs(&sim), SmCodec::Flatb));
     assert!(agent.is_ok(), "server survives garbage and accepts agents");
     let _ = bs;
     server.stop();
@@ -506,8 +497,8 @@ fn sim_bs(sim: &Arc<Mutex<Sim>>) -> SimBs {
     SimBs::new(sim.clone(), 0)
 }
 
-#[tokio::test]
-async fn kpm_subscription_and_handover_control() {
+#[test]
+fn kpm_subscription_and_handover_control() {
     use bytes::Bytes;
     use flexric::server::{CtrlOutcome, SubOutcome};
     use flexric_e2ap::*;
@@ -563,7 +554,7 @@ async fn kpm_subscription_and_handover_control() {
             out: &SubOutcome,
         ) {
             if matches!(out, SubOutcome::Admitted(_)) {
-                self.seen.lock().admitted = true;
+                self.seen.lock().unwrap().admitted = true;
             }
         }
         fn on_indication(
@@ -574,7 +565,7 @@ async fn kpm_subscription_and_handover_control() {
         ) {
             let (_, msg) = ind.sm_payload().unwrap();
             if let Ok(report) = KpmReport::decode(SmCodec::Flatb, msg) {
-                self.seen.lock().reports.push(report);
+                self.seen.lock().unwrap().reports.push(report);
             }
         }
         fn on_control_outcome(
@@ -584,7 +575,7 @@ async fn kpm_subscription_and_handover_control() {
             out: &CtrlOutcome,
         ) {
             if matches!(out, CtrlOutcome::Ack(_)) {
-                self.seen.lock().ho_acked = true;
+                self.seen.lock().unwrap().ho_acked = true;
             }
         }
         fn on_custom(
@@ -613,7 +604,7 @@ async fn kpm_subscription_and_handover_control() {
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem("it-kpm".into()));
     cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(KpmApp { seen: seen.clone() })]).await.unwrap();
+    let server = Server::spawn(cfg, vec![Box::new(KpmApp { seen: seen.clone() })]).unwrap();
 
     // Two-cell sim; the agent fronts cell 0.
     let mut sim =
@@ -635,11 +626,11 @@ async fn kpm_subscription_and_handover_control() {
         TransportAddr::Mem("it-kpm".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.unwrap();
+    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).unwrap();
 
-    drive(&sim, &agent, 1_000).await;
+    drive(&sim, &agent, 1_000);
     {
-        let st = seen.lock();
+        let st = seen.lock().unwrap();
         assert!(st.admitted, "KPM subscription admitted");
         assert!(st.reports.len() >= 5, "KPM reports flowed: {}", st.reports.len());
         let last = st.reports.last().unwrap();
@@ -657,10 +648,10 @@ async fn kpm_subscription_and_handover_control() {
 
     // Handover the UE to cell 1 through the RRC SM.
     server.to_iapp("kpm-app", Box::new(Cmd::Handover(0x4601, 1)));
-    drive(&sim, &agent, 500).await;
-    assert!(seen.lock().ho_acked, "handover control acknowledged");
+    drive(&sim, &agent, 500);
+    assert!(seen.lock().unwrap().ho_acked, "handover control acknowledged");
     {
-        let s = sim.lock();
+        let s = sim.lock().unwrap();
         assert!(s.cells[0].ues.is_empty(), "UE left cell 0");
         assert_eq!(s.cells[1].ues.len(), 1, "UE arrived in cell 1");
     }

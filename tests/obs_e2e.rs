@@ -6,10 +6,9 @@
 //! one binary in one process, so a second stack here would pollute the
 //! counters the invariants are written against.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use flexric::agent::{Agent, AgentConfig};
@@ -64,8 +63,8 @@ fn hist_count(snap: &Snapshot, name: &str) -> u64 {
 /// `flexric_server_shard_*` series are populated.  Running over real
 /// sockets (not the mem transport) also exercises the buffered receive
 /// path, whose zero-copy steady-state invariant is asserted below.
-#[tokio::test]
-async fn indication_conservation_over_tcp_loopback() {
+#[test]
+fn indication_conservation_over_tcp_loopback() {
     if cfg!(feature = "obs-off") {
         return; // counters are compiled out; nothing to conserve
     }
@@ -83,7 +82,6 @@ async fn indication_conservation_over_tcp_loopback() {
             first.take().unwrap_or_else(|| MonitorApp::replica(mcfg, db.clone(), counters.clone()));
         vec![Box::new(app) as Box<dyn flexric::server::IApp>]
     })
-    .await
     .unwrap();
 
     let listen_addr = server.addrs[0].clone();
@@ -111,7 +109,7 @@ async fn indication_conservation_over_tcp_loopback() {
             listen_addr.clone(),
         );
         acfg.tick_ms = None;
-        agents.push(Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Flatb)).await.unwrap());
+        agents.push(Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Flatb)).unwrap());
         sims.push(sim);
     }
 
@@ -126,14 +124,18 @@ async fn indication_conservation_over_tcp_loopback() {
         for _ in 0..50 {
             for (sim, agent) in sims.iter().zip(&agents) {
                 let now = {
-                    let mut s = sim.lock();
+                    let mut s = sim.lock().unwrap();
                     s.tick();
                     s.now_ms()
                 };
                 agent.tick(now);
             }
         }
-        tokio::task::yield_now().await;
+        // A round trip through each agent's queue: none lags the
+        // simulators by more than a chunk of ticks.
+        for agent in &agents {
+            let _ = agent.stats();
+        }
     }
 
     // Settle: poll until the last in-flight indications have landed.
@@ -144,7 +146,7 @@ async fn indication_conservation_over_tcp_loopback() {
         if sent > 0 && sent == rx {
             break;
         }
-        tokio::time::sleep(Duration::from_millis(30)).await;
+        std::thread::sleep(Duration::from_millis(30));
         snap = flexric_obs::snapshot();
     }
 

@@ -518,7 +518,7 @@ impl Wire {
         i
     }
 
-    fn to_iapp(&mut self, c: usize, cmd: RobCmd) {
+    fn tell_iapp(&mut self, c: usize, cmd: RobCmd) {
         self.shard(c, 0, Event::App(ShardIn::ToIApp("rob-app".into(), Box::new(cmd))));
         self.settle();
     }
@@ -554,7 +554,7 @@ fn lost_subscription_request_is_retransmitted() {
 
     // Swallow the controller's next frame — the subscription request.
     w.faults[DOWN].push_back(Fault::Drop);
-    w.to_iapp(0, RobCmd::Subscribe(agent_id));
+    w.tell_iapp(0, RobCmd::Subscribe(agent_id));
     w.advance(RETRY.subscription_deadline_ms - 1);
     assert_eq!(seen(&app, |s| s.admitted), 0, "nothing before the deadline");
 
@@ -616,7 +616,7 @@ fn reconnect_within_grace_replays_every_subscription() {
     let app = w.start_ctrl(0, 1, true);
     let first = w.start_agent(42, None, &[0]);
     let first_id = seen(&app, |s| s.last_agent).unwrap();
-    w.to_iapp(0, RobCmd::Subscribe(first_id)); // a second subscription
+    w.tell_iapp(0, RobCmd::Subscribe(first_id)); // a second subscription
     w.advance(5);
     assert_eq!(seen(&app, |s| s.admitted), 2);
     let before = seen(&app, |s| s.subs[&first_id].clone());
@@ -703,7 +703,7 @@ fn sharded_send_pdu_multi_reaches_every_shard_exactly_once() {
     // One PDU to all agents, issued on shard 0; the other three targets
     // leave it as Forward actions.
     let ids: Vec<AgentId> = seen(&app, |s| s.shard_of.keys().copied().collect());
-    w.to_iapp(0, RobCmd::SendMulti(ids));
+    w.tell_iapp(0, RobCmd::SendMulti(ids));
     w.advance(20);
     for (i, &a) in agents.iter().enumerate() {
         assert_eq!(w.agents[a].stats().rx_msgs, before[i] + 1, "agent {i}: exactly once");
@@ -859,8 +859,8 @@ fn equal_scripts_give_equal_action_sequences() {
         // Three subscriptions per agent, so that replays, retransmissions
         // and connection-lost terminals come several at a time.
         for agent in 0..4 {
-            w.to_iapp(0, RobCmd::Subscribe(agent));
-            w.to_iapp(0, RobCmd::Subscribe(agent));
+            w.tell_iapp(0, RobCmd::Subscribe(agent));
+            w.tell_iapp(0, RobCmd::Subscribe(agent));
         }
         w.advance(5);
         w.faults[DOWN].extend([Fault::Pass, Fault::Drop, Fault::Drop, Fault::Hold]);

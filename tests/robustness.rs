@@ -10,10 +10,8 @@
 //! written against a single stack's counters.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{Server, ServerConfig, ServerHandle};
@@ -37,18 +35,18 @@ fn counter(snap: &Snapshot, name: &str) -> u64 {
     snap.counter_value(name).unwrap_or_else(|| panic!("{name} not in registry"))
 }
 
-async fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> AgentHandle {
+fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> AgentHandle {
     let bs = SimBs::new(sim.clone(), cell);
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1 + cell as u64),
         server.addrs[0].clone(),
     );
     acfg.tick_ms = None; // virtual-time driven
-    Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).await.expect("agent")
+    Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent")
 }
 
-#[tokio::test]
-async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
+#[test]
+fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
     if cfg!(feature = "obs-off") {
         return; // the invariants below are counter-based
     }
@@ -73,7 +71,7 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
     // length: the only keyframes are stream starts, so the replayed
     // subscriptions after the reconnect are visible as an exact bump.
     let mcfg = MonitorConfig {
-        period_ms: TICK_MS,
+        period_ms: TICK_MS as u32,
         sm_codec: SmCodec::Flatb,
         mac: true,
         rlc: true,
@@ -88,29 +86,29 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
     let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr.clone());
     cfg.tick_ms = Some(20);
     cfg.reconnect_grace_ms = 30_000; // outage is short in wall time
-    let server = Server::spawn(cfg, vec![Box::new(monitor)]).await.expect("controller");
+    let server = Server::spawn(cfg, vec![Box::new(monitor)]).expect("controller");
 
     let mut agents: Vec<Option<AgentHandle>> = Vec::new();
     for cell in 0..cells {
-        agents.push(Some(spawn_agent(&sim, cell, &server).await));
+        agents.push(Some(spawn_agent(&sim, cell, &server)));
     }
 
     // MAC + RLC per agent.
     let want_subs = cells as u64 * 2;
     for _ in 0..200 {
-        if server.stats().await.unwrap().subs >= want_subs {
+        if server.stats().unwrap().subs >= want_subs {
             break;
         }
-        tokio::time::sleep(Duration::from_millis(10)).await;
+        std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(server.stats().await.unwrap().subs, want_subs, "subscriptions established");
+    assert_eq!(server.stats().unwrap().subs, want_subs, "subscriptions established");
 
     let mut keyframes_at_outage = None;
     let mut saw_recovery = false;
     let steps = DUR_MS / TICK_MS;
     for step in 1..=steps {
         {
-            let mut s = sim.lock();
+            let mut s = sim.lock().unwrap();
             for _ in 0..TICK_MS {
                 s.tick();
                 engine.advance(&mut s);
@@ -122,7 +120,7 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
                     // Let in-flight indications land, then cut the
                     // transport: the subscription state must survive in
                     // the server's grace window.
-                    tokio::time::sleep(Duration::from_millis(20)).await;
+                    std::thread::sleep(Duration::from_millis(20));
                     if let Some(a) = agents[cell].take() {
                         a.stop();
                     }
@@ -130,7 +128,7 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
                         Some(counter(&flexric_obs::snapshot(), "flexric_sm_keyframes_total"));
                 }
                 ScenarioEvent::CellRecover { cell } => {
-                    agents[cell] = Some(spawn_agent(&sim, cell, &server).await);
+                    agents[cell] = Some(spawn_agent(&sim, cell, &server));
                     saw_recovery = true;
                 }
                 _ => {}
@@ -140,9 +138,13 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
             a.tick(step * TICK_MS);
         }
         if step % 10 == 0 {
-            tokio::time::sleep(Duration::from_millis(1)).await;
+            std::thread::sleep(Duration::from_millis(1));
         } else {
-            tokio::task::yield_now().await;
+            // A round trip through each live agent's queue: none lags the
+            // simulator by more than a step.
+            for a in agents.iter().flatten() {
+                let _ = a.stats();
+            }
         }
     }
     assert_eq!(engine.stats.outages, 1, "the scheduled outage fired");
@@ -157,7 +159,7 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
         if sent > 0 && sent == rx {
             break;
         }
-        tokio::time::sleep(Duration::from_millis(25)).await;
+        std::thread::sleep(Duration::from_millis(25));
         snap = flexric_obs::snapshot();
     }
 
@@ -175,7 +177,7 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
 
     // The reconnect rebound the agent to its old id and replayed its
     // subscriptions...
-    let stats = server.stats().await.unwrap();
+    let stats = server.stats().unwrap();
     assert!(stats.reconnects >= 1, "agent must rebind within the grace window");
     assert_eq!(stats.subs, want_subs, "replay restores every subscription");
     // ...and the replayed MAC + RLC delta streams restarted with forced
@@ -194,6 +196,7 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
     // including everything that happened while the cell was dark.
     let truths: Vec<BTreeMap<u16, u64>> = sim
         .lock()
+        .unwrap()
         .cells
         .iter()
         .map(|c| c.kpm_counters().iter().map(|k| (k.rnti, k.dl_bytes_total)).collect())
@@ -202,11 +205,11 @@ async fn outage_reconnect_replays_subscriptions_and_resyncs_deltas() {
         truths.iter().any(|t| !t.is_empty()),
         "forced handovers left every UE on the surviving cell"
     );
-    let db_agents = db.lock().agents();
+    let db_agents = db.lock().unwrap().agents();
     assert_eq!(db_agents.len(), cells, "reconnect must not mint a new agent id");
     let mut matched = vec![false; truths.len()];
     for &agent_id in &db_agents {
-        let mac = db.lock().mac(agent_id).expect("MAC snapshot decodes");
+        let mac = db.lock().unwrap().mac(agent_id).expect("MAC snapshot decodes");
         let stored: BTreeMap<u16, u64> =
             mac.ues.iter().map(|u| (u.rnti, u.dl_aggr_bytes)).collect();
         let hit = truths

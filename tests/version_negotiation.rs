@@ -2,23 +2,19 @@
 //! function against the SM registry by OID and semver rules.  Unknown
 //! OIDs and major-version mismatches are rejected with explicit E2AP
 //! causes (never silently dropped); minor-version skew interoperates.
-//!
-//! Runs under `cargo test`; the offline harness does not build the tokio
-//! stack, so these are covered by CI only.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use flexric::agent::{
     Agent, AgentConfig, AgentCtx, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo,
 };
-use flexric::server::{AgentId, AgentInfo, IApp, Server, ServerApi, ServerConfig};
+use flexric::server::{AgentId, AgentInfo, IApp, Server, ServerApi, ServerConfig, ServerHandle};
 use flexric_e2ap::*;
-use flexric_sm::{RanFuncDef, ReportTrigger, SmCodec, SmDescriptor, SmVersion};
+use flexric_sm::{RanFuncDef, ReportTrigger, SmCodec, SmDescriptor, SmPayload, SmVersion};
 use flexric_transport::TransportAddr;
 
 const ALPHA_OID: &str = "vn.sm.alpha";
@@ -112,7 +108,7 @@ impl IApp for WatchApp {
         "watch"
     }
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
-        self.seen.lock().functions.push(
+        self.seen.lock().unwrap().functions.push(
             agent
                 .functions
                 .iter()
@@ -138,7 +134,7 @@ impl IApp for WatchApp {
     }
 }
 
-async fn spawn_server(name: &str, subscribe: bool) -> (Server, Arc<Mutex<Seen>>, Arc<AtomicU64>) {
+fn spawn_server(name: &str, subscribe: bool) -> (ServerHandle, Arc<Mutex<Seen>>, Arc<AtomicU64>) {
     register_alpha();
     let seen = Arc::new(Mutex::new(Seen::default()));
     let inds = Arc::new(AtomicU64::new(0));
@@ -146,11 +142,11 @@ async fn spawn_server(name: &str, subscribe: bool) -> (Server, Arc<Mutex<Seen>>,
     let mut cfg =
         ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem(name.into()));
     cfg.tick_ms = Some(5);
-    let server = Server::spawn(cfg, vec![Box::new(app)]).await.expect("server");
+    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("server");
     (server, seen, inds)
 }
 
-fn agent_cfg(server: &Server, node_id: u64) -> AgentConfig {
+fn agent_cfg(server: &ServerHandle, node_id: u64) -> AgentConfig {
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, node_id),
         server.addrs[0].clone(),
@@ -159,12 +155,12 @@ fn agent_cfg(server: &Server, node_id: u64) -> AgentConfig {
     acfg
 }
 
-async fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
+fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
     for _ in 0..500 {
         if cond() {
             return;
         }
-        tokio::time::sleep(Duration::from_millis(10)).await;
+        std::thread::sleep(Duration::from_millis(10));
     }
     panic!("timeout waiting for {what}");
 }
@@ -172,66 +168,63 @@ async fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 /// An OID the registry has never seen fails setup with
 /// `FunctionNotSupported`, surfaced as an error at the agent and no
 /// registration at the server.
-#[tokio::test]
-async fn unknown_oid_rejected_with_explicit_cause() {
-    let (server, seen, _) = spawn_server("vn-unknown", false).await;
+#[test]
+fn unknown_oid_rejected_with_explicit_cause() {
+    let (server, seen, _) = spawn_server("vn-unknown", false);
     let f = VersionedFn::new(401, "vn.sm.never.registered", FnVersion::V1);
-    let err = Agent::spawn(agent_cfg(&server, 1), vec![Box::new(f)])
-        .await
-        .expect_err("setup must be rejected");
+    let err =
+        Agent::spawn(agent_cfg(&server, 1), vec![Box::new(f)]).expect_err("setup must be rejected");
     assert!(
         err.to_string().contains("FunctionNotSupported"),
         "agent sees the explicit cause, got: {err}"
     );
-    assert!(seen.lock().functions.is_empty(), "rejected agent never reaches iApps");
-    let stats = server.stats().await.unwrap();
+    assert!(seen.lock().unwrap().functions.is_empty(), "rejected agent never reaches iApps");
+    let stats = server.stats().unwrap();
     assert_eq!(stats.agents, 0, "rejected agent not registered");
     server.stop();
 }
 
 /// A major-version mismatch (agent offers 2.0, registry holds 1.x) fails
 /// setup with `FunctionVersionMismatch`.
-#[tokio::test]
-async fn major_version_mismatch_rejected_with_explicit_cause() {
-    let (server, seen, _) = spawn_server("vn-major", false).await;
+#[test]
+fn major_version_mismatch_rejected_with_explicit_cause() {
+    let (server, seen, _) = spawn_server("vn-major", false);
     let f = VersionedFn::new(ALPHA_RF, ALPHA_OID, FnVersion { major: 2, minor: 0 });
-    let err = Agent::spawn(agent_cfg(&server, 2), vec![Box::new(f)])
-        .await
-        .expect_err("setup must be rejected");
+    let err =
+        Agent::spawn(agent_cfg(&server, 2), vec![Box::new(f)]).expect_err("setup must be rejected");
     assert!(
         err.to_string().contains("FunctionVersionMismatch"),
         "agent sees the explicit cause, got: {err}"
     );
-    assert!(seen.lock().functions.is_empty());
+    assert!(seen.lock().unwrap().functions.is_empty());
     server.stop();
 }
 
 /// Minor-version skew still interoperates: the agent offers 1.0 while the
 /// registry holds 1.3; setup succeeds and indications flow end-to-end.
-#[tokio::test]
-async fn minor_version_skew_interoperates() {
-    let (server, seen, inds) = spawn_server("vn-minor", true).await;
+#[test]
+fn minor_version_skew_interoperates() {
+    let (server, seen, inds) = spawn_server("vn-minor", true);
     let f = VersionedFn::new(ALPHA_RF, ALPHA_OID, FnVersion { major: 1, minor: 0 });
-    let agent = Agent::spawn(agent_cfg(&server, 3), vec![Box::new(f)]).await.expect("setup ok");
-    wait_until(|| inds.load(Ordering::Relaxed) >= 5, "indications over skewed versions").await;
-    assert_eq!(seen.lock().functions[0], vec![(ALPHA_OID.to_string(), 1, 0)]);
+    let agent = Agent::spawn(agent_cfg(&server, 3), vec![Box::new(f)]).expect("setup ok");
+    wait_until(|| inds.load(Ordering::Relaxed) >= 5, "indications over skewed versions");
+    assert_eq!(seen.lock().unwrap().functions[0], vec![(ALPHA_OID.to_string(), 1, 0)]);
     agent.stop();
     server.stop();
 }
 
 /// Mixed offers negotiate partially: the unknown function is filtered out
 /// of the server's RAN database, the known one is kept and served.
-#[tokio::test]
-async fn partial_rejection_filters_unknown_function() {
-    let (server, seen, inds) = spawn_server("vn-partial", true).await;
+#[test]
+fn partial_rejection_filters_unknown_function() {
+    let (server, seen, inds) = spawn_server("vn-partial", true);
     let good = VersionedFn::new(ALPHA_RF, ALPHA_OID, FnVersion { major: 1, minor: 3 });
     let bad = VersionedFn::new(402, "vn.sm.never.registered", FnVersion::V1);
     let agent = Agent::spawn(agent_cfg(&server, 4), vec![Box::new(good), Box::new(bad)])
-        .await
         .expect("partial setup succeeds");
-    wait_until(|| inds.load(Ordering::Relaxed) >= 5, "indications on the accepted fn").await;
+    wait_until(|| inds.load(Ordering::Relaxed) >= 5, "indications on the accepted fn");
     {
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert_eq!(seen.functions.len(), 1);
         assert_eq!(
             seen.functions[0],
@@ -239,7 +232,7 @@ async fn partial_rejection_filters_unknown_function() {
             "only the negotiated function enters the RAN database"
         );
     }
-    server.stats().await.unwrap();
+    server.stats().unwrap();
     agent.stop();
     server.stop();
 }
