@@ -117,10 +117,11 @@ fn run_point(agents: usize, ues: u16, period: u32, duration_s: u64, mode: Monito
         let stop = stop.clone();
         driver_tasks.push(std::thread::spawn(move || {
             // The agents' clock advances one period per tick, whenever the
-            // tick comes: a late tick delays a report, it does not make the
-            // next one (on time, but early on the agent's re-armed clock)
-            // skip a period.  Ticks the pacing gives up on are reports not
-            // offered, which is what an unsustainable point looks like.
+            // tick comes, so the offered load is one report per tick the
+            // pacing managed: ticks it gives up on are reports not offered,
+            // which is what an unsustainable point looks like.  (A late
+            // tick costs no period on either clock: the agent re-arms on
+            // the subscription's own grid.)
             let step = period.max(1) as u64;
             let mut iv = flexric::Ticker::every(Duration::from_millis(step));
             let mut now = 0;

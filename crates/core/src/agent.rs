@@ -5,8 +5,10 @@
 //! handshake, and dispatches functional procedures to registered
 //! [`RanFunction`]s through the generic RAN-function API: callbacks for
 //! subscription requests, subscription deletes, and control messages
-//! (paper §4.1.1), plus a tick callback that drives periodic report
-//! subscriptions.
+//! (paper §4.1.1).  It also keeps the subscription books — every admitted
+//! [`Subscription`] with its trigger, its due time and the state its
+//! function attached — so a function is told *when* a report is due and
+//! contains only what it reports (§4.1.2's "custom SM-specific logic").
 //!
 //! ## Multi-controller support (§4.1.2)
 //!
@@ -44,13 +46,14 @@
 //! was never up is not redialled: its first failure is the answer to
 //! whoever added it ([`AgentOut::SetupDone`]).
 
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
 
 use flexric_codec::E2apCodec;
 use flexric_e2ap::*;
-use flexric_sm::{ReportTrigger, SmCodec, SmPayload};
+use flexric_sm::{ReportMode, ReportTrigger, SmCodec, SmPayload};
 use flexric_transport::fault::FaultHandle;
 use flexric_transport::TransportAddr;
 
@@ -105,9 +108,10 @@ impl AgentConfig {
     }
 }
 
-/// An admitted subscription, as tracked by the agent and handed to RAN
-/// functions for indication sending.
-#[derive(Debug, Clone)]
+/// The identity of an admitted subscription: who asked, under which
+/// request id, of which function.  It is what an indication is addressed
+/// with ([`AgentCtx::send_indication`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubscriptionInfo {
     /// Which controller requested it.
     pub ctrl: CtrlId,
@@ -117,8 +121,120 @@ pub struct SubscriptionInfo {
     pub ran_function: RanFunctionId,
     /// The admitted action id.
     pub action: RicActionId,
-    /// The raw event trigger definition.
-    pub trigger: Bytes,
+}
+
+/// What a RAN function answers an admitted subscription with: whether the
+/// agent is to schedule it, and whatever the function wants kept with it.
+pub struct Admission {
+    pub(crate) trigger: Option<ReportTrigger>,
+    pub(crate) state: Box<dyn Any + Send>,
+}
+
+impl Admission {
+    /// A subscription the agent never finds due: the function reports on
+    /// it when something happens, to whoever [`AgentCtx::subscribers`]
+    /// lists then.
+    pub fn on_event() -> Self {
+        Admission { trigger: None, state: Box::new(()) }
+    }
+
+    /// A subscription the agent finds due every `trigger.period_ms` (see
+    /// [`RanFunction::on_report`] for the schedule).
+    pub fn periodic(trigger: ReportTrigger) -> Self {
+        Admission { trigger: Some(trigger), state: Box::new(()) }
+    }
+
+    /// [`Admission::periodic`] under the request's event trigger, a
+    /// [`ReportTrigger`] encoded with `sm_codec`; any other trigger is
+    /// refused.
+    pub fn report(req: &RicSubscriptionRequest, sm_codec: SmCodec) -> Result<Self, Cause> {
+        ReportTrigger::decode(sm_codec, &req.event_trigger)
+            .map(Self::periodic)
+            .map_err(|_| Cause::Ric(RicCause::UnsupportedEventTrigger))
+    }
+
+    /// Keeps `state` with the subscription ([`Subscription::parts`]): a
+    /// measurement baseline, the bearer it watches, a delta stream.
+    pub fn with_state(self, state: impl Any + Send) -> Self {
+        Admission { state: Box::new(state), ..self }
+    }
+}
+
+/// An admitted subscription, as the agent keeps it from admission to
+/// delete, retune or the loss of its controller.
+pub struct Subscription {
+    info: SubscriptionInfo,
+    /// The trigger it reports under; `None` for [`Admission::on_event`].
+    pub(crate) trigger: Option<ReportTrigger>,
+    /// What the function attached at admission (`()` if nothing).
+    pub(crate) state: Box<dyn Any + Send>,
+    /// When the next report is due.
+    due_ms: u64,
+    /// Whether it is among the [`Due`] of the tick being handled.
+    due: bool,
+}
+
+impl Subscription {
+    fn new(info: SubscriptionInfo, admission: Admission, now_ms: u64) -> Self {
+        let Admission { trigger, state } = admission;
+        Subscription { info, trigger, state, due_ms: now_ms, due: false }
+    }
+
+    /// Whom its indications go to.
+    pub fn info(&self) -> &SubscriptionInfo {
+        &self.info
+    }
+
+    /// The report mode asked for (full for an event-driven subscription).
+    pub fn mode(&self) -> ReportMode {
+        self.trigger.map_or(ReportMode::Full, |t| t.mode)
+    }
+
+    /// The identity together with the attached state as the `S` it was
+    /// admitted with.
+    ///
+    /// # Panics
+    /// If the function attached a state of another type.
+    pub fn parts<S: Any>(&mut self) -> (&SubscriptionInfo, &mut S) {
+        (&self.info, self.state.downcast_mut().expect("the state attached at admission"))
+    }
+
+    /// The one re-arm rule.  Due times lie on a grid of whole periods from
+    /// `anchor`; the next one is the first point of it after `now_ms`.
+    /// Anchored at the due time that just fired, a late tick delays one
+    /// report and moves no later one, and a stall of many periods gives one
+    /// report, not a burst; anchored at `now_ms` (a retune), the new period
+    /// takes effect one period from now.
+    fn rearm(&mut self, anchor: u64, now_ms: u64) {
+        let period = self.trigger.map_or(1, |t| t.period_ms.max(1)) as u64;
+        self.due_ms = anchor + (now_ms.saturating_sub(anchor) / period + 1) * period;
+    }
+
+    /// Marks the subscription due or not on the tick at `now_ms`, and
+    /// re-arms one that is.
+    fn take_due(&mut self, now_ms: u64) -> bool {
+        self.due = self.trigger.is_some() && now_ms >= self.due_ms;
+        if self.due {
+            self.rearm(self.due_ms, now_ms);
+        }
+        self.due
+    }
+}
+
+/// The subscriptions of one function that are due on this tick, in the
+/// order they were admitted.
+pub struct Due<'a>(&'a mut [Subscription]);
+
+impl<'a> Due<'a> {
+    /// The due subscriptions.
+    pub fn iter(&self) -> impl Iterator<Item = &Subscription> {
+        self.0.iter().filter(|s| s.due)
+    }
+
+    /// The due subscriptions, with their state open to change.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Subscription> {
+        self.0.iter_mut().filter(|s| s.due)
+    }
 }
 
 /// Context handed to every [`RanFunction`] callback.
@@ -127,21 +243,21 @@ pub struct AgentCtx<'a> {
     pub now_ms: u64,
     outbox: &'a mut Vec<(Targets<CtrlId>, E2apPdu)>,
     assoc: &'a UeAssoc,
+    subs: &'a [Subscription],
 }
 
-impl AgentCtx<'_> {
+impl<'a> AgentCtx<'a> {
+    /// The subscriptions the function being called holds right now, in
+    /// the order they were admitted — whom an event-driven function
+    /// reports to.  (Empty inside [`RanFunction::on_report`], which is
+    /// handed the ones that matter there.)
+    pub fn subscribers(&self) -> &'a [Subscription] {
+        self.subs
+    }
+
     /// Queues an arbitrary PDU toward a controller.
     pub fn send(&mut self, ctrl: CtrlId, pdu: E2apPdu) {
         self.outbox.push((Targets::One(ctrl), pdu));
-    }
-
-    /// Queues one PDU toward several controllers.  The PDU is encoded once
-    /// at flush and the frame is shared across all targets.
-    pub fn send_multi(&mut self, ctrls: Vec<CtrlId>, pdu: E2apPdu) {
-        if ctrls.is_empty() {
-            return;
-        }
-        self.outbox.push((Targets::from_vec(ctrls), pdu));
     }
 
     /// Queues a report indication for a subscription.
@@ -215,155 +331,79 @@ impl AgentCtx<'_> {
 
 /// The generic RAN-function API: custom SM-specific logic implements this
 /// trait and registers with the agent.
+///
+/// The agent keeps the subscription books — who subscribed, under which
+/// trigger, when each report is due, and the per-subscription state the
+/// function attached — and routes requests, retunes, deletes and the loss
+/// of a controller by `(controller, request id)`.  A function is its
+/// identity, an admission decision, and what it does when a report is due
+/// or a control message arrives.
 pub trait RanFunction: Send {
-    /// The function id advertised at E2 setup.
-    fn id(&self) -> RanFunctionId;
-    /// The service model OID advertised at E2 setup.
-    fn oid(&self) -> String;
-    /// The SM-encoded RAN function definition.
-    fn definition(&self) -> Bytes;
-    /// Definition revision.
-    fn revision(&self) -> u16 {
-        1
-    }
-    /// Service-model version advertised behind the OID (`major.minor`).
-    /// Registry-backed functions report their descriptor's version; the
-    /// default matches pre-versioning peers.
-    fn version(&self) -> FnVersion {
-        FnVersion::V1
-    }
+    /// What the function is advertised as at E2 Setup: id, OID, version,
+    /// definition and revision in one value
+    /// ([`flexric_sm::SmDescriptor::advertisement`] builds it from a
+    /// registered descriptor).
+    fn identity(&self) -> &RanFunctionItem;
 
-    /// A controller requests a subscription.  Return the admitted actions
-    /// (commonly all of them) or a cause for rejection.  The function is
+    /// A controller requests a subscription.  Return how it is to be kept
+    /// ([`Admission`]) or a cause for rejection.  The function is
     /// responsible for SLA admission control (paper §4.1.2).
     fn on_subscription(
         &mut self,
         ctx: &mut AgentCtx,
         sub: &SubscriptionInfo,
         req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause>;
+    ) -> Result<Admission, Cause>;
 
-    /// A controller re-issues an existing subscription with a new event
-    /// trigger — the server-driven *retune* path (report-period backoff on
-    /// quiescence, tightening on anomaly).  The subscription identity
-    /// (controller, request id) is unchanged; only the trigger differs.
+    /// A controller re-issues an existing subscription, usually with a new
+    /// event trigger — the server-driven *retune* path (report-period
+    /// backoff on quiescence, tightening on anomaly).  `old` is the
+    /// subscription as it was; the answer replaces it, in its place in the
+    /// admission order, due one new period from now.  A refusal ends the
+    /// subscription: the controller is sent the failure and nothing is kept.
     ///
-    /// The default implementation tears the subscription down and
-    /// re-admits it, which is always correct; functions with per-stream
-    /// state (delta encoders) override this to retune in place.
+    /// The default tears the subscription down and re-admits it, which is
+    /// always correct; functions with per-stream state (delta encoders)
+    /// override this to carry the state over.
     fn on_subscription_update(
         &mut self,
         ctx: &mut AgentCtx,
+        old: Subscription,
         sub: &SubscriptionInfo,
         req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.on_subscription_delete(ctx, sub.ctrl, sub.req_id);
+    ) -> Result<Admission, Cause> {
+        self.on_subscription_delete(ctx, old);
         self.on_subscription(ctx, sub, req)
     }
 
-    /// A controller deletes a subscription.
-    fn on_subscription_delete(&mut self, ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId);
+    /// A subscription ended — deleted, reset, or its controller was lost.
+    /// The agent has already forgotten it; `sub` hands its state back.
+    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, _sub: Subscription) {}
 
     /// A controller sends a control message.  Return the control outcome
     /// bytes (if any) or a cause for failure.
     fn on_control(
         &mut self,
-        ctx: &mut AgentCtx,
-        ctrl: CtrlId,
-        req: &RicControlRequest,
-    ) -> Result<Option<Bytes>, Cause>;
+        _ctx: &mut AgentCtx,
+        _ctrl: CtrlId,
+        _req: &RicControlRequest,
+    ) -> Result<Option<Bytes>, Cause> {
+        Err(Cause::Ric(RicCause::ActionNotSupported))
+    }
 
-    /// Called on every agent tick; periodic report functions emit their
-    /// indications here.
+    /// Called once on a tick on which periodic subscriptions of this
+    /// function are due, with all of them, so one snapshot can serve them.
+    ///
+    /// A subscription is first due on the first tick at or after its
+    /// admission and then every period on a grid anchored there: a tick
+    /// that comes late delays that one report and moves no later one, and
+    /// after a stall of many periods there is one report, not a burst.
+    fn on_report(&mut self, _ctx: &mut AgentCtx, _due: Due<'_>) {}
+
+    /// Called on every agent tick, after [`on_report`](Self::on_report):
+    /// where an event-driven function polls its source and reports to
+    /// [`AgentCtx::subscribers`].
     fn on_tick(&mut self, _ctx: &mut AgentCtx) {}
-}
-
-/// Helper managing the periodic report subscriptions of a RAN function:
-/// decodes [`ReportTrigger`]s, tracks due times, answers deletes.
-#[derive(Debug, Default)]
-pub struct PeriodicSubs {
-    subs: Vec<(SubscriptionInfo, ReportTrigger, u64)>,
-}
-
-impl PeriodicSubs {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of active subscriptions.
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// Whether no subscription is active.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
-    }
-
-    /// Admits a subscription whose event trigger is a [`ReportTrigger`]
-    /// encoded with `sm_codec`.
-    pub fn admit(
-        &mut self,
-        sub: &SubscriptionInfo,
-        sm_codec: SmCodec,
-        now_ms: u64,
-    ) -> Result<(), Cause> {
-        let trigger = ReportTrigger::decode(sm_codec, &sub.trigger)
-            .map_err(|_| Cause::Ric(RicCause::UnsupportedEventTrigger))?;
-        if self.subs.iter().any(|(s, _, _)| s.ctrl == sub.ctrl && s.req_id == sub.req_id) {
-            return Err(Cause::Ric(RicCause::DuplicateAction));
-        }
-        self.subs.push((sub.clone(), trigger, now_ms));
-        Ok(())
-    }
-
-    /// Retunes an existing subscription to the trigger carried by `sub`
-    /// (same controller + request id, new event trigger) without tearing
-    /// it down: the new period takes effect at the next due time.  Returns
-    /// the decoded new trigger so callers can reset per-stream state
-    /// (delta encoders force a keyframe on retune).
-    pub fn retune(
-        &mut self,
-        sub: &SubscriptionInfo,
-        sm_codec: SmCodec,
-        now_ms: u64,
-    ) -> Result<ReportTrigger, Cause> {
-        let trigger = ReportTrigger::decode(sm_codec, &sub.trigger)
-            .map_err(|_| Cause::Ric(RicCause::UnsupportedEventTrigger))?;
-        let entry = self
-            .subs
-            .iter_mut()
-            .find(|(s, _, _)| s.ctrl == sub.ctrl && s.req_id == sub.req_id)
-            .ok_or(Cause::Ric(RicCause::RequestIdUnknown))?;
-        entry.0 = sub.clone();
-        entry.1 = trigger;
-        entry.2 = now_ms + trigger.period_ms.max(1) as u64;
-        Ok(trigger)
-    }
-
-    /// Removes a subscription; returns whether it existed.
-    pub fn remove(&mut self, ctrl: CtrlId, req_id: RicRequestId) -> bool {
-        let before = self.subs.len();
-        self.subs.retain(|(s, _, _)| !(s.ctrl == ctrl && s.req_id == req_id));
-        self.subs.len() != before
-    }
-
-    /// Removes all subscriptions of a controller (reset / disconnect).
-    pub fn remove_ctrl(&mut self, ctrl: CtrlId) {
-        self.subs.retain(|(s, _, _)| s.ctrl != ctrl);
-    }
-
-    /// Calls `f` for every subscription due at `now_ms` and re-arms it.
-    pub fn for_due(&mut self, now_ms: u64, mut f: impl FnMut(&SubscriptionInfo, &ReportTrigger)) {
-        for (sub, trigger, next_due) in &mut self.subs {
-            if now_ms >= *next_due {
-                f(sub, trigger);
-                let period = trigger.period_ms.max(1) as u64;
-                *next_due = now_ms + period;
-            }
-        }
-    }
 }
 
 /// UE-to-controller association table (paper §4.1.2).
@@ -550,13 +590,21 @@ pub fn setup_request(
     })
 }
 
+/// One registered RAN function and the books the agent keeps for it.
+struct Slot {
+    f: Box<dyn RanFunction>,
+    subs: Vec<Subscription>,
+}
+
 /// The agent: owns the RAN functions and the state of every controller
 /// link; one logical thread of control, like the paper's single-threaded
 /// implementation.  See the module docs for its events and actions.
 pub struct Agent {
     cfg: AgentConfig,
-    functions: Vec<Box<dyn RanFunction>>,
-    sub_index: HashMap<(CtrlId, RicRequestId), usize>,
+    /// The RAN functions in registration order, each with its admitted
+    /// subscriptions in admission order: the order of indications within a
+    /// tick.
+    slots: Vec<Slot>,
     conns: Vec<CtrlConn>,
     assoc: UeAssoc,
     outbox: Vec<(Targets<CtrlId>, E2apPdu)>,
@@ -605,8 +653,7 @@ impl Agent {
         Agent {
             endpoint: E2apEndpoint::new(cfg.retry),
             cfg,
-            functions,
-            sub_index: HashMap::new(),
+            slots: functions.into_iter().map(|f| Slot { f, subs: Vec::new() }).collect(),
             conns: Vec::new(),
             assoc: UeAssoc::default(),
             outbox: Vec::new(),
@@ -618,7 +665,11 @@ impl Agent {
 
     /// Snapshot of the agent's counters.
     pub fn stats(&self) -> AgentStats {
-        AgentStats { active_subs: self.sub_index.len() as u64, ..self.stats }
+        AgentStats { active_subs: self.active_subs(), ..self.stats }
+    }
+
+    fn active_subs(&self) -> u64 {
+        self.slots.iter().map(|s| s.subs.len() as u64).sum()
     }
 
     /// Controllers added so far, which is also the [`CtrlId`] the next
@@ -640,16 +691,7 @@ impl Agent {
     }
 
     fn fn_items(&self) -> Vec<RanFunctionItem> {
-        self.functions
-            .iter()
-            .map(|f| RanFunctionItem {
-                id: f.id(),
-                definition: f.definition(),
-                revision: f.revision(),
-                oid: f.oid(),
-                version: f.version(),
-            })
-            .collect()
+        self.slots.iter().map(|s| s.f.identity().clone()).collect()
     }
 
     fn add_controller(&mut self, addr: TransportAddr, out: &mut Vec<Action<AgentOut>>) {
@@ -731,14 +773,14 @@ impl Agent {
     }
 
     fn drop_ctrl_subs(&mut self, ctrl: CtrlId) {
-        let mut dropped: Vec<(CtrlId, RicRequestId)> =
-            self.sub_index.keys().filter(|(c, _)| *c == ctrl).copied().collect();
-        dropped.sort_unstable();
-        for key in dropped {
-            if let Some(fidx) = self.sub_index.remove(&key) {
-                let mut ctx =
-                    AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
-                self.functions[fidx].on_subscription_delete(&mut ctx, key.0, key.1);
+        let Agent { slots, outbox, assoc, now_ms, .. } = self;
+        for Slot { f, subs } in slots {
+            while let Some(pos) = subs.iter().position(|s| s.info.ctrl == ctrl) {
+                let sub = subs.remove(pos);
+                f.on_subscription_delete(
+                    &mut AgentCtx { now_ms: *now_ms, outbox, assoc, subs },
+                    sub,
+                );
             }
         }
         // Messages queued toward a dead controller are discarded at flush.
@@ -755,15 +797,30 @@ impl Agent {
                 self.link_down(proc.peer, "E2 setup timed out", out);
             }
         }
-        let mut ctx =
-            AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
-        for f in &mut self.functions {
-            f.on_tick(&mut ctx);
+        // The agent decides what is due; each function is called once
+        // with its due subscriptions, then for its own polling.
+        let Agent { slots, outbox, assoc, now_ms, .. } = self;
+        let now_ms = *now_ms;
+        for Slot { f, subs } in slots {
+            let due = subs.iter_mut().fold(false, |any, sub| sub.take_due(now_ms) | any);
+            if due {
+                f.on_report(&mut AgentCtx { now_ms, outbox, assoc, subs: &[] }, Due(subs));
+            }
+            f.on_tick(&mut AgentCtx { now_ms, outbox, assoc, subs });
         }
     }
 
     fn find_fn(&self, id: RanFunctionId) -> Option<usize> {
-        self.functions.iter().position(|f| f.id() == id)
+        self.slots.iter().position(|s| s.f.identity().id == id)
+    }
+
+    /// Where the subscription `(ctrl, req_id)` is kept: its function's
+    /// slot and its place in that slot's admission order.
+    fn find_sub(&self, ctrl: CtrlId, req_id: RicRequestId) -> Option<(usize, usize)> {
+        self.slots.iter().enumerate().find_map(|(fidx, slot)| {
+            let pos = slot.subs.iter().position(|s| (s.info.ctrl, s.info.req_id) == (ctrl, req_id));
+            pos.map(|pos| (fidx, pos))
+        })
     }
 
     fn handle_inbound(&mut self, ctrl: CtrlId, raw: &Bytes, out: &mut Vec<Action<AgentOut>>) {
@@ -900,77 +957,81 @@ impl Agent {
         // retransmit of a request we already answered, or a server-driven
         // *retune* carrying a new event trigger.  Both flow through
         // on_subscription_update — a retransmit retunes to the same
-        // trigger, which is idempotent — and are re-acknowledged so the
-        // server's procedure entry completes.
-        let key = (ctrl, req.req_id);
-        let existing = self.sub_index.get(&key).copied();
-        let result = match existing.or_else(|| self.find_fn(req.ran_function)) {
+        // trigger — and are re-acknowledged so the server's procedure
+        // entry completes.
+        let existing = self.find_sub(ctrl, req.req_id);
+        let fidx = existing.map(|(fidx, _)| fidx).or_else(|| self.find_fn(req.ran_function));
+        let result = match fidx {
             None => Err(Cause::Ric(RicCause::RanFunctionIdInvalid)),
             Some(fidx) => {
-                let sub = SubscriptionInfo {
+                let info = SubscriptionInfo {
                     ctrl,
                     req_id: req.req_id,
                     ran_function: req.ran_function,
                     action: req.actions.first().map(|a| a.id).unwrap_or_default(),
-                    trigger: req.event_trigger.clone(),
                 };
+                let now_ms = self.now_ms;
+                let Slot { f, subs } = &mut self.slots[fidx];
+                let (pos, old) = existing.map(|(_, pos)| (pos, subs.remove(pos))).unzip();
                 let mut ctx =
-                    AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
-                let f = &mut self.functions[fidx];
-                let result = match existing {
-                    Some(_) => f.on_subscription_update(&mut ctx, &sub, &req),
-                    None => f.on_subscription(&mut ctx, &sub, &req),
+                    AgentCtx { now_ms, outbox: &mut self.outbox, assoc: &self.assoc, subs };
+                let admission = match old {
+                    None => f.on_subscription(&mut ctx, &info, &req),
+                    Some(old) => f.on_subscription_update(&mut ctx, old, &info, &req),
                 };
-                result.map(|()| fidx)
+                admission.map(|admission| {
+                    let mut sub = Subscription::new(info, admission, now_ms);
+                    match pos {
+                        None => subs.push(sub),
+                        // A retune keeps its place and is due a period on.
+                        Some(pos) => {
+                            sub.rearm(now_ms, now_ms);
+                            subs.insert(pos, sub);
+                        }
+                    }
+                })
             }
         };
         let pdu = match result {
-            Ok(fidx) => {
-                self.sub_index.insert(key, fidx);
-                E2apPdu::RicSubscriptionResponse(RicSubscriptionResponse {
-                    req_id: req.req_id,
-                    ran_function: req.ran_function,
-                    admitted: req.actions.iter().map(|a| a.id).collect(),
-                    not_admitted: vec![],
-                })
-            }
-            Err(cause) => {
-                self.sub_index.remove(&key);
-                E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
-                    req_id: req.req_id,
-                    ran_function: req.ran_function,
-                    cause,
-                })
-            }
+            Ok(()) => E2apPdu::RicSubscriptionResponse(RicSubscriptionResponse {
+                req_id: req.req_id,
+                ran_function: req.ran_function,
+                admitted: req.actions.iter().map(|a| a.id).collect(),
+                not_admitted: vec![],
+            }),
+            Err(cause) => E2apPdu::RicSubscriptionFailure(RicSubscriptionFailure {
+                req_id: req.req_id,
+                ran_function: req.ran_function,
+                cause,
+            }),
         };
         self.outbox.push((ctrl.into(), pdu));
     }
 
     fn handle_subscription_delete(&mut self, ctrl: CtrlId, req: RicSubscriptionDeleteRequest) {
-        match self.sub_index.remove(&(ctrl, req.req_id)) {
-            Some(fidx) => {
-                let mut ctx =
-                    AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
-                self.functions[fidx].on_subscription_delete(&mut ctx, ctrl, req.req_id);
-                self.outbox.push((
-                    ctrl.into(),
-                    E2apPdu::RicSubscriptionDeleteResponse(RicSubscriptionDeleteResponse {
-                        req_id: req.req_id,
-                        ran_function: req.ran_function,
-                    }),
-                ));
+        let pdu = match self.find_sub(ctrl, req.req_id) {
+            Some((fidx, pos)) => {
+                let Slot { f, subs } = &mut self.slots[fidx];
+                let sub = subs.remove(pos);
+                let mut ctx = AgentCtx {
+                    now_ms: self.now_ms,
+                    outbox: &mut self.outbox,
+                    assoc: &self.assoc,
+                    subs,
+                };
+                f.on_subscription_delete(&mut ctx, sub);
+                E2apPdu::RicSubscriptionDeleteResponse(RicSubscriptionDeleteResponse {
+                    req_id: req.req_id,
+                    ran_function: req.ran_function,
+                })
             }
-            None => {
-                self.outbox.push((
-                    ctrl.into(),
-                    E2apPdu::RicSubscriptionDeleteFailure(RicSubscriptionDeleteFailure {
-                        req_id: req.req_id,
-                        ran_function: req.ran_function,
-                        cause: Cause::Ric(RicCause::RequestIdUnknown),
-                    }),
-                ));
-            }
-        }
+            None => E2apPdu::RicSubscriptionDeleteFailure(RicSubscriptionDeleteFailure {
+                req_id: req.req_id,
+                ran_function: req.ran_function,
+                cause: Cause::Ric(RicCause::RequestIdUnknown),
+            }),
+        };
+        self.outbox.push((ctrl.into(), pdu));
     }
 
     fn handle_control(&mut self, ctrl: CtrlId, req: RicControlRequest) {
@@ -987,9 +1048,10 @@ impl Agent {
             ));
             return;
         };
+        let Slot { f, subs } = &mut self.slots[fidx];
         let mut ctx =
-            AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc };
-        let result = self.functions[fidx].on_control(&mut ctx, ctrl, &req);
+            AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc, subs };
+        let result = f.on_control(&mut ctx, ctrl, &req);
         match result {
             Ok(outcome) => {
                 if matches!(req.ack_request, Some(ControlAckRequest::Ack)) || outcome.is_some() {
@@ -1044,7 +1106,7 @@ impl Agent {
             m.tx_bytes.add(msg.payload.len() as u64);
             out.push(Action::Send(peer, msg));
         });
-        m.active_subs.set(self.sub_index.len() as i64);
+        m.active_subs.set(self.active_subs() as i64);
         m.controllers.set(self.stats.controllers as i64);
     }
 }
@@ -1064,67 +1126,5 @@ mod tests {
         assoc.disassociate(0x4601, 1);
         assert!(!assoc.exposed(1, 0x4601));
         assert!(assoc.exposed(0, 0x4601), "first controller always sees UEs");
-    }
-
-    #[test]
-    fn periodic_subs_admit_and_fire() {
-        let mut subs = PeriodicSubs::new();
-        let trigger = ReportTrigger::every_ms(10).encode(SmCodec::Flatb);
-        let sub = SubscriptionInfo {
-            ctrl: 0,
-            req_id: RicRequestId::new(1, 1),
-            ran_function: RanFunctionId::new(142),
-            action: RicActionId(0),
-            trigger: Bytes::from(trigger),
-        };
-        subs.admit(&sub, SmCodec::Flatb, 0).unwrap();
-        assert_eq!(subs.len(), 1);
-        // Duplicate rejected.
-        assert_eq!(subs.admit(&sub, SmCodec::Flatb, 0), Err(Cause::Ric(RicCause::DuplicateAction)));
-        // Fires at 0, re-arms for 10.
-        let mut fired = 0;
-        subs.for_due(0, |_, _| fired += 1);
-        assert_eq!(fired, 1);
-        subs.for_due(5, |_, _| fired += 1);
-        assert_eq!(fired, 1, "not due yet");
-        subs.for_due(10, |_, _| fired += 1);
-        assert_eq!(fired, 2);
-        assert!(subs.remove(0, RicRequestId::new(1, 1)));
-        assert!(!subs.remove(0, RicRequestId::new(1, 1)));
-        assert!(subs.is_empty());
-    }
-
-    #[test]
-    fn periodic_subs_reject_bad_trigger() {
-        let mut subs = PeriodicSubs::new();
-        let sub = SubscriptionInfo {
-            ctrl: 0,
-            req_id: RicRequestId::new(1, 2),
-            ran_function: RanFunctionId::new(142),
-            action: RicActionId(0),
-            trigger: Bytes::from_static(b"\xFF\xFF"),
-        };
-        assert_eq!(
-            subs.admit(&sub, SmCodec::Flatb, 0),
-            Err(Cause::Ric(RicCause::UnsupportedEventTrigger))
-        );
-    }
-
-    #[test]
-    fn periodic_subs_remove_ctrl() {
-        let mut subs = PeriodicSubs::new();
-        let trigger = Bytes::from(ReportTrigger::every_ms(1).encode(SmCodec::Asn1Per));
-        for ctrl in 0..3 {
-            let sub = SubscriptionInfo {
-                ctrl,
-                req_id: RicRequestId::new(1, ctrl as u16),
-                ran_function: RanFunctionId::new(142),
-                action: RicActionId(0),
-                trigger: trigger.clone(),
-            };
-            subs.admit(&sub, SmCodec::Asn1Per, 0).unwrap();
-        }
-        subs.remove_ctrl(1);
-        assert_eq!(subs.len(), 2);
     }
 }

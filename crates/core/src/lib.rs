@@ -53,13 +53,16 @@ pub mod report;
 pub mod scratch;
 pub mod server;
 
-pub use agent::{Agent, AgentConfig, AgentCtx, AgentHandle, RanFunction, SubscriptionInfo};
+pub use agent::{
+    Admission, Agent, AgentConfig, AgentCtx, AgentHandle, Due, RanFunction, Subscription,
+    SubscriptionInfo,
+};
 pub use endpoint::{
     Backoff, E2apEndpoint, Procedure, ProcedureClass, ProcedureKey, ProcedureOutcome,
     ProcedureTable, RetryPolicy,
 };
 pub use machine::{Action, Event, Machine, PeerId};
-pub use report::ReportSender;
+pub use report::ReportStream;
 pub use scratch::{stream_for, EncodeScratch, Targets};
 pub use server::{
     AgentId, AgentInfo, IApp, IndicationRef, RanDb, RanEntity, Server, ServerApi, ServerConfig,

@@ -1,109 +1,93 @@
 //! Agent-side report emission with the full/delta mode switch folded in.
 //!
-//! [`ReportSender`] sits between a periodic RAN function and
-//! [`AgentCtx::send_indication`]: full-mode subscriptions get the plain
-//! encoded snapshot, delta-mode subscriptions get keyframe/delta frames
-//! from a per-subscription [`DeltaStreams`] encoder, and unchanged
-//! snapshots are suppressed (no indication at all).  Stream lifecycle
-//! follows the subscription lifecycle: admit (including reconnect
-//! replay) resets the stream — epoch bump, next report is a keyframe —
-//! and delete drops it.  Retunes are smarter: a retune that changes the
-//! trigger (period backoff/tighten) preserves the stream, because
-//! sequence continuity over the ordered transport keeps the receiver's
-//! base valid; a retune to the *identical* trigger is only meaningful
-//! as a resync request and forces a keyframe, as does any report-mode
-//! change.
-
-use std::collections::HashMap;
+//! A [`ReportStream`] is the per-subscription state of a periodic RAN
+//! function that reports snapshots: attached at admission
+//! ([`Admission::with_state`]), it sits between the function and
+//! [`AgentCtx::send_indication`].  Full-mode subscriptions get the plain
+//! encoded snapshot, delta-mode subscriptions get keyframe/delta frames,
+//! and unchanged snapshots are suppressed (no indication at all).  The
+//! stream lives and dies with the [`Subscription`] the agent keeps: an
+//! admission (including reconnect replay) starts a fresh one — the next
+//! report is a keyframe — and a delete or the loss of the controller drops
+//! it.  Retunes are smarter ([`Subscription::retune_stream`]): a retune
+//! that changes the trigger (period backoff/tighten) preserves the stream,
+//! because sequence continuity over the ordered transport keeps the
+//! receiver's base valid; a retune to the *identical* trigger is only
+//! meaningful as a resync request and forces a keyframe under a new epoch,
+//! as does any report-mode change.
 
 use bytes::Bytes;
-use flexric_e2ap::RicRequestId;
 use flexric_sm::delta::{DeltaRows, DeltaStreams, ReportOut};
 use flexric_sm::{ReportMode, ReportTrigger, SmCodec};
 
-use crate::agent::{AgentCtx, CtrlId, SubscriptionInfo};
+use crate::agent::{Admission, AgentCtx, Subscription};
 
-/// Per-RAN-function report sender: one delta stream per subscription.
+/// The report path of one subscription: a stream set of one, keyed by
+/// nothing, because the agent already keeps it with the subscription.
 #[derive(Debug)]
-pub struct ReportSender<T: DeltaRows> {
-    /// The SM encoding of the function this sender reports for.
+pub struct ReportStream<T: DeltaRows> {
+    /// The SM encoding of the function this stream reports for.
     codec: SmCodec,
-    streams: DeltaStreams<(CtrlId, RicRequestId), T>,
-    /// Last trigger seen per subscription, for the retune soft/hard call.
-    triggers: HashMap<(CtrlId, RicRequestId), ReportTrigger>,
+    stream: DeltaStreams<(), T>,
 }
 
-impl<T: DeltaRows> ReportSender<T> {
-    /// An empty sender encoding its reports with `codec`.
+impl<T: DeltaRows> ReportStream<T> {
+    /// A fresh stream encoding its reports with `codec`; in delta mode its
+    /// first report is a keyframe.
     pub fn new(codec: SmCodec) -> Self {
-        ReportSender { codec, streams: DeltaStreams::new(), triggers: HashMap::new() }
+        ReportStream { codec, stream: DeltaStreams::new() }
     }
 
-    /// A subscription was admitted (first time or reconnect replay):
-    /// (re)start its stream so the next delta-mode report is a keyframe
-    /// under a fresh epoch.
-    pub fn reset(&mut self, sub: &SubscriptionInfo, trigger: &ReportTrigger) {
-        let key = (sub.ctrl, sub.req_id);
-        self.triggers.insert(key, *trigger);
-        if let ReportMode::Delta { keyframe_every } = trigger.mode {
-            self.streams.reset(key, keyframe_every);
-        } else {
-            self.streams.remove(&key);
+    /// The subscription was retuned from `prev` to `next`.  A changed
+    /// trigger under the same report mode preserves the stream; an
+    /// identical trigger or a mode change forces a keyframe.
+    fn retune(&mut self, prev: Option<&ReportTrigger>, next: &ReportTrigger) {
+        let soft = prev.is_some_and(|p| p.mode == next.mode && p != next);
+        match next.mode {
+            ReportMode::Delta { .. } if soft => {}
+            ReportMode::Delta { keyframe_every } => self.stream.reset((), keyframe_every),
+            ReportMode::Full => self.stream.remove(&()),
         }
     }
+}
 
-    /// A subscription was retuned.  A changed trigger under the same
-    /// report mode (the period backoff/tighten path) preserves the
-    /// stream — the ordered transport keeps the receiver's base valid.
-    /// An *identical* trigger is the server's resync request, and a mode
-    /// change invalidates the base: both force a keyframe.
-    pub fn retune(&mut self, sub: &SubscriptionInfo, trigger: &ReportTrigger) {
-        let key = (sub.ctrl, sub.req_id);
-        let prev = self.triggers.insert(key, *trigger);
-        match trigger.mode {
-            ReportMode::Delta { keyframe_every } => {
-                let soft = prev.is_some_and(|p| p.mode == trigger.mode && p != *trigger);
-                if soft {
-                    self.streams.ensure(key, keyframe_every);
-                } else {
-                    self.streams.reset(key, keyframe_every);
-                }
-            }
-            ReportMode::Full => self.streams.remove(&key),
-        }
-    }
-
-    /// A subscription was deleted.
-    pub fn delete(&mut self, ctrl: CtrlId, req_id: RicRequestId) {
-        self.streams.remove(&(ctrl, req_id));
-        self.triggers.remove(&(ctrl, req_id));
-    }
-
-    /// A controller went away entirely.
-    pub fn delete_ctrl(&mut self, ctrl: CtrlId) {
-        // DeltaStreams has no ctrl index; streams of dead subscriptions
-        // are also dropped lazily on the next reset with the same key.
-        self.streams.retain_keys(|(c, _)| *c != ctrl);
-        self.triggers.retain(|(c, _), _| *c != ctrl);
-    }
-
-    /// Emits one report for `sub` under its trigger mode; suppressed
-    /// reports send nothing.  Returns whether an indication was queued.
-    pub fn send(
+impl Subscription {
+    /// Emits one report of `snap` on the [`ReportStream<T>`] this
+    /// subscription was admitted with, under the mode its trigger asks
+    /// for; a suppressed report sends nothing.  Returns whether an
+    /// indication was queued.
+    ///
+    /// # Panics
+    /// If the subscription's state is not a `ReportStream<T>`.
+    pub fn report<T: DeltaRows + 'static>(
         &mut self,
         ctx: &mut AgentCtx<'_>,
-        sub: &SubscriptionInfo,
-        trigger: &ReportTrigger,
         snap: &T,
         sn: Option<u32>,
         header: Bytes,
     ) -> bool {
-        match self.streams.report((sub.ctrl, sub.req_id), trigger.mode, snap, self.codec) {
+        let mode = self.mode();
+        let (info, stream) = self.parts::<ReportStream<T>>();
+        match stream.stream.report((), mode, snap, stream.codec) {
             ReportOut::Send(buf) => {
-                ctx.send_indication(sub, sn, header, buf);
+                ctx.send_indication(info, sn, header, buf);
                 true
             }
             ReportOut::Suppressed => false,
         }
+    }
+
+    /// For [`RanFunction::on_subscription_update`](crate::agent::RanFunction::on_subscription_update):
+    /// carries this subscription's [`ReportStream<T>`] over a retune to
+    /// what `admission` asks for, instead of starting a fresh one.
+    ///
+    /// # Panics
+    /// If the subscription's state is not a `ReportStream<T>`.
+    pub fn retune_stream<T: DeltaRows + 'static>(mut self, admission: Admission) -> Admission {
+        let prev = self.trigger;
+        if let Some(next) = &admission.trigger {
+            self.parts::<ReportStream<T>>().1.retune(prev.as_ref(), next);
+        }
+        Admission { state: self.state, ..admission }
     }
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use flexric::agent::{
-    Agent, AgentConfig, AgentCtx, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo,
+    Admission, Agent, AgentConfig, AgentCtx, CtrlId, Due, RanFunction, SubscriptionInfo,
 };
 use flexric::server::{
     AgentId, AgentInfo, IApp, IndicationRef, Server, ServerApi, ServerConfig, ServerEvent,
@@ -37,7 +37,7 @@ fn ric() -> GlobalRicId {
 type CtrlLog = Arc<Mutex<Vec<(CtrlId, Vec<u8>)>>>;
 
 struct CounterFn {
-    subs: PeriodicSubs,
+    identity: RanFunctionItem,
     sm_codec: SmCodec,
     counter: u32,
     ctrl_log: CtrlLog,
@@ -59,7 +59,7 @@ impl CounterFn {
             .indication::<HwPing>(),
         );
         CounterFn {
-            subs: PeriodicSubs::new(),
+            identity: RanFunctionItem::new(7, "test.counter", Bytes::from_static(b"counter-def")),
             sm_codec,
             counter: 0,
             ctrl_log: Arc::new(Mutex::new(Vec::new())),
@@ -68,25 +68,16 @@ impl CounterFn {
 }
 
 impl RanFunction for CounterFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(7)
-    }
-    fn oid(&self) -> String {
-        "test.counter".into()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from_static(b"counter-def")
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
+        _ctx: &mut AgentCtx,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, self.sm_codec)
     }
     fn on_control(
         &mut self,
@@ -100,16 +91,14 @@ impl RanFunction for CounterFn {
         self.ctrl_log.lock().unwrap().push((ctrl, req.message.to_vec()));
         Ok(Some(Bytes::from(format!("echo:{}", String::from_utf8_lossy(&req.message)))))
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        let counter = &mut self.counter;
+    fn on_report(&mut self, ctx: &mut AgentCtx, due: Due<'_>) {
         let now = ctx.now_ms;
-        let mut due: Vec<SubscriptionInfo> = Vec::new();
-        self.subs.for_due(now, |sub, _| due.push(sub.clone()));
-        for sub in due {
-            *counter += 1;
-            let ping = HwPing { seq: *counter, tstamp_ns: now * 1_000_000, payload: Bytes::new() };
+        for sub in due.iter() {
+            self.counter += 1;
+            let seq = self.counter;
+            let ping = HwPing { seq, tstamp_ns: now * 1_000_000, payload: Bytes::new() };
             let msg = Bytes::from(ping.encode(self.sm_codec));
-            ctx.send_indication(&sub, Some(*counter), Bytes::new(), msg);
+            ctx.send_indication(sub.info(), Some(seq), Bytes::new(), msg);
         }
     }
 }

@@ -7,97 +7,47 @@
 //!
 //! The functions speak both report modes: full-snapshot subscriptions get
 //! one shared encode fanned out to all due controllers, delta-mode
-//! subscriptions go through a per-subscription [`ReportSender`]
-//! (keyframes, dirty-field deltas, suppression of unchanged snapshots).
+//! subscriptions go through their own [`ReportStream`] (keyframes,
+//! dirty-field deltas, suppression of unchanged snapshots).
 //! Server-driven retunes arrive via [`RanFunction::on_subscription_update`]
-//! and restart the stream under a fresh epoch.
+//! and keep the stream unless they ask for a keyframe.
 
-use std::sync::Arc;
+use std::marker::PhantomData;
 
 use bytes::Bytes;
 
-use flexric::agent::{AgentCtx, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo};
-use flexric::report::ReportSender;
-use flexric_e2ap::{
-    Cause, FnVersion, RanFunctionId, RicCause, RicControlRequest, RicRequestId,
-    RicSubscriptionRequest,
-};
+use flexric::agent::{Admission, AgentCtx, Due, RanFunction, Subscription, SubscriptionInfo};
+use flexric::report::ReportStream;
+use flexric_e2ap::{Cause, RanFunctionItem, RicSubscriptionRequest};
 use flexric_ransim::kpi::KpiGen;
+use flexric_sm::delta::DeltaRows;
 use flexric_sm::{
     mac::{MacStatsInd, MacUeStats},
     oid,
     pdcp::{PdcpBearerStats, PdcpStatsInd},
     rlc::{RlcBearerStats, RlcStatsInd},
-    ReportMode, ReportTrigger, SmCodec, SmDescriptor, SmPayload,
+    ReportMode, SmCodec,
 };
 
-/// Which statistics a dummy function fabricates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DummyKind {
-    /// MAC statistics (excluding HARQ, as in the paper).
-    Mac,
-    /// RLC statistics.
-    Rlc,
-    /// PDCP statistics.
-    Pdcp,
+/// Statistics a dummy function can fabricate: MAC (excluding HARQ, as in
+/// the paper), RLC and PDCP.
+pub trait DummyStats: DeltaRows + Send + 'static {
+    /// The service model the statistics belong to.
+    const OID: &'static str;
+    /// The current snapshot of the time-varying workload.
+    fn of(kpi: &KpiGen) -> &Self;
+    /// The classic counter-driven snapshot of `ue_count` UEs: every field
+    /// moves with `c`, the number of report periods so far.
+    fn fabricate(c: u64, ue_count: u16, now_ms: u64) -> Self;
 }
 
-/// Typed report path of one dummy function: snapshot + delta streams.
-enum Inner {
-    Mac(ReportSender<MacStatsInd>),
-    Rlc(ReportSender<RlcStatsInd>),
-    Pdcp(ReportSender<PdcpStatsInd>),
-}
-
-/// A RAN function fabricating statistics for `ue_count` UEs.
-pub struct DummyStatsFn {
-    ue_count: u16,
-    sm_codec: SmCodec,
-    desc: Arc<SmDescriptor>,
-    subs: PeriodicSubs,
-    counter: u64,
-    /// Time-varying workload; `None` keeps the classic counter-driven
-    /// synthetic statistics (every field moves every period).
-    kpi: Option<KpiGen>,
-    inner: Inner,
-}
-
-impl DummyStatsFn {
-    /// Creates a dummy function of the given kind (counter-driven
-    /// statistics, the Figs. 8b/9b workload).
-    pub fn new(kind: DummyKind, ue_count: u16, sm_codec: SmCodec) -> Self {
-        let (inner, oid) = match kind {
-            DummyKind::Mac => (Inner::Mac(ReportSender::new(sm_codec)), oid::MAC_STATS),
-            DummyKind::Rlc => (Inner::Rlc(ReportSender::new(sm_codec)), oid::RLC_STATS),
-            DummyKind::Pdcp => (Inner::Pdcp(ReportSender::new(sm_codec)), oid::PDCP_STATS),
-        };
-        let desc = flexric_sm::registry::global().latest(oid).expect("bundled SM descriptor");
-        DummyStatsFn {
-            ue_count,
-            sm_codec,
-            desc,
-            subs: PeriodicSubs::new(),
-            counter: 0,
-            kpi: None,
-            inner,
-        }
+impl DummyStats for MacStatsInd {
+    const OID: &'static str = oid::MAC_STATS;
+    fn of(kpi: &KpiGen) -> &Self {
+        kpi.mac()
     }
-
-    /// Creates a dummy function over the time-varying KPI workload
-    /// (quiet/active/burst phases, [`flexric_ransim::kpi::KpiGen`]) — the
-    /// Fig. 7b adaptive-monitoring workload.
-    pub fn time_varying(kind: DummyKind, ue_count: u16, sm_codec: SmCodec, seed: u64) -> Self {
-        let mut f = Self::new(kind, ue_count, sm_codec);
-        f.kpi = Some(KpiGen::new(seed, ue_count as usize));
-        f
-    }
-
-    fn mac_snapshot(&mut self, now_ms: u64) -> MacStatsInd {
-        if let Some(g) = &self.kpi {
-            return g.mac().clone();
-        }
-        let c = self.counter;
-        let ues = (0..self.ue_count)
+    fn fabricate(c: u64, ue_count: u16, now_ms: u64) -> Self {
+        let ues = (0..ue_count)
             .map(|i| MacUeStats {
                 rnti: 0x4601 + i,
                 cqi: 15,
@@ -117,13 +67,15 @@ impl DummyStatsFn {
             .collect();
         MacStatsInd { tstamp_ms: now_ms, cell_prbs: 106, ues }
     }
+}
 
-    fn rlc_snapshot(&mut self, now_ms: u64) -> RlcStatsInd {
-        if let Some(g) = &self.kpi {
-            return g.rlc().clone();
-        }
-        let c = self.counter;
-        let bearers = (0..self.ue_count)
+impl DummyStats for RlcStatsInd {
+    const OID: &'static str = oid::RLC_STATS;
+    fn of(kpi: &KpiGen) -> &Self {
+        kpi.rlc()
+    }
+    fn fabricate(c: u64, ue_count: u16, now_ms: u64) -> Self {
+        let bearers = (0..ue_count)
             .map(|i| RlcBearerStats {
                 rnti: 0x4601 + i,
                 drb_id: 1,
@@ -139,13 +91,15 @@ impl DummyStatsFn {
             .collect();
         RlcStatsInd { tstamp_ms: now_ms, bearers }
     }
+}
 
-    fn pdcp_snapshot(&mut self, now_ms: u64) -> PdcpStatsInd {
-        if let Some(g) = &self.kpi {
-            return g.pdcp().clone();
-        }
-        let c = self.counter;
-        let bearers = (0..self.ue_count)
+impl DummyStats for PdcpStatsInd {
+    const OID: &'static str = oid::PDCP_STATS;
+    fn of(kpi: &KpiGen) -> &Self {
+        kpi.pdcp()
+    }
+    fn fabricate(c: u64, ue_count: u16, now_ms: u64) -> Self {
+        let bearers = (0..ue_count)
             .map(|i| PdcpBearerStats {
                 rnti: 0x4601 + i,
                 drb_id: 1,
@@ -160,139 +114,95 @@ impl DummyStatsFn {
             .collect();
         PdcpStatsInd { tstamp_ms: now_ms, bearers }
     }
+}
 
-    /// Advances the workload one report period.
-    fn advance(&mut self, now_ms: u64) {
-        self.counter += 1;
-        if let Some(g) = &mut self.kpi {
-            g.step(now_ms);
-        }
+/// A RAN function fabricating the statistics `T` for `ue_count` UEs.
+pub struct DummyStatsFn<T> {
+    ue_count: u16,
+    sm_codec: SmCodec,
+    identity: RanFunctionItem,
+    counter: u64,
+    /// Time-varying workload; `None` keeps the classic counter-driven
+    /// synthetic statistics (every field moves every period).
+    kpi: Option<KpiGen>,
+    stats: PhantomData<fn() -> T>,
+}
+
+impl<T: DummyStats> DummyStatsFn<T> {
+    /// Creates a dummy function (counter-driven statistics, the Figs.
+    /// 8b/9b workload).
+    pub fn new(ue_count: u16, sm_codec: SmCodec) -> Self {
+        let identity = crate::ranfun::identity_of(T::OID, sm_codec);
+        DummyStatsFn { ue_count, sm_codec, identity, counter: 0, kpi: None, stats: PhantomData }
     }
 
-    /// (Re)starts the delta stream of a subscription per its trigger mode.
-    fn reset_stream(&mut self, sub: &SubscriptionInfo) {
-        let Ok(trigger) = ReportTrigger::decode(self.sm_codec, &sub.trigger) else { return };
-        match &mut self.inner {
-            Inner::Mac(s) => s.reset(sub, &trigger),
-            Inner::Rlc(s) => s.reset(sub, &trigger),
-            Inner::Pdcp(s) => s.reset(sub, &trigger),
-        }
-    }
-
-    /// Retunes the delta stream of a subscription (soft on period-only
-    /// changes, keyframe on identical-trigger resyncs and mode changes).
-    fn retune_stream(&mut self, sub: &SubscriptionInfo) {
-        let Ok(trigger) = ReportTrigger::decode(self.sm_codec, &sub.trigger) else { return };
-        match &mut self.inner {
-            Inner::Mac(s) => s.retune(sub, &trigger),
-            Inner::Rlc(s) => s.retune(sub, &trigger),
-            Inner::Pdcp(s) => s.retune(sub, &trigger),
-        }
+    /// Creates a dummy function over the time-varying KPI workload
+    /// (quiet/active/burst phases, [`flexric_ransim::kpi::KpiGen`]) — the
+    /// Fig. 7b adaptive-monitoring workload.
+    pub fn time_varying(ue_count: u16, sm_codec: SmCodec, seed: u64) -> Self {
+        let kpi = Some(KpiGen::new(seed, ue_count as usize));
+        DummyStatsFn { kpi, ..Self::new(ue_count, sm_codec) }
     }
 }
 
-impl RanFunction for DummyStatsFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.desc.ran_function_id)
-    }
-    fn oid(&self) -> String {
-        self.desc.oid.clone()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-    }
-    fn version(&self) -> FnVersion {
-        self.desc.version.into()
+impl<T: DummyStats> RanFunction for DummyStatsFn<T> {
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)?;
-        self.reset_stream(sub);
-        Ok(())
+        _ctx: &mut AgentCtx,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        let stream = ReportStream::<T>::new(self.sm_codec);
+        Ok(Admission::report(req, self.sm_codec)?.with_state(stream))
     }
     fn on_subscription_update(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
+        _ctx: &mut AgentCtx,
+        old: Subscription,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
         // Retune in place: the period changes without a resubscribe.
         // Period-only changes keep the delta stream alive; an
         // identical-trigger retune is the server asking for a keyframe
         // (it lost or never had a base), as is a mode change.
-        self.subs.retune(sub, self.sm_codec, ctx.now_ms)?;
-        self.retune_stream(sub);
-        Ok(())
+        Ok(old.retune_stream::<T>(Admission::report(req, self.sm_codec)?))
     }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
-        match &mut self.inner {
-            Inner::Mac(s) => s.delete(ctrl, req_id),
-            Inner::Rlc(s) => s.delete(ctrl, req_id),
-            Inner::Pdcp(s) => s.delete(ctrl, req_id),
-        }
-    }
-    fn on_control(
-        &mut self,
-        _ctx: &mut AgentCtx,
-        _ctrl: CtrlId,
-        _req: &RicControlRequest,
-    ) -> Result<Option<Bytes>, Cause> {
-        Err(Cause::Ric(RicCause::ActionNotSupported))
-    }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        if self.subs.is_empty() {
-            return;
-        }
-        let mut due: Vec<(SubscriptionInfo, ReportTrigger)> = Vec::new();
-        self.subs.for_due(ctx.now_ms, |sub, trigger| due.push((sub.clone(), *trigger)));
-        if due.is_empty() {
-            return;
-        }
-        self.advance(ctx.now_ms);
-        let codec = self.sm_codec;
+    fn on_report(&mut self, ctx: &mut AgentCtx, mut due: Due<'_>) {
+        // Advance the workload one report period.
         let now = ctx.now_ms;
+        self.counter += 1;
+        let snap = match &mut self.kpi {
+            Some(g) => {
+                g.step(now);
+                T::of(g).clone()
+            }
+            None => T::fabricate(self.counter, self.ue_count, now),
+        };
         // Full-mode subscriptions share one encode fanned out at flush;
         // delta-mode subscriptions each have their own stream state.
-        let fulls: Vec<&SubscriptionInfo> =
-            due.iter().filter(|(_, t)| t.mode == ReportMode::Full).map(|(s, _)| s).collect();
-        macro_rules! emit {
-            ($snap_fn:ident, $sender:ident) => {{
-                let snap = self.$snap_fn(now);
-                if !fulls.is_empty() {
-                    let msg = Bytes::from(snap.encode(codec));
-                    ctx.send_indication_multi(fulls.iter().copied(), None, Bytes::new(), msg);
-                }
-                for (sub, trigger) in &due {
-                    if trigger.mode != ReportMode::Full {
-                        $sender.send(ctx, sub, trigger, &snap, None, Bytes::new());
-                    }
-                }
-            }};
+        let is_full = |s: &Subscription| s.mode() == ReportMode::Full;
+        if due.iter().any(is_full) {
+            let msg = Bytes::from(snap.encode(self.sm_codec));
+            let fulls = due.iter().filter(|s| is_full(s)).map(|s| s.info());
+            ctx.send_indication_multi(fulls, None, Bytes::new(), msg);
         }
-        // Split the borrow: the sender is moved out of `self.inner` for
-        // the duration of the emit so `self.$snap_fn` stays callable.
-        let mut inner = std::mem::replace(&mut self.inner, Inner::Mac(ReportSender::new(codec)));
-        match &mut inner {
-            Inner::Mac(s) => emit!(mac_snapshot, s),
-            Inner::Rlc(s) => emit!(rlc_snapshot, s),
-            Inner::Pdcp(s) => emit!(pdcp_snapshot, s),
+        for sub in due.iter_mut().filter(|s| !is_full(s)) {
+            sub.report(ctx, &snap, None, Bytes::new());
         }
-        self.inner = inner;
     }
 }
 
 /// The full dummy bundle: MAC + RLC + PDCP with 32 UEs (the paper's
 /// configuration).
-pub fn dummy_bundle(ue_count: u16, sm_codec: SmCodec) -> Vec<Box<dyn flexric::agent::RanFunction>> {
+pub fn dummy_bundle(ue_count: u16, sm_codec: SmCodec) -> Vec<Box<dyn RanFunction>> {
     vec![
-        Box::new(DummyStatsFn::new(DummyKind::Mac, ue_count, sm_codec)),
-        Box::new(DummyStatsFn::new(DummyKind::Rlc, ue_count, sm_codec)),
-        Box::new(DummyStatsFn::new(DummyKind::Pdcp, ue_count, sm_codec)),
+        Box::new(DummyStatsFn::<MacStatsInd>::new(ue_count, sm_codec)),
+        Box::new(DummyStatsFn::<RlcStatsInd>::new(ue_count, sm_codec)),
+        Box::new(DummyStatsFn::<PdcpStatsInd>::new(ue_count, sm_codec)),
     ]
 }
 
@@ -302,18 +212,15 @@ pub fn dummy_bundle_time_varying(
     ue_count: u16,
     sm_codec: SmCodec,
     seed: u64,
-) -> Vec<Box<dyn flexric::agent::RanFunction>> {
+) -> Vec<Box<dyn RanFunction>> {
     vec![
-        Box::new(DummyStatsFn::time_varying(DummyKind::Mac, ue_count, sm_codec, seed)),
-        Box::new(DummyStatsFn::time_varying(DummyKind::Rlc, ue_count, sm_codec, seed)),
-        Box::new(DummyStatsFn::time_varying(DummyKind::Pdcp, ue_count, sm_codec, seed)),
+        Box::new(DummyStatsFn::<MacStatsInd>::time_varying(ue_count, sm_codec, seed)),
+        Box::new(DummyStatsFn::<RlcStatsInd>::time_varying(ue_count, sm_codec, seed)),
+        Box::new(DummyStatsFn::<PdcpStatsInd>::time_varying(ue_count, sm_codec, seed)),
     ]
 }
 
 /// Only the MAC dummy (the Fig. 9b monitoring workload).
-pub fn dummy_mac_only(
-    ue_count: u16,
-    sm_codec: SmCodec,
-) -> Vec<Box<dyn flexric::agent::RanFunction>> {
-    vec![Box::new(DummyStatsFn::new(DummyKind::Mac, ue_count, sm_codec))]
+pub fn dummy_mac_only(ue_count: u16, sm_codec: SmCodec) -> Vec<Box<dyn RanFunction>> {
+    vec![Box::new(DummyStatsFn::<MacStatsInd>::new(ue_count, sm_codec))]
 }

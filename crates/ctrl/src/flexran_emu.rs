@@ -320,7 +320,7 @@ impl FlexranAgent {
                 payload: hello.finish().into(),
             });
             let mut period_ms: Option<u64> = None;
-            let mut next_due = 0u64;
+            let mut due_ms = 0u64;
             let mut send = |ppid: u32, payload: Bytes| {
                 tx_bytes2.fetch_add(payload.len() as u64, Ordering::Relaxed);
                 tx.send(WireMsg { stream: 0, ppid, payload })
@@ -328,8 +328,10 @@ impl FlexranAgent {
             while let Ok(input) = inputs.recv() {
                 let sent = match input {
                     AgentInput::Cmd(FlexranAgentCmd::Tick(now)) => match period_ms {
-                        Some(p) if now >= next_due => {
-                            next_due = now + p;
+                        Some(p) if now >= due_ms => {
+                            // The E2 agent's re-arm rule: whole periods
+                            // from the due time to the first one after now.
+                            due_ms += ((now - due_ms) / p + 1) * p;
                             let snap = snapshot(now);
                             let mut parts: Vec<(u32, Bytes)> =
                                 vec![(msg_type::STATS_REPORT, snap.mac.encode_pb().into())];

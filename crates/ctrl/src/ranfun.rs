@@ -12,12 +12,11 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use flexric::agent::{AgentCtx, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo};
-use flexric::report::ReportSender;
-use flexric_e2ap::{
-    Cause, FnVersion, RanFunctionId, RicCause, RicControlRequest, RicRequestId,
-    RicSubscriptionRequest,
+use flexric::agent::{
+    Admission, AgentCtx, CtrlId, Due, RanFunction, Subscription, SubscriptionInfo,
 };
+use flexric::report::ReportStream;
+use flexric_e2ap::{Cause, RanFunctionItem, RicCause, RicControlRequest, RicSubscriptionRequest};
 use flexric_ransim::Sim;
 use flexric_sm::{
     hw::HwPing,
@@ -29,13 +28,15 @@ use flexric_sm::{
     rrc::{RrcCtrl, RrcEventInd},
     slice::{SliceCtrl, SliceStatsInd},
     tc::{TcCtrl, TcStatsInd},
-    ReportTrigger, SmCodec, SmDescriptor, SmPayload,
+    ReportTrigger, SmCodec, SmPayload,
 };
 
-/// The registry descriptor of a bundled SM: the single source of function
-/// id, OID, version, and funcdef for every pre-defined RAN function here.
-fn desc_of(oid: &str) -> Arc<SmDescriptor> {
-    flexric_sm::registry::global().latest(oid).expect("bundled SM descriptor")
+/// What a bundled SM is advertised as: the registry descriptor is the
+/// single source of function id, OID, version, and funcdef for every
+/// pre-defined RAN function here.
+pub(crate) fn identity_of(oid: &str, sm_codec: SmCodec) -> RanFunctionItem {
+    let desc = flexric_sm::registry::global().latest(oid).expect("bundled SM descriptor");
+    desc.advertisement(sm_codec)
 }
 
 /// Shared handle to a simulated base station: the simulator plus the cell
@@ -112,99 +113,53 @@ macro_rules! stats_fn {
         pub struct $name {
             bs: SimBs,
             sm_codec: SmCodec,
-            desc: Arc<SmDescriptor>,
-            subs: PeriodicSubs,
-            sender: ReportSender<$ind>,
+            identity: RanFunctionItem,
         }
 
         impl $name {
             /// Creates the function over a simulated base station.
             pub fn new(bs: SimBs, sm_codec: SmCodec) -> Self {
-                Self {
-                    bs,
-                    sm_codec,
-                    desc: desc_of($oid),
-                    subs: PeriodicSubs::new(),
-                    sender: ReportSender::new(sm_codec),
-                }
+                Self { bs, sm_codec, identity: identity_of($oid, sm_codec) }
             }
         }
 
         impl RanFunction for $name {
-            fn id(&self) -> RanFunctionId {
-                RanFunctionId::new(self.desc.ran_function_id)
-            }
-            fn oid(&self) -> String {
-                self.desc.oid.clone()
-            }
-            fn definition(&self) -> Bytes {
-                Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-            }
-            fn version(&self) -> FnVersion {
-                self.desc.version.into()
+            fn identity(&self) -> &RanFunctionItem {
+                &self.identity
             }
             fn on_subscription(
                 &mut self,
-                ctx: &mut AgentCtx,
-                sub: &SubscriptionInfo,
-                _req: &RicSubscriptionRequest,
-            ) -> Result<(), Cause> {
-                self.subs.admit(sub, self.sm_codec, ctx.now_ms)?;
-                if let Ok(t) = ReportTrigger::decode(self.sm_codec, &sub.trigger) {
-                    self.sender.reset(sub, &t);
-                }
-                Ok(())
+                _ctx: &mut AgentCtx,
+                _sub: &SubscriptionInfo,
+                req: &RicSubscriptionRequest,
+            ) -> Result<Admission, Cause> {
+                let stream = ReportStream::<$ind>::new(self.sm_codec);
+                Ok(Admission::report(req, self.sm_codec)?.with_state(stream))
             }
             fn on_subscription_update(
                 &mut self,
-                ctx: &mut AgentCtx,
-                sub: &SubscriptionInfo,
-                _req: &RicSubscriptionRequest,
-            ) -> Result<(), Cause> {
+                _ctx: &mut AgentCtx,
+                old: Subscription,
+                _sub: &SubscriptionInfo,
+                req: &RicSubscriptionRequest,
+            ) -> Result<Admission, Cause> {
                 // Server-driven retune: new period takes effect without a
                 // resubscribe.  Period-only changes keep the delta stream;
                 // identical-trigger retunes (resync requests) and mode
                 // changes force a keyframe.
-                let t = self.subs.retune(sub, self.sm_codec, ctx.now_ms)?;
-                self.sender.retune(sub, &t);
-                Ok(())
+                Ok(old.retune_stream::<$ind>(Admission::report(req, self.sm_codec)?))
             }
-            fn on_subscription_delete(
-                &mut self,
-                _ctx: &mut AgentCtx,
-                ctrl: CtrlId,
-                req_id: RicRequestId,
-            ) {
-                self.subs.remove(ctrl, req_id);
-                self.sender.delete(ctrl, req_id);
-            }
-            fn on_control(
-                &mut self,
-                _ctx: &mut AgentCtx,
-                _ctrl: CtrlId,
-                _req: &RicControlRequest,
-            ) -> Result<Option<Bytes>, Cause> {
-                Err(Cause::Ric(RicCause::ActionNotSupported))
-            }
-            fn on_tick(&mut self, ctx: &mut AgentCtx) {
-                if self.subs.is_empty() {
-                    return;
-                }
-                let mut due: Vec<(SubscriptionInfo, ReportTrigger)> = Vec::new();
-                self.subs.for_due(ctx.now_ms, |sub, t| due.push((sub.clone(), t.clone())));
-                if due.is_empty() {
-                    return;
-                }
+            fn on_report(&mut self, ctx: &mut AgentCtx, mut due: Due<'_>) {
                 // One snapshot per tick, shared by all due subscriptions;
-                // the sender applies the per-subscription report mode
+                // the stream applies the per-subscription report mode
                 // (full / delta / suppressed) to the filtered view.
                 let ind: $ind = {
                     let mut sim = self.bs.sim.lock().expect("lock poisoned");
                     sim.cells[self.bs.cell].$snapshot()
                 };
-                for (sub, trigger) in due {
-                    let filtered = $filter(&ind, ctx, &sub);
-                    self.sender.send(ctx, &sub, &trigger, &filtered, None, Bytes::new());
+                for sub in due.iter_mut() {
+                    let filtered = $filter(&ind, ctx, sub.info());
+                    sub.report(ctx, &filtered, None, Bytes::new());
                 }
             }
         }
@@ -242,40 +197,27 @@ stats_fn!(PdcpStatsFn, oid::PDCP_STATS, pdcp_stats, PdcpStatsInd, filter_pdcp);
 pub struct SliceCtrlFn {
     bs: SimBs,
     sm_codec: SmCodec,
-    desc: Arc<SmDescriptor>,
-    subs: PeriodicSubs,
+    identity: RanFunctionItem,
 }
 
 impl SliceCtrlFn {
     /// Creates the function over a simulated base station.
     pub fn new(bs: SimBs, sm_codec: SmCodec) -> Self {
-        SliceCtrlFn { bs, sm_codec, desc: desc_of(oid::SLICE_CTRL), subs: PeriodicSubs::new() }
+        SliceCtrlFn { bs, sm_codec, identity: identity_of(oid::SLICE_CTRL, sm_codec) }
     }
 }
 
 impl RanFunction for SliceCtrlFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.desc.ran_function_id)
-    }
-    fn oid(&self) -> String {
-        self.desc.oid.clone()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-    }
-    fn version(&self) -> FnVersion {
-        self.desc.version.into()
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
+        _ctx: &mut AgentCtx,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, self.sm_codec)
     }
     fn on_control(
         &mut self,
@@ -293,20 +235,12 @@ impl RanFunction for SliceCtrlFn {
             .map_err(|_| Cause::Ric(RicCause::FunctionResourceLimit))?;
         Ok(Some(Bytes::from_static(b"ok")))
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        if self.subs.is_empty() {
-            return;
-        }
-        let mut due: Vec<SubscriptionInfo> = Vec::new();
-        self.subs.for_due(ctx.now_ms, |sub, _| due.push(sub.clone()));
-        if due.is_empty() {
-            return;
-        }
+    fn on_report(&mut self, ctx: &mut AgentCtx, due: Due<'_>) {
         let ind: SliceStatsInd = {
             let mut sim = self.bs.sim.lock().expect("lock poisoned");
             sim.cells[self.bs.cell].slice_stats()
         };
-        for sub in due {
+        for sub in due.iter().map(|s| s.info()) {
             // Partition: only associations of exposed UEs.
             let filtered = SliceStatsInd {
                 tstamp_ms: ind.tstamp_ms,
@@ -320,7 +254,7 @@ impl RanFunction for SliceCtrlFn {
                     .collect(),
             };
             let msg = Bytes::from(filtered.encode(self.sm_codec));
-            ctx.send_indication(&sub, None, Bytes::new(), msg);
+            ctx.send_indication(sub, None, Bytes::new(), msg);
         }
     }
 }
@@ -330,39 +264,27 @@ impl RanFunction for SliceCtrlFn {
 pub struct TcCtrlFn {
     bs: SimBs,
     sm_codec: SmCodec,
-    desc: Arc<SmDescriptor>,
-    /// Subscriptions with the bearer each one watches.
-    subs: Vec<(SubscriptionInfo, BearerAddr, u32, u64)>, // (sub, bearer, period, next_due)
+    identity: RanFunctionItem,
 }
 
 impl TcCtrlFn {
     /// Creates the function over a simulated base station.
     pub fn new(bs: SimBs, sm_codec: SmCodec) -> Self {
-        TcCtrlFn { bs, sm_codec, desc: desc_of(oid::TC_CTRL), subs: Vec::new() }
+        TcCtrlFn { bs, sm_codec, identity: identity_of(oid::TC_CTRL, sm_codec) }
     }
 }
 
 impl RanFunction for TcCtrlFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.desc.ran_function_id)
-    }
-    fn oid(&self) -> String {
-        self.desc.oid.clone()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-    }
-    fn version(&self) -> FnVersion {
-        self.desc.version.into()
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
         _ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
+        _sub: &SubscriptionInfo,
         req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        let trigger = flexric_sm::ReportTrigger::decode(self.sm_codec, &sub.trigger)
-            .map_err(|_| Cause::Ric(RicCause::UnsupportedEventTrigger))?;
+    ) -> Result<Admission, Cause> {
+        let admission = Admission::report(req, self.sm_codec)?;
         // The action definition addresses the bearer to watch.
         let def = req
             .actions
@@ -370,11 +292,7 @@ impl RanFunction for TcCtrlFn {
             .and_then(|a| a.definition.as_ref())
             .ok_or(Cause::Ric(RicCause::ActionNotSupported))?;
         let bearer = BearerAddr::decode(def).ok_or(Cause::Ric(RicCause::ActionNotSupported))?;
-        self.subs.push((sub.clone(), bearer, trigger.period_ms.max(1), 0));
-        Ok(())
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.retain(|(s, _, _, _)| !(s.ctrl == ctrl && s.req_id == req_id));
+        Ok(admission.with_state(bearer))
     }
     fn on_control(
         &mut self,
@@ -392,21 +310,16 @@ impl RanFunction for TcCtrlFn {
             .map_err(|_| Cause::Ric(RicCause::ControlMessageInvalid))?;
         Ok(Some(Bytes::from_static(b"ok")))
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        let now = ctx.now_ms;
-        for i in 0..self.subs.len() {
-            if now < self.subs[i].3 {
-                continue;
-            }
-            let (sub, bearer, period) = (self.subs[i].0.clone(), self.subs[i].1, self.subs[i].2);
-            self.subs[i].3 = now + period as u64;
+    fn on_report(&mut self, ctx: &mut AgentCtx, mut due: Due<'_>) {
+        for sub in due.iter_mut() {
+            let (sub, bearer) = sub.parts::<BearerAddr>();
             let ind: Option<TcStatsInd> = {
                 let mut sim = self.bs.sim.lock().expect("lock poisoned");
                 sim.cells[self.bs.cell].tc_stats(bearer.rnti, bearer.drb)
             };
             if let Some(ind) = ind {
                 let msg = Bytes::from(ind.encode(self.sm_codec));
-                ctx.send_indication(&sub, None, bearer.encode(), msg);
+                ctx.send_indication(sub, None, bearer.encode(), msg);
             }
         }
     }
@@ -416,19 +329,16 @@ impl RanFunction for TcCtrlFn {
 pub struct RrcEventFn {
     bs: SimBs,
     sm_codec: SmCodec,
-    desc: Arc<SmDescriptor>,
-    subs: Vec<SubscriptionInfo>,
+    identity: RanFunctionItem,
 }
 
 impl RrcEventFn {
     /// Creates the function over a simulated base station.
     pub fn new(bs: SimBs, sm_codec: SmCodec) -> Self {
-        RrcEventFn { bs, sm_codec, desc: desc_of(oid::RRC_EVENT), subs: Vec::new() }
+        RrcEventFn { bs, sm_codec, identity: identity_of(oid::RRC_EVENT, sm_codec) }
     }
 }
 
-/// KPM RAN function: computes 3GPP-style measurements from the cell's
-/// cumulative counters at the subscription's granularity period.
 /// Baseline for one KPM subscription's delta computations: the per-UE
 /// cumulative counters plus the cell's handover counter.
 struct KpmBaseline {
@@ -436,18 +346,18 @@ struct KpmBaseline {
     ho_total: u64,
 }
 
+/// KPM RAN function: computes 3GPP-style measurements from the cell's
+/// cumulative counters at the subscription's granularity period.
 pub struct KpmFn {
     bs: SimBs,
     sm_codec: SmCodec,
-    desc: Arc<SmDescriptor>,
-    /// (sub, action def, last counters, next due ms)
-    subs: Vec<(SubscriptionInfo, KpmActionDef, KpmBaseline, u64)>,
+    identity: RanFunctionItem,
 }
 
 impl KpmFn {
     /// Creates the function over a simulated base station.
     pub fn new(bs: SimBs, sm_codec: SmCodec) -> Self {
-        KpmFn { bs, sm_codec, desc: desc_of(oid::KPM), subs: Vec::new() }
+        KpmFn { bs, sm_codec, identity: identity_of(oid::KPM, sm_codec) }
     }
 
     fn baseline(&self) -> KpmBaseline {
@@ -538,24 +448,15 @@ impl KpmFn {
 }
 
 impl RanFunction for KpmFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.desc.ran_function_id)
-    }
-    fn oid(&self) -> String {
-        self.desc.oid.clone()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-    }
-    fn version(&self) -> FnVersion {
-        self.desc.version.into()
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
         _ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
+        _sub: &SubscriptionInfo,
         req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
+    ) -> Result<Admission, Cause> {
         let def = req
             .actions
             .first()
@@ -563,75 +464,43 @@ impl RanFunction for KpmFn {
             .ok_or(Cause::Ric(RicCause::ActionNotSupported))?;
         let def = KpmActionDef::decode(self.sm_codec, def)
             .map_err(|_| Cause::Ric(RicCause::ActionNotSupported))?;
-        let baseline = self.baseline();
-        self.subs.push((sub.clone(), def, baseline, 0));
-        Ok(())
+        // The action definition's granularity is the report period; what
+        // is kept with the subscription is the definition and the counters
+        // its next report is measured against.
+        let period = ReportTrigger::every_ms(def.granularity_ms);
+        Ok(Admission::periodic(period).with_state((def, self.baseline())))
     }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.retain(|(s, _, _, _)| !(s.ctrl == ctrl && s.req_id == req_id));
-    }
-    fn on_control(
-        &mut self,
-        _ctx: &mut AgentCtx,
-        _ctrl: CtrlId,
-        _req: &RicControlRequest,
-    ) -> Result<Option<Bytes>, Cause> {
-        Err(Cause::Ric(RicCause::ActionNotSupported))
-    }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
+    fn on_report(&mut self, ctx: &mut AgentCtx, mut due: Due<'_>) {
         let now = ctx.now_ms;
-        for i in 0..self.subs.len() {
-            if now < self.subs[i].3 {
-                continue;
-            }
+        for sub in due.iter_mut() {
+            let (sub, (def, base)) = sub.parts::<(KpmActionDef, KpmBaseline)>();
             let cur = self.baseline();
-            let (sub, def) = (self.subs[i].0.clone(), self.subs[i].1.clone());
-            let report = Self::compute(&def, &self.subs[i].2, &cur, now);
-            self.subs[i].2 = cur;
-            self.subs[i].3 = now + def.granularity_ms.max(1) as u64;
-            let msg = Bytes::from(report.encode(self.sm_codec));
+            let mut report = Self::compute(def, base, &cur, now);
+            *base = cur;
             // KPM is UE-agnostic of controllers only through the filter;
             // respect UE exposure for additional controllers.
-            let filtered = if sub.ctrl == 0 {
-                msg
-            } else {
-                let mut r = report.clone();
-                r.records
+            if sub.ctrl != 0 {
+                report
+                    .records
                     .retain(|rec| rec.rnti.map(|u| ctx.ue_exposed(sub.ctrl, u)).unwrap_or(true));
-                Bytes::from(r.encode(self.sm_codec))
-            };
-            ctx.send_indication(&sub, None, Bytes::new(), filtered);
+            }
+            let msg = Bytes::from(report.encode(self.sm_codec));
+            ctx.send_indication(sub, None, Bytes::new(), msg);
         }
     }
 }
 
 impl RanFunction for RrcEventFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.desc.ran_function_id)
-    }
-    fn oid(&self) -> String {
-        self.desc.oid.clone()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-    }
-    fn version(&self) -> FnVersion {
-        self.desc.version.into()
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
         _ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
+        _sub: &SubscriptionInfo,
         _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        if self.subs.iter().any(|s| s.ctrl == sub.ctrl && s.req_id == sub.req_id) {
-            return Err(Cause::Ric(RicCause::DuplicateAction));
-        }
-        self.subs.push(sub.clone());
-        Ok(())
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.retain(|s| !(s.ctrl == ctrl && s.req_id == req_id));
+    ) -> Result<Admission, Cause> {
+        Ok(Admission::on_event())
     }
     fn on_control(
         &mut self,
@@ -653,7 +522,7 @@ impl RanFunction for RrcEventFn {
         Ok(Some(Bytes::from_static(b"ok")))
     }
     fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        if self.subs.is_empty() {
+        if ctx.subscribers().is_empty() {
             return;
         }
         let events = {
@@ -669,7 +538,8 @@ impl RanFunction for RrcEventFn {
         // (paper Fig. 4), so withholding them would deadlock setup.  One
         // SM encode here, one E2AP encode per request-id group at flush.
         let msg = Bytes::from(ind.encode(self.sm_codec));
-        ctx.send_indication_multi(self.subs.iter(), None, Bytes::new(), msg);
+        let subs = ctx.subscribers().iter().map(|s| s.info());
+        ctx.send_indication_multi(subs, None, Bytes::new(), msg);
     }
 }
 
@@ -677,38 +547,28 @@ impl RanFunction for RrcEventFn {
 /// indication carrying the same payload (paper §5.2).
 pub struct HwFn {
     sm_codec: SmCodec,
-    desc: Arc<SmDescriptor>,
+    identity: RanFunctionItem,
 }
 
 impl HwFn {
     /// Creates the ping responder.
     pub fn new(sm_codec: SmCodec) -> Self {
-        HwFn { sm_codec, desc: desc_of(oid::HW) }
+        HwFn { sm_codec, identity: identity_of(oid::HW, sm_codec) }
     }
 }
 
 impl RanFunction for HwFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.desc.ran_function_id)
-    }
-    fn oid(&self) -> String {
-        self.desc.oid.clone()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-    }
-    fn version(&self) -> FnVersion {
-        self.desc.version.into()
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
         _ctx: &mut AgentCtx,
         _sub: &SubscriptionInfo,
         _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        Ok(())
+    ) -> Result<Admission, Cause> {
+        Ok(Admission::on_event())
     }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, _ctrl: CtrlId, _req: RicRequestId) {}
     fn on_control(
         &mut self,
         ctx: &mut AgentCtx,
@@ -724,7 +584,6 @@ impl RanFunction for HwFn {
             req_id: req.req_id,
             ran_function: req.ran_function,
             action: flexric_e2ap::RicActionId(0),
-            trigger: Bytes::new(),
         };
         let pong = Bytes::from(ping.encode(self.sm_codec));
         ctx.send_indication(&sub, Some(ping.seq), Bytes::new(), pong);

@@ -27,7 +27,8 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 
 use flexric::agent::{
-    Agent, AgentConfig, AgentCtx, AgentHandle, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo,
+    Admission, Agent, AgentConfig, AgentCtx, AgentHandle, CtrlId, Due, RanFunction,
+    SubscriptionInfo,
 };
 use flexric::server::{
     AgentId, AgentInfo, IApp, IndicationRef, Server, ServerApi, ServerConfig, ServerHandle,
@@ -279,53 +280,25 @@ impl IApp for VirtSouthApp {
 struct VirtMacFn {
     sm_codec: SmCodec,
     shared: Arc<Mutex<VirtShared>>,
-    subs: PeriodicSubs,
+    identity: RanFunctionItem,
 }
 
 impl RanFunction for VirtMacFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(rf::MAC_STATS)
-    }
-    fn oid(&self) -> String {
-        oid::MAC_STATS.to_owned()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(
-            RanFuncDef::simple("V-MAC-STATS", "tenant-partitioned MAC statistics")
-                .encode(self.sm_codec),
-        )
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
-    }
-    fn on_control(
-        &mut self,
         _ctx: &mut AgentCtx,
-        _ctrl: CtrlId,
-        _req: &RicControlRequest,
-    ) -> Result<Option<Bytes>, Cause> {
-        Err(Cause::Ric(RicCause::ActionNotSupported))
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, self.sm_codec)
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        if self.subs.is_empty() {
-            return;
-        }
-        let mut due: Vec<SubscriptionInfo> = Vec::new();
-        self.subs.for_due(ctx.now_ms, |sub, _| due.push(sub.clone()));
-        if due.is_empty() {
-            return;
-        }
+    fn on_report(&mut self, ctx: &mut AgentCtx, due: Due<'_>) {
         let shared = self.shared.lock().expect("lock poisoned");
         let Some(stats) = shared.latest_mac.clone() else { return };
-        for sub in due {
+        for sub in due.iter().map(|s| s.info()) {
             let tenant = sub.ctrl; // controller i is tenant i
             let Some(tconf) = shared.tenants.get(tenant) else { continue };
             let filtered = MacStatsInd {
@@ -344,7 +317,7 @@ impl RanFunction for VirtMacFn {
                     .collect(),
             };
             let msg = Bytes::from(filtered.encode(self.sm_codec));
-            ctx.send_indication(&sub, None, Bytes::new(), msg);
+            ctx.send_indication(sub, None, Bytes::new(), msg);
         }
     }
 }
@@ -356,7 +329,7 @@ struct VirtSliceFn {
     /// The south server, whose `virt-south` iApp applies what this
     /// function translates.
     south: ServerHandle,
-    subs: PeriodicSubs,
+    identity: RanFunctionItem,
 }
 
 impl VirtSliceFn {
@@ -367,8 +340,6 @@ impl VirtSliceFn {
         tenant: usize,
         ctrl: &SliceCtrl,
     ) -> Result<Vec<SliceCtrl>, Cause> {
-        let sla = shared.tenants[tenant].sla_milli;
-        let _ = sla;
         match ctrl {
             SliceCtrl::SetAlgo { algo } => {
                 // The virtual network is always NVS; accept a tenant's NVS
@@ -442,28 +413,16 @@ impl VirtSliceFn {
 }
 
 impl RanFunction for VirtSliceFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(rf::SLICE_CTRL)
-    }
-    fn oid(&self) -> String {
-        oid::SLICE_CTRL.to_owned()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(
-            RanFuncDef::simple("V-SLICE-CTRL", "virtualized slice control (Appendix B)")
-                .encode(self.sm_codec),
-        )
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
+        _ctx: &mut AgentCtx,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, self.sm_codec)
     }
     fn on_control(
         &mut self,
@@ -487,18 +446,10 @@ impl RanFunction for VirtSliceFn {
         }
         Ok(Some(Bytes::from_static(b"ok")))
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        if self.subs.is_empty() {
-            return;
-        }
-        let mut due: Vec<SubscriptionInfo> = Vec::new();
-        self.subs.for_due(ctx.now_ms, |sub, _| due.push(sub.clone()));
-        if due.is_empty() {
-            return;
-        }
+    fn on_report(&mut self, ctx: &mut AgentCtx, due: Due<'_>) {
         let shared = self.shared.lock().expect("lock poisoned");
         let Some(south) = shared.latest_slice.clone() else { return };
-        for sub in due {
+        for sub in due.iter().map(|s| s.info()) {
             let tenant = sub.ctrl;
             let Some(tconf) = shared.tenants.get(tenant) else { continue };
             // Virtualized view: only the tenant's slices, shares scaled to
@@ -535,7 +486,7 @@ impl RanFunction for VirtSliceFn {
                 ue_assoc,
             };
             let msg = Bytes::from(ind.encode(self.sm_codec));
-            ctx.send_indication(&sub, None, Bytes::new(), msg);
+            ctx.send_indication(sub, None, Bytes::new(), msg);
         }
     }
 }
@@ -598,13 +549,24 @@ impl VirtController {
         acfg.controllers = ctrl_addrs;
         acfg.codec = codec;
         acfg.tick_ms = tick_ms;
+        // A virtual function is advertised under a bundled SM's id and OID
+        // with a definition of the virtualization layer's own.
+        let identity = |id: u16, oid: &str, def: RanFuncDef| {
+            RanFunctionItem::new(id, oid, Bytes::from(def.encode(sm_codec)))
+        };
+        let mac = RanFuncDef::simple("V-MAC-STATS", "tenant-partitioned MAC statistics");
+        let slice = RanFuncDef::simple("V-SLICE-CTRL", "virtualized slice control (Appendix B)");
         let functions: Vec<Box<dyn RanFunction>> = vec![
-            Box::new(VirtMacFn { sm_codec, shared: shared.clone(), subs: PeriodicSubs::new() }),
+            Box::new(VirtMacFn {
+                sm_codec,
+                shared: shared.clone(),
+                identity: identity(rf::MAC_STATS, oid::MAC_STATS, mac),
+            }),
             Box::new(VirtSliceFn {
                 sm_codec,
                 shared: shared.clone(),
                 south: south.clone(),
-                subs: PeriodicSubs::new(),
+                identity: identity(rf::SLICE_CTRL, oid::SLICE_CTRL, slice),
             }),
         ];
         let north = Agent::spawn(acfg, functions)?;

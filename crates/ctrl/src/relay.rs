@@ -14,9 +14,11 @@
 
 use std::io;
 use std::sync::mpsc;
+use std::time::Duration;
 
 use bytes::Bytes;
 
+use flexric::endpoint::RetryPolicy;
 use flexric::server::{
     AgentId, CtrlOutcome, IApp, IndicationRef, Server, ServerApi, ServerConfig, SubOutcome,
 };
@@ -113,7 +115,10 @@ pub fn spawn_relay(
     let mut transport = connect(&north_addr)?;
     let setup = flexric::agent::setup_request(0, node, advertised);
     transport.send(WireMsg::e2ap(Bytes::from(codec.encode(&setup))))?;
-    match transport.recv()? {
+    // An upstream that accepts and stays silent is given the setup
+    // deadline, then this returns `TimedOut`.
+    let deadline = Duration::from_millis(RetryPolicy::default().setup_deadline_ms);
+    match transport.recv_timeout(deadline)? {
         Some(msg) => match codec.decode(&msg.payload) {
             Ok(E2apPdu::E2SetupResponse(_)) => {}
             other => {
@@ -256,7 +261,6 @@ mod tests {
     use super::*;
     use flexric::agent::{Agent, AgentConfig};
     use flexric_sm::SmCodec;
-    use std::time::Duration;
 
     #[test]
     fn two_hop_ping_through_relay() {
@@ -308,5 +312,27 @@ mod tests {
         for rtt in samples.iter() {
             assert!(*rtt < 1_000_000_000, "sane RTT: {rtt} ns");
         }
+    }
+
+    /// An upstream controller that accepts the connection and never
+    /// answers the setup request does not hang the relay's spawn.
+    #[test]
+    fn a_silent_upstream_times_the_relay_out() {
+        let up = TransportAddr::Mem("relay-silent-up".into());
+        let mut listener = flexric_transport::listen(&up).unwrap();
+        let held = std::thread::spawn(move || listener.accept());
+        let mut south_cfg = ServerConfig::new(
+            GlobalRicId::new(Plmn::TEST, 2),
+            TransportAddr::Mem("relay-silent-south".into()),
+        );
+        south_cfg.tick_ms = None;
+        let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 99);
+        let started = std::time::Instant::now();
+        let Err(err) = spawn_relay(south_cfg, up, node, hw_advertisement(SmCodec::Flatb)) else {
+            panic!("no setup response, no relay");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "bounded by the setup deadline");
+        drop(held.join().unwrap());
     }
 }

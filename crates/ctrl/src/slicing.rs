@@ -254,18 +254,7 @@ impl IApp for SliceApp {
     }
 
     fn on_control_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &CtrlOutcome) {
-        let (req_id, reply) = match out {
-            CtrlOutcome::Ack(ack) => (ack.req_id, CtrlReply { ok: true, detail: String::new() }),
-            CtrlOutcome::Failed(f) => {
-                (f.req_id, CtrlReply { ok: false, detail: format!("{:?}", f.cause) })
-            }
-            CtrlOutcome::TimedOut { req_id, .. } => {
-                (*req_id, CtrlReply { ok: false, detail: "control timed out".into() })
-            }
-            CtrlOutcome::ConnectionLost { req_id, .. } => {
-                (*req_id, CtrlReply { ok: false, detail: "agent connection lost".into() })
-            }
-        };
+        let (req_id, reply) = CtrlReply::from_outcome(out);
         if let Some(tx) = self.pending.remove(&(agent, req_id)) {
             let _ = tx.send(reply);
         }
@@ -300,6 +289,22 @@ pub fn apply(server: &ServerHandle, agent: AgentId, ctrl: SliceCtrl) -> Option<C
     let (tx, rx) = std::sync::mpsc::sync_channel(1);
     server.to_iapp("slice", Box::new(ApplySliceCtrl { agent, ctrl, reply: tx }));
     await_reply(&rx)
+}
+
+impl CtrlReply {
+    /// What a relayed command's caller is told about `out`, with the
+    /// request id its reply channel is filed under.
+    pub(crate) fn from_outcome(out: &CtrlOutcome) -> (RicRequestId, CtrlReply) {
+        let failed = |detail: String| CtrlReply { ok: false, detail };
+        match out {
+            CtrlOutcome::Ack(ack) => (ack.req_id, CtrlReply { ok: true, detail: String::new() }),
+            CtrlOutcome::Failed(f) => (f.req_id, failed(format!("{:?}", f.cause))),
+            CtrlOutcome::TimedOut { req_id, .. } => (*req_id, failed("control timed out".into())),
+            CtrlOutcome::ConnectionLost { req_id, .. } => {
+                (*req_id, failed("agent connection lost".into()))
+            }
+        }
+    }
 }
 
 /// Waits (on the caller's thread) for an iApp's answer to a relayed command.

@@ -262,18 +262,7 @@ impl IApp for TcManagerApp {
     }
 
     fn on_control_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &CtrlOutcome) {
-        let (req_id, reply) = match out {
-            CtrlOutcome::Ack(ack) => (ack.req_id, CtrlReply { ok: true, detail: String::new() }),
-            CtrlOutcome::Failed(f) => {
-                (f.req_id, CtrlReply { ok: false, detail: format!("{:?}", f.cause) })
-            }
-            CtrlOutcome::TimedOut { req_id, .. } => {
-                (*req_id, CtrlReply { ok: false, detail: "control timed out".into() })
-            }
-            CtrlOutcome::ConnectionLost { req_id, .. } => {
-                (*req_id, CtrlReply { ok: false, detail: "agent connection lost".into() })
-            }
-        };
+        let (req_id, reply) = CtrlReply::from_outcome(out);
         if let Some(tx) = self.pending.remove(&(agent, req_id)) {
             let _ = tx.send(reply);
         }

@@ -51,6 +51,20 @@ pub struct RanFunctionItem {
     pub version: FnVersion,
 }
 
+impl RanFunctionItem {
+    /// A function at revision 1 of its definition and version 1.0 of its
+    /// service model.
+    pub fn new(id: u16, oid: &str, definition: Bytes) -> Self {
+        RanFunctionItem {
+            id: RanFunctionId::new(id),
+            definition,
+            revision: 1,
+            oid: oid.to_owned(),
+            version: FnVersion::V1,
+        }
+    }
+}
+
 /// Configuration of one E2 node component (interface termination).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct E2NodeComponentConfig {

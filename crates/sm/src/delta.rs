@@ -932,12 +932,6 @@ impl<K: Eq + Hash, T: DeltaRows> DeltaStreams<K, T> {
         self.streams.remove(key);
     }
 
-    /// Drops every stream whose key fails the predicate (e.g. all
-    /// subscriptions of a departed controller).
-    pub fn retain_keys(&mut self, mut f: impl FnMut(&K) -> bool) {
-        self.streams.retain(|k, _| f(k));
-    }
-
     /// Drops every stream (controller reset).
     pub fn clear(&mut self) {
         self.streams.clear();

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use flexric::agent::{Agent, AgentConfig, AgentCtx, CtrlId, PeriodicSubs, SubscriptionInfo};
-use flexric::report::ReportSender;
+use flexric::agent::{Admission, Agent, AgentConfig, AgentCtx, Due, SubscriptionInfo};
+use flexric::report::ReportStream;
 use flexric::server::{AgentId, AgentInfo, IApp, IndicationRef, Server, ServerApi, ServerConfig};
 use flexric_e2ap::*;
 use flexric_sm::registry::{self, AnyDeltaDecoder, AnyDeltaEvent, SmDescriptor, SmVersion};
@@ -90,56 +90,30 @@ fn register_geo_sm() -> Arc<SmDescriptor> {
 // ---------------------------------------------------------------------------
 
 struct GeoFn {
-    desc: Arc<SmDescriptor>,
-    subs: PeriodicSubs,
-    /// Full snapshots or keyframe/delta frames, as each subscription asks.
-    sender: ReportSender<GeoLocInd>,
+    /// Id, OID, version and definition, as the descriptor advertises them.
+    identity: RanFunctionItem,
     sm_codec: SmCodec,
     steps: u64,
 }
 
 impl flexric::agent::RanFunction for GeoFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.desc.ran_function_id)
-    }
-    fn oid(&self) -> String {
-        self.desc.oid.clone()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from(self.desc.funcdef_bytes(self.sm_codec))
-    }
-    fn version(&self) -> FnVersion {
-        self.desc.version.into()
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)?;
-        if let Ok(trigger) = ReportTrigger::decode(self.sm_codec, &sub.trigger) {
-            self.sender.reset(sub, &trigger);
-        }
-        Ok(())
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
-        self.sender.delete(ctrl, req_id);
-    }
-    fn on_control(
-        &mut self,
         _ctx: &mut AgentCtx,
-        _ctrl: CtrlId,
-        _req: &RicControlRequest,
-    ) -> Result<Option<Bytes>, Cause> {
-        Err(Cause::Ric(RicCause::ActionNotSupported))
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        // Periodic under the request's ReportTrigger; the agent keeps the
+        // stream — full snapshots or keyframe/delta frames, as the trigger
+        // asks — with the subscription and says when a report is due.
+        let stream = ReportStream::<GeoLocInd>::new(self.sm_codec);
+        Ok(Admission::report(req, self.sm_codec)?.with_state(stream))
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        let now = ctx.now_ms;
-        let mut due: Vec<(SubscriptionInfo, ReportTrigger)> = Vec::new();
-        self.subs.for_due(now, |sub, trigger| due.push((sub.clone(), *trigger)));
-        for (sub, trigger) in due {
+    fn on_report(&mut self, ctx: &mut AgentCtx, mut due: Due<'_>) {
+        for sub in due.iter_mut() {
             self.steps += 1;
             // One UE walks north-east, one step per report; the other is
             // parked, so a delta frame carries the walker's row alone.
@@ -151,9 +125,8 @@ impl flexric::agent::RanFunction for GeoFn {
             };
             let parked =
                 GeoFix { rnti: 0x4602, lat_udeg: 133_620_000, lon_udeg: 187_080_000, alt_cm: 900 };
-            let ind = GeoLocInd { tstamp_ms: now, fixes: vec![walker, parked] };
-            let sn = Some(self.steps as u32);
-            self.sender.send(ctx, &sub, &trigger, &ind, sn, Bytes::new());
+            let ind = GeoLocInd { tstamp_ms: ctx.now_ms, fixes: vec![walker, parked] };
+            sub.report(ctx, &ind, Some(self.steps as u32), Bytes::new());
         }
     }
 }
@@ -228,13 +201,7 @@ fn main() {
     cfg.tick_ms = Some(5);
     let server = Server::spawn(cfg, vec![Box::new(app)]).expect("server");
 
-    let geo = GeoFn {
-        desc,
-        subs: PeriodicSubs::new(),
-        sender: ReportSender::new(sm_codec),
-        sm_codec,
-        steps: 0,
-    };
+    let geo = GeoFn { identity: desc.advertisement(sm_codec), sm_codec, steps: 0 };
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1),
         server.addrs[0].clone(),

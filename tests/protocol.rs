@@ -22,7 +22,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use flexric::agent::{
-    Agent, AgentConfig, AgentCtx, AgentIn, AgentOut, CtrlId, PeriodicSubs, RanFunction,
+    Admission, Agent, AgentConfig, AgentCtx, AgentIn, AgentOut, CtrlId, Due, RanFunction,
     SubscriptionInfo,
 };
 use flexric::endpoint::{Backoff, RetryPolicy};
@@ -305,7 +305,7 @@ fn frame_or_closed<X>(peer: PeerId, what: Option<WireMsg>) -> Event<X> {
 // ---------------------------------------------------------------------------
 
 struct PingFn {
-    subs: PeriodicSubs,
+    identity: RanFunctionItem,
     seq: u32,
 }
 
@@ -323,30 +323,22 @@ impl PingFn {
             .trigger::<ReportTrigger>()
             .indication::<HwPing>(),
         );
-        PingFn { subs: PeriodicSubs::new(), seq: 0 }
+        let identity = RanFunctionItem::new(7, "test.ping", Bytes::from_static(b"ping-def"));
+        PingFn { identity, seq: 0 }
     }
 }
 
 impl RanFunction for PingFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(7)
-    }
-    fn oid(&self) -> String {
-        "test.ping".into()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from_static(b"ping-def")
+    fn identity(&self) -> &RanFunctionItem {
+        &self.identity
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, SmCodec::Flatb, ctx.now_ms)
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
+        _ctx: &mut AgentCtx,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, SmCodec::Flatb)
     }
     fn on_control(
         &mut self,
@@ -356,15 +348,13 @@ impl RanFunction for PingFn {
     ) -> Result<Option<Bytes>, Cause> {
         Ok(None)
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
+    fn on_report(&mut self, ctx: &mut AgentCtx, due: Due<'_>) {
         let now = ctx.now_ms;
-        let mut due: Vec<SubscriptionInfo> = Vec::new();
-        self.subs.for_due(now, |sub, _| due.push(sub.clone()));
-        for sub in due {
+        for sub in due.iter() {
             self.seq += 1;
             let ping = HwPing { seq: self.seq, tstamp_ns: now * 1_000_000, payload: Bytes::new() };
             let msg = Bytes::from(ping.encode(SmCodec::Flatb));
-            ctx.send_indication(&sub, Some(self.seq), Bytes::new(), msg);
+            ctx.send_indication(sub.info(), Some(self.seq), Bytes::new(), msg);
         }
     }
 }

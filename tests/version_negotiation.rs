@@ -9,9 +9,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use flexric::agent::{
-    Agent, AgentConfig, AgentCtx, CtrlId, PeriodicSubs, RanFunction, SubscriptionInfo,
-};
+use flexric::agent::{Admission, Agent, AgentConfig, AgentCtx, Due, RanFunction, SubscriptionInfo};
 use flexric::server::{AgentId, AgentInfo, IApp, Server, ServerApi, ServerConfig, ServerHandle};
 use flexric_e2ap::*;
 use flexric_sm::{RanFuncDef, ReportTrigger, SmCodec, SmDescriptor, SmPayload, SmVersion};
@@ -35,58 +33,31 @@ fn register_alpha() {
 
 /// A RAN function whose advertised identity (id, oid, version) is fully
 /// parameterized, so tests can fabricate arbitrary setup offers.
-struct VersionedFn {
-    id: u16,
-    oid: &'static str,
-    version: FnVersion,
-    subs: PeriodicSubs,
-    sm_codec: SmCodec,
-}
+struct VersionedFn(RanFunctionItem);
 
 impl VersionedFn {
     fn new(id: u16, oid: &'static str, version: FnVersion) -> Self {
-        VersionedFn { id, oid, version, subs: PeriodicSubs::new(), sm_codec: SmCodec::Flatb }
+        let definition = Bytes::from_static(b"versioned-def");
+        VersionedFn(RanFunctionItem { version, ..RanFunctionItem::new(id, oid, definition) })
     }
 }
 
 impl RanFunction for VersionedFn {
-    fn id(&self) -> RanFunctionId {
-        RanFunctionId::new(self.id)
-    }
-    fn oid(&self) -> String {
-        self.oid.into()
-    }
-    fn definition(&self) -> Bytes {
-        Bytes::from_static(b"versioned-def")
-    }
-    fn version(&self) -> FnVersion {
-        self.version
+    fn identity(&self) -> &RanFunctionItem {
+        &self.0
     }
     fn on_subscription(
         &mut self,
-        ctx: &mut AgentCtx,
-        sub: &SubscriptionInfo,
-        _req: &RicSubscriptionRequest,
-    ) -> Result<(), Cause> {
-        self.subs.admit(sub, self.sm_codec, ctx.now_ms)
-    }
-    fn on_subscription_delete(&mut self, _ctx: &mut AgentCtx, ctrl: CtrlId, req_id: RicRequestId) {
-        self.subs.remove(ctrl, req_id);
-    }
-    fn on_control(
-        &mut self,
         _ctx: &mut AgentCtx,
-        _ctrl: CtrlId,
-        _req: &RicControlRequest,
-    ) -> Result<Option<Bytes>, Cause> {
-        Err(Cause::Ric(RicCause::ActionNotSupported))
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, SmCodec::Flatb)
     }
-    fn on_tick(&mut self, ctx: &mut AgentCtx) {
-        let now = ctx.now_ms;
-        let mut due: Vec<SubscriptionInfo> = Vec::new();
-        self.subs.for_due(now, |sub, _| due.push(sub.clone()));
-        for (i, sub) in due.into_iter().enumerate() {
-            ctx.send_indication(&sub, Some(i as u32), Bytes::new(), Bytes::from_static(b"tick"));
+    fn on_report(&mut self, ctx: &mut AgentCtx, due: Due<'_>) {
+        for (i, sub) in due.iter().enumerate() {
+            let (sn, msg) = (Some(i as u32), Bytes::from_static(b"tick"));
+            ctx.send_indication(sub.info(), sn, Bytes::new(), msg);
         }
     }
 }
