@@ -378,6 +378,20 @@ mod tests {
         }
     }
 
+    /// `tests/fb_golden/e2ap.txt` holds the FB frame of every sample as the
+    /// commit before `TableBuilder` staged bytes (PR 18, `153255d`) wrote
+    /// it, one `MsgType hex` line each.
+    #[test]
+    fn fb_frames_of_the_parent_commit_are_kept() {
+        let golden = include_str!("../tests/fb_golden/e2ap.txt");
+        let hex = |buf: &[u8]| buf.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let ours: Vec<String> = sample_pdus()
+            .iter()
+            .map(|pdu| format!("{:?} {}", pdu.msg_type(), hex(&E2apCodec::Flatb.encode(pdu))))
+            .collect();
+        assert_eq!(ours, golden.lines().collect::<Vec<_>>());
+    }
+
     #[test]
     fn encode_into_is_byte_identical_to_encode() {
         // Acceptance criterion: no behavioural change on the wire.  The

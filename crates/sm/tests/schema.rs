@@ -7,8 +7,10 @@
 //! * A delta frame that carries an out-of-range value under a post-hash that
 //!   matches it is refused, and a keyframe resyncs the stream.
 //! * A service model declared here with the exported macros — types, codecs
-//!   and delta hooks in 25 lines, no imports — round-trips.
+//!   and delta hooks in 25 lines, no imports — round-trips, and keeps the FB
+//!   bytes of `fb_vectors/`.
 
+mod fb_vectors;
 mod schema_golden;
 
 use std::fmt::Debug;
@@ -292,6 +294,11 @@ fn a_service_model_declared_outside_the_crate_round_trips() {
     }
     assert_eq!(BeamStatsInd::decode_pb(&snaps[0].encode_pb()).as_ref(), Ok(&snaps[0]));
     assert_eq!(BeamStatsInd::row_key(&snaps[0].beams[2]), 255);
+    // The derived FB encoder writes what it wrote when `fb_vectors/` was
+    // recorded.
+    assert_eq!(snaps[0].encode(SmCodec::Flatb), fb_vectors::vector("beam-3"));
+    let none = BeamStatsInd { tstamp_ms: 10, swept: 64, beams: vec![] };
+    assert_eq!(none.encode(SmCodec::Flatb), fb_vectors::vector("beam-0"));
 
     // A delta stream through the registry's type-erased hooks, as a
     // controller runs it.

@@ -14,7 +14,7 @@ use flexric_sm::tc::{TcQueueStats, TcStatsInd};
 
 /// Row `key` with every field drawn from `n`, from one bit wide to
 /// sixty-four, and folded into what the field may hold.
-fn row<R: Row>(key: u32, n: u64) -> R {
+pub fn row<R: Row>(key: u32, n: u64) -> R {
     let mut row = R::with_key(key);
     for (i, f) in (0..).zip(R::FIELDS) {
         let v = (n.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i) >> ((5 * n + 7 * i) % 64);
