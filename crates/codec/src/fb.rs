@@ -28,9 +28,12 @@
 //! snapshot carry one vtable, not 32.  Unlike real FlatBuffers we build
 //! front-to-back; readers follow absolute offsets and care about neither.
 //!
-//! The builder writes a unit at a time — a table, a vector, a blob: it
-//! works out the unit's size, grows the sink once and stores the fields
-//! into the new tail at known offsets.
+//! The builder writes a unit at a time — a table, a vector, a blob, a
+//! vector of tables of one layout — in one pass.  A unit whose bytes exist
+//! already (a blob, a table staged in its [`TableBuilder`]) is copied into
+//! the sink; one that is computed in place (an offset vector, the rows of
+//! [`FbBuilder::vec_of_tables`]) is sized first, the sink grown once and
+//! the fields stored into the new tail at known offsets.
 
 use crate::error::{CodecError, Result};
 use crate::sink::ByteSink;
@@ -46,28 +49,6 @@ pub const FB_HEADER_LEN: usize = 8;
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Value of one table slot while building.
-#[derive(Debug, Clone, Copy)]
-enum SlotVal {
-    U8(u8),
-    U16(u16),
-    U32(u32),
-    U64(u64),
-    /// Absolute offset of out-of-line data (blob, vector, subtable).
-    Off(u32),
-}
-
-impl SlotVal {
-    fn width(&self) -> usize {
-        match self {
-            SlotVal::U8(_) => 1,
-            SlotVal::U16(_) => 2,
-            SlotVal::U32(_) | SlotVal::Off(_) => 4,
-            SlotVal::U64(_) => 8,
-        }
-    }
-}
-
 /// Slot numbers a table may use (`0..MAX_SLOTS`).
 const MAX_SLOTS: usize = 64;
 
@@ -79,9 +60,9 @@ const VTABLE_MEMO: usize = 8;
 /// Builder for an FB-style message.
 ///
 /// Out-of-line children (blobs, vectors, subtables) must be written before
-/// the table that references them, as with real FlatBuffers; the one
-/// exception is [`Self::vec_off_with`], which writes a vector ahead of its
-/// elements.
+/// the table that references them, as with real FlatBuffers; the
+/// exceptions are [`Self::vec_off_with`] and [`Self::vec_of_tables`], which
+/// write a vector ahead of its elements.
 #[derive(Debug)]
 pub struct FbBuilder<B: ByteSink = Vec<u8>> {
     buf: B,
@@ -134,31 +115,29 @@ impl<B: ByteSink> FbBuilder<B> {
         (self.buf.len() - self.base) as u32
     }
 
-    /// Appends a `len:u32` prefix and room for `len` elements of `width`
-    /// bytes, returning the unit's message-relative offset and the (zeroed)
-    /// element bytes.
+    /// Appends the `len:u32` prefix of a blob or vector whose elements the
+    /// caller appends next, returning the unit's message-relative offset.
     #[inline]
-    fn counted(&mut self, len: usize, width: usize) -> (u32, &mut [u8]) {
+    fn count(&mut self, len: usize) -> u32 {
         let pos = self.pos();
-        let (count, elems) = self.buf.grow(4 + len * width).split_at_mut(4);
-        count.copy_from_slice(&(len as u32).to_le_bytes());
-        (pos, elems)
+        self.buf.put_slice(&(len as u32).to_le_bytes());
+        pos
     }
 
     /// Writes a vector of `W`-byte little-endian scalars.
     #[inline]
     fn vec_le<T: Copy, const W: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; W]) -> u32 {
-        let (pos, elems) = self.counted(vals.len(), W);
-        for (elem, v) in elems.chunks_exact_mut(W).zip(vals) {
-            elem.copy_from_slice(&le(*v));
+        let pos = self.count(vals.len());
+        for v in vals {
+            self.buf.put_slice(&le(*v));
         }
         pos
     }
 
     /// Writes a blob (byte string), returning its message-relative offset.
     pub fn blob(&mut self, data: &[u8]) -> u32 {
-        let (pos, body) = self.counted(data.len(), 1);
-        body.copy_from_slice(data);
+        let pos = self.count(data.len());
+        self.buf.put_slice(data);
         pos
     }
 
@@ -184,7 +163,9 @@ impl<B: ByteSink> FbBuilder<B> {
     {
         let items = items.into_iter();
         let len = items.len();
-        let (pos, _) = self.counted(len, 4);
+        let pos = self.pos();
+        // The slots stay zero until each child ends and its offset is known.
+        self.buf.grow(4 + 4 * len)[..4].copy_from_slice(&(len as u32).to_le_bytes());
         let mut slot = self.base + pos as usize + 4;
         // `take`: an iterator that yields more than it announced must not
         // write past the slots.
@@ -192,6 +173,53 @@ impl<B: ByteSink> FbBuilder<B> {
             let off = child(self, item);
             self.buf.as_mut_slice()[slot..slot + 4].copy_from_slice(&off.to_le_bytes());
             slot += 4;
+        }
+        pos
+    }
+
+    /// Writes a vector of tables that all have one layout — `size` bytes
+    /// each, the vtable pointer leading, described by `vtable` — ahead of
+    /// the tables themselves: the offset vector, one table per item and, if
+    /// the message holds no equal vtable yet, the vtable after the first
+    /// table, all in one reservation.  `fill` is handed each item and its
+    /// table, pointer already in place, and stores the fields where
+    /// `vtable` says they are.  The bytes are those of [`Self::vec_off_with`]
+    /// over a [`TableBuilder`] per item: with every slot of every table
+    /// written, they sit at offsets that depend on the item count alone.
+    #[inline]
+    pub fn vec_of_tables<I, F>(&mut self, size: usize, vtable: &[u8], items: I, mut fill: F) -> u32
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        F: FnMut(I::Item, &mut [u8]),
+    {
+        assert!(size >= 4, "a table starts with its vtable pointer");
+        let items = items.into_iter();
+        let len = items.len();
+        let pos = self.pos();
+        let first = pos + 4 + 4 * len as u32;
+        let shared = self.shared_vtable(vtable);
+        // Bytes of the vtable this vector writes itself.
+        let own = if len == 0 || shared.is_some() { 0 } else { vtable.len() };
+        let vt_pos = shared.unwrap_or(first + size as u32);
+
+        let unit = self.buf.grow(4 + len * (4 + size) + own);
+        let (count, unit) = unit.split_at_mut(4);
+        count.copy_from_slice(&(len as u32).to_le_bytes());
+        let (slots, tables) = unit.split_at_mut(4 * len);
+        // `zip`: an iterator that yields more than it announced must not
+        // write past the slots.
+        for (i, (item, slot)) in items.zip(slots.chunks_exact_mut(4)).enumerate() {
+            // The vtable this vector writes follows its first table.
+            let at = i * size + if i == 0 { 0 } else { own };
+            slot.copy_from_slice(&(first + at as u32).to_le_bytes());
+            let table = &mut tables[at..at + size];
+            table[..4].copy_from_slice(&vt_pos.to_le_bytes());
+            fill(item, table);
+        }
+        if own != 0 {
+            tables[size..size + own].copy_from_slice(vtable);
+            self.remember_vtable(vt_pos);
         }
         pos
     }
@@ -219,49 +247,26 @@ impl<B: ByteSink> FbBuilder<B> {
         remembered.iter().copied().find(|&pos| msg[pos as usize..].starts_with(vt))
     }
 
-    /// Finalizes a table built with [`TableBuilder`], returning its offset.
+    /// Enters the vtable just written at `pos` into the memo.
     #[inline]
-    fn end_table(&mut self, slots: &[(u16, SlotVal)]) -> u32 {
-        // Lay the table out: each field's offset gives the vtable and, at
-        // the end, the table's size.  The vtable is staged because it is
-        // compared far more often than written.
-        let mut vt = [0u8; 2 + 2 * MAX_SLOTS];
-        let mut nslots = 0;
-        let mut size = 4; // the vtable pointer leads
-        for (slot, val) in slots {
-            let slot = *slot as usize;
-            assert!(slot < MAX_SLOTS, "table slot {slot} out of range");
-            vt[2 + 2 * slot..4 + 2 * slot].copy_from_slice(&(size as u16).to_le_bytes());
-            nslots = nslots.max(slot + 1);
-            size += val.width();
-        }
-        vt[..2].copy_from_slice(&(nslots as u16).to_le_bytes());
-        let vt = &vt[..2 + 2 * nslots];
+    fn remember_vtable(&mut self, pos: u32) {
+        self.vtables[self.vtables_written % VTABLE_MEMO] = pos;
+        self.vtables_written += 1;
+    }
 
-        // One reservation: the table, and its vtable unless an equal one is
-        // already in the message.
+    /// Appends a table staged by [`TableBuilder`] — `table`, its first four
+    /// bytes room for the vtable pointer — and its vtable unless an equal
+    /// one is already in the message, returning the table's offset.
+    #[inline]
+    fn end_table(&mut self, table: &mut [u8], vt: &[u8]) -> u32 {
         let table_pos = self.pos();
         let shared = self.shared_vtable(vt);
-        let unit = self.buf.grow(size + if shared.is_some() { 0 } else { vt.len() });
-        let (table, own_vt) = unit.split_at_mut(size);
-        let vt_pos = shared.unwrap_or(table_pos + size as u32);
+        let vt_pos = shared.unwrap_or(table_pos + table.len() as u32);
         table[..4].copy_from_slice(&vt_pos.to_le_bytes());
-        let mut at = 4;
-        for (_, val) in slots {
-            match *val {
-                SlotVal::U8(v) => table[at] = v,
-                SlotVal::U16(v) => table[at..at + 2].copy_from_slice(&v.to_le_bytes()),
-                SlotVal::U32(v) | SlotVal::Off(v) => {
-                    table[at..at + 4].copy_from_slice(&v.to_le_bytes())
-                }
-                SlotVal::U64(v) => table[at..at + 8].copy_from_slice(&v.to_le_bytes()),
-            }
-            at += val.width();
-        }
+        self.buf.put_slice(table);
         if shared.is_none() {
-            own_vt.copy_from_slice(vt);
-            self.vtables[self.vtables_written % VTABLE_MEMO] = vt_pos;
-            self.vtables_written += 1;
+            self.buf.put_slice(vt);
+            self.remember_vtable(vt_pos);
         }
         table_pos
     }
@@ -275,29 +280,62 @@ impl<B: ByteSink> FbBuilder<B> {
     }
 }
 
-/// Slots a [`TableBuilder`] holds inline; every table in this workspace
-/// fits (the widest, a MAC UE row, has 14).
-const INLINE_SLOTS: usize = 16;
+/// Layout of a table that holds every slot `0..N` in slot order: what
+/// [`FbBuilder::vec_of_tables`] needs of a row type, computed from the
+/// field widths in const context.  `VT` is the vtable's length,
+/// `2 + 2 * N`.
+#[derive(Debug, Clone, Copy)]
+pub struct RowLayout<const N: usize, const VT: usize> {
+    /// Offset of each slot's field from the table's start.
+    pub offsets: [usize; N],
+    /// Bytes of the table: the vtable pointer, then the fields.
+    pub size: usize,
+    /// The vtable: the slot count, then each offset.
+    pub vtable: [u8; VT],
+}
 
-/// Collects the slots of one table before writing it.
+impl<const N: usize, const VT: usize> RowLayout<N, VT> {
+    /// The layout of fields `widths[k]` bytes wide in slot `k`.
+    pub const fn new(widths: [usize; N]) -> Self {
+        assert!(N <= MAX_SLOTS && VT == 2 + 2 * N);
+        let (mut offsets, mut vtable) = ([0; N], [0; VT]);
+        let nslots = (N as u16).to_le_bytes();
+        (vtable[0], vtable[1]) = (nslots[0], nslots[1]);
+        let (mut size, mut k) = (4, 0); // the vtable pointer leads
+        while k < N {
+            offsets[k] = size;
+            let off = (size as u16).to_le_bytes();
+            (vtable[2 + 2 * k], vtable[3 + 2 * k]) = (off[0], off[1]);
+            size += widths[k];
+            k += 1;
+        }
+        RowLayout { offsets, size, vtable }
+    }
+}
+
+/// Room a [`TableBuilder`] has for its table: the vtable pointer and every
+/// slot at the widest scalar.
+const MAX_TABLE: usize = 4 + 8 * MAX_SLOTS;
+
+/// Stages one table before writing it.
 ///
 /// Slots may be pushed in any order; absent optional fields are simply not
-/// pushed.  The first `INLINE_SLOTS` live in the builder itself, so a
-/// message of many small tables (one per UE in a statistics report) pays no
-/// heap allocation per table; a wider table spills to the heap.
+/// pushed.  The builder holds the table's bytes as they will be written —
+/// room for the vtable pointer, then the fields in push order — and its
+/// vtable beside them, both inline: no table allocates, whatever its width.
 ///
-/// Everything on the inline path is `#[inline]` and branches on `len`
-/// alone, and spilling is out of line: where a table's slots are spelled
-/// out in one place, the compiler then knows `len` at every step, hence the
-/// table's layout, and turns builder and [`TableBuilder::end`] into one
-/// reservation and straight-line stores into it.
+/// Everything is `#[inline]`: where a table's slots are spelled out in one
+/// place, the compiler knows every offset, and builder and
+/// [`TableBuilder::end`] become straight-line stores and one copy into the
+/// sink.
 #[derive(Debug)]
 pub struct TableBuilder {
-    inline: [(u16, SlotVal); INLINE_SLOTS],
-    /// Slots pushed, wherever they are.
-    len: usize,
-    /// Every slot, once `len` exceeds [`INLINE_SLOTS`].
-    spill: Vec<(u16, SlotVal)>,
+    table: [u8; MAX_TABLE],
+    /// Bytes of `table` in use.
+    size: usize,
+    /// `nslots:u16` (filled in at the end), then each slot's offset.
+    vtable: [u8; 2 + 2 * MAX_SLOTS],
+    nslots: usize,
 }
 
 impl Default for TableBuilder {
@@ -306,75 +344,52 @@ impl Default for TableBuilder {
     }
 }
 
-/// The first slot past the inline ones moves them all to the heap.
-#[cold]
-#[inline(never)]
-fn push_spilled(
-    spill: &mut Vec<(u16, SlotVal)>,
-    inline: &[(u16, SlotVal); INLINE_SLOTS],
-    slot: (u16, SlotVal),
-) {
-    if spill.is_empty() {
-        spill.extend_from_slice(inline);
-    }
-    spill.push(slot);
-}
-
 impl TableBuilder {
     /// Creates an empty table builder.
     #[inline]
     pub fn new() -> Self {
-        TableBuilder { inline: [(0, SlotVal::U8(0)); INLINE_SLOTS], len: 0, spill: Vec::new() }
+        TableBuilder { table: [0; MAX_TABLE], size: 4, vtable: [0; 2 + 2 * MAX_SLOTS], nslots: 0 }
     }
 
     #[inline]
-    fn push(&mut self, slot: u16, val: SlotVal) -> &mut Self {
-        if self.len < INLINE_SLOTS {
-            self.inline[self.len] = (slot, val);
-        } else {
-            push_spilled(&mut self.spill, &self.inline, (slot, val));
-        }
-        self.len += 1;
+    fn push<const W: usize>(&mut self, slot: u16, le: [u8; W]) -> &mut Self {
+        let slot = slot as usize;
+        assert!(slot < MAX_SLOTS, "table slot {slot} out of range");
+        self.vtable[2 + 2 * slot..4 + 2 * slot].copy_from_slice(&(self.size as u16).to_le_bytes());
+        self.nslots = self.nslots.max(slot + 1);
+        self.table[self.size..self.size + W].copy_from_slice(&le);
+        self.size += W;
         self
-    }
-
-    #[inline]
-    fn slots(&self) -> &[(u16, SlotVal)] {
-        if self.len <= INLINE_SLOTS {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
     }
 
     /// Sets a u8 scalar slot.
     #[inline]
     pub fn u8(&mut self, slot: u16, v: u8) -> &mut Self {
-        self.push(slot, SlotVal::U8(v))
+        self.push(slot, [v])
     }
 
     /// Sets a u16 scalar slot.
     #[inline]
     pub fn u16(&mut self, slot: u16, v: u16) -> &mut Self {
-        self.push(slot, SlotVal::U16(v))
+        self.push(slot, v.to_le_bytes())
     }
 
     /// Sets a u32 scalar slot.
     #[inline]
     pub fn u32(&mut self, slot: u16, v: u32) -> &mut Self {
-        self.push(slot, SlotVal::U32(v))
+        self.push(slot, v.to_le_bytes())
     }
 
     /// Sets a u64 scalar slot.
     #[inline]
     pub fn u64(&mut self, slot: u16, v: u64) -> &mut Self {
-        self.push(slot, SlotVal::U64(v))
+        self.push(slot, v.to_le_bytes())
     }
 
     /// Sets an offset slot (blob / vector / subtable).
     #[inline]
     pub fn off(&mut self, slot: u16, off: u32) -> &mut Self {
-        self.push(slot, SlotVal::Off(off))
+        self.u32(slot, off)
     }
 
     /// Sets an offset slot if present.
@@ -388,8 +403,9 @@ impl TableBuilder {
 
     /// Writes the table into `b`, returning its message-relative offset.
     #[inline]
-    pub fn end<B: ByteSink>(self, b: &mut FbBuilder<B>) -> u32 {
-        b.end_table(self.slots())
+    pub fn end<B: ByteSink>(mut self, b: &mut FbBuilder<B>) -> u32 {
+        self.vtable[..2].copy_from_slice(&(self.nslots as u16).to_le_bytes());
+        b.end_table(&mut self.table[..self.size], &self.vtable[..2 + 2 * self.nslots])
     }
 }
 
@@ -667,11 +683,11 @@ mod tests {
     }
 
     #[test]
-    fn wide_table_spills_past_the_inline_slots() {
-        // What just fits inline, one slot more, and every slot there is,
-        // with every third slot absent: all read back from either sink, at
-        // the size the layout promises (vtable pointer, fields, slot count,
-        // one offset per slot up to the last one present).
+    fn wide_tables_read_back_at_every_width() {
+        // A few slots, many, and every slot there is, with every third slot
+        // absent: all read back from either sink, at the size the layout
+        // promises (vtable pointer, fields, slot count, one offset per slot
+        // up to the last one present).
         fn build<B: ByteSink>(mut b: FbBuilder<B>, n: usize) -> B {
             let mut t = TableBuilder::new();
             for slot in (0..n as u16).filter(|slot| slot % 3 != 1) {
@@ -680,9 +696,9 @@ mod tests {
             let root = t.end(&mut b);
             b.finish_buf(root)
         }
-        for (n, present) in [(24, INLINE_SLOTS), (25, INLINE_SLOTS + 1), (MAX_SLOTS, 43)] {
+        for n in [3, 24, 25, MAX_SLOTS] {
             let msg = build(FbBuilder::new(), n);
-            assert_eq!((0..n).filter(|slot| slot % 3 != 1).count(), present);
+            let present = (0..n).filter(|slot| slot % 3 != 1).count();
             let last = (0..n).rfind(|slot| slot % 3 != 1).unwrap();
             assert_eq!(msg.len(), FB_HEADER_LEN + 4 + 4 * present + 2 + 2 * (last + 1), "{n}");
             assert_eq!(build(FbBuilder::over(bytes::BytesMut::new()), n)[..], msg[..], "{n}");
@@ -693,6 +709,178 @@ mod tests {
             }
             assert_eq!(root.u32(n as u16).unwrap(), None);
         }
+        // The widest table there can be: every slot at eight bytes.
+        let mut b = FbBuilder::new();
+        let mut t = TableBuilder::new();
+        for slot in 0..MAX_SLOTS as u16 {
+            t.u64(slot, u64::MAX - slot as u64);
+        }
+        let root = t.end(&mut b);
+        let msg = b.finish(root);
+        let root = FbView::parse(&msg).unwrap().root().unwrap();
+        for slot in 0..MAX_SLOTS as u16 {
+            assert_eq!(root.u64(slot).unwrap(), Some(u64::MAX - slot as u64));
+        }
+    }
+
+    /// The fields of a row of [`ROW`]'s layout.
+    type RowVals = (u16, u8, u64, u32);
+    const ROW: RowLayout<4, 10> = RowLayout::new([2, 1, 8, 4]);
+
+    fn row(i: u64) -> RowVals {
+        let v = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (v as u16, (v >> 16) as u8, v.rotate_left(24), (v >> 32) as u32)
+    }
+
+    fn fill_row((a, b, c, d): RowVals, table: &mut [u8]) {
+        table[ROW.offsets[0]..][..2].copy_from_slice(&a.to_le_bytes());
+        table[ROW.offsets[1]] = b;
+        table[ROW.offsets[2]..][..8].copy_from_slice(&c.to_le_bytes());
+        table[ROW.offsets[3]..][..4].copy_from_slice(&d.to_le_bytes());
+    }
+
+    fn table_of_row<B: ByteSink>(b: &mut FbBuilder<B>, (r0, r1, r2, r3): RowVals) -> u32 {
+        let mut t = TableBuilder::new();
+        t.u16(0, r0).u8(1, r1).u64(2, r2).u32(3, r3);
+        t.end(b)
+    }
+
+    /// What [`FbBuilder::vec_of_tables`] replaced, kept as its reference:
+    /// an offset vector ahead of one [`TableBuilder`] per row.
+    fn vec_of_tables_reference<B: ByteSink>(b: &mut FbBuilder<B>, rows: &[RowVals]) -> u32 {
+        b.vec_off_with(rows, |b, row| table_of_row(b, *row))
+    }
+
+    /// What a message holds before its rows.
+    #[derive(Debug, Clone, Copy)]
+    enum Before {
+        Nothing,
+        /// A table of the rows' layout: its vtable is the one to share.
+        OneOfTheirs,
+        /// The same, then tables of nine other layouts: the memo has
+        /// forgotten the first.
+        OneOfTheirsForgotten,
+    }
+
+    /// `before`, then `n` rows under a root; the rows by
+    /// [`FbBuilder::vec_of_tables`] or by its reference.
+    fn rows_message<B: ByteSink>(sink: B, before: Before, n: u64, reference: bool) -> B {
+        let mut b = FbBuilder::over(sink);
+        if !matches!(before, Before::Nothing) {
+            table_of_row(&mut b, row(u64::MAX));
+        }
+        if matches!(before, Before::OneOfTheirsForgotten) {
+            for other in 0..=VTABLE_MEMO as u16 {
+                let mut t = TableBuilder::new();
+                t.u8(0, 1).u16(10 + other, other);
+                t.end(&mut b);
+            }
+        }
+        let rows: Vec<RowVals> = (0..n).map(row).collect();
+        let v = if reference {
+            vec_of_tables_reference(&mut b, &rows)
+        } else {
+            b.vec_of_tables(ROW.size, &ROW.vtable, rows.iter().copied(), fill_row)
+        };
+        let mut t = TableBuilder::new();
+        t.u64(0, n).off(1, v);
+        let root = t.end(&mut b);
+        b.finish_buf(root)
+    }
+
+    /// The message both writers make of `n` rows after `before`, in an
+    /// empty `Vec` and after earlier content in a `BytesMut`.
+    fn rows_either_way(before: Before, n: u64) -> Vec<u8> {
+        let want = rows_message(Vec::new(), before, n, true);
+        assert_eq!(rows_message(Vec::new(), before, n, false), want, "{before:?}, {n} rows");
+        for reference in [true, false] {
+            let scratch =
+                rows_message(bytes::BytesMut::from(&b"earlier"[..]), before, n, reference);
+            assert_eq!(&scratch[..7], b"earlier");
+            assert_eq!(&scratch[7..], &want[..], "{before:?}, {n} rows, appended");
+        }
+        let rows = FbView::parse(&want).unwrap().root().unwrap().vector_or_empty(1).unwrap();
+        assert_eq!(rows.len() as u64, n);
+        for i in 0..n {
+            let (t, want) = (rows.table_at(i as usize).unwrap(), row(i));
+            let got = (t.u16(0).unwrap(), t.u8(1).unwrap(), t.u64(2).unwrap(), t.u32(3).unwrap());
+            assert_eq!(got, (Some(want.0), Some(want.1), Some(want.2), Some(want.3)), "row {i}");
+        }
+        want
+    }
+
+    #[test]
+    fn vector_of_same_layout_tables_matches_a_table_builder_per_row() {
+        let overhead = rows_either_way(Before::Nothing, 0).len();
+        for n in [1, 2, 33, 1_000] {
+            let msg = rows_either_way(Before::Nothing, n);
+            let rows = n as usize * (4 + ROW.size);
+            assert_eq!(msg.len(), overhead + rows + ROW.vtable.len(), "one vtable for {n} rows");
+        }
+    }
+
+    #[test]
+    fn vector_of_tables_shares_an_equal_vtable_the_message_holds() {
+        let overhead = rows_either_way(Before::OneOfTheirs, 0).len();
+        for n in [1, 2, 33] {
+            let msg = rows_either_way(Before::OneOfTheirs, n);
+            assert_eq!(msg.len(), overhead + n as usize * (4 + ROW.size), "no vtable of its own");
+        }
+    }
+
+    #[test]
+    fn vector_of_tables_writes_a_vtable_the_memo_has_forgotten_again() {
+        let overhead = rows_either_way(Before::OneOfTheirsForgotten, 0).len();
+        for n in [1, 2, 33] {
+            let msg = rows_either_way(Before::OneOfTheirsForgotten, n);
+            let rows = n as usize * (4 + ROW.size);
+            assert_eq!(msg.len(), overhead + rows + ROW.vtable.len(), "written once more");
+        }
+        // And a later table of the layout shares the vector's copy.
+        let mut b = FbBuilder::new();
+        let v = b.vec_of_tables(ROW.size, &ROW.vtable, [row(1), row(2)], fill_row);
+        let before = b.pos();
+        table_of_row(&mut b, row(3));
+        assert_eq!((b.pos() - before) as usize, ROW.size);
+        assert_eq!(v, FB_HEADER_LEN as u32);
+    }
+
+    #[test]
+    fn vector_of_tables_trusts_the_announced_length_not_the_iterator() {
+        /// Announces `len` items and yields `yields`.
+        struct Lying(std::ops::Range<u64>, usize);
+        impl Iterator for Lying {
+            type Item = RowVals;
+            fn next(&mut self) -> Option<RowVals> {
+                self.0.next().map(row)
+            }
+        }
+        impl ExactSizeIterator for Lying {
+            fn len(&self) -> usize {
+                self.1
+            }
+        }
+        for yields in [1, 5] {
+            let mut b = FbBuilder::new();
+            let v = b.vec_of_tables(ROW.size, &ROW.vtable, Lying(0..yields, 3), fill_row);
+            let mut t = TableBuilder::new();
+            t.off(0, v);
+            let root = t.end(&mut b);
+            let msg = b.finish(root);
+            let rows = FbView::parse(&msg).unwrap().root().unwrap().vector(0).unwrap().unwrap();
+            assert_eq!(rows.len(), 3);
+            assert_eq!(rows.table_at(0).unwrap().u64(2).unwrap(), Some(row(0).2));
+        }
+    }
+
+    #[test]
+    fn row_layout_is_what_a_table_builder_lays_out() {
+        assert_eq!(ROW.offsets, [4, 6, 7, 15]);
+        assert_eq!(ROW.size, 19);
+        let mut b = FbBuilder::new();
+        let at = table_of_row(&mut b, row(1)) as usize;
+        let msg = b.finish(at as u32);
+        assert_eq!(msg[at + ROW.size..], ROW.vtable, "the vtable follows the table");
     }
 
     /// Rows of `layouts` distinct layouts, dealt round-robin, under a root

@@ -385,28 +385,41 @@ impl MonitorApp {
         false
     }
 
-    /// Re-encodes and stores one reconstructed snapshot through the SM's
-    /// vtable, timing the reconstruction (decode + re-encode) into the
-    /// per-shard histogram.
+    /// Re-encodes one reconstructed snapshot through the SM's vtable and
+    /// stores it.
     fn store_reconstruction(
-        &self,
+        db: &Mutex<StatsDb>,
+        codec: SmCodec,
         agent: AgentId,
         desc: &SmDescriptor,
         snap: &(dyn Any + Send),
         now_ms: u64,
     ) {
-        let t0 = flexric::mono_ns();
-        let Some(raw) = desc.encode_indication(snap, self.cfg.sm_codec) else { return };
-        self.db.lock().expect("lock poisoned").store(
-            agent,
-            &desc.oid,
-            bytes::Bytes::from(raw),
-            now_ms,
-        );
-        if let Some(h) = &self.reconstruct_ns {
+        let Some(raw) = desc.encode_indication(snap, codec) else { return };
+        db.lock().expect("lock poisoned").store(agent, &desc.oid, bytes::Bytes::from(raw), now_ms);
+    }
+}
+
+/// One frame of a delta stream: `dec` applies it and `store` is handed the
+/// reconstruction, if there is one.  `hist` times both, from before the
+/// apply: what a delta-mode indication costs the controller over a
+/// full-mode one.
+fn timed_reconstruction(
+    hist: Option<&flexric_obs::Histogram>,
+    dec: &mut dyn AnyDeltaDecoder,
+    frame: &[u8],
+    codec: SmCodec,
+    store: impl FnOnce(&(dyn Any + Send)),
+) -> flexric_codec::error::Result<AnyDeltaEvent> {
+    let t0 = flexric::mono_ns();
+    let event = dec.apply(frame, codec)?;
+    if let AnyDeltaEvent::Snapshot { snap, .. } = &event {
+        store(&**snap);
+        if let Some(h) = hist {
             h.record(flexric::mono_ns().saturating_sub(t0));
         }
     }
+    Ok(event)
 }
 
 impl IApp for MonitorApp {
@@ -424,7 +437,7 @@ impl IApp for MonitorApp {
         self.reconstruct_ns = Some(flexric_obs::histogram_with(
             "flexric_sm_reconstruct_ns",
             &[("shard", &shard)],
-            "Time to reconstruct + re-encode one delta-mode snapshot",
+            "Time to apply one delta frame, re-encode the reconstruction and store it",
         ));
     }
 
@@ -523,13 +536,17 @@ impl IApp for MonitorApp {
         let mut need_keyframe = false;
         let thr = self.cfg.adaptive;
         let last_resync_ms = entry.last_resync_ms;
-        match entry.dec.apply(msg, codec) {
+        let now = api.now_ms();
+        let (store, db) = (self.cfg.store, &self.db);
+        let hist = self.reconstruct_ns.as_ref();
+        match timed_reconstruction(hist, &mut *entry.dec, msg, codec, |snap| {
+            if store {
+                Self::store_reconstruction(db, codec, agent, &desc, snap, now);
+            }
+        }) {
             Ok(AnyDeltaEvent::Snapshot { snap, changed: ch }) => {
                 changed = ch;
                 anomaly = Self::is_anomalous(&*snap, thr);
-                if self.cfg.store {
-                    self.store_reconstruction(agent, &desc, &*snap, api.now_ms());
-                }
             }
             Ok(AnyDeltaEvent::NeedKeyframe) => need_keyframe = true,
             Err(_) => {
@@ -537,7 +554,6 @@ impl IApp for MonitorApp {
                 return;
             }
         }
-        let now = api.now_ms();
         if need_keyframe {
             // The stream lost sync (restart, loss, divergence): re-issue
             // the subscription so the agent bumps the epoch and keyframes.
@@ -632,6 +648,50 @@ mod tests {
         db.store(2, oid::MAC_STATS, bytes::Bytes::from_static(b"b3"), 100_000);
         assert_eq!(db.evict_stale(120_000, 60_000), 1, "only the RLC row aged out");
         assert!(db.raw(2, oid::MAC_STATS).is_some());
+    }
+
+    /// The reconstruct histogram used to start its clock after the apply:
+    /// it must cover the decoder, the store, and nothing of a frame that
+    /// reconstructs no snapshot.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn reconstruct_histogram_covers_apply_and_store() {
+        use std::time::Duration;
+
+        /// Takes a while over every frame; an empty one loses sync.
+        struct Slow;
+        impl AnyDeltaDecoder for Slow {
+            fn apply(
+                &mut self,
+                frame: &[u8],
+                _: SmCodec,
+            ) -> flexric_codec::error::Result<AnyDeltaEvent> {
+                std::thread::sleep(Duration::from_millis(3));
+                Ok(match frame {
+                    [] => AnyDeltaEvent::NeedKeyframe,
+                    _ => AnyDeltaEvent::Snapshot { snap: Box::new(7u8), changed: true },
+                })
+            }
+        }
+
+        let hist = flexric_obs::Histogram::new();
+        let mut stored = None;
+        let event =
+            timed_reconstruction(Some(&hist), &mut Slow, b"frame", SmCodec::Flatb, |snap| {
+                std::thread::sleep(Duration::from_millis(2));
+                stored = snap.downcast_ref::<u8>().copied();
+            });
+        assert!(matches!(event, Ok(AnyDeltaEvent::Snapshot { changed: true, .. })));
+        assert_eq!(stored, Some(7));
+        let seen = hist.snapshot();
+        assert_eq!(seen.count, 1);
+        assert!(seen.min >= 5_000_000, "apply (3 ms) + store (2 ms), not {} ns", seen.min);
+
+        let event = timed_reconstruction(Some(&hist), &mut Slow, b"", SmCodec::Flatb, |_| {
+            panic!("nothing to store")
+        });
+        assert!(matches!(event, Ok(AnyDeltaEvent::NeedKeyframe)));
+        assert_eq!(hist.snapshot().count, 1, "a lost frame is not a reconstruction");
     }
 
     #[test]

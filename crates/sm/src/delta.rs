@@ -911,7 +911,9 @@ impl<K: Eq + Hash, T: DeltaRows> DeltaStreams<K, T> {
 
     /// (Re)starts the stream of a subscription: an existing stream bumps
     /// its epoch (next report is a keyframe), a new one starts fresh.
-    /// Call on subscription admit *and* on retune/update.
+    /// Call on subscription admit and on a retune that asks for a resync;
+    /// a period-only retune over an ordered transport keeps the sequence,
+    /// hence the receiver's base, so it leaves the stream alone.
     pub fn reset(&mut self, key: K, keyframe_every: u32) {
         self.streams
             .entry(key)
@@ -919,22 +921,9 @@ impl<K: Eq + Hash, T: DeltaRows> DeltaStreams<K, T> {
             .or_insert_with(|| DeltaEncoder::new(keyframe_every.max(1)));
     }
 
-    /// Ensures the stream of a subscription exists *without* restarting
-    /// it.  A period-only retune over an ordered transport preserves
-    /// sequence continuity, so the receiver's delta base stays valid and
-    /// forcing a keyframe would only waste bytes.
-    pub fn ensure(&mut self, key: K, keyframe_every: u32) {
-        self.streams.entry(key).or_insert_with(|| DeltaEncoder::new(keyframe_every.max(1)));
-    }
-
     /// Drops the stream of a deleted subscription.
     pub fn remove(&mut self, key: &K) {
         self.streams.remove(key);
-    }
-
-    /// Drops every stream (controller reset).
-    pub fn clear(&mut self) {
-        self.streams.clear();
     }
 
     /// Encodes one report opportunity under the subscription's mode.
@@ -1247,38 +1236,6 @@ mod tests {
             f.len(),
             full
         );
-    }
-
-    #[test]
-    fn ensure_preserves_stream_reset_rekeys() {
-        let codec = SmCodec::Flatb;
-        let mode = ReportMode::Delta { keyframe_every: 100 };
-        let mut streams: DeltaStreams<u32, MacStatsInd> = DeltaStreams::new();
-        streams.reset(7, 100);
-        let ReportOut::Send(_) = streams.report(7, mode, &mac(0, &[(1, 1)]), codec) else {
-            panic!()
-        };
-        // A soft retune (period-only change) keeps the stream: the next
-        // changed report is still a delta, not a keyframe.
-        streams.ensure(7, 100);
-        let ReportOut::Send(f) = streams.report(7, mode, &mac(10, &[(1, 2)]), codec) else {
-            panic!()
-        };
-        let mut dec = DeltaDecoder::<MacStatsInd>::new();
-        assert!(matches!(
-            dec.apply(&f, codec).unwrap(),
-            DeltaEvent::NeedKeyframe { reason: "no keyframe yet" }
-        ));
-        // A hard reset (re-admit or resync request) bumps the epoch: the
-        // next report is a keyframe again.
-        streams.reset(7, 100);
-        let ReportOut::Send(f) = streams.report(7, mode, &mac(20, &[(1, 3)]), codec) else {
-            panic!()
-        };
-        match dec.apply(&f, codec).unwrap() {
-            DeltaEvent::Snapshot { keyframe, .. } => assert!(keyframe),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

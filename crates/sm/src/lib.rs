@@ -88,10 +88,13 @@ impl SmCodec {
     }
 }
 
-/// First allocation of [`SmPayload::encode`]: a 32-row snapshot of any
-/// bundled SM fits in either codec without growing mid-encode (the largest
-/// are MAC's — 2374 B in FB; 2288 B in PER when every counter needs all its
-/// octets).
+/// First allocation of [`SmPayload::encode`], and the room an FB
+/// [`SmPayload::encode_into`] makes sure of in its scratch: a 32-row
+/// snapshot of any bundled SM fits in either codec without growing
+/// mid-encode.  The largest are MAC's: 2374 B in FB, whatever the values
+/// (32 offsets and rows of [`Row::FB_SIZE`](schema::Row::FB_SIZE) = 68 B,
+/// and 70 B of header, count, row vtable and root table around them), and
+/// 2288 B in PER when every counter needs all its octets.
 const SNAPSHOT_CAPACITY: usize = 2560;
 
 /// Implemented by every SM payload: dual-codec encode/decode.
@@ -142,6 +145,10 @@ pub trait SmPayload: Sized {
                 *buf = w.into_buf();
             }
             SmCodec::Flatb => {
+                // A snapshot's rows are one reservation of their exact
+                // size: in a scratch that starts smaller, the root table
+                // after them would double the slab.
+                buf.reserve(SNAPSHOT_CAPACITY);
                 let mut b = FbBuilder::over(std::mem::take(buf));
                 let root = self.encode_fb(&mut b);
                 *buf = b.finish_buf(root);

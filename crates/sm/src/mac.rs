@@ -103,7 +103,10 @@ mod tests {
         let fb = ind.encode(SmCodec::Flatb);
         assert!(per.len() < fb.len(), "per={} fb={}", per.len(), fb.len());
         assert!(per.len() < 4096, "per snapshot {} B", per.len());
-        // 32 rows of 68 B and their 4 B offsets, one row vtable, the root.
-        assert!(fb.len() <= 2400, "fb snapshot {} B", fb.len());
+        // 32 rows of 68 B and their 4 B offsets; header (8), count (4), one
+        // row vtable (30) and the root with its vtable (28) around them.
+        use crate::schema::Row;
+        assert_eq!(MacUeStats::FB_SIZE, 68);
+        assert_eq!(fb.len(), 70 + 32 * (4 + MacUeStats::FB_SIZE));
     }
 }

@@ -15,7 +15,11 @@
 //! **Wire.**  Fields travel in table order, keys first: PER as their
 //! [`Kind`] says, FB field *k* in slot *k* at the width of its type, PB
 //! field *k* as varint number *k* + 1.  A snapshot is its timestamp, the aux
-//! scalar if it has one, then the rows.  In a delta frame a row goes by its
+//! scalar if it has one, then the rows.  Every FB slot of every row is
+//! written, so a row's table has a constant size and a constant vtable
+//! ([`Row::FB_SIZE`], [`Row::FB_VTABLE`], worked out from the field types
+//! when the table is compiled) and the rows of a snapshot are one
+//! [`vec_of_tables`](flexric_codec::fb::FbBuilder::vec_of_tables).  In a delta frame a row goes by its
 //! key — the key fields, each filling its type, packed from bit 0 into at
 //! most 32 bits — and its other fields by index.
 //!
@@ -32,7 +36,7 @@
 use std::fmt::Debug;
 
 use flexric_codec::error::{CodecError, Result};
-use flexric_codec::fb::{FbBuilder, FbTable};
+use flexric_codec::fb::FbTable;
 use flexric_codec::pb::PbWriter;
 use flexric_codec::per::{BitReader, BitWriter};
 use flexric_codec::ByteSink;
@@ -44,7 +48,7 @@ pub mod rt {
     pub use super::{Field, Kind, Row, MAX_ROWS};
     pub use crate::{DeltaRows, SmPayload};
     pub use flexric_codec::error::{CodecError, Result};
-    pub use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
+    pub use flexric_codec::fb::{FbBuilder, FbTable, RowLayout, TableBuilder};
     pub use flexric_codec::pb::{PbReader, PbWriter};
     pub use flexric_codec::per::{BitReader, BitWriter};
     pub use flexric_codec::ByteSink;
@@ -128,14 +132,21 @@ impl Field {
 pub trait Row: Copy + Default + PartialEq + Debug {
     /// The non-key fields, by index (32 at most).
     const FIELDS: &'static [Field];
+    /// Bytes of the row's FB table: the vtable pointer, then field *k* at
+    /// the width of its type.
+    const FB_SIZE: usize;
+    /// The table's vtable: field *k* in slot *k*, every slot present.
+    const FB_VTABLE: &'static [u8];
 
     /// Writes every field in table order.
     fn put_per<B: ByteSink>(&self, w: &mut BitWriter<B>);
     /// Reads what [`Row::put_per`] wrote.
     fn get_per(r: &mut BitReader) -> Result<Self>;
-    /// Writes the row as one table, field *k* in slot *k*.
-    fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32;
-    /// Reads the table [`Row::put_fb`] wrote; every slot is required.
+    /// Stores every field into `table`, the [`Row::FB_SIZE`] bytes of the
+    /// row's table, where [`Row::FB_VTABLE`] says it is: the `fill` of
+    /// [`vec_of_tables`](flexric_codec::fb::FbBuilder::vec_of_tables).
+    fn fill_fb(&self, table: &mut [u8]);
+    /// Reads a table [`Row::fill_fb`] filled; every slot is required.
     fn get_fb(t: &FbTable) -> Result<Self>;
     /// Writes field *k* as varint field *k* + 1.
     fn put_pb<B: ByteSink>(&self, w: &mut PbWriter<B>);
@@ -191,9 +202,14 @@ macro_rules! sm_rows {
                 "a key field fills its type: any 32-bit key must name a legal row"
             );)+
             assert!(TABLE.len() - KEYS <= 32, "a dirty bitmap has 32 bits");
+            /// The row's FB table, from the width of each field's type.
+            const FB: rt::RowLayout<{ TABLE.len() }, { 2 + 2 * TABLE.len() }> =
+                rt::RowLayout::new([$(<$kty>::BITS as usize / 8,)+ $(<$fty>::BITS as usize / 8,)+]);
 
             impl rt::Row for $Row {
                 const FIELDS: &'static [Field] = TABLE.split_at(KEYS).1;
+                const FB_SIZE: usize = FB.size;
+                const FB_VTABLE: &'static [u8] = &FB.vtable;
 
                 $crate::sm_rows!(@codecs $($k: $kty,)+ $($f: $fty,)+);
 
@@ -248,10 +264,11 @@ macro_rules! sm_rows {
         fn get_per(r: &mut rt::BitReader) -> rt::Result<Self> {
             Ok(Self { $($a: TABLE[Slot::$a as usize].get_per(r)? as $aty,)+ })
         }
-        fn put_fb<B: rt::ByteSink>(&self, b: &mut rt::FbBuilder<B>) -> u32 {
-            let mut t = rt::TableBuilder::new();
-            $(t.$aty(Slot::$a as u16, self.$a);)+
-            t.end(b)
+        #[inline]
+        fn fill_fb(&self, table: &mut [u8]) {
+            let table: &mut [u8; FB.size] = table.try_into().expect("a table of FB_SIZE bytes");
+            $(table[FB.offsets[Slot::$a as usize]..][..<$aty>::BITS as usize / 8]
+                .copy_from_slice(&self.$a.to_le_bytes());)+
         }
         #[inline]
         fn get_fb(t: &rt::FbTable) -> rt::Result<Self> {
@@ -331,7 +348,12 @@ macro_rules! sm_snapshot {
                     Ok($Snap { $ts, $($aux,)? $rows })
                 }
                 fn encode_fb<B: rt::ByteSink>(&self, b: &mut rt::FbBuilder<B>) -> u32 {
-                    let rows = b.vec_off_with(&self.$rows, |b, row| rt::Row::put_fb(row, b));
+                    let rows = b.vec_of_tables(
+                        <$Row as rt::Row>::FB_SIZE,
+                        <$Row as rt::Row>::FB_VTABLE,
+                        &self.$rows,
+                        rt::Row::fill_fb,
+                    );
                     let mut t = rt::TableBuilder::new();
                     t.u64(0, self.$ts) $(.$xty(1, self.$aux))? .off(ROWS, rows);
                     t.end(b)

@@ -508,7 +508,12 @@ impl SmPayload for TcStatsInd {
     }
 
     fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let queues = b.vec_off_with(&self.queues, |b, q| q.put_fb(b));
+        let queues = b.vec_of_tables(
+            TcQueueStats::FB_SIZE,
+            TcQueueStats::FB_VTABLE,
+            &self.queues,
+            TcQueueStats::fill_fb,
+        );
         let mut t = TableBuilder::new();
         t.u64(0, self.tstamp_ms)
             .u16(1, self.rnti)

@@ -6,7 +6,11 @@
 //! a per-report `Vec`, table or clone creeping back into `sm::delta`.
 //!
 //! Likewise for a full snapshot: encoding 32 rows allocates the output
-//! buffer and nothing else — no list of row offsets, no growth mid-encode.
+//! buffer and nothing else — no list of row offsets, no growth mid-encode,
+//! no table staged on the heap however wide — and into a warm scratch
+//! buffer it allocates nothing at all.  (How often the FB encoder
+//! *reserves* in its sink — once for all the rows, not once per row — is
+//! not an allocation count: `fb_rows.rs` holds that with a counting sink.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -169,5 +173,17 @@ fn full_snapshot_of_32_rows_is_one_allocation() {
         assert_eq!(n, 1, "{codec:?} RLC, {} B", bytes.len());
         let (n, bytes) = allocs(|| pdcp.encode(codec));
         assert_eq!(n, 1, "{codec:?} PDCP, {} B", bytes.len());
+
+        // Once the scratch has grown to hold them and the earlier handles
+        // are dropped, `encode_into` reuses it.
+        let mut scratch = bytes::BytesMut::new();
+        for warming in [true, false] {
+            let (n, _) = allocs(|| {
+                drop(mac.encode_into(codec, &mut scratch));
+                drop(rlc.encode_into(codec, &mut scratch));
+                drop(pdcp.encode_into(codec, &mut scratch));
+            });
+            assert!(warming || n == 0, "{codec:?}: a warm encode_into allocated {n} times");
+        }
     }
 }

@@ -121,10 +121,14 @@ fn row_roundtrip<R: Row>(row: &R) {
     row.put_per(&mut w);
     assert_eq!(R::get_per(&mut BitReader::new(&w.finish())).as_ref(), Ok(row), "PER");
     let mut b = FbBuilder::new();
-    let root = row.put_fb(&mut b);
+    let rows = b.vec_of_tables(R::FB_SIZE, R::FB_VTABLE, [row], |row, table| row.fill_fb(table));
+    let mut root = TableBuilder::new();
+    root.off(0, rows);
+    let root = root.end(&mut b);
     let msg = b.finish(root);
-    let table = FbView::parse(&msg).and_then(|v| v.root()).expect("own bytes");
-    assert_eq!(R::get_fb(&table).as_ref(), Ok(row), "FB");
+    let rows = FbView::parse(&msg).and_then(|v| v.root()?.vector_or_empty(0)).expect("own bytes");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(R::get_fb(&rows.table_at(0).expect("own bytes")).as_ref(), Ok(row), "FB");
     let mut w = PbWriter::new();
     row.put_pb(&mut w);
     assert_eq!(R::get_pb(&w.finish()).as_ref(), Ok(row), "PB");
