@@ -392,6 +392,20 @@ mod tests {
         assert_eq!(ours, golden.lines().collect::<Vec<_>>());
     }
 
+    /// `tests/per_golden/e2ap.txt` holds the PER frame of every sample as
+    /// the commit before the bit writer's window (PR 19, `b989c00`) wrote
+    /// it, one `MsgType hex` line each.
+    #[test]
+    fn per_frames_of_the_parent_commit_are_kept() {
+        let golden = include_str!("../tests/per_golden/e2ap.txt");
+        let hex = |buf: &[u8]| buf.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let ours: Vec<String> = sample_pdus()
+            .iter()
+            .map(|pdu| format!("{:?} {}", pdu.msg_type(), hex(&E2apCodec::Asn1Per.encode(pdu))))
+            .collect();
+        assert_eq!(ours, golden.lines().collect::<Vec<_>>());
+    }
+
     #[test]
     fn encode_into_is_byte_identical_to_encode() {
         // Acceptance criterion: no behavioural change on the wire.  The

@@ -8,9 +8,10 @@
 //!   matches it is refused, and a keyframe resyncs the stream.
 //! * A service model declared here with the exported macros — types, codecs
 //!   and delta hooks in 25 lines, no imports — round-trips, and keeps the FB
-//!   bytes of `fb_vectors/`.
+//!   bytes of `fb_vectors/` and the PER bytes of `per_vectors/`.
 
 mod fb_vectors;
+mod per_vectors;
 mod schema_golden;
 
 use std::fmt::Debug;
@@ -303,6 +304,9 @@ fn a_service_model_declared_outside_the_crate_round_trips() {
     assert_eq!(snaps[0].encode(SmCodec::Flatb), fb_vectors::vector("beam-3"));
     let none = BeamStatsInd { tstamp_ms: 10, swept: 64, beams: vec![] };
     assert_eq!(none.encode(SmCodec::Flatb), fb_vectors::vector("beam-0"));
+    // Likewise the derived PER encoder.
+    assert_eq!(snaps[0].encode(SmCodec::Asn1Per), per_vectors::vector("beam-3"));
+    assert_eq!(none.encode(SmCodec::Asn1Per), per_vectors::vector("beam-0"));
 
     // A delta stream through the registry's type-erased hooks, as a
     // controller runs it.
