@@ -18,18 +18,28 @@
 //! * octet strings and UTF-8 strings,
 //! * optional-presence bitmaps (plain bits) and choice indices.
 //!
-//! Bit fields are packed word-at-a-time: [`BitWriter::put_bits`] and
-//! [`BitReader::get_bits`] shift and mask whole bytes instead of looping
-//! per bit.  The original per-bit loops are kept as
+//! Bit fields are packed word-at-a-time: the writer shifts fields into a
+//! word and stores whole words, [`BitReader::get_bits`] and
+//! [`BitReader::get_uint`] take one eight-byte load and shift — no loop per
+//! bit or per byte.  The original per-bit loops are kept as
 //! [`BitWriter::put_bits_bitwise`] / [`BitReader::get_bits_bitwise`] so
 //! differential tests and benchmarks can pin the word-level versions to
 //! them bit for bit.
 //!
-//! The writer reserves once per unit: a bit field, a length determinant or
-//! a length-prefixed integer grows the sink by a fixed maximum (a word, plus
-//! the length byte), stores the unit there in one piece and gives back the
-//! bytes it did not need — one capacity check and one store where a
-//! per-byte writer makes up to nine of each.
+//! **The window.**  The writer reserves once per unit, and the unit is
+//! whatever its caller can bound: [`BitWriter::window`] grows the sink by a
+//! stated maximum, hands out a [`Cursor`] over that room — the one
+//! implementation of the bit stores: plain slice stores at a local
+//! position, no capacity check, no length kept, adjacent bit fields merged
+//! into one store — and gives back the bytes that were not needed when it
+//! closes.  A row of a statistics SM is one window
+//! (`flexric_sm::schema`: 14 fields, one reservation, straight-line
+//! stores), a changed row of a delta frame another.  The per-field calls
+//! ([`BitWriter::put_bits`], [`put_uint`](BitWriter::put_uint),
+//! [`put_length`](BitWriter::put_length),
+//! [`put_constrained`](BitWriter::put_constrained)) are windows of one
+//! field, for payloads written a field at a time; an octet string is its
+//! length and then one copy of its bytes into room nothing filled first.
 //!
 //! The writer is generic over a [`ByteSink`], so the same encode body can
 //! produce an owned `Vec<u8>` or append into a reusable
@@ -69,6 +79,10 @@ impl BitWriter {
     }
 }
 
+/// Bytes a [`Cursor`] store may reach past the last bit written: every
+/// store is a whole word.
+const WORD: usize = 8;
+
 impl<B: ByteSink> BitWriter<B> {
     /// Wraps an existing buffer, appending after its current contents.
     ///
@@ -90,6 +104,28 @@ impl<B: ByteSink> BitWriter<B> {
         self.buf.len() - self.base
     }
 
+    /// Opens a window: room for whatever `f` writes through the [`Cursor`],
+    /// reserved in the sink once and cut back to what was written when `f`
+    /// returns.  `max` is the most bytes `f` may write, counted from the
+    /// byte the writer is in (a partial last byte is the window's first).
+    #[inline]
+    pub fn window<R>(&mut self, max: usize, f: impl FnOnce(&mut Cursor<'_>) -> R) -> R {
+        let partial = u32::from(self.partial_bits % 8);
+        let start = self.buf.len() - usize::from(partial != 0);
+        self.buf.grow(max + WORD);
+        let room = &mut self.buf.as_mut_slice()[start..][..max + WORD];
+        // Fresh room is zero, so this is the partial byte or nothing.
+        let mut cursor = Cursor { acc: u64::from(room[0]) << 56, nacc: partial, room, at: 0 };
+        let out = f(&mut cursor);
+        let partial = cursor.nacc % 8;
+        cursor.align();
+        let end = cursor.at;
+        debug_assert!(end <= max, "{end} bytes written through a window of {max}");
+        self.buf.truncate(start + end);
+        self.partial_bits = partial as u8;
+        out
+    }
+
     /// Writes a single bit.
     pub fn put_bit(&mut self, bit: bool) {
         if self.partial_bits == 0 {
@@ -102,39 +138,11 @@ impl<B: ByteSink> BitWriter<B> {
         self.partial_bits = (self.partial_bits + 1) % 8;
     }
 
-    /// Writes the low `nbits` bits of `value`, most-significant first.
-    ///
-    /// Word-level: fills the partial last byte, then stores the rest as one
-    /// left-justified word — no per-bit or per-byte loop.  Bit-exact with
+    /// Writes the low `nbits` bits of `value`, most-significant first: a
+    /// one-field window ([`Cursor::put_bits`]).  Bit-exact with
     /// [`Self::put_bits_bitwise`].
     pub fn put_bits(&mut self, value: u64, nbits: u32) {
-        debug_assert!(nbits <= 64);
-        let mut rem = nbits; // bits of `value` still to emit
-        if self.partial_bits != 0 && rem != 0 {
-            let free = 8 - self.partial_bits as u32; // 1..=7
-            let take = free.min(rem);
-            rem -= take; // ≤ 63 afterwards, so shifts below stay in range
-            let chunk = (value >> rem) as u8 & ((1u16 << take) - 1) as u8;
-            let last = self.buf.as_mut_slice().last_mut().expect("partial byte exists");
-            *last |= chunk << (free - take);
-            self.partial_bits = (self.partial_bits + take as u8) % 8;
-        }
-        if rem == 0 {
-            return;
-        }
-        // Byte-aligned from here: the bits go at the top of a word.
-        self.put_head((value << (64 - rem)).to_be_bytes(), rem.div_ceil(8) as usize);
-        self.partial_bits = (rem % 8) as u8;
-    }
-
-    /// Appends the first `n` of `bytes` at a byte boundary: reserves all `N`,
-    /// stores them in one piece and gives back the ones past `n` — a
-    /// fixed-size store in place of a variable-length copy.
-    #[inline]
-    fn put_head<const N: usize>(&mut self, bytes: [u8; N], n: usize) {
-        let at = self.buf.len();
-        self.buf.grow(N).copy_from_slice(&bytes);
-        self.buf.truncate(at + n);
+        self.window(1 + 8, |c| c.put_bits(value, nbits));
     }
 
     /// Reference bit-by-bit implementation of [`Self::put_bits`].
@@ -165,15 +173,111 @@ impl<B: ByteSink> BitWriter<B> {
     /// otherwise 4 bytes with a `11` prefix (deviation from X.691
     /// fragmentation, see module docs).
     pub fn put_length(&mut self, len: usize) {
-        self.align();
-        let (form, n) = length_form(len);
-        self.put_head(form, n);
+        self.window(1 + 4, |c| c.put_length(len));
     }
 
     /// Writes a constrained whole number in `lo..=hi`.
     ///
     /// Range < 64 Ki uses an unaligned bit-field of minimal width; larger
     /// ranges use the aligned length + minimal-octets form.
+    pub fn put_constrained(&mut self, value: u64, lo: u64, hi: u64) {
+        self.window(1 + 9, |c| c.put_constrained(value, lo, hi));
+    }
+
+    /// Writes an unconstrained unsigned integer (aligned, length-prefixed).
+    pub fn put_uint(&mut self, value: u64) {
+        self.window(1 + 9, |c| c.put_uint(value));
+    }
+
+    /// Writes an octet string: length determinant + raw bytes, each copied
+    /// once into room nothing filled first.
+    pub fn put_octets(&mut self, bytes: &[u8]) {
+        self.put_length(bytes.len());
+        self.buf.put_slice(bytes);
+    }
+
+    /// Writes a UTF-8 string as an octet string.
+    pub fn put_utf8(&mut self, s: &str) {
+        self.put_octets(s.as_bytes());
+    }
+}
+
+/// The position inside a [`BitWriter::window`]: the one implementation of
+/// the bit stores.
+///
+/// Bits collect in a word and reach the window as whole words — when the
+/// word is full, at a byte-aligned field, when the window closes — so
+/// adjacent bit fields are one store, and a store is a plain slice store:
+/// the room is reserved, no capacity is checked and no length kept.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    /// The window, and [`WORD`] bytes more for the last store to end in.
+    room: &'a mut [u8],
+    /// Bytes of `room` that are final.
+    at: usize,
+    /// The bits after them, from the top of the word down.
+    acc: u64,
+    /// How many.
+    nacc: u32,
+}
+
+impl Cursor<'_> {
+    /// Writes the low `nbits` bits of `value`, most-significant first.
+    #[inline(always)]
+    pub fn put_bits(&mut self, value: u64, nbits: u32) {
+        debug_assert!(nbits <= 64);
+        if nbits > 32 {
+            self.put_half(value >> 32, nbits - 32);
+            self.put_half(value, 32);
+        } else if nbits != 0 {
+            self.put_half(value, nbits);
+        }
+    }
+
+    /// [`Self::put_bits`] of 1 to 32 bits: what always fits in the word
+    /// once its whole bytes are out.
+    #[inline(always)]
+    fn put_half(&mut self, value: u64, nbits: u32) {
+        if self.nacc + nbits > 64 {
+            let whole = self.nacc / 8;
+            self.store(self.acc);
+            self.at += whole as usize;
+            self.acc = self.acc.checked_shl(8 * whole).unwrap_or(0);
+            self.nacc %= 8;
+        }
+        self.nacc += nbits;
+        self.acc |= (value & (u64::MAX >> (64 - nbits))) << (64 - self.nacc);
+    }
+
+    /// Stores `word` whole at the first byte that is not final.
+    #[inline(always)]
+    fn store(&mut self, word: u64) {
+        self.room[self.at..self.at + WORD].copy_from_slice(&word.to_be_bytes());
+    }
+
+    /// Pads with zero bits to the next byte boundary.
+    #[inline(always)]
+    pub fn align(&mut self) {
+        if self.nacc != 0 {
+            self.store(self.acc);
+            self.at += self.nacc.div_ceil(8) as usize;
+            (self.acc, self.nacc) = (0, 0);
+        }
+    }
+
+    /// Writes a PER length determinant (aligned), as
+    /// [`BitWriter::put_length`] describes it.
+    #[inline(always)]
+    pub fn put_length(&mut self, len: usize) {
+        self.align();
+        let (form, n) = length_form(len);
+        self.room[self.at..self.at + 4].copy_from_slice(&form);
+        self.at += n;
+    }
+
+    /// Writes a constrained whole number in `lo..=hi`, as
+    /// [`BitWriter::put_constrained`] describes it.
+    #[inline(always)]
     pub fn put_constrained(&mut self, value: u64, lo: u64, hi: u64) {
         debug_assert!(lo <= hi);
         debug_assert!(value >= lo && value <= hi, "{value} outside {lo}..={hi}");
@@ -183,40 +287,32 @@ impl<B: ByteSink> BitWriter<B> {
             return; // single-valued: zero bits
         }
         if range < 65536 {
-            let nbits = 64 - range.leading_zeros();
-            self.put_bits(offset, nbits);
+            self.put_bits(offset, 64 - range.leading_zeros());
         } else {
             self.put_uint(offset);
         }
     }
 
     /// Writes an unconstrained unsigned integer (aligned, length-prefixed).
+    #[inline(always)]
     pub fn put_uint(&mut self, value: u64) {
-        let nbytes = ((64 - value.leading_zeros()).div_ceil(8)).max(1) as usize;
         self.align();
-        // One unit of at most nine bytes: the length (always the one-byte
-        // form), then the value's octets at the top of a word, whose unused
-        // low end is given back.
-        let at = self.buf.len();
-        let unit = self.buf.grow(9);
-        unit[0] = nbytes as u8;
-        unit[1..].copy_from_slice(&(value << (64 - 8 * nbytes)).to_be_bytes());
-        self.buf.truncate(at + 1 + nbytes);
+        // The length (always the one-byte form), then the value's octets
+        // from the top of a word; the next field starts in its unused end.
+        let octets = uint_octets(value);
+        self.room[self.at] = octets as u8;
+        self.at += 1;
+        self.store(value << (64 - 8 * octets));
+        self.at += octets;
     }
+}
 
-    /// Writes an octet string: length determinant + raw bytes.
-    pub fn put_octets(&mut self, bytes: &[u8]) {
-        self.align();
-        let (form, n) = length_form(bytes.len());
-        let unit = self.buf.grow(n + bytes.len());
-        unit[..n].copy_from_slice(&form[..n]);
-        unit[n..].copy_from_slice(bytes);
-    }
-
-    /// Writes a UTF-8 string as an octet string.
-    pub fn put_utf8(&mut self, s: &str) {
-        self.put_octets(s.as_bytes());
-    }
+/// Octets of `value` in the minimal-octets form of [`Cursor::put_uint`]: 1
+/// to 8.
+#[inline(always)]
+pub const fn uint_octets(value: u64) -> usize {
+    // `| 1`: zero takes one octet too.
+    (71 - (value | 1).leading_zeros() as usize) / 8
 }
 
 /// The bytes of a length determinant and how many of the four count.
@@ -262,11 +358,26 @@ impl<'a> BitReader<'a> {
         Ok(bit)
     }
 
+    /// The eight bytes from `at` on as a big-endian word, zeros where the
+    /// buffer ends first: one load in place of a loop over bytes.
+    #[inline(always)]
+    fn word(&self, at: usize) -> u64 {
+        match self.buf.get(at..at + 8) {
+            Some(word) => u64::from_be_bytes(word.try_into().expect("eight bytes")),
+            None => {
+                let tail = self.buf.get(at..).unwrap_or(&[]);
+                let mut word = [0; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(word)
+            }
+        }
+    }
+
     /// Reads `nbits` bits, most-significant first.
     ///
-    /// Word-level: consumes the rest of the current byte, then whole bytes,
-    /// then a leading slice of the final byte.  Bit-exact with
-    /// [`Self::get_bits_bitwise`].
+    /// Word-level: one load from the byte the cursor is in, shifted into
+    /// place; a field that reaches into a ninth byte takes its last bits
+    /// from there.  Bit-exact with [`Self::get_bits_bitwise`].
     pub fn get_bits(&mut self, nbits: u32) -> Result<u64> {
         debug_assert!(nbits <= 64);
         if nbits == 0 {
@@ -277,27 +388,13 @@ impl<'a> BitReader<'a> {
             self.pos_bits = self.buf.len() * 8;
             return Err(CodecError::Truncated { what: "bit" });
         }
-        let mut v = 0u64;
-        let mut rem = nbits;
-        let bit_off = (self.pos_bits % 8) as u32;
-        if bit_off != 0 {
-            let avail = 8 - bit_off; // 1..=7
-            let take = avail.min(rem);
-            let byte = self.buf[self.pos_bits / 8];
-            v = (byte >> (avail - take)) as u64 & ((1u64 << take) - 1);
-            rem -= take;
-            self.pos_bits += take as usize;
+        let (at, bit_off) = (self.pos_bits / 8, (self.pos_bits % 8) as u32);
+        // The field at the top of a word, short of what a ninth byte holds.
+        let mut v = (self.word(at) << bit_off) >> (64 - nbits);
+        if bit_off + nbits > 64 {
+            v |= u64::from(self.buf[at + 8]) >> (72 - bit_off - nbits);
         }
-        while rem >= 8 {
-            v = (v << 8) | self.buf[self.pos_bits / 8] as u64;
-            rem -= 8;
-            self.pos_bits += 8;
-        }
-        if rem > 0 {
-            let byte = self.buf[self.pos_bits / 8];
-            v = (v << rem) | ((byte >> (8 - rem)) as u64 & ((1u64 << rem) - 1));
-            self.pos_bits += rem as usize;
-        }
+        self.pos_bits += nbits as usize;
         Ok(v)
     }
 
@@ -359,12 +456,7 @@ impl<'a> BitReader<'a> {
             let nbits = 64 - range.leading_zeros();
             self.get_bits(nbits)?
         } else {
-            let nbytes = self.get_length()?;
-            if nbytes == 0 || nbytes > 8 {
-                return Err(CodecError::Malformed { what: "constrained int length" });
-            }
-            let raw = self.get_raw(nbytes)?;
-            raw.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64)
+            self.get_octets_of("constrained int length")?
         };
         let value = lo
             .checked_add(offset)
@@ -377,12 +469,20 @@ impl<'a> BitReader<'a> {
 
     /// Reads an unconstrained unsigned integer.
     pub fn get_uint(&mut self) -> Result<u64> {
+        self.get_octets_of("uint length")
+    }
+
+    /// Reads a length of 1 to 8 (`what`, if it is not) and as many octets
+    /// as one whole number: one load, shifted down.
+    #[inline]
+    fn get_octets_of(&mut self, what: &'static str) -> Result<u64> {
         let nbytes = self.get_length()?;
         if nbytes == 0 || nbytes > 8 {
-            return Err(CodecError::Malformed { what: "uint length" });
+            return Err(CodecError::Malformed { what });
         }
-        let raw = self.get_raw(nbytes)?;
-        Ok(raw.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64))
+        let at = self.pos_bits / 8;
+        self.get_raw(nbytes)?;
+        Ok(self.word(at) >> (64 - 8 * nbytes))
     }
 
     /// Reads an octet string.
@@ -607,6 +707,37 @@ mod tests {
         assert_eq!(&buf[..], b"hdr\xAB\x02xy");
     }
 
+    #[test]
+    fn a_window_closed_short_gives_back_what_it_did_not_use() {
+        let mut scratch = BytesMut::from(&b"hdr"[..]);
+        scratch.reserve(512);
+        let mut w = BitWriter::over(scratch);
+        // Three bits of a hundred bytes: one byte stays, five bits of it free
+        // for the next per-field call.
+        w.window(100, |c| c.put_bits(0b101, 3));
+        assert_eq!(w.len_bytes(), 1);
+        w.put_bits(0b11111, 5);
+        assert_eq!(w.len_bytes(), 1);
+        // Nothing written: nothing kept, mid-byte or not.
+        w.window(100, |_| ());
+        w.put_bit(true);
+        w.window(100, |_| ());
+        assert_eq!(w.len_bytes(), 2);
+        // A window that starts mid-byte and ends aligned, then one that
+        // starts aligned and ends mid-byte.
+        w.window(100, |c| {
+            c.put_bits(0x7F, 7);
+            c.put_uint(0x0102);
+        });
+        w.window(100, |c| {
+            c.put_length(300);
+            c.put_constrained(5, 0, 7);
+        });
+        w.put_bits(0x1F, 5);
+        let buf = w.into_buf();
+        assert_eq!(&buf[..], b"hdr\xBF\xFF\x02\x01\x02\x81\x2C\xBF");
+    }
+
     /// Deterministic xorshift for dependency-free differential coverage.
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -687,6 +818,27 @@ mod prop_tests {
         }
 
         #[test]
+        fn get_uint_and_get_bits_match_the_bitwise_reader_on_every_truncation(
+            calls in proptest::collection::vec(put(), 0..24),
+        ) {
+            let mut w = BitWriter::new();
+            calls.iter().for_each(|call| call.apply(&mut w));
+            let buf = w.finish();
+            for len in 0..=buf.len() {
+                let mut fast = BitReader::new(&buf[..len]);
+                let mut slow = BitReader::new(&buf[..len]);
+                for call in &calls {
+                    let (got, want) = (call.read(&mut fast), call.read_reference(&mut slow));
+                    prop_assert_eq!(&got, &want, "{:?} in {} of {} bytes", call, len, buf.len());
+                    prop_assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+                    if got.is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+
+        #[test]
         fn vec_and_bytesmut_backed_writers_agree(ops in ops()) {
             let mut owned = BitWriter::new();
             let mut scratch = BitWriter::over(bytes::BytesMut::new());
@@ -717,6 +869,50 @@ mod prop_tests {
             prop_assert_eq!(&owned.into_buf(), &want);
             prop_assert_eq!(&scratch.into_buf()[..], &want[..]);
         }
+
+        #[test]
+        fn windows_match_the_bitwise_reference_from_every_bit_offset_on_both_sinks(
+            calls in proptest::collection::vec(put(), 0..32),
+            prefix in proptest::collection::vec(any::<u8>(), 0..5),
+            lead in any::<u64>(),
+        ) {
+            for offset in 0..8 {
+                let mut want = BitWriter::over(prefix.clone());
+                want.put_bits_bitwise(lead, offset);
+                calls.iter().for_each(|call| call.reference(&mut want));
+                // Whatever bit the last window ended on, the per-field call
+                // after it goes on from there.
+                want.put_bits_bitwise(lead, 11);
+                let want = want.into_buf();
+
+                let mut owned = BitWriter::over(prefix.clone());
+                let mut scratch = BitWriter::over(bytes::BytesMut::from(&prefix[..]));
+                through_windows(&mut owned, lead, offset, &calls);
+                through_windows(&mut scratch, lead, offset, &calls);
+                prop_assert_eq!(&owned.into_buf(), &want, "from bit {}", offset);
+                prop_assert_eq!(&scratch.into_buf()[..], &want[..], "from bit {}", offset);
+            }
+        }
+    }
+
+    /// `offset` bits of `lead`, then `calls` with every run of fields in one
+    /// window — an octet string, which copies into the sink itself, ends a
+    /// run — then eleven bits more.
+    fn through_windows<B: ByteSink>(w: &mut BitWriter<B>, lead: u64, offset: u32, calls: &[Put]) {
+        w.put_bits(lead, offset);
+        for run in calls.split_inclusive(|call| matches!(call, Put::Octets(_))) {
+            let (fields, octets) = match run.split_last() {
+                Some((octets @ Put::Octets(_), fields)) => (fields, Some(octets)),
+                _ => (run, None),
+            };
+            // A field is ten bytes at most: an integer of eight octets, its
+            // length, the padding before it.
+            w.window(1 + 10 * fields.len(), |c| fields.iter().for_each(|call| call.apply_in(c)));
+            if let Some(octets) = octets {
+                octets.apply(w);
+            }
+        }
+        w.put_bits(lead, 11);
     }
 
     /// One call on a [`BitWriter`].
@@ -767,6 +963,72 @@ mod prop_tests {
                 Put::Length(len) => w.put_length(*len),
                 Put::Octets(bytes) => w.put_octets(bytes),
                 Put::Align => w.align(),
+            }
+        }
+
+        /// The same call inside a window ([`Put::Octets`] has none).
+        fn apply_in(&self, c: &mut Cursor<'_>) {
+            match self {
+                Put::Bits(v, n) => c.put_bits(*v, *n),
+                Put::Constrained { value, lo, hi } => c.put_constrained(*value, *lo, *hi),
+                Put::Uint(v) => c.put_uint(*v),
+                Put::Length(len) => c.put_length(*len),
+                Put::Octets(_) => unreachable!("an octet string is not a window's"),
+                Put::Align => c.align(),
+            }
+        }
+
+        /// Reads the call back; an octet string as its length.
+        fn read(&self, r: &mut BitReader) -> Result<u64> {
+            match self {
+                Put::Bits(_, n) => r.get_bits(*n),
+                Put::Constrained { lo, hi, .. } => r.get_constrained(*lo, *hi),
+                Put::Uint(_) => r.get_uint(),
+                Put::Length(_) => r.get_length().map(|len| len as u64),
+                Put::Octets(_) => r.get_octets().map(|raw| raw.len() as u64),
+                Put::Align => {
+                    r.align();
+                    Ok(0)
+                }
+            }
+        }
+
+        /// [`Put::read`] with every bit field through
+        /// [`BitReader::get_bits_bitwise`] and every integer a byte at a
+        /// time.
+        fn read_reference(&self, r: &mut BitReader) -> Result<u64> {
+            fn uint(r: &mut BitReader, what: &'static str) -> Result<u64> {
+                let nbytes = r.get_length()?;
+                if nbytes == 0 || nbytes > 8 {
+                    return Err(CodecError::Malformed { what });
+                }
+                Ok(r.get_raw(nbytes)?.iter().fold(0, |acc, b| (acc << 8) | *b as u64))
+            }
+            match self {
+                Put::Bits(_, n) => r.get_bits_bitwise(*n),
+                Put::Constrained { lo, hi, .. } => match hi - lo {
+                    0 => Ok(*lo),
+                    range @ 1..=65535 => {
+                        let value = lo + r.get_bits_bitwise(range.ilog2() + 1)?;
+                        if value > *hi {
+                            return Err(CodecError::OutOfRange { what: "constrained int", value });
+                        }
+                        Ok(value)
+                    }
+                    _ => {
+                        let offset = uint(r, "constrained int length")?;
+                        let value = lo.checked_add(offset).ok_or(CodecError::OutOfRange {
+                            what: "constrained int",
+                            value: offset,
+                        })?;
+                        if value > *hi {
+                            return Err(CodecError::OutOfRange { what: "constrained int", value });
+                        }
+                        Ok(value)
+                    }
+                },
+                Put::Uint(_) => uint(r, "uint length"),
+                _ => self.read(r),
             }
         }
 

@@ -11,10 +11,11 @@
 //!   because the buffer's capacity is reclaimed once previously frozen
 //!   `Bytes` handles drop.
 //!
-//! The writers lay out one unit at a time — an FB table, a PER
-//! length-prefixed integer — [`grow`](ByteSink::grow) the buffer by its size
+//! The writers lay out one unit at a time — an FB table or a whole vector
+//! of them, a PER row — [`grow`](ByteSink::grow) the buffer by its size
 //! once and store the fields into the returned tail at known offsets; a
-//! writer that reserved a fixed maximum gives the unused end back with
+//! writer that reserved a fixed maximum (the PER
+//! [window](crate::per::BitWriter::window)) gives the unused end back with
 //! [`truncate`](ByteSink::truncate).  Beyond that they only *patch*
 //! already-written bytes (FB offset slots), so the trait stays small: no
 //! insertion, no removal from the front.

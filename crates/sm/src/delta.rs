@@ -397,14 +397,19 @@ fn write_delta_body<T: DeltaRows, B: ByteSink>(
         w.put_uint(aux);
     }
     w.put_length(d.n_changed);
+    // A row is one window: key and bitmap from whatever bit the row before
+    // ended on, then nine bytes a field at most.
+    let row_max = (7 + 32 + T::FIELD_COUNT as usize).div_ceil(8) + 9 * T::FIELD_COUNT as usize;
     for (row, dirty) in cur.rows().iter().zip(dirty).filter(|(_, d)| **d != 0) {
         let mut bits = *dirty as u32;
-        w.put_bits(T::row_key(row) as u64, 32);
-        w.put_bits(bits as u64, T::FIELD_COUNT);
-        while bits != 0 {
-            w.put_uint(T::field(row, bits.trailing_zeros()));
-            bits &= bits - 1;
-        }
+        w.window(row_max, |c| {
+            c.put_bits(T::row_key(row) as u64, 32);
+            c.put_bits(bits as u64, T::FIELD_COUNT);
+            while bits != 0 {
+                c.put_uint(T::field(row, bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        });
     }
     w.put_length(removed.len());
     for key in removed {

@@ -94,7 +94,11 @@ impl SmCodec {
 /// mid-encode.  The largest are MAC's: 2374 B in FB, whatever the values
 /// (32 offsets and rows of [`Row::FB_SIZE`](schema::Row::FB_SIZE) = 68 B,
 /// and 70 B of header, count, row vtable and root table around them), and
-/// 2288 B in PER when every counter needs all its octets.
+/// 2288 B in PER when every counter needs all its octets (15 B of
+/// timestamp, aux scalar and count, then 32 rows of
+/// [`Row::PER_MAX`](schema::Row::PER_MAX) − 1 = 71 B, each starting in the
+/// last byte of the row before, and that byte once more);
+/// `mac::thirty_two_ue_snapshot_is_compact` pins both.
 const SNAPSHOT_CAPACITY: usize = 2560;
 
 /// Implemented by every SM payload: dual-codec encode/decode.

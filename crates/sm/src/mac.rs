@@ -108,5 +108,20 @@ mod tests {
         use crate::schema::Row;
         assert_eq!(MacUeStats::FB_SIZE, 68);
         assert_eq!(fb.len(), 70 + 32 * (4 + MacUeStats::FB_SIZE));
+        // The longest PER snapshot: every counter, the timestamp and the
+        // aux scalar at their maxima.  A row is `PER_MAX` = 72 B from the
+        // worst bit; in a snapshot each starts in the last byte of the row
+        // before (the first, aligned, has that byte to itself) and all end
+        // four bits into a byte: 71 B a row and one byte more, after the
+        // 9 + 5 + 1 B of timestamp, aux scalar and count.
+        let mut top = MacUeStats::with_key(u32::MAX);
+        for (i, f) in (0..).zip(MacUeStats::FIELDS) {
+            assert!(top.set_field(i, f.max));
+        }
+        let longest = MacStatsInd { tstamp_ms: u64::MAX, cell_prbs: u32::MAX, ues: vec![top; 32] };
+        assert_eq!(MacUeStats::PER_MAX, 72);
+        let per = longest.encode(SmCodec::Asn1Per);
+        assert_eq!(per.len(), 15 + 32 * (MacUeStats::PER_MAX - 1) + 1);
+        assert_eq!(per.len(), 2288, "the figure in SNAPSHOT_CAPACITY's doc");
     }
 }

@@ -19,7 +19,11 @@
 //! written, so a row's table has a constant size and a constant vtable
 //! ([`Row::FB_SIZE`], [`Row::FB_VTABLE`], worked out from the field types
 //! when the table is compiled) and the rows of a snapshot are one
-//! [`vec_of_tables`](flexric_codec::fb::FbBuilder::vec_of_tables).  In a delta frame a row goes by its
+//! [`vec_of_tables`](flexric_codec::fb::FbBuilder::vec_of_tables).  A PER
+//! row has no constant size, but a constant bound ([`Row::PER_MAX`], from
+//! the same table): it is written through one
+//! [window](flexric_codec::per::BitWriter::window) of that many bytes, as
+//! straight-line stores.  In a delta frame a row goes by its
 //! key — the key fields, each filling its type, packed from bit 0 into at
 //! most 32 bits — and its other fields by index.
 //!
@@ -38,14 +42,14 @@ use std::fmt::Debug;
 use flexric_codec::error::{CodecError, Result};
 use flexric_codec::fb::FbTable;
 use flexric_codec::pb::PbWriter;
-use flexric_codec::per::{BitReader, BitWriter};
+use flexric_codec::per::{uint_octets, BitReader, BitWriter, Cursor};
 use flexric_codec::ByteSink;
 
 /// What the macros' expansions name, so that a crate using them needs no
 /// imports of its own.
 #[doc(hidden)]
 pub mod rt {
-    pub use super::{Field, Kind, Row, MAX_ROWS};
+    pub use super::{per_max, Field, Kind, Row, MAX_ROWS};
     pub use crate::{DeltaRows, SmPayload};
     pub use flexric_codec::error::{CodecError, Result};
     pub use flexric_codec::fb::{FbBuilder, FbTable, RowLayout, TableBuilder};
@@ -106,13 +110,23 @@ impl Field {
         }
     }
 
+    /// Width of the field's PER bit field; `None` if it travels aligned, as
+    /// a length and that many octets.
+    pub const fn per_width(&self) -> Option<u32> {
+        match self.kind {
+            Kind::bits(n) => Some(n),
+            Kind::range(_, hi) if hi < 65536 => Some(64 - hi.leading_zeros()),
+            Kind::range(..) | Kind::uint => None,
+        }
+    }
+
     /// Writes `v` in the field's PER form.
     #[inline(always)]
-    pub fn put_per<B: ByteSink>(&self, w: &mut BitWriter<B>, v: u64) {
-        match self.kind {
-            Kind::bits(n) => w.put_bits(v, n),
-            Kind::range(lo, hi) => w.put_constrained(v, lo, hi),
-            Kind::uint => w.put_uint(v),
+    pub fn put_per(&self, c: &mut Cursor<'_>, v: u64) {
+        debug_assert!(v <= self.max, "{} = {v} above {}", self.name, self.max);
+        match self.per_width() {
+            Some(n) => c.put_bits(v, n),
+            None => c.put_uint(v),
         }
     }
 
@@ -128,17 +142,37 @@ impl Field {
     }
 }
 
+/// The most bytes a row of `fields` takes in PER, counted from the byte it
+/// starts in: a bit field its width, an octet field its length byte, the
+/// octets of its maximum and the padding before them.
+pub const fn per_max(fields: &[Field]) -> usize {
+    // Seven bits of the first byte taken: no start makes a row longer.
+    let (mut bits, mut i) = (7, 0);
+    while i < fields.len() {
+        bits = match fields[i].per_width() {
+            Some(n) => bits + n as usize,
+            None => bits.div_ceil(8) * 8 + 8 * (1 + uint_octets(fields[i].max)),
+        };
+        i += 1;
+    }
+    bits.div_ceil(8)
+}
+
 /// A row of unsigned scalars declared with [`sm_rows!`](crate::sm_rows).
 pub trait Row: Copy + Default + PartialEq + Debug {
     /// The non-key fields, by index (32 at most).
     const FIELDS: &'static [Field];
+    /// The most bytes [`Row::put_per`] writes, counted from the byte the
+    /// writer is in: the window it opens.
+    const PER_MAX: usize;
     /// Bytes of the row's FB table: the vtable pointer, then field *k* at
     /// the width of its type.
     const FB_SIZE: usize;
     /// The table's vtable: field *k* in slot *k*, every slot present.
     const FB_VTABLE: &'static [u8];
 
-    /// Writes every field in table order.
+    /// Writes every field in table order, through one
+    /// [window](BitWriter::window).
     fn put_per<B: ByteSink>(&self, w: &mut BitWriter<B>);
     /// Reads what [`Row::put_per`] wrote.
     fn get_per(r: &mut BitReader) -> Result<Self>;
@@ -208,6 +242,7 @@ macro_rules! sm_rows {
 
             impl rt::Row for $Row {
                 const FIELDS: &'static [Field] = TABLE.split_at(KEYS).1;
+                const PER_MAX: usize = rt::per_max(TABLE);
                 const FB_SIZE: usize = FB.size;
                 const FB_VTABLE: &'static [u8] = &FB.vtable;
 
@@ -255,7 +290,9 @@ macro_rules! sm_rows {
     // The three encodings, over every field of the table, keys included.
     (@codecs $($a:ident: $aty:ident,)+) => {
         fn put_per<B: rt::ByteSink>(&self, w: &mut rt::BitWriter<B>) {
-            $(TABLE[Slot::$a as usize].put_per(w, self.$a as u64);)+
+            w.window(<Self as rt::Row>::PER_MAX, |c| {
+                $(TABLE[Slot::$a as usize].put_per(c, self.$a as u64);)+
+            });
         }
         // The decoders are not generic, so without the hint they stay calls
         // from the snapshot's row loop; inlined there, the table's vtable

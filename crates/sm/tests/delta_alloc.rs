@@ -8,9 +8,11 @@
 //! Likewise for a full snapshot: encoding 32 rows allocates the output
 //! buffer and nothing else — no list of row offsets, no growth mid-encode,
 //! no table staged on the heap however wide — and into a warm scratch
-//! buffer it allocates nothing at all.  (How often the FB encoder
-//! *reserves* in its sink — once for all the rows, not once per row — is
-//! not an allocation count: `fb_rows.rs` holds that with a counting sink.)
+//! buffer it allocates nothing at all, in PER — a window of the bit writer
+//! per row, each a reservation the warm scratch already has — as in FB.
+//! (How often an encoder *reserves* in its sink — FB once for all the rows,
+//! PER once per row and not once per field — is not an allocation count:
+//! `fb_rows.rs` and `per_rows.rs` hold that with a counting sink.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -9,9 +9,10 @@
 //!   row count: header, rows, root table, the root's vtable.  A regression
 //!   to one reservation per row fails this count, not a stopwatch.
 
+mod support;
+
 use flexric_codec::fb::{FbBuilder, TableBuilder};
 use flexric_codec::pb::{PbReader, PbWriter};
-use flexric_codec::ByteSink;
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
 use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
@@ -19,17 +20,7 @@ use flexric_sm::schema::Row;
 use flexric_sm::tc::{TcQueueStats, TcStatsInd};
 use flexric_sm::SmPayload;
 use proptest::prelude::*;
-
-/// Row `key` with field `i` drawn from `vals[i]`, at any width up to what
-/// the field may hold.
-fn row<R: Row>(key: u32, vals: &[u64]) -> R {
-    let mut row = R::with_key(key);
-    for ((i, f), v) in (0..).zip(R::FIELDS).zip(vals) {
-        let v = v >> (v % 64);
-        assert!(row.set_field(i, f.max.checked_add(1).map_or(v, |over| v % over)));
-    }
-    row
-}
+use support::{row, Counting};
 
 /// `rows` under a root table, by `rows_with`.
 fn message<R: Row>(rows: &[R], rows_with: impl Fn(&mut FbBuilder, &[R]) -> u32) -> Vec<u8> {
@@ -88,40 +79,6 @@ proptest! {
         rows_match_the_reference::<RlcBearerStats>(&seeds)?;
         rows_match_the_reference::<PdcpBearerStats>(&seeds)?;
         rows_match_the_reference::<TcQueueStats>(&seeds)?;
-    }
-}
-
-/// A sink that counts the calls that can reserve room.
-#[derive(Default)]
-struct Counting {
-    buf: Vec<u8>,
-    reservations: usize,
-}
-
-impl ByteSink for Counting {
-    fn push_byte(&mut self, b: u8) {
-        self.reservations += 1;
-        self.buf.push_byte(b);
-    }
-    fn put_slice(&mut self, bytes: &[u8]) {
-        self.reservations += 1;
-        self.buf.put_slice(bytes);
-    }
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-    fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-    fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-    fn grow(&mut self, n: usize) -> &mut [u8] {
-        self.reservations += 1;
-        self.buf.grow(n)
-    }
-    fn truncate(&mut self, len: usize) {
-        ByteSink::truncate(&mut self.buf, len);
     }
 }
 
