@@ -1,71 +1,42 @@
 //! Borrowed-decode support: materialize decoded byte fields as refcounted
 //! views of the receive buffer instead of owned copies.
 //!
-//! [`E2apCodec::decode_borrowed`](crate::E2apCodec::decode_borrowed) scopes
-//! the source [`Bytes`] (the frame sliced off the transport read slab) in a
-//! thread-local for the duration of the decode.  Every decoder site that
-//! used to call `Bytes::copy_from_slice` now calls [`mk_bytes`]: when the
-//! decoded slice lies inside the active source's allocation — which it does
-//! for every contiguously stored field in the PER and FB encodings — the
-//! field becomes `source.slice_ref(..)`, pure refcount bookkeeping.  Slices
-//! that fall outside (or any decode without an active source) fall back to
-//! a counted copy, so `flexric_transport_rx_copies_total{site="decode"}`
-//! measures exactly the hot-path copies the zero-copy design eliminates.
-//!
-//! The scope is per-thread and re-entrant (an inner `with_source` restores
-//! the outer source when it ends), so nested or interleaved decodes on one
-//! thread cannot alias the wrong buffer.
+//! [`E2apCodec::decode_borrowed`](crate::E2apCodec::decode_borrowed) hands
+//! the frame (sliced off the transport read slab) to the decoder — PER
+//! carries it in its reader
+//! ([`BitReader::borrowing`](crate::per::BitReader::borrowing)), FB beside
+//! the table it reads ([`Src`](crate::schema::Src)) — and every
+//! byte-valued field goes through [`mk_bytes`] with it: when the decoded
+//! slice lies inside the source's allocation — which it does for every
+//! contiguously stored field in the PER and FB encodings — the field becomes
+//! `source.slice_ref(..)`, pure refcount bookkeeping.  Slices that fall
+//! outside fall back to a counted copy, so
+//! `flexric_transport_rx_copies_total{site="decode"}` measures exactly the
+//! hot-path copies the zero-copy design eliminates.
 
 use bytes::Bytes;
-use std::cell::RefCell;
-
-thread_local! {
-    /// The frame being borrowed-decoded on this thread, if any.
-    static SOURCE: RefCell<Option<Bytes>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously active source when a `with_source` scope ends
-/// (including by panic/unwind).
-struct Restore(Option<Bytes>);
-
-impl Drop for Restore {
-    fn drop(&mut self) {
-        let prev = self.0.take();
-        SOURCE.with(|s| *s.borrow_mut() = prev);
-    }
-}
-
-/// Runs `f` with `src` as the active borrow source for [`mk_bytes`].
-pub(crate) fn with_source<T>(src: &Bytes, f: impl FnOnce() -> T) -> T {
-    let prev = SOURCE.with(|s| s.borrow_mut().replace(src.clone()));
-    let _restore = Restore(prev);
-    f()
-}
 
 /// Materializes a decoded slice as [`Bytes`]: a refcounted view of the
-/// active borrow source when `sl` lies within its allocation, otherwise an
-/// owned copy.  Copies made *while a source is active* are the hot-path
-/// misses the `rx_copies_total{site="decode"}` counter tracks; a decode
-/// without a source (`E2apCodec::decode`) is owned by contract and is not
-/// counted.
-pub(crate) fn mk_bytes(sl: &[u8]) -> Bytes {
+/// borrow source `src` when `sl` lies within its allocation, otherwise an
+/// owned copy.  Copies made *with a source* are the hot-path misses the
+/// `rx_copies_total{site="decode"}` counter tracks; a decode without one
+/// (`E2apCodec::decode`) is owned by contract and is not counted.
+pub(crate) fn mk_bytes(src: Option<&Bytes>, sl: &[u8]) -> Bytes {
     if sl.is_empty() {
         return Bytes::new();
     }
-    SOURCE.with(|s| match s.borrow().as_ref() {
-        Some(src) => {
-            let lo = src.as_ptr() as usize;
-            let hi = lo + src.len();
-            let p = sl.as_ptr() as usize;
-            if p >= lo && p + sl.len() <= hi {
-                src.slice_ref(sl)
-            } else {
-                crate::obs().rx_copies_decode.inc();
-                Bytes::copy_from_slice(sl)
-            }
+    let inside = |src: &Bytes| {
+        let (lo, p) = (src.as_ptr() as usize, sl.as_ptr() as usize);
+        p >= lo && p + sl.len() <= lo + src.len()
+    };
+    match src {
+        Some(src) if inside(src) => src.slice_ref(sl),
+        Some(_) => {
+            crate::obs().rx_copies_decode.inc();
+            Bytes::copy_from_slice(sl)
         }
         None => Bytes::copy_from_slice(sl),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -75,7 +46,7 @@ mod tests {
     #[test]
     fn without_source_copies() {
         let data = Bytes::from_static(b"0123456789");
-        let out = mk_bytes(&data[2..5]);
+        let out = mk_bytes(None, &data[2..5]);
         assert_eq!(&out[..], b"234");
         assert_ne!(out.as_ptr(), data[2..5].as_ptr(), "owned copy");
     }
@@ -83,7 +54,7 @@ mod tests {
     #[test]
     fn with_source_borrows_in_range() {
         let data = Bytes::from(vec![7u8; 64]);
-        let out = with_source(&data, || mk_bytes(&data[10..30]));
+        let out = mk_bytes(Some(&data), &data[10..30]);
         assert_eq!(out.len(), 20);
         assert_eq!(out.as_ptr(), data[10..30].as_ptr(), "view of the source, not a copy");
     }
@@ -92,27 +63,14 @@ mod tests {
     fn with_source_copies_out_of_range() {
         let data = Bytes::from(vec![1u8; 16]);
         let other = [9u8; 8];
-        let out = with_source(&data, || mk_bytes(&other));
+        let out = mk_bytes(Some(&data), &other);
         assert_eq!(&out[..], &other);
         assert_ne!(out.as_ptr(), other.as_ptr());
     }
 
     #[test]
-    fn nested_scopes_restore() {
-        let outer = Bytes::from(vec![1u8; 32]);
-        let inner = Bytes::from(vec![2u8; 32]);
-        with_source(&outer, || {
-            with_source(&inner, || {
-                assert_eq!(mk_bytes(&inner[..4]).as_ptr(), inner.as_ptr());
-            });
-            // Outer source is active again.
-            assert_eq!(mk_bytes(&outer[..4]).as_ptr(), outer.as_ptr());
-        });
-    }
-
-    #[test]
     fn empty_slice_is_free() {
         let data = Bytes::from(vec![0u8; 8]);
-        assert!(with_source(&data, || mk_bytes(&data[3..3])).is_empty());
+        assert!(mk_bytes(Some(&data), &data[3..3]).is_empty());
     }
 }

@@ -4,25 +4,33 @@
 //! abstractions and keeps the encoding exchangeable behind an intermediate
 //! representation.  This crate provides three from-scratch codecs:
 //!
-//! * [`per`] / [`e2ap_per`] — an ASN.1-aligned-PER-style bit-packed codec
-//!   (compact, but every access requires a full decode),
-//! * [`fb`] / [`e2ap_fb`] — a FlatBuffers-style zero-copy codec (a few tens
-//!   of bytes larger per message, but fields are readable straight from the
-//!   wire bytes),
-//! * [`pb`] — a Protobuf-style varint codec used by the FlexRAN baseline.
+//! * [`per`] — an ASN.1-aligned-PER-style bit-packed codec (compact, but
+//!   every access requires a full decode),
+//! * [`fb`] — a FlatBuffers-style zero-copy codec (a few tens of bytes
+//!   larger per message, but fields are readable straight from the wire
+//!   bytes),
+//! * [`pb`] — a Protobuf-style varint codec used by the FlexRAN baseline,
+//!
+//! and [`e2ap`], which declares every E2AP message once ([`schema`] is the
+//! grammar) and derives its PER and its FB form from that declaration.
 //!
 //! [`E2apCodec`] is the configuration point: agents and controllers agree on
 //! an E2AP encoding per connection, and service models independently choose
 //! their own (the paper's E2AP×E2SM combinations of Fig. 7).
 
 pub(crate) mod borrow;
-pub mod e2ap_fb;
-pub mod e2ap_per;
+pub mod e2ap;
 pub mod error;
 pub mod fb;
 pub mod pb;
 pub mod per;
+pub mod schema;
 pub mod sink;
+
+/// The FB fast path, under the name its callers know it by.
+pub mod e2ap_fb {
+    pub use crate::e2ap::{indication_payload, indication_payload_borrowed};
+}
 
 pub use error::{CodecError, Result};
 pub use sink::ByteSink;
@@ -116,35 +124,35 @@ impl E2apCodec {
         note_encode();
         let _t = obs().encode_ns[self.idx()].timer();
         match self {
-            E2apCodec::Asn1Per => e2ap_per::encode(pdu),
-            E2apCodec::Flatb => e2ap_fb::encode(pdu),
+            E2apCodec::Asn1Per => e2ap::encode_per(pdu, Vec::with_capacity(64)),
+            E2apCodec::Flatb => e2ap::encode_fb(pdu, Vec::with_capacity(fb::FB_HEADER_LEN + 128)),
         }
     }
 
     /// Encodes a PDU into a caller-provided scratch buffer, appending after
-    /// any existing content.
+    /// any existing content (e.g. a reserved frame header).
     ///
     /// This is the zero-allocation path: callers keep one `BytesMut` per
     /// connection (or per loop), call `encode_into`, then `split().freeze()`
     /// the message off.  Once the frozen `Bytes` handles drop, the buffer's
     /// capacity is reclaimed and steady-state encoding allocates nothing.
     /// The appended bytes are identical to what [`E2apCodec::encode`]
-    /// returns — both dispatch to one shared encode body per codec.
+    /// returns — both run one encode body per codec, generic over the sink.
     pub fn encode_into(&self, pdu: &E2apPdu, buf: &mut BytesMut) {
         note_encode();
         let _t = obs().encode_ns[self.idx()].timer();
-        match self {
-            E2apCodec::Asn1Per => e2ap_per::encode_into(pdu, buf),
-            E2apCodec::Flatb => e2ap_fb::encode_into(pdu, buf),
-        }
+        *buf = match self {
+            E2apCodec::Asn1Per => e2ap::encode_per(pdu, std::mem::take(buf)),
+            E2apCodec::Flatb => e2ap::encode_fb(pdu, std::mem::take(buf)),
+        };
     }
 
     /// Decodes a PDU into the owned IR.
     pub fn decode(&self, buf: &[u8]) -> Result<E2apPdu> {
         let _t = obs().decode_ns[self.idx()].timer();
         match self {
-            E2apCodec::Asn1Per => e2ap_per::decode(buf),
-            E2apCodec::Flatb => e2ap_fb::decode(buf),
+            E2apCodec::Asn1Per => e2ap::decode_per(per::BitReader::new(buf)),
+            E2apCodec::Flatb => e2ap::decode_fb(buf, None),
         }
     }
 
@@ -161,22 +169,25 @@ impl E2apCodec {
     /// copy, counted in `flexric_transport_rx_copies_total{site="decode"}`.
     pub fn decode_borrowed(&self, buf: &bytes::Bytes) -> Result<E2apPdu> {
         let _t = obs().decode_ns[self.idx()].timer();
-        borrow::with_source(buf, || match self {
-            E2apCodec::Asn1Per => e2ap_per::decode(buf),
-            E2apCodec::Flatb => e2ap_fb::decode(buf),
-        })
+        match self {
+            E2apCodec::Asn1Per => e2ap::decode_per(per::BitReader::borrowing(buf)),
+            E2apCodec::Flatb => e2ap::decode_fb(buf, Some(buf)),
+        }
     }
 
     /// Extracts the routing header.
     ///
     /// For [`E2apCodec::Flatb`] this is O(1) over the raw bytes; for
-    /// [`E2apCodec::Asn1Per`] it is a full decode — the structural asymmetry
-    /// the paper's Fig. 8b measures.
+    /// [`E2apCodec::Asn1Per`] it is a full decode — PER has no random
+    /// access — and deliberately so: this asymmetry is what the paper's
+    /// Fig. 8b measures.
     pub fn peek(&self, buf: &[u8]) -> Result<PduHeader> {
         let _t = obs().peek_ns[self.idx()].timer();
         match self {
-            E2apCodec::Asn1Per => e2ap_per::peek(buf),
-            E2apCodec::Flatb => e2ap_fb::peek(buf),
+            E2apCodec::Asn1Per => {
+                e2ap::decode_per(per::BitReader::new(buf)).map(|pdu| pdu.header())
+            }
+            E2apCodec::Flatb => e2ap::peek_fb(buf),
         }
     }
 }
@@ -547,6 +558,164 @@ mod tests {
         assert!(e2ap_fb::indication_payload(&other).is_err());
     }
 
+    /// Replaces the one occurrence of `from` in `buf` by `to`.
+    fn forge(buf: &[u8], from: &[u8], to: &[u8]) -> Bytes {
+        let at: Vec<usize> = (0..buf.len()).filter(|&i| buf[i..].starts_with(from)).collect();
+        assert_eq!(at.len(), 1, "{from:02x?} in {buf:02x?}");
+        let mut out = buf.to_vec();
+        out[at[0]..at[0] + to.len()].copy_from_slice(to);
+        Bytes::from(out)
+    }
+
+    fn out_of_range<T>(r: Result<T>) -> bool {
+        matches!(r, Err(CodecError::OutOfRange { .. }))
+    }
+
+    /// `decode` and `decode_borrowed` (and `peek`, where the routing header
+    /// holds the field or the codec has no header to read alone) refuse
+    /// `pdu`'s frame once `from` reads `to`, and accepted it before.
+    fn refused(codec: E2apCodec, pdu: &E2apPdu, from: &[u8], to: &[u8], peek_too: bool) {
+        let buf = codec.encode(pdu);
+        assert_eq!(codec.decode(&buf).as_ref(), Ok(pdu));
+        let forged = forge(&buf, from, to);
+        let what = format!("{codec:?} {:?} {to:02x?}", pdu.msg_type());
+        assert!(out_of_range(codec.decode(&forged)), "decode {what}");
+        assert!(out_of_range(codec.decode_borrowed(&forged)), "decode_borrowed {what}");
+        if peek_too || codec == E2apCodec::Asn1Per {
+            assert!(out_of_range(codec.peek(&forged)), "peek {what}");
+        }
+    }
+
+    /// One set of constraints: a value no `E2apPdu` may hold is refused by
+    /// every decoder of either codec, never masked, clamped or cut down to
+    /// one it may hold.
+    #[test]
+    fn forged_out_of_range_fields_are_refused_by_every_decoder() {
+        use E2apCodec::{Asn1Per, Flatb};
+        let cause = Cause::Ric(RicCause::ActionNotSupported);
+        let cause_le = (((cause.group() as u16) << 8) | cause.value() as u16).to_le_bytes();
+        let (req_id, rf) = (RicRequestId::new(17, 4), RanFunctionId::new(0x0ABC));
+        let plmn = Plmn::new(0x0321, 0x0234, 2);
+        let fn_item = RanFunctionItem::new(0x0ABC, "oid", Bytes::from_static(b"def"));
+
+        // The RAN function id, 0..=4095: twelve bits in PER, a u16 in FB —
+        // in the root's routing slot, where `peek` reads it too …
+        for pdu in [
+            E2apPdu::RicSubscriptionDeleteRequest(RicSubscriptionDeleteRequest {
+                req_id,
+                ran_function: rf,
+            }),
+            E2apPdu::ErrorIndication(ErrorIndication {
+                req_id: None,
+                ran_function: Some(rf),
+                cause: None,
+            }),
+        ] {
+            refused(Flatb, &pdu, &[0xBC, 0x0A], &[0x01, 0x10], true);
+        }
+        // … and wherever a message lists it.
+        for pdu in [
+            E2apPdu::E2SetupRequest(E2SetupRequest {
+                transaction_id: 9,
+                global_node: GlobalE2NodeId::new(plmn, E2NodeType::Gnb, 1),
+                ran_functions: vec![fn_item.clone()],
+                component_configs: vec![],
+            }),
+            E2apPdu::E2SetupResponse(E2SetupResponse {
+                transaction_id: 9,
+                global_ric: GlobalRicId::new(plmn, 1),
+                accepted: vec![rf],
+                rejected: vec![],
+            }),
+            E2apPdu::E2SetupResponse(E2SetupResponse {
+                transaction_id: 9,
+                global_ric: GlobalRicId::new(plmn, 1),
+                accepted: vec![],
+                rejected: vec![(rf, cause)],
+            }),
+            E2apPdu::RicServiceUpdate(RicServiceUpdate {
+                transaction_id: 5,
+                added: vec![],
+                modified: vec![fn_item],
+                removed: vec![],
+            }),
+            E2apPdu::RicServiceUpdate(RicServiceUpdate {
+                transaction_id: 5,
+                added: vec![],
+                modified: vec![],
+                removed: vec![rf],
+            }),
+            E2apPdu::RicServiceUpdateAck(RicServiceUpdateAck {
+                transaction_id: 5,
+                accepted: vec![],
+                rejected: vec![(rf, cause)],
+            }),
+            E2apPdu::RicServiceQuery(RicServiceQuery { transaction_id: 6, accepted: vec![rf] }),
+        ] {
+            refused(Flatb, &pdu, &[0xBC, 0x0A], &[0x01, 0x10], false);
+        }
+
+        // Node id (36 bits), RIC id (20 bits), MCC and MNC (0..=999), MNC
+        // digits (2 or 3): FB holds each in a whole integer.
+        let setup = E2apPdu::E2SetupRequest(E2SetupRequest {
+            transaction_id: 9,
+            global_node: GlobalE2NodeId::new(plmn, E2NodeType::GnbDu, 0x9_8765_4321),
+            ran_functions: vec![],
+            component_configs: vec![],
+        });
+        let response = E2apPdu::E2SetupResponse(E2SetupResponse {
+            transaction_id: 9,
+            global_ric: GlobalRicId::new(plmn, 0xA_BCDE),
+            accepted: vec![],
+            rejected: vec![],
+        });
+        let node_id = 0x9_8765_4321u64.to_le_bytes();
+        refused(Flatb, &setup, &node_id, &(1u64 << 36).to_le_bytes(), false);
+        refused(Flatb, &response, &[0xDE, 0xBC, 0x0A, 0x00], &[0x00, 0x00, 0x10, 0x00], false);
+        for pdu in [&setup, &response] {
+            let plmn = [0x21, 0x03, 0x34, 0x02, 0x02];
+            refused(Flatb, pdu, &plmn, &[0xE8, 0x03, 0x34, 0x02, 0x02], false);
+            refused(Flatb, pdu, &plmn, &[0x21, 0x03, 0xE8, 0x03, 0x02], false);
+            refused(Flatb, pdu, &plmn, &[0x21, 0x03, 0x34, 0x02, 0x04], false);
+            refused(Flatb, pdu, &plmn, &[0x21, 0x03, 0x34, 0x02, 0x01], false);
+        }
+        // PER holds the two ids as a length and that many octets …
+        refused(Asn1Per, &setup, &[5, 0x09, 0x87, 0x65, 0x43, 0x21], &[5, 0x10, 0, 0, 0, 0], true);
+        refused(Asn1Per, &response, &[3, 0x0A, 0xBC, 0xDE], &[3, 0x10, 0x00, 0x00], true);
+        // … and MCC and MNC in ten bits each, after the five of the message
+        // type and the eight of the transaction id.
+        for (mcc, mnc) in [(1000, 1), (1, 1000), (1023, 1023)] {
+            let mut w = crate::per::BitWriter::new();
+            w.put_bits(MsgType::E2SetupResponse as u64, 5);
+            w.put_bits(9, 8);
+            w.put_bits(mcc, 10);
+            w.put_bits(mnc, 10);
+            w.put_bits(0, 1); // two MNC digits
+            w.put_uint(1); // the RIC id
+            w.put_length(0);
+            w.put_length(0);
+            let forged = Bytes::from(w.finish());
+            assert!(out_of_range(Asn1Per.decode(&forged)), "{mcc} {mnc}");
+            assert!(out_of_range(Asn1Per.decode_borrowed(&forged)), "{mcc} {mnc}");
+            assert!(out_of_range(Asn1Per.peek(&forged)), "{mcc} {mnc}");
+        }
+
+        // Action ids are a u8; FB lists them as u16.
+        let response = |admitted: Vec<RicActionId>, not_admitted| {
+            E2apPdu::RicSubscriptionResponse(RicSubscriptionResponse {
+                req_id,
+                ran_function: RanFunctionId::new(142),
+                admitted,
+                not_admitted,
+            })
+        };
+        let admitted = response(vec![RicActionId(0xAB)], vec![]);
+        refused(Flatb, &admitted, &[1, 0, 0, 0, 0xAB, 0x00], &[1, 0, 0, 0, 0xAB, 0x01], false);
+        let not_admitted = response(vec![], vec![(RicActionId(0xCD), cause)]);
+        let (from, to) = ([0xCD, 0x00, cause_le[0], cause_le[1]], [0xCD, 0x01]);
+        refused(Flatb, &not_admitted, &from, &to, false);
+    }
+
     #[test]
     fn large_payload_roundtrip() {
         let big = vec![0xA5u8; 100_000];
@@ -708,6 +877,28 @@ mod prop_tests {
                 let buf = codec.encode(&pdu);
                 let h = codec.peek(&buf).unwrap();
                 prop_assert_eq!(h, pdu.header());
+            }
+        }
+
+        /// One set of constraints: whatever a decoder accepts of a frame
+        /// with a byte scribbled over, every encoder can write again.
+        #[test]
+        fn what_one_decoder_accepts_every_encoder_writes(
+            pdu in arb_pdu(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            for codec in E2apCodec::ALL {
+                let mut buf = codec.encode(&pdu);
+                let at = at % buf.len();
+                buf[at] = byte;
+                let buf = Bytes::from(buf);
+                let got = codec.decode(&buf);
+                prop_assert_eq!(&codec.decode_borrowed(&buf), &got);
+                let Ok(got) = got else { continue };
+                for other in E2apCodec::ALL {
+                    prop_assert_eq!(other.decode(&other.encode(&got)).as_ref(), Ok(&got));
+                }
             }
         }
 

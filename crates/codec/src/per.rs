@@ -45,6 +45,8 @@
 //! produce an owned `Vec<u8>` or append into a reusable
 //! [`bytes::BytesMut`] scratch buffer (the `encode_into` path).
 
+use bytes::Bytes;
+
 use crate::error::{CodecError, Result};
 use crate::sink::ByteSink;
 
@@ -334,12 +336,20 @@ pub struct BitReader<'a> {
     buf: &'a [u8],
     /// Absolute bit cursor.
     pos_bits: usize,
+    /// The frame `buf` is, if [`Self::get_bytes`] is to hand out views of it.
+    src: Option<&'a Bytes>,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, pos_bits: 0 }
+        BitReader { buf, pos_bits: 0, src: None }
+    }
+
+    /// Creates a reader over `src` whose [`Self::get_bytes`] are refcounted
+    /// views of it, not copies: the borrowed decode of a received frame.
+    pub fn borrowing(src: &'a Bytes) -> Self {
+        BitReader { buf: src, pos_bits: 0, src: Some(src) }
     }
 
     /// Bits remaining.
@@ -489,6 +499,13 @@ impl<'a> BitReader<'a> {
     pub fn get_octets(&mut self) -> Result<&'a [u8]> {
         let len = self.get_length()?;
         self.get_raw(len)
+    }
+
+    /// Reads an octet string as [`Bytes`]: a copy, or from a
+    /// [borrowing](Self::borrowing) reader a view of the frame.
+    pub fn get_bytes(&mut self) -> Result<Bytes> {
+        let src = self.src;
+        Ok(crate::borrow::mk_bytes(src, self.get_octets()?))
     }
 
     /// Reads a UTF-8 string.

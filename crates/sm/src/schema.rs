@@ -33,17 +33,24 @@
 //! accepted every encoder can write again.  Ranges start at 0 because a row
 //! new to a delta stream is diffed against the all-zero row of its key.
 //!
+//! [`Field`], [`Kind`] and [`Field::check`] are `flexric_codec::schema`'s,
+//! re-exported here: the E2AP messages one layer down are declared with the
+//! same vocabulary (`wire_table!`), so there is one such type in the
+//! workspace and a field has one maximum in every layer.
+//!
 //! Union-, string- and option-shaped payloads (slice and TC control, RRC
 //! events, KPM, the ping, triggers, function definitions) have one user
 //! each and stay hand-written [`SmPayload`](crate::SmPayload) impls.
 
 use std::fmt::Debug;
 
-use flexric_codec::error::{CodecError, Result};
+use flexric_codec::error::Result;
 use flexric_codec::fb::FbTable;
 use flexric_codec::pb::PbWriter;
-use flexric_codec::per::{uint_octets, BitReader, BitWriter, Cursor};
+use flexric_codec::per::{BitReader, BitWriter};
 use flexric_codec::ByteSink;
+
+pub use flexric_codec::schema::{per_max, Field, Kind};
 
 /// What the macros' expansions name, so that a crate using them needs no
 /// imports of its own.
@@ -60,103 +67,6 @@ pub mod rt {
 
 /// Upper bound on the rows of a snapshot in any decoder.
 pub const MAX_ROWS: usize = 65_536;
-
-/// How a field travels in PER, and with its type what it may hold.
-#[allow(non_camel_case_types)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// A bit field of this width.
-    bits(u32),
-    /// A constrained whole number `lo..=hi`; `lo` must be 0.
-    range(u64, u64),
-    /// An unconstrained whole number, up to the field's type.
-    uint,
-}
-
-/// One line of a field table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Field {
-    /// The field's name, for errors.
-    pub name: &'static str,
-    /// Its PER form.
-    pub kind: Kind,
-    /// The largest value it may hold.
-    pub max: u64,
-}
-
-impl Field {
-    /// A field of `kind` in a type that holds up to `type_max`; tables are
-    /// constants, so a kind wider than its type does not compile.
-    pub const fn new(name: &'static str, kind: Kind, type_max: u64) -> Field {
-        let max = match kind {
-            Kind::bits(n) => u64::MAX >> (64 - n),
-            Kind::range(lo, hi) => {
-                assert!(lo == 0, "ranges start at 0: the all-zero row must be legal");
-                hi
-            }
-            Kind::uint => type_max,
-        };
-        assert!(max <= type_max, "the field's kind is wider than its type");
-        Field { name, kind, max }
-    }
-
-    /// `v`, if the field may hold it.
-    #[inline(always)]
-    pub fn check(&self, v: u64) -> Result<u64> {
-        if v <= self.max {
-            Ok(v)
-        } else {
-            Err(CodecError::OutOfRange { what: self.name, value: v })
-        }
-    }
-
-    /// Width of the field's PER bit field; `None` if it travels aligned, as
-    /// a length and that many octets.
-    pub const fn per_width(&self) -> Option<u32> {
-        match self.kind {
-            Kind::bits(n) => Some(n),
-            Kind::range(_, hi) if hi < 65536 => Some(64 - hi.leading_zeros()),
-            Kind::range(..) | Kind::uint => None,
-        }
-    }
-
-    /// Writes `v` in the field's PER form.
-    #[inline(always)]
-    pub fn put_per(&self, c: &mut Cursor<'_>, v: u64) {
-        debug_assert!(v <= self.max, "{} = {v} above {}", self.name, self.max);
-        match self.per_width() {
-            Some(n) => c.put_bits(v, n),
-            None => c.put_uint(v),
-        }
-    }
-
-    /// Reads what [`Field::put_per`] wrote; the two constrained forms
-    /// cannot yield more than the field may hold.
-    #[inline(always)]
-    pub fn get_per(&self, r: &mut BitReader) -> Result<u64> {
-        match self.kind {
-            Kind::bits(n) => r.get_bits(n),
-            Kind::range(lo, hi) => r.get_constrained(lo, hi),
-            Kind::uint => self.check(r.get_uint()?),
-        }
-    }
-}
-
-/// The most bytes a row of `fields` takes in PER, counted from the byte it
-/// starts in: a bit field its width, an octet field its length byte, the
-/// octets of its maximum and the padding before them.
-pub const fn per_max(fields: &[Field]) -> usize {
-    // Seven bits of the first byte taken: no start makes a row longer.
-    let (mut bits, mut i) = (7, 0);
-    while i < fields.len() {
-        bits = match fields[i].per_width() {
-            Some(n) => bits + n as usize,
-            None => bits.div_ceil(8) * 8 + 8 * (1 + uint_octets(fields[i].max)),
-        };
-        i += 1;
-    }
-    bits.div_ceil(8)
-}
 
 /// A row of unsigned scalars declared with [`sm_rows!`](crate::sm_rows).
 pub trait Row: Copy + Default + PartialEq + Debug {
