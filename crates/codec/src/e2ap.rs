@@ -41,7 +41,7 @@ use flexric_e2ap::*;
 use crate::error::{CodecError, Result};
 use crate::fb::{FbBuilder, FbTable, FbVector, FbView, TableBuilder};
 use crate::per::{BitReader, BitWriter};
-use crate::schema::{required, Field, Kind, Src, Table, Wire};
+use crate::schema::{named, required, Field, Kind, Src, Table, Wire};
 use crate::sink::ByteSink;
 use crate::{wire_enum, wire_table};
 
@@ -55,11 +55,6 @@ mod slot {
     pub const BODY: u16 = 4;
     pub const IND_HEADER: u16 = 2;
     pub const IND_MESSAGE: u16 = 3;
-}
-
-/// The line of a field that is not an integer: its name.
-const fn named(name: &'static str) -> Field {
-    Field::new(name, Kind::uint, u64::MAX)
 }
 
 const MSG_TYPE: Field = named("msg_type");
@@ -353,7 +348,7 @@ macro_rules! e2ap_pdus {
         impl Message for $M {
             #[inline]
             fn put_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-                wire_table!(@put_per self, w; $fields);
+                wire_table!(@put_per (&self.) w; $fields);
             }
             #[inline]
             fn get_per(r: &mut BitReader<'_>) -> Result<Self> {
@@ -372,7 +367,7 @@ macro_rules! e2ap_pdus {
             fn put_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
                 self.req_id.put_per(&REQ_ID, w);
                 self.ran_function.put_per(&RAN_FUNCTION, w);
-                wire_table!(@put_per self, w; $fields);
+                wire_table!(@put_per (&self.) w; $fields);
             }
             #[inline]
             fn get_per(r: &mut BitReader<'_>) -> Result<Self> {
@@ -397,7 +392,7 @@ macro_rules! e2ap_pdus {
         #[inline]
         fn to_body<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
             let mut t = TableBuilder::new();
-            wire_table!(@put_fb self, b, &mut t; $fields);
+            wire_table!(@put_fb [] (&self.) () b, &mut t; $fields);
             t.end(b)
         }
     };

@@ -115,28 +115,30 @@ impl<B: ByteSink> FbBuilder<B> {
         (self.buf.len() - self.base) as u32
     }
 
-    /// Appends the `len:u32` prefix of a blob or vector whose elements the
-    /// caller appends next, returning the unit's message-relative offset.
+    /// Writes a vector of `W`-byte little-endian scalars, count and elements
+    /// in one reservation.
     #[inline]
-    fn count(&mut self, len: usize) -> u32 {
-        let pos = self.pos();
-        self.buf.put_slice(&(len as u32).to_le_bytes());
-        pos
-    }
-
-    /// Writes a vector of `W`-byte little-endian scalars.
-    #[inline]
-    fn vec_le<T: Copy, const W: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; W]) -> u32 {
-        let pos = self.count(vals.len());
-        for v in vals {
-            self.buf.put_slice(&le(*v));
+    fn vec_le<I, const W: usize>(&mut self, vals: I, le: impl Fn(I::Item) -> [u8; W]) -> u32
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let vals = vals.into_iter();
+        let (pos, len) = (self.pos(), vals.len());
+        let (count, elems) = self.buf.grow(4 + W * len).split_at_mut(4);
+        count.copy_from_slice(&(len as u32).to_le_bytes());
+        // `zip`: an iterator that yields more than it announced must not
+        // write past the reservation.
+        for (v, elem) in vals.zip(elems.chunks_exact_mut(W)) {
+            elem.copy_from_slice(&le(v));
         }
         pos
     }
 
     /// Writes a blob (byte string), returning its message-relative offset.
     pub fn blob(&mut self, data: &[u8]) -> u32 {
-        let pos = self.count(data.len());
+        let pos = self.pos();
+        self.buf.put_slice(&(data.len() as u32).to_le_bytes());
         self.buf.put_slice(data);
         pos
     }
@@ -148,7 +150,7 @@ impl<B: ByteSink> FbBuilder<B> {
 
     /// Writes a vector of message-relative offsets (tables / blobs).
     pub fn vec_off(&mut self, offs: &[u32]) -> u32 {
-        self.vec_le(offs, u32::to_le_bytes)
+        self.vec_u32(offs)
     }
 
     /// Writes a vector of offsets *ahead of* the children it points at:
@@ -226,16 +228,26 @@ impl<B: ByteSink> FbBuilder<B> {
 
     /// Writes a vector of u16 scalars.
     pub fn vec_u16(&mut self, vals: &[u16]) -> u32 {
-        self.vec_le(vals, u16::to_le_bytes)
+        self.vec_le(vals.iter().copied(), u16::to_le_bytes)
     }
 
     /// Writes a vector of u32 scalars.
     pub fn vec_u32(&mut self, vals: &[u32]) -> u32 {
-        self.vec_le(vals, u32::to_le_bytes)
+        self.vec_le(vals.iter().copied(), u32::to_le_bytes)
     }
 
     /// Writes a vector of u64 scalars.
     pub fn vec_u64(&mut self, vals: &[u64]) -> u32 {
+        self.vec_u64_of(vals.iter().copied())
+    }
+
+    /// Writes a vector of u64 scalars as `vals` yields them, in place: a
+    /// list that is packed into scalars needs no packed copy on the side.
+    pub fn vec_u64_of<I>(&mut self, vals: I) -> u32
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.vec_le(vals, u64::to_le_bytes)
     }
 
@@ -413,16 +425,19 @@ impl TableBuilder {
 // Reader
 // ---------------------------------------------------------------------------
 
+#[inline]
 fn read_u16(buf: &[u8], pos: usize) -> Result<u16> {
     let sl = buf.get(pos..pos + 2).ok_or(CodecError::Truncated { what: "fb u16" })?;
     Ok(u16::from_le_bytes([sl[0], sl[1]]))
 }
 
+#[inline]
 fn read_u32(buf: &[u8], pos: usize) -> Result<u32> {
     let sl = buf.get(pos..pos + 4).ok_or(CodecError::Truncated { what: "fb u32" })?;
     Ok(u32::from_le_bytes([sl[0], sl[1], sl[2], sl[3]]))
 }
 
+#[inline]
 fn read_u64(buf: &[u8], pos: usize) -> Result<u64> {
     let sl = buf.get(pos..pos + 8).ok_or(CodecError::Truncated { what: "fb u64" })?;
     let mut a = [0u8; 8];
@@ -459,6 +474,10 @@ impl<'a> FbView<'a> {
 }
 
 /// Zero-copy accessor for one table.
+///
+/// The scalar and table accessors are `#[inline]`: a derived decoder
+/// (`schema`) makes one such call per field from another crate, and as
+/// calls they cost a decoder of small tables half its time again.
 #[derive(Debug, Clone, Copy)]
 pub struct FbTable<'a> {
     buf: &'a [u8],
@@ -468,6 +487,7 @@ pub struct FbTable<'a> {
 }
 
 impl<'a> FbTable<'a> {
+    #[inline]
     fn at(buf: &'a [u8], pos: usize) -> Result<Self> {
         let vt_pos = read_u32(buf, pos)? as usize;
         let nslots = read_u16(buf, vt_pos)?;
@@ -475,6 +495,7 @@ impl<'a> FbTable<'a> {
     }
 
     /// Byte position of a slot's field data, or `None` if absent.
+    #[inline]
     fn field_pos(&self, slot: u16) -> Result<Option<usize>> {
         if slot >= self.nslots {
             return Ok(None);
@@ -487,6 +508,7 @@ impl<'a> FbTable<'a> {
     }
 
     /// Reads an optional u8 slot.
+    #[inline]
     pub fn u8(&self, slot: u16) -> Result<Option<u8>> {
         Ok(match self.field_pos(slot)? {
             None => None,
@@ -495,16 +517,19 @@ impl<'a> FbTable<'a> {
     }
 
     /// Reads an optional u16 slot.
+    #[inline]
     pub fn u16(&self, slot: u16) -> Result<Option<u16>> {
         self.field_pos(slot)?.map(|p| read_u16(self.buf, p)).transpose()
     }
 
     /// Reads an optional u32 slot.
+    #[inline]
     pub fn u32(&self, slot: u16) -> Result<Option<u32>> {
         self.field_pos(slot)?.map(|p| read_u32(self.buf, p)).transpose()
     }
 
     /// Reads an optional u64 slot.
+    #[inline]
     pub fn u64(&self, slot: u16) -> Result<Option<u64>> {
         self.field_pos(slot)?.map(|p| read_u64(self.buf, p)).transpose()
     }
@@ -554,6 +579,7 @@ impl<'a> FbTable<'a> {
     }
 
     /// Reads an optional subtable slot.
+    #[inline]
     pub fn table(&self, slot: u16) -> Result<Option<FbTable<'a>>> {
         let Some(p) = self.field_pos(slot)? else { return Ok(None) };
         let off = read_u32(self.buf, p)? as usize;
@@ -595,6 +621,7 @@ pub struct FbVector<'a> {
 
 impl<'a> FbVector<'a> {
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -604,6 +631,7 @@ impl<'a> FbVector<'a> {
         self.len == 0
     }
 
+    #[inline]
     fn check(&self, i: usize) -> Result<()> {
         if i >= self.len {
             Err(CodecError::Malformed { what: "fb vector index" })
@@ -613,24 +641,28 @@ impl<'a> FbVector<'a> {
     }
 
     /// Element `i` of a u16 vector.
+    #[inline]
     pub fn u16_at(&self, i: usize) -> Result<u16> {
         self.check(i)?;
         read_u16(self.buf, self.pos + 2 * i)
     }
 
     /// Element `i` of a u32 vector.
+    #[inline]
     pub fn u32_at(&self, i: usize) -> Result<u32> {
         self.check(i)?;
         read_u32(self.buf, self.pos + 4 * i)
     }
 
     /// Element `i` of a u64 vector.
+    #[inline]
     pub fn u64_at(&self, i: usize) -> Result<u64> {
         self.check(i)?;
         read_u64(self.buf, self.pos + 8 * i)
     }
 
     /// Element `i` of an offset vector, resolved as a table.
+    #[inline]
     pub fn table_at(&self, i: usize) -> Result<FbTable<'a>> {
         self.check(i)?;
         let off = read_u32(self.buf, self.pos + 4 * i)? as usize;

@@ -3,23 +3,38 @@
 //! [`wire_table!`](crate::wire_table) lists a struct's fields once, in the
 //! order the struct has them — `name: type [= kind] => slot` — and derives
 //! its [`Table`] impl: PER encode and decode, FB encode and decode, each
-//! straight-line code over the fields.  What a field's type does in either
-//! encoding is its [`Wire`] impl: integers (constrained by the [`Kind`]
-//! after the `=`, `uint` without one), `Bytes`, `String`, `Option` of any
-//! of them, `Vec` of any [`Table`], a table as a sub-table, an enum through
+//! straight-line code over the fields.  [`wire_choice!`](crate::wire_choice)
+//! does the same for an enum whose variants hold fields, a CHOICE: PER its
+//! index and the variant's fields, FB a `u8` discriminant and the fields in
+//! slots of the *same* table, counted from the discriminant's — the root of
+//! a message, or some slots of the table that holds the choice.
+//!
+//! What a field's type does in either encoding is its [`Wire`] impl:
+//! integers (constrained by the [`Kind`] after the `=`, `uint` without one;
+//! an `i32` as its bit pattern), `Bytes`, `String`, `Option` of any of them,
+//! `Vec` of any [`Table`], of `u32`, of `String` and of `(u16, u32)` pairs,
+//! a table as a sub-table, a choice inline, an enum through
 //! [`wire_enum!`](crate::wire_enum); a type whose two encodings share no
 //! shape implements the four operations by hand (`e2ap` has those of E2AP).
-//! `tests/declared_pdu.rs` declares a message of its own this way.
+//! The type a declaration gives a field is the type it travels *as*
+//! ([`WireAs`]): its own, or an adapter over it — [`Ahead`] for a list of
+//! tables whose vector is written ahead of them, [`U16In32`] for a `u16` in
+//! a `u32` slot.  `tests/declared_pdu.rs` and `crates/sm/tests/schema.rs`
+//! declare messages of their own this way.
 //!
 //! **Two orders.**  PER is the fields in the order declared.  An FB table
 //! is laid out by [`TableBuilder`] in the order of the *calls*, and the
 //! bytes every golden file pins have fields, and the blobs, vectors and
 //! sub-tables they point at, in **slot** order: so the FB encoder walks the
-//! slots, not the declaration.
+//! slots, not the declaration.  Where the pinned bytes have a third order,
+//! the declaration states it once, `[slot slot …]` after the name.
 //!
 //! **One constraint set.**  A [`Field`] has one maximum; PER cannot write a
 //! larger value and every FB read goes through [`Field::check`], so what one
-//! decoder accepts every encoder can write again.
+//! decoder accepts every encoder can write again.  A list has one maximum
+//! length in both.
+
+use std::marker::PhantomData;
 
 use bytes::Bytes;
 
@@ -149,6 +164,46 @@ pub trait Wire: Sized {
     fn get_fb(f: &Field, t: &FbTable<'_>, slot: u16, src: Src<'_>) -> Result<Option<Self>>;
 }
 
+/// What a field travels as: the type its declaration names.  Every [`Wire`]
+/// type travels as itself; an adapter ([`Ahead`], [`U16In32`]) gives a field
+/// of type [`WireAs::Value`] a form that is not its type's own.  The four
+/// operations are [`Wire`]'s.
+pub trait WireAs {
+    /// The field's type.
+    type Value;
+    /// The most an integer field holds.
+    const MAX: u64 = u64::MAX;
+    /// [`Wire::put_per`] of `v`.
+    fn put_per<B: ByteSink>(v: &Self::Value, f: &Field, w: &mut BitWriter<B>);
+    /// [`Wire::get_per`].
+    fn get_per(f: &Field, r: &mut BitReader<'_>) -> Result<Self::Value>;
+    /// [`Wire::put_fb`] of `v`.
+    fn put_fb<B: ByteSink>(v: &Self::Value, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16);
+    /// [`Wire::get_fb`].
+    fn get_fb(f: &Field, t: &FbTable<'_>, slot: u16, src: Src<'_>) -> Result<Option<Self::Value>>;
+}
+
+impl<T: Wire> WireAs for T {
+    type Value = T;
+    const MAX: u64 = T::MAX;
+    #[inline]
+    fn put_per<B: ByteSink>(v: &T, f: &Field, w: &mut BitWriter<B>) {
+        v.put_per(f, w);
+    }
+    #[inline]
+    fn get_per(f: &Field, r: &mut BitReader<'_>) -> Result<T> {
+        <T as Wire>::get_per(f, r)
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(v: &T, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        v.put_fb(b, t, slot);
+    }
+    #[inline]
+    fn get_fb(f: &Field, t: &FbTable<'_>, slot: u16, src: Src<'_>) -> Result<Option<T>> {
+        <T as Wire>::get_fb(f, t, slot, src)
+    }
+}
+
 /// The frame an FB decoder reads, if byte strings are to be refcounted
 /// views of it and not copies.  PER carries it in its reader
 /// ([`BitReader::borrowing`]); an `FbTable` is built per table and copied
@@ -186,6 +241,52 @@ macro_rules! wire_uint {
     )+};
 }
 wire_uint!(u8, u16, u32, u64);
+
+/// A signed number travels as the `u32` of its bit pattern.
+impl Wire for i32 {
+    const MAX: u64 = u32::MAX as u64;
+    #[inline]
+    fn put_per<B: ByteSink>(&self, f: &Field, w: &mut BitWriter<B>) {
+        (*self as u32).put_per(f, w);
+    }
+    #[inline]
+    fn get_per(f: &Field, r: &mut BitReader<'_>) -> Result<Self> {
+        Ok(<u32 as Wire>::get_per(f, r)? as i32)
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        (*self as u32).put_fb(b, t, slot);
+    }
+    #[inline]
+    fn get_fb(f: &Field, t: &FbTable<'_>, slot: u16, src: Src<'_>) -> Result<Option<Self>> {
+        Ok(<u32 as Wire>::get_fb(f, t, slot, src)?.map(|v| v as i32))
+    }
+}
+
+/// A `u16` that FB keeps in a `u32` slot; in PER it is what its kind says.
+#[derive(Debug)]
+pub struct U16In32;
+
+impl WireAs for U16In32 {
+    type Value = u16;
+    const MAX: u64 = u16::MAX as u64;
+    #[inline]
+    fn put_per<B: ByteSink>(v: &u16, f: &Field, w: &mut BitWriter<B>) {
+        v.put_per(f, w);
+    }
+    #[inline]
+    fn get_per(f: &Field, r: &mut BitReader<'_>) -> Result<u16> {
+        <u16 as Wire>::get_per(f, r)
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(v: &u16, _: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        t.u32(slot, u32::from(*v));
+    }
+    #[inline]
+    fn get_fb(f: &Field, t: &FbTable<'_>, slot: u16, _: Src<'_>) -> Result<Option<u16>> {
+        t.u32(slot)?.map(|v| Ok(f.check(v as u64)? as u16)).transpose()
+    }
+}
 
 /// PER a presence bit and the value, FB an absent slot.
 impl<T: Wire> Wire for Option<T> {
@@ -235,16 +336,20 @@ impl Wire for Bytes {
 }
 
 impl Wire for String {
+    #[inline]
     fn put_per<B: ByteSink>(&self, _: &Field, w: &mut BitWriter<B>) {
         w.put_utf8(self);
     }
+    #[inline]
     fn get_per(_: &Field, r: &mut BitReader<'_>) -> Result<Self> {
         r.get_utf8()
     }
+    #[inline]
     fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
         let blob = b.string(self);
         t.off(slot, blob);
     }
+    #[inline]
     fn get_fb(_: &Field, t: &FbTable<'_>, slot: u16, _: Src<'_>) -> Result<Option<Self>> {
         Ok(t.string(slot)?.map(str::to_owned))
     }
@@ -255,7 +360,8 @@ impl Wire for String {
 /// [`Wire`] as a field of another (PER inline, FB a sub-table).
 pub trait Table: Sized {
     /// One more than the table's last slot: where a list that gives each
-    /// element one more field puts it.
+    /// element one more field puts it.  A field that takes several slots
+    /// counts as its first.
     const SLOTS: u16;
     /// Writes the fields in PER, in the order declared.
     fn put_fields<B: ByteSink>(&self, w: &mut BitWriter<B>);
@@ -267,7 +373,8 @@ pub trait Table: Sized {
     /// Reads the table [`Table::fill`] staged.
     fn from_table(t: &FbTable<'_>, src: Src<'_>) -> Result<Self>;
 
-    /// Writes the table and returns its offset.
+    /// Writes the table and returns its offset.  Not `#[inline]`: a table
+    /// staged inside the loop of a list costs the list a fifth more.
     fn to_table<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
         let mut t = TableBuilder::new();
         self.fill(b, &mut t);
@@ -289,53 +396,224 @@ pub trait Table: Sized {
     }
 }
 
-/// Most elements a PER list may announce: no message is anywhere near, and
-/// a corrupted length must not size an allocation.
+/// Most elements a list may hold, in either encoding: no message is anywhere
+/// near, and a corrupted length must not size an allocation.
 const MAX_LIST: usize = 1 << 20;
+
+/// `n`, if a list may be that long.
+fn list_len(n: usize) -> Result<usize> {
+    if n > MAX_LIST {
+        return Err(CodecError::Malformed { what: "sequence too long" });
+    }
+    Ok(n)
+}
+
+/// PER: a length and the elements.
+#[inline]
+fn put_list<T, B: ByteSink>(
+    items: &[T],
+    w: &mut BitWriter<B>,
+    mut put: impl FnMut(&T, &mut BitWriter<B>),
+) {
+    w.put_length(items.len());
+    for item in items {
+        put(item, w);
+    }
+}
+
+/// Reads what [`put_list`] wrote.
+#[inline]
+fn get_list<T>(
+    r: &mut BitReader<'_>,
+    mut get: impl FnMut(&mut BitReader<'_>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = list_len(r.get_length()?)?;
+    let mut out = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        out.push(get(r)?);
+    }
+    Ok(out)
+}
+
+/// FB: the elements of the vector in `slot`, an absent one empty.
+#[inline]
+fn get_vector<T>(
+    t: &FbTable<'_>,
+    slot: u16,
+    mut get: impl FnMut(&FbVector<'_>, usize) -> Result<T>,
+) -> Result<Option<Vec<T>>> {
+    let Some(v) = t.vector(slot)? else { return Ok(Some(Vec::new())) };
+    let mut out = Vec::with_capacity(list_len(v.len())?);
+    for i in 0..v.len() {
+        out.push(get(&v, i)?);
+    }
+    Ok(Some(out))
+}
 
 /// PER a length and the elements; FB a vector, an absent one empty.
 impl<T: Table> Wire for Vec<T> {
+    #[inline]
     fn put_per<B: ByteSink>(&self, _: &Field, w: &mut BitWriter<B>) {
-        w.put_length(self.len());
-        for item in self {
-            item.put_fields(w);
-        }
+        put_list(self, w, T::put_fields);
     }
+    #[inline]
     fn get_per(_: &Field, r: &mut BitReader<'_>) -> Result<Self> {
-        let n = r.get_length()?;
-        if n > MAX_LIST {
-            return Err(CodecError::Malformed { what: "sequence too long" });
-        }
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(T::get_fields(r)?);
-        }
-        Ok(out)
+        get_list(r, T::get_fields)
     }
+    #[inline]
     fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
         let vector = T::to_vector(self, b);
         t.off(slot, vector);
     }
+    #[inline]
     fn get_fb(_: &Field, t: &FbTable<'_>, slot: u16, src: Src<'_>) -> Result<Option<Self>> {
-        Ok(Some(match t.vector(slot)? {
-            Some(v) => T::from_vector(&v, src)?,
-            None => Vec::new(),
-        }))
+        let Some(v) = t.vector(slot)? else { return Ok(Some(Vec::new())) };
+        list_len(v.len())?;
+        T::from_vector(&v, src).map(Some)
     }
 }
 
-/// [`Table::SLOTS`] of a table with fields in `slots`, each below the 8 the
-/// encoder walks.
-pub const fn slots(slots: &[u16]) -> u16 {
+/// A list of tables with the vector *ahead* of them — one slot an element,
+/// reserved, then each table — where `Vec<T>` by itself writes the tables and
+/// then the vector.
+#[derive(Debug)]
+pub struct Ahead<T>(PhantomData<T>);
+
+impl<T: Table> WireAs for Ahead<T> {
+    type Value = Vec<T>;
+    #[inline]
+    fn put_per<B: ByteSink>(v: &Vec<T>, f: &Field, w: &mut BitWriter<B>) {
+        v.put_per(f, w);
+    }
+    #[inline]
+    fn get_per(f: &Field, r: &mut BitReader<'_>) -> Result<Vec<T>> {
+        <Vec<T> as Wire>::get_per(f, r)
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(v: &Vec<T>, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        let vector = b.vec_off_with(v, |b, item| item.to_table(b));
+        t.off(slot, vector);
+    }
+    #[inline]
+    fn get_fb(f: &Field, t: &FbTable<'_>, slot: u16, src: Src<'_>) -> Result<Option<Vec<T>>> {
+        <Vec<T> as Wire>::get_fb(f, t, slot, src)
+    }
+}
+
+/// A list of whole numbers, each what the field's kind says; FB a vector of
+/// scalars.
+impl Wire for Vec<u32> {
+    const MAX: u64 = u32::MAX as u64;
+    #[inline]
+    fn put_per<B: ByteSink>(&self, f: &Field, w: &mut BitWriter<B>) {
+        put_list(self, w, |v, w| v.put_per(f, w));
+    }
+    #[inline]
+    fn get_per(f: &Field, r: &mut BitReader<'_>) -> Result<Self> {
+        get_list(r, |r| <u32 as Wire>::get_per(f, r))
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        let vector = b.vec_u32(self);
+        t.off(slot, vector);
+    }
+    #[inline]
+    fn get_fb(f: &Field, t: &FbTable<'_>, slot: u16, _: Src<'_>) -> Result<Option<Self>> {
+        get_vector(t, slot, |v, i| Ok(f.check(v.u32_at(i)? as u64)? as u32))
+    }
+}
+
+/// A list of strings; FB a vector, ahead of them, of their offsets.
+impl Wire for Vec<String> {
+    #[inline]
+    fn put_per<B: ByteSink>(&self, _: &Field, w: &mut BitWriter<B>) {
+        put_list(self, w, |s, w| w.put_utf8(s));
+    }
+    #[inline]
+    fn get_per(_: &Field, r: &mut BitReader<'_>) -> Result<Self> {
+        get_list(r, |r| r.get_utf8())
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        let vector = b.vec_off_with(self, |b, s| b.string(s));
+        t.off(slot, vector);
+    }
+    #[inline]
+    fn get_fb(_: &Field, t: &FbTable<'_>, slot: u16, _: Src<'_>) -> Result<Option<Self>> {
+        get_vector(t, slot, |v, i| {
+            std::str::from_utf8(v.bytes_at(i)?).map(str::to_owned).map_err(|_| CodecError::BadUtf8)
+        })
+    }
+}
+
+const FIRST: Field = Field::new("pair.0", Kind::bits(16), u16::MAX as u64);
+const SECOND: Field = Field::new("pair.1", Kind::uint, u32::MAX as u64);
+
+/// A list of pairs: PER sixteen bits and a whole number each; FB one `u64`
+/// each, `first << 32 | second`, stored as the list is walked.
+impl Wire for Vec<(u16, u32)> {
+    #[inline]
+    fn put_per<B: ByteSink>(&self, _: &Field, w: &mut BitWriter<B>) {
+        put_list(self, w, |(first, second), w| {
+            first.put_per(&FIRST, w);
+            second.put_per(&SECOND, w);
+        });
+    }
+    #[inline]
+    fn get_per(_: &Field, r: &mut BitReader<'_>) -> Result<Self> {
+        get_list(r, |r| Ok((Wire::get_per(&FIRST, r)?, Wire::get_per(&SECOND, r)?)))
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        let packed = self.iter().map(|&(first, second)| u64::from(first) << 32 | u64::from(second));
+        let vector = b.vec_u64_of(packed);
+        t.off(slot, vector);
+    }
+    #[inline]
+    fn get_fb(_: &Field, t: &FbTable<'_>, slot: u16, _: Src<'_>) -> Result<Option<Self>> {
+        get_vector(t, slot, |v, i| {
+            let packed = v.u64_at(i)?;
+            // The second is the low half, whatever it holds.
+            Ok((FIRST.check(packed >> 32)? as u16, packed as u32))
+        })
+    }
+}
+
+/// [`Table::SLOTS`] of a table that pushes its fields, in `slots`, in
+/// `order` — every slot the encoder walks if `order` is empty.  A field the
+/// order leaves out would never be written: that does not compile.
+pub const fn slots(order: &[u16], slots: &[u16]) -> u16 {
     let (mut n, mut i) = (0, 0);
     while i < slots.len() {
-        assert!(slots[i] < 8, "wire_table! walks slots 0..8");
+        let mut walked = order.is_empty() && slots[i] < 8;
+        let mut k = 0;
+        while k < order.len() {
+            walked |= order[k] == slots[i];
+            k += 1;
+        }
+        assert!(walked, "the encoder walks slots 0..8, or the order the declaration states");
         if slots[i] >= n {
             n = slots[i] + 1;
         }
         i += 1;
     }
     n
+}
+
+/// The index of a choice's last alternative; they count up from 0.
+pub const fn last_index(indices: &[u64]) -> u64 {
+    let mut i = 0;
+    while i < indices.len() {
+        assert!(indices[i] == i as u64, "a choice's alternatives are numbered 0, 1, 2, …");
+        i += 1;
+    }
+    indices.len() as u64 - 1
+}
+
+/// The line of a field that is not an integer, or of a choice at the root
+/// of a message: its name.
+pub const fn named(name: &'static str) -> Field {
+    Field::new(name, Kind::uint, u64::MAX)
 }
 
 /// The enum `v` is the discriminant of, by its `from_u8`.
@@ -349,8 +627,10 @@ pub fn discriminant<T>(f: &Field, v: u64, from_u8: impl Fn(u8) -> Option<T>) -> 
 /// imports of its own.
 #[doc(hidden)]
 pub mod rt {
-    pub use super::{discriminant, Field, Src, Table, Wire};
-    pub use crate::error::Result;
+    pub use super::{
+        discriminant, last_index, named, required, slots, Field, Src, Table, Wire, WireAs,
+    };
+    pub use crate::error::{CodecError, Result};
     pub use crate::fb::{FbBuilder, FbTable, TableBuilder};
     pub use crate::per::{BitReader, BitWriter};
     pub use crate::sink::ByteSink;
@@ -388,41 +668,50 @@ macro_rules! wire_enum {
 
 /// Derives [`Table`] (and [`Wire`], as a sub-table) for a struct from its
 /// fields, `name: type [= kind] => slot` in the struct's order; `tuple`
-/// before the type for a tuple, its fields `0`, `1`, ….  Grammar, orders
+/// before the type for a tuple, its fields `0`, `1`, …; `[slot slot …]`
+/// after it for an FB push order that is not slot order.  Grammar, orders
 /// and constraints: [module docs](crate::schema).
 #[macro_export]
 macro_rules! wire_table {
-    (@impl $T:ty, $shape:tt; $fields:tt) => {
+    (@impl $T:ty, $shape:tt, $order:tt; $fields:tt) => {
         const _: () = {
             use $crate::schema::rt::*;
 
             impl Table for $T {
-                const SLOTS: u16 = $crate::wire_table!(@slots $fields);
+                const SLOTS: u16 = $crate::wire_table!(@slots $order $fields);
+                #[inline]
                 fn put_fields<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-                    $crate::wire_table!(@put_per self, w; $fields);
+                    $crate::wire_table!(@put_per (&self.) w; $fields);
                 }
+                #[inline]
                 fn get_fields(r: &mut BitReader<'_>) -> Result<Self> {
                     Ok($crate::wire_table!(@get_per r; $shape $fields))
                 }
+                #[inline]
                 fn fill<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder) {
-                    $crate::wire_table!(@put_fb self, b, t; $fields);
+                    $crate::wire_table!(@put_fb $order (&self.) () b, t; $fields);
                 }
+                #[inline]
                 fn from_table(t: &FbTable<'_>, src: Src<'_>) -> Result<Self> {
                     Ok($crate::wire_table!(@get_fb t, src; $shape $fields))
                 }
             }
 
             impl Wire for $T {
+                #[inline]
                 fn put_per<B: ByteSink>(&self, _: &Field, w: &mut BitWriter<B>) {
                     self.put_fields(w);
                 }
+                #[inline]
                 fn get_per(_: &Field, r: &mut BitReader<'_>) -> Result<Self> {
                     Self::get_fields(r)
                 }
+                #[inline]
                 fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
                     let table = self.to_table(b);
                     t.off(slot, table);
                 }
+                #[inline]
                 fn get_fb(_: &Field, t: &FbTable<'_>, slot: u16, src: Src<'_>) -> Result<Option<Self>> {
                     t.table(slot)?.map(|t| Self::from_table(&t, src)).transpose()
                 }
@@ -430,21 +719,25 @@ macro_rules! wire_table {
         };
     };
     // The field's line of the table: its name, its kind (`uint` if the
-    // declaration has none) and what its type holds.
+    // declaration has none) and what the type it travels as holds.
     (@field $f:tt, $ty:ty) => { $crate::wire_table!(@field $f, $ty, uint) };
     (@field $f:tt, $ty:ty, $kind:expr) => {
         &const {
-            use $crate::schema::{Field, Kind::*, Wire};
-            Field::new(stringify!($f), $kind, <$ty as Wire>::MAX)
+            use $crate::schema::{Field, Kind::*, WireAs};
+            Field::new(stringify!($f), $kind, <$ty as WireAs>::MAX)
         }
     };
-    (@slots { $($f:tt: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)? }) => {
-        $crate::schema::slots(&[$($slot),*])
+    (@slots [$($s:literal)*] { $($f:tt: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)? }) => {
+        $crate::schema::slots(&[$($s),*], &[$($slot),*])
     };
-    // PER: the fields of `$m` in the order declared.
-    (@put_per $m:expr, $w:expr; { $($f:tt: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)? }) => {
-        $($crate::schema::Wire::put_per(
-            &$m.$f,
+    // Tokens side by side: `(&self.) name` is the field of a struct, `()
+    // name` a variant's field bound by a pattern, `(base +) 3` a slot
+    // counted from a choice's first.
+    (@join ($($p:tt)*) $x:tt) => { $($p)* $x };
+    // PER: the fields, each at `$at`, in the order declared.
+    (@put_per $at:tt $w:expr; { $($f:tt: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)? }) => {
+        $(<$ty as $crate::schema::WireAs>::put_per(
+            $crate::wire_table!(@join $at $f),
             $crate::wire_table!(@field $f, $ty $(, $kind)?),
             $w,
         );)*
@@ -461,23 +754,28 @@ macro_rules! wire_table {
     (@get_per $r:expr; tuple { $($f:tt: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)? }) => {
         ($($crate::wire_table!(@per $r, $f, $ty $(, $kind)?),)*)
     };
-    (@per $r:expr, $($field:tt)+) => {
-        $crate::schema::Wire::get_per($crate::wire_table!(@field $($field)+), $r)?
+    (@per $r:expr, $f:tt, $ty:ty $(, $kind:expr)?) => {
+        <$ty as $crate::schema::WireAs>::get_per($crate::wire_table!(@field $f, $ty $(, $kind)?), $r)?
     };
     // FB: `TableBuilder` lays fields down in the order of the calls, and the
     // pinned bytes have them — and what they point at — in slot order,
-    // which is not always the declared one: so, slot by slot.  Every `if`
-    // is between two constants.
-    (@put_fb $m:expr, $b:expr, $t:expr; $fields:tt) => {
-        $crate::wire_table!(@slot [0 1 2 3 4 5 6 7] $m, $b, $t; $fields);
+    // which is not always the declared one: so, slot by slot, or in the
+    // order the declaration states.  Every `if` is between two constants.
+    (@put_fb [] $($rest:tt)*) => {
+        $crate::wire_table!(@put_fb [0 1 2 3 4 5 6 7] $($rest)*);
     };
-    (@slot [$($s:literal)*] $m:expr, $b:expr, $t:expr; $fields:tt) => {
-        $($crate::wire_table!(@at $s, $m, $b, $t; $fields);)*
+    (@put_fb [$($s:literal)+] $at:tt $base:tt $b:expr, $t:expr; $fields:tt) => {
+        $($crate::wire_table!(@at $s, $at $base $b, $t; $fields);)+
     };
-    (@at $s:literal, $m:expr, $b:expr, $t:expr;
+    (@at $s:literal, $at:tt $base:tt $b:expr, $t:expr;
      { $($f:tt: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)? }) => {
         $(if $slot == $s {
-            $crate::schema::Wire::put_fb(&$m.$f, $b, $t, $s);
+            <$ty as $crate::schema::WireAs>::put_fb(
+                $crate::wire_table!(@join $at $f),
+                $b,
+                $t,
+                $crate::wire_table!(@join $base $s),
+            );
         })*
     };
     (@get_fb $t:expr, $src:expr; { $($pre:tt)* }
@@ -490,10 +788,101 @@ macro_rules! wire_table {
     (@get_fb $t:expr, $src:expr; tuple { $($f:tt: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)? }) => {
         ($($crate::wire_table!(@fb $t, $src, $slot, $f, $ty $(, $kind)?),)*)
     };
-    (@fb $t:expr, $src:expr, $slot:expr, $($field:tt)+) => {{
-        let f = $crate::wire_table!(@field $($field)+);
-        $crate::schema::required(f, $crate::schema::Wire::get_fb(f, $t, $slot, $src)?)?
+    (@fb $t:expr, $src:expr, $slot:expr, $f:tt, $ty:ty $(, $kind:expr)?) => {{
+        let f = $crate::wire_table!(@field $f, $ty $(, $kind)?);
+        $crate::schema::required(f, <$ty as $crate::schema::WireAs>::get_fb(f, $t, $slot, $src)?)?
     }};
-    (tuple $T:ty { $($fields:tt)* }) => { $crate::wire_table!(@impl $T, tuple; { $($fields)* }); };
-    ($T:ty { $($fields:tt)* }) => { $crate::wire_table!(@impl $T, {}; { $($fields)* }); };
+    (tuple $T:ty { $($fields:tt)* }) => { $crate::wire_table!(@impl $T, tuple, []; { $($fields)* }); };
+    ($T:ty $([$($s:literal)+])? { $($fields:tt)* }) => {
+        $crate::wire_table!(@impl $T, {}, [$($($s)+)?]; { $($fields)* });
+    };
+}
+
+/// Derives [`Wire`] — inline, from the slot it is given — and [`Table`] —
+/// as the root of a message — for an enum whose variants hold fields:
+/// `index => Variant { name: type [= kind] => slot, … }`, a unit variant
+/// `{}`, slots counted from the discriminant's; `[slot slot …]` after a
+/// variant's name for an FB push order that is not slot order.  Grammar,
+/// orders and constraints: [module docs](crate::schema).
+#[macro_export]
+macro_rules! wire_choice {
+    ($T:ty { $($idx:literal => $V:ident $([$($s:literal)+])? {
+        $($f:ident: $ty:ty $(= $kind:expr)? => $slot:expr),* $(,)?
+    }),+ $(,)? }) => {
+        const _: () = {
+            use $crate::schema::rt::*;
+
+            const LAST: u64 = last_index(&[$($idx),+]);
+            const ROOT: Field = named(stringify!($T));
+
+            #[allow(unused_variables)] // a choice of unit variants
+            impl Wire for $T {
+                #[inline]
+                fn put_per<B: ByteSink>(&self, _: &Field, w: &mut BitWriter<B>) {
+                    match self {$(
+                        Self::$V { $($f),* } => {
+                            w.put_constrained($idx, 0, LAST);
+                            $crate::wire_table!(@put_per () w; { $($f: $ty $(= $kind)? => $slot),* });
+                        }
+                    )+}
+                }
+                #[inline]
+                fn get_per(f: &Field, r: &mut BitReader<'_>) -> Result<Self> {
+                    Ok(match r.get_constrained(0, LAST)? {
+                        $($idx => Self::$V {
+                            $($f: $crate::wire_table!(@per r, $f, $ty $(, $kind)?),)*
+                        },)+
+                        v => return Err(CodecError::BadDiscriminant { what: f.name, value: v }),
+                    })
+                }
+                #[inline]
+                fn put_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder, base: u16) {
+                    match self {$(
+                        Self::$V { $($f),* } => {
+                            t.u8(base, $idx);
+                            $crate::wire_table!(@put_fb [$($($s)+)?] () (base +) b, t;
+                                { $($f: $ty $(= $kind)? => $slot),* });
+                        }
+                    )+}
+                }
+                #[inline]
+                fn get_fb(f: &Field, t: &FbTable<'_>, base: u16, src: Src<'_>) -> Result<Option<Self>> {
+                    let Some(index) = t.u8(base)? else { return Ok(None) };
+                    Ok(Some(match index {
+                        $($idx => Self::$V {
+                            $($f: $crate::wire_table!(@fb t, src, base + $slot, $f, $ty $(, $kind)?),)*
+                        },)+
+                        v => return Err(CodecError::BadDiscriminant { what: f.name, value: v as u64 }),
+                    }))
+                }
+            }
+
+            impl Table for $T {
+                const SLOTS: u16 = {
+                    let mut n = 1;
+                    $(let of_variant = slots(&[$($($s),+)?], &[$($slot),*]);
+                    if of_variant > n {
+                        n = of_variant;
+                    })+
+                    n
+                };
+                #[inline]
+                fn put_fields<B: ByteSink>(&self, w: &mut BitWriter<B>) {
+                    self.put_per(&ROOT, w);
+                }
+                #[inline]
+                fn get_fields(r: &mut BitReader<'_>) -> Result<Self> {
+                    Wire::get_per(&ROOT, r)
+                }
+                #[inline]
+                fn fill<B: ByteSink>(&self, b: &mut FbBuilder<B>, t: &mut TableBuilder) {
+                    self.put_fb(b, t, 0);
+                }
+                #[inline]
+                fn from_table(t: &FbTable<'_>, src: Src<'_>) -> Result<Self> {
+                    required(&ROOT, Wire::get_fb(&ROOT, t, 0, src)?)
+                }
+            }
+        };
+    };
 }

@@ -1,11 +1,7 @@
 //! RAN function definition payload, carried opaquely in E2 setup.
 
-use flexric_codec::error::{CodecError, Result};
-use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
-use flexric_codec::per::{BitReader, BitWriter};
-use flexric_codec::ByteSink;
-
-use crate::SmPayload;
+use flexric_codec::schema::Ahead;
+use flexric_codec::wire_table;
 
 /// One capability style of a RAN function (report style, control style, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,88 +38,13 @@ impl RanFuncDef {
     }
 }
 
-fn put_styles<B: ByteSink>(w: &mut BitWriter<B>, styles: &[FuncStyle]) {
-    w.put_length(styles.len());
-    for s in styles {
-        w.put_uint(s.style as u32 as u64);
-        w.put_utf8(&s.name);
-    }
-}
-
-fn get_styles(r: &mut BitReader) -> Result<Vec<FuncStyle>> {
-    let n = r.get_length()?;
-    if n > 4096 {
-        return Err(CodecError::Malformed { what: "too many styles" });
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(FuncStyle { style: r.get_uint()? as u32 as i32, name: r.get_utf8()? });
-    }
-    Ok(out)
-}
-
-impl SmPayload for RanFuncDef {
-    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-        w.put_utf8(&self.name);
-        w.put_utf8(&self.description);
-        put_styles(w, &self.report_styles);
-        put_styles(w, &self.control_styles);
-    }
-
-    fn decode_per(r: &mut BitReader) -> Result<Self> {
-        Ok(RanFuncDef {
-            name: r.get_utf8()?,
-            description: r.get_utf8()?,
-            report_styles: get_styles(r)?,
-            control_styles: get_styles(r)?,
-        })
-    }
-
-    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let name = b.string(&self.name);
-        let desc = b.string(&self.description);
-        let enc_styles = |b: &mut FbBuilder<B>, styles: &[FuncStyle]| -> u32 {
-            b.vec_off_with(styles, |b, s| {
-                let n = b.string(&s.name);
-                let mut t = TableBuilder::new();
-                t.u32(0, s.style as u32).off(1, n);
-                t.end(b)
-            })
-        };
-        let rep = enc_styles(b, &self.report_styles);
-        let ctl = enc_styles(b, &self.control_styles);
-        let mut t = TableBuilder::new();
-        t.off(0, name).off(1, desc).off(2, rep).off(3, ctl);
-        t.end(b)
-    }
-
-    fn decode_fb(t: &FbTable) -> Result<Self> {
-        let dec_styles = |slot: u16| -> Result<Vec<FuncStyle>> {
-            let v = t.vector_or_empty(slot)?;
-            let mut out = Vec::with_capacity(v.len());
-            for i in 0..v.len() {
-                let st = v.table_at(i)?;
-                out.push(FuncStyle {
-                    style: st.req_u32(0, "style type")? as i32,
-                    name: st
-                        .string(1)?
-                        .ok_or(CodecError::Malformed { what: "style name" })?
-                        .to_owned(),
-                });
-            }
-            Ok(out)
-        };
-        Ok(RanFuncDef {
-            name: t.string(0)?.ok_or(CodecError::Malformed { what: "func name" })?.to_owned(),
-            description: t
-                .string(1)?
-                .ok_or(CodecError::Malformed { what: "func description" })?
-                .to_owned(),
-            report_styles: dec_styles(2)?,
-            control_styles: dec_styles(3)?,
-        })
-    }
-}
+wire_table!(FuncStyle { style: i32 => 0, name: String => 1 });
+wire_table!(RanFuncDef {
+    name: String => 0,
+    description: String => 1,
+    report_styles: Ahead<FuncStyle> => 2,
+    control_styles: Ahead<FuncStyle> => 3,
+});
 
 #[cfg(test)]
 mod tests {

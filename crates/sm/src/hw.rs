@@ -7,12 +7,7 @@
 //! message in both directions.
 
 use bytes::Bytes;
-use flexric_codec::error::{CodecError, Result};
-use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
-use flexric_codec::per::{BitReader, BitWriter};
-use flexric_codec::ByteSink;
-
-use crate::SmPayload;
+use flexric_codec::wire_table;
 
 /// A ping (control message) or pong (indication message).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,42 +27,13 @@ impl HwPing {
     }
 }
 
-impl SmPayload for HwPing {
-    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-        w.put_uint(self.seq as u64);
-        w.put_uint(self.tstamp_ns);
-        w.put_octets(&self.payload);
-    }
-
-    fn decode_per(r: &mut BitReader) -> Result<Self> {
-        Ok(HwPing {
-            seq: r.get_uint()? as u32,
-            tstamp_ns: r.get_uint()?,
-            payload: Bytes::copy_from_slice(r.get_octets()?),
-        })
-    }
-
-    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let payload = b.blob(&self.payload);
-        let mut t = TableBuilder::new();
-        t.u32(0, self.seq).u64(1, self.tstamp_ns).off(2, payload);
-        t.end(b)
-    }
-
-    fn decode_fb(t: &FbTable) -> Result<Self> {
-        Ok(HwPing {
-            seq: t.u32(0)?.ok_or(CodecError::Malformed { what: "hw seq" })?,
-            tstamp_ns: t.u64(1)?.ok_or(CodecError::Malformed { what: "hw tstamp" })?,
-            payload: Bytes::copy_from_slice(t.req_bytes(2, "hw payload")?),
-        })
-    }
-}
+wire_table!(HwPing { seq: u32 => 0, tstamp_ns: u64 => 1, payload: Bytes => 2 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_util::*;
-    use crate::SmCodec;
+    use crate::{SmCodec, SmPayload};
 
     #[test]
     fn roundtrip() {

@@ -5,13 +5,10 @@
 //! with an action definition naming 3GPP-style measurements and a
 //! granularity period; the RAN function answers with measurement reports.
 
-use flexric_codec::error::{CodecError, Result};
-use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
-use flexric_codec::per::{BitReader, BitWriter};
-use flexric_codec::ByteSink;
+use flexric_codec::schema::Ahead;
+use flexric_codec::wire_table;
 
 use crate::delta::{hash_str, DeltaRows};
-use crate::SmPayload;
 
 /// Well-known measurement names (3GPP TS 28.552 style).
 pub mod meas {
@@ -51,58 +48,11 @@ impl KpmActionDef {
     }
 }
 
-impl SmPayload for KpmActionDef {
-    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-        w.put_uint(self.granularity_ms as u64);
-        w.put_length(self.measurements.len());
-        for m in &self.measurements {
-            w.put_utf8(m);
-        }
-        w.put_bit(self.ue_filter.is_some());
-        if let Some(u) = self.ue_filter {
-            w.put_bits(u as u64, 16);
-        }
-    }
-
-    fn decode_per(r: &mut BitReader) -> Result<Self> {
-        let granularity_ms = r.get_uint()? as u32;
-        let n = r.get_length()?;
-        if n > 1024 {
-            return Err(CodecError::Malformed { what: "too many measurements" });
-        }
-        let mut measurements = Vec::with_capacity(n.min(32));
-        for _ in 0..n {
-            measurements.push(r.get_utf8()?);
-        }
-        let ue_filter = if r.get_bit()? { Some(r.get_bits(16)? as u16) } else { None };
-        Ok(KpmActionDef { granularity_ms, measurements, ue_filter })
-    }
-
-    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let v = b.vec_off_with(&self.measurements, |b, m| b.string(m));
-        let mut t = TableBuilder::new();
-        t.u32(0, self.granularity_ms).off(1, v);
-        if let Some(u) = self.ue_filter {
-            t.u16(2, u);
-        }
-        t.end(b)
-    }
-
-    fn decode_fb(t: &FbTable) -> Result<Self> {
-        let v = t.vector_or_empty(1)?;
-        let mut measurements = Vec::with_capacity(v.len());
-        for i in 0..v.len() {
-            measurements.push(
-                std::str::from_utf8(v.bytes_at(i)?).map_err(|_| CodecError::BadUtf8)?.to_owned(),
-            );
-        }
-        Ok(KpmActionDef {
-            granularity_ms: t.req_u32(0, "granularity")?,
-            measurements,
-            ue_filter: t.u16(2)?,
-        })
-    }
-}
+wire_table!(KpmActionDef {
+    granularity_ms: u32 => 0,
+    measurements: Vec<String> => 1,
+    ue_filter: Option<u16> = bits(16) => 2,
+});
 
 /// One measurement record: a named value, optionally labelled with a UE.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,74 +76,17 @@ pub struct KpmReport {
     pub records: Vec<KpmRecord>,
 }
 
-impl SmPayload for KpmReport {
-    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-        w.put_uint(self.tstamp_ms);
-        w.put_uint(self.granularity_ms as u64);
-        w.put_length(self.records.len());
-        for rec in &self.records {
-            w.put_utf8(&rec.name);
-            w.put_bit(rec.rnti.is_some());
-            if let Some(u) = rec.rnti {
-                w.put_bits(u as u64, 16);
-            }
-            w.put_uint(rec.value);
-        }
-    }
-
-    fn decode_per(r: &mut BitReader) -> Result<Self> {
-        let tstamp_ms = r.get_uint()?;
-        let granularity_ms = r.get_uint()? as u32;
-        let n = r.get_length()?;
-        if n > 65536 {
-            return Err(CodecError::Malformed { what: "too many records" });
-        }
-        let mut records = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            let name = r.get_utf8()?;
-            let rnti = if r.get_bit()? { Some(r.get_bits(16)? as u16) } else { None };
-            let value = r.get_uint()?;
-            records.push(KpmRecord { name, rnti, value });
-        }
-        Ok(KpmReport { tstamp_ms, granularity_ms, records })
-    }
-
-    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let v = b.vec_off_with(&self.records, |b, rec| {
-            let name = b.string(&rec.name);
-            let mut t = TableBuilder::new();
-            t.off(0, name).u64(2, rec.value);
-            if let Some(u) = rec.rnti {
-                t.u16(1, u);
-            }
-            t.end(b)
-        });
-        let mut t = TableBuilder::new();
-        t.u64(0, self.tstamp_ms).u32(1, self.granularity_ms).off(2, v);
-        t.end(b)
-    }
-
-    fn decode_fb(t: &FbTable) -> Result<Self> {
-        let v = t.vector_or_empty(2)?;
-        let mut records = Vec::with_capacity(v.len());
-        for i in 0..v.len() {
-            let rt = v.table_at(i)?;
-            records.push(KpmRecord {
-                name: rt
-                    .string(0)?
-                    .ok_or(CodecError::Malformed { what: "record name" })?
-                    .to_owned(),
-                rnti: rt.u16(1)?,
-                value: rt.req_u64(2, "record value")?,
-            });
-        }
-        Ok(KpmReport {
-            tstamp_ms: t.req_u64(0, "tstamp")?,
-            granularity_ms: t.req_u32(1, "granularity")?,
-            records,
-        })
-    }
-}
+// The bytes every peer knows have a record's value ahead of its UE label.
+wire_table!(KpmRecord [0 2 1] {
+    name: String => 0,
+    rnti: Option<u16> = bits(16) => 1,
+    value: u64 => 2,
+});
+wire_table!(KpmReport {
+    tstamp_ms: u64 => 0,
+    granularity_ms: u32 => 1,
+    records: Ahead<KpmRecord> => 2,
+});
 
 /// Delta streams diff KPM *values* only: record identity (name + UE
 /// label) lives in [`DeltaRows::structure_sig`], so any change to the
@@ -274,7 +167,7 @@ mod tests {
     #[test]
     fn delta_stream_values_only_and_structure_change_rekeys() {
         use crate::delta::{DeltaDecoder, DeltaEncoder, DeltaEvent, DeltaOut};
-        use crate::SmCodec;
+        use crate::{SmCodec, SmPayload};
         let codec = SmCodec::Asn1Per;
         let mk = |t: u64, prb: u64, thp: u64| KpmReport {
             tstamp_ms: t,

@@ -25,7 +25,10 @@
 //!    statistics SMs are each one field table ([`schema`]): the row struct,
 //!    its PER, FB and PB codecs, [`SmPayload`] and the delta hooks are
 //!    derived from it, under one set of range checks.  The other payloads
-//!    — unions, strings, options — are hand-written [`SmPayload`] impls.
+//!    — unions, strings, options, lists — are each one declaration in the
+//!    grammar E2AP's messages are declared with
+//!    ([`flexric_codec::schema`]: `wire_table!`, `wire_choice!`), and
+//!    [`SmPayload`] follows from it; only [`trigger`] is written by hand.
 //!
 //! 3. **The plugin registry** ([`registry`]): every SM — bundled or
 //!    third-party — is described by a versioned [`registry::SmDescriptor`]
@@ -63,6 +66,7 @@ use bytes::{Bytes, BytesMut};
 use flexric_codec::error::Result;
 use flexric_codec::fb::{FbBuilder, FbView};
 use flexric_codec::per::{BitReader, BitWriter};
+use flexric_codec::schema::Table;
 use flexric_codec::ByteSink;
 
 /// Which encoding an SM payload uses, independent of the E2AP encoding.
@@ -173,6 +177,27 @@ pub trait SmPayload: Sized {
                 Self::decode_fb(&view.root()?)
             }
         }
+    }
+}
+
+/// A payload declared with `wire_table!` / `wire_choice!` is its [`Table`]:
+/// in PER its fields, in FB the root table.
+impl<T: Table> SmPayload for T {
+    #[inline]
+    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
+        self.put_fields(w);
+    }
+    #[inline]
+    fn decode_per(r: &mut BitReader) -> Result<Self> {
+        T::get_fields(r)
+    }
+    #[inline]
+    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
+        self.to_table(b)
+    }
+    #[inline]
+    fn decode_fb(t: &flexric_codec::fb::FbTable) -> Result<Self> {
+        T::from_table(t, None)
     }
 }
 

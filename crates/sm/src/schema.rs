@@ -38,30 +38,37 @@
 //! same vocabulary (`wire_table!`), so there is one such type in the
 //! workspace and a field has one maximum in every layer.
 //!
-//! Union-, string- and option-shaped payloads (slice and TC control, RRC
-//! events, KPM, the ping, triggers, function definitions) have one user
-//! each and stay hand-written [`SmPayload`](crate::SmPayload) impls.
+//! Union-, string-, option- and list-shaped payloads (slice and TC control,
+//! RRC events, KPM, the ping, function definitions) are declared with that
+//! grammar itself — [`wire_table!`], [`wire_choice!`], re-exported here with
+//! the adapters [`Ahead`] and [`U16In32`] — and [`Rows`] lets such a payload
+//! hold rows (`TcStatsInd`).  [`SmPayload`](crate::SmPayload) is implemented
+//! for every [`Table`](flexric_codec::schema::Table).
 
 use std::fmt::Debug;
+use std::marker::PhantomData;
 
-use flexric_codec::error::Result;
-use flexric_codec::fb::FbTable;
+use flexric_codec::error::{CodecError, Result};
+use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
 use flexric_codec::pb::PbWriter;
 use flexric_codec::per::{BitReader, BitWriter};
+use flexric_codec::schema::{Src, WireAs};
 use flexric_codec::ByteSink;
 
-pub use flexric_codec::schema::{per_max, Field, Kind};
+pub use flexric_codec::schema::{per_max, Ahead, Field, Kind, U16In32};
+pub use flexric_codec::{wire_choice, wire_enum, wire_table};
 
 /// What the macros' expansions name, so that a crate using them needs no
 /// imports of its own.
 #[doc(hidden)]
 pub mod rt {
-    pub use super::{per_max, Field, Kind, Row, MAX_ROWS};
+    pub use super::{per_max, Field, Kind, Row, Rows};
     pub use crate::{DeltaRows, SmPayload};
     pub use flexric_codec::error::{CodecError, Result};
     pub use flexric_codec::fb::{FbBuilder, FbTable, RowLayout, TableBuilder};
     pub use flexric_codec::pb::{PbReader, PbWriter};
     pub use flexric_codec::per::{BitReader, BitWriter};
+    pub use flexric_codec::schema::{named, WireAs};
     pub use flexric_codec::ByteSink;
 }
 
@@ -109,6 +116,58 @@ pub trait Row: Copy + Default + PartialEq + Debug {
     /// Calls `f(i, value)` for every non-key field in index order, as
     /// straight-line code: every `i` is a constant where `f` is inlined.
     fn each_field(&self, f: impl FnMut(u32, u64));
+}
+
+/// The rows of a statistics SM as a field: what
+/// [`sm_snapshot!`](crate::sm_snapshot) writes after the scalars, and what a
+/// payload declared with `wire_table!` names to hold rows (`queues:
+/// Rows<TcQueueStats> => 3`).  PER a length and each row's
+/// [window](Row::put_per); FB one
+/// [`vec_of_tables`](FbBuilder::vec_of_tables), an absent vector empty;
+/// [`MAX_ROWS`] at most in either.
+#[derive(Debug)]
+pub struct Rows<R>(PhantomData<R>);
+
+/// `n`, if a snapshot may hold that many rows.
+fn row_count(n: usize) -> Result<usize> {
+    if n > MAX_ROWS {
+        return Err(CodecError::Malformed { what: "too many rows" });
+    }
+    Ok(n)
+}
+
+impl<R: Row> WireAs for Rows<R> {
+    type Value = Vec<R>;
+    #[inline]
+    fn put_per<B: ByteSink>(rows: &Vec<R>, _: &Field, w: &mut BitWriter<B>) {
+        w.put_length(rows.len());
+        for row in rows {
+            row.put_per(w);
+        }
+    }
+    #[inline]
+    fn get_per(_: &Field, r: &mut BitReader<'_>) -> Result<Vec<R>> {
+        let n = row_count(r.get_length()?)?;
+        let mut rows = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            rows.push(R::get_per(r)?);
+        }
+        Ok(rows)
+    }
+    #[inline]
+    fn put_fb<B: ByteSink>(rows: &Vec<R>, b: &mut FbBuilder<B>, t: &mut TableBuilder, slot: u16) {
+        let vector = b.vec_of_tables(R::FB_SIZE, R::FB_VTABLE, rows, R::fill_fb);
+        t.off(slot, vector);
+    }
+    #[inline]
+    fn get_fb(_: &Field, t: &FbTable<'_>, slot: u16, _: Src<'_>) -> Result<Option<Vec<R>>> {
+        let v = t.vector_or_empty(slot)?;
+        let mut rows = Vec::with_capacity(row_count(v.len())?);
+        for i in 0..v.len() {
+            rows.push(R::get_fb(&v.table_at(i)?)?);
+        }
+        Ok(Some(rows))
+    }
 }
 
 /// Declares a row struct from its field table and derives its [`Row`] impl
@@ -272,45 +331,30 @@ macro_rules! sm_snapshot {
             $(const AUX: rt::Field =
                 rt::Field::new(stringify!($aux), rt::Kind::uint, <$xty>::MAX as u64);)?
 
+            /// The rows' line: their name.
+            const LIST: rt::Field = rt::named(stringify!($rows));
+            type Rows = rt::Rows<$Row>;
+
             impl rt::SmPayload for $Snap {
                 fn encode_per<B: rt::ByteSink>(&self, w: &mut rt::BitWriter<B>) {
                     w.put_uint(self.$ts);
                     $(w.put_uint(self.$aux as u64);)?
-                    w.put_length(self.$rows.len());
-                    for row in &self.$rows {
-                        rt::Row::put_per(row, w);
-                    }
+                    <Rows as rt::WireAs>::put_per(&self.$rows, &LIST, w);
                 }
                 fn decode_per(r: &mut rt::BitReader) -> rt::Result<Self> {
                     let $ts = r.get_uint()?;
                     $(let $aux = AUX.get_per(r)? as $xty;)?
-                    let n = r.get_length()?;
-                    if n > rt::MAX_ROWS {
-                        return Err(rt::CodecError::Malformed { what: "too many rows" });
-                    }
-                    let mut $rows = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        $rows.push(rt::Row::get_per(r)?);
-                    }
+                    let $rows = <Rows as rt::WireAs>::get_per(&LIST, r)?;
                     Ok($Snap { $ts, $($aux,)? $rows })
                 }
                 fn encode_fb<B: rt::ByteSink>(&self, b: &mut rt::FbBuilder<B>) -> u32 {
-                    let rows = b.vec_of_tables(
-                        <$Row as rt::Row>::FB_SIZE,
-                        <$Row as rt::Row>::FB_VTABLE,
-                        &self.$rows,
-                        rt::Row::fill_fb,
-                    );
                     let mut t = rt::TableBuilder::new();
-                    t.u64(0, self.$ts) $(.$xty(1, self.$aux))? .off(ROWS, rows);
+                    t.u64(0, self.$ts) $(.$xty(1, self.$aux))?;
+                    <Rows as rt::WireAs>::put_fb(&self.$rows, b, &mut t, ROWS);
                     t.end(b)
                 }
                 fn decode_fb(t: &rt::FbTable) -> rt::Result<Self> {
-                    let v = t.vector_or_empty(ROWS)?;
-                    let mut $rows = Vec::with_capacity(v.len());
-                    for i in 0..v.len() {
-                        $rows.push(rt::Row::get_fb(&v.table_at(i)?)?);
-                    }
+                    let $rows = <Rows as rt::WireAs>::get_fb(&LIST, t, ROWS, None)?.unwrap_or_default();
                     let $ts = t.req_u64(0, stringify!($ts))?;
                     $(let $aux = t.$xty(1)?.ok_or(rt::CodecError::Malformed { what: AUX.name })?;)?
                     Ok($Snap { $ts, $($aux,)? $rows })

@@ -8,13 +8,9 @@
 //! a second FIFO queue, installs a 5-tuple filter for the VoIP flow, loads
 //! the 5G-BDP pacer, and selects the round-robin scheduler.
 
-use flexric_codec::error::{CodecError, Result};
-use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
-use flexric_codec::per::{BitReader, BitWriter};
-use flexric_codec::ByteSink;
+use flexric_codec::{wire_choice, wire_enum, wire_table};
 
-use crate::schema::Row;
-use crate::SmPayload;
+use crate::schema::Rows;
 
 /// Queue discipline of a TC queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,352 +188,40 @@ pub struct TcStatsInd {
     pub pacer_rate_kbps: u64,
 }
 
-// ---------------------------------------------------------------------------
-// PER helpers
-// ---------------------------------------------------------------------------
-
-fn put_kind<B: ByteSink>(w: &mut BitWriter<B>, k: &QueueKind) {
-    match k {
-        QueueKind::Fifo { cap_bytes } => {
-            w.put_constrained(0, 0, 1);
-            w.put_uint(*cap_bytes as u64);
-        }
-        QueueKind::Codel { target_us, interval_us } => {
-            w.put_constrained(1, 0, 1);
-            w.put_uint(*target_us as u64);
-            w.put_uint(*interval_us as u64);
-        }
-    }
-}
-
-fn get_kind(r: &mut BitReader) -> Result<QueueKind> {
-    match r.get_constrained(0, 1)? {
-        0 => Ok(QueueKind::Fifo { cap_bytes: r.get_uint()? as u32 }),
-        1 => Ok(QueueKind::Codel {
-            target_us: r.get_uint()? as u32,
-            interval_us: r.get_uint()? as u32,
-        }),
-        v => Err(CodecError::BadDiscriminant { what: "queue kind", value: v }),
-    }
-}
-
-fn put_opt_uint<B: ByteSink>(w: &mut BitWriter<B>, v: Option<u64>) {
-    w.put_bit(v.is_some());
-    if let Some(v) = v {
-        w.put_uint(v);
-    }
-}
-
-fn get_opt_uint(r: &mut BitReader) -> Result<Option<u64>> {
-    if r.get_bit()? {
-        Ok(Some(r.get_uint()?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_rule<B: ByteSink>(w: &mut BitWriter<B>, rule: &FiveTupleRule) {
-    w.put_uint(rule.id as u64);
-    put_opt_uint(w, rule.src_ip.map(u64::from));
-    put_opt_uint(w, rule.dst_ip.map(u64::from));
-    put_opt_uint(w, rule.src_port.map(u64::from));
-    put_opt_uint(w, rule.dst_port.map(u64::from));
-    put_opt_uint(w, rule.proto.map(u64::from));
-}
-
-fn get_rule(r: &mut BitReader) -> Result<FiveTupleRule> {
-    Ok(FiveTupleRule {
-        id: r.get_uint()? as u32,
-        src_ip: get_opt_uint(r)?.map(|v| v as u32),
-        dst_ip: get_opt_uint(r)?.map(|v| v as u32),
-        src_port: get_opt_uint(r)?.map(|v| v as u16),
-        dst_port: get_opt_uint(r)?.map(|v| v as u16),
-        proto: get_opt_uint(r)?.map(|v| v as u8),
-    })
-}
-
-fn put_pacer<B: ByteSink>(w: &mut BitWriter<B>, p: &PacerConf) {
-    match p {
-        PacerConf::None => w.put_constrained(0, 0, 1),
-        PacerConf::Bdp { target_delay_us } => {
-            w.put_constrained(1, 0, 1);
-            w.put_uint(*target_delay_us as u64);
-        }
-    }
-}
-
-fn get_pacer(r: &mut BitReader) -> Result<PacerConf> {
-    match r.get_constrained(0, 1)? {
-        0 => Ok(PacerConf::None),
-        1 => Ok(PacerConf::Bdp { target_delay_us: r.get_uint()? as u32 }),
-        v => Err(CodecError::BadDiscriminant { what: "pacer", value: v }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FB helpers
-// ---------------------------------------------------------------------------
-
-fn enc_rule_fb<B: ByteSink>(b: &mut FbBuilder<B>, rule: &FiveTupleRule) -> u32 {
-    let mut t = TableBuilder::new();
-    t.u32(0, rule.id);
-    if let Some(v) = rule.src_ip {
-        t.u32(1, v);
-    }
-    if let Some(v) = rule.dst_ip {
-        t.u32(2, v);
-    }
-    if let Some(v) = rule.src_port {
-        t.u16(3, v);
-    }
-    if let Some(v) = rule.dst_port {
-        t.u16(4, v);
-    }
-    if let Some(v) = rule.proto {
-        t.u8(5, v);
-    }
-    t.end(b)
-}
-
-fn dec_rule_fb(t: &FbTable) -> Result<FiveTupleRule> {
-    Ok(FiveTupleRule {
-        id: t.req_u32(0, "rule id")?,
-        src_ip: t.u32(1)?,
-        dst_ip: t.u32(2)?,
-        src_port: t.u16(3)?,
-        dst_port: t.u16(4)?,
-        proto: t.u8(5)?,
-    })
-}
-
-impl SmPayload for TcCtrl {
-    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-        match self {
-            TcCtrl::AddQueue { id, kind } => {
-                w.put_constrained(0, 0, 5);
-                w.put_uint(*id as u64);
-                put_kind(w, kind);
-            }
-            TcCtrl::DelQueue { id } => {
-                w.put_constrained(1, 0, 5);
-                w.put_uint(*id as u64);
-            }
-            TcCtrl::AddRule { rule, queue, precedence } => {
-                w.put_constrained(2, 0, 5);
-                put_rule(w, rule);
-                w.put_uint(*queue as u64);
-                w.put_uint(*precedence as u64);
-            }
-            TcCtrl::DelRule { rule_id } => {
-                w.put_constrained(3, 0, 5);
-                w.put_uint(*rule_id as u64);
-            }
-            TcCtrl::SetSched { algo, weights } => {
-                w.put_constrained(4, 0, 5);
-                w.put_constrained(*algo as u64, 0, 2);
-                w.put_length(weights.len());
-                for wt in weights {
-                    w.put_uint(*wt as u64);
-                }
-            }
-            TcCtrl::SetPacer { pacer } => {
-                w.put_constrained(5, 0, 5);
-                put_pacer(w, pacer);
-            }
-        }
-    }
-
-    fn decode_per(r: &mut BitReader) -> Result<Self> {
-        match r.get_constrained(0, 5)? {
-            0 => Ok(TcCtrl::AddQueue { id: r.get_uint()? as u32, kind: get_kind(r)? }),
-            1 => Ok(TcCtrl::DelQueue { id: r.get_uint()? as u32 }),
-            2 => Ok(TcCtrl::AddRule {
-                rule: get_rule(r)?,
-                queue: r.get_uint()? as u32,
-                precedence: r.get_uint()? as u32,
-            }),
-            3 => Ok(TcCtrl::DelRule { rule_id: r.get_uint()? as u32 }),
-            4 => {
-                let a = r.get_constrained(0, 2)? as u8;
-                let algo = TcSchedAlgo::from_u8(a)
-                    .ok_or(CodecError::BadDiscriminant { what: "tc sched", value: a as u64 })?;
-                let n = r.get_length()?;
-                if n > 4096 {
-                    return Err(CodecError::Malformed { what: "too many weights" });
-                }
-                let mut weights = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    weights.push(r.get_uint()? as u32);
-                }
-                Ok(TcCtrl::SetSched { algo, weights })
-            }
-            5 => Ok(TcCtrl::SetPacer { pacer: get_pacer(r)? }),
-            v => Err(CodecError::BadDiscriminant { what: "tc ctrl", value: v }),
-        }
-    }
-
-    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        match self {
-            TcCtrl::AddQueue { id, kind } => {
-                let mut t = TableBuilder::new();
-                t.u8(0, 0).u32(1, *id);
-                match kind {
-                    QueueKind::Fifo { cap_bytes } => {
-                        t.u8(2, 0).u32(3, *cap_bytes);
-                    }
-                    QueueKind::Codel { target_us, interval_us } => {
-                        t.u8(2, 1).u32(3, *target_us).u32(4, *interval_us);
-                    }
-                }
-                t.end(b)
-            }
-            TcCtrl::DelQueue { id } => {
-                let mut t = TableBuilder::new();
-                t.u8(0, 1).u32(1, *id);
-                t.end(b)
-            }
-            TcCtrl::AddRule { rule, queue, precedence } => {
-                let rule = enc_rule_fb(b, rule);
-                let mut t = TableBuilder::new();
-                t.u8(0, 2).off(5, rule).u32(1, *queue).u32(3, *precedence);
-                t.end(b)
-            }
-            TcCtrl::DelRule { rule_id } => {
-                let mut t = TableBuilder::new();
-                t.u8(0, 3).u32(1, *rule_id);
-                t.end(b)
-            }
-            TcCtrl::SetSched { algo, weights } => {
-                let wv = b.vec_u32(weights);
-                let mut t = TableBuilder::new();
-                t.u8(0, 4).u8(2, *algo as u8).off(5, wv);
-                t.end(b)
-            }
-            TcCtrl::SetPacer { pacer } => {
-                let mut t = TableBuilder::new();
-                t.u8(0, 5);
-                match pacer {
-                    PacerConf::None => t.u8(2, 0),
-                    PacerConf::Bdp { target_delay_us } => t.u8(2, 1).u32(3, *target_delay_us),
-                };
-                t.end(b)
-            }
-        }
-    }
-
-    fn decode_fb(t: &FbTable) -> Result<Self> {
-        match t.req_u8(0, "tc ctrl kind")? {
-            0 => {
-                let id = t.req_u32(1, "queue id")?;
-                let kind = match t.req_u8(2, "queue kind")? {
-                    0 => QueueKind::Fifo { cap_bytes: t.req_u32(3, "cap")? },
-                    1 => QueueKind::Codel {
-                        target_us: t.req_u32(3, "target")?,
-                        interval_us: t.req_u32(4, "interval")?,
-                    },
-                    v => {
-                        return Err(CodecError::BadDiscriminant {
-                            what: "queue kind",
-                            value: v as u64,
-                        })
-                    }
-                };
-                Ok(TcCtrl::AddQueue { id, kind })
-            }
-            1 => Ok(TcCtrl::DelQueue { id: t.req_u32(1, "queue id")? }),
-            2 => Ok(TcCtrl::AddRule {
-                rule: dec_rule_fb(&t.req_table(5, "rule")?)?,
-                queue: t.req_u32(1, "queue")?,
-                precedence: t.req_u32(3, "precedence")?,
-            }),
-            3 => Ok(TcCtrl::DelRule { rule_id: t.req_u32(1, "rule id")? }),
-            4 => {
-                let a = t.req_u8(2, "tc sched")?;
-                let v = t.vector_or_empty(5)?;
-                let mut weights = Vec::with_capacity(v.len());
-                for i in 0..v.len() {
-                    weights.push(v.u32_at(i)?);
-                }
-                Ok(TcCtrl::SetSched {
-                    algo: TcSchedAlgo::from_u8(a)
-                        .ok_or(CodecError::BadDiscriminant { what: "tc sched", value: a as u64 })?,
-                    weights,
-                })
-            }
-            5 => {
-                let pacer = match t.req_u8(2, "pacer kind")? {
-                    0 => PacerConf::None,
-                    1 => PacerConf::Bdp { target_delay_us: t.req_u32(3, "target delay")? },
-                    v => {
-                        return Err(CodecError::BadDiscriminant { what: "pacer", value: v as u64 })
-                    }
-                };
-                Ok(TcCtrl::SetPacer { pacer })
-            }
-            v => Err(CodecError::BadDiscriminant { what: "tc ctrl", value: v as u64 }),
-        }
-    }
-}
-
-impl SmPayload for TcStatsInd {
-    fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
-        w.put_uint(self.tstamp_ms);
-        w.put_bits(self.rnti as u64, 16);
-        w.put_bits(self.drb_id as u64, 8);
-        w.put_length(self.queues.len());
-        for q in &self.queues {
-            q.put_per(w);
-        }
-        w.put_uint(self.pacer_rate_kbps);
-    }
-
-    fn decode_per(r: &mut BitReader) -> Result<Self> {
-        let tstamp_ms = r.get_uint()?;
-        let rnti = r.get_bits(16)? as u16;
-        let drb_id = r.get_bits(8)? as u8;
-        let n = r.get_length()?;
-        if n > 4096 {
-            return Err(CodecError::Malformed { what: "too many queues" });
-        }
-        let mut queues = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            queues.push(TcQueueStats::get_per(r)?);
-        }
-        let pacer_rate_kbps = r.get_uint()?;
-        Ok(TcStatsInd { tstamp_ms, rnti, drb_id, queues, pacer_rate_kbps })
-    }
-
-    fn encode_fb<B: ByteSink>(&self, b: &mut FbBuilder<B>) -> u32 {
-        let queues = b.vec_of_tables(
-            TcQueueStats::FB_SIZE,
-            TcQueueStats::FB_VTABLE,
-            &self.queues,
-            TcQueueStats::fill_fb,
-        );
-        let mut t = TableBuilder::new();
-        t.u64(0, self.tstamp_ms)
-            .u16(1, self.rnti)
-            .u8(2, self.drb_id)
-            .off(3, queues)
-            .u64(4, self.pacer_rate_kbps);
-        t.end(b)
-    }
-
-    fn decode_fb(t: &FbTable) -> Result<Self> {
-        let v = t.vector_or_empty(3)?;
-        let mut queues = Vec::with_capacity(v.len());
-        for i in 0..v.len() {
-            queues.push(TcQueueStats::get_fb(&v.table_at(i)?)?);
-        }
-        Ok(TcStatsInd {
-            tstamp_ms: t.req_u64(0, "tstamp")?,
-            rnti: t.req_u16(1, "rnti")?,
-            drb_id: t.req_u8(2, "drb")?,
-            queues,
-            pacer_rate_kbps: t.req_u64(4, "pacer rate")?,
-        })
-    }
-}
+wire_enum!(TcSchedAlgo = 2);
+wire_choice!(QueueKind {
+    0 => Fifo { cap_bytes: u32 => 1 },
+    1 => Codel { target_us: u32 => 1, interval_us: u32 => 2 },
+});
+wire_choice!(PacerConf {
+    0 => None {},
+    1 => Bdp { target_delay_us: u32 => 1 },
+});
+wire_table!(FiveTupleRule {
+    id: u32 => 0,
+    src_ip: Option<u32> => 1,
+    dst_ip: Option<u32> => 2,
+    src_port: Option<u16> => 3,
+    dst_port: Option<u16> => 4,
+    proto: Option<u8> => 5,
+});
+// The variants share slots 1 to 5; the bytes every peer knows have a rule
+// ahead of the queue it directs to.
+wire_choice!(TcCtrl {
+    0 => AddQueue { id: u32 => 1, kind: QueueKind => 2 },
+    1 => DelQueue { id: u32 => 1 },
+    2 => AddRule [5 1 3] { rule: FiveTupleRule => 5, queue: u32 => 1, precedence: u32 => 3 },
+    3 => DelRule { rule_id: u32 => 1 },
+    4 => SetSched { algo: TcSchedAlgo => 2, weights: Vec<u32> => 5 },
+    5 => SetPacer { pacer: PacerConf => 2 },
+});
+wire_table!(TcStatsInd {
+    tstamp_ms: u64 => 0,
+    rnti: u16 = bits(16) => 1,
+    drb_id: u8 = bits(8) => 2,
+    queues: Rows<TcQueueStats> => 3,
+    pacer_rate_kbps: u64 => 4,
+});
 
 #[cfg(test)]
 mod tests {

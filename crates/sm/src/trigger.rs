@@ -3,6 +3,7 @@
 use flexric_codec::error::{CodecError, Result};
 use flexric_codec::fb::{FbBuilder, FbTable, TableBuilder};
 use flexric_codec::per::{BitReader, BitWriter};
+use flexric_codec::schema::{Field, Kind, Wire};
 use flexric_codec::ByteSink;
 
 use crate::SmPayload;
@@ -75,6 +76,12 @@ impl ReportTrigger {
     }
 }
 
+const PERIOD_MS: Field = Field::new("period_ms", Kind::uint, u32::MAX as u64);
+const RNTI: Field = Field::new("rnti_filter", Kind::bits(16), u16::MAX as u64);
+const KEYFRAME_EVERY: Field = Field::new("keyframe_every", Kind::uint, u32::MAX as u64);
+
+/// Written by hand: the FB decoder's defaults for absent slots (`lo=1,
+/// hi=0`, full reports) are behaviour a field table does not state.
 impl SmPayload for ReportTrigger {
     fn encode_per<B: ByteSink>(&self, w: &mut BitWriter<B>) {
         w.put_uint(self.period_ms as u64);
@@ -90,12 +97,12 @@ impl SmPayload for ReportTrigger {
     }
 
     fn decode_per(r: &mut BitReader) -> Result<Self> {
-        let period_ms = r.get_uint()? as u32;
-        let rnti_filter_lo = r.get_bits(16)? as u16;
-        let rnti_filter_hi = r.get_bits(16)? as u16;
+        let period_ms = Wire::get_per(&PERIOD_MS, r)?;
+        let rnti_filter_lo = Wire::get_per(&RNTI, r)?;
+        let rnti_filter_hi = Wire::get_per(&RNTI, r)?;
         let mode = if r.get_bit()? {
-            let keyframe_every = (r.get_uint()? as u32).max(1);
-            ReportMode::Delta { keyframe_every }
+            let keyframe_every: u32 = Wire::get_per(&KEYFRAME_EVERY, r)?;
+            ReportMode::Delta { keyframe_every: keyframe_every.max(1) }
         } else {
             ReportMode::Full
         };

@@ -13,6 +13,10 @@
 //! (How often an encoder *reserves* in its sink — FB once for all the rows,
 //! PER once per row and not once per field — is not an allocation count:
 //! `fb_rows.rs` and `per_rows.rs` hold that with a counting sink.)
+//!
+//! And for a declared payload with a list in it: a slice indication's
+//! UE associations are packed into the FB vector as they are walked, not
+//! into a `Vec<u64>` on the side first.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,6 +25,9 @@ use flexric_sm::delta::{DeltaDecoder, DeltaEvent, DeltaStreams, ReportOut};
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
 use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
+use flexric_sm::slice::{
+    SliceAlgo, SliceConf, SliceParams, SliceStatsInd, SliceStatus, UeSchedAlgo,
+};
 use flexric_sm::{ReportMode, SmCodec, SmPayload};
 
 thread_local! {
@@ -185,6 +192,34 @@ fn full_snapshot_of_32_rows_is_one_allocation() {
                 drop(rlc.encode_into(codec, &mut scratch));
                 drop(pdcp.encode_into(codec, &mut scratch));
             });
+            assert!(warming || n == 0, "{codec:?}: a warm encode_into allocated {n} times");
+        }
+    }
+}
+
+#[test]
+fn slice_indication_with_associations_encodes_into_a_warm_scratch_without_allocating() {
+    let slices = (0..3).map(|id| SliceStatus {
+        conf: SliceConf {
+            id,
+            label: format!("tenant-{id}"),
+            params: SliceParams::NvsCapacity { share_milli: 300 },
+            ue_sched: UeSchedAlgo::PropFair,
+        },
+        alloc_prbs: 10_000,
+        thr_kbps: 30_000,
+        num_ues: 8,
+    });
+    let ind = SliceStatsInd {
+        tstamp_ms: 1_000_000,
+        algo: SliceAlgo::Nvs,
+        slices: slices.collect(),
+        ue_assoc: (0..24).map(|i| (0x4601 + i, u32::from(i % 3))).collect(),
+    };
+    for codec in SmCodec::ALL {
+        let mut scratch = bytes::BytesMut::new();
+        for warming in [true, false] {
+            let (n, _) = allocs(|| drop(ind.encode_into(codec, &mut scratch)));
             assert!(warming || n == 0, "{codec:?}: a warm encode_into allocated {n} times");
         }
     }
