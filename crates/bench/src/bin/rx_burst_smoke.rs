@@ -5,8 +5,9 @@
 //! zero-copy receive path together.
 //!
 //! Exits nonzero if conservation breaks, if a per-frame payload copy
-//! shows up in steady state, or if the batched reader never sees a
-//! multi-frame wakeup.
+//! shows up in steady state, if the batched reader never sees a
+//! multi-frame wakeup, or if one control deadline after the burst the
+//! controller routes anything but the monitor's three subscriptions.
 //!
 //! ```text
 //! cargo run --release -p flexric-bench --bin rx_burst_smoke [--duration 3]
@@ -16,6 +17,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use flexric::agent::{Agent, AgentConfig};
+use flexric::endpoint::RetryPolicy;
 use flexric::server::{Server, ServerConfig};
 use flexric_bench::Args;
 use flexric_codec::E2apCodec;
@@ -140,6 +142,10 @@ fn main() {
     let frames = counter_sum(&snap, "flexric_transport_rx_frames_total");
     let promotions = counter_sum(&snap, "flexric_conn_control_promotions_total");
     let pings = rtts.lock().unwrap().len();
+    // Once every control of the burst has met its deadline, the routing
+    // table holds the monitor's three subscriptions and nothing per ping.
+    std::thread::sleep(Duration::from_millis(RetryPolicy::default().control_deadline_ms));
+    let subs = server.stats().unwrap().subs;
 
     println!("rx_burst_smoke: {sent} indications sent, {rx} received");
     println!("rx_burst_smoke: {frames} frames over {wakeups} socket wakeups");
@@ -148,6 +154,7 @@ fn main() {
     println!(
         "rx_burst_smoke: rx payload copies {rx_copies_before} before burst, {rx_copies} after"
     );
+    println!("rx_burst_smoke: {subs} routing entries one control deadline after the burst");
 
     if sent < 1_000 {
         fail(&format!("burst too small: only {sent} indications sent"));
@@ -166,6 +173,9 @@ fn main() {
     }
     if pings == 0 {
         fail("no control ping completed — priority stream never exercised");
+    }
+    if subs != 3 {
+        fail(&format!("{subs} routing entries, not the monitor's 3: the pings left theirs"));
     }
 
     agent.stop();

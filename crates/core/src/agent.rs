@@ -54,7 +54,6 @@ use bytes::Bytes;
 use flexric_codec::E2apCodec;
 use flexric_e2ap::*;
 use flexric_sm::{ReportMode, ReportTrigger, SmCodec, SmPayload};
-use flexric_transport::fault::FaultHandle;
 use flexric_transport::TransportAddr;
 
 use crate::endpoint::{self, Backoff, E2apEndpoint, ProcedureClass, ProcedureKey, RetryPolicy};
@@ -88,8 +87,6 @@ pub struct AgentConfig {
     /// redialled: the initial connections at [`Agent::spawn`] and
     /// [`AgentHandle::add_controller`] fail fast.
     pub reconnect: Option<Backoff>,
-    /// Fault injector applied to every outbound frame (robustness tests).
-    pub fault: Option<FaultHandle>,
 }
 
 impl AgentConfig {
@@ -103,7 +100,6 @@ impl AgentConfig {
             tick_ms: Some(1),
             retry: RetryPolicy::default(),
             reconnect: Some(Backoff::default()),
-            fault: None,
         }
     }
 }

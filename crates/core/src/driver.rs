@@ -31,7 +31,7 @@
 //! and the order things shut down in.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
@@ -40,7 +40,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use flexric_e2ap::E2apPdu;
-use flexric_transport::fault::FaultHandle;
 use flexric_transport::{
     connect, listen, spawn_io_thread, Pump, SendHalf, Serving, Transport, TransportAddr, WireMsg,
 };
@@ -195,9 +194,6 @@ type Tx<M> = mpsc::Sender<In<M>>;
 struct Conn {
     writer: Writer,
     _reader: Pump,
-    /// Messages a fault verdict delays, with the tick they are due at, in
-    /// sending order; whatever follows a delayed message waits behind it.
-    held: VecDeque<(u64, WireMsg)>,
 }
 
 /// One machine, its connections and its clock.
@@ -208,20 +204,18 @@ struct Loop<M: Drive> {
     tx: Tx<M>,
     conns: HashMap<PeerId, Conn>,
     last_peer: PeerId,
-    fault: Option<FaultHandle>,
     now_ms: u64,
     actions: Vec<Action<M::Out>>,
 }
 
 impl<M: Drive> Loop<M> {
-    fn new(machine: M, port: M::Port, tx: Tx<M>, fault: Option<FaultHandle>) -> Self {
+    fn new(machine: M, port: M::Port, tx: Tx<M>) -> Self {
         Loop {
             machine,
             port,
             tx,
             conns: HashMap::new(),
             last_peer: 0,
-            fault,
             now_ms: 0,
             actions: Vec::new(),
         }
@@ -243,35 +237,14 @@ impl<M: Drive> Loop<M> {
             let _ = tx.send(In::Event(event));
         }))?;
         self.last_peer = peer;
-        self.conns.insert(peer, Conn { writer, _reader: reader, held: VecDeque::new() });
+        self.conns.insert(peer, Conn { writer, _reader: reader });
         Ok(peer)
     }
 
-    /// Writes `msg` to `peer`, through the fault injector if there is one.
+    /// Writes `msg` to `peer`.
     fn send(&mut self, peer: PeerId, msg: WireMsg) {
-        let Some(conn) = self.conns.get_mut(&peer) else { return };
-        let Some(fault) = &self.fault else { return conn.writer.write(msg) };
-        let verdict = fault.process(msg);
-        let mut due = self.now_ms + verdict.delay_ms;
-        if let Some((last_due, _)) = conn.held.back() {
-            due = due.max(*last_due);
-        }
-        for msg in verdict.deliver {
-            if due > self.now_ms {
-                conn.held.push_back((due, msg));
-            } else {
-                conn.writer.write(msg);
-            }
-        }
-    }
-
-    /// Writes the held messages that have come due.
-    fn release_held(&mut self) {
-        for conn in self.conns.values_mut() {
-            while conn.held.front().is_some_and(|(due, _)| *due <= self.now_ms) {
-                let (_, msg) = conn.held.pop_front().expect("front was just seen");
-                conn.writer.write(msg);
-            }
+        if let Some(conn) = self.conns.get_mut(&peer) {
+            conn.writer.write(msg);
         }
     }
 
@@ -282,14 +255,10 @@ impl<M: Drive> Loop<M> {
         for action in actions.drain(..) {
             match action {
                 Action::Send(peer, msg) => self.send(peer, msg),
-                // Everything the machine sent before hanging up goes out,
-                // delayed or not; dropping the connection does the rest.
+                // What the machine sent before hanging up is written or
+                // queued already; dropping the connection does the rest.
                 Action::Hangup(peer) => {
-                    if let Some(mut conn) = self.conns.remove(&peer) {
-                        for (_, msg) in conn.held.drain(..) {
-                            conn.writer.write(msg);
-                        }
-                    }
+                    self.conns.remove(&peer);
                 }
                 Action::App(action) => M::act(self, action),
             }
@@ -324,7 +293,6 @@ impl<M: Drive> Loop<M> {
                 In::Event(event) => self.feed(event),
                 In::Tick(now_ms) => {
                     self.now_ms = now_ms;
-                    self.release_held();
                     self.feed(Event::Tick);
                 }
                 In::With(f) => f(&mut self),
@@ -467,9 +435,8 @@ impl Agent {
         functions: Vec<Box<dyn RanFunction>>,
     ) -> io::Result<AgentHandle> {
         let (tx, rx) = mpsc::channel();
-        let (tick_ms, fault, controllers) =
-            (cfg.tick_ms, cfg.fault.clone(), cfg.controllers.clone());
-        let lp = Loop::new(Agent::new(cfg, functions), HashMap::new(), tx, fault);
+        let (tick_ms, controllers) = (cfg.tick_ms, cfg.controllers.clone());
+        let lp = Loop::new(Agent::new(cfg, functions), HashMap::new(), tx);
         let running = Arc::new(Running::start("flexric-agent", vec![(lp, rx)], tick_ms)?);
         let handle = AgentHandle { running };
         for addr in controllers {
@@ -620,7 +587,9 @@ impl ServerHandle {
         }
     }
 
-    /// Sends a message to a named iApp (northbound ingress).
+    /// Sends a message to a named iApp (northbound ingress): its
+    /// [`IApp::on_custom`] runs with it on the loop, and a message for no
+    /// iApp of that name is dropped.
     ///
     /// The message is delivered on shard 0 (`Box<dyn Any>` is not
     /// cloneable, so it cannot be fanned out); on a sharded controller the
@@ -729,7 +698,7 @@ impl Server {
         for (idx, rx) in rxs.into_iter().enumerate() {
             let machine = Shard::new(idx, &cfg, iapps(idx), router.clone());
             let port = ShardPort { shards: txs.clone(), events: events.clone() };
-            let mut lp = Loop::new(machine, port, txs[idx].clone(), cfg.fault.clone());
+            let mut lp = Loop::new(machine, port, txs[idx].clone());
             lp.feed(Event::App(ShardIn::Start));
             loops.push((lp, rx));
         }
@@ -774,7 +743,6 @@ impl Server {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use flexric_transport::fault::FaultConfig;
     use flexric_transport::rx::FrameAssembler;
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -843,10 +811,10 @@ mod tests {
     }
 
     impl Rig {
-        fn start(fault: Option<FaultHandle>) -> Rig {
+        fn start() -> Rig {
             let (tx, rx) = mpsc::channel();
             let (seen_tx, seen) = mpsc::channel();
-            let lp = Loop::new(Puppet(seen_tx), (), tx.clone(), fault);
+            let lp = Loop::new(Puppet(seen_tx), (), tx.clone());
             let running = Running::start("puppet", vec![(lp, rx)], None).unwrap();
             Rig { tx, seen, running }
         }
@@ -885,7 +853,7 @@ mod tests {
 
     #[test]
     fn hangup_delivers_what_was_queued_before_it() {
-        let rig = Rig::start(None);
+        let rig = Rig::start();
         let (peer, mut far) = rig.attach_tcp();
         let mut actions: Vec<Action<()>> =
             (0..500u32).map(|i| Action::Send(peer, msg(1, i as u8))).collect();
@@ -910,7 +878,7 @@ mod tests {
     /// for the stalled peer still overtakes it, and stopping does not wait.
     #[test]
     fn a_stalled_peer_stalls_only_its_own_writer() {
-        let rig = Rig::start(None);
+        let rig = Rig::start();
         let (slow, mut slow_far) = rig.attach_tcp();
         let (other, mut other_far) = rig.attach_tcp();
         // One frame far larger than the socket buffers: the writer thread
@@ -935,30 +903,6 @@ mod tests {
         // Stall it again and stop: `stop` returns without the writer.
         rig.act(vec![Action::Send(slow, WireMsg::e2ap_on(1, big))]);
         slow_far.read_exact(&mut head).unwrap();
-        rig.running.stop();
-    }
-
-    #[test]
-    fn a_fault_delay_is_kept_on_the_loops_clock() {
-        let fault = FaultHandle::new(FaultConfig {
-            delay_chance: 1.0,
-            delay_ms: 30,
-            ..FaultConfig::default()
-        });
-        let rig = Rig::start(Some(fault.clone()));
-        let (peer, mut far) = rig.attach_tcp();
-        rig.act(vec![Action::Send(peer, msg(0, 1)), Action::Send(peer, msg(0, 2))]);
-        rig.tx.send(In::Tick(29)).unwrap();
-        // Both are held: once the loop has handled the tick (the `ask`
-        // behind it says so) nothing has been written.
-        ask(&rig.tx, |_| ()).unwrap().recv().unwrap();
-        far.set_nonblocking(true).unwrap();
-        assert!(far.read(&mut [0u8; 1]).is_err(), "nothing on the wire before the delay is up");
-        far.set_nonblocking(false).unwrap();
-        rig.tx.send(In::Tick(30)).unwrap();
-        let tags: Vec<u8> = read_frames(&mut far, 2).iter().map(|m| m.payload[0]).collect();
-        assert_eq!(tags, [1, 2], "released together, in sending order");
-        assert_eq!(fault.stats().delayed, 2);
         rig.running.stop();
     }
 

@@ -182,18 +182,16 @@ pub struct Procedure<P, U> {
     pub key: ProcedureKey,
     /// Its class.
     pub class: ProcedureClass,
-    /// The request PDU, kept for retransmission.  `None` tracks a
-    /// procedure whose PDU the endpoint never saw (externally forwarded
-    /// requests) — such entries are never retransmitted.
+    /// The request PDU, kept for retransmission.  An entry without one is
+    /// never retransmitted.
     pub pdu: Option<E2apPdu>,
     /// Caller payload (e.g. the owning iApp index), returned on
     /// completion.
     pub user: U,
     /// Send attempts so far (1 = original send only).
     pub attempts: u32,
-    /// Absolute deadline in the caller's clock; `None` = tracked for
-    /// routing only, never expires.
-    pub deadline_ms: Option<u64>,
+    /// Absolute deadline in the caller's clock.
+    pub deadline_ms: u64,
 }
 
 impl<P, U> Procedure<P, U> {
@@ -323,33 +321,8 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
         if self.entries.contains_key(&(peer, key)) {
             return false;
         }
-        let deadline = Some(now_ms.saturating_add(self.policy.deadline_ms(class)));
-        self.insert(Procedure { peer, key, class, pdu, user, attempts: 1, deadline_ms: deadline });
-        true
-    }
-
-    /// Starts tracking a procedure for response routing only: no deadline,
-    /// no retransmission (externally forwarded requests whose lifecycle
-    /// the forwarder owns).
-    pub fn begin_untimed(
-        &mut self,
-        peer: P,
-        key: ProcedureKey,
-        class: ProcedureClass,
-        user: U,
-    ) -> bool {
-        if self.entries.contains_key(&(peer, key)) {
-            return false;
-        }
-        self.insert(Procedure {
-            peer,
-            key,
-            class,
-            pdu: None,
-            user,
-            attempts: 1,
-            deadline_ms: None,
-        });
+        let deadline_ms = now_ms.saturating_add(self.policy.deadline_ms(class));
+        self.insert(Procedure { peer, key, class, pdu, user, attempts: 1, deadline_ms });
         true
     }
 
@@ -403,8 +376,7 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
     ) -> Vec<Procedure<P, U>> {
         let mut expired: Vec<(P, ProcedureKey)> = Vec::new();
         for ((peer, key), proc) in self.entries.iter_mut() {
-            let Some(deadline) = proc.deadline_ms else { continue };
-            if now_ms < deadline {
+            if now_ms < proc.deadline_ms {
                 continue;
             }
             let can_retry = proc.attempts < self.policy.max_attempts
@@ -412,10 +384,8 @@ impl<P: Eq + Hash + Copy, U> ProcedureTable<P, U> {
                 && proc.pdu.is_some();
             if can_retry {
                 proc.attempts += 1;
-                proc.deadline_ms = Some(
-                    now_ms
-                        .saturating_add(self.policy.attempt_deadline_ms(proc.class, proc.attempts)),
-                );
+                proc.deadline_ms = now_ms
+                    .saturating_add(self.policy.attempt_deadline_ms(proc.class, proc.attempts));
                 if let Some(pdu) = &proc.pdu {
                     metrics().retransmits.inc();
                     retransmit(*peer, pdu);
@@ -594,12 +564,12 @@ mod tests {
         assert!(t.poll(10, |_, _| sent += 1).is_empty());
         assert_eq!(sent, 1);
         assert_eq!(t.get(0, ProcedureKey::Ric(rid(1))).unwrap().attempts, 2);
-        assert_eq!(t.get(0, ProcedureKey::Ric(rid(1))).unwrap().deadline_ms, Some(30));
+        assert_eq!(t.get(0, ProcedureKey::Ric(rid(1))).unwrap().deadline_ms, 30);
 
         // Second expiry: last retransmit of the budget.
         assert!(t.poll(30, |_, _| sent += 1).is_empty());
         assert_eq!(sent, 2);
-        assert_eq!(t.get(0, ProcedureKey::Ric(rid(1))).unwrap().deadline_ms, Some(70));
+        assert_eq!(t.get(0, ProcedureKey::Ric(rid(1))).unwrap().deadline_ms, 70);
 
         // Budget exhausted: terminal timeout.
         let dead = t.poll(70, |_, _| sent += 1);
@@ -620,14 +590,6 @@ mod tests {
         assert_eq!(sent, 0, "controls are not idempotent");
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].attempts, 1);
-    }
-
-    #[test]
-    fn untimed_entries_never_expire() {
-        let mut t: ProcedureTable<usize, ()> = ProcedureTable::new(RetryPolicy::default());
-        t.begin_untimed(0, ProcedureKey::Ric(rid(3)), ProcedureClass::Control, ());
-        assert!(t.poll(u64::MAX, |_, _| {}).is_empty());
-        assert!(t.contains(0, ProcedureKey::Ric(rid(3))));
     }
 
     #[test]
@@ -731,7 +693,7 @@ mod tests {
                             t.begin(peer, key, class, Some(pdu(id)), (), now);
                         }
                         3 => {
-                            t.begin_untimed(peer, key, ProcedureClass::Control, ());
+                            t.begin(peer, key, ProcedureClass::Control, Some(pdu(id)), (), now);
                         }
                         4 | 5 => {
                             t.complete(peer, key);

@@ -71,7 +71,6 @@ use std::any::Any;
 
 use flexric_codec::{CodecError, E2apCodec};
 use flexric_e2ap::*;
-use flexric_transport::fault::FaultHandle;
 use flexric_transport::TransportAddr;
 
 use crate::endpoint::RetryPolicy;
@@ -106,8 +105,6 @@ pub struct ServerConfig {
     /// are kept for a reconnect-with-resubscribe; `0` disconnects
     /// immediately.
     pub reconnect_grace_ms: u64,
-    /// Fault injector applied to every outbound frame (robustness tests).
-    pub fault: Option<FaultHandle>,
     /// Number of shard event loops; `0` means one per available core.
     /// With more than one shard each shard needs its own iApp instances —
     /// use [`Server::spawn_sharded`].
@@ -125,7 +122,6 @@ impl ServerConfig {
             tick_ms: Some(100),
             retry: RetryPolicy::default(),
             reconnect_grace_ms: 1_000,
-            fault: None,
             shards: 1,
         }
     }
@@ -340,7 +336,8 @@ pub trait IApp: Send {
     fn on_control_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, _out: &CtrlOutcome) {}
     /// Periodic tick.
     fn on_tick(&mut self, _api: &mut ServerApi, _now_ms: u64) {}
-    /// A message from the northbound (or another iApp).
+    /// A message from the northbound, handed over by
+    /// [`ServerHandle::to_iapp`].
     fn on_custom(&mut self, _api: &mut ServerApi, _msg: Box<dyn Any + Send>) {}
 }
 

@@ -107,7 +107,6 @@ struct ServerCore {
     conns: HashMap<AgentId, PeerId>,
     outbox: Vec<(Targets<AgentId>, E2apPdu)>,
     scratch: EncodeScratch,
-    custom_queue: Vec<(String, Box<dyn Any + Send>)>,
     /// Events published since the last flush.
     published: Vec<ServerEvent>,
     now_ms: u64,
@@ -150,6 +149,19 @@ impl ServerCore {
         self.endpoint.table.complete(agent, key);
         self.endpoint.table.begin(agent, key, class, Some(pdu.clone()), iapp, self.now_ms);
         self.outbox.push((agent.into(), pdu));
+    }
+
+    /// The iApp an indication from `agent` under `req_id` is for: the
+    /// subscription's, or that of a control still outstanding under the
+    /// id — a control answered by a report, as the HW ping is.
+    fn route(&self, agent: AgentId, req_id: RicRequestId) -> Option<usize> {
+        match self.subs.get(&(agent, req_id)) {
+            Some(sub) => Some(sub.iapp),
+            None => {
+                let proc = self.endpoint.table.get(agent, ProcedureKey::Ric(req_id))?;
+                (proc.class == ProcedureClass::Control).then_some(proc.user)
+            }
+        }
     }
 }
 
@@ -296,10 +308,12 @@ impl ServerApi<'_> {
 
     /// Sends a control request; the outcome is delivered to this iApp.
     ///
-    /// With `ack = Some(Ack)` the request carries a deadline and the iApp
-    /// is guaranteed a terminal [`CtrlOutcome`]; otherwise the entry only
-    /// routes whatever response the agent chooses to send.  Controls are
-    /// never retransmitted.
+    /// Every control is outstanding until its answer or its deadline
+    /// ([`crate::endpoint::RetryPolicy::control_deadline_ms`]) and is never
+    /// retransmitted; meanwhile indications under its request id come to
+    /// this iApp.  With `ack = Some(Ack)` the iApp is guaranteed a terminal
+    /// [`CtrlOutcome`]; otherwise it sees whatever response the agent
+    /// chooses to send, and the control ends silently at its deadline.
     pub fn control(
         &mut self,
         agent: AgentId,
@@ -317,14 +331,7 @@ impl ServerApi<'_> {
             message,
             ack_request: ack,
         });
-        if ack == Some(ControlAckRequest::Ack) {
-            self.core.issue(agent, req_id, ProcedureClass::Control, pdu, self.iapp);
-        } else {
-            // A response is not guaranteed (no-ack / nack-only): track for
-            // routing but never expire.
-            self.claim_control_id(agent, req_id);
-            self.core.outbox.push((agent.into(), pdu));
-        }
+        self.core.issue(agent, req_id, ProcedureClass::Control, pdu, self.iapp);
         req_id
     }
 
@@ -363,40 +370,22 @@ impl ServerApi<'_> {
         );
     }
 
-    /// Registers an externally chosen request id so control outcomes for
-    /// it are routed to this iApp (relaying controllers forwarding control
-    /// requests verbatim).  Routing-only: the entry never times out.
-    pub fn claim_control_id(&mut self, agent: AgentId, req_id: RicRequestId) {
-        self.core.endpoint.table.begin_untimed(
-            agent,
-            ProcedureKey::Ric(req_id),
-            ProcedureClass::Control,
-            self.iapp,
-        );
-    }
-
     /// Forwards a functional request that arrived from elsewhere (another
-    /// E2 hop, an xApp) to `agent` verbatim, claiming its request id so
-    /// the answers come back to this iApp: subscription outcomes and
-    /// indications for a subscription request; the control outcome — and
-    /// indications under the same id, which is how a control-triggered
-    /// report such as the HW pong returns — for a control request.
+    /// E2 hop, an xApp) to `agent` verbatim, so the answers come back to
+    /// this iApp: a subscription request's id is claimed, and its outcome
+    /// and indications follow; a control request is tracked as
+    /// [`control`](Self::control) tracks its own, outcome and indications
+    /// under its id included.
     pub fn forward_request(&mut self, agent: AgentId, pdu: E2apPdu) {
         match &pdu {
             E2apPdu::RicSubscriptionRequest(req) => self.claim_request_id(agent, req.req_id),
             E2apPdu::RicControlRequest(req) => {
-                self.claim_control_id(agent, req.req_id);
-                self.claim_request_id(agent, req.req_id);
+                let req_id = req.req_id;
+                return self.core.issue(agent, req_id, ProcedureClass::Control, pdu, self.iapp);
             }
             _ => {}
         }
         self.send_pdu(agent, pdu);
-    }
-
-    /// Sends a custom message to another iApp on the same shard
-    /// (dispatched after the current callback returns).
-    pub fn send_custom(&mut self, iapp_name: &str, msg: Box<dyn Any + Send>) {
-        self.core.custom_queue.push((iapp_name.to_owned(), msg));
     }
 
     /// Publishes a server event to external observers.
@@ -597,7 +586,6 @@ impl Shard {
             conns: HashMap::new(),
             outbox: Vec::new(),
             scratch: EncodeScratch::with_capacity(4096),
-            custom_queue: Vec::new(),
             published: Vec::new(),
             now_ms: 0,
             rx_msgs: 0,
@@ -646,7 +634,7 @@ impl Shard {
         }
     }
 
-    /// Procedures in flight toward agents, routing-only entries included.
+    /// Procedures in flight toward agents.
     pub fn outstanding(&self) -> usize {
         self.core.endpoint.table.len()
     }
@@ -666,7 +654,6 @@ impl Shard {
             let mut api = ServerApi { core, iapp: idx };
             f(&mut iapps[idx], &mut api);
         }
-        self.drain_custom();
     }
 
     /// Runs a callback on one iApp.
@@ -677,29 +664,13 @@ impl Shard {
         let (iapps, core) = (&mut self.iapps, &mut self.core);
         let mut api = ServerApi { core, iapp: idx };
         f(&mut iapps[idx], &mut api);
-        self.drain_custom();
     }
 
-    fn drain_custom(&mut self) {
-        // Custom messages queued by iApps during callbacks, delivered
-        // breadth-first; bounded to avoid infinite ping-pong.
-        let mut depth = 0;
-        while !self.core.custom_queue.is_empty() && depth < 64 {
-            depth += 1;
-            let queue = std::mem::take(&mut self.core.custom_queue);
-            for (name, msg) in queue {
-                if let Some(idx) = self.iapps.iter().position(|i| i.name() == name) {
-                    let (iapps, core) = (&mut self.iapps, &mut self.core);
-                    let mut api = ServerApi { core, iapp: idx };
-                    iapps[idx].on_custom(&mut api, msg);
-                }
-            }
-        }
-    }
-
+    /// Hands a northbound message to the iApp named `name`, if there is one.
     fn dispatch_custom(&mut self, name: String, msg: Box<dyn Any + Send>) {
-        self.core.custom_queue.push((name, msg));
-        self.drain_custom();
+        if let Some(idx) = self.iapps.iter().position(|i| i.name() == name) {
+            self.for_one(idx, |iapp, api| iapp.on_custom(api, msg));
+        }
     }
 
     /// Unbinds and hangs up on the connection of `agent`, if it has one.
@@ -872,6 +843,13 @@ impl Shard {
     /// response — timed out (`timed_out`) or severed with the connection.
     fn deliver_terminals(&mut self, procs: Vec<Procedure<AgentId, usize>>, timed_out: bool) {
         for proc in procs {
+            // A control that asked no acknowledgement ends at its deadline
+            // without an outcome: none was promised.
+            let asked_ack = matches!(&proc.pdu, Some(E2apPdu::RicControlRequest(r))
+                if r.ack_request == Some(ControlAckRequest::Ack));
+            if timed_out && proc.class == ProcedureClass::Control && !asked_ack {
+                continue;
+            }
             if timed_out {
                 self.core.timeouts += 1;
             }
@@ -955,8 +933,7 @@ impl Shard {
             if hdr.msg_type == MsgType::RicIndication {
                 obs().indications_rx.inc();
                 let req_id = hdr.req_id.unwrap_or_default();
-                if let Some(entry) = self.core.subs.get(&(agent, req_id)) {
-                    let idx = entry.iapp;
+                if let Some(idx) = self.core.route(agent, req_id) {
                     let ind = IndicationRef::Raw { raw, hdr };
                     let _t = obs().dispatch_ns.timer();
                     self.for_one(idx, |iapp, api| iapp.on_indication(api, agent, &ind));
@@ -971,8 +948,7 @@ impl Shard {
         match pdu {
             E2apPdu::RicIndication(ind) => {
                 obs().indications_rx.inc();
-                if let Some(entry) = self.core.subs.get(&(agent, ind.req_id)) {
-                    let idx = entry.iapp;
+                if let Some(idx) = self.core.route(agent, ind.req_id) {
                     let ind_ref = IndicationRef::Decoded(&ind);
                     let _t = obs().dispatch_ns.timer();
                     self.for_one(idx, |iapp, api| iapp.on_indication(api, agent, &ind_ref));

@@ -213,8 +213,8 @@ impl PingApp {
         let t0 = flexric::mono_ns();
         let ping = flexric_sm::hw::HwPing::sized(self.seq, t0, self.payload_size);
         let msg = Bytes::from(ping.encode(self.sm_codec));
-        let req_id = api.control(agent, rf_id, Bytes::new(), msg, None);
-        api.claim_request_id(agent, req_id);
+        // The pong comes back as an indication under the control's id.
+        api.control(agent, rf_id, Bytes::new(), msg, None);
         self.outstanding = Some((agent, t0));
     }
 

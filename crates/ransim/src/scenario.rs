@@ -184,8 +184,8 @@ impl Default for ChurnCfg {
     }
 }
 
-/// A declarative scenario description; build one with the struct-update
-/// syntax, a preset, or [`ScenarioSpec::parse`].
+/// A declarative scenario description; build one from a preset or with
+/// the struct-update syntax.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (shows up in benches and traces).
@@ -311,116 +311,6 @@ impl ScenarioSpec {
             _ => None,
         }
     }
-
-    /// Parses the TOML-ish scenario format: `[section]` headers with
-    /// `key = value` lines, `#` comments.  Sections: `[scenario]`
-    /// (name/seed/cells/prbs/isd_m/initial_ues/preset), `[mobility]`,
-    /// `[churn]` (diurnal as `from:permille,from:permille,…`),
-    /// `[slice]` (repeatable: id/share_milli/label) and `[outage]`
-    /// (repeatable: at_ms/cell/dur_ms).  A `preset` key seeds the spec
-    /// from that preset before the remaining keys override it.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut spec = ScenarioSpec::default();
-        let mut section = String::from("scenario");
-        let mut explicit_slices = false;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = name.trim().to_owned();
-                match section.as_str() {
-                    "slice" => {
-                        if !explicit_slices {
-                            explicit_slices = true;
-                            spec.slices.clear();
-                        }
-                        spec.slices.push(SliceSpec {
-                            id: spec.slices.len() as u32,
-                            share_milli: 0,
-                            label: String::new(),
-                        });
-                    }
-                    "outage" => {
-                        spec.outages.push(OutageSpec { at_ms: 0, cell: 0, dur_ms: 1_000 });
-                    }
-                    _ => {}
-                }
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let (key, value) = (key.trim(), value.trim().trim_matches('"'));
-            let bad = |what: &str| format!("line {}: bad {what} `{value}`", lineno + 1);
-            let as_u64 = |v: &str| v.parse::<u64>().map_err(|_| bad("integer"));
-            let as_f64 = |v: &str| v.parse::<f64>().map_err(|_| bad("number"));
-            match (section.as_str(), key) {
-                ("scenario", "preset") => {
-                    spec = Self::preset(value, spec.seed)
-                        .ok_or_else(|| format!("line {}: unknown preset `{value}`", lineno + 1))?;
-                }
-                ("scenario", "name") => spec.name = value.to_owned(),
-                ("scenario", "seed") => spec.seed = as_u64(value)?,
-                ("scenario", "cells") => spec.cells = as_u64(value)? as usize,
-                ("scenario", "prbs") => spec.prbs = as_u64(value)? as u32,
-                ("scenario", "isd_m") => spec.isd_m = as_f64(value)?,
-                ("scenario", "initial_ues") => spec.initial_ues = as_u64(value)? as usize,
-                ("mobility", "step_ms") => spec.mobility.step_ms = as_u64(value)?,
-                ("mobility", "speed_min_mps") => spec.mobility.speed_min_mps = as_f64(value)?,
-                ("mobility", "speed_max_mps") => spec.mobility.speed_max_mps = as_f64(value)?,
-                ("mobility", "a3_hyst_db") => spec.mobility.a3_hyst_db = as_f64(value)?,
-                ("mobility", "a3_ttt_ms") => spec.mobility.a3_ttt_ms = as_u64(value)?,
-                ("churn", "arrival_mean_ms") => spec.churn.arrival_mean_ms = as_u64(value)?,
-                ("churn", "stay_mean_ms") => spec.churn.stay_mean_ms = as_u64(value)?,
-                ("churn", "max_ues") => spec.churn.max_ues = as_u64(value)? as usize,
-                ("churn", "profile_weights") => {
-                    let mut it = value.split(',').map(|w| w.trim().parse::<u32>());
-                    for slot in spec.churn.profile_weights.iter_mut() {
-                        *slot =
-                            it.next().ok_or_else(|| bad("weights"))?.map_err(|_| bad("weights"))?;
-                    }
-                }
-                ("churn", "diurnal") => {
-                    spec.churn.diurnal.clear();
-                    for part in value.split(',').filter(|p| !p.trim().is_empty()) {
-                        let (from, permille) =
-                            part.split_once(':').ok_or_else(|| bad("diurnal"))?;
-                        spec.churn.diurnal.push((
-                            from.trim().parse().map_err(|_| bad("diurnal"))?,
-                            permille.trim().parse().map_err(|_| bad("diurnal"))?,
-                        ));
-                    }
-                }
-                ("slice", "id") => {
-                    spec.slices.last_mut().ok_or_else(|| bad("slice"))?.id = as_u64(value)? as u32;
-                }
-                ("slice", "share_milli") => {
-                    spec.slices.last_mut().ok_or_else(|| bad("slice"))?.share_milli =
-                        as_u64(value)? as u32;
-                }
-                ("slice", "label") => {
-                    spec.slices.last_mut().ok_or_else(|| bad("slice"))?.label = value.to_owned();
-                }
-                ("outage", "at_ms") => {
-                    spec.outages.last_mut().ok_or_else(|| bad("outage"))?.at_ms = as_u64(value)?;
-                }
-                ("outage", "cell") => {
-                    spec.outages.last_mut().ok_or_else(|| bad("outage"))?.cell =
-                        as_u64(value)? as usize;
-                }
-                ("outage", "dur_ms") => {
-                    spec.outages.last_mut().ok_or_else(|| bad("outage"))?.dur_ms = as_u64(value)?;
-                }
-                _ => return Err(format!("line {}: unknown key `{section}.{key}`", lineno + 1)),
-            }
-        }
-        if spec.cells == 0 {
-            return Err("scenario needs at least one cell".to_owned());
-        }
-        Ok(spec)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -487,7 +377,7 @@ pub enum ScenarioEvent {
         forced: bool,
     },
     /// A cell went dark; the embedding layer should drop the owning
-    /// agent's transport (e.g. via `transport::fault` or an agent stop).
+    /// agent's transport (e.g. by stopping the agent).
     CellOutage {
         /// The victim.
         cell: usize,
@@ -1191,38 +1081,6 @@ mod tests {
         }
         let second = eng.drain_events();
         assert_eq!(first.len() + second.len(), eng.trace().len());
-    }
-
-    #[test]
-    fn parse_toml_ish_spec() {
-        let text = r#"
-            # SLA scenario
-            [scenario]
-            preset = "commuter-rush"
-            seed = 77
-            cells = 4
-            [mobility]
-            speed_max_mps = 20.0
-            [churn]
-            arrival_mean_ms = 900
-            diurnal = 0:500, 4000:2000
-            [outage]
-            at_ms = 6000
-            cell = 2
-            dur_ms = 1500
-        "#;
-        let spec = ScenarioSpec::parse(text).expect("parses");
-        assert_eq!(spec.name, "commuter-rush");
-        assert_eq!(spec.seed, 77);
-        assert_eq!(spec.cells, 4);
-        assert_eq!(spec.mobility.speed_max_mps, 20.0);
-        assert_eq!(spec.churn.arrival_mean_ms, 900);
-        assert_eq!(spec.churn.diurnal, vec![(0, 500), (4_000, 2_000)]);
-        assert_eq!(spec.outages.len(), 1, "preset had none, parse added one");
-        assert_eq!(spec.outages[0].cell, 2);
-        assert!(ScenarioSpec::parse("[scenario]\npreset = \"nope\"").is_err());
-        assert!(ScenarioSpec::parse("[scenario]\ncells = 0").is_err());
-        assert!(ScenarioSpec::parse("junk").is_err());
     }
 
     #[test]

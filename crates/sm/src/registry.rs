@@ -171,28 +171,19 @@ fn new_delta_decoder<T: DeltaRows + Send + 'static>() -> Box<dyn AnyDeltaDecoder
 /// The per-payload-kind codec vtable of one SM.
 ///
 /// Every slot is optional: an SM without a control plane leaves the ctrl
-/// slots empty, a header-less SM leaves the hdr slots empty, and only
-/// monitoring SMs install delta hooks.
+/// slot empty, and only monitoring SMs install delta hooks.
 #[derive(Default)]
 pub struct SmVtable {
     /// Event trigger definition.
     pub decode_trigger: Option<DecodeAnyFn>,
     /// Action definition.
     pub decode_action: Option<DecodeAnyFn>,
-    /// Indication header.
-    pub decode_indication_hdr: Option<DecodeAnyFn>,
     /// Indication message.
     pub decode_indication: Option<DecodeAnyFn>,
     /// Indication message, encode side.
     pub encode_indication: Option<EncodeAnyFn>,
-    /// Control header.
-    pub decode_ctrl_hdr: Option<DecodeAnyFn>,
     /// Control message.
     pub decode_ctrl: Option<DecodeAnyFn>,
-    /// Control message, encode side.
-    pub encode_ctrl: Option<EncodeAnyFn>,
-    /// Control outcome.
-    pub decode_ctrl_outcome: Option<DecodeAnyFn>,
     /// Fresh per-subscription delta-stream decoder.
     pub new_delta_decoder: Option<fn() -> Box<dyn AnyDeltaDecoder>>,
 }
@@ -288,12 +279,6 @@ impl SmDescriptor {
         self
     }
 
-    /// Installs the indication-header codec.
-    pub fn indication_hdr<T: SmPayload + Send + 'static>(mut self) -> Self {
-        self.vtable.decode_indication_hdr = Some(decode_any::<T>);
-        self
-    }
-
     /// Installs the indication-message codec (encode + decode).
     pub fn indication<T: SmPayload + Send + 'static>(mut self) -> Self {
         self.vtable.decode_indication = Some(decode_any::<T>);
@@ -301,22 +286,9 @@ impl SmDescriptor {
         self
     }
 
-    /// Installs the control-header codec.
-    pub fn ctrl_hdr<T: SmPayload + Send + 'static>(mut self) -> Self {
-        self.vtable.decode_ctrl_hdr = Some(decode_any::<T>);
-        self
-    }
-
-    /// Installs the control-message codec (encode + decode).
+    /// Installs the control-message codec.
     pub fn ctrl<T: SmPayload + Send + 'static>(mut self) -> Self {
         self.vtable.decode_ctrl = Some(decode_any::<T>);
-        self.vtable.encode_ctrl = Some(encode_any::<T>);
-        self
-    }
-
-    /// Installs the control-outcome codec.
-    pub fn ctrl_outcome<T: SmPayload + Send + 'static>(mut self) -> Self {
-        self.vtable.decode_ctrl_outcome = Some(decode_any::<T>);
         self
     }
 

@@ -20,10 +20,9 @@
 //! ([`Listener::serve`]): over TCP that costs one small-stack thread each,
 //! over [`mem`] none — the sender and the dialer do the calling.
 //!
-//! [`fault`] decides smoltcp-style faults (drop/corrupt/delay/reorder) per
-//! message, for robustness tests.
+//! There is no fault injection here: faults are scripted on the
+//! deterministic wire of `tests/protocol.rs`, not in the I/O path.
 
-pub mod fault;
 pub mod frame;
 pub mod mem;
 pub mod rx;
@@ -54,30 +53,22 @@ pub(crate) struct TransportMetrics {
 
 pub(crate) fn obs() -> &'static TransportMetrics {
     static M: std::sync::OnceLock<TransportMetrics> = std::sync::OnceLock::new();
-    M.get_or_init(|| {
-        // Register the fault-injector series alongside ours: a no-fault
-        // deployment still lists them (at zero) in /metrics.
-        fault::fault_obs();
-        TransportMetrics {
-            tx_frames: flexric_obs::counter("flexric_transport_tx_frames_total", "frames sent"),
-            tx_bytes: flexric_obs::counter(
-                "flexric_transport_tx_bytes_total",
-                "payload bytes sent",
-            ),
-            rx_frames: flexric_obs::counter("flexric_transport_rx_frames_total", "frames received"),
-            rx_bytes: flexric_obs::counter(
-                "flexric_transport_rx_bytes_total",
-                "payload bytes received",
-            ),
-            write_ns: flexric_obs::histogram(
-                "flexric_transport_write_ns",
-                "transport write latency (frame + flush, including backpressure)",
-            ),
-            read_frames_per_wakeup: flexric_obs::histogram(
-                "flexric_transport_read_frames_per_wakeup",
-                "complete frames delivered by one socket read",
-            ),
-        }
+    M.get_or_init(|| TransportMetrics {
+        tx_frames: flexric_obs::counter("flexric_transport_tx_frames_total", "frames sent"),
+        tx_bytes: flexric_obs::counter("flexric_transport_tx_bytes_total", "payload bytes sent"),
+        rx_frames: flexric_obs::counter("flexric_transport_rx_frames_total", "frames received"),
+        rx_bytes: flexric_obs::counter(
+            "flexric_transport_rx_bytes_total",
+            "payload bytes received",
+        ),
+        write_ns: flexric_obs::histogram(
+            "flexric_transport_write_ns",
+            "transport write latency (frame + flush, including backpressure)",
+        ),
+        read_frames_per_wakeup: flexric_obs::histogram(
+            "flexric_transport_read_frames_per_wakeup",
+            "complete frames delivered by one socket read",
+        ),
     })
 }
 
