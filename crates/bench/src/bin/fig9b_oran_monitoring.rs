@@ -4,10 +4,10 @@
 //! "10 dummy agents export MAC statistics (excluding HARQ) for 32 UEs
 //! using E2AP indication messages every ms."  The FlexRIC side is the
 //! monitoring controller in one process; the O-RAN side is the E2
-//! termination (decode + re-encode), an RMR hop, the xApp (second decode)
-//! and the platform components, in a separate process whose total CPU/RSS
-//! is attributed to the RIC — the paper sums its components' `docker
-//! stats` the same way.
+//! termination (decode + re-encode), a TCP hop, the xApp's controller
+//! (second decode) and the platform components, in a separate process
+//! whose total CPU/RSS is attributed to the RIC — the paper sums its
+//! components' `docker stats` the same way.
 //!
 //! ```text
 //! cargo run --release -p flexric-bench --bin fig9b_oran_monitoring \
@@ -17,33 +17,21 @@
 use flexric_bench::{metrics, roles, spawn_role, table, Args};
 use flexric_transport::TransportAddr;
 
-/// Role: the whole O-RAN RIC in one process — E2T + RMR + xApp + platform.
+/// Role: the whole O-RAN RIC in one process — the E2 termination, the
+/// xApp's controller one TCP hop above it, and the platform.  The xApp
+/// subscribes MAC statistics at every node its discovery poll finds.
 fn role_oran_ric(args: &Args) {
+    use flexric_ctrl::oran_emu::{spawn_e2t, spawn_platform, spawn_xapp_host, OranXapp};
     let listen = TransportAddr::parse(args.get("listen").expect("--listen")).expect("addr");
     let components: usize = args.get_or("platform-components", 13);
     let mb: usize = args.get_or("platform-mb", 12);
     let period: u32 = args.get_or("period", 1);
-    let sm = flexric_sm::SmCodec::Asn1Per;
-    let xapp =
-        flexric_ctrl::oran_emu::OranXapp::spawn(TransportAddr::parse("127.0.0.1:0").unwrap(), sm)
-            .expect("xapp");
-    let _south = flexric_ctrl::oran_emu::run_e2term(listen, xapp.rmr_addr.clone()).expect("e2term");
-    let _platform = flexric_ctrl::oran_emu::spawn_platform(components, mb);
-    // Subscribe to MAC stats of every agent surfaced by discovery polling.
-    let mut subscribed = std::collections::HashSet::new();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        let found: Vec<usize> = xapp.discovered.lock().unwrap().clone();
-        for agent in found {
-            if subscribed.insert(agent) {
-                xapp.subscribe(
-                    agent,
-                    flexric_e2ap::RanFunctionId::new(flexric_sm::rf::MAC_STATS),
-                    period,
-                );
-            }
-        }
-    }
+    let (xapp, _counters) = OranXapp::new(flexric_sm::SmCodec::Asn1Per, period);
+    let any_port = TransportAddr::parse("127.0.0.1:0").unwrap();
+    let host = spawn_xapp_host(any_port, vec![Box::new(xapp)]).expect("xapp host");
+    let _e2t = spawn_e2t(listen, host.addrs[0].clone()).expect("e2t");
+    let _platform = spawn_platform(components, mb);
+    roles::park_forever();
 }
 
 fn measure(
@@ -117,7 +105,7 @@ fn main() {
         "FlexRIC",
     );
 
-    // O-RAN side: E2T + RMR + xApp + platform, ASN.1.
+    // O-RAN side: E2T + a hop + xApp + platform, ASN.1.
     let (oran_cpu, oran_rss) = measure(
         vec![
             "--role".into(),
@@ -165,5 +153,5 @@ fn main() {
         oran_rss as f64 / ric_rss.max(1) as f64
     );
     println!("Paper shape check: FlexRIC CPU ≈83 % lower than O-RAN (double decode +");
-    println!("RMR hop), O-RAN memory dominated by always-on platform components.");
+    println!("extra hop), O-RAN memory dominated by always-on platform components.");
 }

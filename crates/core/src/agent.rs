@@ -570,10 +570,9 @@ struct CtrlConn {
     attempt: u32,
 }
 
-/// The E2 Setup request an E2 node opens a connection with.  The agent
-/// sends it on every `Connected`; `flexric-ctrl`'s relay builds its north
-/// side's with it too.
-pub fn setup_request(
+/// The E2 Setup request an E2 node opens a connection with, sent on every
+/// `Connected`.
+fn setup_request(
     transaction_id: u8,
     global_node: GlobalE2NodeId,
     ran_functions: Vec<RanFunctionItem>,
@@ -677,6 +676,11 @@ impl Agent {
     /// Procedures in flight toward controllers (setups, service updates).
     pub fn outstanding(&self) -> usize {
         self.endpoint.table.len()
+    }
+
+    /// The connection to `ctrl`, once E2 Setup has completed on it.
+    pub(crate) fn link(&self, ctrl: CtrlId) -> Option<PeerId> {
+        self.conns.get(ctrl).filter(|c| c.up).and_then(|c| c.peer)
     }
 
     /// The controller `peer` is bound to.  This is the one place a stale

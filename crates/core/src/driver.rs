@@ -1,9 +1,10 @@
 //! The driver: the one file of this crate that names threads, sockets and
 //! the wall clock.
 //!
-//! [`Agent`] and [`Shard`] are state machines ([`crate::machine`]): they
-//! decide everything and touch nothing.  This file does the touching, once,
-//! for both.  One [`Loop`] per machine runs on a thread of its own and owns
+//! [`Agent`], [`Shard`] and [`Relay`] are state machines
+//! ([`crate::machine`]): they decide everything and touch nothing.  This
+//! file does the touching, once, for all three.  One [`Loop`] per machine
+//! runs on a thread of its own and owns
 //!
 //! * the machine's input queue (a `std::sync::mpsc` channel: events from
 //!   its connections' readers, ticks, and work sent by the public handle);
@@ -18,8 +19,9 @@
 //! * the clock: `now_ms` only moves on a tick — `recv_timeout` running out
 //!   in real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in
 //!   virtual time — and every event is handed over with it;
-//! * the machine's own actions ([`Drive::act`]): dialling for the agent,
-//!   cross-shard handover and event publication for a shard.
+//! * the machine's own actions ([`Drive::act`]): dialling for the agent
+//!   and a relay's mirrors, cross-shard handover and event publication
+//!   for a shard.
 //!
 //! The loop thread never blocks on a socket: not to write (the writer
 //! thread does), not to connect (a dial thread does), not to accept.
@@ -39,13 +41,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use flexric_e2ap::E2apPdu;
+use flexric_e2ap::{E2SetupRequest, E2apPdu};
 use flexric_transport::{
     connect, listen, spawn_io_thread, Pump, SendHalf, Serving, Transport, TransportAddr, WireMsg,
 };
 
 use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, AgentStats, CtrlId, RanFunction};
 use crate::machine::{Action, Event, Machine, PeerId};
+use crate::relay::{Relay, RelayIn, RelayOut};
 use crate::server::{
     AgentInfo, IApp, Server, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn, ShardOut,
     ShardRouter,
@@ -269,6 +272,12 @@ impl<M: Drive> Loop<M> {
     fn run(mut self, rx: mpsc::Receiver<In<M>>, tick_ms: Option<u64>) {
         let period = tick_ms.map(|ms| Duration::from_millis(ms.max(1)));
         let mut next_tick = period.map(|p| Instant::now() + p);
+        // On the wall clock, what happens before the first tick happens at
+        // the clock's reading, not at 0: a deadline set then is not due at
+        // once.
+        if period.is_some() {
+            self.now_ms = crate::mono_ms();
+        }
         loop {
             let input = match next_tick {
                 None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
@@ -382,6 +391,86 @@ impl<M: Drive> Drop for Running<M> {
 }
 
 // ---------------------------------------------------------------------------
+// Dialling and accepting, for every machine that does
+// ---------------------------------------------------------------------------
+
+/// Carries out an agent's `Dial { ctrl, addr, after_ms }`: connects no
+/// sooner than `after_ms` from now and answers `Connected` or `DialFailed`,
+/// wrapped for the machine that asked by `wrap`.
+fn dial<M: Drive>(
+    lp: &mut Loop<M>,
+    (ctrl, addr, after_ms): (CtrlId, TransportAddr, u64),
+    wrap: impl Fn(AgentIn) -> M::In + Copy + Send + 'static,
+) {
+    let done = move |result: Result<PeerId, String>| {
+        wrap(match result {
+            Ok(peer) => AgentIn::Connected { ctrl, peer },
+            Err(error) => AgentIn::DialFailed { ctrl, error },
+        })
+    };
+    let tx = lp.tx.clone();
+    // Connecting can block, so it gets a thread for as long as it takes;
+    // the backoff is waited out there too.
+    let dial = spawn_io_thread("flexric-dial", move || {
+        thread::sleep(Duration::from_millis(after_ms));
+        let _ = match connect(&addr) {
+            Ok(transport) => tx.send(In::With(Box::new(move |lp| {
+                let result = lp.attach(transport).map_err(|e| e.to_string());
+                lp.feed(Event::App(done(result)));
+            }))),
+            Err(e) => tx.send(In::Event(Event::App(done(Err(e.to_string()))))),
+        };
+    });
+    if let Err(e) = dial {
+        lp.feed(Event::App(done(Err(e.to_string()))));
+    }
+}
+
+/// Binds the listeners of `cfg` and serves them with the accept path, off
+/// the event loops: read a connection's setup request, then hand the
+/// transport plus the parsed request to the loop `route` picks, as
+/// [`ShardIn::NewAgent`] wrapped by `new_agent`.  A dialer that says
+/// nothing holds one small thread until E2 Setup's own deadline, then is
+/// dropped.  Returns the addresses bound (ephemeral ports resolved).
+fn serve<M: Drive>(
+    cfg: &ServerConfig,
+    running: &Running<M>,
+    route: impl Fn(&E2SetupRequest) -> usize + Clone + Send + 'static,
+    new_agent: fn(ShardIn) -> M::In,
+) -> io::Result<Vec<TransportAddr>> {
+    let first_frame_within = Duration::from_millis(cfg.retry.setup_deadline_ms);
+    let mut bound = Vec::new();
+    for addr in &cfg.listen {
+        let l = listen(addr)?;
+        bound.push(l.local_addr()?);
+        let (route, txs, codec) = (route.clone(), running.loops.clone(), cfg.codec);
+        let serving = l.serve(Box::new(move |mut transport| {
+            let (route, txs) = (route.clone(), txs.clone());
+            // Not joined: it ends by itself, at the deadline at the
+            // latest, and if it cannot be spawned the dialer is dropped.
+            let _ = spawn_io_thread("flexric-setup", move || {
+                let Ok(Some(first)) = transport.recv_timeout(first_frame_within) else {
+                    return;
+                };
+                // Anything but a setup request first is a protocol
+                // violation: the connection is dropped.
+                let Ok(E2apPdu::E2SetupRequest(req)) = codec.decode(&first.payload) else {
+                    return;
+                };
+                let _ = txs[route(&req)].send(In::With(Box::new(move |lp| {
+                    let desc = transport.peer();
+                    if let Ok(peer) = lp.attach(transport) {
+                        lp.feed(Event::App(new_agent(ShardIn::NewAgent { req, peer, desc })));
+                    }
+                })));
+            });
+        }))?;
+        lock(&running.listeners).push(serving);
+    }
+    Ok(bound)
+}
+
+// ---------------------------------------------------------------------------
 // The agent behind a handle
 // ---------------------------------------------------------------------------
 
@@ -393,28 +482,7 @@ impl Drive for Agent {
     fn act(lp: &mut Loop<Self>, action: AgentOut) {
         match action {
             AgentOut::Dial { ctrl, addr, after_ms } => {
-                let tx = lp.tx.clone();
-                // Connecting can block, so it gets a thread for as long as
-                // it takes; the backoff is waited out there too.
-                let dial = spawn_io_thread("flexric-dial", move || {
-                    thread::sleep(Duration::from_millis(after_ms));
-                    let _ = match connect(&addr) {
-                        Ok(transport) => tx.send(In::With(Box::new(move |lp| {
-                            let event = match lp.attach(transport) {
-                                Ok(peer) => AgentIn::Connected { ctrl, peer },
-                                Err(e) => AgentIn::DialFailed { ctrl, error: e.to_string() },
-                            };
-                            lp.feed(Event::App(event));
-                        }))),
-                        Err(e) => {
-                            let error = e.to_string();
-                            tx.send(In::Event(Event::App(AgentIn::DialFailed { ctrl, error })))
-                        }
-                    };
-                });
-                if let Err(e) = dial {
-                    lp.feed(Event::App(AgentIn::DialFailed { ctrl, error: e.to_string() }));
-                }
+                dial(lp, (ctrl, addr, after_ms), |dialled| dialled)
             }
             AgentOut::SetupDone { ctrl, result } => {
                 if let Some(reply) = lp.port.remove(&ctrl) {
@@ -686,14 +754,6 @@ impl Server {
         let (txs, rxs): (Vec<Tx<Shard>>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
         let router = Arc::new(ShardRouter::new(shards));
 
-        let mut bound = Vec::new();
-        let mut listeners = Vec::new();
-        for addr in &cfg.listen {
-            let l = listen(addr)?;
-            bound.push(l.local_addr()?);
-            listeners.push(l);
-        }
-
         let mut loops = Vec::with_capacity(shards);
         for (idx, rx) in rxs.into_iter().enumerate() {
             let machine = Shard::new(idx, &cfg, iapps(idx), router.clone());
@@ -703,39 +763,59 @@ impl Server {
             loops.push((lp, rx));
         }
         let running = Arc::new(Running::start("flexric-shard", loops, cfg.tick_ms)?);
+        // Each connection goes to the shard the router assigns its entity to.
+        let route = move |req: &E2SetupRequest| router.assign(req.global_node.ran_entity_key());
+        let addrs = serve(&cfg, &running, route, |new_agent| new_agent)?;
+        Ok(ServerHandle { events, running, addrs })
+    }
+}
 
-        // The accept path, off the event loops: read the setup request,
-        // then hand the transport plus the parsed request to the shard the
-        // router assigns the entity to.  A dialer that says nothing holds
-        // one small thread until E2 Setup's own deadline, then is dropped.
-        let first_frame_within = Duration::from_millis(cfg.retry.setup_deadline_ms);
-        for l in listeners {
-            let (router, txs, codec) = (router.clone(), txs.clone(), cfg.codec);
-            let serving = l.serve(Box::new(move |mut transport| {
-                let (router, txs) = (router.clone(), txs.clone());
-                // Not joined: it ends by itself, at the deadline at the
-                // latest, and if it cannot be spawned the dialer is dropped.
-                let _ = spawn_io_thread("flexric-setup", move || {
-                    let Ok(Some(first)) = transport.recv_timeout(first_frame_within) else {
-                        return;
-                    };
-                    // Anything but a setup request first is a protocol
-                    // violation: the connection is dropped.
-                    let Ok(E2apPdu::E2SetupRequest(req)) = codec.decode(&first.payload) else {
-                        return;
-                    };
-                    let shard = router.assign(req.global_node.ran_entity_key());
-                    let _ = txs[shard].send(In::With(Box::new(move |lp| {
-                        let desc = transport.peer();
-                        if let Ok(peer) = lp.attach(transport) {
-                            lp.feed(Event::App(ShardIn::NewAgent { req, peer, desc }));
-                        }
-                    })));
-                });
-            }))?;
-            lock(&running.listeners).push(serving);
+// ---------------------------------------------------------------------------
+// The relay behind a handle
+// ---------------------------------------------------------------------------
+
+impl Drive for Relay {
+    type Port = ();
+
+    fn act(lp: &mut Loop<Self>, (mirror, action): RelayOut) {
+        if let AgentOut::Dial { ctrl, addr, after_ms } = action {
+            dial(lp, (ctrl, addr, after_ms), move |dialled| RelayIn::North(mirror, dialled));
         }
-        Ok(ServerHandle { events, running, addrs: bound })
+    }
+}
+
+impl Relay {
+    /// Binds the south listeners of `cfg` and spawns the relay's one loop,
+    /// whose mirrors dial `upstream`.  Returns at once: nothing is dialled
+    /// before a south agent has set up.  A config asking for more than one
+    /// shard is rejected, as [`Server::spawn`] rejects it.
+    pub fn spawn(cfg: ServerConfig, upstream: TransportAddr) -> io::Result<RelayHandle> {
+        if cfg.resolved_shards() > 1 {
+            let why = "a relay runs one shard: ServerConfig.shards must be 1";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        }
+        let (tx, rx) = mpsc::channel();
+        let lp = Loop::new(Relay::new(&cfg, upstream), (), tx);
+        let running = Arc::new(Running::start("flexric-relay", vec![(lp, rx)], cfg.tick_ms)?);
+        let addrs = serve(&cfg, &running, |_| 0, RelayIn::South)?;
+        Ok(RelayHandle { running, addrs })
+    }
+}
+
+/// Handle to a running relay.  The relay stops when [`stop`](Self::stop)
+/// is called or the last clone of its handle is dropped.
+#[derive(Clone)]
+pub struct RelayHandle {
+    running: Arc<Running<Relay>>,
+    /// Addresses the relay's south side is listening on.
+    pub addrs: Vec<TransportAddr>,
+}
+
+impl RelayHandle {
+    /// Stops the relay: when this returns its listeners are closed, its
+    /// loop has ended and its connections, north and south, are closed.
+    pub fn stop(&self) {
+        self.running.stop();
     }
 }
 

@@ -27,9 +27,11 @@
 //! Both libraries are *state machines* ([`machine`]): [`Agent`] and
 //! [`server::Shard`] are plain structs with one entry point,
 //! `handle(event, now_ms, &mut actions)`, that own no socket, task, channel
-//! or clock.  One driver (`driver.rs`, behind [`Agent::spawn`] and
-//! [`Server::spawn`]) does the dialling, reading, writing and timekeeping
-//! for both; a test drives the same structs from a queue and a counter.
+//! or clock, and so is the controller hop made of the two, the
+//! [`relay::Relay`].  One driver (`driver.rs`, behind [`Agent::spawn`],
+//! [`Server::spawn`] and [`relay::Relay::spawn`]) does the dialling,
+//! reading, writing and timekeeping for all of them; a test drives the same
+//! structs from a queue and a counter.
 //!
 //! Both sides build their pending-request bookkeeping on the shared
 //! procedure-endpoint layer ([`endpoint`]): one outstanding-transaction
@@ -49,6 +51,7 @@ pub mod agent;
 mod driver;
 pub mod endpoint;
 pub mod machine;
+pub mod relay;
 pub mod report;
 pub mod scratch;
 pub mod server;

@@ -15,15 +15,15 @@
 //!   a frame arrived      ──►   Event::Frame(peer, payload)
 //!   a connection ended   ──►   Event::Closed(peer)
 //!   time passed          ──►   Event::Tick
-//!   anything else        ──►   Event::App(..)     (AgentIn / ShardIn)
+//!   anything else        ──►   Event::App(..)     (AgentIn / ShardIn / RelayIn)
 //!
 //!   Action::Send(peer, msg)    ◄──   write this frame
 //!   Action::Hangup(peer)       ◄──   close this connection
-//!   Action::App(..)            ◄──   AgentOut / ShardOut
+//!   Action::App(..)            ◄──   AgentOut / ShardOut / RelayOut
 //! ```
 //!
-//! Equal event sequences give equal action sequences, so a run is
-//! replayable and a protocol rule is tested by feeding events.  The one
+//! Equal event sequences give equal action sequences, so a run can be
+//! played again and a protocol rule is tested by feeding events.  The one
 //! thing that would break this is hash-map iteration order, which differs
 //! from run to run: wherever a machine acts on several entries of a map at
 //! once it sorts them first (`in_order`, `poll_in_order`).

@@ -29,7 +29,7 @@
 //! shard.  The indication hot path — header peek, subscription lookup,
 //! iApp dispatch — never crosses a shard boundary and takes no cross-shard
 //! lock.  Only three things span shards: accept-time assignment (the
-//! [`ShardRouter`]), `send_pdu`/`send_pdu_multi` toward agents owned by
+//! [`ShardRouter`]), `send_pdu_multi` toward agents owned by
 //! another shard (the encoded frame leaves as a `Forward` action, never
 //! re-encoded), and the aggregating [`ServerHandle`].
 //!
@@ -44,8 +44,8 @@
 //! leaking state.  When an agent's connection drops, its identity and
 //! subscription intents are kept for [`ServerConfig::reconnect_grace_ms`];
 //! an agent presenting the same global E2 node id within the window is
-//! rebound to its old [`AgentId`] and every replayable subscription is
-//! re-issued — iApps keep their request ids and indications simply resume.
+//! rebound to its old [`AgentId`] and every subscription is re-issued —
+//! iApps keep their request ids and indications simply resume.
 //!
 //! ## The FB fast path
 //!
@@ -178,29 +178,6 @@ impl IndicationRef<'_> {
             IndicationRef::Decoded(ind) => Ok((&ind.header, &ind.message)),
         }
     }
-
-    /// Fully decodes into an owned indication.  On the FB path the
-    /// byte-valued fields stay refcounted views of the receive buffer
-    /// (borrowed decode), so "owned" costs no payload copy.
-    pub fn to_owned_indication(&self) -> Result<RicIndication, CodecError> {
-        match self {
-            IndicationRef::Raw { raw, .. } => match E2apCodec::Flatb.decode_borrowed(raw)? {
-                E2apPdu::RicIndication(ind) => Ok(ind),
-                _ => Err(CodecError::Malformed { what: "not an indication" }),
-            },
-            IndicationRef::Decoded(ind) => Ok((*ind).clone()),
-        }
-    }
-
-    /// The encoded frame, when the indication arrived undecoded (FB path):
-    /// a refcount bump on the receive-buffer slice, suitable for
-    /// forwarding verbatim to another E2 hop without re-encoding.
-    pub fn frame(&self) -> Option<bytes::Bytes> {
-        match self {
-            IndicationRef::Raw { raw, .. } => Some((*raw).clone()),
-            IndicationRef::Decoded(_) => None,
-        }
-    }
 }
 
 /// Outcome of a subscription request, delivered to the requesting iApp.
@@ -317,8 +294,8 @@ pub trait IApp: Send {
     /// An agent disconnected.
     fn on_agent_disconnected(&mut self, _api: &mut ServerApi, _agent: AgentId) {}
     /// An agent reconnected within the grace window and was rebound to its
-    /// previous [`AgentId`]; its replayable subscriptions are being
-    /// re-issued under their original request ids.
+    /// previous [`AgentId`]; its subscriptions are being re-issued under
+    /// their original request ids.
     fn on_agent_reconnected(&mut self, _api: &mut ServerApi, _agent: &AgentInfo) {}
     /// A RAN entity became complete (monolithic node, or CU+DU merged).
     fn on_ran_formed(&mut self, _api: &mut ServerApi, _ran: &RanEntity) {}

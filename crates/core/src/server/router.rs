@@ -2,7 +2,7 @@
 //!
 //! Everything on the indication hot path is shard-local; this module is
 //! the *only* state shared between shards, and it is touched only on
-//! accept, disconnect-finalize, and cross-shard `send_pdu` — none of which
+//! accept, disconnect-finalize, and cross-shard `send_pdu_multi` — none of which
 //! are per-indication work.
 //!
 //! Assignment is keyed on the RAN-entity key (`(Plmn, node id)` with the

@@ -53,6 +53,9 @@ pub enum ShardIn {
     Forwarded(AgentId, WireMsg),
     /// A northbound message for the iApp of that name.
     ToIApp(String, Box<dyn Any + Send>),
+    /// Drop this agent for good — connection, identity, subscriptions —
+    /// as an expired grace window does.
+    Disconnect(AgentId),
 }
 
 /// What a shard asks for beside sends and hangups.
@@ -88,9 +91,6 @@ struct SubState {
     actions: Vec<RicActionToBeSetup>,
     /// Whether the agent has acknowledged it (on the current connection).
     established: bool,
-    /// Whether the server owns the request and may re-issue it on
-    /// reconnect.  Claimed (forwarded) ids are routing-only.
-    replayable: bool,
 }
 
 /// Shared shard state handed to iApps through [`ServerApi`].
@@ -109,6 +109,9 @@ struct ServerCore {
     scratch: EncodeScratch,
     /// Events published since the last flush.
     published: Vec<ServerEvent>,
+    /// Frames for the E2 hop above, by the agent they answer for: what a
+    /// relay's south iApp hands up ([`Shard::drain_north`]).
+    north: Vec<(AgentId, WireMsg)>,
     now_ms: u64,
     rx_msgs: u64,
     tx_msgs: u64,
@@ -170,8 +173,8 @@ impl ServerCore {
 /// On a sharded controller each iApp instance sees the slice of the
 /// network its shard owns: `randb()` lists only local agents, and
 /// `subscribe`/`control` address local agents (connection callbacks only
-/// ever hand out local ids).  `send_pdu`/`send_pdu_multi` may address any
-/// agent — frames for remote agents are routed to their owning shard.
+/// ever hand out local ids).  `send_pdu_multi` may address any agent —
+/// frames for remote agents are routed to their owning shard.
 pub struct ServerApi<'a> {
     core: &'a mut ServerCore,
     iapp: usize,
@@ -212,25 +215,20 @@ impl ServerApi<'_> {
         actions: Vec<RicActionToBeSetup>,
     ) -> RicRequestId {
         let req_id = self.core.next_req_id(self.iapp);
-        let pdu = E2apPdu::RicSubscriptionRequest(RicSubscriptionRequest {
-            req_id,
-            ran_function,
-            event_trigger: event_trigger.clone(),
-            actions: actions.clone(),
-        });
-        self.core.subs.insert(
-            (agent, req_id),
-            SubState {
-                iapp: self.iapp,
-                ran_function,
-                event_trigger,
-                actions,
-                established: false,
-                replayable: true,
-            },
-        );
-        self.core.issue(agent, req_id, ProcedureClass::Subscription, pdu, self.iapp);
+        self.track(agent, RicSubscriptionRequest { req_id, ran_function, event_trigger, actions });
         req_id
+    }
+
+    /// Keeps `req` as this iApp's intent at `agent` and issues it: what
+    /// is retransmitted, and replayed to an agent returning within grace.
+    fn track(&mut self, agent: AgentId, req: RicSubscriptionRequest) {
+        let RicSubscriptionRequest { req_id, ran_function, .. } = req;
+        let (event_trigger, actions) = (req.event_trigger.clone(), req.actions.clone());
+        let sub =
+            SubState { iapp: self.iapp, ran_function, event_trigger, actions, established: false };
+        self.core.subs.insert((agent, req_id), sub);
+        let pdu = E2apPdu::RicSubscriptionRequest(req);
+        self.core.issue(agent, req_id, ProcedureClass::Subscription, pdu, self.iapp);
     }
 
     /// Requests a report subscription with a single report action.
@@ -335,12 +333,6 @@ impl ServerApi<'_> {
         req_id
     }
 
-    /// Sends an arbitrary PDU to an agent (relay/advanced use).  The agent
-    /// may be owned by any shard.
-    pub fn send_pdu(&mut self, agent: AgentId, pdu: E2apPdu) {
-        self.core.outbox.push((Targets::One(agent), pdu));
-    }
-
     /// Sends one PDU to several agents.  The PDU is encoded once at flush
     /// and the frozen frame is shared across all targets, including
     /// targets owned by other shards.
@@ -351,41 +343,38 @@ impl ServerApi<'_> {
         self.core.outbox.push((Targets::from_vec(agents), pdu));
     }
 
-    /// Registers an externally chosen request id so indications and
-    /// subscription outcomes for it are routed to this iApp (used by
-    /// relaying controllers that forward subscriptions verbatim).  The
-    /// forwarder owns the procedure lifecycle: the entry never times out
-    /// and is not replayed on reconnect.
-    pub fn claim_request_id(&mut self, agent: AgentId, req_id: RicRequestId) {
-        self.core.subs.insert(
-            (agent, req_id),
-            SubState {
-                iapp: self.iapp,
-                ran_function: RanFunctionId::new(0),
-                event_trigger: Bytes::new(),
-                actions: Vec::new(),
-                established: false,
-                replayable: false,
-            },
-        );
+    /// Forwards a functional request that arrived from elsewhere (another
+    /// E2 hop) to `agent` under the request id it carries, and treats it
+    /// as this iApp's own: a subscription request as
+    /// [`subscribe`](Self::subscribe) does (tracked, retransmitted,
+    /// replayed within grace), a delete as [`unsubscribe`](Self::unsubscribe),
+    /// a control as [`control`](Self::control) — outcomes and indications
+    /// under the id come back to this iApp.  Anything else is sent as is.
+    pub fn forward_request(&mut self, agent: AgentId, pdu: E2apPdu) {
+        match pdu {
+            E2apPdu::RicSubscriptionRequest(req) => self.track(agent, req),
+            E2apPdu::RicSubscriptionDeleteRequest(req) => self.unsubscribe(agent, req.req_id),
+            E2apPdu::RicControlRequest(ref req) => {
+                let req_id = req.req_id;
+                self.core.issue(agent, req_id, ProcedureClass::Control, pdu, self.iapp);
+            }
+            pdu => self.core.outbox.push((agent.into(), pdu)),
+        }
     }
 
-    /// Forwards a functional request that arrived from elsewhere (another
-    /// E2 hop, an xApp) to `agent` verbatim, so the answers come back to
-    /// this iApp: a subscription request's id is claimed, and its outcome
-    /// and indications follow; a control request is tracked as
-    /// [`control`](Self::control) tracks its own, outcome and indications
-    /// under its id included.
-    pub fn forward_request(&mut self, agent: AgentId, pdu: E2apPdu) {
-        match &pdu {
-            E2apPdu::RicSubscriptionRequest(req) => self.claim_request_id(agent, req.req_id),
-            E2apPdu::RicControlRequest(req) => {
-                let req_id = req.req_id;
-                return self.core.issue(agent, req_id, ProcedureClass::Control, pdu, self.iapp);
-            }
-            _ => {}
-        }
-        self.send_pdu(agent, pdu);
+    /// Deletes every subscription this iApp holds at `agent`.
+    pub(crate) fn unsubscribe_all(&mut self, agent: AgentId) {
+        let mut mine: Vec<RicRequestId> = (self.core.subs.iter())
+            .filter(|((a, _), sub)| *a == agent && sub.iapp == self.iapp)
+            .map(|((_, req_id), _)| *req_id)
+            .collect();
+        mine.sort_unstable();
+        mine.into_iter().for_each(|req_id| self.unsubscribe(agent, req_id));
+    }
+
+    /// Hands `msg` to the E2 hop above, for `agent`.
+    pub(crate) fn send_north(&mut self, agent: AgentId, msg: WireMsg) {
+        self.core.north.push((agent, msg));
     }
 
     /// Publishes a server event to external observers.
@@ -532,6 +521,10 @@ impl Machine for Shard {
             }
             Event::App(ShardIn::Forwarded(agent, msg)) => self.deliver_forwarded(agent, msg, out),
             Event::App(ShardIn::ToIApp(name, msg)) => self.dispatch_custom(name, msg),
+            Event::App(ShardIn::Disconnect(agent)) => {
+                self.handle_closed(agent, out);
+                self.finalize_disconnect(agent, out);
+            }
         }
         self.flush(out);
     }
@@ -587,6 +580,7 @@ impl Shard {
             outbox: Vec::new(),
             scratch: EncodeScratch::with_capacity(4096),
             published: Vec::new(),
+            north: Vec::new(),
             now_ms: 0,
             rx_msgs: 0,
             tx_msgs: 0,
@@ -637,6 +631,11 @@ impl Shard {
     /// Procedures in flight toward agents.
     pub fn outstanding(&self) -> usize {
         self.core.endpoint.table.len()
+    }
+
+    /// What the iApps handed to the E2 hop above since the last drain.
+    pub(crate) fn drain_north(&mut self) -> std::vec::Drain<'_, (AgentId, WireMsg)> {
+        self.core.north.drain(..)
     }
 
     /// The agent `peer` is bound to.  This is the one place a stale
@@ -755,16 +754,11 @@ impl Shard {
         }
     }
 
-    /// Re-issues every replayable subscription intent toward a rebound
-    /// agent under its original request id.
+    /// Re-issues every subscription intent toward a rebound agent under
+    /// its original request id.
     fn replay_subscriptions(&mut self, agent: AgentId) {
-        let mut replayed: Vec<RicRequestId> = self
-            .core
-            .subs
-            .iter()
-            .filter(|((a, _), sub)| *a == agent && sub.replayable)
-            .map(|((_, req_id), _)| *req_id)
-            .collect();
+        let mut replayed: Vec<RicRequestId> =
+            self.core.subs.keys().filter(|(a, _)| *a == agent).map(|(_, req_id)| *req_id).collect();
         replayed.sort_unstable();
         for req_id in replayed {
             let Some(sub) = self.core.subs.get_mut(&(agent, req_id)) else { continue };
@@ -960,13 +954,10 @@ impl Shard {
                 let proc = self.complete(agent, resp.req_id, true);
                 if let Some(sub) = self.core.subs.get_mut(&(agent, resp.req_id)) {
                     // A retransmitted request may be acknowledged more than
-                    // once; only the first response is delivered.  Claimed
-                    // (forwarded) ids have no tracked procedure and always
-                    // pass through.
-                    let fresh = proc.is_some() || !sub.replayable;
+                    // once; only the first response is delivered.
                     sub.established = true;
                     let idx = sub.iapp;
-                    if fresh {
+                    if proc.is_some() {
                         let out = SubOutcome::Admitted(resp);
                         self.for_one(idx, |iapp, api| {
                             iapp.on_subscription_outcome(api, agent, &out)
