@@ -75,9 +75,18 @@ fn obs() -> &'static CodecMetrics {
             E2apCodec::ALL.map(|c| flexric_obs::histogram_with(name, &[("codec", c.label())], help))
         };
         CodecMetrics {
-            encode_ns: per_codec("flexric_codec_encode_ns", "E2AP encode latency"),
-            decode_ns: per_codec("flexric_codec_decode_ns", "E2AP full decode latency"),
-            peek_ns: per_codec("flexric_codec_peek_ns", "E2AP header peek latency"),
+            encode_ns: per_codec(
+                "flexric_codec_encode_ns",
+                "E2AP encode latency; sampled: 1 call in 16 timed",
+            ),
+            decode_ns: per_codec(
+                "flexric_codec_decode_ns",
+                "E2AP full decode latency; sampled: 1 call in 16 timed",
+            ),
+            peek_ns: per_codec(
+                "flexric_codec_peek_ns",
+                "E2AP header peek latency; sampled: 1 call in 16 timed",
+            ),
             rx_copies_decode: flexric_obs::counter_with(
                 "flexric_transport_rx_copies_total",
                 &[("site", "decode")],

@@ -84,7 +84,6 @@ impl EncodeScratch {
 
     /// Encodes `pdu` once and returns the frozen frame.
     pub fn encode(&mut self, codec: E2apCodec, pdu: &E2apPdu) -> Bytes {
-        let _span = flexric_obs::span!("e2ap.encode");
         codec.encode_into(pdu, &mut self.buf);
         self.buf.split().freeze()
     }

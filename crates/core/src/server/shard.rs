@@ -428,7 +428,7 @@ fn obs() -> &'static ServerObs {
         subs_live: flexric_obs::gauge("flexric_server_subscriptions_live", "active subscriptions"),
         dispatch_ns: flexric_obs::histogram(
             "flexric_server_dispatch_ns",
-            "indication dispatch latency (subscription lookup + iApp handler)",
+            "indication dispatch latency (subscription lookup + iApp handler); sampled: 1 call in 16 timed",
         ),
     })
 }

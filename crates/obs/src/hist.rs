@@ -3,15 +3,66 @@
 //! Values (nanoseconds, bytes, …) are bucketed by magnitude: 16 linear
 //! sub-buckets per power of two, so the bucket containing `v` is at most
 //! `v/16` wide — ≤ 6.25 % relative error on any reported quantile, over the
-//! full `u64` range, with a fixed 976-bucket table.  Recording is four or
-//! five `Relaxed` atomic ops and no allocation; buckets are plain counts,
-//! so snapshots from different shards, threads, or processes merge by
-//! element-wise addition ([`HistSnapshot::merge`]) and the merge is *exact*
-//! — merging per-shard snapshots yields bit-identical results to recording
-//! everything into one histogram.
+//! full `u64` range, with a fixed 976-bucket table.  Recording is two
+//! `Relaxed` read-modify-writes (bucket and sum) and two loads that let
+//! `min` / `max` be written only when the value lies beyond them; no
+//! allocation.  Buckets are plain counts, so snapshots from different
+//! shards, threads, or processes merge by element-wise addition
+//! ([`HistSnapshot::merge`]) and the merge is *exact* — merging per-shard
+//! snapshots yields bit-identical results to recording everything into one
+//! histogram.
+//!
+//! [`Histogram::record`] is exact: every value lands.  [`Histogram::timer`]
+//! is a sample: it times a pseudo-random 1 in [`TIMER_ONE_IN`] of its calls
+//! on each thread, so a timer histogram's buckets, sum and count cover the
+//! sampled calls only.  An unsampled call reads no clock and writes nothing
+//! shared; exact call counts belong in the counters beside the timed site.
 
+#[cfg(not(feature = "obs-off"))]
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+
+/// A [`Histogram::timer`] times one call in this many, drawn at random per
+/// thread.  A constant: the sample is part of every timer series' meaning.
+pub const TIMER_ONE_IN: u64 = 16;
+
+#[cfg(not(feature = "obs-off"))]
+thread_local! {
+    /// This thread's xorshift64 state; 0 until its first draw seeds it.
+    static DRAW: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whether this thread times the current call.  A random draw rather than
+/// a countdown: a countdown aliases with periodic call patterns (two timers
+/// that alternate would see every sample land on the same one of them).
+#[cfg(not(feature = "obs-off"))]
+#[inline]
+fn sampled() -> bool {
+    DRAW.with(|s| {
+        let mut x = s.get();
+        if x == 0 {
+            x = seed();
+        }
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        s.set(x);
+        x < u64::MAX / TIMER_ONE_IN
+    })
+}
+
+/// A distinct, non-zero xorshift seed per thread: splitmix64 of the order
+/// in which threads first draw.
+#[cfg(not(feature = "obs-off"))]
+#[cold]
+fn seed() -> u64 {
+    static THREADS: AtomicU64 = AtomicU64::new(0);
+    let mut z = (THREADS.fetch_add(1, Relaxed) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) | 1
+}
 
 /// log2 of the number of linear sub-buckets per power of two.
 const SUB_BITS: u32 = 4;
@@ -49,8 +100,6 @@ pub fn bucket_bound(idx: usize) -> u64 {
 
 struct HistInner {
     buckets: Vec<AtomicU64>,
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -70,7 +119,6 @@ impl Histogram {
         Histogram {
             inner: Arc::new(HistInner {
                 buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 min: AtomicU64::new(u64::MAX),
                 max: AtomicU64::new(0),
@@ -78,16 +126,21 @@ impl Histogram {
         }
     }
 
-    /// Records one value.  All-`Relaxed` atomics, no allocation.
+    /// Records one value.  All-`Relaxed` atomics, no allocation.  `min`
+    /// only falls and `max` only rises, so a load that shows `v` within
+    /// them proves the write would change nothing.
     #[cfg(not(feature = "obs-off"))]
     #[inline]
     pub fn record(&self, v: u64) {
         let inner = &*self.inner;
         inner.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        inner.count.fetch_add(1, Relaxed);
         inner.sum.fetch_add(v, Relaxed);
-        inner.min.fetch_min(v, Relaxed);
-        inner.max.fetch_max(v, Relaxed);
+        if v < inner.min.load(Relaxed) {
+            inner.min.fetch_min(v, Relaxed);
+        }
+        if v > inner.max.load(Relaxed) {
+            inner.max.fetch_max(v, Relaxed);
+        }
     }
 
     /// No-op: hooks are compiled out.
@@ -95,12 +148,13 @@ impl Histogram {
     #[inline]
     pub fn record(&self, _v: u64) {}
 
-    /// Starts a drop-guard that records elapsed nanoseconds into this
-    /// histogram when it goes out of scope.
+    /// Starts a drop-guard that, on a sampled 1 in [`TIMER_ONE_IN`] calls,
+    /// records elapsed nanoseconds into this histogram when it goes out of
+    /// scope.  The other calls read no clock and record nothing.
     #[cfg(not(feature = "obs-off"))]
     #[inline]
     pub fn timer(&self) -> Timer<'_> {
-        Timer { hist: self, start: std::time::Instant::now() }
+        Timer { started: sampled().then(|| (self, std::time::Instant::now())) }
     }
 
     /// No-op guard: neither the clock read nor the record happens.
@@ -133,18 +187,21 @@ impl Default for Histogram {
     }
 }
 
-/// Drop-guard returned by [`Histogram::timer`] and [`crate::span!`].
+/// Drop-guard returned by [`Histogram::timer`].
 #[cfg(not(feature = "obs-off"))]
 #[must_use = "the timer records on drop; binding it to `_` drops it immediately"]
 pub struct Timer<'a> {
-    hist: &'a Histogram,
-    start: std::time::Instant,
+    /// The histogram and the start time, on a sampled call only.
+    started: Option<(&'a Histogram, std::time::Instant)>,
 }
 
 #[cfg(not(feature = "obs-off"))]
 impl Drop for Timer<'_> {
+    #[inline]
     fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_nanos() as u64);
+        if let Some((hist, start)) = self.started {
+            hist.record(start.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -338,13 +395,63 @@ mod tests {
         assert_eq!(full, h.snapshot());
     }
 
+    /// 16 384 calls at 1 in 16 expect 1 024 samples, σ ≈ 31: the band is
+    /// ±8σ wide, so only a broken sampler leaves it.
+    const CALLS: u64 = 16_384;
+    const BAND: std::ops::RangeInclusive<u64> = 768..=1_280;
+
     #[test]
     fn timer_records() {
         let h = Histogram::new();
-        {
+        for _ in 0..CALLS {
             let _t = h.timer();
             std::hint::black_box(0);
         }
-        assert_eq!(h.snapshot().count, 1);
+        let n = h.snapshot().count;
+        assert!(BAND.contains(&n), "{n} of {CALLS} calls timed");
+    }
+
+    /// Two sites timed in turn, as a controller times dispatch and then
+    /// peek on every message: both are sampled.  A per-thread countdown
+    /// would land every sample on the same one of them.
+    #[test]
+    fn alternating_timers_are_both_sampled() {
+        let (a, b) = (Histogram::new(), Histogram::new());
+        for _ in 0..CALLS {
+            drop(a.timer());
+            drop(b.timer());
+        }
+        for (name, h) in [("A", &a), ("B", &b)] {
+            let n = h.snapshot().count;
+            assert!(BAND.contains(&n), "{name}: {n} of {CALLS} calls timed");
+        }
+    }
+
+    /// Concurrent writers lose nothing: the skipped `min` / `max` writes
+    /// are the ones that could not have changed them.
+    #[test]
+    fn concurrent_records_equal_a_single_threaded_reference() {
+        let values: Vec<Vec<u64>> = (0..4)
+            .map(|t| {
+                let mut rng = Rng(0xC0FFEE + t);
+                (0..100_000).map(|_| rng.next() >> (rng.next() % 64)).collect()
+            })
+            .collect();
+        let shared = Histogram::new();
+        let start = std::sync::Barrier::new(values.len());
+        std::thread::scope(|s| {
+            for vals in &values {
+                let (h, start) = (&shared, &start);
+                s.spawn(move || {
+                    start.wait();
+                    vals.iter().for_each(|&v| h.record(v));
+                });
+            }
+        });
+        let reference = Histogram::new();
+        values.iter().flatten().for_each(|&v| reference.record(v));
+        let (got, want) = (shared.snapshot(), reference.snapshot());
+        assert_eq!(got.count, 400_000);
+        assert_eq!(got, want);
     }
 }

@@ -16,9 +16,10 @@
 //!   linear sub-buckets per power of two (≤ 6.25 % relative error),
 //!   bucketwise-additive snapshots so per-shard or per-process histograms
 //!   merge exactly;
-//! - a lightweight span API ([`span!`]) that times a scope with a
-//!   drop-guard and records into a histogram resolved once per call site
-//!   through a local `OnceLock`.
+//! - scope timing: [`Histogram::timer`], a drop-guard that times a random
+//!   1 in [`hist::TIMER_ONE_IN`] calls per thread (a timer histogram is a
+//!   sample of its calls, and an unsampled call reads no clock), and
+//!   [`Stopwatch`] for the sites that need every call's elapsed time.
 //!
 //! Everything renders to Prometheus text exposition format via
 //! [`prom::render_text`]; metric names follow `flexric_<layer>_<name>`.
@@ -41,3 +42,28 @@ pub use registry::{
 };
 pub use span::Stopwatch;
 pub use stats::{percentile, summarize, Summary};
+
+/// The `obs-off` twins: every hook is a no-op, every series stays
+/// registered at zero.
+#[cfg(all(test, feature = "obs-off"))]
+mod obs_off_tests {
+    #[test]
+    fn hooks_record_nothing_and_series_stay_registered() {
+        let h = crate::histogram("obs_off_test_ns", "");
+        h.record(7);
+        for _ in 0..64 {
+            drop(h.timer());
+        }
+        assert_eq!(h.snapshot().count, 0);
+        assert_eq!(std::mem::size_of::<crate::Timer>(), 0, "the guard is zero-sized");
+        let c = crate::counter("obs_off_test_total", "");
+        c.add(3);
+        crate::gauge("obs_off_test_gauge", "").set(5);
+        assert_eq!(crate::Stopwatch::start().elapsed_ns(), 0);
+        let snap = crate::snapshot();
+        assert_eq!(snap.counter_value("obs_off_test_total"), Some(0));
+        let text = snap.render_prom();
+        assert!(text.contains("obs_off_test_ns_count 0"), "{text}");
+        assert!(text.contains("obs_off_test_gauge 0"), "{text}");
+    }
+}

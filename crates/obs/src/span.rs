@@ -1,39 +1,6 @@
-//! Lightweight span timing: `obs::span!("e2ap.encode")` returns a guard
-//! that records the scope's wall time (ns) into a histogram named
-//! `flexric_span_e2ap_encode_ns`.  The histogram handle is resolved once
-//! per call site through a local `OnceLock`, so the steady-state cost is
-//! one clock read at entry and one clock read + histogram record at drop —
-//! and nothing at all under `obs-off`.
-
-use crate::hist::Histogram;
-
-/// Times the enclosing scope into a span histogram.
-///
-/// ```
-/// fn handle() {
-///     let _span = flexric_obs::span!("e2ap.encode");
-///     // … work …
-/// } // recorded into `flexric_span_e2ap_encode_ns` here
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {{
-        static __OBS_SPAN: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
-        __OBS_SPAN.get_or_init(|| $crate::span::span_histogram($name)).timer()
-    }};
-}
-
-/// Registers the histogram backing a [`span!`] call site: the span name is
-/// sanitized into the metric name `flexric_span_<name>_ns`.
-pub fn span_histogram(name: &str) -> Histogram {
-    let mut metric = String::with_capacity(name.len() + 17);
-    metric.push_str("flexric_span_");
-    for c in name.chars() {
-        metric.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    metric.push_str("_ns");
-    crate::registry::histogram(&metric, "span duration in nanoseconds")
-}
+//! [`Stopwatch`]: the elapsed time of every call, for sites that act on it
+//! (the ransim TTI overrun counter).  A site that only feeds a latency
+//! histogram takes the sampled [`crate::Histogram::timer`] instead.
 
 /// Wall-clock stopwatch for call sites that need the elapsed value itself
 /// (e.g. the ransim TTI overrun check), not just a histogram record.
@@ -75,19 +42,6 @@ impl Stopwatch {
 
 #[cfg(all(test, not(feature = "obs-off")))]
 mod tests {
-    #[test]
-    fn span_macro_records_into_named_histogram() {
-        {
-            let _s = crate::span!("test.span-macro");
-            std::hint::black_box(0);
-        }
-        {
-            let _s = crate::span!("test.span-macro");
-        }
-        let h = crate::registry::histogram("flexric_span_test_span_macro_ns", "");
-        assert_eq!(h.snapshot().count, 2);
-    }
-
     #[test]
     fn stopwatch_measures() {
         let sw = super::Stopwatch::start();
