@@ -16,6 +16,12 @@
 //! infrastructure, A's UEs absorb B's idle resources (multiplexing gain);
 //! in the dedicated one they are wasted.
 //!
+//! The run checks that shape and exits non-zero unless it holds: in both
+//! runs A's sub-slicing takes effect (UE 1 at least 1.8× UE 2, as 66/33);
+//! shared, each of B's UEs within 10 % across A's sub-slicing, and A's
+//! total with B fully idle at least 1.8× A's total before; dedicated, A's
+//! total within 10 % of its first phase throughout.
+//!
 //! ```text
 //! cargo run --release -p flexric-bench --bin fig15_recursive [--secs 50]
 //! ```
@@ -23,6 +29,7 @@
 use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
+use flexric::relay::BridgeHandle;
 use flexric::server::{Server, ServerConfig, ServerHandle};
 use flexric_bench::{table, Args};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
@@ -82,6 +89,8 @@ fn attach_ues(sim: &mut Sim, cell: usize, ues: &[(u16, (u16, u16))]) -> Vec<usiz
 struct Setup {
     sim: Arc<Mutex<Sim>>,
     agents: Vec<AgentHandle>,
+    /// The virtualization controller, in the shared case.
+    virt: Option<BridgeHandle>,
     servers: Vec<ServerHandle>,
     tenant_a: TenantCtrl,
     flows: Vec<usize>,
@@ -122,7 +131,7 @@ fn setup_dedicated(tag: &str) -> Setup {
     std::thread::sleep(std::time::Duration::from_millis(100));
     // Dedicated case: tenant A controls its own eNB directly; NVS there.
     assert!(tenant_a.apply(SliceCtrl::SetAlgo { algo: flexric_sm::slice::SliceAlgo::Nvs }));
-    Setup { sim, agents, servers, tenant_a, flows, a_slice_ids: (0, 1) }
+    Setup { sim, agents, virt: None, servers, tenant_a, flows, a_slice_ids: (0, 1) }
 }
 
 /// Shared: one 50 RB eNB behind the virtualization controller; the same
@@ -159,7 +168,6 @@ fn setup_shared(tag: &str) -> Setup {
         ],
         SmCodec::Flatb,
         500,
-        None,
     )
     .expect("virt controller");
 
@@ -175,8 +183,9 @@ fn setup_shared(tag: &str) -> Setup {
 
     Setup {
         sim,
-        agents: vec![agent, virt.north.clone()],
-        servers: vec![virt.south.clone(), tenant_a.server.clone(), tenant_b.server.clone()],
+        agents: vec![agent],
+        virt: Some(virt),
+        servers: vec![tenant_a.server.clone(), tenant_b.server.clone()],
         tenant_a,
         flows,
         a_slice_ids: (0, 1),
@@ -205,6 +214,7 @@ fn run_timeline(setup: &Setup, secs: u64) -> Vec<(f64, Vec<f64>)> {
             for a in &setup.agents {
                 a.tick(now);
             }
+            setup.virt.iter().for_each(|v| v.tick(now));
             for s in &setup.servers {
                 s.tick(now);
             }
@@ -270,7 +280,8 @@ fn run_timeline(setup: &Setup, secs: u64) -> Vec<(f64, Vec<f64>)> {
     series
 }
 
-fn summarize_phases(label: &str, series: &[(f64, Vec<f64>)], secs: u64) {
+/// Prints the per-UE mean of each phase and returns them, phase by phase.
+fn summarize_phases(label: &str, series: &[(f64, Vec<f64>)], secs: u64) -> Vec<Vec<f64>> {
     let phase = |lo: f64, hi: f64| -> Vec<f64> {
         let rows: Vec<&Vec<f64>> =
             series.iter().filter(|(t, _)| *t >= lo && *t < hi).map(|(_, m)| m).collect();
@@ -305,6 +316,47 @@ fn summarize_phases(label: &str, series: &[(f64, Vec<f64>)], secs: u64) {
         &["phase", "A_ue1_mbps", "A_ue2_mbps", "B_ue3_mbps", "B_ue4_mbps", "A_total"],
         &rows,
     );
+    phases.into_iter().map(|(_, m)| m).collect()
+}
+
+/// `got` within `tol` (a fraction) of `of`.
+fn within(got: f64, of: f64, tol: f64) -> bool {
+    (got - of).abs() <= tol * of
+}
+
+/// The paper's shape, as `(what, whether it holds)`.  `ded` and `sh` are
+/// the phase means of the two runs; phase 0 has no sub-slices, 1 has A
+/// sub-sliced, 3 has B fully idle.
+fn shape(ded: &[Vec<f64>], sh: &[Vec<f64>]) -> Vec<(String, bool)> {
+    let a_total = |m: &[f64]| m[0] + m[1];
+    let mut checks = Vec::new();
+    // Without this the isolation check holds for a sub-slicing the cell
+    // refused.
+    for (run, m) in [("dedicated", &ded[1]), ("shared", &sh[1])] {
+        let what = format!("{run}: A sub-sliced, UE1 {:.2} ≥ 1.8 × UE2 {:.2} Mbit/s", m[0], m[1]);
+        checks.push((what, m[0] >= 1.8 * m[1]));
+    }
+    for ue in [2, 3] {
+        let (before, after) = (sh[0][ue], sh[1][ue]);
+        let what = format!(
+            "shared: B UE{} {before:.2} → {after:.2} Mbit/s across A's sub-slicing, within 10 %",
+            ue + 1
+        );
+        checks.push((what, within(after, before, 0.10)));
+    }
+    let (before, idle) = (a_total(&sh[0]), a_total(&sh[3]));
+    let what = format!("shared: A {before:.2} → {idle:.2} Mbit/s with B idle, at least 1.8×");
+    checks.push((what, idle >= 1.8 * before));
+    let cap = a_total(&ded[0]);
+    for (i, m) in ded.iter().enumerate().skip(1) {
+        let what = format!(
+            "dedicated: A {:.2} Mbit/s in phase {}, within 10 % of its cap {cap:.2}",
+            a_total(m),
+            i + 1
+        );
+        checks.push((what, within(a_total(m), cap, 0.10)));
+    }
+    checks
 }
 
 fn main() {
@@ -318,16 +370,24 @@ fn main() {
     eprintln!("dedicated infrastructure run...");
     let ded = setup_dedicated("ded");
     let ded_series = run_timeline(&ded, secs);
-    summarize_phases("Fig. 15a dedicated (two eNBs)", &ded_series, secs);
+    let ded_phases = summarize_phases("Fig. 15a dedicated (two eNBs)", &ded_series, secs);
 
     eprintln!("shared infrastructure run...");
     let sh = setup_shared("sh");
     let sh_series = run_timeline(&sh, secs);
-    summarize_phases("Fig. 15b shared (one eNB + virtualization controller)", &sh_series, secs);
+    let title = "Fig. 15b shared (one eNB + virtualization controller)";
+    let sh_phases = summarize_phases(title, &sh_series, secs);
 
     println!();
     println!("Paper shape check: (isolation) A's sub-slicing at 8/11 s leaves B's UEs");
-    println!("unchanged in both cases; (sharing) when B idles, A's throughput grows in");
-    println!("the shared case (multiplexing gain up to ~100 %) but stays capped at the");
-    println!("dedicated eNB rate in the dedicated case.");
+    println!("unchanged; (sharing) when B idles, A's throughput grows in the shared");
+    println!("case (multiplexing gain up to ~100 %) but stays capped at the dedicated");
+    println!("eNB rate in the dedicated case.");
+    let checks = shape(&ded_phases, &sh_phases);
+    for (what, ok) in &checks {
+        println!("  {} {what}", if *ok { "ok  " } else { "FAIL" });
+    }
+    if checks.iter().any(|(_, ok)| !ok) {
+        std::process::exit(1);
+    }
 }

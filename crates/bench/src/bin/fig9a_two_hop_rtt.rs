@@ -23,11 +23,12 @@
 //! (`git rev-parse HEAD`, "unknown" outside one).
 
 use flexric::agent::{Agent, AgentConfig};
+use flexric::relay::Bridge;
 use flexric::server::{Server, ServerConfig};
 use flexric_bench::{summarize, table, Args};
 use flexric_codec::E2apCodec;
 use flexric_ctrl::ranfun::HwFn;
-use flexric_ctrl::relay::{spawn_relay, PingApp};
+use flexric_ctrl::relay::PingApp;
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
@@ -76,7 +77,7 @@ fn flexric_two_hop(codec: E2apCodec, sm: SmCodec, payload: usize, pings: usize) 
         TransportAddr::parse("127.0.0.1:0").unwrap(),
     );
     south_cfg.codec = codec;
-    let relay = spawn_relay(south_cfg, up.addrs[0].clone()).unwrap();
+    let relay = Bridge::relay(&south_cfg, up.addrs[0].clone()).spawn(&south_cfg).unwrap();
 
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1),

@@ -402,6 +402,34 @@ pub trait RanFunction: Send {
     fn on_tick(&mut self, _ctx: &mut AgentCtx) {}
 }
 
+/// What answers control `req`, which ended in `result` (a
+/// [`RanFunction::on_control`]'s answer): an acknowledgement when one was
+/// asked for or there is an outcome to carry, a failure unless none was
+/// wanted.
+pub fn control_answer(
+    req: &RicControlRequest,
+    result: Result<Option<Bytes>, Cause>,
+) -> Option<E2apPdu> {
+    let (req_id, ran_function, call_process_id) =
+        (req.req_id, req.ran_function, req.call_process_id.clone());
+    match result {
+        Ok(outcome) if req.ack_request == Some(ControlAckRequest::Ack) || outcome.is_some() => {
+            let ack = RicControlAcknowledge { req_id, ran_function, call_process_id, outcome };
+            Some(E2apPdu::RicControlAcknowledge(ack))
+        }
+        Err(cause) if req.ack_request != Some(ControlAckRequest::NoAck) => {
+            Some(E2apPdu::RicControlFailure(RicControlFailure {
+                req_id,
+                ran_function,
+                call_process_id,
+                cause,
+                outcome: None,
+            }))
+        }
+        _ => None,
+    }
+}
+
 /// UE-to-controller association table (paper §4.1.2).
 #[derive(Debug, Default)]
 pub struct UeAssoc {
@@ -673,6 +701,11 @@ impl Agent {
         self.conns.len()
     }
 
+    /// The controllers its configuration lists, for a spawn to add.
+    pub(crate) fn controllers(&self) -> &[TransportAddr] {
+        &self.cfg.controllers
+    }
+
     /// Procedures in flight toward controllers (setups, service updates).
     pub fn outstanding(&self) -> usize {
         self.endpoint.table.len()
@@ -686,7 +719,7 @@ impl Agent {
     /// The controller `peer` is bound to.  This is the one place a stale
     /// `Frame` or `Closed` — from a connection that was hung up on or
     /// replaced — is told from a live one: it maps to no controller.
-    fn ctrl_of(&self, peer: PeerId) -> Option<CtrlId> {
+    pub(crate) fn ctrl_of(&self, peer: PeerId) -> Option<CtrlId> {
         self.conns.iter().position(|c| c.peer == Some(peer))
     }
 
@@ -1035,51 +1068,16 @@ impl Agent {
     }
 
     fn handle_control(&mut self, ctrl: CtrlId, req: RicControlRequest) {
-        let Some(fidx) = self.find_fn(req.ran_function) else {
-            self.outbox.push((
-                ctrl.into(),
-                E2apPdu::RicControlFailure(RicControlFailure {
-                    req_id: req.req_id,
-                    ran_function: req.ran_function,
-                    call_process_id: req.call_process_id.clone(),
-                    cause: Cause::Ric(RicCause::RanFunctionIdInvalid),
-                    outcome: None,
-                }),
-            ));
-            return;
+        let result = match self.find_fn(req.ran_function) {
+            None => Err(Cause::Ric(RicCause::RanFunctionIdInvalid)),
+            Some(fidx) => {
+                let Slot { f, subs } = &mut self.slots[fidx];
+                let (outbox, assoc) = (&mut self.outbox, &self.assoc);
+                f.on_control(&mut AgentCtx { now_ms: self.now_ms, outbox, assoc, subs }, ctrl, &req)
+            }
         };
-        let Slot { f, subs } = &mut self.slots[fidx];
-        let mut ctx =
-            AgentCtx { now_ms: self.now_ms, outbox: &mut self.outbox, assoc: &self.assoc, subs };
-        let result = f.on_control(&mut ctx, ctrl, &req);
-        match result {
-            Ok(outcome) => {
-                if matches!(req.ack_request, Some(ControlAckRequest::Ack)) || outcome.is_some() {
-                    self.outbox.push((
-                        ctrl.into(),
-                        E2apPdu::RicControlAcknowledge(RicControlAcknowledge {
-                            req_id: req.req_id,
-                            ran_function: req.ran_function,
-                            call_process_id: req.call_process_id,
-                            outcome,
-                        }),
-                    ));
-                }
-            }
-            Err(cause) => {
-                if !matches!(req.ack_request, Some(ControlAckRequest::NoAck)) {
-                    self.outbox.push((
-                        ctrl.into(),
-                        E2apPdu::RicControlFailure(RicControlFailure {
-                            req_id: req.req_id,
-                            ran_function: req.ran_function,
-                            call_process_id: req.call_process_id,
-                            cause,
-                            outcome: None,
-                        }),
-                    ));
-                }
-            }
+        if let Some(answer) = control_answer(&req, result) {
+            self.outbox.push((ctrl.into(), answer));
         }
     }
 

@@ -1,7 +1,7 @@
 //! The driver: the one file of this crate that names threads, sockets and
 //! the wall clock.
 //!
-//! [`Agent`], [`Shard`] and [`Relay`] are state machines
+//! [`Agent`], [`Shard`] and [`Bridge`] are state machines
 //! ([`crate::machine`]): they decide everything and touch nothing.  This
 //! file does the touching, once, for all three.  One [`Loop`] per machine
 //! runs on a thread of its own and owns
@@ -20,8 +20,8 @@
 //!   in real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in
 //!   virtual time — and every event is handed over with it;
 //! * the machine's own actions ([`Drive::act`]): dialling for the agent
-//!   and a relay's mirrors, cross-shard handover and event publication
-//!   for a shard.
+//!   and a bridge's north agents, cross-shard handover and event
+//!   publication for a shard.
 //!
 //! The loop thread never blocks on a socket: not to write (the writer
 //! thread does), not to connect (a dial thread does), not to accept.
@@ -48,7 +48,7 @@ use flexric_transport::{
 
 use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, AgentStats, CtrlId, RanFunction};
 use crate::machine::{Action, Event, Machine, PeerId};
-use crate::relay::{Relay, RelayIn, RelayOut};
+use crate::relay::{Bridge, BridgeIn, BridgeOut};
 use crate::server::{
     AgentInfo, IApp, Server, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn, ShardOut,
     ShardRouter,
@@ -474,21 +474,46 @@ fn serve<M: Drive>(
 // The agent behind a handle
 // ---------------------------------------------------------------------------
 
+/// Callers waiting for the first setup of the controller they added, by
+/// the [`CtrlId`] it got.
+type Waiting = HashMap<CtrlId, SyncSender<io::Result<CtrlId>>>;
+
+/// Answers whoever waits for the first setup of `ctrl`.
+fn setup_done(port: &mut Waiting, ctrl: CtrlId, result: Result<(), String>) {
+    if let Some(reply) = port.remove(&ctrl) {
+        let _ = reply.send(result.map(|()| ctrl).map_err(io::Error::other));
+    }
+}
+
+/// Has the machine behind `tx` add controller `addr` — to the agent whose
+/// controller count `ctrls` reads, as the event `add` wraps — and waits
+/// for its first setup.
+fn add_controller<M: Drive<Port = Waiting>>(
+    tx: &Tx<M>,
+    addr: TransportAddr,
+    ctrls: fn(&M) -> CtrlId,
+    add: fn(AgentIn) -> M::In,
+) -> io::Result<CtrlId> {
+    let (reply, rx) = mpsc::sync_channel(1);
+    let work = move |lp: &mut Loop<M>| {
+        // The count is the id the machine gives the next controller.
+        lp.port.insert(ctrls(&lp.machine), reply);
+        lp.feed(Event::App(add(AgentIn::AddController(addr))));
+    };
+    tx.send(In::With(Box::new(work))).map_err(|_| stopped())?;
+    rx.recv().map_err(|_| stopped())?
+}
+
 impl Drive for Agent {
-    /// Callers of [`AgentHandle::add_controller`] waiting for the first
-    /// setup of the controller they added.
-    type Port = HashMap<CtrlId, SyncSender<io::Result<CtrlId>>>;
+    /// Callers of [`AgentHandle::add_controller`].
+    type Port = Waiting;
 
     fn act(lp: &mut Loop<Self>, action: AgentOut) {
         match action {
             AgentOut::Dial { ctrl, addr, after_ms } => {
                 dial(lp, (ctrl, addr, after_ms), |dialled| dialled)
             }
-            AgentOut::SetupDone { ctrl, result } => {
-                if let Some(reply) = lp.port.remove(&ctrl) {
-                    let _ = reply.send(result.map(|()| ctrl).map_err(io::Error::other));
-                }
-            }
+            AgentOut::SetupDone { ctrl, result } => setup_done(&mut lp.port, ctrl, result),
         }
     }
 }
@@ -555,14 +580,7 @@ impl AgentHandle {
     /// Blocks the caller until then; neither this call nor a slow
     /// controller holds up the agent's other controllers meanwhile.
     pub fn add_controller(&self, addr: TransportAddr) -> io::Result<CtrlId> {
-        let (reply, rx) = mpsc::sync_channel(1);
-        let work = move |lp: &mut Loop<Agent>| {
-            // `ctrl_count` is the id the machine gives the next controller.
-            lp.port.insert(lp.machine.ctrl_count(), reply);
-            lp.feed(Event::App(AgentIn::AddController(addr)));
-        };
-        self.tx().send(In::With(Box::new(work))).map_err(|_| stopped())?;
-        rx.recv().map_err(|_| stopped())?
+        add_controller(self.tx(), addr, Agent::ctrl_count, |add| add)
     }
 
     /// Snapshot of the agent's counters.
@@ -771,48 +789,66 @@ impl Server {
 }
 
 // ---------------------------------------------------------------------------
-// The relay behind a handle
+// The bridge behind a handle
 // ---------------------------------------------------------------------------
 
-impl Drive for Relay {
-    type Port = ();
+impl Drive for Bridge {
+    /// The spawn, waiting for the bridge's own north agent to set up.
+    type Port = Waiting;
 
-    fn act(lp: &mut Loop<Self>, (mirror, action): RelayOut) {
-        if let AgentOut::Dial { ctrl, addr, after_ms } = action {
-            dial(lp, (ctrl, addr, after_ms), move |dialled| RelayIn::North(mirror, dialled));
+    fn act(lp: &mut Loop<Self>, (north, action): BridgeOut) {
+        match action {
+            AgentOut::Dial { ctrl, addr, after_ms } => {
+                dial(lp, (ctrl, addr, after_ms), move |dialled| BridgeIn::North(north, dialled))
+            }
+            AgentOut::SetupDone { ctrl, result } => setup_done(&mut lp.port, ctrl, result),
         }
     }
 }
 
-impl Relay {
-    /// Binds the south listeners of `cfg` and spawns the relay's one loop,
-    /// whose mirrors dial `upstream`.  Returns at once: nothing is dialled
-    /// before a south agent has set up.  A config asking for more than one
-    /// shard is rejected, as [`Server::spawn`] rejects it.
-    pub fn spawn(cfg: ServerConfig, upstream: TransportAddr) -> io::Result<RelayHandle> {
+impl Bridge {
+    /// Binds the south listeners of `cfg` and runs the bridge on one loop,
+    /// on `cfg.tick_ms`'s clock; then its own north agent, if it has one,
+    /// adds the controllers its config lists, in order.  The first that
+    /// cannot be set up fails the spawn, which blocks until then.  Nothing
+    /// else is dialled before a south node has set up.  A config asking for
+    /// more than one shard is rejected, as [`Server::spawn`] rejects it.
+    pub fn spawn(self, cfg: &ServerConfig) -> io::Result<BridgeHandle> {
         if cfg.resolved_shards() > 1 {
-            let why = "a relay runs one shard: ServerConfig.shards must be 1";
+            let why = "a bridge runs one shard: ServerConfig.shards must be 1";
             return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
+        let north = self.own().map(|a| a.controllers().to_vec()).unwrap_or_default();
         let (tx, rx) = mpsc::channel();
-        let lp = Loop::new(Relay::new(&cfg, upstream), (), tx);
-        let running = Arc::new(Running::start("flexric-relay", vec![(lp, rx)], cfg.tick_ms)?);
-        let addrs = serve(&cfg, &running, |_| 0, RelayIn::South)?;
-        Ok(RelayHandle { running, addrs })
+        let lp = Loop::new(self, HashMap::new(), tx);
+        let running = Arc::new(Running::start("flexric-bridge", vec![(lp, rx)], cfg.tick_ms)?);
+        let addrs = serve(cfg, &running, |_| 0, BridgeIn::South)?;
+        let handle = BridgeHandle { running, addrs };
+        let own = |b: &Bridge| b.own().map_or(0, Agent::ctrl_count);
+        for addr in north {
+            // On an error the handle is dropped, which stops the loop.
+            add_controller(&handle.running.loops[0], addr, own, |add| BridgeIn::North(None, add))?;
+        }
+        Ok(handle)
     }
 }
 
-/// Handle to a running relay.  The relay stops when [`stop`](Self::stop)
+/// Handle to a running bridge.  The bridge stops when [`stop`](Self::stop)
 /// is called or the last clone of its handle is dropped.
 #[derive(Clone)]
-pub struct RelayHandle {
-    running: Arc<Running<Relay>>,
-    /// Addresses the relay's south side is listening on.
+pub struct BridgeHandle {
+    running: Arc<Running<Bridge>>,
+    /// Addresses the bridge's south side is listening on.
     pub addrs: Vec<TransportAddr>,
 }
 
-impl RelayHandle {
-    /// Stops the relay: when this returns its listeners are closed, its
+impl BridgeHandle {
+    /// Advances the bridge's time (virtual-time mode, or extra ticks).
+    pub fn tick(&self, now_ms: u64) {
+        let _ = self.running.loops[0].send(In::Tick(now_ms));
+    }
+
+    /// Stops the bridge: when this returns its listeners are closed, its
     /// loop has ended and its connections, north and south, are closed.
     pub fn stop(&self) {
         self.running.stop();

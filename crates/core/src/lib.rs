@@ -28,8 +28,8 @@
 //! [`server::Shard`] are plain structs with one entry point,
 //! `handle(event, now_ms, &mut actions)`, that own no socket, task, channel
 //! or clock, and so is the controller hop made of the two, the
-//! [`relay::Relay`].  One driver (`driver.rs`, behind [`Agent::spawn`],
-//! [`Server::spawn`] and [`relay::Relay::spawn`]) does the dialling,
+//! [`relay::Bridge`].  One driver (`driver.rs`, behind [`Agent::spawn`],
+//! [`Server::spawn`] and [`relay::Bridge::spawn`]) does the dialling,
 //! reading, writing and timekeeping for all of them; a test drives the same
 //! structs from a queue and a counter.
 //!

@@ -15,11 +15,11 @@
 //!   a frame arrived      ──►   Event::Frame(peer, payload)
 //!   a connection ended   ──►   Event::Closed(peer)
 //!   time passed          ──►   Event::Tick
-//!   anything else        ──►   Event::App(..)     (AgentIn / ShardIn / RelayIn)
+//!   anything else        ──►   Event::App(..)     (AgentIn / ShardIn / BridgeIn)
 //!
 //!   Action::Send(peer, msg)    ◄──   write this frame
 //!   Action::Hangup(peer)       ◄──   close this connection
-//!   Action::App(..)            ◄──   AgentOut / ShardOut / RelayOut
+//!   Action::App(..)            ◄──   AgentOut / ShardOut / BridgeOut
 //! ```
 //!
 //! Equal event sequences give equal action sequences, so a run can be

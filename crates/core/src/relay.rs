@@ -1,25 +1,26 @@
-//! The relay: a controller hop made of the two libraries, one [`Shard`]
-//! south and one mirror [`Agent`] per south E2 node north, as one
-//! [`Machine`] — the paper's relaying controller "to emulate two hops"
-//! (§5.4, Fig. 9a), and in ASN.1 PER `flexric-ctrl`'s O-RAN E2 termination.
+//! Bridges: a controller hop made of the two libraries, one [`Shard`]
+//! south and [`Agent`]s north, as one [`Machine`] on one loop.  What tells
+//! one bridge from another is its [`Transform`], the shard's one iApp:
 //!
-//! * A south agent that completes E2 Setup gets a mirror under its node id,
-//!   advertising the functions the south accepted, which dials the
-//!   upstream with the agent library's setup retransmit, deadline and
-//!   redial.  The mirror lasts through the agent's grace window; if its
-//!   first setup fails, the relay hangs up on the agent, whose redial is
-//!   the retry.
-//! * A subscription, delete or control from mirror *k*'s upstream goes
-//!   unchanged to south agent *k* ([`ServerApi::forward_request`]; a delete
-//!   is answered at once); anything else is the mirror's.  What comes back
-//!   goes up: an FB indication as the frame it arrived in
-//!   ([`IndicationRef::Raw`], no decode, no copy), a PER one re-encoded, an
-//!   outcome as [`SubOutcome::to_pdu`] / [`CtrlOutcome::to_pdu`].
-//! * When mirror *k*'s link goes down, what was subscribed through it is
-//!   deleted at south agent *k*.
+//! * **the relay** ([`Bridge::relay`], paper §5.4, Fig. 9a; in ASN.1 PER
+//!   `flexric-ctrl`'s O-RAN E2 termination) gives each south node that sets
+//!   up a *mirror*, a north agent under its node id advertising the
+//!   functions the south accepted.  A request from a mirror's upstream goes
+//!   unchanged to its node ([`ServerApi::forward_request`]; a delete is
+//!   answered at once); what comes back goes up, an FB indication as the
+//!   frame it arrived in ([`IndicationRef::Raw`]: no decode, no copy).
+//! * **the recursive virtualization controller** (`flexric-ctrl`'s
+//!   `recursive`, §6.2) exposes one virtual E2 node to every tenant
+//!   controller through the bridge's own north agent.
+//!
+//! A north agent is the bridge's own (`None`) or *stands for* south node
+//! *k* (`Some(k)`): it lives as long as *k*; if its first setup fails the
+//! bridge hangs up on *k*, whose redial is the retry; when its live link
+//! goes down, what the bridge holds at *k* is deleted.  A PDU from a
+//! north link goes to the transform first; what it passes is the agent's.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -28,7 +29,7 @@ use flexric_codec::E2apCodec;
 use flexric_e2ap::*;
 use flexric_transport::{TransportAddr, WireMsg};
 
-use crate::agent::{Admission, Agent, AgentConfig, AgentCtx, AgentIn, AgentOut};
+use crate::agent::{Admission, Agent, AgentConfig, AgentCtx, AgentIn, AgentOut, CtrlId};
 use crate::agent::{RanFunction, SubscriptionInfo};
 use crate::endpoint::RetryPolicy;
 use crate::machine::{Action, Event, Machine, PeerId};
@@ -38,113 +39,158 @@ use crate::server::{
     ServerStats, Shard, ShardIn, ShardOut, ShardRouter, SubOutcome,
 };
 
-pub use crate::driver::RelayHandle;
+pub use crate::driver::BridgeHandle;
 
-/// What a relay is told beside frames, closes and ticks.
-pub enum RelayIn {
+/// A north agent: the one standing for south node `Some(k)`, or the
+/// bridge's own (`None`).
+pub type NorthId = Option<AgentId>;
+
+/// What a bridge is told beside frames, closes and ticks.
+pub enum BridgeIn {
     /// For the south shard: the accept path's [`ShardIn::NewAgent`].
     South(ShardIn),
-    /// For the mirror of south agent `.0`: the answer to its dial.
-    North(AgentId, AgentIn),
+    /// For north agent `.0`: the answer to its dial, or (the bridge's own)
+    /// a controller to add.
+    North(NorthId, AgentIn),
 }
 
-/// What a relay asks for beside sends and hangups: the [`AgentOut::Dial`]
-/// of the mirror of south agent `.0`, answered with [`RelayIn::North`].
-pub type RelayOut = (AgentId, AgentOut);
+/// What a bridge asks for beside sends and hangups: north agent `.0`'s
+/// [`AgentOut::Dial`], answered with [`BridgeIn::North`], and the own
+/// agent's [`AgentOut::SetupDone`].
+pub type BridgeOut = (NorthId, AgentOut);
 
-type Out = Vec<Action<RelayOut>>;
+type Out = Vec<Action<BridgeOut>>;
 
-/// The relay.  See the module docs.
-pub struct Relay {
+/// What tells one bridge from another: the south shard's one iApp, which
+/// also sees what comes from the north before the north agents do.
+pub trait Transform: IApp {
+    /// A PDU from controller `from.1` of north agent `from.0`.
+    fn north(&mut self, api: &mut ServerApi, from: (NorthId, CtrlId), pdu: &E2apPdu) -> Verdict;
+}
+
+/// What a transform does with a PDU from the north.
+pub enum Verdict {
+    /// Nothing: the PDU is the north agent's.
+    Pass,
+    /// Taken, and answered with this PDU if with anything yet.
+    Taken(Option<E2apPdu>),
+}
+
+/// A bridge.  See the module docs.
+pub struct Bridge {
     south: Shard,
-    /// Where the mirrors dial, with the south side's codec and retry policy.
-    upstream: TransportAddr,
     codec: E2apCodec,
-    retry: RetryPolicy,
-    /// One per south agent that has set up, by its id at the south shard.
-    mirrors: BTreeMap<AgentId, Agent>,
-    /// The mirrors' connections.  A peer not in here is the south shard's.
-    north: HashMap<PeerId, AgentId>,
+    /// [`Transform::north`] of the transform the shard's `dyn IApp` is.
+    north_of: fn(&mut dyn Any, &mut ServerApi, (NorthId, CtrlId), &E2apPdu) -> Verdict,
+    north: BTreeMap<NorthId, Agent>,
+    /// The north agents' connections.  A peer not in here is the shard's.
+    links: HashMap<PeerId, NorthId>,
 }
 
-impl Machine for Relay {
-    type In = RelayIn;
-    type Out = RelayOut;
+impl Machine for Bridge {
+    type In = BridgeIn;
+    type Out = BridgeOut;
 
-    fn handle(&mut self, event: Event<RelayIn>, now_ms: u64, out: &mut Out) {
+    fn handle(&mut self, event: Event<BridgeIn>, now_ms: u64, out: &mut Out) {
         match event {
-            Event::Frame(peer, raw) => match self.north.get(&peer) {
+            Event::Frame(peer, raw) => match self.links.get(&peer) {
                 Some(&k) => self.north_frame(k, peer, raw, now_ms, out),
                 None => self.south(Event::Frame(peer, raw), now_ms, out),
             },
-            Event::Closed(peer) => match self.north.get(&peer) {
-                Some(&k) => self.mirror(k, Event::Closed(peer), now_ms, out),
+            Event::Closed(peer) => match self.links.get(&peer) {
+                Some(&k) => self.agent(k, Event::Closed(peer), now_ms, out),
                 None => self.south(Event::Closed(peer), now_ms, out),
             },
             Event::Tick => {
                 self.south(Event::Tick, now_ms, out);
-                let ks: Vec<AgentId> = self.mirrors.keys().copied().collect();
-                ks.into_iter().for_each(|k| self.mirror(k, Event::Tick, now_ms, out));
+                let ks: Vec<NorthId> = self.north.keys().copied().collect();
+                ks.into_iter().for_each(|k| self.agent(k, Event::Tick, now_ms, out));
             }
-            Event::App(RelayIn::South(event)) => self.south(Event::App(event), now_ms, out),
-            Event::App(RelayIn::North(k, event)) => {
+            Event::App(BridgeIn::South(event)) => self.south(Event::App(event), now_ms, out),
+            Event::App(BridgeIn::North(k, event)) => {
                 if let AgentIn::Connected { peer, .. } = event {
-                    if !self.mirrors.contains_key(&k) {
+                    if !self.north.contains_key(&k) {
                         return out.push(Action::Hangup(peer));
                     }
-                    self.north.insert(peer, k);
+                    self.links.insert(peer, k);
                 }
-                self.mirror(k, Event::App(event), now_ms, out)
+                self.agent(k, Event::App(event), now_ms, out)
             }
         }
     }
 }
 
-impl Relay {
-    /// A relay whose south side `cfg` configures (one shard, whatever
-    /// `cfg.shards` says) and whose mirrors dial `upstream` with its codec
-    /// and retry policy.
-    pub fn new(cfg: &ServerConfig, upstream: TransportAddr) -> Self {
-        let south = Shard::new(0, cfg, vec![Box::new(South)], Arc::new(ShardRouter::new(1)));
-        let (codec, retry) = (cfg.codec, cfg.retry);
-        Relay { south, upstream, codec, retry, mirrors: BTreeMap::new(), north: HashMap::new() }
+impl Bridge {
+    /// A bridge whose south side `cfg` configures (one shard, whatever
+    /// `cfg.shards` says), with `transform` for its iApp and `own` for its
+    /// own north agent if it has one.
+    pub fn new<T: Transform>(cfg: &ServerConfig, transform: T, own: Option<Agent>) -> Self {
+        let south = Shard::new(0, cfg, vec![Box::new(transform)], Arc::new(ShardRouter::new(1)));
+        let north = own.map(|agent| (None, agent)).into_iter().collect();
+        let north_of = |t: &mut dyn Any, api: &mut ServerApi, from, pdu: &E2apPdu| {
+            t.downcast_mut::<T>().expect("the bridge's transform").north(api, from, pdu)
+        };
+        Bridge { south, codec: cfg.codec, north_of, north, links: HashMap::new() }
     }
 
-    /// The south shard's counters: its agents, the subscriptions forwarded
-    /// to them, …
+    /// The relay: its mirrors dial `upstream` with `cfg`'s codec and retry
+    /// policy.
+    pub fn relay(cfg: &ServerConfig, upstream: TransportAddr) -> Self {
+        Self::new(cfg, Mirror { upstream, codec: cfg.codec, retry: cfg.retry }, None)
+    }
+
+    /// The south shard's counters: its nodes, the subscriptions held at
+    /// them, …
     pub fn stats(&self) -> ServerStats {
         self.south.stats()
     }
 
-    /// Procedures in flight: those forwarded to south agents, and the
-    /// mirrors' own toward the upstream.
+    /// Procedures in flight: toward south nodes, and the north agents' own.
     pub fn outstanding(&self) -> usize {
-        self.south.outstanding() + self.mirrors.values().map(Agent::outstanding).sum::<usize>()
+        self.south.outstanding() + self.north.values().map(Agent::outstanding).sum::<usize>()
     }
 
-    /// A frame from mirror `k`'s upstream.
-    fn north_frame(&mut self, k: AgentId, peer: PeerId, raw: Bytes, now: u64, out: &mut Out) {
-        match self.codec.decode_borrowed(&raw) {
-            Ok(
-                pdu @ (E2apPdu::RicSubscriptionRequest(_)
-                | E2apPdu::RicSubscriptionDeleteRequest(_)
-                | E2apPdu::RicControlRequest(_)),
-            ) => self.tell_south(Down::Request(k, pdu), now, out),
-            _ => self.mirror(k, Event::Frame(peer, raw), now, out),
+    /// The bridge's own north agent.
+    pub(crate) fn own(&self) -> Option<&Agent> {
+        self.north.get(&None)
+    }
+
+    /// A frame from a link of north agent `k`.
+    fn north_frame(&mut self, k: NorthId, peer: PeerId, raw: Bytes, now: u64, out: &mut Out) {
+        let (north_of, mut verdict) = (self.north_of, Verdict::Pass);
+        let ctrl = self.north.get(&k).and_then(|a| a.ctrl_of(peer));
+        if let (Some(ctrl), Ok(pdu)) = (ctrl, self.codec.decode_borrowed(&raw)) {
+            self.act(now, out, |t, api| verdict = north_of(t.as_mut(), api, (k, ctrl), &pdu));
+        }
+        match verdict {
+            Verdict::Pass => self.agent(k, Event::Frame(peer, raw), now, out),
+            Verdict::Taken(Some(pdu)) => {
+                let frame = Bytes::from(self.codec.encode(&pdu));
+                out.push(Action::Send(peer, WireMsg::e2ap_on(stream_for(&pdu), frame)));
+            }
+            Verdict::Taken(None) => {}
         }
     }
 
-    fn tell_south(&mut self, down: Down, now: u64, out: &mut Out) {
-        let event = ShardIn::ToIApp(SOUTH.to_owned(), Box::new(down));
-        self.south(Event::App(event), now, out)
+    /// Runs `f` with the transform and its API, and carries out what it
+    /// asked for.
+    fn act(&mut self, now: u64, out: &mut Out, f: impl FnOnce(&mut Box<dyn IApp>, &mut ServerApi)) {
+        let mut actions = Vec::new();
+        self.south.act(now, &mut actions, f);
+        self.carry(actions, now, out);
     }
 
     /// Hands `event` to the south shard and carries out what it answers.
     fn south(&mut self, event: Event<ShardIn>, now: u64, out: &mut Out) {
         let mut actions = Vec::new();
         self.south.handle(event, now, &mut actions);
+        self.carry(actions, now, out);
+    }
+
+    /// Carries out what the shard asked for and what its iApp handed up.
+    fn carry(&mut self, actions: Vec<Action<ShardOut>>, now: u64, out: &mut Out) {
         for (k, msg) in self.south.drain_north() {
-            if let Some(peer) = self.mirrors.get(&k).and_then(|m| m.link(0)) {
+            if let Some(peer) = self.north.get(&Some(k)).and_then(|a| a.link(0)) {
                 out.push(Action::Send(peer, msg));
             }
         }
@@ -152,79 +198,72 @@ impl Relay {
             match action {
                 Action::Send(peer, msg) => out.push(Action::Send(peer, msg)),
                 Action::Hangup(peer) => out.push(Action::Hangup(peer)),
-                Action::App(ShardOut::Publish(ServerEvent::AgentConnected(info))) => {
-                    self.add_mirror(info, now, out)
-                }
                 Action::App(ShardOut::Publish(ServerEvent::AgentDisconnected(k))) => {
-                    self.mirrors.remove(&k);
-                    let gone = self.north.iter().filter(|(_, m)| **m == k).map(|(p, _)| *p);
-                    out.extend(gone.map(Action::Hangup));
-                    self.north.retain(|_, m| *m != k);
+                    self.north.remove(&Some(k));
+                    let gone = self.links.extract_if(|_, m| *m == Some(k)).map(|(p, _)| p);
+                    out.extend(gone.collect::<BTreeSet<_>>().into_iter().map(Action::Hangup));
                 }
                 // One shard forwards nothing, and nobody taps its events.
                 Action::App(_) => {}
             }
         }
+        for (node, agent, upstream) in self.south.take_stood() {
+            self.north.insert(Some(node), agent);
+            self.agent(Some(node), Event::App(AgentIn::AddController(upstream)), now, out);
+        }
     }
 
-    fn add_mirror(&mut self, info: AgentInfo, now: u64, out: &mut Out) {
-        let mut cfg = AgentConfig::new(info.node, self.upstream.clone());
-        (cfg.codec, cfg.retry) = (self.codec, self.retry);
-        let add = AgentIn::AddController(self.upstream.clone());
-        let identities = info.functions.into_iter().map(|f| Box::new(Mirrored(f)) as _);
-        self.mirrors.insert(info.id, Agent::new(cfg, identities.collect()));
-        self.mirror(info.id, Event::App(add), now, out);
-    }
-
-    /// Hands `event` to mirror `k` and carries out what it answers.
-    fn mirror(&mut self, k: AgentId, event: Event<AgentIn>, now: u64, out: &mut Out) {
-        let Some(m) = self.mirrors.get_mut(&k) else { return };
-        let (link, mut actions) = (m.link(0), Vec::new());
-        m.handle(event, now, &mut actions);
+    /// Hands `event` to north agent `k` and carries out what it answers.
+    fn agent(&mut self, k: NorthId, event: Event<AgentIn>, now: u64, out: &mut Out) {
+        let Some(a) = self.north.get_mut(&k) else { return };
+        let (link, mut actions) = (a.link(0), Vec::new());
+        a.handle(event, now, &mut actions);
         for action in actions {
-            match action {
-                Action::Send(peer, msg) => out.push(Action::Send(peer, msg)),
-                Action::Hangup(peer) => {
-                    self.north.remove(&peer);
+            match (k, action) {
+                (_, Action::Send(peer, msg)) => out.push(Action::Send(peer, msg)),
+                (_, Action::Hangup(peer)) => {
+                    self.links.remove(&peer);
                     out.push(Action::Hangup(peer));
-                    if link == Some(peer) {
-                        self.tell_south(Down::LinkLost(k), now, out);
+                    if let (Some(node), true) = (k, link == Some(peer)) {
+                        self.act(now, out, |_, api| api.unsubscribe_all(node));
                     }
                 }
-                Action::App(AgentOut::SetupDone { result: Err(_), .. }) => {
-                    self.mirrors.remove(&k);
-                    self.south(Event::App(ShardIn::Disconnect(k)), now, out);
+                (Some(node), Action::App(AgentOut::SetupDone { result, .. })) => {
+                    if result.is_err() {
+                        self.north.remove(&k);
+                        self.south(Event::App(ShardIn::Disconnect(node)), now, out);
+                    }
                 }
-                Action::App(AgentOut::SetupDone { result: Ok(()), .. }) => {}
-                Action::App(dial) => out.push(Action::App((k, dial))),
+                (_, Action::App(action)) => out.push(Action::App((k, action))),
             }
         }
     }
 }
 
-/// The name of the relay's one iApp.
-const SOUTH: &str = "relay";
-
-/// What the relay hands its south iApp.
-enum Down {
-    /// A functional request from the upstream of south agent `.0`.
-    Request(AgentId, E2apPdu),
-    /// The mirror of south agent `.0` lost its upstream.
-    LinkLost(AgentId),
+/// The relay's transform: a mirror per south node, requests forwarded
+/// down, answers handed up ([`ServerApi::send_north`]).
+struct Mirror {
+    /// Where the mirrors dial, with the south side's codec and retry policy.
+    upstream: TransportAddr,
+    codec: E2apCodec,
+    retry: RetryPolicy,
 }
-
-/// The relay's one iApp: it forwards what comes down and hands up
-/// ([`ServerApi::send_north`]) what the south agents answer.
-struct South;
 
 fn up(api: &mut ServerApi, agent: AgentId, pdu: &E2apPdu) {
     let frame = Bytes::from(api.codec().encode(pdu));
     api.send_north(agent, WireMsg::e2ap_on(stream_for(pdu), frame));
 }
 
-impl IApp for South {
+impl IApp for Mirror {
     fn name(&self) -> &str {
-        SOUTH
+        "relay"
+    }
+
+    fn on_agent_connected(&mut self, api: &mut ServerApi, info: &AgentInfo) {
+        let mut cfg = AgentConfig::new(info.node, self.upstream.clone());
+        (cfg.codec, cfg.retry) = (self.codec, self.retry);
+        let identities = info.functions.iter().map(|f| Box::new(Mirrored(f.clone())) as _);
+        api.stand_for(info.id, Agent::new(cfg, identities.collect()), self.upstream.clone());
     }
 
     fn on_indication(&mut self, api: &mut ServerApi, agent: AgentId, ind: &IndicationRef) {
@@ -244,27 +283,28 @@ impl IApp for South {
     fn on_control_outcome(&mut self, api: &mut ServerApi, agent: AgentId, out: &CtrlOutcome) {
         up(api, agent, &out.to_pdu());
     }
+}
 
-    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn Any + Send>) {
-        let Ok(down) = msg.downcast::<Down>() else { return };
-        match *down {
-            Down::Request(agent, pdu) => {
-                // Once taken, a delete is the shard's to see through.
-                if let E2apPdu::RicSubscriptionDeleteRequest(req) = &pdu {
-                    let resp = RicSubscriptionDeleteResponse {
-                        req_id: req.req_id,
-                        ran_function: req.ran_function,
-                    };
-                    up(api, agent, &E2apPdu::RicSubscriptionDeleteResponse(resp));
-                }
-                api.forward_request(agent, pdu);
+impl Transform for Mirror {
+    fn north(&mut self, api: &mut ServerApi, from: (NorthId, CtrlId), pdu: &E2apPdu) -> Verdict {
+        let Some(node) = from.0 else { return Verdict::Pass };
+        let answer = match pdu {
+            E2apPdu::RicSubscriptionRequest(_) | E2apPdu::RicControlRequest(_) => None,
+            // Once taken, a delete is the shard's to see through.
+            E2apPdu::RicSubscriptionDeleteRequest(del) => {
+                Some(E2apPdu::RicSubscriptionDeleteResponse(RicSubscriptionDeleteResponse {
+                    req_id: del.req_id,
+                    ran_function: del.ran_function,
+                }))
             }
-            Down::LinkLost(agent) => api.unsubscribe_all(agent),
-        }
+            _ => return Verdict::Pass,
+        };
+        api.forward_request(node, pdu.clone());
+        Verdict::Taken(answer)
     }
 }
 
-/// A south agent's function as its mirror advertises it: an identity.
+/// A south node's function as its mirror advertises it: an identity.
 /// The relay takes every request for it before the mirror would.
 struct Mirrored(RanFunctionItem);
 

@@ -283,7 +283,7 @@ impl CtrlOutcome {
 /// sees only the agents owned by that shard; instances share state through
 /// whatever the iApp's constructor puts behind an `Arc` (see
 /// `MonitorApp::replica` in `flexric-ctrl` for the pattern).
-pub trait IApp: Send {
+pub trait IApp: Send + Any {
     /// Unique name, used for northbound routing.
     fn name(&self) -> &str;
 

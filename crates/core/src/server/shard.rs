@@ -22,8 +22,9 @@ use bytes::Bytes;
 
 use flexric_codec::{CodecError, E2apCodec};
 use flexric_e2ap::*;
-use flexric_transport::WireMsg;
+use flexric_transport::{TransportAddr, WireMsg};
 
+use crate::agent::Agent;
 use crate::endpoint::{self, E2apEndpoint, Procedure, ProcedureClass, ProcedureKey};
 use crate::machine::{in_order, poll_in_order, Action, Event, Machine, PeerId};
 use crate::scratch::{self, EncodeScratch, Targets};
@@ -109,9 +110,11 @@ struct ServerCore {
     scratch: EncodeScratch,
     /// Events published since the last flush.
     published: Vec<ServerEvent>,
-    /// Frames for the E2 hop above, by the agent they answer for: what a
-    /// relay's south iApp hands up ([`Shard::drain_north`]).
+    /// Frames for the E2 hop above, by the agent they answer for, and the
+    /// north agents to stand for agents there: what a bridge's iApp hands
+    /// up ([`Shard::drain_north`], [`Shard::take_stood`]).
     north: Vec<(AgentId, WireMsg)>,
+    stood: Vec<(AgentId, Agent, TransportAddr)>,
     now_ms: u64,
     rx_msgs: u64,
     tx_msgs: u64,
@@ -377,6 +380,12 @@ impl ServerApi<'_> {
         self.core.north.push((agent, msg));
     }
 
+    /// Has `north`, dialling `upstream`, stand for `agent` in the E2 hop
+    /// above.
+    pub(crate) fn stand_for(&mut self, agent: AgentId, north: Agent, upstream: TransportAddr) {
+        self.core.stood.push((agent, north, upstream));
+    }
+
     /// Publishes a server event to external observers.
     pub fn publish(&mut self, event: ServerEvent) {
         self.core.published.push(event);
@@ -581,6 +590,7 @@ impl Shard {
             scratch: EncodeScratch::with_capacity(4096),
             published: Vec::new(),
             north: Vec::new(),
+            stood: Vec::new(),
             now_ms: 0,
             rx_msgs: 0,
             tx_msgs: 0,
@@ -636,6 +646,24 @@ impl Shard {
     /// What the iApps handed to the E2 hop above since the last drain.
     pub(crate) fn drain_north(&mut self) -> std::vec::Drain<'_, (AgentId, WireMsg)> {
         self.core.north.drain(..)
+    }
+
+    /// The north agents the iApps asked for since the last take.
+    pub(crate) fn take_stood(&mut self) -> Vec<(AgentId, Agent, TransportAddr)> {
+        std::mem::take(&mut self.core.stood)
+    }
+
+    /// Runs `f` as iApp 0's callback at `now_ms`, and answers what it asked
+    /// for: how a bridge calls its transform outside the shard's events.
+    pub(crate) fn act(
+        &mut self,
+        now_ms: u64,
+        out: &mut Vec<Action<ShardOut>>,
+        f: impl FnOnce(&mut Box<dyn IApp>, &mut ServerApi),
+    ) {
+        self.core.now_ms = now_ms;
+        self.for_one(0, f);
+        self.flush(out);
     }
 
     /// The agent `peer` is bound to.  This is the one place a stale

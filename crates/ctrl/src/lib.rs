@@ -17,12 +17,12 @@
 //!   SM control path;
 //! * [`traffic`] — the flow-based traffic controller of §6.1.1 (TC SM +
 //!   broker/REST northbound + the bufferbloat-fighting xApp);
-//! * [`recursive`] — the network-virtualization controller of §6.2
-//!   (agent-library northbound, Appendix-B NVS virtualization,
-//!   MAC-statistics partitioning);
-//! * [`relay`] — the relaying controller of the Fig. 9a comparison (the
-//!   SDK's `flexric::relay`: a south shard and a mirror agent per south
-//!   E2 node on one loop) and the pinger that measures through it;
+//! * [`recursive`] — the network-virtualization controller of §6.2: the
+//!   SDK's bridge (`flexric::relay`) with Appendix-B NVS virtualization,
+//!   slice-id remapping and MAC-statistics partitioning as its transform,
+//!   one loop, one handle;
+//! * [`relay`] — the pinger of the Fig. 9a comparison, which measures
+//!   through the SDK's relay (the same bridge, mirroring each south node);
 //! * [`flexran_emu`] — the FlexRAN baseline (§2): polling controller with
 //!   a Protobuf-style single-layer protocol;
 //! * [`oran_emu`] — the O-RAN RIC baseline (§5.4): the same relay in

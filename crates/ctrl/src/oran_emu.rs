@@ -7,9 +7,9 @@
 //! rather than with constants:
 //!
 //! * **two hops** — the E2 termination is the SDK's relay in ASN.1 PER
-//!   ([`spawn_e2t`], as [`crate::relay`] spawns it), so every message
-//!   crosses it before it reaches the controller the xApp runs on
-//!   (Fig. 9a RTT: the O-RAN row is the ASN/ASN relay row);
+//!   ([`spawn_e2t`]), so every message crosses it before it reaches the
+//!   controller the xApp runs on (Fig. 9a RTT: the O-RAN row is the
+//!   ASN/ASN relay row);
 //! * **double decode** — "indication messages are decoded twice, once in
 //!   the E2 termination, and the xApp" (Fig. 9b CPU): the E2 termination
 //!   decodes the full PDU and re-encodes it north, the xApp's controller
@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use flexric::relay::RelayHandle;
+use flexric::relay::{Bridge, BridgeHandle};
 use flexric::server::{
     AgentId, IApp, IndicationRef, Server, ServerApi, ServerConfig, ServerHandle,
 };
@@ -46,10 +46,10 @@ const POLL_MS: u64 = 100;
 
 /// Spawns the E2 termination: E2 nodes connect at `listen` and are
 /// mirrored, in ASN.1 PER, to the xApps' controller at `xapp_host`.
-pub fn spawn_e2t(listen: TransportAddr, xapp_host: TransportAddr) -> io::Result<RelayHandle> {
+pub fn spawn_e2t(listen: TransportAddr, xapp_host: TransportAddr) -> io::Result<BridgeHandle> {
     let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 0xE2), listen);
     cfg.codec = E2apCodec::Asn1Per;
-    crate::relay::spawn_relay(cfg, xapp_host)
+    Bridge::relay(&cfg, xapp_host).spawn(&cfg)
 }
 
 /// Spawns the controller xApps run on, in ASN.1 PER, at `listen`.

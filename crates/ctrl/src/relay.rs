@@ -1,32 +1,14 @@
-//! A relaying controller, and the pinger that measures through it.
-//!
-//! Used by the Fig. 9a experiment: "In FlexRIC, we use a relaying
-//! controller to emulate two hops, which, unlike O-RAN RIC, is not imposed
-//! by FlexRIC but added to carry out a fair comparison."  The relay is the
-//! SDK's ([`flexric::relay`]): one south shard and one mirror agent per
-//! south E2 node on one loop.  Procedure traffic (subscriptions, controls,
-//! their outcomes) pays one decode + one encode per hop — the honest cost
-//! of a controller hop.  FB-path indications are forwarded verbatim: the
-//! relay peeks the header, looks up the subscription, and ships the
-//! received frame (a refcounted view of its south read slab) north
-//! unchanged — no decode, no re-encode, no copy.  In ASN.1 PER the same
-//! relay is the O-RAN E2 termination ([`crate::oran_emu`]).
-
-use std::io;
+//! The pinger of the Fig. 9a experiment, which measures through a relaying
+//! controller: "In FlexRIC, we use a relaying controller to emulate two
+//! hops, which, unlike O-RAN RIC, is not imposed by FlexRIC but added to
+//! carry out a fair comparison."  The relay is the SDK's
+//! ([`flexric::relay::Bridge::relay`]); in ASN.1 PER it is the O-RAN E2
+//! termination ([`crate::oran_emu`]).
 
 use bytes::Bytes;
 
-use flexric::relay::{Relay, RelayHandle};
-use flexric::server::{AgentId, IApp, IndicationRef, ServerApi, ServerConfig};
+use flexric::server::{AgentId, IApp, IndicationRef, ServerApi};
 use flexric_e2ap::*;
-use flexric_transport::TransportAddr;
-
-/// Spawns a relaying controller: E2 nodes connect at `south.listen`, and
-/// each one that sets up is mirrored to the controller at `upstream` as
-/// the node it is, with the functions it advertised.
-pub fn spawn_relay(south: ServerConfig, upstream: TransportAddr) -> io::Result<RelayHandle> {
-    Relay::spawn(south, upstream)
-}
 
 /// Pinger utility: an upstream controller iApp that pings through
 /// control requests and records RTTs; used by the Fig. 7a and 9a
@@ -128,8 +110,10 @@ mod tests {
 
     use flexric::agent::{Agent, AgentConfig};
     use flexric::endpoint::{Backoff, RetryPolicy};
-    use flexric::server::Server;
+    use flexric::relay::Bridge;
+    use flexric::server::{Server, ServerConfig};
     use flexric_sm::SmCodec;
+    use flexric_transport::TransportAddr;
 
     use crate::ranfun::HwFn;
     use crate::test_util::{mute_controller, wait_until};
@@ -155,7 +139,8 @@ mod tests {
         );
         south_cfg.codec = codec;
         south_cfg.tick_ms = None;
-        let _relay = spawn_relay(south_cfg, TransportAddr::Mem("relay-up".into())).unwrap();
+        let up = TransportAddr::Mem("relay-up".into());
+        let _relay = Bridge::relay(&south_cfg, up).spawn(&south_cfg).unwrap();
 
         // The agent at the bottom.
         let mut acfg = AgentConfig::new(
@@ -192,7 +177,7 @@ mod tests {
         let south = TransportAddr::Mem("relay-redial-south".into());
         let mut south_cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 2), south.clone());
         south_cfg.codec = codec;
-        let relay = spawn_relay(south_cfg, up_addr.clone()).unwrap();
+        let relay = Bridge::relay(&south_cfg, up_addr.clone()).spawn(&south_cfg).unwrap();
         let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1);
         let mut acfg = AgentConfig::new(node, south);
         (acfg.codec, acfg.tick_ms) = (codec, None);
@@ -229,8 +214,8 @@ mod tests {
             ..RetryPolicy::default()
         };
         let started = Instant::now();
-        let relay = spawn_relay(south_cfg, up).unwrap();
-        assert!(started.elapsed() < deadline / 4, "spawn_relay dials nothing itself");
+        let relay = Bridge::relay(&south_cfg, up).spawn(&south_cfg).unwrap();
+        assert!(started.elapsed() < deadline / 4, "spawning the relay dials nothing itself");
 
         let mut acfg = AgentConfig::new(GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1), south);
         acfg.reconnect = Some(Backoff { initial_ms: 10, max_ms: 10 });

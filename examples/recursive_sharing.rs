@@ -46,11 +46,13 @@ fn main() {
     let tenant_a = tenant_ctrl("tenant-a");
     let _tenant_b = tenant_ctrl("tenant-b");
 
-    // The virtualization controller in between (50 % SLA each).
-    let south_cfg = ServerConfig::new(
+    // The virtualization controller in between (50 % SLA each), one loop
+    // on a 1 ms clock.
+    let mut south_cfg = ServerConfig::new(
         GlobalRicId::new(Plmn::TEST, 20),
         TransportAddr::Mem("virt-south".into()),
     );
+    south_cfg.tick_ms = Some(1);
     let virt = VirtController::spawn(
         south_cfg,
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, 99),
@@ -70,7 +72,6 @@ fn main() {
         ],
         SmCodec::Flatb,
         500,
-        Some(1),
     )
     .expect("virtualization controller");
 
@@ -183,6 +184,5 @@ fn main() {
     observe("\noperator B idle (A absorbs spare capacity — multiplexing gain)", 4);
 
     agent.stop();
-    virt.south.stop();
-    virt.north.stop();
+    virt.stop();
 }

@@ -361,7 +361,6 @@ fn recursive_virtualization_isolates_tenants() {
         ],
         SmCodec::Flatb,
         100,
-        None,
     )
     .unwrap();
 
@@ -390,12 +389,12 @@ fn recursive_virtualization_isolates_tenants() {
     acfg.tick_ms = None;
     let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).unwrap();
 
-    // Virtual-time driver covering agent + virt north agent.
+    // Virtual-time driver covering the agent and the virtualization
+    // controller's one loop.
     let run = |ms: u64| {
         let sim = sim.clone();
         let agent = agent.clone();
-        let north = virt.north.clone();
-        let south = virt.south.clone();
+        let virt = virt.clone();
         move || {
             for _ in 0..(ms / 50) {
                 for _ in 0..50 {
@@ -405,8 +404,7 @@ fn recursive_virtualization_isolates_tenants() {
                         s.now_ms()
                     };
                     agent.tick(now);
-                    north.tick(now);
-                    south.tick(now);
+                    virt.tick(now);
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -448,14 +446,17 @@ fn recursive_virtualization_isolates_tenants() {
     assert!(!reply.ok, "virtual admission control rejects over-commit");
     driver.join().unwrap();
 
-    // The tenant's slice stats (virtual view) arrived at its controller.
-    let seen = latest_a.lock().unwrap().values().next().cloned();
-    if let Some(stats) = seen {
-        for s in &stats.slices {
-            assert!(s.conf.id <= 99, "tenant sees virtual ids, got {}", s.conf.id);
-        }
-    }
+    // Tenant A's slice view arrived at its controller: its own two slices
+    // (the sub-slice and its default), under virtual ids, and its UEs in
+    // them under virtual ids too.
+    let stats = latest_a.lock().unwrap().values().next().cloned();
+    let stats = stats.expect("tenant A's slice view arrived");
+    let mut ids: Vec<u32> = stats.slices.iter().map(|s| s.conf.id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, [0, 99], "the sub-slice and the default, virtual ids");
+    assert!(stats.ue_assoc.iter().all(|(_, id)| ids.contains(id)), "{:?}", stats.ue_assoc);
     agent.stop();
+    virt.stop();
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //!
 //! No runtime, no socket, no waiting: [`Wire`] plays the driver.  It
 //! carries `Send` actions between N [`Agent`]s, K-shard controllers and
-//! [`Relay`]s as `Frame` events, turns `Dial` into `Connected` /
+//! [`Bridge`]s as `Frame` events, turns `Dial` into `Connected` /
 //! `DialFailed`, `Hangup` into the far end's `Closed`, and moves time a
 //! millisecond at a time.
 //! A script can drop, delay, hold back (reorder) or garble the next frames
@@ -14,10 +14,11 @@
 //! (lost subscription request, controller restart, reconnect within the
 //! grace window, sharded rebind, cross-shard fan-out), the regressions that
 //! fall out of E2 Setup being a tracked procedure, the relay against the
-//! direct path, and a sweep of 1 000 generated fault schedules with four
-//! invariants checked after every step.
+//! direct path, the virtualizer between two tenants and one node, and a
+//! sweep of 1 000 generated fault schedules with four invariants checked
+//! after every step.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
@@ -29,14 +30,17 @@ use flexric::agent::{
 };
 use flexric::endpoint::{Backoff, RetryPolicy};
 use flexric::machine::{Action, Event, Machine, PeerId};
-use flexric::relay::{Relay, RelayIn};
+use flexric::relay::{Bridge, BridgeIn, NorthId};
 use flexric::server::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerConfig, ServerEvent,
     ServerStats, Shard, ShardIn, ShardOut, ShardRouter, SubOutcome,
 };
 use flexric_codec::E2apCodec;
+use flexric_ctrl::recursive::{phys_slice_id, TenantConf, VirtController};
 use flexric_e2ap::*;
-use flexric_sm::{hw::HwPing, ReportTrigger, SmCodec, SmPayload};
+use flexric_sm::mac::{MacStatsInd, MacUeStats};
+use flexric_sm::slice::{SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
+use flexric_sm::{hw::HwPing, oid, rf, ReportTrigger, SmCodec, SmPayload};
 use flexric_transport::{TransportAddr, WireMsg};
 
 const CODEC: E2apCodec = E2apCodec::Flatb;
@@ -62,21 +66,20 @@ const GRACE_MS: u64 = 1_000;
 // The wire
 // ---------------------------------------------------------------------------
 
-/// One end of a connection: the agent, controller or relay it belongs to,
-/// and the id that side knows the connection by.
+/// One end of a connection: the agent, controller or bridge it belongs
+/// to, and the id that side knows the connection by.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum End {
     A(usize, PeerId),
     C(usize, PeerId),
-    R(usize, PeerId),
+    B(usize, PeerId),
 }
 
-/// Who asked for a dial: agent `.0`, or relay `.0`'s mirror of south
-/// agent `.1`.
+/// Who asked for a dial: agent `.0`, or bridge `.0`'s north agent `.1`.
 #[derive(Clone, Copy, Debug)]
 enum Dialer {
     Agent(usize),
-    Mirror(usize, AgentId),
+    North(usize, NorthId),
 }
 
 /// What the script does to the next frame crossing in one direction.
@@ -94,8 +97,8 @@ enum Fault {
 /// What a garbled frame carries: neither E2AP codec decodes it.
 const GARBLED: &[u8] = &[0xFF; 8];
 
-/// Directions: toward the controllers (agent → controller, agent → relay,
-/// relay → controller) and back.
+/// Directions: toward the controllers (agent → controller, agent → bridge,
+/// bridge → controller) and back.
 const UP: usize = 0;
 const DOWN: usize = 1;
 
@@ -110,8 +113,8 @@ struct Ctrl {
     shard_of: HashMap<PeerId, usize>,
 }
 
-struct RelayEnd {
-    relay: Relay,
+struct BridgeEnd {
+    bridge: Bridge,
     /// Accepted connections whose first frame has not arrived yet.
     fresh: HashSet<PeerId>,
 }
@@ -121,7 +124,7 @@ struct Wire {
     now: u64,
     agents: Vec<Agent>,
     ctrls: Vec<Ctrl>,
-    relays: Vec<RelayEnd>,
+    bridges: Vec<BridgeEnd>,
     links: HashMap<End, End>,
     /// In flight: (due, order, to, a frame or the close).
     flights: Vec<(u64, u64, End, Option<WireMsg>)>,
@@ -136,8 +139,8 @@ struct Wire {
     accepted_at: HashMap<usize, u64>,
     // What the machines asked for beside frames, for the tests to read.
     dial_log: Vec<(usize, CtrlId, u64)>,
-    /// The relays' mirror dials: (south agent, backoff).
-    mirror_dials: Vec<(AgentId, u64)>,
+    /// The bridges' north agents' dials: (north agent, backoff).
+    north_dials: Vec<(NorthId, u64)>,
     setup_done: Vec<(usize, CtrlId, Result<(), String>)>,
     published: Vec<ServerEvent>,
     /// Indications agents sent, and those lost to the script, to a closed
@@ -182,19 +185,19 @@ impl Wire {
         }
     }
 
-    fn relay(&mut self, r: usize, event: Event<RelayIn>) {
+    fn bridge(&mut self, b: usize, event: Event<BridgeIn>) {
         let mut out = Vec::new();
-        self.relays[r].relay.handle(event, self.now, &mut out);
+        self.bridges[b].bridge.handle(event, self.now, &mut out);
         for action in out {
             match action {
                 Action::Send(p, msg) => {
-                    let north = matches!(self.links.get(&End::R(r, p)), Some(End::C(..)));
-                    self.send(if north { UP } else { DOWN }, End::R(r, p), msg)
+                    let north = matches!(self.links.get(&End::B(b, p)), Some(End::C(..)));
+                    self.send(if north { UP } else { DOWN }, End::B(b, p), msg)
                 }
-                Action::Hangup(p) => self.hangup(End::R(r, p)),
+                Action::Hangup(p) => self.hangup(End::B(b, p)),
                 Action::App((k, AgentOut::Dial { ctrl, addr, after_ms })) => {
-                    self.mirror_dials.push((k, after_ms));
-                    self.dials.push((self.now + after_ms, Dialer::Mirror(r, k), ctrl, addr));
+                    self.north_dials.push((k, after_ms));
+                    self.dials.push((self.now + after_ms, Dialer::North(b, k), ctrl, addr));
                 }
                 Action::App(_) => {}
             }
@@ -282,17 +285,17 @@ impl Wire {
         }
         match to {
             End::A(i, p) => self.agent(i, frame_or_closed(p, what)),
-            // The relay's accept path: a connection's first frame is its
+            // The bridge's accept path: a connection's first frame is its
             // setup request.
-            End::R(r, p) if self.relays[r].fresh.remove(&p) => {
+            End::B(b, p) if self.bridges[b].fresh.remove(&p) => {
                 let Some(Ok(E2apPdu::E2SetupRequest(req))) = what.map(|m| CODEC.decode(&m.payload))
                 else {
                     return;
                 };
                 let new_agent = ShardIn::NewAgent { req, peer: p, desc: format!("wire:{p}") };
-                self.relay(r, Event::App(RelayIn::South(new_agent)));
+                self.bridge(b, Event::App(BridgeIn::South(new_agent)));
             }
-            End::R(r, p) => self.relay(r, frame_or_closed(p, what)),
+            End::B(b, p) => self.bridge(b, frame_or_closed(p, what)),
             End::C(c, _) if self.ctrls[c].silent => {
                 if let Some(msg) = &what {
                     self.lose(msg);
@@ -316,11 +319,11 @@ impl Wire {
         }
     }
 
-    /// Dials controller `c` at `mem:<c>` or relay `r` at `mem:r<r>`.
+    /// Dials controller `c` at `mem:<c>` or bridge `b` at `mem:b<b>`.
     fn connect(&mut self, from: Dialer, ctrl: CtrlId, addr: &TransportAddr) {
         let TransportAddr::Mem(name) = addr else { panic!("the wire dials mem:<index>") };
-        let (far, x): (fn(usize, PeerId) -> End, usize) = match name.strip_prefix('r') {
-            Some(r) => (End::R, r.parse().expect("relay index")),
+        let (far, x): (fn(usize, PeerId) -> End, usize) = match name.strip_prefix('b') {
+            Some(b) => (End::B, b.parse().expect("bridge index")),
             None => (End::C, name.parse().expect("controller index")),
         };
         if matches!(far(x, 0), End::C(c, _) if !self.ctrls.get(c).is_some_and(|c| c.listening)) {
@@ -329,15 +332,15 @@ impl Wire {
         }
         self.order += 2;
         let (peer, far) = (self.order - 1, far(x, self.order));
-        if let End::R(r, p) = far {
-            self.relays[r].fresh.insert(p);
+        if let End::B(b, p) = far {
+            self.bridges[b].fresh.insert(p);
         }
         let near = match from {
             Dialer::Agent(i) => {
                 self.connected_at.insert(i, self.now);
                 End::A(i, peer)
             }
-            Dialer::Mirror(r, _) => End::R(r, peer),
+            Dialer::North(b, _) => End::B(b, peer),
         };
         self.links.insert(near, far);
         self.links.insert(far, near);
@@ -348,7 +351,7 @@ impl Wire {
     fn dialled(&mut self, from: Dialer, answer: AgentIn) {
         match from {
             Dialer::Agent(i) => self.agent(i, Event::App(answer)),
-            Dialer::Mirror(r, k) => self.relay(r, Event::App(RelayIn::North(k, answer))),
+            Dialer::North(b, k) => self.bridge(b, Event::App(BridgeIn::North(k, answer))),
         }
     }
 
@@ -374,7 +377,7 @@ impl Wire {
             self.now += 1;
             self.settle();
             (0..self.agents.len()).for_each(|i| self.agent(i, Event::Tick));
-            (0..self.relays.len()).for_each(|r| self.relay(r, Event::Tick));
+            (0..self.bridges.len()).for_each(|b| self.bridge(b, Event::Tick));
             for c in 0..self.ctrls.len() {
                 (0..self.ctrls[c].shards.len()).for_each(|k| self.shard(c, k, Event::Tick));
             }
@@ -636,8 +639,8 @@ fn addr(ctrl: usize) -> TransportAddr {
     TransportAddr::Mem(ctrl.to_string())
 }
 
-fn relay_addr(relay: usize) -> TransportAddr {
-    TransportAddr::Mem(format!("r{relay}"))
+fn bridge_addr(bridge: usize) -> TransportAddr {
+    TransportAddr::Mem(format!("b{bridge}"))
 }
 
 impl Wire {
@@ -645,14 +648,18 @@ impl Wire {
     /// one [`RobApp`] per shard reporting into the returned [`Seen`].
     fn start_ctrl(&mut self, at: usize, shards: usize, auto_subscribe: bool) -> Arc<Mutex<Seen>> {
         let seen = Arc::new(Mutex::new(Seen::default()));
+        let app = || Box::new(RobApp { auto_subscribe, seen: seen.clone() }) as Box<dyn IApp>;
+        self.start_ctrl_of(at, (0..shards).map(|_| app()).collect());
+        seen
+    }
+
+    /// Starts (or restarts, at `at`) a controller of one shard per iApp.
+    fn start_ctrl_of(&mut self, at: usize, apps: Vec<Box<dyn IApp>>) {
         let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr(at));
         (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, GRACE_MS);
-        let router = Arc::new(ShardRouter::new(shards));
-        let shards: Vec<Shard> = (0..shards)
-            .map(|k| {
-                let app = RobApp { auto_subscribe, seen: seen.clone() };
-                Shard::new(k, &cfg, vec![Box::new(app)], router.clone())
-            })
+        let router = Arc::new(ShardRouter::new(apps.len()));
+        let shards: Vec<Shard> = (apps.into_iter().enumerate())
+            .map(|(k, app)| Shard::new(k, &cfg, vec![app], router.clone()))
             .collect();
         let ctrl =
             Ctrl { shards, router, listening: true, silent: false, shard_of: HashMap::new() };
@@ -663,7 +670,6 @@ impl Wire {
         }
         (0..self.ctrls[at].shards.len())
             .for_each(|k| self.shard(at, k, Event::App(ShardIn::Start)));
-        seen
     }
 
     /// Stops controller `c`: it refuses dials and its connections close.
@@ -685,17 +691,28 @@ impl Wire {
     }
 
     /// Adds an agent for E2 node `node_id` and has it add the controllers
-    /// (or relays) at `addrs`.
+    /// (or bridges) at `addrs`.
     fn start_agent_at(
         &mut self,
         node_id: u64,
         reconnect: Option<Backoff>,
         addrs: &[TransportAddr],
     ) -> usize {
+        self.start_agent_of(node_id, reconnect, addrs, vec![Box::new(PingFn::new())])
+    }
+
+    /// The same with `functions` for its RAN functions.
+    fn start_agent_of(
+        &mut self,
+        node_id: u64,
+        reconnect: Option<Backoff>,
+        addrs: &[TransportAddr],
+        functions: Vec<Box<dyn RanFunction>>,
+    ) -> usize {
         let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, node_id);
         let mut cfg = AgentConfig::new(node, addrs[0].clone());
         (cfg.codec, cfg.retry, cfg.reconnect) = (CODEC, RETRY, reconnect);
-        self.agents.push(Agent::new(cfg, vec![Box::new(PingFn::new())]));
+        self.agents.push(Agent::new(cfg, functions));
         let i = self.agents.len() - 1;
         for a in addrs {
             self.agent(i, Event::App(AgentIn::AddController(a.clone())));
@@ -704,23 +721,32 @@ impl Wire {
         i
     }
 
-    /// Starts a relay at `mem:r<index>` whose mirrors dial controller
-    /// `upstream`.
-    fn start_relay(&mut self, upstream: usize) -> usize {
-        let r = self.relays.len();
-        let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 2), relay_addr(r));
-        (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, GRACE_MS);
-        let relay = Relay::new(&cfg, addr(upstream));
-        self.relays.push(RelayEnd { relay, fresh: HashSet::new() });
-        r
+    /// The south side of a bridge at `mem:b<index>`, with `grace_ms`.
+    fn bridge_cfg(&self, grace_ms: u64) -> ServerConfig {
+        let at = bridge_addr(self.bridges.len());
+        let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 2), at);
+        (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, grace_ms);
+        cfg
     }
 
-    /// Relay `r`'s end of its connection to a controller.
-    fn north_end_of(&self, r: usize) -> End {
+    fn add_bridge(&mut self, bridge: Bridge) -> usize {
+        self.bridges.push(BridgeEnd { bridge, fresh: HashSet::new() });
+        self.bridges.len() - 1
+    }
+
+    /// Starts a relay at `mem:b<index>` whose mirrors dial controller
+    /// `upstream`.
+    fn start_relay(&mut self, upstream: usize) -> usize {
+        let relay = Bridge::relay(&self.bridge_cfg(GRACE_MS), addr(upstream));
+        self.add_bridge(relay)
+    }
+
+    /// Bridge `b`'s end of its connection to a controller.
+    fn north_end_of(&self, b: usize) -> End {
         let north = |(near, far): (&End, &End)| {
-            matches!((near, far), (End::R(x, _), End::C(..)) if *x == r).then_some(*near)
+            matches!((near, far), (End::B(x, _), End::C(..)) if *x == b).then_some(*near)
         };
-        self.links.iter().find_map(north).expect("relay is connected upstream")
+        self.links.iter().find_map(north).expect("bridge is connected upstream")
     }
 
     fn tell_iapp(&mut self, c: usize, cmd: RobCmd) {
@@ -1049,7 +1075,7 @@ fn undecodable_frames_are_answered_and_eight_in_a_row_drop_the_agent() {
 fn relay_script(relayed: bool) -> (Wire, Vec<Call>, HashMap<RicRequestId, u64>, u64) {
     let mut w = Wire::default();
     let app = w.start_ctrl(0, 1, false);
-    let at = if relayed { relay_addr(w.start_relay(0)) } else { addr(0) };
+    let at = if relayed { bridge_addr(w.start_relay(0)) } else { addr(0) };
     let a = w.start_agent_at(1, Some(BACKOFF), &[at]);
     let agent = seen(&app, |s| s.last_agent).expect("the node reached the controller");
 
@@ -1093,7 +1119,7 @@ fn relayed_outcomes_equal_direct_outcomes() {
     assert_eq!(relayed_calls, calls, "node and outcomes, under the same request ids");
     assert_eq!(relayed_inds_by, inds_by, "indications, under the same request ids");
     assert_eq!(relayed_reconnected, 0, "the relay keeps the south cut to itself");
-    let relay = &w.relays[0].relay;
+    let relay = &w.bridges[0].bridge;
     assert_eq!((relay.stats().subs, relay.outstanding()), (0, 0), "nothing forwarded is left");
     assert_eq!(relay.stats().reconnects, 1, "the relay rebound the agent");
 }
@@ -1107,18 +1133,18 @@ fn a_relay_that_loses_its_upstream_redials_and_drops_what_it_forwarded() {
     let mut w = Wire::default();
     let app = w.start_ctrl(0, 1, true);
     let r = w.start_relay(0);
-    let a = w.start_agent_at(1, Some(BACKOFF), &[relay_addr(r)]);
+    let a = w.start_agent_at(1, Some(BACKOFF), &[bridge_addr(r)]);
     w.advance(5);
     assert_eq!(seen(&app, |s| s.admitted), 1);
-    assert_eq!((w.agents[a].stats().active_subs, w.relays[r].relay.stats().subs), (1, 1));
+    assert_eq!((w.agents[a].stats().active_subs, w.bridges[r].bridge.stats().subs), (1, 1));
 
     let north = w.north_end_of(r);
     w.cut_at(north, 0);
     w.advance(1);
     assert_eq!(w.agents[a].stats().active_subs, 0, "the lost link's subscription is deleted below");
-    assert_eq!(w.relays[r].relay.stats().subs, 0);
+    assert_eq!(w.bridges[r].bridge.stats().subs, 0);
     let redial = Backoff::default().initial_ms;
-    let dials: Vec<u64> = w.mirror_dials.iter().map(|d| d.1).collect();
+    let dials: Vec<u64> = w.north_dials.iter().map(|d| d.1).collect();
     assert_eq!(dials, [0, redial], "the mirror redials under its backoff");
 
     w.advance(redial + 5);
@@ -1130,6 +1156,267 @@ fn a_relay_that_loses_its_upstream_redials_and_drops_what_it_forwarded() {
     let inds = seen(&app, |s| s.inds);
     w.advance(5);
     assert_eq!(seen(&app, |s| s.inds), inds + 5, "indications flow again");
+}
+
+// ---------------------------------------------------------------------------
+// 9. The virtualizer: two tenants on one node, through one bridge.
+// ---------------------------------------------------------------------------
+
+/// What a tenant controller's iApp saw.
+#[derive(Default)]
+struct TenantSeen {
+    /// The latest MAC statistics of the (virtual) node.
+    mac: Option<MacStatsInd>,
+    /// How each control ended: acknowledged or not.
+    ctrls: Vec<bool>,
+}
+
+/// A tenant's controller: subscribes to the MAC statistics of the node it
+/// sees, and sends that node the slice commands it is handed.
+struct TenantApp(Arc<Mutex<TenantSeen>>);
+
+impl IApp for TenantApp {
+    fn name(&self) -> &str {
+        "tenant"
+    }
+    fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
+        api.subscribe_report(agent.id, RanFunctionId::new(rf::MAC_STATS), every_ms_1());
+    }
+    fn on_indication(&mut self, _api: &mut ServerApi, _agent: AgentId, ind: &IndicationRef) {
+        let (_, msg) = ind.sm_payload().unwrap();
+        self.0.lock().unwrap().mac = Some(MacStatsInd::decode(SmCodec::Flatb, msg).unwrap());
+    }
+    fn on_control_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, out: &CtrlOutcome) {
+        self.0.lock().unwrap().ctrls.push(matches!(out, CtrlOutcome::Ack(_)));
+    }
+    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn std::any::Any + Send>) {
+        let Ok(cmd) = msg.downcast::<SliceCtrl>() else { return };
+        let node = api.randb().agents().next().expect("the virtual node").id;
+        let (rf, msg) =
+            (RanFunctionId::new(rf::SLICE_CTRL), Bytes::from(cmd.encode(SmCodec::Flatb)));
+        api.control(node, rf, Bytes::new(), msg, Some(ControlAckRequest::Ack));
+    }
+}
+
+/// A south node's cell, as far as the virtualizer can tell: two UEs per
+/// tenant, and the slice commands it was sent.
+#[derive(Default)]
+struct StubCell {
+    cmds: Vec<SliceCtrl>,
+}
+
+impl StubCell {
+    /// What the commands leave installed: shares by slice id, and the
+    /// slice of each UE.
+    fn installed(&self) -> (BTreeMap<u32, SliceParams>, BTreeMap<u16, u32>) {
+        let (mut slices, mut assoc) = (BTreeMap::new(), BTreeMap::new());
+        for cmd in &self.cmds {
+            match cmd {
+                SliceCtrl::AddModSlices { slices: s } => {
+                    slices.extend(s.iter().map(|s| (s.id, s.params)))
+                }
+                SliceCtrl::AssocUeSlice { assoc: a } => assoc.extend(a.iter().copied()),
+                _ => {}
+            }
+        }
+        (slices, assoc)
+    }
+}
+
+fn identity_of(oid: &str) -> RanFunctionItem {
+    flexric_sm::registry::global().latest(oid).unwrap().advertisement(SmCodec::Flatb)
+}
+
+/// The stub cell's MAC statistics: its UEs, each in the slice the commands
+/// left it in.
+struct StubMac(RanFunctionItem, Arc<Mutex<StubCell>>);
+
+impl RanFunction for StubMac {
+    fn identity(&self) -> &RanFunctionItem {
+        &self.0
+    }
+    fn on_subscription(
+        &mut self,
+        _ctx: &mut AgentCtx,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, SmCodec::Flatb)
+    }
+    fn on_report(&mut self, ctx: &mut AgentCtx, due: Due<'_>) {
+        let (_, slice_of) = self.1.lock().unwrap().installed();
+        let ue = |rnti, plmn_mcc| {
+            let slice_id = slice_of.get(&rnti).copied().unwrap_or(u32::MAX);
+            MacUeStats { rnti, plmn_mcc, plmn_mnc: 1, slice_id, ..Default::default() }
+        };
+        let ues = vec![ue(0x11, 1), ue(0x12, 1), ue(0x21, 2), ue(0x22, 2)];
+        let msg = Bytes::from(
+            MacStatsInd { tstamp_ms: ctx.now_ms, cell_prbs: 50, ues }.encode(SmCodec::Flatb),
+        );
+        for sub in due.iter() {
+            ctx.send_indication(sub.info(), None, Bytes::new(), msg.clone());
+        }
+    }
+}
+
+/// The stub cell's slice control: keeps every command.
+struct StubSlice(RanFunctionItem, Arc<Mutex<StubCell>>);
+
+impl RanFunction for StubSlice {
+    fn identity(&self) -> &RanFunctionItem {
+        &self.0
+    }
+    fn on_subscription(
+        &mut self,
+        _ctx: &mut AgentCtx,
+        _sub: &SubscriptionInfo,
+        req: &RicSubscriptionRequest,
+    ) -> Result<Admission, Cause> {
+        Admission::report(req, SmCodec::Flatb)
+    }
+    fn on_control(
+        &mut self,
+        _ctx: &mut AgentCtx,
+        _ctrl: CtrlId,
+        req: &RicControlRequest,
+    ) -> Result<Option<Bytes>, Cause> {
+        self.1.lock().unwrap().cmds.push(SliceCtrl::decode(SmCodec::Flatb, &req.message).unwrap());
+        Ok(None)
+    }
+}
+
+impl Wire {
+    /// Starts tenant controller `at`.
+    fn start_tenant(&mut self, at: usize) -> Arc<Mutex<TenantSeen>> {
+        let seen = Arc::new(Mutex::new(TenantSeen::default()));
+        self.start_ctrl_of(at, vec![Box::new(TenantApp(seen.clone()))]);
+        seen
+    }
+
+    /// Starts the virtualizer at `mem:b<index>` (south grace window
+    /// `grace_ms`, statistics every millisecond) between tenant
+    /// controllers 0 (PLMN 1/1) and 1 (PLMN 2/1), 50 % of the cell each.
+    fn start_virt(&mut self, grace_ms: u64) -> usize {
+        let tenant = |c: usize| TenantConf {
+            name: format!("t{c}"),
+            plmn: (c as u16 + 1, 1),
+            sla_milli: 500,
+            ctrl_addr: addr(c),
+        };
+        let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, 99);
+        let cfg = self.bridge_cfg(grace_ms);
+        let virt =
+            VirtController::bridge(&cfg, node, vec![tenant(0), tenant(1)], SmCodec::Flatb, 1);
+        let b = self.add_bridge(virt.unwrap());
+        for c in 0..2 {
+            self.bridge(b, Event::App(BridgeIn::North(None, AgentIn::AddController(addr(c)))));
+        }
+        self.settle();
+        b
+    }
+
+    /// Starts E2 node `node_id` with a stub cell below bridge `b`.
+    fn start_stub_node(&mut self, node_id: u64, b: usize) -> (usize, Arc<Mutex<StubCell>>) {
+        let cell = Arc::new(Mutex::new(StubCell::default()));
+        let functions: Vec<Box<dyn RanFunction>> = vec![
+            Box::new(StubMac(identity_of(oid::MAC_STATS), cell.clone())),
+            Box::new(StubSlice(identity_of(oid::SLICE_CTRL), cell.clone())),
+        ];
+        (self.start_agent_of(node_id, None, &[bridge_addr(b)], functions), cell)
+    }
+
+    /// Tenant controller `c` sends its node `cmd`.
+    fn tenant_sends(&mut self, c: usize, cmd: SliceCtrl) {
+        self.shard(c, 0, Event::App(ShardIn::ToIApp("tenant".into(), Box::new(cmd))));
+        self.settle();
+    }
+}
+
+type Tenant = Arc<Mutex<TenantSeen>>;
+type Cell = Arc<Mutex<StubCell>>;
+
+/// Two tenant controllers, the virtualizer between them and one node with
+/// a stub cell below it, 10 ms in.
+fn virt_wire(grace_ms: u64) -> (Wire, [Tenant; 2], usize, Cell) {
+    let mut w = Wire::default();
+    let tenants = [w.start_tenant(0), w.start_tenant(1)];
+    let v = w.start_virt(grace_ms);
+    let (node, cell) = w.start_stub_node(1, v);
+    w.advance(10);
+    (w, tenants, node, cell)
+}
+
+fn nvs(id: u32, share_milli: u32) -> SliceConf {
+    let params = SliceParams::NvsCapacity { share_milli };
+    SliceConf { id, label: format!("s{id}"), params, ue_sched: UeSchedAlgo::PropFair }
+}
+
+fn cap(share_milli: u32) -> SliceParams {
+    SliceParams::NvsCapacity { share_milli }
+}
+
+/// The node is set up with every tenant's default at its SLA share and
+/// every UE in its tenant's default.  Tenant A's virtual sub-slice then
+/// arrives south as A's physical batch: its id moved into A's range, its
+/// share scaled by A's 50 %, A's default shrunk by what the sub-slice
+/// takes.  An over-commit of A's virtual 100 %, and A's claim on B's UE,
+/// are refused and send nothing south.
+#[test]
+fn virtual_slices_arrive_south_as_the_tenants_physical_batch() {
+    let (mut w, [a, _], _, cell) = virt_wire(GRACE_MS);
+    let (slices, assoc) = cell.lock().unwrap().installed();
+    assert_eq!(slices, BTreeMap::from([(99, cap(500)), (199, cap(500))]));
+    assert_eq!(assoc, BTreeMap::from([(0x11, 99), (0x12, 99), (0x21, 199), (0x22, 199)]));
+
+    w.tenant_sends(0, SliceCtrl::AddModSlices { slices: vec![nvs(0, 660)] });
+    let last = cell.lock().unwrap().cmds.last().cloned();
+    let Some(SliceCtrl::AddModSlices { slices }) = last else { panic!("{last:?}") };
+    let batch: Vec<(u32, SliceParams)> = slices.into_iter().map(|s| (s.id, s.params)).collect();
+    assert_eq!(batch, [(phys_slice_id(0, 0), cap(330)), (phys_slice_id(0, 99), cap(170))]);
+
+    let sent = cell.lock().unwrap().cmds.len();
+    w.tenant_sends(0, SliceCtrl::AddModSlices { slices: vec![nvs(1, 500)] });
+    w.tenant_sends(0, SliceCtrl::AssocUeSlice { assoc: vec![(0x21, 99)] });
+    w.advance(2);
+    assert_eq!(a.lock().unwrap().ctrls, [true, false, false], "the sub-slice only");
+    assert_eq!(cell.lock().unwrap().cmds.len(), sent, "nothing refused went south");
+}
+
+/// Each tenant's MAC view holds its own PLMN's UEs only, under virtual
+/// slice ids: A's UE on A's sub-slice as 0, the others in their tenant's
+/// default as 99.
+#[test]
+fn each_tenant_sees_only_its_own_ues_under_virtual_slice_ids() {
+    let (mut w, [a, b], _, _) = virt_wire(GRACE_MS);
+    w.tenant_sends(0, SliceCtrl::AddModSlices { slices: vec![nvs(0, 660)] });
+    w.tenant_sends(0, SliceCtrl::AssocUeSlice { assoc: vec![(0x11, 0)] });
+    w.advance(5);
+    let view = |t: &Arc<Mutex<TenantSeen>>| -> Vec<(u16, u32)> {
+        let mac = t.lock().unwrap().mac.clone().expect("a MAC view");
+        mac.ues.iter().map(|u| (u.rnti, u.slice_id)).collect()
+    };
+    assert_eq!(view(&a), [(0x11, 0), (0x12, 99)]);
+    assert_eq!(view(&b), [(0x21, 99), (0x22, 99)]);
+}
+
+/// After a sub-slice and an association the south node goes, and after
+/// the grace window another takes its place — one whose cell knows no
+/// slice.  It is sent every tenant's whole batch and every tenant UE's
+/// slice, A's UE on A's sub-slice included.
+#[test]
+fn a_replacement_south_node_is_sent_every_tenants_slices_and_ues() {
+    let (mut w, _, first, _) = virt_wire(0);
+    w.tenant_sends(0, SliceCtrl::AddModSlices { slices: vec![nvs(0, 660)] });
+    w.tenant_sends(0, SliceCtrl::AssocUeSlice { assoc: vec![(0x11, 0)] });
+    w.cut(first, 0);
+    w.advance(2);
+    assert_eq!(w.bridges[0].bridge.stats().agents, 0, "gone for good");
+
+    let (_, cell) = w.start_stub_node(2, 0);
+    w.advance(5);
+    let (slices, assoc) = cell.lock().unwrap().installed();
+    assert_eq!(slices, BTreeMap::from([(0, cap(330)), (99, cap(170)), (199, cap(500))]));
+    assert_eq!(assoc, BTreeMap::from([(0x11, 0), (0x12, 99), (0x21, 199), (0x22, 199)]));
 }
 
 // ---------------------------------------------------------------------------
