@@ -187,6 +187,16 @@ fn posted_bodies_read_as_their_attributes_prescribed() {
         "snake_case only"
     );
     assert!(json::from_slice::<SliceParamsDto>(br#"{"share_pct": 50.0}"#).is_err(), "no tag");
+    // A UE scheduler that is not one of the three is refused by name, not
+    // run as proportional fair.
+    for sched in ["RR", "wfq"] {
+        let body = format!(
+            r#"{{"agent": 0, "slices": [{{"id": 0, "params": {{"type": "nvs_capacity", "share_pct": 50.0}}, "sched": "{sched}"}}]}}"#
+        );
+        let refused =
+            json::from_slice::<ConfReq>(body.as_bytes()).map(|c| c.slices[0].sched.clone());
+        assert!(refused.as_ref().is_err_and(|e| e.to_string().contains(sched)), "{refused:?}");
+    }
 }
 
 #[test]
