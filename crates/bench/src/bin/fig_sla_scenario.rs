@@ -83,7 +83,7 @@ fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -> ArmR
         ..Default::default()
     };
     let (monitor, db, _counters) = MonitorApp::new(mcfg);
-    let (sla, ledger) = SlaApp::new(SlaConfig::new(db, targets(), closed));
+    let sla = SlaApp::new(SlaConfig::new(db, targets(), closed));
 
     let addr = TransportAddr::Mem(format!("sla-scenario-{run_id}"));
     let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr.clone());
@@ -143,28 +143,19 @@ fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -> ArmR
             // route to the monitor, so the SLA loop samples the store on
             // polls/ticks — awaiting the reply pins the cadence to
             // virtual time instead of the wall-clock server tick.
-            let _ = sla::poll(&server, std::time::Duration::from_secs(1));
+            let _ = sla::poll(&server);
         }
     }
     // Let the last indications land, then flush the accounting.
     std::thread::sleep(std::time::Duration::from_millis(100));
-    let ledger_snap = sla::poll(&server, std::time::Duration::from_secs(5)).unwrap_or_else(|| {
-        let led = ledger.lock().unwrap();
-        SlaLedger {
-            violation_ms: led.violation_ms.clone(),
-            evals: led.evals,
-            pushes: led.pushes,
-            acks: led.acks,
-            failures: led.failures,
-        }
-    });
+    let ledger = sla::poll(&server).expect("the controller runs the sla iApp");
 
     for a in agents.iter().flatten() {
         a.stop();
     }
     server.stop();
     ArmResult {
-        ledger: ledger_snap,
+        ledger,
         trace_hash: engine.trace_hash(),
         handovers: engine.stats.handovers,
         arrivals: engine.stats.arrivals,

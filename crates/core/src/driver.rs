@@ -20,8 +20,7 @@
 //!   in real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in
 //!   virtual time — and every event is handed over with it;
 //! * the machine's own actions ([`Drive::act`]): dialling for the agent
-//!   and a bridge's north agents, cross-shard handover and event
-//!   publication for a shard.
+//!   and a bridge's north agents, event publication for a shard.
 //!
 //! The loop thread never blocks on a socket: not to write (the writer
 //! thread does), not to connect (a dial thread does), not to accept.
@@ -32,7 +31,6 @@
 //! DESIGN.md ("The machine/driver split") lists the threads, the queues
 //! and the order things shut down in.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -50,8 +48,8 @@ use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, AgentStats, CtrlId, Ra
 use crate::machine::{Action, Event, Machine, PeerId};
 use crate::relay::{Bridge, BridgeIn, BridgeOut};
 use crate::server::{
-    AgentInfo, IApp, Server, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn, ShardOut,
-    ShardRouter,
+    AgentInfo, IApp, Server, ServerApi, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn,
+    ShardOut, ShardRouter,
 };
 
 // ---------------------------------------------------------------------------
@@ -253,8 +251,14 @@ impl<M: Drive> Loop<M> {
 
     /// Hands one event to the machine and carries out what it answers.
     fn feed(&mut self, event: Event<M::In>) {
+        self.step(|machine, now_ms, actions| machine.handle(event, now_ms, actions))
+    }
+
+    /// Runs `f` on the machine at the clock's reading and carries out the
+    /// actions it answers.
+    fn step<R>(&mut self, f: impl FnOnce(&mut M, u64, &mut Vec<Action<M::Out>>) -> R) -> R {
         let mut actions = std::mem::take(&mut self.actions);
-        self.machine.handle(event, self.now_ms, &mut actions);
+        let r = f(&mut self.machine, self.now_ms, &mut actions);
         for action in actions.drain(..) {
             match action {
                 Action::Send(peer, msg) => self.send(peer, msg),
@@ -267,6 +271,7 @@ impl<M: Drive> Loop<M> {
             }
         }
         self.actions = actions;
+        r
     }
 
     fn run(mut self, rx: mpsc::Receiver<In<M>>, tick_ms: Option<u64>) {
@@ -605,24 +610,12 @@ const EVENT_LAG: usize = 1024;
 /// The subscribers of a controller's event stream.
 type Subscribers = Arc<Mutex<Vec<SyncSender<ServerEvent>>>>;
 
-/// What a shard's loop needs to reach beyond itself.
-struct ShardPort {
-    /// Every shard's queue, indexed by shard.
-    shards: Vec<Tx<Shard>>,
-    events: Subscribers,
-}
-
 impl Drive for Shard {
-    type Port = ShardPort;
+    /// Where the shard's events go.
+    type Port = Subscribers;
 
-    fn act(lp: &mut Loop<Self>, action: ShardOut) {
-        match action {
-            ShardOut::Forward { shard, agent, msg } => {
-                let event = Event::App(ShardIn::Forwarded(agent, msg));
-                let _ = lp.port.shards[shard].send(In::Event(event));
-            }
-            ShardOut::Publish(event) => publish(&lp.port.events, &event),
-        }
+    fn act(lp: &mut Loop<Self>, ShardOut::Publish(event): ShardOut) {
+        publish(&lp.port, &event)
     }
 }
 
@@ -639,7 +632,8 @@ fn publish(subs: &Subscribers, event: &ServerEvent) {
 ///
 /// On a sharded controller the handle is the aggregation point: `tick` and
 /// `stop` reach every shard, `agents`/`stats` gather and merge per-shard
-/// snapshots, and `events` taps the single stream all shards publish into.
+/// snapshots, `events` taps the single stream all shards publish into, and
+/// `call` enters on shard 0.
 #[derive(Clone)]
 pub struct ServerHandle {
     events: Subscribers,
@@ -655,11 +649,6 @@ impl fmt::Debug for ServerHandle {
 }
 
 impl ServerHandle {
-    /// Number of shard event loops behind this handle.
-    pub fn shard_count(&self) -> usize {
-        self.shards().len()
-    }
-
     /// Every shard's queue, indexed by shard.
     fn shards(&self) -> &[Tx<Shard>] {
         &self.running.loops
@@ -673,19 +662,22 @@ impl ServerHandle {
         }
     }
 
-    /// Sends a message to a named iApp (northbound ingress): its
-    /// [`IApp::on_custom`] runs with it on the loop, and a message for no
-    /// iApp of that name is dropped.
+    /// Runs `f` with the first iApp of type `A` on shard 0 and its
+    /// [`ServerApi`], on that shard's loop, and returns what `f` returns
+    /// once what it asked for is sent: the northbound's one way into an
+    /// iApp.  Blocks until then, so an iApp of shard 0 must not call it.
     ///
-    /// The message is delivered on shard 0 (`Box<dyn Any>` is not
-    /// cloneable, so it cannot be fanned out); on a sharded controller the
-    /// shard-0 iApp instance is the northbound entry point and forwards
-    /// shard-spanning requests through
-    /// [`crate::server::ServerApi::send_pdu_multi`], which routes across
-    /// shards.
-    pub fn to_iapp(&self, name: &str, msg: Box<dyn Any + Send>) {
-        let event = Event::App(ShardIn::ToIApp(name.to_owned(), msg));
-        let _ = self.shards()[0].send(In::Event(event));
+    /// `NotFound` when the controller runs no `A` (nothing is run);
+    /// `BrokenPipe` once it has stopped.
+    pub fn call<A: IApp, R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut A, &mut ServerApi) -> R + Send + 'static,
+    ) -> io::Result<R> {
+        let rx = ask(&self.shards()[0], |lp| lp.step(|shard, now, out| shard.call(now, out, f)))?;
+        rx.recv().map_err(|_| stopped())?.ok_or_else(|| {
+            let why = format!("this controller runs no {}", std::any::type_name::<A>());
+            io::Error::new(io::ErrorKind::NotFound, why)
+        })
     }
 
     /// Subscribes to server events (published by all shards) from now on.
@@ -775,8 +767,7 @@ impl Server {
         let mut loops = Vec::with_capacity(shards);
         for (idx, rx) in rxs.into_iter().enumerate() {
             let machine = Shard::new(idx, &cfg, iapps(idx), router.clone());
-            let port = ShardPort { shards: txs.clone(), events: events.clone() };
-            let mut lp = Loop::new(machine, port, txs[idx].clone());
+            let mut lp = Loop::new(machine, events.clone(), txs[idx].clone());
             lp.feed(Event::App(ShardIn::Start));
             loops.push((lp, rx));
         }

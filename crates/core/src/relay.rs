@@ -157,11 +157,12 @@ impl Bridge {
 
     /// A frame from a link of north agent `k`.
     fn north_frame(&mut self, k: NorthId, peer: PeerId, raw: Bytes, now: u64, out: &mut Out) {
-        let (north_of, mut verdict) = (self.north_of, Verdict::Pass);
+        let north_of = self.north_of;
         let ctrl = self.north.get(&k).and_then(|a| a.ctrl_of(peer));
-        if let (Some(ctrl), Ok(pdu)) = (ctrl, self.codec.decode_borrowed(&raw)) {
-            self.act(now, out, |t, api| verdict = north_of(t.as_mut(), api, (k, ctrl), &pdu));
-        }
+        let verdict = match (ctrl, self.codec.decode_borrowed(&raw)) {
+            (Some(ctrl), Ok(pdu)) => self.act(now, out, |t, api| north_of(t, api, (k, ctrl), &pdu)),
+            _ => Verdict::Pass,
+        };
         match verdict {
             Verdict::Pass => self.agent(k, Event::Frame(peer, raw), now, out),
             Verdict::Taken(Some(pdu)) => {
@@ -174,10 +175,16 @@ impl Bridge {
 
     /// Runs `f` with the transform and its API, and carries out what it
     /// asked for.
-    fn act(&mut self, now: u64, out: &mut Out, f: impl FnOnce(&mut Box<dyn IApp>, &mut ServerApi)) {
+    fn act<R>(
+        &mut self,
+        now: u64,
+        out: &mut Out,
+        f: impl FnOnce(&mut dyn IApp, &mut ServerApi) -> R,
+    ) -> R {
         let mut actions = Vec::new();
-        self.south.act(now, &mut actions, f);
+        let r = self.south.act(0, now, &mut actions, f);
         self.carry(actions, now, out);
+        r
     }
 
     /// Hands `event` to the south shard and carries out what it answers.
@@ -203,7 +210,7 @@ impl Bridge {
                     let gone = self.links.extract_if(|_, m| *m == Some(k)).map(|(p, _)| p);
                     out.extend(gone.collect::<BTreeSet<_>>().into_iter().map(Action::Hangup));
                 }
-                // One shard forwards nothing, and nobody taps its events.
+                // Nobody taps the events of a bridge's shard.
                 Action::App(_) => {}
             }
         }
@@ -255,10 +262,6 @@ fn up(api: &mut ServerApi, agent: AgentId, pdu: &E2apPdu) {
 }
 
 impl IApp for Mirror {
-    fn name(&self) -> &str {
-        "relay"
-    }
-
     fn on_agent_connected(&mut self, api: &mut ServerApi, info: &AgentInfo) {
         let mut cfg = AgentConfig::new(info.node, self.upstream.clone());
         (cfg.codec, cfg.retry) = (self.codec, self.retry);

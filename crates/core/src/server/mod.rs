@@ -28,10 +28,17 @@
 //! reconnect grace window, so a returning agent rebinds on its original
 //! shard.  The indication hot path — header peek, subscription lookup,
 //! iApp dispatch — never crosses a shard boundary and takes no cross-shard
-//! lock.  Only three things span shards: accept-time assignment (the
-//! [`ShardRouter`]), `send_pdu_multi` toward agents owned by
-//! another shard (the encoded frame leaves as a `Forward` action, never
-//! re-encoded), and the aggregating [`ServerHandle`].
+//! lock.  Only two things span shards: accept-time assignment (the
+//! [`ShardRouter`]) and the aggregating [`ServerHandle`].  A shard sends
+//! only to the agents it holds; a frame for any other is dropped.
+//!
+//! ## The northbound
+//!
+//! An embedder reaches an iApp in one way: [`ServerHandle::call`] runs a
+//! closure with shard 0's first iApp of a given type and its
+//! [`ServerApi`], on that shard's loop, and returns what the closure
+//! returns.  [`Shard::call`] is the same call for whoever drives a shard
+//! by hand.
 //!
 //! ## Procedure robustness
 //!
@@ -282,11 +289,10 @@ impl CtrlOutcome {
 /// On a sharded controller one instance of each iApp runs per shard and
 /// sees only the agents owned by that shard; instances share state through
 /// whatever the iApp's constructor puts behind an `Arc` (see
-/// `MonitorApp::replica` in `flexric-ctrl` for the pattern).
+/// `MonitorApp::replica` in `flexric-ctrl` for the pattern).  Every
+/// callback has a default; the northbound reaches an iApp by its type
+/// ([`ServerHandle::call`]).
 pub trait IApp: Send + Any {
-    /// Unique name, used for northbound routing.
-    fn name(&self) -> &str;
-
     /// Called once when the server starts.
     fn on_start(&mut self, _api: &mut ServerApi) {}
     /// A new agent completed E2 setup.
@@ -313,9 +319,6 @@ pub trait IApp: Send + Any {
     fn on_control_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, _out: &CtrlOutcome) {}
     /// Periodic tick.
     fn on_tick(&mut self, _api: &mut ServerApi, _now_ms: u64) {}
-    /// A message from the northbound, handed over by
-    /// [`ServerHandle::to_iapp`].
-    fn on_custom(&mut self, _api: &mut ServerApi, _msg: Box<dyn Any + Send>) {}
 }
 
 /// Events published to external observers (examples, tests, northbound).

@@ -1,9 +1,8 @@
-//! Shard assignment and the thin cross-shard router.
+//! Shard assignment.
 //!
 //! Everything on the indication hot path is shard-local; this module is
 //! the *only* state shared between shards, and it is touched only on
-//! accept, disconnect-finalize, and cross-shard `send_pdu_multi` — none of which
-//! are per-indication work.
+//! accept and disconnect-finalize — neither is per-indication work.
 //!
 //! Assignment is keyed on the RAN-entity key (`(Plmn, node id)` with the
 //! node type erased) rather than the connection: CU and DU agents of one
@@ -15,7 +14,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use flexric_e2ap::Plmn;
 
@@ -63,15 +62,11 @@ impl<K: Hash + Eq> ShardMap<K> {
 }
 
 /// What the shards of one controller share, and whoever accepts its
-/// connections consults: entity pins, agent ownership, the id allocator.
-/// Plain memory behind `std` locks — it names no shard's event queue; a
-/// shard that finds a target owned elsewhere asks its driver to forward.
+/// connections consults: entity pins and the id allocator.  Plain memory
+/// behind `std` locks — it names no shard's event queue.
 pub struct ShardRouter {
     /// Entity-key → shard pins.  Accept/finalize path only.
     map: Mutex<ShardMap<(Plmn, u64)>>,
-    /// AgentId → owning shard, maintained by the owning shard.  Read on
-    /// the cross-shard egress fallback; never on local delivery.
-    owners: RwLock<HashMap<AgentId, usize>>,
     /// Global sequential [`AgentId`] allocator, so ids keep the same
     /// dense-from-zero shape as a single shard's.
     next_agent: AtomicUsize,
@@ -80,11 +75,7 @@ pub struct ShardRouter {
 impl ShardRouter {
     /// A router over `shards` shards (at least one).
     pub fn new(shards: usize) -> Self {
-        ShardRouter {
-            map: Mutex::new(ShardMap::new(shards)),
-            owners: RwLock::new(HashMap::new()),
-            next_agent: AtomicUsize::new(0),
-        }
+        ShardRouter { map: Mutex::new(ShardMap::new(shards)), next_agent: AtomicUsize::new(0) }
     }
 
     /// The shard an E2 setup from the RAN entity `key`
@@ -98,25 +89,9 @@ impl ShardRouter {
         self.next_agent.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Records `shard` as the owner of `agent` (idempotent on reconnect).
-    pub(crate) fn bind(&self, agent: AgentId, shard: usize) {
-        self.owners.write().unwrap_or_else(|e| e.into_inner()).insert(agent, shard);
-    }
-
-    /// Forgets an agent and, once no agent of the entity remains, the
-    /// entity pin.
-    pub(crate) fn unbind(&self, agent: AgentId, entity_gone: Option<&(Plmn, u64)>) {
-        self.owners.write().unwrap_or_else(|e| e.into_inner()).remove(&agent);
-        if let Some(key) = entity_gone {
-            self.map.lock().unwrap_or_else(|e| e.into_inner()).release(key);
-        }
-    }
-
-    /// The shard owning `agent`, for a flush that finds the target is not
-    /// local.  `None` for an id nobody owns: its frame is dropped, as a
-    /// frame for a vanished connection would be.
-    pub(crate) fn owner(&self, agent: AgentId) -> Option<usize> {
-        self.owners.read().unwrap_or_else(|e| e.into_inner()).get(&agent).copied()
+    /// Forgets the pin of an entity no agent of which remains.
+    pub(crate) fn release(&self, key: &(Plmn, u64)) {
+        self.map.lock().unwrap_or_else(|e| e.into_inner()).release(key);
     }
 }
 

@@ -3,16 +3,15 @@
 //! and procedure endpoint.
 //!
 //! The indication hot path (header peek → subscription lookup → iApp
-//! dispatch) runs entirely inside one shard, with no cross-shard lock.
-//! The only cross-shard interaction on egress is the flush fallback: a
-//! frame addressed to an agent another shard owns leaves as
-//! [`ShardOut::Forward`] — a frozen `Bytes`, encoded exactly once here —
-//! and arrives at its owner as [`ShardIn::Forwarded`].
+//! dispatch) runs entirely inside one shard, with no cross-shard lock, and
+//! a shard sends only to the agents it holds: a frame for any other agent
+//! is dropped at flush, as one for an offline agent is.
 //!
 //! [`Shard`] is a [`Machine`]: it is fed [`Event`]s ([`ShardIn`] its own)
 //! and answers with [`Action`]s ([`ShardOut`] its own), and owns no socket,
-//! task, channel or clock.  DESIGN.md ("The machine/driver split")
-//! tabulates every event and action.
+//! task, channel or clock.  Beside its events, [`Shard::call`] runs a
+//! closure on one of its iApps — the northbound's way in.  DESIGN.md ("The
+//! machine/driver split") tabulates every event and action.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -49,11 +48,6 @@ pub enum ShardIn {
         /// Transport description of the far end, for [`AgentInfo::peer`].
         desc: String,
     },
-    /// A frame another shard encoded for an agent this shard owns (the
-    /// stream id travels with it).
-    Forwarded(AgentId, WireMsg),
-    /// A northbound message for the iApp of that name.
-    ToIApp(String, Box<dyn Any + Send>),
     /// Drop this agent for good — connection, identity, subscriptions —
     /// as an expired grace window does.
     Disconnect(AgentId),
@@ -62,16 +56,6 @@ pub enum ShardIn {
 /// What a shard asks for beside sends and hangups.
 #[derive(Debug)]
 pub enum ShardOut {
-    /// Hand `msg` to shard `shard`, which owns `agent`
-    /// ([`ShardIn::Forwarded`] there).
-    Forward {
-        /// The owning shard.
-        shard: usize,
-        /// The agent the frame is for.
-        agent: AgentId,
-        /// The encoded frame.
-        msg: WireMsg,
-    },
     /// Publish to the controller's external observers.
     Publish(ServerEvent),
 }
@@ -174,10 +158,9 @@ impl ServerCore {
 /// API surface iApps use to act on the network.
 ///
 /// On a sharded controller each iApp instance sees the slice of the
-/// network its shard owns: `randb()` lists only local agents, and
-/// `subscribe`/`control` address local agents (connection callbacks only
-/// ever hand out local ids).  `send_pdu_multi` may address any agent —
-/// frames for remote agents are routed to their owning shard.
+/// network its shard owns: `randb()` lists only local agents, and every
+/// request addresses a local agent (connection callbacks only ever hand
+/// out local ids); one for an agent another shard owns is dropped.
 pub struct ServerApi<'a> {
     core: &'a mut ServerCore,
     iapp: usize,
@@ -336,16 +319,6 @@ impl ServerApi<'_> {
         req_id
     }
 
-    /// Sends one PDU to several agents.  The PDU is encoded once at flush
-    /// and the frozen frame is shared across all targets, including
-    /// targets owned by other shards.
-    pub fn send_pdu_multi(&mut self, agents: Vec<AgentId>, pdu: E2apPdu) {
-        if agents.is_empty() {
-            return;
-        }
-        self.core.outbox.push((Targets::from_vec(agents), pdu));
-    }
-
     /// Forwards a functional request that arrived from elsewhere (another
     /// E2 hop) to `agent` under the request id it carries, and treats it
     /// as this iApp's own: a subscription request as
@@ -384,11 +357,6 @@ impl ServerApi<'_> {
     /// above.
     pub(crate) fn stand_for(&mut self, agent: AgentId, north: Agent, upstream: TransportAddr) {
         self.core.stood.push((agent, north, upstream));
-    }
-
-    /// Publishes a server event to external observers.
-    pub fn publish(&mut self, event: ServerEvent) {
-        self.core.published.push(event);
     }
 }
 
@@ -477,7 +445,6 @@ impl ShardObs {
 pub struct Shard {
     core: ServerCore,
     iapps: Vec<Box<dyn IApp>>,
-    idx: usize,
     router: Arc<ShardRouter>,
     /// Bound connections.  It is the epoch filter: a frame or a close from
     /// a peer that is not in here belongs to a connection that was hung up
@@ -528,8 +495,6 @@ impl Machine for Shard {
             Event::App(ShardIn::NewAgent { req, peer, desc }) => {
                 self.handle_new_agent(req, peer, desc, out)
             }
-            Event::App(ShardIn::Forwarded(agent, msg)) => self.deliver_forwarded(agent, msg, out),
-            Event::App(ShardIn::ToIApp(name, msg)) => self.dispatch_custom(name, msg),
             Event::App(ShardIn::Disconnect(agent)) => {
                 self.handle_closed(agent, out);
                 self.finalize_disconnect(agent, out);
@@ -605,7 +570,6 @@ impl Shard {
         Shard {
             core,
             iapps,
-            idx,
             router,
             peers: HashMap::new(),
             offline: HashMap::new(),
@@ -653,17 +617,33 @@ impl Shard {
         std::mem::take(&mut self.core.stood)
     }
 
-    /// Runs `f` as iApp 0's callback at `now_ms`, and answers what it asked
-    /// for: how a bridge calls its transform outside the shard's events.
-    pub(crate) fn act(
+    /// Runs `f` at `now_ms` with the first iApp of type `A` and its API,
+    /// and answers what it asked for: how the northbound reaches an iApp
+    /// outside the shard's events.  `None`, and nothing run, when the
+    /// shard runs no `A`.
+    pub fn call<A: IApp, R>(
         &mut self,
         now_ms: u64,
         out: &mut Vec<Action<ShardOut>>,
-        f: impl FnOnce(&mut Box<dyn IApp>, &mut ServerApi),
-    ) {
+        f: impl FnOnce(&mut A, &mut ServerApi) -> R,
+    ) -> Option<R> {
+        let idx = self.iapps.iter().position(|app| (app.as_ref() as &dyn Any).is::<A>())?;
+        self.act(idx, now_ms, out, |app, api| Some(f((app as &mut dyn Any).downcast_mut()?, api)))
+    }
+
+    /// Runs `f` as iApp `idx`'s callback at `now_ms`, and answers what it
+    /// asked for.
+    pub(crate) fn act<R>(
+        &mut self,
+        idx: usize,
+        now_ms: u64,
+        out: &mut Vec<Action<ShardOut>>,
+        f: impl FnOnce(&mut dyn IApp, &mut ServerApi) -> R,
+    ) -> R {
         self.core.now_ms = now_ms;
-        self.for_one(0, f);
+        let r = self.for_one(idx, f);
         self.flush(out);
+        r
     }
 
     /// The agent `peer` is bound to.  This is the one place a stale
@@ -674,30 +654,13 @@ impl Shard {
     }
 
     /// Runs a callback over all iApps with a fresh API view each.
-    fn for_all(&mut self, mut f: impl FnMut(&mut Box<dyn IApp>, &mut ServerApi)) {
-        for idx in 0..self.iapps.len() {
-            // Split borrow: iApps vector vs core.
-            let (iapps, core) = (&mut self.iapps, &mut self.core);
-            let mut api = ServerApi { core, iapp: idx };
-            f(&mut iapps[idx], &mut api);
-        }
+    fn for_all(&mut self, mut f: impl FnMut(&mut dyn IApp, &mut ServerApi)) {
+        (0..self.iapps.len()).for_each(|idx| self.for_one(idx, &mut f));
     }
 
-    /// Runs a callback on one iApp.
-    fn for_one(&mut self, idx: usize, f: impl FnOnce(&mut Box<dyn IApp>, &mut ServerApi)) {
-        if idx >= self.iapps.len() {
-            return;
-        }
-        let (iapps, core) = (&mut self.iapps, &mut self.core);
-        let mut api = ServerApi { core, iapp: idx };
-        f(&mut iapps[idx], &mut api);
-    }
-
-    /// Hands a northbound message to the iApp named `name`, if there is one.
-    fn dispatch_custom(&mut self, name: String, msg: Box<dyn Any + Send>) {
-        if let Some(idx) = self.iapps.iter().position(|i| i.name() == name) {
-            self.for_one(idx, |iapp, api| iapp.on_custom(api, msg));
-        }
+    /// Runs a callback on iApp `idx` (an index this shard handed out).
+    fn for_one<R>(&mut self, idx: usize, f: impl FnOnce(&mut dyn IApp, &mut ServerApi) -> R) -> R {
+        f(self.iapps[idx].as_mut(), &mut ServerApi { core: &mut self.core, iapp: idx })
     }
 
     /// Unbinds and hangs up on the connection of `agent`, if it has one.
@@ -748,7 +711,6 @@ impl Shard {
             }
             None => (self.router.alloc_agent(), false),
         };
-        self.router.bind(agent_id, self.idx);
         self.core.conns.insert(agent_id, peer);
         self.peers.insert(peer, PeerState { agent: agent_id, decode_errors: 0 });
 
@@ -837,12 +799,11 @@ impl Shard {
             // Release the entity→shard pin once no agent of the entity
             // remains (all agents of an entity live on this shard).
             let key = info.node.ran_entity_key();
-            let entity_gone = !self.core.randb.agents().any(|a| a.node.ran_entity_key() == key);
-            self.router.unbind(agent, entity_gone.then_some(&key));
+            if !self.core.randb.agents().any(|a| a.node.ran_entity_key() == key) {
+                self.router.release(&key);
+            }
             self.core.published.push(ServerEvent::AgentDisconnected(agent));
             self.for_all(|iapp, api| iapp.on_agent_disconnected(api, agent));
-        } else {
-            self.router.unbind(agent, None);
         }
     }
 
@@ -1081,43 +1042,21 @@ impl Shard {
         Ok(())
     }
 
-    /// Sends a message another shard encoded to a locally owned agent.
-    fn deliver_forwarded(&mut self, agent: AgentId, msg: WireMsg, out: &mut Vec<Action<ShardOut>>) {
-        let Some(&peer) = self.core.conns.get(&agent) else { return };
-        self.core.tx_msgs += 1;
-        self.core.tx_bytes += msg.payload.len() as u64;
-        let m = obs();
-        m.tx_msgs.inc();
-        m.tx_bytes.add(msg.payload.len() as u64);
-        out.push(Action::Send(peer, msg));
-    }
-
     fn flush(&mut self, out: &mut Vec<Action<ShardOut>>) {
         // Encode each queued PDU exactly once into the reusable scratch
-        // buffer and share the frozen frame across its targets.  Targets
-        // owned by another shard get the same frozen frame through a
-        // Forward action — the handover never re-encodes.
+        // buffer and share the frozen frame across its targets.  A frame
+        // for an agent not connected here — offline, unknown, or another
+        // shard's — is dropped.
         let m = obs();
         let core = &mut self.core;
-        let router = &self.router;
-        let idx = self.idx;
         let (conns, tx_msgs, tx_bytes) = (&core.conns, &mut core.tx_msgs, &mut core.tx_bytes);
         scratch::flush_outbox(&mut core.scratch, core.codec, &mut core.outbox, |agent, msg| {
-            match conns.get(&agent) {
-                Some(&peer) => {
-                    *tx_msgs += 1;
-                    *tx_bytes += msg.payload.len() as u64;
-                    m.tx_msgs.inc();
-                    m.tx_bytes.add(msg.payload.len() as u64);
-                    out.push(Action::Send(peer, msg));
-                }
-                // Not connected here: a cross-shard target, or a frame for
-                // an offline or unknown agent, which is dropped.
-                None => {
-                    if let Some(shard) = router.owner(agent).filter(|s| *s != idx) {
-                        out.push(Action::App(ShardOut::Forward { shard, agent, msg }));
-                    }
-                }
+            if let Some(&peer) = conns.get(&agent) {
+                *tx_msgs += 1;
+                *tx_bytes += msg.payload.len() as u64;
+                m.tx_msgs.inc();
+                m.tx_bytes.add(msg.payload.len() as u64);
+                out.push(Action::Send(peer, msg));
             }
         });
         out.extend(core.published.drain(..).map(|e| Action::App(ShardOut::Publish(e))));

@@ -2,7 +2,6 @@
 //! transports, covering setup, subscription, indication, control,
 //! multi-controller operation, and CU/DU merging.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -126,15 +125,14 @@ struct TestApp {
     ind_count: Arc<AtomicU64>,
 }
 
-enum AppCmd {
-    SendControl(AgentId, Vec<u8>),
+impl TestApp {
+    fn send_control(&mut self, api: &mut ServerApi, agent: AgentId, payload: &'static [u8]) {
+        let (rf, ack) = (RanFunctionId::new(7), Some(ControlAckRequest::Ack));
+        api.control(agent, rf, Bytes::new(), Bytes::from_static(payload), ack);
+    }
 }
 
 impl IApp for TestApp {
-    fn name(&self) -> &str {
-        "test-app"
-    }
-
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
         self.state.lock().unwrap().connected.push(agent.node);
         if agent.function_by_oid("test.counter").is_some() {
@@ -186,22 +184,6 @@ impl IApp for TestApp {
             }
         }
     }
-
-    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn Any + Send>) {
-        if let Ok(cmd) = msg.downcast::<AppCmd>() {
-            match *cmd {
-                AppCmd::SendControl(agent, payload) => {
-                    api.control(
-                        agent,
-                        RanFunctionId::new(7),
-                        Bytes::new(),
-                        Bytes::from(payload),
-                        Some(ControlAckRequest::Ack),
-                    );
-                }
-            }
-        }
-    }
 }
 
 fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
@@ -247,13 +229,13 @@ fn run_full_flow(codec: E2apCodec, sm_codec: SmCodec, addr: TransportAddr) {
     }
 
     // Control round-trip through the iApp.
-    server.to_iapp("test-app", Box::new(AppCmd::SendControl(0, b"hello".to_vec())));
+    server.call(|app: &mut TestApp, api| app.send_control(api, 0, b"hello")).unwrap();
     wait_until(|| state.lock().unwrap().ctrl_acks.len() == 1, "control ack");
     assert_eq!(state.lock().unwrap().ctrl_acks[0], "echo:hello");
     assert_eq!(ctrl_log.lock().unwrap().len(), 1);
 
     // Failing control produces a failure outcome.
-    server.to_iapp("test-app", Box::new(AppCmd::SendControl(0, b"fail".to_vec())));
+    server.call(|app: &mut TestApp, api| app.send_control(api, 0, b"fail")).unwrap();
     wait_until(|| state.lock().unwrap().ctrl_fails == 1, "control failure");
 
     // Agent stats are sane.
@@ -373,9 +355,6 @@ fn subscription_to_unknown_function_fails() {
         state: Arc<Mutex<Recorded>>,
     }
     impl IApp for FailApp {
-        fn name(&self) -> &str {
-            "fail-app"
-        }
         fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
             self.state.lock().unwrap().connected.push(agent.node);
             // Function 999 does not exist at the agent.

@@ -64,10 +64,6 @@ impl MetricsReader {
 }
 
 impl IApp for MetricsReader {
-    fn name(&self) -> &str {
-        "metrics-reader"
-    }
-
     fn on_start(&mut self, _api: &mut ServerApi) {
         // Publish immediately so handles never observe an empty snapshot
         // after the server is up.

@@ -420,10 +420,6 @@ fn timed_reconstruction(
 }
 
 impl IApp for MonitorApp {
-    fn name(&self) -> &str {
-        "monitor"
-    }
-
     fn on_start(&mut self, api: &mut ServerApi) {
         // PR 5 convention: every series this iApp can emit is registered
         // at zero from startup, idle or not — including the SM delta

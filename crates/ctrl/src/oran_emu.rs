@@ -90,10 +90,6 @@ impl OranXapp {
 }
 
 impl IApp for OranXapp {
-    fn name(&self) -> &str {
-        "oran-xapp"
-    }
-
     fn on_tick(&mut self, api: &mut ServerApi, now_ms: u64) {
         if now_ms < self.next_poll_ms {
             return;

@@ -254,10 +254,6 @@ impl Virtualizer {
 }
 
 impl IApp for Virtualizer {
-    fn name(&self) -> &str {
-        "virt-south"
-    }
-
     /// The target subscribes to MAC and slice statistics, runs NVS, and
     /// gets every tenant's slices.
     fn on_agent_connected(&mut self, api: &mut ServerApi, node: &AgentInfo) {

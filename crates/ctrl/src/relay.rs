@@ -74,10 +74,6 @@ impl PingApp {
 }
 
 impl IApp for PingApp {
-    fn name(&self) -> &str {
-        "ping"
-    }
-
     fn on_agent_connected(&mut self, _api: &mut ServerApi, agent: &flexric::server::AgentInfo) {
         if let Some(f) = agent.function_by_oid(flexric_sm::oid::HW) {
             self.target = Some((agent.id, f.id));

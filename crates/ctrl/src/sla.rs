@@ -12,22 +12,21 @@
 //!
 //! Indications are dispatched to the iApp that owns the subscription —
 //! the monitor — so this iApp never sees them directly: it samples the
-//! shared store from the server tick (and on [`SlaPoll`], which benches
-//! send at a fixed virtual cadence).  Evaluation cadence is keyed on
+//! shared store from the server tick (and on [`poll`], which benches
+//! call at a fixed virtual cadence).  Evaluation cadence is keyed on
 //! the *virtual* `tstamp_ms` carried by the slice indication, not the
 //! wall clock: under the scenario engine a 60 s run executes in
 //! milliseconds, and violation-seconds accounting must follow simulated
 //! time for open-loop vs closed-loop comparisons to be fair.
 
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc::SyncSender;
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
 use flexric::server::{AgentId, AgentInfo, CtrlOutcome, IApp, ServerApi, ServerHandle};
-use flexric_e2ap::{ControlAckRequest, RicRequestId};
+use flexric_e2ap::ControlAckRequest;
 use flexric_sm::registry::SmDescriptor;
 use flexric_sm::rlc::RlcStatsInd;
 use flexric_sm::slice::{SliceCtrl, SliceParams, SliceStatsInd};
@@ -69,8 +68,9 @@ impl SlaConfig {
     }
 }
 
-/// Running totals of the SLA loop, shared with benches and tests.
-#[derive(Debug, Default)]
+/// Running totals of the SLA loop, kept by the [`SlaApp`] and read with
+/// [`poll`].
+#[derive(Debug, Default, Clone)]
 pub struct SlaLedger {
     /// Violation time per slice id, *virtual* milliseconds.
     pub violation_ms: BTreeMap<u32, u64>,
@@ -91,29 +91,11 @@ impl SlaLedger {
     }
 }
 
-/// Custom message: force an evaluation pass over every tracked agent and
-/// reply with a ledger snapshot.  Benches use it to flush accounting at
-/// a deterministic point instead of waiting for the next indication.
-pub struct SlaPoll {
-    /// Reply channel carrying the ledger snapshot.
-    pub reply: SyncSender<SlaLedger>,
-}
-
-/// Has the `sla` iApp of `server` evaluate every tracked agent now and
-/// waits up to `timeout` for its ledger.
-pub fn poll(server: &ServerHandle, timeout: std::time::Duration) -> Option<SlaLedger> {
-    let (tx, rx) = std::sync::mpsc::sync_channel(1);
-    server.to_iapp("sla", Box::new(SlaPoll { reply: tx }));
-    rx.recv_timeout(timeout).ok()
-}
-
-/// Per-agent loop state.
-#[derive(Debug, Default)]
-struct AgentSla {
-    /// Virtual timestamp of the last evaluated slice indication.
-    last_eval_ms: u64,
-    /// Request ids of in-flight share pushes.
-    inflight: u32,
+/// Has the [`SlaApp`] of `server` evaluate every tracked agent now and
+/// returns its ledger: benches flush accounting at a deterministic point
+/// with it instead of waiting for the next tick.
+pub fn poll(server: &ServerHandle) -> io::Result<SlaLedger> {
+    server.call(|sla: &mut SlaApp, api| sla.poll(api))
 }
 
 /// Obs series of the SLA loop.
@@ -187,17 +169,34 @@ pub fn observations(stats: &SliceStatsInd, rlc: Option<&RlcStatsInd>) -> Vec<Sli
 pub struct SlaApp {
     cfg: SlaConfig,
     desc: Arc<SmDescriptor>,
-    agents: HashMap<AgentId, AgentSla>,
-    ledger: Arc<Mutex<SlaLedger>>,
+    /// Per tracked agent, the virtual timestamp of its last evaluated
+    /// slice indication.  Kept across an outage: the agent resumes with
+    /// the same virtual clock, and replayed subscriptions refill the store
+    /// — accounting continues where it stopped.
+    last_eval_ms: HashMap<AgentId, u64>,
+    ledger: SlaLedger,
 }
 
 impl SlaApp {
-    /// Creates the iApp; the returned handle reads the running totals.
-    pub fn new(cfg: SlaConfig) -> (Self, Arc<Mutex<SlaLedger>>) {
+    /// Creates the iApp.
+    pub fn new(cfg: SlaConfig) -> Self {
         let desc =
             flexric_sm::registry::global().latest(oid::SLICE_CTRL).expect("bundled SM descriptor");
-        let ledger = Arc::new(Mutex::new(SlaLedger::default()));
-        (SlaApp { cfg, desc, agents: HashMap::new(), ledger: ledger.clone() }, ledger)
+        SlaApp { cfg, desc, last_eval_ms: HashMap::new(), ledger: SlaLedger::default() }
+    }
+
+    /// Forces an evaluation pass over every tracked agent and returns the
+    /// ledger.
+    pub(crate) fn poll(&mut self, api: &mut ServerApi) -> SlaLedger {
+        self.evaluate_all(api);
+        self.ledger.clone()
+    }
+
+    fn evaluate_all(&mut self, api: &mut ServerApi) {
+        let ids: Vec<AgentId> = self.last_eval_ms.keys().copied().collect();
+        for id in ids {
+            self.evaluate(api, id);
+        }
     }
 
     /// One evaluation pass for `agent` if its slice row advanced far
@@ -209,27 +208,20 @@ impl SlaApp {
             let Ok(stats) = any.downcast::<SliceStatsInd>() else { return };
             (*stats, db.rlc(agent))
         };
-        let st = self.agents.entry(agent).or_default();
-        if stats.tstamp_ms < st.last_eval_ms + self.cfg.eval_every_ms {
+        let last = self.last_eval_ms.entry(agent).or_default();
+        if stats.tstamp_ms < *last + self.cfg.eval_every_ms {
             return;
         }
-        let covered_ms = if st.last_eval_ms == 0 {
-            self.cfg.eval_every_ms
-        } else {
-            stats.tstamp_ms - st.last_eval_ms
-        };
-        st.last_eval_ms = stats.tstamp_ms;
+        let covered_ms = if *last == 0 { self.cfg.eval_every_ms } else { stats.tstamp_ms - *last };
+        *last = stats.tstamp_ms;
 
         let observed = observations(&stats, rlc.as_ref());
-        {
-            let mut led = self.ledger.lock().expect("lock poisoned");
-            led.evals += 1;
-            for t in &self.cfg.targets {
-                if let Some(o) = observed.iter().find(|o| o.slice == t.slice) {
-                    if sla_solver::violated(t, o) {
-                        *led.violation_ms.entry(t.slice).or_default() += covered_ms;
-                        violation_counter(t.slice).add(covered_ms);
-                    }
+        self.ledger.evals += 1;
+        for t in &self.cfg.targets {
+            if let Some(o) = observed.iter().find(|o| o.slice == t.slice) {
+                if sla_solver::violated(t, o) {
+                    *self.ledger.violation_ms.entry(t.slice).or_default() += covered_ms;
+                    violation_counter(t.slice).add(covered_ms);
                 }
             }
         }
@@ -267,74 +259,30 @@ impl SlaApp {
             return;
         }
         let msg = Bytes::from(SliceCtrl::AddModSlices { slices }.encode(self.cfg.sm_codec));
-        let _req: RicRequestId =
-            api.control(agent, rf_id, Bytes::new(), msg, Some(ControlAckRequest::Ack));
-        let st = self.agents.entry(agent).or_default();
-        st.inflight += 1;
-        self.ledger.lock().expect("lock poisoned").pushes += 1;
+        api.control(agent, rf_id, Bytes::new(), msg, Some(ControlAckRequest::Ack));
+        self.ledger.pushes += 1;
     }
 }
 
 impl IApp for SlaApp {
-    fn name(&self) -> &str {
-        "sla"
-    }
-
     fn on_agent_connected(&mut self, _api: &mut ServerApi, agent: &AgentInfo) {
         // Monitoring owns the subscriptions; we only track loop state.
-        self.agents.entry(agent.id).or_default();
-    }
-
-    fn on_agent_disconnected(&mut self, _api: &mut ServerApi, agent: AgentId) {
-        // Keep `last_eval_ms` across outages: the agent resumes with the
-        // same virtual clock, and replayed subscriptions refill the
-        // store — accounting continues where it stopped.
-        if let Some(st) = self.agents.get_mut(&agent) {
-            st.inflight = 0;
-        }
+        self.last_eval_ms.entry(agent.id).or_default();
     }
 
     fn on_tick(&mut self, api: &mut ServerApi, _now_ms: u64) {
         // Indications route to the subscription's owner (the monitor),
         // so the loop samples the shared store here; the virtual-time
         // cadence check in `evaluate` sets the effective rate.
-        let ids: Vec<AgentId> = self.agents.keys().copied().collect();
-        for id in ids {
-            self.evaluate(api, id);
-        }
+        self.evaluate_all(api);
     }
 
-    fn on_control_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &CtrlOutcome) {
-        let ok = matches!(out, CtrlOutcome::Ack(_));
-        let mut led = self.ledger.lock().expect("lock poisoned");
-        if ok {
-            led.acks += 1;
+    fn on_control_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, out: &CtrlOutcome) {
+        if matches!(out, CtrlOutcome::Ack(_)) {
+            self.ledger.acks += 1;
         } else {
-            led.failures += 1;
+            self.ledger.failures += 1;
         }
-        drop(led);
-        if let Some(st) = self.agents.get_mut(&agent) {
-            st.inflight = st.inflight.saturating_sub(1);
-        }
-    }
-
-    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn Any + Send>) {
-        let Ok(poll) = msg.downcast::<SlaPoll>() else { return };
-        let ids: Vec<AgentId> = self.agents.keys().copied().collect();
-        for id in ids {
-            self.evaluate(api, id);
-        }
-        let snap = {
-            let led = self.ledger.lock().expect("lock poisoned");
-            SlaLedger {
-                violation_ms: led.violation_ms.clone(),
-                evals: led.evals,
-                pushes: led.pushes,
-                acks: led.acks,
-                failures: led.failures,
-            }
-        };
-        let _ = poll.reply.send(snap);
     }
 }
 

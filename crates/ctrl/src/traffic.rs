@@ -12,9 +12,8 @@
 //! install a 5-tuple filter segregating the low-latency flow, and load the
 //! 5G-BDP pacer (the scheduler stays round-robin).
 
-use std::any::Any;
 use std::collections::HashMap;
-use std::sync::mpsc::{self, SyncSender};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -22,17 +21,17 @@ use bytes::Bytes;
 use flexric::server::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerHandle,
 };
-use flexric_e2ap::{ControlAckRequest, RicRequestId};
+use flexric_e2ap::RicRequestId;
 use flexric_sm::registry::SmDescriptor;
 use flexric_sm::tc::{FiveTupleRule, PacerConf, QueueKind, TcCtrl, TcStatsInd};
 use flexric_sm::{oid, rlc::RlcStatsInd, ReportTrigger, SmCodec, SmPayload};
 use flexric_xapp::broker::BrokerClient;
-use flexric_xapp::http::{HttpClient, HttpServer, Request, Router};
+use flexric_xapp::http::{HttpClient, HttpServer, Router};
 use flexric_xapp::json::{self, ToJson};
 use flexric_xapp::{json_enum, json_struct};
 
 use crate::ranfun::BearerAddr;
-use crate::slicing::{await_reply, body, reply_response, CtrlReply};
+use crate::slicing::{command, relay, CtrlReply, Relayed};
 
 /// Broker channel carrying RLC statistics (JSON).
 pub const CHAN_RLC: &str = "stats.rlc";
@@ -156,10 +155,6 @@ impl StatsForwarderApp {
 }
 
 impl IApp for StatsForwarderApp {
-    fn name(&self) -> &str {
-        "stats-forwarder"
-    }
-
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
         let registry = flexric_sm::registry::global();
         let trigger = Bytes::from(ReportTrigger::every_ms(self.period_ms).encode(self.sm_codec));
@@ -231,63 +226,31 @@ impl IApp for StatsForwarderApp {
 // iApp 2: TC SM manager (REST command relay)
 // ---------------------------------------------------------------------------
 
-/// Custom message: relay a TC command to a bearer.
-pub struct ApplyTcCtrl {
-    /// Target agent.
-    pub agent: AgentId,
-    /// Target bearer.
-    pub bearer: BearerAddr,
-    /// The command.
-    pub ctrl: TcCtrl,
-    /// Reply channel.
-    pub reply: SyncSender<CtrlReply>,
-}
-
 /// Relays TC SM commands arriving over REST into control requests.
-pub struct TcManagerApp {
-    sm_codec: SmCodec,
-    pending: HashMap<(AgentId, RicRequestId), SyncSender<CtrlReply>>,
-}
+pub struct TcManagerApp(Relayed);
 
 impl TcManagerApp {
     /// Creates the manager.
     pub fn new(sm_codec: SmCodec) -> Self {
-        TcManagerApp { sm_codec, pending: HashMap::new() }
+        TcManagerApp(Relayed::new(oid::TC_CTRL, sm_codec))
+    }
+
+    /// Sends `ctrl` for `bearer` to `agent`'s TC SM, asking for an
+    /// acknowledgement; the returned channel gets how the agent answered.
+    pub(crate) fn apply(
+        &mut self,
+        api: &mut ServerApi,
+        agent: AgentId,
+        bearer: BearerAddr,
+        ctrl: &TcCtrl,
+    ) -> Receiver<CtrlReply> {
+        self.0.send(api, agent, bearer.encode(), ctrl)
     }
 }
 
 impl IApp for TcManagerApp {
-    fn name(&self) -> &str {
-        "tc-manager"
-    }
-
     fn on_control_outcome(&mut self, _api: &mut ServerApi, agent: AgentId, out: &CtrlOutcome) {
-        let (req_id, reply) = CtrlReply::from_outcome(out);
-        if let Some(tx) = self.pending.remove(&(agent, req_id)) {
-            let _ = tx.send(reply);
-        }
-    }
-
-    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn Any + Send>) {
-        let Ok(cmd) = msg.downcast::<ApplyTcCtrl>() else { return };
-        let ApplyTcCtrl { agent, bearer, ctrl, reply } = *cmd;
-        let want = flexric_sm::registry::global()
-            .latest(oid::TC_CTRL)
-            .map(|d| d.version.into())
-            .unwrap_or(flexric_e2ap::FnVersion::V1);
-        let Some(rf_id) = api
-            .randb()
-            .agent(agent)
-            .and_then(|a| a.function_by_oid_compat(oid::TC_CTRL, want))
-            .map(|f| f.id)
-        else {
-            let _ =
-                reply.send(CtrlReply { ok: false, detail: format!("agent {agent} has no TC SM") });
-            return;
-        };
-        let msg = Bytes::from(ctrl.encode(self.sm_codec));
-        let req_id = api.control(agent, rf_id, bearer.encode(), msg, Some(ControlAckRequest::Ack));
-        self.pending.insert((agent, req_id), reply);
+        self.0.answer(agent, out);
     }
 }
 
@@ -399,22 +362,13 @@ impl TcCmdDto {
 /// Binds the TC controller's REST northbound (`POST /tc/cmd`, plus
 /// `GET /sm/registry` from [`flexric_xapp::introspect`]).
 pub fn spawn_rest(listen: &str, server: ServerHandle) -> std::io::Result<HttpServer> {
-    let router = Router::new().route("POST", "/tc/cmd", move |req: Request| {
-        let body: TcCmdReq = match body(&req) {
-            Ok(body) => body,
-            Err(bad) => return bad,
-        };
-        let (tx, rx) = mpsc::sync_channel(1);
-        server.to_iapp(
-            "tc-manager",
-            Box::new(ApplyTcCtrl {
-                agent: body.agent,
-                bearer: BearerAddr { rnti: body.rnti, drb: body.drb },
-                ctrl: body.cmd.to_sm(),
-                reply: tx,
-            }),
-        );
-        reply_response(await_reply(&rx))
+    let router = Router::new().route("POST", "/tc/cmd", move |req| {
+        command(&req, |body: TcCmdReq| {
+            let (bearer, ctrl) = (BearerAddr { rnti: body.rnti, drb: body.drb }, body.cmd.to_sm());
+            Ok(relay(&server, move |app: &mut TcManagerApp, api| {
+                app.apply(api, body.agent, bearer, &ctrl)
+            }))
+        })
     });
     HttpServer::spawn(listen, flexric_xapp::introspect::mount(router))
 }

@@ -145,10 +145,6 @@ struct GeoApp {
 }
 
 impl IApp for GeoApp {
-    fn name(&self) -> &str {
-        "geo"
-    }
-
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
         // The setup negotiation already filtered the function list against
         // the registry; a version-compatible match means we can subscribe.

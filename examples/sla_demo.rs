@@ -37,7 +37,7 @@ fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> Age
 }
 
 fn ledger(server: &ServerHandle) -> SlaLedger {
-    sla::poll(server, std::time::Duration::from_secs(5)).expect("sla iApp replies")
+    sla::poll(server).expect("the controller runs the sla iApp")
 }
 
 fn main() {
@@ -70,7 +70,7 @@ fn main() {
         ..Default::default()
     };
     let (monitor, db, _counters) = MonitorApp::new(mcfg);
-    let (sla, _) = SlaApp::new(SlaConfig::new(db, targets, true));
+    let sla = SlaApp::new(SlaConfig::new(db, targets, true));
 
     let mut cfg = ServerConfig::new(
         GlobalRicId::new(Plmn::TEST, 1),

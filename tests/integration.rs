@@ -460,9 +460,9 @@ fn recursive_virtualization_isolates_tenants() {
 }
 
 #[test]
-fn transport_fault_injection_does_not_wedge_the_stack() {
-    // Corrupted E2AP bytes must be ignored/answered with error
-    // indications, never crash the server.
+fn garbage_before_setup_does_not_wedge_the_controller() {
+    // Bytes that are not an E2 Setup request are dropped with their
+    // connection, and never crash the server.
     use bytes::Bytes;
     use flexric_transport::{connect, WireMsg};
 
@@ -481,21 +481,15 @@ fn transport_fault_injection_does_not_wedge_the_stack() {
     }
 
     // …while a well-behaved agent still connects fine afterwards.
-    let sim = test_sim(1);
-    let bs = SimBs::new(sim.clone(), 0);
+    let bs = SimBs::new(test_sim(1), 0);
     let mut acfg = AgentConfig::new(
         GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1),
         TransportAddr::Mem("it-fault".into()),
     );
     acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, stats_bundle(&sim_bs(&sim), SmCodec::Flatb));
+    let agent = Agent::spawn(acfg, stats_bundle(&bs, SmCodec::Flatb));
     assert!(agent.is_ok(), "server survives garbage and accepts agents");
-    let _ = bs;
     server.stop();
-}
-
-fn sim_bs(sim: &Arc<Mutex<Sim>>) -> SimBs {
-    SimBs::new(sim.clone(), 0)
 }
 
 #[test]
@@ -518,13 +512,21 @@ fn kpm_subscription_and_handover_control() {
     struct KpmApp {
         seen: Arc<Mutex<SeenState>>,
     }
-    enum Cmd {
-        Handover(u16, u32),
+    impl KpmApp {
+        fn handover(&mut self, api: &mut flexric::server::ServerApi, rnti: u16, target: u32) {
+            let rf_id = api
+                .randb()
+                .agents()
+                .next()
+                .and_then(|a| a.function_by_oid(flexric_sm::oid::RRC_EVENT))
+                .map(|f| f.id)
+                .expect("rrc fn");
+            let msg =
+                Bytes::from(RrcCtrl::Handover { rnti, target_cell: target }.encode(SmCodec::Flatb));
+            api.control(0, rf_id, Bytes::new(), msg, Some(ControlAckRequest::Ack));
+        }
     }
     impl flexric::server::IApp for KpmApp {
-        fn name(&self) -> &str {
-            "kpm-app"
-        }
         fn on_agent_connected(
             &mut self,
             api: &mut flexric::server::ServerApi,
@@ -579,26 +581,6 @@ fn kpm_subscription_and_handover_control() {
                 self.seen.lock().unwrap().ho_acked = true;
             }
         }
-        fn on_custom(
-            &mut self,
-            api: &mut flexric::server::ServerApi,
-            msg: Box<dyn std::any::Any + Send>,
-        ) {
-            if let Ok(cmd) = msg.downcast::<Cmd>() {
-                let Cmd::Handover(rnti, target) = *cmd;
-                let rf_id = api
-                    .randb()
-                    .agents()
-                    .next()
-                    .and_then(|a| a.function_by_oid(flexric_sm::oid::RRC_EVENT))
-                    .map(|f| f.id)
-                    .expect("rrc fn");
-                let msg = Bytes::from(
-                    RrcCtrl::Handover { rnti, target_cell: target }.encode(SmCodec::Flatb),
-                );
-                api.control(0, rf_id, Bytes::new(), msg, Some(ControlAckRequest::Ack));
-            }
-        }
     }
 
     let seen = Arc::new(Mutex::new(SeenState::default()));
@@ -648,7 +630,7 @@ fn kpm_subscription_and_handover_control() {
     }
 
     // Handover the UE to cell 1 through the RRC SM.
-    server.to_iapp("kpm-app", Box::new(Cmd::Handover(0x4601, 1)));
+    server.call(|app: &mut KpmApp, api| app.handover(api, 0x4601, 1)).unwrap();
     drive(&sim, &agent, 500);
     assert!(seen.lock().unwrap().ho_acked, "handover control acknowledged");
     {

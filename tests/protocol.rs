@@ -10,9 +10,9 @@
 //! in either direction and cut connections.  Every run is a function of
 //! its script.
 //!
-//! The scenarios: the five of the wait-and-poll suite this file replaces
+//! The scenarios: four of the wait-and-poll suite this file replaces
 //! (lost subscription request, controller restart, reconnect within the
-//! grace window, sharded rebind, cross-shard fan-out), the regressions that
+//! grace window, sharded rebind), the regressions that
 //! fall out of E2 Setup being a tracked procedure, the relay against the
 //! direct path, the virtualizer between two tenants and one node, and a
 //! sweep of 1 000 generated fault schedules with four invariants checked
@@ -173,13 +173,24 @@ impl Wire {
     fn shard(&mut self, c: usize, k: usize, event: Event<ShardIn>) {
         let mut out = Vec::new();
         self.ctrls[c].shards[k].handle(event, self.now, &mut out);
+        self.carry(c, out);
+    }
+
+    /// Runs `f` with the `A` of controller `c`'s shard `k`, as the
+    /// northbound's `call` does, and delivers what it sent.
+    fn call<A: IApp>(&mut self, c: usize, k: usize, f: impl FnOnce(&mut A, &mut ServerApi)) {
+        let mut out = Vec::new();
+        self.ctrls[c].shards[k].call(self.now, &mut out, f).expect("the shard runs an A");
+        self.carry(c, out);
+        self.settle();
+    }
+
+    /// Carries out what a shard of controller `c` asked for.
+    fn carry(&mut self, c: usize, out: Vec<Action<ShardOut>>) {
         for action in out {
             match action {
                 Action::Send(p, msg) => self.send(DOWN, End::C(c, p), msg),
                 Action::Hangup(p) => self.hangup(End::C(c, p)),
-                Action::App(ShardOut::Forward { shard, agent, msg }) => {
-                    self.shard(c, shard, Event::App(ShardIn::Forwarded(agent, msg)))
-                }
                 Action::App(ShardOut::Publish(event)) => self.published.push(event),
             }
         }
@@ -495,8 +506,6 @@ struct RobApp {
 
 enum RobCmd {
     Subscribe(AgentId),
-    /// One PDU to many agents — exercises the cross-shard fan-out.
-    SendMulti(Vec<AgentId>),
     /// This many controls that ask no acknowledgement, as `PingApp` sends.
     Ping(AgentId, usize),
     /// A subscription request that arrived from elsewhere under its own
@@ -513,9 +522,52 @@ fn forwarded(instance: u16) -> RicRequestId {
     RicRequestId::new(900, instance)
 }
 
+impl RobCmd {
+    fn agent(&self) -> AgentId {
+        match *self {
+            RobCmd::Subscribe(agent)
+            | RobCmd::Ping(agent, _)
+            | RobCmd::Forward(agent, _)
+            | RobCmd::Ack(agent)
+            | RobCmd::Unsubscribe(agent, _) => agent,
+        }
+    }
+}
+
 impl RobApp {
     fn subscribe(&self, api: &mut ServerApi, agent: AgentId) {
         api.subscribe_report(agent, RanFunctionId::new(7), every_ms_1());
+    }
+
+    fn run(&mut self, api: &mut ServerApi, cmd: RobCmd) {
+        match cmd {
+            RobCmd::Subscribe(agent) => self.subscribe(api, agent),
+            RobCmd::Ping(agent, n) => {
+                for _ in 0..n {
+                    let rf = RanFunctionId::new(7);
+                    api.control(agent, rf, Bytes::new(), Bytes::new(), None);
+                }
+            }
+            RobCmd::Ack(agent) => {
+                let (rf, ack) = (RanFunctionId::new(7), Some(ControlAckRequest::Ack));
+                api.control(agent, rf, Bytes::new(), Bytes::new(), ack);
+            }
+            RobCmd::Unsubscribe(agent, req_id) => api.unsubscribe(agent, req_id),
+            RobCmd::Forward(agent, req_id) => api.forward_request(
+                agent,
+                E2apPdu::RicSubscriptionRequest(RicSubscriptionRequest {
+                    req_id,
+                    ran_function: RanFunctionId::new(7),
+                    event_trigger: every_ms_1(),
+                    actions: vec![RicActionToBeSetup {
+                        id: RicActionId(0),
+                        action_type: RicActionType::Report,
+                        definition: None,
+                        subsequent: None,
+                    }],
+                }),
+            ),
+        }
     }
 
     fn saw_agent(&self, api: &ServerApi, agent: &AgentInfo) {
@@ -526,9 +578,6 @@ impl RobApp {
 }
 
 impl IApp for RobApp {
-    fn name(&self) -> &str {
-        "rob-app"
-    }
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
         let mut seen = self.seen.lock().unwrap();
         seen.connected += 1;
@@ -588,45 +637,6 @@ impl IApp for RobApp {
         };
         let req_id = out.to_pdu().ric_request_id().unwrap_or_default();
         seen.calls.push(Call::Ctrl(req_id, kind));
-    }
-    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn std::any::Any + Send>) {
-        match msg.downcast::<RobCmd>().map(|cmd| *cmd) {
-            Ok(RobCmd::Subscribe(agent)) => self.subscribe(api, agent),
-            Ok(RobCmd::SendMulti(agents)) => api.send_pdu_multi(
-                agents,
-                E2apPdu::ErrorIndication(ErrorIndication {
-                    req_id: None,
-                    ran_function: None,
-                    cause: None,
-                }),
-            ),
-            Ok(RobCmd::Ping(agent, n)) => {
-                for _ in 0..n {
-                    let rf = RanFunctionId::new(7);
-                    api.control(agent, rf, Bytes::new(), Bytes::new(), None);
-                }
-            }
-            Ok(RobCmd::Ack(agent)) => {
-                let (rf, ack) = (RanFunctionId::new(7), Some(ControlAckRequest::Ack));
-                api.control(agent, rf, Bytes::new(), Bytes::new(), ack);
-            }
-            Ok(RobCmd::Unsubscribe(agent, req_id)) => api.unsubscribe(agent, req_id),
-            Ok(RobCmd::Forward(agent, req_id)) => api.forward_request(
-                agent,
-                E2apPdu::RicSubscriptionRequest(RicSubscriptionRequest {
-                    req_id,
-                    ran_function: RanFunctionId::new(7),
-                    event_trigger: every_ms_1(),
-                    actions: vec![RicActionToBeSetup {
-                        id: RicActionId(0),
-                        action_type: RicActionType::Report,
-                        definition: None,
-                        subsequent: None,
-                    }],
-                }),
-            ),
-            Err(_) => {}
-        }
     }
 }
 
@@ -749,9 +759,12 @@ impl Wire {
         self.links.iter().find_map(north).expect("bridge is connected upstream")
     }
 
+    /// Has the `RobApp` of the shard of controller `c` that holds `cmd`'s
+    /// agent carry it out.
     fn tell_iapp(&mut self, c: usize, cmd: RobCmd) {
-        self.shard(c, 0, Event::App(ShardIn::ToIApp("rob-app".into(), Box::new(cmd))));
-        self.settle();
+        let holds = |s: &Shard| s.agents().iter().any(|a| a.id == cmd.agent());
+        let k = self.ctrls[c].shards.iter().position(holds).expect("a shard holds the agent");
+        self.call(c, k, |app: &mut RobApp, api| app.run(api, cmd));
     }
 
     fn ctrl_stats(&self, c: usize) -> ServerStats {
@@ -937,32 +950,7 @@ fn sharded_reconnect_within_grace_rebinds_to_original_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Sharded: send_pdu_multi reaches agents on different shards exactly
-//    once each — the cross-shard handover neither drops nor duplicates.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sharded_send_pdu_multi_reaches_every_shard_exactly_once() {
-    let mut w = Wire::default();
-    let app = w.start_ctrl(0, 4, false);
-    let agents: Vec<usize> = [60, 61, 62, 63].map(|n| w.start_agent(n, None, &[0])).to_vec();
-    w.advance(5);
-    let shards_used: HashSet<usize> = seen(&app, |s| s.shard_of.values().copied().collect());
-    assert_eq!(shards_used.len(), 4, "4 entities over 4 shards: {shards_used:?}");
-    let before: Vec<u64> = agents.iter().map(|&a| w.agents[a].stats().rx_msgs).collect();
-
-    // One PDU to all agents, issued on shard 0; the other three targets
-    // leave it as Forward actions.
-    let ids: Vec<AgentId> = seen(&app, |s| s.shard_of.keys().copied().collect());
-    w.tell_iapp(0, RobCmd::SendMulti(ids));
-    w.advance(20);
-    for (i, &a) in agents.iter().enumerate() {
-        assert_eq!(w.agents[a].stats().rx_msgs, before[i] + 1, "agent {i}: exactly once");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 6. A control that asks no acknowledgement: its answer comes home, then
+// 5. A control that asks no acknowledgement: its answer comes home, then
 //    it leaves nothing behind.
 // ---------------------------------------------------------------------------
 
@@ -990,7 +978,7 @@ fn a_control_without_ack_leaves_nothing_behind() {
 }
 
 // ---------------------------------------------------------------------------
-// 7. Undecodable frames are answered; eight in a row from one agent cost it
+// 6. Undecodable frames are answered; eight in a row from one agent cost it
 //    its link, and the grace window gives it back.
 // ---------------------------------------------------------------------------
 
@@ -1056,7 +1044,7 @@ fn undecodable_frames_are_answered_and_eight_in_a_row_drop_the_agent() {
     // A garbled frame toward the agent is answered the same way; the link
     // stays.
     w.faults[DOWN].push_back(Fault::Garble);
-    w.tell_iapp(0, RobCmd::SendMulti(vec![agent_id]));
+    w.tell_iapp(0, RobCmd::Ping(agent_id, 1));
     assert_eq!(w.agents[a].stats().decode_errors, 1);
     assert_eq!(w.syntax_errors(false), 1, "the agent answers it");
     let inds = seen(&app, |s| s.inds);
@@ -1066,7 +1054,7 @@ fn undecodable_frames_are_answered_and_eight_in_a_row_drop_the_agent() {
 }
 
 // ---------------------------------------------------------------------------
-// 8. The relay: one hop more, the same outcomes.
+// 7. The relay: one hop more, the same outcomes.
 // ---------------------------------------------------------------------------
 
 /// What the controller's iApp saw of one script, run with the agent below
@@ -1159,7 +1147,7 @@ fn a_relay_that_loses_its_upstream_redials_and_drops_what_it_forwarded() {
 }
 
 // ---------------------------------------------------------------------------
-// 9. The virtualizer: two tenants on one node, through one bridge.
+// 8. The virtualizer: two tenants on one node, through one bridge.
 // ---------------------------------------------------------------------------
 
 /// What a tenant controller's iApp saw.
@@ -1175,10 +1163,16 @@ struct TenantSeen {
 /// sees, and sends that node the slice commands it is handed.
 struct TenantApp(Arc<Mutex<TenantSeen>>);
 
-impl IApp for TenantApp {
-    fn name(&self) -> &str {
-        "tenant"
+impl TenantApp {
+    fn send(&mut self, api: &mut ServerApi, cmd: SliceCtrl) {
+        let node = api.randb().agents().next().expect("the virtual node").id;
+        let (rf, msg) =
+            (RanFunctionId::new(rf::SLICE_CTRL), Bytes::from(cmd.encode(SmCodec::Flatb)));
+        api.control(node, rf, Bytes::new(), msg, Some(ControlAckRequest::Ack));
     }
+}
+
+impl IApp for TenantApp {
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
         api.subscribe_report(agent.id, RanFunctionId::new(rf::MAC_STATS), every_ms_1());
     }
@@ -1188,13 +1182,6 @@ impl IApp for TenantApp {
     }
     fn on_control_outcome(&mut self, _api: &mut ServerApi, _agent: AgentId, out: &CtrlOutcome) {
         self.0.lock().unwrap().ctrls.push(matches!(out, CtrlOutcome::Ack(_)));
-    }
-    fn on_custom(&mut self, api: &mut ServerApi, msg: Box<dyn std::any::Any + Send>) {
-        let Ok(cmd) = msg.downcast::<SliceCtrl>() else { return };
-        let node = api.randb().agents().next().expect("the virtual node").id;
-        let (rf, msg) =
-            (RanFunctionId::new(rf::SLICE_CTRL), Bytes::from(cmd.encode(SmCodec::Flatb)));
-        api.control(node, rf, Bytes::new(), msg, Some(ControlAckRequest::Ack));
     }
 }
 
@@ -1327,8 +1314,7 @@ impl Wire {
 
     /// Tenant controller `c` sends its node `cmd`.
     fn tenant_sends(&mut self, c: usize, cmd: SliceCtrl) {
-        self.shard(c, 0, Event::App(ShardIn::ToIApp("tenant".into(), Box::new(cmd))));
-        self.settle();
+        self.call(c, 0, |app: &mut TenantApp, api| app.send(api, cmd));
     }
 }
 

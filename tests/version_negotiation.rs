@@ -75,9 +75,6 @@ struct WatchApp {
 }
 
 impl IApp for WatchApp {
-    fn name(&self) -> &str {
-        "watch"
-    }
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
         self.seen.lock().unwrap().functions.push(
             agent
