@@ -26,7 +26,9 @@ const AGENTS: usize = 1000;
 const UES: usize = 32;
 const TICKS: u64 = 400; // 4 full quiet/active/burst cycles per agent
 const KEYFRAME_EVERY: u32 = 16;
-/// Adaptive retune state machine (mirrors `AdaptiveConfig` defaults).
+/// Adaptive retune state machine: the monitoring iApp's anomaly threshold
+/// (`flexric_ctrl::monitoring::BACKLOG_BYTES_THR`), with a lower cap and a
+/// shorter quiet spell than its `MAX_PERIOD_MS` / `QUIET_PERIODS`.
 const MAX_PERIOD: u64 = 64;
 const QUIET_PERIODS: u64 = 4;
 const BACKLOG_THR: u64 = 500_000;

@@ -204,33 +204,19 @@ pub enum MonitorMode {
     Adaptive,
 }
 
-/// Thresholds and bounds of the adaptive retune state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveConfig {
-    /// Tightest period (used under anomaly); the subscription starts at
-    /// [`MonitorConfig::period_ms`].
-    pub min_period_ms: u32,
-    /// Loosest period the backoff may reach.
-    pub max_period_ms: u32,
-    /// Back off after this many periods without a content change.
-    pub quiet_periods: u32,
-    /// MAC anomaly: any UE's `dl_backlog_bytes` above this.
-    pub backlog_bytes_thr: u64,
-    /// RLC anomaly: any bearer's `sojourn_us_avg` above this.
-    pub sojourn_us_thr: u64,
-}
+// The bounds and thresholds of `MonitorMode::Adaptive`'s retune state machine.
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            min_period_ms: 1,
-            max_period_ms: 1_000,
-            quiet_periods: 8,
-            backlog_bytes_thr: 500_000,
-            sojourn_us_thr: 300_000,
-        }
-    }
-}
+/// The tightest period, snapped to under an anomaly; the subscription
+/// starts at [`MonitorConfig::period_ms`].
+pub const MIN_PERIOD_MS: u32 = 1;
+/// The loosest period the backoff may reach.
+pub const MAX_PERIOD_MS: u32 = 1_000;
+/// Back off after this many periods without a content change.
+pub const QUIET_PERIODS: u32 = 8;
+/// MAC anomaly: any UE's `dl_backlog_bytes` above this.
+pub const BACKLOG_BYTES_THR: u64 = 500_000;
+/// RLC anomaly: any bearer's `sojourn_us_avg` above this.
+pub const SOJOURN_US_THR: u64 = 300_000;
 
 /// Configuration of the monitoring iApp.
 #[derive(Debug, Clone, Copy)]
@@ -259,8 +245,6 @@ pub struct MonitorConfig {
     /// Keyframe cadence of delta subscriptions (report opportunities
     /// per full keyframe).
     pub keyframe_every: u32,
-    /// Retune state machine (only read in [`MonitorMode::Adaptive`]).
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for MonitorConfig {
@@ -276,7 +260,6 @@ impl Default for MonitorConfig {
             stale_ttl_ms: Some(60_000),
             mode: MonitorMode::Full,
             keyframe_every: 16,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -375,12 +358,12 @@ impl MonitorApp {
     /// Anomaly predicates on reconstructed KPIs — iApp policy, applied to
     /// the SMs this iApp understands via downcast.  SMs without a rule
     /// (including third-party ones) are simply never anomalous.
-    fn is_anomalous(snap: &(dyn Any + Send), thr: AdaptiveConfig) -> bool {
+    fn is_anomalous(snap: &(dyn Any + Send)) -> bool {
         if let Some(m) = snap.downcast_ref::<MacStatsInd>() {
-            return m.ues.iter().any(|u| u.dl_backlog_bytes > thr.backlog_bytes_thr);
+            return m.ues.iter().any(|u| u.dl_backlog_bytes > BACKLOG_BYTES_THR);
         }
         if let Some(r) = snap.downcast_ref::<RlcStatsInd>() {
-            return r.bearers.iter().any(|b| b.sojourn_us_avg > thr.sojourn_us_thr);
+            return r.bearers.iter().any(|b| b.sojourn_us_avg > SOJOURN_US_THR);
         }
         false
     }
@@ -528,7 +511,6 @@ impl IApp for MonitorApp {
         let mut changed = false;
         let mut anomaly = false;
         let mut need_keyframe = false;
-        let thr = self.cfg.adaptive;
         let last_resync_ms = entry.last_resync_ms;
         let now = api.now_ms();
         let (store, db) = (self.cfg.store, &self.db);
@@ -540,7 +522,7 @@ impl IApp for MonitorApp {
         }) {
             Ok(AnyDeltaEvent::Snapshot { snap, changed: ch }) => {
                 changed = ch;
-                anomaly = Self::is_anomalous(&*snap, thr);
+                anomaly = Self::is_anomalous(&*snap);
             }
             Ok(AnyDeltaEvent::NeedKeyframe) => need_keyframe = true,
             Err(_) => {
@@ -571,16 +553,16 @@ impl IApp for MonitorApp {
             return;
         }
         // Adaptive state machine, tighten half: an anomaly on the
-        // reconstructed KPIs snaps the period to the configured minimum.
+        // reconstructed KPIs snaps the period to the minimum.
         let Some(state) = self.adapt.get_mut(&agent) else { return };
         if changed || anomaly {
             state.last_change_ms = now;
         }
-        if anomaly && state.period_ms > thr.min_period_ms {
-            state.period_ms = thr.min_period_ms;
+        if anomaly && state.period_ms > MIN_PERIOD_MS {
+            state.period_ms = MIN_PERIOD_MS;
             state.last_change_ms = now;
             obs().retunes_tighten.inc();
-            self.retune_agent(api, agent, thr.min_period_ms);
+            self.retune_agent(api, agent, MIN_PERIOD_MS);
         }
     }
 
@@ -592,18 +574,17 @@ impl IApp for MonitorApp {
             return;
         }
         // Backoff half: agents whose content has not changed for
-        // `quiet_periods` report periods get their period doubled (up to
+        // `QUIET_PERIODS` report periods get their period doubled (up to
         // the cap); any change or anomaly resets the quiet clock, and the
         // tighten half snaps them back to the minimum immediately.
-        let thr = self.cfg.adaptive;
         let mut backoffs = Vec::new();
         for (&agent, state) in self.adapt.iter_mut() {
-            if state.period_ms >= thr.max_period_ms {
+            if state.period_ms >= MAX_PERIOD_MS {
                 continue;
             }
-            let quiet_ms = thr.quiet_periods.max(1) as u64 * state.period_ms.max(1) as u64;
+            let quiet_ms = QUIET_PERIODS as u64 * state.period_ms.max(1) as u64;
             if now_ms.saturating_sub(state.last_change_ms) >= quiet_ms {
-                state.period_ms = (state.period_ms.saturating_mul(2)).min(thr.max_period_ms);
+                state.period_ms = (state.period_ms.saturating_mul(2)).min(MAX_PERIOD_MS);
                 // Space successive backoffs by a fresh quiet interval.
                 state.last_change_ms = now_ms;
                 backoffs.push((agent, state.period_ms));

@@ -68,11 +68,11 @@ const QUIET_LEN: u64 = 45;
 const ACTIVE_LEN: u64 = 45;
 // Burst fills the remaining CYCLE - QUIET_LEN - ACTIVE_LEN = 10 ticks.
 
-/// Backlog bytes emitted during a burst — above the default
-/// `AdaptiveConfig::backlog_bytes_thr` of the monitoring iApp.
+/// Backlog bytes emitted during a burst — above the monitoring iApp's
+/// anomaly threshold `flexric_ctrl::monitoring::BACKLOG_BYTES_THR`.
 pub const BURST_BACKLOG_BYTES: u64 = 800_000;
-/// Sojourn time emitted during a burst — above the default
-/// `AdaptiveConfig::sojourn_us_thr`.
+/// Sojourn time emitted during a burst — above
+/// `flexric_ctrl::monitoring::SOJOURN_US_THR`.
 pub const BURST_SOJOURN_US: u64 = 450_000;
 
 /// Deterministic per-agent KPI generator.

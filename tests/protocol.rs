@@ -1,14 +1,6 @@
-//! The protocol suite: the agent and the controller as what they are —
-//! state machines — on an in-test wire with one virtual clock.
-//!
-//! No runtime, no socket, no waiting: [`Wire`] plays the driver.  It
-//! carries `Send` actions between N [`Agent`]s, K-shard controllers and
-//! [`Bridge`]s as `Frame` events, turns `Dial` into `Connected` /
-//! `DialFailed`, `Hangup` into the far end's `Closed`, and moves time a
-//! millisecond at a time.
-//! A script can drop, delay, hold back (reorder) or garble the next frames
-//! in either direction and cut connections.  Every run is a function of
-//! its script.
+//! The protocol suite: the agent and the controller as state machines on
+//! the in-test [`Wire`] (`wire/mod.rs`), with a stub RAN function that
+//! reports pings and an iApp that counts what it sees.
 //!
 //! The scenarios: four of the wait-and-poll suite this file replaces
 //! (lost subscription request, controller restart, reconnect within the
@@ -18,22 +10,20 @@
 //! sweep of 1 000 generated fault schedules with four invariants checked
 //! after every step.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+mod wire;
+
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use flexric::agent::{
-    Admission, Agent, AgentConfig, AgentCtx, AgentIn, AgentOut, CtrlId, Due, RanFunction,
-    SubscriptionInfo,
-};
-use flexric::endpoint::{Backoff, RetryPolicy};
-use flexric::machine::{Action, Event, Machine, PeerId};
-use flexric::relay::{Bridge, BridgeIn, NorthId};
+use flexric::agent::{Admission, AgentCtx, AgentIn, CtrlId, Due, RanFunction, SubscriptionInfo};
+use flexric::endpoint::Backoff;
+use flexric::machine::Event;
+use flexric::relay::BridgeIn;
 use flexric::server::{
-    AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerConfig, ServerEvent,
-    ServerStats, Shard, ShardIn, ShardOut, ShardRouter, SubOutcome,
+    AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerEvent, Shard, SubOutcome,
 };
 use flexric_codec::E2apCodec;
 use flexric_ctrl::recursive::{phys_slice_id, TenantConf, VirtController};
@@ -42,367 +32,7 @@ use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::slice::{SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
 use flexric_sm::{hw::HwPing, oid, rf, ReportTrigger, SmCodec, SmPayload};
 use flexric_transport::{TransportAddr, WireMsg};
-
-const CODEC: E2apCodec = E2apCodec::Flatb;
-
-/// Short deadlines so a terminal timeout is a few hundred virtual ms:
-/// setup 40 + 80 + 100 + 100, subscription 20 + 40 + 80 + 100.
-const RETRY: RetryPolicy = RetryPolicy {
-    setup_deadline_ms: 40,
-    subscription_deadline_ms: 20,
-    delete_deadline_ms: 20,
-    control_deadline_ms: 20,
-    service_deadline_ms: 20,
-    global_deadline_ms: 20,
-    max_deadline_ms: 100,
-    max_attempts: 4,
-};
-const SETUP_TERMINAL_MS: u64 = 320;
-const SUB_TERMINAL_MS: u64 = 240;
-const BACKOFF: Backoff = Backoff { initial_ms: 10, max_ms: 80 };
-const GRACE_MS: u64 = 1_000;
-
-// ---------------------------------------------------------------------------
-// The wire
-// ---------------------------------------------------------------------------
-
-/// One end of a connection: the agent, controller or bridge it belongs
-/// to, and the id that side knows the connection by.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum End {
-    A(usize, PeerId),
-    C(usize, PeerId),
-    B(usize, PeerId),
-}
-
-/// Who asked for a dial: agent `.0`, or bridge `.0`'s north agent `.1`.
-#[derive(Clone, Copy, Debug)]
-enum Dialer {
-    Agent(usize),
-    North(usize, NorthId),
-}
-
-/// What the script does to the next frame crossing in one direction.
-#[derive(Clone, Copy, Debug)]
-enum Fault {
-    Pass,
-    Drop,
-    Delay(u64),
-    /// Held back until the next frame in the same direction has gone.
-    Hold,
-    /// Its payload replaced by [`GARBLED`], which no decoder accepts.
-    Garble,
-}
-
-/// What a garbled frame carries: neither E2AP codec decodes it.
-const GARBLED: &[u8] = &[0xFF; 8];
-
-/// Directions: toward the controllers (agent → controller, agent → bridge,
-/// bridge → controller) and back.
-const UP: usize = 0;
-const DOWN: usize = 1;
-
-struct Ctrl {
-    shards: Vec<Shard>,
-    router: Arc<ShardRouter>,
-    /// A controller that is not listening refuses dials.
-    listening: bool,
-    /// Accepts and reads, never answers.
-    silent: bool,
-    /// The shard each accepted connection's setup request routed it to.
-    shard_of: HashMap<PeerId, usize>,
-}
-
-struct BridgeEnd {
-    bridge: Bridge,
-    /// Accepted connections whose first frame has not arrived yet.
-    fresh: HashSet<PeerId>,
-}
-
-#[derive(Default)]
-struct Wire {
-    now: u64,
-    agents: Vec<Agent>,
-    ctrls: Vec<Ctrl>,
-    bridges: Vec<BridgeEnd>,
-    links: HashMap<End, End>,
-    /// In flight: (due, order, to, a frame or the close).
-    flights: Vec<(u64, u64, End, Option<WireMsg>)>,
-    /// Dials asked for: (due, who, its controller, address).
-    dials: Vec<(u64, Dialer, CtrlId, TransportAddr)>,
-    faults: [VecDeque<Fault>; 2],
-    held: [Option<(End, WireMsg)>; 2],
-    order: u64,
-    hung: HashSet<End>,
-    /// When each agent last connected / each controller last accepted.
-    connected_at: HashMap<usize, u64>,
-    accepted_at: HashMap<usize, u64>,
-    // What the machines asked for beside frames, for the tests to read.
-    dial_log: Vec<(usize, CtrlId, u64)>,
-    /// The bridges' north agents' dials: (north agent, backoff).
-    north_dials: Vec<(NorthId, u64)>,
-    setup_done: Vec<(usize, CtrlId, Result<(), String>)>,
-    published: Vec<ServerEvent>,
-    /// Indications agents sent, and those lost to the script, to a closed
-    /// link or to an end that no longer listens.
-    ind_sent: u64,
-    ind_lost: u64,
-    /// Every send (with its frame) and hangup (without), in order.
-    trace: Vec<(u64, End, Option<WireMsg>)>,
-}
-
-impl Wire {
-    fn agent(&mut self, i: usize, event: Event<AgentIn>) {
-        let mut out = Vec::new();
-        self.agents[i].handle(event, self.now, &mut out);
-        for action in out {
-            match action {
-                Action::Send(p, msg) => self.send(UP, End::A(i, p), msg),
-                Action::Hangup(p) => self.hangup(End::A(i, p)),
-                Action::App(AgentOut::Dial { ctrl, addr, after_ms }) => {
-                    self.dial_log.push((i, ctrl, after_ms));
-                    self.dials.push((self.now + after_ms, Dialer::Agent(i), ctrl, addr));
-                }
-                Action::App(AgentOut::SetupDone { ctrl, result }) => {
-                    self.setup_done.push((i, ctrl, result))
-                }
-            }
-        }
-    }
-
-    fn shard(&mut self, c: usize, k: usize, event: Event<ShardIn>) {
-        let mut out = Vec::new();
-        self.ctrls[c].shards[k].handle(event, self.now, &mut out);
-        self.carry(c, out);
-    }
-
-    /// Runs `f` with the `A` of controller `c`'s shard `k`, as the
-    /// northbound's `call` does, and delivers what it sent.
-    fn call<A: IApp>(&mut self, c: usize, k: usize, f: impl FnOnce(&mut A, &mut ServerApi)) {
-        let mut out = Vec::new();
-        self.ctrls[c].shards[k].call(self.now, &mut out, f).expect("the shard runs an A");
-        self.carry(c, out);
-        self.settle();
-    }
-
-    /// Carries out what a shard of controller `c` asked for.
-    fn carry(&mut self, c: usize, out: Vec<Action<ShardOut>>) {
-        for action in out {
-            match action {
-                Action::Send(p, msg) => self.send(DOWN, End::C(c, p), msg),
-                Action::Hangup(p) => self.hangup(End::C(c, p)),
-                Action::App(ShardOut::Publish(event)) => self.published.push(event),
-            }
-        }
-    }
-
-    fn bridge(&mut self, b: usize, event: Event<BridgeIn>) {
-        let mut out = Vec::new();
-        self.bridges[b].bridge.handle(event, self.now, &mut out);
-        for action in out {
-            match action {
-                Action::Send(p, msg) => {
-                    let north = matches!(self.links.get(&End::B(b, p)), Some(End::C(..)));
-                    self.send(if north { UP } else { DOWN }, End::B(b, p), msg)
-                }
-                Action::Hangup(p) => self.hangup(End::B(b, p)),
-                Action::App((k, AgentOut::Dial { ctrl, addr, after_ms })) => {
-                    self.north_dials.push((k, after_ms));
-                    self.dials.push((self.now + after_ms, Dialer::North(b, k), ctrl, addr));
-                }
-                Action::App(_) => {}
-            }
-        }
-    }
-
-    fn lose(&mut self, msg: &WireMsg) {
-        self.ind_lost += u64::from(msg.stream == WireMsg::STREAM_BULK);
-    }
-
-    fn fly(&mut self, due: u64, to: End, what: Option<WireMsg>) {
-        self.order += 1;
-        self.flights.push((due, self.order, to, what));
-    }
-
-    fn send(&mut self, dir: usize, from: End, msg: WireMsg) {
-        assert!(!self.hung.contains(&from), "Send to {from:?} after its Hangup");
-        self.trace.push((self.now, from, Some(msg.clone())));
-        self.ind_sent += u64::from(dir == UP && msg.stream == WireMsg::STREAM_BULK);
-        let Some(&to) = self.links.get(&from) else { return self.lose(&msg) };
-        match self.faults[dir].pop_front().unwrap_or(Fault::Pass) {
-            Fault::Drop => self.lose(&msg),
-            Fault::Hold if self.held[dir].is_none() => self.held[dir] = Some((to, msg)),
-            fault => {
-                let (delay, msg) = match fault {
-                    Fault::Delay(ms) => (ms, msg),
-                    Fault::Garble => (0, WireMsg { payload: Bytes::from_static(GARBLED), ..msg }),
-                    _ => (0, msg),
-                };
-                self.fly(self.now + delay, to, Some(msg));
-                if let Some((to, msg)) = self.held[dir].take() {
-                    self.fly(self.now, to, Some(msg));
-                }
-            }
-        }
-    }
-
-    /// `end` hears its connection close, no sooner than `at` and after
-    /// every frame already on its way there.
-    fn close(&mut self, end: End, at: u64) {
-        let last = self.flights.iter().filter(|f| f.2 == end).map(|f| f.0).max();
-        self.fly(at.max(last.unwrap_or(0)), end, None);
-    }
-
-    /// Takes the connection `end` belongs to off the wire; returns its far end.
-    fn unlink(&mut self, end: End) -> Option<End> {
-        let far = self.links.remove(&end)?;
-        self.links.remove(&far);
-        Some(far)
-    }
-
-    fn hangup(&mut self, end: End) {
-        assert!(self.hung.insert(end), "{end:?} hung up on twice");
-        self.trace.push((self.now, end, None));
-        if let Some(far) = self.unlink(end) {
-            self.close(far, self.now);
-        }
-    }
-
-    /// Agent `i`'s end of its (one) live connection.
-    fn end_of(&self, i: usize) -> Option<End> {
-        self.links.keys().copied().find(|e| matches!(e, End::A(a, _) if *a == i))
-    }
-
-    /// The network drops agent `i`'s connection; the controller's side
-    /// hears of it `far_lag_ms` later.
-    fn cut(&mut self, i: usize, far_lag_ms: u64) {
-        if let Some(near) = self.end_of(i) {
-            self.cut_at(near, far_lag_ms);
-        }
-    }
-
-    /// The network drops the connection `near` belongs to; the far side
-    /// hears of it `far_lag_ms` later.
-    fn cut_at(&mut self, near: End, far_lag_ms: u64) {
-        if let Some(far) = self.unlink(near) {
-            self.close(near, self.now);
-            self.close(far, self.now + far_lag_ms);
-        }
-    }
-
-    fn deliver(&mut self, to: End, what: Option<WireMsg>) {
-        if let (true, Some(msg)) = (self.hung.contains(&to), &what) {
-            self.lose(msg); // handed over all the same: the machine must ignore it
-        }
-        match to {
-            End::A(i, p) => self.agent(i, frame_or_closed(p, what)),
-            // The bridge's accept path: a connection's first frame is its
-            // setup request.
-            End::B(b, p) if self.bridges[b].fresh.remove(&p) => {
-                let Some(Ok(E2apPdu::E2SetupRequest(req))) = what.map(|m| CODEC.decode(&m.payload))
-                else {
-                    return;
-                };
-                let new_agent = ShardIn::NewAgent { req, peer: p, desc: format!("wire:{p}") };
-                self.bridge(b, Event::App(BridgeIn::South(new_agent)));
-            }
-            End::B(b, p) => self.bridge(b, frame_or_closed(p, what)),
-            End::C(c, _) if self.ctrls[c].silent => {
-                if let Some(msg) = &what {
-                    self.lose(msg);
-                }
-            }
-            End::C(c, p) => match (self.ctrls[c].shard_of.get(&p).copied(), what) {
-                (Some(k), what) => self.shard(c, k, frame_or_closed(p, what)),
-                // The accept path: a connection's first frame routes it.
-                (None, Some(msg)) => {
-                    let Ok(E2apPdu::E2SetupRequest(req)) = CODEC.decode(&msg.payload) else {
-                        return;
-                    };
-                    let k = self.ctrls[c].router.assign(req.global_node.ran_entity_key());
-                    self.ctrls[c].shard_of.insert(p, k);
-                    self.accepted_at.insert(c, self.now);
-                    let desc = format!("wire:{p}");
-                    self.shard(c, k, Event::App(ShardIn::NewAgent { req, peer: p, desc }));
-                }
-                (None, None) => {}
-            },
-        }
-    }
-
-    /// Dials controller `c` at `mem:<c>` or bridge `b` at `mem:b<b>`.
-    fn connect(&mut self, from: Dialer, ctrl: CtrlId, addr: &TransportAddr) {
-        let TransportAddr::Mem(name) = addr else { panic!("the wire dials mem:<index>") };
-        let (far, x): (fn(usize, PeerId) -> End, usize) = match name.strip_prefix('b') {
-            Some(b) => (End::B, b.parse().expect("bridge index")),
-            None => (End::C, name.parse().expect("controller index")),
-        };
-        if matches!(far(x, 0), End::C(c, _) if !self.ctrls.get(c).is_some_and(|c| c.listening)) {
-            let error = "connection refused".to_owned();
-            return self.dialled(from, AgentIn::DialFailed { ctrl, error });
-        }
-        self.order += 2;
-        let (peer, far) = (self.order - 1, far(x, self.order));
-        if let End::B(b, p) = far {
-            self.bridges[b].fresh.insert(p);
-        }
-        let near = match from {
-            Dialer::Agent(i) => {
-                self.connected_at.insert(i, self.now);
-                End::A(i, peer)
-            }
-            Dialer::North(b, _) => End::B(b, peer),
-        };
-        self.links.insert(near, far);
-        self.links.insert(far, near);
-        self.dialled(from, AgentIn::Connected { ctrl, peer });
-    }
-
-    /// Hands the answer to a dial to whoever asked for it.
-    fn dialled(&mut self, from: Dialer, answer: AgentIn) {
-        match from {
-            Dialer::Agent(i) => self.agent(i, Event::App(answer)),
-            Dialer::North(b, k) => self.bridge(b, Event::App(BridgeIn::North(k, answer))),
-        }
-    }
-
-    /// Delivers what is due, in order, and connects the dials that are due.
-    fn settle(&mut self) {
-        loop {
-            let due = self.flights.iter().enumerate().filter(|(_, f)| f.0 <= self.now);
-            if let Some(at) = due.min_by_key(|(_, f)| (f.0, f.1)).map(|(at, _)| at) {
-                let (_, _, to, what) = self.flights.remove(at);
-                self.deliver(to, what);
-            } else if let Some(at) = self.dials.iter().position(|d| d.0 <= self.now) {
-                let (_, from, ctrl, addr) = self.dials.remove(at);
-                self.connect(from, ctrl, &addr);
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Moves the clock `ms` forward, a millisecond and a tick at a time.
-    fn advance(&mut self, ms: u64) {
-        for _ in 0..ms {
-            self.now += 1;
-            self.settle();
-            (0..self.agents.len()).for_each(|i| self.agent(i, Event::Tick));
-            (0..self.bridges.len()).for_each(|b| self.bridge(b, Event::Tick));
-            for c in 0..self.ctrls.len() {
-                (0..self.ctrls[c].shards.len()).for_each(|k| self.shard(c, k, Event::Tick));
-            }
-            self.settle();
-        }
-    }
-}
-
-fn frame_or_closed<X>(peer: PeerId, what: Option<WireMsg>) -> Event<X> {
-    match what {
-        Some(msg) => Event::Frame(peer, msg.payload),
-        None => Event::Closed(peer),
-    }
-}
+use wire::*;
 
 // ---------------------------------------------------------------------------
 // Fixtures: a periodic-report RAN function (id 7) and a recording iApp
@@ -645,118 +275,30 @@ fn every_ms_1() -> Bytes {
     Bytes::from(ReportTrigger::every_ms(1).encode(SmCodec::Flatb))
 }
 
-fn addr(ctrl: usize) -> TransportAddr {
-    TransportAddr::Mem(ctrl.to_string())
-}
-
-fn bridge_addr(bridge: usize) -> TransportAddr {
-    TransportAddr::Mem(format!("b{bridge}"))
-}
-
 impl Wire {
     /// Starts (or restarts, at `at`) a controller of `shards` shards with
     /// one [`RobApp`] per shard reporting into the returned [`Seen`].
     fn start_ctrl(&mut self, at: usize, shards: usize, auto_subscribe: bool) -> Arc<Mutex<Seen>> {
         let seen = Arc::new(Mutex::new(Seen::default()));
         let app = || Box::new(RobApp { auto_subscribe, seen: seen.clone() }) as Box<dyn IApp>;
-        self.start_ctrl_of(at, (0..shards).map(|_| app()).collect());
+        self.start_ctrl_of(at, &ctrl_cfg(at), (0..shards).map(|_| app()).collect());
         seen
     }
 
-    /// Starts (or restarts, at `at`) a controller of one shard per iApp.
-    fn start_ctrl_of(&mut self, at: usize, apps: Vec<Box<dyn IApp>>) {
-        let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr(at));
-        (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, GRACE_MS);
-        let router = Arc::new(ShardRouter::new(apps.len()));
-        let shards: Vec<Shard> = (apps.into_iter().enumerate())
-            .map(|(k, app)| Shard::new(k, &cfg, vec![app], router.clone()))
-            .collect();
-        let ctrl =
-            Ctrl { shards, router, listening: true, silent: false, shard_of: HashMap::new() };
-        if at == self.ctrls.len() {
-            self.ctrls.push(ctrl);
-        } else {
-            self.ctrls[at] = ctrl;
-        }
-        (0..self.ctrls[at].shards.len())
-            .for_each(|k| self.shard(at, k, Event::App(ShardIn::Start)));
-    }
-
-    /// Stops controller `c`: it refuses dials and its connections close.
-    fn stop_ctrl(&mut self, c: usize) {
-        self.ctrls[c].listening = false;
-        let ends: Vec<End> =
-            self.links.keys().copied().filter(|e| matches!(e, End::C(x, _) if *x == c)).collect();
-        for end in ends {
-            if let Some(far) = self.unlink(end) {
-                self.close(far, self.now);
-            }
-        }
-    }
-
-    /// Adds an agent for E2 node `node_id` and has it add `ctrls`.
+    /// Adds a [`PingFn`] agent for E2 node `node_id` and has it add `ctrls`.
     fn start_agent(&mut self, node_id: u64, reconnect: Option<Backoff>, ctrls: &[usize]) -> usize {
         let addrs: Vec<TransportAddr> = ctrls.iter().map(|&c| addr(c)).collect();
         self.start_agent_at(node_id, reconnect, &addrs)
     }
 
-    /// Adds an agent for E2 node `node_id` and has it add the controllers
-    /// (or bridges) at `addrs`.
+    /// The same with the controllers (or bridges) at `addrs`.
     fn start_agent_at(
         &mut self,
         node_id: u64,
         reconnect: Option<Backoff>,
         addrs: &[TransportAddr],
     ) -> usize {
-        self.start_agent_of(node_id, reconnect, addrs, vec![Box::new(PingFn::new())])
-    }
-
-    /// The same with `functions` for its RAN functions.
-    fn start_agent_of(
-        &mut self,
-        node_id: u64,
-        reconnect: Option<Backoff>,
-        addrs: &[TransportAddr],
-        functions: Vec<Box<dyn RanFunction>>,
-    ) -> usize {
-        let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, node_id);
-        let mut cfg = AgentConfig::new(node, addrs[0].clone());
-        (cfg.codec, cfg.retry, cfg.reconnect) = (CODEC, RETRY, reconnect);
-        self.agents.push(Agent::new(cfg, functions));
-        let i = self.agents.len() - 1;
-        for a in addrs {
-            self.agent(i, Event::App(AgentIn::AddController(a.clone())));
-        }
-        self.settle();
-        i
-    }
-
-    /// The south side of a bridge at `mem:b<index>`, with `grace_ms`.
-    fn bridge_cfg(&self, grace_ms: u64) -> ServerConfig {
-        let at = bridge_addr(self.bridges.len());
-        let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 2), at);
-        (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, grace_ms);
-        cfg
-    }
-
-    fn add_bridge(&mut self, bridge: Bridge) -> usize {
-        self.bridges.push(BridgeEnd { bridge, fresh: HashSet::new() });
-        self.bridges.len() - 1
-    }
-
-    /// Starts a relay at `mem:b<index>` whose mirrors dial controller
-    /// `upstream`.
-    fn start_relay(&mut self, upstream: usize) -> usize {
-        let relay = Bridge::relay(&self.bridge_cfg(GRACE_MS), addr(upstream));
-        self.add_bridge(relay)
-    }
-
-    /// Bridge `b`'s end of its connection to a controller.
-    fn north_end_of(&self, b: usize) -> End {
-        let north = |(near, far): (&End, &End)| {
-            matches!((near, far), (End::B(x, _), End::C(..)) if *x == b).then_some(*near)
-        };
-        self.links.iter().find_map(north).expect("bridge is connected upstream")
+        self.start_agent_of(agent_cfg(node_id, reconnect, addrs), vec![Box::new(PingFn::new())])
     }
 
     /// Has the `RobApp` of the shard of controller `c` that holds `cmd`'s
@@ -765,18 +307,6 @@ impl Wire {
         let holds = |s: &Shard| s.agents().iter().any(|a| a.id == cmd.agent());
         let k = self.ctrls[c].shards.iter().position(holds).expect("a shard holds the agent");
         self.call(c, k, |app: &mut RobApp, api| app.run(api, cmd));
-    }
-
-    fn ctrl_stats(&self, c: usize) -> ServerStats {
-        let mut sum = ServerStats::default();
-        self.ctrls[c].shards.iter().for_each(|s| sum += s.stats());
-        sum
-    }
-
-    /// Both ends of agent `i`'s connection.
-    fn ends_of(&self, i: usize) -> (End, End) {
-        let near = self.end_of(i).expect("agent is connected");
-        (near, self.links[&near])
     }
 }
 
@@ -1276,7 +806,7 @@ impl Wire {
     /// Starts tenant controller `at`.
     fn start_tenant(&mut self, at: usize) -> Arc<Mutex<TenantSeen>> {
         let seen = Arc::new(Mutex::new(TenantSeen::default()));
-        self.start_ctrl_of(at, vec![Box::new(TenantApp(seen.clone()))]);
+        self.start_ctrl_of(at, &ctrl_cfg(at), vec![Box::new(TenantApp(seen.clone()))]);
         seen
     }
 
@@ -1309,7 +839,7 @@ impl Wire {
             Box::new(StubMac(identity_of(oid::MAC_STATS), cell.clone())),
             Box::new(StubSlice(identity_of(oid::SLICE_CTRL), cell.clone())),
         ];
-        (self.start_agent_of(node_id, None, &[bridge_addr(b)], functions), cell)
+        (self.start_agent_of(agent_cfg(node_id, None, &[bridge_addr(b)]), functions), cell)
     }
 
     /// Tenant controller `c` sends its node `cmd`.
