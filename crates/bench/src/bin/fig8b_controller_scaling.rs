@@ -10,15 +10,16 @@
 //!
 //! `--shards N` runs the controller role sharded (`0` = one per core);
 //! see `fig8b_sharded_sweep` for the mem-transport sweep toward 10k
-//! agents.  Results are also written as a machine-readable snapshot to
-//! `--out` (default `BENCH_fig8b.json`, `--out -` to skip).
+//! agents.  This bin is the one writer of `BENCH_fig8b.json`: results go
+//! to `--out` (default `BENCH_fig8b.json`, `--out -` to skip).
 //!
 //! ```text
 //! cargo run --release -p flexric-bench --bin fig8b_controller_scaling \
-//!     [--duration 8] [--max-agents 18] [--step 4] [--period 1] [--shards 1]
+//!     [--duration 8] [--max-agents 18] [--step 4] [--period 1] [--shards 1] \
+//!     [--out BENCH_fig8b.json]
 //! ```
 
-use flexric_bench::{metrics, roles, spawn_role, table, Args};
+use flexric_bench::{metrics, roles, snapshot, spawn_role, table, write_snapshot, Args};
 use flexric_xapp::json;
 
 fn run_point(
@@ -95,6 +96,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut json_points = Vec::new();
     let mut port = 39400u16;
+    let mut last_cpu = [0.0; 2];
     let mut points: Vec<usize> = (1..=max_agents).step_by(step.max(1)).collect();
     if *points.last().unwrap_or(&0) != max_agents {
         points.push(max_agents);
@@ -102,9 +104,10 @@ fn main() {
     for agents in points {
         let mut row = vec![agents.to_string()];
         let mut point = vec![("agents".to_owned(), json!(agents))];
-        for codec in ["asn", "fb"] {
+        for (k, codec) in ["asn", "fb"].into_iter().enumerate() {
             port += 1;
             let cpu = run_point(codec, agents, period, duration, port, shards);
+            last_cpu[k] = cpu;
             eprintln!("  agents={agents} {codec}: {cpu:.1} %");
             row.push(table::f(cpu));
             point.push((format!("{codec}_cpu_pct"), json!((cpu * 10.0).round() / 10.0)));
@@ -113,22 +116,29 @@ fn main() {
         json_points.push(json::Value::Obj(point));
     }
     table::table(&["agents", "asn1_cpu_%", "fb_cpu_%"], &rows);
-    if out != "-" {
-        let snapshot = json!({
-            "bench": "fig8b",
-            "source": "fig8b_controller_scaling",
+    let [asn, fb] = last_cpu;
+    let doc = snapshot(
+        "fig8b",
+        "fig8b_controller_scaling",
+        &format!(
+            "Controller CPU (utime + stime of the controller process, /proc) against the number \
+             of dummy agents (MAC + RLC + PDCP, FB SMs), each agent and controller a separate \
+             process over loopback TCP, once with ASN.1 PER E2AP and once with FB E2AP.  At \
+             {max_agents} agents ASN.1 takes {asn:.1} % and FB {fb:.1} % ({:.2}x); the paper \
+             reads about 4x.",
+            asn / fb.max(1e-9)
+        ),
+        json!({
             "transport": "tcp-loopback",
             "sm_codec": "fb",
             "period_ms": period,
             "ues_per_agent": 32,
             "shards": shards,
             "duration_s": duration,
-            "points": json_points,
-        });
-        let text = snapshot.to_string_pretty() + "\n";
-        std::fs::write(&out, text).expect("write snapshot");
-        println!("snapshot written to {out}");
-    }
+        }),
+        json_points,
+    );
+    write_snapshot(&out, &doc);
     println!();
     println!("Paper shape check: ASN.1 ≈4x the CPU of FB at equal agent counts —");
     println!("the FB path peeks the routing header from raw bytes, the ASN.1 path");

@@ -17,15 +17,14 @@
 //! ```
 //!
 //! Besides the table, a machine-readable snapshot is written to `--out`
-//! (default `BENCH_fig9a.json`, `--out -` to skip; `bench_schema_lint`
-//! holds it to the committed snapshots' header) so re-anchors can track
-//! the two-hop RTT over time; its `commit` is the checkout it ran in
-//! (`git rev-parse HEAD`, "unknown" outside one).
+//! (default `BENCH_fig9a.json`, `--out -` to skip) by
+//! [`flexric_bench::snapshot`], whose header `bench_schema_lint` checks,
+//! so re-anchors can track the two-hop RTT over time.
 
 use flexric::agent::{Agent, AgentConfig};
 use flexric::relay::Bridge;
 use flexric::server::{Server, ServerConfig};
-use flexric_bench::{summarize, table, Args};
+use flexric_bench::{snapshot, summarize, table, write_snapshot, Args};
 use flexric_codec::E2apCodec;
 use flexric_ctrl::ranfun::HwFn;
 use flexric_ctrl::relay::PingApp;
@@ -99,29 +98,6 @@ fn flexric_two_hop(codec: E2apCodec, sm: SmCodec, payload: usize, pings: usize) 
     (s.mean / 1000.0, s.p50 as f64 / 1000.0, s.p99 as f64 / 1000.0)
 }
 
-/// The machine this ran on: CPU model, vCPUs, OS.
-fn host() -> String {
-    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let model = cpuinfo
-        .lines()
-        .find_map(|l| l.strip_prefix("model name"))
-        .map(|l| l.trim_start_matches(|c: char| c == ':' || c.is_whitespace()).to_owned());
-    let vcpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let model = model.unwrap_or_else(|| "unknown CPU".into());
-    format!("{model}, {vcpus} vCPU, {}", std::env::consts::OS)
-}
-
-/// The commit checked out where this runs.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".into(), |s| s.trim().to_owned())
-}
-
 fn main() {
     let args = Args::parse();
     let pings: usize = args.get_or("pings", 1000);
@@ -163,24 +139,16 @@ fn main() {
     }
     table::table(&["payload", "path", "rtt_mean_us", "rtt_p50_us", "rtt_p99_us"], &rows);
 
-    if out != "-" {
-        let doc = flexric_xapp::json!({
-            "bench": "fig9a",
-            "source": "fig9a_two_hop_rtt",
-            "status": "measured",
-            "note": "Live HW pings over localhost TCP, one at a time, RTT taken at the pinging iApp; \
-                     the O-RAN path is the ASN/ASN relay path (the E2 termination is the relay in \
-                     ASN.1 PER), so one row stands for both.",
-            "host": host(),
-            "commit": commit(),
-            "pings_per_point": pings,
-            "points": points,
-        });
-        match std::fs::write(&out, doc.to_string_pretty() + "\n") {
-            Ok(()) => eprintln!("  snapshot written to {out}"),
-            Err(e) => eprintln!("  snapshot NOT written ({out}: {e})"),
-        }
-    }
+    let doc = snapshot(
+        "fig9a",
+        "fig9a_two_hop_rtt",
+        "Live HW pings over localhost TCP, one at a time, RTT taken at the pinging iApp; the \
+         O-RAN path is the ASN/ASN relay path (the E2 termination is the relay in ASN.1 PER), \
+         so one row stands for both.",
+        flexric_xapp::json!({ "pings_per_point": pings }),
+        points,
+    );
+    write_snapshot(&out, &doc);
     println!();
     println!("Paper shape check: O-RAN imposes the second hop that FlexRIC does not");
     println!("(1-hop row ≈ half the RTT).  At equal hop counts the O-RAN path is the");

@@ -21,7 +21,7 @@ use flexric_xapp::json;
 
 use flexric::agent::{Agent, AgentConfig, AgentHandle};
 use flexric::server::{Server, ServerConfig, ServerHandle};
-use flexric_bench::{table, Args};
+use flexric_bench::{fleet, snapshot, table, write_snapshot, Args};
 use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
 use flexric_ctrl::sla::{self, SlaApp, SlaConfig, SlaLedger};
@@ -97,13 +97,7 @@ fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -> ArmR
     }
 
     // Monitoring wants MAC + RLC + slice rows per agent.
-    let want_subs = cells as u64 * 3;
-    for _ in 0..400 {
-        if server.stats().unwrap().subs >= want_subs {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    fleet::await_subs(&server, cells as u64 * 3);
 
     let steps = dur_ms / AGENT_TICK_MS;
     for step in 1..=steps {
@@ -231,21 +225,19 @@ fn main() {
         &rows,
     );
 
-    let doc = json!({
-        "bench": "sla_scenario",
-        "source": "fig_sla_scenario (full stack, mem transport, virtual time)",
-        "status": "measured-live",
-        "note": format!(
-            "Paired A/B per preset over {dur_ms} virtual ms, seed {seed}: identical scenario \
-             trace (hash-checked), SLA-violation virtual seconds accounted by the sla iApp \
-             from SliceStatsInd + RLC sojourn rows."
+    let doc = snapshot(
+        "sla_scenario",
+        "fig_sla_scenario",
+        &format!(
+            "Full stack over the mem transport in virtual time: paired A/B per preset over \
+             {dur_ms} virtual ms, seed {seed}: identical scenario trace (hash-checked), \
+             SLA-violation virtual seconds accounted by the sla iApp from SliceStatsInd + RLC \
+             sojourn rows."
         ),
-        "points": points,
-    });
-    if out != "-" {
-        std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write out");
-        println!("\nwrote {out}");
-    }
+        json!({ "virtual_ms": dur_ms, "seed": seed }),
+        points,
+    );
+    write_snapshot(&out, &doc);
 
     if gate && !all_improved {
         eprintln!("FAIL: closed loop did not reduce SLA-violation time on every preset");

@@ -19,7 +19,7 @@ use std::time::Duration;
 use flexric::agent::{Agent, AgentConfig};
 use flexric::endpoint::RetryPolicy;
 use flexric::server::{Server, ServerConfig};
-use flexric_bench::Args;
+use flexric_bench::{counter_sum, Args};
 use flexric_codec::E2apCodec;
 use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig};
 use flexric_ctrl::ranfun::{stats_bundle, HwFn, SimBs};
@@ -29,17 +29,6 @@ use flexric_obs::SnapValue;
 use flexric_ransim::{CellConfig, FlowConfig, FlowKind, PathConfig, Sim, UeConfig};
 use flexric_sm::SmCodec;
 use flexric_transport::TransportAddr;
-
-fn counter_sum(snap: &flexric_obs::Snapshot, name: &str) -> u64 {
-    snap.metrics
-        .iter()
-        .filter(|m| m.name == name)
-        .map(|m| match m.value {
-            SnapValue::Counter(v) => v,
-            _ => 0,
-        })
-        .sum()
-}
 
 fn hist_count(snap: &flexric_obs::Snapshot, name: &str) -> u64 {
     snap.metrics

@@ -1,16 +1,22 @@
 //! Shared infrastructure of the experiment harness: CPU/memory metering,
-//! percentile helpers, table printing, and multi-process orchestration.
+//! percentile helpers, table printing, multi-process orchestration, the
+//! in-process fleet ([`fleet`]) and the one `BENCH_*.json` writer
+//! ([`snapshot`]).
 //!
 //! One binary per table/figure of the paper lives in `src/bin/`; the
 //! per-layer timings are `benchmark/`'s ledger.  See DESIGN.md §3 for the
 //! experiment index and EXPERIMENTS.md for recorded results.
 
+pub mod fleet;
 pub mod metrics;
 pub mod roles;
 pub mod table;
 
 use std::io;
 use std::process::{Child, Command, Stdio};
+
+use flexric_obs::{SnapValue, Snapshot};
+use flexric_xapp::json::Value;
 
 /// Re-executes the current binary with `args`, inheriting stdout/stderr.
 /// Used to place components in separate processes so `/proc` attribution
@@ -30,6 +36,60 @@ pub fn spawn_role(args: &[String]) -> io::Result<Child> {
 // subsystem — the exact-sample statistics live in `flexric_obs::stats`,
 // the table formatting stays here.
 pub use flexric_obs::stats::{percentile, summarize, Summary};
+
+/// Counter `name` summed over all its series.
+pub fn counter_sum(snap: &Snapshot, name: &str) -> u64 {
+    let value = |v: &SnapValue| if let SnapValue::Counter(v) = v { *v } else { 0 };
+    snap.metrics.iter().filter(|m| m.name == name).map(|m| value(&m.value)).sum()
+}
+
+/// A `BENCH_*.json` snapshot: the header `bench`, `source` (the producing
+/// bin), `status: "measured"`, `note`, `host` and `commit`, then the
+/// members of the object `params` and last the `points`.
+pub fn snapshot(bench: &str, source: &str, note: &str, params: Value, points: Vec<Value>) -> Value {
+    let header = [("bench", bench), ("source", source), ("status", "measured"), ("note", note)];
+    let mut doc: Vec<(String, Value)> =
+        header.iter().map(|(k, v)| (k.to_string(), Value::Str(v.to_string()))).collect();
+    doc.push(("host".into(), Value::Str(host())));
+    doc.push(("commit".into(), Value::Str(commit())));
+    if let Value::Obj(params) = params {
+        doc.extend(params);
+    }
+    doc.push(("points".into(), Value::Arr(points)));
+    Value::Obj(doc)
+}
+
+/// Writes `doc` to `out`; `-` skips it.
+pub fn write_snapshot(out: &str, doc: &Value) {
+    if out != "-" {
+        std::fs::write(out, doc.to_string_pretty() + "\n").expect("write snapshot");
+        println!("snapshot written to {out}");
+    }
+}
+
+/// The machine this runs on: CPU model, vCPUs, OS.
+fn host() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name"))
+        .map(|l| l.trim_start_matches(|c: char| c == ':' || c.is_whitespace()).to_owned());
+    let vcpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = model.unwrap_or_else(|| "unknown CPU".into());
+    format!("{model}, {vcpus} vCPU, {}", std::env::consts::OS)
+}
+
+/// The commit checked out where this runs (`git rev-parse HEAD`),
+/// "unknown" outside a checkout.
+fn commit() -> String {
+    Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_owned())
+}
 
 /// Simple flag parser: `--key value` pairs after the binary name.
 pub struct Args {

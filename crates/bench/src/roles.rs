@@ -6,15 +6,15 @@
 use std::sync::{Arc, Mutex};
 
 use flexric::agent::{Agent, AgentConfig};
-use flexric::server::{Server, ServerConfig};
+use flexric::server::ServerConfig;
 use flexric_codec::E2apCodec;
-use flexric_ctrl::dummy::{dummy_bundle, dummy_mac_only};
+use flexric_ctrl::dummy::{dummy_bundle, dummy_mac_only, DummyStats};
 use flexric_ctrl::flexran_emu::{FlexranAgent, FlexranSnapshot};
-use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig};
+use flexric_ctrl::monitoring::MonitorConfig;
 use flexric_ctrl::ranfun::{stats_bundle, SimBs};
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_ransim::{CellConfig, FlowConfig, FlowKind, PathConfig, Sim, UeConfig};
-use flexric_sm::SmCodec;
+use flexric_sm::{mac::MacStatsInd, pdcp::PdcpStatsInd, rlc::RlcStatsInd, SmCodec};
 use flexric_transport::TransportAddr;
 
 use crate::Args;
@@ -153,16 +153,8 @@ pub fn role_monitor(args: &Args) {
     };
     let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), listen);
     cfg.codec = codec;
-    cfg.tick_ms = Some(100);
     cfg.shards = args.get_or("shards", 1);
-    let (app, db, counters) = MonitorApp::new(mcfg);
-    let mut first = Some(app);
-    let _server = Server::spawn_sharded(cfg, move |_shard| {
-        let app =
-            first.take().unwrap_or_else(|| MonitorApp::replica(mcfg, db.clone(), counters.clone()));
-        vec![Box::new(app) as Box<dyn flexric::server::IApp>]
-    })
-    .expect("server");
+    let _server = crate::fleet::monitor_server(cfg, mcfg).expect("server");
     park_forever();
 }
 
@@ -201,15 +193,24 @@ pub fn role_dummy_agents(args: &Args) {
     park_forever();
 }
 
-/// Role: `--agents` FlexRAN agents with synthetic 32-UE statistics.
+/// Role: `--agents` FlexRAN agents reporting the statistics the dummy E2
+/// agents report ([`DummyStats::fabricate`]) for `--ues` UEs.
 pub fn role_flexran_dummy_agents(args: &Args) {
     let ctrl = TransportAddr::parse(args.get("ctrl").expect("--ctrl")).expect("addr");
     let n: usize = args.get_or("agents", 10);
     let ues: u16 = args.get_or("ues", 32);
     let mut handles = Vec::new();
     for _ in 0..n {
-        let agent = FlexranAgent::spawn(&ctrl, move |now| synthetic_snapshot(now, ues))
-            .expect("flexran dummy");
+        let mut reports = 0;
+        let agent = FlexranAgent::spawn(&ctrl, move |now| {
+            reports += 1;
+            FlexranSnapshot {
+                mac: MacStatsInd::fabricate(reports, ues, now),
+                rlc: RlcStatsInd::fabricate(reports, ues, now),
+                pdcp: PdcpStatsInd::fabricate(reports, ues, now),
+            }
+        })
+        .expect("flexran dummy");
         handles.push(agent);
     }
     // Self-tick at 1 ms.
@@ -221,57 +222,6 @@ pub fn role_flexran_dummy_agents(args: &Args) {
         for a in &handles {
             a.tick(now);
         }
-    }
-}
-
-/// Synthetic statistics equivalent to the dummy E2 agents' payload.
-pub fn synthetic_snapshot(now: u64, ues: u16) -> FlexranSnapshot {
-    use flexric_sm::{mac::*, pdcp::*, rlc::*};
-    FlexranSnapshot {
-        mac: MacStatsInd {
-            tstamp_ms: now,
-            cell_prbs: 106,
-            ues: (0..ues)
-                .map(|i| MacUeStats {
-                    rnti: 0x4601 + i,
-                    cqi: 15,
-                    mcs: 20,
-                    prbs_dl: 3,
-                    tbs_dl_bytes: 1500 + now % 512,
-                    dl_aggr_bytes: now * 1500,
-                    bsr: (now % 4000) as u32,
-                    dl_backlog_bytes: now % 90_000,
-                    ..Default::default()
-                })
-                .collect(),
-        },
-        rlc: RlcStatsInd {
-            tstamp_ms: now,
-            bearers: (0..ues)
-                .map(|i| RlcBearerStats {
-                    rnti: 0x4601 + i,
-                    drb_id: 1,
-                    tx_pdus: now,
-                    tx_bytes: now * 1400,
-                    buffer_bytes: now % 250_000,
-                    sojourn_us_avg: 1000 + now % 9000,
-                    ..Default::default()
-                })
-                .collect(),
-        },
-        pdcp: PdcpStatsInd {
-            tstamp_ms: now,
-            bearers: (0..ues)
-                .map(|i| PdcpBearerStats {
-                    rnti: 0x4601 + i,
-                    drb_id: 1,
-                    tx_pdus: now,
-                    tx_bytes: now * 1400,
-                    tx_aggr_bytes: now * 1400,
-                    ..Default::default()
-                })
-                .collect(),
-        },
     }
 }
 
