@@ -22,52 +22,34 @@
 //! total with B fully idle at least 1.8× A's total before; dedicated, A's
 //! total within 10 % of its first phase throughout.
 //!
+//! Both runs are on [`flexric::wire`]: the simulator, the agents, the
+//! virtualization controller and the tenants' controllers step together,
+//! one virtual millisecond at a time, on one thread, so the tables are the
+//! same every run.
+//!
 //! ```text
 //! cargo run --release -p flexric-bench --bin fig15_recursive [--secs 50]
 //! ```
 
 use std::sync::{Arc, Mutex};
 
-use flexric::agent::{Agent, AgentConfig, AgentHandle};
-use flexric::relay::BridgeHandle;
-use flexric::server::{Server, ServerConfig, ServerHandle};
+use flexric::agent::AgentConfig;
+use flexric::server::ServerConfig;
+use flexric::wire::{addr, bridge_addr, Wire};
 use flexric_bench::{table, Args};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
 use flexric_ctrl::recursive::{TenantConf, VirtController};
-use flexric_ctrl::slicing::{self, SliceApp};
+use flexric_ctrl::slicing::SliceApp;
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_ransim::{CellConfig, FlowConfig, FlowKind, PathConfig, Sim, UeConfig};
-use flexric_sm::slice::{SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
+use flexric_sm::slice::{SliceAlgo, SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
 use flexric_sm::SmCodec;
-use flexric_transport::TransportAddr;
 
 const MCS: u8 = 28;
 const OP_A: (u16, u16) = (1, 1);
 const OP_B: (u16, u16) = (2, 1);
 // UE 1, 2 belong to operator A; UE 3, 4 to operator B.
 const UES: [(u16, (u16, u16)); 4] = [(0x11, OP_A), (0x12, OP_A), (0x21, OP_B), (0x22, OP_B)];
-
-/// A tenant-facing slicing controller (the §6.1.2 controller, reused).
-struct TenantCtrl {
-    server: ServerHandle,
-}
-
-fn spawn_tenant(name: &str) -> TenantCtrl {
-    let (app, _latest) = SliceApp::new(SmCodec::Flatb, 1000);
-    let mut cfg =
-        ServerConfig::new(GlobalRicId::new(Plmn::TEST, 10), TransportAddr::Mem(name.to_owned()));
-    cfg.tick_ms = None;
-    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("tenant ctrl");
-    TenantCtrl { server }
-}
-
-impl TenantCtrl {
-    /// Issues a slice-control command through the tenant's controller and
-    /// waits for the (virtualized) acknowledgement.
-    fn apply(&self, ctrl: SliceCtrl) -> bool {
-        slicing::apply(&self.server, 0, ctrl).is_some_and(|r| r.ok)
-    }
-}
 
 fn attach_ues(sim: &mut Sim, cell: usize, ues: &[(u16, (u16, u16))]) -> Vec<usize> {
     let mut flows = Vec::new();
@@ -86,198 +68,132 @@ fn attach_ues(sim: &mut Sim, cell: usize, ues: &[(u16, (u16, u16))]) -> Vec<usiz
     flows
 }
 
+/// One run: the wire (controller 0 is operator A's slicing controller,
+/// controller 1 operator B's), the simulator below it and the UEs' flows.
 struct Setup {
+    w: Wire,
     sim: Arc<Mutex<Sim>>,
-    agents: Vec<AgentHandle>,
-    /// The virtualization controller, in the shared case.
-    virt: Option<BridgeHandle>,
-    servers: Vec<ServerHandle>,
-    tenant_a: TenantCtrl,
     flows: Vec<usize>,
-    /// Slice ids usable by tenant A for its sub-slices.
-    a_slice_ids: (u32, u32),
 }
 
-/// Dedicated: two 25 RB eNBs, one slicing controller each.
-fn setup_dedicated(tag: &str) -> Setup {
-    let mut sim = Sim::new(
-        vec![CellConfig::lte("enb-a", 25), CellConfig::lte("enb-b", 25)],
-        PathConfig::default(),
-    );
-    let mut flows = attach_ues(&mut sim, 0, &UES[..2]);
-    flows.extend(attach_ues(&mut sim, 1, &UES[2..]));
-    let sim = Arc::new(Mutex::new(sim));
-
-    let mut agents = Vec::new();
-    let mut servers = Vec::new();
-    let tenant_a = spawn_tenant(&format!("fig15-{tag}-a"));
-    let tenant_b = spawn_tenant(&format!("fig15-{tag}-b"));
-    for (cell, (tenant, name)) in
-        [(&tenant_a, format!("fig15-{tag}-a")), (&tenant_b, format!("fig15-{tag}-b"))]
-            .iter()
-            .enumerate()
-    {
-        let bs = SimBs::new(sim.clone(), cell);
-        let mut acfg = AgentConfig::new(
-            GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, cell as u64 + 1),
-            TransportAddr::Mem(name.clone()),
+/// Dedicated: two 25 RB eNBs, each below its operator's slicing
+/// controller (the §6.1.2 controller, reused).  Shared: one 50 RB eNB
+/// below the virtualization controller, whose tenants the same two
+/// controllers are, 50 % each.
+fn setup(shared: bool) -> Setup {
+    let (mut sim, flows);
+    if shared {
+        sim = Sim::new(vec![CellConfig::lte("enb-shared", 50)], PathConfig::default());
+        flows = attach_ues(&mut sim, 0, &UES);
+    } else {
+        let cells = vec![CellConfig::lte("enb-a", 25), CellConfig::lte("enb-b", 25)];
+        sim = Sim::new(cells, PathConfig::default());
+        flows = [attach_ues(&mut sim, 0, &UES[..2]), attach_ues(&mut sim, 1, &UES[2..])].concat();
+    }
+    let (cells, sim) = (sim.cells.len(), Arc::new(Mutex::new(sim)));
+    let mut w = Wire::default();
+    for c in 0..2 {
+        let cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 10), addr(c));
+        w.start_ctrl_of(c, &cfg, vec![vec![Box::new(SliceApp::new(SmCodec::Flatb, 1000).0)]]);
+    }
+    if shared {
+        let tenant = |c: usize, plmn| TenantConf {
+            name: ["opA", "opB"][c].into(),
+            plmn,
+            sla_milli: 500,
+            ctrl_addr: addr(c),
+        };
+        let south = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 20), bridge_addr(0));
+        let virt = VirtController::bridge(
+            &south,
+            GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, 99),
+            vec![tenant(0, OP_A), tenant(1, OP_B)],
+            SmCodec::Flatb,
+            500,
         );
-        acfg.tick_ms = None;
-        let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent");
-        agents.push(agent);
-        servers.push(tenant.server.clone());
+        w.add_bridge(virt.expect("virt controller"));
     }
-    servers.push(tenant_b.server.clone());
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    for cell in 0..cells {
+        let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, cell as u64 + 1);
+        let bundle = full_bundle(&SimBs::new(sim.clone(), cell), SmCodec::Flatb);
+        let at = if shared { bridge_addr(0) } else { addr(cell) };
+        w.start_agent_of(AgentConfig::new(node, at), bundle);
+    }
+    let mut s = Setup { w, sim, flows };
     // Dedicated case: tenant A controls its own eNB directly; NVS there.
-    assert!(tenant_a.apply(SliceCtrl::SetAlgo { algo: flexric_sm::slice::SliceAlgo::Nvs }));
-    Setup { sim, agents, virt: None, servers, tenant_a, flows, a_slice_ids: (0, 1) }
+    assert!(shared || s.apply(SliceCtrl::SetAlgo { algo: SliceAlgo::Nvs }));
+    s
 }
 
-/// Shared: one 50 RB eNB behind the virtualization controller; the same
-/// tenant controllers connect northbound.
-fn setup_shared(tag: &str) -> Setup {
-    let mut sim = Sim::new(vec![CellConfig::lte("enb-shared", 50)], PathConfig::default());
-    let flows = attach_ues(&mut sim, 0, &UES);
-    let sim = Arc::new(Mutex::new(sim));
-
-    let tenant_a = spawn_tenant(&format!("fig15-{tag}-a"));
-    let tenant_b = spawn_tenant(&format!("fig15-{tag}-b"));
-
-    let mut south_cfg = ServerConfig::new(
-        GlobalRicId::new(Plmn::TEST, 20),
-        TransportAddr::Mem(format!("fig15-{tag}-virt")),
-    );
-    south_cfg.tick_ms = None;
-    let virt = VirtController::spawn(
-        south_cfg,
-        GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, 99),
-        vec![
-            TenantConf {
-                name: "opA".into(),
-                plmn: OP_A,
-                sla_milli: 500,
-                ctrl_addr: TransportAddr::Mem(format!("fig15-{tag}-a")),
-            },
-            TenantConf {
-                name: "opB".into(),
-                plmn: OP_B,
-                sla_milli: 500,
-                ctrl_addr: TransportAddr::Mem(format!("fig15-{tag}-b")),
-            },
-        ],
-        SmCodec::Flatb,
-        500,
-    )
-    .expect("virt controller");
-
-    // The real agent connects to the virtualization controller southbound.
-    let bs = SimBs::new(sim.clone(), 0);
-    let mut acfg = AgentConfig::new(
-        GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, 1),
-        TransportAddr::Mem(format!("fig15-{tag}-virt")),
-    );
-    acfg.tick_ms = None;
-    let agent = Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent");
-    std::thread::sleep(std::time::Duration::from_millis(100));
-
-    Setup {
-        sim,
-        agents: vec![agent],
-        virt: Some(virt),
-        servers: vec![tenant_a.server.clone(), tenant_b.server.clone()],
-        tenant_a,
-        flows,
-        a_slice_ids: (0, 1),
+impl Setup {
+    /// One virtual millisecond: the simulator, then the wire.
+    fn step(&mut self) {
+        self.sim.lock().unwrap().tick();
+        self.w.advance(1);
     }
-}
 
-/// Drives virtual time, samples per-UE throughput every 500 ms, applies
-/// the timeline, returns `(t_s, [ue throughputs Mbps])` rows.
-fn run_timeline(setup: &Setup, secs: u64) -> Vec<(f64, Vec<f64>)> {
-    let mut series = Vec::new();
-    let mut last: Vec<u64> =
-        setup.flows.iter().map(|f| setup.sim.lock().unwrap().flow(*f).delivered_bytes).collect();
-    let total_ms = secs * 1000;
-    let mut t = 0u64;
-    let mut did_slice1 = false;
-    let mut did_slice2 = false;
-    let mut ue4_idle = false;
-    let mut b_idle = false;
-    while t < total_ms {
-        for _ in 0..500 {
-            let now = {
-                let mut s = setup.sim.lock().unwrap();
-                s.tick();
-                s.now_ms()
-            };
-            for a in &setup.agents {
-                a.tick(now);
+    /// Has operator A's slicing controller send `ctrl` to its node (over
+    /// the virtualization layer when shared) and steps the wire until the
+    /// node answers; whether it acknowledged.
+    fn apply(&mut self, ctrl: SliceCtrl) -> bool {
+        let reply = self.w.call(0, 0, |app: &mut SliceApp, api| app.apply(api, 0, &ctrl));
+        loop {
+            if let Ok(reply) = reply.try_recv() {
+                return reply.ok;
             }
-            setup.virt.iter().for_each(|v| v.tick(now));
-            for s in &setup.servers {
-                s.tick(now);
-            }
-            t += 1;
+            self.w.advance(1);
         }
-        std::thread::yield_now();
-        std::thread::sleep(std::time::Duration::from_micros(300));
-
-        // Timeline actions (sim-time triggered, applied through the
-        // tenant controller — over the virtualization layer when shared).
-        if !did_slice1 && t >= 8_000 {
-            did_slice1 = true;
-            let ok = setup.tenant_a.apply(SliceCtrl::AddModSlices {
-                slices: vec![SliceConf {
-                    id: setup.a_slice_ids.0,
-                    label: "a-sub1".into(),
-                    params: SliceParams::NvsCapacity { share_milli: 660 },
-                    ue_sched: UeSchedAlgo::PropFair,
-                }],
-            });
-            eprintln!("  t=8s: operator A creates 66% sub-slice (ok={ok})");
-            let ok = setup
-                .tenant_a
-                .apply(SliceCtrl::AssocUeSlice { assoc: vec![(0x11, setup.a_slice_ids.0)] });
-            eprintln!("  t=8s: UE1 → sub-slice 1 (ok={ok})");
-        }
-        if !did_slice2 && t >= 11_000 {
-            did_slice2 = true;
-            let ok = setup.tenant_a.apply(SliceCtrl::AddModSlices {
-                slices: vec![SliceConf {
-                    id: setup.a_slice_ids.1,
-                    label: "a-sub2".into(),
-                    params: SliceParams::NvsCapacity { share_milli: 330 },
-                    ue_sched: UeSchedAlgo::PropFair,
-                }],
-            });
-            eprintln!("  t=11s: operator A creates 33% sub-slice (ok={ok})");
-            let ok = setup
-                .tenant_a
-                .apply(SliceCtrl::AssocUeSlice { assoc: vec![(0x12, setup.a_slice_ids.1)] });
-            eprintln!("  t=11s: UE2 → sub-slice 2 (ok={ok})");
-        }
-        if !ue4_idle && t >= (secs * 1000) / 2 {
-            ue4_idle = true;
-            setup.sim.lock().unwrap().set_flow_active(setup.flows[3], false);
-            eprintln!("  t={}s: operator B UE4 idle", t / 1000);
-        }
-        if !b_idle && t >= (secs * 1000) * 4 / 5 {
-            b_idle = true;
-            setup.sim.lock().unwrap().set_flow_active(setup.flows[2], false);
-            eprintln!("  t={}s: operator B fully idle", t / 1000);
-        }
-
-        let ts = t as f64 / 1000.0;
-        let mut mbps = Vec::new();
-        for (i, f) in setup.flows.iter().enumerate() {
-            let b = setup.sim.lock().unwrap().flow(*f).delivered_bytes;
-            mbps.push((b - last[i]) as f64 * 8.0 / 0.5 / 1e6);
-            last[i] = b;
-        }
-        series.push((ts, mbps));
     }
-    series
+
+    /// Steps virtual time, samples per-UE throughput every 500 ms, applies
+    /// the timeline, returns `(t_s, [ue throughputs Mbps])` rows.
+    fn run_timeline(&mut self, secs: u64) -> Vec<(f64, Vec<f64>)> {
+        let delivered = |s: &Setup| -> Vec<u64> {
+            let sim = s.sim.lock().unwrap();
+            s.flows.iter().map(|f| sim.flow(*f).delivered_bytes).collect()
+        };
+        let mut series = Vec::new();
+        let mut last = delivered(self);
+        let total_ms = secs * 1000;
+        for t in (500..=total_ms).step_by(500) {
+            (0..500).for_each(|_| self.step());
+            // Timeline actions (sim-time triggered, applied through the
+            // tenant controller — over the virtualization layer when shared).
+            let crossed = |at: u64| t - 500 < at && at <= t;
+            for (k, (at, share_milli, ue)) in
+                [(8_000, 660, 0x11), (11_000, 330, 0x12)].into_iter().enumerate()
+            {
+                if !crossed(at) {
+                    continue;
+                }
+                let (id, s) = (k as u32, at / 1000);
+                let ok = self.apply(SliceCtrl::AddModSlices {
+                    slices: vec![SliceConf {
+                        id,
+                        label: format!("a-sub{}", k + 1),
+                        params: SliceParams::NvsCapacity { share_milli },
+                        ue_sched: UeSchedAlgo::PropFair,
+                    }],
+                });
+                eprintln!("  t={s}s: operator A creates {}% sub-slice (ok={ok})", share_milli / 10);
+                let ok = self.apply(SliceCtrl::AssocUeSlice { assoc: vec![(ue, id)] });
+                eprintln!("  t={s}s: UE{} → sub-slice {} (ok={ok})", k + 1, k + 1);
+            }
+            if crossed(total_ms / 2) {
+                self.sim.lock().unwrap().set_flow_active(self.flows[3], false);
+                eprintln!("  t={}s: operator B UE4 idle", t / 1000);
+            }
+            if crossed(total_ms * 4 / 5) {
+                self.sim.lock().unwrap().set_flow_active(self.flows[2], false);
+                eprintln!("  t={}s: operator B fully idle", t / 1000);
+            }
+            let now = delivered(self);
+            let mbps = now.iter().zip(&last).map(|(b, l)| (b - l) as f64 * 8.0 / 0.5 / 1e6);
+            series.push((t as f64 / 1000.0, mbps.collect()));
+            last = now;
+        }
+        series
+    }
 }
 
 /// Prints the per-UE mean of each phase and returns them, phase by phase.
@@ -290,8 +206,7 @@ fn summarize_phases(label: &str, series: &[(f64, Vec<f64>)], secs: u64) -> Vec<V
             .map(|i| rows.iter().map(|m| m.get(i).copied().unwrap_or(0.0)).sum::<f64>() / n)
             .collect()
     };
-    let half = secs as f64 / 2.0;
-    let four_fifth = secs as f64 * 4.0 / 5.0;
+    let (half, four_fifth) = (secs as f64 / 2.0, secs as f64 * 4.0 / 5.0);
     let phases = [
         ("no sub-slices (2-7 s)", phase(2.0, 7.0)),
         ("A sub-sliced 66/33 (13 s-half)", phase(13.0, half)),
@@ -368,13 +283,11 @@ fn main() {
         "Recursive slicing: dedicated (2×25 RB) vs shared (1×50 RB + virtualization)",
     );
     eprintln!("dedicated infrastructure run...");
-    let ded = setup_dedicated("ded");
-    let ded_series = run_timeline(&ded, secs);
+    let ded_series = setup(false).run_timeline(secs);
     let ded_phases = summarize_phases("Fig. 15a dedicated (two eNBs)", &ded_series, secs);
 
     eprintln!("shared infrastructure run...");
-    let sh = setup_shared("sh");
-    let sh_series = run_timeline(&sh, secs);
+    let sh_series = setup(true).run_timeline(secs);
     let title = "Fig. 15b shared (one eNB + virtualization controller)";
     let sh_phases = summarize_phases(title, &sh_series, secs);
 

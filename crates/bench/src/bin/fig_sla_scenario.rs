@@ -3,12 +3,15 @@
 //! the scenario engine drives mobility, churn and outages.
 //!
 //! For each preset the same seeded scenario runs twice through the full
-//! stack — simulator, per-cell agents over the mem transport, monitoring
-//! iApp (slice + RLC rows), SLA iApp — once with the loop disabled and
-//! once enabled.  The figure of merit is SLA-violation time in *virtual*
-//! seconds; the scenario event trace is identical between the two arms
-//! (engine decisions never read cell throughput), so the comparison is
-//! paired.
+//! stack — simulator, per-cell agents, monitoring iApp (slice + RLC rows)
+//! and SLA iApp on one controller shard — once with the loop disabled and
+//! once enabled.  Everything runs on [`flexric::wire`]: one thread, one
+//! virtual clock, each millisecond the simulator and the scenario engine
+//! step, then every agent and the controller.  The figure of merit is
+//! SLA-violation time in *virtual* seconds; the scenario event trace is
+//! identical between the two arms (engine decisions never read cell
+//! throughput), so the comparison is paired, and a run is a function of
+//! its seed.
 //!
 //! ```text
 //! cargo run --release -p flexric-bench --bin fig_sla_scenario \
@@ -19,21 +22,18 @@ use std::sync::{Arc, Mutex};
 
 use flexric_xapp::json;
 
-use flexric::agent::{Agent, AgentConfig, AgentHandle};
-use flexric::server::{Server, ServerConfig, ServerHandle};
-use flexric_bench::{fleet, snapshot, table, write_snapshot, Args};
+use flexric::agent::AgentConfig;
+use flexric::server::ServerConfig;
+use flexric::wire::{addr, Wire};
+use flexric_bench::{snapshot, table, write_snapshot, Args};
 use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig};
 use flexric_ctrl::ranfun::{full_bundle, SimBs};
-use flexric_ctrl::sla::{self, SlaApp, SlaConfig, SlaLedger};
+use flexric_ctrl::sla::{SlaApp, SlaConfig, SlaLedger};
 use flexric_ctrl::sla_solver::SlaTarget;
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
-use flexric_ransim::scenario::ScenarioEvent;
-use flexric_ransim::{ScenarioEngine, ScenarioSpec, Sim};
+use flexric_ransim::scenario::{ScenarioEvent, ScenarioStats};
+use flexric_ransim::{ScenarioEngine, ScenarioSpec};
 use flexric_sm::SmCodec;
-use flexric_transport::TransportAddr;
-
-/// Virtual-time spacing of agent ticks (report opportunities).
-const AGENT_TICK_MS: u64 = 10;
 
 /// SLOs for the preset slice layout (voip / web / mbb).  `mbb` carries no
 /// objective: it is the donor the solver shrinks when others starve.
@@ -45,27 +45,14 @@ fn targets() -> Vec<SlaTarget> {
     ]
 }
 
-fn spawn_agent(sim: &Arc<Mutex<Sim>>, cell: usize, server: &ServerHandle) -> AgentHandle {
-    let bs = SimBs::new(sim.clone(), cell);
-    let mut acfg = AgentConfig::new(
-        GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1 + cell as u64),
-        server.addrs[0].clone(),
-    );
-    acfg.tick_ms = None; // virtual-time driven
-    Agent::spawn(acfg, full_bundle(&bs, SmCodec::Flatb)).expect("agent")
-}
-
 struct ArmResult {
     ledger: SlaLedger,
     trace_hash: u64,
-    handovers: u64,
-    arrivals: u64,
-    departures: u64,
-    outages: u64,
+    stats: ScenarioStats,
 }
 
 /// One full-stack run of `spec`; `closed` enables the SLA loop.
-fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -> ArmResult {
+fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64) -> ArmResult {
     let mut engine = ScenarioEngine::new(spec);
     let mut sim = engine.build_sim();
     engine.prime(&mut sim);
@@ -85,77 +72,39 @@ fn run_arm(spec: ScenarioSpec, closed: bool, dur_ms: u64, run_id: usize) -> ArmR
     let (monitor, db, _counters) = MonitorApp::new(mcfg);
     let sla = SlaApp::new(SlaConfig::new(db, targets(), closed));
 
-    let addr = TransportAddr::Mem(format!("sla-scenario-{run_id}"));
-    let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr.clone());
-    cfg.tick_ms = Some(20);
-    cfg.reconnect_grace_ms = 10_000; // outages are short in wall time
-    let server = Server::spawn(cfg, vec![Box::new(monitor), Box::new(sla)]).expect("controller");
-
-    let mut agents: Vec<Option<AgentHandle>> = Vec::new();
+    let mut w = Wire::default();
+    let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr(0));
+    // Longer than any preset's outage (flash-crowd's lasts 4 s): a cell's
+    // agent that comes back rebinds to its agent id and is resubscribed.
+    cfg.reconnect_grace_ms = 10_000;
+    // The SLA loop reads the monitor's store, and a shard controls only
+    // the agents it holds: both iApps run on the one shard.
+    w.start_ctrl_of(0, &cfg, vec![vec![Box::new(monitor), Box::new(sla)]]);
+    let bundle = |cell| full_bundle(&SimBs::new(sim.clone(), cell), SmCodec::Flatb);
     for cell in 0..cells {
-        agents.push(Some(spawn_agent(&sim, cell, &server)));
+        let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1 + cell as u64);
+        w.start_agent_of(AgentConfig::new(node, addr(0)), bundle(cell));
     }
 
-    // Monitoring wants MAC + RLC + slice rows per agent.
-    fleet::await_subs(&server, cells as u64 * 3);
-
-    let steps = dur_ms / AGENT_TICK_MS;
-    for step in 1..=steps {
+    for _ in 0..dur_ms {
         {
             let mut s = sim.lock().unwrap();
-            for _ in 0..AGENT_TICK_MS {
-                s.tick();
-                engine.advance(&mut s);
-            }
+            s.tick();
+            engine.advance(&mut s);
         }
-        let now = step * AGENT_TICK_MS;
-        for ev in engine.drain_events() {
-            match ev.1 {
-                ScenarioEvent::CellOutage { cell } => {
-                    // The cell's agent loses its transport for the
-                    // outage, exercising grace + resubscribe on return.
-                    if let Some(a) = agents[cell].take() {
-                        a.stop();
-                    }
-                }
-                ScenarioEvent::CellRecover { cell } => {
-                    agents[cell] = Some(spawn_agent(&sim, cell, &server));
-                }
+        for (_, ev) in engine.drain_events() {
+            match ev {
+                // The cell's agent dies for the outage: grace and replay
+                // on its return.
+                ScenarioEvent::CellOutage { cell } => w.stop_agent(cell),
+                ScenarioEvent::CellRecover { cell } => w.restart_agent(cell, bundle(cell)),
                 _ => {}
             }
         }
-        for a in agents.iter().flatten() {
-            a.tick(now);
-        }
-        // A round trip through each live agent's queue: none lags the
-        // simulator's clock.
-        for a in agents.iter().flatten() {
-            let _ = a.stats();
-        }
-        if step % 10 == 0 {
-            // Force an evaluation sweep every 100 virtual ms: indications
-            // route to the monitor, so the SLA loop samples the store on
-            // polls/ticks — awaiting the reply pins the cadence to
-            // virtual time instead of the wall-clock server tick.
-            let _ = sla::poll(&server);
-        }
+        w.advance(1);
     }
-    // Let the last indications land, then flush the accounting.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let ledger = sla::poll(&server).expect("the controller runs the sla iApp");
-
-    for a in agents.iter().flatten() {
-        a.stop();
-    }
-    server.stop();
-    ArmResult {
-        ledger,
-        trace_hash: engine.trace_hash(),
-        handovers: engine.stats.handovers,
-        arrivals: engine.stats.arrivals,
-        departures: engine.stats.departures,
-        outages: engine.stats.outages,
-    }
+    let ledger = w.call(0, 0, |sla: &mut SlaApp, api| sla.poll(api));
+    ArmResult { ledger, trace_hash: engine.trace_hash(), stats: engine.stats }
 }
 
 fn main() {
@@ -173,10 +122,10 @@ fn main() {
     let mut points = Vec::new();
     let mut rows = Vec::new();
     let mut all_improved = true;
-    for (i, preset) in ["commuter-rush", "flash-crowd"].iter().enumerate() {
+    for preset in ["commuter-rush", "flash-crowd"] {
         let spec = ScenarioSpec::preset(preset, seed).expect("preset");
-        let open = run_arm(spec.clone(), false, dur_ms, i * 2);
-        let closed = run_arm(spec, true, dur_ms, i * 2 + 1);
+        let open = run_arm(spec.clone(), false, dur_ms);
+        let closed = run_arm(spec, true, dur_ms);
         assert_eq!(
             open.trace_hash, closed.trace_hash,
             "scenario must be identical across arms (paired comparison)"
@@ -190,8 +139,8 @@ fn main() {
             table::f(closed_s),
             table::f((1.0 - closed_s / open_s.max(1e-9)) * 100.0),
             closed.ledger.pushes.to_string(),
-            open.handovers.to_string(),
-            open.outages.to_string(),
+            open.stats.handovers.to_string(),
+            open.stats.outages.to_string(),
         ]);
         for (name, arm) in [("open", &open), ("closed", &closed)] {
             points.push(json!({
@@ -204,10 +153,10 @@ fn main() {
                 "pushes": arm.ledger.pushes,
                 "acks": arm.ledger.acks,
                 "failures": arm.ledger.failures,
-                "handovers": arm.handovers,
-                "arrivals": arm.arrivals,
-                "departures": arm.departures,
-                "outages": arm.outages,
+                "handovers": arm.stats.handovers,
+                "arrivals": arm.stats.arrivals,
+                "departures": arm.stats.departures,
+                "outages": arm.stats.outages,
                 "trace_hash": format!("{:016x}", arm.trace_hash),
             }));
         }
@@ -229,7 +178,7 @@ fn main() {
         "sla_scenario",
         "fig_sla_scenario",
         &format!(
-            "Full stack over the mem transport in virtual time: paired A/B per preset over \
+            "Full stack on flexric::wire, one virtual clock: paired A/B per preset over \
              {dur_ms} virtual ms, seed {seed}: identical scenario trace (hash-checked), \
              SLA-violation virtual seconds accounted by the sla iApp from SliceStatsInd + RLC \
              sojourn rows."

@@ -28,10 +28,11 @@
 //! [`server::Shard`] are plain structs with one entry point,
 //! `handle(event, now_ms, &mut actions)`, that own no socket, task, channel
 //! or clock, and so is the controller hop made of the two, the
-//! [`relay::Bridge`].  One driver (`driver.rs`, behind [`Agent::spawn`],
-//! [`Server::spawn`] and [`relay::Bridge::spawn`]) does the dialling,
-//! reading, writing and timekeeping for all of them; a test drives the same
-//! structs from a queue and a counter.
+//! [`relay::Bridge`].  Two drivers do the dialling, reading, writing and
+//! timekeeping for all of them: `driver.rs`, behind [`Agent::spawn`],
+//! [`Server::spawn`] and [`relay::Bridge::spawn`], on threads, sockets and
+//! the wall clock; and [`wire::Wire`], on one thread and one virtual clock,
+//! for the test suites and the virtual-time experiments.
 //!
 //! Both sides build their pending-request bookkeeping on the shared
 //! procedure-endpoint layer ([`endpoint`]): one outstanding-transaction
@@ -55,6 +56,7 @@ pub mod relay;
 pub mod report;
 pub mod scratch;
 pub mod server;
+pub mod wire;
 
 pub use agent::{
     Admission, Agent, AgentConfig, AgentCtx, AgentHandle, Due, RanFunction, Subscription,

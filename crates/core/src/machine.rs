@@ -5,8 +5,8 @@
 //! when a request is retransmitted, when a link is redialled, which
 //! connection a frame may still come from — and touches nothing: it has no
 //! socket, no task, no channel and no clock of its own.  Whatever drives it
-//! (the crate's `driver` in production, a queue and a counter in
-//! `tests/protocol.rs`) tells it what happened, with the current time, and
+//! (the crate's `driver` on threads and sockets, or [`crate::wire`] on one
+//! virtual clock) tells it what happened, with the current time, and
 //! carries out what it asks for:
 //!
 //! ```text

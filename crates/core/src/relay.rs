@@ -79,7 +79,7 @@ pub enum Verdict {
 /// A bridge.  See the module docs.
 pub struct Bridge {
     south: Shard,
-    codec: E2apCodec,
+    pub(crate) codec: E2apCodec,
     /// [`Transform::north`] of the transform the shard's `dyn IApp` is.
     north_of: fn(&mut dyn Any, &mut ServerApi, (NorthId, CtrlId), &E2apPdu) -> Verdict,
     north: BTreeMap<NorthId, Agent>,

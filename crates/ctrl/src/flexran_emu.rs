@@ -96,15 +96,14 @@ impl Rib {
 pub struct FlexranCounters {
     /// Reports received.
     pub reports: AtomicU64,
-    /// Echo replies received.
-    pub echos: AtomicU64,
     /// Polls performed by the application task.
     pub polls: AtomicU64,
     /// Wire bytes received.
     pub rx_bytes: AtomicU64,
 }
 
-/// Handle to a running FlexRAN-style controller.
+/// Handle to a running FlexRAN-style controller.  Its polling application
+/// stops when [`stop`](Self::stop) is called or the handle is dropped.
 pub struct FlexranController {
     /// Address agents connect to.
     pub addr: TransportAddr,
@@ -181,6 +180,12 @@ impl FlexranController {
     /// Stops the polling application.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+    }
+}
+
+impl Drop for FlexranController {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -282,7 +287,9 @@ pub struct FlexranSnapshot {
     pub pdcp: PdcpStatsInd,
 }
 
-/// Handle to a running FlexRAN-style agent.
+/// Handle to a running FlexRAN-style agent.  The agent stops, and closes
+/// its connection, when [`stop`](Self::stop) is called or the handle is
+/// dropped.
 pub struct FlexranAgent {
     cmd: mpsc::Sender<AgentInput>,
     /// Echo replies observed `(payload, receive mono ns)`.
@@ -400,6 +407,12 @@ impl FlexranAgent {
     }
 }
 
+impl Drop for FlexranAgent {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 fn now_ns() -> u64 {
     flexric::mono_ns()
 }
@@ -440,6 +453,19 @@ mod tests {
         let pb = ind.encode_pb();
         let fb = flexric_sm::SmPayload::encode(&ind, flexric_sm::SmCodec::Flatb);
         assert!(pb.len() < fb.len(), "pb={} fb={}", pb.len(), fb.len());
+    }
+
+    /// Dropping the handle stops the 1 ms poller, as every SDK handle
+    /// stops with its last clone.
+    #[test]
+    fn a_dropped_controller_stops_polling() {
+        let ctrl = FlexranController::spawn(&TransportAddr::Mem("fxr-drop".into()), 1).unwrap();
+        let counters = ctrl.counters.clone();
+        drop(ctrl);
+        std::thread::sleep(Duration::from_millis(20));
+        let polls = counters.polls.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(counters.polls.load(Ordering::Relaxed), polls, "still polling after drop");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //!   and hello-world, all bridging to the `flexric-ransim` substrate;
 //! * [`monitoring`] — the statistics controller of §5.3 (stats iApp with
 //!   an in-memory store);
-//! * [`metrics_reader`] — an iApp that periodically publishes snapshots
-//!   of the process-wide obs metrics registry;
 //! * [`slicing`] — the RAT-unaware slicing controller of §6.1.2 (SC SM +
 //!   REST northbound);
 //! * [`sla`] / [`sla_solver`] — the closed-loop SLA enforcement xApp:
@@ -34,7 +32,6 @@
 
 pub mod dummy;
 pub mod flexran_emu;
-pub mod metrics_reader;
 pub mod monitoring;
 pub mod oran_emu;
 pub mod ranfun;

@@ -172,8 +172,8 @@ pub struct SlaApp {
     /// Per tracked agent, the virtual timestamp of its last evaluated
     /// slice indication.  Kept across an outage: the agent resumes with
     /// the same virtual clock, and replayed subscriptions refill the store
-    /// — accounting continues where it stopped.
-    last_eval_ms: HashMap<AgentId, u64>,
+    /// — accounting continues where it stopped.  In id order: runs repeat.
+    last_eval_ms: BTreeMap<AgentId, u64>,
     ledger: SlaLedger,
 }
 
@@ -182,12 +182,12 @@ impl SlaApp {
     pub fn new(cfg: SlaConfig) -> Self {
         let desc =
             flexric_sm::registry::global().latest(oid::SLICE_CTRL).expect("bundled SM descriptor");
-        SlaApp { cfg, desc, last_eval_ms: HashMap::new(), ledger: SlaLedger::default() }
+        SlaApp { cfg, desc, last_eval_ms: BTreeMap::new(), ledger: SlaLedger::default() }
     }
 
     /// Forces an evaluation pass over every tracked agent and returns the
     /// ledger.
-    pub(crate) fn poll(&mut self, api: &mut ServerApi) -> SlaLedger {
+    pub fn poll(&mut self, api: &mut ServerApi) -> SlaLedger {
         self.evaluate_all(api);
         self.ledger.clone()
     }

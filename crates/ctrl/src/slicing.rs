@@ -298,7 +298,7 @@ impl SliceApp {
 
     /// Sends `ctrl` to `agent`'s SC SM, asking for an acknowledgement; the
     /// returned channel gets how the agent answered.
-    pub(crate) fn apply(
+    pub fn apply(
         &mut self,
         api: &mut ServerApi,
         agent: AgentId,

@@ -261,9 +261,8 @@ pub struct SnapMetric {
 }
 
 /// A point-in-time copy of every registered metric, sorted by
-/// `(name, labels)`.  This is the aggregation boundary: the exporter, the
-/// `MetricsReader` iApp, and tests all consume snapshots rather than poking
-/// live atomics.
+/// `(name, labels)`.  This is the aggregation boundary: the exporter and
+/// tests consume snapshots rather than poking live atomics.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     /// All metrics, name-sorted.

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use flexric::agent::{Admission, AgentCtx, AgentIn, CtrlId, Due, RanFunction, SubscriptionInfo};
 use flexric::endpoint::Backoff;
 use flexric::machine::Event;
-use flexric::relay::BridgeIn;
+use flexric::relay::Bridge;
 use flexric::server::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerEvent, Shard, SubOutcome,
 };
@@ -275,34 +275,37 @@ fn every_ms_1() -> Bytes {
     Bytes::from(ReportTrigger::every_ms(1).encode(SmCodec::Flatb))
 }
 
-impl Wire {
+/// The fixtures on the wire.
+trait Rob {
     /// Starts (or restarts, at `at`) a controller of `shards` shards with
     /// one [`RobApp`] per shard reporting into the returned [`Seen`].
+    fn start_ctrl(&mut self, at: usize, shards: usize, auto_subscribe: bool) -> Arc<Mutex<Seen>>;
+    /// Adds a [`PingFn`] agent for E2 node `node` and has it add `ctrls`.
+    fn start_agent(&mut self, node: u64, reconnect: Option<Backoff>, ctrls: &[usize]) -> usize;
+    /// The same with the controllers (or bridges) at `at`.
+    fn start_agent_at(&mut self, node: u64, re: Option<Backoff>, at: &[TransportAddr]) -> usize;
+    /// Has the `RobApp` of the shard of controller `c` that holds `cmd`'s
+    /// agent carry it out.
+    fn tell_iapp(&mut self, c: usize, cmd: RobCmd);
+}
+
+impl Rob for Wire {
     fn start_ctrl(&mut self, at: usize, shards: usize, auto_subscribe: bool) -> Arc<Mutex<Seen>> {
         let seen = Arc::new(Mutex::new(Seen::default()));
         let app = || Box::new(RobApp { auto_subscribe, seen: seen.clone() }) as Box<dyn IApp>;
-        self.start_ctrl_of(at, &ctrl_cfg(at), (0..shards).map(|_| app()).collect());
+        self.start_ctrl_of(at, &ctrl_cfg(at), (0..shards).map(|_| vec![app()]).collect());
         seen
     }
 
-    /// Adds a [`PingFn`] agent for E2 node `node_id` and has it add `ctrls`.
-    fn start_agent(&mut self, node_id: u64, reconnect: Option<Backoff>, ctrls: &[usize]) -> usize {
+    fn start_agent(&mut self, node: u64, reconnect: Option<Backoff>, ctrls: &[usize]) -> usize {
         let addrs: Vec<TransportAddr> = ctrls.iter().map(|&c| addr(c)).collect();
-        self.start_agent_at(node_id, reconnect, &addrs)
+        self.start_agent_at(node, reconnect, &addrs)
     }
 
-    /// The same with the controllers (or bridges) at `addrs`.
-    fn start_agent_at(
-        &mut self,
-        node_id: u64,
-        reconnect: Option<Backoff>,
-        addrs: &[TransportAddr],
-    ) -> usize {
-        self.start_agent_of(agent_cfg(node_id, reconnect, addrs), vec![Box::new(PingFn::new())])
+    fn start_agent_at(&mut self, node: u64, re: Option<Backoff>, at: &[TransportAddr]) -> usize {
+        self.start_agent_of(agent_cfg(node, re, at), vec![Box::new(PingFn::new())])
     }
 
-    /// Has the `RobApp` of the shard of controller `c` that holds `cmd`'s
-    /// agent carry it out.
     fn tell_iapp(&mut self, c: usize, cmd: RobCmd) {
         let holds = |s: &Shard| s.agents().iter().any(|a| a.id == cmd.agent());
         let k = self.ctrls[c].shards.iter().position(holds).expect("a shard holds the agent");
@@ -512,22 +515,20 @@ fn a_control_without_ack_leaves_nothing_behind() {
 //    its link, and the grace window gives it back.
 // ---------------------------------------------------------------------------
 
-impl Wire {
-    /// How many `ErrorIndication{TransferSyntaxError}` the controller's
-    /// ends (`by_ctrl`) or the agents' have sent.
-    fn syntax_errors(&self, by_ctrl: bool) -> usize {
-        let answer = |m: &WireMsg| match CODEC.decode(&m.payload) {
-            Ok(E2apPdu::ErrorIndication(e)) => {
-                e.cause == Some(Cause::Protocol(ProtocolCause::TransferSyntaxError))
-            }
-            _ => false,
-        };
-        self.trace
-            .iter()
-            .filter(|(_, end, _)| matches!(end, End::C(..)) == by_ctrl)
-            .filter(|(_, _, msg)| msg.as_ref().is_some_and(answer))
-            .count()
-    }
+/// How many `ErrorIndication{TransferSyntaxError}` the controller's
+/// ends (`by_ctrl`) or the agents' have sent.
+fn syntax_errors(w: &Wire, by_ctrl: bool) -> usize {
+    let answer = |m: &WireMsg| match CODEC.decode(&m.payload) {
+        Ok(E2apPdu::ErrorIndication(e)) => {
+            e.cause == Some(Cause::Protocol(ProtocolCause::TransferSyntaxError))
+        }
+        _ => false,
+    };
+    w.trace
+        .iter()
+        .filter(|(_, end, _)| matches!(end, End::C(..)) == by_ctrl)
+        .filter(|(_, _, msg)| msg.as_ref().is_some_and(answer))
+        .count()
 }
 
 #[test]
@@ -546,7 +547,7 @@ fn undecodable_frames_are_answered_and_eight_in_a_row_drop_the_agent() {
     w.faults[UP].extend([Fault::Garble; 7]);
     w.advance(8);
     assert_eq!(w.ctrl_stats(0).decode_errors, 7);
-    assert_eq!(w.syntax_errors(true), 7, "each garbled frame is answered");
+    assert_eq!(syntax_errors(&w, true), 7, "each garbled frame is answered");
     let inds = seen(&app, |s| s.inds);
     w.advance(5);
     assert_eq!(seen(&app, |s| s.inds), inds + 5, "the link stays and carries on");
@@ -556,7 +557,7 @@ fn undecodable_frames_are_answered_and_eight_in_a_row_drop_the_agent() {
     w.faults[UP].extend([Fault::Garble; 8]);
     w.advance(8);
     assert_eq!(w.ctrl_stats(0).decode_errors, 15);
-    assert_eq!(w.syntax_errors(true), 14, "the eighth is answered by the hangup");
+    assert_eq!(syntax_errors(&w, true), 14, "the eighth is answered by the hangup");
     assert!(w.end_of(a).is_none(), "the link is down");
     assert_eq!(w.ctrl_stats(0).agents, 1, "kept through the grace window");
 
@@ -576,7 +577,7 @@ fn undecodable_frames_are_answered_and_eight_in_a_row_drop_the_agent() {
     w.faults[DOWN].push_back(Fault::Garble);
     w.tell_iapp(0, RobCmd::Ping(agent_id, 1));
     assert_eq!(w.agents[a].stats().decode_errors, 1);
-    assert_eq!(w.syntax_errors(false), 1, "the agent answers it");
+    assert_eq!(syntax_errors(&w, false), 1, "the agent answers it");
     let inds = seen(&app, |s| s.inds);
     w.advance(5);
     assert_eq!(seen(&app, |s| s.inds), inds + 5);
@@ -593,7 +594,7 @@ fn undecodable_frames_are_answered_and_eight_in_a_row_drop_the_agent() {
 fn relay_script(relayed: bool) -> (Wire, Vec<Call>, HashMap<RicRequestId, u64>, u64) {
     let mut w = Wire::default();
     let app = w.start_ctrl(0, 1, false);
-    let at = if relayed { bridge_addr(w.start_relay(0)) } else { addr(0) };
+    let at = if relayed { bridge_addr(start_relay(&mut w, 0)) } else { addr(0) };
     let a = w.start_agent_at(1, Some(BACKOFF), &[at]);
     let agent = seen(&app, |s| s.last_agent).expect("the node reached the controller");
 
@@ -642,6 +643,24 @@ fn relayed_outcomes_equal_direct_outcomes() {
     assert_eq!(relay.stats().reconnects, 1, "the relay rebound the agent");
 }
 
+/// A bridge's accept path decodes a setup request with the bridge's own
+/// codec: a PER node below a PER relay sets up, and so does its mirror.
+#[test]
+fn a_per_relay_sets_up_its_per_node() {
+    let mut w = Wire::default();
+    let (mut cfg, seen) = (ctrl_cfg(0), Arc::new(Mutex::new(Seen::default())));
+    cfg.codec = E2apCodec::Asn1Per;
+    w.start_ctrl_of(0, &cfg, vec![vec![Box::new(RobApp { auto_subscribe: false, seen })]]);
+    let mut south = bridge_cfg(&w, GRACE_MS);
+    south.codec = E2apCodec::Asn1Per;
+    let b = w.add_bridge(Bridge::relay(&south, addr(0)));
+    let mut node = agent_cfg(1, None, &[bridge_addr(b)]);
+    node.codec = E2apCodec::Asn1Per;
+    w.start_agent_of(node, vec![Box::new(PingFn::new())]);
+    assert_eq!(w.setup_done, [(0, 0, Ok(()))], "the node set up with the relay");
+    assert_eq!(w.ctrl_stats(0).agents, 1, "its mirror set up with the controller");
+}
+
 /// The relay's upstream link drops: the mirror redials under its backoff,
 /// the subscription made through the lost link is deleted at the south
 /// agent meanwhile, and the controller, rebinding the mirror within its
@@ -650,7 +669,7 @@ fn relayed_outcomes_equal_direct_outcomes() {
 fn a_relay_that_loses_its_upstream_redials_and_drops_what_it_forwarded() {
     let mut w = Wire::default();
     let app = w.start_ctrl(0, 1, true);
-    let r = w.start_relay(0);
+    let r = start_relay(&mut w, 0);
     let a = w.start_agent_at(1, Some(BACKOFF), &[bridge_addr(r)]);
     w.advance(5);
     assert_eq!(seen(&app, |s| s.admitted), 1);
@@ -802,17 +821,26 @@ impl RanFunction for StubSlice {
     }
 }
 
-impl Wire {
+trait Virt {
     /// Starts tenant controller `at`.
-    fn start_tenant(&mut self, at: usize) -> Arc<Mutex<TenantSeen>> {
-        let seen = Arc::new(Mutex::new(TenantSeen::default()));
-        self.start_ctrl_of(at, &ctrl_cfg(at), vec![Box::new(TenantApp(seen.clone()))]);
-        seen
-    }
-
+    fn start_tenant(&mut self, at: usize) -> Arc<Mutex<TenantSeen>>;
     /// Starts the virtualizer at `mem:b<index>` (south grace window
     /// `grace_ms`, statistics every millisecond) between tenant
     /// controllers 0 (PLMN 1/1) and 1 (PLMN 2/1), 50 % of the cell each.
+    fn start_virt(&mut self, grace_ms: u64) -> usize;
+    /// Starts E2 node `node_id` with a stub cell below bridge `b`.
+    fn start_stub_node(&mut self, node_id: u64, b: usize) -> (usize, Arc<Mutex<StubCell>>);
+    /// Tenant controller `c` sends its node `cmd`.
+    fn tenant_sends(&mut self, c: usize, cmd: SliceCtrl);
+}
+
+impl Virt for Wire {
+    fn start_tenant(&mut self, at: usize) -> Arc<Mutex<TenantSeen>> {
+        let seen = Arc::new(Mutex::new(TenantSeen::default()));
+        self.start_ctrl_of(at, &ctrl_cfg(at), vec![vec![Box::new(TenantApp(seen.clone()))]]);
+        seen
+    }
+
     fn start_virt(&mut self, grace_ms: u64) -> usize {
         let tenant = |c: usize| TenantConf {
             name: format!("t{c}"),
@@ -821,18 +849,12 @@ impl Wire {
             ctrl_addr: addr(c),
         };
         let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Enb, 99);
-        let cfg = self.bridge_cfg(grace_ms);
+        let cfg = bridge_cfg(self, grace_ms);
         let virt =
             VirtController::bridge(&cfg, node, vec![tenant(0), tenant(1)], SmCodec::Flatb, 1);
-        let b = self.add_bridge(virt.unwrap());
-        for c in 0..2 {
-            self.bridge(b, Event::App(BridgeIn::North(None, AgentIn::AddController(addr(c)))));
-        }
-        self.settle();
-        b
+        self.add_bridge(virt.unwrap())
     }
 
-    /// Starts E2 node `node_id` with a stub cell below bridge `b`.
     fn start_stub_node(&mut self, node_id: u64, b: usize) -> (usize, Arc<Mutex<StubCell>>) {
         let cell = Arc::new(Mutex::new(StubCell::default()));
         let functions: Vec<Box<dyn RanFunction>> = vec![
@@ -842,7 +864,6 @@ impl Wire {
         (self.start_agent_of(agent_cfg(node_id, None, &[bridge_addr(b)]), functions), cell)
     }
 
-    /// Tenant controller `c` sends its node `cmd`.
     fn tenant_sends(&mut self, c: usize, cmd: SliceCtrl) {
         self.call(c, 0, |app: &mut TenantApp, api| app.send(api, cmd));
     }
@@ -1130,33 +1151,26 @@ fn op() -> impl Strategy<Value = Op> {
 
 const SWEEP_AGENTS: usize = 3;
 
-impl Wire {
-    fn check_invariants(&self, app: &Arc<Mutex<Seen>>) {
-        // 1. Indications sent = received + explicitly dropped (+ in flight).
-        let bulk = |m: &WireMsg| u64::from(m.stream == WireMsg::STREAM_BULK);
-        let in_flight: u64 =
-            self.flights.iter().filter_map(|f| f.3.as_ref()).map(bulk).sum::<u64>()
-                + self.held.iter().flatten().map(|h| bulk(&h.1)).sum::<u64>();
-        let stats = self.ctrl_stats(0);
-        let accounted =
-            seen(app, |s| s.inds) + stats.unrouted_indications + self.ind_lost + in_flight;
-        assert_eq!(self.ind_sent, accounted, "indication ledger at t={}", self.now);
-        // 2. No procedure outstanding past its terminal deadline: setups
-        //    begin when an agent connects, subscriptions (first or
-        //    replayed) when the controller accepts one.
-        for (i, agent) in self.agents.iter().enumerate() {
-            let age = self.now - self.connected_at[&i];
-            assert!(
-                agent.outstanding() == 0 || age <= SETUP_TERMINAL_MS + 1,
-                "agent {i}: {age} ms"
-            );
-        }
-        let outstanding: usize = self.ctrls[0].shards.iter().map(Shard::outstanding).sum();
-        let age = self.now - self.accepted_at[&0];
-        assert!(outstanding == 0 || age <= SUB_TERMINAL_MS + 1, "controller: {age} ms");
-        // 4. (No Send after Hangup, one Hangup per peer: asserted in `send`
-        //    and `hangup` as they happen.)
+fn check_invariants(w: &Wire, app: &Arc<Mutex<Seen>>) {
+    // 1. Indications sent = received + explicitly dropped (+ in flight).
+    let bulk = |m: &WireMsg| u64::from(m.stream == WireMsg::STREAM_BULK);
+    let in_flight: u64 = w.flights.iter().filter_map(|f| f.3.as_ref()).map(bulk).sum::<u64>()
+        + w.held.iter().flatten().map(|h| bulk(&h.1)).sum::<u64>();
+    let stats = w.ctrl_stats(0);
+    let accounted = seen(app, |s| s.inds) + stats.unrouted_indications + w.ind_lost + in_flight;
+    assert_eq!(w.ind_sent, accounted, "indication ledger at t={}", w.now);
+    // 2. No procedure outstanding past its terminal deadline: setups
+    //    begin when an agent connects, subscriptions (first or
+    //    replayed) when the controller accepts one.
+    for (i, agent) in w.agents.iter().enumerate() {
+        let age = w.now - w.connected_at[&i];
+        assert!(agent.outstanding() == 0 || age <= SETUP_TERMINAL_MS + 1, "agent {i}: {age} ms");
     }
+    let outstanding: usize = w.ctrls[0].shards.iter().map(Shard::outstanding).sum();
+    let age = w.now - w.accepted_at[&0];
+    assert!(outstanding == 0 || age <= SUB_TERMINAL_MS + 1, "controller: {age} ms");
+    // 4. (No Send after Hangup, one Hangup per peer: asserted in `send`
+    //    and `hangup` as they happen.)
 }
 
 proptest! {
@@ -1187,7 +1201,7 @@ proptest! {
                     w.settle();
                 }
             }
-            w.check_invariants(&app);
+            check_invariants(&w, &app);
         }
 
         // Quiet wire: release what the script still holds and wait out the
@@ -1200,7 +1214,7 @@ proptest! {
             }
         }
         w.advance(BACKOFF.max_ms + RETRY.max_deadline_ms + 20);
-        w.check_invariants(&app);
+        check_invariants(&w, &app);
         // 3. The subscription set after the reconnects is the set before:
         //    same agents, same request ids, live on both sides.
         let (after, bad) = seen(&app, |s| (s.subs.clone(), (s.timed_out, s.failed, s.disconnected)));

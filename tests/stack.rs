@@ -322,7 +322,7 @@ impl IApp for KpmApp {
 fn kpm_reports_flow_and_a_handover_moves_the_ue() {
     let sim = greedy_sim(2, 1);
     let mut w = Wire::default();
-    w.start_ctrl_of(0, &ctrl_cfg(0), vec![Box::new(KpmApp::default())]);
+    w.start_ctrl_of(0, &ctrl_cfg(0), vec![vec![Box::new(KpmApp::default())]]);
     let functions = full_bundle(&SimBs::new(sim.clone(), 0), SmCodec::Flatb);
     w.start_agent_of(agent_cfg(1, Some(BACKOFF), &[addr(0)]), functions);
     run(&mut w, &sim, 1_000);

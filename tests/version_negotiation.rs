@@ -1,19 +1,22 @@
 //! E2 Setup version negotiation: the server matches every advertised RAN
 //! function against the SM registry by OID and semver rules.  Unknown
 //! OIDs and major-version mismatches are rejected with explicit E2AP
-//! causes (never silently dropped); minor-version skew interoperates.
+//! causes (never silently dropped); minor-version skew interoperates; the
+//! outcome does not depend on the order agents arrive in.  The agents and
+//! the controller run on the [`Wire`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+mod wire;
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use flexric::agent::{Admission, Agent, AgentConfig, AgentCtx, Due, RanFunction, SubscriptionInfo};
-use flexric::server::{AgentId, AgentInfo, IApp, Server, ServerApi, ServerConfig, ServerHandle};
+use flexric::agent::{Admission, AgentCtx, Due, RanFunction, SubscriptionInfo};
+use flexric::server::{AgentId, AgentInfo, IApp, IndicationRef, ServerApi};
 use flexric_e2ap::*;
 use flexric_sm::{RanFuncDef, ReportTrigger, SmCodec, SmDescriptor, SmPayload, SmVersion};
-use flexric_transport::TransportAddr;
+use flexric_transport::WireMsg;
+use wire::*;
 
 const ALPHA_OID: &str = "vn.sm.alpha";
 const ALPHA_RF: u16 = 400;
@@ -62,27 +65,23 @@ impl RanFunction for VersionedFn {
     }
 }
 
-/// Records what the server saw: negotiated function lists and indications.
-#[derive(Default)]
-struct Seen {
-    functions: Vec<Vec<(String, u16, u16)>>,
-}
+/// A node's functions as the server took them: (OID, major, minor).
+type Versions = Vec<(String, u16, u16)>;
 
+/// Records what the server saw: the negotiated functions by E2 node, and
+/// the indications.
+#[derive(Default)]
 struct WatchApp {
-    seen: Arc<Mutex<Seen>>,
-    inds: Arc<AtomicU64>,
     subscribe: bool,
+    functions: BTreeMap<u64, Versions>,
+    inds: u64,
 }
 
 impl IApp for WatchApp {
     fn on_agent_connected(&mut self, api: &mut ServerApi, agent: &AgentInfo) {
-        self.seen.lock().unwrap().functions.push(
-            agent
-                .functions
-                .iter()
-                .map(|f| (f.oid.clone(), f.version.major, f.version.minor))
-                .collect(),
-        );
+        let functions =
+            agent.functions.iter().map(|f| (f.oid.clone(), f.version.major, f.version.minor));
+        self.functions.insert(agent.node.node_id, functions.collect());
         if !self.subscribe {
             return;
         }
@@ -92,45 +91,32 @@ impl IApp for WatchApp {
             api.subscribe_report(agent.id, f.id, trigger);
         }
     }
-    fn on_indication(
-        &mut self,
-        _api: &mut ServerApi,
-        _agent: AgentId,
-        _ind: &flexric::server::IndicationRef,
-    ) {
-        self.inds.fetch_add(1, Ordering::Relaxed);
+    fn on_indication(&mut self, _api: &mut ServerApi, _agent: AgentId, _ind: &IndicationRef) {
+        self.inds += 1;
     }
 }
 
-fn spawn_server(name: &str, subscribe: bool) -> (ServerHandle, Arc<Mutex<Seen>>, Arc<AtomicU64>) {
+/// A wire with controller 0 running a [`WatchApp`].
+fn watch(subscribe: bool) -> Wire {
     register_alpha();
-    let seen = Arc::new(Mutex::new(Seen::default()));
-    let inds = Arc::new(AtomicU64::new(0));
-    let app = WatchApp { seen: seen.clone(), inds: inds.clone(), subscribe };
-    let mut cfg =
-        ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), TransportAddr::Mem(name.into()));
-    cfg.tick_ms = Some(5);
-    let server = Server::spawn(cfg, vec![Box::new(app)]).expect("server");
-    (server, seen, inds)
+    let mut w = Wire::default();
+    let app = Box::new(WatchApp { subscribe, ..WatchApp::default() });
+    w.start_ctrl_of(0, &ctrl_cfg(0), vec![vec![app]]);
+    w
 }
 
-fn agent_cfg(server: &ServerHandle, node_id: u64) -> AgentConfig {
-    let mut acfg = AgentConfig::new(
-        GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, node_id),
-        server.addrs[0].clone(),
-    );
-    acfg.tick_ms = Some(1);
-    acfg
+/// What controller 0's [`WatchApp`] saw: the functions by node, and how
+/// many indications.
+fn seen(w: &mut Wire) -> (BTreeMap<u64, Versions>, u64) {
+    w.call(0, 0, |app: &mut WatchApp, _| (app.functions.clone(), app.inds))
 }
 
-fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
-    for _ in 0..500 {
-        if cond() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("timeout waiting for {what}");
+/// Starts an agent for E2 node `node` offering `fns` to controller 0;
+/// how its setup ended.
+fn set_up(w: &mut Wire, node: u64, fns: Vec<VersionedFn>) -> Result<(), String> {
+    let fns = fns.into_iter().map(|f| Box::new(f) as Box<dyn RanFunction>).collect();
+    let i = w.start_agent_of(agent_cfg(node, None, &[addr(0)]), fns);
+    w.setup_done.iter().find(|d| d.0 == i).expect("setup ended").2.clone()
 }
 
 /// An OID the registry has never seen fails setup with
@@ -138,69 +124,95 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 /// registration at the server.
 #[test]
 fn unknown_oid_rejected_with_explicit_cause() {
-    let (server, seen, _) = spawn_server("vn-unknown", false);
+    let mut w = watch(false);
     let f = VersionedFn::new(401, "vn.sm.never.registered", FnVersion::V1);
-    let err =
-        Agent::spawn(agent_cfg(&server, 1), vec![Box::new(f)]).expect_err("setup must be rejected");
-    assert!(
-        err.to_string().contains("FunctionNotSupported"),
-        "agent sees the explicit cause, got: {err}"
-    );
-    assert!(seen.lock().unwrap().functions.is_empty(), "rejected agent never reaches iApps");
-    let stats = server.stats().unwrap();
-    assert_eq!(stats.agents, 0, "rejected agent not registered");
-    server.stop();
+    let err = set_up(&mut w, 1, vec![f]).expect_err("setup must be rejected");
+    assert!(err.contains("FunctionNotSupported"), "agent sees the explicit cause, got: {err}");
+    assert!(seen(&mut w).0.is_empty(), "rejected agent never reaches iApps");
+    assert_eq!(w.ctrl_stats(0).agents, 0, "rejected agent not registered");
 }
 
 /// A major-version mismatch (agent offers 2.0, registry holds 1.x) fails
 /// setup with `FunctionVersionMismatch`.
 #[test]
 fn major_version_mismatch_rejected_with_explicit_cause() {
-    let (server, seen, _) = spawn_server("vn-major", false);
+    let mut w = watch(false);
     let f = VersionedFn::new(ALPHA_RF, ALPHA_OID, FnVersion { major: 2, minor: 0 });
-    let err =
-        Agent::spawn(agent_cfg(&server, 2), vec![Box::new(f)]).expect_err("setup must be rejected");
-    assert!(
-        err.to_string().contains("FunctionVersionMismatch"),
-        "agent sees the explicit cause, got: {err}"
-    );
-    assert!(seen.lock().unwrap().functions.is_empty());
-    server.stop();
+    let err = set_up(&mut w, 2, vec![f]).expect_err("setup must be rejected");
+    assert!(err.contains("FunctionVersionMismatch"), "agent sees the explicit cause, got: {err}");
+    assert!(seen(&mut w).0.is_empty());
 }
 
 /// Minor-version skew still interoperates: the agent offers 1.0 while the
 /// registry holds 1.3; setup succeeds and indications flow end-to-end.
 #[test]
 fn minor_version_skew_interoperates() {
-    let (server, seen, inds) = spawn_server("vn-minor", true);
+    let mut w = watch(true);
     let f = VersionedFn::new(ALPHA_RF, ALPHA_OID, FnVersion { major: 1, minor: 0 });
-    let agent = Agent::spawn(agent_cfg(&server, 3), vec![Box::new(f)]).expect("setup ok");
-    wait_until(|| inds.load(Ordering::Relaxed) >= 5, "indications over skewed versions");
-    assert_eq!(seen.lock().unwrap().functions[0], vec![(ALPHA_OID.to_string(), 1, 0)]);
-    agent.stop();
-    server.stop();
+    set_up(&mut w, 3, vec![f]).expect("setup ok");
+    w.advance(10);
+    let (functions, inds) = seen(&mut w);
+    assert!(inds >= 5, "indications over skewed versions: {inds}");
+    assert_eq!(functions[&3], vec![(ALPHA_OID.to_string(), 1, 0)]);
 }
 
 /// Mixed offers negotiate partially: the unknown function is filtered out
 /// of the server's RAN database, the known one is kept and served.
 #[test]
 fn partial_rejection_filters_unknown_function() {
-    let (server, seen, inds) = spawn_server("vn-partial", true);
+    let mut w = watch(true);
     let good = VersionedFn::new(ALPHA_RF, ALPHA_OID, FnVersion { major: 1, minor: 3 });
     let bad = VersionedFn::new(402, "vn.sm.never.registered", FnVersion::V1);
-    let agent = Agent::spawn(agent_cfg(&server, 4), vec![Box::new(good), Box::new(bad)])
-        .expect("partial setup succeeds");
-    wait_until(|| inds.load(Ordering::Relaxed) >= 5, "indications on the accepted fn");
-    {
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.functions.len(), 1);
-        assert_eq!(
-            seen.functions[0],
-            vec![(ALPHA_OID.to_string(), 1, 3)],
-            "only the negotiated function enters the RAN database"
-        );
+    set_up(&mut w, 4, vec![good, bad]).expect("partial setup succeeds");
+    w.advance(10);
+    let (functions, inds) = seen(&mut w);
+    assert!(inds >= 5, "indications on the accepted fn: {inds}");
+    assert_eq!(functions.len(), 1);
+    assert_eq!(
+        functions[&4],
+        vec![(ALPHA_OID.to_string(), 1, 3)],
+        "only the negotiated function enters the RAN database"
+    );
+}
+
+/// By E2 node: the functions its setup response accepted and rejected, and
+/// the versions the iApp was told of.
+type Outcomes = BTreeMap<u64, (Vec<RanFunctionId>, Vec<(RanFunctionId, Cause)>, Versions)>;
+
+/// Sets up, in order, one agent per `(node, minor)` offering alpha 1.minor
+/// and an unknown function.
+fn negotiate(offers: [(u64, u16); 2]) -> Outcomes {
+    let mut w = watch(false);
+    for (node, minor) in offers {
+        let alpha = VersionedFn::new(ALPHA_RF, ALPHA_OID, FnVersion { major: 1, minor });
+        let unknown = VersionedFn::new(402, "vn.sm.never.registered", FnVersion::V1);
+        set_up(&mut w, node, vec![alpha, unknown]).expect("partial setup succeeds");
     }
-    server.stats().unwrap();
-    agent.stop();
-    server.stop();
+    let functions = seen(&mut w).0;
+    let response = |(_, from, msg): &(u64, End, Option<WireMsg>)| {
+        let Some(End::A(i, _)) = w.links.get(from) else { return None };
+        let Ok(E2apPdu::E2SetupResponse(r)) = CODEC.decode(&msg.as_ref()?.payload) else {
+            return None;
+        };
+        let node = offers[*i].0;
+        Some((node, (r.accepted, r.rejected, functions[&node].clone())))
+    };
+    w.trace.iter().filter_map(response).collect()
+}
+
+/// Two agents advertising different minors of one SM get the same
+/// accepted and rejected sets and the same negotiated versions whichever
+/// sets up first.
+#[test]
+fn negotiation_does_not_depend_on_arrival_order() {
+    let first = negotiate([(5, 1), (6, 3)]);
+    assert_eq!(first, negotiate([(6, 3), (5, 1)]));
+    assert_eq!(first.len(), 2, "both nodes answered: {first:?}");
+    for (node, minor) in [(5, 1), (6, 3)] {
+        let (accepted, rejected, versions) = &first[&node];
+        assert_eq!(accepted, &[RanFunctionId::new(ALPHA_RF)]);
+        let unsupported = Cause::RicService(RicServiceCause::FunctionNotSupported);
+        assert_eq!(rejected, &[(RanFunctionId::new(402), unsupported)]);
+        assert_eq!(versions, &[(ALPHA_OID.to_string(), 1, minor)]);
+    }
 }

@@ -1,39 +1,23 @@
-//! The wire: agents, K-shard controllers and bridges as what they are —
-//! state machines — on one virtual clock, with the test playing the
-//! driver.  Shared by `protocol.rs` (the protocol logic under scripted
-//! faults), `stack.rs` (the simulator's RAN functions and the shipped
-//! iApps) and `integration.rs` (the monitoring pipeline).
-//!
-//! No runtime, no socket, no waiting: [`Wire`] carries `Send` actions
-//! between N [`Agent`]s, K-shard controllers and [`Bridge`]s as `Frame`
-//! events, turns `Dial` into `Connected` / `DialFailed`, `Hangup` into the
-//! far end's `Closed`, and moves time a millisecond ([`Wire::advance`]) or
-//! a stride ([`Wire::stride`]) at a time, one tick per step.  A script can
-//! drop, delay, hold back (reorder) or garble the next frames in either
-//! direction, cut connections, and stop and restart agents.  Every run is
-//! a function of its script.
+//! The test suites' conventions on [`flexric::wire`] — short deadlines, one
+//! codec, the monitoring fixtures — for `protocol.rs`, `stack.rs`,
+//! `integration.rs` and `version_negotiation.rs`.
 #![allow(dead_code)]
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
+pub use flexric::wire::*;
 
-use flexric::agent::{Agent, AgentConfig, AgentIn, AgentOut, CtrlId, RanFunction};
+use flexric::agent::AgentConfig;
 use flexric::endpoint::{Backoff, RetryPolicy};
-use flexric::machine::{Action, Event, Machine, PeerId};
-use flexric::relay::{Bridge, BridgeIn, NorthId};
-use flexric::server::{
-    IApp, ServerApi, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn, ShardOut, ShardRouter,
-};
+use flexric::relay::Bridge;
+use flexric::server::ServerConfig;
 use flexric_codec::E2apCodec;
 use flexric_ctrl::monitoring::{MonitorApp, MonitorConfig, MonitorCounters, StatsDb};
-use flexric_e2ap::{E2NodeType, E2apPdu, GlobalE2NodeId, GlobalRicId, Plmn};
+use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
 use flexric_ransim::{CellConfig, FlowConfig, FlowKind, PathConfig, Sim, UeConfig};
-use flexric_transport::{TransportAddr, WireMsg};
+use flexric_transport::TransportAddr;
 
-/// The E2AP codec of agents, bridges and controllers unless a config says
-/// otherwise.
+/// The E2AP codec of agents, bridges and controllers unless a config says otherwise.
 pub const CODEC: E2apCodec = E2apCodec::Flatb;
 
 /// Short deadlines so a terminal timeout is a few hundred virtual ms:
@@ -53,368 +37,6 @@ pub const SUB_TERMINAL_MS: u64 = 240;
 pub const BACKOFF: Backoff = Backoff { initial_ms: 10, max_ms: 80 };
 pub const GRACE_MS: u64 = 1_000;
 
-/// One end of a connection: the agent, controller or bridge it belongs
-/// to, and the id that side knows the connection by.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum End {
-    A(usize, PeerId),
-    C(usize, PeerId),
-    B(usize, PeerId),
-}
-
-/// Who asked for a dial: agent `.0`, or bridge `.0`'s north agent `.1`.
-#[derive(Clone, Copy, Debug)]
-pub enum Dialer {
-    Agent(usize),
-    North(usize, NorthId),
-}
-
-/// What the script does to the next frame crossing in one direction.
-#[derive(Clone, Copy, Debug)]
-pub enum Fault {
-    Pass,
-    Drop,
-    Delay(u64),
-    /// Held back until the next frame in the same direction has gone.
-    Hold,
-    /// Its payload replaced by [`GARBLED`], which no decoder accepts.
-    Garble,
-}
-
-/// What a garbled frame carries: neither E2AP codec decodes it.
-pub const GARBLED: &[u8] = &[0xFF; 8];
-
-/// Directions: toward the controllers (agent → controller, agent → bridge,
-/// bridge → controller) and back.
-pub const UP: usize = 0;
-pub const DOWN: usize = 1;
-
-pub struct Ctrl {
-    pub shards: Vec<Shard>,
-    pub router: Arc<ShardRouter>,
-    /// What the accept path decodes a setup request with.
-    pub codec: E2apCodec,
-    /// A controller that is not listening refuses dials.
-    pub listening: bool,
-    /// Accepts and reads, never answers.
-    pub silent: bool,
-    /// The shard each accepted connection's setup request routed it to.
-    pub shard_of: HashMap<PeerId, usize>,
-}
-
-pub struct BridgeEnd {
-    pub bridge: Bridge,
-    /// Accepted connections whose first frame has not arrived yet.
-    pub fresh: HashSet<PeerId>,
-}
-
-#[derive(Default)]
-pub struct Wire {
-    pub now: u64,
-    pub agents: Vec<Agent>,
-    /// What each agent slot was started with, for [`Wire::restart_agent`].
-    pub agent_cfgs: Vec<AgentConfig>,
-    pub ctrls: Vec<Ctrl>,
-    pub bridges: Vec<BridgeEnd>,
-    pub links: HashMap<End, End>,
-    /// In flight: (due, order, to, a frame or the close).
-    pub flights: Vec<(u64, u64, End, Option<WireMsg>)>,
-    /// Dials asked for: (due, who, its controller, address).
-    pub dials: Vec<(u64, Dialer, CtrlId, TransportAddr)>,
-    pub faults: [VecDeque<Fault>; 2],
-    pub held: [Option<(End, WireMsg)>; 2],
-    pub order: u64,
-    pub hung: HashSet<End>,
-    /// When each agent last connected / each controller last accepted.
-    pub connected_at: HashMap<usize, u64>,
-    pub accepted_at: HashMap<usize, u64>,
-    // What the machines asked for beside frames, for the tests to read.
-    pub dial_log: Vec<(usize, CtrlId, u64)>,
-    /// The bridges' north agents' dials: (north agent, backoff).
-    pub north_dials: Vec<(NorthId, u64)>,
-    pub setup_done: Vec<(usize, CtrlId, Result<(), String>)>,
-    pub published: Vec<ServerEvent>,
-    /// Indications agents sent, and those lost to the script, to a closed
-    /// link or to an end that no longer listens.
-    pub ind_sent: u64,
-    pub ind_lost: u64,
-    /// Every send (with its frame) and hangup (without), in order.
-    pub trace: Vec<(u64, End, Option<WireMsg>)>,
-}
-
-impl Wire {
-    pub fn agent(&mut self, i: usize, event: Event<AgentIn>) {
-        let mut out = Vec::new();
-        self.agents[i].handle(event, self.now, &mut out);
-        for action in out {
-            match action {
-                Action::Send(p, msg) => self.send(UP, End::A(i, p), msg),
-                Action::Hangup(p) => self.hangup(End::A(i, p)),
-                Action::App(AgentOut::Dial { ctrl, addr, after_ms }) => {
-                    self.dial_log.push((i, ctrl, after_ms));
-                    self.dials.push((self.now + after_ms, Dialer::Agent(i), ctrl, addr));
-                }
-                Action::App(AgentOut::SetupDone { ctrl, result }) => {
-                    self.setup_done.push((i, ctrl, result))
-                }
-            }
-        }
-    }
-
-    pub fn shard(&mut self, c: usize, k: usize, event: Event<ShardIn>) {
-        let mut out = Vec::new();
-        self.ctrls[c].shards[k].handle(event, self.now, &mut out);
-        self.carry(c, out);
-    }
-
-    /// Runs `f` with the `A` of controller `c`'s shard `k`, as the
-    /// northbound's `call` does, delivers what it sent and returns what
-    /// `f` returned.
-    pub fn call<A: IApp, R>(
-        &mut self,
-        c: usize,
-        k: usize,
-        f: impl FnOnce(&mut A, &mut ServerApi) -> R,
-    ) -> R {
-        let mut out = Vec::new();
-        let r = self.ctrls[c].shards[k].call(self.now, &mut out, f).expect("the shard runs an A");
-        self.carry(c, out);
-        self.settle();
-        r
-    }
-
-    /// Carries out what a shard of controller `c` asked for.
-    fn carry(&mut self, c: usize, out: Vec<Action<ShardOut>>) {
-        for action in out {
-            match action {
-                Action::Send(p, msg) => self.send(DOWN, End::C(c, p), msg),
-                Action::Hangup(p) => self.hangup(End::C(c, p)),
-                Action::App(ShardOut::Publish(event)) => self.published.push(event),
-            }
-        }
-    }
-
-    pub fn bridge(&mut self, b: usize, event: Event<BridgeIn>) {
-        let mut out = Vec::new();
-        self.bridges[b].bridge.handle(event, self.now, &mut out);
-        for action in out {
-            match action {
-                Action::Send(p, msg) => {
-                    let north = matches!(self.links.get(&End::B(b, p)), Some(End::C(..)));
-                    self.send(if north { UP } else { DOWN }, End::B(b, p), msg)
-                }
-                Action::Hangup(p) => self.hangup(End::B(b, p)),
-                Action::App((k, AgentOut::Dial { ctrl, addr, after_ms })) => {
-                    self.north_dials.push((k, after_ms));
-                    self.dials.push((self.now + after_ms, Dialer::North(b, k), ctrl, addr));
-                }
-                Action::App(_) => {}
-            }
-        }
-    }
-
-    fn lose(&mut self, msg: &WireMsg) {
-        self.ind_lost += u64::from(msg.stream == WireMsg::STREAM_BULK);
-    }
-
-    pub fn fly(&mut self, due: u64, to: End, what: Option<WireMsg>) {
-        self.order += 1;
-        self.flights.push((due, self.order, to, what));
-    }
-
-    fn send(&mut self, dir: usize, from: End, msg: WireMsg) {
-        assert!(!self.hung.contains(&from), "Send to {from:?} after its Hangup");
-        self.trace.push((self.now, from, Some(msg.clone())));
-        self.ind_sent += u64::from(dir == UP && msg.stream == WireMsg::STREAM_BULK);
-        let Some(&to) = self.links.get(&from) else { return self.lose(&msg) };
-        match self.faults[dir].pop_front().unwrap_or(Fault::Pass) {
-            Fault::Drop => self.lose(&msg),
-            Fault::Hold if self.held[dir].is_none() => self.held[dir] = Some((to, msg)),
-            fault => {
-                let (delay, msg) = match fault {
-                    Fault::Delay(ms) => (ms, msg),
-                    Fault::Garble => (0, WireMsg { payload: Bytes::from_static(GARBLED), ..msg }),
-                    _ => (0, msg),
-                };
-                self.fly(self.now + delay, to, Some(msg));
-                if let Some((to, msg)) = self.held[dir].take() {
-                    self.fly(self.now, to, Some(msg));
-                }
-            }
-        }
-    }
-
-    /// `end` hears its connection close, no sooner than `at` and after
-    /// every frame already on its way there.
-    fn close(&mut self, end: End, at: u64) {
-        let last = self.flights.iter().filter(|f| f.2 == end).map(|f| f.0).max();
-        self.fly(at.max(last.unwrap_or(0)), end, None);
-    }
-
-    /// Takes the connection `end` belongs to off the wire; returns its far end.
-    fn unlink(&mut self, end: End) -> Option<End> {
-        let far = self.links.remove(&end)?;
-        self.links.remove(&far);
-        Some(far)
-    }
-
-    fn hangup(&mut self, end: End) {
-        assert!(self.hung.insert(end), "{end:?} hung up on twice");
-        self.trace.push((self.now, end, None));
-        if let Some(far) = self.unlink(end) {
-            self.close(far, self.now);
-        }
-    }
-
-    /// Agent `i`'s end of its (one) live connection.
-    pub fn end_of(&self, i: usize) -> Option<End> {
-        self.links.keys().copied().find(|e| matches!(e, End::A(a, _) if *a == i))
-    }
-
-    /// The network drops agent `i`'s connection; the controller's side
-    /// hears of it `far_lag_ms` later.
-    pub fn cut(&mut self, i: usize, far_lag_ms: u64) {
-        if let Some(near) = self.end_of(i) {
-            self.cut_at(near, far_lag_ms);
-        }
-    }
-
-    /// The network drops the connection `near` belongs to; the far side
-    /// hears of it `far_lag_ms` later.
-    pub fn cut_at(&mut self, near: End, far_lag_ms: u64) {
-        if let Some(far) = self.unlink(near) {
-            self.close(near, self.now);
-            self.close(far, self.now + far_lag_ms);
-        }
-    }
-
-    fn deliver(&mut self, to: End, what: Option<WireMsg>) {
-        if let (true, Some(msg)) = (self.hung.contains(&to), &what) {
-            self.lose(msg); // handed over all the same: the machine must ignore it
-        }
-        match to {
-            End::A(i, p) => self.agent(i, frame_or_closed(p, what)),
-            // The bridge's accept path: a connection's first frame is its
-            // setup request.
-            End::B(b, p) if self.bridges[b].fresh.remove(&p) => {
-                let Some(Ok(E2apPdu::E2SetupRequest(req))) = what.map(|m| CODEC.decode(&m.payload))
-                else {
-                    return;
-                };
-                let new_agent = ShardIn::NewAgent { req, peer: p, desc: format!("wire:{p}") };
-                self.bridge(b, Event::App(BridgeIn::South(new_agent)));
-            }
-            End::B(b, p) => self.bridge(b, frame_or_closed(p, what)),
-            End::C(c, _) if self.ctrls[c].silent => {
-                if let Some(msg) = &what {
-                    self.lose(msg);
-                }
-            }
-            End::C(c, p) => match (self.ctrls[c].shard_of.get(&p).copied(), what) {
-                (Some(k), what) => self.shard(c, k, frame_or_closed(p, what)),
-                // The accept path: a connection's first frame routes it.
-                (None, Some(msg)) => {
-                    let Ok(E2apPdu::E2SetupRequest(req)) = self.ctrls[c].codec.decode(&msg.payload)
-                    else {
-                        return;
-                    };
-                    let k = self.ctrls[c].router.assign(req.global_node.ran_entity_key());
-                    self.ctrls[c].shard_of.insert(p, k);
-                    self.accepted_at.insert(c, self.now);
-                    let desc = format!("wire:{p}");
-                    self.shard(c, k, Event::App(ShardIn::NewAgent { req, peer: p, desc }));
-                }
-                (None, None) => {}
-            },
-        }
-    }
-
-    /// Dials controller `c` at `mem:<c>` or bridge `b` at `mem:b<b>`.
-    fn connect(&mut self, from: Dialer, ctrl: CtrlId, addr: &TransportAddr) {
-        let TransportAddr::Mem(name) = addr else { panic!("the wire dials mem:<index>") };
-        let (far, x): (fn(usize, PeerId) -> End, usize) = match name.strip_prefix('b') {
-            Some(b) => (End::B, b.parse().expect("bridge index")),
-            None => (End::C, name.parse().expect("controller index")),
-        };
-        if matches!(far(x, 0), End::C(c, _) if !self.ctrls.get(c).is_some_and(|c| c.listening)) {
-            let error = "connection refused".to_owned();
-            return self.dialled(from, AgentIn::DialFailed { ctrl, error });
-        }
-        self.order += 2;
-        let (peer, far) = (self.order - 1, far(x, self.order));
-        if let End::B(b, p) = far {
-            self.bridges[b].fresh.insert(p);
-        }
-        let near = match from {
-            Dialer::Agent(i) => {
-                self.connected_at.insert(i, self.now);
-                End::A(i, peer)
-            }
-            Dialer::North(b, _) => End::B(b, peer),
-        };
-        self.links.insert(near, far);
-        self.links.insert(far, near);
-        self.dialled(from, AgentIn::Connected { ctrl, peer });
-    }
-
-    /// Hands the answer to a dial to whoever asked for it.
-    fn dialled(&mut self, from: Dialer, answer: AgentIn) {
-        match from {
-            Dialer::Agent(i) => self.agent(i, Event::App(answer)),
-            Dialer::North(b, k) => self.bridge(b, Event::App(BridgeIn::North(k, answer))),
-        }
-    }
-
-    /// Delivers what is due, in order, and connects the dials that are due.
-    pub fn settle(&mut self) {
-        loop {
-            let due = self.flights.iter().enumerate().filter(|(_, f)| f.0 <= self.now);
-            if let Some(at) = due.min_by_key(|(_, f)| (f.0, f.1)).map(|(at, _)| at) {
-                let (_, _, to, what) = self.flights.remove(at);
-                self.deliver(to, what);
-            } else if let Some(at) = self.dials.iter().position(|d| d.0 <= self.now) {
-                let (_, from, ctrl, addr) = self.dials.remove(at);
-                self.connect(from, ctrl, &addr);
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Moves the clock `ms` forward in one step: what is due by then is
-    /// delivered, then every machine ticks once.
-    pub fn stride(&mut self, ms: u64) {
-        self.now += ms;
-        self.settle();
-        (0..self.agents.len()).for_each(|i| self.agent(i, Event::Tick));
-        (0..self.bridges.len()).for_each(|b| self.bridge(b, Event::Tick));
-        for c in 0..self.ctrls.len() {
-            (0..self.ctrls[c].shards.len()).for_each(|k| self.shard(c, k, Event::Tick));
-        }
-        self.settle();
-    }
-
-    /// Moves the clock `ms` forward, a millisecond and a tick at a time.
-    pub fn advance(&mut self, ms: u64) {
-        (0..ms).for_each(|_| self.stride(1));
-    }
-}
-
-fn frame_or_closed<X>(peer: PeerId, what: Option<WireMsg>) -> Event<X> {
-    match what {
-        Some(msg) => Event::Frame(peer, msg.payload),
-        None => Event::Closed(peer),
-    }
-}
-
-pub fn addr(ctrl: usize) -> TransportAddr {
-    TransportAddr::Mem(ctrl.to_string())
-}
-
-pub fn bridge_addr(bridge: usize) -> TransportAddr {
-    TransportAddr::Mem(format!("b{bridge}"))
-}
-
 /// Controller `at`'s config: [`CODEC`], [`RETRY`], a [`GRACE_MS`] window.
 pub fn ctrl_cfg(at: usize) -> ServerConfig {
     let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 1), addr(at));
@@ -432,6 +54,20 @@ pub fn agent_cfg(node_id: u64, reconnect: Option<Backoff>, addrs: &[TransportAdd
     cfg
 }
 
+/// The south side of the next bridge on `w`, with `grace_ms`.
+pub fn bridge_cfg(w: &Wire, grace_ms: u64) -> ServerConfig {
+    let at = bridge_addr(w.bridges.len());
+    let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 2), at);
+    (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, grace_ms);
+    cfg
+}
+
+/// Starts a relay at `mem:b<index>` whose mirrors dial controller `upstream`.
+pub fn start_relay(w: &mut Wire, upstream: usize) -> usize {
+    let relay = Bridge::relay(&bridge_cfg(w, GRACE_MS), addr(upstream));
+    w.add_bridge(relay)
+}
+
 /// What a [`MonitorApp`] stores.
 pub type Db = Arc<Mutex<StatsDb>>;
 
@@ -442,7 +78,7 @@ pub fn start_monitor(
     m: MonitorConfig,
 ) -> (Db, Arc<MonitorCounters>) {
     let (app, db, counters) = MonitorApp::new(m);
-    w.start_ctrl_of(w.ctrls.len(), cfg, vec![Box::new(app)]);
+    w.start_ctrl_of(w.ctrls.len(), cfg, vec![vec![Box::new(app)]]);
     (db, counters)
 }
 
@@ -464,108 +100,5 @@ pub fn run(w: &mut Wire, sim: &Mutex<Sim>, ms: u64) {
     for _ in 0..ms {
         sim.lock().unwrap().tick();
         w.advance(1);
-    }
-}
-
-impl Wire {
-    /// Starts (or restarts, at `at`) a controller with `cfg`, of one shard
-    /// per iApp.
-    pub fn start_ctrl_of(&mut self, at: usize, cfg: &ServerConfig, apps: Vec<Box<dyn IApp>>) {
-        let router = Arc::new(ShardRouter::new(apps.len()));
-        let shards: Vec<Shard> = (apps.into_iter().enumerate())
-            .map(|(k, app)| Shard::new(k, cfg, vec![app], router.clone()))
-            .collect();
-        let (codec, shard_of) = (cfg.codec, HashMap::new());
-        let ctrl = Ctrl { shards, router, codec, listening: true, silent: false, shard_of };
-        if at == self.ctrls.len() {
-            self.ctrls.push(ctrl);
-        } else {
-            self.ctrls[at] = ctrl;
-        }
-        (0..self.ctrls[at].shards.len())
-            .for_each(|k| self.shard(at, k, Event::App(ShardIn::Start)));
-    }
-
-    /// Stops controller `c`: it refuses dials and its connections close.
-    pub fn stop_ctrl(&mut self, c: usize) {
-        self.ctrls[c].listening = false;
-        let ends: Vec<End> =
-            self.links.keys().copied().filter(|e| matches!(e, End::C(x, _) if *x == c)).collect();
-        for end in ends {
-            if let Some(far) = self.unlink(end) {
-                self.close(far, self.now);
-            }
-        }
-    }
-
-    /// Adds an agent with `cfg` and RAN functions `fns`; it adds
-    /// `cfg.controllers`.
-    pub fn start_agent_of(&mut self, cfg: AgentConfig, fns: Vec<Box<dyn RanFunction>>) -> usize {
-        self.agents.push(Agent::new(cfg.clone(), Vec::new()));
-        self.agent_cfgs.push(cfg);
-        self.restart_agent(self.agents.len() - 1, fns);
-        self.agents.len() - 1
-    }
-
-    /// Stops agent `i`, as its process dies: it hangs up every link it
-    /// holds and dials no more.  Until [`Wire::restart_agent`] its slot
-    /// holds an agent with no controller and no function.
-    pub fn stop_agent(&mut self, i: usize) {
-        while let Some(end) = self.end_of(i) {
-            self.hangup(end);
-        }
-        self.dials.retain(|d| !matches!(d.1, Dialer::Agent(x) if x == i));
-        self.agents[i] = Agent::new(self.agent_cfgs[i].clone(), Vec::new());
-    }
-
-    /// Starts a fresh agent with `functions` in stopped slot `i`, for the
-    /// same E2 node: it adds the controllers of its config.
-    pub fn restart_agent(&mut self, i: usize, functions: Vec<Box<dyn RanFunction>>) {
-        let cfg = self.agent_cfgs[i].clone();
-        self.agents[i] = Agent::new(cfg.clone(), functions);
-        for a in cfg.controllers {
-            self.agent(i, Event::App(AgentIn::AddController(a)));
-        }
-        self.settle();
-    }
-
-    /// The south side of a bridge at `mem:b<index>`, with `grace_ms`.
-    pub fn bridge_cfg(&self, grace_ms: u64) -> ServerConfig {
-        let at = bridge_addr(self.bridges.len());
-        let mut cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 2), at);
-        (cfg.codec, cfg.retry, cfg.reconnect_grace_ms) = (CODEC, RETRY, grace_ms);
-        cfg
-    }
-
-    pub fn add_bridge(&mut self, bridge: Bridge) -> usize {
-        self.bridges.push(BridgeEnd { bridge, fresh: HashSet::new() });
-        self.bridges.len() - 1
-    }
-
-    /// Starts a relay at `mem:b<index>` whose mirrors dial controller
-    /// `upstream`.
-    pub fn start_relay(&mut self, upstream: usize) -> usize {
-        let relay = Bridge::relay(&self.bridge_cfg(GRACE_MS), addr(upstream));
-        self.add_bridge(relay)
-    }
-
-    /// Bridge `b`'s end of its connection to a controller.
-    pub fn north_end_of(&self, b: usize) -> End {
-        let north = |(near, far): (&End, &End)| {
-            matches!((near, far), (End::B(x, _), End::C(..)) if *x == b).then_some(*near)
-        };
-        self.links.iter().find_map(north).expect("bridge is connected upstream")
-    }
-
-    pub fn ctrl_stats(&self, c: usize) -> ServerStats {
-        let mut sum = ServerStats::default();
-        self.ctrls[c].shards.iter().for_each(|s| sum += s.stats());
-        sum
-    }
-
-    /// Both ends of agent `i`'s connection.
-    pub fn ends_of(&self, i: usize) -> (End, End) {
-        let near = self.end_of(i).expect("agent is connected");
-        (near, self.links[&near])
     }
 }
