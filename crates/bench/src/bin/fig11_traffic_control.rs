@@ -72,7 +72,7 @@ fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
     let (sim, voip, _tcp) = build_sim();
     let sim = Arc::new(Mutex::new(sim));
 
-    let mut agent = None;
+    let (mut agent, mut _broker) = (None, None);
     if with_xapp {
         // Full control loop: broker + controller (stats forwarder + TC
         // manager) + REST + bloat-guard xApp.
@@ -103,6 +103,8 @@ fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
         acfg.tick_ms = None;
         let a = Agent::spawn(acfg, full_bundle(&bs, sm)).expect("agent");
         agent = Some(a);
+        // The broker serves for as long as its handle lives.
+        _broker = Some(broker);
 
         std::thread::spawn(move || {
             let outcome = flexric_ctrl::traffic::run_bloat_guard(BloatGuardConfig {

@@ -17,7 +17,7 @@ use flexric::agent::{Agent, AgentConfig};
 use flexric::server::{Server, ServerConfig};
 use flexric_bench::{summarize, table, Args};
 use flexric_codec::E2apCodec;
-use flexric_ctrl::flexran_emu::{FlexranAgent, FlexranController};
+use flexric_ctrl::flexran_emu::{FlexranCtrl, FlexranNode, NodeIn};
 use flexric_ctrl::ranfun::HwFn;
 use flexric_ctrl::relay::PingApp;
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
@@ -76,9 +76,10 @@ fn flexric_combo(
 }
 
 fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
-    let ctrl =
-        FlexranController::spawn(&TransportAddr::parse("127.0.0.1:0").unwrap(), 1000).unwrap();
-    let agent = FlexranAgent::spawn(&ctrl.addr, |_| Default::default()).unwrap();
+    let ctrl = FlexranCtrl::new(1000).spawn(&TransportAddr::parse("127.0.0.1:0").unwrap()).unwrap();
+    let node = FlexranNode::new(|_| Default::default());
+    let (echo_rx, tx_bytes) = (node.echo_rx.clone(), node.tx_bytes.clone());
+    let agent = node.spawn(&ctrl.addr, None).unwrap();
     // Payload carries the send timestamp in its first 8 bytes.
     let t0 = std::time::Instant::now();
     let mut sent = 0usize;
@@ -87,19 +88,18 @@ fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
         iv.tick();
         let mut buf = vec![0u8; payload.max(8)];
         buf[..8].copy_from_slice(&flexric::mono_ns().to_be_bytes());
-        agent.echo(Bytes::from(buf));
+        agent.send(NodeIn::Echo(Bytes::from(buf)));
         sent += 1;
     }
     // Drain replies.
     for _ in 0..200 {
-        if agent.echo_rx.lock().unwrap().len() >= pings {
+        if echo_rx.lock().unwrap().len() >= pings {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let wall = t0.elapsed().as_secs_f64();
-    let mut samples: Vec<u64> = agent
-        .echo_rx
+    let mut samples: Vec<u64> = echo_rx
         .lock()
         .unwrap()
         .iter()
@@ -109,7 +109,7 @@ fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
         })
         .collect();
     let sum = summarize(&mut samples);
-    let bytes = agent.tx_bytes.load(std::sync::atomic::Ordering::Relaxed);
+    let bytes = tx_bytes.load(std::sync::atomic::Ordering::Relaxed);
     let mbps = bytes as f64 * 8.0 / wall / 1e6;
     ctrl.stop();
     agent.stop();

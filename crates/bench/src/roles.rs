@@ -9,7 +9,7 @@ use flexric::agent::{Agent, AgentConfig};
 use flexric::server::ServerConfig;
 use flexric_codec::E2apCodec;
 use flexric_ctrl::dummy::{dummy_bundle, dummy_mac_only, DummyStats};
-use flexric_ctrl::flexran_emu::{FlexranAgent, FlexranSnapshot};
+use flexric_ctrl::flexran_emu::{FlexranCtrl, FlexranNode, FlexranSnapshot};
 use flexric_ctrl::monitoring::MonitorConfig;
 use flexric_ctrl::ranfun::{stats_bundle, SimBs};
 use flexric_e2ap::{E2NodeType, GlobalE2NodeId, GlobalRicId, Plmn};
@@ -80,42 +80,39 @@ pub fn build_sim(args: &Args) -> Arc<Mutex<Sim>> {
 pub fn role_bs(args: &Args) {
     let sim = build_sim(args);
     let duration_s: u64 = args.get_or("duration", 10);
-    let variant = args.get("variant").unwrap_or("flexric").to_owned();
     let ctrl_addr = args.get("ctrl").map(|a| TransportAddr::parse(a).expect("ctrl addr"));
     let codec = codec_arg(args);
     let sm_codec = sm_codec_of(codec);
 
-    // Attach the agent variant.
-    let mut flexric_agent = None;
-    let mut flexran_agent = None;
-    match variant.as_str() {
+    // Attach the agent variant; the sim loop below ticks it.
+    let tick: Box<dyn Fn(u64)> = match args.get("variant").unwrap_or("flexric") {
         "flexric" => {
             let addr = ctrl_addr.expect("--ctrl required for flexric variant");
             let mut acfg =
                 AgentConfig::new(GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 1), addr);
             acfg.codec = codec;
-            acfg.tick_ms = None; // driven by the sim loop below
+            acfg.tick_ms = None;
             let bs = SimBs::new(sim.clone(), 0);
             let agent = Agent::spawn(acfg, stats_bundle(&bs, sm_codec)).expect("agent");
-            flexric_agent = Some(agent);
+            Box::new(move |now| agent.tick(now))
         }
         "flexran" => {
             let addr = ctrl_addr.expect("--ctrl required for flexran variant");
-            let sim2 = sim.clone();
-            let agent = FlexranAgent::spawn(&addr, move |_now| {
-                let mut sim = sim2.lock().expect("lock poisoned");
+            let sim = sim.clone();
+            let agent = FlexranNode::new(move |_now| {
+                let mut sim = sim.lock().expect("lock poisoned");
                 let cell = &mut sim.cells[0];
                 FlexranSnapshot {
                     mac: cell.mac_stats(),
                     rlc: cell.rlc_stats(),
                     pdcp: cell.pdcp_stats(),
                 }
-            })
-            .expect("flexran agent");
-            flexran_agent = Some(agent);
+            });
+            let agent = agent.spawn(&addr, None).expect("flexran agent");
+            Box::new(move |now| agent.tick(now))
         }
-        _ => {}
-    }
+        _ => Box::new(|_| {}),
+    };
 
     // Real-time TTI driver.
     let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
@@ -127,12 +124,7 @@ pub fn role_bs(args: &Args) {
             s.tick();
             s.now_ms()
         };
-        if let Some(a) = &flexric_agent {
-            a.tick(now);
-        }
-        if let Some(a) = &flexran_agent {
-            a.tick(now);
-        }
+        tick(now);
     }
 }
 
@@ -162,8 +154,7 @@ pub fn role_monitor(args: &Args) {
 pub fn role_flexran_ctrl(args: &Args) {
     let listen = TransportAddr::parse(args.get("listen").expect("--listen")).expect("addr");
     let period: u32 = args.get_or("period", 1);
-    let _ctrl = flexric_ctrl::flexran_emu::FlexranController::spawn(&listen, period)
-        .expect("flexran controller");
+    let _ctrl = FlexranCtrl::new(period).spawn(&listen).expect("flexran controller");
     park_forever();
 }
 
@@ -177,52 +168,42 @@ pub fn role_dummy_agents(args: &Args) {
     let codec = codec_arg(args);
     let sm_codec = sm_arg(args, codec);
     let mac_only = args.has("mac-only");
-    let mut handles = Vec::new();
-    for i in 0..n {
-        let mut acfg = AgentConfig::new(
-            GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 100 + i as u64),
-            ctrl.clone(),
-        );
-        acfg.codec = codec;
-        acfg.tick_ms = Some(1);
-        let fns =
-            if mac_only { dummy_mac_only(ues, sm_codec) } else { dummy_bundle(ues, sm_codec) };
-        let agent = Agent::spawn(acfg, fns).expect("dummy agent");
-        handles.push(agent);
-    }
+    let _agents: Vec<_> = (0..n)
+        .map(|i| {
+            let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 100 + i as u64);
+            let mut acfg = AgentConfig::new(node, ctrl.clone());
+            acfg.codec = codec;
+            acfg.tick_ms = Some(1);
+            let fns =
+                if mac_only { dummy_mac_only(ues, sm_codec) } else { dummy_bundle(ues, sm_codec) };
+            Agent::spawn(acfg, fns).expect("dummy agent")
+        })
+        .collect();
     park_forever();
 }
 
 /// Role: `--agents` FlexRAN agents reporting the statistics the dummy E2
-/// agents report ([`DummyStats::fabricate`]) for `--ues` UEs.
+/// agents report ([`DummyStats::fabricate`]) for `--ues` UEs, self-ticked
+/// at 1 ms.
 pub fn role_flexran_dummy_agents(args: &Args) {
     let ctrl = TransportAddr::parse(args.get("ctrl").expect("--ctrl")).expect("addr");
     let n: usize = args.get_or("agents", 10);
     let ues: u16 = args.get_or("ues", 32);
-    let mut handles = Vec::new();
-    for _ in 0..n {
-        let mut reports = 0;
-        let agent = FlexranAgent::spawn(&ctrl, move |now| {
-            reports += 1;
-            FlexranSnapshot {
-                mac: MacStatsInd::fabricate(reports, ues, now),
-                rlc: RlcStatsInd::fabricate(reports, ues, now),
-                pdcp: PdcpStatsInd::fabricate(reports, ues, now),
-            }
+    let _agents: Vec<_> = (0..n)
+        .map(|_| {
+            let mut reports = 0;
+            let node = FlexranNode::new(move |now| {
+                reports += 1;
+                FlexranSnapshot {
+                    mac: MacStatsInd::fabricate(reports, ues, now),
+                    rlc: RlcStatsInd::fabricate(reports, ues, now),
+                    pdcp: PdcpStatsInd::fabricate(reports, ues, now),
+                }
+            });
+            node.spawn(&ctrl, Some(1)).expect("flexran dummy")
         })
-        .expect("flexran dummy");
-        handles.push(agent);
-    }
-    // Self-tick at 1 ms.
-    let mut iv = flexric::Ticker::every(std::time::Duration::from_millis(1));
-    let t0 = std::time::Instant::now();
-    loop {
-        iv.tick();
-        let now = t0.elapsed().as_millis() as u64;
-        for a in &handles {
-            a.tick(now);
-        }
-    }
+        .collect();
+    park_forever();
 }
 
 /// Parks the thread forever (roles run until the orchestrator kills them).
@@ -235,28 +216,15 @@ pub fn park_forever() -> ! {
 /// Dispatches `--role` subprocesses; returns `false` when no role flag is
 /// present (the caller is the orchestrator).
 pub fn dispatch(args: &Args) -> bool {
-    match args.get("role") {
-        Some("bs") => {
-            role_bs(args);
-            true
-        }
-        Some("monitor") => {
-            role_monitor(args);
-            true
-        }
-        Some("flexran-ctrl") => {
-            role_flexran_ctrl(args);
-            true
-        }
-        Some("dummy-agents") => {
-            role_dummy_agents(args);
-            true
-        }
-        Some("flexran-dummy-agents") => {
-            role_flexran_dummy_agents(args);
-            true
-        }
+    let role: fn(&Args) = match args.get("role") {
+        Some("bs") => role_bs,
+        Some("monitor") => role_monitor,
+        Some("flexran-ctrl") => role_flexran_ctrl,
+        Some("dummy-agents") => role_dummy_agents,
+        Some("flexran-dummy-agents") => role_flexran_dummy_agents,
         Some(other) => panic!("unknown role {other}"),
-        None => false,
-    }
+        None => return false,
+    };
+    role(args);
+    true
 }

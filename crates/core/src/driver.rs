@@ -3,8 +3,11 @@
 //!
 //! [`Agent`], [`Shard`] and [`Bridge`] are state machines
 //! ([`crate::machine`]): they decide everything and touch nothing.  This
-//! file does the touching, once, for all three.  One [`Loop`] per machine
-//! runs on a thread of its own and owns
+//! file does the touching, once, for all three — and, through
+//! [`spawn_machine`], for any machine that asks for nothing but sends and
+//! hangups (outside this crate: FlexRAN's controller and agent, the
+//! pub/sub broker).  One [`Loop`] per machine runs on a thread of its own
+//! and owns
 //!
 //! * the machine's input queue (a `std::sync::mpsc` channel: events from
 //!   its connections' readers, ticks, and work sent by the public handle);
@@ -32,6 +35,7 @@
 //! and the order things shut down in.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::io;
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
@@ -841,6 +845,111 @@ impl BridgeHandle {
 
     /// Stops the bridge: when this returns its listeners are closed, its
     /// loop has ended and its connections, north and south, are closed.
+    pub fn stop(&self) {
+        self.running.stop();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Any other framed protocol: a machine with no actions of its own
+// ---------------------------------------------------------------------------
+
+/// Where [`spawn_machine`] gets a machine's links.
+#[derive(Debug, Clone)]
+pub enum Links {
+    /// Every connection accepted at this address.
+    Listen(TransportAddr),
+    /// One connection, dialled once, before the spawn returns.
+    Dial(TransportAddr),
+}
+
+/// A machine [`spawn_machine`] can run: one that asks its driver for
+/// sends and hangups only.
+pub trait PlainMachine: Machine<In: Send + 'static, Out = Infallible> + Send + 'static {}
+
+impl<M: Machine<In: Send + 'static, Out = Infallible> + Send + 'static> PlainMachine for M {}
+
+/// The [`Drive`] of a [`PlainMachine`].
+struct Plain<M>(M);
+
+impl<M: PlainMachine> Machine for Plain<M> {
+    type In = M::In;
+    type Out = Infallible;
+    fn handle(&mut self, event: Event<M::In>, now_ms: u64, out: &mut Vec<Action<Infallible>>) {
+        self.0.handle(event, now_ms, out)
+    }
+}
+
+impl<M: PlainMachine> Drive for Plain<M> {
+    type Port = ();
+    fn act(_lp: &mut Loop<Self>, never: Infallible) {
+        match never {}
+    }
+}
+
+/// Runs `machine` on a loop of its own, on `tick_ms`'s clock (`None`: only
+/// [`MachineHandle::tick`] moves it), with the links `links` gives: each
+/// one is attached and handed to the machine as `Event::App(linked(peer))`.
+/// A dial that fails, or a listener that cannot be bound, fails the spawn.
+pub fn spawn_machine<M: PlainMachine>(
+    machine: M,
+    links: Links,
+    linked: fn(PeerId) -> M::In,
+    tick_ms: Option<u64>,
+) -> io::Result<MachineHandle<M>> {
+    let welcome = move |transport: Transport| -> In<Plain<M>> {
+        In::With(Box::new(move |lp| {
+            if let Ok(peer) = lp.attach(transport) {
+                lp.feed(Event::App(linked(peer)));
+            }
+        }))
+    };
+    let (tx, rx) = mpsc::channel();
+    let (addr, serving) = match links {
+        Links::Dial(addr) => {
+            let _ = tx.send(welcome(connect(&addr)?));
+            (addr, None)
+        }
+        Links::Listen(addr) => {
+            let l = listen(&addr)?;
+            let (addr, tx) = (l.local_addr()?, tx.clone());
+            (addr, Some(l.serve(Box::new(move |transport| drop(tx.send(welcome(transport)))))?))
+        }
+    };
+    let lp = Loop::new(Plain(machine), (), tx);
+    let running = Arc::new(Running::start("flexric-loop", vec![(lp, rx)], tick_ms)?);
+    lock(&running.listeners).extend(serving);
+    Ok(MachineHandle { running, addr })
+}
+
+/// Handle to a machine run by [`spawn_machine`].  The machine stops when
+/// [`stop`](Self::stop) is called or the last clone of its handle is
+/// dropped.
+pub struct MachineHandle<M: PlainMachine> {
+    running: Arc<Running<Plain<M>>>,
+    /// The address listened on (ephemeral port resolved), or dialled.
+    pub addr: TransportAddr,
+}
+
+impl<M: PlainMachine> Clone for MachineHandle<M> {
+    fn clone(&self) -> Self {
+        MachineHandle { running: self.running.clone(), addr: self.addr.clone() }
+    }
+}
+
+impl<M: PlainMachine> MachineHandle<M> {
+    /// Hands the machine `Event::App(event)`.
+    pub fn send(&self, event: M::In) {
+        let _ = self.running.loops[0].send(In::Event(Event::App(event)));
+    }
+
+    /// Advances the machine's time (virtual-time mode, or extra ticks).
+    pub fn tick(&self, now_ms: u64) {
+        let _ = self.running.loops[0].send(In::Tick(now_ms));
+    }
+
+    /// Stops the machine: when this returns its listener is closed, its
+    /// loop has ended and its connections are closed.
     pub fn stop(&self) {
         self.running.stop();
     }

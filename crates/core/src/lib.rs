@@ -62,6 +62,7 @@ pub use agent::{
     Admission, Agent, AgentConfig, AgentCtx, AgentHandle, Due, RanFunction, Subscription,
     SubscriptionInfo,
 };
+pub use driver::{spawn_machine, Links, MachineHandle, PlainMachine};
 pub use endpoint::{
     Backoff, E2apEndpoint, Procedure, ProcedureClass, ProcedureKey, ProcedureOutcome,
     ProcedureTable, RetryPolicy,

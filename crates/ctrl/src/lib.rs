@@ -21,8 +21,10 @@
 //!   one loop, one handle;
 //! * [`relay`] — the pinger of the Fig. 9a comparison, which measures
 //!   through the SDK's relay (the same bridge, mirroring each south node);
-//! * [`flexran_emu`] — the FlexRAN baseline (§2): polling controller with
-//!   a Protobuf-style single-layer protocol;
+//! * [`flexran_emu`] — the FlexRAN baseline (§2): a controller that polls
+//!   its RIB every millisecond and an agent, speaking a Protobuf-style
+//!   single-layer protocol, both machines on the SDK's driver as the E2
+//!   agent and controller are;
 //! * [`oran_emu`] — the O-RAN RIC baseline (§5.4): the same relay in
 //!   ASN.1 PER as the E2 termination (decode + re-encode, one hop more), a
 //!   monitoring xApp that finds nodes by polling and decodes every payload

@@ -6,188 +6,122 @@
 //! subscribe to channels; publishers fan messages out to all subscribers
 //! of a channel.
 //!
-//! ## Wire protocol (length-framed over TCP)
+//! The broker is a machine ([`Broker`]) on the SDK's driver
+//! ([`flexric::spawn_machine`]), as the E2 and FlexRAN ends are: one loop
+//! thread owns the subscriptions and the connections, and a client costs
+//! the driver's reader and writer threads over TCP, none over `mem:`.  A
+//! [`BrokerClient`] blocks its caller.
+//!
+//! ## Wire protocol (one `flexric_transport` frame per message)
 //!
 //! ```text
-//! frame   := len:u32BE kind:u8 payload
-//! kind 1  := SUBSCRIBE   payload = channel (utf-8)
-//! kind 2  := PUBLISH     payload = chan_len:u16BE channel message-bytes
-//! kind 3  := MESSAGE     payload = chan_len:u16BE channel message-bytes
+//! payload := kind:u8 body
+//! kind 1  := SUBSCRIBE   body = channel (utf-8)
+//! kind 2  := PUBLISH     body = chan_len:u16BE channel message-bytes
+//! kind 3  := MESSAGE     body = chan_len:u16BE channel message-bytes
 //! ```
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
+use std::io;
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use flexric::{spawn_machine, Action, Event, Links, Machine, MachineHandle, PeerId};
+use flexric_transport::{connect, Pump, SendHalf, TransportAddr, WireMsg};
 
 const KIND_SUBSCRIBE: u8 = 1;
 const KIND_PUBLISH: u8 = 2;
 const KIND_MESSAGE: u8 = 3;
-const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-fn write_frame(wr: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32 + 1;
-    wr.write_all(&len.to_be_bytes())?;
-    wr.write_all(&[kind])?;
-    wr.write_all(payload)?;
-    wr.flush()
+/// One broker message.  Its kind byte says what it is, so the frame's PPID
+/// says nothing.
+fn wire(payload: Bytes) -> WireMsg {
+    WireMsg { stream: 0, ppid: 0, payload }
 }
 
-fn read_frame(rd: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
-    let mut len_buf = [0u8; 4];
-    if rd.read(&mut len_buf[..1])? == 0 {
-        return Ok(None);
-    }
-    rd.read_exact(&mut len_buf[1..])?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame length"));
-    }
-    let mut payload = vec![0u8; len];
-    rd.read_exact(&mut payload)?;
-    let kind = payload.remove(0);
-    Ok(Some((kind, payload)))
+/// A SUBSCRIBE to `channel` (`msg` is empty), or a PUBLISH of `msg` to it.
+fn request(kind: u8, channel: &str, msg: &[u8]) -> WireMsg {
+    let len =
+        if kind == KIND_PUBLISH { (channel.len() as u16).to_be_bytes().to_vec() } else { vec![] };
+    wire([&[kind][..], &len, channel.as_bytes(), msg].concat().into())
 }
 
-fn chan_msg(payload: &[u8]) -> io::Result<(String, Bytes)> {
-    if payload.len() < 2 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "short publish"));
-    }
-    let chan_len = u16::from_be_bytes([payload[0], payload[1]]) as usize;
-    if payload.len() < 2 + chan_len {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad channel length"));
-    }
-    let channel = String::from_utf8(payload[2..2 + chan_len].to_vec())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad channel utf8"))?;
-    Ok((channel, Bytes::copy_from_slice(&payload[2 + chan_len..])))
+/// The channel and message of a PUBLISH or MESSAGE; `None` if malformed.
+fn chan_msg(payload: &Bytes) -> Option<(String, Bytes)> {
+    let len = payload.get(1..3)?;
+    let rest = &payload[3..];
+    let (channel, msg) = rest.split_at_checked(u16::from_be_bytes([len[0], len[1]]) as usize)?;
+    Some((std::str::from_utf8(channel).ok()?.to_owned(), payload.slice_ref(msg)))
 }
 
-fn encode_chan_msg(channel: &str, msg: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(2 + channel.len() + msg.len());
-    payload.extend_from_slice(&(channel.len() as u16).to_be_bytes());
-    payload.extend_from_slice(channel.as_bytes());
-    payload.extend_from_slice(msg);
-    payload
-}
-
-/// Locks one of the broker's tables.  Each is only ever pushed to, drained
-/// or retained under the lock, so it is valid even if a holder panicked.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Per channel: the subscribed clients, by client id, and the queue of
-/// each one's writer thread.
-type Subscribers = Arc<Mutex<HashMap<String, Vec<(u64, mpsc::Sender<(String, Bytes)>)>>>>;
-
-/// A running broker.
+/// The broker: who is connected, and who is subscribed to what.  Told of
+/// each new client link (`Event::App(peer)`).
+#[derive(Debug, Default)]
 pub struct Broker {
-    /// The bound address.
-    pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Mutex<Option<JoinHandle<()>>>,
-    /// A handle on every client socket accepted so far.
-    clients: Arc<Mutex<Vec<TcpStream>>>,
+    clients: HashSet<PeerId>,
+    /// Per channel, its subscribers.
+    subs: HashMap<String, BTreeSet<PeerId>>,
 }
 
 impl Broker {
-    /// Binds and serves; runs until the process exits or [`shutdown`] is
-    /// called.  One thread accepts; each client costs a reading and a
-    /// writing thread, which end with its connection.
-    ///
-    /// [`shutdown`]: Broker::shutdown
-    pub fn spawn(addr: &str) -> io::Result<Broker> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let subs = Subscribers::default();
-        let stop = Arc::new(AtomicBool::new(false));
-        let clients: Arc<Mutex<Vec<TcpStream>>> = Arc::default();
-        let (stopped, accepted) = (stop.clone(), clients.clone());
-        let accept =
-            std::thread::Builder::new().name("flexric-broker".into()).spawn(move || {
-                let next_id = AtomicU64::new(0);
-                for stream in listener.incoming() {
-                    // `SeqCst`: the flag is all `shutdown` and this thread share.
-                    if stopped.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    if let Ok(handle) = stream.try_clone() {
-                        let mut list = lock(&accepted);
-                        list.retain(|c| c.peer_addr().is_ok());
-                        list.push(handle);
-                    }
-                    let (subs, id) = (subs.clone(), next_id.fetch_add(1, Ordering::Relaxed));
-                    // A client that cannot get a thread is dropped.
-                    let _ = std::thread::Builder::new().name("flexric-broker-rx".into()).spawn(
-                        move || {
-                            let _ = serve_client(stream, id, &subs);
-                            // Forgetting the client's queue everywhere ends its
-                            // writer thread.
-                            lock(&subs).values_mut().for_each(|l| l.retain(|(c, _)| *c != id));
-                        },
-                    );
-                }
-            })?;
-        Ok(Broker { addr, stop, accept: Mutex::new(Some(accept)), clients })
+    /// Binds `addr` (`"host:port"` or `"mem:name"`) and runs a broker
+    /// there, on the driver.  Dropping the handle, or its `stop()`, stops
+    /// it and drops every client connection, as a broker crash would;
+    /// connected [`BrokerClient`]s see the connection drop and reconnect.
+    pub fn spawn(addr: &str) -> io::Result<MachineHandle<Broker>> {
+        let addr = Links::Listen(TransportAddr::parse(addr)?);
+        spawn_machine(Broker::default(), addr, |peer| peer, None)
     }
 
-    /// Stops accepting and drops every live client connection; the listen
-    /// address is free when this returns.  Used by tests to simulate a
-    /// broker crash; connected [`BrokerClient`]s see the connection drop
-    /// and reconnect.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Nothing in std interrupts `accept`; a connection to ourselves
-        // does.  The thread owns the listener, so joining it closes it.
-        if TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok() {
-            if let Some(accept) = lock(&self.accept).take() {
-                let _ = accept.join();
-            }
+    /// Forgets `peer` and hangs up on it, once.
+    fn forget(&mut self, peer: PeerId, out: &mut Vec<Action<Infallible>>) {
+        if self.clients.remove(&peer) {
+            self.subs.values_mut().for_each(|list| _ = list.remove(&peer));
+            out.push(Action::Hangup(peer));
         }
-        for client in lock(&self.clients).drain(..) {
-            let _ = client.shutdown(Shutdown::Both);
+    }
+
+    /// Handles one frame of a live client.  A frame that breaks the
+    /// protocol drops the client, as the broker always has.
+    fn frame(&mut self, peer: PeerId, payload: Bytes, out: &mut Vec<Action<Infallible>>) {
+        match payload[..] {
+            [KIND_SUBSCRIBE, ref channel @ ..] => {
+                let Ok(channel) = std::str::from_utf8(channel) else {
+                    return self.forget(peer, out);
+                };
+                self.subs.entry(channel.to_owned()).or_default().insert(peer);
+            }
+            [KIND_PUBLISH, ..] => match chan_msg(&payload) {
+                Some((channel, _)) => {
+                    let Some(list) = self.subs.get(&channel) else { return };
+                    // Encoded once; every subscriber is sent the same bytes.
+                    let message = Bytes::from([&[KIND_MESSAGE][..], &payload[1..]].concat());
+                    out.extend(list.iter().map(|&p| Action::Send(p, wire(message.clone()))));
+                }
+                None => self.forget(peer, out),
+            },
+            _ => self.forget(peer, out),
         }
     }
 }
 
-/// Reads one client's SUBSCRIBE/PUBLISH frames until it goes away.
-fn serve_client(mut stream: TcpStream, id: u64, subs: &Subscribers) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut wr = stream.try_clone()?;
-    let (tx, rx) = mpsc::channel::<(String, Bytes)>();
-    // Writer side: forward matched messages to this client.  It ends when
-    // every sender of its queue is gone or the client stops taking bytes.
-    std::thread::Builder::new().name("flexric-broker-tx".into()).spawn(move || {
-        while let Ok((channel, msg)) = rx.recv() {
-            if write_frame(&mut wr, KIND_MESSAGE, &encode_chan_msg(&channel, &msg)).is_err() {
-                break;
+impl Machine for Broker {
+    /// A new client link.
+    type In = PeerId;
+    type Out = Infallible;
+
+    fn handle(&mut self, event: Event<PeerId>, _now_ms: u64, out: &mut Vec<Action<Infallible>>) {
+        match event {
+            Event::App(peer) => _ = self.clients.insert(peer),
+            Event::Frame(peer, payload) if self.clients.contains(&peer) => {
+                self.frame(peer, payload, out)
             }
-        }
-    })?;
-    while let Some((kind, payload)) = read_frame(&mut stream)? {
-        match kind {
-            KIND_SUBSCRIBE => {
-                let channel = String::from_utf8(payload)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad channel"))?;
-                lock(subs).entry(channel).or_default().push((id, tx.clone()));
-            }
-            KIND_PUBLISH => {
-                let (channel, msg) = chan_msg(&payload)?;
-                if let Some(list) = lock(subs).get_mut(&channel) {
-                    list.retain(|(_, s)| s.send((channel.clone(), msg.clone())).is_ok());
-                }
-            }
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "unknown frame kind")),
+            Event::Closed(peer) => self.forget(peer, out),
+            Event::Frame(..) | Event::Tick => {}
         }
     }
-    Ok(())
 }
 
 /// Reconnect schedule: capped exponential backoff.
@@ -195,37 +129,25 @@ const RECONNECT_INITIAL_MS: u64 = 50;
 const RECONNECT_MAX_MS: u64 = 5_000;
 const RECONNECT_ATTEMPTS: u32 = 8;
 
-/// One connection to the broker: the socket to write to and what its
-/// reader thread has received.  Dropping it closes the socket, which ends
-/// the reader thread.
+/// One connection to the broker: the half to write to and the MESSAGEs
+/// its receive half delivered.  The queue closes when the connection ends;
+/// dropping the link closes the connection.
 struct Link {
-    wr: TcpStream,
+    tx: SendHalf,
     rx: mpsc::Receiver<(String, Bytes)>,
+    _pump: Pump,
 }
 
-impl Drop for Link {
-    fn drop(&mut self) {
-        let _ = self.wr.shutdown(Shutdown::Both);
-    }
-}
-
-fn dial(addr: &str) -> io::Result<Link> {
-    let wr = TcpStream::connect(addr)?;
-    wr.set_nodelay(true)?;
-    let mut rd = wr.try_clone()?;
-    let (tx, rx) = mpsc::channel();
-    std::thread::Builder::new().name("flexric-broker-client".into()).spawn(move || {
-        while let Ok(Some((kind, payload))) = read_frame(&mut rd) {
-            if kind == KIND_MESSAGE {
-                if let Ok((channel, msg)) = chan_msg(&payload) {
-                    if tx.send((channel, msg)).is_err() {
-                        break;
-                    }
-                }
-            }
+fn dial(addr: &TransportAddr) -> io::Result<Link> {
+    let (tx, rx_half) = connect(addr)?.split();
+    let (messages, rx) = mpsc::channel();
+    let pump = rx_half.pump(Box::new(move |msg| {
+        let msg = msg.filter(|m| m.payload.first() == Some(&KIND_MESSAGE));
+        if let Some(message) = msg.and_then(|m| chan_msg(&m.payload)) {
+            let _ = messages.send(message);
         }
-    })?;
-    Ok(Link { wr, rx })
+    }))?;
+    Ok(Link { tx, rx, _pump: pump })
 }
 
 /// A broker client: publish and/or subscribe.
@@ -236,15 +158,16 @@ fn dial(addr: &str) -> io::Result<Link> {
 /// all subscriptions, so a broker restart is invisible to the caller
 /// beyond the messages published while it was down.
 pub struct BrokerClient {
-    addr: String,
+    addr: TransportAddr,
     link: Link,
     channels: Vec<String>,
 }
 
 impl BrokerClient {
-    /// Connects to a broker.
+    /// Connects to a broker at `"host:port"` or `"mem:name"`.
     pub fn connect(addr: &str) -> io::Result<BrokerClient> {
-        Ok(BrokerClient { addr: addr.to_string(), link: dial(addr)?, channels: Vec::new() })
+        let addr = TransportAddr::parse(addr)?;
+        Ok(BrokerClient { link: dial(&addr)?, addr, channels: Vec::new() })
     }
 
     /// Redials and replays all subscriptions.  Retries with backoff before
@@ -255,11 +178,11 @@ impl BrokerClient {
             std::thread::sleep(Duration::from_millis(delay));
             delay = delay.saturating_mul(2).min(RECONNECT_MAX_MS);
             let Ok(mut link) = dial(&self.addr) else { continue };
-            let replayed = self
+            if self
                 .channels
                 .iter()
-                .all(|chan| write_frame(&mut link.wr, KIND_SUBSCRIBE, chan.as_bytes()).is_ok());
-            if replayed {
+                .all(|chan| link.tx.send(request(KIND_SUBSCRIBE, chan, &[])).is_ok())
+            {
                 self.link = link;
                 return Ok(());
             }
@@ -273,25 +196,19 @@ impl BrokerClient {
         if !self.channels.iter().any(|c| c == channel) {
             self.channels.push(channel.to_string());
         }
-        match write_frame(&mut self.link.wr, KIND_SUBSCRIBE, channel.as_bytes()) {
-            Ok(()) => Ok(()),
-            // reconnect() replays the channel list, which now includes
-            // this channel.
-            Err(_) => self.reconnect(),
-        }
+        // reconnect() replays the channel list, which now includes this
+        // channel.
+        self.link.tx.send(request(KIND_SUBSCRIBE, channel, &[])).or_else(|_| self.reconnect())
     }
 
     /// Publishes a message to a channel, reconnecting once on a dead
     /// connection.
     pub fn publish(&mut self, channel: &str, msg: &[u8]) -> io::Result<()> {
-        let payload = encode_chan_msg(channel, msg);
-        match write_frame(&mut self.link.wr, KIND_PUBLISH, &payload) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                self.reconnect()?;
-                write_frame(&mut self.link.wr, KIND_PUBLISH, &payload)
-            }
-        }
+        let publish = request(KIND_PUBLISH, channel, msg);
+        self.link.tx.send(publish.clone()).or_else(|_| {
+            self.reconnect()?;
+            self.link.tx.send(publish)
+        })
     }
 
     /// Receives the next message on any subscribed channel.  If the broker
@@ -299,22 +216,22 @@ impl BrokerClient {
     /// waiting; returns `None` only when the broker stays unreachable or
     /// nothing was ever subscribed.
     pub fn recv(&mut self) -> Option<(String, Bytes)> {
-        loop {
-            if let Ok(m) = self.link.rx.recv() {
-                return Some(m);
-            }
-            if self.channels.is_empty() || self.reconnect().is_err() {
-                return None;
-            }
-        }
+        self.next(None)
     }
 
     /// [`recv`](Self::recv) that also returns `None` when nothing arrived
     /// within `timeout` (a reconnect in between may overrun it).
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<(String, Bytes)> {
-        let deadline = Instant::now() + timeout;
+        self.next(Some(Instant::now() + timeout))
+    }
+
+    fn next(&mut self, deadline: Option<Instant>) -> Option<(String, Bytes)> {
         loop {
-            match self.link.rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            let got = match deadline {
+                None => self.link.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(at) => self.link.rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+            };
+            match got {
                 Ok(m) => return Some(m),
                 Err(RecvTimeoutError::Timeout) => return None,
                 Err(RecvTimeoutError::Disconnected) => {
@@ -336,7 +253,82 @@ impl BrokerClient {
 mod tests {
     use super::*;
 
-    fn client(broker: &Broker) -> BrokerClient {
+    // -- The machine, fed events -------------------------------------------
+
+    /// Hands the broker one event and returns what it answers.
+    fn feed(broker: &mut Broker, event: Event<PeerId>) -> Vec<Action<Infallible>> {
+        let mut out = Vec::new();
+        broker.handle(event, 0, &mut out);
+        out
+    }
+
+    /// A broker with clients 1..=n.
+    fn broker_of(n: PeerId) -> Broker {
+        let mut broker = Broker::default();
+        for peer in 1..=n {
+            assert!(feed(&mut broker, Event::App(peer)).is_empty());
+        }
+        broker
+    }
+
+    fn subscribe(broker: &mut Broker, peer: PeerId, channel: &str) {
+        assert!(feed(broker, Event::Frame(peer, request(KIND_SUBSCRIBE, channel, &[]).payload))
+            .is_empty());
+    }
+
+    /// Whom a publish on `channel` reaches, and what each is sent.
+    fn publish(broker: &mut Broker, from: PeerId, channel: &str) -> Vec<(PeerId, Bytes)> {
+        let publish = request(KIND_PUBLISH, channel, b"hello").payload;
+        let sent = feed(broker, Event::Frame(from, publish));
+        sent.into_iter()
+            .map(|action| match action {
+                Action::Send(peer, msg) => (peer, msg.payload),
+                other => panic!("a publish sends, not {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_publish_reaches_every_subscriber_of_its_channel_and_no_other() {
+        let mut broker = broker_of(4);
+        for peer in [1, 2, 3] {
+            subscribe(&mut broker, peer, "a");
+        }
+        subscribe(&mut broker, 1, "a");
+        subscribe(&mut broker, 4, "b");
+        let sent = publish(&mut broker, 4, "a");
+        assert_eq!(sent.iter().map(|(peer, _)| *peer).collect::<Vec<_>>(), [1, 2, 3], "once each");
+        let message = &sent[0].1;
+        assert_eq!(message[0], KIND_MESSAGE);
+        assert_eq!(chan_msg(message), Some(("a".to_owned(), Bytes::from_static(b"hello"))));
+        assert!(sent.iter().all(|(_, m)| m.as_ptr() == message.as_ptr()), "encoded once");
+        assert!(publish(&mut broker, 1, "c").is_empty(), "no subscriber, no send");
+    }
+
+    #[test]
+    fn a_closed_subscriber_is_forgotten() {
+        let mut broker = broker_of(2);
+        subscribe(&mut broker, 1, "a");
+        subscribe(&mut broker, 2, "a");
+        assert!(matches!(feed(&mut broker, Event::Closed(1))[..], [Action::Hangup(1)]));
+        assert!(feed(&mut broker, Event::Closed(1)).is_empty(), "hung up once");
+        assert_eq!(publish(&mut broker, 2, "a").len(), 1);
+    }
+
+    #[test]
+    fn an_unknown_kind_is_hung_up_on() {
+        let mut broker = broker_of(2);
+        subscribe(&mut broker, 1, "a");
+        let garbage = Bytes::from_static(&[9, 0, 1, b'a']);
+        assert!(matches!(feed(&mut broker, Event::Frame(1, garbage))[..], [Action::Hangup(1)]));
+        let short = Bytes::from_static(&[KIND_PUBLISH, 0, 9, b'a']);
+        assert!(matches!(feed(&mut broker, Event::Frame(2, short))[..], [Action::Hangup(2)]));
+        assert!(publish(&mut broker, 1, "a").is_empty(), "and forgotten");
+    }
+
+    // -- On the driver -------------------------------------------------------
+
+    fn client(broker: &MachineHandle<Broker>) -> BrokerClient {
         BrokerClient::connect(&broker.addr.to_string()).unwrap()
     }
 
@@ -367,7 +359,7 @@ mod tests {
 
     #[test]
     fn pubsub_roundtrip() {
-        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let broker = Broker::spawn("mem:broker-roundtrip").unwrap();
         let (mut sub, mut publ) = (client(&broker), client(&broker));
         subscribed(&mut sub, &mut publ, "rlc-stats");
         publ.publish("rlc-stats", b"{\"sojourn\": 42}").unwrap();
@@ -378,7 +370,7 @@ mod tests {
 
     #[test]
     fn fanout_to_multiple_subscribers() {
-        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let broker = Broker::spawn("mem:broker-fanout").unwrap();
         let mut publ = client(&broker);
         let mut subs: Vec<BrokerClient> = (0..5).map(|_| client(&broker)).collect();
         for c in &mut subs {
@@ -392,7 +384,7 @@ mod tests {
 
     #[test]
     fn channel_isolation() {
-        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let broker = Broker::spawn("mem:broker-isolation").unwrap();
         let (mut a, mut publ) = (client(&broker), client(&broker));
         subscribed(&mut a, &mut publ, "a");
         publ.publish("b", b"not for a").unwrap();
@@ -406,7 +398,7 @@ mod tests {
 
     #[test]
     fn publish_without_subscribers_is_fine() {
-        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let broker = Broker::spawn("mem:broker-void").unwrap();
         let mut publ = client(&broker);
         publ.publish("void", b"shout").unwrap();
         // Broker still alive.
@@ -418,31 +410,33 @@ mod tests {
 
     #[test]
     fn broker_restart_resubscribes() {
-        let broker = Broker::spawn("127.0.0.1:0").unwrap();
-        let addr = broker.addr.to_string();
-        let (mut sub, mut publ) = (client(&broker), client(&broker));
-        subscribed(&mut sub, &mut publ, "chan");
+        for addr in ["127.0.0.1:0", "mem:broker-restart"] {
+            let broker = Broker::spawn(addr).unwrap();
+            let addr = broker.addr.to_string();
+            let (mut sub, mut publ) = (client(&broker), client(&broker));
+            subscribed(&mut sub, &mut publ, "chan");
 
-        // Crash the broker and bring a new one up on the same address.
-        broker.shutdown();
-        let _broker2 = Broker::spawn(&addr).unwrap();
+            // Crash the broker and bring a new one up on the same address.
+            broker.stop();
+            let _broker2 = Broker::spawn(&addr).unwrap();
 
-        // The subscriber reconnects and replays its subscription while it
-        // waits; publish until the message gets through.
-        let mut publ = BrokerClient::connect(&addr).unwrap();
-        let got = (0..100).find_map(|_| {
-            publ.publish("chan", b"after restart").unwrap();
-            std::iter::from_fn(|| sub.recv_timeout(Duration::from_millis(100)))
-                .find(|m| &m.1[..] != b"probe")
-        });
-        let (chan, msg) = got.expect("subscription survived the broker restart");
-        assert_eq!(chan, "chan");
-        assert_eq!(&msg[..], b"after restart");
+            // The subscriber reconnects and replays its subscription while
+            // it waits; publish until the message gets through.
+            let mut publ = BrokerClient::connect(&addr).unwrap();
+            let got = (0..100).find_map(|_| {
+                publ.publish("chan", b"after restart").unwrap();
+                std::iter::from_fn(|| sub.recv_timeout(Duration::from_millis(100)))
+                    .find(|m| &m.1[..] != b"probe")
+            });
+            let (chan, msg) = got.expect("subscription survived the broker restart");
+            assert_eq!(chan, "chan", "over {addr}");
+            assert_eq!(&msg[..], b"after restart", "over {addr}");
+        }
     }
 
     #[test]
     fn dead_subscriber_pruned() {
-        let broker = Broker::spawn("127.0.0.1:0").unwrap();
+        let broker = Broker::spawn("mem:broker-pruned").unwrap();
         let mut publ = client(&broker);
         {
             let mut dead = client(&broker);

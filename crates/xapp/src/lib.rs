@@ -3,14 +3,15 @@
 //! The paper's controller specializations expose their services to xApps
 //! through "a custom protocol, such as a simple REST interface (e.g.,
 //! FlexRAN), the RMR library (e.g., O-RAN RIC), a message broker (e.g.
-//! Redis), or E2AP itself" (§4.2.1).  This crate provides the first two
-//! from scratch, on `std` threads and sockets:
+//! Redis), or E2AP itself" (§4.2.1).  This crate provides the first and
+//! the third from scratch:
 //!
 //! * [`http`] — a minimal HTTP/1.1 server and client (GET/POST with JSON
-//!   bodies), the REST northbound of the slicing and TC controllers;
-//! * [`broker`] — a Redis-style pub/sub broker (SUBSCRIBE/PUBLISH over a
-//!   length-framed TCP protocol), the stats-push channel of the TC
-//!   controller;
+//!   bodies) on `std` threads and sockets, the REST northbound of the
+//!   slicing and TC controllers;
+//! * [`broker`] — a Redis-style pub/sub broker (SUBSCRIBE/PUBLISH in
+//!   `flexric-transport` frames, over TCP or `mem:`), a machine on the
+//!   SDK's driver, the stats-push channel of the TC controller;
 //! * [`mod@json`] — the JSON value, parser and writer both of them (and the
 //!   experiment snapshots) go through;
 //! * [`metrics`] — a Prometheus-text `/metrics` route for the HTTP
