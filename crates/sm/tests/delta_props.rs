@@ -273,26 +273,45 @@ fn check_against_reference<M: Model>(seeds: &[u64], ops: &[Op], keyframe_every: 
 /// The decoder's verdict on `bytes` after `prefix`, beside the
 /// reference's: the same kind of outcome, equal snapshots, equal state —
 /// and a state that is the untouched base, the new reconstruction, or
-/// nothing.
-fn check_verdict<M: Model>(prefix: &[(Vec<u8>, M)], bytes: &[u8], codec: SmCodec) {
+/// nothing.  When `bytes` is refused and the base kept, the `intact` frame
+/// it was made from applies next exactly as in the reference: whatever the
+/// decoder keeps beside its base (its row hashes) must be untouched too.
+fn check_verdict<M: Model>(
+    prefix: &[(Vec<u8>, M)],
+    bytes: &[u8],
+    intact: Option<&[u8]>,
+    codec: SmCodec,
+) {
     let (mut dec, mut ref_dec) = (DeltaDecoder::<M>::new(), RefDecoder::<M>::new());
     for (f, _) in prefix {
         dec.apply(f, codec).expect("emitted frame");
         ref_dec.apply(f, codec).expect("emitted frame");
     }
     let base = dec.current().cloned();
-    match (dec.apply(bytes, codec), ref_dec.apply(bytes, codec)) {
-        (Err(_), Err(_)) => assert_eq!(dec.current(), base.as_ref(), "refused: base untouched"),
+    let refused = match (dec.apply(bytes, codec), ref_dec.apply(bytes, codec)) {
+        (Err(_), Err(_)) => {
+            assert_eq!(dec.current(), base.as_ref(), "refused: base untouched");
+            true
+        }
         (Ok(DeltaEvent::NeedKeyframe { .. }), Ok(DeltaEvent::NeedKeyframe { .. })) => {
             assert!(dec.current().is_none() || dec.current() == base.as_ref());
+            true
         }
         (Ok(DeltaEvent::Snapshot { snap, changed, keyframe }), Ok(ref_ev)) => {
             assert_eq!(dec.current(), Some(&snap));
             assert_eq!(DeltaEvent::Snapshot { snap, changed, keyframe }, ref_ev);
+            false
         }
         (got, want) => panic!("{}: {got:?}, reference {want:?}", M::NAME),
-    }
+    };
     assert_eq!(dec.current(), ref_dec.current());
+    let kept = refused && base.is_some() && dec.current() == base.as_ref();
+    if let Some(intact) = intact.filter(|_| kept) {
+        let ev = dec.apply(intact, codec).expect("the intact frame");
+        assert!(matches!(ev, DeltaEvent::Snapshot { .. }), "{}: intact frame: {ev:?}", M::NAME);
+        assert_eq!(ev, ref_dec.apply(intact, codec).expect("the intact frame"));
+        assert_eq!(dec.current(), ref_dec.current());
+    }
 }
 
 /// Every truncation and every flipped byte of the last frame of a run.
@@ -303,13 +322,13 @@ fn check_corruptions<M: Model>(seeds: &[u64], ops: &[Op], fb: bool) {
     let (_, _, frames) = emitted_frames::<M>(seeds, ops, 64, codec);
     let (last, prefix) = frames.split_last().expect("the first report is always emitted");
     for len in 0..last.0.len() {
-        check_verdict(prefix, &last.0[..len], codec);
+        check_verdict(prefix, &last.0[..len], Some(&last.0), codec);
     }
     for i in 0..last.0.len() {
         for mask in [0xFF, 0x80, 0x01] {
             let mut bytes = last.0.clone();
             bytes[i] ^= mask;
-            check_verdict(prefix, &bytes, codec);
+            check_verdict(prefix, &bytes, Some(&last.0), codec);
         }
     }
 }
@@ -381,8 +400,8 @@ fn check_lost_frame<M: Model>(seeds: &[u64], ops: &[Op], drop_at: prop::sample::
 fn check_garbage<M: Model>(seeds: &[u64], buf: &[u8]) {
     for codec in SmCodec::ALL {
         let (_, _, frames) = emitted_frames::<M>(seeds, &[], 64, codec);
-        check_verdict::<M>(&[], buf, codec);
-        check_verdict(&frames, buf, codec);
+        check_verdict::<M>(&[], buf, None, codec);
+        check_verdict(&frames, buf, None, codec);
     }
 }
 

@@ -168,7 +168,8 @@ fn diff<T: DeltaRows>(prev: &T, cur: &T, post_hash: u64) -> DeltaBody {
 }
 
 /// Applies a delta body to the previous reconstruction; `None` if the
-/// body references state the base does not have.
+/// body references state the base does not have, or grows it past
+/// `MAX_ROWS` rows, a snapshot no decoder takes.
 fn apply_body<T: DeltaRows>(prev: &T, body: &DeltaBody) -> Option<T> {
     let mut snap = prev.clone();
     snap.set_tstamp_ms(body.tstamp_ms);
@@ -207,6 +208,9 @@ fn apply_body<T: DeltaRows>(prev: &T, body: &DeltaBody) -> Option<T> {
         for key in order {
             rows.push(by_key.remove(key)?);
         }
+    }
+    if rows.len() > MAX_ROWS {
+        return None;
     }
     Some(snap)
 }
