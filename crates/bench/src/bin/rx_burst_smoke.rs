@@ -111,6 +111,10 @@ fn main() {
         }
         std::thread::yield_now();
     }
+    // The burst queues virtual ticks faster than the agent handles them;
+    // its stats are answered once it has handled every tick queued before
+    // the call, so the settling below starts with the burst sent.
+    agent.stats().expect("the agent runs");
 
     // Settle.
     let mut snap = flexric_obs::snapshot();

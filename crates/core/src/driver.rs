@@ -6,47 +6,54 @@
 //! file does the touching, once, for all three — and, through
 //! [`spawn_machine`], for any machine that asks for nothing but sends and
 //! hangups (outside this crate: FlexRAN's controller and agent, the
-//! pub/sub broker).  One [`Loop`] per machine runs on a thread of its own
-//! and owns
+//! pub/sub broker).  One [`Loop`] per machine runs on a thread of its own,
+//! blocks in one place — an `epoll` wait ([`flexric_transport::poll`])
+//! until the next tick — and owns
 //!
-//! * the machine's input queue (a `std::sync::mpsc` channel: events from
-//!   its connections' readers, ticks, and work sent by the public handle);
-//! * the connections: per [`PeerId`], a writer and a reader.  Over TCP the
-//!   reader is a small-stack thread blocked in `read` and the writer a
-//!   small-stack thread that batches; over the mem transport neither
-//!   exists — the peer's `send` pushes into this loop's queue itself and a
-//!   send of ours cannot block, so the loop sends directly.  Peer ids are
-//!   allotted here, one per connection, never reused — a reader tags what
-//!   it reads with its id and the *machine* ignores ids it no longer binds,
-//!   so there is no epoch filter here to keep in step;
-//! * the clock: `now_ms` only moves on a tick — `recv_timeout` running out
-//!   in real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in
-//!   virtual time — and every event is handed over with it;
+//! * the machine's input queue (a `std::sync::mpsc` channel plus the
+//!   poller's waker: ticks and work sent by the public handle, frames of
+//!   its mem connections, connects that finished);
+//! * its sockets, non-blocking: per [`PeerId`] a TCP connection the loop
+//!   reads until it would block and writes in batches, or a mem connection
+//!   whose peer's `send` pushes into this loop's queue itself (a send of
+//!   ours cannot block); a listener, and the connections it accepted that
+//!   have not sent their first frame.  Peer ids are allotted here, one per
+//!   connection, never reused — what is read is tagged with its id and
+//!   the *machine* ignores ids it no longer binds, so there is no epoch
+//!   filter here to keep in step;
+//! * the clock: `now_ms` only moves on a tick — the wait running out in
+//!   real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in virtual
+//!   time — and every event is handed over with it.  A dial's backoff and a
+//!   new connection's setup deadline are kept on it;
 //! * the machine's own actions ([`Drive::act`]): dialling for the agent
 //!   and a bridge's north agents, event publication for a shard.
 //!
-//! The loop thread never blocks on a socket: not to write (the writer
-//! thread does), not to connect (a dial thread does), not to accept.
+//! The only other thread is a dial's: std has no non-blocking `connect`,
+//! so the connect alone runs on a short-lived thread of its own.
 //!
 //! The driver decides nothing about the protocol: not whether to redial or
 //! when, not which connection is current, not what to answer.  It may only
 //! fail — a dial that errors, a read that ends — and says so in an event.
-//! DESIGN.md ("The machine/driver split") lists the threads, the queues
-//! and the order things shut down in.
+//! DESIGN.md ("The machine/driver split") lists the queues and the order
+//! things shut down in.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 use std::fmt;
 use std::io;
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::net::Shutdown;
+use std::os::fd::AsRawFd;
+use std::sync::mpsc::{self, SendError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use flexric_codec::E2apCodec;
 use flexric_e2ap::{E2SetupRequest, E2apPdu};
-use flexric_transport::{
-    connect, listen, spawn_io_thread, Pump, SendHalf, Serving, Transport, TransportAddr, WireMsg,
-};
+use flexric_transport::mem::{MemRecvHalf, MemSendHalf};
+use flexric_transport::poll::{self, Poller, Waker};
+use flexric_transport::tcp::TcpConn;
+use flexric_transport::{connect, listen, Listener, Transport, TransportAddr, WireMsg};
 
 use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, AgentStats, CtrlId, RanFunction};
 use crate::machine::{Action, Event, Machine, PeerId};
@@ -60,13 +67,13 @@ use crate::server::{
 // The writer
 // ---------------------------------------------------------------------------
 //
-// The writer queues `WireMsg`s (not bare frames), so the stream id — stream
-// 0 for global/control procedures, nonzero for bulk indications — survives
-// to the wire, and a drained batch is re-ordered so control frames overtake
-// queued bulk traffic: a subscription or control procedure is never stuck
-// behind thousands of coalesced indications.  The reorder is a stable
-// partition, so per-stream ordering (the SCTP guarantee E2AP relies on) is
-// preserved within each class.
+// A TCP connection queues `WireMsg`s (not bare frames), so the stream id —
+// stream 0 for global/control procedures, nonzero for bulk indications —
+// survives to the wire, and a batch taken off the queue is re-ordered so
+// control frames overtake queued bulk traffic: a subscription or control
+// procedure is never stuck behind thousands of coalesced indications.  The
+// reorder is a stable partition, so per-stream ordering (the SCTP
+// guarantee E2AP relies on) is preserved within each class.
 
 /// Control frames that jumped ahead of queued bulk frames in a writer
 /// batch — visibility into the priority mechanism under load.
@@ -101,67 +108,53 @@ fn prioritize(batch: &mut [WireMsg]) -> u64 {
     promoted
 }
 
-/// Spawns the writer thread for one connection whose sends can block:
-/// messages queued on the returned channel are coalesced (up to 64 per
-/// flush), control frames are promoted ahead of bulk, and the batch goes
-/// out as one vectored write.  The thread ends when the channel closes —
-/// having written what was queued, which is what a hangup relies on — or
-/// the transport errors; dropping the send half then shuts the write
-/// direction down.  Nobody joins it: a hangup must not wait for a peer
-/// that stopped reading, and the thread holds nothing but its socket.
-fn spawn_writer(mut half: SendHalf) -> io::Result<mpsc::Sender<WireMsg>> {
-    let (out_tx, out_rx) = mpsc::channel::<WireMsg>();
-    spawn_io_thread("flexric-tx", move || {
-        let mut batch = Vec::with_capacity(8);
-        while let Ok(msg) = out_rx.recv() {
-            batch.push(msg);
-            // Coalesce everything already queued into one flush.
-            while batch.len() < 64 {
-                match out_rx.try_recv() {
-                    Ok(msg) => batch.push(msg),
-                    Err(_) => break,
+/// A TCP connection and what is to be written to it.
+struct Outbox {
+    conn: TcpConn,
+    /// Sent by the machine, not yet in a batch.
+    queue: VecDeque<WireMsg>,
+    /// The batch being written, `written` bytes of it out.  While there is
+    /// one the socket is watched for writability: it took less than it
+    /// was given.
+    batch: Vec<WireMsg>,
+    written: usize,
+    /// Hung up: closed once the queue is written.
+    hung_up: bool,
+}
+
+impl Outbox {
+    /// Writes until the queue is empty (`true`) or the socket would block:
+    /// up to 64 frames at a time, control promoted over bulk, as one
+    /// vectored write.
+    fn flush(&mut self) -> io::Result<bool> {
+        loop {
+            if self.batch.is_empty() {
+                let n = self.queue.len().min(64);
+                if n == 0 {
+                    return Ok(true);
+                }
+                self.batch.extend(self.queue.drain(..n));
+                let promoted = prioritize(&mut self.batch);
+                if promoted > 0 {
+                    promotions().add(promoted);
                 }
             }
-            let promoted = prioritize(&mut batch);
-            if promoted > 0 {
-                promotions().add(promoted);
+            if !self.conn.write(&self.batch, &mut self.written)? {
+                return Ok(false);
             }
-            if half.send_batch(std::mem::take(&mut batch)).is_err() {
-                break;
-            }
-        }
-    })?;
-    Ok(out_tx)
-}
-
-/// How the loop writes to one connection.
-enum Writer {
-    /// A send that cannot block (mem): the loop does it.
-    Direct(SendHalf),
-    /// A send that can (TCP): the connection's writer thread does it.
-    Queued(mpsc::Sender<WireMsg>),
-}
-
-impl Writer {
-    fn new(half: SendHalf) -> io::Result<Writer> {
-        match half {
-            SendHalf::Mem(_) => Ok(Writer::Direct(half)),
-            SendHalf::Tcp(_) => spawn_writer(half).map(Writer::Queued),
+            self.batch.clear();
+            self.written = 0;
         }
     }
+}
 
-    /// A failed write is not reported here: the reader of the same
-    /// connection reports its end.
-    fn write(&mut self, msg: WireMsg) {
-        match self {
-            Writer::Direct(half) => {
-                let _ = half.send(msg);
-            }
-            Writer::Queued(queue) => {
-                let _ = queue.send(msg);
-            }
-        }
-    }
+/// One connection.  Dropping it closes it.
+enum Conn {
+    /// The loop reads and writes the socket.
+    Tcp(Box<Outbox>),
+    /// The peer's sends arrive on the loop's queue; ours cannot block.  The
+    /// receive half is held for its drop, which fails the peer's sends.
+    Mem(MemSendHalf, #[allow(dead_code)] MemRecvHalf),
 }
 
 // ---------------------------------------------------------------------------
@@ -192,65 +185,297 @@ enum In<M: Drive> {
     Stop,
 }
 
-type Tx<M> = mpsc::Sender<In<M>>;
-
-/// One connection.  Dropping it is the hangup: the writer finishes what is
-/// queued and closes, the reader is shut down (and, over TCP, joined).
-struct Conn {
-    writer: Writer,
-    _reader: Pump,
+/// A loop's queue, and the waker that interrupts the loop's wait.
+struct Tx<M: Drive> {
+    queue: mpsc::Sender<In<M>>,
+    waker: Arc<Waker>,
 }
 
-/// One machine, its connections and its clock.
+impl<M: Drive> Clone for Tx<M> {
+    fn clone(&self) -> Self {
+        Tx { queue: self.queue.clone(), waker: self.waker.clone() }
+    }
+}
+
+impl<M: Drive> Tx<M> {
+    fn send(&self, input: In<M>) -> Result<(), SendError<In<M>>> {
+        self.queue.send(input)?;
+        self.waker.wake();
+        Ok(())
+    }
+}
+
+/// Most inputs a loop takes off its queue between two looks at its
+/// sockets and its clock.
+const INPUTS_PER_ROUND: usize = 256;
+
+/// What a loop that listens does with a connection it accepted.
+enum Welcome<M: Drive> {
+    /// Attaches it and tells the machine so ([`spawn_machine`]).
+    Link(fn(PeerId) -> M::In),
+    /// Holds it until its first frame, an E2 Setup request, for
+    /// `within_ms` at most, then hands it to the loop `route` picks, as
+    /// [`ShardIn::NewAgent`] wrapped by `new_agent`.
+    Setup {
+        within_ms: u64,
+        codec: E2apCodec,
+        route: Box<dyn Fn(&E2SetupRequest) -> usize + Send>,
+        loops: Vec<Tx<M>>,
+        new_agent: fn(ShardIn) -> M::In,
+    },
+}
+
+/// One machine, its sockets and its clock.
 struct Loop<M: Drive> {
     machine: M,
     port: M::Port,
-    /// This loop's own queue, for the readers and threads it starts.
+    /// This loop's own queue, for what its sockets and threads hand in.
     tx: Tx<M>,
+    poller: Poller,
     conns: HashMap<PeerId, Conn>,
-    last_peer: PeerId,
+    /// TCP connections sent to since their last write.
+    unwritten: Vec<PeerId>,
+    listeners: Vec<(u64, Listener)>,
+    welcome: Option<Welcome<M>>,
+    /// Accepted, waiting for the first frame until the deadline (ms).
+    pending: HashMap<u64, (Transport, u64)>,
+    /// Connects that wait for the clock to read the first number.
+    dials: Vec<(u64, Work<M>)>,
+    /// The last peer id or token given out.
+    last_token: u64,
     now_ms: u64,
     actions: Vec<Action<M::Out>>,
 }
 
 impl<M: Drive> Loop<M> {
-    fn new(machine: M, port: M::Port, tx: Tx<M>) -> Self {
-        Loop {
+    fn new(machine: M, port: M::Port) -> io::Result<(Self, mpsc::Receiver<In<M>>)> {
+        let poller = Poller::new()?;
+        let (queue, rx) = mpsc::channel();
+        let tx = Tx { queue, waker: poller.waker() };
+        let lp = Loop {
             machine,
             port,
             tx,
+            poller,
             conns: HashMap::new(),
-            last_peer: 0,
+            unwritten: Vec::new(),
+            listeners: Vec::new(),
+            welcome: None,
+            pending: HashMap::new(),
+            dials: Vec::new(),
+            last_token: 0,
             now_ms: 0,
             actions: Vec::new(),
-        }
+        };
+        Ok((lp, rx))
     }
 
-    /// Takes over a connected transport: allots its [`PeerId`], sets up
-    /// its writer, and turns its receive half into `Frame` / `Closed`
-    /// events on this loop's queue.
+    /// A fresh peer id, also the poller token of what it names.
+    fn token(&mut self) -> u64 {
+        self.last_token += 1;
+        self.last_token
+    }
+
+    /// Has the poller report `conn`'s socket, non-blocking, as `token`.
+    fn watch(&self, conn: &TcpConn, token: u64) -> io::Result<()> {
+        conn.socket().set_nonblocking(true)?;
+        self.poller.add(conn.socket().as_raw_fd(), token, poll::READ)
+    }
+
+    /// Takes over a connected transport: allots its [`PeerId`] and has
+    /// what arrives on it handed to the machine as `Frame` / `Closed`.
     fn attach(&mut self, transport: Transport) -> io::Result<PeerId> {
-        let peer = self.last_peer + 1;
-        let (send_half, recv_half) = transport.split();
-        let writer = Writer::new(send_half)?;
-        let tx = self.tx.clone();
-        let reader = recv_half.pump(Box::new(move |msg| {
-            let event = match msg {
-                Some(msg) => Event::Frame(peer, msg.payload),
-                None => Event::Closed(peer),
-            };
-            let _ = tx.send(In::Event(event));
-        }))?;
-        self.last_peer = peer;
-        self.conns.insert(peer, Conn { writer, _reader: reader });
+        let peer = self.token();
+        let conn = match transport {
+            Transport::Tcp(conn) => {
+                self.watch(&conn, peer)?;
+                let (queue, batch, written, hung_up) = (VecDeque::new(), Vec::new(), 0, false);
+                Conn::Tcp(Box::new(Outbox { conn, queue, batch, written, hung_up }))
+            }
+            Transport::Mem(conn) => {
+                let (send, mut recv) = conn.split();
+                let tx = self.tx.clone();
+                recv.pump(Box::new(move |msg| {
+                    let event = match msg {
+                        Some(msg) => Event::Frame(peer, msg.payload),
+                        None => Event::Closed(peer),
+                    };
+                    let _ = tx.send(In::Event(event));
+                }));
+                Conn::Mem(send, recv)
+            }
+        };
+        self.conns.insert(peer, conn);
         Ok(peer)
     }
 
-    /// Writes `msg` to `peer`.
+    /// Writes `msg` to `peer`: at once over mem, at the end of the round
+    /// over TCP.
     fn send(&mut self, peer: PeerId, msg: WireMsg) {
-        if let Some(conn) = self.conns.get_mut(&peer) {
-            conn.writer.write(msg);
+        match self.conns.get_mut(&peer) {
+            Some(Conn::Tcp(out)) if !out.hung_up => {
+                if out.queue.is_empty() && out.batch.is_empty() {
+                    self.unwritten.push(peer);
+                }
+                out.queue.push_back(msg);
+            }
+            Some(Conn::Mem(send, _)) => {
+                let _ = send.send(msg);
+            }
+            _ => {}
         }
+    }
+
+    /// Closes `peer` once what was sent to it is written, and tells the
+    /// machine it is closed, as a connection that ends does.
+    fn hangup(&mut self, peer: PeerId) {
+        match self.conns.get_mut(&peer) {
+            Some(Conn::Tcp(out)) => {
+                // Written out, never read again.
+                out.hung_up = true;
+                let _ = self.poller.modify(out.conn.socket().as_raw_fd(), peer, poll::WRITE);
+                self.unwritten.push(peer);
+            }
+            Some(Conn::Mem(..)) => drop(self.conns.remove(&peer)),
+            None => return,
+        }
+        let _ = self.tx.send(In::Event(Event::Closed(peer)));
+    }
+
+    /// Hands what `peer` sent to the machine, frame by frame, reading its
+    /// socket until it would block; a connection that ended is closed and
+    /// reported.  Each frame is handled before the next read, so a read
+    /// finds the slab free of what the machine let go of.
+    fn receive(&mut self, peer: PeerId) {
+        loop {
+            let out = match self.conns.get_mut(&peer) {
+                Some(Conn::Tcp(out)) if !out.hung_up => out,
+                _ => return,
+            };
+            match out.conn.recv() {
+                Ok(Some(msg)) => self.feed(Event::Frame(peer, msg.payload)),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Ok(None) | Err(_) => return self.close(peer),
+            }
+        }
+    }
+
+    /// Drops `peer`'s connection and, unless the machine hung it up, tells
+    /// the machine.
+    fn close(&mut self, peer: PeerId) {
+        if let Some(Conn::Tcp(out)) = self.conns.remove(&peer) {
+            if !out.hung_up {
+                self.feed(Event::Closed(peer));
+            }
+        }
+    }
+
+    /// Writes what is queued for `peer` until it is out or the socket
+    /// would block, watching for writability in between; a hung-up
+    /// connection is closed once it is out.
+    fn write(&mut self, peer: PeerId) {
+        let Some(Conn::Tcp(out)) = self.conns.get_mut(&peer) else { return };
+        let stalled = !out.batch.is_empty();
+        match out.flush() {
+            Ok(true) if out.hung_up => {
+                let _ = out.conn.socket().shutdown(Shutdown::Write);
+                self.conns.remove(&peer);
+            }
+            Ok(done) if stalled == done && !out.hung_up => {
+                // Level-triggered: watch for writability only while needed.
+                let interest = if done { poll::READ } else { poll::READ | poll::WRITE };
+                let _ = self.poller.modify(out.conn.socket().as_raw_fd(), peer, interest);
+            }
+            Ok(_) => {}
+            Err(_) => self.close(peer),
+        }
+    }
+
+    /// A listener or a socket is ready: to be read, written or both.
+    fn ready(&mut self, token: u64) {
+        if self.conns.contains_key(&token) {
+            self.receive(token);
+            self.write(token);
+        } else if self.pending.contains_key(&token) {
+            self.first_frame(token);
+        } else if let Some(at) = self.listeners.iter().position(|l| l.0 == token) {
+            while let Listener::Tcp(l) = &self.listeners[at].1 {
+                match l.accept() {
+                    Ok((stream, _)) => {
+                        if let Ok(conn) = TcpConn::new(stream) {
+                            self.accepted(Transport::Tcp(conn));
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => break,
+                }
+            }
+        }
+    }
+
+    /// Welcomes a connection a listener of this loop accepted.
+    fn accepted(&mut self, mut transport: Transport) {
+        let within_ms = match &self.welcome {
+            Some(Welcome::Link(linked)) => {
+                let linked = *linked;
+                if let Ok(peer) = self.attach(transport) {
+                    self.feed(Event::App(linked(peer)));
+                }
+                return;
+            }
+            Some(Welcome::Setup { within_ms, .. }) => *within_ms,
+            None => return,
+        };
+        let token = self.token();
+        let watched = match &mut transport {
+            Transport::Tcp(conn) => self.watch(conn, token),
+            Transport::Mem(conn) => {
+                let tx = self.tx.clone();
+                conn.on_arrival(Box::new(move || {
+                    let _ = tx.send(In::With(Box::new(move |lp| lp.first_frame(token))));
+                }));
+                Ok(())
+            }
+        };
+        if watched.is_ok() {
+            self.pending.insert(token, (transport, self.now_ms + within_ms));
+        }
+    }
+
+    /// A connection that has sent nothing yet has something to read: a
+    /// setup request sends it on to the loop of its shard, together with
+    /// whatever it sent after it.  Anything else first is a protocol
+    /// violation, and the connection is dropped.
+    fn first_frame(&mut self, token: u64) {
+        let Some((mut transport, until)) = self.pending.remove(&token) else { return };
+        let first = match &mut transport {
+            Transport::Tcp(conn) => conn.recv(),
+            Transport::Mem(conn) => conn.recv_timeout(Duration::ZERO),
+        };
+        let first = match first {
+            Ok(Some(first)) => first,
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                self.pending.insert(token, (transport, until));
+                return;
+            }
+            Ok(None) | Err(_) => return,
+        };
+        if let Transport::Tcp(conn) = &transport {
+            self.poller.remove(conn.socket().as_raw_fd());
+        }
+        let Some(Welcome::Setup { codec, route, loops, new_agent, .. }) = &self.welcome else {
+            return;
+        };
+        let Ok(E2apPdu::E2SetupRequest(req)) = codec.decode(&first.payload) else { return };
+        let new_agent = *new_agent;
+        let _ = loops[route(&req)].send(In::With(Box::new(move |lp| {
+            let desc = transport.peer();
+            if let Ok(peer) = lp.attach(transport) {
+                lp.feed(Event::App(new_agent(ShardIn::NewAgent { req, peer, desc })));
+                lp.receive(peer);
+            }
+        })));
     }
 
     /// Hands one event to the machine and carries out what it answers.
@@ -266,16 +491,24 @@ impl<M: Drive> Loop<M> {
         for action in actions.drain(..) {
             match action {
                 Action::Send(peer, msg) => self.send(peer, msg),
-                // What the machine sent before hanging up is written or
-                // queued already; dropping the connection does the rest.
-                Action::Hangup(peer) => {
-                    self.conns.remove(&peer);
-                }
+                Action::Hangup(peer) => self.hangup(peer),
                 Action::App(action) => M::act(self, action),
             }
         }
         self.actions = actions;
         r
+    }
+
+    /// The clock reads `now_ms`: the machine is told, the dials whose
+    /// backoff is over connect, and connections past their setup deadline
+    /// are dropped.
+    fn tick(&mut self, now_ms: u64) {
+        self.now_ms = now_ms;
+        self.feed(Event::Tick);
+        while let Some(at) = self.dials.iter().position(|d| d.0 <= now_ms) {
+            (self.dials.remove(at).1)(self);
+        }
+        self.pending.retain(|_, (_, until)| *until > now_ms);
     }
 
     fn run(mut self, rx: mpsc::Receiver<In<M>>, tick_ms: Option<u64>) {
@@ -287,37 +520,42 @@ impl<M: Drive> Loop<M> {
         if period.is_some() {
             self.now_ms = crate::mono_ms();
         }
+        let mut ready = Vec::new();
         loop {
-            let input = match next_tick {
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                // A tick that is due goes first: input that never pauses
-                // must not stop the clock.
-                Some(at) => match at.saturating_duration_since(Instant::now()) {
-                    Duration::ZERO => Err(RecvTimeoutError::Timeout),
-                    left => rx.recv_timeout(left),
-                },
-            };
-            let input = match input {
-                Ok(input) => input,
-                Err(RecvTimeoutError::Timeout) => {
-                    // A late tick is not made up for: the next one is a
-                    // whole period from now.
-                    next_tick = period.map(|p| Instant::now() + p);
-                    In::Tick(crate::mono_ms())
+            // A tick that is due goes first: input that never pauses must
+            // not stop the clock.  A late tick is not made up for: the next
+            // one is a whole period from now.
+            if next_tick.is_some_and(|at| at <= Instant::now()) {
+                next_tick = period.map(|p| Instant::now() + p);
+                self.tick(crate::mono_ms());
+            }
+            // Armed before the queue is looked at: what is queued after the
+            // look interrupts the wait.
+            self.poller.arm();
+            let mut inputs = 0;
+            for input in rx.try_iter().take(INPUTS_PER_ROUND) {
+                inputs += 1;
+                match input {
+                    In::Event(event) => self.feed(event),
+                    In::Tick(now_ms) => self.tick(now_ms),
+                    In::With(f) => f(&mut self),
+                    In::Stop => return,
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
+            }
+            while let Some(peer) = self.unwritten.pop() {
+                self.write(peer);
+            }
+            let timeout = match next_tick {
+                _ if inputs == INPUTS_PER_ROUND => Some(Duration::ZERO),
+                Some(at) => Some(at.saturating_duration_since(Instant::now())),
+                None => None,
             };
-            match input {
-                In::Event(event) => self.feed(event),
-                In::Tick(now_ms) => {
-                    self.now_ms = now_ms;
-                    self.feed(Event::Tick);
-                }
-                In::With(f) => f(&mut self),
-                In::Stop => break,
+            let _ = self.poller.wait(timeout, &mut ready);
+            for r in ready.drain(..) {
+                self.ready(r);
             }
         }
-        // Dropping `self` drops the connections, which closes them.
+        // Dropping `self` closes the listeners and the connections.
     }
 }
 
@@ -344,12 +582,11 @@ fn ask<M: Drive, R: Send + 'static>(
     Ok(rx)
 }
 
-/// The loops (and listeners) behind a handle and all its clones.  They are
-/// stopped by `stop()`, or when the last clone of the handle goes: a loop
-/// nobody can reach any more would tick for ever.
+/// The loops behind a handle and all its clones.  They are stopped by
+/// `stop()`, or when the last clone of the handle goes: a loop nobody can
+/// reach any more would tick for ever.
 struct Running<M: Drive> {
     loops: Vec<Tx<M>>,
-    listeners: Mutex<Vec<Serving>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -362,7 +599,6 @@ impl<M: Drive> Running<M> {
     ) -> io::Result<Running<M>> {
         let running = Running {
             loops: loops.iter().map(|(lp, _)| lp.tx.clone()).collect(),
-            listeners: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
         };
         for (lp, rx) in loops {
@@ -374,11 +610,10 @@ impl<M: Drive> Running<M> {
         Ok(running)
     }
 
-    /// Closes the listeners — the addresses can be bound again when this
-    /// returns — then stops every loop and waits for its thread, so the
-    /// connections are closed too.  Idempotent.
+    /// Stops every loop and waits for its thread, so its listeners and
+    /// connections are closed — the addresses can be bound again — when
+    /// this returns.  Idempotent.
     fn stop(&self) {
-        lock(&self.listeners).clear();
         for tx in &self.loops {
             let _ = tx.send(In::Stop);
         }
@@ -403,9 +638,13 @@ impl<M: Drive> Drop for Running<M> {
 // Dialling and accepting, for every machine that does
 // ---------------------------------------------------------------------------
 
-/// Carries out an agent's `Dial { ctrl, addr, after_ms }`: connects no
-/// sooner than `after_ms` from now and answers `Connected` or `DialFailed`,
-/// wrapped for the machine that asked by `wrap`.
+/// Stack of a dial's thread: it only connects.
+const DIAL_STACK: usize = 128 * 1024;
+
+/// Carries out an agent's `Dial { ctrl, addr, after_ms }`: connects once
+/// the loop's clock has moved `after_ms` on and answers `Connected` or
+/// `DialFailed`, wrapped for the machine that asked by `wrap`.  A dial
+/// still waiting when the loop stops is forgotten.
 fn dial<M: Drive>(
     lp: &mut Loop<M>,
     (ctrl, addr, after_ms): (CtrlId, TransportAddr, u64),
@@ -417,66 +656,77 @@ fn dial<M: Drive>(
             Err(error) => AgentIn::DialFailed { ctrl, error },
         })
     };
-    let tx = lp.tx.clone();
-    // Connecting can block, so it gets a thread for as long as it takes;
-    // the backoff is waited out there too.
-    let dial = spawn_io_thread("flexric-dial", move || {
-        thread::sleep(Duration::from_millis(after_ms));
-        let _ = match connect(&addr) {
-            Ok(transport) => tx.send(In::With(Box::new(move |lp| {
-                let result = lp.attach(transport).map_err(|e| e.to_string());
+    // Not joined: a stop does not wait for a connect, whose result then
+    // finds the queue gone and is dropped with it.
+    let start = move |lp: &mut Loop<M>| {
+        let tx = lp.tx.clone();
+        let dial = thread::Builder::new().name("flexric-dial".into()).stack_size(DIAL_STACK);
+        let dial = dial.spawn(move || {
+            let connected = connect(&addr);
+            let _ = tx.send(In::With(Box::new(move |lp| {
+                let result = connected.and_then(|t| lp.attach(t)).map_err(|e| e.to_string());
                 lp.feed(Event::App(done(result)));
-            }))),
-            Err(e) => tx.send(In::Event(Event::App(done(Err(e.to_string()))))),
-        };
-    });
-    if let Err(e) = dial {
-        lp.feed(Event::App(done(Err(e.to_string()))));
+            })));
+        });
+        if let Err(e) = dial {
+            lp.feed(Event::App(done(Err(e.to_string()))));
+        }
+    };
+    match after_ms {
+        0 => start(lp),
+        _ => lp.dials.push((lp.now_ms + after_ms, Box::new(start))),
     }
 }
 
-/// Binds the listeners of `cfg` and serves them with the accept path, off
-/// the event loops: read a connection's setup request, then hand the
-/// transport plus the parsed request to the loop `route` picks, as
-/// [`ShardIn::NewAgent`] wrapped by `new_agent`.  A dialer that says
-/// nothing holds one small thread until E2 Setup's own deadline, then is
-/// dropped.  Returns the addresses bound (ephemeral ports resolved).
+/// Binds `addrs` on `lp`, which welcomes what they accept with `welcome`;
+/// returns the addresses bound (ephemeral ports resolved).
+fn listen_on<M: Drive>(
+    lp: &mut Loop<M>,
+    addrs: &[TransportAddr],
+    welcome: Welcome<M>,
+) -> io::Result<Vec<TransportAddr>> {
+    let mut bound = Vec::new();
+    for addr in addrs {
+        let mut l = listen(addr)?;
+        bound.push(l.local_addr()?);
+        // Counted down from below the waker's, so the first link is peer 1.
+        let token = u64::MAX - 1 - lp.listeners.len() as u64;
+        match &mut l {
+            Listener::Tcp(l) => {
+                l.set_nonblocking(true)?;
+                lp.poller.add(l.as_raw_fd(), token, poll::READ)?;
+            }
+            Listener::Mem(l) => {
+                let tx = lp.tx.clone();
+                l.serve(Box::new(move |conn| {
+                    let _ = tx.send(In::With(Box::new(|lp| lp.accepted(Transport::Mem(conn)))));
+                }));
+            }
+        }
+        lp.listeners.push((token, l));
+    }
+    lp.welcome = Some(welcome);
+    Ok(bound)
+}
+
+/// Binds the listeners of `cfg` on the first of `loops`, which holds each
+/// connection until its setup request, then hands it to the loop `route`
+/// picks as [`ShardIn::NewAgent`] wrapped by `new_agent`.  A dialer that
+/// says nothing is dropped at E2 Setup's own deadline.
 fn serve<M: Drive>(
     cfg: &ServerConfig,
-    running: &Running<M>,
-    route: impl Fn(&E2SetupRequest) -> usize + Clone + Send + 'static,
+    loops: &mut [(Loop<M>, mpsc::Receiver<In<M>>)],
+    route: impl Fn(&E2SetupRequest) -> usize + Send + 'static,
     new_agent: fn(ShardIn) -> M::In,
 ) -> io::Result<Vec<TransportAddr>> {
-    let first_frame_within = Duration::from_millis(cfg.retry.setup_deadline_ms);
-    let mut bound = Vec::new();
-    for addr in &cfg.listen {
-        let l = listen(addr)?;
-        bound.push(l.local_addr()?);
-        let (route, txs, codec) = (route.clone(), running.loops.clone(), cfg.codec);
-        let serving = l.serve(Box::new(move |mut transport| {
-            let (route, txs) = (route.clone(), txs.clone());
-            // Not joined: it ends by itself, at the deadline at the
-            // latest, and if it cannot be spawned the dialer is dropped.
-            let _ = spawn_io_thread("flexric-setup", move || {
-                let Ok(Some(first)) = transport.recv_timeout(first_frame_within) else {
-                    return;
-                };
-                // Anything but a setup request first is a protocol
-                // violation: the connection is dropped.
-                let Ok(E2apPdu::E2SetupRequest(req)) = codec.decode(&first.payload) else {
-                    return;
-                };
-                let _ = txs[route(&req)].send(In::With(Box::new(move |lp| {
-                    let desc = transport.peer();
-                    if let Ok(peer) = lp.attach(transport) {
-                        lp.feed(Event::App(new_agent(ShardIn::NewAgent { req, peer, desc })));
-                    }
-                })));
-            });
-        }))?;
-        lock(&running.listeners).push(serving);
-    }
-    Ok(bound)
+    let welcome = Welcome::Setup {
+        within_ms: cfg.retry.setup_deadline_ms,
+        codec: cfg.codec,
+        route: Box::new(route),
+        loops: loops.iter().map(|(lp, _)| lp.tx.clone()).collect(),
+        new_agent,
+    };
+    listen_on(&mut loops[0].0, &cfg.listen, welcome)
 }
 
 // ---------------------------------------------------------------------------
@@ -536,10 +786,9 @@ impl Agent {
         cfg: AgentConfig,
         functions: Vec<Box<dyn RanFunction>>,
     ) -> io::Result<AgentHandle> {
-        let (tx, rx) = mpsc::channel();
         let (tick_ms, controllers) = (cfg.tick_ms, cfg.controllers.clone());
-        let lp = Loop::new(Agent::new(cfg, functions), HashMap::new(), tx);
-        let running = Arc::new(Running::start("flexric-agent", vec![(lp, rx)], tick_ms)?);
+        let lp = Loop::new(Agent::new(cfg, functions), HashMap::new())?;
+        let running = Arc::new(Running::start("flexric-agent", vec![lp], tick_ms)?);
         let handle = AgentHandle { running };
         for addr in controllers {
             // On an error the handle is dropped, which stops the loop.
@@ -765,20 +1014,19 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let shards = cfg.resolved_shards().max(1);
         let events = Subscribers::default();
-        let (txs, rxs): (Vec<Tx<Shard>>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
         let router = Arc::new(ShardRouter::new(shards));
 
         let mut loops = Vec::with_capacity(shards);
-        for (idx, rx) in rxs.into_iter().enumerate() {
+        for idx in 0..shards {
             let machine = Shard::new(idx, &cfg, iapps(idx), router.clone());
-            let mut lp = Loop::new(machine, events.clone(), txs[idx].clone());
+            let (mut lp, rx) = Loop::new(machine, events.clone())?;
             lp.feed(Event::App(ShardIn::Start));
             loops.push((lp, rx));
         }
-        let running = Arc::new(Running::start("flexric-shard", loops, cfg.tick_ms)?);
         // Each connection goes to the shard the router assigns its entity to.
         let route = move |req: &E2SetupRequest| router.assign(req.global_node.ran_entity_key());
-        let addrs = serve(&cfg, &running, route, |new_agent| new_agent)?;
+        let addrs = serve(&cfg, &mut loops, route, |new_agent| new_agent)?;
+        let running = Arc::new(Running::start("flexric-shard", loops, cfg.tick_ms)?);
         Ok(ServerHandle { events, running, addrs })
     }
 }
@@ -814,10 +1062,9 @@ impl Bridge {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
         let north = self.own().map(|a| a.controllers().to_vec()).unwrap_or_default();
-        let (tx, rx) = mpsc::channel();
-        let lp = Loop::new(self, HashMap::new(), tx);
-        let running = Arc::new(Running::start("flexric-bridge", vec![(lp, rx)], cfg.tick_ms)?);
-        let addrs = serve(cfg, &running, |_| 0, BridgeIn::South)?;
+        let mut loops = vec![Loop::new(self, HashMap::new())?];
+        let addrs = serve(cfg, &mut loops, |_| 0, BridgeIn::South)?;
+        let running = Arc::new(Running::start("flexric-bridge", loops, cfg.tick_ms)?);
         let handle = BridgeHandle { running, addrs };
         let own = |b: &Bridge| b.own().map_or(0, Agent::ctrl_count);
         for addr in north {
@@ -897,28 +1144,17 @@ pub fn spawn_machine<M: PlainMachine>(
     linked: fn(PeerId) -> M::In,
     tick_ms: Option<u64>,
 ) -> io::Result<MachineHandle<M>> {
-    let welcome = move |transport: Transport| -> In<Plain<M>> {
-        In::With(Box::new(move |lp| {
-            if let Ok(peer) = lp.attach(transport) {
-                lp.feed(Event::App(linked(peer)));
-            }
-        }))
-    };
-    let (tx, rx) = mpsc::channel();
-    let (addr, serving) = match links {
+    let (mut lp, rx) = Loop::new(Plain(machine), ())?;
+    let addr = match links {
         Links::Dial(addr) => {
-            let _ = tx.send(welcome(connect(&addr)?));
-            (addr, None)
+            let transport = connect(&addr)?;
+            lp.welcome = Some(Welcome::Link(linked));
+            let _ = lp.tx.send(In::With(Box::new(|lp| lp.accepted(transport))));
+            addr
         }
-        Links::Listen(addr) => {
-            let l = listen(&addr)?;
-            let (addr, tx) = (l.local_addr()?, tx.clone());
-            (addr, Some(l.serve(Box::new(move |transport| drop(tx.send(welcome(transport)))))?))
-        }
+        Links::Listen(addr) => listen_on(&mut lp, &[addr], Welcome::Link(linked))?.remove(0),
     };
-    let lp = Loop::new(Plain(machine), (), tx);
     let running = Arc::new(Running::start("flexric-loop", vec![(lp, rx)], tick_ms)?);
-    lock(&running.listeners).extend(serving);
     Ok(MachineHandle { running, addr })
 }
 
@@ -1028,9 +1264,9 @@ mod tests {
 
     impl Rig {
         fn start() -> Rig {
-            let (tx, rx) = mpsc::channel();
             let (seen_tx, seen) = mpsc::channel();
-            let lp = Loop::new(Puppet(seen_tx), (), tx.clone());
+            let (lp, rx) = Loop::new(Puppet(seen_tx), ()).unwrap();
+            let tx = lp.tx.clone();
             let running = Running::start("puppet", vec![(lp, rx)], None).unwrap();
             Rig { tx, seen, running }
         }
@@ -1038,11 +1274,9 @@ mod tests {
         /// Hands the loop one end of a fresh loopback TCP connection and
         /// returns the other end, raw.
         fn attach_tcp(&self) -> (PeerId, TcpStream) {
-            let l = listen(&TransportAddr::parse("127.0.0.1:0").unwrap()).unwrap();
-            let TransportAddr::Tcp(addr) = l.local_addr().unwrap() else { unreachable!() };
-            let far = TcpStream::connect(addr).unwrap();
-            let mut l = l;
-            let near = l.accept().unwrap();
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let far = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+            let near = Transport::Tcp(TcpConn::new(l.accept().unwrap().0).unwrap());
             let peer = ask(&self.tx, |lp| lp.attach(near).unwrap()).unwrap().recv().unwrap();
             (peer, far)
         }
@@ -1078,7 +1312,7 @@ mod tests {
         let got = read_frames(&mut far, usize::MAX);
         assert_eq!(got.len(), 500, "every frame sent before the hangup arrived, then EOF");
         assert!(got.iter().enumerate().all(|(i, m)| m.payload[0] == i as u8), "in order");
-        // The loop goes on: the hung-up reader's parting `Closed` is the
+        // The loop goes on: the hangup's parting `Closed` is the
         // machine's to ignore, a live peer's frame still reaches it.
         let (live, mut far2) = rig.attach_tcp();
         far2.write_all(&flexric_transport::frame::encode_frame(0, 70, &Bytes::from_static(b"x")))
@@ -1089,7 +1323,7 @@ mod tests {
         rig.running.stop();
     }
 
-    /// A peer that stops reading blocks its own writer thread and nothing
+    /// A peer that stops reading stalls its own connection and nothing
     /// else: the loop keeps serving other peers, control queued behind bulk
     /// for the stalled peer still overtakes it, and stopping does not wait.
     #[test]
@@ -1097,14 +1331,14 @@ mod tests {
         let rig = Rig::start();
         let (slow, mut slow_far) = rig.attach_tcp();
         let (other, mut other_far) = rig.attach_tcp();
-        // One frame far larger than the socket buffers: the writer thread
-        // takes it off its queue and blocks in the write.
+        // One frame far larger than the socket buffers: the loop takes it
+        // off the connection's queue and writes what the socket takes.
         let big = Bytes::from(vec![7u8; 48 * 1024 * 1024]);
         rig.act(vec![Action::Send(slow, WireMsg::e2ap_on(1, big.clone()))]);
-        // Seeing its first bytes proves the writer has dequeued it.
+        // Seeing its first bytes proves the loop has dequeued it.
         let mut head = [0u8; 1024];
         slow_far.read_exact(&mut head).unwrap();
-        // Queued while the writer is blocked: ten bulk frames, then control.
+        // Queued while the write is stalled: ten bulk frames, then control.
         let mut queued: Vec<Action<()>> = (0..10).map(|i| Action::Send(slow, msg(1, i))).collect();
         queued.push(Action::Send(slow, msg(0, 99)));
         rig.act(queued);
@@ -1116,7 +1350,7 @@ mod tests {
         slow_far.read_exact(&mut rest).unwrap();
         let tags: Vec<u8> = read_frames(&mut slow_far, 11).iter().map(|m| m.payload[0]).collect();
         assert_eq!(tags, [99, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "control overtook the queued bulk");
-        // Stall it again and stop: `stop` returns without the writer.
+        // Stall it again and stop: `stop` does not wait for the peer.
         rig.act(vec![Action::Send(slow, WireMsg::e2ap_on(1, big))]);
         slow_far.read_exact(&mut head).unwrap();
         rig.running.stop();

@@ -4,13 +4,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
 use flexric::agent::{
     Admission, Agent, AgentConfig, AgentCtx, CtrlId, Due, RanFunction, SubscriptionInfo,
 };
+use flexric::endpoint::Backoff;
 use flexric::server::{
     AgentId, AgentInfo, IApp, IndicationRef, Server, ServerApi, ServerConfig, ServerEvent,
     SubOutcome,
@@ -436,6 +437,83 @@ fn stop_frees_the_tcp_address_at_once() {
     assert_eq!(again.addrs[0], addr);
     agent.stop();
     again.stop();
+}
+
+/// An agent stopped while its redial waits out the backoff dials no more:
+/// a listener bound at the controller's address afterwards hears nothing.
+#[test]
+fn a_stopped_agent_dials_no_more() {
+    const BACKOFF_MS: u64 = 300;
+    let server = Server::spawn(tcp_server(), vec![]).unwrap();
+    let TransportAddr::Tcp(at) = server.addrs[0] else { unreachable!() };
+    let mut acfg = AgentConfig::new(node(E2NodeType::Gnb, 41), server.addrs[0].clone());
+    acfg.reconnect = Some(Backoff { initial_ms: BACKOFF_MS, max_ms: BACKOFF_MS });
+    let agent = Agent::spawn(acfg, vec![]).unwrap();
+    server.stop();
+    wait_until(|| agent.stats().unwrap().controllers == 0, "the agent saw its link go");
+    agent.stop();
+    let raw = std::net::TcpListener::bind(at).expect("the address is free");
+    raw.set_nonblocking(true).unwrap();
+    let until = Instant::now() + Duration::from_millis(BACKOFF_MS + 200);
+    while Instant::now() < until {
+        if let Ok((_, from)) = raw.accept() {
+            panic!("a stopped agent dialled from {from}");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Whatever a new connection sent after its setup request reaches the
+/// shard it is routed to, behind the request: two peers each write a setup
+/// request and a reset request in one `write` to a two-shard controller,
+/// and each is answered the setup, then the reset.
+#[test]
+fn what_follows_the_setup_request_reaches_the_routed_shard() {
+    use flexric_transport::frame::encode_frame_into;
+    use flexric_transport::tcp::TcpConn;
+    use std::io::Write;
+
+    /// Notes which shard each agent connected on.
+    struct ShardOf(usize, Arc<Mutex<Vec<usize>>>);
+    impl IApp for ShardOf {
+        fn on_agent_connected(&mut self, _api: &mut ServerApi, _agent: &AgentInfo) {
+            self.1.lock().unwrap().push(self.0);
+        }
+    }
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut cfg = tcp_server();
+    cfg.shards = 2;
+    let codec = cfg.codec;
+    let server =
+        Server::spawn_sharded(cfg, |k| vec![Box::new(ShardOf(k, seen.clone())) as Box<dyn IApp>])
+            .unwrap();
+    let TransportAddr::Tcp(at) = server.addrs[0] else { unreachable!() };
+    for id in [61, 62] {
+        let setup = E2apPdu::E2SetupRequest(E2SetupRequest {
+            transaction_id: 3,
+            global_node: node(E2NodeType::Gnb, id),
+            ran_functions: vec![],
+            component_configs: vec![],
+        });
+        let reset = E2apPdu::ResetRequest(ResetRequest {
+            transaction_id: 7,
+            cause: Cause::Misc(MiscCause::OmIntervention),
+        });
+        let mut wire = bytes::BytesMut::new();
+        for pdu in [setup, reset] {
+            encode_frame_into(0, 70, &codec.encode(&pdu), &mut wire);
+        }
+        let mut sock = std::net::TcpStream::connect(at).unwrap();
+        sock.write_all(&wire).unwrap();
+        let mut conn = TcpConn::new(sock).unwrap();
+        let mut answer = || codec.decode(&conn.recv().unwrap().expect("an answer").payload);
+        assert!(matches!(answer(), Ok(E2apPdu::E2SetupResponse(r)) if r.transaction_id == 3));
+        assert!(matches!(answer(), Ok(E2apPdu::ResetResponse(r)) if r.transaction_id == 7));
+    }
+    let mut shards = seen.lock().unwrap().clone();
+    shards.sort();
+    assert_eq!(shards, [0, 1], "one peer was handed to the other shard");
+    server.stop();
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! A dialer that connects and says nothing costs the controller one small
-//! thread until E2 Setup's own deadline (`RetryPolicy::setup_deadline_ms`),
-//! then its connection is closed — and a real agent is served meanwhile.
+//! A dialer that connects and says nothing costs the controller no thread:
+//! its connection waits on the controller's loop until E2 Setup's own
+//! deadline (`RetryPolicy::setup_deadline_ms`), then is closed — and a real
+//! agent is served meanwhile.
 //!
 //! The only test of this binary: it counts the process's threads.
 
@@ -21,10 +22,10 @@ fn thread_count() -> usize {
 }
 
 /// Threads end a moment after what they did becomes visible: poll, bounded.
-fn wait_for_threads(at_most: usize, what: &str) {
+fn wait_for_threads(exactly: usize, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    while thread_count() > at_most {
-        assert!(Instant::now() < deadline, "{what}: {} threads, want {at_most}", thread_count());
+    while thread_count() != exactly {
+        assert!(Instant::now() < deadline, "{what}: {} threads, want {exactly}", thread_count());
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -44,6 +45,9 @@ fn silent_dialers_cost_a_deadline_not_a_thread_for_ever() {
     let node = GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, 41);
     let agent = Agent::spawn(AgentConfig::new(node, server.addrs[0].clone()), vec![])
         .expect("the real agent sets up among the silent ones");
+    // While the silent ones wait for their deadline: the agent's loop is
+    // the one thread more.
+    wait_for_threads(baseline + 1, "50 silent dialers cost no thread");
 
     // Each silent connection is closed by the controller: a blocking read
     // (no timeout set — the close must come by itself) sees end-of-stream.
@@ -51,12 +55,12 @@ fn silent_dialers_cost_a_deadline_not_a_thread_for_ever() {
         assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "closed at the deadline");
     }
     assert_eq!(server.agents().unwrap().len(), 1, "only the agent was admitted");
-    // What is left beside the baseline: the agent's loop, and a reader and
-    // a writer on each side of its connection.
-    wait_for_threads(baseline + 5, "the 50 first-frame threads are gone");
+    // What is left beside the baseline: the agent's loop.  The 50 silent
+    // dialers and the agent's connection cost no thread on either side.
+    wait_for_threads(baseline + 1, "the agent's loop and nothing else");
     agent.stop();
     server.stop();
-    // Everything this test started is gone, the controller's own threads
+    // Everything this test started is gone, the controller's own loop
     // (counted in the baseline) included.
-    wait_for_threads(baseline - 2, "agent, connection and controller threads are gone");
+    wait_for_threads(baseline - 1, "agent and controller loops are gone");
 }

@@ -49,7 +49,7 @@ mod test_util {
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    use flexric_transport::{Serving, Transport, TransportAddr};
+    use flexric_transport::mem::{MemConn, MemListener};
 
     /// Polls `done` every millisecond until it holds or `within` has
     /// passed; whether it held.
@@ -64,12 +64,13 @@ mod test_util {
         true
     }
 
-    /// A controller at `addr` that accepts every connection and never
+    /// A controller at `mem:<name>` that accepts every connection and never
     /// says a word; the connections it holds.
-    pub(crate) fn mute_controller(addr: &TransportAddr) -> (Serving, Arc<Mutex<Vec<Transport>>>) {
+    pub(crate) fn mute_controller(name: &str) -> (MemListener, Arc<Mutex<Vec<MemConn>>>) {
         let held = Arc::new(Mutex::new(Vec::new()));
         let hold = held.clone();
-        let listener = flexric_transport::listen(addr).unwrap();
-        (listener.serve(Box::new(move |conn| hold.lock().unwrap().push(conn))).unwrap(), held)
+        let mut listener = MemListener::bind(name).unwrap();
+        listener.serve(Box::new(move |conn| hold.lock().unwrap().push(conn)));
+        (listener, held)
     }
 }

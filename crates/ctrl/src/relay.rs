@@ -198,8 +198,8 @@ mod tests {
     /// redial is the retry — and stopping does not wait for the upstream.
     #[test]
     fn a_silent_upstream_costs_one_setup_deadline() {
+        let (_mute, held) = mute_controller("relay-silent-up");
         let up = TransportAddr::Mem("relay-silent-up".into());
-        let (_serving, held) = mute_controller(&up);
         let south = TransportAddr::Mem("relay-silent-south".into());
         let mut south_cfg = ServerConfig::new(GlobalRicId::new(Plmn::TEST, 2), south.clone());
         let deadline = Duration::from_millis(200);

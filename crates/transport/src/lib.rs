@@ -13,28 +13,27 @@
 //! * [`mem`] — an in-process channel transport with the same interface, for
 //!   deterministic tests and single-process experiments.
 //!
-//! Every call blocks the calling thread: [`Transport::send`] until the
-//! message is with the kernel (or in the peer's queue), [`Transport::recv`]
-//! until one arrives.  An event loop that must do neither hands the receive
-//! half a sink ([`RecvHalf::pump`]) and a listener a callback
-//! ([`Listener::serve`]): over TCP that costs one small-stack thread each,
-//! over [`mem`] none — the sender and the dialer do the calling.
+//! A [`Transport`] blocks its caller: [`Transport::send`] until the message
+//! is with the kernel (or in the peer's queue), [`Transport::recv`] until
+//! one arrives.  An event loop blocks in one place instead, [`poll`]'s
+//! `epoll` wait, and drives a non-blocking [`tcp::TcpConn`] on readiness;
+//! a mem connection it hands a sink ([`mem::MemRecvHalf::pump`]) and a mem
+//! listener a callback ([`mem::MemListener::serve`]), which the sender's
+//! `send` and the dialer's `connect` call.
 //!
 //! There is no fault injection here: faults are scripted on the
-//! deterministic wire of `tests/protocol.rs`, not in the I/O path.
+//! deterministic wire of `flexric::wire`, not in the I/O path.
 
 pub mod frame;
 pub mod mem;
+pub mod poll;
 pub mod rx;
 pub mod tcp;
 
 use bytes::Bytes;
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Wire-level counters and the write-latency span, shared by all transport
@@ -143,25 +142,6 @@ impl fmt::Display for TransportAddr {
     }
 }
 
-/// Stack of the threads this crate (and an event loop on top of it) parks
-/// in a blocking read, write or accept: they call a few frames deep and
-/// there may be thousands of them.
-const IO_THREAD_STACK: usize = 128 * 1024;
-
-/// Spawns a thread for blocking socket work, on a small fixed stack.
-pub fn spawn_io_thread(
-    name: &str,
-    f: impl FnOnce() + Send + 'static,
-) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().name(name.to_owned()).stack_size(IO_THREAD_STACK).spawn(f)
-}
-
-fn note_rx(msg: &WireMsg) {
-    let m = obs();
-    m.rx_frames.inc();
-    m.rx_bytes.add(msg.payload.len() as u64);
-}
-
 /// A connected, bidirectional, message-oriented transport.
 #[derive(Debug)]
 pub enum Transport {
@@ -174,10 +154,6 @@ pub enum Transport {
 impl Transport {
     /// Sends one message.
     pub fn send(&mut self, msg: WireMsg) -> io::Result<()> {
-        let m = obs();
-        m.tx_frames.inc();
-        m.tx_bytes.add(msg.payload.len() as u64);
-        let _t = m.write_ns.timer();
         match self {
             Transport::Tcp(c) => c.send(msg),
             Transport::Mem(c) => c.send(msg),
@@ -186,41 +162,19 @@ impl Transport {
 
     /// Receives the next message; `None` on orderly shutdown.
     pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
-        let res = match self {
+        match self {
             Transport::Tcp(c) => c.recv(),
             Transport::Mem(c) => c.recv(),
-        };
-        if let Ok(Some(msg)) = &res {
-            note_rx(msg);
         }
-        res
     }
 
     /// [`recv`](Self::recv) that gives up with `ErrorKind::TimedOut` once
     /// `timeout` has passed without a complete message.  The transport
     /// stays usable: nothing that did arrive is lost.
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<WireMsg>> {
-        let res = match self {
-            Transport::Tcp(c) => c.recv_half().recv_timeout(timeout),
-            Transport::Mem(c) => c.recv_half().recv_timeout(timeout),
-        };
-        if let Ok(Some(msg)) = &res {
-            note_rx(msg);
-        }
-        res
-    }
-
-    /// Splits into independently owned send and receive halves.
-    pub fn split(self) -> (SendHalf, RecvHalf) {
         match self {
-            Transport::Tcp(c) => {
-                let (tx, rx) = c.split();
-                (SendHalf::Tcp(tx), RecvHalf::Tcp(rx))
-            }
-            Transport::Mem(c) => {
-                let (tx, rx) = c.split();
-                (SendHalf::Mem(tx), RecvHalf::Mem(rx))
-            }
+            Transport::Tcp(c) => c.recv_timeout(timeout),
+            Transport::Mem(c) => c.recv_timeout(timeout),
         }
     }
 
@@ -233,128 +187,8 @@ impl Transport {
     }
 }
 
-/// Owned send half of a [`Transport`].
-#[derive(Debug)]
-pub enum SendHalf {
-    /// TCP half: a send blocks while the peer's window is closed.
-    Tcp(tcp::TcpSendHalf),
-    /// Mem half: a send never blocks.
-    Mem(mem::MemSendHalf),
-}
-
-impl SendHalf {
-    /// Sends one message.
-    pub fn send(&mut self, msg: WireMsg) -> io::Result<()> {
-        let m = obs();
-        m.tx_frames.inc();
-        m.tx_bytes.add(msg.payload.len() as u64);
-        let _t = m.write_ns.timer();
-        match self {
-            SendHalf::Tcp(c) => c.send(msg),
-            SendHalf::Mem(c) => c.send(msg),
-        }
-    }
-
-    /// Sends a batch of messages; over TCP this issues a single flush.
-    pub fn send_batch(&mut self, msgs: Vec<WireMsg>) -> io::Result<()> {
-        let m = obs();
-        m.tx_frames.add(msgs.len() as u64);
-        m.tx_bytes.add(msgs.iter().map(|w| w.payload.len() as u64).sum());
-        let _t = m.write_ns.timer();
-        match self {
-            SendHalf::Tcp(c) => c.send_batch(&msgs),
-            SendHalf::Mem(c) => msgs.into_iter().try_for_each(|w| c.send(w)),
-        }
-    }
-}
-
-/// Where a pumped receive half puts what arrives: each message in order,
-/// then `None` once, when the connection ends (orderly or not).  It is
-/// called from another thread and must not block.
-pub type Sink = Box<dyn FnMut(Option<WireMsg>) + Send>;
-
-/// Owned receive half of a [`Transport`].
-#[derive(Debug)]
-pub enum RecvHalf {
-    /// TCP half.
-    Tcp(tcp::TcpRecvHalf),
-    /// Mem half.
-    Mem(mem::MemRecvHalf),
-}
-
-impl RecvHalf {
-    /// Receives the next message; `None` on orderly shutdown.
-    pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
-        let res = match self {
-            RecvHalf::Tcp(c) => c.recv(),
-            RecvHalf::Mem(c) => c.recv(),
-        };
-        if let Ok(Some(msg)) = &res {
-            note_rx(msg);
-        }
-        res
-    }
-
-    /// Turns the half around: instead of the caller blocking in `recv`,
-    /// `sink` is called with every message.  Over TCP a small-stack thread
-    /// does the reading; over mem the peer's `send` calls `sink` itself.
-    /// Delivery stops when the returned [`Pump`] is dropped.
-    pub fn pump(self, mut sink: Sink) -> io::Result<Pump> {
-        let mut counted: Sink = Box::new(move |msg| {
-            if let Some(msg) = &msg {
-                note_rx(msg);
-            }
-            sink(msg)
-        });
-        match self {
-            RecvHalf::Tcp(mut half) => {
-                let sock = half.socket();
-                let reader = spawn_io_thread("flexric-rx", move || loop {
-                    match half.recv() {
-                        Ok(Some(msg)) => counted(Some(msg)),
-                        Ok(None) | Err(_) => break counted(None),
-                    }
-                })?;
-                Ok(Pump(PumpKind::Tcp { sock, reader: Some(reader) }))
-            }
-            RecvHalf::Mem(mut half) => {
-                half.pump(counted);
-                Ok(Pump(PumpKind::Mem(half)))
-            }
-        }
-    }
-}
-
-/// A receive half that is delivering to a [`Sink`].  Dropping it ends the
-/// delivery — over TCP by shutting the socket's read direction down, which
-/// wakes the reader thread, and waiting for that thread — and with it the
-/// receive half: the peer's sends fail from then on.
-#[derive(Debug)]
-pub struct Pump(PumpKind);
-
-#[derive(Debug)]
-enum PumpKind {
-    Tcp { sock: tcp::Sock, reader: Option<JoinHandle<()>> },
-    Mem(#[allow(dead_code)] mem::MemRecvHalf),
-}
-
-impl Drop for Pump {
-    fn drop(&mut self) {
-        if let PumpKind::Tcp { sock, reader } = &mut self.0 {
-            sock.shutdown_read();
-            // The reader only reads and calls the sink, which must not
-            // block: it is on its way out.  Its panic, if any, was the
-            // sink's and is the sink owner's to report.
-            let _ = reader.take().map(JoinHandle::join);
-        }
-    }
-}
-
-/// Called with each inbound connection of a served [`Listener`], from
-/// another thread; it must not block.
-pub type OnConn = Box<dyn FnMut(Transport) + Send>;
-
-/// A listener accepting transport connections.
+/// A bound listener: an event loop takes its connections, by readiness
+/// (TCP) or by callback ([`mem::MemListener::serve`]).
 #[derive(Debug)]
 pub enum Listener {
     /// TCP listener.
@@ -363,93 +197,13 @@ pub enum Listener {
     Mem(mem::MemListener),
 }
 
-/// Frames a connected socket.
-fn framed(stream: TcpStream) -> io::Result<Transport> {
-    Ok(Transport::Tcp(tcp::TcpConn::new(stream)?))
-}
-
 impl Listener {
-    /// Accepts the next inbound connection.
-    pub fn accept(&mut self) -> io::Result<Transport> {
-        match self {
-            Listener::Tcp(l) => framed(l.accept()?.0),
-            Listener::Mem(l) => Ok(Transport::Mem(l.accept()?)),
-        }
-    }
-
     /// The address this listener is bound to (with the ephemeral port
     /// resolved for TCP).
     pub fn local_addr(&self) -> io::Result<TransportAddr> {
         match self {
             Listener::Tcp(l) => Ok(TransportAddr::Tcp(l.local_addr()?)),
             Listener::Mem(l) => Ok(TransportAddr::Mem(l.name().to_owned())),
-        }
-    }
-
-    /// Turns the listener around: `on_conn` is called with every inbound
-    /// connection.  Over TCP a small-stack thread does the accepting; over
-    /// mem the dialer's `connect` calls `on_conn` itself.  The address is
-    /// free again when dropping the returned [`Serving`] returns.
-    pub fn serve(self, mut on_conn: OnConn) -> io::Result<Serving> {
-        match self {
-            Listener::Tcp(l) => {
-                let mut wake = l.local_addr()?;
-                if wake.ip().is_unspecified() {
-                    wake.set_ip(match wake {
-                        SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                        SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-                    });
-                }
-                let stop = Arc::new(AtomicBool::new(false));
-                let stopped = stop.clone();
-                let thread = spawn_io_thread("flexric-accept", move || loop {
-                    let stream = match l.accept() {
-                        Ok((stream, _)) => stream,
-                        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    };
-                    // `SeqCst`: the flag is all the waker and this thread
-                    // share; the connection that woke us is the waker's.
-                    if stopped.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(transport) = framed(stream) {
-                        on_conn(transport);
-                    }
-                })?;
-                Ok(Serving(ServingKind::Tcp { stop, wake, thread: Some(thread) }))
-            }
-            Listener::Mem(mut l) => {
-                l.serve(Box::new(move |conn| on_conn(Transport::Mem(conn))));
-                Ok(Serving(ServingKind::Mem(l)))
-            }
-        }
-    }
-}
-
-/// A listener that is calling an [`OnConn`].  Dropping it stops that and
-/// closes the listener: when `drop` returns the address can be bound again.
-#[derive(Debug)]
-pub struct Serving(ServingKind);
-
-#[derive(Debug)]
-enum ServingKind {
-    Tcp { stop: Arc<AtomicBool>, wake: SocketAddr, thread: Option<JoinHandle<()>> },
-    Mem(#[allow(dead_code)] mem::MemListener),
-}
-
-impl Drop for Serving {
-    fn drop(&mut self) {
-        if let ServingKind::Tcp { stop, wake, thread } = &mut self.0 {
-            stop.store(true, Ordering::SeqCst);
-            // std has no way to interrupt `accept`: a connection to
-            // ourselves does.  The thread owns the listener, so the socket
-            // is closed once it is joined; if we cannot even connect, it
-            // is left to end with the process.
-            if TcpStream::connect_timeout(wake, Duration::from_secs(1)).is_ok() {
-                let _ = thread.take().map(JoinHandle::join);
-            }
         }
     }
 }
@@ -465,7 +219,7 @@ pub fn listen(addr: &TransportAddr) -> io::Result<Listener> {
 /// Connects to a listener at `addr`.
 pub fn connect(addr: &TransportAddr) -> io::Result<Transport> {
     match addr {
-        TransportAddr::Tcp(a) => framed(TcpStream::connect(a)?),
+        TransportAddr::Tcp(a) => Ok(Transport::Tcp(tcp::TcpConn::new(TcpStream::connect(a)?)?)),
         TransportAddr::Mem(name) => Ok(Transport::Mem(mem::connect(name)?)),
     }
 }
@@ -480,10 +234,22 @@ mod tests {
         TransportAddr::Mem(name.into())
     }
 
-    fn loopback() -> (Listener, TransportAddr) {
-        let l = listen(&TransportAddr::parse("127.0.0.1:0").unwrap()).unwrap();
-        let addr = l.local_addr().unwrap();
+    fn loopback() -> (TcpListener, TransportAddr) {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = TransportAddr::Tcp(l.local_addr().unwrap());
         (l, addr)
+    }
+
+    fn accept(l: &TcpListener) -> Transport {
+        Transport::Tcp(tcp::TcpConn::new(l.accept().unwrap().0).unwrap())
+    }
+
+    /// A served mem listener and the connections it is handed.
+    fn mem_listener(name: &str) -> (mem::MemListener, mpsc::Receiver<mem::MemConn>) {
+        let mut l = mem::MemListener::bind(name).unwrap();
+        let (tx, conns) = mpsc::channel();
+        l.serve(Box::new(move |conn| drop(tx.send(conn))));
+        (l, conns)
     }
 
     #[test]
@@ -499,13 +265,13 @@ mod tests {
 
     #[test]
     fn mem_roundtrip() {
-        let mut l = listen(&mem("t-mem-rt")).unwrap();
+        let (_l, conns) = mem_listener("t-mem-rt");
         let client = thread::spawn(move || {
             let mut c = connect(&mem("t-mem-rt")).unwrap();
             c.send(WireMsg::e2ap(Bytes::from_static(b"ping"))).unwrap();
             c.recv().unwrap().unwrap()
         });
-        let mut server_side = l.accept().unwrap();
+        let mut server_side = conns.recv().unwrap();
         let got = server_side.recv().unwrap().unwrap();
         assert_eq!(got.payload, Bytes::from_static(b"ping"));
         assert_eq!(got.ppid, WireMsg::PPID_E2AP);
@@ -516,7 +282,7 @@ mod tests {
 
     #[test]
     fn tcp_roundtrip_with_streams() {
-        let (mut l, addr) = loopback();
+        let (l, addr) = loopback();
         let client = thread::spawn(move || {
             let mut c = connect(&addr).unwrap();
             for i in 0..10u16 {
@@ -529,7 +295,7 @@ mod tests {
             }
             last
         });
-        let mut conn = l.accept().unwrap();
+        let mut conn = accept(&l);
         for i in 0..10u16 {
             let m = conn.recv().unwrap().unwrap();
             assert_eq!(m.stream, i, "ordering preserved");
@@ -542,32 +308,30 @@ mod tests {
 
     #[test]
     fn recv_returns_none_on_close() {
-        let mut l = listen(&mem("t-close")).unwrap();
+        let (_l, conns) = mem_listener("t-close");
         drop(connect(&mem("t-close")).unwrap());
-        let mut conn = l.accept().unwrap();
+        let mut conn = conns.recv().unwrap();
         assert!(conn.recv().unwrap().is_none());
     }
 
     #[test]
     fn tcp_recv_none_on_close() {
-        let (mut l, addr) = loopback();
+        let (l, addr) = loopback();
         drop(connect(&addr).unwrap());
-        let mut conn = l.accept().unwrap();
+        let mut conn = accept(&l);
         assert!(conn.recv().unwrap().is_none());
     }
 
     #[test]
     fn split_halves_work_concurrently() {
-        let mut l = listen(&mem("t-split")).unwrap();
+        let (_l, conns) = mem_listener("t-split");
         let echo = thread::spawn(move || {
-            let conn = l.accept().unwrap();
-            let (mut tx, mut rx) = conn.split();
+            let (mut tx, mut rx) = conns.recv().unwrap().split();
             while let Some(m) = rx.recv().unwrap() {
                 tx.send(m).unwrap();
             }
         });
-        let conn = connect(&mem("t-split")).unwrap();
-        let (mut tx, mut rx) = conn.split();
+        let (mut tx, mut rx) = mem::connect("t-split").unwrap().split();
         for i in 0..100u32 {
             tx.send(WireMsg { stream: 0, ppid: i, payload: Bytes::new() }).unwrap();
         }
@@ -602,14 +366,14 @@ mod tests {
 
     #[test]
     fn large_message_over_tcp() {
-        let (mut l, addr) = loopback();
+        let (l, addr) = loopback();
         let payload = Bytes::from(vec![0x5Au8; 4 * 1024 * 1024]);
         let p2 = payload.clone();
         let client = thread::spawn(move || {
             let mut c = connect(&addr).unwrap();
             c.send(WireMsg::e2ap(p2)).unwrap();
         });
-        let mut conn = l.accept().unwrap();
+        let mut conn = accept(&l);
         let m = conn.recv().unwrap().unwrap();
         assert_eq!(m.payload, payload);
         client.join().unwrap();
@@ -617,9 +381,12 @@ mod tests {
 
     #[test]
     fn recv_timeout_gives_up_and_loses_nothing() {
-        for (mut l, addr) in [loopback(), (listen(&mem("t-timeout")).unwrap(), mem("t-timeout"))] {
-            let mut c = connect(&addr).unwrap();
-            let mut conn = l.accept().unwrap();
+        let (l, tcp) = loopback();
+        let over_tcp = (tcp.clone(), connect(&tcp).unwrap(), accept(&l));
+        let (_l, conns) = mem_listener("t-timeout");
+        let c = connect(&mem("t-timeout")).unwrap();
+        let over_mem = (mem("t-timeout"), c, Transport::Mem(conns.recv().unwrap()));
+        for (addr, mut c, mut conn) in [over_tcp, over_mem] {
             let err = conn.recv_timeout(Duration::from_millis(20)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{addr}");
             c.send(WireMsg::e2ap(Bytes::from_static(b"late"))).unwrap();
@@ -629,7 +396,7 @@ mod tests {
     }
 
     /// What a pumped half delivers, as a channel a test can wait on.
-    fn sink() -> (Sink, mpsc::Receiver<Option<WireMsg>>) {
+    fn sink() -> (mem::Sink, mpsc::Receiver<Option<WireMsg>>) {
         let (tx, rx) = mpsc::channel();
         (
             Box::new(move |m| {
@@ -641,63 +408,64 @@ mod tests {
 
     #[test]
     fn pump_delivers_in_order_then_the_close() {
-        for (mut l, addr) in [loopback(), (listen(&mem("t-pump")).unwrap(), mem("t-pump"))] {
-            let mut c = connect(&addr).unwrap();
-            let conn = l.accept().unwrap();
-            // One message before the sink is in place, the rest after.
-            c.send(WireMsg::e2ap_on(0, Bytes::from_static(b"m"))).unwrap();
-            let (_tx, rx) = conn.split();
-            let (sink, got) = sink();
-            let _pump = rx.pump(sink).unwrap();
-            for i in 1..50u16 {
-                c.send(WireMsg::e2ap_on(i, Bytes::from_static(b"m"))).unwrap();
-            }
-            drop(c);
-            for i in 0..50u16 {
-                assert_eq!(got.recv().unwrap().unwrap().stream, i, "{addr}");
-            }
-            assert!(got.recv().unwrap().is_none(), "{addr}: close is delivered once");
-            assert!(got.recv().is_err(), "{addr}: and the sink is dropped after it");
+        let (_l, conns) = mem_listener("t-pump");
+        let mut c = mem::connect("t-pump").unwrap();
+        let (_tx, mut rx) = conns.recv().unwrap().split();
+        // One message before the sink is in place, the rest after.
+        c.send(WireMsg::e2ap_on(0, Bytes::from_static(b"m"))).unwrap();
+        let (sink, got) = sink();
+        rx.pump(sink);
+        for i in 1..50u16 {
+            c.send(WireMsg::e2ap_on(i, Bytes::from_static(b"m"))).unwrap();
         }
+        drop(c);
+        for i in 0..50u16 {
+            assert_eq!(got.recv().unwrap().unwrap().stream, i);
+        }
+        assert!(got.recv().unwrap().is_none(), "close is delivered once");
+        assert!(got.recv().is_err(), "and the sink is dropped after it");
     }
 
     #[test]
     fn dropping_a_pump_ends_the_receive_half() {
-        let (mut l, addr) = loopback();
-        let mut c = connect(&addr).unwrap();
-        let (_tx, rx) = l.accept().unwrap().split();
+        let (_l, conns) = mem_listener("t-pump-drop");
+        let mut c = mem::connect("t-pump-drop").unwrap();
+        let (_tx, mut rx) = conns.recv().unwrap().split();
         let (sink, got) = sink();
-        drop(rx.pump(sink).unwrap()); // joins the reader: no sleep needed
-        assert!(got.recv().unwrap().is_none(), "the reader saw end-of-stream");
-        assert!(got.recv().is_err(), "and is gone");
-
-        let mut l = listen(&mem("t-pump-drop")).unwrap();
-        let mut c2 = connect(&mem("t-pump-drop")).unwrap();
-        let (_tx, rx) = l.accept().unwrap().split();
-        let (sink, got) = self::sink();
-        drop(rx.pump(sink).unwrap());
-        assert!(c2.send(WireMsg::e2ap(Bytes::new())).is_err(), "peer's sends fail");
+        rx.pump(sink);
+        drop(rx);
+        assert!(c.send(WireMsg::e2ap(Bytes::new())).is_err(), "peer's sends fail");
         assert!(got.recv().is_err(), "nothing was delivered");
-        let _ = c.send(WireMsg::e2ap(Bytes::new()));
     }
 
     #[test]
     fn serving_calls_back_and_frees_the_address_on_drop() {
-        for (l, addr) in [loopback(), (listen(&mem("t-serve")).unwrap(), mem("t-serve"))] {
-            let (tx, conns) = mpsc::channel();
-            let serving = l
-                .serve(Box::new(move |t| {
-                    let _ = tx.send(t);
-                }))
-                .unwrap();
-            let mut c = connect(&addr).unwrap();
-            c.send(WireMsg::e2ap(Bytes::from_static(b"hi"))).unwrap();
-            let mut conn = conns.recv().unwrap();
-            assert_eq!(conn.recv().unwrap().unwrap().payload, Bytes::from_static(b"hi"));
-            drop(serving);
-            // No sleep: the drop closed the listener.
-            let _again = listen(&addr).unwrap_or_else(|e| panic!("{addr} re-binds at once: {e}"));
-            assert!(conns.recv().is_err(), "{addr}: the callback is gone");
-        }
+        let (l, conns) = mem_listener("t-serve");
+        let mut c = connect(&mem("t-serve")).unwrap();
+        c.send(WireMsg::e2ap(Bytes::from_static(b"hi"))).unwrap();
+        let mut conn = conns.recv().unwrap();
+        assert_eq!(conn.recv().unwrap().unwrap().payload, Bytes::from_static(b"hi"));
+        drop(l);
+        let _again = listen(&mem("t-serve")).expect("the name is free at once");
+        assert!(conns.recv().is_err(), "the callback is gone");
+    }
+
+    #[test]
+    fn arrival_is_told_and_the_messages_stay_queued() {
+        let (_l, conns) = mem_listener("t-arrival");
+        let mut c = mem::connect("t-arrival").unwrap();
+        let (_tx, mut rx) = conns.recv().unwrap().split();
+        c.send(WireMsg::e2ap_on(0, Bytes::new())).unwrap();
+        let (tx, told) = mpsc::channel();
+        rx.on_arrival(Box::new(move || tx.send(()).unwrap()));
+        assert!(told.try_recv().is_ok(), "told at once of what is queued");
+        c.send(WireMsg::e2ap_on(1, Bytes::new())).unwrap();
+        drop(c);
+        assert_eq!(told.try_iter().count(), 2, "of the message and of the end");
+        assert_eq!(rx.recv().unwrap().unwrap().stream, 0);
+        let (sink, got) = sink();
+        rx.pump(sink);
+        assert_eq!(got.recv().unwrap().unwrap().stream, 1, "a pump takes what is left");
+        assert!(got.recv().unwrap().is_none());
     }
 }

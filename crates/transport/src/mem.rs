@@ -6,11 +6,10 @@
 //!
 //! A direction of a connection is one `Mutex<VecDeque>` + `Condvar`.  A
 //! blocking [`MemRecvHalf::recv`] waits on the condvar; a half that was
-//! handed a sink ([`crate::RecvHalf::pump`]) is delivered to by the
-//! *sender*, on the sender's thread — so an event loop reading a thousand
-//! mem connections spends no thread on any of them.  A listener works the
-//! same way: [`MemListener::accept`] blocks, a listener that is served is
-//! called by whoever connects.
+//! handed a sink ([`MemRecvHalf::pump`]) is delivered to by the *sender*,
+//! on the sender's thread — so an event loop reading a thousand mem
+//! connections spends no thread on any of them.  A listener works the same
+//! way: its callback ([`MemListener::serve`]) is called by whoever connects.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -18,7 +17,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::{Sink, WireMsg};
+use crate::WireMsg;
+
+/// Where a pumped receive half puts what arrives: each message in order,
+/// then `None` once, when the sender goes.  It is called on the sender's
+/// thread and must not block.
+pub type Sink = Box<dyn FnMut(Option<WireMsg>) + Send>;
+
+/// Counts a message as received: when it is popped, or handed to a sink.
+fn note_rx(msg: &WireMsg) {
+    let m = crate::obs();
+    m.rx_frames.inc();
+    m.rx_bytes.add(msg.payload.len() as u64);
+}
 
 /// Locks a mutex of this module.  Every critical section here leaves the
 /// queue and flags valid at each step (a push, a pop, a flag set), so a
@@ -39,6 +50,8 @@ struct ChanState {
     queue: VecDeque<WireMsg>,
     /// Set by `pump`: messages go here instead of the queue.
     sink: Option<Sink>,
+    /// Set by `on_arrival`: told of each message queued, and of the end.
+    arrival: Option<Box<dyn Fn() + Send>>,
     tx_gone: bool,
     rx_gone: bool,
 }
@@ -96,8 +109,14 @@ impl MemConn {
         self.peer.clone()
     }
 
-    pub(crate) fn recv_half(&mut self) -> &mut MemRecvHalf {
-        &mut self.rx
+    /// [`MemRecvHalf::on_arrival`].
+    pub fn on_arrival(&mut self, arrived: Box<dyn Fn() + Send>) {
+        self.rx.on_arrival(arrived)
+    }
+
+    /// [`MemRecvHalf::recv_timeout`].
+    pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<WireMsg>> {
+        self.rx.recv_timeout(timeout)
     }
 }
 
@@ -114,11 +133,19 @@ impl MemSendHalf {
         if st.rx_gone {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
         }
+        let m = crate::obs();
+        m.tx_frames.inc();
+        m.tx_bytes.add(msg.payload.len() as u64);
+        let _t = m.write_ns.timer();
         match &mut st.sink {
-            Some(sink) => sink(Some(msg)),
+            Some(sink) => {
+                note_rx(&msg);
+                sink(Some(msg))
+            }
             None => {
                 st.queue.push_back(msg);
                 self.chan.ready.notify_one();
+                st.arrival.iter().for_each(|arrived| arrived());
             }
         }
         Ok(())
@@ -131,6 +158,7 @@ impl Drop for MemSendHalf {
         st.tx_gone = true;
         let sink = st.sink.take();
         self.chan.ready.notify_all();
+        st.arrival.iter().for_each(|arrived| arrived());
         // Outside the lock: what the sink owns may hold other connections.
         drop(st);
         if let Some(mut sink) = sink {
@@ -160,34 +188,42 @@ impl MemRecvHalf {
         let mut st = lock(&self.chan.state);
         loop {
             if let Some(msg) = st.queue.pop_front() {
+                note_rx(&msg);
                 return Ok(Some(msg));
             }
             if st.tx_gone {
                 return Ok(None);
             }
-            st = match deadline {
+            st = match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
                 None => self.chan.ready.wait(st).unwrap_or_else(PoisonError::into_inner),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(io::ErrorKind::TimedOut.into());
-                    }
-                    let (st, _) = self
-                        .chan
-                        .ready
-                        .wait_timeout(st, left)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    st
+                Some(Duration::ZERO) => return Err(io::ErrorKind::TimedOut.into()),
+                Some(left) => {
+                    self.chan.ready.wait_timeout(st, left).unwrap_or_else(PoisonError::into_inner).0
                 }
             };
         }
     }
 
+    /// Has `arrived` called, on the sender's thread, whenever a message is
+    /// queued and when the sender goes — and at once if either has
+    /// happened.  The messages stay queued for [`recv`](Self::recv).
+    pub fn on_arrival(&mut self, arrived: Box<dyn Fn() + Send>) {
+        let mut st = lock(&self.chan.state);
+        if !st.queue.is_empty() || st.tx_gone {
+            arrived();
+        }
+        st.arrival = Some(arrived);
+    }
+
     /// Hands what is queued to `sink`, in order, and leaves `sink` with the
     /// sender for everything after it (`None` once, when the sender goes).
-    pub(crate) fn pump(&mut self, mut sink: Sink) {
+    /// Dropping the half ends the delivery: the peer's sends fail from
+    /// then on.
+    pub fn pump(&mut self, mut sink: Sink) {
         let mut st = lock(&self.chan.state);
+        st.arrival = None;
         while let Some(msg) = st.queue.pop_front() {
+            note_rx(&msg);
             sink(Some(msg));
         }
         if st.tx_gone {
@@ -202,30 +238,20 @@ impl Drop for MemRecvHalf {
     fn drop(&mut self) {
         let mut st = lock(&self.chan.state);
         st.rx_gone = true;
-        let unread = (st.sink.take(), std::mem::take(&mut st.queue));
+        let unread = (st.sink.take(), st.arrival.take(), std::mem::take(&mut st.queue));
         // Outside the lock: what the sink owns may hold other connections.
         drop(st);
         drop(unread);
     }
 }
 
-/// Called with each inbound connection of a served listener.
-pub(crate) type OnConn = Box<dyn FnMut(MemConn) + Send>;
+/// Called with each inbound connection of a served listener, on the
+/// dialer's thread; it must not block.
+pub type OnConn = Box<dyn FnMut(MemConn) + Send>;
 
-/// What a bound name maps to: connections waiting to be accepted, or the
-/// callback that takes them.
-#[derive(Default)]
-struct Endpoint {
-    state: Mutex<EndpointState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct EndpointState {
-    backlog: VecDeque<MemConn>,
-    on_conn: Option<OnConn>,
-    closed: bool,
-}
+/// What a bound name maps to: the callback that takes its connections,
+/// once the listener is served and until it is dropped.
+type Endpoint = Mutex<Option<OnConn>>;
 
 type Registry = Mutex<HashMap<String, Arc<Endpoint>>>;
 
@@ -247,7 +273,8 @@ impl std::fmt::Debug for MemListener {
 }
 
 impl MemListener {
-    /// Registers `name` in the global registry.
+    /// Registers `name` in the global registry.  Dials are refused until
+    /// the listener is [served](Self::serve).
     pub fn bind(name: &str) -> io::Result<Self> {
         let mut reg = lock(registry());
         if reg.contains_key(name) {
@@ -256,30 +283,15 @@ impl MemListener {
                 format!("mem endpoint {name} already bound"),
             ));
         }
-        let endpoint = Arc::new(Endpoint::default());
+        let endpoint = Arc::new(Mutex::new(None));
         reg.insert(name.to_owned(), endpoint.clone());
         Ok(MemListener { name: name.to_owned(), endpoint })
     }
 
-    /// Accepts the next inbound connection.
-    pub fn accept(&mut self) -> io::Result<MemConn> {
-        let mut st = lock(&self.endpoint.state);
-        loop {
-            if let Some(conn) = st.backlog.pop_front() {
-                return Ok(conn);
-            }
-            st = self.endpoint.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Hands the backlog to `on_conn` and leaves `on_conn` with the
-    /// dialers for every connection after it.
-    pub(crate) fn serve(&mut self, mut on_conn: OnConn) {
-        let mut st = lock(&self.endpoint.state);
-        while let Some(conn) = st.backlog.pop_front() {
-            on_conn(conn);
-        }
-        st.on_conn = Some(on_conn);
+    /// Leaves `on_conn` with the dialers for every connection from now
+    /// on, until the listener is dropped.
+    pub fn serve(&mut self, on_conn: OnConn) {
+        *lock(&self.endpoint) = Some(on_conn);
     }
 
     /// The registered name.
@@ -291,11 +303,10 @@ impl MemListener {
 impl Drop for MemListener {
     fn drop(&mut self) {
         lock(registry()).remove(&self.name);
-        let mut st = lock(&self.endpoint.state);
-        st.closed = true;
-        let unserved = (st.on_conn.take(), std::mem::take(&mut st.backlog));
-        drop(st);
-        drop(unserved);
+        // Dropped outside the lock: what the callback owns may hold other
+        // connections.
+        let on_conn = lock(&self.endpoint).take();
+        drop(on_conn);
     }
 }
 
@@ -305,16 +316,9 @@ pub fn connect(name: &str) -> io::Result<MemConn> {
         io::Error::new(io::ErrorKind::ConnectionRefused, format!("no mem endpoint {name}"))
     })?;
     let (server_side, client_side) = MemConn::pair(name);
-    let mut st = lock(&endpoint.state);
-    if st.closed {
-        return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "listener gone"));
-    }
-    match &mut st.on_conn {
+    match &mut *lock(&endpoint) {
         Some(on_conn) => on_conn(server_side),
-        None => {
-            st.backlog.push_back(server_side);
-            endpoint.ready.notify_one();
-        }
+        None => return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "not accepting")),
     }
     Ok(client_side)
 }

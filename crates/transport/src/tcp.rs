@@ -3,218 +3,125 @@
 //! The receive side runs on [`FrameAssembler`]: one large read per socket
 //! wakeup into a reusable slab, every complete frame sliced out as a
 //! refcounted [`bytes::Bytes`] view — 1 syscall and 0 per-frame
-//! allocations for an N-frame burst.
+//! allocations for an N-frame burst.  The send side writes a batch of
+//! frames as (header, payload) pairs in vectored writes, reading each
+//! payload in place.
+//!
+//! A [`TcpConn`] blocks its caller, or, once its socket is made
+//! non-blocking, answers `WouldBlock` and is driven by an event loop:
+//! [`TcpConn::recv`] until it would block, [`TcpConn::write`] a batch
+//! until it is out or the socket would block.
 
-use std::io::{self, BufWriter, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::frame::{self, HEADER_LEN};
 use crate::rx::{FrameAssembler, FrameError};
 use crate::WireMsg;
 
-/// One socket, shared by the send half, the receive half and whoever shuts
-/// it down: `&TcpStream` reads and writes, so a connection costs one file
-/// descriptor however many threads hold it.
-#[derive(Debug, Clone)]
-pub(crate) struct Sock(Arc<TcpStream>);
-
-impl Sock {
-    /// Ends a blocked or future read with end-of-stream.
-    pub(crate) fn shutdown_read(&self) {
-        let _ = self.0.shutdown(Shutdown::Read);
-    }
-}
-
-impl Read for Sock {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        (&*self.0).read(buf)
-    }
-}
-
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        (&*self.0).write(buf)
-    }
-    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        (&*self.0).write_vectored(bufs)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        (&*self.0).flush()
-    }
-}
-
 /// A connected framed-TCP transport.
 #[derive(Debug)]
 pub struct TcpConn {
-    tx: TcpSendHalf,
-    rx: TcpRecvHalf,
+    rd: FramedReader<TcpStream>,
     peer: String,
+    /// Header storage of the batch being written (stable addresses for the
+    /// `IoSlice`s of one `writev`).
+    hdrs: Vec<[u8; HEADER_LEN]>,
 }
 
 impl TcpConn {
     /// Wraps a connected `TcpStream` (Nagle off: messages are the unit of
-    /// exchange and every send flushes).
+    /// exchange and every write goes out at once).
     pub fn new(stream: TcpStream) -> io::Result<Self> {
         stream.set_nodelay(true)?;
         let peer =
             stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "<unknown>".to_owned());
-        let sock = Sock(Arc::new(stream));
-        Ok(TcpConn {
-            tx: TcpSendHalf { wr: BufWriter::new(sock.clone()), hdr_scratch: Vec::new() },
-            rx: TcpRecvHalf { rd: FramedReader::new(sock) },
-            peer,
-        })
+        Ok(TcpConn { rd: FramedReader::new(stream), peer, hdrs: Vec::new() })
     }
 
-    /// Sends one message.
+    /// The socket, for its options and its descriptor.
+    pub fn socket(&self) -> &TcpStream {
+        &self.rd.rd
+    }
+
+    /// Sends one message (blocks until it is with the kernel).
     pub fn send(&mut self, msg: WireMsg) -> io::Result<()> {
-        self.tx.send(msg)
+        self.write(std::slice::from_ref(&msg), &mut 0).map(drop)
     }
 
-    /// Receives the next message; `None` on orderly shutdown.
+    /// Writes `batch` on from its byte `*done`, advancing `*done`: `true`
+    /// once all of it is written, `false` when a non-blocking socket would
+    /// block first.  The batch goes to the kernel as one vectored write of
+    /// (header, payload) pairs, so it holds at most 512 frames (Linux's
+    /// `IOV_MAX` is 1024).
+    pub fn write(&mut self, batch: &[WireMsg], done: &mut usize) -> io::Result<bool> {
+        let m = crate::obs();
+        let _t = m.write_ns.timer();
+        self.hdrs.clear();
+        let encode = |w: &WireMsg| frame::encode_header(w.payload.len() as u32, w.stream, w.ppid);
+        self.hdrs.extend(batch.iter().map(encode));
+        let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(2 * batch.len());
+        for (msg, hdr) in batch.iter().zip(&self.hdrs) {
+            slices.push(io::IoSlice::new(hdr));
+            slices.push(io::IoSlice::new(&msg.payload));
+        }
+        let len: usize = slices.iter().map(|s| s.len()).sum();
+        let mut slices = &mut slices[..];
+        io::IoSlice::advance_slices(&mut slices, *done);
+        while *done < len {
+            match (&self.rd.rd).write_vectored(slices) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    *done += n;
+                    io::IoSlice::advance_slices(&mut slices, n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) => return Err(e),
+            }
+        }
+        m.tx_frames.add(batch.len() as u64);
+        m.tx_bytes.add(batch.iter().map(|w| w.payload.len() as u64).sum());
+        Ok(true)
+    }
+
+    /// Receives the next message; `None` on orderly shutdown at a frame
+    /// boundary, an error on mid-frame truncation or oversized frames, and
+    /// `WouldBlock` from a non-blocking socket with nothing complete
+    /// buffered.
     pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
-        self.rx.recv()
+        self.rd.recv()
     }
 
-    /// Splits into owned halves.
-    pub fn split(self) -> (TcpSendHalf, TcpRecvHalf) {
-        (self.tx, self.rx)
+    /// [`recv`](Self::recv) that gives up with `ErrorKind::TimedOut` once
+    /// `timeout` has passed without a complete message — however the peer
+    /// spaces its bytes.  The connection stays usable.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<WireMsg>> {
+        let deadline = Instant::now() + timeout;
+        let res = self.rd.recv_with(|sock| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            sock.set_read_timeout(Some(left))
+        });
+        self.rd.rd.set_read_timeout(None)?;
+        // A read that ran into the socket's timeout reports `WouldBlock`.
+        res.map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut.into(),
+            _ => e,
+        })
     }
 
     /// Peer address, for logs.
     pub fn peer(&self) -> String {
         self.peer.clone()
     }
-
-    pub(crate) fn recv_half(&mut self) -> &mut TcpRecvHalf {
-        &mut self.rx
-    }
-}
-
-/// Payloads at least this large bypass the `BufWriter` staging copy and go
-/// out as one vectored (header, payload) write instead.  `send_batch`
-/// applies the same threshold to the whole batch: once the coalesced batch
-/// exceeds it, the frames go to the kernel as one vectored write with no
-/// staging copy at all.
-const VECTORED_MIN: usize = 8 * 1024;
-
-/// Maximum frames per vectored `writev` (2 `IoSlice`s per frame, safely
-/// under Linux's `IOV_MAX` of 1024).
-const VECTORED_MAX_FRAMES: usize = 64;
-
-/// Owned send half.  Dropping it flushes and shuts the write direction
-/// down, so the peer reads end-of-stream even while the receive half of
-/// the same socket lives on.
-#[derive(Debug)]
-pub struct TcpSendHalf {
-    wr: BufWriter<Sock>,
-    /// Reusable header storage for vectored batches (stable addresses for
-    /// the `IoSlice`s while a `writev` is in flight).
-    hdr_scratch: Vec<[u8; HEADER_LEN]>,
-}
-
-impl TcpSendHalf {
-    /// Writes one frame without flushing.
-    ///
-    /// Small payloads are staged in the `BufWriter` as header-then-payload —
-    /// no per-frame buffer allocation and no header+payload re-copy.  Large
-    /// payloads skip staging entirely: the buffered bytes are flushed and
-    /// the (header, payload) pair is handed to the kernel as a vectored
-    /// write.
-    fn write_frame(&mut self, msg: &WireMsg) -> io::Result<()> {
-        let header = frame::encode_header(msg.payload.len() as u32, msg.stream, msg.ppid);
-        if msg.payload.len() < VECTORED_MIN {
-            self.wr.write_all(&header)?;
-            return self.wr.write_all(&msg.payload);
-        }
-        self.wr.flush()?;
-        let mut slices = [io::IoSlice::new(&header), io::IoSlice::new(&msg.payload)];
-        write_all_vectored(self.wr.get_mut(), &mut slices)
-    }
-
-    /// Sends one message (header + payload, flushed).
-    pub fn send(&mut self, msg: WireMsg) -> io::Result<()> {
-        self.write_frame(&msg)?;
-        // Flush per message: E2 traffic is latency sensitive and messages
-        // are the unit of exchange; Nagle is already disabled.
-        self.wr.flush()
-    }
-
-    /// Sends a batch of messages with adaptive coalescing.
-    ///
-    /// Small batches (total under `VECTORED_MIN`) are staged through the
-    /// `BufWriter` and flushed once — one syscall, one staging copy.
-    /// Larger batches skip the staging copy entirely: headers are encoded
-    /// into a reusable scratch vector and up to `VECTORED_MAX_FRAMES`
-    /// frames at a time go to the kernel as a single vectored `writev` of
-    /// (header, payload) pairs, reading the payload `Bytes` in place.
-    pub fn send_batch(&mut self, msgs: &[WireMsg]) -> io::Result<()> {
-        let total: usize = msgs.iter().map(|m| HEADER_LEN + m.payload.len()).sum();
-        if total < VECTORED_MIN {
-            for msg in msgs {
-                self.write_frame(msg)?;
-            }
-            return self.wr.flush();
-        }
-        // Vectored path: drain anything already staged, then writev the
-        // batch without copying payloads.
-        self.wr.flush()?;
-        for group in msgs.chunks(VECTORED_MAX_FRAMES) {
-            self.hdr_scratch.clear();
-            for msg in group {
-                self.hdr_scratch.push(frame::encode_header(
-                    msg.payload.len() as u32,
-                    msg.stream,
-                    msg.ppid,
-                ));
-            }
-            let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(group.len() * 2);
-            for (msg, hdr) in group.iter().zip(&self.hdr_scratch) {
-                slices.push(io::IoSlice::new(hdr));
-                if !msg.payload.is_empty() {
-                    slices.push(io::IoSlice::new(&msg.payload));
-                }
-            }
-            write_all_vectored(self.wr.get_mut(), &mut slices)?;
-        }
-        Ok(())
-    }
-}
-
-impl Drop for TcpSendHalf {
-    fn drop(&mut self) {
-        let _ = self.wr.flush();
-        let _ = self.wr.get_ref().0.shutdown(Shutdown::Write);
-    }
-}
-
-/// Writes every byte of `slices`, handling short writes via
-/// `IoSlice::advance_slices`.
-fn write_all_vectored(sock: &mut Sock, slices: &mut [io::IoSlice<'_>]) -> io::Result<()> {
-    let mut remaining: usize = slices.iter().map(|s| s.len()).sum();
-    let mut slices = slices;
-    while remaining > 0 {
-        let n = match sock.write_vectored(slices) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::WriteZero, "socket closed mid-write"))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        remaining -= n;
-        if remaining == 0 {
-            break;
-        }
-        io::IoSlice::advance_slices(&mut slices, n);
-    }
-    Ok(())
 }
 
 /// Framed reader over any byte stream: the reassembly loop behind
-/// [`TcpRecvHalf`], kept generic so tests can drive it over a byte slice.
+/// [`TcpConn::recv`], kept generic so tests can drive it over a byte slice.
 #[derive(Debug)]
 pub struct FramedReader<R> {
     rd: R,
@@ -234,7 +141,7 @@ impl<R: Read> FramedReader<R> {
     /// Receives the next message; `None` on orderly shutdown at a frame
     /// boundary, an error on mid-frame truncation or oversized frames.
     ///
-    /// Buffered frames are returned without touching the socket; a read is
+    /// Buffered frames are returned without touching the stream; a read is
     /// only issued once the slab holds no complete frame.
     pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
         self.recv_with(|_| Ok(()))
@@ -251,6 +158,9 @@ impl<R: Read> FramedReader<R> {
             match self.asm.next_frame() {
                 Ok(Some(msg)) => {
                     self.frames_since_read += 1;
+                    let m = crate::obs();
+                    m.rx_frames.inc();
+                    m.rx_bytes.add(msg.payload.len() as u64);
                     return Ok(Some(msg));
                 }
                 Ok(None) => {}
@@ -275,9 +185,9 @@ impl<R: Read> FramedReader<R> {
         }
     }
 
-    /// Flushes the frames-per-wakeup accounting ahead of a blocking read
-    /// (or at EOF): everything extracted since the previous read was
-    /// delivered by that single syscall.
+    /// Flushes the frames-per-wakeup accounting ahead of a read (or at
+    /// EOF): everything extracted since the previous read was delivered by
+    /// that single syscall.
     fn note_wakeup(&mut self) {
         if self.frames_since_read > 0 {
             crate::obs().read_frames_per_wakeup.record(self.frames_since_read);
@@ -297,50 +207,11 @@ impl<R: Read> FramedReader<R> {
     }
 }
 
-/// Owned receive half.
-#[derive(Debug)]
-pub struct TcpRecvHalf {
-    rd: FramedReader<Sock>,
-}
-
-impl TcpRecvHalf {
-    /// Receives the next message; `None` on orderly shutdown at a frame
-    /// boundary, an error on mid-frame truncation or oversized frames.
-    pub fn recv(&mut self) -> io::Result<Option<WireMsg>> {
-        self.rd.recv()
-    }
-
-    /// [`recv`](Self::recv) that gives up with `ErrorKind::TimedOut` once
-    /// `timeout` has passed without a complete message — however the peer
-    /// spaces its bytes.  The half stays usable.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<WireMsg>> {
-        let deadline = Instant::now() + timeout;
-        let res = self.rd.recv_with(|sock| {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(io::ErrorKind::TimedOut.into());
-            }
-            sock.0.set_read_timeout(Some(left))
-        });
-        self.rd.rd.0.set_read_timeout(None)?;
-        // A read that ran into the socket's timeout reports `WouldBlock`.
-        res.map_err(|e| match e.kind() {
-            io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut.into(),
-            _ => e,
-        })
-    }
-
-    /// A handle on the socket, for shutting the read direction down from
-    /// another thread.
-    pub(crate) fn socket(&self) -> Sock {
-        self.rd.rd.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use bytes::{Bytes, BytesMut};
+    use std::net::TcpListener;
 
     fn burst(n: u16, payload_len: usize) -> BytesMut {
         let mut buf = BytesMut::new();
@@ -383,5 +254,28 @@ mod tests {
             assert!(rd.recv().unwrap().is_some());
         }
         assert!(rd.recv().unwrap().is_none());
+    }
+
+    /// A batch larger than the socket buffers goes out over many
+    /// non-blocking writes, resumed from where each stopped, and arrives
+    /// whole and in order; an empty payload is a frame too.
+    #[test]
+    fn a_non_blocking_write_resumes_where_it_stopped() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = TcpConn::new(TcpStream::connect(l.local_addr().unwrap()).unwrap()).unwrap();
+        let mut far = TcpConn::new(l.accept().unwrap().0).unwrap();
+        conn.socket().set_nonblocking(true).unwrap();
+        let batch: Vec<WireMsg> = (0..200u16)
+            .map(|i| WireMsg::e2ap_on(i, Bytes::from(vec![i as u8; (i as usize % 3) * 80_000])))
+            .collect();
+        let mut done = 0;
+        assert!(!conn.write(&batch, &mut done).unwrap(), "16 MB do not fit the socket buffers");
+        let reader = std::thread::spawn(move || {
+            (0..200).map(|_| far.recv().unwrap().unwrap()).collect::<Vec<_>>()
+        });
+        while !conn.write(&batch, &mut done).unwrap() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(reader.join().unwrap(), batch);
     }
 }

@@ -8,9 +8,8 @@
 //!
 //! The broker is a machine ([`Broker`]) on the SDK's driver
 //! ([`flexric::spawn_machine`]), as the E2 and FlexRAN ends are: one loop
-//! thread owns the subscriptions and the connections, and a client costs
-//! the driver's reader and writer threads over TCP, none over `mem:`.  A
-//! [`BrokerClient`] blocks its caller.
+//! thread owns the subscriptions and the connections.  A [`BrokerClient`]
+//! is one blocking connection: it reads and writes on its caller's thread.
 //!
 //! ## Wire protocol (one `flexric_transport` frame per message)
 //!
@@ -24,12 +23,11 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::convert::Infallible;
 use std::io;
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use flexric::{spawn_machine, Action, Event, Links, Machine, MachineHandle, PeerId};
-use flexric_transport::{connect, Pump, SendHalf, TransportAddr, WireMsg};
+use flexric_transport::{connect, Transport, TransportAddr, WireMsg};
 
 const KIND_SUBSCRIBE: u8 = 1;
 const KIND_PUBLISH: u8 = 2;
@@ -129,27 +127,6 @@ const RECONNECT_INITIAL_MS: u64 = 50;
 const RECONNECT_MAX_MS: u64 = 5_000;
 const RECONNECT_ATTEMPTS: u32 = 8;
 
-/// One connection to the broker: the half to write to and the MESSAGEs
-/// its receive half delivered.  The queue closes when the connection ends;
-/// dropping the link closes the connection.
-struct Link {
-    tx: SendHalf,
-    rx: mpsc::Receiver<(String, Bytes)>,
-    _pump: Pump,
-}
-
-fn dial(addr: &TransportAddr) -> io::Result<Link> {
-    let (tx, rx_half) = connect(addr)?.split();
-    let (messages, rx) = mpsc::channel();
-    let pump = rx_half.pump(Box::new(move |msg| {
-        let msg = msg.filter(|m| m.payload.first() == Some(&KIND_MESSAGE));
-        if let Some(message) = msg.and_then(|m| chan_msg(&m.payload)) {
-            let _ = messages.send(message);
-        }
-    }))?;
-    Ok(Link { tx, rx, _pump: pump })
-}
-
 /// A broker client: publish and/or subscribe.
 ///
 /// The client remembers every channel it subscribed to.  When the broker
@@ -159,7 +136,7 @@ fn dial(addr: &TransportAddr) -> io::Result<Link> {
 /// beyond the messages published while it was down.
 pub struct BrokerClient {
     addr: TransportAddr,
-    link: Link,
+    link: Transport,
     channels: Vec<String>,
 }
 
@@ -167,7 +144,7 @@ impl BrokerClient {
     /// Connects to a broker at `"host:port"` or `"mem:name"`.
     pub fn connect(addr: &str) -> io::Result<BrokerClient> {
         let addr = TransportAddr::parse(addr)?;
-        Ok(BrokerClient { link: dial(&addr)?, addr, channels: Vec::new() })
+        Ok(BrokerClient { link: connect(&addr)?, addr, channels: Vec::new() })
     }
 
     /// Redials and replays all subscriptions.  Retries with backoff before
@@ -177,12 +154,8 @@ impl BrokerClient {
         for _ in 0..RECONNECT_ATTEMPTS {
             std::thread::sleep(Duration::from_millis(delay));
             delay = delay.saturating_mul(2).min(RECONNECT_MAX_MS);
-            let Ok(mut link) = dial(&self.addr) else { continue };
-            if self
-                .channels
-                .iter()
-                .all(|chan| link.tx.send(request(KIND_SUBSCRIBE, chan, &[])).is_ok())
-            {
+            let Ok(mut link) = connect(&self.addr) else { continue };
+            if self.channels.iter().all(|c| link.send(request(KIND_SUBSCRIBE, c, &[])).is_ok()) {
                 self.link = link;
                 return Ok(());
             }
@@ -198,16 +171,16 @@ impl BrokerClient {
         }
         // reconnect() replays the channel list, which now includes this
         // channel.
-        self.link.tx.send(request(KIND_SUBSCRIBE, channel, &[])).or_else(|_| self.reconnect())
+        self.link.send(request(KIND_SUBSCRIBE, channel, &[])).or_else(|_| self.reconnect())
     }
 
     /// Publishes a message to a channel, reconnecting once on a dead
     /// connection.
     pub fn publish(&mut self, channel: &str, msg: &[u8]) -> io::Result<()> {
         let publish = request(KIND_PUBLISH, channel, msg);
-        self.link.tx.send(publish.clone()).or_else(|_| {
+        self.link.send(publish.clone()).or_else(|_| {
             self.reconnect()?;
-            self.link.tx.send(publish)
+            self.link.send(publish)
         })
     }
 
@@ -228,24 +201,24 @@ impl BrokerClient {
     fn next(&mut self, deadline: Option<Instant>) -> Option<(String, Bytes)> {
         loop {
             let got = match deadline {
-                None => self.link.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(at) => self.link.rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => self.link.recv(),
+                Some(at) => self.link.recv_timeout(at.saturating_duration_since(Instant::now())),
             };
             match got {
-                Ok(m) => return Some(m),
-                Err(RecvTimeoutError::Timeout) => return None,
-                Err(RecvTimeoutError::Disconnected) => {
+                Ok(Some(m)) if m.payload.first() == Some(&KIND_MESSAGE) => {
+                    if let Some(message) = chan_msg(&m.payload) {
+                        return Some(message);
+                    }
+                }
+                Ok(Some(_)) => {}
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => return None,
+                Ok(None) | Err(_) => {
                     if self.channels.is_empty() || self.reconnect().is_err() {
                         return None;
                     }
                 }
             }
         }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self) -> Option<(String, Bytes)> {
-        self.link.rx.try_recv().ok()
     }
 }
 
