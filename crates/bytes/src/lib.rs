@@ -11,9 +11,10 @@
 //!   rest on this;
 //! * `reserve` is a no-op while the handle has room; a handle that is the
 //!   slab's sole owner gets the whole slab back (the tail a dropped
-//!   `split_off` half had, and the front by moving its bytes down); it
-//!   moves to a fresh slab (at least doubling) only while views are
-//!   outstanding;
+//!   `split_off` half had, and the front by moving its bytes down), and
+//!   grows it by at least doubling when it is too small; while views are
+//!   outstanding it moves to a fresh slab of the old one's size (or of what
+//!   it must hold, if that is more);
 //! * allocations: `Bytes::new`, `BytesMut::new` and `from_static` make
 //!   none; a slab — `copy_from_slice`, `with_capacity`, growth — is one,
 //!   reference count and bytes together; `Bytes::from(Vec<u8>)` is one
@@ -377,16 +378,18 @@ impl BytesMut {
 
     /// Ensures room for `additional` more bytes: a no-op while the window
     /// has room; a sole owner's window becomes the whole slab again, its
-    /// bytes moved to the front if that is what makes room; otherwise the
-    /// handle moves to a fresh slab of at least twice the size and leaves
-    /// the old one to the outstanding views.
+    /// bytes moved to the front if that is what makes room, or a fresh slab
+    /// of at least twice the size if the whole one is too small; while
+    /// views are outstanding the handle leaves the old slab to them and
+    /// moves to a fresh one of the same size (or of what it must hold, if
+    /// that is more).
     pub fn reserve(&mut self, additional: usize) {
         if self.limit - self.off - self.len >= additional {
             return;
         }
-        let mut old_cap = 0;
+        let mut at_least = 64;
         if let Some(slab) = &self.slab {
-            old_cap = slab.cap();
+            let old_cap = slab.cap();
             if slab.is_sole() {
                 // Nobody else is left, so the tail beyond `limit` (given
                 // away by `split_off`, dropped since) is this handle's too.
@@ -400,9 +403,16 @@ impl BytesMut {
                     }
                     return;
                 }
+                // Too small for what it holds: double, so growth amortises.
+                at_least = at_least.max(old_cap * 2);
+            } else {
+                // Views still share it, so the handle moves to a fresh
+                // slab of the same size: doubling would grow the slab with
+                // every read of a reader that keeps one view from each.
+                at_least = at_least.max(old_cap);
             }
         }
-        let cap = (self.len + additional).max(old_cap * 2).max(64);
+        let cap = (self.len + additional).max(at_least);
         let slab = Slab::new(cap);
         // SAFETY: the fresh slab holds `cap >= len` bytes and cannot
         // overlap the old window.

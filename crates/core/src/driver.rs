@@ -11,28 +11,32 @@
 //! until the next tick — and owns
 //!
 //! * the machine's input queue (a `std::sync::mpsc` channel plus the
-//!   poller's waker: ticks and work sent by the public handle, frames of
-//!   its mem connections, connects that finished);
-//! * its sockets, non-blocking: per [`PeerId`] a TCP connection the loop
-//!   reads until it would block and writes in batches, or a mem connection
-//!   whose peer's `send` pushes into this loop's queue itself (a send of
-//!   ours cannot block); a listener, and the connections it accepted that
-//!   have not sent their first frame.  Peer ids are allotted here, one per
-//!   connection, never reused — what is read is tagged with its id and
-//!   the *machine* ignores ids it no longer binds, so there is no epoch
-//!   filter here to keep in step;
+//!   poller's waker: ticks and work sent by the public handle, readiness of
+//!   its mem connections, connects that finished, connections another loop
+//!   handed over);
+//! * its connections, read one way: per [`PeerId`] a non-blocking TCP
+//!   socket the poller reports ready, or a mem connection its arrival
+//!   callback reports ready ([`MemRecvHalf::on_arrival`]); either is read
+//!   frame by frame, each frame handled before the next is read, until the
+//!   read would block.  A TCP connection is written in batches, a mem send
+//!   cannot block.  Its listeners attach what they accept and tell the
+//!   machine.  Peer ids are allotted here, one per connection, never reused;
+//!   once the machine hangs up on a peer it hears nothing more of it;
 //! * the clock: `now_ms` only moves on a tick — the wait running out in
 //!   real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in virtual
-//!   time — and every event is handed over with it.  A dial's backoff and a
-//!   new connection's setup deadline are kept on it;
+//!   time — and every event is handed over with it.  A dial's backoff is
+//!   kept on it;
 //! * the machine's own actions ([`Drive::act`]): dialling for the agent
-//!   and a bridge's north agents, event publication for a shard.
+//!   and a bridge's north agents; event publication and handoffs for a
+//!   shard — a handoff moves a connection, with what was read of it, to the
+//!   loop of the shard that admits it, which reads on at once.
 //!
 //! The only other thread is a dial's: std has no non-blocking `connect`,
 //! so the connect alone runs on a short-lived thread of its own.
 //!
-//! The driver decides nothing about the protocol: not whether to redial or
-//! when, not which connection is current, not what to answer.  It may only
+//! The driver decides nothing about the protocol and knows no E2AP: not
+//! whether to redial or when, not which connection is current, not what a
+//! connection must send first or by when, not what to answer.  It may only
 //! fail — a dial that errors, a read that ends — and says so in an event.
 //! DESIGN.md ("The machine/driver split") lists the queues and the order
 //! things shut down in.
@@ -48,8 +52,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use flexric_codec::E2apCodec;
-use flexric_e2ap::{E2SetupRequest, E2apPdu};
 use flexric_transport::mem::{MemRecvHalf, MemSendHalf};
 use flexric_transport::poll::{self, Poller, Waker};
 use flexric_transport::tcp::TcpConn;
@@ -152,9 +154,9 @@ impl Outbox {
 enum Conn {
     /// The loop reads and writes the socket.
     Tcp(Box<Outbox>),
-    /// The peer's sends arrive on the loop's queue; ours cannot block.  The
-    /// receive half is held for its drop, which fails the peer's sends.
-    Mem(MemSendHalf, #[allow(dead_code)] MemRecvHalf),
+    /// Read as a socket is; a send cannot block.  Dropping the receive half
+    /// fails the peer's sends.
+    Mem(MemSendHalf, MemRecvHalf),
 }
 
 // ---------------------------------------------------------------------------
@@ -209,21 +211,9 @@ impl<M: Drive> Tx<M> {
 /// sockets and its clock.
 const INPUTS_PER_ROUND: usize = 256;
 
-/// What a loop that listens does with a connection it accepted.
-enum Welcome<M: Drive> {
-    /// Attaches it and tells the machine so ([`spawn_machine`]).
-    Link(fn(PeerId) -> M::In),
-    /// Holds it until its first frame, an E2 Setup request, for
-    /// `within_ms` at most, then hands it to the loop `route` picks, as
-    /// [`ShardIn::NewAgent`] wrapped by `new_agent`.
-    Setup {
-        within_ms: u64,
-        codec: E2apCodec,
-        route: Box<dyn Fn(&E2SetupRequest) -> usize + Send>,
-        loops: Vec<Tx<M>>,
-        new_agent: fn(ShardIn) -> M::In,
-    },
-}
+/// What a loop that listens tells its machine of a connection it accepted
+/// and attached, given its peer id and the far end's description.
+type Welcome<M> = Box<dyn Fn(PeerId, String) -> <M as Machine>::In + Send>;
 
 /// One machine, its sockets and its clock.
 struct Loop<M: Drive> {
@@ -237,8 +227,6 @@ struct Loop<M: Drive> {
     unwritten: Vec<PeerId>,
     listeners: Vec<(u64, Listener)>,
     welcome: Option<Welcome<M>>,
-    /// Accepted, waiting for the first frame until the deadline (ms).
-    pending: HashMap<u64, (Transport, u64)>,
     /// Connects that wait for the clock to read the first number.
     dials: Vec<(u64, Work<M>)>,
     /// The last peer id or token given out.
@@ -261,7 +249,6 @@ impl<M: Drive> Loop<M> {
             unwritten: Vec::new(),
             listeners: Vec::new(),
             welcome: None,
-            pending: HashMap::new(),
             dials: Vec::new(),
             last_token: 0,
             now_ms: 0,
@@ -276,35 +263,36 @@ impl<M: Drive> Loop<M> {
         self.last_token
     }
 
-    /// Has the poller report `conn`'s socket, non-blocking, as `token`.
-    fn watch(&self, conn: &TcpConn, token: u64) -> io::Result<()> {
-        conn.socket().set_nonblocking(true)?;
-        self.poller.add(conn.socket().as_raw_fd(), token, poll::READ)
-    }
-
-    /// Takes over a connected transport: allots its [`PeerId`] and has
-    /// what arrives on it handed to the machine as `Frame` / `Closed`.
+    /// Takes over a connected transport ([`Loop::adopt`]).
     fn attach(&mut self, transport: Transport) -> io::Result<PeerId> {
-        let peer = self.token();
-        let conn = match transport {
+        self.adopt(match transport {
             Transport::Tcp(conn) => {
-                self.watch(&conn, peer)?;
                 let (queue, batch, written, hung_up) = (VecDeque::new(), Vec::new(), 0, false);
                 Conn::Tcp(Box::new(Outbox { conn, queue, batch, written, hung_up }))
             }
             Transport::Mem(conn) => {
-                let (send, mut recv) = conn.split();
-                let tx = self.tx.clone();
-                recv.pump(Box::new(move |msg| {
-                    let event = match msg {
-                        Some(msg) => Event::Frame(peer, msg.payload),
-                        None => Event::Closed(peer),
-                    };
-                    let _ = tx.send(In::Event(event));
-                }));
+                let (send, recv) = conn.split();
                 Conn::Mem(send, recv)
             }
-        };
+        })
+    }
+
+    /// Takes over a connection: allots its [`PeerId`] and has it read on
+    /// readiness, what arrives handed to the machine as `Frame` / `Closed`.
+    fn adopt(&mut self, mut conn: Conn) -> io::Result<PeerId> {
+        let peer = self.token();
+        match &mut conn {
+            Conn::Tcp(out) => {
+                out.conn.socket().set_nonblocking(true)?;
+                self.poller.add(out.conn.socket().as_raw_fd(), peer, poll::READ)?;
+            }
+            Conn::Mem(_, recv) => {
+                let tx = self.tx.clone();
+                recv.on_arrival(Box::new(move || {
+                    let _ = tx.send(In::With(Box::new(move |lp| lp.receive(peer))));
+                }));
+            }
+        }
         self.conns.insert(peer, conn);
         Ok(peer)
     }
@@ -326,33 +314,32 @@ impl<M: Drive> Loop<M> {
         }
     }
 
-    /// Closes `peer` once what was sent to it is written, and tells the
-    /// machine it is closed, as a connection that ends does.
+    /// Closes `peer` once what was sent to it is written.  Nothing more is
+    /// read of it, and the machine hears nothing more of it.
     fn hangup(&mut self, peer: PeerId) {
         match self.conns.get_mut(&peer) {
             Some(Conn::Tcp(out)) => {
-                // Written out, never read again.
                 out.hung_up = true;
                 let _ = self.poller.modify(out.conn.socket().as_raw_fd(), peer, poll::WRITE);
                 self.unwritten.push(peer);
             }
             Some(Conn::Mem(..)) => drop(self.conns.remove(&peer)),
-            None => return,
+            None => {}
         }
-        let _ = self.tx.send(In::Event(Event::Closed(peer)));
     }
 
-    /// Hands what `peer` sent to the machine, frame by frame, reading its
-    /// socket until it would block; a connection that ended is closed and
+    /// Hands what `peer` sent to the machine, frame by frame, until the
+    /// next read would block; a connection that ended is closed and
     /// reported.  Each frame is handled before the next read, so a read
     /// finds the slab free of what the machine let go of.
     fn receive(&mut self, peer: PeerId) {
         loop {
-            let out = match self.conns.get_mut(&peer) {
-                Some(Conn::Tcp(out)) if !out.hung_up => out,
+            let next = match self.conns.get_mut(&peer) {
+                Some(Conn::Tcp(out)) if !out.hung_up => out.conn.recv(),
+                Some(Conn::Mem(_, recv)) => recv.try_recv(),
                 _ => return,
             };
-            match out.conn.recv() {
+            match next {
                 Ok(Some(msg)) => self.feed(Event::Frame(peer, msg.payload)),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Ok(None) | Err(_) => return self.close(peer),
@@ -363,10 +350,10 @@ impl<M: Drive> Loop<M> {
     /// Drops `peer`'s connection and, unless the machine hung it up, tells
     /// the machine.
     fn close(&mut self, peer: PeerId) {
-        if let Some(Conn::Tcp(out)) = self.conns.remove(&peer) {
-            if !out.hung_up {
-                self.feed(Event::Closed(peer));
-            }
+        match self.conns.remove(&peer) {
+            Some(Conn::Tcp(out)) if out.hung_up => {}
+            Some(_) => self.feed(Event::Closed(peer)),
+            None => {}
         }
     }
 
@@ -396,8 +383,6 @@ impl<M: Drive> Loop<M> {
         if self.conns.contains_key(&token) {
             self.receive(token);
             self.write(token);
-        } else if self.pending.contains_key(&token) {
-            self.first_frame(token);
         } else if let Some(at) = self.listeners.iter().position(|l| l.0 == token) {
             while let Listener::Tcp(l) = &self.listeners[at].1 {
                 match l.accept() {
@@ -414,68 +399,14 @@ impl<M: Drive> Loop<M> {
         }
     }
 
-    /// Welcomes a connection a listener of this loop accepted.
-    fn accepted(&mut self, mut transport: Transport) {
-        let within_ms = match &self.welcome {
-            Some(Welcome::Link(linked)) => {
-                let linked = *linked;
-                if let Ok(peer) = self.attach(transport) {
-                    self.feed(Event::App(linked(peer)));
-                }
-                return;
-            }
-            Some(Welcome::Setup { within_ms, .. }) => *within_ms,
-            None => return,
-        };
-        let token = self.token();
-        let watched = match &mut transport {
-            Transport::Tcp(conn) => self.watch(conn, token),
-            Transport::Mem(conn) => {
-                let tx = self.tx.clone();
-                conn.on_arrival(Box::new(move || {
-                    let _ = tx.send(In::With(Box::new(move |lp| lp.first_frame(token))));
-                }));
-                Ok(())
-            }
-        };
-        if watched.is_ok() {
-            self.pending.insert(token, (transport, self.now_ms + within_ms));
-        }
-    }
-
-    /// A connection that has sent nothing yet has something to read: a
-    /// setup request sends it on to the loop of its shard, together with
-    /// whatever it sent after it.  Anything else first is a protocol
-    /// violation, and the connection is dropped.
-    fn first_frame(&mut self, token: u64) {
-        let Some((mut transport, until)) = self.pending.remove(&token) else { return };
-        let first = match &mut transport {
-            Transport::Tcp(conn) => conn.recv(),
-            Transport::Mem(conn) => conn.recv_timeout(Duration::ZERO),
-        };
-        let first = match first {
-            Ok(Some(first)) => first,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                self.pending.insert(token, (transport, until));
-                return;
-            }
-            Ok(None) | Err(_) => return,
-        };
-        if let Transport::Tcp(conn) = &transport {
-            self.poller.remove(conn.socket().as_raw_fd());
-        }
-        let Some(Welcome::Setup { codec, route, loops, new_agent, .. }) = &self.welcome else {
-            return;
-        };
-        let Ok(E2apPdu::E2SetupRequest(req)) = codec.decode(&first.payload) else { return };
-        let new_agent = *new_agent;
-        let _ = loops[route(&req)].send(In::With(Box::new(move |lp| {
-            let desc = transport.peer();
-            if let Ok(peer) = lp.attach(transport) {
-                lp.feed(Event::App(new_agent(ShardIn::NewAgent { req, peer, desc })));
-                lp.receive(peer);
-            }
-        })));
+    /// Attaches a connection a listener of this loop accepted and tells
+    /// the machine.
+    fn accepted(&mut self, transport: Transport) {
+        let desc = transport.peer();
+        let Ok(peer) = self.attach(transport) else { return };
+        let Some(welcome) = &self.welcome else { return };
+        let event = welcome(peer, desc);
+        self.feed(Event::App(event));
     }
 
     /// Hands one event to the machine and carries out what it answers.
@@ -499,16 +430,14 @@ impl<M: Drive> Loop<M> {
         r
     }
 
-    /// The clock reads `now_ms`: the machine is told, the dials whose
-    /// backoff is over connect, and connections past their setup deadline
-    /// are dropped.
+    /// The clock reads `now_ms`: the machine is told, and the dials whose
+    /// backoff is over connect.
     fn tick(&mut self, now_ms: u64) {
         self.now_ms = now_ms;
         self.feed(Event::Tick);
         while let Some(at) = self.dials.iter().position(|d| d.0 <= now_ms) {
             (self.dials.remove(at).1)(self);
         }
-        self.pending.retain(|_, (_, until)| *until > now_ms);
     }
 
     fn run(mut self, rx: mpsc::Receiver<In<M>>, tick_ms: Option<u64>) {
@@ -709,26 +638,6 @@ fn listen_on<M: Drive>(
     Ok(bound)
 }
 
-/// Binds the listeners of `cfg` on the first of `loops`, which holds each
-/// connection until its setup request, then hands it to the loop `route`
-/// picks as [`ShardIn::NewAgent`] wrapped by `new_agent`.  A dialer that
-/// says nothing is dropped at E2 Setup's own deadline.
-fn serve<M: Drive>(
-    cfg: &ServerConfig,
-    loops: &mut [(Loop<M>, mpsc::Receiver<In<M>>)],
-    route: impl Fn(&E2SetupRequest) -> usize + Send + 'static,
-    new_agent: fn(ShardIn) -> M::In,
-) -> io::Result<Vec<TransportAddr>> {
-    let welcome = Welcome::Setup {
-        within_ms: cfg.retry.setup_deadline_ms,
-        codec: cfg.codec,
-        route: Box::new(route),
-        loops: loops.iter().map(|(lp, _)| lp.tx.clone()).collect(),
-        new_agent,
-    };
-    listen_on(&mut loops[0].0, &cfg.listen, welcome)
-}
-
 // ---------------------------------------------------------------------------
 // The agent behind a handle
 // ---------------------------------------------------------------------------
@@ -864,11 +773,24 @@ const EVENT_LAG: usize = 1024;
 type Subscribers = Arc<Mutex<Vec<SyncSender<ServerEvent>>>>;
 
 impl Drive for Shard {
-    /// Where the shard's events go.
-    type Port = Subscribers;
+    /// Where the shard's events go, and every shard's loop, by shard.
+    type Port = (Subscribers, Vec<Tx<Shard>>);
 
-    fn act(lp: &mut Loop<Self>, ShardOut::Publish(event): ShardOut) {
-        publish(&lp.port, &event)
+    fn act(lp: &mut Loop<Self>, action: ShardOut) {
+        let (peer, shard, req, desc) = match action {
+            ShardOut::Publish(event) => return publish(&lp.port.0, &event),
+            ShardOut::Handoff { peer, shard, req, desc } => (peer, shard, req, desc),
+        };
+        let Some(conn) = lp.conns.remove(&peer) else { return };
+        if let Conn::Tcp(out) = &conn {
+            lp.poller.remove(out.conn.socket().as_raw_fd());
+        }
+        let _ = lp.port.1[shard].send(In::With(Box::new(move |lp| {
+            if let Ok(peer) = lp.adopt(conn) {
+                lp.feed(Event::App(ShardIn::NewAgent { req, peer, desc }));
+                lp.receive(peer);
+            }
+        })));
     }
 }
 
@@ -1019,13 +941,15 @@ impl Server {
         let mut loops = Vec::with_capacity(shards);
         for idx in 0..shards {
             let machine = Shard::new(idx, &cfg, iapps(idx), router.clone());
-            let (mut lp, rx) = Loop::new(machine, events.clone())?;
+            let (mut lp, rx) = Loop::new(machine, (events.clone(), Vec::new()))?;
             lp.feed(Event::App(ShardIn::Start));
             loops.push((lp, rx));
         }
-        // Each connection goes to the shard the router assigns its entity to.
-        let route = move |req: &E2SetupRequest| router.assign(req.global_node.ran_entity_key());
-        let addrs = serve(&cfg, &mut loops, route, |new_agent| new_agent)?;
+        let all: Vec<Tx<Shard>> = loops.iter().map(|(lp, _)| lp.tx.clone()).collect();
+        loops.iter_mut().for_each(|(lp, _)| lp.port.1 = all.clone());
+        // Shard 0 accepts; each connection's setup request routes it.
+        let welcome = Box::new(|peer, desc| ShardIn::Accepted { peer, desc });
+        let addrs = listen_on(&mut loops[0].0, &cfg.listen, welcome)?;
         let running = Arc::new(Running::start("flexric-shard", loops, cfg.tick_ms)?);
         Ok(ServerHandle { events, running, addrs })
     }
@@ -1063,7 +987,8 @@ impl Bridge {
         }
         let north = self.own().map(|a| a.controllers().to_vec()).unwrap_or_default();
         let mut loops = vec![Loop::new(self, HashMap::new())?];
-        let addrs = serve(cfg, &mut loops, |_| 0, BridgeIn::South)?;
+        let welcome = Box::new(|peer, desc| BridgeIn::South(ShardIn::Accepted { peer, desc }));
+        let addrs = listen_on(&mut loops[0].0, &cfg.listen, welcome)?;
         let running = Arc::new(Running::start("flexric-bridge", loops, cfg.tick_ms)?);
         let handle = BridgeHandle { running, addrs };
         let own = |b: &Bridge| b.own().map_or(0, Agent::ctrl_count);
@@ -1145,14 +1070,15 @@ pub fn spawn_machine<M: PlainMachine>(
     tick_ms: Option<u64>,
 ) -> io::Result<MachineHandle<M>> {
     let (mut lp, rx) = Loop::new(Plain(machine), ())?;
+    let welcome: Welcome<Plain<M>> = Box::new(move |peer, _| linked(peer));
     let addr = match links {
         Links::Dial(addr) => {
             let transport = connect(&addr)?;
-            lp.welcome = Some(Welcome::Link(linked));
+            lp.welcome = Some(welcome);
             let _ = lp.tx.send(In::With(Box::new(|lp| lp.accepted(transport))));
             addr
         }
-        Links::Listen(addr) => listen_on(&mut lp, &[addr], Welcome::Link(linked))?.remove(0),
+        Links::Listen(addr) => listen_on(&mut lp, &[addr], welcome)?.remove(0),
     };
     let running = Arc::new(Running::start("flexric-loop", vec![(lp, rx)], tick_ms)?);
     Ok(MachineHandle { running, addr })
@@ -1312,14 +1238,13 @@ mod tests {
         let got = read_frames(&mut far, usize::MAX);
         assert_eq!(got.len(), 500, "every frame sent before the hangup arrived, then EOF");
         assert!(got.iter().enumerate().all(|(i, m)| m.payload[0] == i as u8), "in order");
-        // The loop goes on: the hangup's parting `Closed` is the
-        // machine's to ignore, a live peer's frame still reaches it.
+        // The loop goes on, and the machine hears nothing more of the peer
+        // it hung up on — no `Closed`: the next it sees is a live peer's frame.
         let (live, mut far2) = rig.attach_tcp();
         far2.write_all(&flexric_transport::frame::encode_frame(0, 70, &Bytes::from_static(b"x")))
             .unwrap();
-        let seen: Vec<_> = rig.seen.iter().take(2).collect();
-        assert!(matches!(seen[0], Event::Closed(p) if p == peer), "{seen:?}");
-        assert!(matches!(&seen[1], Event::Frame(p, x) if *p == live && x[..] == *b"x"), "{seen:?}");
+        let next = rig.seen.recv().unwrap();
+        assert!(matches!(&next, Event::Frame(p, x) if *p == live && x[..] == *b"x"), "{next:?}");
         rig.running.stop();
     }
 

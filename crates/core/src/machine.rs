@@ -62,9 +62,12 @@ pub enum Event<X> {
 pub enum Action<Y> {
     /// Write `msg` to `peer`.
     Send(PeerId, WireMsg),
-    /// Close `peer` once everything already sent to it is written.  The
-    /// machine sends nothing to a peer after hanging up on it, and hangs up
-    /// on every peer it was handed, exactly once.
+    /// Close `peer` once everything already sent to it is written.  From
+    /// then on the machine hears nothing more of `peer` — no frame still on
+    /// its way, no `Closed`.  It sends nothing to a peer after hanging up
+    /// on it, and hangs up on every peer it was handed exactly once, unless
+    /// it handed the peer on (a shard's
+    /// [`ShardOut::Handoff`](crate::server::ShardOut::Handoff)).
     Hangup(PeerId),
     /// What only this kind of machine asks for.
     App(Y),

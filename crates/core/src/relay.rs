@@ -47,7 +47,8 @@ pub type NorthId = Option<AgentId>;
 
 /// What a bridge is told beside frames, closes and ticks.
 pub enum BridgeIn {
-    /// For the south shard: the accept path's [`ShardIn::NewAgent`].
+    /// For the south shard: a connection its listener accepted
+    /// ([`ShardIn::Accepted`]).
     South(ShardIn),
     /// For north agent `.0`: the answer to its dial, or (the bridge's own)
     /// a controller to add.
@@ -79,7 +80,7 @@ pub enum Verdict {
 /// A bridge.  See the module docs.
 pub struct Bridge {
     south: Shard,
-    pub(crate) codec: E2apCodec,
+    codec: E2apCodec,
     /// [`Transform::north`] of the transform the shard's `dyn IApp` is.
     north_of: fn(&mut dyn Any, &mut ServerApi, (NorthId, CtrlId), &E2apPdu) -> Verdict,
     north: BTreeMap<NorthId, Agent>,
@@ -210,7 +211,8 @@ impl Bridge {
                     let gone = self.links.extract_if(|_, m| *m == Some(k)).map(|(p, _)| p);
                     out.extend(gone.collect::<BTreeSet<_>>().into_iter().map(Action::Hangup));
                 }
-                // Nobody taps the events of a bridge's shard.
+                // Nobody taps the events of a bridge's shard, and its
+                // one-shard router hands nothing off.
                 Action::App(_) => {}
             }
         }

@@ -4,8 +4,13 @@
 //!
 //! [`Wire`] carries `Send` actions between them as `Frame` events, turns
 //! `Dial` into `Connected` / `DialFailed`, `Hangup` into the far end's
-//! `Closed`, and moves time a millisecond ([`Wire::advance`]) or a stride
-//! ([`Wire::stride`]) at a time, one tick per machine per step.  A script
+//! `Closed` (and into silence at the near end: what is still on its way
+//! there is lost), and moves time a millisecond ([`Wire::advance`]) or a
+//! stride ([`Wire::stride`]) at a time, one tick per machine per step.
+//! What a controller accepts is told to its shard 0, and what a bridge
+//! accepts to its south shard ([`ShardIn::Accepted`]), as the driver tells
+//! them; a shard's [`ShardOut::Handoff`] moves the connection to the shard
+//! it names.  No rule of E2 lives here.  A script
 //! can drop, delay, hold back (reorder) or garble the next frames in either
 //! direction ([`Wire::faults`]), cut connections, stop and restart agents
 //! and controllers, and reach an iApp as the northbound does
@@ -18,8 +23,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use flexric_codec::E2apCodec;
-use flexric_e2ap::E2apPdu;
 use flexric_transport::{TransportAddr, WireMsg};
 
 use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, CtrlId, RanFunction};
@@ -66,25 +69,16 @@ pub const GARBLED: &[u8] = &[0xFF; 8];
 pub const UP: usize = 0;
 pub const DOWN: usize = 1;
 
-/// A controller on the wire: its shards and its accept path.
+/// A controller on the wire: its shards and where its connections are.
 pub struct Ctrl {
     pub shards: Vec<Shard>,
-    router: Arc<ShardRouter>,
-    /// What the accept path decodes a setup request with.
-    pub codec: E2apCodec,
     /// A controller that is not listening refuses dials.
     listening: bool,
-    /// Accepts and reads, never answers.
+    /// Accepts and reads, never answers: its shards are told nothing of
+    /// the connections it accepts.
     pub silent: bool,
-    /// The shard each accepted connection's setup request routed it to.
+    /// The shard each accepted connection is on: shard 0, until a handoff.
     shard_of: HashMap<PeerId, usize>,
-}
-
-/// A bridge on the wire, with its accept path.
-pub struct BridgeEnd {
-    pub bridge: Bridge,
-    /// Accepted connections whose first frame has not arrived yet.
-    fresh: HashSet<PeerId>,
 }
 
 /// The machines, the connections between them and what is in flight.
@@ -96,7 +90,7 @@ pub struct Wire {
     /// What each agent slot was started with, for [`Wire::restart_agent`].
     agent_cfgs: Vec<AgentConfig>,
     pub ctrls: Vec<Ctrl>,
-    pub bridges: Vec<BridgeEnd>,
+    pub bridges: Vec<Bridge>,
     /// Live connections, both ways round.
     pub links: HashMap<End, End>,
     /// In flight: (due, order, to, a frame or the close).
@@ -110,7 +104,8 @@ pub struct Wire {
     order: u64,
     /// Ends whose machine has hung up.
     pub hung: HashSet<End>,
-    /// When each agent last connected / each controller last accepted.
+    /// When each agent last connected / each controller last admitted an
+    /// agent.
     pub connected_at: HashMap<usize, u64>,
     pub accepted_at: HashMap<usize, u64>,
     // What the machines asked for beside frames, for a script to read.
@@ -178,7 +173,19 @@ impl Wire {
             match action {
                 Action::Send(p, msg) => self.send(DOWN, End::C(c, p), msg),
                 Action::Hangup(p) => self.hangup(End::C(c, p)),
-                Action::App(ShardOut::Publish(event)) => self.published.push(event),
+                Action::App(ShardOut::Publish(event)) => {
+                    if matches!(
+                        event,
+                        ServerEvent::AgentConnected(_) | ServerEvent::AgentReconnected(_)
+                    ) {
+                        self.accepted_at.insert(c, self.now);
+                    }
+                    self.published.push(event)
+                }
+                Action::App(ShardOut::Handoff { peer, shard, req, desc }) => {
+                    self.ctrls[c].shard_of.insert(peer, shard);
+                    self.shard(c, shard, Event::App(ShardIn::NewAgent { req, peer, desc }));
+                }
             }
         }
     }
@@ -186,7 +193,7 @@ impl Wire {
     /// Hands bridge `b` `event` and carries out what it asks for.
     pub fn bridge(&mut self, b: usize, event: Event<BridgeIn>) {
         let mut out = Vec::new();
-        self.bridges[b].bridge.handle(event, self.now, &mut out);
+        self.bridges[b].handle(event, self.now, &mut out);
         for action in out {
             match action {
                 Action::Send(p, msg) => {
@@ -293,45 +300,23 @@ impl Wire {
         }
     }
 
+    /// Hands `to` what reached it.  A machine hears nothing more of an end
+    /// it hung up on, and a silent controller hears nothing: a frame for
+    /// either is lost.
     fn deliver(&mut self, to: End, what: Option<WireMsg>) {
-        if let (true, Some(msg)) = (self.hung.contains(&to), &what) {
-            self.lose(msg); // handed over all the same: the machine must ignore it
+        let shard = match to {
+            End::C(c, p) if !self.ctrls[c].silent => self.ctrls[c].shard_of.get(&p).copied(),
+            _ => None,
+        };
+        match (to, shard) {
+            _ if self.hung.contains(&to) => {}
+            (End::A(i, p), _) => return self.agent(i, frame_or_closed(p, what)),
+            (End::B(b, p), _) => return self.bridge(b, frame_or_closed(p, what)),
+            (End::C(c, p), Some(k)) => return self.shard(c, k, frame_or_closed(p, what)),
+            (End::C(..), None) => {}
         }
-        match to {
-            End::A(i, p) => self.agent(i, frame_or_closed(p, what)),
-            // The bridge's accept path: a connection's first frame is its
-            // setup request.
-            End::B(b, p) if self.bridges[b].fresh.remove(&p) => {
-                let codec = self.bridges[b].bridge.codec;
-                let Some(Ok(E2apPdu::E2SetupRequest(req))) = what.map(|m| codec.decode(&m.payload))
-                else {
-                    return;
-                };
-                let new_agent = ShardIn::NewAgent { req, peer: p, desc: format!("wire:{p}") };
-                self.bridge(b, Event::App(BridgeIn::South(new_agent)));
-            }
-            End::B(b, p) => self.bridge(b, frame_or_closed(p, what)),
-            End::C(c, _) if self.ctrls[c].silent => {
-                if let Some(msg) = &what {
-                    self.lose(msg);
-                }
-            }
-            End::C(c, p) => match (self.ctrls[c].shard_of.get(&p).copied(), what) {
-                (Some(k), what) => self.shard(c, k, frame_or_closed(p, what)),
-                // The accept path: a connection's first frame routes it.
-                (None, Some(msg)) => {
-                    let Ok(E2apPdu::E2SetupRequest(req)) = self.ctrls[c].codec.decode(&msg.payload)
-                    else {
-                        return;
-                    };
-                    let k = self.ctrls[c].router.assign(req.global_node.ran_entity_key());
-                    self.ctrls[c].shard_of.insert(p, k);
-                    self.accepted_at.insert(c, self.now);
-                    let desc = format!("wire:{p}");
-                    self.shard(c, k, Event::App(ShardIn::NewAgent { req, peer: p, desc }));
-                }
-                (None, None) => {}
-            },
+        if let Some(msg) = &what {
+            self.lose(msg);
         }
     }
 
@@ -348,9 +333,6 @@ impl Wire {
         }
         self.order += 2;
         let (peer, far) = (self.order - 1, far(x, self.order));
-        if let End::B(b, p) = far {
-            self.bridges[b].fresh.insert(p);
-        }
         let near = match from {
             Dialer::Agent(i) => {
                 self.connected_at.insert(i, self.now);
@@ -360,6 +342,16 @@ impl Wire {
         };
         self.links.insert(near, far);
         self.links.insert(far, near);
+        // The listener's side is told first, as a driver's listener tells it.
+        let accepted = |p: PeerId| ShardIn::Accepted { peer: p, desc: format!("wire:{p}") };
+        match far {
+            End::C(c, p) if !self.ctrls[c].silent => {
+                self.ctrls[c].shard_of.insert(p, 0);
+                self.shard(c, 0, Event::App(accepted(p)));
+            }
+            End::B(b, p) => self.bridge(b, Event::App(BridgeIn::South(accepted(p)))),
+            _ => {}
+        }
         self.dialled(from, AgentIn::Connected { ctrl, peer });
     }
 
@@ -412,8 +404,7 @@ impl Wire {
         let shards: Vec<Shard> = (apps.into_iter().enumerate())
             .map(|(k, apps)| Shard::new(k, cfg, apps, router.clone()))
             .collect();
-        let (codec, shard_of) = (cfg.codec, HashMap::new());
-        let ctrl = Ctrl { shards, router, codec, listening: true, silent: false, shard_of };
+        let ctrl = Ctrl { shards, listening: true, silent: false, shard_of: HashMap::new() };
         if at == self.ctrls.len() {
             self.ctrls.push(ctrl);
         } else {
@@ -478,7 +469,7 @@ impl Wire {
     /// [`Bridge::spawn`] has it do.  Returns its index.
     pub fn add_bridge(&mut self, bridge: Bridge) -> usize {
         let north = bridge.own().map(|a| a.controllers().to_vec()).unwrap_or_default();
-        self.bridges.push(BridgeEnd { bridge, fresh: HashSet::new() });
+        self.bridges.push(bridge);
         let b = self.bridges.len() - 1;
         for addr in north {
             self.bridge(b, Event::App(BridgeIn::North(None, AgentIn::AddController(addr))));

@@ -16,10 +16,12 @@
 //! A [`Transport`] blocks its caller: [`Transport::send`] until the message
 //! is with the kernel (or in the peer's queue), [`Transport::recv`] until
 //! one arrives.  An event loop blocks in one place instead, [`poll`]'s
-//! `epoll` wait, and drives a non-blocking [`tcp::TcpConn`] on readiness;
-//! a mem connection it hands a sink ([`mem::MemRecvHalf::pump`]) and a mem
-//! listener a callback ([`mem::MemListener::serve`]), which the sender's
-//! `send` and the dialer's `connect` call.
+//! `epoll` wait, and reads every connection one way: told that it is ready
+//! — by the poller for a non-blocking [`tcp::TcpConn`], by
+//! [`mem::MemRecvHalf::on_arrival`] for a mem one — it takes message after
+//! message until the next would block.  A mem listener hands what it
+//! accepts to a callback ([`mem::MemListener::serve`]), which the dialer's
+//! `connect` calls.
 //!
 //! There is no fault injection here: faults are scripted on the
 //! deterministic wire of `flexric::wire`, not in the I/O path.
@@ -395,47 +397,38 @@ mod tests {
         }
     }
 
-    /// What a pumped half delivers, as a channel a test can wait on.
-    fn sink() -> (mem::Sink, mpsc::Receiver<Option<WireMsg>>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            Box::new(move |m| {
-                let _ = tx.send(m);
-            }),
-            rx,
-        )
+    /// A receive half whose arrivals are counted on the returned channel.
+    fn told(name: &str) -> (mem::MemConn, mem::MemRecvHalf, mpsc::Receiver<()>) {
+        let (_l, conns) = mem_listener(name);
+        let c = mem::connect(name).unwrap();
+        let (_tx, mut rx) = conns.recv().unwrap().split();
+        let (tx, told) = mpsc::channel();
+        rx.on_arrival(Box::new(move || tx.send(()).unwrap()));
+        (c, rx, told)
     }
 
     #[test]
-    fn pump_delivers_in_order_then_the_close() {
-        let (_l, conns) = mem_listener("t-pump");
-        let mut c = mem::connect("t-pump").unwrap();
-        let (_tx, mut rx) = conns.recv().unwrap().split();
-        // One message before the sink is in place, the rest after.
-        c.send(WireMsg::e2ap_on(0, Bytes::from_static(b"m"))).unwrap();
-        let (sink, got) = sink();
-        rx.pump(sink);
-        for i in 1..50u16 {
+    fn the_close_is_seen_once_after_every_queued_message() {
+        let (mut c, mut rx, told) = told("t-close-last");
+        for i in 0..50u16 {
             c.send(WireMsg::e2ap_on(i, Bytes::from_static(b"m"))).unwrap();
         }
         drop(c);
+        assert_eq!(told.try_iter().count(), 2, "told of the first message and of the end");
         for i in 0..50u16 {
-            assert_eq!(got.recv().unwrap().unwrap().stream, i);
+            assert_eq!(rx.try_recv().unwrap().unwrap().stream, i, "in order");
         }
-        assert!(got.recv().unwrap().is_none(), "close is delivered once");
-        assert!(got.recv().is_err(), "and the sink is dropped after it");
+        assert!(rx.try_recv().unwrap().is_none(), "then the close");
+        assert_eq!(told.try_iter().count(), 0, "and nothing more is told");
     }
 
     #[test]
-    fn dropping_a_pump_ends_the_receive_half() {
-        let (_l, conns) = mem_listener("t-pump-drop");
-        let mut c = mem::connect("t-pump-drop").unwrap();
-        let (_tx, mut rx) = conns.recv().unwrap().split();
-        let (sink, got) = sink();
-        rx.pump(sink);
+    fn dropping_the_receive_half_fails_the_peers_sends() {
+        let (mut c, rx, told) = told("t-recv-drop");
+        c.send(WireMsg::e2ap(Bytes::new())).unwrap();
         drop(rx);
         assert!(c.send(WireMsg::e2ap(Bytes::new())).is_err(), "peer's sends fail");
-        assert!(got.recv().is_err(), "nothing was delivered");
+        assert_eq!(told.try_iter().count(), 1, "the callback went with the half");
     }
 
     #[test]
@@ -458,14 +451,18 @@ mod tests {
         c.send(WireMsg::e2ap_on(0, Bytes::new())).unwrap();
         let (tx, told) = mpsc::channel();
         rx.on_arrival(Box::new(move || tx.send(()).unwrap()));
-        assert!(told.try_recv().is_ok(), "told at once of what is queued");
+        assert_eq!(told.try_iter().count(), 1, "told at once of what is queued");
         c.send(WireMsg::e2ap_on(1, Bytes::new())).unwrap();
+        assert_eq!(told.try_iter().count(), 0, "not again while the queue holds messages");
+        assert_eq!(rx.try_recv().unwrap().unwrap().stream, 0);
+        assert_eq!(rx.try_recv().unwrap().unwrap().stream, 1, "both stayed queued");
+        let e = rx.try_recv().unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "emptied");
+        c.send(WireMsg::e2ap_on(2, Bytes::new())).unwrap();
+        assert_eq!(told.try_iter().count(), 1, "told again once the queue was empty");
         drop(c);
-        assert_eq!(told.try_iter().count(), 2, "of the message and of the end");
-        assert_eq!(rx.recv().unwrap().unwrap().stream, 0);
-        let (sink, got) = sink();
-        rx.pump(sink);
-        assert_eq!(got.recv().unwrap().unwrap().stream, 1, "a pump takes what is left");
-        assert!(got.recv().unwrap().is_none());
+        assert_eq!(told.try_iter().count(), 1, "and of the end");
+        assert_eq!(rx.try_recv().unwrap().unwrap().stream, 2);
+        assert!(rx.try_recv().unwrap().is_none());
     }
 }

@@ -5,11 +5,12 @@
 //! network jitter would obscure the quantity being measured.
 //!
 //! A direction of a connection is one `Mutex<VecDeque>` + `Condvar`.  A
-//! blocking [`MemRecvHalf::recv`] waits on the condvar; a half that was
-//! handed a sink ([`MemRecvHalf::pump`]) is delivered to by the *sender*,
-//! on the sender's thread — so an event loop reading a thousand mem
-//! connections spends no thread on any of them.  A listener works the same
-//! way: its callback ([`MemListener::serve`]) is called by whoever connects.
+//! blocking [`MemRecvHalf::recv`] waits on the condvar.  An event loop reads
+//! a mem connection as it reads a socket: told of readiness
+//! ([`MemRecvHalf::on_arrival`], edge-triggered), it takes message after
+//! message ([`MemRecvHalf::try_recv`]) until none is left — so a thousand
+//! mem connections cost it no thread.  A listener hands its connections to
+//! a callback ([`MemListener::serve`]), which whoever connects calls.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -19,21 +20,9 @@ use std::time::{Duration, Instant};
 
 use crate::WireMsg;
 
-/// Where a pumped receive half puts what arrives: each message in order,
-/// then `None` once, when the sender goes.  It is called on the sender's
-/// thread and must not block.
-pub type Sink = Box<dyn FnMut(Option<WireMsg>) + Send>;
-
-/// Counts a message as received: when it is popped, or handed to a sink.
-fn note_rx(msg: &WireMsg) {
-    let m = crate::obs();
-    m.rx_frames.inc();
-    m.rx_bytes.add(msg.payload.len() as u64);
-}
-
 /// Locks a mutex of this module.  Every critical section here leaves the
 /// queue and flags valid at each step (a push, a pop, a flag set), so a
-/// panic in a sink that ran under the lock spoils nothing.
+/// panic in an arrival callback that ran under the lock spoils nothing.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -48,9 +37,8 @@ struct Chan {
 #[derive(Default)]
 struct ChanState {
     queue: VecDeque<WireMsg>,
-    /// Set by `pump`: messages go here instead of the queue.
-    sink: Option<Sink>,
-    /// Set by `on_arrival`: told of each message queued, and of the end.
+    /// Set by `on_arrival`: told when the queue stops being empty, and of
+    /// the end.
     arrival: Option<Box<dyn Fn() + Send>>,
     tx_gone: bool,
     rx_gone: bool,
@@ -109,11 +97,6 @@ impl MemConn {
         self.peer.clone()
     }
 
-    /// [`MemRecvHalf::on_arrival`].
-    pub fn on_arrival(&mut self, arrived: Box<dyn Fn() + Send>) {
-        self.rx.on_arrival(arrived)
-    }
-
     /// [`MemRecvHalf::recv_timeout`].
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<WireMsg>> {
         self.rx.recv_timeout(timeout)
@@ -137,16 +120,10 @@ impl MemSendHalf {
         m.tx_frames.inc();
         m.tx_bytes.add(msg.payload.len() as u64);
         let _t = m.write_ns.timer();
-        match &mut st.sink {
-            Some(sink) => {
-                note_rx(&msg);
-                sink(Some(msg))
-            }
-            None => {
-                st.queue.push_back(msg);
-                self.chan.ready.notify_one();
-                st.arrival.iter().for_each(|arrived| arrived());
-            }
+        st.queue.push_back(msg);
+        self.chan.ready.notify_one();
+        if st.queue.len() == 1 {
+            st.arrival.iter().for_each(|arrived| arrived());
         }
         Ok(())
     }
@@ -156,14 +133,8 @@ impl Drop for MemSendHalf {
     fn drop(&mut self) {
         let mut st = lock(&self.chan.state);
         st.tx_gone = true;
-        let sink = st.sink.take();
         self.chan.ready.notify_all();
         st.arrival.iter().for_each(|arrived| arrived());
-        // Outside the lock: what the sink owns may hold other connections.
-        drop(st);
-        if let Some(mut sink) = sink {
-            sink(None);
-        }
     }
 }
 
@@ -179,6 +150,12 @@ impl MemRecvHalf {
         self.recv_until(None)
     }
 
+    /// The next message if one is queued, `WouldBlock` if none is; `None`
+    /// once the peer is gone and every message is taken.
+    pub fn try_recv(&mut self) -> io::Result<Option<WireMsg>> {
+        self.recv_timeout(Duration::ZERO).map_err(|_| io::ErrorKind::WouldBlock.into())
+    }
+
     /// [`recv`](Self::recv) that gives up with `ErrorKind::TimedOut`.
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<WireMsg>> {
         self.recv_until(Some(Instant::now() + timeout))
@@ -188,7 +165,9 @@ impl MemRecvHalf {
         let mut st = lock(&self.chan.state);
         loop {
             if let Some(msg) = st.queue.pop_front() {
-                note_rx(&msg);
+                let m = crate::obs();
+                m.rx_frames.inc();
+                m.rx_bytes.add(msg.payload.len() as u64);
                 return Ok(Some(msg));
             }
             if st.tx_gone {
@@ -204,9 +183,12 @@ impl MemRecvHalf {
         }
     }
 
-    /// Has `arrived` called, on the sender's thread, whenever a message is
-    /// queued and when the sender goes — and at once if either has
-    /// happened.  The messages stay queued for [`recv`](Self::recv).
+    /// Has `arrived` called, on the sender's thread and under the queue's
+    /// lock (it must not block), whenever a message finds the queue empty
+    /// and when the sender goes — and at once if the queue holds messages
+    /// or the sender is gone.  Edge-triggered: a reader told of an arrival
+    /// takes messages until it would block, and is told again only once
+    /// it has emptied the queue.  The messages stay queued for the reader.
     pub fn on_arrival(&mut self, arrived: Box<dyn Fn() + Send>) {
         let mut st = lock(&self.chan.state);
         if !st.queue.is_empty() || st.tx_gone {
@@ -214,32 +196,15 @@ impl MemRecvHalf {
         }
         st.arrival = Some(arrived);
     }
-
-    /// Hands what is queued to `sink`, in order, and leaves `sink` with the
-    /// sender for everything after it (`None` once, when the sender goes).
-    /// Dropping the half ends the delivery: the peer's sends fail from
-    /// then on.
-    pub fn pump(&mut self, mut sink: Sink) {
-        let mut st = lock(&self.chan.state);
-        st.arrival = None;
-        while let Some(msg) = st.queue.pop_front() {
-            note_rx(&msg);
-            sink(Some(msg));
-        }
-        if st.tx_gone {
-            sink(None);
-        } else {
-            st.sink = Some(sink);
-        }
-    }
 }
 
 impl Drop for MemRecvHalf {
     fn drop(&mut self) {
         let mut st = lock(&self.chan.state);
         st.rx_gone = true;
-        let unread = (st.sink.take(), st.arrival.take(), std::mem::take(&mut st.queue));
-        // Outside the lock: what the sink owns may hold other connections.
+        let unread = (st.arrival.take(), std::mem::take(&mut st.queue));
+        // Outside the lock: what the callback owns may hold other
+        // connections.
         drop(st);
         drop(unread);
     }

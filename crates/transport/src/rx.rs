@@ -17,11 +17,13 @@
 //! allocation.
 //! The slab is reclaimed for reuse once **all** frames sliced from it have
 //! been dropped; until then, `reserve` before the next read allocates a
-//! fresh slab (one allocation per ~`read_chunk` bytes of traffic — still
-//! amortized over many frames, never per-frame).  A consumer that retains
-//! a payload long-term (e.g. a stored subscription trigger) therefore pins
-//! at most one read chunk; see DESIGN.md "Zero-copy receive" for the
-//! full lifetime rules.
+//! fresh slab of the old one's size, never a larger one (one allocation per
+//! ~`read_chunk` bytes of traffic — still amortized over many frames, never
+//! per-frame).  A consumer that retains a payload long-term (e.g. a stored
+//! subscription trigger) therefore pins at most one read chunk (plus the
+//! partial frame carried over into it), and a reader that keeps payloads
+//! of every read does not grow the slab it reads into; see DESIGN.md
+//! "Zero-copy receive" for the full lifetime rules.
 //!
 //! The assembler owns no socket: [`FrameAssembler::read_from`] takes one
 //! read from whatever `std::io::Read` it is given (a socket, a byte slice
@@ -318,5 +320,25 @@ mod tests {
         }
         assert!(asm.is_clean());
         assert_eq!(asm.read_from(&mut rd).unwrap(), 0, "end of stream");
+    }
+
+    /// A reader that keeps one payload of every read alive while it reads
+    /// on pins one old slab per read; the slab it reads into must stay the
+    /// size of a read, not double with every read.
+    #[test]
+    fn kept_payloads_do_not_ratchet_the_slab_up() {
+        const CHUNK: usize = 4096;
+        const FRAME: usize = 1000;
+        let wire: Vec<u8> =
+            (0..100u8).flat_map(|i| frame_bytes(1, 70, &[i; FRAME - HEADER_LEN])).collect();
+        let (mut rd, mut asm, mut kept) =
+            (&wire[..], FrameAssembler::with_chunk(CHUNK), Vec::new());
+        for read in 0..12 {
+            assert_eq!(asm.read_from(&mut rd).unwrap(), CHUNK);
+            let payloads: Vec<_> = std::iter::from_fn(|| asm.next_frame().unwrap()).collect();
+            kept.push(payloads[0].payload.clone());
+            let cap = asm.buf.capacity();
+            assert!(cap < 2 * (CHUNK + FRAME), "read {read}: a slab of {cap} bytes");
+        }
     }
 }

@@ -4,7 +4,9 @@
 //!
 //! The scenarios: four of the wait-and-poll suite this file replaces
 //! (lost subscription request, controller restart, reconnect within the
-//! grace window, sharded rebind), the regressions that
+//! grace window, sharded rebind), the accept rule (a setup request first,
+//! within its deadline, admitted on the routed shard) and the hangup
+//! contract, the regressions that
 //! fall out of E2 Setup being a tracked procedure, the relay against the
 //! direct path, the virtualizer between two tenants and one node, and a
 //! sweep of 1 000 generated fault schedules with four invariants checked
@@ -23,7 +25,8 @@ use flexric::endpoint::Backoff;
 use flexric::machine::Event;
 use flexric::relay::Bridge;
 use flexric::server::{
-    AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerEvent, Shard, SubOutcome,
+    AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerEvent, Shard, ShardIn,
+    SubOutcome,
 };
 use flexric_codec::E2apCodec;
 use flexric_ctrl::recursive::{phys_slice_id, TenantConf, VirtController};
@@ -638,7 +641,7 @@ fn relayed_outcomes_equal_direct_outcomes() {
     assert_eq!(relayed_calls, calls, "node and outcomes, under the same request ids");
     assert_eq!(relayed_inds_by, inds_by, "indications, under the same request ids");
     assert_eq!(relayed_reconnected, 0, "the relay keeps the south cut to itself");
-    let relay = &w.bridges[0].bridge;
+    let relay = &w.bridges[0];
     assert_eq!((relay.stats().subs, relay.outstanding()), (0, 0), "nothing forwarded is left");
     assert_eq!(relay.stats().reconnects, 1, "the relay rebound the agent");
 }
@@ -673,13 +676,13 @@ fn a_relay_that_loses_its_upstream_redials_and_drops_what_it_forwarded() {
     let a = w.start_agent_at(1, Some(BACKOFF), &[bridge_addr(r)]);
     w.advance(5);
     assert_eq!(seen(&app, |s| s.admitted), 1);
-    assert_eq!((w.agents[a].stats().active_subs, w.bridges[r].bridge.stats().subs), (1, 1));
+    assert_eq!((w.agents[a].stats().active_subs, w.bridges[r].stats().subs), (1, 1));
 
     let north = w.north_end_of(r);
     w.cut_at(north, 0);
     w.advance(1);
     assert_eq!(w.agents[a].stats().active_subs, 0, "the lost link's subscription is deleted below");
-    assert_eq!(w.bridges[r].bridge.stats().subs, 0);
+    assert_eq!(w.bridges[r].stats().subs, 0);
     let redial = Backoff::default().initial_ms;
     let dials: Vec<u64> = w.north_dials.iter().map(|d| d.1).collect();
     assert_eq!(dials, [0, redial], "the mirror redials under its backoff");
@@ -947,13 +950,112 @@ fn a_replacement_south_node_is_sent_every_tenants_slices_and_ues() {
     w.tenant_sends(0, SliceCtrl::AssocUeSlice { assoc: vec![(0x11, 0)] });
     w.cut(first, 0);
     w.advance(2);
-    assert_eq!(w.bridges[0].bridge.stats().agents, 0, "gone for good");
+    assert_eq!(w.bridges[0].stats().agents, 0, "gone for good");
 
     let (_, cell) = w.start_stub_node(2, 0);
     w.advance(5);
     let (slices, assoc) = cell.lock().unwrap().installed();
     assert_eq!(slices, BTreeMap::from([(0, cap(330)), (99, cap(170)), (199, cap(500))]));
     assert_eq!(assoc, BTreeMap::from([(0x11, 0), (0x12, 99), (0x21, 199), (0x22, 199)]));
+}
+
+// ---------------------------------------------------------------------------
+// The accept rule is the shard's, as under the driver: a setup request
+// first, within the setup deadline, admitted on the shard the router picks.
+// And an end that hung up hears nothing more.
+// ---------------------------------------------------------------------------
+
+/// Where controller 0 hung up, and when.
+fn ctrl_hangups(w: &Wire) -> Vec<(u64, End)> {
+    let hangup = |(t, end, what): &(u64, End, Option<WireMsg>)| {
+        (what.is_none() && matches!(end, End::C(0, _))).then_some((*t, *end))
+    };
+    w.trace.iter().filter_map(hangup).collect()
+}
+
+/// A connection that says nothing — every setup request the agent sends is
+/// lost on the way — is hung up on at the setup deadline, to the virtual
+/// millisecond, and nothing is admitted.
+#[test]
+fn a_silent_connection_is_hung_up_at_the_setup_deadline() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 1, false);
+    w.faults[UP].extend([Fault::Drop; 4]);
+    let at = w.now;
+    let a = w.start_agent(1, None, &[0]);
+    let (_, far) = w.ends_of(a);
+    w.advance(RETRY.setup_deadline_ms + 10);
+    assert_eq!(ctrl_hangups(&w), [(at + RETRY.setup_deadline_ms, far)]);
+    assert_eq!((w.ctrl_stats(0).agents, seen(&app, |s| s.connected)), (0, 0));
+}
+
+/// A connection whose first frame is not a setup request — one that does
+/// not decode, or a PDU of another procedure — is hung up on at once, and
+/// nothing is admitted.
+#[test]
+fn a_first_frame_that_is_not_a_setup_request_is_hung_up_on() {
+    let reset = E2apPdu::ResetRequest(ResetRequest {
+        transaction_id: 7,
+        cause: Cause::Misc(MiscCause::OmIntervention),
+    });
+    let reset = WireMsg::e2ap(Bytes::from(CODEC.encode(&reset)));
+    for first in [None, Some(reset)] {
+        let mut w = Wire::default();
+        let app = w.start_ctrl(0, 1, false);
+        // The setup request is garbled, or lost behind the reset.
+        w.faults[UP].push_back(if first.is_some() { Fault::Drop } else { Fault::Garble });
+        let at = w.now;
+        let a = w.start_agent(1, None, &[0]);
+        if let Some(reset) = first.clone() {
+            w.fly(w.now, w.ends_of(a).1, Some(reset));
+            w.settle();
+        }
+        w.advance(5);
+        let hangups = ctrl_hangups(&w);
+        assert!(matches!(hangups[..], [(t, End::C(..))] if t == at), "{first:?}: {hangups:?}");
+        assert_eq!((w.ctrl_stats(0).agents, seen(&app, |s| s.connected)), (0, 0));
+    }
+}
+
+/// On a two-shard controller shard 0 accepts; an agent the router assigns
+/// to shard 1 is handed there, admitted there, and what it sends next —
+/// its subscription response, its indications — reaches shard 1.  The
+/// twin of `e2e.rs`'s test of the same name over TCP.
+#[test]
+fn what_follows_the_setup_request_reaches_the_routed_shard() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 2, true);
+    w.start_agent(61, None, &[0]);
+    w.start_agent(62, None, &[0]);
+    let placed = |w: &Wire| w.ctrls[0].shards.iter().map(|s| s.stats().agents).collect::<Vec<_>>();
+    assert_eq!(placed(&w), [1, 1], "one agent on each shard");
+    let agent = seen(&app, |s| s.last_agent).unwrap();
+    assert_eq!(seen(&app, |s| s.shard_of[&agent]), 1, "the second went to shard 1");
+    let on_1 = |w: &Wire| w.ctrls[0].shards[1].stats();
+    let rx = on_1(&w).rx_msgs;
+    w.advance(10);
+    assert_eq!(on_1(&w).subs, 1, "its subscription was admitted on shard 1");
+    assert!(on_1(&w).rx_msgs >= rx + 10, "its reports reach shard 1: {}", on_1(&w).rx_msgs);
+}
+
+/// A frame on its way toward an end that hung up is lost, not handed to
+/// the machine: an indication delayed past the controller's hangup counts
+/// in `ind_lost` and reaches neither the shard nor its iApp.
+#[test]
+fn a_frame_in_flight_toward_a_hung_up_end_is_lost() {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 1, true);
+    let a = w.start_agent(1, None, &[0]);
+    w.advance(5);
+    let (agent, (_, far)) = (seen(&app, |s| s.last_agent).unwrap(), w.ends_of(a));
+    w.faults[UP].push_back(Fault::Delay(5));
+    w.advance(1);
+    let before = (seen(&app, |s| s.inds), w.ctrl_stats(0).rx_msgs, w.ind_lost);
+    w.shard(0, 0, Event::App(ShardIn::Disconnect(agent)));
+    assert!(w.hung.contains(&far), "the controller hung up");
+    w.advance(10);
+    let after = (seen(&app, |s| s.inds), w.ctrl_stats(0).rx_msgs, w.ind_lost);
+    assert_eq!(after, (before.0, before.1, before.2 + 1), "(inds, rx_msgs, ind_lost)");
 }
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ use wire::*;
 
 /// The PDUs agents (`up`) or controllers sent, with when.
 fn pdus(w: &Wire, up: bool) -> impl Iterator<Item = (u64, E2apPdu)> + '_ {
-    let codec = w.ctrls[0].codec;
+    let codec = CODEC;
     let sent = w.trace.iter().filter(move |(_, end, _)| matches!(end, End::A(..)) == up);
     sent.filter_map(move |(t, _, msg)| Some((*t, codec.decode(&msg.as_ref()?.payload).ok()?)))
 }
