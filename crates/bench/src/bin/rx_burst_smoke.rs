@@ -111,6 +111,8 @@ fn main() {
         }
         std::thread::yield_now();
     }
+    // Pings completed while the burst ran, not while it settles below.
+    let pings = rtts.lock().unwrap().len();
     // The burst queues virtual ticks faster than the agent handles them;
     // its stats are answered once it has handled every tick queued before
     // the call, so the settling below starts with the burst sent.
@@ -134,7 +136,6 @@ fn main() {
     let wakeups = hist_count(&snap, "flexric_transport_read_frames_per_wakeup");
     let frames = counter_sum(&snap, "flexric_transport_rx_frames_total");
     let promotions = counter_sum(&snap, "flexric_conn_control_promotions_total");
-    let pings = rtts.lock().unwrap().len();
     // Once every control of the burst has met its deadline, the routing
     // table holds the monitor's three subscriptions and nothing per ping.
     std::thread::sleep(Duration::from_millis(RetryPolicy::default().control_deadline_ms));

@@ -34,7 +34,7 @@
 //! tracked in the shared procedure-endpoint layer ([`crate::endpoint`])
 //! with deadlines and retransmission, and transaction ids come from its
 //! wraparound-safe allocator.  Setup is a procedure like any other: begun
-//! on `Connected`, retransmitted while the controller stays silent,
+//! on a dial's `Dialled`, retransmitted while the controller stays silent,
 //! completed by `E2SetupResponse` / `E2SetupFailure` in the inbound
 //! dispatcher.  Every way a link can fail — the dial, a rejected or
 //! timed-out setup, a closed connection — ends in one place, *link down*:
@@ -463,45 +463,22 @@ impl UeAssoc {
 // The machine
 // ---------------------------------------------------------------------------
 
-/// What an agent is told beside frames, closes and ticks.
+/// What an agent is told beside frames, closes, dial answers and ticks.
 #[derive(Debug)]
 pub enum AgentIn {
     /// Connect to one more controller.  It gets the next [`CtrlId`]; the
     /// outcome of its first setup comes back as [`AgentOut::SetupDone`].
     AddController(TransportAddr),
-    /// The connection an [`AgentOut::Dial`] asked for is open.
-    Connected {
-        /// The controller that was dialled.
-        ctrl: CtrlId,
-        /// The new connection.
-        peer: PeerId,
-    },
-    /// An [`AgentOut::Dial`] could not connect.
-    DialFailed {
-        /// The controller that was dialled.
-        ctrl: CtrlId,
-        /// Why, for whoever is waiting on the controller.
-        error: String,
-    },
     /// Expose `rnti` to an additional controller.
     AssociateUe(u16, CtrlId),
     /// Stop exposing `rnti` to a controller.
     DisassociateUe(u16, CtrlId),
 }
 
-/// What an agent asks for beside sends and hangups.
+/// What an agent asks for beside sends, hangups and dials (each tagged
+/// with the [`CtrlId`] it is for).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AgentOut {
-    /// Open a connection to `addr` no sooner than `after_ms` from now and
-    /// answer with [`AgentIn::Connected`] or [`AgentIn::DialFailed`].
-    Dial {
-        /// The controller the connection is for.
-        ctrl: CtrlId,
-        /// Where to connect.
-        addr: TransportAddr,
-        /// The backoff to wait out first (0 for a first dial).
-        after_ms: u64,
-    },
     /// The *first* E2 Setup toward `ctrl` ended: the controller is up, or
     /// it is given up on (a controller that was never up is not
     /// redialled).  Emitted once per controller.
@@ -599,7 +576,7 @@ struct CtrlConn {
 }
 
 /// The E2 Setup request an E2 node opens a connection with, sent on every
-/// `Connected`.
+/// connection a dial opened.
 fn setup_request(
     transaction_id: u8,
     global_node: GlobalE2NodeId,
@@ -659,9 +636,12 @@ impl Machine for Agent {
                 self.link_down(ctrl, "connection closed", out);
             }
             Event::Tick => self.tick(out),
+            // A dial's tag is the controller it is for.
+            Event::Dialled(ctrl, Ok(peer)) => self.begin_setup(ctrl, peer, out),
+            Event::Dialled(ctrl, Err(error)) => self.link_down(ctrl, &error, out),
+            // An agent listens nowhere.
+            Event::Accepted(peer, _) => out.push(Action::Hangup(peer)),
             Event::App(AgentIn::AddController(addr)) => self.add_controller(addr, out),
-            Event::App(AgentIn::Connected { ctrl, peer }) => self.begin_setup(ctrl, peer, out),
-            Event::App(AgentIn::DialFailed { ctrl, error }) => self.link_down(ctrl, &error, out),
             Event::App(AgentIn::AssociateUe(rnti, ctrl)) => self.assoc.associate(rnti, ctrl),
             Event::App(AgentIn::DisassociateUe(rnti, ctrl)) => self.assoc.disassociate(rnti, ctrl),
         }
@@ -736,7 +716,7 @@ impl Agent {
             ever_up: false,
             attempt: 0,
         });
-        out.push(Action::App(AgentOut::Dial { ctrl, addr, after_ms: 0 }));
+        out.push(Action::Dial { tag: ctrl, addr, after_ms: 0 });
     }
 
     /// Binds the freshly dialled `peer` to `ctrl` and begins E2 Setup on
@@ -794,7 +774,7 @@ impl Agent {
         } else if let Some(backoff) = self.cfg.reconnect {
             let after_ms = backoff.delay_ms(conn.attempt);
             conn.attempt = conn.attempt.saturating_add(1);
-            out.push(Action::App(AgentOut::Dial { ctrl, addr: conn.addr.clone(), after_ms }));
+            out.push(Action::Dial { tag: ctrl, addr: conn.addr.clone(), after_ms });
         }
         if was_up {
             self.stats.controllers = self.stats.controllers.saturating_sub(1);

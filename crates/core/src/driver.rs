@@ -4,9 +4,9 @@
 //! [`Agent`], [`Shard`] and [`Bridge`] are state machines
 //! ([`crate::machine`]): they decide everything and touch nothing.  This
 //! file does the touching, once, for all three — and, through
-//! [`spawn_machine`], for any machine that asks for nothing but sends and
-//! hangups (outside this crate: FlexRAN's controller and agent, the
-//! pub/sub broker).  One [`Loop`] per machine runs on a thread of its own,
+//! [`spawn_machine`], for any machine that asks for nothing but sends,
+//! hangups and dials (outside this crate: FlexRAN's controller and agent,
+//! the pub/sub broker).  One [`Loop`] per machine runs on a thread of its own,
 //! blocks in one place — an `epoll` wait ([`flexric_transport::poll`])
 //! until the next tick — and owns
 //!
@@ -19,17 +19,22 @@
 //!   callback reports ready ([`MemRecvHalf::on_arrival`]); either is read
 //!   frame by frame, each frame handled before the next is read, until the
 //!   read would block.  A TCP connection is written in batches, a mem send
-//!   cannot block.  Its listeners attach what they accept and tell the
-//!   machine.  Peer ids are allotted here, one per connection, never reused;
-//!   once the machine hangs up on a peer it hears nothing more of it;
+//!   cannot block.  Peer ids are allotted here, one per connection, never
+//!   reused; once the machine hangs up on a peer it hears nothing more of
+//!   it;
+//! * the connection lifecycle, the same for every machine: what its
+//!   listeners accept is attached and told as `Accepted`
+//!   ([`Loop::accepted`]); an `Action::Dial` connects once the clock has
+//!   moved its wait on and is answered as `Dialled` under the machine's
+//!   tag ([`Loop::step`], [`Loop::tick`]);
 //! * the clock: `now_ms` only moves on a tick — the wait running out in
 //!   real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in virtual
-//!   time — and every event is handed over with it.  A dial's backoff is
-//!   kept on it;
-//! * the machine's own actions ([`Drive::act`]): dialling for the agent
-//!   and a bridge's north agents; event publication and handoffs for a
-//!   shard — a handoff moves a connection, with what was read of it, to the
-//!   loop of the shard that admits it, which reads on at once.
+//!   time — and every event is handed over with it;
+//! * the machine's own actions ([`Drive::act`]): the first setup's outcome
+//!   for whoever added a controller to an agent or a bridge; event
+//!   publication and handoffs for a shard — a handoff moves a connection,
+//!   with what was read of it, to the loop of the shard that admits it,
+//!   which reads on at once.
 //!
 //! The only other thread is a dial's: std has no non-blocking `connect`,
 //! so the connect alone runs on a short-lived thread of its own.
@@ -58,8 +63,8 @@ use flexric_transport::tcp::TcpConn;
 use flexric_transport::{connect, listen, Listener, Transport, TransportAddr, WireMsg};
 
 use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, AgentStats, CtrlId, RanFunction};
-use crate::machine::{Action, Event, Machine, PeerId};
-use crate::relay::{Bridge, BridgeIn, BridgeOut};
+use crate::machine::{Action, DialTag, Event, Machine, PeerId};
+use crate::relay::Bridge;
 use crate::server::{
     AgentInfo, IApp, Server, ServerApi, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn,
     ShardOut, ShardRouter,
@@ -211,9 +216,8 @@ impl<M: Drive> Tx<M> {
 /// sockets and its clock.
 const INPUTS_PER_ROUND: usize = 256;
 
-/// What a loop that listens tells its machine of a connection it accepted
-/// and attached, given its peer id and the far end's description.
-type Welcome<M> = Box<dyn Fn(PeerId, String) -> <M as Machine>::In + Send>;
+/// Stack of a dial's thread: it only connects.
+const DIAL_STACK: usize = 128 * 1024;
 
 /// One machine, its sockets and its clock.
 struct Loop<M: Drive> {
@@ -226,9 +230,8 @@ struct Loop<M: Drive> {
     /// TCP connections sent to since their last write.
     unwritten: Vec<PeerId>,
     listeners: Vec<(u64, Listener)>,
-    welcome: Option<Welcome<M>>,
-    /// Connects that wait for the clock to read the first number.
-    dials: Vec<(u64, Work<M>)>,
+    /// Dials that wait for the clock to read their first number.
+    dials: Vec<(u64, DialTag, TransportAddr)>,
     /// The last peer id or token given out.
     last_token: u64,
     now_ms: u64,
@@ -248,7 +251,6 @@ impl<M: Drive> Loop<M> {
             conns: HashMap::new(),
             unwritten: Vec::new(),
             listeners: Vec::new(),
-            welcome: None,
             dials: Vec::new(),
             last_token: 0,
             now_ms: 0,
@@ -400,13 +402,35 @@ impl<M: Drive> Loop<M> {
     }
 
     /// Attaches a connection a listener of this loop accepted and tells
-    /// the machine.
+    /// the machine `Accepted`.
     fn accepted(&mut self, transport: Transport) {
         let desc = transport.peer();
-        let Ok(peer) = self.attach(transport) else { return };
-        let Some(welcome) = &self.welcome else { return };
-        let event = welcome(peer, desc);
-        self.feed(Event::App(event));
+        if let Ok(peer) = self.attach(transport) {
+            self.feed(Event::Accepted(peer, desc));
+        }
+    }
+
+    /// Connects to `addr` on a short-lived thread of its own and tells the
+    /// machine the outcome ([`Loop::dialled`]).  Not joined: a stop does
+    /// not wait for a connect, whose outcome then finds the queue gone and
+    /// is dropped with it.
+    fn dial(&mut self, tag: DialTag, addr: TransportAddr) {
+        let tx = self.tx.clone();
+        let dial = thread::Builder::new().name("flexric-dial".into()).stack_size(DIAL_STACK);
+        let dial = dial.spawn(move || {
+            let connected = connect(&addr);
+            let _ = tx.send(In::With(Box::new(move |lp| lp.dialled(tag, connected))));
+        });
+        if let Err(e) = dial {
+            self.dialled(tag, Err(e));
+        }
+    }
+
+    /// Attaches what the dial tagged `tag` connected, and tells the
+    /// machine `Dialled`.
+    fn dialled(&mut self, tag: DialTag, connected: io::Result<Transport>) {
+        let result = connected.and_then(|t| self.attach(t)).map_err(|e| e.to_string());
+        self.feed(Event::Dialled(tag, result));
     }
 
     /// Hands one event to the machine and carries out what it answers.
@@ -423,6 +447,10 @@ impl<M: Drive> Loop<M> {
             match action {
                 Action::Send(peer, msg) => self.send(peer, msg),
                 Action::Hangup(peer) => self.hangup(peer),
+                Action::Dial { tag, addr, after_ms: 0 } => self.dial(tag, addr),
+                Action::Dial { tag, addr, after_ms } => {
+                    self.dials.push((self.now_ms + after_ms, tag, addr))
+                }
                 Action::App(action) => M::act(self, action),
             }
         }
@@ -431,12 +459,14 @@ impl<M: Drive> Loop<M> {
     }
 
     /// The clock reads `now_ms`: the machine is told, and the dials whose
-    /// backoff is over connect.
+    /// wait is over connect.  One still waiting when the loop stops is
+    /// forgotten.
     fn tick(&mut self, now_ms: u64) {
         self.now_ms = now_ms;
         self.feed(Event::Tick);
         while let Some(at) = self.dials.iter().position(|d| d.0 <= now_ms) {
-            (self.dials.remove(at).1)(self);
+            let (_, tag, addr) = self.dials.remove(at);
+            self.dial(tag, addr);
         }
     }
 
@@ -564,55 +594,14 @@ impl<M: Drive> Drop for Running<M> {
 }
 
 // ---------------------------------------------------------------------------
-// Dialling and accepting, for every machine that does
+// Listening, for every machine that does
 // ---------------------------------------------------------------------------
 
-/// Stack of a dial's thread: it only connects.
-const DIAL_STACK: usize = 128 * 1024;
-
-/// Carries out an agent's `Dial { ctrl, addr, after_ms }`: connects once
-/// the loop's clock has moved `after_ms` on and answers `Connected` or
-/// `DialFailed`, wrapped for the machine that asked by `wrap`.  A dial
-/// still waiting when the loop stops is forgotten.
-fn dial<M: Drive>(
-    lp: &mut Loop<M>,
-    (ctrl, addr, after_ms): (CtrlId, TransportAddr, u64),
-    wrap: impl Fn(AgentIn) -> M::In + Copy + Send + 'static,
-) {
-    let done = move |result: Result<PeerId, String>| {
-        wrap(match result {
-            Ok(peer) => AgentIn::Connected { ctrl, peer },
-            Err(error) => AgentIn::DialFailed { ctrl, error },
-        })
-    };
-    // Not joined: a stop does not wait for a connect, whose result then
-    // finds the queue gone and is dropped with it.
-    let start = move |lp: &mut Loop<M>| {
-        let tx = lp.tx.clone();
-        let dial = thread::Builder::new().name("flexric-dial".into()).stack_size(DIAL_STACK);
-        let dial = dial.spawn(move || {
-            let connected = connect(&addr);
-            let _ = tx.send(In::With(Box::new(move |lp| {
-                let result = connected.and_then(|t| lp.attach(t)).map_err(|e| e.to_string());
-                lp.feed(Event::App(done(result)));
-            })));
-        });
-        if let Err(e) = dial {
-            lp.feed(Event::App(done(Err(e.to_string()))));
-        }
-    };
-    match after_ms {
-        0 => start(lp),
-        _ => lp.dials.push((lp.now_ms + after_ms, Box::new(start))),
-    }
-}
-
-/// Binds `addrs` on `lp`, which welcomes what they accept with `welcome`;
+/// Binds `addrs` on `lp`, which tells its machine what they accept;
 /// returns the addresses bound (ephemeral ports resolved).
 fn listen_on<M: Drive>(
     lp: &mut Loop<M>,
     addrs: &[TransportAddr],
-    welcome: Welcome<M>,
 ) -> io::Result<Vec<TransportAddr>> {
     let mut bound = Vec::new();
     for addr in addrs {
@@ -634,7 +623,6 @@ fn listen_on<M: Drive>(
         }
         lp.listeners.push((token, l));
     }
-    lp.welcome = Some(welcome);
     Ok(bound)
 }
 
@@ -654,19 +642,17 @@ fn setup_done(port: &mut Waiting, ctrl: CtrlId, result: Result<(), String>) {
 }
 
 /// Has the machine behind `tx` add controller `addr` — to the agent whose
-/// controller count `ctrls` reads, as the event `add` wraps — and waits
-/// for its first setup.
-fn add_controller<M: Drive<Port = Waiting>>(
+/// controller count `ctrls` reads — and waits for its first setup.
+fn add_controller<M: Drive<In = AgentIn, Port = Waiting>>(
     tx: &Tx<M>,
     addr: TransportAddr,
     ctrls: fn(&M) -> CtrlId,
-    add: fn(AgentIn) -> M::In,
 ) -> io::Result<CtrlId> {
     let (reply, rx) = mpsc::sync_channel(1);
     let work = move |lp: &mut Loop<M>| {
         // The count is the id the machine gives the next controller.
         lp.port.insert(ctrls(&lp.machine), reply);
-        lp.feed(Event::App(add(AgentIn::AddController(addr))));
+        lp.feed(Event::App(AgentIn::AddController(addr)));
     };
     tx.send(In::With(Box::new(work))).map_err(|_| stopped())?;
     rx.recv().map_err(|_| stopped())?
@@ -676,13 +662,8 @@ impl Drive for Agent {
     /// Callers of [`AgentHandle::add_controller`].
     type Port = Waiting;
 
-    fn act(lp: &mut Loop<Self>, action: AgentOut) {
-        match action {
-            AgentOut::Dial { ctrl, addr, after_ms } => {
-                dial(lp, (ctrl, addr, after_ms), |dialled| dialled)
-            }
-            AgentOut::SetupDone { ctrl, result } => setup_done(&mut lp.port, ctrl, result),
-        }
+    fn act(lp: &mut Loop<Self>, AgentOut::SetupDone { ctrl, result }: AgentOut) {
+        setup_done(&mut lp.port, ctrl, result)
     }
 }
 
@@ -747,7 +728,7 @@ impl AgentHandle {
     /// Blocks the caller until then; neither this call nor a slow
     /// controller holds up the agent's other controllers meanwhile.
     pub fn add_controller(&self, addr: TransportAddr) -> io::Result<CtrlId> {
-        add_controller(self.tx(), addr, Agent::ctrl_count, |add| add)
+        add_controller(self.tx(), addr, Agent::ctrl_count)
     }
 
     /// Snapshot of the agent's counters.
@@ -948,8 +929,7 @@ impl Server {
         let all: Vec<Tx<Shard>> = loops.iter().map(|(lp, _)| lp.tx.clone()).collect();
         loops.iter_mut().for_each(|(lp, _)| lp.port.1 = all.clone());
         // Shard 0 accepts; each connection's setup request routes it.
-        let welcome = Box::new(|peer, desc| ShardIn::Accepted { peer, desc });
-        let addrs = listen_on(&mut loops[0].0, &cfg.listen, welcome)?;
+        let addrs = listen_on(&mut loops[0].0, &cfg.listen)?;
         let running = Arc::new(Running::start("flexric-shard", loops, cfg.tick_ms)?);
         Ok(ServerHandle { events, running, addrs })
     }
@@ -963,13 +943,8 @@ impl Drive for Bridge {
     /// The spawn, waiting for the bridge's own north agent to set up.
     type Port = Waiting;
 
-    fn act(lp: &mut Loop<Self>, (north, action): BridgeOut) {
-        match action {
-            AgentOut::Dial { ctrl, addr, after_ms } => {
-                dial(lp, (ctrl, addr, after_ms), move |dialled| BridgeIn::North(north, dialled))
-            }
-            AgentOut::SetupDone { ctrl, result } => setup_done(&mut lp.port, ctrl, result),
-        }
+    fn act(lp: &mut Loop<Self>, AgentOut::SetupDone { ctrl, result }: AgentOut) {
+        setup_done(&mut lp.port, ctrl, result)
     }
 }
 
@@ -987,14 +962,13 @@ impl Bridge {
         }
         let north = self.own().map(|a| a.controllers().to_vec()).unwrap_or_default();
         let mut loops = vec![Loop::new(self, HashMap::new())?];
-        let welcome = Box::new(|peer, desc| BridgeIn::South(ShardIn::Accepted { peer, desc }));
-        let addrs = listen_on(&mut loops[0].0, &cfg.listen, welcome)?;
+        let addrs = listen_on(&mut loops[0].0, &cfg.listen)?;
         let running = Arc::new(Running::start("flexric-bridge", loops, cfg.tick_ms)?);
         let handle = BridgeHandle { running, addrs };
         let own = |b: &Bridge| b.own().map_or(0, Agent::ctrl_count);
         for addr in north {
             // On an error the handle is dropped, which stops the loop.
-            add_controller(&handle.running.loops[0], addr, own, |add| BridgeIn::North(None, add))?;
+            add_controller(&handle.running.loops[0], addr, own)?;
         }
         Ok(handle)
     }
@@ -1026,17 +1000,18 @@ impl BridgeHandle {
 // Any other framed protocol: a machine with no actions of its own
 // ---------------------------------------------------------------------------
 
-/// Where [`spawn_machine`] gets a machine's links.
+/// Where [`spawn_machine`] gets a machine's first links.
 #[derive(Debug, Clone)]
 pub enum Links {
-    /// Every connection accepted at this address.
+    /// Every connection accepted at this address, told as `Accepted`.
     Listen(TransportAddr),
-    /// One connection, dialled once, before the spawn returns.
+    /// One connection, dialled before the spawn returns and told as
+    /// `Dialled(0, Ok(peer))`.
     Dial(TransportAddr),
 }
 
 /// A machine [`spawn_machine`] can run: one that asks its driver for
-/// sends and hangups only.
+/// sends, hangups and dials only.
 pub trait PlainMachine: Machine<In: Send + 'static, Out = Infallible> + Send + 'static {}
 
 impl<M: Machine<In: Send + 'static, Out = Infallible> + Send + 'static> PlainMachine for M {}
@@ -1060,25 +1035,21 @@ impl<M: PlainMachine> Drive for Plain<M> {
 }
 
 /// Runs `machine` on a loop of its own, on `tick_ms`'s clock (`None`: only
-/// [`MachineHandle::tick`] moves it), with the links `links` gives: each
-/// one is attached and handed to the machine as `Event::App(linked(peer))`.
-/// A dial that fails, or a listener that cannot be bound, fails the spawn.
+/// [`MachineHandle::tick`] moves it), with the links `links` gives.  A
+/// dial that fails, or a listener that cannot be bound, fails the spawn.
 pub fn spawn_machine<M: PlainMachine>(
     machine: M,
     links: Links,
-    linked: fn(PeerId) -> M::In,
     tick_ms: Option<u64>,
 ) -> io::Result<MachineHandle<M>> {
     let (mut lp, rx) = Loop::new(Plain(machine), ())?;
-    let welcome: Welcome<Plain<M>> = Box::new(move |peer, _| linked(peer));
     let addr = match links {
         Links::Dial(addr) => {
             let transport = connect(&addr)?;
-            lp.welcome = Some(welcome);
-            let _ = lp.tx.send(In::With(Box::new(|lp| lp.accepted(transport))));
+            lp.dialled(0, Ok(transport));
             addr
         }
-        Links::Listen(addr) => listen_on(&mut lp, &[addr], welcome)?.remove(0),
+        Links::Listen(addr) => listen_on(&mut lp, &[addr])?.remove(0),
     };
     let running = Arc::new(Running::start("flexric-loop", vec![(lp, rx)], tick_ms)?);
     Ok(MachineHandle { running, addr })
@@ -1279,6 +1250,46 @@ mod tests {
         rig.act(vec![Action::Send(slow, WireMsg::e2ap_on(1, big))]);
         slow_far.read_exact(&mut head).unwrap();
         rig.running.stop();
+    }
+
+    /// Dialling is the driver's for any machine: each answer comes back
+    /// under the tag the machine gave — the connection, whose listener's
+    /// machine is told `Accepted`, or why there is none — and a dial that
+    /// waits connects only once the loop's clock has moved its wait on.
+    #[test]
+    fn a_dial_is_answered_under_its_tag_once_its_wait_is_over() {
+        let (dialler, listener) = (Rig::start(), Rig::start());
+        let at = TransportAddr::Mem("driver-dial".into());
+        let bound = ask(&listener.tx, move |lp| listen_on(lp, &[at]).unwrap());
+        let at = bound.unwrap().recv().unwrap().remove(0);
+        let nobody = TransportAddr::Mem("driver-dial-nobody".into());
+        dialler.act(vec![
+            Action::Dial { tag: 1, addr: at.clone(), after_ms: 0 },
+            Action::Dial { tag: 2, addr: nobody, after_ms: 0 },
+        ]);
+        // Each connects on a thread of its own: either may answer first.
+        let mut answers = [dialler.seen.recv().unwrap(), dialler.seen.recv().unwrap()];
+        answers.sort_by_key(|e| matches!(e, Event::Dialled(2, _)));
+        let [Event::Dialled(1, Ok(near)), Event::Dialled(2, Err(_))] = answers else {
+            panic!("{answers:?}")
+        };
+        let Event::Accepted(far, _) = listener.seen.recv().unwrap() else { panic!("no Accepted") };
+        dialler.act(vec![Action::Send(near, msg(0, 7))]);
+        let next = listener.seen.recv().unwrap();
+        assert!(matches!(&next, Event::Frame(p, x) if *p == far && x[..] == [7]), "{next:?}");
+
+        // On virtual time, at 0: a dial that waits 10 ms.
+        dialler.act(vec![Action::Dial { tag: 3, addr: at, after_ms: 10 }]);
+        dialler.tx.send(In::Tick(9)).unwrap();
+        let quiet = Duration::from_millis(100);
+        assert!(dialler.seen.recv_timeout(quiet).is_err(), "answered before its wait was over");
+        assert!(listener.seen.try_recv().is_err(), "connected before its wait was over");
+        dialler.tx.send(In::Tick(10)).unwrap();
+        let next = dialler.seen.recv().unwrap();
+        assert!(matches!(next, Event::Dialled(3, Ok(p)) if p != near), "{next:?}");
+        assert!(matches!(listener.seen.recv().unwrap(), Event::Accepted(p, _) if p != far));
+        dialler.running.stop();
+        listener.running.stop();
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use endpoint::{
     Backoff, E2apEndpoint, Procedure, ProcedureClass, ProcedureKey, ProcedureOutcome,
     ProcedureTable, RetryPolicy,
 };
-pub use machine::{Action, Event, Machine, PeerId};
+pub use machine::{Action, DialTag, Event, Machine, PeerId};
 pub use report::ReportStream;
 pub use scratch::{stream_for, EncodeScratch, Targets};
 pub use server::{

@@ -14,13 +14,20 @@
 //!   ───────────────            ───────────────────────────────────────────
 //!   a frame arrived      ──►   Event::Frame(peer, payload)
 //!   a connection ended   ──►   Event::Closed(peer)
+//!   a listener attached  ──►   Event::Accepted(peer, desc)
+//!   a dial ended         ──►   Event::Dialled(tag, Ok(peer) / Err(why))
 //!   time passed          ──►   Event::Tick
-//!   anything else        ──►   Event::App(..)     (AgentIn / ShardIn / BridgeIn)
+//!   anything else        ──►   Event::App(..)     (AgentIn / ShardIn)
 //!
 //!   Action::Send(peer, msg)    ◄──   write this frame
 //!   Action::Hangup(peer)       ◄──   close this connection
-//!   Action::App(..)            ◄──   AgentOut / ShardOut / BridgeOut
+//!   Action::Dial { tag, .. }   ◄──   connect to an address, after a wait
+//!   Action::App(..)            ◄──   AgentOut / ShardOut
 //! ```
+//!
+//! The connection lifecycle is the same for every machine: each peer it is
+//! handed arrives as `Accepted` or as the `Ok` of a `Dialled`, and a dial's
+//! `tag` is the machine's to choose and read — a driver only hands it back.
 //!
 //! Equal event sequences give equal action sequences, so a run can be
 //! played again and a protocol rule is tested by feeding events.  The one
@@ -32,7 +39,7 @@ use std::hash::Hash;
 
 use bytes::Bytes;
 use flexric_e2ap::E2apPdu;
-use flexric_transport::WireMsg;
+use flexric_transport::{TransportAddr, WireMsg};
 
 use crate::endpoint::{Procedure, ProcedureKey, ProcedureTable};
 
@@ -44,6 +51,10 @@ use crate::endpoint::{Procedure, ProcedureKey, ProcedureTable};
 /// connection that has been replaced and is ignored.
 pub type PeerId = u64;
 
+/// What a machine names one of its dials by ([`Action::Dial`]), read back
+/// in the answer ([`Event::Dialled`]).
+pub type DialTag = usize;
+
 /// What a driver can observe.
 #[derive(Debug)]
 pub enum Event<X> {
@@ -51,6 +62,12 @@ pub enum Event<X> {
     Frame(PeerId, Bytes),
     /// The connection of `peer` ended (orderly or not).
     Closed(PeerId),
+    /// A listener of this machine attached `peer`, whose far end the
+    /// string describes.
+    Accepted(PeerId, String),
+    /// The answer to the [`Action::Dial`] tagged `.0`: its connection, or
+    /// why there is none.
+    Dialled(DialTag, Result<PeerId, String>),
     /// Time has advanced to the `now_ms` passed alongside.
     Tick,
     /// What only this kind of machine is told.
@@ -69,6 +86,10 @@ pub enum Action<Y> {
     /// it handed the peer on (a shard's
     /// [`ShardOut::Handoff`](crate::server::ShardOut::Handoff)).
     Hangup(PeerId),
+    /// Connect to `addr` once the clock has moved `after_ms` on, and answer
+    /// with [`Event::Dialled`] under `tag`.  A dial still waiting when the
+    /// driver stops is forgotten.
+    Dial { tag: DialTag, addr: TransportAddr, after_ms: u64 },
     /// What only this kind of machine asks for.
     App(Y),
 }

@@ -18,6 +18,9 @@
 //! bridge hangs up on *k*, whose redial is the retry; when its live link
 //! goes down, what the bridge holds at *k* is deleted.  A PDU from a
 //! north link goes to the transform first; what it passes is the agent's.
+//! What the bridge's listeners accept is the shard's; the north agents'
+//! dials leave under tags of the bridge's own, so that each answer finds
+//! the agent that dialled.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -32,7 +35,7 @@ use flexric_transport::{TransportAddr, WireMsg};
 use crate::agent::{Admission, Agent, AgentConfig, AgentCtx, AgentIn, AgentOut, CtrlId};
 use crate::agent::{RanFunction, SubscriptionInfo};
 use crate::endpoint::RetryPolicy;
-use crate::machine::{Action, Event, Machine, PeerId};
+use crate::machine::{Action, DialTag, Event, Machine, PeerId};
 use crate::scratch::stream_for;
 use crate::server::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerConfig, ServerEvent,
@@ -45,22 +48,7 @@ pub use crate::driver::BridgeHandle;
 /// bridge's own (`None`).
 pub type NorthId = Option<AgentId>;
 
-/// What a bridge is told beside frames, closes and ticks.
-pub enum BridgeIn {
-    /// For the south shard: a connection its listener accepted
-    /// ([`ShardIn::Accepted`]).
-    South(ShardIn),
-    /// For north agent `.0`: the answer to its dial, or (the bridge's own)
-    /// a controller to add.
-    North(NorthId, AgentIn),
-}
-
-/// What a bridge asks for beside sends and hangups: north agent `.0`'s
-/// [`AgentOut::Dial`], answered with [`BridgeIn::North`], and the own
-/// agent's [`AgentOut::SetupDone`].
-pub type BridgeOut = (NorthId, AgentOut);
-
-type Out = Vec<Action<BridgeOut>>;
+type Out = Vec<Action<AgentOut>>;
 
 /// What tells one bridge from another: the south shard's one iApp, which
 /// also sees what comes from the north before the north agents do.
@@ -86,13 +74,19 @@ pub struct Bridge {
     north: BTreeMap<NorthId, Agent>,
     /// The north agents' connections.  A peer not in here is the shard's.
     links: HashMap<PeerId, NorthId>,
+    /// The north agents' dials in flight, by the tag the bridge gave each:
+    /// who dialled, under its own tag.
+    dialling: HashMap<DialTag, (NorthId, DialTag)>,
+    last_tag: DialTag,
 }
 
 impl Machine for Bridge {
-    type In = BridgeIn;
-    type Out = BridgeOut;
+    /// What the bridge's own north agent is told: a controller to add.
+    type In = AgentIn;
+    /// What the bridge's own north agent asks for: the outcome of a setup.
+    type Out = AgentOut;
 
-    fn handle(&mut self, event: Event<BridgeIn>, now_ms: u64, out: &mut Out) {
+    fn handle(&mut self, event: Event<AgentIn>, now_ms: u64, out: &mut Out) {
         match event {
             Event::Frame(peer, raw) => match self.links.get(&peer) {
                 Some(&k) => self.north_frame(k, peer, raw, now_ms, out),
@@ -107,16 +101,18 @@ impl Machine for Bridge {
                 let ks: Vec<NorthId> = self.north.keys().copied().collect();
                 ks.into_iter().for_each(|k| self.agent(k, Event::Tick, now_ms, out));
             }
-            Event::App(BridgeIn::South(event)) => self.south(Event::App(event), now_ms, out),
-            Event::App(BridgeIn::North(k, event)) => {
-                if let AgentIn::Connected { peer, .. } = event {
-                    if !self.north.contains_key(&k) {
-                        return out.push(Action::Hangup(peer));
+            Event::Accepted(peer, desc) => self.south(Event::Accepted(peer, desc), now_ms, out),
+            Event::Dialled(tag, result) => match self.dialling.remove(&tag) {
+                Some((k, tag)) if self.north.contains_key(&k) => {
+                    if let Ok(peer) = result {
+                        self.links.insert(peer, k);
                     }
-                    self.links.insert(peer, k);
+                    self.agent(k, Event::Dialled(tag, result), now_ms, out)
                 }
-                self.agent(k, Event::App(event), now_ms, out)
-            }
+                // The agent that dialled is gone.
+                _ => out.extend(result.map(Action::Hangup)),
+            },
+            Event::App(event) => self.agent(None, Event::App(event), now_ms, out),
         }
     }
 }
@@ -131,7 +127,8 @@ impl Bridge {
         let north_of = |t: &mut dyn Any, api: &mut ServerApi, from, pdu: &E2apPdu| {
             t.downcast_mut::<T>().expect("the bridge's transform").north(api, from, pdu)
         };
-        Bridge { south, codec: cfg.codec, north_of, north, links: HashMap::new() }
+        let (links, dialling) = (HashMap::new(), HashMap::new());
+        Bridge { south, codec: cfg.codec, north_of, north, links, dialling, last_tag: 0 }
     }
 
     /// The relay: its mirrors dial `upstream` with `cfg`'s codec and retry
@@ -211,9 +208,9 @@ impl Bridge {
                     let gone = self.links.extract_if(|_, m| *m == Some(k)).map(|(p, _)| p);
                     out.extend(gone.collect::<BTreeSet<_>>().into_iter().map(Action::Hangup));
                 }
-                // Nobody taps the events of a bridge's shard, and its
-                // one-shard router hands nothing off.
-                Action::App(_) => {}
+                // Nobody taps the events of a bridge's shard, its one-shard
+                // router hands nothing off, and a shard dials nowhere.
+                Action::App(_) | Action::Dial { .. } => {}
             }
         }
         for (node, agent, upstream) in self.south.take_stood() {
@@ -237,13 +234,19 @@ impl Bridge {
                         self.act(now, out, |_, api| api.unsubscribe_all(node));
                     }
                 }
+                // Re-tagged, so that the answer finds the agent that dialled.
+                (_, Action::Dial { tag, addr, after_ms }) => {
+                    self.last_tag += 1;
+                    self.dialling.insert(self.last_tag, (k, tag));
+                    out.push(Action::Dial { tag: self.last_tag, addr, after_ms });
+                }
                 (Some(node), Action::App(AgentOut::SetupDone { result, .. })) => {
                     if result.is_err() {
                         self.north.remove(&k);
                         self.south(Event::App(ShardIn::Disconnect(node)), now, out);
                     }
                 }
-                (_, Action::App(action)) => out.push(Action::App((k, action))),
+                (None, Action::App(done)) => out.push(Action::App(done)),
             }
         }
     }

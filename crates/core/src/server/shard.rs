@@ -14,7 +14,7 @@
 //! machine/driver split") tabulates every event and action.
 //!
 //! The E2 accept rule is the shard's too.  A connection a listener accepted
-//! ([`ShardIn::Accepted`]) must open with an E2 Setup request within
+//! ([`Event::Accepted`]) must open with an E2 Setup request within
 //! `RetryPolicy::setup_deadline_ms` of the shard's clock, or it is hung up;
 //! the request admits it on the shard the [`ShardRouter`] assigns its RAN
 //! entity to — this one, or another one, by a [`ShardOut::Handoff`] that
@@ -41,18 +41,11 @@ use super::{
     ServerStats, SubOutcome, MAX_CONSECUTIVE_DECODE_ERRORS,
 };
 
-/// What a shard is told beside frames, closes and ticks.
+/// What a shard is told beside frames, closes, accepted connections and
+/// ticks.
 pub enum ShardIn {
     /// The controller is starting: run the iApps' `on_start`.
     Start,
-    /// A listener accepted this connection.  Its first frame must be an E2
-    /// Setup request, within the setup deadline.
-    Accepted {
-        /// The connection.
-        peer: PeerId,
-        /// Transport description of the far end, for [`AgentInfo::peer`].
-        desc: String,
-    },
     /// A connection opened with this E2 Setup request and the router
     /// assigned its RAN entity to this shard: what a
     /// [`ShardOut::Handoff`] is carried out as.
@@ -527,11 +520,15 @@ impl Machine for Shard {
                 self.tick_procedures(now_ms, out);
                 self.for_all(|iapp, api| iapp.on_tick(api, now_ms));
             }
-            Event::App(ShardIn::Start) => self.for_all(|iapp, api| iapp.on_start(api)),
-            Event::App(ShardIn::Accepted { peer, desc }) => {
+            // Its first frame must be an E2 Setup request, within the
+            // setup deadline.
+            Event::Accepted(peer, desc) => {
                 let until = now_ms.saturating_add(self.setup_deadline_ms);
                 self.accepting.insert(peer, (until, desc));
             }
+            // A shard dials nowhere.
+            Event::Dialled(..) => {}
+            Event::App(ShardIn::Start) => self.for_all(|iapp, api| iapp.on_start(api)),
             Event::App(ShardIn::NewAgent { req, peer, desc }) => {
                 self.handle_new_agent(req, peer, desc, out)
             }

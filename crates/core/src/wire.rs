@@ -2,15 +2,16 @@
 //! what they are — state machines ([`crate::machine`]) — on one thread and
 //! one virtual clock, where `driver.rs` runs each on threads and sockets.
 //!
-//! [`Wire`] carries `Send` actions between them as `Frame` events, turns
-//! `Dial` into `Connected` / `DialFailed`, `Hangup` into the far end's
-//! `Closed` (and into silence at the near end: what is still on its way
-//! there is lost), and moves time a millisecond ([`Wire::advance`]) or a
-//! stride ([`Wire::stride`]) at a time, one tick per machine per step.
-//! What a controller accepts is told to its shard 0, and what a bridge
-//! accepts to its south shard ([`ShardIn::Accepted`]), as the driver tells
-//! them; a shard's [`ShardOut::Handoff`] moves the connection to the shard
-//! it names.  No rule of E2 lives here.  A script
+//! [`Wire`] carries out every machine's `Send`, `Hangup` and `Dial` in one
+//! place (`Wire::carry`): a `Send` reaches the far end as `Frame`, a
+//! `Hangup` as `Closed` (and as silence at the near end: what is still on
+//! its way there is lost), and a `Dial` is connected once its wait is over
+//! ([`Wire::settle`]), the listener told `Accepted` — a controller on its
+//! shard 0 — and the dialler `Dialled` under its tag.  Time moves a
+//! millisecond ([`Wire::advance`]) or a stride ([`Wire::stride`]) at a
+//! time, one tick per machine per step.  A shard's [`ShardOut::Handoff`]
+//! moves the connection to the shard it names.  No rule of E2 lives here.
+//! A script
 //! can drop, delay, hold back (reorder) or garble the next frames in either
 //! direction ([`Wire::faults`]), cut connections, stop and restart agents
 //! and controllers, and reach an iApp as the northbound does
@@ -26,8 +27,8 @@ use bytes::Bytes;
 use flexric_transport::{TransportAddr, WireMsg};
 
 use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, CtrlId, RanFunction};
-use crate::machine::{Action, Event, Machine, PeerId};
-use crate::relay::{Bridge, BridgeIn, NorthId};
+use crate::machine::{Action, DialTag, Event, Machine, PeerId};
+use crate::relay::Bridge;
 use crate::server::{
     IApp, ServerApi, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn, ShardOut, ShardRouter,
 };
@@ -41,11 +42,23 @@ pub enum End {
     B(usize, PeerId),
 }
 
-/// Who asked for a dial: agent `.0`, or bridge `.0`'s north agent `.1`.
-#[derive(Clone, Copy, Debug)]
-enum Dialer {
-    Agent(usize),
-    North(usize, NorthId),
+/// A machine on the wire: agent, controller or bridge `.0`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Host {
+    A(usize),
+    C(usize),
+    B(usize),
+}
+
+impl Host {
+    /// Its end of the connection it knows as `peer`.
+    fn end(self, peer: PeerId) -> End {
+        match self {
+            Host::A(i) => End::A(i, peer),
+            Host::C(c) => End::C(c, peer),
+            Host::B(b) => End::B(b, peer),
+        }
+    }
 }
 
 /// What the script does to the next frame crossing in one direction.
@@ -95,8 +108,8 @@ pub struct Wire {
     pub links: HashMap<End, End>,
     /// In flight: (due, order, to, a frame or the close).
     pub flights: Vec<(u64, u64, End, Option<WireMsg>)>,
-    /// Dials asked for: (due, who, its controller, address).
-    dials: Vec<(u64, Dialer, CtrlId, TransportAddr)>,
+    /// Dials waiting to connect: (due, who, its tag, address).
+    dials: Vec<(u64, Host, DialTag, TransportAddr)>,
     /// What happens to the next frames, per direction, and the frame
     /// [`Fault::Hold`] holds back.
     pub faults: [VecDeque<Fault>; 2],
@@ -109,10 +122,8 @@ pub struct Wire {
     pub connected_at: HashMap<usize, u64>,
     pub accepted_at: HashMap<usize, u64>,
     // What the machines asked for beside frames, for a script to read.
-    /// The agents' dials: (agent, controller, backoff).
-    pub dial_log: Vec<(usize, CtrlId, u64)>,
-    /// The bridges' north agents' dials: (north agent, backoff).
-    pub north_dials: Vec<(NorthId, u64)>,
+    /// Every dial: (who, its tag, backoff).
+    pub dial_log: Vec<(Host, DialTag, u64)>,
     pub setup_done: Vec<(usize, CtrlId, Result<(), String>)>,
     pub published: Vec<ServerEvent>,
     /// Indications agents sent, and those lost to the script, to a closed
@@ -128,19 +139,9 @@ impl Wire {
     pub fn agent(&mut self, i: usize, event: Event<AgentIn>) {
         let mut out = Vec::new();
         self.agents[i].handle(event, self.now, &mut out);
-        for action in out {
-            match action {
-                Action::Send(p, msg) => self.send(UP, End::A(i, p), msg),
-                Action::Hangup(p) => self.hangup(End::A(i, p)),
-                Action::App(AgentOut::Dial { ctrl, addr, after_ms }) => {
-                    self.dial_log.push((i, ctrl, after_ms));
-                    self.dials.push((self.now + after_ms, Dialer::Agent(i), ctrl, addr));
-                }
-                Action::App(AgentOut::SetupDone { ctrl, result }) => {
-                    self.setup_done.push((i, ctrl, result))
-                }
-            }
-        }
+        self.carry(Host::A(i), out, |w, AgentOut::SetupDone { ctrl, result }| {
+            w.setup_done.push((i, ctrl, result))
+        });
     }
 
     /// Hands shard `k` of controller `c` `event` and carries out what it
@@ -148,7 +149,7 @@ impl Wire {
     pub fn shard(&mut self, c: usize, k: usize, event: Event<ShardIn>) {
         let mut out = Vec::new();
         self.ctrls[c].shards[k].handle(event, self.now, &mut out);
-        self.carry(c, out);
+        self.carry(Host::C(c), out, |w, action| w.shard_out(c, action));
     }
 
     /// Runs `f` with the `A` of controller `c`'s shard `k`, as the
@@ -162,52 +163,58 @@ impl Wire {
     ) -> R {
         let mut out = Vec::new();
         let r = self.ctrls[c].shards[k].call(self.now, &mut out, f).expect("the shard runs an A");
-        self.carry(c, out);
+        self.carry(Host::C(c), out, |w, action| w.shard_out(c, action));
         self.settle();
         r
     }
 
-    /// Carries out what a shard of controller `c` asked for.
-    fn carry(&mut self, c: usize, out: Vec<Action<ShardOut>>) {
+    /// Carries out what machine `at` asked for, in order: sends, hangups
+    /// and dials here, its own actions by `own`.
+    fn carry<Y>(&mut self, at: Host, out: Vec<Action<Y>>, mut own: impl FnMut(&mut Self, Y)) {
         for action in out {
             match action {
-                Action::Send(p, msg) => self.send(DOWN, End::C(c, p), msg),
-                Action::Hangup(p) => self.hangup(End::C(c, p)),
-                Action::App(ShardOut::Publish(event)) => {
-                    if matches!(
-                        event,
-                        ServerEvent::AgentConnected(_) | ServerEvent::AgentReconnected(_)
-                    ) {
-                        self.accepted_at.insert(c, self.now);
-                    }
-                    self.published.push(event)
+                Action::Send(p, msg) => {
+                    let end = at.end(p);
+                    // Toward the controllers: an agent's, and a bridge's north.
+                    let up = matches!(at, Host::A(_))
+                        || matches!(self.links.get(&end), Some(End::C(..)));
+                    self.send(if up { UP } else { DOWN }, end, msg)
                 }
-                Action::App(ShardOut::Handoff { peer, shard, req, desc }) => {
-                    self.ctrls[c].shard_of.insert(peer, shard);
-                    self.shard(c, shard, Event::App(ShardIn::NewAgent { req, peer, desc }));
+                Action::Hangup(p) => self.hangup(at.end(p)),
+                Action::Dial { tag, addr, after_ms } => {
+                    self.dial_log.push((at, tag, after_ms));
+                    self.dials.push((self.now + after_ms, at, tag, addr));
                 }
+                Action::App(action) => own(self, action),
             }
         }
     }
 
-    /// Hands bridge `b` `event` and carries out what it asks for.
-    pub fn bridge(&mut self, b: usize, event: Event<BridgeIn>) {
-        let mut out = Vec::new();
-        self.bridges[b].handle(event, self.now, &mut out);
-        for action in out {
-            match action {
-                Action::Send(p, msg) => {
-                    let north = matches!(self.links.get(&End::B(b, p)), Some(End::C(..)));
-                    self.send(if north { UP } else { DOWN }, End::B(b, p), msg)
+    /// Carries out what a shard of controller `c` asked for of its own.
+    fn shard_out(&mut self, c: usize, action: ShardOut) {
+        match action {
+            ShardOut::Publish(event) => {
+                if matches!(
+                    event,
+                    ServerEvent::AgentConnected(_) | ServerEvent::AgentReconnected(_)
+                ) {
+                    self.accepted_at.insert(c, self.now);
                 }
-                Action::Hangup(p) => self.hangup(End::B(b, p)),
-                Action::App((k, AgentOut::Dial { ctrl, addr, after_ms })) => {
-                    self.north_dials.push((k, after_ms));
-                    self.dials.push((self.now + after_ms, Dialer::North(b, k), ctrl, addr));
-                }
-                Action::App(_) => {}
+                self.published.push(event)
+            }
+            ShardOut::Handoff { peer, shard, req, desc } => {
+                self.ctrls[c].shard_of.insert(peer, shard);
+                self.shard(c, shard, Event::App(ShardIn::NewAgent { req, peer, desc }));
             }
         }
+    }
+
+    /// Hands bridge `b` `event` and carries out what it asks for.  What its
+    /// own north agent asks for beside that is not logged.
+    pub fn bridge(&mut self, b: usize, event: Event<AgentIn>) {
+        let mut out = Vec::new();
+        self.bridges[b].handle(event, self.now, &mut out);
+        self.carry(Host::B(b), out, |_, _| {});
     }
 
     fn lose(&mut self, msg: &WireMsg) {
@@ -320,46 +327,43 @@ impl Wire {
         }
     }
 
-    /// Dials controller `c` at `mem:<c>` or bridge `b` at `mem:b<b>`.
-    fn connect(&mut self, from: Dialer, ctrl: CtrlId, addr: &TransportAddr) {
+    /// Carries out the dial `tag` of `from`: a controller at `mem:<c>` or a
+    /// bridge at `mem:b<b>` is told `Accepted` (a controller on its shard
+    /// 0), then `from` is told `Dialled`.
+    fn connect(&mut self, from: Host, tag: DialTag, addr: &TransportAddr) {
         let TransportAddr::Mem(name) = addr else { panic!("the wire dials mem:<index>") };
-        let (far, x): (fn(usize, PeerId) -> End, usize) = match name.strip_prefix('b') {
-            Some(b) => (End::B, b.parse().expect("bridge index")),
-            None => (End::C, name.parse().expect("controller index")),
+        let to = match name.strip_prefix('b') {
+            Some(b) => Host::B(b.parse().expect("bridge index")),
+            None => Host::C(name.parse().expect("controller index")),
         };
-        if matches!(far(x, 0), End::C(c, _) if !self.ctrls.get(c).is_some_and(|c| c.listening)) {
-            let error = "connection refused".to_owned();
-            return self.dialled(from, AgentIn::DialFailed { ctrl, error });
-        }
-        self.order += 2;
-        let (peer, far) = (self.order - 1, far(x, self.order));
-        let near = match from {
-            Dialer::Agent(i) => {
-                self.connected_at.insert(i, self.now);
-                End::A(i, peer)
+        let refused = matches!(to, Host::C(c) if !self.ctrls.get(c).is_some_and(|c| c.listening));
+        let result = if refused {
+            Err("connection refused".to_owned())
+        } else {
+            self.order += 2;
+            let (peer, p) = (self.order - 1, self.order);
+            self.links.insert(from.end(peer), to.end(p));
+            self.links.insert(to.end(p), from.end(peer));
+            // The listener's side is told first, as a driver's listener tells it.
+            match to {
+                Host::C(c) if !self.ctrls[c].silent => {
+                    self.ctrls[c].shard_of.insert(p, 0);
+                    self.shard(c, 0, Event::Accepted(p, format!("wire:{p}")));
+                }
+                Host::B(b) => self.bridge(b, Event::Accepted(p, format!("wire:{p}"))),
+                _ => {}
             }
-            Dialer::North(b, _) => End::B(b, peer),
+            Ok(peer)
         };
-        self.links.insert(near, far);
-        self.links.insert(far, near);
-        // The listener's side is told first, as a driver's listener tells it.
-        let accepted = |p: PeerId| ShardIn::Accepted { peer: p, desc: format!("wire:{p}") };
-        match far {
-            End::C(c, p) if !self.ctrls[c].silent => {
-                self.ctrls[c].shard_of.insert(p, 0);
-                self.shard(c, 0, Event::App(accepted(p)));
-            }
-            End::B(b, p) => self.bridge(b, Event::App(BridgeIn::South(accepted(p)))),
-            _ => {}
-        }
-        self.dialled(from, AgentIn::Connected { ctrl, peer });
-    }
-
-    /// Hands the answer to a dial to whoever asked for it.
-    fn dialled(&mut self, from: Dialer, answer: AgentIn) {
         match from {
-            Dialer::Agent(i) => self.agent(i, Event::App(answer)),
-            Dialer::North(b, k) => self.bridge(b, Event::App(BridgeIn::North(k, answer))),
+            Host::A(i) => {
+                if result.is_ok() {
+                    self.connected_at.insert(i, self.now);
+                }
+                self.agent(i, Event::Dialled(tag, result))
+            }
+            Host::B(b) => self.bridge(b, Event::Dialled(tag, result)),
+            Host::C(_) => unreachable!("a controller dials nowhere"),
         }
     }
 
@@ -371,8 +375,8 @@ impl Wire {
                 let (_, _, to, what) = self.flights.remove(at);
                 self.deliver(to, what);
             } else if let Some(at) = self.dials.iter().position(|d| d.0 <= self.now) {
-                let (_, from, ctrl, addr) = self.dials.remove(at);
-                self.connect(from, ctrl, &addr);
+                let (_, from, tag, addr) = self.dials.remove(at);
+                self.connect(from, tag, &addr);
             } else {
                 return;
             }
@@ -449,7 +453,7 @@ impl Wire {
         while let Some(end) = self.end_of(i) {
             self.hangup(end);
         }
-        self.dials.retain(|d| !matches!(d.1, Dialer::Agent(x) if x == i));
+        self.dials.retain(|d| d.1 != Host::A(i));
         self.agents[i] = Agent::new(self.agent_cfgs[i].clone(), Vec::new());
     }
 
@@ -472,7 +476,7 @@ impl Wire {
         self.bridges.push(bridge);
         let b = self.bridges.len() - 1;
         for addr in north {
-            self.bridge(b, Event::App(BridgeIn::North(None, AgentIn::AddController(addr))));
+            self.bridge(b, Event::App(AgentIn::AddController(addr)));
         }
         self.settle();
         b

@@ -43,7 +43,7 @@ impl Rig {
     pub fn connect(&mut self, now: u64) -> CtrlId {
         let addr = TransportAddr::Mem("unused".into());
         let out = self.handle(Event::App(AgentIn::AddController(addr)), now);
-        let [Action::App(AgentOut::Dial { ctrl, .. })] = out[..] else { panic!("{out:?}") };
+        let [Action::Dial { tag: ctrl, .. }] = out[..] else { panic!("{out:?}") };
         self.peers.push(0);
         self.reconnect(ctrl, now);
         ctrl
@@ -54,7 +54,7 @@ impl Rig {
     pub fn reconnect(&mut self, ctrl: CtrlId, now: u64) {
         let peer = self.peers.iter().max().unwrap() + 1;
         self.peers[ctrl] = peer;
-        let out = self.handle(Event::App(AgentIn::Connected { ctrl, peer }), now);
+        let out = self.handle(Event::Dialled(ctrl, Ok(peer)), now);
         let [E2apPdu::E2SetupRequest(req)] = &sent_to(&out, peer)[..] else { panic!("{out:?}") };
         let resp = E2apPdu::E2SetupResponse(E2SetupResponse {
             transaction_id: req.transaction_id,

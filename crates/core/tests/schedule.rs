@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 
 use flexric::agent::{
-    Admission, AgentCtx, AgentOut, CtrlId, Due, RanFunction, Subscription, SubscriptionInfo,
+    Admission, AgentCtx, CtrlId, Due, RanFunction, Subscription, SubscriptionInfo,
 };
 use flexric::machine::{Action, Event};
 use flexric::report::ReportStream;
@@ -302,7 +302,7 @@ fn a_lost_controller_takes_its_subscriptions_and_their_state() {
 
     // Controller 0's connection ends: hung up on, redialled, forgotten.
     let out = rig.handle(Event::Closed(rig.peers[0]), 15);
-    assert!(matches!(out[..], [Action::Hangup(_), Action::App(AgentOut::Dial { ctrl: 0, .. })]));
+    assert!(matches!(out[..], [Action::Hangup(_), Action::Dial { tag: 0, .. }]));
     assert_eq!(rig.agent.stats().active_subs, 1);
     assert_eq!(*ended.lock().unwrap(), [(0, 1)], "the function was told (ClockFn has no hook)");
     let inds = rig.tick(20);

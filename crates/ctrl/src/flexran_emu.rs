@@ -138,7 +138,8 @@ pub struct FlexranCounters {
 
 /// The FlexRAN controller: asks every agent that connects for statistics,
 /// ingests what it reports into the [`Rib`], answers echoes, and polls the
-/// RIB on every tick.  Told of each new agent link (`Event::App(peer)`).
+/// RIB on every tick.  Each agent link it accepts is told as
+/// `Event::Accepted`.
 #[derive(Debug, Default)]
 pub struct FlexranCtrl {
     stats_period_ms: u32,
@@ -161,7 +162,7 @@ impl FlexranCtrl {
     /// Binds the south-bound listener at `addr` and runs the controller on
     /// the driver, polling every millisecond.
     pub fn spawn(self, addr: &TransportAddr) -> io::Result<MachineHandle<Self>> {
-        spawn_machine(self, Links::Listen(addr.clone()), |peer| peer, Some(1))
+        spawn_machine(self, Links::Listen(addr.clone()), Some(1))
     }
 
     /// The polling application: walks every UE of every BS looking for
@@ -221,13 +222,12 @@ impl FlexranCtrl {
 }
 
 impl Machine for FlexranCtrl {
-    /// A new agent link.
-    type In = PeerId;
+    type In = Infallible;
     type Out = Infallible;
 
-    fn handle(&mut self, event: Event<PeerId>, _now_ms: u64, out: &mut Vec<Action<Infallible>>) {
+    fn handle(&mut self, event: Event<Self::In>, _now_ms: u64, out: &mut Vec<Action<Self::Out>>) {
         match event {
-            Event::App(peer) => {
+            Event::Accepted(peer, _) => {
                 self.agents.insert(peer);
                 // Ask for statistics at once (FlexRAN's stats request config).
                 let period = field1(self.stats_period_ms as u64);
@@ -246,7 +246,8 @@ impl Machine for FlexranCtrl {
                 }
             }
             Event::Tick => self.poll(),
-            Event::Frame(..) => {}
+            Event::Frame(..) | Event::Dialled(..) => {}
+            Event::App(never) => match never {},
         }
     }
 }
@@ -262,11 +263,9 @@ pub struct FlexranSnapshot {
     pub pdcp: PdcpStatsInd,
 }
 
-/// What a [`FlexranNode`] is told beside its frames.
+/// What a [`FlexranNode`] is told beside its frames and its link.
 #[derive(Debug)]
 pub enum NodeIn {
-    /// Its link to the controller is up.
-    Linked(PeerId),
     /// Send an echo request with this payload.
     Echo(Bytes),
 }
@@ -308,7 +307,7 @@ impl FlexranNode {
         ctrl: &TransportAddr,
         tick_ms: Option<u64>,
     ) -> io::Result<MachineHandle<Self>> {
-        spawn_machine(self, Links::Dial(ctrl.clone()), NodeIn::Linked, tick_ms)
+        spawn_machine(self, Links::Dial(ctrl.clone()), tick_ms)
     }
 
     fn send(&self, kind: u32, body: &[u8], out: &mut Vec<Action<Infallible>>) {
@@ -340,7 +339,7 @@ impl Machine for FlexranNode {
 
     fn handle(&mut self, event: Event<NodeIn>, now_ms: u64, out: &mut Vec<Action<Infallible>>) {
         match event {
-            Event::App(NodeIn::Linked(peer)) => {
+            Event::Dialled(_, Ok(peer)) => {
                 self.link = Some(peer);
                 self.send(msg_type::HELLO, &field1(1), out);
             }
@@ -364,7 +363,7 @@ impl Machine for FlexranNode {
                 out.push(Action::Hangup(peer));
             }
             Event::Tick => self.tick(now_ms, out),
-            Event::Frame(..) | Event::Closed(_) => {}
+            Event::Frame(..) | Event::Closed(_) | Event::Accepted(..) | Event::Dialled(..) => {}
         }
     }
 }
@@ -451,7 +450,7 @@ mod tests {
             let bearers = vec![RlcBearerStats::default(); (reports % 2) as usize];
             FlexranSnapshot { rlc: RlcStatsInd { tstamp_ms: now, bearers }, ..mac_only(now) }
         });
-        assert_eq!(kinds(feed(&mut node, Event::App(NodeIn::Linked(7)), 0)), [HELLO]);
+        assert_eq!(kinds(feed(&mut node, Event::Dialled(0, Ok(7)), 0)), [HELLO]);
         assert!((0..20).all(|t| feed(&mut node, Event::Tick, t).is_empty()), "unasked");
         let ask = wrap(STATS_REQUEST, &field1(10)).payload;
         assert!(feed(&mut node, Event::Frame(7, ask), 23).is_empty());
@@ -474,7 +473,7 @@ mod tests {
     fn the_controller_asks_answers_echoes_and_polls_once_per_tick() {
         use msg_type::*;
         let mut ctrl = FlexranCtrl::new(5);
-        let sent = feed(&mut ctrl, Event::App(3), 0);
+        let sent = feed(&mut ctrl, Event::Accepted(3, "mem:3".into()), 0);
         assert_eq!(sent, [(3, STATS_REQUEST, Bytes::from(field1(5)))]);
         let echo = wrap(ECHO_REQUEST, b"ping").payload;
         assert_eq!(

@@ -54,8 +54,8 @@ fn chan_msg(payload: &Bytes) -> Option<(String, Bytes)> {
     Some((std::str::from_utf8(channel).ok()?.to_owned(), payload.slice_ref(msg)))
 }
 
-/// The broker: who is connected, and who is subscribed to what.  Told of
-/// each new client link (`Event::App(peer)`).
+/// The broker: who is connected, and who is subscribed to what.  Each
+/// client link it accepts is told as `Event::Accepted`.
 #[derive(Debug, Default)]
 pub struct Broker {
     clients: HashSet<PeerId>,
@@ -70,7 +70,7 @@ impl Broker {
     /// connected [`BrokerClient`]s see the connection drop and reconnect.
     pub fn spawn(addr: &str) -> io::Result<MachineHandle<Broker>> {
         let addr = Links::Listen(TransportAddr::parse(addr)?);
-        spawn_machine(Broker::default(), addr, |peer| peer, None)
+        spawn_machine(Broker::default(), addr, None)
     }
 
     /// Forgets `peer` and hangs up on it, once.
@@ -106,18 +106,18 @@ impl Broker {
 }
 
 impl Machine for Broker {
-    /// A new client link.
-    type In = PeerId;
+    type In = Infallible;
     type Out = Infallible;
 
-    fn handle(&mut self, event: Event<PeerId>, _now_ms: u64, out: &mut Vec<Action<Infallible>>) {
+    fn handle(&mut self, event: Event<Self::In>, _now_ms: u64, out: &mut Vec<Action<Self::Out>>) {
         match event {
-            Event::App(peer) => _ = self.clients.insert(peer),
+            Event::Accepted(peer, _) => _ = self.clients.insert(peer),
             Event::Frame(peer, payload) if self.clients.contains(&peer) => {
                 self.frame(peer, payload, out)
             }
             Event::Closed(peer) => self.forget(peer, out),
-            Event::Frame(..) | Event::Tick => {}
+            Event::Frame(..) | Event::Dialled(..) | Event::Tick => {}
+            Event::App(never) => match never {},
         }
     }
 }
@@ -229,7 +229,7 @@ mod tests {
     // -- The machine, fed events -------------------------------------------
 
     /// Hands the broker one event and returns what it answers.
-    fn feed(broker: &mut Broker, event: Event<PeerId>) -> Vec<Action<Infallible>> {
+    fn feed(broker: &mut Broker, event: Event<Infallible>) -> Vec<Action<Infallible>> {
         let mut out = Vec::new();
         broker.handle(event, 0, &mut out);
         out
@@ -239,7 +239,7 @@ mod tests {
     fn broker_of(n: PeerId) -> Broker {
         let mut broker = Broker::default();
         for peer in 1..=n {
-            assert!(feed(&mut broker, Event::App(peer)).is_empty());
+            assert!(feed(&mut broker, Event::Accepted(peer, format!("mem:{peer}"))).is_empty());
         }
         broker
     }

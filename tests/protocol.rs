@@ -646,6 +646,61 @@ fn relayed_outcomes_equal_direct_outcomes() {
     assert_eq!(relay.stats().reconnects, 1, "the relay rebound the agent");
 }
 
+/// Node 1 sets up, its link toward the controller drops, and node 2 sets
+/// up while the redial waits out its backoff: on the relay the upstream
+/// answers the two mirrors' dials in the other order than they were asked.
+/// Returns the wire, what the controller's iApp saw when node 2 had set up
+/// and at the end, and the nodes behind the controller's live links then.
+fn crossed_dials(relayed: bool) -> (Wire, Seen, Seen, Vec<GlobalE2NodeId>) {
+    let mut w = Wire::default();
+    let app = w.start_ctrl(0, 1, true);
+    let at = if relayed { bridge_addr(start_relay(&mut w, 0)) } else { addr(0) };
+    let a = w.start_agent_at(1, Some(BACKOFF), std::slice::from_ref(&at));
+    w.advance(5);
+    if relayed {
+        w.cut_at(w.north_end_of(0), 0)
+    } else {
+        w.cut(a, 0)
+    }
+    w.advance(1);
+    w.start_agent_at(2, Some(BACKOFF), &[at]);
+    w.advance(2);
+    let early = std::mem::take(&mut *app.lock().unwrap());
+    w.advance(Backoff::default().initial_ms.max(BACKOFF.initial_ms) + 5);
+    let late = std::mem::take(&mut *app.lock().unwrap());
+    let live: Vec<String> = (w.links.keys())
+        .filter_map(|e| match e {
+            End::C(_, p) => Some(format!("wire:{p}")),
+            _ => None,
+        })
+        .collect();
+    let agents = w.ctrls[0].shards[0].agents().into_iter();
+    let mut nodes: Vec<_> = agents.filter(|a| live.contains(&a.peer)).map(|a| a.node).collect();
+    nodes.sort_by_key(|n| n.node_id);
+    (w, early, late, nodes)
+}
+
+/// Each answer to a mirror's dial binds the mirror that dialled, although
+/// the upstream answers them in another order than they were asked: node
+/// 2's mirror is up while node 1's still waits, node 1's comes back on its
+/// own redial, and the controller ends with the links, calls and
+/// subscriptions of the same script run without the relay.
+#[test]
+fn each_dial_answer_binds_the_mirror_that_dialled() {
+    let node = |id| GlobalE2NodeId::new(Plmn::TEST, E2NodeType::Gnb, id);
+    let (_, early, late, nodes) = crossed_dials(false);
+    assert_eq!(nodes, [node(1), node(2)], "both nodes linked to the controller");
+    let (w, relayed_early, relayed_late, relayed_nodes) = crossed_dials(true);
+    assert_eq!(relayed_early.calls, early.calls, "node 2's mirror up before node 1's is back");
+    assert_eq!(relayed_early.reconnected, 0, "node 1's mirror is not back yet");
+    assert_eq!(relayed_late.reconnected, 1, "node 1's mirror is back, on its own redial");
+    assert_eq!(relayed_late.calls, late.calls, "its replayed subscription admitted");
+    assert_eq!(relayed_nodes, nodes, "the same links as without the relay");
+    let mirrors = w.dial_log.iter().filter(|d| d.0 == Host::B(0));
+    let tags: HashSet<usize> = mirrors.map(|d| d.1).collect();
+    assert_eq!(tags.len(), 3, "every dial of the bridge's went out under a tag of its own");
+}
+
 /// A bridge's accept path decodes a setup request with the bridge's own
 /// codec: a PER node below a PER relay sets up, and so does its mirror.
 #[test]
@@ -684,7 +739,8 @@ fn a_relay_that_loses_its_upstream_redials_and_drops_what_it_forwarded() {
     assert_eq!(w.agents[a].stats().active_subs, 0, "the lost link's subscription is deleted below");
     assert_eq!(w.bridges[r].stats().subs, 0);
     let redial = Backoff::default().initial_ms;
-    let dials: Vec<u64> = w.north_dials.iter().map(|d| d.1).collect();
+    let mirror = w.dial_log.iter().filter(|d| d.0 == Host::B(r));
+    let dials: Vec<u64> = mirror.map(|d| d.2).collect();
     assert_eq!(dials, [0, redial], "the mirror redials under its backoff");
 
     w.advance(redial + 5);
@@ -1088,7 +1144,7 @@ fn silent_controller_fails_the_first_setup_with_a_timeout() {
     assert!(w.hung.contains(&near), "the mute connection is hung up on");
     // A controller that was never up is not redialled.
     w.advance(500);
-    assert_eq!(w.dial_log, [(a, 0, 0)]);
+    assert_eq!(w.dial_log, [(Host::A(a), 0, 0)]);
 }
 
 /// The same controller met on a *re*dial: every timed-out setup hangs up
