@@ -77,7 +77,7 @@ fn run(secs: u64, with_xapp: bool) -> (Vec<Sample>, Vec<(u64, u64)>) {
         // Full control loop: broker + controller (stats forwarder + TC
         // manager) + REST + bloat-guard xApp.
         let broker = Broker::spawn("127.0.0.1:0").expect("broker");
-        let broker_addr = broker.addr.to_string();
+        let broker_addr = broker.addrs[0].to_string();
         let sm = SmCodec::Flatb;
         let fwd = StatsForwarderApp::new(
             sm,

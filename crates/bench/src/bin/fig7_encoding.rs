@@ -79,7 +79,7 @@ fn flexran_combo(payload: usize, pings: usize) -> (f64, f64, f64, f64) {
     let ctrl = FlexranCtrl::new(1000).spawn(&TransportAddr::parse("127.0.0.1:0").unwrap()).unwrap();
     let node = FlexranNode::new(|_| Default::default());
     let (echo_rx, tx_bytes) = (node.echo_rx.clone(), node.tx_bytes.clone());
-    let agent = node.spawn(&ctrl.addr, None).unwrap();
+    let agent = node.spawn(&ctrl.addrs[0], None).unwrap();
     // Payload carries the send timestamp in its first 8 bytes.
     let t0 = std::time::Instant::now();
     let mut sent = 0usize;

@@ -76,9 +76,9 @@ pub struct AgentConfig {
     /// controller that sees all UEs.
     pub controllers: Vec<TransportAddr>,
     /// Internal tick period in milliseconds; `None` means the embedder
-    /// drives time explicitly through [`AgentHandle::tick`] (virtual-time
-    /// simulations) — procedure deadlines, E2 Setup's included, then only
-    /// advance with those ticks.
+    /// drives time explicitly through [`Handle::tick`](crate::Handle::tick)
+    /// (virtual-time simulations) — procedure deadlines, E2 Setup's
+    /// included, then only advance with those ticks.
     pub tick_ms: Option<u64>,
     /// Deadlines and retransmission budget for tracked procedures.
     pub retry: RetryPolicy,

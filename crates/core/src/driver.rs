@@ -1,18 +1,19 @@
 //! The driver: the one file of this crate that names threads, sockets and
 //! the wall clock.
 //!
-//! [`Agent`], [`Shard`] and [`Bridge`] are state machines
-//! ([`crate::machine`]): they decide everything and touch nothing.  This
-//! file does the touching, once, for all three — and, through
-//! [`spawn_machine`], for any machine that asks for nothing but sends,
-//! hangups and dials (outside this crate: FlexRAN's controller and agent,
-//! the pub/sub broker).  One [`Loop`] per machine runs on a thread of its own,
-//! blocks in one place — an `epoll` wait ([`flexric_transport::poll`])
-//! until the next tick — and owns
+//! Machines ([`crate::machine`]) decide everything and touch nothing.  This
+//! file does the touching, once, for any of them — [`Agent`], [`Shard`],
+//! [`Bridge`] and, outside this crate, FlexRAN's controller and agent and
+//! the pub/sub broker.  [`spawn_machine`] runs N machines of one kind
+//! behind one [`Handle`]; [`AgentHandle`], [`ServerHandle`] (a loop per
+//! shard) and [`BridgeHandle`] are its names for the SDK's own.  Each
+//! machine gets a [`Loop`] on a thread of its own, which blocks in one
+//! place — an `epoll` wait ([`flexric_transport::poll`]) until the next
+//! tick — and owns
 //!
 //! * the machine's input queue (a `std::sync::mpsc` channel plus the
-//!   poller's waker: ticks and work sent by the public handle, readiness of
-//!   its mem connections, connects that finished, connections another loop
+//!   poller's waker: ticks and work sent by the handle, readiness of its
+//!   mem connections, connects that finished, connections a sibling loop
 //!   handed over);
 //! * its connections, read one way: per [`PeerId`] a non-blocking TCP
 //!   socket the poller reports ready, or a mem connection its arrival
@@ -26,15 +27,18 @@
 //!   listeners accept is attached and told as `Accepted`
 //!   ([`Loop::accepted`]); an `Action::Dial` connects once the clock has
 //!   moved its wait on and is answered as `Dialled` under the machine's
-//!   tag ([`Loop::step`], [`Loop::tick`]);
+//!   tag ([`Loop::step`], [`Loop::tick`]); an `Action::Handoff` moves a
+//!   connection, with what was not yet read of it, to the sibling loop it
+//!   names, which tells its machine `Accepted` and the first frame and
+//!   reads on at once ([`Loop::hand_off`]);
 //! * the clock: `now_ms` only moves on a tick — the wait running out in
-//!   real time, [`AgentHandle::tick`] / [`ServerHandle::tick`]'s in virtual
-//!   time — and every event is handed over with it;
-//! * the machine's own actions ([`Drive::act`]): the first setup's outcome
-//!   for whoever added a controller to an agent or a bridge; event
-//!   publication and handoffs for a shard — a handoff moves a connection,
-//!   with what was read of it, to the loop of the shard that admits it,
-//!   which reads on at once.
+//!   real time, [`Handle::tick`]'s in virtual time — and every event is
+//!   handed over with it.
+//!
+//! Every other action is the machine's output, which the loop publishes to
+//! the handle's subscribers ([`Handle::events`]) and does not read: a
+//! shard's [`ServerEvent`](crate::server::ServerEvent)s, an agent's setup outcomes, which
+//! [`AgentHandle::add_controller`] subscribes to and waits on.
 //!
 //! The only other thread is a dial's: std has no non-blocking `connect`,
 //! so the connect alone runs on a short-lived thread of its own.
@@ -47,16 +51,16 @@
 //! things shut down in.
 
 use std::collections::{HashMap, VecDeque};
-use std::convert::Infallible;
 use std::fmt;
 use std::io;
 use std::net::Shutdown;
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::{self, SendError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use flexric_transport::mem::{MemRecvHalf, MemSendHalf};
 use flexric_transport::poll::{self, Poller, Waker};
 use flexric_transport::tcp::TcpConn;
@@ -66,8 +70,7 @@ use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, AgentStats, CtrlId, Ra
 use crate::machine::{Action, DialTag, Event, Machine, PeerId};
 use crate::relay::Bridge;
 use crate::server::{
-    AgentInfo, IApp, Server, ServerApi, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn,
-    ShardOut, ShardRouter,
+    AgentInfo, IApp, Server, ServerApi, ServerConfig, ServerStats, Shard, ShardIn, ShardRouter,
 };
 
 // ---------------------------------------------------------------------------
@@ -168,21 +171,11 @@ enum Conn {
 // The event loop
 // ---------------------------------------------------------------------------
 
-/// A machine this file can run: [`Machine::handle`] plus how its own
-/// actions are carried out.
-trait Drive: Machine<In: Send + 'static, Out: Send + 'static> + Send + Sized + 'static {
-    /// Driver-side state those actions need.
-    type Port: Send + 'static;
-
-    /// Carries out one [`Action::App`].
-    fn act(lp: &mut Loop<Self>, action: Self::Out);
-}
-
 /// Work for the loop thread itself.
 type Work<M> = Box<dyn FnOnce(&mut Loop<M>) + Send>;
 
 /// What arrives on a loop's queue.
-enum In<M: Drive> {
+enum In<M: Machine> {
     Event(Event<M::In>),
     /// The clock reads this many milliseconds.
     Tick(u64),
@@ -193,18 +186,18 @@ enum In<M: Drive> {
 }
 
 /// A loop's queue, and the waker that interrupts the loop's wait.
-struct Tx<M: Drive> {
+struct Tx<M: Machine> {
     queue: mpsc::Sender<In<M>>,
     waker: Arc<Waker>,
 }
 
-impl<M: Drive> Clone for Tx<M> {
+impl<M: Machine> Clone for Tx<M> {
     fn clone(&self) -> Self {
         Tx { queue: self.queue.clone(), waker: self.waker.clone() }
     }
 }
 
-impl<M: Drive> Tx<M> {
+impl<M: Machine> Tx<M> {
     fn send(&self, input: In<M>) -> Result<(), SendError<In<M>>> {
         self.queue.send(input)?;
         self.waker.wake();
@@ -219,12 +212,21 @@ const INPUTS_PER_ROUND: usize = 256;
 /// Stack of a dial's thread: it only connects.
 const DIAL_STACK: usize = 128 * 1024;
 
+/// Most outputs a subscriber of [`Handle::events`] can be behind.
+const EVENT_LAG: usize = 1024;
+
+/// The subscribers of a handle's output.
+type Subscribers<Y> = Arc<Mutex<Vec<SyncSender<Y>>>>;
+
 /// One machine, its sockets and its clock.
-struct Loop<M: Drive> {
+struct Loop<M: Machine> {
     machine: M,
-    port: M::Port,
     /// This loop's own queue, for what its sockets and threads hand in.
     tx: Tx<M>,
+    /// Every loop of the handle, by index: where a handoff goes.
+    siblings: Vec<Tx<M>>,
+    /// Where the machine's output goes.
+    subs: Subscribers<M::Out>,
     poller: Poller,
     conns: HashMap<PeerId, Conn>,
     /// TCP connections sent to since their last write.
@@ -238,15 +240,16 @@ struct Loop<M: Drive> {
     actions: Vec<Action<M::Out>>,
 }
 
-impl<M: Drive> Loop<M> {
-    fn new(machine: M, port: M::Port) -> io::Result<(Self, mpsc::Receiver<In<M>>)> {
+impl<M: Machine<In: Send, Out: Send> + 'static> Loop<M> {
+    fn new(machine: M, subs: Subscribers<M::Out>) -> io::Result<(Self, mpsc::Receiver<In<M>>)> {
         let poller = Poller::new()?;
         let (queue, rx) = mpsc::channel();
         let tx = Tx { queue, waker: poller.waker() };
         let lp = Loop {
             machine,
-            port,
             tx,
+            siblings: Vec::new(),
+            subs,
             poller,
             conns: HashMap::new(),
             unwritten: Vec::new(),
@@ -330,6 +333,26 @@ impl<M: Drive> Loop<M> {
         }
     }
 
+    /// Moves `peer`'s connection, with what is still unread or unwritten
+    /// of it, to sibling loop `to`, whose machine is told `Accepted` and
+    /// then `Frame(first)` and which reads on at once.  This machine hears
+    /// nothing more of `peer`.
+    fn hand_off(&mut self, peer: PeerId, to: usize, desc: String, first: Bytes) {
+        let Some(conn) = self.conns.remove(&peer) else { return };
+        if let Conn::Tcp(out) = &conn {
+            self.poller.remove(out.conn.socket().as_raw_fd());
+        }
+        let Some(sibling) = self.siblings.get(to) else { return };
+        let _ = sibling.send(In::With(Box::new(move |lp| {
+            if let Ok(peer) = lp.adopt(conn) {
+                lp.unwritten.push(peer);
+                lp.feed(Event::Accepted(peer, desc));
+                lp.feed(Event::Frame(peer, first));
+                lp.receive(peer);
+            }
+        })));
+    }
+
     /// Hands what `peer` sent to the machine, frame by frame, until the
     /// next read would block; a connection that ended is closed and
     /// reported.  Each frame is handled before the next read, so a read
@@ -401,6 +424,30 @@ impl<M: Drive> Loop<M> {
         }
     }
 
+    /// Binds `addr`, whose connections this loop attaches and tells its
+    /// machine as `Accepted`; returns the address bound (an ephemeral port
+    /// resolved).
+    fn listen(&mut self, addr: &TransportAddr) -> io::Result<TransportAddr> {
+        let mut l = listen(addr)?;
+        let bound = l.local_addr()?;
+        // Counted down from below the waker's, so the first link is peer 1.
+        let token = u64::MAX - 1 - self.listeners.len() as u64;
+        match &mut l {
+            Listener::Tcp(l) => {
+                l.set_nonblocking(true)?;
+                self.poller.add(l.as_raw_fd(), token, poll::READ)?;
+            }
+            Listener::Mem(l) => {
+                let tx = self.tx.clone();
+                l.serve(Box::new(move |conn| {
+                    let _ = tx.send(In::With(Box::new(|lp| lp.accepted(Transport::Mem(conn)))));
+                }));
+            }
+        }
+        self.listeners.push((token, l));
+        Ok(bound)
+    }
+
     /// Attaches a connection a listener of this loop accepted and tells
     /// the machine `Accepted`.
     fn accepted(&mut self, transport: Transport) {
@@ -439,7 +486,7 @@ impl<M: Drive> Loop<M> {
     }
 
     /// Runs `f` on the machine at the clock's reading and carries out the
-    /// actions it answers.
+    /// actions it answers; its output is published.
     fn step<R>(&mut self, f: impl FnOnce(&mut M, u64, &mut Vec<Action<M::Out>>) -> R) -> R {
         let mut actions = std::mem::take(&mut self.actions);
         let r = f(&mut self.machine, self.now_ms, &mut actions);
@@ -451,7 +498,8 @@ impl<M: Drive> Loop<M> {
                 Action::Dial { tag, addr, after_ms } => {
                     self.dials.push((self.now_ms + after_ms, tag, addr))
                 }
-                Action::App(action) => M::act(self, action),
+                Action::Handoff { peer, to, desc, first } => self.hand_off(peer, to, desc, first),
+                Action::App(output) => publish(&self.subs, &output),
             }
         }
         self.actions = actions;
@@ -514,8 +562,16 @@ impl<M: Drive> Loop<M> {
                 self.ready(r);
             }
         }
-        // Dropping `self` closes the listeners and the connections.
+        // Dropping `self` closes the listeners and the connections, and
+        // with the last loop the subscribers' streams end.
     }
+}
+
+/// Offers `output` to every subscriber.  One that is `EVENT_LAG` behind
+/// misses it; one that is gone is forgotten.
+fn publish<Y: Clone>(subs: &Subscribers<Y>, output: &Y) {
+    lock(subs)
+        .retain(|sub| !matches!(sub.try_send(output.clone()), Err(TrySendError::Disconnected(_))));
 }
 
 /// Locks one of the driver's lists.  Each is only ever pushed to, drained
@@ -529,7 +585,7 @@ fn stopped() -> io::Error {
 }
 
 /// Asks the loop behind `tx` to run `f` and send back what it returns.
-fn ask<M: Drive, R: Send + 'static>(
+fn ask<M: Machine, R: Send + 'static>(
     tx: &Tx<M>,
     f: impl FnOnce(&mut Loop<M>) -> R + Send + 'static,
 ) -> io::Result<mpsc::Receiver<R>> {
@@ -544,31 +600,14 @@ fn ask<M: Drive, R: Send + 'static>(
 /// The loops behind a handle and all its clones.  They are stopped by
 /// `stop()`, or when the last clone of the handle goes: a loop nobody can
 /// reach any more would tick for ever.
-struct Running<M: Drive> {
+struct Running<M: Machine> {
     loops: Vec<Tx<M>>,
+    /// The loops' subscribers, while a loop lives.
+    subs: Weak<Mutex<Vec<SyncSender<M::Out>>>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl<M: Drive> Running<M> {
-    /// Starts one thread per `(loop, queue)` pair.
-    fn start(
-        name: &str,
-        loops: Vec<(Loop<M>, mpsc::Receiver<In<M>>)>,
-        tick_ms: Option<u64>,
-    ) -> io::Result<Running<M>> {
-        let running = Running {
-            loops: loops.iter().map(|(lp, _)| lp.tx.clone()).collect(),
-            threads: Mutex::new(Vec::new()),
-        };
-        for (lp, rx) in loops {
-            // An error here drops `running`, which stops what was started.
-            let thread =
-                thread::Builder::new().name(name.to_owned()).spawn(move || lp.run(rx, tick_ms))?;
-            lock(&running.threads).push(thread);
-        }
-        Ok(running)
-    }
-
+impl<M: Machine> Running<M> {
     /// Stops every loop and waits for its thread, so its listeners and
     /// connections are closed — the addresses can be bound again — when
     /// this returns.  Idempotent.
@@ -587,84 +626,177 @@ impl<M: Drive> Running<M> {
     }
 }
 
-impl<M: Drive> Drop for Running<M> {
+impl<M: Machine> Drop for Running<M> {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
 // ---------------------------------------------------------------------------
-// Listening, for every machine that does
+// The handle
 // ---------------------------------------------------------------------------
 
-/// Binds `addrs` on `lp`, which tells its machine what they accept;
-/// returns the addresses bound (ephemeral ports resolved).
-fn listen_on<M: Drive>(
-    lp: &mut Loop<M>,
-    addrs: &[TransportAddr],
-) -> io::Result<Vec<TransportAddr>> {
-    let mut bound = Vec::new();
-    for addr in addrs {
-        let mut l = listen(addr)?;
-        bound.push(l.local_addr()?);
-        // Counted down from below the waker's, so the first link is peer 1.
-        let token = u64::MAX - 1 - lp.listeners.len() as u64;
-        match &mut l {
-            Listener::Tcp(l) => {
-                l.set_nonblocking(true)?;
-                lp.poller.add(l.as_raw_fd(), token, poll::READ)?;
+/// Where [`spawn_machine`] gets a handle's first links, all on its first
+/// loop.
+#[derive(Debug, Clone)]
+pub enum Links {
+    /// Every connection accepted at this address, told as `Accepted`.
+    Listen(TransportAddr),
+    /// One connection, dialled before the spawn returns and told as
+    /// `Dialled(0, Ok(peer))`.
+    Dial(TransportAddr),
+}
+
+/// Runs each of `machines` (at least one) on a loop and a thread of its
+/// own, on `tick_ms`'s clock (`None`: only [`Handle::tick`] moves it),
+/// siblings that can hand connections to each other by their index in
+/// `machines`.  The first loop gets `links`.  A dial that fails, or a
+/// listener that cannot be bound, fails the spawn.
+pub fn spawn_machine<M: Machine<In: Send, Out: Send> + Send + 'static>(
+    machines: Vec<M>,
+    links: Vec<Links>,
+    tick_ms: Option<u64>,
+) -> io::Result<Handle<M>> {
+    let subs = Subscribers::default();
+    let mut loops = Vec::with_capacity(machines.len());
+    for machine in machines {
+        loops.push(Loop::new(machine, subs.clone())?);
+    }
+    let siblings: Vec<Tx<M>> = loops.iter().map(|(lp, _)| lp.tx.clone()).collect();
+    loops.iter_mut().for_each(|(lp, _)| lp.siblings = siblings.clone());
+    let mut addrs = Vec::with_capacity(links.len());
+    for link in links {
+        addrs.push(match link {
+            Links::Listen(addr) => loops[0].0.listen(&addr)?,
+            Links::Dial(addr) => {
+                let transport = connect(&addr)?;
+                loops[0].0.dialled(0, Ok(transport));
+                addr
             }
-            Listener::Mem(l) => {
-                let tx = lp.tx.clone();
-                l.serve(Box::new(move |conn| {
-                    let _ = tx.send(In::With(Box::new(|lp| lp.accepted(Transport::Mem(conn)))));
-                }));
-            }
+        });
+    }
+    let running =
+        Running { loops: siblings, subs: Arc::downgrade(&subs), threads: Mutex::new(Vec::new()) };
+    // "flexric-agent", "flexric-shard", …: one name per kind of machine.
+    let kind = std::any::type_name::<M>().rsplit("::").next().unwrap_or("loop");
+    let name = format!("flexric-{}", kind.to_lowercase());
+    for (lp, rx) in loops {
+        // An error here drops `running`, which stops what was started.
+        let thread =
+            thread::Builder::new().name(name.clone()).spawn(move || lp.run(rx, tick_ms))?;
+        lock(&running.threads).push(thread);
+    }
+    Ok(Handle { running: Arc::new(running), addrs })
+}
+
+/// Handle to machines run by [`spawn_machine`].  They stop when
+/// [`stop`](Self::stop) is called or the last clone of the handle is
+/// dropped.
+pub struct Handle<M: Machine> {
+    running: Arc<Running<M>>,
+    /// The first loop's links: each address listened on (an ephemeral port
+    /// resolved) or dialled, in the order given.
+    pub addrs: Vec<TransportAddr>,
+}
+
+impl<M: Machine> Clone for Handle<M> {
+    fn clone(&self) -> Self {
+        Handle { running: self.running.clone(), addrs: self.addrs.clone() }
+    }
+}
+
+impl<M: Machine> fmt::Debug for Handle<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Handle").field("addrs", &self.addrs).finish_non_exhaustive()
+    }
+}
+
+impl<M: Machine<In: Send, Out: Send> + 'static> Handle<M> {
+    /// Hands the first loop's machine `Event::App(event)`.
+    pub fn send(&self, event: M::In) {
+        let _ = self.running.loops[0].send(In::Event(Event::App(event)));
+    }
+
+    /// Runs `f` on the first loop's machine at its clock's reading, carries
+    /// out the actions `f` appends, and returns what `f` returns.  Blocks
+    /// until then, so the machine must not call it.
+    pub fn with<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut M, u64, &mut Vec<Action<M::Out>>) -> R + Send + 'static,
+    ) -> io::Result<R> {
+        ask(&self.running.loops[0], |lp| lp.step(f))?.recv().map_err(|_| stopped())
+    }
+
+    /// Asks every loop's machine at once, then gathers the answers in loop
+    /// order.
+    pub fn gather<R: Send + 'static>(
+        &self,
+        f: impl Fn(&M) -> R + Clone + Send + 'static,
+    ) -> io::Result<Vec<R>> {
+        let mut pending = Vec::with_capacity(self.running.loops.len());
+        for tx in &self.running.loops {
+            let f = f.clone();
+            pending.push(ask(tx, move |lp| f(&lp.machine))?);
         }
-        lp.listeners.push((token, l));
+        pending.into_iter().map(|rx| rx.recv().map_err(|_| stopped())).collect()
     }
-    Ok(bound)
+
+    /// Advances every loop's clock (virtual-time mode, or extra ticks).
+    pub fn tick(&self, now_ms: u64) {
+        for tx in &self.running.loops {
+            let _ = tx.send(In::Tick(now_ms));
+        }
+    }
+
+    /// Subscribes to what every loop's machine outputs (its `Action::App`s)
+    /// from now on.  The stream holds at most 1 024 undelivered outputs: a
+    /// subscriber that falls further behind misses the newer ones, and no
+    /// machine blocks or grows for it.  It ends once the loops have.
+    pub fn events(&self) -> mpsc::Receiver<M::Out> {
+        let (tx, rx) = mpsc::sync_channel(EVENT_LAG);
+        if let Some(subs) = self.running.subs.upgrade() {
+            lock(&subs).push(tx);
+        }
+        rx
+    }
+
+    /// Stops every loop.  When this returns the listeners are closed — a
+    /// restarted machine can bind the same addresses at once — every loop
+    /// has ended and its connections are closed.
+    pub fn stop(&self) {
+        self.running.stop();
+    }
 }
 
+/// Handle to machines of any kind run by [`spawn_machine`].
+pub type MachineHandle<M> = Handle<M>;
+
 // ---------------------------------------------------------------------------
-// The agent behind a handle
+// The agent, the controller and the bridge behind a handle
 // ---------------------------------------------------------------------------
 
-/// Callers waiting for the first setup of the controller they added, by
-/// the [`CtrlId`] it got.
-type Waiting = HashMap<CtrlId, SyncSender<io::Result<CtrlId>>>;
-
-/// Answers whoever waits for the first setup of `ctrl`.
-fn setup_done(port: &mut Waiting, ctrl: CtrlId, result: Result<(), String>) {
-    if let Some(reply) = port.remove(&ctrl) {
-        let _ = reply.send(result.map(|()| ctrl).map_err(io::Error::other));
-    }
-}
-
-/// Has the machine behind `tx` add controller `addr` — to the agent whose
-/// controller count `ctrls` reads — and waits for its first setup.
-fn add_controller<M: Drive<In = AgentIn, Port = Waiting>>(
-    tx: &Tx<M>,
+/// Has the agent behind `h` — or a bridge's own north agent, whose
+/// controller count `count` reads — add controller `addr`, and waits for
+/// the outcome of its first setup.
+fn add_controller<M: Machine<In = AgentIn, Out = AgentOut> + 'static>(
+    h: &Handle<M>,
     addr: TransportAddr,
-    ctrls: fn(&M) -> CtrlId,
+    count: fn(&M) -> CtrlId,
 ) -> io::Result<CtrlId> {
-    let (reply, rx) = mpsc::sync_channel(1);
-    let work = move |lp: &mut Loop<M>| {
+    // Subscribed before the controller is added: its outcome comes after.
+    let outcomes = h.events();
+    let ctrl = h.with(move |m, now, out| {
         // The count is the id the machine gives the next controller.
-        lp.port.insert(ctrls(&lp.machine), reply);
-        lp.feed(Event::App(AgentIn::AddController(addr)));
-    };
-    tx.send(In::With(Box::new(work))).map_err(|_| stopped())?;
-    rx.recv().map_err(|_| stopped())?
-}
-
-impl Drive for Agent {
-    /// Callers of [`AgentHandle::add_controller`].
-    type Port = Waiting;
-
-    fn act(lp: &mut Loop<Self>, AgentOut::SetupDone { ctrl, result }: AgentOut) {
-        setup_done(&mut lp.port, ctrl, result)
+        let ctrl = count(m);
+        m.handle(Event::App(AgentIn::AddController(addr)), now, out);
+        ctrl
+    })?;
+    for AgentOut::SetupDone { ctrl: done, result } in outcomes {
+        if done == ctrl {
+            return result.map(|()| ctrl).map_err(io::Error::other);
+        }
     }
+    Err(stopped())
 }
 
 impl Agent {
@@ -677,9 +809,7 @@ impl Agent {
         functions: Vec<Box<dyn RanFunction>>,
     ) -> io::Result<AgentHandle> {
         let (tick_ms, controllers) = (cfg.tick_ms, cfg.controllers.clone());
-        let lp = Loop::new(Agent::new(cfg, functions), HashMap::new())?;
-        let running = Arc::new(Running::start("flexric-agent", vec![lp], tick_ms)?);
-        let handle = AgentHandle { running };
+        let handle = spawn_machine(vec![Agent::new(cfg, functions)], Vec::new(), tick_ms)?;
         for addr in controllers {
             // On an error the handle is dropped, which stops the loop.
             handle.add_controller(addr)?;
@@ -688,136 +818,38 @@ impl Agent {
     }
 }
 
-/// Handle to a running agent.  The agent stops when [`stop`](Self::stop)
-/// is called or the last clone of its handle is dropped.
-#[derive(Clone)]
-pub struct AgentHandle {
-    running: Arc<Running<Agent>>,
-}
+/// Handle to a running agent.  The agent stops when
+/// [`stop`](Handle::stop) is called or the last clone of its handle is
+/// dropped.
+pub type AgentHandle = Handle<Agent>;
 
-impl fmt::Debug for AgentHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AgentHandle").finish_non_exhaustive()
-    }
-}
-
-impl AgentHandle {
-    /// The agent's one loop.
-    fn tx(&self) -> &Tx<Agent> {
-        &self.running.loops[0]
-    }
-
-    /// Advances agent time (virtual-time mode, or extra ticks).
-    pub fn tick(&self, now_ms: u64) {
-        let _ = self.tx().send(In::Tick(now_ms));
-    }
-
-    /// Exposes `rnti` to an additional controller.
-    pub fn associate_ue(&self, rnti: u16, ctrl: CtrlId) {
-        let _ = self.tx().send(In::Event(Event::App(AgentIn::AssociateUe(rnti, ctrl))));
-    }
-
-    /// Stops exposing `rnti` to a controller.
-    pub fn disassociate_ue(&self, rnti: u16, ctrl: CtrlId) {
-        let _ = self.tx().send(In::Event(Event::App(AgentIn::DisassociateUe(rnti, ctrl))));
-    }
-
+impl Handle<Agent> {
     /// Connects to an additional controller and performs E2 Setup with it,
     /// returning its [`CtrlId`] — or why it could not be set up: the dial
     /// error, the controller's failure cause, or the setup timeout.
     /// Blocks the caller until then; neither this call nor a slow
     /// controller holds up the agent's other controllers meanwhile.
     pub fn add_controller(&self, addr: TransportAddr) -> io::Result<CtrlId> {
-        add_controller(self.tx(), addr, Agent::ctrl_count)
+        add_controller(self, addr, Agent::ctrl_count)
     }
 
     /// Snapshot of the agent's counters.
     pub fn stats(&self) -> io::Result<AgentStats> {
-        ask(self.tx(), |lp| lp.machine.stats())?.recv().map_err(|_| stopped())
-    }
-
-    /// Stops the agent: when this returns its loop has ended and its
-    /// connections are closed.
-    pub fn stop(&self) {
-        self.running.stop();
+        self.with(|agent, _, _| agent.stats())
     }
 }
 
-// ---------------------------------------------------------------------------
-// The controller behind a handle
-// ---------------------------------------------------------------------------
-
-/// Most events a subscriber of [`ServerHandle::events`] can be behind.
-const EVENT_LAG: usize = 1024;
-
-/// The subscribers of a controller's event stream.
-type Subscribers = Arc<Mutex<Vec<SyncSender<ServerEvent>>>>;
-
-impl Drive for Shard {
-    /// Where the shard's events go, and every shard's loop, by shard.
-    type Port = (Subscribers, Vec<Tx<Shard>>);
-
-    fn act(lp: &mut Loop<Self>, action: ShardOut) {
-        let (peer, shard, req, desc) = match action {
-            ShardOut::Publish(event) => return publish(&lp.port.0, &event),
-            ShardOut::Handoff { peer, shard, req, desc } => (peer, shard, req, desc),
-        };
-        let Some(conn) = lp.conns.remove(&peer) else { return };
-        if let Conn::Tcp(out) = &conn {
-            lp.poller.remove(out.conn.socket().as_raw_fd());
-        }
-        let _ = lp.port.1[shard].send(In::With(Box::new(move |lp| {
-            if let Ok(peer) = lp.adopt(conn) {
-                lp.feed(Event::App(ShardIn::NewAgent { req, peer, desc }));
-                lp.receive(peer);
-            }
-        })));
-    }
-}
-
-/// Offers `event` to every subscriber.  One that is `EVENT_LAG` behind
-/// misses it; one that is gone is forgotten.
-fn publish(subs: &Subscribers, event: &ServerEvent) {
-    lock(subs)
-        .retain(|sub| !matches!(sub.try_send(event.clone()), Err(TrySendError::Disconnected(_))));
-}
-
-/// Handle to a running controller.  The controller stops when
-/// [`stop`](Self::stop) is called or the last clone of its handle is
-/// dropped.
+/// Handle to a running controller, one loop per shard.  The controller
+/// stops when [`stop`](Handle::stop) is called or the last clone of its
+/// handle is dropped.
 ///
 /// On a sharded controller the handle is the aggregation point: `tick` and
 /// `stop` reach every shard, `agents`/`stats` gather and merge per-shard
 /// snapshots, `events` taps the single stream all shards publish into, and
 /// `call` enters on shard 0.
-#[derive(Clone)]
-pub struct ServerHandle {
-    events: Subscribers,
-    running: Arc<Running<Shard>>,
-    /// Addresses the controller is listening on (ephemeral ports resolved).
-    pub addrs: Vec<TransportAddr>,
-}
+pub type ServerHandle = Handle<Shard>;
 
-impl fmt::Debug for ServerHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServerHandle").field("addrs", &self.addrs).finish_non_exhaustive()
-    }
-}
-
-impl ServerHandle {
-    /// Every shard's queue, indexed by shard.
-    fn shards(&self) -> &[Tx<Shard>] {
-        &self.running.loops
-    }
-
-    /// Advances controller time on every shard (virtual-time mode, or
-    /// extra ticks).
-    pub fn tick(&self, now_ms: u64) {
-        for s in self.shards() {
-            let _ = s.send(In::Tick(now_ms));
-        }
-    }
-
+impl Handle<Shard> {
     /// Runs `f` with the first iApp of type `A` on shard 0 and its
     /// [`ServerApi`], on that shard's loop, and returns what `f` returns
     /// once what it asked for is sent: the northbound's one way into an
@@ -829,34 +861,10 @@ impl ServerHandle {
         &self,
         f: impl FnOnce(&mut A, &mut ServerApi) -> R + Send + 'static,
     ) -> io::Result<R> {
-        let rx = ask(&self.shards()[0], |lp| lp.step(|shard, now, out| shard.call(now, out, f)))?;
-        rx.recv().map_err(|_| stopped())?.ok_or_else(|| {
+        self.with(|shard, now, out| shard.call(now, out, f))?.ok_or_else(|| {
             let why = format!("this controller runs no {}", std::any::type_name::<A>());
             io::Error::new(io::ErrorKind::NotFound, why)
         })
-    }
-
-    /// Subscribes to server events (published by all shards) from now on.
-    /// The stream holds at most 1 024 undelivered events: a subscriber
-    /// that falls further behind misses the newer ones, and the controller
-    /// neither blocks nor grows for it.
-    pub fn events(&self) -> mpsc::Receiver<ServerEvent> {
-        let (tx, rx) = mpsc::sync_channel(EVENT_LAG);
-        lock(&self.events).push(tx);
-        rx
-    }
-
-    /// Asks every shard at once, then gathers the answers in shard order.
-    fn gather<R: Send + 'static>(
-        &self,
-        f: impl Fn(&Shard) -> R + Clone + Send + 'static,
-    ) -> io::Result<Vec<R>> {
-        let mut pending = Vec::with_capacity(self.shards().len());
-        for s in self.shards() {
-            let f = f.clone();
-            pending.push(ask(s, move |lp| f(&lp.machine))?);
-        }
-        pending.into_iter().map(|rx| rx.recv().map_err(|_| stopped())).collect()
     }
 
     /// Snapshot of connected agents, merged over all shards.
@@ -873,13 +881,6 @@ impl ServerHandle {
             sum += part;
         }
         Ok(sum)
-    }
-
-    /// Stops the controller.  When this returns the listeners are closed —
-    /// a restarted controller can bind the same addresses at once — every
-    /// shard's loop has ended and its connections are closed.
-    pub fn stop(&self) {
-        self.running.stop();
     }
 }
 
@@ -906,47 +907,35 @@ impl Server {
     /// [`ServerConfig::resolved_shards`], calling `iapps(shard)` once per
     /// shard for that shard's iApp instances.
     ///
-    /// Connections are assigned to shards at accept time by RAN-entity key
-    /// (sticky least-loaded), so agents of one base station — and an agent
-    /// reconnecting within the grace window — always land on the same
-    /// shard.  Per-shard instances that need a combined view share state
-    /// via `Arc` internally (see `MonitorApp::replica`).
+    /// Connections are assigned to shards by RAN-entity key (sticky
+    /// least-loaded) when their setup request arrives, so agents of one
+    /// base station — and an agent reconnecting within the grace window —
+    /// always land on the same shard.  Per-shard instances that need a
+    /// combined view share state via `Arc` internally (see
+    /// `MonitorApp::replica`).
     pub fn spawn_sharded(
         cfg: ServerConfig,
         mut iapps: impl FnMut(usize) -> Vec<Box<dyn IApp>>,
     ) -> io::Result<ServerHandle> {
-        let shards = cfg.resolved_shards().max(1);
-        let events = Subscribers::default();
-        let router = Arc::new(ShardRouter::new(shards));
-
-        let mut loops = Vec::with_capacity(shards);
-        for idx in 0..shards {
-            let machine = Shard::new(idx, &cfg, iapps(idx), router.clone());
-            let (mut lp, rx) = Loop::new(machine, (events.clone(), Vec::new()))?;
-            lp.feed(Event::App(ShardIn::Start));
-            loops.push((lp, rx));
-        }
-        let all: Vec<Tx<Shard>> = loops.iter().map(|(lp, _)| lp.tx.clone()).collect();
-        loops.iter_mut().for_each(|(lp, _)| lp.port.1 = all.clone());
+        let count = cfg.resolved_shards().max(1);
+        let router = Arc::new(ShardRouter::new(count));
+        let shards = (0..count).map(|idx| {
+            let mut shard = Shard::new(idx, &cfg, iapps(idx), router.clone());
+            // Started before it holds a peer or anyone subscribes: nothing
+            // it answers could be carried out.
+            shard.handle(Event::App(ShardIn::Start), 0, &mut Vec::new());
+            shard
+        });
         // Shard 0 accepts; each connection's setup request routes it.
-        let addrs = listen_on(&mut loops[0].0, &cfg.listen)?;
-        let running = Arc::new(Running::start("flexric-shard", loops, cfg.tick_ms)?);
-        Ok(ServerHandle { events, running, addrs })
+        let links = cfg.listen.iter().cloned().map(Links::Listen).collect();
+        spawn_machine(shards.collect(), links, cfg.tick_ms)
     }
 }
 
-// ---------------------------------------------------------------------------
-// The bridge behind a handle
-// ---------------------------------------------------------------------------
-
-impl Drive for Bridge {
-    /// The spawn, waiting for the bridge's own north agent to set up.
-    type Port = Waiting;
-
-    fn act(lp: &mut Loop<Self>, AgentOut::SetupDone { ctrl, result }: AgentOut) {
-        setup_done(&mut lp.port, ctrl, result)
-    }
-}
+/// Handle to a running bridge.  The bridge stops when
+/// [`stop`](Handle::stop) is called or the last clone of its handle is
+/// dropped.
+pub type BridgeHandle = Handle<Bridge>;
 
 impl Bridge {
     /// Binds the south listeners of `cfg` and runs the bridge on one loop,
@@ -961,137 +950,21 @@ impl Bridge {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
         let north = self.own().map(|a| a.controllers().to_vec()).unwrap_or_default();
-        let mut loops = vec![Loop::new(self, HashMap::new())?];
-        let addrs = listen_on(&mut loops[0].0, &cfg.listen)?;
-        let running = Arc::new(Running::start("flexric-bridge", loops, cfg.tick_ms)?);
-        let handle = BridgeHandle { running, addrs };
+        let links = cfg.listen.iter().cloned().map(Links::Listen).collect();
+        let handle = spawn_machine(vec![self], links, cfg.tick_ms)?;
         let own = |b: &Bridge| b.own().map_or(0, Agent::ctrl_count);
         for addr in north {
             // On an error the handle is dropped, which stops the loop.
-            add_controller(&handle.running.loops[0], addr, own)?;
+            add_controller(&handle, addr, own)?;
         }
         Ok(handle)
-    }
-}
-
-/// Handle to a running bridge.  The bridge stops when [`stop`](Self::stop)
-/// is called or the last clone of its handle is dropped.
-#[derive(Clone)]
-pub struct BridgeHandle {
-    running: Arc<Running<Bridge>>,
-    /// Addresses the bridge's south side is listening on.
-    pub addrs: Vec<TransportAddr>,
-}
-
-impl BridgeHandle {
-    /// Advances the bridge's time (virtual-time mode, or extra ticks).
-    pub fn tick(&self, now_ms: u64) {
-        let _ = self.running.loops[0].send(In::Tick(now_ms));
-    }
-
-    /// Stops the bridge: when this returns its listeners are closed, its
-    /// loop has ended and its connections, north and south, are closed.
-    pub fn stop(&self) {
-        self.running.stop();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Any other framed protocol: a machine with no actions of its own
-// ---------------------------------------------------------------------------
-
-/// Where [`spawn_machine`] gets a machine's first links.
-#[derive(Debug, Clone)]
-pub enum Links {
-    /// Every connection accepted at this address, told as `Accepted`.
-    Listen(TransportAddr),
-    /// One connection, dialled before the spawn returns and told as
-    /// `Dialled(0, Ok(peer))`.
-    Dial(TransportAddr),
-}
-
-/// A machine [`spawn_machine`] can run: one that asks its driver for
-/// sends, hangups and dials only.
-pub trait PlainMachine: Machine<In: Send + 'static, Out = Infallible> + Send + 'static {}
-
-impl<M: Machine<In: Send + 'static, Out = Infallible> + Send + 'static> PlainMachine for M {}
-
-/// The [`Drive`] of a [`PlainMachine`].
-struct Plain<M>(M);
-
-impl<M: PlainMachine> Machine for Plain<M> {
-    type In = M::In;
-    type Out = Infallible;
-    fn handle(&mut self, event: Event<M::In>, now_ms: u64, out: &mut Vec<Action<Infallible>>) {
-        self.0.handle(event, now_ms, out)
-    }
-}
-
-impl<M: PlainMachine> Drive for Plain<M> {
-    type Port = ();
-    fn act(_lp: &mut Loop<Self>, never: Infallible) {
-        match never {}
-    }
-}
-
-/// Runs `machine` on a loop of its own, on `tick_ms`'s clock (`None`: only
-/// [`MachineHandle::tick`] moves it), with the links `links` gives.  A
-/// dial that fails, or a listener that cannot be bound, fails the spawn.
-pub fn spawn_machine<M: PlainMachine>(
-    machine: M,
-    links: Links,
-    tick_ms: Option<u64>,
-) -> io::Result<MachineHandle<M>> {
-    let (mut lp, rx) = Loop::new(Plain(machine), ())?;
-    let addr = match links {
-        Links::Dial(addr) => {
-            let transport = connect(&addr)?;
-            lp.dialled(0, Ok(transport));
-            addr
-        }
-        Links::Listen(addr) => listen_on(&mut lp, &[addr])?.remove(0),
-    };
-    let running = Arc::new(Running::start("flexric-loop", vec![(lp, rx)], tick_ms)?);
-    Ok(MachineHandle { running, addr })
-}
-
-/// Handle to a machine run by [`spawn_machine`].  The machine stops when
-/// [`stop`](Self::stop) is called or the last clone of its handle is
-/// dropped.
-pub struct MachineHandle<M: PlainMachine> {
-    running: Arc<Running<Plain<M>>>,
-    /// The address listened on (ephemeral port resolved), or dialled.
-    pub addr: TransportAddr,
-}
-
-impl<M: PlainMachine> Clone for MachineHandle<M> {
-    fn clone(&self) -> Self {
-        MachineHandle { running: self.running.clone(), addr: self.addr.clone() }
-    }
-}
-
-impl<M: PlainMachine> MachineHandle<M> {
-    /// Hands the machine `Event::App(event)`.
-    pub fn send(&self, event: M::In) {
-        let _ = self.running.loops[0].send(In::Event(Event::App(event)));
-    }
-
-    /// Advances the machine's time (virtual-time mode, or extra ticks).
-    pub fn tick(&self, now_ms: u64) {
-        let _ = self.running.loops[0].send(In::Tick(now_ms));
-    }
-
-    /// Stops the machine: when this returns its listener is closed, its
-    /// loop has ended and its connections are closed.
-    pub fn stop(&self) {
-        self.running.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::server::ServerEvent;
     use flexric_transport::rx::FrameAssembler;
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -1147,25 +1020,20 @@ mod tests {
         }
     }
 
-    impl Drive for Puppet {
-        type Port = ();
-        fn act(_lp: &mut Loop<Self>, _action: ()) {}
-    }
-
     /// A puppet's loop on virtual time, what it saw, and its handle.
     struct Rig {
-        tx: Tx<Puppet>,
         seen: mpsc::Receiver<Event<Vec<Action<()>>>>,
-        running: Running<Puppet>,
+        handle: Handle<Puppet>,
     }
 
     impl Rig {
         fn start() -> Rig {
+            Rig::with_links(Vec::new())
+        }
+
+        fn with_links(links: Vec<Links>) -> Rig {
             let (seen_tx, seen) = mpsc::channel();
-            let (lp, rx) = Loop::new(Puppet(seen_tx), ()).unwrap();
-            let tx = lp.tx.clone();
-            let running = Running::start("puppet", vec![(lp, rx)], None).unwrap();
-            Rig { tx, seen, running }
+            Rig { seen, handle: spawn_machine(vec![Puppet(seen_tx)], links, None).unwrap() }
         }
 
         /// Hands the loop one end of a fresh loopback TCP connection and
@@ -1174,12 +1042,12 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             let far = TcpStream::connect(l.local_addr().unwrap()).unwrap();
             let near = Transport::Tcp(TcpConn::new(l.accept().unwrap().0).unwrap());
-            let peer = ask(&self.tx, |lp| lp.attach(near).unwrap()).unwrap().recv().unwrap();
-            (peer, far)
+            let attach = ask(&self.handle.running.loops[0], |lp| lp.attach(near).unwrap());
+            (attach.unwrap().recv().unwrap(), far)
         }
 
         fn act(&self, actions: Vec<Action<()>>) {
-            self.tx.send(In::Event(Event::App(actions))).unwrap();
+            self.handle.send(actions);
         }
     }
 
@@ -1216,7 +1084,7 @@ mod tests {
             .unwrap();
         let next = rig.seen.recv().unwrap();
         assert!(matches!(&next, Event::Frame(p, x) if *p == live && x[..] == *b"x"), "{next:?}");
-        rig.running.stop();
+        rig.handle.stop();
     }
 
     /// A peer that stops reading stalls its own connection and nothing
@@ -1249,7 +1117,7 @@ mod tests {
         // Stall it again and stop: `stop` does not wait for the peer.
         rig.act(vec![Action::Send(slow, WireMsg::e2ap_on(1, big))]);
         slow_far.read_exact(&mut head).unwrap();
-        rig.running.stop();
+        rig.handle.stop();
     }
 
     /// Dialling is the driver's for any machine: each answer comes back
@@ -1258,10 +1126,9 @@ mod tests {
     /// waits connects only once the loop's clock has moved its wait on.
     #[test]
     fn a_dial_is_answered_under_its_tag_once_its_wait_is_over() {
-        let (dialler, listener) = (Rig::start(), Rig::start());
         let at = TransportAddr::Mem("driver-dial".into());
-        let bound = ask(&listener.tx, move |lp| listen_on(lp, &[at]).unwrap());
-        let at = bound.unwrap().recv().unwrap().remove(0);
+        let (dialler, listener) = (Rig::start(), Rig::with_links(vec![Links::Listen(at)]));
+        let at = listener.handle.addrs[0].clone();
         let nobody = TransportAddr::Mem("driver-dial-nobody".into());
         dialler.act(vec![
             Action::Dial { tag: 1, addr: at.clone(), after_ms: 0 },
@@ -1280,16 +1147,58 @@ mod tests {
 
         // On virtual time, at 0: a dial that waits 10 ms.
         dialler.act(vec![Action::Dial { tag: 3, addr: at, after_ms: 10 }]);
-        dialler.tx.send(In::Tick(9)).unwrap();
+        dialler.handle.tick(9);
         let quiet = Duration::from_millis(100);
         assert!(dialler.seen.recv_timeout(quiet).is_err(), "answered before its wait was over");
         assert!(listener.seen.try_recv().is_err(), "connected before its wait was over");
-        dialler.tx.send(In::Tick(10)).unwrap();
+        dialler.handle.tick(10);
         let next = dialler.seen.recv().unwrap();
         assert!(matches!(next, Event::Dialled(3, Ok(p)) if p != near), "{next:?}");
         assert!(matches!(listener.seen.recv().unwrap(), Event::Accepted(p, _) if p != far));
-        dialler.running.stop();
-        listener.running.stop();
+        dialler.handle.stop();
+        listener.handle.stop();
+    }
+
+    /// A handoff is the driver's for any machine: the sibling it names is
+    /// told `Accepted` and then the first frame, the far end's next frame
+    /// reaches the sibling, which can answer on it, and the machine that
+    /// handed the peer on hears nothing more of it — not even its close.
+    #[test]
+    fn a_handoff_moves_the_peer_to_its_sibling() {
+        for at in ["127.0.0.1:0", "mem:driver-handoff"] {
+            let ((origin_tx, origin), (sibling_tx, sibling)) = (mpsc::channel(), mpsc::channel());
+            let puppets = vec![Puppet(origin_tx), Puppet(sibling_tx)];
+            let links = vec![Links::Listen(TransportAddr::parse(at).unwrap())];
+            let handle = spawn_machine(puppets, links, None).unwrap();
+            let mut far = connect(&handle.addrs[0]).unwrap();
+            far.send(msg(0, 1)).unwrap();
+            let Event::Accepted(peer, desc) = origin.recv().unwrap() else { panic!("no Accepted") };
+            let first = match origin.recv().unwrap() {
+                Event::Frame(p, first) if p == peer => first,
+                other => panic!("{at}: {other:?}"),
+            };
+            let to = 1;
+            handle.send(vec![Action::Handoff { peer, to, desc: desc.clone(), first }]);
+
+            let Event::Accepted(moved, told) = sibling.recv().unwrap() else { panic!("{at}") };
+            assert_eq!(told, desc, "{at}: the far end described as the origin's listener did");
+            let next = sibling.recv().unwrap();
+            assert!(matches!(&next, Event::Frame(p, x) if *p == moved && x[..] == [1]), "{next:?}");
+            far.send(msg(0, 2)).unwrap();
+            let next = sibling.recv().unwrap();
+            assert!(matches!(&next, Event::Frame(p, x) if *p == moved && x[..] == [2]), "{next:?}");
+            // The sibling's loop writes to it: ask it through a `With`.
+            let answer = ask(&handle.running.loops[to], move |lp| lp.send(moved, msg(0, 3)));
+            answer.unwrap().recv().unwrap();
+            let back = far.recv_timeout(Duration::from_secs(5)).unwrap().expect("an answer");
+            assert_eq!(back.payload[..], [3], "{at}");
+
+            drop(far);
+            assert!(matches!(sibling.recv().unwrap(), Event::Closed(p) if p == moved), "{at}");
+            let quiet = Duration::from_millis(100);
+            assert!(origin.recv_timeout(quiet).is_err(), "{at}: the origin heard of the peer");
+            handle.stop();
+        }
     }
 
     #[test]

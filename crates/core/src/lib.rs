@@ -30,9 +30,10 @@
 //! or clock, and so is the controller hop made of the two, the
 //! [`relay::Bridge`].  Two drivers do the dialling, reading, writing and
 //! timekeeping for all of them: `driver.rs`, behind [`Agent::spawn`],
-//! [`Server::spawn`] and [`relay::Bridge::spawn`], on threads, sockets and
-//! the wall clock; and [`wire::Wire`], on one thread and one virtual clock,
-//! for the test suites and the virtual-time experiments.
+//! [`Server::spawn`] and [`relay::Bridge::spawn`] — one [`spawn_machine`]
+//! and one [`Handle`] for every machine — on threads, sockets and the wall
+//! clock; and [`wire::Wire`], on one thread and one virtual clock, for the
+//! test suites and the virtual-time experiments.
 //!
 //! Both sides build their pending-request bookkeeping on the shared
 //! procedure-endpoint layer ([`endpoint`]): one outstanding-transaction
@@ -62,7 +63,7 @@ pub use agent::{
     Admission, Agent, AgentConfig, AgentCtx, AgentHandle, Due, RanFunction, Subscription,
     SubscriptionInfo,
 };
-pub use driver::{spawn_machine, Links, MachineHandle, PlainMachine};
+pub use driver::{spawn_machine, Handle, Links, MachineHandle};
 pub use endpoint::{
     Backoff, E2apEndpoint, Procedure, ProcedureClass, ProcedureKey, ProcedureOutcome,
     ProcedureTable, RetryPolicy,

@@ -22,12 +22,17 @@
 //!   Action::Send(peer, msg)    ◄──   write this frame
 //!   Action::Hangup(peer)       ◄──   close this connection
 //!   Action::Dial { tag, .. }   ◄──   connect to an address, after a wait
-//!   Action::App(..)            ◄──   AgentOut / ShardOut
+//!   Action::Handoff { .. }     ◄──   move a connection to a sibling machine
+//!   Action::App(..)            ◄──   publish (AgentOut / ServerEvent)
 //! ```
 //!
 //! The connection lifecycle is the same for every machine: each peer it is
 //! handed arrives as `Accepted` or as the `Ok` of a `Dialled`, and a dial's
 //! `tag` is the machine's to choose and read — a driver only hands it back.
+//! A driver may host several machines of one kind side by side (a
+//! controller's shards); a `Handoff` moves a peer from one to another.
+//! Whatever else a machine asks for is output: the driver publishes each
+//! `App` action to whoever listens and carries out none of them.
 //!
 //! Equal event sequences give equal action sequences, so a run can be
 //! played again and a protocol rule is tested by feeding events.  The one
@@ -83,14 +88,20 @@ pub enum Action<Y> {
     /// then on the machine hears nothing more of `peer` — no frame still on
     /// its way, no `Closed`.  It sends nothing to a peer after hanging up
     /// on it, and hangs up on every peer it was handed exactly once, unless
-    /// it handed the peer on (a shard's
-    /// [`ShardOut::Handoff`](crate::server::ShardOut::Handoff)).
+    /// it handed the peer on ([`Action::Handoff`]).
     Hangup(PeerId),
     /// Connect to `addr` once the clock has moved `after_ms` on, and answer
     /// with [`Event::Dialled`] under `tag`.  A dial still waiting when the
     /// driver stops is forgotten.
     Dial { tag: DialTag, addr: TransportAddr, after_ms: u64 },
-    /// What only this kind of machine asks for.
+    /// Move `peer`, and what is still unread of it, to sibling machine `to`
+    /// of the same host (a controller's shard `to`).  The sibling is told
+    /// `Accepted(peer', desc)` and then `Frame(peer', first)`, as if its own
+    /// listener had accepted the connection and `first` were its first
+    /// frame; this machine hears nothing more of `peer`.
+    Handoff { peer: PeerId, to: usize, desc: String, first: Bytes },
+    /// What only this kind of machine has to say: the driver publishes it
+    /// to whoever listens and carries out nothing.
     App(Y),
 }
 
@@ -98,8 +109,9 @@ pub enum Action<Y> {
 pub trait Machine {
     /// Its own events (carried by [`Event::App`]).
     type In;
-    /// Its own actions (carried by [`Action::App`]).
-    type Out;
+    /// Its own output (carried by [`Action::App`]); each listener gets a
+    /// copy.
+    type Out: Clone;
 
     /// Takes one event at time `now_ms` and appends what must be done about
     /// it to `out`.  `now_ms` is whatever clock the driver runs on; it must

@@ -39,7 +39,7 @@ use crate::machine::{Action, DialTag, Event, Machine, PeerId};
 use crate::scratch::stream_for;
 use crate::server::{
     AgentId, AgentInfo, CtrlOutcome, IApp, IndicationRef, ServerApi, ServerConfig, ServerEvent,
-    ServerStats, Shard, ShardIn, ShardOut, ShardRouter, SubOutcome,
+    ServerStats, Shard, ShardIn, ShardRouter, SubOutcome,
 };
 
 pub use crate::driver::BridgeHandle;
@@ -193,7 +193,7 @@ impl Bridge {
     }
 
     /// Carries out what the shard asked for and what its iApp handed up.
-    fn carry(&mut self, actions: Vec<Action<ShardOut>>, now: u64, out: &mut Out) {
+    fn carry(&mut self, actions: Vec<Action<ServerEvent>>, now: u64, out: &mut Out) {
         for (k, msg) in self.south.drain_north() {
             if let Some(peer) = self.north.get(&Some(k)).and_then(|a| a.link(0)) {
                 out.push(Action::Send(peer, msg));
@@ -203,14 +203,14 @@ impl Bridge {
             match action {
                 Action::Send(peer, msg) => out.push(Action::Send(peer, msg)),
                 Action::Hangup(peer) => out.push(Action::Hangup(peer)),
-                Action::App(ShardOut::Publish(ServerEvent::AgentDisconnected(k))) => {
+                Action::App(ServerEvent::AgentDisconnected(k)) => {
                     self.north.remove(&Some(k));
                     let gone = self.links.extract_if(|_, m| *m == Some(k)).map(|(p, _)| p);
                     out.extend(gone.collect::<BTreeSet<_>>().into_iter().map(Action::Hangup));
                 }
                 // Nobody taps the events of a bridge's shard, its one-shard
                 // router hands nothing off, and a shard dials nowhere.
-                Action::App(_) | Action::Dial { .. } => {}
+                Action::App(_) | Action::Handoff { .. } | Action::Dial { .. } => {}
             }
         }
         for (node, agent, upstream) in self.south.take_stood() {
@@ -247,6 +247,8 @@ impl Bridge {
                     }
                 }
                 (None, Action::App(done)) => out.push(Action::App(done)),
+                // An agent has no sibling to hand a peer to.
+                (_, Action::Handoff { .. }) => {}
             }
         }
     }

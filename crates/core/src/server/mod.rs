@@ -21,16 +21,22 @@
 //! machine ([`crate::machine`]): it is fed events and answers with
 //! actions, and owns no socket, task, channel or clock;
 //! [`Server::spawn_sharded`] puts one event loop of the crate's driver
-//! under each.  Agents are
-//! assigned to shards at accept time by their RAN-entity key (least-loaded
-//! shard wins; CU/DU agents of one base station land together so entity
-//! merging stays shard-local), and the assignment is sticky across the
-//! reconnect grace window, so a returning agent rebinds on its original
-//! shard.  The indication hot path — header peek, subscription lookup,
-//! iApp dispatch — never crosses a shard boundary and takes no cross-shard
-//! lock.  Only two things span shards: accept-time assignment (the
-//! [`ShardRouter`]) and the aggregating [`ServerHandle`].  A shard sends
-//! only to the agents it holds; a frame for any other is dropped.
+//! under each, all behind one [`ServerHandle`] (`Handle<Shard>`).  Shard 0
+//! accepts every connection; its E2 Setup request assigns it to a shard by
+//! its RAN-entity key (least-loaded shard wins; CU/DU agents of one base
+//! station land together so entity merging stays shard-local), and shard
+//! 0 hands it, request and all, to that shard ([`Action::Handoff`]), whose
+//! sticky pick admits it.  The assignment is sticky across the reconnect
+//! grace window too, so a returning agent rebinds on its original shard.
+//! The indication hot path — header peek, subscription lookup, iApp
+//! dispatch — never crosses a shard boundary and takes no cross-shard
+//! lock.  Only three things span shards: the assignment (the
+//! [`ShardRouter`]), the handoff of a new connection, and the aggregating
+//! [`ServerHandle`], into whose one event stream every shard publishes its
+//! [`ServerEvent`]s.  A shard sends only to the agents it holds; a frame
+//! for any other is dropped.
+//!
+//! [`Action::Handoff`]: crate::machine::Action::Handoff
 //!
 //! ## The northbound
 //!
@@ -72,7 +78,7 @@ mod shard;
 pub use crate::driver::ServerHandle;
 pub use randb::{AgentId, AgentInfo, RanDb, RanEntity};
 pub use router::ShardRouter;
-pub use shard::{ServerApi, Shard, ShardIn, ShardOut};
+pub use shard::{ServerApi, Shard, ShardIn};
 
 use std::any::Any;
 
@@ -104,7 +110,7 @@ pub struct ServerConfig {
     /// E2AP encoding used on all connections.
     pub codec: E2apCodec,
     /// Internal tick period in milliseconds; `None` means the embedder
-    /// drives time explicitly through [`ServerHandle::tick`].
+    /// drives time explicitly through [`Handle::tick`](crate::Handle::tick).
     pub tick_ms: Option<u64>,
     /// Deadlines and retransmission budget for tracked procedures.
     pub retry: RetryPolicy,

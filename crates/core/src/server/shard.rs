@@ -8,7 +8,7 @@
 //! is dropped at flush, as one for an offline agent is.
 //!
 //! [`Shard`] is a [`Machine`]: it is fed [`Event`]s ([`ShardIn`] its own)
-//! and answers with [`Action`]s ([`ShardOut`] its own), and owns no socket,
+//! and answers with [`Action`]s ([`ServerEvent`]s its output), and owns no socket,
 //! task, channel or clock.  Beside its events, [`Shard::call`] runs a
 //! closure on one of its iApps — the northbound's way in.  DESIGN.md ("The
 //! machine/driver split") tabulates every event and action.
@@ -17,8 +17,9 @@
 //! ([`Event::Accepted`]) must open with an E2 Setup request within
 //! `RetryPolicy::setup_deadline_ms` of the shard's clock, or it is hung up;
 //! the request admits it on the shard the [`ShardRouter`] assigns its RAN
-//! entity to — this one, or another one, by a [`ShardOut::Handoff`] that
-//! its driver carries out.
+//! entity to — this one, or another one, by an [`Action::Handoff`] to that
+//! shard, which routes the replayed request again and, the router's pin
+//! being sticky, admits it.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -46,31 +47,9 @@ use super::{
 pub enum ShardIn {
     /// The controller is starting: run the iApps' `on_start`.
     Start,
-    /// A connection opened with this E2 Setup request and the router
-    /// assigned its RAN entity to this shard: what a
-    /// [`ShardOut::Handoff`] is carried out as.
-    NewAgent {
-        /// The decoded first frame of the connection.
-        req: E2SetupRequest,
-        /// The connection.
-        peer: PeerId,
-        /// Transport description of the far end, for [`AgentInfo::peer`].
-        desc: String,
-    },
     /// Drop this agent for good — connection, identity, subscriptions —
     /// as an expired grace window does.
     Disconnect(AgentId),
-}
-
-/// What a shard asks for beside sends and hangups.
-#[derive(Debug)]
-pub enum ShardOut {
-    /// Publish to the controller's external observers.
-    Publish(ServerEvent),
-    /// Move the accepted connection `peer`, and what was read of it, to
-    /// shard `shard`, and tell that shard [`ShardIn::NewAgent`] with `req`
-    /// and `desc`.  This shard has forgotten `peer`.
-    Handoff { peer: PeerId, shard: usize, req: E2SetupRequest, desc: String },
 }
 
 /// The connection an agent is bound to right now.
@@ -479,13 +458,13 @@ pub struct Shard {
 
 impl Machine for Shard {
     type In = ShardIn;
-    type Out = ShardOut;
+    type Out = ServerEvent;
 
-    fn handle(&mut self, event: Event<ShardIn>, now_ms: u64, out: &mut Vec<Action<ShardOut>>) {
+    fn handle(&mut self, event: Event<ShardIn>, now_ms: u64, out: &mut Vec<Action<ServerEvent>>) {
         self.core.now_ms = now_ms;
         match event {
             Event::Frame(peer, raw) if self.accepting.contains_key(&peer) => {
-                self.first_frame(peer, &raw, out)
+                self.first_frame(peer, raw, out)
             }
             Event::Frame(peer, raw) => {
                 let Some(agent) = self.agent_of(peer) else { return };
@@ -529,9 +508,6 @@ impl Machine for Shard {
             // A shard dials nowhere.
             Event::Dialled(..) => {}
             Event::App(ShardIn::Start) => self.for_all(|iapp, api| iapp.on_start(api)),
-            Event::App(ShardIn::NewAgent { req, peer, desc }) => {
-                self.handle_new_agent(req, peer, desc, out)
-            }
             Event::App(ShardIn::Disconnect(agent)) => {
                 self.handle_closed(agent, out);
                 self.finalize_disconnect(agent, out);
@@ -663,7 +639,7 @@ impl Shard {
     pub fn call<A: IApp, R>(
         &mut self,
         now_ms: u64,
-        out: &mut Vec<Action<ShardOut>>,
+        out: &mut Vec<Action<ServerEvent>>,
         f: impl FnOnce(&mut A, &mut ServerApi) -> R,
     ) -> Option<R> {
         let idx = self.iapps.iter().position(|app| (app.as_ref() as &dyn Any).is::<A>())?;
@@ -676,7 +652,7 @@ impl Shard {
         &mut self,
         idx: usize,
         now_ms: u64,
-        out: &mut Vec<Action<ShardOut>>,
+        out: &mut Vec<Action<ServerEvent>>,
         f: impl FnOnce(&mut dyn IApp, &mut ServerApi) -> R,
     ) -> R {
         self.core.now_ms = now_ms;
@@ -703,7 +679,7 @@ impl Shard {
     }
 
     /// Unbinds and hangs up on the connection of `agent`, if it has one.
-    fn hang_up(&mut self, agent: AgentId, out: &mut Vec<Action<ShardOut>>) {
+    fn hang_up(&mut self, agent: AgentId, out: &mut Vec<Action<ServerEvent>>) {
         if let Some(peer) = self.core.conns.remove(&agent) {
             self.peers.remove(&peer);
             out.push(Action::Hangup(peer));
@@ -711,16 +687,16 @@ impl Shard {
     }
 
     /// The first frame of an accepted connection: an E2 Setup request
-    /// admits it here or hands it to the shard the router assigns its RAN
-    /// entity to; anything else is hung up.
-    fn first_frame(&mut self, peer: PeerId, raw: &Bytes, out: &mut Vec<Action<ShardOut>>) {
+    /// admits it here or hands it, frame and all, to the shard the router
+    /// assigns its RAN entity to; anything else is hung up.
+    fn first_frame(&mut self, peer: PeerId, raw: Bytes, out: &mut Vec<Action<ServerEvent>>) {
         let Some((_, desc)) = self.accepting.remove(&peer) else { return };
-        let Ok(E2apPdu::E2SetupRequest(req)) = self.core.codec.decode(raw) else {
+        let Ok(E2apPdu::E2SetupRequest(req)) = self.core.codec.decode(&raw) else {
             return out.push(Action::Hangup(peer));
         };
         match self.router.assign(req.global_node.ran_entity_key()) {
-            shard if shard == self.core.shard => self.handle_new_agent(req, peer, desc, out),
-            shard => out.push(Action::App(ShardOut::Handoff { peer, shard, req, desc })),
+            to if to == self.core.shard => self.handle_new_agent(req, peer, desc, out),
+            to => out.push(Action::Handoff { peer, to, desc, first: raw }),
         }
     }
 
@@ -729,7 +705,7 @@ impl Shard {
         req: E2SetupRequest,
         peer: PeerId,
         desc: String,
-        out: &mut Vec<Action<ShardOut>>,
+        out: &mut Vec<Action<ServerEvent>>,
     ) {
         // Capability negotiation comes before any identity is allocated.
         let (accepted, rejected) = negotiate(&req);
@@ -819,7 +795,7 @@ impl Shard {
 
     /// The connection of `agent` is gone (closed, or degraded for sending
     /// garbage).
-    fn handle_closed(&mut self, agent: AgentId, out: &mut Vec<Action<ShardOut>>) {
+    fn handle_closed(&mut self, agent: AgentId, out: &mut Vec<Action<ServerEvent>>) {
         self.hang_up(agent, out);
         // Every procedure in flight toward the agent terminates now.
         let lost = in_order(self.core.endpoint.table.connection_lost(agent));
@@ -844,7 +820,7 @@ impl Shard {
 
     /// The agent is gone for good: drop its subscriptions and identity and
     /// tell the world.
-    fn finalize_disconnect(&mut self, agent: AgentId, out: &mut Vec<Action<ShardOut>>) {
+    fn finalize_disconnect(&mut self, agent: AgentId, out: &mut Vec<Action<ServerEvent>>) {
         self.offline.remove(&agent);
         self.core.subs.retain(|(a, _), _| *a != agent);
         self.hang_up(agent, out);
@@ -862,7 +838,7 @@ impl Shard {
 
     /// Drives the procedure table: retransmits due requests, delivers
     /// terminal timeouts, and expires reconnect grace windows.
-    fn tick_procedures(&mut self, now: u64, out: &mut Vec<Action<ShardOut>>) {
+    fn tick_procedures(&mut self, now: u64, out: &mut Vec<Action<ServerEvent>>) {
         let (again, timed_out) = poll_in_order(&mut self.core.endpoint.table, now);
         self.core.retries += again.len() as u64;
         self.core.outbox.extend(again.into_iter().map(|(agent, pdu)| (Targets::One(agent), pdu)));
@@ -923,7 +899,12 @@ impl Shard {
 
     /// An inbound PDU failed to decode: count it, report it to the peer,
     /// and degrade the connection if the peer keeps sending garbage.
-    fn on_decode_error(&mut self, agent: AgentId, peer: PeerId, out: &mut Vec<Action<ShardOut>>) {
+    fn on_decode_error(
+        &mut self,
+        agent: AgentId,
+        peer: PeerId,
+        out: &mut Vec<Action<ServerEvent>>,
+    ) {
         self.core.decode_errors += 1;
         obs().decode_errors.inc();
         self.core.outbox.push((
@@ -1095,7 +1076,7 @@ impl Shard {
         Ok(())
     }
 
-    fn flush(&mut self, out: &mut Vec<Action<ShardOut>>) {
+    fn flush(&mut self, out: &mut Vec<Action<ServerEvent>>) {
         // Encode each queued PDU exactly once into the reusable scratch
         // buffer and share the frozen frame across its targets.  A frame
         // for an agent not connected here — offline, unknown, or another
@@ -1112,7 +1093,7 @@ impl Shard {
                 out.push(Action::Send(peer, msg));
             }
         });
-        out.extend(core.published.drain(..).map(|e| Action::App(ShardOut::Publish(e))));
+        out.extend(core.published.drain(..).map(Action::App));
         let agents_now = self.core.randb.agent_count() as i64;
         let subs_now = self.core.subs.len() as i64;
         m.agents.add(agents_now - self.gauge_agents);

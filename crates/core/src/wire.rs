@@ -2,15 +2,16 @@
 //! what they are — state machines ([`crate::machine`]) — on one thread and
 //! one virtual clock, where `driver.rs` runs each on threads and sockets.
 //!
-//! [`Wire`] carries out every machine's `Send`, `Hangup` and `Dial` in one
-//! place (`Wire::carry`): a `Send` reaches the far end as `Frame`, a
-//! `Hangup` as `Closed` (and as silence at the near end: what is still on
-//! its way there is lost), and a `Dial` is connected once its wait is over
-//! ([`Wire::settle`]), the listener told `Accepted` — a controller on its
-//! shard 0 — and the dialler `Dialled` under its tag.  Time moves a
-//! millisecond ([`Wire::advance`]) or a stride ([`Wire::stride`]) at a
-//! time, one tick per machine per step.  A shard's [`ShardOut::Handoff`]
-//! moves the connection to the shard it names.  No rule of E2 lives here.
+//! [`Wire`] carries out every machine's `Send`, `Hangup`, `Dial` and
+//! `Handoff` in one place (`Wire::carry`): a `Send` reaches the far end as
+//! `Frame`, a `Hangup` as `Closed` (and as silence at the near end: what is
+//! still on its way there is lost), a `Dial` is connected once its wait is
+//! over ([`Wire::settle`]), the listener told `Accepted` — a controller on
+//! its shard 0 — and the dialler `Dialled` under its tag, and a `Handoff`
+//! moves the connection to the sibling shard it names, which is told
+//! `Accepted` and the first frame.  Time moves a millisecond
+//! ([`Wire::advance`]) or a stride ([`Wire::stride`]) at a time, one tick
+//! per running machine per step.  No rule of E2 lives here.
 //! A script
 //! can drop, delay, hold back (reorder) or garble the next frames in either
 //! direction ([`Wire::faults`]), cut connections, stop and restart agents
@@ -30,7 +31,7 @@ use crate::agent::{Agent, AgentConfig, AgentIn, AgentOut, CtrlId, RanFunction};
 use crate::machine::{Action, DialTag, Event, Machine, PeerId};
 use crate::relay::Bridge;
 use crate::server::{
-    IApp, ServerApi, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn, ShardOut, ShardRouter,
+    IApp, ServerApi, ServerConfig, ServerEvent, ServerStats, Shard, ShardIn, ShardRouter,
 };
 
 /// One end of a connection: the agent, controller or bridge it belongs
@@ -85,7 +86,7 @@ pub const DOWN: usize = 1;
 /// A controller on the wire: its shards and where its connections are.
 pub struct Ctrl {
     pub shards: Vec<Shard>,
-    /// A controller that is not listening refuses dials.
+    /// A controller that is not listening has stopped: it refuses dials.
     listening: bool,
     /// Accepts and reads, never answers: its shards are told nothing of
     /// the connections it accepts.
@@ -149,7 +150,7 @@ impl Wire {
     pub fn shard(&mut self, c: usize, k: usize, event: Event<ShardIn>) {
         let mut out = Vec::new();
         self.ctrls[c].shards[k].handle(event, self.now, &mut out);
-        self.carry(Host::C(c), out, |w, action| w.shard_out(c, action));
+        self.carry(Host::C(c), out, |w, event| w.publish(c, event));
     }
 
     /// Runs `f` with the `A` of controller `c`'s shard `k`, as the
@@ -163,13 +164,13 @@ impl Wire {
     ) -> R {
         let mut out = Vec::new();
         let r = self.ctrls[c].shards[k].call(self.now, &mut out, f).expect("the shard runs an A");
-        self.carry(Host::C(c), out, |w, action| w.shard_out(c, action));
+        self.carry(Host::C(c), out, |w, event| w.publish(c, event));
         self.settle();
         r
     }
 
-    /// Carries out what machine `at` asked for, in order: sends, hangups
-    /// and dials here, its own actions by `own`.
+    /// Carries out what machine `at` asked for, in order: sends, hangups,
+    /// dials and handoffs here; its output goes to `own`.
     fn carry<Y>(&mut self, at: Host, out: Vec<Action<Y>>, mut own: impl FnMut(&mut Self, Y)) {
         for action in out {
             match action {
@@ -185,28 +186,24 @@ impl Wire {
                     self.dial_log.push((at, tag, after_ms));
                     self.dials.push((self.now + after_ms, at, tag, addr));
                 }
-                Action::App(action) => own(self, action),
+                // Only a controller hosts siblings: its shards.
+                Action::Handoff { peer, to, desc, first } => {
+                    let Host::C(c) = at else { panic!("{at:?} has no sibling to hand off to") };
+                    self.ctrls[c].shard_of.insert(peer, to);
+                    self.shard(c, to, Event::Accepted(peer, desc));
+                    self.shard(c, to, Event::Frame(peer, first));
+                }
+                Action::App(output) => own(self, output),
             }
         }
     }
 
-    /// Carries out what a shard of controller `c` asked for of its own.
-    fn shard_out(&mut self, c: usize, action: ShardOut) {
-        match action {
-            ShardOut::Publish(event) => {
-                if matches!(
-                    event,
-                    ServerEvent::AgentConnected(_) | ServerEvent::AgentReconnected(_)
-                ) {
-                    self.accepted_at.insert(c, self.now);
-                }
-                self.published.push(event)
-            }
-            ShardOut::Handoff { peer, shard, req, desc } => {
-                self.ctrls[c].shard_of.insert(peer, shard);
-                self.shard(c, shard, Event::App(ShardIn::NewAgent { req, peer, desc }));
-            }
+    /// Keeps what a shard of controller `c` published.
+    fn publish(&mut self, c: usize, event: ServerEvent) {
+        if matches!(event, ServerEvent::AgentConnected(_) | ServerEvent::AgentReconnected(_)) {
+            self.accepted_at.insert(c, self.now);
         }
+        self.published.push(event)
     }
 
     /// Hands bridge `b` `event` and carries out what it asks for.  What its
@@ -308,11 +305,13 @@ impl Wire {
     }
 
     /// Hands `to` what reached it.  A machine hears nothing more of an end
-    /// it hung up on, and a silent controller hears nothing: a frame for
-    /// either is lost.
+    /// it hung up on, and a silent or stopped controller hears nothing: a
+    /// frame for either is lost.
     fn deliver(&mut self, to: End, what: Option<WireMsg>) {
         let shard = match to {
-            End::C(c, p) if !self.ctrls[c].silent => self.ctrls[c].shard_of.get(&p).copied(),
+            End::C(c, p) if self.ctrls[c].listening && !self.ctrls[c].silent => {
+                self.ctrls[c].shard_of.get(&p).copied()
+            }
             _ => None,
         };
         match (to, shard) {
@@ -384,14 +383,15 @@ impl Wire {
     }
 
     /// Moves the clock `ms` forward in one step: what is due by then is
-    /// delivered, then every machine ticks once.
+    /// delivered, then every running machine ticks once.
     pub fn stride(&mut self, ms: u64) {
         self.now += ms;
         self.settle();
         (0..self.agents.len()).for_each(|i| self.agent(i, Event::Tick));
         (0..self.bridges.len()).for_each(|b| self.bridge(b, Event::Tick));
         for c in 0..self.ctrls.len() {
-            (0..self.ctrls[c].shards.len()).for_each(|k| self.shard(c, k, Event::Tick));
+            let shards = if self.ctrls[c].listening { self.ctrls[c].shards.len() } else { 0 };
+            (0..shards).for_each(|k| self.shard(c, k, Event::Tick));
         }
         self.settle();
     }
@@ -418,7 +418,9 @@ impl Wire {
             .for_each(|k| self.shard(at, k, Event::App(ShardIn::Start)));
     }
 
-    /// Stops controller `c`: it refuses dials and its connections close.
+    /// Stops controller `c`: it refuses dials, its connections close, and
+    /// until [`Wire::start_ctrl_of`] replaces it, it ticks no more and what
+    /// still reaches it is lost.
     pub fn stop_ctrl(&mut self, c: usize) {
         self.ctrls[c].listening = false;
         let ends: Vec<End> =

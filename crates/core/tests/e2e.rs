@@ -350,6 +350,39 @@ fn multi_controller_agent_serves_both() {
     s2.stop();
 }
 
+/// Two callers add a controller to one agent at once, one that sets up and
+/// one nobody listens at: each gets an id of its own and its own outcome,
+/// whichever reaches the agent's loop first.
+#[test]
+fn concurrent_add_controller_calls_each_get_their_own_outcome() {
+    let cfg = |name: &str| ServerConfig::new(ric(), TransportAddr::Mem(name.into()));
+    let first = Server::spawn(cfg("e2e-cc-1"), vec![]).unwrap();
+    let second = Server::spawn(cfg("e2e-cc-2"), vec![]).unwrap();
+    for id in 0..10 {
+        let acfg = AgentConfig::new(node(E2NodeType::Gnb, 60 + id), first.addrs[0].clone());
+        let agent = Agent::spawn(acfg, vec![]).unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let add = |addr: TransportAddr| {
+            let (agent, barrier) = (agent.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                agent.add_controller(addr)
+            })
+        };
+        let live = add(second.addrs[0].clone());
+        let refused = add(TransportAddr::Mem("e2e-cc-nobody".into()));
+        let live = live.join().unwrap().expect("the live controller sets up");
+        let why = refused.join().unwrap().expect_err("nobody listens there");
+        assert!(live == 1 || live == 2, "ids 1 and 2 are the two calls': {live}");
+        assert!(!why.to_string().is_empty());
+        assert_eq!(agent.with(|a, _, _| a.ctrl_count()).unwrap(), 3, "three controllers added");
+        assert_eq!(agent.stats().unwrap().controllers, 2, "the first and the live one are up");
+        agent.stop();
+    }
+    first.stop();
+    second.stop();
+}
+
 #[test]
 fn subscription_to_unknown_function_fails() {
     struct FailApp {

@@ -162,7 +162,7 @@ impl FlexranCtrl {
     /// Binds the south-bound listener at `addr` and runs the controller on
     /// the driver, polling every millisecond.
     pub fn spawn(self, addr: &TransportAddr) -> io::Result<MachineHandle<Self>> {
-        spawn_machine(self, Links::Listen(addr.clone()), Some(1))
+        spawn_machine(vec![self], vec![Links::Listen(addr.clone())], Some(1))
     }
 
     /// The polling application: walks every UE of every BS looking for
@@ -307,7 +307,7 @@ impl FlexranNode {
         ctrl: &TransportAddr,
         tick_ms: Option<u64>,
     ) -> io::Result<MachineHandle<Self>> {
-        spawn_machine(self, Links::Dial(ctrl.clone()), tick_ms)
+        spawn_machine(vec![self], vec![Links::Dial(ctrl.clone())], tick_ms)
     }
 
     fn send(&self, kind: u32, body: &[u8], out: &mut Vec<Action<Infallible>>) {
@@ -524,7 +524,7 @@ mod tests {
     fn a_stopped_controller_serves_no_one() {
         let (ctrl, counters) = controller("fxr-stop");
         ctrl.stop();
-        let dialled = FlexranNode::new(mac_only).spawn(&ctrl.addr, None);
+        let dialled = FlexranNode::new(mac_only).spawn(&ctrl.addrs[0], None);
         if let Ok(agent) = &dialled {
             for t in 0..30 {
                 agent.tick(t);
@@ -542,7 +542,7 @@ mod tests {
         let ctrl = ctrl.spawn(&TransportAddr::Mem("fxr-test".into())).unwrap();
         let node = FlexranNode::new(mac_only);
         let echo_rx = node.echo_rx.clone();
-        let agent = node.spawn(&ctrl.addr, None).unwrap();
+        let agent = node.spawn(&ctrl.addrs[0], None).unwrap();
         // Drive ticks until reports land.
         let mut t = 0;
         assert!(wait_until(Duration::from_secs(5), || {

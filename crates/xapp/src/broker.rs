@@ -70,7 +70,7 @@ impl Broker {
     /// connected [`BrokerClient`]s see the connection drop and reconnect.
     pub fn spawn(addr: &str) -> io::Result<MachineHandle<Broker>> {
         let addr = Links::Listen(TransportAddr::parse(addr)?);
-        spawn_machine(Broker::default(), addr, None)
+        spawn_machine(vec![Broker::default()], vec![addr], None)
     }
 
     /// Forgets `peer` and hangs up on it, once.
@@ -302,7 +302,7 @@ mod tests {
     // -- On the driver -------------------------------------------------------
 
     fn client(broker: &MachineHandle<Broker>) -> BrokerClient {
-        BrokerClient::connect(&broker.addr.to_string()).unwrap()
+        BrokerClient::connect(&broker.addrs[0].to_string()).unwrap()
     }
 
     /// Subscribes `sub` to `chan` and returns once the broker has the
@@ -385,7 +385,7 @@ mod tests {
     fn broker_restart_resubscribes() {
         for addr in ["127.0.0.1:0", "mem:broker-restart"] {
             let broker = Broker::spawn(addr).unwrap();
-            let addr = broker.addr.to_string();
+            let addr = broker.addrs[0].to_string();
             let (mut sub, mut publ) = (client(&broker), client(&broker));
             subscribed(&mut sub, &mut publ, "chan");
 

@@ -31,7 +31,7 @@ const RNTI: u16 = 0x4601;
 fn main() {
     // Northbound plumbing: pub/sub broker (the Redis stand-in).
     let broker = Broker::spawn("127.0.0.1:0").expect("broker");
-    let broker_addr = broker.addr.to_string();
+    let broker_addr = broker.addrs[0].to_string();
 
     // Controller: stats forwarder + TC SM manager, REST northbound.
     let sm = SmCodec::Flatb;

@@ -168,7 +168,7 @@ fn tc_xapp_full_loop_fixes_bufferbloat() {
     use flexric_xapp::broker::Broker;
 
     let broker = Broker::spawn("127.0.0.1:0").unwrap();
-    let broker_addr = broker.addr.to_string();
+    let broker_addr = broker.addrs[0].to_string();
     let sm = SmCodec::Flatb;
     let fwd = StatsForwarderApp::new(
         sm,

@@ -1114,6 +1114,24 @@ fn a_frame_in_flight_toward_a_hung_up_end_is_lost() {
     assert_eq!(after, (before.0, before.1, before.2 + 1), "(inds, rx_msgs, ind_lost)");
 }
 
+/// A stopped controller is gone, as its loop is on the driver: it ticks no
+/// more, and an indication still on its way there when it stopped counts in
+/// `ind_lost` instead of reaching a shard.
+#[test]
+fn a_stopped_controller_hears_and_does_nothing_more() {
+    let mut w = Wire::default();
+    w.start_ctrl(0, 1, true);
+    w.start_agent(1, None, &[0]);
+    w.advance(5);
+    w.faults[UP].push_back(Fault::Delay(5));
+    w.advance(1);
+    let (before, lost) = (w.ctrl_stats(0), w.ind_lost);
+    w.stop_ctrl(0);
+    w.advance(10);
+    assert_eq!(w.ctrl_stats(0), before, "the stopped controller read or ticked");
+    assert_eq!(w.ind_lost, lost + 1, "the indication in flight at the stop is lost");
+}
+
 // ---------------------------------------------------------------------------
 // E2 Setup is a tracked procedure: deadline, retransmission, terminal
 // outcome — and nothing waits for it but itself.  (EXPERIMENTS.md, "PR 15",
