@@ -6,8 +6,10 @@
 //!
 //! Exits nonzero if conservation breaks, if a per-frame payload copy
 //! shows up in steady state, if the batched reader never sees a
-//! multi-frame wakeup, or if one control deadline after the burst the
-//! controller routes anything but the monitor's three subscriptions.
+//! multi-frame wakeup, if one control deadline after the burst the
+//! controller routes anything but the monitor's three subscriptions, or if
+//! the agent takes over a second to answer a query after the burst (its
+//! virtual ticks coalesce, so it is never more than one tick behind).
 //!
 //! ```text
 //! cargo run --release -p flexric-bench --bin rx_burst_smoke [--duration 3]
@@ -113,10 +115,13 @@ fn main() {
     }
     // Pings completed while the burst ran, not while it settles below.
     let pings = rtts.lock().unwrap().len();
-    // The burst queues virtual ticks faster than the agent handles them;
-    // its stats are answered once it has handled every tick queued before
-    // the call, so the settling below starts with the burst sent.
+    // The burst ticks faster than the agent handles ticks; they coalesce,
+    // so its stats are answered once it has handled the one tick still
+    // queued and the input behind it, and the settling below starts with
+    // the burst sent.
+    let asked = std::time::Instant::now();
     agent.stats().expect("the agent runs");
+    let lag = asked.elapsed();
 
     // Settle.
     let mut snap = flexric_obs::snapshot();
@@ -149,6 +154,7 @@ fn main() {
         "rx_burst_smoke: rx payload copies {rx_copies_before} before burst, {rx_copies} after"
     );
     println!("rx_burst_smoke: {subs} routing entries one control deadline after the burst");
+    println!("rx_burst_smoke: the agent answered its stats {lag:.1?} after the burst");
 
     if sent < 1_000 {
         fail(&format!("burst too small: only {sent} indications sent"));
@@ -167,6 +173,9 @@ fn main() {
     }
     if pings == 0 {
         fail("no control ping completed — priority stream never exercised");
+    }
+    if lag > Duration::from_secs(1) {
+        fail(&format!("the agent took {lag:.1?} to answer after the burst: its ticks queue up"));
     }
     if subs != 3 {
         fail(&format!("{subs} routing entries, not the monitor's 3: the pings left theirs"));

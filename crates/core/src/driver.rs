@@ -14,7 +14,8 @@
 //! * the machine's input queue (a `std::sync::mpsc` channel plus the
 //!   poller's waker: ticks and work sent by the handle, readiness of its
 //!   mem connections, connects that finished, connections a sibling loop
-//!   handed over);
+//!   handed over), which holds at most one tick: ticks coalesce
+//!   ([`Handle::tick`]);
 //! * its connections, read one way: per [`PeerId`] a non-blocking TCP
 //!   socket the poller reports ready, or a mem connection its arrival
 //!   callback reports ready ([`MemRecvHalf::on_arrival`]); either is read
@@ -55,6 +56,7 @@ use std::fmt;
 use std::io;
 use std::net::Shutdown;
 use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::mpsc::{self, SendError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
@@ -177,23 +179,36 @@ type Work<M> = Box<dyn FnOnce(&mut Loop<M>) + Send>;
 /// What arrives on a loop's queue.
 enum In<M: Machine> {
     Event(Event<M::In>),
-    /// The clock reads this many milliseconds.
-    Tick(u64),
+    /// The clock reads what its [`Clock`] holds now.
+    Tick,
     /// Work that needs the loop itself: binding a fresh connection,
     /// answering a query.
     With(Work<M>),
     Stop,
 }
 
-/// A loop's queue, and the waker that interrupts the loop's wait.
+/// The virtual clock [`Handle::tick`] sets: its newest reading, and
+/// whether an `In::Tick` that will read it is queued.  A tick says "the
+/// clock reads t", so one queued tick stands for every reading that came
+/// after it: a loop slower than its ticks handles the newest of them, and
+/// its queue holds at most one.
+#[derive(Default)]
+struct Clock {
+    now_ms: AtomicU64,
+    queued: AtomicBool,
+}
+
+/// A loop's queue, its clock, and the waker that interrupts the loop's
+/// wait.
 struct Tx<M: Machine> {
     queue: mpsc::Sender<In<M>>,
+    clock: Arc<Clock>,
     waker: Arc<Waker>,
 }
 
 impl<M: Machine> Clone for Tx<M> {
     fn clone(&self) -> Self {
-        Tx { queue: self.queue.clone(), waker: self.waker.clone() }
+        Tx { queue: self.queue.clone(), clock: self.clock.clone(), waker: self.waker.clone() }
     }
 }
 
@@ -202,6 +217,15 @@ impl<M: Machine> Tx<M> {
         self.queue.send(input)?;
         self.waker.wake();
         Ok(())
+    }
+
+    /// Moves the clock on to `now_ms` (never back), and queues a tick
+    /// unless one is queued already, which will read it.
+    fn tick(&self, now_ms: u64) {
+        self.clock.now_ms.fetch_max(now_ms, SeqCst);
+        if !self.clock.queued.swap(true, SeqCst) {
+            let _ = self.send(In::Tick);
+        }
     }
 }
 
@@ -244,7 +268,7 @@ impl<M: Machine<In: Send, Out: Send> + 'static> Loop<M> {
     fn new(machine: M, subs: Subscribers<M::Out>) -> io::Result<(Self, mpsc::Receiver<In<M>>)> {
         let poller = Poller::new()?;
         let (queue, rx) = mpsc::channel();
-        let tx = Tx { queue, waker: poller.waker() };
+        let tx = Tx { queue, clock: Arc::default(), waker: poller.waker() };
         let lp = Loop {
             machine,
             tx,
@@ -544,7 +568,12 @@ impl<M: Machine<In: Send, Out: Send> + 'static> Loop<M> {
                 inputs += 1;
                 match input {
                     In::Event(event) => self.feed(event),
-                    In::Tick(now_ms) => self.tick(now_ms),
+                    In::Tick => {
+                        // Cleared first: a tick set after the read below
+                        // queues one of its own.
+                        self.tx.clock.queued.store(false, SeqCst);
+                        self.tick(self.tx.clock.now_ms.load(SeqCst));
+                    }
                     In::With(f) => f(&mut self),
                     In::Stop => return,
                 }
@@ -742,9 +771,14 @@ impl<M: Machine<In: Send, Out: Send> + 'static> Handle<M> {
     }
 
     /// Advances every loop's clock (virtual-time mode, or extra ticks).
+    /// Ticks coalesce: a loop that has not yet handled an earlier tick
+    /// handles one, at the newest reading.  What was queued behind that
+    /// earlier tick is then handled at the newer reading, as it would be
+    /// had the loop been late; to the agent's report grid a late tick
+    /// delays one report, and a stall of many periods gives one report.
     pub fn tick(&self, now_ms: u64) {
         for tx in &self.running.loops {
-            let _ = tx.send(In::Tick(now_ms));
+            tx.tick(now_ms);
         }
     }
 
@@ -1157,6 +1191,47 @@ mod tests {
         assert!(matches!(listener.seen.recv().unwrap(), Event::Accepted(p, _) if p != far));
         dialler.handle.stop();
         listener.handle.stop();
+    }
+
+    /// Counts the ticks it is told.
+    struct Ticks(Arc<AtomicU64>);
+
+    impl Machine for Ticks {
+        type In = ();
+        type Out = ();
+        fn handle(&mut self, event: Event<()>, _now_ms: u64, _out: &mut Vec<Action<()>>) {
+            if matches!(event, Event::Tick) {
+                self.0.fetch_add(1, SeqCst);
+            }
+        }
+    }
+
+    /// Ticks coalesce: a loop busy while its handle ticks a thousand times
+    /// handles one tick, at the newest reading, and the next tick after
+    /// that is handled on its own.
+    #[test]
+    fn ticks_that_find_one_queued_are_read_by_it() {
+        let told = Arc::new(AtomicU64::new(0));
+        let handle = spawn_machine(vec![Ticks(told.clone())], Vec::new(), None).unwrap();
+        let (release, held) = mpsc::channel::<()>();
+        let (busy_tx, busy) = mpsc::channel();
+        let _answer = ask(&handle.running.loops[0], move |_| {
+            busy_tx.send(()).unwrap();
+            held.recv().unwrap();
+        })
+        .unwrap();
+        busy.recv().unwrap();
+        for t in 1..=1_000 {
+            handle.tick(t);
+        }
+        handle.tick(7);
+        release.send(()).unwrap();
+        assert_eq!(handle.with(|_, now, _| now).unwrap(), 1_000, "the newest reading, never back");
+        assert_eq!(told.load(SeqCst), 1);
+        handle.tick(1_001);
+        assert_eq!(handle.with(|_, now, _| now).unwrap(), 1_001);
+        assert_eq!(told.load(SeqCst), 2);
+        handle.stop();
     }
 
     /// A handoff is the driver's for any machine: the sibling it names is

@@ -30,7 +30,7 @@ use flexric_sm::tc::{TcCtrl, TcStatsInd};
 use crate::nvs::SliceSched;
 use crate::phy::{bytes_per_prb_tti, Rat};
 use crate::rlc::{Packet, RlcBearer};
-use crate::tc::TcLayer;
+use crate::tc::{FiveTuple, TcLayer};
 
 /// Static configuration of a cell.
 #[derive(Debug, Clone)]
@@ -264,22 +264,18 @@ impl Cell {
     }
 
     /// Delivers a flow's downlink packets of this TTI into the UE's bearer
-    /// (SDAP ingress → TC classifier).  Returns how many were dropped.
-    pub fn ingress(&mut self, rnti: u16, drb: u8, pkts: &[Packet]) -> usize {
+    /// (SDAP ingress → TC classifier, which matches the flow's `tuple` once
+    /// for the batch).  Returns how many were dropped.
+    pub fn ingress(&mut self, rnti: u16, drb: u8, tuple: FiveTuple, pkts: &[Packet]) -> usize {
         let now = self.now_ms;
         let bearer =
             self.ue_mut(rnti).and_then(|ue| ue.bearers.iter_mut().find(|b| b.drb_id == drb));
         let Some(bearer) = bearer else { return pkts.len() };
-        let mut lost = 0;
-        for pkt in pkts {
-            bearer.pdcp_tx_pdus += 1;
-            bearer.pdcp_tx_bytes += pkt.bytes as u64;
-            bearer.pdcp_tx_aggr += pkt.bytes as u64;
-            if !bearer.tc.ingress(*pkt, now) {
-                lost += 1;
-            }
-        }
-        lost
+        let bytes: u64 = pkts.iter().map(|pkt| pkt.bytes as u64).sum();
+        bearer.pdcp_tx_pdus += pkts.len() as u64;
+        bearer.pdcp_tx_bytes += bytes;
+        bearer.pdcp_tx_aggr += bytes;
+        bearer.tc.ingress(tuple, pkts, now)
     }
 
     /// Advances the cell by one TTI: pacer release, slice scheduling, UE

@@ -6,32 +6,82 @@
 //! models a per-DRB drop-tail byte-bounded FIFO with per-packet sojourn
 //! tracking, the quantity the RLC statistics SM reports and the TC xApp
 //! of Fig. 11 acts on.
+//!
+//! Queues hold [`Packet`]s in a `PacketFifo`: equal packets in a row —
+//! what one flow sends in one TTI — are one entry with a count.
 
 use std::collections::VecDeque;
 
-/// One packet travelling through the downlink path.
+/// One packet travelling through the downlink path.  Its 5-tuple is its
+/// flow's ([`crate::FlowConfig::tuple`]), read once per batch at ingress,
+/// so packets of one flow sent in one TTI are equal values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
-    /// Flow the packet belongs to.
-    pub flow: usize,
-    /// Sequence within the flow.
-    pub seq: u64,
+    /// Flow the packet belongs to (its index in the [`crate::Sim`]).
+    pub flow: u32,
     /// Size in bytes.
     pub bytes: u32,
     /// When the flow emitted it (ms).
     pub sent_ms: u64,
     /// When it entered the current queue (ms); updated at each hop.
     pub enq_ms: u64,
-    /// Classifier metadata: source IPv4.
-    pub src_ip: u32,
-    /// Classifier metadata: destination IPv4.
-    pub dst_ip: u32,
-    /// Classifier metadata: source port.
-    pub src_port: u16,
-    /// Classifier metadata: destination port.
-    pub dst_port: u16,
-    /// Classifier metadata: IP protocol.
-    pub proto: u8,
+}
+
+const _: () = assert!(size_of::<Packet>() == 24);
+
+/// A FIFO of packets stored as runs: a packet equal to the one at the tail
+/// adds to that run's count instead of taking an entry of its own.  Equal
+/// packets cannot be told apart, so this is a plain packet FIFO to its
+/// users; `len`, `front` and `pop_front` count and hand out one packet at
+/// a time.
+#[derive(Debug, Default)]
+pub(crate) struct PacketFifo {
+    runs: VecDeque<(Packet, u32)>,
+    len: usize,
+}
+
+impl PacketFifo {
+    /// An empty FIFO.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Packets queued.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no packet is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Queues `pkt` behind every packet queued.
+    pub(crate) fn push_back(&mut self, pkt: Packet) {
+        self.len += 1;
+        match self.runs.back_mut() {
+            Some((tail, n)) if *tail == pkt && *n < u32::MAX => *n += 1,
+            _ => self.runs.push_back((pkt, 1)),
+        }
+    }
+
+    /// The packet at the head.
+    pub(crate) fn front(&self) -> Option<&Packet> {
+        self.runs.front().map(|(pkt, _)| pkt)
+    }
+
+    /// Takes the packet at the head.
+    pub(crate) fn pop_front(&mut self) -> Option<Packet> {
+        let (pkt, n) = self.runs.front_mut()?;
+        let pkt = *pkt;
+        if *n > 1 {
+            *n -= 1;
+        } else {
+            self.runs.pop_front();
+        }
+        self.len -= 1;
+        Some(pkt)
+    }
 }
 
 /// Running sojourn statistics over a reporting window.
@@ -83,7 +133,7 @@ pub struct RlcCounters {
 /// A drop-tail RLC bearer buffer.
 #[derive(Debug)]
 pub struct RlcBearer {
-    queue: VecDeque<Packet>,
+    queue: PacketFifo,
     backlog_bytes: u64,
     /// Remaining bytes of the head packet (partial drains across TTIs).
     head_remaining: u32,
@@ -102,7 +152,7 @@ impl RlcBearer {
     /// Creates a bearer with the given byte capacity (0 = unbounded).
     pub fn new(cap_bytes: u64) -> Self {
         RlcBearer {
-            queue: VecDeque::new(),
+            queue: PacketFifo::new(),
             backlog_bytes: 0,
             head_remaining: 0,
             cap_bytes,
@@ -192,19 +242,58 @@ impl RlcBearer {
 mod tests {
     use super::*;
 
-    fn pkt(seq: u64, bytes: u32, sent_ms: u64) -> Packet {
-        Packet {
-            flow: 0,
-            seq,
-            bytes,
-            sent_ms,
-            enq_ms: sent_ms,
-            src_ip: 0,
-            dst_ip: 0,
-            src_port: 0,
-            dst_port: 0,
-            proto: 6,
+    fn pkt(flow: u32, bytes: u32, sent_ms: u64) -> Packet {
+        Packet { flow, bytes, sent_ms, enq_ms: sent_ms }
+    }
+
+    /// Pops every packet, in order.
+    fn drain_fifo(q: &mut PacketFifo) -> Vec<Packet> {
+        std::iter::from_fn(|| q.pop_front()).collect()
+    }
+
+    #[test]
+    fn fifo_keeps_order_across_runs() {
+        let (a, b) = (pkt(0, 100, 0), pkt(0, 100, 1));
+        let mut q = PacketFifo::new();
+        for p in [a, a, a, b, b, a] {
+            q.push_back(p);
         }
+        assert_eq!(q.runs.len(), 3, "a×3, b×2, a×1");
+        assert_eq!(q.len(), 6, "len counts packets, not runs");
+        assert_eq!(q.front(), Some(&a));
+        assert_eq!(q.pop_front(), Some(a));
+        assert_eq!(q.len(), 5);
+        assert_eq!(drain_fifo(&mut q), [a, a, b, b, a]);
+        assert!(q.is_empty());
+        assert_eq!(q.pop_front(), None);
+        assert_eq!(q.front(), None);
+        // A run drained to its last packet takes new ones behind it.
+        q.push_back(b);
+        q.push_back(b);
+        q.pop_front();
+        q.push_back(b);
+        q.push_back(a);
+        assert_eq!(q.len(), 3);
+        assert_eq!(drain_fifo(&mut q), [b, b, a]);
+    }
+
+    #[test]
+    fn fifo_merges_only_equal_neighbours() {
+        let mut q = PacketFifo::new();
+        // Two flows interleaved: no two neighbours are equal.
+        for _ in 0..4 {
+            q.push_back(pkt(1, 1500, 7));
+            q.push_back(pkt(2, 1500, 7));
+        }
+        assert_eq!(q.runs.len(), 8);
+        assert_eq!(q.len(), 8);
+        // Equal but for the time they were queued.
+        let mut q = PacketFifo::new();
+        let first = pkt(1, 1500, 7);
+        q.push_back(first);
+        q.push_back(Packet { enq_ms: 8, ..first });
+        assert_eq!(q.runs.len(), 2);
+        assert_eq!(drain_fifo(&mut q), [first, Packet { enq_ms: 8, ..first }]);
     }
 
     #[test]
@@ -216,12 +305,12 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(b.drain(150, 10, &mut out), 100);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].seq, 1);
+        assert_eq!(out[0].flow, 1);
         assert_eq!(b.backlog_bytes(), 50);
         // Partial head continues next drain; `out` is appended to.
         assert_eq!(b.drain(1000, 20, &mut out), 100);
         assert_eq!(out.len(), 2);
-        assert_eq!(out[1].seq, 2);
+        assert_eq!(out[1].flow, 2);
         assert_eq!(b.backlog_bytes(), 0);
         assert_eq!(b.sojourn.max_us(), 20_000);
         assert_eq!(b.counters.tx_pdus, 2);
@@ -244,10 +333,11 @@ mod tests {
     #[test]
     fn zero_cap_is_unbounded() {
         let mut b = RlcBearer::new(0);
-        for i in 0..10_000 {
-            assert!(b.enqueue(pkt(i, 1500, 0), 0));
+        for _ in 0..10_000 {
+            assert!(b.enqueue(pkt(0, 1500, 0), 0));
         }
         assert_eq!(b.backlog_bytes(), 15_000_000);
+        assert_eq!(b.backlog_pkts(), 10_000);
     }
 
     #[test]
@@ -255,7 +345,7 @@ mod tests {
         let mut b = RlcBearer::new(0);
         let mut out = Vec::new();
         for t in 0..2000u64 {
-            b.enqueue(pkt(t, 1000, t), t);
+            b.enqueue(pkt(0, 1000, t), t);
             b.drain(1000, t, &mut out);
             out.clear();
         }

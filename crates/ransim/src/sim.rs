@@ -68,7 +68,7 @@ pub struct Sim {
     /// Packets on their way to the UE.
     deliveries: Fifo<Packet>,
     /// ACKs on their way back to the sender of a flow.
-    acks: Fifo<usize>,
+    acks: Fifo<u32>,
     /// Orders events due in the same TTI across both queues.
     seqno: u64,
     now_ms: u64,
@@ -111,6 +111,7 @@ impl Sim {
 
     /// Adds a flow; returns its id.
     pub fn add_flow(&mut self, cfg: FlowConfig) -> usize {
+        assert!(self.flows.len() < u32::MAX as usize, "a packet names its flow in 32 bits");
         self.flows.push(Flow::new(cfg));
         self.flows.len() - 1
     }
@@ -149,12 +150,12 @@ impl Sim {
             }
             if is_ack {
                 let (_, _, flow_id) = self.acks.pop_front().expect("peeked");
-                if let Some(flow) = self.flows.get_mut(flow_id) {
+                if let Some(flow) = self.flows.get_mut(flow_id as usize) {
                     flow.on_ack(now);
                 }
             } else {
                 let (_, _, pkt) = self.deliveries.pop_front().expect("peeked");
-                if let Some(flow) = self.flows.get_mut(pkt.flow) {
+                if let Some(flow) = self.flows.get_mut(pkt.flow as usize) {
                     flow.on_delivered(&pkt, now, self.path.ul_rtt_ms);
                     if matches!(flow.cfg.kind, FlowKind::GreedyTcp { .. }) {
                         let at_ms = now + self.path.ul_rtt_ms;
@@ -166,11 +167,12 @@ impl Sim {
         // 2. Flow generation → cell ingress, a flow's packets at a time.
         for (fi, flow) in self.flows.iter_mut().enumerate() {
             self.pkts.clear();
-            flow.generate(fi, now, &mut self.pkts);
+            flow.generate(fi as u32, now, &mut self.pkts);
             if self.pkts.is_empty() {
                 continue;
             }
-            let lost = self.cells[flow.cfg.cell].ingress(flow.cfg.rnti, flow.cfg.drb, &self.pkts);
+            let cfg = &flow.cfg;
+            let lost = self.cells[cfg.cell].ingress(cfg.rnti, cfg.drb, cfg.tuple, &self.pkts);
             for _ in 0..lost {
                 flow.on_lost(now);
             }
@@ -186,7 +188,7 @@ impl Sim {
                 schedule(&mut self.deliveries, &mut self.seqno, at_ms, *pkt);
             }
             for pkt in &self.dropped {
-                if let Some(flow) = self.flows.get_mut(pkt.flow) {
+                if let Some(flow) = self.flows.get_mut(pkt.flow as usize) {
                     flow.on_lost(now);
                 }
             }

@@ -7,18 +7,20 @@
 //! no pacer, reproducing vanilla behaviour; the TC SM reconfigures all
 //! three stages at runtime.
 
-use std::collections::VecDeque;
-
 use flexric_sm::tc::{FiveTupleRule, PacerConf, QueueKind, TcQueueStats, TcSchedAlgo};
 
-use crate::rlc::{Packet, RlcBearer, SojournWindow};
+use crate::rlc::{Packet, PacketFifo, RlcBearer, SojournWindow};
+
+/// `(src ip, dst ip, src port, dst port, proto)`: what the classifier
+/// matches a flow's packets on.
+pub type FiveTuple = (u32, u32, u16, u16, u8);
 
 /// One TC queue instance.
 #[derive(Debug)]
 struct TcQueue {
     id: u32,
     kind: QueueKind,
-    queue: VecDeque<Packet>,
+    queue: PacketFifo,
     backlog_bytes: u64,
     sojourn: SojournWindow,
     drops: u64,
@@ -33,7 +35,7 @@ impl TcQueue {
         TcQueue {
             id,
             kind,
-            queue: VecDeque::new(),
+            queue: PacketFifo::new(),
             backlog_bytes: 0,
             sojourn: SojournWindow::default(),
             drops: 0,
@@ -218,12 +220,15 @@ impl TcLayer {
         self.queues.iter().map(|q| q.backlog_bytes).sum()
     }
 
-    /// Classifies and enqueues a packet arriving from upper layers.
-    pub fn ingress(&mut self, pkt: Packet, now_ms: u64) -> bool {
+    /// Classifies a batch of packets arriving from upper layers — one
+    /// flow's, whose 5-tuple is `tuple` — and enqueues them.  Returns how
+    /// many were dropped.
+    pub fn ingress(&mut self, tuple: FiveTuple, pkts: &[Packet], now_ms: u64) -> usize {
+        let (src_ip, dst_ip, src_port, dst_port, proto) = tuple;
         let target = self
             .rules
             .iter()
-            .find(|r| r.rule.matches(pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto))
+            .find(|r| r.rule.matches(src_ip, dst_ip, src_port, dst_port, proto))
             .map(|r| r.queue)
             .unwrap_or(0);
         let pos = self
@@ -232,7 +237,8 @@ impl TcLayer {
             .position(|q| q.id == target)
             .or_else(|| self.queues.iter().position(|q| q.id == 0))
             .expect("queue 0 always present");
-        self.queues[pos].enqueue(pkt, now_ms)
+        let queue = &mut self.queues[pos];
+        pkts.iter().filter(|pkt| !queue.enqueue(**pkt, now_ms)).count()
     }
 
     /// Releases packets toward the RLC bearer for this TTI, honoring the
@@ -324,27 +330,20 @@ impl TcLayer {
 mod tests {
     use super::*;
 
-    fn pkt(flow: usize, bytes: u32, now: u64, dst_port: u16, proto: u8) -> Packet {
-        Packet {
-            flow,
-            seq: 0,
-            bytes,
-            sent_ms: now,
-            enq_ms: now,
-            src_ip: 0x0A000001,
-            dst_ip: 0x0A000002,
-            src_port: 1000,
-            dst_port,
-            proto,
-        }
+    fn tuple(dst_port: u16, proto: u8) -> FiveTuple {
+        (0x0A000001, 0x0A000002, 1000, dst_port, proto)
+    }
+
+    fn pkt(flow: u32, bytes: u32, now: u64) -> Packet {
+        Packet { flow, bytes, sent_ms: now, enq_ms: now }
     }
 
     #[test]
     fn transparent_mode_passes_through() {
         let mut tc = TcLayer::new();
         let mut rlc = RlcBearer::new(0);
-        tc.ingress(pkt(0, 100, 0, 80, 6), 0);
-        tc.ingress(pkt(0, 200, 0, 80, 6), 0);
+        tc.ingress(tuple(80, 6), &[pkt(0, 100, 0)], 0);
+        tc.ingress(tuple(80, 6), &[pkt(0, 200, 0)], 0);
         tc.egress(&mut rlc, 0, &mut Vec::new());
         assert_eq!(tc.backlog_bytes(), 0);
         assert_eq!(rlc.backlog_bytes(), 300);
@@ -360,8 +359,8 @@ mod tests {
             0,
         )
         .unwrap();
-        tc.ingress(pkt(0, 100, 0, 5004, 17), 0); // matches → q1
-        tc.ingress(pkt(1, 100, 0, 80, 6), 0); // default → q0
+        tc.ingress(tuple(5004, 17), &[pkt(0, 100, 0)], 0); // matches → q1
+        tc.ingress(tuple(80, 6), &[pkt(1, 100, 0)], 0); // default → q0
         let (stats, _) = tc.stats(0);
         let q0 = stats.iter().find(|q| q.id == 0).unwrap();
         let q1 = stats.iter().find(|q| q.id == 1).unwrap();
@@ -383,7 +382,7 @@ mod tests {
         let mut tc = TcLayer::new();
         tc.add_queue(1, QueueKind::Fifo { cap_bytes: 0 });
         tc.add_rule(FiveTupleRule { id: 1, proto: Some(17), ..Default::default() }, 1, 0).unwrap();
-        tc.ingress(pkt(0, 100, 0, 5004, 17), 0);
+        tc.ingress(tuple(5004, 17), &[pkt(0, 100, 0)], 0);
         tc.del_queue(1).unwrap();
         let (stats, _) = tc.stats(0);
         assert_eq!(stats.len(), 1);
@@ -398,8 +397,8 @@ mod tests {
         let mut sink = Vec::new();
         // Warm the drain-rate estimate: 2000 B/ms link.
         for t in 0..500u64 {
-            tc.ingress(pkt(0, 1000, t, 80, 6), t);
-            tc.ingress(pkt(0, 1000, t, 80, 6), t);
+            tc.ingress(tuple(80, 6), &[pkt(0, 1000, t)], t);
+            tc.ingress(tuple(80, 6), &[pkt(0, 1000, t)], t);
             tc.egress(&mut rlc, t, &mut sink);
             rlc.drain(2000, t, &mut sink);
             sink.clear();
@@ -408,7 +407,7 @@ mod tests {
         // drain_rate × target = 2000 B/ms × 10 ms = 20 kB.
         for t in 500..1000u64 {
             for _ in 0..10 {
-                tc.ingress(pkt(0, 1500, t, 80, 6), t);
+                tc.ingress(tuple(80, 6), &[pkt(0, 1500, t)], t);
             }
             tc.egress(&mut rlc, t, &mut sink);
             rlc.drain(2000, t, &mut sink);
@@ -428,8 +427,8 @@ mod tests {
         tc.add_queue(1, QueueKind::Fifo { cap_bytes: 0 });
         tc.add_rule(FiveTupleRule { id: 1, proto: Some(17), ..Default::default() }, 1, 0).unwrap();
         for _ in 0..10 {
-            tc.ingress(pkt(0, 100, 0, 80, 6), 0); // q0
-            tc.ingress(pkt(1, 100, 0, 5004, 17), 0); // q1
+            tc.ingress(tuple(80, 6), &[pkt(0, 100, 0)], 0); // q0
+            tc.ingress(tuple(5004, 17), &[pkt(1, 100, 0)], 0); // q1
         }
         let mut rlc = RlcBearer::new(0);
         tc.egress(&mut rlc, 0, &mut Vec::new());
@@ -446,8 +445,8 @@ mod tests {
         tc.set_sched(TcSchedAlgo::StrictPriority, vec![]);
         tc.set_pacer(PacerConf::Bdp { target_delay_us: 1 }); // tiny budget
         tc.add_rule(FiveTupleRule { id: 1, proto: Some(17), ..Default::default() }, 1, 0).unwrap();
-        tc.ingress(pkt(1, 1000, 0, 5004, 17), 0); // q1
-        tc.ingress(pkt(0, 1000, 0, 80, 6), 0); // q0
+        tc.ingress(tuple(5004, 17), &[pkt(1, 1000, 0)], 0); // q1
+        tc.ingress(tuple(80, 6), &[pkt(0, 1000, 0)], 0); // q0
         let mut rlc = RlcBearer::new(0);
         // Budget floor is 3000 B; only q0's packet plus one more fit…
         tc.egress(&mut rlc, 0, &mut Vec::new());
@@ -464,14 +463,14 @@ mod tests {
         // Fill queue 1 at t=0, then drain much later: sojourns way above
         // target for longer than the interval ⇒ CoDel drops.
         for i in 0..50 {
-            tc.ingress(pkt(1, 100, 0, 5004, 17), i / 10);
+            tc.ingress(tuple(5004, 17), &[pkt(1, 100, 0)], i / 10);
         }
         let mut rlc = RlcBearer::new(0);
         // First egress at t=100 sets codel_above_since; later ones drop.
         tc.egress(&mut rlc, 100, &mut Vec::new());
         tc.reset_window(100);
         for i in 0..50 {
-            tc.ingress(pkt(1, 100, 130, 5004, 17), 130);
+            tc.ingress(tuple(5004, 17), &[pkt(1, 100, 130)], 130);
             let _ = i;
         }
         tc.egress(&mut rlc, 200, &mut Vec::new());

@@ -10,6 +10,7 @@
 //! buffer until drop-tail loss.
 
 use crate::rlc::Packet;
+use crate::tc::FiveTuple;
 
 /// What kind of traffic a flow generates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,8 +41,8 @@ pub struct FlowConfig {
     /// Generator kind.
     pub kind: FlowKind,
     /// 5-tuple `(src ip, dst ip, src port, dst port, proto)` for the TC
-    /// classifier.
-    pub tuple: (u32, u32, u16, u16, u8),
+    /// classifier, which reads it once per batch of this flow's packets.
+    pub tuple: FiveTuple,
     /// When the flow starts (ms).
     pub start_ms: u64,
     /// When the flow stops generating (ms), `None` = never.
@@ -141,8 +142,6 @@ pub struct Flow {
     /// Configuration.
     pub cfg: FlowConfig,
     state: GenState,
-    /// Next sequence number.
-    seq: u64,
     /// Whether generation is paused (experiment control).
     pub active: bool,
     /// Packets handed to the cell.
@@ -167,7 +166,6 @@ impl Flow {
         Flow {
             cfg,
             state,
-            seq: 0,
             active: true,
             tx_pkts: 0,
             delivered_pkts: 0,
@@ -177,27 +175,14 @@ impl Flow {
         }
     }
 
-    fn mk_packet(&mut self, flow_id: usize, bytes: u32, now_ms: u64) -> Packet {
-        let (src_ip, dst_ip, src_port, dst_port, proto) = self.cfg.tuple;
-        let seq = self.seq;
-        self.seq += 1;
+    fn mk_packet(&mut self, flow_id: u32, bytes: u32, now_ms: u64) -> Packet {
         self.tx_pkts += 1;
-        Packet {
-            flow: flow_id,
-            seq,
-            bytes,
-            sent_ms: now_ms,
-            enq_ms: now_ms,
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            proto,
-        }
+        Packet { flow: flow_id, bytes, sent_ms: now_ms, enq_ms: now_ms }
     }
 
-    /// Appends the packets this flow sends at `now_ms` to `out`.
-    pub fn generate(&mut self, flow_id: usize, now_ms: u64, out: &mut Vec<Packet>) {
+    /// Appends the packets this flow, `flow_id`, sends at `now_ms` to `out`.
+    /// They are equal values, which a queue holds as one run.
+    pub fn generate(&mut self, flow_id: u32, now_ms: u64, out: &mut Vec<Packet>) {
         if !self.active
             || now_ms < self.cfg.start_ms
             || self.cfg.stop_ms.is_some_and(|s| now_ms >= s)
@@ -324,8 +309,10 @@ mod tests {
         let pkts = generate(&mut f, 0);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].bytes, 172);
-        assert_eq!(pkts[0].dst_port, 5004);
-        assert_eq!(pkts[0].proto, 17);
+        // The tuple is the flow's, handed to the classifier with each batch.
+        assert_eq!(pkts[0].flow, 0);
+        let (_, _, _, dst_port, proto) = f.cfg.tuple;
+        assert_eq!((dst_port, proto), (5004, 17));
     }
 
     #[test]

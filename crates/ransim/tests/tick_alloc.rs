@@ -8,12 +8,16 @@
 //!
 //! Before the TTI path moved its packets through caller-owned buffers the
 //! two worlds below allocated 10.3 and 28.5 times per TTI.
+//!
+//! The same allocator also keeps this thread's live heap bytes, which
+//! bound what a world holds (`a_ctrl_storm_world_holds_little_heap`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use flexric_ransim::scenario::ScenarioSpec;
 use flexric_ransim::ScenarioEngine;
+use flexric_sm::slice::SliceCtrl;
 
 mod worlds;
 
@@ -21,14 +25,22 @@ thread_local! {
     /// Allocations made by this thread (the test harness runs tests, and
     /// prints, on others).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less those it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn count() {
-        // The thread-local is gone while a thread is torn down.
+    /// One allocation of `grown` bytes more than were held before.
+    fn count(grown: i64) {
+        // The thread-locals are gone while a thread is torn down.
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        Self::grow(grown);
+    }
+
+    fn grow(bytes: i64) {
+        let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
     }
 }
 
@@ -36,21 +48,22 @@ impl Counting {
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::grow(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -64,6 +77,14 @@ fn allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// Runs `f` and returns how many bytes this thread holds afterwards that it
+/// did not hold before: what `f` keeps, with its buffers' spare capacity.
+fn kept<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    let t = f();
+    (t, LIVE.with(Cell::get) - before)
 }
 
 const WARM_UP_TTIS: u64 = 1_000;
@@ -107,4 +128,33 @@ fn three_cell_preset_world_ticks_without_allocating() {
         }
     });
     assert!(n < BUDGET, "{n} allocations in {TTIS} TTIs of commuter-rush");
+}
+
+/// Most heap one `ctrl-storm` cell holds after the benchmark's block of
+/// 500 TTIs with an `AddModSlices` flip every TTI: twice the 42 495 bytes
+/// the seed-1 world holds (32 275 at seed 7) with its queues kept as runs
+/// of 24-byte packets.  Most of it is the greedy-TCP flows' windows queued
+/// in their bearers: when every queued packet took a 56-byte slot of its
+/// own, the same worlds held 202 303 and 134 739 bytes.
+const STORM_CELL_HEAP: i64 = 2 * 42_500;
+
+#[test]
+fn a_ctrl_storm_world_holds_little_heap() {
+    for seed in [1, 7] {
+        let (sim, bytes) = kept(|| {
+            let mut sim = worlds::storm_world(worlds::mix(seed, 0));
+            for t in 0..500 {
+                let slices = worlds::storm_slices(&worlds::STORM_SHARES[t % 2]);
+                worlds::slice_ctrl(&mut sim, 0, SliceCtrl::AddModSlices { slices });
+                sim.tick();
+            }
+            sim
+        });
+        let per_cell = bytes / sim.cells.len() as i64;
+        println!("ctrl-storm world, seed {seed}: {per_cell} heap bytes per cell");
+        assert!(
+            per_cell <= STORM_CELL_HEAP,
+            "seed {seed}: {per_cell} heap bytes per cell, budget {STORM_CELL_HEAP}"
+        );
+    }
 }

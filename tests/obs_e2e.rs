@@ -120,19 +120,18 @@ fn indication_conservation_over_tcp_loopback() {
 
     // Drive 1 s of virtual time (subscription round-trip + a steady stream
     // of 1 ms-period indications from 3 SMs per agent).
-    for _ in 0..20 {
-        for _ in 0..50 {
-            for (sim, agent) in sims.iter().zip(&agents) {
-                let now = {
-                    let mut s = sim.lock().unwrap();
-                    s.tick();
-                    s.now_ms()
-                };
-                agent.tick(now);
-            }
+    for _ in 0..1_000 {
+        for (sim, agent) in sims.iter().zip(&agents) {
+            let now = {
+                let mut s = sim.lock().unwrap();
+                s.tick();
+                s.now_ms()
+            };
+            agent.tick(now);
         }
-        // A round trip through each agent's queue: none lags the
-        // simulators by more than a chunk of ticks.
+        // A round trip through each agent's queue: each tick is handled on
+        // its own, not coalesced into the next, so every millisecond's
+        // reports are sent.
         for agent in &agents {
             let _ = agent.stats();
         }
