@@ -76,7 +76,9 @@ struct ServerCore {
     ric_id: GlobalRicId,
     shard: usize,
     randb: RanDb,
-    subs: HashMap<(AgentId, RicRequestId), SubState>,
+    /// Every subscription, by request id first: the agents holding one
+    /// instance are one `range` of the map.
+    subs: BTreeMap<(RicRequestId, AgentId), SubState>,
     /// The shared procedure endpoint: one outstanding-transaction table
     /// for every server-initiated procedure, plus the id allocators.
     endpoint: E2apEndpoint<AgentId, usize>,
@@ -108,10 +110,11 @@ impl ServerCore {
         let requestor = iapp as u16 + 1;
         let ServerCore { endpoint, subs, .. } = self;
         // An instance is busy while its procedure is in flight *or* its
-        // subscription is live — established subscriptions outlive their
-        // table entry.
+        // subscription is live at any agent — established subscriptions
+        // outlive their table entry.
         endpoint.alloc_request_id(requestor, |inst| {
-            subs.keys().any(|(_, r)| r.requestor == requestor && r.instance == inst)
+            let req_id = RicRequestId::new(requestor, inst);
+            subs.range((req_id, AgentId::MIN)..=(req_id, AgentId::MAX)).next().is_some()
         })
     }
 
@@ -137,7 +140,7 @@ impl ServerCore {
     /// subscription's, or that of a control still outstanding under the
     /// id — a control answered by a report, as the HW ping is.
     fn route(&self, agent: AgentId, req_id: RicRequestId) -> Option<usize> {
-        match self.subs.get(&(agent, req_id)) {
+        match self.subs.get(&(req_id, agent)) {
             Some(sub) => Some(sub.iapp),
             None => {
                 let proc = self.endpoint.table.get(agent, ProcedureKey::Ric(req_id))?;
@@ -204,7 +207,7 @@ impl ServerApi<'_> {
         let (event_trigger, actions) = (req.event_trigger.clone(), req.actions.clone());
         let sub =
             SubState { iapp: self.iapp, ran_function, event_trigger, actions, established: false };
-        self.core.subs.insert((agent, req_id), sub);
+        self.core.subs.insert((req_id, agent), sub);
         let pdu = E2apPdu::RicSubscriptionRequest(req);
         self.core.issue(agent, req_id, ProcedureClass::Subscription, pdu, self.iapp);
     }
@@ -231,12 +234,12 @@ impl ServerApi<'_> {
 
     /// Deletes a subscription.
     pub fn unsubscribe(&mut self, agent: AgentId, req_id: RicRequestId) {
-        let ran_function = match self.core.subs.get(&(agent, req_id)) {
+        let ran_function = match self.core.subs.get(&(req_id, agent)) {
             Some(sub) if sub.iapp != self.iapp => return, // not this iApp's subscription
             Some(sub) => sub.ran_function,
             None => RanFunctionId::new(0),
         };
-        self.core.subs.remove(&(agent, req_id));
+        self.core.subs.remove(&(req_id, agent));
         // A still-pending subscription procedure under the same key is
         // cancelled; the delete takes over the id.
         let pdu = E2apPdu::RicSubscriptionDeleteRequest(RicSubscriptionDeleteRequest {
@@ -259,7 +262,7 @@ impl ServerApi<'_> {
         req_id: RicRequestId,
         event_trigger: Bytes,
     ) -> bool {
-        let (ran_function, actions) = match self.core.subs.get_mut(&(agent, req_id)) {
+        let (ran_function, actions) = match self.core.subs.get_mut(&(req_id, agent)) {
             Some(sub) if sub.iapp != self.iapp => return false,
             Some(sub) => {
                 sub.event_trigger = event_trigger.clone();
@@ -332,11 +335,10 @@ impl ServerApi<'_> {
 
     /// Deletes every subscription this iApp holds at `agent`.
     pub(crate) fn unsubscribe_all(&mut self, agent: AgentId) {
-        let mut mine: Vec<RicRequestId> = (self.core.subs.iter())
-            .filter(|((a, _), sub)| *a == agent && sub.iapp == self.iapp)
-            .map(|((_, req_id), _)| *req_id)
+        let mine: Vec<RicRequestId> = (self.core.subs.iter())
+            .filter(|((_, a), sub)| *a == agent && sub.iapp == self.iapp)
+            .map(|((req_id, _), _)| *req_id)
             .collect();
-        mine.sort_unstable();
         mine.into_iter().for_each(|req_id| self.unsubscribe(agent, req_id));
     }
 
@@ -561,7 +563,7 @@ impl Shard {
             ric_id: cfg.ric_id,
             shard: idx,
             randb: RanDb::new(),
-            subs: HashMap::new(),
+            subs: BTreeMap::new(),
             endpoint: E2apEndpoint::new(cfg.retry),
             conns: HashMap::new(),
             outbox: Vec::new(),
@@ -776,11 +778,10 @@ impl Shard {
     /// Re-issues every subscription intent toward a rebound agent under
     /// its original request id.
     fn replay_subscriptions(&mut self, agent: AgentId) {
-        let mut replayed: Vec<RicRequestId> =
-            self.core.subs.keys().filter(|(a, _)| *a == agent).map(|(_, req_id)| *req_id).collect();
-        replayed.sort_unstable();
+        let replayed: Vec<RicRequestId> =
+            self.core.subs.keys().filter(|(_, a)| *a == agent).map(|(req_id, _)| *req_id).collect();
         for req_id in replayed {
-            let Some(sub) = self.core.subs.get_mut(&(agent, req_id)) else { continue };
+            let Some(sub) = self.core.subs.get_mut(&(req_id, agent)) else { continue };
             sub.established = false;
             let iapp = sub.iapp;
             let pdu = E2apPdu::RicSubscriptionRequest(RicSubscriptionRequest {
@@ -807,7 +808,7 @@ impl Shard {
             // Keep the identity and the subscription intents for a rebind;
             // the grace deadline is enforced on ticks.  The router keeps
             // the agent bound here, so the entity's shard pin holds.
-            for ((a, _), sub) in self.core.subs.iter_mut() {
+            for ((_, a), sub) in self.core.subs.iter_mut() {
                 if *a == agent {
                     sub.established = false;
                 }
@@ -822,7 +823,7 @@ impl Shard {
     /// tell the world.
     fn finalize_disconnect(&mut self, agent: AgentId, out: &mut Vec<Action<ServerEvent>>) {
         self.offline.remove(&agent);
-        self.core.subs.retain(|(a, _), _| *a != agent);
+        self.core.subs.retain(|(_, a), _| *a != agent);
         self.hang_up(agent, out);
         if let Some(info) = self.core.randb.remove_agent(agent) {
             // Release the entity→shard pin once no agent of the entity
@@ -873,7 +874,7 @@ impl Shard {
                     let out = if timed_out {
                         // The agent is reachable but unresponsive for this
                         // request: the intent dies with it.
-                        self.core.subs.remove(&(agent, req_id));
+                        self.core.subs.remove(&(req_id, agent));
                         SubOutcome::TimedOut { req_id, ran_function, attempts: proc.attempts }
                     } else {
                         SubOutcome::ConnectionLost { req_id, ran_function }
@@ -975,7 +976,7 @@ impl Shard {
             }
             E2apPdu::RicSubscriptionResponse(resp) => {
                 let proc = self.complete(agent, resp.req_id, true);
-                if let Some(sub) = self.core.subs.get_mut(&(agent, resp.req_id)) {
+                if let Some(sub) = self.core.subs.get_mut(&(resp.req_id, agent)) {
                     // A retransmitted request may be acknowledged more than
                     // once; only the first response is delivered.
                     sub.established = true;
@@ -990,7 +991,7 @@ impl Shard {
             }
             E2apPdu::RicSubscriptionFailure(fail) => {
                 self.complete(agent, fail.req_id, false);
-                if let Some(sub) = self.core.subs.remove(&(agent, fail.req_id)) {
+                if let Some(sub) = self.core.subs.remove(&(fail.req_id, agent)) {
                     let out = SubOutcome::Failed(fail);
                     self.for_one(sub.iapp, |iapp, api| {
                         iapp.on_subscription_outcome(api, agent, &out)
@@ -999,11 +1000,11 @@ impl Shard {
             }
             E2apPdu::RicSubscriptionDeleteResponse(resp) => {
                 self.complete(agent, resp.req_id, true);
-                self.core.subs.remove(&(agent, resp.req_id));
+                self.core.subs.remove(&(resp.req_id, agent));
             }
             E2apPdu::RicSubscriptionDeleteFailure(fail) => {
                 self.complete(agent, fail.req_id, false);
-                self.core.subs.remove(&(agent, fail.req_id));
+                self.core.subs.remove(&(fail.req_id, agent));
             }
             E2apPdu::RicControlAcknowledge(ack) => {
                 if let Some(proc) = self.complete(agent, ack.req_id, true) {
@@ -1063,7 +1064,7 @@ impl Shard {
             E2apPdu::ResetRequest(req) => {
                 // The agent wiped its subscription state: drop intents and
                 // terminate everything in flight toward it.
-                self.core.subs.retain(|(a, _), _| *a != agent);
+                self.core.subs.retain(|(_, a), _| *a != agent);
                 let lost = in_order(self.core.endpoint.table.connection_lost(agent));
                 self.deliver_terminals(lost, false);
                 self.core.outbox.push((
@@ -1110,5 +1111,46 @@ impl Drop for Shard {
         obs().agents.add(-self.gauge_agents);
         obs().subs_live.add(-self.gauge_subs);
         self.shard_obs.agents.set(0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use crate::RetryPolicy;
+
+    fn shard() -> Shard {
+        let cfg = ServerConfig::new(
+            GlobalRicId::new(Plmn::TEST, 1),
+            TransportAddr::Mem("shard-unit".into()),
+        );
+        Shard::new(0, &cfg, Vec::new(), Arc::new(ShardRouter::new(1)))
+    }
+
+    fn live(iapp: usize) -> SubState {
+        SubState {
+            iapp,
+            ran_function: RanFunctionId::new(142),
+            event_trigger: Bytes::new(),
+            actions: Vec::new(),
+            established: true,
+        }
+    }
+
+    #[test]
+    fn allocation_skips_an_instance_another_agents_subscription_holds() {
+        let mut shard = shard();
+        // iApp 0 asks as requestor 1.  Agent 7 holds instances 0 and 2 of
+        // it, agent 3 instance 1 of requestor 2 (another iApp's).
+        for (inst, agent, requestor) in [(0, 7, 1), (2, 7, 1), (1, 3, 2)] {
+            shard.core.subs.insert((RicRequestId::new(requestor, inst), agent), live(0));
+        }
+        let got: Vec<u16> = (0..3).map(|_| shard.core.next_req_id(0).instance).collect();
+        assert_eq!(got, [1, 3, 4], "agent 7's instances are skipped, requestor 2's are not");
+        // Once the agent lets go of an instance, it is free again.
+        shard.core.subs.remove(&(RicRequestId::new(1, 0), 7));
+        shard.core.endpoint = E2apEndpoint::new(RetryPolicy::default());
+        assert_eq!(shard.core.next_req_id(0), RicRequestId::new(1, 0));
     }
 }

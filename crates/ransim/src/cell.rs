@@ -29,7 +29,7 @@ use flexric_sm::tc::{TcCtrl, TcStatsInd};
 
 use crate::nvs::SliceSched;
 use crate::phy::{bytes_per_prb_tti, Rat};
-use crate::rlc::{Packet, RlcBearer};
+use crate::rlc::{Packet, RlcBearer, Run};
 use crate::tc::{FiveTuple, TcLayer};
 
 /// Static configuration of a cell.
@@ -115,6 +115,14 @@ pub struct Ue {
     /// Bearers (DRB 1 created at attach).
     pub bearers: Vec<Bearer>,
     mac: MacWindow,
+}
+
+impl Bearer {
+    /// Whether a TTI has nothing to do here: no packet waits in the TC
+    /// queues and no byte in the RLC buffer.
+    fn is_idle(&self) -> bool {
+        self.tc.is_empty() && !self.rlc.has_backlog()
+    }
 }
 
 impl Ue {
@@ -263,28 +271,37 @@ impl Cell {
         self.ues.iter_mut().find(|u| u.cfg.rnti == rnti)
     }
 
-    /// Delivers a flow's downlink packets of this TTI into the UE's bearer
-    /// (SDAP ingress → TC classifier, which matches the flow's `tuple` once
-    /// for the batch).  Returns how many were dropped.
-    pub fn ingress(&mut self, rnti: u16, drb: u8, tuple: FiveTuple, pkts: &[Packet]) -> usize {
+    /// Delivers a flow's downlink packets of this TTI, `n` packets `pkt`,
+    /// into the UE's bearer (SDAP ingress → TC classifier, which matches
+    /// the flow's `tuple` once for the run).  Returns how many were
+    /// dropped.
+    pub fn ingress(&mut self, rnti: u16, drb: u8, tuple: FiveTuple, pkt: Packet, n: u32) -> u32 {
         let now = self.now_ms;
         let bearer =
             self.ue_mut(rnti).and_then(|ue| ue.bearers.iter_mut().find(|b| b.drb_id == drb));
-        let Some(bearer) = bearer else { return pkts.len() };
-        let bytes: u64 = pkts.iter().map(|pkt| pkt.bytes as u64).sum();
-        bearer.pdcp_tx_pdus += pkts.len() as u64;
+        let Some(bearer) = bearer else { return n };
+        let bytes = pkt.bytes as u64 * n as u64;
+        bearer.pdcp_tx_pdus += n as u64;
         bearer.pdcp_tx_bytes += bytes;
         bearer.pdcp_tx_aggr += bytes;
-        bearer.tc.ingress(tuple, pkts, now)
+        bearer.tc.ingress(tuple, pkt, n, now)
     }
 
     /// Advances the cell by one TTI: pacer release, slice scheduling, UE
-    /// scheduling, RLC drain.  Appends the packets that left the cell this
-    /// TTI (they reach the UE after the air-interface latency) to `out` and
-    /// the packets dropped at the RLC drop-tail (the sender's loss signal)
-    /// to `dropped`.
-    pub fn tick(&mut self, now_ms: u64, out: &mut Vec<Packet>, dropped: &mut Vec<Packet>) {
+    /// scheduling, RLC drain.  Appends the runs of packets that left the
+    /// cell this TTI (they reach the UE after the air-interface latency) to
+    /// `out` and those dropped at the RLC drop-tail (the sender's loss
+    /// signal) to `dropped`.  A cell whose bearers are all empty only
+    /// accounts the idle slot to its slice scheduler: nothing else would
+    /// move.
+    pub fn tick(&mut self, now_ms: u64, out: &mut Vec<Run>, dropped: &mut Vec<Run>) {
         self.now_ms = now_ms;
+        if self.ues.iter().all(|ue| ue.bearers.iter().all(Bearer::is_idle)) {
+            if !matches!(self.sched.algo, SliceAlgo::Static) {
+                self.sched.pick(|_| false);
+            }
+            return;
+        }
         // 1. TC → RLC release (pacing); overflow at the RLC is loss.
         for ue in &mut self.ues {
             for b in &mut ue.bearers {
@@ -328,7 +345,7 @@ impl Cell {
 
     /// Distributes `prbs` among the backlogged UEs of slice `slice_idx`
     /// using the slice's UE scheduler, and drains their RLC buffers.
-    fn serve_slice(&mut self, slice_idx: usize, prbs: u32, now_ms: u64, out: &mut Vec<Packet>) {
+    fn serve_slice(&mut self, slice_idx: usize, prbs: u32, now_ms: u64, out: &mut Vec<Run>) {
         let algo = self.sched.slices[slice_idx].conf.ue_sched;
         let rat = self.cfg.rat;
         // The slice's backlogged UEs by descending key — proportional fair:

@@ -1,10 +1,34 @@
 //! The simulation engine: cells + flows + the delivery/ACK pipeline.
+//!
+//! Packets move through a TTI as runs ([`Run`]): `count` equal packets —
+//! what one flow sends in one TTI — are one value from generation through
+//! TC and RLC queues, drain, delivery and the ACK that comes back, and a
+//! step pays per run, not per packet.  A TTI is four steps:
+//!
+//! 1. **Deliveries and ACKs** due now.  A delivered run of a greedy TCP
+//!    flow sends one ACK entry back, and the ACKs of one flow that fall due
+//!    in the same ms are one entry; each is one [`Flow::on_acks`].
+//! 2. **Generation**, over the flows that are due, in index order: a CBR
+//!    flow at its next interval (a timer), a greedy flow after its start,
+//!    an ACK, a loss or a resume.  A paused, stopped or departed flow is
+//!    not visited, and a TCP flow whose window is full waits for its ACKs.
+//!    Each visit hands at most one run to its cell's ingress.
+//! 3. **Cells**: TC release, MAC scheduling and RLC drain; a cell with
+//!    nothing queued only accounts the idle slot.
+//! 4. Drained runs go in flight; drop-tail losses reach their senders.
+//!
+//! Flows never share state, so the order of steps 1's events across flows
+//! is free; within a flow, deliveries touch its counters and ACKs its
+//! window, and every ACK of a TTI arrives at the same `now`.  That, with
+//! the queues' run rules (DESIGN.md, "The simulator's TTI pipeline"), keeps
+//! every trajectory equal to the packet-at-a-time one.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cell::{Cell, CellConfig, UeConfig};
-use crate::rlc::Packet;
-use crate::traffic::{Flow, FlowConfig, FlowKind};
+use crate::rlc::Run;
+use crate::traffic::{Flow, FlowConfig};
 
 /// Latency parameters of the path outside the cell.
 #[derive(Debug, Clone, Copy)]
@@ -20,18 +44,6 @@ impl Default for PathConfig {
     fn default() -> Self {
         PathConfig { dl_latency_ms: 4, ul_rtt_ms: 10 }
     }
-}
-
-/// Events of one kind, `(at_ms, seqno, what)`.  Each kind is scheduled at
-/// `now` plus a latency that is a constant of the [`Sim`], so a queue is
-/// in `(at_ms, seqno)` order as pushed and needs no sorting.
-type Fifo<T> = VecDeque<(u64, u64, T)>;
-
-/// Appends `what`, due at `at_ms`, under the next sequence number.
-fn schedule<T>(queue: &mut Fifo<T>, seqno: &mut u64, at_ms: u64, what: T) {
-    debug_assert!(queue.back().is_none_or(|last| last.0 <= at_ms), "event queue out of order");
-    *seqno += 1;
-    queue.push_back((at_ms, *seqno, what));
 }
 
 /// Metrics for the simulation tick loop, registered once.
@@ -59,23 +71,36 @@ fn obs() -> &'static SimObs {
     })
 }
 
+/// No timer armed.
+const UNARMED: u64 = u64::MAX;
+
 /// The discrete-time (1 ms TTI) RAN simulation.
 pub struct Sim {
     /// The cells.
     pub cells: Vec<Cell>,
     flows: Vec<Flow>,
     path: PathConfig,
-    /// Packets on their way to the UE.
-    deliveries: Fifo<Packet>,
-    /// ACKs on their way back to the sender of a flow.
-    acks: Fifo<u32>,
-    /// Orders events due in the same TTI across both queues.
-    seqno: u64,
+    /// Runs on their way to the UE, `(at_ms, run)`.  Every entry is
+    /// scheduled `dl_latency_ms` after the TTI that drained it, so the
+    /// queue is in `at_ms` order as pushed.
+    deliveries: VecDeque<(u64, Run)>,
+    /// ACKs on their way back to the sender, `(at_ms, flow, count)`: one
+    /// entry per flow and ms, in `at_ms` order as pushed.
+    acks: VecDeque<(u64, u32, u32)>,
+    /// Flows to visit at the next generation step: ACKed, lossy, resumed
+    /// or still sending; unordered, repeats allowed.
+    due: Vec<u32>,
+    /// Flows' timers, `(at_ms, flow)`: a CBR flow's next interval, a
+    /// flow's start.  An entry is live while `wake[flow]` holds its time.
+    timers: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per flow: the time of its live timer, or [`UNARMED`].
+    wake: Vec<u64>,
     now_ms: u64,
-    /// Per-TTI scratch (a flow's generated packets, then a cell's drained
-    /// ones; a cell's drop-tail losses): cleared, never freed.
-    pkts: Vec<Packet>,
-    dropped: Vec<Packet>,
+    /// Per-TTI scratch (the flows visited; a cell's drained runs and its
+    /// drop-tail losses): cleared, never freed.
+    visit: Vec<u32>,
+    drained: Vec<Run>,
+    dropped: Vec<Run>,
 }
 
 impl Sim {
@@ -87,9 +112,12 @@ impl Sim {
             path,
             deliveries: VecDeque::new(),
             acks: VecDeque::new(),
-            seqno: 0,
+            due: Vec::new(),
+            timers: BinaryHeap::new(),
+            wake: Vec::new(),
             now_ms: 0,
-            pkts: Vec::new(),
+            visit: Vec::new(),
+            drained: Vec::new(),
             dropped: Vec::new(),
         }
     }
@@ -112,13 +140,20 @@ impl Sim {
     /// Adds a flow; returns its id.
     pub fn add_flow(&mut self, cfg: FlowConfig) -> usize {
         assert!(self.flows.len() < u32::MAX as usize, "a packet names its flow in 32 bits");
+        let id = self.flows.len() as u32;
+        let start_ms = cfg.start_ms;
         self.flows.push(Flow::new(cfg));
-        self.flows.len() - 1
+        self.wake.push(UNARMED);
+        self.arm(id, start_ms);
+        id as usize
     }
 
     /// Pauses/resumes a flow (experiment control).
     pub fn set_flow_active(&mut self, flow: usize, active: bool) {
         self.flows[flow].active = active;
+        if active {
+            self.due.push(flow as u32);
+        }
     }
 
     /// Read access to a flow (counters, RTT log).
@@ -131,65 +166,91 @@ impl Sim {
         self.flows.len()
     }
 
+    /// Sets `flow`'s timer to `at_ms` unless it already fires by then.
+    fn arm(&mut self, flow: u32, at_ms: u64) {
+        let wake = &mut self.wake[flow as usize];
+        if at_ms < *wake {
+            *wake = at_ms;
+            self.timers.push(Reverse((at_ms, flow)));
+        }
+    }
+
     /// Advances the simulation by one TTI (1 ms).
     pub fn tick(&mut self) {
         let sw = flexric_obs::Stopwatch::start();
         let now = self.now_ms;
-        // 1. Deliveries and ACKs due now, merged by `(at_ms, seqno)`.
-        loop {
-            let delivery = self.deliveries.front().map(|e| (e.0, e.1));
-            let ack = self.acks.front().map(|e| (e.0, e.1));
-            let (next, is_ack) = match (delivery, ack) {
-                (Some(d), Some(a)) if a < d => (a, true),
-                (Some(d), _) => (d, false),
-                (None, Some(a)) => (a, true),
-                (None, None) => break,
-            };
-            if next.0 > now {
+        // 1. Deliveries due now, then ACKs due now — those the deliveries
+        //    just sent back included when the return path takes 0 ms.
+        while let Some(&(at_ms, (pkt, n))) = self.deliveries.front() {
+            if at_ms > now {
                 break;
             }
-            if is_ack {
-                let (_, _, flow_id) = self.acks.pop_front().expect("peeked");
-                if let Some(flow) = self.flows.get_mut(flow_id as usize) {
-                    flow.on_ack(now);
-                }
-            } else {
-                let (_, _, pkt) = self.deliveries.pop_front().expect("peeked");
-                if let Some(flow) = self.flows.get_mut(pkt.flow as usize) {
-                    flow.on_delivered(&pkt, now, self.path.ul_rtt_ms);
-                    if matches!(flow.cfg.kind, FlowKind::GreedyTcp { .. }) {
-                        let at_ms = now + self.path.ul_rtt_ms;
-                        schedule(&mut self.acks, &mut self.seqno, at_ms, pkt.flow);
-                    }
-                }
+            self.deliveries.pop_front();
+            let Some(flow) = self.flows.get_mut(pkt.flow as usize) else { continue };
+            flow.on_delivered(&pkt, n, now, self.path.ul_rtt_ms);
+            if flow.is_tcp() {
+                self.ack(now + self.path.ul_rtt_ms, pkt.flow, n);
             }
         }
-        // 2. Flow generation → cell ingress, a flow's packets at a time.
-        for (fi, flow) in self.flows.iter_mut().enumerate() {
-            self.pkts.clear();
-            flow.generate(fi as u32, now, &mut self.pkts);
-            if self.pkts.is_empty() {
-                continue;
+        while let Some(&(at_ms, flow, n)) = self.acks.front() {
+            if at_ms > now {
+                break;
             }
-            let cfg = &flow.cfg;
-            let lost = self.cells[cfg.cell].ingress(cfg.rnti, cfg.drb, cfg.tuple, &self.pkts);
-            for _ in 0..lost {
-                flow.on_lost(now);
+            self.acks.pop_front();
+            self.flows[flow as usize].on_acks(now, n);
+            self.due.push(flow);
+        }
+        // 2. The due flows generate, in index order; each run enters its
+        //    cell.  What the ingress drops is lost at once.
+        let mut visit = std::mem::take(&mut self.visit);
+        std::mem::swap(&mut visit, &mut self.due);
+        while let Some(&Reverse((at_ms, flow))) = self.timers.peek() {
+            if at_ms > now {
+                break;
+            }
+            self.timers.pop();
+            if self.wake[flow as usize] == at_ms {
+                self.wake[flow as usize] = UNARMED;
+                visit.push(flow);
             }
         }
-        // 3. Cells schedule and drain; drained packets are in flight,
+        visit.sort_unstable();
+        visit.dedup();
+        for &fi in &visit {
+            let flow = &mut self.flows[fi as usize];
+            if let Some((pkt, n)) = flow.generate(fi, now) {
+                let cfg = &flow.cfg;
+                let lost = self.cells[cfg.cell].ingress(cfg.rnti, cfg.drb, cfg.tuple, pkt, n);
+                if lost > 0 {
+                    flow.on_lost(now, lost);
+                }
+            }
+            match flow.next_send(now) {
+                Some(at_ms) if at_ms == now + 1 => self.due.push(fi),
+                Some(at_ms) => self.arm(fi, at_ms),
+                None => {}
+            }
+        }
+        visit.clear();
+        self.visit = visit;
+        // 3. Cells schedule and drain; drained runs are in flight,
         //    drop-tail losses are signalled back to their senders.
+        let at_ms = now + self.path.dl_latency_ms;
         for cell in &mut self.cells {
-            self.pkts.clear();
+            self.drained.clear();
             self.dropped.clear();
-            cell.tick(now, &mut self.pkts, &mut self.dropped);
-            for pkt in &self.pkts {
-                let at_ms = now + self.path.dl_latency_ms;
-                schedule(&mut self.deliveries, &mut self.seqno, at_ms, *pkt);
+            cell.tick(now, &mut self.drained, &mut self.dropped);
+            for &run in &self.drained {
+                match self.deliveries.back_mut() {
+                    Some((at, (pkt, n))) if *at == at_ms && *pkt == run.0 => *n += run.1,
+                    _ => self.deliveries.push_back((at_ms, run)),
+                }
             }
-            for pkt in &self.dropped {
-                if let Some(flow) = self.flows.get_mut(pkt.flow as usize) {
-                    flow.on_lost(now);
+            for &(pkt, n) in &self.dropped {
+                let Some(flow) = self.flows.get_mut(pkt.flow as usize) else { continue };
+                flow.on_lost(now, n);
+                if flow.is_tcp() {
+                    self.due.push(pkt.flow);
                 }
             }
         }
@@ -202,6 +263,17 @@ impl Sim {
         m.tti_last_ns.set(ns as i64);
         if ns > 1_000_000 {
             m.tti_overruns.inc();
+        }
+    }
+
+    /// Sends `n` ACKs of `flow` back, due at `at_ms`: into the entry the
+    /// flow already has at that ms, if any.
+    fn ack(&mut self, at_ms: u64, flow: u32, n: u32) {
+        debug_assert!(self.acks.back().is_none_or(|last| last.0 <= at_ms), "ACKs out of order");
+        let same_ms = self.acks.iter_mut().rev().take_while(|(at, _, _)| *at == at_ms);
+        match same_ms.into_iter().find(|(_, f, _)| *f == flow) {
+            Some((_, _, count)) => *count += n,
+            None => self.acks.push_back((at_ms, flow, n)),
         }
     }
 
@@ -235,6 +307,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::FlowKind;
     use flexric_sm::slice::{SliceAlgo, SliceConf, SliceCtrl, SliceParams, UeSchedAlgo};
     use flexric_sm::tc::{FiveTupleRule, PacerConf, QueueKind, TcCtrl};
 

@@ -9,7 +9,7 @@
 
 use flexric_sm::tc::{FiveTupleRule, PacerConf, QueueKind, TcQueueStats, TcSchedAlgo};
 
-use crate::rlc::{Packet, PacketFifo, RlcBearer, SojournWindow};
+use crate::rlc::{admitted, Packet, PacketFifo, RlcBearer, Run, SojournWindow};
 
 /// `(src ip, dst ip, src port, dst port, proto)`: what the classifier
 /// matches a flow's packets on.
@@ -45,46 +45,61 @@ impl TcQueue {
         }
     }
 
-    fn enqueue(&mut self, mut pkt: Packet, now_ms: u64) -> bool {
-        if let QueueKind::Fifo { cap_bytes } = self.kind {
-            if cap_bytes > 0 && self.backlog_bytes + pkt.bytes as u64 > cap_bytes as u64 {
-                self.drops += 1;
-                return false;
+    /// Queues `n` copies of `pkt` and returns how many fit: a capped FIFO
+    /// drops at the tail, as the RLC buffer does.
+    fn enqueue(&mut self, mut pkt: Packet, n: u32, now_ms: u64) -> u32 {
+        let fit = match self.kind {
+            QueueKind::Fifo { cap_bytes } => {
+                admitted(self.backlog_bytes, pkt.bytes, n, cap_bytes as u64)
             }
-        }
+            QueueKind::Codel { .. } => n,
+        };
+        self.drops += (n - fit) as u64;
         pkt.enq_ms = now_ms;
-        self.backlog_bytes += pkt.bytes as u64;
-        self.queue.push_back(pkt);
-        true
+        self.backlog_bytes += pkt.bytes as u64 * fit as u64;
+        self.queue.push_back(pkt, fit);
+        fit
     }
 
-    fn dequeue(&mut self, now_ms: u64) -> Option<Packet> {
+    /// The head run the queue serves from now: CoDel first drops every
+    /// head run it condemns.  A run's packets share a sojourn, so CoDel's
+    /// verdict on the first is its verdict on every one.
+    fn head(&mut self, now_ms: u64) -> Option<Run> {
         loop {
-            let pkt = self.queue.pop_front()?;
-            self.backlog_bytes -= pkt.bytes as u64;
+            let (pkt, n) = self.queue.front()?;
+            let QueueKind::Codel { target_us, interval_us } = self.kind else {
+                return Some((pkt, n));
+            };
+            // Simplified CoDel: drop the head while the sojourn has been
+            // above target for longer than one interval.
             let sojourn_ms = now_ms.saturating_sub(pkt.enq_ms);
-            if let QueueKind::Codel { target_us, interval_us } = self.kind {
-                // Simplified CoDel: drop the head while the sojourn has
-                // been above target for longer than one interval.
-                if sojourn_ms * 1000 > target_us as u64 {
-                    let since = *self.codel_above_since.get_or_insert(now_ms);
-                    if (now_ms - since) * 1000 >= interval_us as u64 {
-                        self.drops += 1;
-                        continue; // drop and try the next packet
-                    }
-                } else {
-                    self.codel_above_since = None;
-                }
+            if sojourn_ms * 1000 <= target_us as u64 {
+                self.codel_above_since = None;
+                return Some((pkt, n));
             }
-            self.sojourn.record(sojourn_ms);
-            self.tx_pkts += 1;
-            self.tx_bytes += pkt.bytes as u64;
-            return Some(pkt);
+            let since = *self.codel_above_since.get_or_insert(now_ms);
+            if (now_ms - since) * 1000 < interval_us as u64 {
+                return Some((pkt, n));
+            }
+            self.queue.pop_front(n);
+            self.backlog_bytes -= pkt.bytes as u64 * n as u64;
+            self.drops += n as u64;
         }
     }
 
-    fn head_bytes(&self) -> Option<u32> {
-        self.queue.front().map(|p| p.bytes)
+    /// Sends `n` packets of the head run, `pkt`.
+    fn take(&mut self, pkt: Packet, n: u32, now_ms: u64) {
+        let bytes = pkt.bytes as u64 * n as u64;
+        self.queue.pop_front(n);
+        self.backlog_bytes -= bytes;
+        self.sojourn.record_n(now_ms.saturating_sub(pkt.enq_ms), n);
+        self.tx_pkts += n as u64;
+        self.tx_bytes += bytes;
+    }
+
+    /// Whether the head packet fits `budget`.
+    fn fits(&self, budget: u64) -> bool {
+        self.queue.front().is_some_and(|(pkt, _)| pkt.bytes as u64 <= budget)
     }
 
     fn stats(&self) -> TcQueueStats {
@@ -165,9 +180,10 @@ impl TcLayer {
         let mut removed = self.queues.remove(pos);
         self.rules.retain(|r| r.queue != id);
         let q0 = self.queues.iter_mut().find(|q| q.id == 0).expect("queue 0 always present");
-        while let Some(pkt) = removed.queue.pop_front() {
-            q0.backlog_bytes += pkt.bytes as u64;
-            q0.queue.push_back(pkt);
+        while let Some((pkt, n)) = removed.queue.front() {
+            removed.queue.pop_front(n);
+            q0.backlog_bytes += pkt.bytes as u64 * n as u64;
+            q0.queue.push_back(pkt, n);
         }
         Ok(())
     }
@@ -220,10 +236,15 @@ impl TcLayer {
         self.queues.iter().map(|q| q.backlog_bytes).sum()
     }
 
-    /// Classifies a batch of packets arriving from upper layers — one
+    /// Whether no packet is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queues.iter().all(|q| q.queue.is_empty())
+    }
+
+    /// Classifies `n` packets `pkt` arriving from upper layers — one
     /// flow's, whose 5-tuple is `tuple` — and enqueues them.  Returns how
     /// many were dropped.
-    pub fn ingress(&mut self, tuple: FiveTuple, pkts: &[Packet], now_ms: u64) -> usize {
+    pub fn ingress(&mut self, tuple: FiveTuple, pkt: Packet, n: u32, now_ms: u64) -> u32 {
         let (src_ip, dst_ip, src_port, dst_port, proto) = tuple;
         let target = self
             .rules
@@ -237,8 +258,7 @@ impl TcLayer {
             .position(|q| q.id == target)
             .or_else(|| self.queues.iter().position(|q| q.id == 0))
             .expect("queue 0 always present");
-        let queue = &mut self.queues[pos];
-        pkts.iter().filter(|pkt| !queue.enqueue(**pkt, now_ms)).count()
+        n - self.queues[pos].enqueue(pkt, n, now_ms)
     }
 
     /// Releases packets toward the RLC bearer for this TTI, honoring the
@@ -246,7 +266,13 @@ impl TcLayer {
     /// below `drain_rate × target_delay` — enough not to starve the DRB,
     /// not enough to bloat it.  Packets the RLC buffer rejected (drop-tail)
     /// are appended to `dropped`, so senders can react to the loss.
-    pub fn egress(&mut self, rlc: &mut RlcBearer, now_ms: u64, dropped: &mut Vec<Packet>) {
+    ///
+    /// A picked queue hands out as many packets of its head run back to
+    /// back as the scheduler would pick it in a row: every one that fits
+    /// under strict priority (a queue the scheduler passed over does not
+    /// fit a smaller budget either), and under round robin or WRR when no
+    /// other queue's head fits; one otherwise.
+    pub fn egress(&mut self, rlc: &mut RlcBearer, now_ms: u64, dropped: &mut Vec<Run>) {
         let budget = match self.pacer {
             PacerConf::None => u64::MAX,
             PacerConf::Bdp { target_delay_us } => {
@@ -258,19 +284,36 @@ impl TcLayer {
             }
         };
         let mut remaining = budget;
-        while let Some(qidx) = self.pick_queue(remaining, now_ms) {
-            let Some(pkt) = self.queues[qidx].dequeue(now_ms) else { continue };
-            remaining = remaining.saturating_sub(pkt.bytes as u64);
-            self.released_bytes_window += pkt.bytes as u64;
-            if !rlc.enqueue(pkt, now_ms) {
-                dropped.push(pkt);
+        while let Some(qidx) = self.pick_queue(remaining) {
+            let Some((pkt, count)) = self.queues[qidx].head(now_ms) else { continue };
+            // The head packet goes even when CoDel's drops left one that
+            // does not fit; those behind it only where they fit.
+            let bytes = pkt.bytes as u64;
+            let after_head = remaining.saturating_sub(bytes);
+            let alone = matches!(self.sched, TcSchedAlgo::StrictPriority)
+                || !self.queues.iter().enumerate().any(|(i, q)| i != qidx && q.fits(after_head));
+            let n = match alone {
+                true => {
+                    1 + after_head
+                        .checked_div(bytes)
+                        .map_or(count - 1, |k| k.min(count as u64 - 1) as u32)
+                }
+                false => 1,
+            };
+            let sent = bytes * n as u64;
+            self.queues[qidx].take(pkt, n, now_ms);
+            remaining = remaining.saturating_sub(sent);
+            self.released_bytes_window += sent;
+            let fit = rlc.enqueue(pkt, n, now_ms);
+            if fit < n {
+                dropped.push((pkt, n - fit));
             }
         }
     }
 
     /// Picks the next queue with a head packet fitting `budget`, or `None`.
-    fn pick_queue(&mut self, budget: u64, _now_ms: u64) -> Option<usize> {
-        let fits = |q: &TcQueue| q.head_bytes().is_some_and(|b| b as u64 <= budget);
+    fn pick_queue(&mut self, budget: u64) -> Option<usize> {
+        let fits = |q: &TcQueue| q.fits(budget);
         match self.sched {
             TcSchedAlgo::RoundRobin => {
                 let n = self.queues.len();
@@ -342,8 +385,8 @@ mod tests {
     fn transparent_mode_passes_through() {
         let mut tc = TcLayer::new();
         let mut rlc = RlcBearer::new(0);
-        tc.ingress(tuple(80, 6), &[pkt(0, 100, 0)], 0);
-        tc.ingress(tuple(80, 6), &[pkt(0, 200, 0)], 0);
+        tc.ingress(tuple(80, 6), pkt(0, 100, 0), 1, 0);
+        tc.ingress(tuple(80, 6), pkt(0, 200, 0), 1, 0);
         tc.egress(&mut rlc, 0, &mut Vec::new());
         assert_eq!(tc.backlog_bytes(), 0);
         assert_eq!(rlc.backlog_bytes(), 300);
@@ -359,8 +402,8 @@ mod tests {
             0,
         )
         .unwrap();
-        tc.ingress(tuple(5004, 17), &[pkt(0, 100, 0)], 0); // matches → q1
-        tc.ingress(tuple(80, 6), &[pkt(1, 100, 0)], 0); // default → q0
+        tc.ingress(tuple(5004, 17), pkt(0, 100, 0), 1, 0); // matches → q1
+        tc.ingress(tuple(80, 6), pkt(1, 100, 0), 1, 0); // default → q0
         let (stats, _) = tc.stats(0);
         let q0 = stats.iter().find(|q| q.id == 0).unwrap();
         let q1 = stats.iter().find(|q| q.id == 1).unwrap();
@@ -382,7 +425,7 @@ mod tests {
         let mut tc = TcLayer::new();
         tc.add_queue(1, QueueKind::Fifo { cap_bytes: 0 });
         tc.add_rule(FiveTupleRule { id: 1, proto: Some(17), ..Default::default() }, 1, 0).unwrap();
-        tc.ingress(tuple(5004, 17), &[pkt(0, 100, 0)], 0);
+        tc.ingress(tuple(5004, 17), pkt(0, 100, 0), 1, 0);
         tc.del_queue(1).unwrap();
         let (stats, _) = tc.stats(0);
         assert_eq!(stats.len(), 1);
@@ -397,8 +440,8 @@ mod tests {
         let mut sink = Vec::new();
         // Warm the drain-rate estimate: 2000 B/ms link.
         for t in 0..500u64 {
-            tc.ingress(tuple(80, 6), &[pkt(0, 1000, t)], t);
-            tc.ingress(tuple(80, 6), &[pkt(0, 1000, t)], t);
+            tc.ingress(tuple(80, 6), pkt(0, 1000, t), 1, t);
+            tc.ingress(tuple(80, 6), pkt(0, 1000, t), 1, t);
             tc.egress(&mut rlc, t, &mut sink);
             rlc.drain(2000, t, &mut sink);
             sink.clear();
@@ -407,7 +450,7 @@ mod tests {
         // drain_rate × target = 2000 B/ms × 10 ms = 20 kB.
         for t in 500..1000u64 {
             for _ in 0..10 {
-                tc.ingress(tuple(80, 6), &[pkt(0, 1500, t)], t);
+                tc.ingress(tuple(80, 6), pkt(0, 1500, t), 1, t);
             }
             tc.egress(&mut rlc, t, &mut sink);
             rlc.drain(2000, t, &mut sink);
@@ -427,8 +470,8 @@ mod tests {
         tc.add_queue(1, QueueKind::Fifo { cap_bytes: 0 });
         tc.add_rule(FiveTupleRule { id: 1, proto: Some(17), ..Default::default() }, 1, 0).unwrap();
         for _ in 0..10 {
-            tc.ingress(tuple(80, 6), &[pkt(0, 100, 0)], 0); // q0
-            tc.ingress(tuple(5004, 17), &[pkt(1, 100, 0)], 0); // q1
+            tc.ingress(tuple(80, 6), pkt(0, 100, 0), 1, 0); // q0
+            tc.ingress(tuple(5004, 17), pkt(1, 100, 0), 1, 0); // q1
         }
         let mut rlc = RlcBearer::new(0);
         tc.egress(&mut rlc, 0, &mut Vec::new());
@@ -445,8 +488,8 @@ mod tests {
         tc.set_sched(TcSchedAlgo::StrictPriority, vec![]);
         tc.set_pacer(PacerConf::Bdp { target_delay_us: 1 }); // tiny budget
         tc.add_rule(FiveTupleRule { id: 1, proto: Some(17), ..Default::default() }, 1, 0).unwrap();
-        tc.ingress(tuple(5004, 17), &[pkt(1, 1000, 0)], 0); // q1
-        tc.ingress(tuple(80, 6), &[pkt(0, 1000, 0)], 0); // q0
+        tc.ingress(tuple(5004, 17), pkt(1, 1000, 0), 1, 0); // q1
+        tc.ingress(tuple(80, 6), pkt(0, 1000, 0), 1, 0); // q0
         let mut rlc = RlcBearer::new(0);
         // Budget floor is 3000 B; only q0's packet plus one more fit…
         tc.egress(&mut rlc, 0, &mut Vec::new());
@@ -463,14 +506,14 @@ mod tests {
         // Fill queue 1 at t=0, then drain much later: sojourns way above
         // target for longer than the interval ⇒ CoDel drops.
         for i in 0..50 {
-            tc.ingress(tuple(5004, 17), &[pkt(1, 100, 0)], i / 10);
+            tc.ingress(tuple(5004, 17), pkt(1, 100, 0), 1, i / 10);
         }
         let mut rlc = RlcBearer::new(0);
         // First egress at t=100 sets codel_above_since; later ones drop.
         tc.egress(&mut rlc, 100, &mut Vec::new());
         tc.reset_window(100);
         for i in 0..50 {
-            tc.ingress(tuple(5004, 17), &[pkt(1, 100, 130)], 130);
+            tc.ingress(tuple(5004, 17), pkt(1, 100, 130), 1, 130);
             let _ = i;
         }
         tc.egress(&mut rlc, 200, &mut Vec::new());

@@ -10,13 +10,15 @@
 //! two worlds below allocated 10.3 and 28.5 times per TTI.
 //!
 //! The same allocator also keeps this thread's live heap bytes, which
-//! bound what a world holds (`a_ctrl_storm_world_holds_little_heap`).
+//! bound what a world holds (`a_ctrl_storm_world_holds_little_heap`,
+//! `a_long_path_holds_its_packets_in_flight_as_runs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use flexric_ransim::scenario::ScenarioSpec;
-use flexric_ransim::ScenarioEngine;
+use flexric_ransim::traffic::TCP_MAX_WND;
+use flexric_ransim::{CellConfig, PathConfig, ScenarioEngine, Sim, UeConfig};
 use flexric_sm::slice::SliceCtrl;
 
 mod worlds;
@@ -130,16 +132,28 @@ fn three_cell_preset_world_ticks_without_allocating() {
     assert!(n < BUDGET, "{n} allocations in {TTIS} TTIs of commuter-rush");
 }
 
+/// Makes what the simulator sets up once per process or thread (its
+/// metrics), so that `kept` counts what a world holds and nothing else.
+/// Without it the first world a thread builds also counts those 10 220
+/// bytes — or does not, when another test's thread got there first.
+fn warm_up() {
+    Sim::new(vec![CellConfig::nr("warm", 6)], PathConfig::default()).tick();
+}
+
 /// Most heap one `ctrl-storm` cell holds after the benchmark's block of
-/// 500 TTIs with an `AddModSlices` flip every TTI: twice the 42 495 bytes
-/// the seed-1 world holds (32 275 at seed 7) with its queues kept as runs
-/// of 24-byte packets.  Most of it is the greedy-TCP flows' windows queued
-/// in their bearers: when every queued packet took a 56-byte slot of its
-/// own, the same worlds held 202 303 and 134 739 bytes.
-const STORM_CELL_HEAP: i64 = 2 * 42_500;
+/// 500 TTIs with an `AddModSlices` flip every TTI: twice the 30 595 bytes
+/// the seed-1 and the seed-7 world each hold with every queue — TC, RLC,
+/// deliveries and ACKs — kept as runs of 24-byte packets (32 275 when the
+/// in-flight queues still took an entry per packet; the paths here are
+/// short, `a_long_path_holds_its_packets_in_flight_as_runs` weighs those).
+/// Most of it is the greedy-TCP flows' windows queued in their bearers:
+/// when every queued packet took a 56-byte slot of its own, the same worlds
+/// held 202 303 and 134 739 bytes, the first with the metrics counted.
+const STORM_CELL_HEAP: i64 = 2 * 30_595;
 
 #[test]
 fn a_ctrl_storm_world_holds_little_heap() {
+    warm_up();
     for seed in [1, 7] {
         let (sim, bytes) = kept(|| {
             let mut sim = worlds::storm_world(worlds::mix(seed, 0));
@@ -157,4 +171,30 @@ fn a_ctrl_storm_world_holds_little_heap() {
             "seed {seed}: {per_cell} heap bytes per cell, budget {STORM_CELL_HEAP}"
         );
     }
+}
+
+/// Most heap a world with a long path holds: one greedy flow at MCS 28
+/// whose window (the 2 048-segment cap) is mostly in flight — 50 ms to
+/// the UE, 500 ms back.  It holds 19 802 bytes with deliveries and ACKs
+/// kept as runs, one ACK entry per flow and ms; with a delivery entry per
+/// packet it held 35 162, with an ACK entry per packet 44 410.
+const LONG_PATH_HEAP: i64 = 30_000;
+
+#[test]
+fn a_long_path_holds_its_packets_in_flight_as_runs() {
+    warm_up();
+    let (sim, bytes) = kept(|| {
+        let path = PathConfig { dl_latency_ms: 50, ul_rtt_ms: 500 };
+        let mut sim = Sim::new(vec![CellConfig::nr("far", 106)], path);
+        sim.attach_ue(0, UeConfig::new(0x4601, 28));
+        sim.add_flow(worlds::flow(0, 0x4601, worlds::TCP, 80, 6));
+        for _ in 0..8_000 {
+            sim.tick();
+        }
+        sim
+    });
+    let cwnd = sim.flow(0).tcp_state().map(|tcp| tcp.cwnd);
+    println!("long-path world: {bytes} heap bytes, window {cwnd:?}");
+    assert_eq!(cwnd, Some(TCP_MAX_WND), "the window is open all the way");
+    assert!(bytes <= LONG_PATH_HEAP, "{bytes} heap bytes, budget {LONG_PATH_HEAP}");
 }
