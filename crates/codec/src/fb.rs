@@ -507,6 +507,25 @@ impl<'a> FbTable<'a> {
         Ok(Some(self.pos + rel as usize))
     }
 
+    /// The table's `size` bytes, if its vtable is `vtable` byte for byte and
+    /// they are all in the message: then every slot `vtable` names is where
+    /// it says, inside them, and reads as the slot accessors read it.
+    /// `None` otherwise, and the slot accessors are the way to read it.
+    ///
+    /// `known` is the position of a vtable this found equal to `vtable`
+    /// before, which it updates: the tables of a vector that share one
+    /// vtable compare it once, and then cost one bounds check each.
+    #[inline]
+    pub fn fixed(&self, vtable: &[u8], size: usize, known: &mut Option<usize>) -> Option<&'a [u8]> {
+        if *known != Some(self.vt_pos) {
+            if !self.buf.get(self.vt_pos..)?.starts_with(vtable) {
+                return None;
+            }
+            *known = Some(self.vt_pos);
+        }
+        self.buf.get(self.pos..self.pos.checked_add(size)?)
+    }
+
     /// Reads an optional u8 slot.
     #[inline]
     pub fn u8(&self, slot: u16) -> Result<Option<u8>> {

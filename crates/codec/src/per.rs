@@ -200,6 +200,28 @@ impl<B: ByteSink> BitWriter<B> {
         self.buf.put_slice(bytes);
     }
 
+    /// Writes an octet string whose bytes `fill` appends to the sink: the
+    /// bytes of [`Self::put_octets`], for a string encoded straight into
+    /// the output instead of into a buffer of its own first.  Room for the
+    /// two-byte length form is left ahead of them; a string that takes
+    /// another form (under 128 bytes, or 16 Ki and more) is moved once to
+    /// fit it.  `fill` may only append.
+    pub fn put_octets_with(&mut self, fill: impl FnOnce(&mut B)) {
+        self.align();
+        let at = self.buf.len();
+        self.buf.grow(2);
+        fill(&mut self.buf);
+        let len = self.buf.len() - at - 2;
+        let (form, n) = length_form(len);
+        if n == 4 {
+            self.buf.grow(2);
+        }
+        let buf = self.buf.as_mut_slice();
+        buf.copy_within(at + 2..at + 2 + len, at + n);
+        buf[at..at + n].copy_from_slice(&form[..n]);
+        self.buf.truncate(at + n + len);
+    }
+
     /// Writes a UTF-8 string as an octet string.
     pub fn put_utf8(&mut self, s: &str) {
         self.put_octets(s.as_bytes());
@@ -635,6 +657,25 @@ mod tests {
             let mut r = BitReader::new(&buf);
             assert!(r.get_bit().unwrap());
             assert_eq!(r.get_length().unwrap(), len, "misaligned len={len}");
+        }
+    }
+
+    #[test]
+    fn octets_filled_in_place_equal_octets_copied() {
+        for len in [0usize, 1, 127, 128, 300, 16383, 16384, 20_000] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            for lead in [0, 1] {
+                let mut want = BitWriter::new();
+                let mut got = BitWriter::new();
+                for w in [&mut want, &mut got] {
+                    w.put_bits(0x5A, lead * 3);
+                }
+                want.put_octets(&bytes);
+                got.put_octets_with(|sink| sink.put_slice(&bytes));
+                got.put_bit(true);
+                want.put_bit(true);
+                assert_eq!(got.finish(), want.finish(), "len={len} lead={lead}");
+            }
         }
     }
 

@@ -15,20 +15,32 @@
 //! receiver's base valid; a retune to the *identical* trigger is only
 //! meaningful as a resync request and forces a keyframe under a new epoch,
 //! as does any report-mode change.
+//!
+//! The stream is keyed by its subscription, `(controller, request id)`,
+//! though it is a stream set of one: the key sets the stream's keyframe
+//! phase ([`flexric_sm::delta::phase_of`]), so that the subscriptions of a
+//! fleet that a controller admitted in one go do not all keyframe in the
+//! same report period.
 
 use bytes::Bytes;
+use flexric_e2ap::RicRequestId;
 use flexric_sm::delta::{DeltaRows, DeltaStreams, ReportOut};
 use flexric_sm::{ReportMode, ReportTrigger, SmCodec};
 
-use crate::agent::{Admission, AgentCtx, Subscription};
+use crate::agent::{Admission, AgentCtx, CtrlId, Subscription, SubscriptionInfo};
 
-/// The report path of one subscription: a stream set of one, keyed by
-/// nothing, because the agent already keeps it with the subscription.
+/// The report path of one subscription: a stream set of one, under the
+/// subscription's key (module docs).
 #[derive(Debug)]
 pub struct ReportStream<T: DeltaRows> {
     /// The SM encoding of the function this stream reports for.
     codec: SmCodec,
-    stream: DeltaStreams<(), T>,
+    stream: DeltaStreams<(CtrlId, RicRequestId), T>,
+}
+
+/// The key of `info`'s stream.
+fn key(info: &SubscriptionInfo) -> (CtrlId, RicRequestId) {
+    (info.ctrl, info.req_id)
 }
 
 impl<T: DeltaRows> ReportStream<T> {
@@ -41,12 +53,17 @@ impl<T: DeltaRows> ReportStream<T> {
     /// The subscription was retuned from `prev` to `next`.  A changed
     /// trigger under the same report mode preserves the stream; an
     /// identical trigger or a mode change forces a keyframe.
-    fn retune(&mut self, prev: Option<&ReportTrigger>, next: &ReportTrigger) {
+    fn retune(
+        &mut self,
+        info: &SubscriptionInfo,
+        prev: Option<&ReportTrigger>,
+        next: &ReportTrigger,
+    ) {
         let soft = prev.is_some_and(|p| p.mode == next.mode && p != next);
         match next.mode {
             ReportMode::Delta { .. } if soft => {}
-            ReportMode::Delta { keyframe_every } => self.stream.reset((), keyframe_every),
-            ReportMode::Full => self.stream.remove(&()),
+            ReportMode::Delta { keyframe_every } => self.stream.reset(key(info), keyframe_every),
+            ReportMode::Full => self.stream.remove(&key(info)),
         }
     }
 }
@@ -68,7 +85,7 @@ impl Subscription {
     ) -> bool {
         let mode = self.mode();
         let (info, stream) = self.parts::<ReportStream<T>>();
-        match stream.stream.report((), mode, snap, stream.codec) {
+        match stream.stream.report(key(info), mode, snap, stream.codec) {
             ReportOut::Send(buf) => {
                 ctx.send_indication(info, sn, header, buf);
                 true
@@ -86,7 +103,8 @@ impl Subscription {
     pub fn retune_stream<T: DeltaRows + 'static>(mut self, admission: Admission) -> Admission {
         let prev = self.trigger;
         if let Some(next) = &admission.trigger {
-            self.parts::<ReportStream<T>>().1.retune(prev.as_ref(), next);
+            let (info, stream) = self.parts::<ReportStream<T>>();
+            stream.retune(info, prev.as_ref(), next);
         }
         Admission { state: self.state, ..admission }
     }

@@ -252,6 +252,12 @@ fn frames(
 const KEY: bool = false;
 const DELTA: bool = true;
 
+/// Keyframe cadence of the retune test: beyond its run, so that the only
+/// keyframes are the stream's start and the discontinuities under test —
+/// a stream's periodic keyframes fall at the phase of its subscription
+/// (`flexric_sm::delta::phase_of`), which may be any report of a cadence.
+const NO_PERIODIC: u32 = 100_000;
+
 /// A retune that changes the period keeps the delta stream — the new
 /// period takes effect without a keyframe — and a retune to the identical
 /// trigger, the controller's request to resync, forces one under the next
@@ -260,19 +266,19 @@ const DELTA: bool = true;
 fn a_retune_keeps_the_stream_and_an_identical_one_forces_a_keyframe() {
     let mut rig = Rig::new(vec![StreamFn::boxed(7, &Ended::default())], 1);
     let mut dec = DeltaDecoder::new();
-    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(10, 16), 0);
+    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(10, NO_PERIODIC), 0);
     let seen = frames(&mut rig, 0, &mut dec, &[0, 10]);
     assert_eq!(seen, [(0, 1, 1, KEY), (10, 1, 2, DELTA)]);
     // Backoff to 20 ms at 10: due at 30, 50; the stream goes on.
-    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(20, 16), 10);
+    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(20, NO_PERIODIC), 10);
     let seen = frames(&mut rig, 0, &mut dec, &[20, 29, 30, 40, 50]);
     assert_eq!(seen, [(30, 1, 3, DELTA), (50, 1, 4, DELTA)]);
     // The same trigger again at 50: a keyframe at 70.
-    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(20, 16), 50);
+    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(20, NO_PERIODIC), 50);
     let seen = frames(&mut rig, 0, &mut dec, &[60, 70, 90]);
     assert_eq!(seen, [(70, 2, 5, KEY), (90, 2, 6, DELTA)]);
     // A mode change is a discontinuity too.
-    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(20, 8), 90);
+    rig.subscribe(0, 7, 1, ReportTrigger::delta_every_ms(20, NO_PERIODIC / 2), 90);
     let seen = frames(&mut rig, 0, &mut dec, &[110, 130]);
     assert_eq!(seen, [(110, 3, 7, KEY), (130, 3, 8, DELTA)]);
     assert_eq!((dec.keyframes, dec.deltas, dec.resyncs), (3, 5, 0));

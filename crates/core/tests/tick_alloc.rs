@@ -4,6 +4,12 @@
 //! sees them by reference.  A regression here is a per-tick `Vec` of due
 //! subscriptions or a clone of their records creeping back into
 //! `Agent::tick`.
+//!
+//! The count is per thread, and the `flexric_obs` series an agent records
+//! in are registered once per process, by whichever thread gets there
+//! first: [`warm_up`] has this thread's throwaway agent do it before the
+//! counted one is built, so that the count never depends on which test ran
+//! first.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,8 +100,18 @@ impl RanFunction for CountFn {
 const SUBS: u16 = 8;
 const TICKS: u64 = 1_000;
 
+/// Has a throwaway agent with a due subscription register what an agent
+/// registers once per process (its metrics) and tick.
+fn warm_up() {
+    let function = CountFn { identity: identity(7, "test.count"), seen: Default::default() };
+    let mut rig = Rig::new(vec![Box::new(function)], 1);
+    rig.subscribe(0, 7, 0, ReportTrigger::every_ms(1), 0);
+    rig.agent.handle(Event::Tick, 0, &mut Vec::new());
+}
+
 #[test]
 fn a_warm_tick_with_due_subscriptions_allocates_nothing() {
+    warm_up();
     let seen = Arc::new(AtomicU64::new(0));
     let function = CountFn { identity: identity(7, "test.count"), seen: seen.clone() };
     let mut rig = Rig::new(vec![Box::new(function)], 1);

@@ -12,7 +12,9 @@
 //!   bits) plus the changed values;
 //! * every `keyframe_every`-th report opportunity emits a *keyframe* — the
 //!   full snapshot in the subscription's [`SmCodec`] — bounding the resync
-//!   window and doubling as liveness for quiescent cells;
+//!   window and doubling as liveness for quiescent cells; each stream keys
+//!   at a phase of its own ([`phase_of`] its key), so that streams started
+//!   together do not all key in the same opportunity;
 //! * a report that differs from the previous one by nothing but its
 //!   timestamp (an empty diff) is *suppressed* entirely (nothing is sent;
 //!   the server's last reconstruction stays valid);
@@ -49,21 +51,24 @@
 //! added, removed or reordered (and then every row is rehashed once, as a
 //! keyframe's are), and the whole-snapshot encode that guards the
 //! oversized-delta fallback runs only when a frame outgrows a cached lower
-//! bound of the keyframe's size.
+//! bound of the keyframe's size.  A keyframe is encoded straight into its
+//! frame, and at both ends the base it leaves takes the snapshot into the
+//! storage the last base had.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use bytes::{Bytes, BytesMut};
 use flexric_codec::error::{CodecError, Result};
+use flexric_codec::fb::FbBuilder;
 use flexric_codec::per::{BitReader, BitWriter};
 use flexric_codec::ByteSink;
 
 use crate::schema::MAX_ROWS;
 use crate::trigger::ReportMode;
-use crate::{SmCodec, SmPayload};
+use crate::{SmCodec, SmPayload, SNAPSHOT_CAPACITY};
 
 /// Rows-of-scalars view of a snapshot payload, the shape all periodic
 /// monitoring SMs share: a timestamp, at most one auxiliary header scalar,
@@ -359,10 +364,8 @@ fn diff<T: DeltaRows>(prev: &T, cur: &T, s: &mut Scratch) -> Option<Diff> {
     let (prev, cur) = (prev.rows(), cur.rows());
     s.dirty.clear();
     s.removed.clear();
-    let same_keys = prev.len() == cur.len()
-        && prev.iter().zip(cur).all(|(p, c)| T::row_key(p) == T::row_key(c));
     let mut reordered = false;
-    if same_keys {
+    if same_keys::<T>(prev, cur) {
         // The steady state: rows pair up by position, and `cur`'s keys are
         // unique because `prev`'s are.
         s.dirty.extend(prev.iter().zip(cur).map(|(p, c)| dirty_fields::<T>(p, c) as u64));
@@ -453,6 +456,11 @@ fn copy_view<T: DeltaRows>(dst: &mut T, src: &T) {
     src.rows().clone_into(dst.rows_mut());
 }
 
+/// Whether `a` and `b` hold the same keys in the same order.
+fn same_keys<T: DeltaRows>(a: &[T::Row], b: &[T::Row]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| T::row_key(a) == T::row_key(b))
+}
+
 /// Whether every row key is unique (delta diffing requires it; duplicate
 /// keys — possible for degenerate KPM reports — force keyframes instead).
 fn unique_keys<T: DeltaRows>(rows: &[T::Row], keys: &mut Vec<u32>) -> bool {
@@ -502,6 +510,18 @@ struct Base<T> {
 
 /// Per-subscription delta encoder: diffs each snapshot against the last
 /// emitted one, schedules keyframes, and suppresses unchanged reports.
+///
+/// **Phase.**  A stream's periodic keyframes keep to a grid of its own:
+/// counting report opportunities from the stream's start, or from its last
+/// [`DeltaEncoder::force_keyframe`], opportunity `n` is due a keyframe when
+/// `(n + phase) % keyframe_every == 0` — as long as nothing else keyed the
+/// stream meanwhile (see [`DeltaEncoder::with_phase`]).  Opportunity 0
+/// keys anyway: it has no base.  Streams that start in one opportunity —
+/// a fleet subscribed at once, a controller that replays every
+/// subscription after a restart — would otherwise all key in the same
+/// opportunity, every `keyframe_every`, and that opportunity would carry
+/// every full snapshot of the fleet and no suppressed report.
+/// [`DeltaStreams`] gives each stream the phase [`phase_of`] its key.
 #[derive(Debug)]
 pub struct DeltaEncoder<T: DeltaRows> {
     /// Stream incarnation; bumped by [`DeltaEncoder::force_keyframe`]
@@ -510,27 +530,49 @@ pub struct DeltaEncoder<T: DeltaRows> {
     /// Sequence of the last *emitted* frame (suppressed reports do not
     /// advance it, so the decoder never sees a gap from suppression).
     seq: u32,
-    /// Report opportunities since the last keyframe.
+    /// Report opportunities since the last keyframe, plus `phase` when
+    /// that keyframe (re)started the stream.
     since_key: u32,
     keyframe_every: u32,
+    /// Where the stream sits on the keyframe grid: `< keyframe_every`.
+    phase: u32,
     last: Option<Base<T>>,
     /// `(rows, codec, bytes)`: the shortest keyframe blob a snapshot of
     /// `rows` rows can have in `codec` (see [`DeltaRows`] on monotonic
     /// encodings), kept for as long as the row count stays.
     floor: Option<(usize, SmCodec, usize)>,
+    /// Bytes of the last keyframe frame: the room the next one is given,
+    /// so that it is written without growing.
+    key_len: usize,
 }
 
 impl<T: DeltaRows> DeltaEncoder<T> {
-    /// A fresh stream; the first report is always a keyframe.
+    /// A fresh stream at phase 0: the first report is a keyframe, and so
+    /// is every `keyframe_every`-th opportunity after a keyframe.
     pub fn new(keyframe_every: u32) -> Self {
+        Self::with_phase(keyframe_every, 0)
+    }
+
+    /// A fresh stream whose periodic keyframes come `phase` (modulo
+    /// `keyframe_every`) opportunities early: its first report is a
+    /// keyframe, the next comes `keyframe_every - phase` opportunities
+    /// later, and every `keyframe_every` after that.  The first report after
+    /// a [`DeltaEncoder::force_keyframe`] restarts the grid the same way.
+    /// A keyframe the encoder chose for another reason (a structural
+    /// change, an oversized delta) restarts the count at phase 0, so that
+    /// keyframes are never more than `keyframe_every` opportunities apart.
+    pub fn with_phase(keyframe_every: u32, phase: u32) -> Self {
         register_metrics();
+        let keyframe_every = keyframe_every.max(1);
         DeltaEncoder {
             epoch: 1,
             seq: 0,
             since_key: 0,
-            keyframe_every: keyframe_every.max(1),
+            keyframe_every,
+            phase: phase % keyframe_every,
             last: None,
             floor: None,
+            key_len: 0,
         }
     }
 
@@ -569,7 +611,8 @@ impl<T: DeltaRows> DeltaEncoder<T> {
                 return out;
             }
         }
-        Emitted::Keyframe(self.keyframe(snap, sig, &snap.encode(codec), s))
+        let (frame, _) = self.put_keyframe(snap, codec);
+        Emitted::Keyframe(self.keyed(snap, sig, frame, s))
     }
 
     /// The report as a delta against the base, or suppressed; `None` when
@@ -596,14 +639,14 @@ impl<T: DeltaRows> DeltaEncoder<T> {
         // A pathological diff can exceed the keyframe (every field of every
         // row dirty, plus bitmaps); fall back to a keyframe so the stream
         // never costs more than full reporting plus the header.  Only a
-        // frame above the floor can, and only then is the snapshot encoded
+        // frame above the floor can, and only then is the keyframe written
         // to compare.
         let len = s.frame.len();
-        let blob = (len > KEYFRAME_OVERHEAD + self.keyframe_floor(snap, codec))
-            .then(|| snap.encode(codec))
-            .filter(|blob| len > KEYFRAME_OVERHEAD + blob.len());
-        if let Some(blob) = blob {
-            return Some(Emitted::Keyframe(self.keyframe(snap, sig, &blob, s)));
+        if len > KEYFRAME_OVERHEAD + self.keyframe_floor(snap, codec) {
+            let (frame, blob) = self.put_keyframe(snap, codec);
+            if len > KEYFRAME_OVERHEAD + blob {
+                return Some(Emitted::Keyframe(self.keyed(snap, sig, frame, s)));
+            }
         }
         let base = self.last.as_mut().expect("diffed against it");
         self.seq = self.seq.wrapping_add(1);
@@ -612,17 +655,53 @@ impl<T: DeltaRows> DeltaEncoder<T> {
         Some(Emitted::Delta)
     }
 
-    /// Wraps `blob`, the encoded `snap`, as the stream's next frame and
-    /// makes `snap` the base.
-    fn keyframe(&mut self, snap: &T, sig: u64, blob: &[u8], s: &mut Scratch) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity(blob.len() + 16);
+    /// `snap` as the stream's next frame, a keyframe, and the length of its
+    /// blob.  The snapshot is encoded straight into the frame, behind the
+    /// header and the length, in room the last keyframe says it needs.  The
+    /// stream does not change until [`Self::keyed`].
+    fn put_keyframe(&self, snap: &T, codec: SmCodec) -> (Vec<u8>, usize) {
+        let room = match self.key_len {
+            0 => SNAPSHOT_CAPACITY + KEYFRAME_OVERHEAD,
+            n => n + n / 8,
+        };
+        let mut w = BitWriter::over(Vec::with_capacity(room));
+        encode_frame_header(&mut w, self.epoch, self.seq.wrapping_add(1), false);
+        let mut blob = 0;
+        w.put_octets_with(|frame| {
+            let at = frame.len();
+            match codec {
+                SmCodec::Asn1Per => snap.encode_per(&mut BitWriter::over(&mut *frame)),
+                SmCodec::Flatb => {
+                    let mut b = FbBuilder::over(&mut *frame);
+                    let root = snap.encode_fb(&mut b);
+                    b.finish_buf(root);
+                }
+            }
+            blob = frame.len() - at;
+        });
+        (w.into_buf(), blob)
+    }
+
+    /// Makes `frame`, written by [`Self::put_keyframe`], the stream's next
+    /// frame and `snap` its base.  The base keeps its storage, and its keys
+    /// are sorted for repeats only when they are not the base's.
+    fn keyed(&mut self, snap: &T, sig: u64, frame: Vec<u8>, s: &mut Scratch) -> Vec<u8> {
         self.seq = self.seq.wrapping_add(1);
-        encode_frame_header(&mut w, self.epoch, self.seq, false);
-        w.put_octets(blob);
-        let frame = w.finish();
-        self.since_key = 0;
-        let unique = unique_keys::<T>(snap.rows(), &mut s.keys);
-        self.last = Some(Base { snap: snap.clone(), sig, unique });
+        self.key_len = frame.len();
+        // A keyframe with no base (re)starts the stream: on its grid.
+        self.since_key = if self.last.is_none() { self.phase } else { 0 };
+        match &mut self.last {
+            Some(base) if base.sig == sig => {
+                if !same_keys::<T>(base.snap.rows(), snap.rows()) {
+                    base.unique = unique_keys::<T>(snap.rows(), &mut s.keys);
+                }
+                copy_view(&mut base.snap, snap);
+            }
+            last => {
+                let unique = unique_keys::<T>(snap.rows(), &mut s.keys);
+                *last = Some(Base { snap: snap.clone(), sig, unique });
+            }
+        }
         obs().keyframes.inc();
         obs().bytes_keyframe.add(frame.len() as u64);
         frame
@@ -926,13 +1005,18 @@ impl<T: DeltaRows> DeltaDecoder<T> {
         if !is_delta {
             let blob = r.get_octets()?;
             let snap = T::decode(codec, blob)?;
+            let base_sig = self.hashes.sig;
             self.hashes.rebuild(&snap);
             let hash = self.hashes.fold(snap.aux());
             debug_assert_eq!(hash, content_hash(&snap), "row hashes out of step with the rows");
             let changed = self.last.is_none() || hash != self.last_hash;
             self.epoch = epoch;
             self.seq = seq;
-            self.last = Some(snap.clone());
+            // The base keeps its storage where it has the keyframe's shape.
+            match &mut self.last {
+                Some(base) if base_sig == self.hashes.sig => copy_view(base, &snap),
+                last => *last = Some(snap.clone()),
+            }
             self.last_hash = hash;
             self.keyframes += 1;
             return Ok(DeltaEvent::Snapshot { snap, changed, keyframe: true });
@@ -996,8 +1080,55 @@ pub enum ReportOut {
     Suppressed,
 }
 
+/// The keyframe phase of the stream keyed `key` (see [`DeltaEncoder`]): a
+/// hash of the key, modulo `keyframe_every`.  The hash is the step of
+/// [`content_hash`] over the words the key's `Hash` impl writes, from 0,
+/// not `DefaultHasher`, whose output may change from one toolchain to the
+/// next: a stream's phase is a function of its key alone, and a key of
+/// zeros is at phase 0.
+pub fn phase_of<K: Hash>(key: &K, keyframe_every: u32) -> u32 {
+    let mut h = KeyHasher(0);
+    key.hash(&mut h);
+    (h.finish() % u64::from(keyframe_every.max(1))) as u32
+}
+
+/// A fresh stream keyed `key`, at its phase.
+fn stream_of<K: Hash, T: DeltaRows>(key: &K, keyframe_every: u32) -> DeltaEncoder<T> {
+    DeltaEncoder::with_phase(keyframe_every, phase_of(key, keyframe_every))
+}
+
+/// The pinned hasher of [`phase_of`]: one [`mix`] per integer the key
+/// writes, one per byte of anything else.
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, b| mix(h, u64::from(*b)));
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.0 = mix(self.0, u64::from(v));
+    }
+    fn write_u16(&mut self, v: u16) {
+        self.0 = mix(self.0, u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.0 = mix(self.0, u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix(self.0, v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.0 = mix(self.0, v as u64);
+    }
+    fn finish(&self) -> u64 {
+        (self.0 ^ (self.0 >> 32)).wrapping_mul(HASH_K)
+    }
+}
+
 /// Encoder streams keyed by subscription, with the full/delta mode switch
-/// folded in — the agent-side integration point for RAN functions.
+/// folded in — the agent-side integration point for RAN functions.  Each
+/// stream keyframes on the grid of its key's [`phase_of`], worked out once,
+/// when the stream is created.
 #[derive(Debug, Default)]
 pub struct DeltaStreams<K: Eq + Hash, T: DeltaRows> {
     streams: HashMap<K, DeltaEncoder<T>>,
@@ -1022,7 +1153,7 @@ impl<K: Eq + Hash, T: DeltaRows> DeltaStreams<K, T> {
         self.streams
             .entry(key)
             .and_modify(|e| e.force_keyframe())
-            .or_insert_with(|| DeltaEncoder::new(keyframe_every.max(1)));
+            .or_insert_with_key(|key| stream_of(key, keyframe_every));
     }
 
     /// Drops the stream of a deleted subscription.
@@ -1048,7 +1179,7 @@ impl<K: Eq + Hash, T: DeltaRows> DeltaStreams<K, T> {
                 let enc = self
                     .streams
                     .entry(key)
-                    .or_insert_with(|| DeltaEncoder::new(keyframe_every.max(1)));
+                    .or_insert_with_key(|key| stream_of(key, keyframe_every));
                 SCRATCH.with_borrow_mut(|s| match enc.encode_into(snap, codec, s) {
                     Emitted::Keyframe(frame) => ReportOut::Send(Bytes::from(frame)),
                     // Copied out at its exact size; the scratch stays.

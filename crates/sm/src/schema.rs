@@ -99,6 +99,11 @@ pub trait Row: Copy + Default + PartialEq + Debug {
     fn fill_fb(&self, table: &mut [u8]);
     /// Reads a table [`Row::fill_fb`] filled; every slot is required.
     fn get_fb(t: &FbTable) -> Result<Self>;
+    /// Reads the [`Row::FB_SIZE`] bytes of a table whose vtable is
+    /// [`Row::FB_VTABLE`] ([`FbTable::fixed`]): [`Row::get_fb`], each field
+    /// read at its fixed offset with no bounds check of its own, and
+    /// checked against its maximum in the same order.
+    fn get_fb_fixed(table: &[u8]) -> Result<Self>;
     /// Writes field *k* as varint field *k* + 1.
     fn put_pb<B: ByteSink>(&self, w: &mut PbWriter<B>);
     /// Reads a protobuf-style row; absent fields stay 0, unknown ones are
@@ -159,12 +164,19 @@ impl<R: Row> WireAs for Rows<R> {
         let vector = b.vec_of_tables(R::FB_SIZE, R::FB_VTABLE, rows, R::fill_fb);
         t.off(slot, vector);
     }
+    /// A row whose table has the row type's layout — what every encoder
+    /// writes — is read at fixed offsets; any other goes slot by slot.
     #[inline]
     fn get_fb(_: &Field, t: &FbTable<'_>, slot: u16, _: Src<'_>) -> Result<Option<Vec<R>>> {
         let v = t.vector_or_empty(slot)?;
         let mut rows = Vec::with_capacity(row_count(v.len())?);
+        let mut known = None;
         for i in 0..v.len() {
-            rows.push(R::get_fb(&v.table_at(i)?)?);
+            let t = v.table_at(i)?;
+            rows.push(match t.fixed(R::FB_VTABLE, R::FB_SIZE, &mut known) {
+                Some(table) => R::get_fb_fixed(table)?,
+                None => R::get_fb(&t)?,
+            });
         }
         Ok(Some(rows))
     }
@@ -282,6 +294,16 @@ macro_rules! sm_rows {
                 let f = &TABLE[Slot::$a as usize];
                 let v = t.$aty(Slot::$a as u16)?.ok_or(rt::CodecError::Malformed { what: f.name })?;
                 f.check(v as u64)? as $aty
+            },)+ })
+        }
+        #[inline]
+        fn get_fb_fixed(table: &[u8]) -> rt::Result<Self> {
+            let table: &[u8; FB.size] =
+                table.try_into().map_err(|_| rt::CodecError::Truncated { what: "fb row" })?;
+            Ok(Self { $($a: {
+                let at = FB.offsets[Slot::$a as usize];
+                let bytes = table[at..][..<$aty>::BITS as usize / 8].try_into().expect("the field's width");
+                TABLE[Slot::$a as usize].check(<$aty>::from_le_bytes(bytes) as u64)? as $aty
             },)+ })
         }
         fn put_pb<B: rt::ByteSink>(&self, w: &mut rt::PbWriter<B>) {

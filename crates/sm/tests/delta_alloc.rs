@@ -5,6 +5,18 @@
 //! (the reconstruction handed to the caller, and slack).  A regression here is
 //! a per-report `Vec`, table or clone creeping back into `sm::delta`.
 //!
+//! A warm stream's keyframe costs little more: emitting one allocates at
+//! most twice (the frame, which the snapshot is encoded straight into, and
+//! the count of the `Bytes` that takes it over), applying one at most twice
+//! (the decoded snapshot handed to the caller, and slack) — the base each
+//! end keeps takes the snapshot into its own storage, not a clone.
+//!
+//! The counts are per thread.  Whatever the process sets up once — the
+//! `flexric_obs` series the report path records in — is set up by whichever
+//! thread gets there first, so every test registers them before it counts
+//! ([`warm_up`]): a count never includes another test's setup, or misses
+//! its own.
+//!
 //! Likewise for a full snapshot: encoding 32 rows allocates the output
 //! buffer and nothing else — no list of row offsets, no growth mid-encode,
 //! no table staged on the heap however wide — and into a warm scratch
@@ -21,7 +33,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use flexric_sm::delta::{DeltaDecoder, DeltaEvent, DeltaStreams, ReportOut};
+use flexric_sm::delta::{register_metrics, DeltaDecoder, DeltaEvent, DeltaStreams, ReportOut};
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
 use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
@@ -79,6 +91,11 @@ fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
+/// Registers the process's series before anything is counted.
+fn warm_up() {
+    register_metrics();
+}
+
 /// Moves the clock and two counters of every UE; all keep their width on
 /// the wire, so frames keep their size and the scratch buffer, once warm,
 /// never has to grow.
@@ -92,6 +109,7 @@ fn tick(snap: &mut MacStatsInd, round: u64) {
 
 #[test]
 fn steady_state_stays_within_its_allocation_budget() {
+    warm_up();
     for codec in SmCodec::ALL {
         let mode = ReportMode::Delta { keyframe_every: 1_000 };
         let mut streams: DeltaStreams<u8, MacStatsInd> = DeltaStreams::new();
@@ -130,8 +148,52 @@ fn steady_state_stays_within_its_allocation_budget() {
     }
 }
 
+/// Whether a sent payload is a keyframe (`epoch:32 seq:32 is_delta:1`).
+fn is_keyframe(frame: &[u8]) -> bool {
+    frame[8] & 0x80 == 0
+}
+
+#[test]
+fn a_warm_keyframe_stays_within_its_allocation_budget() {
+    warm_up();
+    for codec in SmCodec::ALL {
+        // Key 0 is at phase 0: a keyframe every fourth opportunity.
+        let mode = ReportMode::Delta { keyframe_every: 4 };
+        let mut streams: DeltaStreams<u8, MacStatsInd> = DeltaStreams::new();
+        let mut dec = DeltaDecoder::<MacStatsInd>::new();
+        let ues = (0..32).map(|i| MacUeStats { rnti: 0x4601 + i, cqi: 12, ..Default::default() });
+        let mut snap = MacStatsInd { tstamp_ms: 1_000_000, cell_prbs: 106, ues: ues.collect() };
+        let mut keyframes = 0;
+        for round in 0..40 {
+            tick(&mut snap, round);
+            let (emit, out) = allocs(|| streams.report(0, mode, &snap, codec));
+            let ReportOut::Send(frame) = out else { panic!("round {round}: content changed") };
+            let (apply, ev) = allocs(|| dec.apply(&frame, codec));
+            match ev.expect("well-formed frame") {
+                DeltaEvent::Snapshot { snap: got, .. } => assert_eq!(got, snap),
+                other => panic!("round {round}: expected a snapshot, got {other:?}"),
+            }
+            // Warm: both ends have had a keyframe of this shape.
+            if round < 8 || !is_keyframe(&frame) {
+                continue;
+            }
+            keyframes += 1;
+            assert!(
+                emit <= 2,
+                "{codec:?} round {round}: emitting a keyframe allocated {emit} times"
+            );
+            assert!(
+                apply <= 2,
+                "{codec:?} round {round}: applying a keyframe allocated {apply} times"
+            );
+        }
+        assert_eq!(keyframes, 8, "{codec:?}: a keyframe every fourth round");
+    }
+}
+
 #[test]
 fn full_snapshot_of_32_rows_is_one_allocation() {
+    warm_up();
     // Every counter at its maximum: the longest PER encoding there is.
     let ue = MacUeStats {
         rnti: u16::MAX,
@@ -216,6 +278,7 @@ fn slice_indication_with_associations_encodes_into_a_warm_scratch_without_alloca
         slices: slices.collect(),
         ue_assoc: (0..24).map(|i| (0x4601 + i, u32::from(i % 3))).collect(),
     };
+    warm_up();
     for codec in SmCodec::ALL {
         let mut scratch = bytes::BytesMut::new();
         for warming in [true, false] {

@@ -8,17 +8,25 @@
 //! * A snapshot is a fixed number of reservations in its sink whatever its
 //!   row count: header, rows, root table, the root's vtable.  A regression
 //!   to one reservation per row fails this count, not a stopwatch.
+//! * A decoder reads a row whose table has the row type's layout at fixed
+//!   offsets, and any other row slot by slot.  Rows forged out of that
+//!   layout — a vtable byte flipped, a slot zeroed, a table cut short by
+//!   the end of the message — take the slot path and decode to what the
+//!   slot path alone gives, value or error; a row whose vtable is an equal
+//!   copy elsewhere keeps the fixed path and its value, and a field set
+//!   above its maximum is refused on the fixed path as on the slot path.
 
 mod support;
 
-use flexric_codec::fb::{FbBuilder, TableBuilder};
+use flexric_codec::error::CodecError;
+use flexric_codec::fb::{FbBuilder, FbView, TableBuilder};
 use flexric_codec::pb::{PbReader, PbWriter};
 use flexric_sm::mac::{MacStatsInd, MacUeStats};
 use flexric_sm::pdcp::{PdcpBearerStats, PdcpStatsInd};
 use flexric_sm::rlc::{RlcBearerStats, RlcStatsInd};
 use flexric_sm::schema::Row;
 use flexric_sm::tc::{TcQueueStats, TcStatsInd};
-use flexric_sm::SmPayload;
+use flexric_sm::{DeltaRows, SmCodec, SmPayload};
 use proptest::prelude::*;
 use support::{row, Counting};
 
@@ -106,4 +114,121 @@ fn a_snapshot_reserves_the_same_few_times_whatever_its_row_count() {
             [reservations(&mac), reservations(&rlc), reservations(&pdcp), reservations(&tc)];
         assert_eq!(counts, [4; 4], "{n} rows: header, rows, root table, root vtable");
     }
+}
+
+/// The rows of `buf`, an FB snapshot with its rows in root slot `slot`,
+/// read slot by slot: what the fixed-layout read must agree with.
+fn rows_slot_by_slot<R: Row>(buf: &[u8], slot: u16) -> Result<Vec<R>, CodecError> {
+    let v = FbView::parse(buf)?.root()?.vector_or_empty(slot)?;
+    (0..v.len()).map(|i| R::get_fb(&v.table_at(i)?)).collect()
+}
+
+/// Whether row `i` of `buf` may be read at fixed offsets.
+fn fixed<R: Row>(buf: &[u8], slot: u16, i: usize) -> bool {
+    let v = FbView::parse(buf).unwrap().root().unwrap().vector_or_empty(slot).unwrap();
+    v.table_at(i).unwrap().fixed(R::FB_VTABLE, R::FB_SIZE, &mut None).is_some()
+}
+
+fn u32_at(buf: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// Where row `i`'s offset is kept, in the vector at root slot `slot`.
+fn row_offset_at(buf: &[u8], slot: u16, i: usize) -> usize {
+    let root = u32_at(buf, 4);
+    let vt = u32_at(buf, root);
+    let rel =
+        u16::from_le_bytes([buf[vt + 2 + 2 * slot as usize], buf[vt + 3 + 2 * slot as usize]]);
+    let vector = u32_at(buf, root + rel as usize);
+    vector + 4 + 4 * i
+}
+
+enum Forge {
+    /// Row `i` points at a copy of its vtable with one byte XORed.
+    Flip(usize, u8),
+    /// … with one slot's offset zeroed: the field is absent.
+    ZeroSlot(usize),
+    /// … an equal copy: still the row type's layout.
+    Moved,
+    /// Row `i`'s table moved to the end of the message and cut this many
+    /// bytes short of its size.
+    Cut(usize),
+    /// Every bit of field `k` of row `i` set, in place: the layout holds,
+    /// and the value is above the maximum of any field narrower than its
+    /// type.
+    Saturate(usize),
+}
+
+/// `buf` with row `i` forged by `how`.
+fn forged<R: Row>(buf: &[u8], slot: u16, i: usize, how: &Forge) -> Vec<u8> {
+    let mut out = buf.to_vec();
+    let at = row_offset_at(buf, slot, i);
+    let table = u32_at(buf, at);
+    let end = out.len() as u32;
+    let offset = |k: usize| u16::from_le_bytes([R::FB_VTABLE[2 + 2 * k], R::FB_VTABLE[3 + 2 * k]]);
+    match how {
+        Forge::Cut(cut) => {
+            out.extend_from_slice(&buf[table..table + R::FB_SIZE - cut]);
+            out[at..at + 4].copy_from_slice(&end.to_le_bytes());
+            return out;
+        }
+        Forge::Saturate(k) => {
+            let last = *k + 1 == (R::FB_VTABLE.len() - 2) / 2;
+            let end = if last { R::FB_SIZE } else { offset(k + 1) as usize };
+            out[table + offset(*k) as usize..table + end].fill(0xFF);
+            return out;
+        }
+        _ => {}
+    }
+    let vt = u32_at(buf, table);
+    let mut vtable = buf[vt..vt + R::FB_VTABLE.len()].to_vec();
+    match how {
+        Forge::Flip(j, mask) => vtable[*j] ^= mask,
+        Forge::ZeroSlot(k) => vtable[2 + 2 * k..4 + 2 * k].fill(0),
+        Forge::Moved | Forge::Cut(_) | Forge::Saturate(_) => {}
+    }
+    out.extend_from_slice(&vtable);
+    out[table..table + 4].copy_from_slice(&end.to_le_bytes());
+    out
+}
+
+fn forged_rows_decode_as_the_slot_path_does<T>(snap: &T, slot: u16)
+where
+    T: SmPayload + DeltaRows,
+    T::Row: Row,
+{
+    let buf = snap.encode(SmCodec::Flatb);
+    let rows = |buf: &[u8]| T::decode(SmCodec::Flatb, buf).map(|s| s.rows().to_vec());
+    assert_eq!(rows(&buf), Ok(snap.rows().to_vec()));
+    let vt = <T::Row as Row>::FB_VTABLE.len();
+    let flips = (0..vt).flat_map(|j| [0x01, 0x80, 0xFF].map(|mask| Forge::Flip(j, mask)));
+    let zeros = (0..(vt - 2) / 2).map(Forge::ZeroSlot);
+    let cuts = (1..=<T::Row as Row>::FB_SIZE - 4).map(Forge::Cut);
+    let saturated = (0..(vt - 2) / 2).map(Forge::Saturate);
+    let forges: Vec<Forge> =
+        flips.chain(zeros).chain(cuts).chain(saturated).chain([Forge::Moved]).collect();
+    for i in 0..snap.rows().len() {
+        for how in &forges {
+            let bad = forged::<T::Row>(&buf, slot, i, how);
+            let moved = matches!(how, Forge::Moved);
+            let layout = moved || matches!(how, Forge::Saturate(_));
+            assert_eq!(fixed::<T::Row>(&bad, slot, i), layout, "{}: row {i}", T::NAME);
+            let want = rows_slot_by_slot::<T::Row>(&bad, slot);
+            assert_eq!(rows(&bad), want, "{}: row {i}", T::NAME);
+            if moved {
+                assert_eq!(want, Ok(snap.rows().to_vec()));
+            }
+        }
+    }
+}
+
+#[test]
+fn rows_forged_out_of_the_fixed_layout_decode_as_the_slot_path_does() {
+    fn rows<R: Row>(n: u32) -> Vec<R> {
+        (0..n).map(|i| row(0x4601 + i, &[0x1234_5678_9ABC_DEF0 >> i; 32])).collect()
+    }
+    let mac = MacStatsInd { tstamp_ms: 1, cell_prbs: 106, ues: rows(3) };
+    forged_rows_decode_as_the_slot_path_does(&mac, 2);
+    forged_rows_decode_as_the_slot_path_does(&RlcStatsInd { tstamp_ms: 1, bearers: rows(3) }, 1);
+    forged_rows_decode_as_the_slot_path_does(&PdcpStatsInd { tstamp_ms: 1, bearers: rows(3) }, 1);
 }

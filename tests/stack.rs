@@ -7,9 +7,10 @@
 //!
 //! The scenarios: a cell outage inside and past the grace window
 //! (subscription replay, delta re-key, ground truth), adaptive retuning over
-//! delta streams (byte-identical reconstruction), KPM with a handover
-//! through the RRC SM, and the UE-to-controller association of the paper's
-//! §4.1.2.  The plain monitoring pipeline is in `integration.rs`.
+//! delta streams (byte-identical reconstruction), the keyframe phases of
+//! one monitor's agents, KPM with a handover through the RRC SM, and the
+//! UE-to-controller association of the paper's §4.1.2.  The plain
+//! monitoring pipeline is in `integration.rs`.
 
 mod wire;
 
@@ -267,6 +268,50 @@ fn adaptive_retunes_live_subscriptions_and_reconstructs_byte_identically() {
         assert_eq!(content_hash(&rlc), content_hash(g.rlc()), "node {node}: RLC");
         assert_eq!(content_hash(&pdcp), content_hash(g.pdcp()), "node {node}: PDCP");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Keyframe phases: the agents of one monitor do not key in lockstep.
+// ---------------------------------------------------------------------------
+
+/// Eight agents under one delta-mode monitor, MAC + RLC + PDCP each, all
+/// reporting on one 10 ms grid: 24 streams that start together.  Past each
+/// stream's first keyframe, no tick carries more than twice the 24 streams'
+/// share of one in 16 — each stream keys at the phase of its subscription,
+/// `(controller, request id)`, where streams that all keyed by the same
+/// count would put all 24 keyframes on one tick every 16 reports.
+#[test]
+fn delta_agents_under_one_monitor_key_at_phases_of_their_own() {
+    const AGENTS: u64 = 8;
+    const KEYFRAME_EVERY: u32 = 16;
+    let mut w = Wire::default();
+    let (mode, period_ms) = (MonitorMode::Delta, 10);
+    let m = MonitorConfig { period_ms, mode, keyframe_every: KEYFRAME_EVERY, ..Default::default() };
+    let (_, counters) = start_monitor(&mut w, &ctrl_cfg(0), m);
+    for i in 0..AGENTS {
+        let functions = dummy_bundle_time_varying(UES, SmCodec::Flatb, i);
+        w.start_agent_of(agent_cfg(1 + i, Some(BACKOFF), &[addr(0)]), functions);
+    }
+    assert_eq!(w.ctrl_stats(0).subs, AGENTS * 3, "MAC + RLC + PDCP per agent");
+    w.advance(4 * u64::from(KEYFRAME_EVERY * period_ms));
+    assert_eq!(errors(&w, &counters), [0; 5], "decode errors, resyncs, answers");
+
+    // Keyframes per tick, each stream's first left out: (agent, request).
+    let mut started = BTreeSet::new();
+    let mut per_tick: BTreeMap<u64, usize> = BTreeMap::new();
+    for (t, end, msg) in &w.trace {
+        let (End::A(agent, _), Some(msg)) = (end, msg) else { continue };
+        let Ok(E2apPdu::RicIndication(ind)) = CODEC.decode(&msg.payload) else { continue };
+        if ind.message[8] & 0x80 == 0 && !started.insert((*agent, ind.req_id)) {
+            *per_tick.entry(*t).or_default() += 1;
+        }
+    }
+    assert_eq!(started.len() as u64, AGENTS * 3, "every stream started");
+    let total: usize = per_tick.values().sum();
+    assert!(total >= 2 * started.len(), "periodic keyframes: {per_tick:?}");
+    let bound = 2 * started.len().div_ceil(KEYFRAME_EVERY as usize);
+    let most = per_tick.values().copied().max().unwrap_or(0);
+    assert!(most <= bound, "{most} keyframes in one tick, at most {bound}: {per_tick:?}");
 }
 
 // ---------------------------------------------------------------------------
